@@ -1,11 +1,11 @@
-//! End-to-end executor benchmarks: discrete-event vs threaded vs
-//! sequential substrates on one `Ensemble` (DESIGN.md ablation #1) and
+//! End-to-end executor benchmarks: discrete-event vs sequential
+//! substrates on one `Ensemble` (DESIGN.md ablation #1) and
 //! weighted vs unweighted training (ablation #2), measured in wall-clock
 //! per training run.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqc_bench::{band, ensemble_for};
-use eqc_core::{EqcConfig, SequentialExecutor, ThreadedExecutor};
+use eqc_core::{EqcConfig, SequentialExecutor};
 use vqa::QaoaProblem;
 
 const DEVICES: [&str; 4] = ["belem", "manila", "bogota", "quito"];
@@ -29,13 +29,6 @@ fn bench_executors(c: &mut Criterion) {
         b.iter(|| {
             ensemble_for(&DEVICES, 1, small_config().with_weights(band(0.5, 1.5)))
                 .train(&problem)
-                .expect("trains")
-        })
-    });
-    group.bench_function("threaded_unweighted", |b| {
-        b.iter(|| {
-            ensemble_for(&DEVICES, 1, small_config())
-                .train_with(&ThreadedExecutor::new(), &problem)
                 .expect("trains")
         })
     });

@@ -3,14 +3,13 @@
 //! device sets.
 //!
 //! The discrete-event executor is the single-threaded baseline; the
-//! threaded executor pays one OS thread per client; the pooled executor
-//! trains the same fleet with a bounded worker pool — in deterministic
-//! mode producing the exact DES report, so the bench compares pure
-//! substrate overhead, not different training runs.
+//! pooled executor trains the same fleet with a bounded worker pool and
+//! produces the exact DES report, so the bench compares pure substrate
+//! overhead, not different training runs.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use eqc_bench::fleet_ensemble;
-use eqc_core::{EqcConfig, PooledExecutor, ThreadedExecutor};
+use eqc_core::{EqcConfig, PooledExecutor};
 use vqa::QaoaProblem;
 
 fn bench_fleet_scaling(c: &mut Criterion) {
@@ -28,7 +27,7 @@ fn bench_fleet_scaling(c: &mut Criterion) {
             |b, ensemble| b.iter(|| ensemble.train(&problem).expect("trains")),
         );
         group.bench_with_input(
-            BenchmarkId::new("pooled_det", clients),
+            BenchmarkId::new("pooled", clients),
             &ensemble,
             |b, ensemble| {
                 b.iter(|| {
@@ -38,33 +37,6 @@ fn bench_fleet_scaling(c: &mut Criterion) {
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("pooled_arrival", clients),
-            &ensemble,
-            |b, ensemble| {
-                b.iter(|| {
-                    ensemble
-                        .train_with(&PooledExecutor::new().deterministic(false), &problem)
-                        .expect("trains")
-                })
-            },
-        );
-        // One thread per client stops being fun past a few dozen
-        // clients; keep the thread-per-client point of comparison to the
-        // sizes where it is a sane configuration.
-        if clients <= 64 {
-            group.bench_with_input(
-                BenchmarkId::new("threaded", clients),
-                &ensemble,
-                |b, ensemble| {
-                    b.iter(|| {
-                        ensemble
-                            .train_with(&ThreadedExecutor::new(), &problem)
-                            .expect("trains")
-                    })
-                },
-            );
-        }
     }
     group.finish();
 }

@@ -1,23 +1,19 @@
-//! Fleet scaling: DES vs Threaded vs Pooled on synthesized device
-//! fleets.
+//! Fleet scaling: DES vs Pooled on synthesized device fleets.
 //!
 //! The paper's evaluation tops out at ten QPUs; the ensemble-VQE
 //! follow-ups argue accuracy keeps improving as the ensemble widens, so
 //! this harness measures the *system* side of that direction: how each
 //! execution substrate behaves as the fleet grows from 8 to 256 virtual
-//! devices ([`qdevice::catalog::fleet`]). The threaded executor spawns
-//! one OS thread per client; the pooled executor trains the same fleet
-//! with at most `available_parallelism` workers — and, in deterministic
-//! mode, a report byte-identical to the discrete-event executor's
-//! (asserted here on every size).
+//! devices ([`qdevice::catalog::fleet`]). The pooled executor trains
+//! the same fleet with at most `available_parallelism` workers — and a
+//! report byte-identical to the discrete-event executor's (asserted
+//! here on every size).
 //!
 //! Run with: `cargo run --release -p eqc-bench --bin fig_fleet`
 //!
 //! Environment:
 //! * `EQC_FLEET_CLIENTS` — run a single fleet size instead of 8/64/256
-//!   (the CI mega-smoke passes 1024; at 512+ clients the
-//!   thread-per-client substrate is skipped and its JSON field is
-//!   `null`);
+//!   (the CI mega-smoke passes 1024);
 //! * `EQC_EPOCHS` / `EQC_SHOTS` — the usual budget overrides.
 //!
 //! Emits one machine-readable JSON line per size
@@ -28,8 +24,7 @@ use eqc_bench::{
     write_bench_snapshot, write_csv, BenchRow,
 };
 use eqc_core::{
-    ContentionAware, EqcConfig, PolicyConfig, PooledExecutor, TenantConfig, ThreadedExecutor,
-    TrainingReport,
+    ContentionAware, EqcConfig, PolicyConfig, PooledExecutor, TenantConfig, TrainingReport,
 };
 use std::time::Instant;
 use vqa::QaoaProblem;
@@ -52,7 +47,7 @@ fn main() {
         n => vec![n],
     };
     let commit = std::env::var("GITHUB_SHA").unwrap_or_else(|_| "local".into());
-    println!("# Fleet scaling — DES vs Threaded vs Pooled ({epochs} epochs, {shots} shots)\n");
+    println!("# Fleet scaling — DES vs Pooled ({epochs} epochs, {shots} shots)\n");
 
     let mut rows = Vec::new();
     let mut bench_rows = Vec::new();
@@ -60,17 +55,6 @@ fn main() {
     for &n in &sizes {
         let ensemble = fleet_ensemble(n, cfg);
         let (des, des_ms) = timed(|| ensemble.train(&problem).expect("DES trains"));
-
-        // Thread-per-client stops being a sane substrate somewhere
-        // around a thousand OS threads; the mega-fleet rows measure DES
-        // vs the bounded pool only.
-        let threaded = (n < 512).then(|| {
-            timed(|| {
-                ensemble
-                    .train_with(&ThreadedExecutor::new(), &problem)
-                    .expect("threaded trains")
-            })
-        });
 
         let pooled_exec = PooledExecutor::new();
         let (pooled, pooled_ms) = timed(|| {
@@ -88,11 +72,10 @@ fn main() {
             "deterministic pool must replay the DES report at {n} clients"
         );
 
-        let mut table_rows = vec![("des", &des, 1usize, des_ms)];
-        if let Some((ref threaded, threaded_ms)) = threaded {
-            table_rows.push(("threaded", threaded, n, threaded_ms));
-        }
-        table_rows.push(("pooled", &pooled, telemetry.workers_spawned, pooled_ms));
+        let table_rows = [
+            ("des", &des, 1usize, des_ms),
+            ("pooled", &pooled, telemetry.workers_spawned, pooled_ms),
+        ];
         for (label, _, _, ms) in &table_rows {
             bench_rows.push(BenchRow::new(
                 &format!("fleet{n}"),
@@ -117,22 +100,12 @@ fn main() {
             ));
         }
         println!(
-            "fleet[{n}]: pool ran {} workers{}, queue depth <= {}, {} tasks stolen",
-            telemetry.workers_spawned,
-            if threaded.is_some() {
-                format!(" (threaded spawned {n} threads)")
-            } else {
-                " (thread-per-client skipped at this width)".to_string()
-            },
-            telemetry.queue_depth_max,
-            telemetry.tasks_stolen
+            "fleet[{n}]: pool ran {} workers, queue depth <= {}, {} tasks stolen",
+            telemetry.workers_spawned, telemetry.queue_depth_max, telemetry.tasks_stolen
         );
-        let threaded_ms_json = threaded
-            .as_ref()
-            .map_or("null".to_string(), |&(_, ms)| ms.to_string());
         println!(
             "{{\"bench\":\"fleet{n}\",\"clients\":{n},\"epochs\":{epochs},\"shots\":{shots},\
-             \"des_ms\":{des_ms},\"threaded_ms\":{threaded_ms_json},\"pooled_ms\":{pooled_ms},\
+             \"des_ms\":{des_ms},\"pooled_ms\":{pooled_ms},\
              \"workers\":{},\"stolen\":{},\"commit\":\"{commit}\"}}",
             telemetry.workers_spawned, telemetry.tasks_stolen
         );

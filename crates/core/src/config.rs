@@ -440,21 +440,14 @@ impl Default for TenantConfig {
 /// [`PooledExecutor`](crate::PooledExecutor).
 ///
 /// Defaults to one worker per hardware thread
-/// ([`std::thread::available_parallelism`]) and deterministic
-/// absorption, so the pool is a drop-in for the discrete-event executor
-/// on fleets of any width.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+/// ([`std::thread::available_parallelism`]); absorption always follows
+/// the discrete-event total order, so the pool is a drop-in for the
+/// discrete-event executor on fleets of any width.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PoolConfig {
     /// Worker threads to spawn; `None` resolves to the machine's
     /// available parallelism. Never more than one worker per client.
     pub workers: Option<usize>,
-    /// When `true` (default), results are absorbed in the same
-    /// earliest-virtual-completion total order as the
-    /// [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) — same
-    /// seed, byte-identical report. When `false`, results are absorbed
-    /// in arrival order (realistic, not reproducible), matching the
-    /// [`ThreadedExecutor`](crate::ThreadedExecutor)'s semantics.
-    pub deterministic: bool,
 }
 
 impl PoolConfig {
@@ -483,15 +476,6 @@ impl PoolConfig {
                 .unwrap_or(4)
         };
         self.workers.unwrap_or_else(hw).min(n_clients).max(1)
-    }
-}
-
-impl Default for PoolConfig {
-    fn default() -> Self {
-        PoolConfig {
-            workers: None,
-            deterministic: true,
-        }
     }
 }
 
@@ -562,25 +546,17 @@ mod tests {
     #[test]
     fn pool_config_resolves_and_validates() {
         let d = PoolConfig::default();
-        assert!(d.deterministic);
         assert!(d.validate().is_ok());
         assert!(d.resolved_workers(1000) >= 1);
         assert!(
             d.resolved_workers(2) <= 2,
             "never more workers than clients"
         );
-        let explicit = PoolConfig {
-            workers: Some(8),
-            deterministic: false,
-        };
+        let explicit = PoolConfig { workers: Some(8) };
         assert_eq!(explicit.resolved_workers(256), 8);
         assert_eq!(explicit.resolved_workers(3), 3);
         assert!(matches!(
-            PoolConfig {
-                workers: Some(0),
-                ..Default::default()
-            }
-            .validate(),
+            PoolConfig { workers: Some(0) }.validate(),
             Err(EqcError::InvalidConfig(_))
         ));
     }

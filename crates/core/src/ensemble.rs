@@ -534,18 +534,6 @@ impl<'p> EnsembleSession<'p> {
         (&mut self.clients, &mut self.master)
     }
 
-    /// Moves the clients out (thread-based executors hand each client to
-    /// its worker); pair with [`EnsembleSession::put_clients`].
-    pub fn take_clients(&mut self) -> Vec<ClientNode> {
-        std::mem::take(&mut self.clients)
-    }
-
-    /// Returns clients taken with [`EnsembleSession::take_clients`] so
-    /// the final report sees their counters.
-    pub fn put_clients(&mut self, clients: Vec<ClientNode>) {
-        self.clients = clients;
-    }
-
     /// Engine-side telemetry across this session's clients: lanes of
     /// data-parallelism, shift pairs folded over a shared prefix, and
     /// jobs executed. Lives beside the report (see

@@ -2,33 +2,32 @@
 //!
 //! The [`Executor`] trait is the framework's extension axis: an executor
 //! decides *where and in what order* the master's assignments run —
-//! deterministic virtual time, real OS threads, or a synchronous
-//! baseline — while [`MasterLoop`] owns the optimization semantics
-//! (cyclic schedule, gathers, weighted ASGD, staleness). Adding a future
-//! async / sharded / remote substrate is a new `impl Executor`, not a
-//! new trainer.
+//! deterministic virtual time, a worker pool, or a synchronous
+//! baseline — while [`MasterLoop`](crate::MasterLoop) owns the
+//! optimization semantics (cyclic schedule, gathers, weighted ASGD,
+//! staleness). Adding a future async / sharded / remote substrate is a
+//! new `impl Executor`, not a new trainer.
 //!
-//! Ships with four implementations. The matrix that picks one:
+//! Ships with three implementations. The matrix that picks one:
 //!
 //! | Executor | Deterministic | Parallel | Scale (clients) |
 //! |---|---|---|---|
 //! | [`DiscreteEventExecutor`] | yes (byte-identical per seed) | no (one thread) | any, serially |
-//! | [`ThreadedExecutor`] | no (arrival order) | yes | one OS thread **per client** — fine to a few dozen |
-//! | [`PooledExecutor`] `deterministic(true)` | yes (byte-identical to DES) | yes (bounded pool) | 100–1000+ |
-//! | [`PooledExecutor`] `deterministic(false)` | no (arrival order) | yes (bounded pool) | 100–1000+ |
+//! | [`PooledExecutor`] | yes (byte-identical to DES) | yes (bounded pool) | 100–1000+ |
 //! | [`SequentialExecutor`] | yes | no (barrier per parameter) | baseline / ablation |
+//!
+//! The first two are one loop: both hand the session to the
+//! [`crate::fleet`] drive as a fleet of one tenant and differ only in
+//! its execution axis (inline vs worker pool).
 //!
 //! * [`DiscreteEventExecutor`] — the default: a deterministic
 //!   discrete-event loop over virtual completion times (reproducible
 //!   per seed, used by every figure harness);
-//! * [`ThreadedExecutor`] — one OS thread per client with channel-based
-//!   task/result exchange (the paper's Ray.io analogue; arrival order is
-//!   decided by the scheduler, so runs are realistic, not reproducible);
 //! * [`PooledExecutor`] (see [`crate::pool`]) — any number of clients
 //!   multiplexed over a bounded worker pool with sharded run-queues and
-//!   work stealing; deterministic mode replays the discrete-event total
-//!   order exactly, so fleet-scale ensembles (see
-//!   [`qdevice::catalog::fleet`]) stay reproducible;
+//!   work stealing, replaying the discrete-event total order exactly,
+//!   so fleet-scale ensembles (see [`qdevice::catalog::fleet`]) train
+//!   in parallel and stay reproducible;
 //! * [`SequentialExecutor`] — barrier-synchronized dispatch that
 //!   subsumes the paper's single-machine baseline (one client: ordinary
 //!   sequential SGD) and the synchronous-ensemble ablation (many
@@ -36,13 +35,10 @@
 
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;
-use crate::master::Assignment;
 pub use crate::pool::PooledExecutor;
 use crate::report::TrainingReport;
 use qdevice::SimTime;
 use std::cmp::Ordering;
-use std::sync::mpsc;
-use std::thread;
 
 use crate::client::ClientTaskResult;
 
@@ -124,151 +120,8 @@ impl DiscreteEventExecutor {
 impl Executor for DiscreteEventExecutor {
     fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError> {
         session.begin()?;
-        let problem = session.problem();
-        let cfg = session.config();
-        let (clients, master) = session.split_mut();
-        let n = clients.len();
-        let mut lanes = [crate::fleet::Lane::single(
-            problem, cfg.shots, clients, master,
-        )];
-        crate::fleet::drive_des(&mut lanes, &crate::policy::arbiter::Unshared, n)?;
-        drop(lanes);
-        session.finish(format!("eqc[{n}]"))
-    }
-}
-
-/// A result returned by a client thread.
-struct ThreadResult {
-    client: usize,
-    result: ClientTaskResult,
-    cycle: usize,
-    dispatched_at_update: u64,
-}
-
-/// One OS thread per client, `std::sync::mpsc` channels for the
-/// task/result protocol — the paper's Ray.io-actor analogue.
-///
-/// Virtual device latencies still govern the *recorded* timeline, but
-/// arrival order is decided by the operating-system scheduler, so runs
-/// are realistic rather than reproducible. Use the
-/// [`DiscreteEventExecutor`] for experiments that must replay.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThreadedExecutor;
-
-impl ThreadedExecutor {
-    /// Creates the executor.
-    pub fn new() -> Self {
-        ThreadedExecutor
-    }
-}
-
-impl Executor for ThreadedExecutor {
-    fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError> {
-        session.begin()?;
-        let problem = session.problem();
-        let cfg = session.config();
-        let n = session.num_clients();
-        let mut workers = session.take_clients();
-
-        let (result_tx, result_rx) = mpsc::channel::<ThreadResult>();
-        let mut returned: Vec<Option<crate::client::ClientNode>> = (0..n).map(|_| None).collect();
-
-        let outcome: Result<(), EqcError> = thread::scope(|scope| {
-            let mut task_txs: Vec<mpsc::Sender<Assignment>> = Vec::with_capacity(n);
-            let mut handles = Vec::with_capacity(n);
-            for (idx, mut client) in workers.drain(..).enumerate() {
-                let (tx, rx) = mpsc::channel::<Assignment>();
-                task_txs.push(tx);
-                let result_tx = result_tx.clone();
-                handles.push(scope.spawn(move || {
-                    // Each client keeps its own virtual-time cursor: jobs
-                    // on a device serialize independently of other
-                    // devices.
-                    let mut local_time = SimTime::ZERO;
-                    while let Ok(a) = rx.recv() {
-                        let r = client.run_task(problem, a.task, &a.params, cfg.shots, local_time);
-                        local_time = r.completed;
-                        if result_tx
-                            .send(ThreadResult {
-                                client: idx,
-                                result: r,
-                                cycle: a.cycle,
-                                dispatched_at_update: a.dispatched_at_update,
-                            })
-                            .is_err()
-                        {
-                            break;
-                        }
-                    }
-                    client
-                }));
-            }
-            drop(result_tx);
-
-            // The master protocol runs in an inner closure so that a
-            // failure (a client thread panicking or exiting early) still
-            // falls through to the unconditional shutdown + join below:
-            // every surviving client is recovered on every path, and no
-            // handle is left unjoined for `thread::scope` to re-panic on.
-            let mut drive = || -> Result<(), EqcError> {
-                let (_, master) = session.split_mut();
-                let send = |c: usize, a: Assignment| {
-                    task_txs[c]
-                        .send(a)
-                        .map_err(|_| EqcError::Internal("client thread exited early".into()))
-                };
-                // Prime every client, in scheduler-policy order.
-                for c in master.prime_order()? {
-                    let a = master.next_assignment()?;
-                    send(c, a)?;
-                }
-                while !master.is_complete() {
-                    let tr = result_rx
-                        .recv()
-                        .map_err(|_| EqcError::Internal("all client threads exited".into()))?;
-                    master.absorb(
-                        tr.client,
-                        tr.cycle,
-                        tr.dispatched_at_update,
-                        &tr.result,
-                        problem,
-                    )?;
-                    if master.is_complete() {
-                        break;
-                    }
-                    // The freed client (unless benched) plus any client
-                    // re-admitted by this absorb goes back to work.
-                    for c in master.dispatch_order(tr.client)? {
-                        let a = master.next_assignment()?;
-                        send(c, a)?;
-                    }
-                }
-                Ok(())
-            };
-            let driven = drive();
-
-            // Shut the clients down and take them back for reporting.
-            drop(task_txs);
-            let mut join_failure = None;
-            for (i, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(client) => returned[i] = Some(client),
-                    Err(_) => {
-                        join_failure =
-                            Some(EqcError::Internal(format!("client thread {i} panicked")));
-                    }
-                }
-            }
-            driven.and(join_failure.map_or(Ok(()), Err))
-        });
-
-        // Hand back whatever clients were recovered before surfacing any
-        // failure, so an errored session is not left permanently empty.
-        session.put_clients(returned.into_iter().flatten().collect());
-        outcome?;
-
-        let label = format!("eqc-threaded[{n}]");
-        session.finish(label)
+        crate::fleet::drive_session(session, None).0?;
+        session.finish(format!("eqc[{}]", session.num_clients()))
     }
 }
 
@@ -416,20 +269,6 @@ mod tests {
         let a = ensemble.train(&problem).unwrap();
         let b = ensemble.train(&problem).unwrap();
         assert_eq!(a, b, "same seed must reproduce the full report");
-    }
-
-    #[test]
-    fn threaded_executor_trains() {
-        let problem = QaoaProblem::maxcut_ring4();
-        let ensemble = small_ensemble(&["belem", "manila"], 6);
-        let report = ensemble
-            .train_with(&ThreadedExecutor::new(), &problem)
-            .unwrap();
-        assert_eq!(report.epochs, 6);
-        assert!(report.trainer.starts_with("eqc-threaded"));
-        for c in &report.clients {
-            assert!(c.tasks_completed > 0, "{} idle", c.device);
-        }
     }
 
     #[test]

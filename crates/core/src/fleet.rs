@@ -30,32 +30,41 @@
 //! * a **single-tenant** fleet run is byte-identical to today's
 //!   standalone [`Ensemble::train`](crate::Ensemble::train) — the
 //!   [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) and the
-//!   deterministic [`PooledExecutor`](crate::PooledExecutor) are in
-//!   fact thin "fleet of one tenant" wrappers over this module's drive
-//!   loop;
+//!   [`PooledExecutor`](crate::PooledExecutor) are in fact thin "fleet
+//!   of one tenant" wrappers over this module's drive loop;
 //! * under the [`Unshared`] arbiter (capacity sharing disabled), every
 //!   tenant's report is byte-identical *regardless of co-tenants*,
 //!   because no tenant ever constrains another's dispatches and every
 //!   tenant owns independent client state.
 //!
-//! ## Substrates
+//! ## One drive, two axes
 //!
-//! [`FleetBuilder::pooled`] runs the same drive over the bounded
-//! worker pool ([`crate::pool`]'s sharded work-stealing run-queue,
-//! promoted here to the fleet's persistent substrate): tasks execute on
-//! worker threads while the coordinator absorbs them in the exact
-//! discrete-event total order via conservative queue-model lookahead —
-//! parallel wall-clock, byte-identical outcome.
+//! Every fleet mode — batch or streaming, any substrate — and both
+//! single-session executors run the same resumable stepper, `drive`:
+//! `next event → arrival-or-absorb → grant → round += 1`. Only two
+//! things vary, and they are orthogonal:
+//!
+//! * **Ledger ownership.** Private per-clone queues (the default), or
+//!   [`FleetBuilder::shared`]: one [`DeviceQueue`] timeline per
+//!   physical device, with an incremental occupancy view feeding
+//!   occupancy-aware schedulers. With zero load and one tenant the
+//!   shared ledgers replay the private ones byte for byte.
+//! * **Execution.** Inline at dispatch (the reference), or
+//!   [`FleetBuilder::pooled`]: tasks run on the bounded worker pool
+//!   ([`crate::pool`]'s sharded work-stealing run-queue) while the
+//!   coordinator absorbs them in the exact discrete-event total order
+//!   via conservative queue-model lookahead — parallel wall-clock,
+//!   byte-identical outcome.
 //!
 //! ## Streaming
 //!
-//! Both substrates' drive loops are wrappers over one resumable
-//! *stepper* that also accepts tenant **arrivals** at future virtual
+//! The stepper also accepts tenant **arrivals** at future virtual
 //! times. The [`service`] submodule layers the always-on
 //! [`FleetService`](service::FleetService) on that seam: admissions
 //! land mid-run, each tenant retires the moment its last gather
-//! absorbs, and a run whose tenants all arrive at `t = 0` replays
-//! [`FleetRuntime::run`] byte for byte (pinned by tests).
+//! absorbs. A batch is the special case where every tenant arrives at
+//! `t = 0`, so [`FleetRuntime`] is a front over a service it drains
+//! once per [`FleetRuntime::run`].
 //!
 //! ```
 //! use eqc_core::policy::arbiter::FairShare;
@@ -83,19 +92,19 @@
 
 pub mod service;
 
-use crate::client::ClientNode;
-use crate::config::{PoolConfig, ServiceConfig, TenantConfig};
-use crate::ensemble::{clients_for, probes_for, resolve_devices, Device, DeviceChoice};
+use crate::client::{ClientNode, ClientTaskResult};
+use crate::config::{ServiceConfig, TenantConfig};
+use crate::ensemble::{resolve_devices, Device, DeviceChoice};
 use crate::error::EqcError;
 use crate::executor::Event;
 use crate::master::{Assignment, MasterLoop};
-use crate::policy::arbiter::{ArbiterContext, FairShare, TenantArbiter, TenantLoad};
+use crate::policy::arbiter::{ArbiterContext, FairShare, TenantArbiter, TenantLoad, Unshared};
 use crate::policy::FleetOccupancy;
 use crate::pool::RunQueue;
 use crate::report::{
     DeviceOccupancy, FleetTelemetry, PoolTelemetry, TenantTelemetry, TrainingReport,
 };
-use qdevice::{DeviceQueue, LoadModel, QueueModel, QueueReadHandle, SharedNoiseCache, SimTime};
+use qdevice::{DeviceQueue, LoadModel, QueueModel, QueueReadHandle, SimTime};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -233,55 +242,19 @@ impl Substrate {
     }
 }
 
-/// One admitted tenant: its problem binding (clients transpiled per
-/// device), master state and arbiter-facing knobs. Owned by the fleet —
-/// the ownership inversion this module exists for.
-struct TenantSlot<'p> {
-    label: String,
-    problem: &'p dyn VqaProblem,
-    shots: usize,
-    weight: f64,
-    priority: i64,
-    deadline_h: Option<f64>,
-    clients: Vec<ClientNode>,
-    master: MasterLoop,
-}
-
 /// The long-lived multi-tenant runtime. Build with
 /// [`FleetRuntime::builder`], populate with [`FleetRuntime::admit`],
 /// drain with [`FleetRuntime::run`]. Devices persist across runs; each
 /// run consumes the tenants admitted since the previous one.
+///
+/// A batch is a stream whose tenants all arrive at fleet time zero, so
+/// the runtime is a front over a [`FleetService`] it drains and resets
+/// once per run: ledgers, noise caches and the fleet clock start fresh
+/// each run, and identical admissions replay identically (pinned by
+/// `fleet_is_reusable_across_runs`).
+#[derive(Debug)]
 pub struct FleetRuntime<'p> {
-    devices: Vec<Device>,
-    arbiter: Arc<dyn TenantArbiter>,
-    substrate: Substrate,
-    tenants: Vec<TenantSlot<'p>>,
-    /// Tenant-batch generation, bumped by every [`FleetRuntime::run`];
-    /// stamped into issued [`TenantId`]s and outcomes so stale handles
-    /// are detected instead of misattributed.
-    batch: u64,
-    /// The fleet-wide batched-job pipeline, built lazily by the first
-    /// admitted tenant configured with
-    /// [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline)
-    /// and shared by every later pipeline tenant — cross-tenant jobs
-    /// interleave on the same lanes.
-    pipeline: Option<Arc<qsim::BatchPipeline>>,
-    /// Whether co-tenant clones of one physical device share a noise
-    /// cache (the default) or each keep a private one (the equivalence
-    /// toggle behind [`FleetBuilder::without_noise_sharing`]).
-    share_noise: bool,
-}
-
-impl std::fmt::Debug for FleetRuntime<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("FleetRuntime")
-            .field("devices", &self.devices.len())
-            .field("arbiter", &self.arbiter.name())
-            .field("substrate", &self.substrate)
-            .field("tenants", &self.tenants.len())
-            .field("batch", &self.batch)
-            .finish()
-    }
+    service: FleetService<'p>,
 }
 
 impl<'p> FleetRuntime<'p> {
@@ -298,17 +271,17 @@ impl<'p> FleetRuntime<'p> {
 
     /// Devices in the shared pool (= concurrent-task slots).
     pub fn num_devices(&self) -> usize {
-        self.devices.len()
+        self.service.num_devices()
     }
 
     /// Tenants admitted and waiting for the next run.
     pub fn num_tenants(&self) -> usize {
-        self.tenants.len()
+        self.service.num_pending()
     }
 
     /// The arbiter policy's name.
     pub fn arbiter_name(&self) -> &'static str {
-        self.arbiter.name()
+        self.service.arbiter_name()
     }
 
     /// Admits a tenant: transpiles the problem's templates for every
@@ -327,42 +300,7 @@ impl<'p> FleetRuntime<'p> {
         problem: &'p dyn VqaProblem,
         tenant: TenantConfig,
     ) -> Result<TenantId, EqcError> {
-        tenant.validate()?;
-        if problem.num_params() == 0 || problem.tasks().is_empty() {
-            return Err(EqcError::EmptyProblem(problem.name()));
-        }
-        let par = tenant.config.sim_parallelism.build_ctx();
-        let pipeline = tenant
-            .config
-            .sim_parallelism
-            .build_pipeline()
-            .map(|built| self.pipeline.get_or_insert(built).clone());
-        let clients = clients_for(&self.devices, problem, &par, pipeline.as_ref())?;
-        let probes = probes_for(&tenant.policies, &clients);
-        let master = MasterLoop::new(
-            problem,
-            tenant.config,
-            tenant.policies,
-            clients.len(),
-            probes,
-        );
-        let id = TenantId {
-            index: self.tenants.len(),
-            batch: self.batch,
-        };
-        self.tenants.push(TenantSlot {
-            label: tenant
-                .label
-                .unwrap_or_else(|| format!("tenant{}", id.index())),
-            problem,
-            shots: tenant.config.shots,
-            weight: tenant.weight,
-            priority: tenant.priority,
-            deadline_h: tenant.deadline_h,
-            clients,
-            master,
-        });
-        Ok(id)
+        Ok(self.service.admit_at(problem, tenant, 0.0)?.id())
     }
 
     /// Drives every admitted tenant to completion, multiplexing fleet
@@ -376,154 +314,7 @@ impl<'p> FleetRuntime<'p> {
     /// [`EqcError::Internal`] if the drive or the pooled substrate
     /// fails.
     pub fn run(&mut self) -> Result<FleetOutcome, EqcError> {
-        if self.tenants.is_empty() {
-            return Err(EqcError::NoTenants);
-        }
-        let slots = self.devices.len();
-        let batch = self.batch;
-        self.batch += 1;
-        let mut tenants = std::mem::take(&mut self.tenants);
-        // Cross-tenant noise/compile sharing: one value-keyed cache per
-        // physical device slot, attached to every tenant's clone of that
-        // slot, so each (device, calibration-cycle) noise projection is
-        // built once fleet-wide. Clones share seed, base calibration and
-        // drift, so the shared artifacts are bit-identical to per-clone
-        // builds. `without_noise_sharing` routes the same code path
-        // through a private cache per clone instead, making both build
-        // granularities observable through the same counters.
-        let mut noise_caches: Vec<Arc<SharedNoiseCache>> = Vec::new();
-        if self.share_noise {
-            noise_caches.extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
-            for tenant in tenants.iter_mut() {
-                for (d, client) in tenant.clients.iter_mut().enumerate() {
-                    client
-                        .backend_mut()
-                        .attach_shared_noise(Arc::clone(&noise_caches[d]));
-                }
-            }
-        } else {
-            for tenant in tenants.iter_mut() {
-                for client in tenant.clients.iter_mut() {
-                    let cache = Arc::new(SharedNoiseCache::default());
-                    client.backend_mut().attach_shared_noise(Arc::clone(&cache));
-                    noise_caches.push(cache);
-                }
-            }
-        }
-        let mut lanes: Vec<Lane<'_, 'p>> = tenants
-            .iter_mut()
-            .map(|t| {
-                let TenantSlot {
-                    problem,
-                    shots,
-                    weight,
-                    priority,
-                    deadline_h,
-                    clients,
-                    master,
-                    ..
-                } = t;
-                Lane::new(*problem, *shots, clients, master, *weight, *priority)
-                    .with_deadline(*deadline_h)
-            })
-            .collect();
-        // Ledgers are built fresh per run: device state persists across
-        // runs only through the [`Device`] pool, so identical admissions
-        // replay identically (pinned by `fleet_is_reusable_across_runs`).
-        let shared_ledgers = match self.substrate {
-            Substrate::Shared { load } => Some(ledgers_for(&self.devices, load)?),
-            _ => None,
-        };
-        let (driven, pool) = match self.substrate {
-            Substrate::DiscreteEvent => (drive_des(&mut lanes, self.arbiter.as_ref(), slots), None),
-            Substrate::Shared { .. } => (
-                drive_shared(
-                    &mut lanes,
-                    self.arbiter.as_ref(),
-                    slots,
-                    shared_ledgers.as_deref().expect("ledgers built above"),
-                ),
-                None,
-            ),
-            Substrate::Pooled { workers } => {
-                let total = lanes.iter().map(|l| l.clients.len()).sum();
-                let resolved = PoolConfig {
-                    workers,
-                    deterministic: true,
-                }
-                .resolved_workers(total);
-                let (d, telemetry) =
-                    drive_pooled(&mut lanes, self.arbiter.as_ref(), slots, resolved);
-                (d, Some(telemetry))
-            }
-        };
-        drop(lanes);
-        for tenant in tenants.iter_mut() {
-            for client in tenant.clients.iter_mut() {
-                client.backend_mut().detach_shared_noise();
-            }
-        }
-        let shared_noise_builds: u64 = noise_caches.iter().map(|c| c.builds()).sum();
-        let shared_noise_hits: u64 = noise_caches.iter().map(|c| c.hits()).sum();
-        let stats = driven?;
-
-        let mut reports = Vec::with_capacity(tenants.len());
-        let mut per_tenant = Vec::with_capacity(tenants.len());
-        for (i, (tenant, counters)) in tenants.iter().zip(stats.lanes).enumerate() {
-            let report = tenant.master.report(
-                tenant.problem,
-                format!("eqc[{}]", tenant.clients.len()),
-                &tenant.clients,
-            )?;
-            per_tenant.push(TenantTelemetry {
-                tenant: i,
-                label: tenant.label.clone(),
-                weight: tenant.weight,
-                priority: tenant.priority,
-                results_absorbed: counters.results_absorbed,
-                epochs: report.epochs,
-                virtual_hours: report.total_hours,
-                epochs_per_hour: report.epochs_per_hour(),
-                wait_virtual_hours: counters.wait_virtual_hours,
-                wait_rounds: counters.wait_rounds,
-                starved_rounds: counters.starved_rounds,
-                client_share: counters.client_share,
-                queue_wait_hours: queue_wait_hours(&tenant.clients),
-            });
-            reports.push(report);
-        }
-        let occupancy = match &shared_ledgers {
-            Some(ledgers) => {
-                // Per-device queue-wait across tenants, summed in
-                // admission order (a deterministic f64 reduction order).
-                let queued_s: Vec<f64> = (0..slots)
-                    .map(|d| {
-                        tenants
-                            .iter()
-                            .map(|t| t.clients[d].backend().queued_seconds())
-                            .sum()
-                    })
-                    .collect();
-                occupancy_rows(&self.devices, ledgers, &queued_s)?
-            }
-            None => Vec::new(),
-        };
-        Ok(FleetOutcome {
-            reports,
-            telemetry: FleetTelemetry {
-                arbiter: self.arbiter.name().to_string(),
-                devices: slots,
-                grant_rounds: stats.grant_rounds,
-                tenants: per_tenant,
-                occupancy,
-                snapshot_rebuilds: stats.snapshot_rebuilds,
-                snapshot_reuses: stats.snapshot_reuses,
-                shared_noise_builds,
-                shared_noise_hits,
-            },
-            pool,
-            batch,
-        })
+        Ok(self.service.finish()?.fleet)
     }
 }
 
@@ -667,15 +458,8 @@ impl FleetBuilder {
     /// [`EqcError::InvalidConfig`] for a zero pooled worker count or a
     /// malformed shared-substrate load generator.
     pub fn build<'p>(self) -> Result<FleetRuntime<'p>, EqcError> {
-        self.substrate.validate()?;
         Ok(FleetRuntime {
-            devices: resolve_devices(self.devices, self.device_seed)?,
-            arbiter: self.arbiter,
-            substrate: self.substrate,
-            tenants: Vec::new(),
-            batch: 0,
-            pipeline: None,
-            share_noise: self.share_noise,
+            service: self.service()?,
         })
     }
 
@@ -727,16 +511,6 @@ pub(crate) struct LaneCounters {
     pub(crate) wait_rounds: u64,
     pub(crate) starved_rounds: u64,
     pub(crate) client_share: Vec<u64>,
-}
-
-/// What a fleet drive reports back besides the lanes' master state.
-pub(crate) struct DriveStats {
-    pub(crate) grant_rounds: u64,
-    pub(crate) lanes: Vec<LaneCounters>,
-    /// Per-device occupancy refreshes performed / skipped by the shared
-    /// drive's incremental tracker (zero off the shared substrate).
-    pub(crate) snapshot_rebuilds: u64,
-    pub(crate) snapshot_reuses: u64,
 }
 
 /// One tenant's lane through a fleet drive: the session halves
@@ -802,17 +576,6 @@ impl<'a, 'p> Lane<'a, 'p> {
         }
     }
 
-    /// A single-session lane (the executor-wrapper case): weight 1,
-    /// priority 0 — irrelevant under [`Unshared`].
-    pub(crate) fn single(
-        problem: &'p dyn VqaProblem,
-        shots: usize,
-        clients: &'a mut Vec<ClientNode>,
-        master: &'a mut MasterLoop,
-    ) -> Self {
-        Lane::new(problem, shots, clients, master, 1.0, 0)
-    }
-
     /// Builder-style deadline budget for the arbiter's SLO view.
     pub(crate) fn with_deadline(mut self, deadline_h: Option<f64>) -> Self {
         self.deadline_h = deadline_h;
@@ -863,22 +626,24 @@ impl<'a, 'p> Lane<'a, 'p> {
         Ok((a, submit))
     }
 
-    /// Inline (discrete-event) dispatch: run the task now, queue its
-    /// completion event. Returns the event's local completion time so
-    /// the caller can index it.
-    fn dispatch_inline(&mut self, r: ReadyClient, round: u64) -> Result<SimTime, EqcError> {
-        let (a, submit) = self.take_assignment(&r, round)?;
-        let result =
-            self.clients[r.client].run_task(self.problem, a.task, &a.params, self.shots, submit);
-        let completed = result.completed;
+    /// Queues a completed task's event and returns its completion time
+    /// on the fleet clock, for the caller to index.
+    fn push_event(
+        &mut self,
+        client: usize,
+        result: ClientTaskResult,
+        cycle: usize,
+        dispatched_at_update: u64,
+    ) -> f64 {
+        let global_s = self.offset_s + result.completed.as_secs();
         self.heap.push(Event {
-            completed,
-            client: r.client,
+            completed: result.completed,
+            client,
             result,
-            cycle: a.cycle,
-            dispatched_at_update: a.dispatched_at_update,
+            cycle,
+            dispatched_at_update,
         });
-        Ok(completed)
+        global_s
     }
 
     /// Marks every client the master wants dispatched after absorbing
@@ -936,7 +701,7 @@ fn fill_loads(lanes: &[Lane<'_, '_>], loads: &mut Vec<TenantLoad>) {
 /// lane index — so the pick is deterministic. With every offset zero
 /// (the batch case) this coincides with the local-time order.
 ///
-/// Kept as the from-scratch oracle the [`HeadIndex`] (the steppers' hot
+/// Kept as the from-scratch oracle the [`HeadIndex`] (the stepper's hot
 /// path) is pinned against.
 #[cfg(test)]
 fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
@@ -1076,70 +841,6 @@ fn absorb_next(lanes: &mut [Lane<'_, '_>], t: usize, round: u64) -> Result<SimTi
     Ok(completed)
 }
 
-/// One arbiter grant round, shared verbatim by both substrates (the
-/// pooled drive's byte-for-byte replay of the discrete-event fleet
-/// depends on the allocation, cap loop and starvation accounting being
-/// *one* implementation): allocate capacity, dispatch ready clients up
-/// to each lane's cap via the substrate's `dispatch`, and account
-/// starvation (pending work, nothing running, nothing granted).
-fn grant_round(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    scratch: &mut GrantScratch,
-    mut dispatch: impl FnMut(&mut Lane<'_, '_>, usize, ReadyClient, u64) -> Result<(), EqcError>,
-) -> Result<(), EqcError> {
-    fill_loads(lanes, &mut scratch.loads);
-    let caps = arbiter.allocate(&ArbiterContext {
-        loads: &scratch.loads,
-        total_slots: slots,
-        round,
-    });
-    for (t, lane) in lanes.iter_mut().enumerate() {
-        if lane.done || !lane.arrived {
-            continue;
-        }
-        let cap = caps.get(t).copied().unwrap_or(0);
-        let mut granted = 0usize;
-        while lane.in_flight < cap {
-            let Some(r) = lane.ready.pop_front() else {
-                break;
-            };
-            dispatch(lane, t, r, round)?;
-            granted += 1;
-        }
-        if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
-            lane.counters.starved_rounds += 1;
-        }
-    }
-    Ok(())
-}
-
-/// [`grant_round`] over the discrete-event substrate: tasks run inline
-/// at dispatch, and every queued completion is indexed.
-fn grant_inline(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    scratch: &mut GrantScratch,
-    head: &mut HeadIndex,
-) -> Result<(), EqcError> {
-    grant_round(
-        lanes,
-        arbiter,
-        slots,
-        round,
-        scratch,
-        |lane, t, r, round| {
-            let completed = lane.dispatch_inline(r, round)?;
-            head.note_at(t, lane.offset_s + completed.as_secs());
-            Ok(())
-        },
-    )
-}
-
 /// The fleet clock a streaming drive advances across calls: grant
 /// rounds, the latest absorbed global event time (virtual seconds) and
 /// the virtual time the fleet sat empty waiting for an arrival.
@@ -1198,94 +899,6 @@ fn activate_due(
         }
     }
     Ok(())
-}
-
-/// The resumable discrete-event stepper both fleet modes share. Batch
-/// runs ([`drive_des`]) feed it all-lanes-arrive-at-zero and drive to
-/// quiescence once; the streaming [`service`] keeps the clock across
-/// calls and feeds admissions as future arrivals.
-///
-/// Event order is the fleet total order over *global* times (arrival
-/// offset + local completion); an arrival due at or before the next
-/// event is processed first (so a tenant is live for the grant round
-/// that precedes any later absorb), and `on_retire` fires the moment a
-/// lane's last gather absorbs — co-tenants never pause.
-pub(crate) fn drive_stream_des(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        if let Some(a) = arrivals.front() {
-            if next_event.is_none_or(|(_, e)| a.at_s <= e) {
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant_inline(lanes, arbiter, slots, clock.round, &mut scratch, &mut head)?;
-                clock.round += 1;
-                continue;
-            }
-        }
-        let Some((t, _)) = next_event else {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        };
-        let completed = absorb_next(lanes, t, clock.round)?;
-        head.note(lanes, t);
-        clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-        if lanes[t].done {
-            on_retire(t, clock.now_s);
-        }
-        if quiescent(lanes, arrivals) {
-            break;
-        }
-        grant_inline(lanes, arbiter, slots, clock.round, &mut scratch, &mut head)?;
-        clock.round += 1;
-    }
-    Ok(())
-}
-
-/// The reference fleet drive: a seeded multi-lane discrete-event loop.
-/// With one lane and the [`Unshared`] arbiter this is exactly the
-/// historical [`DiscreteEventExecutor`](crate::DiscreteEventExecutor)
-/// loop (prime, pop-earliest, absorb, re-dispatch the freed client) —
-/// which is why that executor now delegates here. A batch drive is the
-/// streaming stepper with every lane arriving at fleet time zero.
-pub(crate) fn drive_des(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-) -> Result<DriveStats, EqcError> {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    drive_stream_des(
-        lanes,
-        arbiter,
-        slots,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    )?;
-    Ok(DriveStats {
-        grant_rounds: clock.round,
-        lanes: lanes
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.counters))
-            .collect(),
-        snapshot_rebuilds: 0,
-        snapshot_reuses: 0,
-    })
 }
 
 /// One shared occupancy ledger per physical device, over the device's
@@ -1472,199 +1085,6 @@ fn refresh_occupancy(lanes: &mut [Lane<'_, '_>], tracker: &mut OccupancyTracker)
     }
 }
 
-/// [`grant_round`] over the shared substrate: identical capacity
-/// allocation, cap loop and starvation accounting, with one upgrade —
-/// a lane whose scheduler consults occupancy picks *which* ready client
-/// each grant dispatches via [`MasterLoop::pick_client`] over the whole
-/// ready set (refreshing the tracker per pick, so a co-tenant's booking
-/// earlier in the same round is already visible), instead of FIFO
-/// order. Estimate-free lanes keep the FIFO dispatch, byte for byte.
-#[allow(clippy::too_many_arguments)]
-fn grant_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    round: u64,
-    tracker: &mut OccupancyTracker,
-    scratch: &mut GrantScratch,
-    head: &mut HeadIndex,
-) -> Result<(), EqcError> {
-    fill_loads(lanes, &mut scratch.loads);
-    let caps = arbiter.allocate(&ArbiterContext {
-        loads: &scratch.loads,
-        total_slots: slots,
-        round,
-    });
-    for (t, lane) in lanes.iter_mut().enumerate() {
-        if lane.done || !lane.arrived {
-            continue;
-        }
-        let cap = caps.get(t).copied().unwrap_or(0);
-        let mut granted = 0usize;
-        while lane.in_flight < cap && !lane.ready.is_empty() {
-            let idx = if lane.master.wants_occupancy() && lane.ready.len() > 1 {
-                lane.master
-                    .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
-                let candidates = &mut scratch.candidates;
-                candidates.clear();
-                candidates.extend(lane.ready.iter().map(|r| r.client));
-                candidates.sort_unstable();
-                let pick = lane.master.pick_client(candidates)?;
-                lane.ready
-                    .iter()
-                    .position(|r| r.client == pick)
-                    .expect("picked client comes from the ready set")
-            } else {
-                0
-            };
-            let r = lane.ready.remove(idx).expect("index within the ready set");
-            let completed = lane.dispatch_inline(r, round)?;
-            head.note_at(t, lane.offset_s + completed.as_secs());
-            granted += 1;
-        }
-        if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
-            lane.counters.starved_rounds += 1;
-        }
-    }
-    Ok(())
-}
-
-/// [`drive_stream_des`]'s shared-queue twin: the same resumable
-/// activate/grant/absorb stepper, with every lane's clone of physical
-/// device `d` attached to ledger `d` for the duration of the call (so
-/// start times resolve through one global timeline) and the occupancy
-/// view refreshed ahead of each scheduling decision point.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_stream_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    ledgers: &[Arc<Mutex<DeviceQueue>>],
-    tracker: &mut OccupancyTracker,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    for lane in lanes.iter_mut() {
-        debug_assert_eq!(lane.clients.len(), ledgers.len());
-        for (d, client) in lane.clients.iter_mut().enumerate() {
-            client
-                .backend_mut()
-                .attach_shared_queue(Arc::clone(&ledgers[d]));
-        }
-    }
-    let driven = shared_stepper(lanes, arbiter, slots, tracker, clock, arrivals, on_retire);
-    for lane in lanes.iter_mut() {
-        for client in lane.clients.iter_mut() {
-            client.backend_mut().detach_shared_queue();
-        }
-    }
-    driven
-}
-
-/// The stepper body behind [`drive_stream_shared`] — structurally the
-/// [`drive_stream_des`] loop with occupancy refreshes before the two
-/// multi-candidate scheduling points (priming at activation, capacity
-/// grants) and the shared grant loop in place of the inline one.
-fn shared_stepper(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    tracker: &mut OccupancyTracker,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        if let Some(a) = arrivals.front() {
-            if next_event.is_none_or(|(_, e)| a.at_s <= e) {
-                refresh_occupancy(lanes, tracker);
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant_shared(
-                    lanes,
-                    arbiter,
-                    slots,
-                    clock.round,
-                    tracker,
-                    &mut scratch,
-                    &mut head,
-                )?;
-                clock.round += 1;
-                continue;
-            }
-        }
-        let Some((t, _)) = next_event else {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        };
-        refresh_occupancy(lanes, tracker);
-        let completed = absorb_next(lanes, t, clock.round)?;
-        head.note(lanes, t);
-        clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-        if lanes[t].done {
-            on_retire(t, clock.now_s);
-        }
-        if quiescent(lanes, arrivals) {
-            break;
-        }
-        grant_shared(
-            lanes,
-            arbiter,
-            slots,
-            clock.round,
-            tracker,
-            &mut scratch,
-            &mut head,
-        )?;
-        clock.round += 1;
-    }
-    Ok(())
-}
-
-/// The batch shared-queue drive: the streaming stepper with every lane
-/// arriving at fleet time zero, exactly as [`drive_des`] wraps
-/// [`drive_stream_des`].
-pub(crate) fn drive_shared(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    ledgers: &[Arc<Mutex<DeviceQueue>>],
-) -> Result<DriveStats, EqcError> {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    let mut tracker = OccupancyTracker::new(ledgers)?;
-    drive_stream_shared(
-        lanes,
-        arbiter,
-        slots,
-        ledgers,
-        &mut tracker,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    )?;
-    let (snapshot_rebuilds, snapshot_reuses) = tracker.counters();
-    Ok(DriveStats {
-        grant_rounds: clock.round,
-        snapshot_rebuilds,
-        snapshot_reuses,
-        lanes: lanes
-            .iter_mut()
-            .map(|l| std::mem::take(&mut l.counters))
-            .collect(),
-    })
-}
-
 /// What the coordinator knows about one in-flight task's eventual
 /// virtual completion time.
 #[derive(Clone, Copy, Debug)]
@@ -1755,7 +1175,7 @@ enum FleetMsg {
     Done {
         lane: usize,
         client: usize,
-        result: crate::client::ClientTaskResult,
+        result: ClientTaskResult,
         cycle: usize,
         dispatched_at_update: u64,
     },
@@ -1771,61 +1191,334 @@ fn locate(offsets: &[usize], flat: usize) -> (usize, usize) {
     (lane, flat - offsets[lane])
 }
 
-/// The pooled fleet drive: the same grant/absorb sequence as
-/// [`drive_des`], but tasks execute on a bounded worker pool and the
-/// coordinator absorbs the globally earliest event only once the
-/// conservative queue-model lookahead proves no in-flight task can
-/// precede it — the [`crate::pool`] trick, generalized across lanes.
-/// A batch drive is the streaming stepper with every lane arriving at
-/// fleet time zero.
-pub(crate) fn drive_pooled(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    workers: usize,
-) -> (Result<DriveStats, EqcError>, PoolTelemetry) {
-    let mut clock = DriveClock::default();
-    let mut arrivals = arrivals_at_zero(lanes.len());
-    let (driven, telemetry) = drive_stream_pooled(
-        lanes,
-        arbiter,
-        slots,
-        workers,
-        &mut clock,
-        &mut arrivals,
-        &mut |_, _| {},
-    );
-    (
-        driven.map(|()| DriveStats {
-            grant_rounds: clock.round,
-            snapshot_rebuilds: 0,
-            snapshot_reuses: 0,
-            lanes: lanes
-                .iter_mut()
-                .map(|l| std::mem::take(&mut l.counters))
-                .collect(),
-        }),
-        telemetry,
-    )
+/// Where dispatched tasks execute — the drive's second axis (the first
+/// being whether an [`OccupancyTracker`] over shared ledgers rides
+/// along).
+enum Exec<'w> {
+    /// Tasks run inline at dispatch, so every completion is queued
+    /// before the next step is chosen: the earliest known step is
+    /// always provably next and there is never anything to wait for.
+    Inline,
+    /// Tasks run on the worker pool. The coordinator takes a step only
+    /// once the conservative queue-model lookahead proves no in-flight
+    /// task can precede it, and otherwise blocks on the next worker
+    /// result — the drive therefore replays [`Exec::Inline`]'s
+    /// activate/grant/absorb sequence exactly.
+    Pool {
+        /// Each lane's first index in the flat client layout.
+        offsets: &'w [usize],
+        queue_models: &'w [Vec<QueueModel>],
+        runq: &'w RunQueue<FleetTask>,
+        result_rx: &'w mpsc::Receiver<FleetMsg>,
+        /// Completion bound of each client's in-flight task, by flat
+        /// index.
+        bounds: Vec<Option<InflightBound>>,
+        in_system: usize,
+    },
 }
 
-/// [`drive_stream_des`]'s pooled twin: spins up the worker scope, runs
-/// [`coordinate_stream`] to quiescence and hands every client back to
-/// its lane. Always returns pool telemetry, run outcome
-/// notwithstanding.
+impl Exec<'_> {
+    /// Dispatches lane `t`'s ready client `r`: inline the task runs now
+    /// and its completion is queued and indexed; on the pool it is
+    /// queued for the workers with its completion bound registered for
+    /// the lookahead (its event enters the head index on receive — a
+    /// pooled dispatch does not yet know its event time).
+    fn dispatch(
+        &mut self,
+        lane: &mut Lane<'_, '_>,
+        t: usize,
+        r: ReadyClient,
+        round: u64,
+        head: &mut HeadIndex,
+    ) -> Result<(), EqcError> {
+        let client = r.client;
+        let (assignment, submit) = lane.take_assignment(&r, round)?;
+        match self {
+            Exec::Inline => {
+                let result = lane.clients[client].run_task(
+                    lane.problem,
+                    assignment.task,
+                    &assignment.params,
+                    lane.shots,
+                    submit,
+                );
+                let global_s = lane.push_event(
+                    client,
+                    result,
+                    assignment.cycle,
+                    assignment.dispatched_at_update,
+                );
+                head.note_at(t, global_s);
+            }
+            Exec::Pool {
+                offsets,
+                queue_models,
+                runq,
+                bounds,
+                in_system,
+                ..
+            } => {
+                let instant = is_instant(lane.problem, &assignment);
+                let flat = offsets[t] + client;
+                bounds[flat] = Some(bound_for(&queue_models[t][client], submit, instant));
+                *in_system += 1;
+                runq.push(
+                    flat,
+                    FleetTask {
+                        lane: t,
+                        client,
+                        flat,
+                        assignment,
+                        submit,
+                    },
+                );
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether the step at fleet time `global_s` — lane event
+    /// `Some((tenant, client))`, or an arrival (`None`), which wins
+    /// ties with events — provably precedes every completion a live
+    /// in-flight task still allows. (Bounds of retired lanes are
+    /// ignored: their remaining events are discarded on receive,
+    /// exactly as the inline drive never pops a done lane's heap.)
+    fn provably_next(
+        &self,
+        lanes: &[Lane<'_, '_>],
+        global_s: f64,
+        at: Option<(usize, usize)>,
+    ) -> bool {
+        let Exec::Pool {
+            offsets, bounds, ..
+        } = self
+        else {
+            return true;
+        };
+        bounds.iter().enumerate().all(|(flat, b)| {
+            let Some(bound) = b else {
+                return true;
+            };
+            let bound_at = locate(offsets, flat);
+            let lane = &lanes[bound_at.0];
+            if lane.done {
+                return true;
+            }
+            let bound = bound.offset_by(lane.offset_s);
+            match at {
+                Some(at) => precedes(global_s, at, bound, bound_at),
+                None => bound.floor_s() >= global_s,
+            }
+        })
+    }
+
+    /// Called when no step is provably next: blocks until one more
+    /// in-flight task's completion is known. With nothing in flight
+    /// (always, inline) every bound is clear and any known step is
+    /// provable, so being asked to wait means the fleet ran out of
+    /// events before its tenants completed.
+    fn wait(&mut self, lanes: &mut [Lane<'_, '_>], head: &mut HeadIndex) -> Result<(), EqcError> {
+        let Exec::Pool {
+            offsets,
+            result_rx,
+            bounds,
+            in_system: in_system @ 1..,
+            ..
+        } = self
+        else {
+            return Err(EqcError::Internal(
+                "event queue drained before the epoch budget".into(),
+            ));
+        };
+        match result_rx.recv() {
+            Ok(FleetMsg::Done {
+                lane,
+                client,
+                result,
+                cycle,
+                dispatched_at_update,
+            }) => {
+                bounds[offsets[lane] + client] = None;
+                *in_system -= 1;
+                if !lanes[lane].done {
+                    let global_s =
+                        lanes[lane].push_event(client, result, cycle, dispatched_at_update);
+                    head.note_at(lane, global_s);
+                }
+                Ok(())
+            }
+            Ok(FleetMsg::Panicked { lane, client }) => Err(EqcError::Internal(format!(
+                "fleet task for tenant {lane} client {client} panicked"
+            ))),
+            Err(_) => Err(EqcError::Internal("fleet workers exited early".into())),
+        }
+    }
+}
+
+/// One arbiter grant round — a single implementation on every axis
+/// (the pooled drive's byte-for-byte replay of the inline one depends
+/// on it): allocate capacity, dispatch ready clients up to each lane's
+/// cap through `exec`, and account starvation (pending work, nothing
+/// running, nothing granted). Dispatch is FIFO, except that over shared
+/// ledgers a lane whose scheduler consults occupancy picks *which*
+/// ready client each grant dispatches via [`MasterLoop::pick_client`]
+/// over the whole ready set (refreshing the tracker per pick, so a
+/// co-tenant's booking earlier in the same round is already visible).
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn drive_stream_pooled(
+fn grant(
     lanes: &mut [Lane<'_, '_>],
     arbiter: &dyn TenantArbiter,
     slots: usize,
-    workers: usize,
+    round: u64,
+    mut tracker: Option<&mut OccupancyTracker>,
+    scratch: &mut GrantScratch,
+    head: &mut HeadIndex,
+    exec: &mut Exec<'_>,
+) -> Result<(), EqcError> {
+    fill_loads(lanes, &mut scratch.loads);
+    let caps = arbiter.allocate(&ArbiterContext {
+        loads: &scratch.loads,
+        total_slots: slots,
+        round,
+    });
+    for (t, lane) in lanes.iter_mut().enumerate() {
+        if lane.done || !lane.arrived {
+            continue;
+        }
+        let cap = caps.get(t).copied().unwrap_or(0);
+        let mut granted = 0usize;
+        while lane.in_flight < cap && !lane.ready.is_empty() {
+            let idx = match tracker.as_deref_mut() {
+                Some(tracker) if lane.master.wants_occupancy() && lane.ready.len() > 1 => {
+                    lane.master
+                        .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
+                    let candidates = &mut scratch.candidates;
+                    candidates.clear();
+                    candidates.extend(lane.ready.iter().map(|r| r.client));
+                    candidates.sort_unstable();
+                    let pick = lane.master.pick_client(candidates)?;
+                    lane.ready
+                        .iter()
+                        .position(|r| r.client == pick)
+                        .expect("picked client comes from the ready set")
+                }
+                _ => 0,
+            };
+            let r = lane.ready.remove(idx).expect("index within the ready set");
+            exec.dispatch(lane, t, r, round, head)?;
+            granted += 1;
+        }
+        if granted == 0 && lane.in_flight == 0 && !lane.ready.is_empty() {
+            lane.counters.starved_rounds += 1;
+        }
+    }
+    Ok(())
+}
+
+/// The one resumable fleet stepper, behind every substrate, both fleet
+/// modes and both single-session executors. Its two axes are the
+/// arguments the callers already hold: `tracker` (`Some` over shared
+/// ledgers, refreshed ahead of each scheduling decision point) and
+/// `workers` (`None` executes inline, `Some(n)` on an `n`-worker pool,
+/// whose telemetry is returned on every path). Batch callers feed
+/// [`arrivals_at_zero`] and a fresh clock; the streaming [`service`]
+/// keeps the clock across calls and feeds admissions as future
+/// arrivals.
+///
+/// Steps are taken in the fleet total order over *global* times
+/// (arrival offset + local completion, ties broken by tenant then
+/// client id). An arrival due at or before the next event goes first —
+/// so a tenant is live for the grant round that precedes any later
+/// absorb — and `on_retire` fires the moment a lane's last gather
+/// absorbs: co-tenants never pause. With one lane and the [`Unshared`]
+/// arbiter this is exactly Algorithm 1's loop (prime, pop-earliest,
+/// absorb, re-dispatch the freed client).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn drive(
+    lanes: &mut [Lane<'_, '_>],
+    arbiter: &dyn TenantArbiter,
+    slots: usize,
+    mut tracker: Option<&mut OccupancyTracker>,
+    workers: Option<usize>,
     clock: &mut DriveClock,
     arrivals: &mut VecDeque<Arrival>,
     on_retire: &mut dyn FnMut(usize, f64),
-) -> (Result<(), EqcError>, PoolTelemetry) {
-    // Flatten the lanes' clients into one mutex-guarded pool any worker
-    // can execute against, remembering each lane's offset and queue
-    // models (the lookahead inputs).
+) -> (Result<(), EqcError>, Option<PoolTelemetry>) {
+    with_exec(lanes, workers, |lanes, exec| {
+        let mut head = HeadIndex::new(lanes);
+        let mut scratch = GrantScratch::default();
+        while !quiescent(lanes, arrivals) {
+            let next_event = head.next(lanes);
+            #[cfg(test)]
+            assert_eq!(
+                next_event.map(|(t, _)| t),
+                next_lane(lanes),
+                "head index diverged from the linear-scan oracle"
+            );
+            let arrival = arrivals
+                .front()
+                .map(|a| a.at_s)
+                .filter(|&at_s| next_event.is_none_or(|(_, e)| at_s <= e));
+            let proven = match (arrival, next_event) {
+                (Some(at_s), _) => exec.provably_next(lanes, at_s, None),
+                (None, Some((t, e))) => {
+                    let client = lanes[t].heap.peek().expect("indexed head").client;
+                    exec.provably_next(lanes, e, Some((t, client)))
+                }
+                (None, None) => false,
+            };
+            if !proven {
+                exec.wait(lanes, &mut head)?;
+                continue;
+            }
+            if let Some(tracker) = tracker.as_deref_mut() {
+                refresh_occupancy(lanes, tracker);
+            }
+            if arrival.is_some() {
+                activate_due(lanes, arrivals, clock, on_retire)?;
+            } else {
+                let (t, _) = next_event.expect("an event was proven next");
+                let completed = absorb_next(lanes, t, clock.round)?;
+                head.note(lanes, t);
+                clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
+                if lanes[t].done {
+                    on_retire(t, clock.now_s);
+                }
+                if quiescent(lanes, arrivals) {
+                    break;
+                }
+            }
+            grant(
+                lanes,
+                arbiter,
+                slots,
+                clock.round,
+                tracker.as_deref_mut(),
+                &mut scratch,
+                &mut head,
+                exec,
+            )?;
+            clock.round += 1;
+        }
+        Ok(())
+    })
+}
+
+/// Runs `body` against the execution back end `workers` selects:
+/// [`Exec::Inline`] for `None`; for `Some(n)`, the lanes' clients are
+/// flattened into one mutex-guarded pool any of `n` scoped worker
+/// threads can execute against, and handed back to their lanes on every
+/// path — poisoned mutexes still surrender their client.
+fn with_exec(
+    lanes: &mut [Lane<'_, '_>],
+    workers: Option<usize>,
+    body: impl FnOnce(&mut [Lane<'_, '_>], &mut Exec<'_>) -> Result<(), EqcError>,
+) -> (Result<(), EqcError>, Option<PoolTelemetry>) {
+    let Some(workers) = workers else {
+        return (body(lanes, &mut Exec::Inline), None);
+    };
+    // Remember each lane's offset and queue models (the lookahead
+    // inputs) while flattening.
     let mut offsets = Vec::with_capacity(lanes.len());
     let mut queue_models: Vec<Vec<QueueModel>> = Vec::with_capacity(lanes.len());
     let mut meta: Vec<(&dyn VqaProblem, usize)> = Vec::with_capacity(lanes.len());
@@ -1884,17 +1577,16 @@ pub(crate) fn drive_stream_pooled(
         }
         drop(result_tx);
 
-        let outcome = coordinate_stream(
+        let outcome = body(
             lanes,
-            arbiter,
-            slots,
-            &queue_models,
-            &offsets,
-            &runq,
-            &result_rx,
-            clock,
-            arrivals,
-            on_retire,
+            &mut Exec::Pool {
+                offsets: &offsets,
+                queue_models: &queue_models,
+                runq: &runq,
+                result_rx: &result_rx,
+                bounds: vec![None; clients.len()],
+                in_system: 0,
+            },
         );
 
         runq.close();
@@ -1907,8 +1599,6 @@ pub(crate) fn drive_stream_pooled(
         outcome.and_then(|()| join_failure.map_or(Ok(()), Err))
     });
 
-    // Every client comes back to its lane on every path — poisoned
-    // mutexes still surrender their client.
     let mut recovered: Vec<ClientNode> = clients
         .into_iter()
         .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
@@ -1922,205 +1612,32 @@ pub(crate) fn drive_stream_pooled(
         queue_depth_max,
         tasks_stolen,
     };
-    (driven, telemetry)
+    (driven, Some(telemetry))
 }
 
-/// The pooled coordinator: replays [`drive_stream_des`]'s
-/// activate/grant/absorb sequence exactly, blocking on worker arrivals
-/// only when the lookahead cannot yet prove the globally next step —
-/// be it a tenant activation or an event absorb — safe.
-///
-/// An arrival at fleet time `a` is processed before any event at `e`
-/// when `a <= e` (ties activate first), so activation is safe only
-/// once every known head and every live bound's floor sits at or past
-/// `a`; an absorb must additionally beat the arrival gate strictly.
-/// When neither is provable, a task is necessarily in the system, so
-/// receiving strictly grows what is known — no deadlock.
-#[allow(clippy::too_many_arguments)]
-fn coordinate_stream(
-    lanes: &mut [Lane<'_, '_>],
-    arbiter: &dyn TenantArbiter,
-    slots: usize,
-    queue_models: &[Vec<QueueModel>],
-    offsets: &[usize],
-    runq: &RunQueue<FleetTask>,
-    result_rx: &mpsc::Receiver<FleetMsg>,
-    clock: &mut DriveClock,
-    arrivals: &mut VecDeque<Arrival>,
-    on_retire: &mut dyn FnMut(usize, f64),
-) -> Result<(), EqcError> {
-    let total: usize = queue_models.iter().map(Vec::len).sum();
-    let mut bounds: Vec<Option<InflightBound>> = vec![None; total];
-    let mut in_system = 0usize;
-    let mut head = HeadIndex::new(lanes);
-    let mut scratch = GrantScratch::default();
-
-    // One grant round over the pool: [`grant_round`]'s shared
-    // allocation and cap loop, with a dispatch that queues the task on
-    // the workers instead of running it, registering its completion
-    // bound for the lookahead. (Completions enter the head index on
-    // receive, not here — a pooled dispatch queues work, it does not
-    // yet know its event time.)
-    let grant = |lanes: &mut [Lane<'_, '_>],
-                 bounds: &mut Vec<Option<InflightBound>>,
-                 in_system: &mut usize,
-                 scratch: &mut GrantScratch,
-                 round: u64|
-     -> Result<(), EqcError> {
-        grant_round(
-            lanes,
-            arbiter,
-            slots,
-            round,
-            scratch,
-            |lane, t, r, round| {
-                let client = r.client;
-                let (assignment, submit) = lane.take_assignment(&r, round)?;
-                let instant = is_instant(lane.problem, &assignment);
-                let flat = offsets[t] + client;
-                bounds[flat] = Some(bound_for(&queue_models[t][client], submit, instant));
-                *in_system += 1;
-                runq.push(
-                    flat,
-                    FleetTask {
-                        lane: t,
-                        client,
-                        flat,
-                        assignment,
-                        submit,
-                    },
-                );
-                Ok(())
-            },
-        )
-    };
-
-    while !quiescent(lanes, arrivals) {
-        let next_event = head.next(lanes);
-        #[cfg(test)]
-        assert_eq!(
-            next_event.map(|(t, _)| t),
-            next_lane(lanes),
-            "head index diverged from the linear-scan oracle"
-        );
-        // Bound floors of live tasks on non-done lanes, globalized onto
-        // the fleet clock. (Bounds of completed lanes are ignored:
-        // their remaining events are discarded on arrival, exactly as
-        // the inline drive never pops a done lane's heap.)
-        let live_floor_ok = |gate: f64, lanes: &[Lane<'_, '_>]| {
-            bounds.iter().enumerate().all(|(flat, b)| match b {
-                Some(bound) => {
-                    let (bl, _) = locate(offsets, flat);
-                    lanes[bl].done || bound.offset_by(lanes[bl].offset_s).floor_s() >= gate
-                }
-                None => true,
-            })
-        };
-
-        // Is the next pending arrival provably the globally next step?
-        // (Arrivals win ties with events, as in the inline stepper.)
-        let arrival_gate = arrivals.front().map(|a| a.at_s);
-        if let Some(at_s) = arrival_gate {
-            if next_event.is_none_or(|(_, e)| at_s <= e) && live_floor_ok(at_s, lanes) {
-                activate_due(lanes, arrivals, clock, on_retire)?;
-                grant(
-                    lanes,
-                    &mut bounds,
-                    &mut in_system,
-                    &mut scratch,
-                    clock.round,
-                )?;
-                clock.round += 1;
-                continue;
-            }
-        }
-
-        // Is the globally earliest queued event provably next in the
-        // fleet total order? It must strictly beat the arrival gate
-        // and precede every completion a live bound still allows.
-        let safe = next_event.map(|(t, _)| t).filter(|&t| {
-            let ev = lanes[t].heap.peek().expect("indexed head implies a head");
-            let completed = lanes[t].offset_s + ev.completed.as_secs();
-            let at = (t, ev.client);
-            arrival_gate.is_none_or(|a| completed < a)
-                && bounds.iter().enumerate().all(|(flat, b)| match b {
-                    Some(bound) => {
-                        let bound_at = locate(offsets, flat);
-                        lanes[bound_at.0].done
-                            || precedes(
-                                completed,
-                                at,
-                                bound.offset_by(lanes[bound_at.0].offset_s),
-                                bound_at,
-                            )
-                    }
-                    None => true,
-                })
-        });
-        if let Some(t) = safe {
-            let completed = absorb_next(lanes, t, clock.round)?;
-            head.note(lanes, t);
-            clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
-            if lanes[t].done {
-                on_retire(t, clock.now_s);
-            }
-            if quiescent(lanes, arrivals) {
-                break;
-            }
-            grant(
-                lanes,
-                &mut bounds,
-                &mut in_system,
-                &mut scratch,
-                clock.round,
-            )?;
-            clock.round += 1;
-            continue;
-        }
-        if in_system > 0 {
-            match result_rx.recv() {
-                Ok(FleetMsg::Done {
-                    lane,
-                    client,
-                    result,
-                    cycle,
-                    dispatched_at_update,
-                }) => {
-                    bounds[offsets[lane] + client] = None;
-                    in_system -= 1;
-                    if !lanes[lane].done {
-                        let completed_s = result.completed.as_secs();
-                        lanes[lane].heap.push(Event {
-                            completed: result.completed,
-                            client,
-                            result,
-                            cycle,
-                            dispatched_at_update,
-                        });
-                        head.note_at(lane, lanes[lane].offset_s + completed_s);
-                    }
-                }
-                Ok(FleetMsg::Panicked { lane, client }) => {
-                    return Err(EqcError::Internal(format!(
-                        "fleet task for tenant {lane} client {client} panicked"
-                    )));
-                }
-                Err(_) => {
-                    return Err(EqcError::Internal("fleet workers exited early".into()));
-                }
-            }
-        } else if next_event.is_none() && arrivals.is_empty() {
-            return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
-            ));
-        } else {
-            // Unreachable: with no tasks in the system every bound is
-            // clear, so a pending arrival or known head is provably
-            // next.
-            return Err(EqcError::Internal("fleet lookahead wedged".into()));
-        }
-    }
-    Ok(())
+/// Drains a standalone session as a fleet of one tenant: a single lane
+/// arriving at fleet time zero under the [`Unshared`] arbiter (weight
+/// and priority are irrelevant there), on the execution axis `workers`
+/// selects. The one entry point of the single-session executors.
+pub(crate) fn drive_session(
+    session: &mut crate::ensemble::EnsembleSession<'_>,
+    workers: Option<usize>,
+) -> (Result<(), EqcError>, Option<PoolTelemetry>) {
+    let problem = session.problem();
+    let shots = session.config().shots;
+    let (clients, master) = session.split_mut();
+    let slots = clients.len();
+    let mut lanes = [Lane::new(problem, shots, clients, master, 1.0, 0)];
+    drive(
+        &mut lanes,
+        &Unshared,
+        slots,
+        None,
+        workers,
+        &mut DriveClock::default(),
+        &mut arrivals_at_zero(1),
+        &mut |_, _| {},
+    )
 }
 
 #[cfg(test)]

@@ -49,9 +49,8 @@
 //! ```
 
 use super::{
-    drive_stream_des, drive_stream_pooled, drive_stream_shared, ledgers_for, occupancy_rows,
-    queue_wait_hours, Arrival, DriveClock, FleetOutcome, Lane, LaneCounters, OccupancyTracker,
-    Substrate, TenantId,
+    drive, ledgers_for, occupancy_rows, queue_wait_hours, Arrival, DriveClock, FleetOutcome, Lane,
+    LaneCounters, OccupancyTracker, Substrate, TenantId,
 };
 use crate::client::ClientNode;
 use crate::config::{PoolConfig, ServiceConfig, TenantConfig};
@@ -91,9 +90,10 @@ impl TenantHandle {
 }
 
 /// A tenant admitted but not yet driven: its session halves plus the
-/// arbiter-facing knobs and its fleet-clock arrival time.
+/// arbiter-facing knobs and its fleet-clock arrival time. Owned by the
+/// fleet — the ownership inversion this module exists for.
 struct PendingTenant<'p> {
-    /// Global admission index (never recycled).
+    /// Admission index (never recycled within a session).
     index: usize,
     label: String,
     problem: &'p dyn VqaProblem,
@@ -157,6 +157,35 @@ impl ServiceOutcome {
     }
 }
 
+/// What one fleet session accumulates across drains. Everything here
+/// outlives any one tenant batch — the devices' queue timelines and
+/// noise artifacts are keyed by the fleet clock — and is reset as a
+/// whole when a session ends ([`FleetService::finish`]).
+#[derive(Default)]
+struct SessionState {
+    /// One slot per admission, filled at retirement.
+    retired: Vec<Option<RetiredTenant>>,
+    /// The fleet clock, persistent across drains.
+    clock: DriveClock,
+    /// Pool telemetry merged across pooled drains.
+    pool: Option<PoolTelemetry>,
+    /// The shared substrate's per-device occupancy ledgers and the
+    /// incremental view over them, built at the first drain (the
+    /// tracker's reuse/rebuild counters span the session).
+    shared: Option<(Vec<Arc<Mutex<DeviceQueue>>>, OccupancyTracker)>,
+    /// One noise cache per device slot, attached to every tenant's
+    /// clone of that slot so each (device, calibration-cycle) noise
+    /// projection is built once fleet-wide. Empty in private-noise
+    /// mode, where per-clone caches live for one drain only.
+    noise_caches: Vec<Arc<SharedNoiseCache>>,
+    /// `(builds, hits)` of the per-clone caches of private-noise
+    /// drains, folded in when the caches are dropped.
+    private_noise: (u64, u64),
+    /// Per-device queue-wait seconds accumulated across retired tenants
+    /// in lane order (a deterministic f64 reduction order).
+    occupancy_queued_s: Vec<f64>,
+}
+
 /// The always-on fleet drive: a streaming [`FleetRuntime`] whose
 /// tenants arrive on a virtual-time admission queue and retire
 /// individually. Build with [`FleetBuilder::service`].
@@ -168,41 +197,24 @@ pub struct FleetService<'p> {
     arbiter: Arc<dyn TenantArbiter>,
     substrate: Substrate,
     config: ServiceConfig,
-    /// The admission queue: tenants waiting for the next drain.
-    pending: Vec<PendingTenant<'p>>,
-    /// One slot per admission, filled at retirement.
-    retired: Vec<Option<RetiredTenant>>,
-    /// The fleet clock, persistent across drains.
-    clock: DriveClock,
-    /// Pool telemetry merged across pooled drains.
-    pool: Option<PoolTelemetry>,
-    /// The per-device occupancy ledgers of the shared substrate, built
-    /// lazily at the first drain and persistent across drains — the
-    /// devices' queue timelines outlive any one tenant batch, exactly
-    /// like the fleet clock.
-    shared_ledgers: Option<Vec<Arc<Mutex<DeviceQueue>>>>,
-    /// The incremental occupancy view over `shared_ledgers`, built with
-    /// them and persistent across drains (its reuse/rebuild counters
-    /// span the service lifetime).
-    occupancy_tracker: Option<OccupancyTracker>,
     /// Whether co-tenant clones of one physical device share a noise
     /// cache (see [`FleetBuilder::without_noise_sharing`]).
     ///
     /// [`FleetBuilder::without_noise_sharing`]: super::FleetBuilder::without_noise_sharing
     share_noise: bool,
-    /// Shared-mode: one cache per device slot, persistent across drains
-    /// (device noise is keyed by calibration cycle, which outlives any
-    /// one tenant batch). Private-mode: every per-clone cache ever
-    /// attached, so [`FleetService::close`] can sum build counts.
-    noise_caches: Vec<Arc<SharedNoiseCache>>,
-    /// Per-device queue-wait seconds accumulated across retired tenants
-    /// (lane order within each drain, matching the batch runtime's
-    /// summation order bit for bit).
-    occupancy_queued_s: Vec<f64>,
     /// The fleet-wide batched-job pipeline, built lazily by the first
-    /// admitted pipeline tenant and shared by every later one (see
-    /// [`FleetRuntime`](super::FleetRuntime)).
+    /// admitted tenant configured with
+    /// [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline)
+    /// and shared by every later pipeline tenant — cross-tenant jobs
+    /// interleave on the same lanes.
     pipeline: Option<Arc<qsim::BatchPipeline>>,
+    /// Session generation, bumped by every [`FleetService::finish`];
+    /// stamped into issued [`TenantId`]s and outcomes so a batch
+    /// runtime's stale handles are detected instead of misattributed.
+    batch: u64,
+    /// The admission queue: tenants waiting for the next drain.
+    pending: Vec<PendingTenant<'p>>,
+    state: SessionState,
 }
 
 impl std::fmt::Debug for FleetService<'_> {
@@ -212,7 +224,8 @@ impl std::fmt::Debug for FleetService<'_> {
             .field("arbiter", &self.arbiter.name())
             .field("substrate", &self.substrate)
             .field("pending", &self.pending.len())
-            .field("admissions", &self.retired.len())
+            .field("admissions", &self.state.retired.len())
+            .field("batch", &self.batch)
             .field("now_h", &self.now_h())
             .finish()
     }
@@ -226,22 +239,16 @@ impl<'p> FleetService<'p> {
         config: ServiceConfig,
         share_noise: bool,
     ) -> Self {
-        let n = devices.len();
         FleetService {
             devices,
             arbiter,
             substrate,
             config,
-            pending: Vec::new(),
-            retired: Vec::new(),
-            clock: DriveClock::default(),
-            pool: None,
-            shared_ledgers: None,
-            occupancy_tracker: None,
             share_noise,
-            noise_caches: Vec::new(),
-            occupancy_queued_s: vec![0.0; n],
             pipeline: None,
+            batch: 0,
+            pending: Vec::new(),
+            state: SessionState::default(),
         }
     }
 
@@ -257,7 +264,7 @@ impl<'p> FleetService<'p> {
 
     /// Tenants admitted over the service lifetime so far.
     pub fn admissions(&self) -> usize {
-        self.retired.len()
+        self.state.retired.len()
     }
 
     /// The arbiter policy's name.
@@ -267,7 +274,7 @@ impl<'p> FleetService<'p> {
 
     /// The fleet clock, in virtual hours since the service started.
     pub fn now_h(&self) -> f64 {
-        self.clock.now_s / 3600.0
+        self.state.clock.now_s / 3600.0
     }
 
     /// Admits a tenant arriving *now* (at the current fleet clock).
@@ -339,7 +346,7 @@ impl<'p> FleetService<'p> {
             clients.len(),
             probes,
         );
-        let index = self.retired.len();
+        let index = self.state.retired.len();
         self.pending.push(PendingTenant {
             index,
             label: tenant.label.unwrap_or_else(|| format!("tenant{index}")),
@@ -352,10 +359,17 @@ impl<'p> FleetService<'p> {
             clients,
             master,
         });
-        self.retired.push(None);
-        Ok(TenantHandle {
-            id: TenantId { index, batch: 0 },
-        })
+        self.state.retired.push(None);
+        Ok(self.handle(index))
+    }
+
+    fn handle(&self, index: usize) -> TenantHandle {
+        TenantHandle {
+            id: TenantId {
+                index,
+                batch: self.batch,
+            },
+        }
     }
 
     /// Drives the fleet to quiescence: activates queued tenants as
@@ -365,6 +379,10 @@ impl<'p> FleetService<'p> {
     /// Poll retired reports with [`FleetService::poll`]; the fleet
     /// clock keeps running for later admissions.
     ///
+    /// This is the fleet's one drain path — the batch
+    /// [`FleetRuntime::run`](super::FleetRuntime::run) is a drain whose
+    /// tenants all arrive at fleet time zero.
+    ///
     /// # Errors
     ///
     /// [`EqcError::Internal`] if the drive or the pooled substrate
@@ -373,40 +391,56 @@ impl<'p> FleetService<'p> {
         if self.pending.is_empty() {
             return Ok(Vec::new());
         }
-        if let Substrate::Shared { load } = self.substrate {
-            if self.shared_ledgers.is_none() {
-                let ledgers = ledgers_for(&self.devices, load)?;
-                self.occupancy_tracker = Some(OccupancyTracker::new(&ledgers)?);
-                self.shared_ledgers = Some(ledgers);
-            }
-        }
         let slots = self.devices.len();
+        let state = &mut self.state;
+        // The drive's two axes, read off the substrate.
+        let workers = match self.substrate {
+            Substrate::DiscreteEvent => None,
+            Substrate::Pooled { workers } => {
+                let total = self.pending.iter().map(|p| p.clients.len()).sum();
+                Some(PoolConfig { workers }.resolved_workers(total))
+            }
+            Substrate::Shared { load } => {
+                if state.shared.is_none() {
+                    let ledgers = ledgers_for(&self.devices, load)?;
+                    let tracker = OccupancyTracker::new(&ledgers)?;
+                    state.shared = Some((ledgers, tracker));
+                }
+                None
+            }
+        };
         let mut batch = std::mem::take(&mut self.pending);
         // Stable by arrival: simultaneous arrivals activate in
-        // admission order, matching the batch runtime's lane order.
+        // admission order.
         batch.sort_by(|a, b| a.arrival_h.total_cmp(&b.arrival_h));
-        // Noise sharing mirrors the batch runtime: shared mode attaches
-        // the service's persistent per-device caches; private mode gives
-        // each clone a fresh cache, remembered so close() can sum
-        // builds.
-        if self.share_noise {
-            if self.noise_caches.is_empty() {
-                self.noise_caches
-                    .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
-            }
-            for p in batch.iter_mut() {
-                for (d, client) in p.clients.iter_mut().enumerate() {
+        // Every clone of physical device `d` resolves its start times
+        // through ledger `d` (shared substrate) and its noise builds
+        // through cache `d`. Clones share seed, base calibration and
+        // drift, so the shared artifacts are bit-identical to per-clone
+        // builds; `without_noise_sharing` routes the same code path
+        // through a private cache per clone instead, making both build
+        // granularities observable through the same counters.
+        if self.share_noise && state.noise_caches.is_empty() {
+            state
+                .noise_caches
+                .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
+        }
+        let mut private_caches = Vec::new();
+        for p in batch.iter_mut() {
+            debug_assert_eq!(p.clients.len(), slots);
+            for (d, client) in p.clients.iter_mut().enumerate() {
+                let cache = if self.share_noise {
+                    Arc::clone(&state.noise_caches[d])
+                } else {
+                    let cache = Arc::new(SharedNoiseCache::default());
+                    private_caches.push(Arc::clone(&cache));
+                    cache
+                };
+                client.backend_mut().attach_shared_noise(cache);
+                if let Some((ledgers, _)) = &state.shared {
                     client
                         .backend_mut()
-                        .attach_shared_noise(Arc::clone(&self.noise_caches[d]));
-                }
-            }
-        } else {
-            for p in batch.iter_mut() {
-                for client in p.clients.iter_mut() {
-                    let cache = Arc::new(SharedNoiseCache::default());
-                    client.backend_mut().attach_shared_noise(Arc::clone(&cache));
-                    self.noise_caches.push(cache);
+                        .attach_shared_queue(Arc::clone(&ledgers[d]));
                 }
             }
         }
@@ -422,62 +456,28 @@ impl<'p> FleetService<'p> {
         let mut lanes: Vec<Lane<'_, 'p>> = batch
             .iter_mut()
             .map(|p| {
-                let PendingTenant {
-                    problem,
-                    shots,
-                    weight,
-                    priority,
-                    deadline_h,
-                    arrival_h,
-                    clients,
-                    master,
-                    ..
-                } = p;
-                Lane::new(*problem, *shots, clients, master, *weight, *priority)
-                    .with_deadline(*deadline_h)
-                    .arriving_at(*arrival_h * 3600.0)
+                Lane::new(
+                    p.problem,
+                    p.shots,
+                    &mut p.clients,
+                    &mut p.master,
+                    p.weight,
+                    p.priority,
+                )
+                .with_deadline(p.deadline_h)
+                .arriving_at(p.arrival_h * 3600.0)
             })
             .collect();
-        let mut on_retire = |lane: usize, at_s: f64| retired_at.push((lane, at_s));
-        let driven = match self.substrate {
-            Substrate::DiscreteEvent => drive_stream_des(
-                &mut lanes,
-                self.arbiter.as_ref(),
-                slots,
-                &mut self.clock,
-                &mut arrivals,
-                &mut on_retire,
-            ),
-            Substrate::Shared { .. } => drive_stream_shared(
-                &mut lanes,
-                self.arbiter.as_ref(),
-                slots,
-                self.shared_ledgers.as_deref().expect("built above"),
-                self.occupancy_tracker.as_mut().expect("built above"),
-                &mut self.clock,
-                &mut arrivals,
-                &mut on_retire,
-            ),
-            Substrate::Pooled { workers } => {
-                let total = lanes.iter().map(|l| l.clients.len()).sum();
-                let resolved = PoolConfig {
-                    workers,
-                    deterministic: true,
-                }
-                .resolved_workers(total);
-                let (d, telemetry) = drive_stream_pooled(
-                    &mut lanes,
-                    self.arbiter.as_ref(),
-                    slots,
-                    resolved,
-                    &mut self.clock,
-                    &mut arrivals,
-                    &mut on_retire,
-                );
-                self.merge_pool(telemetry);
-                d
-            }
-        };
+        let (driven, pool) = drive(
+            &mut lanes,
+            self.arbiter.as_ref(),
+            slots,
+            state.shared.as_mut().map(|(_, tracker)| tracker),
+            workers,
+            &mut state.clock,
+            &mut arrivals,
+            &mut |lane, at_s| retired_at.push((lane, at_s)),
+        );
         let counters: Vec<LaneCounters> = lanes
             .iter_mut()
             .map(|l| std::mem::take(&mut l.counters))
@@ -486,18 +486,32 @@ impl<'p> FleetService<'p> {
         for p in batch.iter_mut() {
             for client in p.clients.iter_mut() {
                 client.backend_mut().detach_shared_noise();
+                client.backend_mut().detach_shared_queue();
             }
+        }
+        for cache in private_caches {
+            state.private_noise.0 += cache.builds();
+            state.private_noise.1 += cache.hits();
+        }
+        if let Some(telemetry) = pool {
+            state.pool = Some(match state.pool.take() {
+                None => telemetry,
+                Some(prev) => PoolTelemetry {
+                    workers_spawned: prev.workers_spawned.max(telemetry.workers_spawned),
+                    queue_depth_max: prev.queue_depth_max.max(telemetry.queue_depth_max),
+                    tasks_stolen: prev.tasks_stolen + telemetry.tasks_stolen,
+                },
+            });
         }
         driven?;
         debug_assert_eq!(retired_at.len(), batch.len(), "drain retires every lane");
-        if self.shared_ledgers.is_some() {
-            // Accumulate in lane order, not retirement order: the batch
-            // runtime sums per-device queue waits over tenants in
-            // admission order, and a zero-arrival drain must replay it
-            // bit for bit.
+        if state.shared.is_some() {
+            // Accumulate in lane order, not retirement order, so the
+            // per-device sums do not depend on who finished first.
+            state.occupancy_queued_s.resize(slots, 0.0);
             for p in &batch {
                 for (d, client) in p.clients.iter().enumerate() {
-                    self.occupancy_queued_s[d] += client.backend().queued_seconds();
+                    state.occupancy_queued_s[d] += client.backend().queued_seconds();
                 }
             }
         }
@@ -536,17 +550,12 @@ impl<'p> FleetService<'p> {
                 deadline_met: p.deadline_h.map(|d| report.total_hours <= d),
                 epochs: report.epochs,
             };
-            self.retired[p.index] = Some(RetiredTenant {
+            self.state.retired[p.index] = Some(RetiredTenant {
                 report,
                 telemetry,
                 record,
             });
-            handles.push(TenantHandle {
-                id: TenantId {
-                    index: p.index,
-                    batch: 0,
-                },
-            });
+            handles.push(self.handle(p.index));
         }
         Ok(handles)
     }
@@ -554,7 +563,8 @@ impl<'p> FleetService<'p> {
     /// The retired tenant's training report, or `None` while the
     /// tenant is still pending or in flight.
     pub fn poll(&self, handle: TenantHandle) -> Option<&TrainingReport> {
-        self.retired
+        self.state
+            .retired
             .get(handle.index())
             .and_then(|r| r.as_ref())
             .map(|r| &r.report)
@@ -569,21 +579,38 @@ impl<'p> FleetService<'p> {
     /// [`EqcError::NoTenants`] when nothing was ever admitted;
     /// [`EqcError::Internal`] as [`FleetService::drain`].
     pub fn close(mut self) -> Result<ServiceOutcome, EqcError> {
-        self.drain()?;
-        if self.retired.is_empty() {
+        self.finish()
+    }
+
+    /// Ends the current session: drains any remaining admissions,
+    /// collects the outcome and resets the session state (ledgers,
+    /// noise caches, fleet clock), leaving the device pool ready for a
+    /// fresh session under the next generation of handles — on failure
+    /// too. [`FleetService::close`] and every
+    /// [`FleetRuntime::run`](super::FleetRuntime::run) end here.
+    pub(crate) fn finish(&mut self) -> Result<ServiceOutcome, EqcError> {
+        let drained = self.drain();
+        let state = std::mem::take(&mut self.state);
+        let batch = self.batch;
+        self.batch += 1;
+        drained?;
+        if state.retired.is_empty() {
             return Err(EqcError::NoTenants);
         }
-        let admissions = self.retired.len();
-        let occupancy = match &self.shared_ledgers {
-            Some(ledgers) => occupancy_rows(&self.devices, ledgers, &self.occupancy_queued_s)?,
-            None => Vec::new(),
+        let admissions = state.retired.len();
+        let (occupancy, (snapshot_rebuilds, snapshot_reuses)) = match &state.shared {
+            Some((ledgers, tracker)) => (
+                occupancy_rows(&self.devices, ledgers, &state.occupancy_queued_s)?,
+                tracker.counters(),
+            ),
+            None => (Vec::new(), (0, 0)),
         };
         let mut reports = Vec::with_capacity(admissions);
         let mut per_tenant = Vec::with_capacity(admissions);
         let mut records = Vec::with_capacity(admissions);
         let mut epochs_total = 0u64;
         let (mut hits, mut misses) = (0usize, 0usize);
-        for slot in self.retired {
+        for slot in state.retired {
             let r = slot.ok_or_else(|| {
                 EqcError::Internal("service closed with an unretired tenant".into())
             })?;
@@ -597,27 +624,26 @@ impl<'p> FleetService<'p> {
             per_tenant.push(r.telemetry);
             records.push(r.record);
         }
-        let span_h = self.clock.now_s / 3600.0;
-        let (snapshot_rebuilds, snapshot_reuses) = self
-            .occupancy_tracker
-            .as_ref()
-            .map_or((0, 0), |t| t.counters());
+        let span_h = state.clock.now_s / 3600.0;
+        let (private_builds, private_hits) = state.private_noise;
+        let caches = &state.noise_caches;
         Ok(ServiceOutcome {
             fleet: FleetOutcome {
                 reports,
                 telemetry: FleetTelemetry {
                     arbiter: self.arbiter.name().to_string(),
                     devices: self.devices.len(),
-                    grant_rounds: self.clock.round,
+                    grant_rounds: state.clock.round,
                     tenants: per_tenant,
                     occupancy,
                     snapshot_rebuilds,
                     snapshot_reuses,
-                    shared_noise_builds: self.noise_caches.iter().map(|c| c.builds()).sum(),
-                    shared_noise_hits: self.noise_caches.iter().map(|c| c.hits()).sum(),
+                    shared_noise_builds: private_builds
+                        + caches.iter().map(|c| c.builds()).sum::<u64>(),
+                    shared_noise_hits: private_hits + caches.iter().map(|c| c.hits()).sum::<u64>(),
                 },
-                pool: self.pool,
-                batch: 0,
+                pool: state.pool,
+                batch,
             },
             service: ServiceTelemetry {
                 arbiter: self.arbiter.name().to_string(),
@@ -626,7 +652,7 @@ impl<'p> FleetService<'p> {
                 retirements: records.len(),
                 deadline_hits: hits,
                 deadline_misses: misses,
-                idle_virtual_hours: self.clock.idle_s / 3600.0,
+                idle_virtual_hours: state.clock.idle_s / 3600.0,
                 span_virtual_hours: span_h,
                 sustained_epochs_per_hour: if span_h > 0.0 {
                     epochs_total as f64 / span_h
@@ -636,17 +662,6 @@ impl<'p> FleetService<'p> {
                 tenants: records,
             },
         })
-    }
-
-    fn merge_pool(&mut self, telemetry: PoolTelemetry) {
-        self.pool = Some(match self.pool.take() {
-            None => telemetry,
-            Some(prev) => PoolTelemetry {
-                workers_spawned: prev.workers_spawned.max(telemetry.workers_spawned),
-                queue_depth_max: prev.queue_depth_max.max(telemetry.queue_depth_max),
-                tasks_stolen: prev.tasks_stolen + telemetry.tasks_stolen,
-            },
-        });
     }
 }
 
@@ -765,6 +780,30 @@ mod tests {
             run.telemetry.occupancy, outcome.fleet.telemetry.occupancy,
             "per-device ledgers must agree between batch run and streamed drain"
         );
+    }
+
+    #[test]
+    fn private_noise_service_folds_counters_and_holds_no_cache_between_drains() {
+        // An always-on private-noise service used to keep every
+        // per-clone cache (calibrations and noise models included) until
+        // close, just to sum two counters.
+        let problem = QaoaProblem::maxcut_ring4();
+        let mut service = builder().without_noise_sharing().service().expect("builds");
+        for _ in 0..3 {
+            for cfg in [service_cfg(2), service_cfg(1).with_seed(11)] {
+                service
+                    .admit(&problem, TenantConfig::new(cfg))
+                    .expect("admits");
+            }
+            service.drain().expect("drains");
+            assert!(
+                service.state.noise_caches.is_empty(),
+                "private caches must not outlive their drain"
+            );
+        }
+        let t = service.close().expect("closes").fleet.telemetry;
+        // Pinned from the commit that still retained the caches.
+        assert_eq!((t.shared_noise_builds, t.shared_noise_hits), (36, 0));
     }
 
     #[test]

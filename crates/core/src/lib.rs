@@ -42,11 +42,10 @@
 //! remote substrate is a new [`Executor`] impl.
 //!
 //! * [`DiscreteEventExecutor`] — deterministic virtual time (default);
-//! * [`ThreadedExecutor`] — one OS thread per client (Ray.io analogue);
 //! * [`PooledExecutor`] — any number of clients over a bounded worker
-//!   pool; deterministic mode is byte-identical to the discrete-event
-//!   executor, which makes 100–1000 client fleets
-//!   ([`qdevice::catalog::fleet`]) reproducible *and* parallel;
+//!   pool, byte-identical to the discrete-event executor, which makes
+//!   100–1000 client fleets ([`qdevice::catalog::fleet`]) reproducible
+//!   *and* parallel;
 //! * [`SequentialExecutor`] — the single-device baseline and the
 //!   synchronous-ensemble ablation.
 //!
@@ -118,7 +117,7 @@ pub use config::{
 pub use convergence::ConvergenceParams;
 pub use ensemble::{ideal_backend, Ensemble, EnsembleBuilder, EnsembleSession};
 pub use error::EqcError;
-pub use executor::{DiscreteEventExecutor, Executor, SequentialExecutor, ThreadedExecutor};
+pub use executor::{DiscreteEventExecutor, Executor, SequentialExecutor};
 pub use fleet::{
     FleetBuilder, FleetOutcome, FleetRuntime, FleetService, ServiceOutcome, TenantHandle, TenantId,
 };

@@ -7,8 +7,8 @@
 //! all through `Ensemble` / `EnsembleSession` directly.
 
 use eqc_core::{
-    ClientNode, Ensemble, EnsembleSession, EqcConfig, EqcError, Executor, SequentialExecutor,
-    ThreadedExecutor, WeightBounds,
+    ClientNode, Ensemble, EnsembleSession, EqcConfig, EqcError, Executor, PooledExecutor,
+    SequentialExecutor, WeightBounds,
 };
 use qdevice::{catalog, DriftModel, QpuBackend, QueueModel};
 use vqa::{QaoaProblem, VqaProblem, VqeProblem};
@@ -263,7 +263,7 @@ fn single_device_history_is_monotone_in_time() {
 }
 
 #[test]
-fn threaded_eqc_converges() {
+fn pooled_eqc_converges() {
     let problem = QaoaProblem::maxcut_ring4();
     let cfg = EqcConfig::paper_qaoa().with_epochs(25).with_shots(1024);
     let mut b = Ensemble::builder().config(cfg);
@@ -284,7 +284,7 @@ fn threaded_eqc_converges() {
     let report = b
         .build()
         .unwrap()
-        .train_with(&ThreadedExecutor::new(), &problem)
+        .train_with(&PooledExecutor::new().workers(2), &problem)
         .unwrap();
     assert_eq!(report.epochs, 25);
     assert!(
@@ -297,14 +297,14 @@ fn threaded_eqc_converges() {
 }
 
 #[test]
-fn threaded_all_clients_participate_and_weights_trace() {
+fn pooled_all_clients_participate_and_weights_trace() {
     let problem = QaoaProblem::maxcut_ring4();
     let cfg = EqcConfig::paper_qaoa()
         .with_epochs(6)
         .with_shots(256)
         .with_weights(WeightBounds::new(0.5, 1.5).unwrap());
     let report = quiet_ensemble(&["belem", "x2", "bogota", "quito"], cfg)
-        .train_with(&ThreadedExecutor::new(), &problem)
+        .train_with(&PooledExecutor::new().workers(2), &problem)
         .unwrap();
     for c in &report.clients {
         assert!(c.tasks_completed > 0, "{} never ran", c.device);

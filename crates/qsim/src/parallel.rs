@@ -82,8 +82,7 @@ impl<T> RunQueue<T> {
     /// Blocks for the next task: own shard first, else steal from the
     /// deepest foreign shard. Returns `None` only after [`Self::close`]
     /// **and** a fully drained queue — every dispatched task executes,
-    /// which the deterministic pooled mode's client-counter equivalence
-    /// relies on.
+    /// which the pooled drive's client-counter equivalence relies on.
     pub fn pop(&self, worker: usize) -> Option<T> {
         let mut s = self.state.lock().expect("run-queue lock");
         loop {

@@ -33,9 +33,10 @@
 //!
 //! Training always runs through an [`Executor`](eqc_core::Executor):
 //! the default above is the deterministic [`DiscreteEventExecutor`]
-//! (same seed, same report); swap in the [`ThreadedExecutor`] for real
-//! OS-thread concurrency or the [`SequentialExecutor`] for the paper's
-//! single-machine and synchronous baselines:
+//! (same seed, same report); swap in the [`PooledExecutor`] for the
+//! same report from a bounded worker pool, or the
+//! [`SequentialExecutor`] for the paper's single-machine and
+//! synchronous baselines:
 //!
 //! ```
 //! use eqc::prelude::*;
@@ -54,7 +55,7 @@
 //! harnesses regenerating every table and figure of the paper.
 //!
 //! [`DiscreteEventExecutor`]: eqc_core::DiscreteEventExecutor
-//! [`ThreadedExecutor`]: eqc_core::ThreadedExecutor
+//! [`PooledExecutor`]: eqc_core::PooledExecutor
 //! [`SequentialExecutor`]: eqc_core::SequentialExecutor
 
 #![warn(missing_docs)]
@@ -86,8 +87,8 @@ pub mod prelude {
         FleetBuilder, FleetOutcome, FleetRuntime, FleetService, FleetTelemetry, MembershipChange,
         PolicyConfig, PolicyTelemetry, PoolConfig, PoolTelemetry, PooledExecutor,
         SequentialExecutor, ServiceConfig, ServiceOutcome, ServiceTelemetry, ServiceTenantRecord,
-        SimParallelism, TenantConfig, TenantHandle, TenantId, TenantTelemetry, ThreadedExecutor,
-        TrainingReport, WeightBounds, WeightProvenance,
+        SimParallelism, TenantConfig, TenantHandle, TenantId, TenantTelemetry, TrainingReport,
+        WeightBounds, WeightProvenance,
     };
     pub use qcircuit::{Circuit, CircuitBuilder, Gate, Hamiltonian, PauliString};
     pub use qdevice::{catalog, DeviceSpec, LoadCurve, LoadModel, QpuBackend, SimTime};

@@ -90,6 +90,8 @@ fn deterministic_given_seeds() {
     }
 }
 
+// "Threaded" is the two-worker pool: the multi-threaded substrate next
+// to the single-threaded discrete-event one.
 #[test]
 fn threaded_and_des_executors_both_learn() {
     let problem = QaoaProblem::maxcut_ring4();
@@ -97,10 +99,10 @@ fn threaded_and_des_executors_both_learn() {
     let des = ensemble(&["belem", "manila"], 2, cfg)
         .train(&problem)
         .expect("trains");
-    let thr = ensemble(&["belem", "manila"], 2, cfg)
-        .train_with(&ThreadedExecutor::new(), &problem)
+    let pooled = ensemble(&["belem", "manila"], 2, cfg)
+        .train_with(&PooledExecutor::new().workers(2), &problem)
         .expect("trains");
-    for (label, r) in [("des", &des), ("threaded", &thr)] {
+    for (label, r) in [("des", &des), ("pooled", &pooled)] {
         assert!(
             r.converged_loss(4) < -0.4,
             "{label} failed to learn: {}",

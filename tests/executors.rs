@@ -1,11 +1,8 @@
-//! Executor equivalence and determinism: the four substrates drive the
-//! same master loop, so their reports must agree wherever the execution
-//! order is immaterial — and the deterministic pooled substrate must
-//! reproduce the discrete-event executor byte for byte at any fleet
-//! width.
+//! Executor equivalence and determinism: the three substrates drive
+//! the same master loop, and the pooled substrate must reproduce the
+//! discrete-event executor byte for byte at any fleet width.
 
 use eqc::prelude::*;
-use std::collections::HashMap;
 
 fn qaoa_ensemble(names: &[&str], epochs: usize) -> Ensemble {
     Ensemble::builder()
@@ -152,90 +149,13 @@ fn sequential_on_ideal_matches_reference_single_device_sgd() {
 }
 
 #[test]
-fn threaded_applies_the_same_gradient_set_as_discrete_event() {
-    // Thread scheduling permutes arrival order, but on a 2-client
-    // ensemble both substrates must complete the same training work:
-    // identical update counts, near-identical sets of (cycle, parameter)
-    // applications, and full participation.
-    let problem = QaoaProblem::maxcut_ring4();
-    let epochs = 10;
-    let ensemble = qaoa_ensemble(&["belem", "manila"], epochs);
-    let params_per_cycle = vqa::VqaProblem::num_params(&problem);
-    let n_clients = 2;
-
-    let des = ensemble.train(&problem).expect("trains");
-    let thr = ensemble
-        .train_with(&ThreadedExecutor::new(), &problem)
-        .expect("trains");
-
-    // Both run the epoch budget to completion with the same number of
-    // applied parameter updates.
-    assert_eq!(des.epochs, epochs);
-    assert_eq!(thr.epochs, epochs);
-    assert_eq!(des.updates_applied, (epochs * params_per_cycle) as u64);
-    assert_eq!(des.updates_applied, thr.updates_applied);
-
-    // The multisets of applied (cycle, parameter) updates agree up to
-    // the work in flight when the epoch budget was hit.
-    let count = |log: &[(usize, usize)]| {
-        let mut m: HashMap<(usize, usize), i64> = HashMap::new();
-        for &k in log {
-            *m.entry(k).or_insert(0) += 1;
-        }
-        m
-    };
-    let (a, b) = (count(&des.update_log), count(&thr.update_log));
-    let mut diff = 0i64;
-    for key in a
-        .keys()
-        .chain(b.keys())
-        .collect::<std::collections::HashSet<_>>()
-    {
-        diff += (a.get(key).copied().unwrap_or(0) - b.get(key).copied().unwrap_or(0)).abs();
-    }
-    assert!(
-        diff <= 2 * n_clients as i64,
-        "update sets diverge beyond in-flight slack: {diff}"
-    );
-
-    // Every parameter advanced once per epoch, give or take the boundary.
-    for m in [&a, &b] {
-        for p in 0..params_per_cycle {
-            let n: i64 = m
-                .iter()
-                .filter(|((_, param), _)| *param == p)
-                .map(|(_, c)| *c)
-                .sum();
-            assert!(
-                (n - epochs as i64).abs() <= 1,
-                "param {p} updated {n} times over {epochs} epochs"
-            );
-        }
-    }
-
-    // Both substrates keep the whole fleet busy.
-    for r in [&des, &thr] {
-        for c in &r.clients {
-            assert!(
-                c.tasks_completed > 0,
-                "{} idle under {}",
-                c.device,
-                r.trainer
-            );
-        }
-    }
-}
-
-#[test]
 fn executors_are_interchangeable_behind_the_trait() {
     // The extension point: training code written against `dyn Executor`
     // works with every substrate.
     let problem = QaoaProblem::maxcut_ring4();
     let executors: Vec<Box<dyn Executor>> = vec![
         Box::new(DiscreteEventExecutor::new()),
-        Box::new(ThreadedExecutor::new()),
         Box::new(PooledExecutor::new()),
-        Box::new(PooledExecutor::new().deterministic(false)),
         Box::new(SequentialExecutor::new()),
     ];
     let ensemble = qaoa_ensemble(&["belem", "manila"], 3);
@@ -288,7 +208,7 @@ fn pooled_deterministic_is_byte_identical_to_discrete_event_on_the_figure_fleet(
 
 #[test]
 fn pooled_trains_a_256_client_fleet_with_a_bounded_worker_count() {
-    // Where ThreadedExecutor would have spawned 256 OS threads, the pool
+    // Where a thread per client would mean 256 OS threads, the pool
     // spawns at most `available_parallelism` workers — and still
     // produces the exact deterministic report.
     let base: Vec<qdevice::DeviceSpec> = ["belem", "manila", "bogota", "quito", "lima"]
@@ -329,68 +249,6 @@ fn pooled_trains_a_256_client_fleet_with_a_bounded_worker_count() {
         format!("{des:?}"),
         format!("{pooled:?}"),
         "byte-identical at fleet scale"
-    );
-}
-
-#[test]
-fn pooled_arrival_mode_matches_threaded_update_set_semantics() {
-    // Arrival order is scheduler-dependent, but the pool must complete
-    // the same training work as the deterministic substrates: full epoch
-    // budget, same number of applied updates, every client busy.
-    let problem = QaoaProblem::maxcut_ring4();
-    let epochs = 8;
-    let ensemble = qaoa_ensemble(&["belem", "manila", "bogota"], epochs);
-    let params_per_cycle = vqa::VqaProblem::num_params(&problem);
-
-    let des = ensemble.train(&problem).expect("trains");
-    let exec = PooledExecutor::new().deterministic(false).workers(2);
-    let pooled = ensemble.train_with(&exec, &problem).expect("trains");
-
-    assert_eq!(pooled.epochs, epochs);
-    assert_eq!(pooled.trainer, "eqc-pooled[3]");
-    assert_eq!(des.updates_applied, (epochs * params_per_cycle) as u64);
-    assert_eq!(des.updates_applied, pooled.updates_applied);
-    for c in &pooled.clients {
-        assert!(c.tasks_completed > 0, "{} idle under the pool", c.device);
-    }
-}
-
-#[test]
-fn threaded_executor_returns_surviving_clients_on_error() {
-    // Regression: the error path used to `?`-return before
-    // `put_clients`, leaving the session permanently empty. Build a
-    // 2-client session where one client was prepared for a *different*
-    // problem (its worker thread panics binding too few parameters):
-    // the run must error, and the surviving client must come back.
-    let qaoa = QaoaProblem::maxcut_ring4();
-    let vqe = VqeProblem::heisenberg_4q();
-    let cfg = EqcConfig::paper_qaoa().with_epochs(2).with_shots(64);
-
-    let good = ClientNode::new(
-        0,
-        qdevice::catalog::by_name("belem")
-            .expect("catalog")
-            .backend(1),
-        &qaoa,
-    )
-    .expect("transpiles");
-    let bad = ClientNode::new(
-        1,
-        qdevice::catalog::by_name("manila")
-            .expect("catalog")
-            .backend(2),
-        &vqe,
-    )
-    .expect("transpiles");
-
-    let mut session = EnsembleSession::from_clients(&qaoa, cfg, vec![good, bad]).expect("builds");
-    assert_eq!(session.num_clients(), 2);
-    let err = ThreadedExecutor::new().run(&mut session).unwrap_err();
-    assert!(matches!(err, EqcError::Internal(_)), "{err:?}");
-    assert_eq!(
-        session.num_clients(),
-        1,
-        "the surviving client must be handed back on the error path"
     );
 }
 

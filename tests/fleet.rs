@@ -5,6 +5,7 @@
 //! and the arbiters split capacity the way they advertise.
 
 use eqc::prelude::*;
+use proptest::prelude::*;
 
 fn cfg(epochs: usize) -> EqcConfig {
     EqcConfig::paper_qaoa()
@@ -541,4 +542,93 @@ fn fleet_outlives_its_tenant_batches() {
         first.reports, second.reports,
         "devices persist across batches: identical replay"
     );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// The one fleet stepper, driven over random fleet shapes on every
+    /// axis: whatever the tenant count, pool width, arbiter and arrival
+    /// pattern, the pooled execution axis must replay the inline one,
+    /// an all-zero-arrival service must replay `FleetRuntime::run`, and
+    /// a lone tenant on zero-load shared ledgers must replay private
+    /// ones — compared on the whole outcome, telemetry included.
+    #[test]
+    fn one_stepper_replays_itself_on_every_axis(
+        tenants in 1..=4usize,
+        clients in 2..=4usize,
+        arbiter in 0..4usize,
+        pattern in 0..3usize,
+    ) {
+        let problem = QaoaProblem::maxcut_ring4();
+        let fleet = || {
+            let b = FleetRuntime::builder()
+                .devices(fleet_devices().into_iter().take(clients))
+                .device_seed(7);
+            match arbiter {
+                0 => b.arbiter(Unshared),
+                1 => b.arbiter(FairShare),
+                2 => b.arbiter(PriorityArbiter),
+                _ => b.arbiter(EarliestDeadlineFirst),
+            }
+        };
+        let tenant = |t: usize| {
+            let config = EqcConfig::paper_qaoa()
+                .with_epochs(1 + t % 2)
+                .with_shots(64)
+                .with_seed(7 + t as u64);
+            TenantConfig::new(config)
+                .weight((1 + t % 3) as f64)
+                .priority((t % 2) as i64)
+                .deadline([1.0e-6, 1.0e6][t % 2])
+        };
+        // All at zero; staggered into each other's runs; or far enough
+        // apart that the fleet empties between tenants.
+        let arrival_h = |t: usize| [0.0, 1.0e-4, 1.0e4][pattern] * t as f64;
+        let serve = |b: FleetBuilder| {
+            let mut service = b.service().expect("builds");
+            for t in 0..tenants {
+                service
+                    .admit_at(&problem, tenant(t), arrival_h(t))
+                    .expect("admits");
+            }
+            service.close().expect("closes")
+        };
+        let whole = |o: &ServiceOutcome| {
+            format!("{:?}\n{:?}\n{:?}", o.fleet.reports, o.fleet.telemetry, o.service)
+        };
+
+        let inline = serve(fleet());
+        prop_assert_eq!(inline.service.retirements, tenants);
+        prop_assert_eq!(
+            inline.service.idle_virtual_hours > 0.0,
+            pattern == 2 && tenants > 1,
+            "only the gapped pattern may idle the fleet: {}", inline.service
+        );
+        let pooled = serve(fleet().pooled_workers(2));
+        prop_assert_eq!(whole(&inline), whole(&pooled), "pooled must replay inline");
+        prop_assert!(pooled.fleet.pool.is_some() && inline.fleet.pool.is_none());
+
+        if pattern == 0 {
+            let mut batch = fleet().build().expect("builds");
+            for t in 0..tenants {
+                batch.admit(&problem, tenant(t)).expect("admits");
+            }
+            let batch = batch.run().expect("runs");
+            prop_assert_eq!(
+                format!("{:?}\n{:?}", batch.reports, batch.telemetry),
+                format!("{:?}\n{:?}", inline.fleet.reports, inline.fleet.telemetry),
+                "a t = 0 service must replay the batch runtime"
+            );
+        }
+
+        if tenants == 1 {
+            // Occupancy rows are the one deliberate divergence: private
+            // ledgers have no per-device timeline to report.
+            let mut shared = serve(fleet().shared());
+            prop_assert_eq!(shared.fleet.telemetry.occupancy.len(), clients);
+            shared.fleet.telemetry.occupancy.clear();
+            prop_assert_eq!(whole(&inline), whole(&shared), "zero-load shared must replay DES");
+        }
+    }
 }
