@@ -10,7 +10,7 @@
 //!
 //! * `legacy`   — the pre-engine reference (per-run bind + noise rebuild);
 //! * `engine`   — the compiled path with shift-pair folding disabled
-//!   (the PR-2 baseline, now with the fused sparse channel kernels);
+//!   (the PR-2 baseline, now with the lowered channel sweep);
 //! * `parallel` — the same plus a worker team on the density kernels
 //!   (the 5-qubit probe sits below the parallel row-block threshold, so
 //!   this row doubles as the "parallelism costs nothing when it cannot

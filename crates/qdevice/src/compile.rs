@@ -107,7 +107,7 @@ pub fn compile(
                 builder.push_unitary(g.matrix(&[]), &qs);
             }
         }
-        ScheduledOp::Channel(ch, qs) => builder.push_channel(&ch, &qs),
+        ScheduledOp::Channel(ch, qs) => builder.push_channel(ch, qs),
     });
     (builder.finish(noise.readout(), duration), param_slots)
 }

@@ -155,17 +155,74 @@ impl NoiseModel {
                 .collect(),
         )
     }
+}
 
-    fn relaxation(&self, q: usize, duration_ns: f64) -> Option<KrausChannel> {
-        let n = &self.qubits[q];
-        if duration_ns <= 0.0 || !n.t1_ns.is_finite() {
-            return None;
+/// What a scheduled channel is a function of; equal keys within one
+/// model build bit-identical channels.
+#[derive(Clone, Copy, PartialEq)]
+enum ChannelKey {
+    /// Thermal relaxation of a qubit over a duration (`f64` bits).
+    Relaxation(usize, u64),
+    /// One-qubit depolarizing at a probability (`f64` bits).
+    Depolarizing1q(u64),
+    /// Two-qubit depolarizing at a probability (`f64` bits).
+    Depolarizing2q(u64),
+}
+
+/// The channels one [`schedule`] walk has built so far. A circuit sees a
+/// handful of distinct `(qubit, duration)` pairs and error rates but
+/// hundreds of gates; building each channel once keeps compilation —
+/// which runs per task under drift — flat in the gate count.
+struct ChannelMemo<'n> {
+    noise: &'n NoiseModel,
+    built: Vec<(ChannelKey, KrausChannel)>,
+}
+
+impl ChannelMemo<'_> {
+    /// Delivers the channel for `key` on `qs`, building it on first use.
+    fn emit(&mut self, key: ChannelKey, qs: &[usize], apply: &mut impl FnMut(ScheduledOp<'_>)) {
+        let idx = match self.built.iter().position(|(k, _)| *k == key) {
+            Some(idx) => idx,
+            None => {
+                let ch = match key {
+                    ChannelKey::Relaxation(q, dur) => {
+                        let n = &self.noise.qubits[q];
+                        KrausChannel::thermal_relaxation(n.t1_ns, n.t2_ns, f64::from_bits(dur))
+                    }
+                    ChannelKey::Depolarizing1q(p) => {
+                        KrausChannel::depolarizing_1q(f64::from_bits(p))
+                    }
+                    ChannelKey::Depolarizing2q(p) => {
+                        KrausChannel::depolarizing_2q(f64::from_bits(p))
+                    }
+                };
+                self.built.push((key, ch));
+                self.built.len() - 1
+            }
+        };
+        apply(ScheduledOp::Channel(&self.built[idx].1, qs));
+    }
+
+    /// Thermal relaxation of `q` over `duration_ns`, when it decays at all.
+    fn relax(&mut self, q: usize, duration_ns: f64, apply: &mut impl FnMut(ScheduledOp<'_>)) {
+        if duration_ns > 0.0 && self.noise.qubits[q].t1_ns.is_finite() {
+            self.emit(
+                ChannelKey::Relaxation(q, duration_ns.to_bits()),
+                &[q],
+                apply,
+            );
         }
-        Some(KrausChannel::thermal_relaxation(
-            n.t1_ns,
-            n.t2_ns,
-            duration_ns,
-        ))
+    }
+
+    /// Depolarizing gate error at probability `p` on a gate's operands.
+    fn depolarize(&mut self, p: f64, qs: &[usize], apply: &mut impl FnMut(ScheduledOp<'_>)) {
+        if p > 0.0 {
+            let key = match qs.len() {
+                1 => ChannelKey::Depolarizing1q(p.to_bits()),
+                _ => ChannelKey::Depolarizing2q(p.to_bits()),
+            };
+            self.emit(key, qs, apply);
+        }
     }
 }
 
@@ -177,7 +234,7 @@ pub enum ScheduledOp<'a> {
     /// rebind slots).
     Unitary(usize, &'a Gate),
     /// Apply a noise channel to the listed compact qubits.
-    Channel(KrausChannel, Vec<usize>),
+    Channel(&'a KrausChannel, &'a [usize]),
 }
 
 /// Walks the circuit with per-qubit timelines, invoking the callback for
@@ -190,6 +247,10 @@ where
 {
     let n = circuit.num_qubits();
     let mut qubit_time = vec![0.0f64; n];
+    let mut memo = ChannelMemo {
+        noise,
+        built: Vec::new(),
+    };
     for (gate_idx, g) in circuit.gates().iter().enumerate() {
         let qs = g.qubits();
         if g.is_virtual() {
@@ -200,10 +261,7 @@ where
         let start = qs.iter().map(|&q| qubit_time[q]).fold(0.0, f64::max);
         // Idle decay catch-up for operands that were waiting.
         for &q in &qs {
-            let idle = start - qubit_time[q];
-            if let Some(ch) = noise.relaxation(q, idle) {
-                apply(ScheduledOp::Channel(ch, vec![q]));
-            }
+            memo.relax(q, start - qubit_time[q], &mut apply);
         }
         apply(ScheduledOp::Unitary(gate_idx, g));
         let dur = if g.is_two_qubit() {
@@ -212,47 +270,22 @@ where
             noise.gate_time_1q_ns
         };
         // Gate-concurrent relaxation and depolarizing error.
-        match qs[..] {
-            [q] => {
-                if let Some(ch) = noise.relaxation(q, dur) {
-                    apply(ScheduledOp::Channel(ch, vec![q]));
-                }
-                let p = noise.qubits[q].gate_error_1q;
-                if p > 0.0 {
-                    apply(ScheduledOp::Channel(
-                        KrausChannel::depolarizing_1q(p),
-                        vec![q],
-                    ));
-                }
-                qubit_time[q] = start + dur;
-            }
-            [a, b] => {
-                for &q in &[a, b] {
-                    if let Some(ch) = noise.relaxation(q, dur) {
-                        apply(ScheduledOp::Channel(ch, vec![q]));
-                    }
-                }
-                let p = noise.cx_error(a, b);
-                if p > 0.0 {
-                    apply(ScheduledOp::Channel(
-                        KrausChannel::depolarizing_2q(p),
-                        vec![a, b],
-                    ));
-                }
-                qubit_time[a] = start + dur;
-                qubit_time[b] = start + dur;
-            }
-            _ => unreachable!(),
+        for &q in &qs {
+            memo.relax(q, dur, &mut apply);
+            qubit_time[q] = start + dur;
         }
+        let p = match qs[..] {
+            [q] => noise.qubits[q].gate_error_1q,
+            [a, b] => noise.cx_error(a, b),
+            _ => unreachable!(),
+        };
+        memo.depolarize(p, &qs, &mut apply);
     }
     // Measurement: align all qubits to the end, decay over the alignment
     // gap plus the readout window.
     let end = qubit_time.iter().copied().fold(0.0, f64::max);
     for (q, &t) in qubit_time.iter().enumerate().take(n) {
-        let gap = end - t + noise.readout_time_ns;
-        if let Some(ch) = noise.relaxation(q, gap) {
-            apply(ScheduledOp::Channel(ch, vec![q]));
-        }
+        memo.relax(q, end - t + noise.readout_time_ns, &mut apply);
     }
     end + noise.readout_time_ns
 }
@@ -378,7 +411,7 @@ pub mod reference {
                     _ => unreachable!(),
                 }
             }
-            ScheduledOp::Channel(ch, qs) => baseline::apply_channel(&mut rho, &ch, &qs),
+            ScheduledOp::Channel(ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
         });
         rho.normalize();
         let probs = noise.readout().apply_to_distribution(&rho.probabilities());
@@ -422,7 +455,7 @@ pub mod reference {
                         _ => unreachable!(),
                     }
                 }
-                ScheduledOp::Channel(ch, qs) => apply_channel_trajectory(&mut sv, &ch, &qs, rng),
+                ScheduledOp::Channel(ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
             });
             let traj_shots = base + usize::from(t < extra);
             if traj_shots == 0 {

@@ -10,7 +10,7 @@
 use crate::complex::C64;
 use crate::gates::Pauli;
 use crate::matrix::CMatrix;
-use crate::noise::KrausChannel;
+use crate::noise::{KrausChannel, Superop, SuperopTable};
 use crate::parallel::ParallelCtx;
 use crate::statevector::StateVector;
 use rand::Rng;
@@ -58,30 +58,6 @@ impl RowPtr {
     unsafe fn at<'a>(&self, i: usize) -> &'a mut C64 {
         &mut *self.0.add(i)
     }
-
-    /// Mutable view of the flat range `[i0, i0 + len)`.
-    ///
-    /// # Safety
-    ///
-    /// The range must be in bounds and not concurrently accessed.
-    #[inline(always)]
-    unsafe fn range<'a>(&self, i0: usize, len: usize) -> &'a mut [C64] {
-        std::slice::from_raw_parts_mut(self.0.add(i0), len)
-    }
-}
-
-/// Element-wise `dst += src`, partitioned over contiguous chunks (exact
-/// under any partition: each element is one independent add).
-fn accumulate(dst: &mut [C64], src: &[C64], ctx: &ParallelCtx) {
-    let len = dst.len();
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(len, |i0, i1| {
-        // SAFETY: chunks are disjoint.
-        let d = unsafe { p.range(i0, i1 - i0) };
-        for (x, s) in d.iter_mut().zip(&src[i0..i1]) {
-            *x += *s;
-        }
-    });
 }
 
 /// Rows of a small operator when every row has at most one nonzero
@@ -120,9 +96,7 @@ fn insert_bit(k: usize, q: usize) -> usize {
 }
 
 /// Applies `rho -> U rho U^dag` for a 2x2 operator on qubit `q`, over
-/// raw row-major storage. Shared by [`DensityMatrix::apply_unitary_1q`]
-/// and the scratch-buffer channel path so their floating-point behavior
-/// is identical by construction.
+/// raw row-major storage.
 ///
 /// Both passes partition over disjoint row sets (left: base-row pairs,
 /// right: single rows) with per-element arithmetic independent of the
@@ -348,100 +322,60 @@ fn kernel_2q_sparse(
     });
 }
 
-/// Accumulates one *sparse* Kraus term `K rho K^dag` straight from the
-/// pre-channel state: with at most one nonzero per row of `K`, element
-/// `(r, c)` of the term is a single chain
-/// `(v_r * orig[src_r][src_c]) * conj(v_c)` — so the copy, left-pass,
-/// right-pass and accumulate sweeps of the buffered path fold into one
-/// output sweep. Per element the floating-point operations are exactly
-/// those of [`kernel_1q_sparse`] on a copy followed by `dst += term`
-/// (including the `0 * v` products of all-zero rows), so the result is
-/// bit-equal to that path.
-fn channel_term_1q_sparse(
-    dst: &mut [C64],
-    orig: &[C64],
+/// Applies a lowered channel in place: one sweep over the `M x M`
+/// blocks of `rho` on the operand qubits (`M` = 2 or 4), each block
+/// read whole and overwritten with `S * block` (see
+/// [`crate::noise::SuperopTable`]). `off[i]` is the index offset of
+/// local basis state `i`; `sorted` lists the operand qubits ascending.
+///
+/// Partitioned over row groups exactly like the left pass of
+/// [`kernel_1q`] / [`kernel_2q`]: a group owns its `M` rows outright
+/// and per-block arithmetic does not depend on the partition, so any
+/// worker count produces byte-identical results.
+fn kernel_superop<const M: usize>(
+    mat: &mut [C64],
     dim: usize,
-    rows: &[Option<(usize, C64)>; 2],
-    q: usize,
+    s: Superop<'_>,
+    off: [usize; M],
+    sorted: &[usize],
     ctx: &ParallelCtx,
 ) {
     let ctx = gate_ctx(ctx, dim);
-    let bit = 1usize << q;
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-    ];
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            let r_base = r & !bit;
-            let left = rows[(r >> q) & 1];
-            // SAFETY: row chunks are disjoint.
-            let dst_row = unsafe { p.row(r, dim) };
-            for (c, x) in dst_row.iter_mut().enumerate() {
-                let val = match d[(c >> q) & 1] {
-                    None => C64::ZERO,
-                    Some((ci, vd)) => {
-                        let src_col = (c & !bit) | (ci << q);
-                        let inner = match left {
-                            None => C64::ZERO,
-                            Some((cl, vl)) => vl * orig[(r_base | (cl << q)) * dim + src_col],
-                        };
-                        inner * vd
+    let base = |k: usize| sorted.iter().fold(k, |k, &q| insert_bit(k, q));
+    // Flat offset of block entry `e = i * M + j` from the block origin
+    // (entries past `M * M` are never read).
+    let at: [usize; 16] = std::array::from_fn(|e| off[e / M % M] * dim + off[e % M]);
+    let rows = s.rows();
+    let p = RowPtr(mat.as_mut_ptr());
+    ctx.run_chunks(dim / M, |k0, k1| {
+        let mut block = [C64::ZERO; 16];
+        for r in (k0..k1).map(base) {
+            for c in (0..dim / M).map(base) {
+                let origin = r * dim + c;
+                for e in 0..M * M {
+                    // SAFETY: `r` and `c` have the operand bits clear and
+                    // `off` sets only those (all below `dim`: the caller
+                    // checked the qubits), so the index is in bounds;
+                    // distinct base rows yield disjoint row groups.
+                    block[e] = unsafe { *p.at(origin + at[e]) };
+                }
+                for e in 0..M * M {
+                    // Columns are below `M * M <= 16` by construction;
+                    // the mask only tells the compiler so.
+                    let (cols, re, im) = rows[e];
+                    let mut acc = C64::ZERO;
+                    if im.is_empty() {
+                        for (&col, &v) in cols.iter().zip(re) {
+                            acc += block[col as usize & 15] * v;
+                        }
+                    } else {
+                        for ((&col, &vr), &vi) in cols.iter().zip(re).zip(im) {
+                            acc += C64::new(vr, vi) * block[col as usize & 15];
+                        }
                     }
-                };
-                *x += val;
-            }
-        }
-    });
-}
-
-/// Two-qubit sibling of [`channel_term_1q_sparse`], bit-equal to
-/// [`kernel_2q_sparse`] on a copy followed by `dst += term`.
-fn channel_term_2q_sparse(
-    dst: &mut [C64],
-    orig: &[C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 4],
-    q0: usize,
-    q1: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let mask = b0 | b1;
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-        rows[2].map(|(c, v)| (c, v.conj())),
-        rows[3].map(|(c, v)| (c, v.conj())),
-    ];
-    // Position `j` in a row quad `[i, i|b0, i|b1, i|b0|b1]` and back.
-    let loc = |i: usize| ((i >> q0) & 1) | (((i >> q1) & 1) << 1);
-    let sel = |base: usize, j: usize| {
-        base | (if j & 1 != 0 { b0 } else { 0 }) | (if j & 2 != 0 { b1 } else { 0 })
-    };
-    let p = RowPtr(dst.as_mut_ptr());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            let r_base = r & !mask;
-            let left = rows[loc(r)];
-            // SAFETY: row chunks are disjoint.
-            let dst_row = unsafe { p.row(r, dim) };
-            for (c, x) in dst_row.iter_mut().enumerate() {
-                let val = match d[loc(c)] {
-                    None => C64::ZERO,
-                    Some((ci, vd)) => {
-                        let src_col = sel(c & !mask, ci);
-                        let inner = match left {
-                            None => C64::ZERO,
-                            Some((cl, vl)) => vl * orig[sel(r_base, cl) * dim + src_col],
-                        };
-                        inner * vd
-                    }
-                };
-                *x += val;
+                    // SAFETY: as above.
+                    unsafe { *p.at(origin + at[e]) = acc };
+                }
             }
         }
     });
@@ -451,12 +385,14 @@ fn channel_term_2q_sparse(
 ///
 /// These are the implementations this module shipped before the engine
 /// layer landed: column-major iteration, a heap-allocated gather per
-/// two-qubit position, and a full state clone per Kraus operator. They
-/// compute the exact same floating-point results as the current
-/// kernels (element-wise the arithmetic is unchanged; only iteration
-/// order and allocation differ), so equivalence tests can demand
-/// byte-identical counts from both — and benchmarks can report an
-/// honest old-vs-new ratio. Never use these on a hot path.
+/// two-qubit position, and a full state clone per Kraus operator. The
+/// unitary kernels compute the exact same floating-point results as the
+/// current ones (element-wise the arithmetic is unchanged; only
+/// iteration order and allocation differ). [`baseline::apply_channel`]
+/// is the literal Kraus sum — the oracle the lowered-superoperator sweep
+/// is tested against: equal to 1e-12 (the sum is re-associated, so the
+/// states differ at the 1e-16 level), with equal sampled counts on every
+/// pinned fixture. Never use these on a hot path.
 pub mod baseline {
     use super::*;
 
@@ -574,23 +510,6 @@ pub mod baseline {
                 *dst += *src;
             }
         }
-    }
-}
-
-/// Reusable scratch for [`DensityMatrix::apply_channel_buffered`]: two
-/// matrix-sized buffers that let a Kraus sum run without cloning the
-/// state per operator. One scratch serves states of any size (buffers
-/// grow on demand and are reused across jobs).
-#[derive(Clone, Debug, Default)]
-pub struct ChannelScratch {
-    orig: Vec<C64>,
-    term: Vec<C64>,
-}
-
-impl ChannelScratch {
-    /// Creates an empty scratch; buffers are sized on first use.
-    pub fn new() -> Self {
-        Self::default()
     }
 }
 
@@ -725,90 +644,48 @@ impl DensityMatrix {
     /// `rho -> sum_k K_k rho K_k^dag`.
     ///
     /// One- and two-qubit channels are supported (matching every channel in
-    /// [`crate::noise`]). This convenience form allocates its scratch per
-    /// call; hot loops should hold a [`ChannelScratch`] and use
-    /// [`DensityMatrix::apply_channel_buffered`].
+    /// [`crate::noise`]). This convenience form lowers the channel per
+    /// call and runs the same sweep as [`DensityMatrix::apply_superop_ctx`];
+    /// compiled programs lower each channel once instead.
     ///
     /// # Panics
     ///
     /// Panics if `qubits.len() != channel.num_qubits()` or arity is not 1
     /// or 2.
     pub fn apply_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
-        let mut scratch = ChannelScratch::new();
-        self.apply_channel_buffered(channel, qubits, &mut scratch);
+        let mut table = SuperopTable::default();
+        let idx = table.push(channel);
+        self.apply_superop_ctx(table.get(idx), qubits, &ParallelCtx::SERIAL);
     }
 
-    /// [`DensityMatrix::apply_channel`] through caller-owned scratch: the
-    /// Kraus sum accumulates via two reused buffers instead of cloning
-    /// the full matrix once per operator, and *sparse* Kraus operators
-    /// (every noise operator this workspace produces) skip the buffers
-    /// entirely — their term folds into a single accumulation sweep
-    /// straight from the pre-channel state. Bit-identical to the
-    /// allocating form.
+    /// Applies a lowered channel (see [`SuperopTable`]) to the listed
+    /// qubits in one in-place sweep, under an explicit [`ParallelCtx`]
+    /// (see [`DensityMatrix::apply_unitary_1q_ctx`]). Equal to the Kraus
+    /// sum of [`baseline::apply_channel`] up to rounding.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`DensityMatrix::apply_channel`].
-    pub fn apply_channel_buffered(
-        &mut self,
-        channel: &KrausChannel,
-        qubits: &[usize],
-        scratch: &mut ChannelScratch,
-    ) {
-        self.apply_channel_buffered_ctx(channel, qubits, scratch, &ParallelCtx::SERIAL);
-    }
-
-    /// [`DensityMatrix::apply_channel_buffered`] under an explicit
-    /// [`ParallelCtx`] (see [`DensityMatrix::apply_unitary_1q_ctx`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_channel`].
-    pub fn apply_channel_buffered_ctx(
-        &mut self,
-        channel: &KrausChannel,
-        qubits: &[usize],
-        scratch: &mut ChannelScratch,
-        ctx: &ParallelCtx,
-    ) {
+    /// Panics if `qubits.len() != s.num_qubits()`, a qubit is out of
+    /// range, or the operands of a two-qubit channel coincide.
+    pub fn apply_superop_ctx(&mut self, s: Superop<'_>, qubits: &[usize], ctx: &ParallelCtx) {
         assert_eq!(
             qubits.len(),
-            channel.num_qubits(),
+            s.num_qubits(),
             "channel arity does not match qubit list"
         );
         for &q in qubits {
             assert!(q < self.n, "qubit {q} out of range");
         }
-        if let [a, b] = *qubits {
-            assert!(a != b, "2q channel operands must differ");
-        }
         let dim = self.dim();
-        scratch.orig.clear();
-        scratch.orig.extend_from_slice(&self.mat);
-        for z in &mut self.mat {
-            *z = C64::ZERO;
-        }
-        for k in channel.operators() {
-            // Sparse operators accumulate in one fused sweep.
-            let fused = match *qubits {
-                [q] => sparse_rows::<2>(k).map(|rows| {
-                    channel_term_1q_sparse(&mut self.mat, &scratch.orig, dim, &rows, q, ctx);
-                }),
-                [q0, q1] => sparse_rows::<4>(k).map(|rows| {
-                    channel_term_2q_sparse(&mut self.mat, &scratch.orig, dim, &rows, q0, q1, ctx);
-                }),
-                _ => panic!("only 1- and 2-qubit channels are supported"),
-            };
-            if fused.is_none() {
-                scratch.term.clear();
-                scratch.term.extend_from_slice(&scratch.orig);
-                match *qubits {
-                    [q] => kernel_1q(&mut scratch.term, dim, k, q, ctx),
-                    [q0, q1] => kernel_2q(&mut scratch.term, dim, k, q0, q1, ctx),
-                    _ => unreachable!("arity checked above"),
-                }
-                accumulate(&mut self.mat, &scratch.term, gate_ctx(ctx, dim));
+        match *qubits {
+            [q] => kernel_superop(&mut self.mat, dim, s, [0, 1 << q], &[q], ctx),
+            [q0, q1] => {
+                assert!(q0 != q1, "2q channel operands must differ");
+                let (b0, b1) = (1usize << q0, 1usize << q1);
+                let sorted = [q0.min(q1), q0.max(q1)];
+                kernel_superop(&mut self.mat, dim, s, [0, b0, b1, b0 | b1], &sorted, ctx)
             }
+            _ => panic!("only 1- and 2-qubit channels are supported"),
         }
     }
 
@@ -868,13 +745,17 @@ impl DensityMatrix {
             .collect()
     }
 
-    /// Writes the measurement probabilities into a reusable buffer
-    /// (same values as [`DensityMatrix::probabilities`], no allocation
-    /// once the buffer has capacity).
-    pub fn probabilities_into(&self, out: &mut Vec<f64>) {
+    /// Writes the measurement probabilities of the trace-normalized
+    /// state into a reusable buffer, without normalizing the state:
+    /// bit-equal to [`DensityMatrix::normalize`] then
+    /// [`DensityMatrix::probabilities`], dividing `2^n` diagonal entries
+    /// instead of `4^n`.
+    pub fn normalized_probabilities_into(&self, out: &mut Vec<f64>) {
         let dim = self.dim();
+        let t = self.trace();
+        let t = if t > 0.0 { t } else { 1.0 };
         out.clear();
-        out.extend((0..dim).map(|i| self.mat[i * dim + i].re.max(0.0)));
+        out.extend((0..dim).map(|i| (self.mat[i * dim + i].re / t).max(0.0)));
     }
 
     /// Expectation value of a Pauli string.
@@ -1102,8 +983,6 @@ mod tests {
         for n in 1..=7 {
             let mut serial = DensityMatrix::new(n);
             let mut par = DensityMatrix::new(n);
-            let mut s_scratch = ChannelScratch::new();
-            let mut p_scratch = ChannelScratch::new();
             drive(
                 &mut |step| match step {
                     Step::U1(u, q) => {
@@ -1115,8 +994,10 @@ mod tests {
                         par.apply_unitary_2q_ctx(u, a, b, &ctx);
                     }
                     Step::Ch(ch, qs) => {
-                        serial.apply_channel_buffered(ch, qs, &mut s_scratch);
-                        par.apply_channel_buffered_ctx(ch, qs, &mut p_scratch, &ctx);
+                        let mut table = SuperopTable::default();
+                        let s = table.push(ch);
+                        serial.apply_channel(ch, qs);
+                        par.apply_superop_ctx(table.get(s), qs, &ctx);
                     }
                 },
                 n,
@@ -1131,11 +1012,10 @@ mod tests {
     }
 
     #[test]
-    fn fused_channel_path_matches_baseline() {
+    fn lowered_channel_sweep_matches_baseline() {
         for n in 1..=5 {
             let mut fast = DensityMatrix::new(n);
             let mut slow = DensityMatrix::new(n);
-            let mut scratch = ChannelScratch::new();
             drive(
                 &mut |step| match step {
                     Step::U1(u, q) => {
@@ -1147,7 +1027,7 @@ mod tests {
                         baseline::apply_unitary_2q(&mut slow, u, a, b);
                     }
                     Step::Ch(ch, qs) => {
-                        fast.apply_channel_buffered(ch, qs, &mut scratch);
+                        fast.apply_channel(ch, qs);
                         baseline::apply_channel(&mut slow, ch, qs);
                     }
                 },
@@ -1155,7 +1035,7 @@ mod tests {
             );
             assert!(
                 fast.matrix().approx_eq(&slow.matrix(), 1e-12),
-                "fused channel path diverges from baseline at {n} qubits"
+                "lowered channel sweep diverges from baseline at {n} qubits"
             );
             assert!((fast.trace() - 1.0).abs() < 1e-9);
         }

@@ -31,12 +31,13 @@
 //! Ensemble training executes the same circuit structure millions of
 //! times. The engine layer splits that work into a *compile* phase (per
 //! noise epoch: resolve gate matrices, build and intern Kraus channels,
-//! elide near-identity ones) and a *replay* phase (per job: walk the
-//! tape over reusable scratch buffers, rebind only the parameterized
-//! rotation matrices). Channel application accumulates through scratch
-//! instead of cloning the state per Kraus operator, and shot sampling
-//! writes a dense histogram through a cached CDF instead of one hash-map
-//! insert per shot. See [`program`] for the guarantees and examples.
+//! elide near-identity ones, lower the rest to local superoperators) and
+//! a *replay* phase (per job: walk the tape over a persistent state,
+//! rebind only the parameterized rotation matrices). A channel applies
+//! as one in-place block sweep instead of one state sweep per Kraus
+//! operator, and shot sampling writes a dense histogram through a cached
+//! CDF instead of one hash-map insert per shot. See [`program`] for the
+//! guarantees and examples.
 //!
 //! ## Quickstart
 //!
@@ -65,10 +66,10 @@ pub mod sampler;
 pub mod statevector;
 
 pub use complex::C64;
-pub use density::{ChannelScratch, DensityMatrix};
+pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
-pub use noise::KrausChannel;
+pub use noise::{KrausChannel, Superop, SuperopTable};
 pub use parallel::{BatchPipeline, ParallelCtx, RunQueue, WorkerTeam, DEFAULT_PAR_MIN_DIM};
 pub use program::{CompiledProgram, DensityEngine, ProgramBuilder, SimEngine, TrajectoryEngine};
 pub use sampler::{Counts, ReadoutError, ShotSampler};

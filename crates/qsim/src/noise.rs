@@ -12,6 +12,11 @@
 //! * **SPAM error** — handled at the sampling layer by
 //!   [`crate::sampler::ReadoutError`] (readout is classical confusion, not
 //!   a unitary-domain channel).
+//!
+//! The density engine never sums Kraus terms: each channel is *lowered*
+//! once to its local superoperator ([`SuperopTable`]) and applied as a
+//! single in-place block sweep. The Kraus list stays the channel's
+//! identity (interning, fingerprints) and what trajectories unravel.
 
 use crate::complex::C64;
 use crate::gates::Pauli;
@@ -200,7 +205,10 @@ impl KrausChannel {
     }
 
     /// Sequential composition: `other` applied **after** `self`
-    /// (`rho -> other(self(rho))`). Kraus sets multiply pairwise.
+    /// (`rho -> other(self(rho))`). Kraus sets multiply pairwise;
+    /// products that are exactly zero (e.g. the two decay operators of
+    /// [`KrausChannel::thermal_relaxation`]) contribute nothing to the
+    /// channel and are dropped.
     ///
     /// # Panics
     ///
@@ -210,7 +218,10 @@ impl KrausChannel {
         let mut kraus = Vec::with_capacity(self.kraus.len() * other.kraus.len());
         for b in &other.kraus {
             for a in &self.kraus {
-                kraus.push(b.clone() * a.clone());
+                let product = b.clone() * a.clone();
+                if product.as_slice().iter().any(|&z| z != C64::ZERO) {
+                    kraus.push(product);
+                }
             }
         }
         KrausChannel {
@@ -265,6 +276,143 @@ impl KrausChannel {
             acc = acc + (k.dagger() * k.clone());
         }
         acc.approx_eq(&CMatrix::identity(dim), eps)
+    }
+}
+
+/// Every interned channel of one program, lowered to its local
+/// superoperator `S[(i,j),(i',j')] = sum_k K_k[i,i'] * conj(K_k[j,j'])`
+/// — the matrix that maps a vectorized `2x2` (one-qubit) or `4x4`
+/// (two-qubit) block of `rho` to the same block of `sum_k K rho K^dag`.
+///
+/// The sum over Kraus operators happens here, once; applying a channel
+/// is then a single pass over the state
+/// ([`crate::density::DensityMatrix::apply_superop_ctx`]). Only exact
+/// zeros are dropped, so `S` is the Kraus sum re-associated: the result
+/// matches `sum_k K rho K^dag` to rounding (~1e-16), not bit for bit.
+///
+/// Rows are kept sparse in one arena per table, sized for fleets that
+/// hold thousands of programs: thermal relaxation has 5 nonzeros of
+/// 16, two-qubit depolarizing 28 of 256, and both — like every Pauli
+/// mixture and damping channel — are real, so imaginary parts are only
+/// stored once a table meets a channel that has any.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct SuperopTable {
+    /// Per channel: its offsets into `index` and into `re` / `im`.
+    starts: Vec<(u32, u32)>,
+    /// Per channel: the length of each of its `D` rows (`D` = 4 or 16),
+    /// then the column of every nonzero, row by row.
+    index: Vec<u8>,
+    re: Vec<f64>,
+    /// Empty while every channel pushed so far is real, else parallel
+    /// to `re`.
+    im: Vec<f64>,
+}
+
+/// One lowered channel borrowed from a [`SuperopTable`].
+#[derive(Clone, Copy, Debug)]
+pub struct Superop<'a> {
+    row_len: &'a [u8],
+    cols: &'a [u8],
+    re: &'a [f64],
+    im: &'a [f64],
+}
+
+/// One sparse row of a [`Superop`]: parallel `(columns, re, im)` slices,
+/// `im` empty for a real table.
+pub(crate) type SuperopRow<'a> = (&'a [u8], &'a [f64], &'a [f64]);
+
+impl SuperopTable {
+    /// Lowers `channel` and appends it; returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channel acts on more than two qubits.
+    pub fn push(&mut self, channel: &KrausChannel) -> usize {
+        let d = 1usize << channel.n_qubits;
+        assert!(d <= 4, "only 1- and 2-qubit channels are supported");
+        let mut s = [[C64::ZERO; 16]; 16];
+        for k in &channel.kraus {
+            for (i, ip) in (0..d).flat_map(|i| (0..d).map(move |ip| (i, ip))) {
+                let a = k[(i, ip)];
+                if a == C64::ZERO {
+                    continue;
+                }
+                for (j, jp) in (0..d).flat_map(|j| (0..d).map(move |jp| (j, jp))) {
+                    s[i * d + j][ip * d + jp] += a * k[(j, jp)].conj();
+                }
+            }
+        }
+        let dd = d * d;
+        // The first complex channel backfills `im` for the real ones
+        // before it.
+        let complex = !self.im.is_empty()
+            || s[..dd]
+                .iter()
+                .any(|row| row[..dd].iter().any(|z| z.im != 0.0));
+        if complex {
+            self.im.resize(self.re.len(), 0.0);
+        }
+        let lens = self.index.len();
+        self.starts.push((lens as u32, self.re.len() as u32));
+        self.index.resize(lens + dd, 0);
+        for (r, row) in s[..dd].iter().enumerate() {
+            for (c, &z) in row[..dd].iter().enumerate() {
+                if z != C64::ZERO {
+                    self.index[lens + r] += 1;
+                    self.index.push(c as u8);
+                    self.re.push(z.re);
+                    if complex {
+                        self.im.push(z.im);
+                    }
+                }
+            }
+        }
+        self.starts.len() - 1
+    }
+
+    /// Borrows lowered channel `idx`.
+    pub fn get(&self, idx: usize) -> Superop<'_> {
+        let (i0, v0) = self.starts[idx];
+        let (i1, v1) = self
+            .starts
+            .get(idx + 1)
+            .map_or((self.index.len(), self.re.len()), |&(i, v)| {
+                (i as usize, v as usize)
+            });
+        let (i0, v0) = (i0 as usize, v0 as usize);
+        let (row_len, cols) = self.index[i0..i1].split_at(i1 - i0 - (v1 - v0));
+        Superop {
+            row_len,
+            cols,
+            re: &self.re[v0..v1],
+            // Out of range exactly when the table is real.
+            im: self.im.get(v0..v1).unwrap_or(&[]),
+        }
+    }
+}
+
+impl<'a> Superop<'a> {
+    /// Number of qubits the channel acts on (1 or 2).
+    pub fn num_qubits(&self) -> usize {
+        self.row_len.len().trailing_zeros() as usize / 2
+    }
+
+    /// Nonzero entries of `S`.
+    pub fn nnz(&self) -> usize {
+        self.cols.len()
+    }
+
+    /// The sparse rows of `S` (4 or 16 of them; the rest stay empty).
+    pub(crate) fn rows(&self) -> [SuperopRow<'a>; 16] {
+        let mut rows: [SuperopRow<'a>; 16] = [(&[], &[], &[]); 16];
+        let mut e0 = 0;
+        for (row, &len) in rows.iter_mut().zip(self.row_len) {
+            let e1 = e0 + len as usize;
+            let im = self.im.get(e0..e1).unwrap_or(&[]);
+            *row = (&self.cols[e0..e1], &self.re[e0..e1], im);
+            e0 = e1;
+        }
+        rows
     }
 }
 
@@ -375,6 +523,61 @@ mod tests {
         assert!((ra.probabilities()[1] - 0.5).abs() < 1e-12);
         // b: |0> -> unaffected by damping -> flipped: P(1) = 1.
         assert!((rb.probabilities()[1] - 1.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn thermal_relaxation_carries_no_zero_operator() {
+        let (t1, t2, dt) = (120_000.0, 90_000.0, 5_000.0);
+        let ch = KrausChannel::thermal_relaxation(t1, t2, dt);
+        // phase_damping.K1 * amplitude_damping.K1 is identically zero.
+        assert_eq!(ch.operators().len(), 3);
+        assert!(ch
+            .operators()
+            .iter()
+            .all(|k| k.as_slice().iter().any(|&z| z != C64::ZERO)));
+        assert!(ch.is_cptp(1e-12));
+        let mut rho = DensityMatrix::new(1);
+        rho.apply_unitary_1q(&crate::gates::x(), 0);
+        rho.apply_channel(&ch, &[0]);
+        assert!((rho.probabilities()[1] - (-dt / t1).exp()).abs() < 1e-10);
+        // No dephasing remainder (T2 = 2 T1): the whole K1 column drops.
+        let pure_t1 = KrausChannel::thermal_relaxation(t1, 2.0 * t1, dt);
+        assert_eq!(pure_t1.operators().len(), 2);
+        assert!(pure_t1.is_cptp(1e-12));
+    }
+
+    #[test]
+    fn superop_table_keeps_real_channels_real_and_backfills() {
+        let mut table = SuperopTable::default();
+        let relax = table.push(&KrausChannel::thermal_relaxation(100.0, 80.0, 3.0));
+        let depol = table.push(&KrausChannel::depolarizing_2q(0.02));
+        assert!(table.im.is_empty(), "Pauli mixtures and damping are real");
+        assert_eq!(table.get(relax).nnz(), 5);
+        assert_eq!(table.get(depol).nnz(), 28);
+        assert_eq!(
+            (table.get(relax).num_qubits(), table.get(depol).num_qubits()),
+            (1, 2)
+        );
+        // A complex channel switches the table over without disturbing
+        // the real channels before it.
+        let before = table
+            .get(depol)
+            .rows()
+            .map(|(cols, re, _)| (cols.to_vec(), re.to_vec()));
+        let skew = table.push(&KrausChannel::new(vec![
+            crate::gates::rz(0.3) * crate::gates::ry(0.4),
+        ]));
+        assert_eq!(table.im.len(), table.re.len());
+        assert!(table
+            .get(skew)
+            .rows()
+            .iter()
+            .any(|(_, _, im)| im.iter().any(|&v| v != 0.0)));
+        let after = table.get(depol).rows();
+        for ((cols, re), (a_cols, a_re, a_im)) in before.iter().zip(after) {
+            assert_eq!((cols.as_slice(), re.as_slice()), (a_cols, a_re));
+            assert!(a_im.iter().all(|&v| v == 0.0) && a_im.len() == a_re.len());
+        }
     }
 
     #[test]

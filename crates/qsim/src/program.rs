@@ -13,18 +13,24 @@
 //!   [`ProgramBuilder`] and replayed many times;
 //! * [`SimEngine`] — the engine abstraction: run a compiled program for
 //!   `shots` measurements;
-//! * [`DensityEngine`] — exact density-matrix evolution over reusable
-//!   scratch buffers: channels accumulate into scratch instead of cloning
-//!   per Kraus operator, and sampling writes a dense histogram instead of
-//!   one hash-map insert per shot;
+//! * [`DensityEngine`] — exact density-matrix evolution over a
+//!   persistent state: every channel was lowered to its local
+//!   superoperator at compile time and applies as one in-place block
+//!   sweep (no Kraus sum, no state copy), and sampling writes a dense
+//!   histogram instead of one hash-map insert per shot;
 //! * [`TrajectoryEngine`] — Monte-Carlo quantum-trajectory unraveling
 //!   that replays the tape per trajectory with a reusable candidate
 //!   buffer instead of cloning the state per Kraus operator.
 //!
-//! Both engines are **bit-for-bit equivalent** to the straightforward
-//! implementations they replace: they apply the same floating-point
-//! operations in the same order and draw from the RNG in the same
-//! sequence, so seeded results are byte-identical.
+//! The trajectory engine is **bit-for-bit equivalent** to the
+//! straightforward implementation it replaces (same floating-point
+//! operations, same RNG draw sequence). The density engine's unitary
+//! passes and sampling are too; its channel sweep re-associates the
+//! Kraus sum, so its state equals the straightforward one to 1e-12
+//! rather than bit for bit — sampled counts are equal on every pinned
+//! fixture, and every production path (serial, worker-team, folded,
+//! group-fork, resumed) is byte-identical to every other because they
+//! share the one kernel and op order.
 //!
 //! # Examples
 //!
@@ -49,9 +55,9 @@
 //! assert_eq!(counts.total(), 4096);
 //! ```
 
-use crate::density::{ChannelScratch, DensityMatrix};
+use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
-use crate::noise::KrausChannel;
+use crate::noise::{KrausChannel, SuperopTable};
 use crate::parallel::ParallelCtx;
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use crate::statevector::StateVector;
@@ -101,7 +107,8 @@ pub enum TapeOp {
 
 /// A circuit + noise schedule compiled to an executable form: a flat
 /// op-tape over a table of pre-resolved gate matrices and a table of
-/// interned Kraus channels.
+/// interned Kraus channels, each lowered once to the superoperator the
+/// density engine sweeps with.
 ///
 /// Build once with [`ProgramBuilder`] (typically per calibration epoch),
 /// rebind parameterized gates cheaply with
@@ -112,6 +119,8 @@ pub struct CompiledProgram {
     ops: Vec<TapeOp>,
     unitaries: Vec<CMatrix>,
     channels: Vec<KrausChannel>,
+    /// `channels`, lowered index for index.
+    superops: SuperopTable,
     readout: ReadoutError,
     duration_ns: f64,
     skipped_channels: usize,
@@ -269,6 +278,7 @@ pub struct ProgramBuilder {
     /// a rebind cannot alias an unrelated gate).
     shareable: Vec<bool>,
     channels: Vec<KrausChannel>,
+    superops: SuperopTable,
     identity_epsilon: f64,
     skipped_channels: usize,
 }
@@ -289,6 +299,7 @@ impl ProgramBuilder {
             unitaries: Vec::new(),
             shareable: Vec::new(),
             channels: Vec::new(),
+            superops: SuperopTable::default(),
             identity_epsilon: Self::DEFAULT_IDENTITY_EPSILON,
             skipped_channels: 0,
         }
@@ -362,7 +373,8 @@ impl ProgramBuilder {
     }
 
     /// Appends a Kraus channel acting on `qubits`, interning it against
-    /// previously pushed identical channels. Channels within
+    /// previously pushed identical channels; a channel seen for the
+    /// first time is lowered to its superoperator here. Channels within
     /// `identity_epsilon` of the identity are elided entirely (the
     /// fast-path for near-zero-rate noise).
     ///
@@ -388,7 +400,7 @@ impl ProgramBuilder {
             .position(|c| c == channel)
             .unwrap_or_else(|| {
                 self.channels.push(channel.clone());
-                self.channels.len() - 1
+                self.superops.push(channel)
             });
         match *qubits {
             [q] => self.ops.push(TapeOp::Channel1q { channel: idx, q }),
@@ -411,6 +423,7 @@ impl ProgramBuilder {
             ops: self.ops,
             unitaries: self.unitaries,
             channels: self.channels,
+            superops: self.superops,
             readout,
             duration_ns,
             skipped_channels: self.skipped_channels,
@@ -430,18 +443,17 @@ pub trait SimEngine {
     fn run(&mut self, program: &CompiledProgram, shots: usize, rng: &mut dyn RngCore) -> Counts;
 }
 
-/// Exact density-matrix engine with reusable scratch buffers.
+/// Exact density-matrix engine over a persistent state.
 ///
-/// Equivalent to evolving a fresh [`DensityMatrix`] per job, but:
-/// channel application accumulates through a persistent
-/// [`ChannelScratch`] (no per-Kraus-operator clones), probabilities and
-/// the sampling CDF live in reusable buffers, and counts are assembled
-/// from a dense histogram (no per-shot hash-map insert).
+/// Equivalent to evolving a fresh [`DensityMatrix`] per job, but: the
+/// state allocation is reused, channels apply as the program's lowered
+/// superoperators (one in-place sweep each), probabilities and the
+/// sampling CDF live in reusable buffers, and counts are assembled from
+/// a dense histogram (no per-shot hash-map insert).
 #[derive(Clone, Debug, Default)]
 pub struct DensityEngine {
     rho: Option<DensityMatrix>,
     fork: Option<DensityMatrix>,
-    scratch: ChannelScratch,
     probs: Vec<f64>,
     sampler: ShotSampler,
     ctx: ParallelCtx,
@@ -488,29 +500,23 @@ impl DensityEngine {
                 TapeOp::Unitary2q { slot, q0, q1 } => {
                     rho.apply_unitary_2q_ctx(program.unitary(slot), q0, q1, &self.ctx)
                 }
-                TapeOp::Channel1q { channel, q } => rho.apply_channel_buffered_ctx(
-                    program.channel(channel),
-                    &[q],
-                    &mut self.scratch,
-                    &self.ctx,
-                ),
-                TapeOp::Channel2q { channel, q0, q1 } => rho.apply_channel_buffered_ctx(
-                    program.channel(channel),
-                    &[q0, q1],
-                    &mut self.scratch,
-                    &self.ctx,
-                ),
+                TapeOp::Channel1q { channel, q } => {
+                    rho.apply_superop_ctx(program.superops.get(channel), &[q], &self.ctx)
+                }
+                TapeOp::Channel2q { channel, q0, q1 } => {
+                    rho.apply_superop_ctx(program.superops.get(channel), &[q0, q1], &self.ctx)
+                }
             }
         }
     }
 
-    /// Normalizes, reads the diagonal, and applies readout confusion —
-    /// the post-evolution half of a run, leaving the distribution in
-    /// `self.probs`.
+    /// Reads the trace-normalized diagonal and applies readout
+    /// confusion — the post-evolution half of a run, leaving the
+    /// distribution in `self.probs`. The state itself stays
+    /// unnormalized: every caller overwrites or drops it next.
     fn finish_probs(&mut self, program: &CompiledProgram) {
-        let rho = self.rho.as_mut().expect("state initialized by reset");
-        rho.normalize();
-        rho.probabilities_into(&mut self.probs);
+        let rho = self.rho.as_ref().expect("state initialized by reset");
+        rho.normalized_probabilities_into(&mut self.probs);
         program.readout().apply_in_place(&mut self.probs);
     }
 

@@ -352,16 +352,15 @@ proptest! {
         prop_assert_eq!(format!("{serial:?}"), format!("{piped:?}"));
     }
 
-    /// The sparse unitary/channel fast paths agree with the dense
-    /// baseline kernels on arbitrary circuits.
+    /// The sparse unitary kernels and the lowered channel sweep agree
+    /// with the dense baseline kernels on arbitrary circuits.
     #[test]
     fn sparse_kernels_match_dense_baseline(n in 2usize..8, seed in 0u64..256) {
         use qsim::density::baseline;
-        use qsim::{ChannelScratch, DensityMatrix, KrausChannel};
+        use qsim::{DensityMatrix, KrausChannel};
         let circuit = seeded_circuit(n, seed, 12);
         let mut fast = DensityMatrix::new(n);
         let mut dense = DensityMatrix::new(n);
-        let mut scratch = ChannelScratch::default();
         let dep1 = KrausChannel::depolarizing_1q(0.02);
         let dep2 = KrausChannel::depolarizing_2q(0.015);
         let damp = KrausChannel::amplitude_damping(0.05);
@@ -371,20 +370,20 @@ proptest! {
             if qs.len() == 1 {
                 fast.apply_unitary_1q(&u, qs[0]);
                 baseline::apply_unitary_1q(&mut dense, &u, qs[0]);
-                fast.apply_channel_buffered(&dep1, &qs, &mut scratch);
+                fast.apply_channel(&dep1, &qs);
                 baseline::apply_channel(&mut dense, &dep1, &qs);
-                fast.apply_channel_buffered(&damp, &qs, &mut scratch);
+                fast.apply_channel(&damp, &qs);
                 baseline::apply_channel(&mut dense, &damp, &qs);
             } else {
                 fast.apply_unitary_2q(&u, qs[0], qs[1]);
                 baseline::apply_unitary_2q(&mut dense, &u, qs[0], qs[1]);
-                fast.apply_channel_buffered(&dep2, &qs, &mut scratch);
+                fast.apply_channel(&dep2, &qs);
                 baseline::apply_channel(&mut dense, &dep2, &qs);
             }
         }
         prop_assert!(
             fast.matrix().approx_eq(&dense.matrix(), 1e-12),
-            "sparse fast path drifted from the dense baseline"
+            "fast kernels drifted from the dense baseline"
         );
     }
 }
