@@ -28,7 +28,9 @@ use crate::drift::DriftModel;
 use crate::noise_model::{reference, NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::Circuit;
-use qsim::{BatchPipeline, Counts, DensityEngine, DensityMatrix, ParallelCtx, TrajectoryEngine};
+use qsim::{
+    BatchPipeline, Counts, DensityEngine, DensityMatrix, Lowering, ParallelCtx, TrajectoryEngine,
+};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
@@ -43,6 +45,16 @@ pub enum SimulatorKind {
     Density,
     /// Monte-Carlo quantum trajectories with the given trajectory count.
     Trajectories(usize),
+}
+
+impl SimulatorKind {
+    /// The program lowering this simulator's engine executes.
+    fn lowering(self) -> Lowering {
+        match self {
+            SimulatorKind::Density => Lowering::Density,
+            SimulatorKind::Trajectories(_) => Lowering::Trajectory,
+        }
+    }
 }
 
 /// The result of one executed job.
@@ -276,7 +288,8 @@ impl SharedNoiseCache {
 /// across templates and across `execute_templates` batches.
 ///
 /// Keys are the *exact bit content* of the tape prefix (op kinds, qubit
-/// indices, every unitary and Kraus-operator entry — see
+/// indices, every unitary entry and every fused superoperator's
+/// sparsity pattern and coefficients — see
 /// [`qsim::CompiledProgram::prefix_fingerprint`]), never a lossy hash:
 /// a hit is a proof that re-evolving the prefix would reproduce the
 /// cached state bit-for-bit, so resuming from it is byte-identical.
@@ -828,7 +841,12 @@ impl QpuBackend {
             ..
         } = self;
         let noise = &*noise_cache.entries[entry].model;
-        let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
+        let program = crate::compile::compile_bound(
+            circuit,
+            noise,
+            &CompileOptions::default(),
+            simulator.lowering(),
+        );
         let counts = match *simulator {
             SimulatorKind::Density => {
                 assert!(
@@ -1322,7 +1340,7 @@ impl QpuBackend {
                 } = self;
                 let noise = &*noise_cache.entries[entry].model;
                 let template = &mut *templates[run.template];
-                template.ensure_compiled(noise, token);
+                template.ensure_lowered(noise, token, simulator.lowering());
                 template.bind(params, run.shift);
                 let program = template.program();
                 let counts = match *simulator {
@@ -1541,6 +1559,83 @@ mod tests {
         let r = be.execute(&bell_compact(), &[0, 1], 4096, SimTime::ZERO);
         let p = r.counts.probability(0) + r.counts.probability(0b11);
         assert!(p > 0.8, "Bell correlation lost: {p}");
+    }
+
+    #[test]
+    fn switching_simulators_recompiles_under_an_equal_noise_token() {
+        // No drift: every job of the cycle carries the same NoiseToken,
+        // so only the lowering check stands between an engine and the
+        // other engine's tape.
+        let fresh_backend = || {
+            QpuBackend::new(
+                "test_device",
+                Topology::line(3),
+                Calibration::uniform(3, 90.0, 70.0, 0.001, 0.01, 0.02),
+                DriftModel::none(),
+                QueueModel::light(5.0),
+                24.0,
+                31,
+            )
+        };
+        let fresh_template = || {
+            let mut b = CircuitBuilder::new(2);
+            b.ry_sym(0, 0).cx(0, 1).ry_sym(1, 1);
+            CompiledTemplate::new(b.build(), vec![0, 1])
+        };
+        let gate = fresh_template()
+            .circuit()
+            .occurrences_of(qcircuit::ParamId(1))[0];
+        let runs = [
+            TemplateRun {
+                template: 0,
+                shift: None,
+            },
+            TemplateRun {
+                template: 0,
+                shift: Some((gate, 0.5)),
+            },
+            TemplateRun {
+                template: 0,
+                shift: Some((gate, -0.5)),
+            },
+        ];
+        let params = [0.4, -0.3];
+        let kinds = [
+            SimulatorKind::Density,
+            SimulatorKind::Trajectories(8),
+            SimulatorKind::Density,
+        ];
+        // One backend switched back and forth over one template...
+        let mut template = fresh_template();
+        let mut switched = fresh_backend();
+        // ...against backends that never saw a cached program: a fresh
+        // one for the first job, then clones of it (same RNG and
+        // timeline) handed a fresh template per job.
+        let mut reference = fresh_backend();
+        let mut submit = SimTime::ZERO;
+        for (job, kind) in kinds.into_iter().enumerate() {
+            switched = switched.with_simulator(kind);
+            reference = reference.clone().with_simulator(kind);
+            let (counts, timing) =
+                switched.execute_templates(&mut [&mut template], &runs, &params, 512, submit);
+            let (expected, _) = reference.execute_templates(
+                &mut [&mut fresh_template()],
+                &runs,
+                &params,
+                512,
+                submit,
+            );
+            assert_eq!(counts, expected, "job {job} under {kind:?}");
+            assert_eq!(
+                template.compiles(),
+                job as u64 + 1,
+                "job {job} must recompile"
+            );
+            submit = timing.completed;
+        }
+        // Same simulator, same token: the cached program is reused.
+        switched.execute_templates(&mut [&mut template], &runs, &params, 512, submit);
+        assert_eq!(template.compiles(), 3);
     }
 
     #[test]

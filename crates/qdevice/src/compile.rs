@@ -3,9 +3,12 @@
 //! This is the device-side half of the engine layer ([`qsim::program`]
 //! is the simulation half): it walks a compacted physical circuit
 //! through the noisy schedule **once**, resolving every fixed gate
-//! matrix, materializing and interning every Kraus channel, and eliding
-//! near-identity ones — producing a [`CompiledProgram`] that the engines
-//! replay per job.
+//! matrix and handing every channel to the program builder under the
+//! schedule's own channel index (so interning compares an integer, not
+//! Kraus matrices) — producing a [`CompiledProgram`] lowered for the
+//! one engine that will replay it ([`Lowering`]): fused superoperator
+//! sweeps for the density engine, the plain Kraus tape for
+//! trajectories.
 //!
 //! Two entry points:
 //!
@@ -15,14 +18,14 @@
 //! * [`CompiledTemplate`] — the hot path: a *symbolic* circuit template
 //!   compiled once per noise epoch (in practice once per calibration
 //!   cycle) and rebound per job. Rebinding swaps only the small rotation
-//!   matrices of parameterized gates; the tape, the channel set and all
-//!   fixed matrices are reused. A [`NoiseToken`] identifies the noise
-//!   epoch: equal tokens guarantee bit-identical noise, so caching on
-//!   the token is exact, never approximate.
+//!   matrices of parameterized gates; the tape, the channel table and
+//!   all fixed matrices are reused. A [`NoiseToken`] identifies the
+//!   noise epoch: equal tokens guarantee bit-identical noise, so caching
+//!   on the token (and the lowering) is exact, never approximate.
 
 use crate::noise_model::{schedule, NoiseModel, ScheduledOp};
 use qcircuit::{Angle, Circuit};
-use qsim::{CMatrix, CompiledProgram, ProgramBuilder};
+use qsim::{CMatrix, CompiledProgram, Lowering, ProgramBuilder};
 
 /// Options governing program compilation.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -77,7 +80,8 @@ impl NoiseToken {
     }
 }
 
-/// Compiles a circuit (symbolic angles allowed) against a noise model.
+/// Compiles a circuit (symbolic angles allowed) against a noise model,
+/// lowered for one engine.
 ///
 /// Returns the program plus the rebind map: one `(slot, gate_idx)` pair
 /// per parameterized gate, in schedule order. Fixed gates are resolved
@@ -92,22 +96,22 @@ pub fn compile(
     circuit: &Circuit,
     noise: &NoiseModel,
     options: &CompileOptions,
+    lowering: Lowering,
 ) -> (CompiledProgram, Vec<(usize, usize)>) {
-    let mut builder =
-        ProgramBuilder::new(circuit.num_qubits()).with_identity_epsilon(options.identity_epsilon);
+    let mut builder = ProgramBuilder::for_lowering(circuit.num_qubits(), lowering)
+        .with_identity_epsilon(options.identity_epsilon);
     let mut param_slots = Vec::new();
     let duration = schedule(circuit, noise, |op| match op {
-        ScheduledOp::Unitary(gate_idx, g) => {
-            let qs = g.qubits();
+        ScheduledOp::Unitary(gate_idx, g, qs) => {
             let symbolic = g.angle().and_then(Angle::param).is_some();
             if symbolic {
-                let slot = builder.push_parameterized(CMatrix::identity(1 << qs.len()), &qs);
+                let slot = builder.push_parameterized(CMatrix::identity(1 << qs.len()), qs);
                 param_slots.push((slot, gate_idx));
             } else {
-                builder.push_unitary(g.matrix(&[]), &qs);
+                builder.push_unitary(g.matrix(&[]), qs);
             }
         }
-        ScheduledOp::Channel(ch, qs) => builder.push_channel(ch, qs),
+        ScheduledOp::Channel(key, ch, qs) => builder.push_keyed_channel(key, ch, qs),
     });
     (builder.finish(noise.readout(), duration), param_slots)
 }
@@ -121,13 +125,14 @@ pub fn compile_bound(
     circuit: &Circuit,
     noise: &NoiseModel,
     options: &CompileOptions,
+    lowering: Lowering,
 ) -> CompiledProgram {
     assert_eq!(
         circuit.num_params(),
         0,
         "compile_bound requires a fully bound circuit"
     );
-    compile(circuit, noise, options).0
+    compile(circuit, noise, options, lowering).0
 }
 
 /// A symbolic circuit template compiled once per noise epoch and
@@ -205,14 +210,24 @@ impl CompiledTemplate {
         self.cache_hits
     }
 
-    /// Compiles against `noise` unless the cached program already
-    /// matches `token`.
+    /// Compiles against `noise` for the density engine unless the
+    /// cached program already matches `token` (and is density-lowered).
     pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) {
-        if self.token == Some(token) && self.program.is_some() {
+        self.ensure_lowered(noise, token, Lowering::Density);
+    }
+
+    /// [`CompiledTemplate::ensure_compiled`] for the engine of the
+    /// caller's choosing: a cached program is a hit only when it matches
+    /// `token` *and* was lowered for `lowering` — a backend switched
+    /// between simulators recompiles instead of handing an engine the
+    /// other one's tape.
+    pub fn ensure_lowered(&mut self, noise: &NoiseModel, token: NoiseToken, lowering: Lowering) {
+        let cached = self.program.as_ref().map(CompiledProgram::lowering);
+        if self.token == Some(token) && cached == Some(lowering) {
             self.cache_hits += 1;
             return;
         }
-        let (program, param_slots) = compile(&self.circuit, noise, &self.options);
+        let (program, param_slots) = compile(&self.circuit, noise, &self.options, lowering);
         self.program = Some(program);
         self.param_slots = param_slots;
         self.token = Some(token);
@@ -411,6 +426,11 @@ mod tests {
         let drifted = NoiseToken::new(7, 1, 1.25, 1.0);
         compiled.ensure_compiled(&noise, drifted);
         assert_eq!(compiled.compiles(), 3, "changed drift must recompile");
+        compiled.ensure_lowered(&noise, drifted, Lowering::Trajectory);
+        assert_eq!(compiled.compiles(), 4, "another engine must recompile");
+        assert_eq!(compiled.program().lowering(), Lowering::Trajectory);
+        compiled.ensure_lowered(&noise, drifted, Lowering::Trajectory);
+        assert_eq!((compiled.compiles(), compiled.cache_hits()), (4, 2));
     }
 
     #[test]
@@ -423,7 +443,12 @@ mod tests {
         let noise = NoiseModel::from_calibration(&cal, &[0, 1]);
         let mut b = CircuitBuilder::new(2);
         b.h(0).cx(0, 1);
-        let program = compile_bound(&b.build(), &noise, &CompileOptions::default());
+        let program = compile_bound(
+            &b.build(),
+            &noise,
+            &CompileOptions::default(),
+            Lowering::Density,
+        );
         assert!(
             program.skipped_channels() > 0,
             "near-zero depolarizing channels should be elided"

@@ -20,7 +20,7 @@
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
 use qsim::sampler::ReadoutError;
-use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, TrajectoryEngine};
+use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, Lowering, TrajectoryEngine};
 use rand::Rng;
 use std::collections::HashMap;
 
@@ -200,7 +200,7 @@ impl ChannelMemo<'_> {
                 self.built.len() - 1
             }
         };
-        apply(ScheduledOp::Channel(&self.built[idx].1, qs));
+        apply(ScheduledOp::Channel(idx, &self.built[idx].1, qs));
     }
 
     /// Thermal relaxation of `q` over `duration_ns`, when it decays at all.
@@ -229,12 +229,16 @@ impl ChannelMemo<'_> {
 /// One event of the noisy schedule, delivered in execution order.
 #[derive(Clone, Debug)]
 pub enum ScheduledOp<'a> {
-    /// Apply a gate unitary; the index points into the circuit's gate
-    /// list (program compilation uses it to map parameterized gates onto
-    /// rebind slots).
-    Unitary(usize, &'a Gate),
-    /// Apply a noise channel to the listed compact qubits.
-    Channel(&'a KrausChannel, &'a [usize]),
+    /// Apply a gate unitary to the listed compact qubits (operand
+    /// order); the index points into the circuit's gate list (program
+    /// compilation uses it to map parameterized gates onto rebind
+    /// slots).
+    Unitary(usize, &'a Gate, &'a [usize]),
+    /// Apply a noise channel to the listed compact qubits. The index
+    /// names the channel within this walk: equal indices carry the same
+    /// channel, so a consumer can intern on it instead of comparing
+    /// Kraus matrices.
+    Channel(usize, &'a KrausChannel, &'a [usize]),
 }
 
 /// Walks the circuit with per-qubit timelines, invoking the callback for
@@ -255,7 +259,7 @@ where
         let qs = g.qubits();
         if g.is_virtual() {
             // Virtual RZ: perfect, instantaneous frame change.
-            apply(ScheduledOp::Unitary(gate_idx, g));
+            apply(ScheduledOp::Unitary(gate_idx, g, &qs));
             continue;
         }
         let start = qs.iter().map(|&q| qubit_time[q]).fold(0.0, f64::max);
@@ -263,7 +267,7 @@ where
         for &q in &qs {
             memo.relax(q, start - qubit_time[q], &mut apply);
         }
-        apply(ScheduledOp::Unitary(gate_idx, g));
+        apply(ScheduledOp::Unitary(gate_idx, g, &qs));
         let dur = if g.is_two_qubit() {
             noise.gate_time_2q_ns
         } else {
@@ -319,7 +323,12 @@ pub fn execute_density<R: Rng + ?Sized>(
         "{} qubits exceed the density engine cap",
         circuit.num_qubits()
     );
-    let program = crate::compile::compile_bound(circuit, noise, &crate::CompileOptions::default());
+    let program = crate::compile::compile_bound(
+        circuit,
+        noise,
+        &crate::CompileOptions::default(),
+        Lowering::Density,
+    );
     let counts = DensityEngine::new().run_program(&program, shots, rng);
     (counts, program.duration_ns())
 }
@@ -345,7 +354,12 @@ pub fn execute_trajectories<R: Rng + ?Sized>(
     trajectories: usize,
     rng: &mut R,
 ) -> (Counts, f64) {
-    let program = crate::compile::compile_bound(circuit, noise, &crate::CompileOptions::default());
+    let program = crate::compile::compile_bound(
+        circuit,
+        noise,
+        &crate::CompileOptions::default(),
+        Lowering::Trajectory,
+    );
     let counts = TrajectoryEngine::new(trajectories).run_program(&program, shots, rng);
     (counts, program.duration_ns())
 }
@@ -403,15 +417,15 @@ pub mod reference {
         let n = circuit.num_qubits();
         let mut rho = DensityMatrix::new(n);
         let duration = schedule(circuit, noise, |op| match op {
-            ScheduledOp::Unitary(_, g) => {
+            ScheduledOp::Unitary(_, g, qs) => {
                 let m = g.matrix(&[]);
-                match g.qubits()[..] {
+                match *qs {
                     [q] => baseline::apply_unitary_1q(&mut rho, &m, q),
                     [a, b] => baseline::apply_unitary_2q(&mut rho, &m, a, b),
                     _ => unreachable!(),
                 }
             }
-            ScheduledOp::Channel(ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
+            ScheduledOp::Channel(_, ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
         });
         rho.normalize();
         let probs = noise.readout().apply_to_distribution(&rho.probabilities());
@@ -447,15 +461,15 @@ pub mod reference {
         for t in 0..trajectories {
             let mut sv = StateVector::new(n);
             duration = schedule(circuit, noise, |op| match op {
-                ScheduledOp::Unitary(_, g) => {
+                ScheduledOp::Unitary(_, g, qs) => {
                     let m = g.matrix(&[]);
-                    match g.qubits()[..] {
+                    match *qs {
                         [q] => sv.apply_1q(&m, q),
                         [a, b] => sv.apply_2q(&m, a, b),
                         _ => unreachable!(),
                     }
                 }
-                ScheduledOp::Channel(ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
+                ScheduledOp::Channel(_, ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
             });
             let traj_shots = base + usize::from(t < extra);
             if traj_shots == 0 {

@@ -14,10 +14,11 @@
 //! * [`sampler`] — shot sampling and SPAM/readout corruption, producing the
 //!   `Counts` histograms a cloud backend would return;
 //! * [`program`] — the execution engine layer: circuits + noise compile
-//!   once into a [`program::CompiledProgram`] (a flat op-tape of resolved
-//!   gate matrices and interned Kraus channels) that the allocation-free
-//!   [`program::DensityEngine`] / [`program::TrajectoryEngine`] replay for
-//!   every job, byte-identically to the naive path;
+//!   once into a [`program::CompiledProgram`] lowered for one engine (a
+//!   flat op-tape over resolved gate matrices and one channel table:
+//!   fused superoperators for [`program::DensityEngine`], interned Kraus
+//!   lists for [`program::TrajectoryEngine`]) that the allocation-free
+//!   engines replay for every job, with the naive path's counts;
 //! * [`parallel`] — the shared data-parallel substrate: the work-stealing
 //!   [`parallel::RunQueue`] plus the [`parallel::WorkerTeam`] behind
 //!   [`parallel::ParallelCtx`], which the engines fan density row-blocks
@@ -30,13 +31,15 @@
 //!
 //! Ensemble training executes the same circuit structure millions of
 //! times. The engine layer splits that work into a *compile* phase (per
-//! noise epoch: resolve gate matrices, build and intern Kraus channels,
-//! elide near-identity ones, lower the rest to local superoperators) and
-//! a *replay* phase (per job: walk the tape over a persistent state,
-//! rebind only the parameterized rotation matrices). A channel applies
-//! as one in-place block sweep instead of one state sweep per Kraus
-//! operator, and shot sampling writes a dense histogram through a cached
-//! CDF instead of one hash-map insert per shot. See [`program`] for the
+//! noise epoch: resolve gate matrices, intern channels, elide
+//! near-identity ones, and — for the density engine — multiply every run
+//! of adjacent fixed ops on at most two qubits into one local
+//! superoperator) and a *replay* phase (per job: walk the tape over a
+//! persistent state, rebind only the parameterized rotation matrices). A
+//! whole `gate, relaxation, relaxation, depolarizing` cluster applies as
+//! one in-place block sweep instead of one or two state passes per op,
+//! and shot sampling writes a dense histogram through a cached CDF
+//! instead of one hash-map insert per shot. See [`program`] for the
 //! guarantees and examples.
 //!
 //! ## Quickstart
@@ -71,6 +74,8 @@ pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, Superop, SuperopTable};
 pub use parallel::{BatchPipeline, ParallelCtx, RunQueue, WorkerTeam, DEFAULT_PAR_MIN_DIM};
-pub use program::{CompiledProgram, DensityEngine, ProgramBuilder, SimEngine, TrajectoryEngine};
+pub use program::{
+    CompiledProgram, DensityEngine, Lowering, ProgramBuilder, SimEngine, TrajectoryEngine,
+};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

@@ -73,8 +73,17 @@ impl CMatrix {
     ///
     /// Panics if `data.len() != rows * cols`.
     pub fn from_real(rows: usize, cols: usize, data: &[f64]) -> Self {
-        let cd: Vec<C64> = data.iter().map(|&x| C64::from_real(x)).collect();
-        CMatrix::from_slice(rows, cols, &cd)
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "matrix data length {} does not match {rows}x{cols}",
+            data.len()
+        );
+        CMatrix {
+            rows,
+            cols,
+            data: data.iter().map(|&x| C64::from_real(x)).collect(),
+        }
     }
 
     /// Number of rows.
@@ -328,9 +337,9 @@ impl Sub for CMatrix {
     }
 }
 
-impl Mul for CMatrix {
+impl Mul<&CMatrix> for &CMatrix {
     type Output = CMatrix;
-    fn mul(self, rhs: CMatrix) -> CMatrix {
+    fn mul(self, rhs: &CMatrix) -> CMatrix {
         assert_eq!(self.cols, rhs.rows, "shape mismatch in mul");
         let mut out = CMatrix::zeros(self.rows, rhs.cols);
         for r in 0..self.rows {
@@ -345,6 +354,13 @@ impl Mul for CMatrix {
             }
         }
         out
+    }
+}
+
+impl Mul for CMatrix {
+    type Output = CMatrix;
+    fn mul(self, rhs: CMatrix) -> CMatrix {
+        &self * &rhs
     }
 }
 

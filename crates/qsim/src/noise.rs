@@ -13,10 +13,12 @@
 //!   [`crate::sampler::ReadoutError`] (readout is classical confusion, not
 //!   a unitary-domain channel).
 //!
-//! The density engine never sums Kraus terms: each channel is *lowered*
-//! once to its local superoperator ([`SuperopTable`]) and applied as a
-//! single in-place block sweep. The Kraus list stays the channel's
-//! identity (interning, fingerprints) and what trajectories unravel.
+//! The density engine never sums Kraus terms: program compilation
+//! *lowers* every fixed op — channel or gate unitary — once to its local
+//! superoperator and multiplies each run of adjacent ones into a single
+//! fused entry of the program's [`SuperopTable`], applied as one
+//! in-place block sweep. The Kraus list stays what trajectories unravel;
+//! a density-lowered program does not carry it.
 
 use crate::complex::C64;
 use crate::gates::Pauli;
@@ -102,14 +104,22 @@ impl KrausChannel {
     /// Panics if `p` is outside `[0, 1]`.
     pub fn depolarizing_2q(p: f64) -> Self {
         assert!((0.0..=1.0).contains(&p), "probability out of range");
-        let mut kraus = vec![CMatrix::identity(4).scale(C64::from_real((1.0 - p).sqrt()))];
+        let mut kraus = Vec::with_capacity(16);
+        kraus.push(CMatrix::identity(4).scale(C64::from_real((1.0 - p).sqrt())));
         let w = C64::from_real((p / 15.0).sqrt());
-        for a in Pauli::ALL {
-            for b in Pauli::ALL {
-                if a == Pauli::I && b == Pauli::I {
+        // Built per task under drift: the four Pauli matrices once, and
+        // each pair scaled in place.
+        let paulis = Pauli::ALL.map(Pauli::matrix);
+        for (a, pa) in Pauli::ALL.iter().zip(&paulis) {
+            for (b, pb) in Pauli::ALL.iter().zip(&paulis) {
+                if *a == Pauli::I && *b == Pauli::I {
                     continue;
                 }
-                kraus.push(a.matrix().kron(&b.matrix()).scale(w));
+                let mut pair = pa.kron(pb);
+                for z in pair.as_mut_slice() {
+                    *z *= w;
+                }
+                kraus.push(pair);
             }
         }
         KrausChannel { n_qubits: 2, kraus }
@@ -218,7 +228,7 @@ impl KrausChannel {
         let mut kraus = Vec::with_capacity(self.kraus.len() * other.kraus.len());
         for b in &other.kraus {
             for a in &self.kraus {
-                let product = b.clone() * a.clone();
+                let product = b * a;
                 if product.as_slice().iter().any(|&z| z != C64::ZERO) {
                     kraus.push(product);
                 }
@@ -279,36 +289,47 @@ impl KrausChannel {
     }
 }
 
-/// Every interned channel of one program, lowered to its local
-/// superoperator `S[(i,j),(i',j')] = sum_k K_k[i,i'] * conj(K_k[j,j'])`
-/// — the matrix that maps a vectorized `2x2` (one-qubit) or `4x4`
-/// (two-qubit) block of `rho` to the same block of `sum_k K rho K^dag`.
+/// The local superoperators of one program, in sparse rows.
 ///
-/// The sum over Kraus operators happens here, once; applying a channel
-/// is then a single pass over the state
+/// A superoperator `S` here is the matrix that maps a vectorized `2x2`
+/// (one-qubit) or `4x4` (two-qubit) block of `rho` — entry `(i, j)` at
+/// index `i * d + j`, first operand least significant — to the same
+/// block of the output state. A channel lowers to
+/// `S[(i,j),(i',j')] = sum_k K_k[i,i'] * conj(K_k[j,j'])`
+/// ([`SuperopTable::push`]), a unitary to `U (x) conj(U)`
+/// ([`SuperopTable::push_unitary`]), and a run of adjacent fixed ops to
+/// the product of its members' superoperators, so applying the whole run
+/// is a single pass over the state
 /// ([`crate::density::DensityMatrix::apply_superop_ctx`]). Only exact
-/// zeros are dropped, so `S` is the Kraus sum re-associated: the result
-/// matches `sum_k K rho K^dag` to rounding (~1e-16), not bit for bit.
+/// zeros are dropped, so `S` is the op-by-op result re-associated: equal
+/// to rounding (~1e-16), not bit for bit.
 ///
 /// Rows are kept sparse in one arena per table, sized for fleets that
-/// hold thousands of programs: thermal relaxation has 5 nonzeros of
-/// 16, two-qubit depolarizing 28 of 256, and both — like every Pauli
-/// mixture and damping channel — are real, so imaginary parts are only
-/// stored once a table meets a channel that has any.
+/// hold thousands of programs (sealed to exact size with the program). Realness is
+/// per superoperator: thermal relaxation (5 nonzeros of 16), two-qubit
+/// depolarizing (28 of 256), CX and every product of those are real and
+/// store no imaginary parts, whatever else the table holds.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct SuperopTable {
-    /// Per channel: its offsets into `index` and into `re` / `im`.
-    starts: Vec<(u32, u32)>,
-    /// Per channel: the length of each of its `D` rows (`D` = 4 or 16),
-    /// then the column of every nonzero, row by row.
+    entries: Vec<Entry>,
+    /// Per superoperator: the length of each of its `D` rows, then the
+    /// column of every nonzero, row by row.
     index: Vec<u8>,
-    re: Vec<f64>,
-    /// Empty while every channel pushed so far is real, else parallel
-    /// to `re`.
-    im: Vec<f64>,
+    /// Per superoperator: the real part of every nonzero in `index`
+    /// order, then — unless all are zero — the imaginary parts.
+    vals: Vec<f64>,
 }
 
-/// One lowered channel borrowed from a [`SuperopTable`].
+/// Where one superoperator starts in `index` / `vals`, and its row
+/// count `D` (4 or 16).
+#[derive(Clone, Copy, Debug, PartialEq)]
+struct Entry {
+    index: u32,
+    vals: u32,
+    dd: u8,
+}
+
+/// One superoperator borrowed from a [`SuperopTable`].
 #[derive(Clone, Copy, Debug)]
 pub struct Superop<'a> {
     row_len: &'a [u8],
@@ -318,8 +339,83 @@ pub struct Superop<'a> {
 }
 
 /// One sparse row of a [`Superop`]: parallel `(columns, re, im)` slices,
-/// `im` empty for a real table.
+/// `im` empty for a real superoperator.
 pub(crate) type SuperopRow<'a> = (&'a [u8], &'a [f64], &'a [f64]);
+
+/// Where a member of a fused run sits inside the run's support
+/// `(q0, q1)`: on both qubits in that order or reversed, or — a
+/// one-qubit member of a two-qubit run — on one of them. A one-qubit
+/// run has only `Whole` members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Placement {
+    Whole,
+    Swapped,
+    OnFirst,
+    OnSecond,
+}
+
+impl Placement {
+    /// The operands (and how many) of a member placed here in a run
+    /// over `support`.
+    pub(crate) fn operands(self, support: &[usize]) -> ([usize; 2], usize) {
+        let (s0, s1) = (support[0], support[support.len() - 1]);
+        match self {
+            Placement::Whole => ([s0, s1], support.len()),
+            Placement::Swapped => ([s1, s0], 2),
+            Placement::OnFirst => ([s0, s0], 1),
+            Placement::OnSecond => ([s1, s1], 1),
+        }
+    }
+
+    /// Embeds a member's superoperator indices into its run's: member
+    /// index `e` lands on `map[e] + off` for every `off` (the values of
+    /// the ket/bra bits the member leaves alone).
+    fn embedding(self) -> ([u8; 16], &'static [u8]) {
+        // Local basis index bit 0 is the first operand; a block index
+        // is `i * 4 + j` over two qubits, `a * 2 + b` over one.
+        let swap = |i: usize| (i & 1) << 1 | i >> 1;
+        match self {
+            Placement::Whole => (std::array::from_fn(|e| e as u8), &[0]),
+            Placement::Swapped => (
+                std::array::from_fn(|e| (swap(e >> 2) * 4 + swap(e & 3)) as u8),
+                &[0],
+            ),
+            Placement::OnFirst => (
+                std::array::from_fn(|e| (4 * (e >> 1 & 1) + (e & 1)) as u8),
+                &[0, 2, 8, 10],
+            ),
+            Placement::OnSecond => (
+                std::array::from_fn(|e| (8 * (e >> 1 & 1) + 2 * (e & 1)) as u8),
+                &[0, 1, 4, 5],
+            ),
+        }
+    }
+}
+
+/// The coefficient type a product is accumulated in: `f64` while every
+/// member is real, [`C64`] otherwise.
+trait Coeff: Copy + Default + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self> {
+    fn from_parts(re: f64, im: f64) -> Self;
+    fn parts(self) -> (f64, f64);
+}
+
+impl Coeff for f64 {
+    fn from_parts(re: f64, _im: f64) -> f64 {
+        re
+    }
+    fn parts(self) -> (f64, f64) {
+        (self, 0.0)
+    }
+}
+
+impl Coeff for C64 {
+    fn from_parts(re: f64, im: f64) -> C64 {
+        C64::new(re, im)
+    }
+    fn parts(self) -> (f64, f64) {
+        (self.re, self.im)
+    }
+}
 
 impl SuperopTable {
     /// Lowers `channel` and appends it; returns its index.
@@ -328,71 +424,208 @@ impl SuperopTable {
     ///
     /// Panics if the channel acts on more than two qubits.
     pub fn push(&mut self, channel: &KrausChannel) -> usize {
-        let d = 1usize << channel.n_qubits;
-        assert!(d <= 4, "only 1- and 2-qubit channels are supported");
-        let mut s = [[C64::ZERO; 16]; 16];
-        for k in &channel.kraus {
-            for (i, ip) in (0..d).flat_map(|i| (0..d).map(move |ip| (i, ip))) {
-                let a = k[(i, ip)];
-                if a == C64::ZERO {
-                    continue;
-                }
-                for (j, jp) in (0..d).flat_map(|j| (0..d).map(move |jp| (j, jp))) {
-                    s[i * d + j][ip * d + jp] += a * k[(j, jp)].conj();
-                }
-            }
+        match channel.n_qubits {
+            1 => self.push_kron_conj::<4>(&channel.kraus),
+            2 => self.push_kron_conj::<16>(&channel.kraus),
+            _ => panic!("only 1- and 2-qubit channels are supported"),
         }
-        let dd = d * d;
-        // The first complex channel backfills `im` for the real ones
-        // before it.
-        let complex = !self.im.is_empty()
-            || s[..dd]
-                .iter()
-                .any(|row| row[..dd].iter().any(|z| z.im != 0.0));
-        if complex {
-            self.im.resize(self.re.len(), 0.0);
-        }
-        let lens = self.index.len();
-        self.starts.push((lens as u32, self.re.len() as u32));
-        self.index.resize(lens + dd, 0);
-        for (r, row) in s[..dd].iter().enumerate() {
-            for (c, &z) in row[..dd].iter().enumerate() {
-                if z != C64::ZERO {
-                    self.index[lens + r] += 1;
-                    self.index.push(c as u8);
-                    self.re.push(z.re);
-                    if complex {
-                        self.im.push(z.im);
-                    }
-                }
-            }
-        }
-        self.starts.len() - 1
     }
 
-    /// Borrows lowered channel `idx`.
+    /// Lowers the unitary `u` (`2x2` or `4x4`) to `U (x) conj(U)` and
+    /// appends it; returns its index.
+    ///
+    /// # Panics
+    ///
+    /// Panics on any other shape.
+    pub fn push_unitary(&mut self, u: &CMatrix) -> usize {
+        match (u.rows(), u.cols()) {
+            (2, 2) => self.push_kron_conj::<4>(std::slice::from_ref(u)),
+            (4, 4) => self.push_kron_conj::<16>(std::slice::from_ref(u)),
+            _ => panic!("only 1- and 2-qubit unitaries are supported"),
+        }
+    }
+
+    /// Appends `sum_m m (x) conj(m)` over `d x d` matrices (`D = d * d`):
+    /// `S[i * d + j][i' * d + j'] = sum_m m[i, i'] * conj(m[j, j'])`.
+    /// Only the nonzero entries of each `m` are paired up — a scaled
+    /// Pauli pair has 4 of 16 — which skips nothing but exact `0 * z`
+    /// terms.
+    fn push_kron_conj<const D: usize>(&mut self, matrices: &[CMatrix]) -> usize {
+        let d = D.isqrt();
+        let mut s = [[C64::ZERO; D]; D];
+        let mut touched = [0u16; D];
+        let mut nonzero = [(0usize, 0usize, C64::ZERO); D];
+        for m in matrices {
+            let mut n = 0;
+            for (e, &z) in m.as_slice().iter().enumerate() {
+                if z != C64::ZERO {
+                    nonzero[n] = (e / d, e % d, z);
+                    n += 1;
+                }
+            }
+            for &(i, ip, a) in &nonzero[..n] {
+                for &(j, jp, b) in &nonzero[..n] {
+                    s[i * d + j][ip * d + jp] += a * b.conj();
+                    touched[i * d + j] |= 1 << (ip * d + jp);
+                }
+            }
+        }
+        self.push_rows(&s, &touched)
+    }
+
+    /// Multiplies a run of `members` superoperators — applied in slice
+    /// order, each embedded at its [`Placement`] in the run's support —
+    /// into one superoperator and appends it; returns its index.
+    ///
+    /// Runs once per distinct run per compile, and compiles run per
+    /// task under drift: the product is accumulated on stack arrays, in
+    /// `f64` when no member has an imaginary part.
+    pub(crate) fn push_product(
+        &mut self,
+        members: &SuperopTable,
+        run: &[(usize, Placement)],
+        two_qubit: bool,
+    ) -> usize {
+        let real = run.iter().all(|&(m, _)| members.get(m).im.is_empty());
+        match (two_qubit, real) {
+            (false, true) => self.push_product_in::<f64, 4>(members, run),
+            (false, false) => self.push_product_in::<C64, 4>(members, run),
+            (true, true) => self.push_product_in::<f64, 16>(members, run),
+            (true, false) => self.push_product_in::<C64, 16>(members, run),
+        }
+    }
+
+    fn push_product_in<S: Coeff, const D: usize>(
+        &mut self,
+        members: &SuperopTable,
+        run: &[(usize, Placement)],
+    ) -> usize {
+        // Dense `D x D` accumulators and fixed-length row updates: the
+        // members are sparse, the loops branch only on their shape. The
+        // column masks ride along so sealing the result need not scan.
+        let mut acc = [[S::default(); D]; D];
+        let mut acc_mask = [0u16; D];
+        for e in 0..D {
+            acc[e][e] = S::from_parts(1.0, 0.0);
+            acc_mask[e] = 1 << e;
+        }
+        let (mut next, mut next_mask) = (acc, acc_mask);
+        for &(m, place) in run {
+            let s = members.get(m);
+            let (map, offsets) = place.embedding();
+            let mut e0 = 0;
+            for (r_m, &len) in s.row_len.iter().enumerate() {
+                let e1 = e0 + len as usize;
+                for &off in offsets {
+                    // Every row of the product is written exactly once
+                    // per member: `map + off` is a bijection onto `0..D`.
+                    let r = (map[r_m] + off) as usize;
+                    next[r] = [S::default(); D];
+                    next_mask[r] = 0;
+                    for e in e0..e1 {
+                        let v = S::from_parts(s.re[e], s.im.get(e).copied().unwrap_or(0.0));
+                        let c = (map[s.cols[e] as usize] + off) as usize;
+                        for (o, &a) in next[r].iter_mut().zip(&acc[c]) {
+                            *o = *o + v * a;
+                        }
+                        next_mask[r] |= acc_mask[c];
+                    }
+                }
+                e0 = e1;
+            }
+            std::mem::swap(&mut acc, &mut next);
+            std::mem::swap(&mut acc_mask, &mut next_mask);
+        }
+        self.push_rows(&acc, &acc_mask)
+    }
+
+    /// Appends the superoperator with the given dense rows, reading row
+    /// `r` only at the columns set in `touched[r]` (every other entry
+    /// is zero) and dropping the exact zeros among those.
+    fn push_rows<S: Coeff, const D: usize>(
+        &mut self,
+        rows: &[[S; D]; D],
+        touched: &[u16; D],
+    ) -> usize {
+        let lens = self.index.len();
+        self.entries.push(Entry {
+            index: lens as u32,
+            vals: self.vals.len() as u32,
+            dd: D as u8,
+        });
+        let at_most: usize = touched.iter().map(|m| m.count_ones() as usize).sum();
+        self.index.reserve(D + at_most);
+        self.vals.reserve(at_most);
+        self.index.resize(lens + D, 0);
+        let mut complex = false;
+        for r in 0..D {
+            let mut bits = touched[r];
+            while bits != 0 {
+                let c = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let (re, im) = rows[r][c].parts();
+                if re != 0.0 || im != 0.0 {
+                    self.index[lens + r] += 1;
+                    self.index.push(c as u8);
+                    self.vals.push(re);
+                    complex |= im != 0.0;
+                }
+            }
+        }
+        if complex {
+            // The imaginary parts of the entries just kept, same order.
+            let mut col = lens + D;
+            for (r, row) in rows.iter().enumerate() {
+                for _ in 0..self.index[lens + r] {
+                    self.vals.push(row[self.index[col] as usize].parts().1);
+                    col += 1;
+                }
+            }
+        }
+        self.entries.len() - 1
+    }
+
+    /// Number of superoperators held.
+    pub fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Whether the table holds no superoperator.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty()
+    }
+
+    /// Drops growth slack: a sealed table owns exactly the bytes it
+    /// uses, which is what thousands of live programs multiply.
+    pub(crate) fn seal(&mut self) {
+        self.entries.shrink_to_fit();
+        self.index.shrink_to_fit();
+        self.vals.shrink_to_fit();
+    }
+
+    /// Borrows superoperator `idx`.
     pub fn get(&self, idx: usize) -> Superop<'_> {
-        let (i0, v0) = self.starts[idx];
+        let Entry { index, vals, dd } = self.entries[idx];
         let (i1, v1) = self
-            .starts
+            .entries
             .get(idx + 1)
-            .map_or((self.index.len(), self.re.len()), |&(i, v)| {
-                (i as usize, v as usize)
+            .map_or((self.index.len(), self.vals.len()), |e| {
+                (e.index as usize, e.vals as usize)
             });
-        let (i0, v0) = (i0 as usize, v0 as usize);
-        let (row_len, cols) = self.index[i0..i1].split_at(i1 - i0 - (v1 - v0));
+        let (row_len, cols) = self.index[index as usize..i1].split_at(dd as usize);
+        // Real parts, then the imaginary parts or nothing.
+        let (re, im) = self.vals[vals as usize..v1].split_at(cols.len());
         Superop {
             row_len,
             cols,
-            re: &self.re[v0..v1],
-            // Out of range exactly when the table is real.
-            im: self.im.get(v0..v1).unwrap_or(&[]),
+            re,
+            im,
         }
     }
 }
 
 impl<'a> Superop<'a> {
-    /// Number of qubits the channel acts on (1 or 2).
+    /// Number of qubits the superoperator acts on (1 or 2).
     pub fn num_qubits(&self) -> usize {
         self.row_len.len().trailing_zeros() as usize / 2
     }
@@ -400,6 +633,23 @@ impl<'a> Superop<'a> {
     /// Nonzero entries of `S`.
     pub fn nnz(&self) -> usize {
         self.cols.len()
+    }
+
+    /// Whether every entry of `S` is real (no imaginary parts stored;
+    /// the sweep then multiplies by `f64` coefficients).
+    pub fn is_real(&self) -> bool {
+        self.im.is_empty()
+    }
+
+    /// Appends the full content of `S` — shape, sparsity pattern and
+    /// the bit pattern of every coefficient — to `out`. Two
+    /// superoperators with equal content sweep a state through
+    /// bit-identical floating-point work.
+    pub(crate) fn fingerprint(&self, out: &mut Vec<u64>) {
+        out.push((self.row_len.len() as u64) << 32 | self.cols.len() as u64);
+        out.push(self.im.len() as u64);
+        out.extend(self.row_len.iter().chain(self.cols).map(|&b| b as u64));
+        out.extend(self.re.iter().chain(self.im).map(|v| v.to_bits()));
     }
 
     /// The sparse rows of `S` (4 or 16 of them; the rest stay empty).
@@ -547,36 +797,107 @@ mod tests {
     }
 
     #[test]
-    fn superop_table_keeps_real_channels_real_and_backfills() {
+    fn realness_is_per_superoperator() {
         let mut table = SuperopTable::default();
         let relax = table.push(&KrausChannel::thermal_relaxation(100.0, 80.0, 3.0));
+        let skew = table.push_unitary(&(crate::gates::rz(0.3) * crate::gates::ry(0.4)));
         let depol = table.push(&KrausChannel::depolarizing_2q(0.02));
-        assert!(table.im.is_empty(), "Pauli mixtures and damping are real");
-        assert_eq!(table.get(relax).nnz(), 5);
-        assert_eq!(table.get(depol).nnz(), 28);
-        assert_eq!(
-            (table.get(relax).num_qubits(), table.get(depol).num_qubits()),
-            (1, 2)
-        );
-        // A complex channel switches the table over without disturbing
-        // the real channels before it.
-        let before = table
-            .get(depol)
-            .rows()
-            .map(|(cols, re, _)| (cols.to_vec(), re.to_vec()));
-        let skew = table.push(&KrausChannel::new(vec![
-            crate::gates::rz(0.3) * crate::gates::ry(0.4),
-        ]));
-        assert_eq!(table.im.len(), table.re.len());
-        assert!(table
-            .get(skew)
+        let cx = table.push_unitary(&crate::gates::cx());
+        // Pauli mixtures, damping and CX are real and stay so around a
+        // complex neighbour.
+        for (idx, nnz, qubits) in [(relax, 5, 1), (depol, 28, 2), (cx, 16, 2)] {
+            let s = table.get(idx);
+            assert!(
+                s.is_real(),
+                "superoperator {idx} must store no imaginary parts"
+            );
+            assert_eq!((s.nnz(), s.num_qubits()), (nnz, qubits));
+        }
+        let s = table.get(skew);
+        assert!(!s.is_real());
+        assert!(s
             .rows()
             .iter()
             .any(|(_, _, im)| im.iter().any(|&v| v != 0.0)));
-        let after = table.get(depol).rows();
-        for ((cols, re), (a_cols, a_re, a_im)) in before.iter().zip(after) {
-            assert_eq!((cols.as_slice(), re.as_slice()), (a_cols, a_re));
-            assert!(a_im.iter().all(|&v| v == 0.0) && a_im.len() == a_re.len());
+        // Sealing trims slack without touching content.
+        let before = table.clone();
+        table.seal();
+        assert_eq!(table, before);
+        assert_eq!(table.vals.capacity(), table.vals.len());
+        assert_eq!(table.index.capacity(), table.index.len());
+    }
+
+    /// Applies `run` member by member, then as one product, to the same
+    /// random-ish state; the fused sweep must agree to rounding.
+    fn assert_product_matches_members(
+        members: &SuperopTable,
+        run: &[(usize, Placement)],
+        support: &[usize],
+    ) -> SuperopTable {
+        use crate::parallel::ParallelCtx;
+        let n = 3;
+        let mut rho = DensityMatrix::new(n);
+        for q in 0..n {
+            rho.apply_unitary_1q(&crate::gates::ry(0.4 + q as f64), q);
+            rho.apply_unitary_1q(&crate::gates::rz(1.1 - q as f64), q);
+        }
+        rho.apply_unitary_2q(&crate::gates::cx(), 0, 2);
+        rho.apply_unitary_2q(&crate::gates::cx(), 1, 0);
+        let mut stepped = rho.clone();
+        for &(m, place) in run {
+            let (qs, n) = place.operands(support);
+            stepped.apply_superop_ctx(members.get(m), &qs[..n], &ParallelCtx::SERIAL);
+        }
+        let mut fused = SuperopTable::default();
+        let entry = fused.push_product(members, run, support.len() == 2);
+        rho.apply_superop_ctx(fused.get(entry), support, &ParallelCtx::SERIAL);
+        assert!(
+            rho.matrix().approx_eq(&stepped.matrix(), 1e-13),
+            "fused product diverges from its members on {support:?}"
+        );
+        fused
+    }
+
+    #[test]
+    fn products_match_member_by_member_application_at_every_placement() {
+        let mut members = SuperopTable::default();
+        let sx = members.push_unitary(&crate::gates::sx());
+        let relax = members.push(&KrausChannel::thermal_relaxation(100.0, 80.0, 3.0));
+        let depol1 = members.push(&KrausChannel::depolarizing_1q(0.01));
+        let cx = members.push_unitary(&crate::gates::cx());
+        let depol2 = members.push(&KrausChannel::depolarizing_2q(0.02));
+        use Placement::*;
+        // A one-qubit cluster: complex, dense 4x4.
+        let one = [(sx, Whole), (relax, Whole), (depol1, Whole)];
+        let fused = assert_product_matches_members(&members, &one, &[1]);
+        assert_eq!(fused.get(0).nnz(), 16);
+        assert!(!fused.get(0).is_real());
+        // A CX cluster with idle catch-up on either operand, on every
+        // ordered pair: real, and far sparser than 256.
+        let two = [
+            (relax, OnSecond),
+            (cx, Whole),
+            (relax, OnFirst),
+            (relax, OnSecond),
+            (depol2, Whole),
+        ];
+        for support in [[0, 1], [1, 0], [0, 2], [2, 0], [1, 2], [2, 1]] {
+            let fused = assert_product_matches_members(&members, &two, &support);
+            assert!(fused.get(0).is_real(), "a CX run has no imaginary part");
+            assert!(fused.get(0).nnz() <= 48, "nnz {}", fused.get(0).nnz());
+        }
+        // Reversed operand order inside a run, and a one-qubit run
+        // grown from either side.
+        let mixed = [
+            (sx, OnFirst),
+            (depol1, OnFirst),
+            (cx, Whole),
+            (cx, Swapped),
+            (sx, OnSecond),
+            (depol2, Swapped),
+        ];
+        for support in [[0, 1], [2, 1], [2, 0]] {
+            assert_product_matches_members(&members, &mixed, &support);
         }
     }
 

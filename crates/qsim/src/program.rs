@@ -8,29 +8,38 @@
 //! matrix once per Kraus operator, and every shot costs one hash-map
 //! insert. This module is the engine room that removes all of that:
 //!
-//! * [`CompiledProgram`] — a flat op-tape of pre-resolved gate matrices
-//!   and interned Kraus channels, built once (per noise epoch) by
-//!   [`ProgramBuilder`] and replayed many times;
+//! * [`CompiledProgram`] — a flat op-tape over pre-resolved gate
+//!   matrices and one channel table, built once (per noise epoch) by
+//!   [`ProgramBuilder`] *for the engine that will run it*
+//!   ([`Lowering`]) and replayed many times;
 //! * [`SimEngine`] — the engine abstraction: run a compiled program for
 //!   `shots` measurements;
 //! * [`DensityEngine`] — exact density-matrix evolution over a
-//!   persistent state: every channel was lowered to its local
-//!   superoperator at compile time and applies as one in-place block
-//!   sweep (no Kraus sum, no state copy), and sampling writes a dense
-//!   histogram instead of one hash-map insert per shot;
+//!   persistent state. Its programs are *fused*: every maximal run of
+//!   adjacent fixed ops (gate unitaries and channels) nested in one
+//!   support of at most two qubits — `gate, relaxation, relaxation,
+//!   depolarizing`, or a whole routed SWAP chain — was multiplied into
+//!   one local superoperator at compile time and applies as one
+//!   in-place block sweep (no Kraus sum, no state copy, one pass instead
+//!   of one or two per op); only parameterized gates stay unitary ops.
+//!   Sampling writes a dense histogram instead of one hash-map insert
+//!   per shot;
 //! * [`TrajectoryEngine`] — Monte-Carlo quantum-trajectory unraveling
-//!   that replays the tape per trajectory with a reusable candidate
-//!   buffer instead of cloning the state per Kraus operator.
+//!   that replays the unfused tape per trajectory with a reusable
+//!   candidate buffer instead of cloning the state per Kraus operator.
 //!
 //! The trajectory engine is **bit-for-bit equivalent** to the
 //! straightforward implementation it replaces (same floating-point
-//! operations, same RNG draw sequence). The density engine's unitary
-//! passes and sampling are too; its channel sweep re-associates the
-//! Kraus sum, so its state equals the straightforward one to 1e-12
+//! operations, same RNG draw sequence). The density engine's sampling
+//! is too, and so is every unitary op left on its tape; a fused sweep
+//! re-associates the products and sums of its run, so the state equals
+//! op-by-op application (and the straightforward oracle) to 1e-12
 //! rather than bit for bit — sampled counts are equal on every pinned
 //! fixture, and every production path (serial, worker-team, folded,
 //! group-fork, resumed) is byte-identical to every other because they
-//! share the one kernel and op order.
+//! share the one tape, the one kernel and the op order. Forks, resumes
+//! and prefix boundaries always fall between tape ops: a parameterized
+//! slot ends a run and is never inside a fused entry.
 //!
 //! # Examples
 //!
@@ -57,18 +66,32 @@
 
 use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
-use crate::noise::{KrausChannel, SuperopTable};
+use crate::noise::{KrausChannel, Placement, SuperopTable};
 use crate::parallel::ParallelCtx;
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use crate::statevector::StateVector;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
+/// Which engine a program is lowered for. A program carries exactly one
+/// channel table and one tape, so it runs on one engine only.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Lowering {
+    /// For [`DensityEngine`]: every run of adjacent fixed ops is fused
+    /// into one superoperator sweep; no Kraus list is kept.
+    Density,
+    /// For [`TrajectoryEngine`]: one tape op per pushed op, channels as
+    /// interned Kraus lists; no superoperator is built.
+    Trajectory,
+}
+
 /// One instruction of a compiled program's flat op-tape.
 ///
 /// Unitary ops index into [`CompiledProgram`]'s matrix table (so a
 /// rebind only swaps small matrices, never the tape); channel ops index
-/// into the interned channel table.
+/// into the program's channel table — fused superoperators in a
+/// [`Lowering::Density`] program, Kraus lists in a
+/// [`Lowering::Trajectory`] one.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TapeOp {
     /// Apply the 2x2 matrix in `slot` to qubit `q`.
@@ -87,14 +110,14 @@ pub enum TapeOp {
         /// Second operand.
         q1: usize,
     },
-    /// Apply the 1-qubit Kraus channel `channel` to qubit `q`.
+    /// Apply the 1-qubit channel `channel` to qubit `q`.
     Channel1q {
         /// Channel-table index.
         channel: usize,
         /// Target qubit.
         q: usize,
     },
-    /// Apply the 2-qubit Kraus channel `channel` to `(q0, q1)`.
+    /// Apply the 2-qubit channel `channel` to `(q0, q1)`.
     Channel2q {
         /// Channel-table index.
         channel: usize,
@@ -105,22 +128,37 @@ pub enum TapeOp {
     },
 }
 
-/// A circuit + noise schedule compiled to an executable form: a flat
-/// op-tape over a table of pre-resolved gate matrices and a table of
-/// interned Kraus channels, each lowered once to the superoperator the
-/// density engine sweeps with.
+impl TapeOp {
+    /// The matrix-table slot of a unitary op (`None` for a channel op).
+    pub fn unitary_slot(&self) -> Option<usize> {
+        match *self {
+            TapeOp::Unitary1q { slot, .. } | TapeOp::Unitary2q { slot, .. } => Some(slot),
+            _ => None,
+        }
+    }
+}
+
+/// The one channel table of a program (see [`Lowering`]).
+#[derive(Clone, Debug)]
+enum ChannelTable {
+    Fused(SuperopTable),
+    Kraus(Vec<KrausChannel>),
+}
+
+/// A circuit + noise schedule compiled to an executable form for one
+/// engine: a flat op-tape over a table of pre-resolved gate matrices and
+/// one channel table.
 ///
 /// Build once with [`ProgramBuilder`] (typically per calibration epoch),
 /// rebind parameterized gates cheaply with
-/// [`CompiledProgram::set_unitary`], and execute with any [`SimEngine`].
+/// [`CompiledProgram::set_unitary`], and execute with the [`SimEngine`]
+/// it was lowered for.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     n_qubits: usize,
     ops: Vec<TapeOp>,
     unitaries: Vec<CMatrix>,
-    channels: Vec<KrausChannel>,
-    /// `channels`, lowered index for index.
-    superops: SuperopTable,
+    channels: ChannelTable,
     readout: ReadoutError,
     duration_ns: f64,
     skipped_channels: usize,
@@ -139,10 +177,22 @@ impl CompiledProgram {
         &self.ops
     }
 
-    /// Number of distinct (interned) Kraus channels.
+    /// The engine this program was lowered for.
+    pub fn lowering(&self) -> Lowering {
+        match self.channels {
+            ChannelTable::Fused(_) => Lowering::Density,
+            ChannelTable::Kraus(_) => Lowering::Trajectory,
+        }
+    }
+
+    /// Entries of the channel table: distinct fused runs in a density
+    /// program, distinct (interned) Kraus channels in a trajectory one.
     #[inline]
     pub fn num_channels(&self) -> usize {
-        self.channels.len()
+        match &self.channels {
+            ChannelTable::Fused(t) => t.len(),
+            ChannelTable::Kraus(k) => k.len(),
+        }
     }
 
     /// Number of matrix-table slots.
@@ -171,7 +221,8 @@ impl CompiledProgram {
     }
 
     /// Replaces the matrix in `slot` — the rebind path for parameterized
-    /// gates (the tape and channel table are untouched).
+    /// gates (the tape and channel table are untouched: a parameterized
+    /// slot is never inside a fused run).
     ///
     /// # Panics
     ///
@@ -192,9 +243,34 @@ impl CompiledProgram {
         &self.unitaries[slot]
     }
 
-    /// Borrows an interned channel.
-    pub fn channel(&self, idx: usize) -> &KrausChannel {
-        &self.channels[idx]
+    /// The fused superoperators [`DensityEngine`] sweeps with.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a trajectory-lowered program.
+    pub fn superops(&self) -> &SuperopTable {
+        match &self.channels {
+            ChannelTable::Fused(t) => t,
+            ChannelTable::Kraus(_) => panic!(
+                "program was lowered for trajectories (Kraus tape); \
+                 the density engine needs Lowering::Density"
+            ),
+        }
+    }
+
+    /// The interned Kraus channels [`TrajectoryEngine`] unravels.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a density-lowered program.
+    pub fn kraus_channels(&self) -> &[KrausChannel] {
+        match &self.channels {
+            ChannelTable::Kraus(k) => k,
+            ChannelTable::Fused(_) => panic!(
+                "program was lowered for the density engine (fused superoperators); \
+                 the trajectory engine needs Lowering::Trajectory"
+            ),
+        }
     }
 
     /// Tape index of the first unitary op using any of `slots`
@@ -204,70 +280,185 @@ impl CompiledProgram {
     pub fn first_op_using(&self, slots: &[usize]) -> usize {
         self.ops
             .iter()
-            .position(|op| {
-                matches!(
-                    *op,
-                    TapeOp::Unitary1q { slot: s, .. } | TapeOp::Unitary2q { slot: s, .. }
-                    if slots.contains(&s)
-                )
-            })
+            .position(|op| op.unitary_slot().is_some_and(|s| slots.contains(&s)))
             .unwrap_or(self.ops.len())
     }
 
     /// Appends a value-exact fingerprint of `ops[..k]` to `out`: op
     /// kinds, qubit wiring, the bit patterns of every resolved matrix
-    /// entry and every Kraus operator entry, and the qubit count. Two
+    /// entry and the full content of every channel-table entry used
+    /// (sparsity pattern and coefficient bits of a fused superoperator,
+    /// operator entries of a Kraus list), and the qubit count. Two
     /// programs with equal fingerprints evolve `|0..0><0..0|` through
     /// bit-identical floating-point work over that prefix — the
     /// cross-template shared-prefix cache compares these (full content,
     /// not a hash), so sharing is exact, never approximate.
     pub fn prefix_fingerprint(&self, k: usize, out: &mut Vec<u64>) {
         out.push(self.n_qubits as u64);
+        let matrix_bits = |m: &CMatrix, out: &mut Vec<u64>| {
+            out.extend(
+                m.as_slice()
+                    .iter()
+                    .flat_map(|c| [c.re.to_bits(), c.im.to_bits()]),
+            );
+        };
+        let channel_bits = |channel: usize, out: &mut Vec<u64>| match &self.channels {
+            ChannelTable::Fused(t) => t.get(channel).fingerprint(out),
+            ChannelTable::Kraus(k) => k[channel]
+                .operators()
+                .iter()
+                .for_each(|m| matrix_bits(m, out)),
+        };
         for op in &self.ops[..k] {
             match *op {
                 TapeOp::Unitary1q { slot, q } => {
-                    out.push(1);
-                    out.push(q as u64);
-                    for c in self.unitaries[slot].as_slice() {
-                        out.push(c.re.to_bits());
-                        out.push(c.im.to_bits());
-                    }
+                    out.extend([1, q as u64]);
+                    matrix_bits(&self.unitaries[slot], out);
                 }
                 TapeOp::Unitary2q { slot, q0, q1 } => {
-                    out.push(2);
-                    out.push((q0 as u64) << 32 | q1 as u64);
-                    for c in self.unitaries[slot].as_slice() {
-                        out.push(c.re.to_bits());
-                        out.push(c.im.to_bits());
-                    }
+                    out.extend([2, (q0 as u64) << 32 | q1 as u64]);
+                    matrix_bits(&self.unitaries[slot], out);
                 }
                 TapeOp::Channel1q { channel, q } => {
-                    out.push(3);
-                    out.push(q as u64);
-                    for m in self.channels[channel].operators() {
-                        for c in m.as_slice() {
-                            out.push(c.re.to_bits());
-                            out.push(c.im.to_bits());
-                        }
-                    }
+                    out.extend([3, q as u64]);
+                    channel_bits(channel, out);
                 }
                 TapeOp::Channel2q { channel, q0, q1 } => {
-                    out.push(4);
-                    out.push((q0 as u64) << 32 | q1 as u64);
-                    for m in self.channels[channel].operators() {
-                        for c in m.as_slice() {
-                            out.push(c.re.to_bits());
-                            out.push(c.im.to_bits());
-                        }
-                    }
+                    out.extend([4, (q0 as u64) << 32 | q1 as u64]);
+                    channel_bits(channel, out);
                 }
             }
         }
     }
 }
 
-/// Builds a [`CompiledProgram`] op by op, interning channels and
-/// eliding near-identity ones.
+/// A fixed op as a fused run remembers it: the matrix-table slot of a
+/// unitary, or the index of a channel among the builder's lowered
+/// members.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Fixed {
+    Unitary(usize),
+    Channel(usize),
+}
+
+/// What interning decided for one distinct channel.
+#[derive(Clone, Copy, Debug)]
+enum Interned {
+    /// Near-identity: elided from the tape.
+    Skipped,
+    /// Index into the Kraus table (trajectory lowering) or into the
+    /// lowered members (density lowering).
+    Kept(usize),
+}
+
+/// The density lowering's working state: the open run of adjacent fixed
+/// ops and everything already lowered or fused. Every list is reused
+/// across runs — a compile allocates per program, not per run.
+#[derive(Clone, Debug, Default)]
+struct Fuser {
+    /// The open run's support (operand order of the two-qubit member
+    /// that set it) and how many of the two entries are live.
+    support: [usize; 2],
+    arity: usize,
+    /// The open run's members in tape order.
+    run: Vec<(Fixed, Placement)>,
+    /// Every distinct fixed op lowered so far, each once per program.
+    members: SuperopTable,
+    /// Member index of the unitary in each matrix-table slot, once
+    /// lowered.
+    unitary_member: Vec<Option<usize>>,
+    /// Runs already multiplied out, back to back, and per run its
+    /// `(end in composed_runs, fused entry)`. The same `gate,
+    /// relaxation, depolarizing` cluster recurs on a qubit several
+    /// times per template and is composed once. (Members determine
+    /// the arity: a one-qubit member is `Whole` only in a one-qubit
+    /// run.)
+    composed_runs: Vec<(Fixed, Placement)>,
+    composed: Vec<(usize, usize)>,
+    /// Scratch: the open run with every member resolved to its index
+    /// in `members`.
+    lowered: Vec<(usize, Placement)>,
+    fused: SuperopTable,
+}
+
+impl Fuser {
+    /// Where an op on `qubits` sits in the open run, growing a
+    /// one-qubit run into a two-qubit op on its qubit; `None` when the
+    /// op does not fit (or no run is open).
+    fn place(&mut self, qubits: &[usize]) -> Option<Placement> {
+        let [s0, s1] = self.support;
+        match (self.arity, qubits) {
+            (1, &[q]) if q == s0 => Some(Placement::Whole),
+            (2, &[q]) if q == s0 => Some(Placement::OnFirst),
+            (2, &[q]) if q == s1 => Some(Placement::OnSecond),
+            (2, &[q0, q1]) if (q0, q1) == (s0, s1) => Some(Placement::Whole),
+            (2, &[q0, q1]) if (q0, q1) == (s1, s0) => Some(Placement::Swapped),
+            (1, &[q0, q1]) if s0 == q0 || s0 == q1 => {
+                let grown = if s0 == q0 {
+                    Placement::OnFirst
+                } else {
+                    Placement::OnSecond
+                };
+                for member in &mut self.run {
+                    member.1 = grown;
+                }
+                (self.support, self.arity) = ([q0, q1], 2);
+                Some(Placement::Whole)
+            }
+            _ => None,
+        }
+    }
+
+    /// The fused entry of the open run, multiplying it out unless an
+    /// identical run already was.
+    fn compose(&mut self, unitaries: &[CMatrix]) -> usize {
+        let mut start = 0;
+        for &(end, entry) in &self.composed {
+            if self.composed_runs[start..end] == self.run[..] {
+                return entry;
+            }
+            start = end;
+        }
+        self.unitary_member.resize(unitaries.len(), None);
+        self.lowered.clear();
+        for &(op, place) in &self.run {
+            let member = match op {
+                Fixed::Channel(member) => member,
+                Fixed::Unitary(slot) => *self.unitary_member[slot]
+                    .get_or_insert_with(|| self.members.push_unitary(&unitaries[slot])),
+            };
+            self.lowered.push((member, place));
+        }
+        let entry = self
+            .fused
+            .push_product(&self.members, &self.lowered, self.arity == 2);
+        self.composed_runs.extend_from_slice(&self.run);
+        self.composed.push((self.composed_runs.len(), entry));
+        entry
+    }
+}
+
+/// What a builder is producing (see [`Lowering`]): the fusing state of
+/// a density program, or the Kraus table of a trajectory program.
+#[derive(Clone, Debug)]
+enum Target {
+    Density(Box<Fuser>),
+    Trajectory(Vec<KrausChannel>),
+}
+
+/// Builds a [`CompiledProgram`] op by op for one [`Lowering`],
+/// interning channels and eliding near-identity ones.
+///
+/// Under [`Lowering::Density`] (the default) the builder fuses every
+/// maximal run of adjacent *fixed* ops — shareable unitaries and
+/// channels — whose supports nest inside one support of at most two
+/// qubits into a single channel-table entry: a one-qubit run grows into
+/// the two-qubit op that follows it on a shared qubit (either operand
+/// order), further ops on those qubits join, anything else ends the run.
+/// A parameterized slot always ends a run and stays a unitary op, so
+/// every fork, resume and prefix boundary sits between tape ops; a run
+/// without a channel stays unitary ops, which are cheaper than a dense
+/// superoperator.
 #[derive(Clone, Debug)]
 pub struct ProgramBuilder {
     n_qubits: usize,
@@ -277,8 +468,11 @@ pub struct ProgramBuilder {
     /// (false for parameterized placeholders, which must stay unique so
     /// a rebind cannot alias an unrelated gate).
     shareable: Vec<bool>,
-    channels: Vec<KrausChannel>,
-    superops: SuperopTable,
+    /// Channels pushed by caller key, indexed by key.
+    by_key: Vec<Option<Interned>>,
+    /// Channels pushed without a key, interned by content.
+    by_content: Vec<(KrausChannel, Interned)>,
+    target: Target,
     identity_epsilon: f64,
     skipped_channels: usize,
 }
@@ -291,15 +485,24 @@ impl ProgramBuilder {
     /// cannot change sampled counts in practice.
     pub const DEFAULT_IDENTITY_EPSILON: f64 = 1e-12;
 
-    /// Starts a program over `n_qubits`.
+    /// Starts a density-lowered program over `n_qubits`.
     pub fn new(n_qubits: usize) -> Self {
+        Self::for_lowering(n_qubits, Lowering::Density)
+    }
+
+    /// Starts a program over `n_qubits` lowered for the given engine.
+    pub fn for_lowering(n_qubits: usize, lowering: Lowering) -> Self {
         ProgramBuilder {
             n_qubits,
             ops: Vec::new(),
             unitaries: Vec::new(),
             shareable: Vec::new(),
-            channels: Vec::new(),
-            superops: SuperopTable::default(),
+            by_key: Vec::new(),
+            by_content: Vec::new(),
+            target: match lowering {
+                Lowering::Density => Target::Density(Box::default()),
+                Lowering::Trajectory => Target::Trajectory(Vec::new()),
+            },
             identity_epsilon: Self::DEFAULT_IDENTITY_EPSILON,
             skipped_channels: 0,
         }
@@ -321,24 +524,52 @@ impl ProgramBuilder {
     /// Panics on an out-of-range qubit, duplicate operands, or a matrix
     /// shape that does not match the operand count.
     pub fn push_unitary(&mut self, m: CMatrix, qubits: &[usize]) -> usize {
-        self.push_unitary_slot(m, qubits, true)
+        self.check_operands(qubits, "unitaries");
+        self.check_shape(&m, qubits);
+        let slot = self
+            .unitaries
+            .iter()
+            .enumerate()
+            .position(|(i, u)| self.shareable[i] && *u == m)
+            .unwrap_or_else(|| {
+                self.unitaries.push(m);
+                self.shareable.push(true);
+                self.unitaries.len() - 1
+            });
+        self.push_fixed(Fixed::Unitary(slot), qubits);
+        slot
     }
 
     /// Appends a *placeholder* matrix for a parameterized gate. The slot
     /// is never shared, so [`CompiledProgram::set_unitary`] on it cannot
-    /// affect any other op. Returns the slot.
+    /// affect any other op, and the op is never fused. Returns the slot.
     ///
     /// # Panics
     ///
     /// Same conditions as [`ProgramBuilder::push_unitary`].
     pub fn push_parameterized(&mut self, placeholder: CMatrix, qubits: &[usize]) -> usize {
-        self.push_unitary_slot(placeholder, qubits, false)
+        self.check_operands(qubits, "unitaries");
+        self.check_shape(&placeholder, qubits);
+        self.unitaries.push(placeholder);
+        self.shareable.push(false);
+        let slot = self.unitaries.len() - 1;
+        self.flush_run();
+        self.ops.push(unitary_op(slot, qubits));
+        slot
     }
 
-    fn push_unitary_slot(&mut self, m: CMatrix, qubits: &[usize], share: bool) -> usize {
+    fn check_operands(&self, qubits: &[usize], what: &str) {
         for &q in qubits {
             assert!(q < self.n_qubits, "qubit {q} out of range");
         }
+        match *qubits {
+            [_] => {}
+            [q0, q1] => assert!(q0 != q1, "2q operands must differ"),
+            _ => panic!("only 1- and 2-qubit {what} are supported"),
+        }
+    }
+
+    fn check_shape(&self, m: &CMatrix, qubits: &[usize]) {
         let dim = 1usize << qubits.len();
         assert_eq!(
             (m.rows(), m.cols()),
@@ -346,35 +577,10 @@ impl ProgramBuilder {
             "matrix shape must match the {}-qubit operand list",
             qubits.len()
         );
-        let slot = if share {
-            self.unitaries
-                .iter()
-                .enumerate()
-                .position(|(i, u)| self.shareable[i] && *u == m)
-                .unwrap_or_else(|| {
-                    self.unitaries.push(m);
-                    self.shareable.push(true);
-                    self.unitaries.len() - 1
-                })
-        } else {
-            self.unitaries.push(m);
-            self.shareable.push(false);
-            self.unitaries.len() - 1
-        };
-        match *qubits {
-            [q] => self.ops.push(TapeOp::Unitary1q { slot, q }),
-            [q0, q1] => {
-                assert!(q0 != q1, "2q operands must differ");
-                self.ops.push(TapeOp::Unitary2q { slot, q0, q1 });
-            }
-            _ => panic!("only 1- and 2-qubit unitaries are supported"),
-        }
-        slot
     }
 
-    /// Appends a Kraus channel acting on `qubits`, interning it against
-    /// previously pushed identical channels; a channel seen for the
-    /// first time is lowered to its superoperator here. Channels within
+    /// Appends a Kraus channel acting on `qubits`, interning it by
+    /// content against previously pushed channels. Channels within
     /// `identity_epsilon` of the identity are elided entirely (the
     /// fast-path for near-zero-rate noise).
     ///
@@ -382,52 +588,170 @@ impl ProgramBuilder {
     ///
     /// Panics on arity mismatch or out-of-range qubits.
     pub fn push_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
+        self.check_channel(channel, qubits);
+        let interned = match self.by_content.iter().find(|(c, _)| c == channel) {
+            Some(&(_, interned)) => interned,
+            None => {
+                let interned = self.intern(channel);
+                self.by_content.push((channel.clone(), interned));
+                interned
+            }
+        };
+        self.place_channel(interned, qubits);
+    }
+
+    /// [`ProgramBuilder::push_channel`] for a caller that already knows
+    /// which of its channels are the same one: pushes under an equal
+    /// `key` must carry bit-identical channels, and interning compares
+    /// the key instead of every Kraus matrix. Keys should be small and
+    /// dense (they index a table).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ProgramBuilder::push_channel`].
+    pub fn push_keyed_channel(&mut self, key: usize, channel: &KrausChannel, qubits: &[usize]) {
+        self.check_channel(channel, qubits);
+        if self.by_key.len() <= key {
+            self.by_key.resize(key + 1, None);
+        }
+        let interned = match self.by_key[key] {
+            Some(interned) => interned,
+            None => {
+                let interned = self.intern(channel);
+                self.by_key[key] = Some(interned);
+                interned
+            }
+        };
+        self.place_channel(interned, qubits);
+    }
+
+    fn check_channel(&self, channel: &KrausChannel, qubits: &[usize]) {
         assert_eq!(
             qubits.len(),
             channel.num_qubits(),
             "channel arity does not match the qubit list"
         );
-        for &q in qubits {
-            assert!(q < self.n_qubits, "qubit {q} out of range");
-        }
+        self.check_operands(qubits, "channels");
+    }
+
+    /// First sight of a channel: elide it, or lower it into the one
+    /// table this program keeps.
+    fn intern(&mut self, channel: &KrausChannel) -> Interned {
         if self.identity_epsilon > 0.0 && channel.is_near_identity(self.identity_epsilon) {
-            self.skipped_channels += 1;
-            return;
+            return Interned::Skipped;
         }
-        let idx = self
-            .channels
-            .iter()
-            .position(|c| c == channel)
-            .unwrap_or_else(|| {
-                self.channels.push(channel.clone());
-                self.superops.push(channel)
-            });
-        match *qubits {
-            [q] => self.ops.push(TapeOp::Channel1q { channel: idx, q }),
-            [q0, q1] => {
-                assert!(q0 != q1, "2q channel operands must differ");
-                self.ops.push(TapeOp::Channel2q {
-                    channel: idx,
-                    q0,
-                    q1,
-                });
+        Interned::Kept(match &mut self.target {
+            Target::Density(fuser) => fuser.members.push(channel),
+            Target::Trajectory(kraus) => {
+                kraus.push(channel.clone());
+                kraus.len() - 1
             }
-            _ => panic!("only 1- and 2-qubit channels are supported"),
+        })
+    }
+
+    fn place_channel(&mut self, interned: Interned, qubits: &[usize]) {
+        match interned {
+            Interned::Skipped => self.skipped_channels += 1,
+            Interned::Kept(idx) => self.push_fixed(Fixed::Channel(idx), qubits),
         }
     }
 
-    /// Seals the program with its readout model and scheduled duration.
-    pub fn finish(self, readout: ReadoutError, duration_ns: f64) -> CompiledProgram {
+    /// Appends a fixed op: straight onto the tape for trajectories,
+    /// into the open run (ending it first if the op does not fit) for
+    /// the density engine.
+    fn push_fixed(&mut self, op: Fixed, qubits: &[usize]) {
+        let Target::Density(fuser) = &mut self.target else {
+            self.ops.push(match op {
+                Fixed::Unitary(slot) => unitary_op(slot, qubits),
+                Fixed::Channel(channel) => channel_op(channel, qubits),
+            });
+            return;
+        };
+        let place = match fuser.place(qubits) {
+            Some(place) => place,
+            None => {
+                self.flush_run();
+                Placement::Whole
+            }
+        };
+        let Target::Density(fuser) = &mut self.target else {
+            unreachable!("checked above")
+        };
+        if fuser.run.is_empty() {
+            fuser.support = [qubits[0], qubits[qubits.len() - 1]];
+            fuser.arity = qubits.len();
+        }
+        fuser.run.push((op, place));
+    }
+
+    /// Ends the open run, if any: one channel-table sweep when it holds
+    /// a channel, its unitary ops unchanged when it does not.
+    fn flush_run(&mut self) {
+        let Target::Density(fuser) = &mut self.target else {
+            return;
+        };
+        if fuser
+            .run
+            .iter()
+            .any(|(op, _)| matches!(op, Fixed::Channel(_)))
+        {
+            let entry = fuser.compose(&self.unitaries);
+            self.ops
+                .push(channel_op(entry, &fuser.support[..fuser.arity]));
+        } else {
+            for &(op, place) in &fuser.run {
+                let Fixed::Unitary(slot) = op else {
+                    unreachable!("run holds no channel")
+                };
+                let (qubits, n) = place.operands(&fuser.support[..fuser.arity]);
+                self.ops.push(unitary_op(slot, &qubits[..n]));
+            }
+        }
+        fuser.run.clear();
+        fuser.arity = 0;
+    }
+
+    /// Seals the program with its readout model and scheduled duration;
+    /// the tape and tables keep no growth slack.
+    pub fn finish(mut self, readout: ReadoutError, duration_ns: f64) -> CompiledProgram {
+        self.flush_run();
+        self.ops.shrink_to_fit();
+        self.unitaries.shrink_to_fit();
+        let channels = match self.target {
+            Target::Density(mut fuser) => {
+                fuser.fused.seal();
+                ChannelTable::Fused(fuser.fused)
+            }
+            Target::Trajectory(mut kraus) => {
+                kraus.shrink_to_fit();
+                ChannelTable::Kraus(kraus)
+            }
+        };
         CompiledProgram {
             n_qubits: self.n_qubits,
             ops: self.ops,
             unitaries: self.unitaries,
-            channels: self.channels,
-            superops: self.superops,
+            channels,
             readout,
             duration_ns,
             skipped_channels: self.skipped_channels,
         }
+    }
+}
+
+fn unitary_op(slot: usize, qubits: &[usize]) -> TapeOp {
+    match *qubits {
+        [q] => TapeOp::Unitary1q { slot, q },
+        [q0, q1] => TapeOp::Unitary2q { slot, q0, q1 },
+        _ => unreachable!("operand count checked on push"),
+    }
+}
+
+fn channel_op(channel: usize, qubits: &[usize]) -> TapeOp {
+    match *qubits {
+        [q] => TapeOp::Channel1q { channel, q },
+        [q0, q1] => TapeOp::Channel2q { channel, q0, q1 },
+        _ => unreachable!("operand count checked on push"),
     }
 }
 
@@ -491,6 +815,7 @@ impl DensityEngine {
 
     /// Replays a tape segment over the persistent state.
     fn evolve_ops(&mut self, program: &CompiledProgram, ops: &[TapeOp]) {
+        let superops = program.superops();
         let rho = self.rho.as_mut().expect("state initialized by reset");
         for op in ops {
             match *op {
@@ -501,10 +826,10 @@ impl DensityEngine {
                     rho.apply_unitary_2q_ctx(program.unitary(slot), q0, q1, &self.ctx)
                 }
                 TapeOp::Channel1q { channel, q } => {
-                    rho.apply_superop_ctx(program.superops.get(channel), &[q], &self.ctx)
+                    rho.apply_superop_ctx(superops.get(channel), &[q], &self.ctx)
                 }
                 TapeOp::Channel2q { channel, q0, q1 } => {
-                    rho.apply_superop_ctx(program.superops.get(channel), &[q0, q1], &self.ctx)
+                    rho.apply_superop_ctx(superops.get(channel), &[q0, q1], &self.ctx)
                 }
             }
         }
@@ -582,13 +907,7 @@ impl DensityEngine {
         let ops = program.ops();
         let split = ops
             .iter()
-            .position(|op| {
-                matches!(
-                    *op,
-                    TapeOp::Unitary1q { slot: s, .. } | TapeOp::Unitary2q { slot: s, .. }
-                    if s == slot
-                )
-            })
+            .position(|op| op.unitary_slot() == Some(slot))
             .expect("shift slot must appear on the tape");
         self.reset(program.num_qubits());
         self.evolve_ops(program, &ops[..split]);
@@ -682,13 +1001,7 @@ impl DensityEngine {
                 start
                     + ops[start..]
                         .iter()
-                        .position(|op| {
-                            matches!(
-                                *op,
-                                TapeOp::Unitary1q { slot: s, .. } | TapeOp::Unitary2q { slot: s, .. }
-                                if s == slot
-                            )
-                        })
+                        .position(|op| op.unitary_slot() == Some(slot))
                         .expect("variant slot must appear on the tape after the walk start")
             })
             .collect();
@@ -841,6 +1154,7 @@ fn run_trajectory<R: RngCore + ?Sized>(
     rng: &mut R,
 ) {
     let n = program.num_qubits();
+    let kraus = program.kraus_channels();
     let state = match state_slot {
         Some(s) => {
             s.reset_to(n);
@@ -860,10 +1174,10 @@ fn run_trajectory<R: RngCore + ?Sized>(
             TapeOp::Unitary1q { slot, q } => state.apply_1q(program.unitary(slot), q),
             TapeOp::Unitary2q { slot, q0, q1 } => state.apply_2q(program.unitary(slot), q0, q1),
             TapeOp::Channel1q { channel, q } => {
-                unravel_channel(state, candidate, program.channel(channel), &[q], rng)
+                unravel_channel(state, candidate, &kraus[channel], &[q], rng)
             }
             TapeOp::Channel2q { channel, q0, q1 } => {
-                unravel_channel(state, candidate, program.channel(channel), &[q0, q1], rng)
+                unravel_channel(state, candidate, &kraus[channel], &[q0, q1], rng)
             }
         }
     }
@@ -979,6 +1293,8 @@ impl TrajectoryEngine {
         if !self.ctx.is_parallel() || self.trajectories < 2 {
             return self.run_program(program, shots, rng);
         }
+        // Reject a density-lowered program here, not on a worker.
+        let _ = program.kraus_channels();
         let n = program.num_qubits();
         let dim = 1usize << n;
         let total_traj = self.trajectories;
@@ -1132,7 +1448,11 @@ mod tests {
     use rand::SeedableRng;
 
     fn bell_program(noise_p: f64) -> CompiledProgram {
-        let mut b = ProgramBuilder::new(2);
+        bell_program_for(noise_p, Lowering::Density)
+    }
+
+    fn bell_program_for(noise_p: f64, lowering: Lowering) -> CompiledProgram {
+        let mut b = ProgramBuilder::for_lowering(2, lowering);
         b.push_unitary(gates::h(), &[0]);
         b.push_unitary(gates::cx(), &[0, 1]);
         if noise_p > 0.0 {
@@ -1180,10 +1500,16 @@ mod tests {
 
     #[test]
     fn trajectory_engine_agrees_with_density_statistics() {
-        let prog = bell_program(0.05);
-        let dens = DensityEngine::new().run_program(&prog, 40_000, &mut StdRng::seed_from_u64(3));
-        let traj =
-            TrajectoryEngine::new(300).run_program(&prog, 40_000, &mut StdRng::seed_from_u64(4));
+        let dens = DensityEngine::new().run_program(
+            &bell_program(0.05),
+            40_000,
+            &mut StdRng::seed_from_u64(3),
+        );
+        let traj = TrajectoryEngine::new(300).run_program(
+            &bell_program_for(0.05, Lowering::Trajectory),
+            40_000,
+            &mut StdRng::seed_from_u64(4),
+        );
         let d = dens.probability(0) + dens.probability(0b11);
         let t = traj.probability(0) + traj.probability(0b11);
         assert!((d - t).abs() < 0.03, "density {d} vs trajectories {t}");
@@ -1202,6 +1528,127 @@ mod tests {
         assert_eq!(prog.num_channels(), 1, "identical channels are interned");
         assert_eq!(prog.num_unitaries(), 1);
         assert_eq!(prog.ops().len(), 4);
+    }
+
+    #[test]
+    fn a_gate_cluster_is_one_sweep_and_is_composed_once() {
+        let relax = KrausChannel::thermal_relaxation(100.0, 80.0, 3.0);
+        let depol = KrausChannel::depolarizing_1q(0.01);
+        let mut b = ProgramBuilder::new(2);
+        let mut slots = Vec::new();
+        for q in [0, 0, 1] {
+            b.push_unitary(gates::sx(), &[q]);
+            b.push_keyed_channel(0, &relax, &[q]);
+            b.push_keyed_channel(1, &depol, &[q]);
+            slots.push(b.push_parameterized(gates::rz(0.3), &[q]));
+        }
+        let prog = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
+        let expected: Vec<TapeOp> = [0, 0, 1]
+            .iter()
+            .zip(&slots)
+            .flat_map(|(&q, &slot)| {
+                [
+                    TapeOp::Channel1q { channel: 0, q },
+                    TapeOp::Unitary1q { slot, q },
+                ]
+            })
+            .collect();
+        assert_eq!(prog.ops(), expected, "9 fixed pushes are 3 sweeps");
+        assert_eq!(prog.num_channels(), 1, "the recurring cluster is one entry");
+        let s = prog.superops().get(0);
+        assert_eq!((s.num_qubits(), s.nnz()), (1, 16));
+        assert_eq!(prog.first_op_using(&slots), 1);
+    }
+
+    #[test]
+    fn a_one_qubit_run_grows_into_the_two_qubit_op_in_either_order() {
+        let relax = KrausChannel::thermal_relaxation(100.0, 80.0, 3.0);
+        let depol2 = KrausChannel::depolarizing_2q(0.02);
+        for (idle, reversed) in [(0, false), (1, false), (1, true)] {
+            let mut b = ProgramBuilder::new(3);
+            b.push_channel(&relax, &[idle]);
+            b.push_unitary(gates::cx(), &[0, 1]);
+            b.push_channel(&relax, &[0]);
+            b.push_channel(&relax, &[1]);
+            let pair: &[usize] = if reversed { &[1, 0] } else { &[0, 1] };
+            b.push_channel(&depol2, pair);
+            // Outside the support: ends the run.
+            b.push_channel(&relax, &[2]);
+            let prog = b.finish(ReadoutError::uniform(3, 0.0), 100.0);
+            assert_eq!(
+                prog.ops(),
+                [
+                    TapeOp::Channel2q {
+                        channel: 0,
+                        q0: 0,
+                        q1: 1
+                    },
+                    TapeOp::Channel1q { channel: 1, q: 2 },
+                ],
+                "idle on {idle}, reversed {reversed}"
+            );
+            assert!(prog.superops().get(0).is_real(), "a CX run is real");
+        }
+    }
+
+    #[test]
+    fn ideal_noise_compiles_to_unitary_ops_only() {
+        let mut b = ProgramBuilder::new(2);
+        let h = b.push_unitary(gates::h(), &[0]);
+        let cx = b.push_unitary(gates::cx(), &[0, 1]);
+        let rz = b.push_unitary(gates::rz(0.4), &[1]);
+        let p = b.push_parameterized(gates::ry(0.1), &[1]);
+        b.push_unitary(gates::cx(), &[1, 0]);
+        // Elided channels do not make a run noisy.
+        b.push_channel(&KrausChannel::depolarizing_1q(0.0), &[0]);
+        let prog = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
+        assert_eq!(
+            prog.ops(),
+            [
+                TapeOp::Unitary1q { slot: h, q: 0 },
+                TapeOp::Unitary2q {
+                    slot: cx,
+                    q0: 0,
+                    q1: 1
+                },
+                TapeOp::Unitary1q { slot: rz, q: 1 },
+                TapeOp::Unitary1q { slot: p, q: 1 },
+                TapeOp::Unitary2q {
+                    slot: cx,
+                    q0: 1,
+                    q1: 0
+                },
+            ]
+        );
+        assert_eq!(prog.num_channels(), 0);
+    }
+
+    #[test]
+    fn trajectory_lowering_keeps_one_op_per_push_and_no_superoperator() {
+        let relax = KrausChannel::thermal_relaxation(100.0, 80.0, 3.0);
+        let mut b = ProgramBuilder::for_lowering(2, Lowering::Trajectory);
+        b.push_unitary(gates::sx(), &[0]);
+        b.push_keyed_channel(5, &relax, &[0]);
+        b.push_keyed_channel(5, &relax, &[1]);
+        b.push_channel(&KrausChannel::depolarizing_2q(0.02), &[1, 0]);
+        let prog = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
+        assert_eq!(prog.lowering(), Lowering::Trajectory);
+        assert_eq!(prog.ops().len(), 4);
+        assert_eq!(prog.kraus_channels().len(), 2, "equal keys intern once");
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered for trajectories")]
+    fn density_engine_rejects_a_trajectory_program() {
+        let prog = bell_program_for(0.05, Lowering::Trajectory);
+        DensityEngine::new().evolve_probs(&prog, &mut Vec::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered for the density engine")]
+    fn trajectory_engine_rejects_a_density_program() {
+        let prog = bell_program(0.05);
+        let _ = TrajectoryEngine::new(4).run_program(&prog, 16, &mut StdRng::seed_from_u64(1));
     }
 
     #[test]
@@ -1243,8 +1690,8 @@ mod tests {
         assert_eq!(zeros.get(0), 100);
     }
 
-    fn noisy_program() -> CompiledProgram {
-        let mut b = ProgramBuilder::new(3);
+    fn noisy_program(lowering: Lowering) -> CompiledProgram {
+        let mut b = ProgramBuilder::for_lowering(3, lowering);
         b.push_unitary(gates::h(), &[0]);
         b.push_unitary(gates::cx(), &[0, 1]);
         b.push_unitary(gates::ry(0.3), &[2]);
@@ -1256,7 +1703,7 @@ mod tests {
 
     #[test]
     fn parallel_trajectory_engine_is_bit_identical_to_serial() {
-        let prog = noisy_program();
+        let prog = noisy_program(Lowering::Trajectory);
         let ctx = crate::parallel::ParallelCtx::with_workers(4);
         // (trajectories, shots): even split, remainder spread, and
         // more trajectories than shots (zero-shot trajectories).
@@ -1283,7 +1730,7 @@ mod tests {
 
     #[test]
     fn evolve_then_sample_matches_run_program() {
-        let prog = noisy_program();
+        let prog = noisy_program(Lowering::Density);
         let mut engine = DensityEngine::new();
         let direct = engine.run_program(&prog, 4096, &mut StdRng::seed_from_u64(21));
         let mut probs = Vec::new();
@@ -1421,14 +1868,13 @@ mod tests {
 
     #[test]
     fn engines_work_behind_the_trait_object() {
-        let prog = bell_program(0.02);
-        let mut engines: Vec<Box<dyn SimEngine>> = vec![
-            Box::new(DensityEngine::new()),
-            Box::new(TrajectoryEngine::new(64)),
+        let mut engines: Vec<(Box<dyn SimEngine>, Lowering)> = vec![
+            (Box::new(DensityEngine::new()), Lowering::Density),
+            (Box::new(TrajectoryEngine::new(64)), Lowering::Trajectory),
         ];
         let mut rng = StdRng::seed_from_u64(6);
-        for e in &mut engines {
-            let counts = e.run(&prog, 2048, &mut rng);
+        for (e, lowering) in &mut engines {
+            let counts = e.run(&bell_program_for(0.02, *lowering), 2048, &mut rng);
             assert_eq!(counts.total(), 2048);
         }
     }

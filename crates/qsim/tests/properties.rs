@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use qsim::density::baseline;
 use qsim::noise::{KrausChannel, SuperopTable};
-use qsim::program::{DensityEngine, ProgramBuilder};
+use qsim::program::{CompiledProgram, DensityEngine, ProgramBuilder};
 use qsim::statevector::StateVector;
 use qsim::{gates, CMatrix, DensityMatrix, ParallelCtx, Pauli, ReadoutError, C64};
 use rand::rngs::StdRng;
@@ -122,6 +122,89 @@ fn random_tape(n: usize, len: usize, rng: &mut StdRng) -> Vec<Step> {
         .collect()
 }
 
+/// A random tape built to exercise run fusion: bursts of ops on one
+/// qubit pair in either operand order — one-qubit runs, two-qubit runs,
+/// one-qubit runs growing into the two-qubit op that follows, dense and
+/// monomial members — with parameterized gates (`true`) cutting
+/// through. Every pair of an `n`-qubit register comes up.
+fn clustered_tape(n: usize, bursts: usize, rng: &mut StdRng) -> Vec<(Step, bool)> {
+    let mut tape = Vec::new();
+    for _ in 0..bursts {
+        let a = rng.gen_range(0..n);
+        let b = (a + rng.gen_range(1..n)) % n;
+        for _ in 0..rng.gen_range(1..=6usize) {
+            let (x, y) = if rng.gen_range(0..2) == 0 {
+                (a, b)
+            } else {
+                (b, a)
+            };
+            let kind = rng.gen_range(0..10usize);
+            let step = match kind {
+                0 | 8 => Step::U1(random_1q(rng), x),
+                1 | 9 => Step::U2(random_2q(rng), x, y),
+                2 => Step::Ch(
+                    KrausChannel::thermal_relaxation(90.0, 70.0, rng.gen_range(0.1..30.0)),
+                    vec![x],
+                ),
+                3 => Step::Ch(
+                    KrausChannel::depolarizing_1q(rng.gen_range(0.01..0.3)),
+                    vec![x],
+                ),
+                4 => Step::Ch(
+                    KrausChannel::depolarizing_2q(rng.gen_range(0.01..0.3)),
+                    vec![x, y],
+                ),
+                5 => Step::Ch(random_channel(1, rng.gen_range(1..=4usize), rng), vec![x]),
+                6 => Step::Ch(
+                    random_channel(2, rng.gen_range(1..=3usize), rng),
+                    vec![x, y],
+                ),
+                _ => Step::U2(gates::cx(), x, y),
+            };
+            tape.push((step, kind >= 8));
+        }
+    }
+    tape
+}
+
+/// Compiles a [`clustered_tape`] for the density engine; returns the
+/// program and the slot of every parameterized gate in tape order.
+fn compile_tape(n: usize, tape: &[(Step, bool)]) -> (CompiledProgram, Vec<usize>) {
+    let mut builder = ProgramBuilder::new(n);
+    let mut slots = Vec::new();
+    for (step, parameterized) in tape {
+        match (step, parameterized) {
+            (Step::U1(u, q), false) => drop(builder.push_unitary(u.clone(), &[*q])),
+            (Step::U2(u, a, b), false) => drop(builder.push_unitary(u.clone(), &[*a, *b])),
+            (Step::U1(u, q), true) => slots.push(builder.push_parameterized(u.clone(), &[*q])),
+            (Step::U2(u, a, b), true) => {
+                slots.push(builder.push_parameterized(u.clone(), &[*a, *b]))
+            }
+            (Step::Ch(ch, qs), _) => builder.push_channel(ch, qs),
+        }
+    }
+    (builder.finish(ReadoutError::uniform(n, 0.01), 0.0), slots)
+}
+
+/// The state a program leaves behind: a group walk with no variants
+/// that captures at the end of the tape.
+fn final_state(engine: &mut DensityEngine, program: &CompiledProgram) -> DensityMatrix {
+    engine
+        .evolve_group_forks(
+            program,
+            &[],
+            None,
+            Some(program.ops().len()),
+            &mut Vec::new(),
+            None,
+        )
+        .expect("capture at the end of the tape")
+}
+
+fn prob_bits(p: &[f64]) -> Vec<u64> {
+    p.iter().map(|x| x.to_bits()).collect()
+}
+
 fn bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
     let m = rho.matrix();
     m.as_slice()
@@ -209,6 +292,124 @@ proptest! {
             }
         }
         prop_assert_eq!(bits(&serial), bits(&team));
+    }
+
+    /// A fused program leaves the state op-by-op application of the
+    /// oracle kernels leaves — to rounding, with unit trace and
+    /// Hermiticity intact — whatever runs the tape fuses.
+    #[test]
+    fn fused_program_matches_op_by_op_application(n in 3usize..=5, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tape = clustered_tape(n, 8, &mut rng);
+        let (program, _) = compile_tape(n, &tape);
+        let mut oracle = DensityMatrix::new(n);
+        for (step, _) in &tape {
+            match step {
+                Step::U1(u, q) => baseline::apply_unitary_1q(&mut oracle, u, *q),
+                Step::U2(u, a, b) => baseline::apply_unitary_2q(&mut oracle, u, *a, *b),
+                Step::Ch(ch, qs) => baseline::apply_channel(&mut oracle, ch, qs),
+            }
+        }
+        prop_assert!(program.ops().len() <= tape.len());
+        let fused = final_state(&mut DensityEngine::new(), &program);
+        prop_assert!(
+            fused.matrix().approx_eq(&oracle.matrix(), 1e-12),
+            "fused tape of {} sweeps diverges from its {} ops", program.ops().len(), tape.len()
+        );
+        prop_assert!((fused.trace() - 1.0).abs() < 1e-12, "trace {}", fused.trace());
+        prop_assert!(fused.matrix().is_hermitian(1e-13));
+    }
+
+    /// Fusion never swallows a parameterized gate: each rebind slot is
+    /// exactly one unitary op of the tape, so `first_op_using` names a
+    /// unitary op; and without a channel nothing is fused at all.
+    #[test]
+    fn parameterized_slots_stay_unitary_ops(n in 3usize..=5, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let tape = clustered_tape(n, 8, &mut rng);
+        let (program, slots) = compile_tape(n, &tape);
+        for &slot in &slots {
+            let uses = program.ops().iter().filter(|op| op.unitary_slot() == Some(slot)).count();
+            prop_assert_eq!(uses, 1, "slot {} must be one unitary op", slot);
+        }
+        let k = program.first_op_using(&slots);
+        match slots.first() {
+            Some(&first) => prop_assert_eq!(program.ops()[k].unitary_slot(), Some(first)),
+            None => prop_assert_eq!(k, program.ops().len()),
+        }
+        let ideal: Vec<(Step, bool)> = tape
+            .into_iter()
+            .filter(|(step, _)| !matches!(step, Step::Ch(..)))
+            .collect();
+        let (program, _) = compile_tape(n, &ideal);
+        prop_assert_eq!(program.ops().len(), ideal.len());
+        prop_assert!(program.ops().iter().all(|op| op.unitary_slot().is_some()));
+        prop_assert_eq!(program.num_channels(), 0);
+    }
+
+    /// Folded pairs, group forks with resumed suffixes, and a walk
+    /// resumed from a captured prefix all reproduce a full evolution of
+    /// the same fused program bit for bit.
+    #[test]
+    fn fork_and_resume_paths_are_byte_identical_on_fused_programs(
+        n in 3usize..=5,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut tape = clustered_tape(n, 8, &mut rng);
+        // At least one parameterized gate, behind a nonempty prefix.
+        tape.insert(tape.len() / 2, (Step::U1(random_1q(&mut rng), rng.gen_range(0..n)), true));
+        let (mut program, slots) = compile_tape(n, &tape);
+        let variants: Vec<(usize, CMatrix)> = slots
+            .iter()
+            .map(|&slot| {
+                let alt = if program.unitary(slot).rows() == 2 {
+                    random_1q(&mut rng)
+                } else {
+                    random_2q(&mut rng)
+                };
+                (slot, alt)
+            })
+            .collect();
+        let mut engine = DensityEngine::new();
+        // Reference: one full evolution per binding.
+        let mut base_ref = Vec::new();
+        engine.evolve_probs(&program, &mut base_ref);
+        let mut refs = Vec::new();
+        for (slot, alt) in &variants {
+            let base = program.unitary(*slot).clone();
+            program.set_unitary(*slot, alt.clone());
+            let mut p = Vec::new();
+            engine.evolve_probs(&program, &mut p);
+            refs.push(p);
+            program.set_unitary(*slot, base);
+        }
+        // Folded shift pair on the first slot.
+        let (mut fwd, mut bck) = (Vec::new(), Vec::new());
+        engine.evolve_shift_pair_probs(&program, variants[0].0, &variants[0].1, &mut fwd, &mut bck);
+        prop_assert_eq!(prob_bits(&fwd), prob_bits(&base_ref));
+        prop_assert_eq!(prob_bits(&bck), prob_bits(&refs[0]));
+        // Group forks off one base walk, capturing the shared prefix.
+        let k = program.first_op_using(&slots);
+        let (mut forks, mut base, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let captured = engine
+            .evolve_group_forks(&program, &variants, None, Some(k), &mut forks, Some(&mut base))
+            .expect("capture requested");
+        prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref));
+        prop_assert_eq!(forks.len(), variants.len());
+        for (v, at, state) in &forks {
+            engine.resume_probs(&program, state, *at, &mut out);
+            prop_assert_eq!(prob_bits(&out), prob_bits(&refs[*v]), "variant {}", v);
+        }
+        // The same walk resumed from the captured prefix.
+        engine.evolve_group_forks(
+            &program, &variants, Some((&captured, k)), None, &mut forks, Some(&mut base),
+        );
+        prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref));
+        for (v, at, state) in &forks {
+            engine.resume_probs(&program, state, *at, &mut out);
+            prop_assert_eq!(prob_bits(&out), prob_bits(&refs[*v]), "resumed variant {}", v);
+        }
     }
 
     /// A noise-free compiled program through the density engine
