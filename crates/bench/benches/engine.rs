@@ -22,9 +22,12 @@ use qdevice::{
     TemplateRun,
 };
 use qsim::density::baseline;
+use qsim::noise::Superop;
+use qsim::program::{CompiledProgram, ProgramBuilder, TapeOp};
+use qsim::sampler::{ReadoutError, ShotSampler};
 use qsim::{gates, DensityMatrix, KrausChannel, ParallelCtx, SuperopTable};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 /// The 4-qubit hardware-efficient VQE ansatz shape (RY layer, CX chain,
 /// RZ layer) the paper's Fig. 8 workload transpiles to.
@@ -67,6 +70,91 @@ fn bench_gate_kernels(c: &mut Criterion) {
     group.bench_function("unitary_2q_5q", |b| {
         b.iter(|| rho.apply_unitary_2q(&cx, 1, 3))
     });
+
+    // The three sweeps a transpiled 7-qubit tape is made of: the
+    // parameterized RZ, a fused one-qubit cluster (complex: sx +
+    // relaxation + depolarizing; real: relaxation alone) and a fused
+    // two-qubit cluster (cx + relaxation on both + depolarizing) —
+    // serial, then the same rows under a two-lane team. One pass is
+    // 7–60 us, so take more samples than the default ten.
+    group.sample_size(100);
+    let relax = KrausChannel::thermal_relaxation(120e3, 90e3, 300.0);
+    let depol1 = KrausChannel::depolarizing_1q(0.001);
+    let depol2 = KrausChannel::depolarizing_2q(0.01);
+    let complex_1q = fused_cluster(7, |b| {
+        b.push_unitary(gates::sx(), &[3]);
+        b.push_channel(&relax, &[3]);
+        b.push_channel(&depol1, &[3]);
+    });
+    let real_1q = fused_cluster(7, |b| b.push_channel(&relax, &[3]));
+    let fused_2q = fused_cluster(7, |b| {
+        b.push_unitary(gates::cx(), &[2, 4]);
+        b.push_channel(&relax, &[2]);
+        b.push_channel(&relax, &[4]);
+        b.push_channel(&depol2, &[2, 4]);
+    });
+    let rz = gates::rz(0.37);
+    let mut rho = DensityMatrix::new(7);
+    for q in 0..7 {
+        rho.apply_unitary_1q(&gates::h(), q);
+    }
+    for (suffix, ctx) in [
+        ("", ParallelCtx::SERIAL),
+        ("_2lanes", ParallelCtx::with_workers(2)),
+    ] {
+        group.bench_function(format!("rz_7q{suffix}"), |b| {
+            b.iter(|| rho.apply_unitary_1q_ctx(&rz, 3, &ctx))
+        });
+        let clusters = [
+            ("fused_1q_complex", &complex_1q),
+            ("fused_1q_real", &real_1q),
+            ("fused_2q", &fused_2q),
+        ];
+        for (name, program) in clusters {
+            let (s, qubits) = only_sweep(program);
+            group.bench_function(format!("{name}_7q{suffix}"), |b| {
+                b.iter(|| rho.apply_superop_ctx(s, &qubits, &ctx))
+            });
+        }
+    }
+    group.finish();
+}
+
+/// A density-lowered program holding just the ops `push` appends — one
+/// fused run, as the engine would sweep it.
+fn fused_cluster(n: usize, push: impl FnOnce(&mut ProgramBuilder)) -> CompiledProgram {
+    let mut b = ProgramBuilder::new(n);
+    push(&mut b);
+    b.finish(ReadoutError::uniform(n, 0.0), 0.0)
+}
+
+/// The single superoperator sweep of a [`fused_cluster`] program.
+fn only_sweep(program: &CompiledProgram) -> (Superop<'_>, Vec<usize>) {
+    match *program.ops() {
+        [TapeOp::Channel1q { channel, q }] => (program.superops().get(channel), vec![q]),
+        [TapeOp::Channel2q { channel, q0, q1 }] => (program.superops().get(channel), vec![q0, q1]),
+        ref ops => panic!("expected one fused sweep, got {ops:?}"),
+    }
+}
+
+fn bench_sampler(c: &mut Criterion) {
+    // `ShotSampler::sample_counts` (guide table) beside the plain
+    // `sample_indices` loop it must reproduce draw for draw, at the two
+    // shapes the benchmark workloads sample: 16 outcomes x 8192 shots
+    // and 128 outcomes x 1024 shots.
+    let mut group = c.benchmark_group("sampler");
+    let mut sampler = ShotSampler::new();
+    let mut indices = Vec::new();
+    for (n_qubits, shots) in [(4usize, 8192usize), (7, 1024)] {
+        let mut rng = StdRng::seed_from_u64(5);
+        let probs: Vec<f64> = (0..1usize << n_qubits).map(|_| rng.gen::<f64>()).collect();
+        group.bench_function(format!("sample_indices_{n_qubits}q_{shots}"), |b| {
+            b.iter(|| sampler.sample_indices_into(&probs, shots, &mut rng, &mut indices))
+        });
+        group.bench_function(format!("sample_counts_{n_qubits}q_{shots}"), |b| {
+            b.iter(|| sampler.sample_counts(&probs, n_qubits, shots, &mut rng))
+        });
+    }
     group.finish();
 }
 
@@ -192,6 +280,7 @@ fn bench_job_throughput(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_gate_kernels,
+    bench_sampler,
     bench_channel_application,
     bench_execute_density_paths,
     bench_job_throughput

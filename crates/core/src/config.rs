@@ -13,9 +13,16 @@ use std::sync::Arc;
 /// independent trajectories fan out over the team. Results are
 /// **byte-identical at any setting** — the engines partition work, never
 /// reorder arithmetic or RNG draws — so this is purely a wall-clock
-/// knob. It pays off from roughly six active qubits upward (below that
-/// the kernels stay serial regardless) and for trajectory simulation;
-/// the paper's 4–5 qubit workloads gain little.
+/// knob. Below six active qubits the kernels stay serial regardless.
+/// Measured on a shared 2-vCPU sandbox (`engine` bench,
+/// `gate_kernel/*_7q` beside `*_7q_2lanes`, and a tight-loop harness
+/// from 6 to 11 qubits): at 6–7 qubits a two-lane team never beat
+/// serial on any kernel pass (7 qubits, best of 100: one-qubit sweep 62
+/// vs 63 us, RZ 7.5 vs 7.8 us; tight loop 1.05–1.4x slower) — a pass is
+/// now shorter than a worker wake-up — and from 8 to 11 qubits it ran
+/// anywhere between 1.0x and 2.0x serial from one process to the next.
+/// So: wide states and trajectory simulation; the paper's 4–7 qubit
+/// workloads parallelize through [`SimParallelism::Pipeline`] instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimParallelism {
     /// Everything on the submitting thread (the default).

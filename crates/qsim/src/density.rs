@@ -102,6 +102,9 @@ fn insert_bit(k: usize, q: usize) -> usize {
 /// right: single rows) with per-element arithmetic independent of the
 /// partition, so any worker count produces byte-identical results.
 fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize, ctx: &ParallelCtx) {
+    if u[(0, 1)] == C64::ZERO && u[(1, 0)] == C64::ZERO {
+        return kernel_1q_diag(mat, dim, [u[(0, 0)], u[(1, 1)]], q, ctx);
+    }
     if let Some(rows) = sparse_rows::<2>(u) {
         return kernel_1q_sparse(mat, dim, &rows, q, ctx);
     }
@@ -138,6 +141,41 @@ fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize, ctx: &ParallelC
                     let a1 = row[c1];
                     row[c] = a0 * d00 + a1 * d10;
                     row[c1] = a0 * d01 + a1 * d11;
+                }
+            }
+        }
+    });
+}
+
+/// Diagonal-operator path for [`kernel_1q`] (every parameterized op left
+/// on a transpiled tape is an RZ): `U rho U^dag` multiplies entry
+/// `(r, c)` by `d[r_q] * conj(d[c_q])`, so one pass over the `lo`/`hi`
+/// column runs of each row replaces the left and right passes — the
+/// two-pass product `(d_r x) conj(d_c)` re-associated, equal to rounding
+/// (~1e-16).
+///
+/// When both entries have unit modulus (every phase gate) the factor on
+/// the half of the state with `r_q == c_q` is exactly 1 and that half —
+/// the whole diagonal with it — is not touched at all.
+fn kernel_1q_diag(mat: &mut [C64], dim: usize, d: [C64; 2], q: usize, ctx: &ParallelCtx) {
+    let ctx = gate_ctx(ctx, dim);
+    let bit = 1usize << q;
+    let unit = d
+        .iter()
+        .all(|z| (z.norm_sqr() - 1.0).abs() <= 4.0 * f64::EPSILON);
+    let p = RowPtr(mat.as_mut_ptr());
+    ctx.run_chunks(dim, |r0, r1| {
+        for r in r0..r1 {
+            let rq = usize::from(r & bit != 0);
+            let f = [d[rq] * d[0].conj(), d[rq] * d[1].conj()];
+            // SAFETY: row chunks are disjoint.
+            let row = unsafe { p.row(r, dim) };
+            for run in row.chunks_exact_mut(2 * bit) {
+                let (lo, hi) = run.split_at_mut(bit);
+                for (cq, half) in [lo, hi].into_iter().enumerate() {
+                    if !(unit && cq == rq) {
+                        half.iter_mut().for_each(|x| *x *= f[cq]);
+                    }
                 }
             }
         }
@@ -322,46 +360,93 @@ fn kernel_2q_sparse(
     });
 }
 
-/// Applies a lowered channel in place: one sweep over the `M x M`
-/// blocks of `rho` on the operand qubits (`M` = 2 or 4), each block
-/// read whole and overwritten with `S * block` (see
+/// Applies a lowered one-qubit channel in place: one sweep over the
+/// `2x2` blocks of `rho` on qubit `q`, each overwritten with `m * block`
+/// (`m` is the superoperator expanded dense, block entry `(i, j)` at
+/// index `i * 2 + j` — see [`crate::noise::SuperopTable`]).
+///
+/// A stream kernel: each row pair `(r, r | bit)` is walked as column
+/// runs of `2 * bit` split at `bit`, so the four entries of a block come
+/// from four zipped contiguous slices and the inner loop is sixteen
+/// multiply-adds with no index arithmetic. A fused gate cluster has all
+/// sixteen entries; for bare relaxation (5 of 16) the exact `0 * x`
+/// terms a sparse row would skip still cost less than skipping them,
+/// and can only change the sign of exact zeros.
+///
+/// Partitioned over base rows exactly like the left pass of
+/// [`kernel_1q`]: a pair owns its two rows outright and per-block
+/// arithmetic does not depend on the partition, so any worker count
+/// produces byte-identical results.
+fn kernel_superop_1q<C>(mat: &mut [C64], dim: usize, m: [[C; 4]; 4], q: usize, ctx: &ParallelCtx)
+where
+    C: Copy + Sync + std::ops::Mul<C64, Output = C64>,
+{
+    let ctx = gate_ctx(ctx, dim);
+    let bit = 1usize << q;
+    let p = RowPtr(mat.as_mut_ptr());
+    ctx.run_chunks(dim / 2, |k0, k1| {
+        for k in k0..k1 {
+            let r = insert_bit(k, q);
+            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
+            let row0 = unsafe { p.row(r, dim) };
+            let row1 = unsafe { p.row(r | bit, dim) };
+            let runs = row0
+                .chunks_exact_mut(2 * bit)
+                .zip(row1.chunks_exact_mut(2 * bit));
+            for (run0, run1) in runs {
+                let (lo0, hi0) = run0.split_at_mut(bit);
+                let (lo1, hi1) = run1.split_at_mut(bit);
+                for (((x0, x1), x2), x3) in lo0.iter_mut().zip(hi0).zip(lo1).zip(hi1) {
+                    let a = [*x0, *x1, *x2, *x3];
+                    let out = |e: usize| {
+                        m[e][0] * a[0] + m[e][1] * a[1] + m[e][2] * a[2] + m[e][3] * a[3]
+                    };
+                    (*x0, *x1, *x2, *x3) = (out(0), out(1), out(2), out(3));
+                }
+            }
+        }
+    });
+}
+
+/// Applies a lowered two-qubit channel in place: one sweep over the
+/// `4x4` blocks of `rho` on the operand qubits, each block read whole
+/// and overwritten with `S * block` (see
 /// [`crate::noise::SuperopTable`]). `off[i]` is the index offset of
 /// local basis state `i`; `sorted` lists the operand qubits ascending.
 ///
 /// Partitioned over row groups exactly like the left pass of
-/// [`kernel_1q`] / [`kernel_2q`]: a group owns its `M` rows outright
-/// and per-block arithmetic does not depend on the partition, so any
-/// worker count produces byte-identical results.
-fn kernel_superop<const M: usize>(
+/// [`kernel_2q`]: a group owns its four rows outright and per-block
+/// arithmetic does not depend on the partition, so any worker count
+/// produces byte-identical results.
+fn kernel_superop(
     mat: &mut [C64],
     dim: usize,
     s: Superop<'_>,
-    off: [usize; M],
-    sorted: &[usize],
+    off: [usize; 4],
+    sorted: [usize; 2],
     ctx: &ParallelCtx,
 ) {
     let ctx = gate_ctx(ctx, dim);
-    let base = |k: usize| sorted.iter().fold(k, |k, &q| insert_bit(k, q));
-    // Flat offset of block entry `e = i * M + j` from the block origin
-    // (entries past `M * M` are never read).
-    let at: [usize; 16] = std::array::from_fn(|e| off[e / M % M] * dim + off[e % M]);
+    let base = |k: usize| insert_bit(insert_bit(k, sorted[0]), sorted[1]);
+    // Flat offset of block entry `e = i * 4 + j` from the block origin.
+    let at: [usize; 16] = std::array::from_fn(|e| off[e / 4] * dim + off[e % 4]);
     let rows = s.rows();
     let p = RowPtr(mat.as_mut_ptr());
-    ctx.run_chunks(dim / M, |k0, k1| {
+    ctx.run_chunks(dim / 4, |k0, k1| {
         let mut block = [C64::ZERO; 16];
         for r in (k0..k1).map(base) {
-            for c in (0..dim / M).map(base) {
+            for c in (0..dim / 4).map(base) {
                 let origin = r * dim + c;
-                for e in 0..M * M {
+                for e in 0..16 {
                     // SAFETY: `r` and `c` have the operand bits clear and
                     // `off` sets only those (all below `dim`: the caller
                     // checked the qubits), so the index is in bounds;
                     // distinct base rows yield disjoint row groups.
                     block[e] = unsafe { *p.at(origin + at[e]) };
                 }
-                for e in 0..M * M {
-                    // Columns are below `M * M <= 16` by construction;
-                    // the mask only tells the compiler so.
+                for e in 0..16 {
+                    // Columns are below 16 by construction; the mask
+                    // only tells the compiler so.
                     let (cols, re, im) = rows[e];
                     let mut acc = C64::ZERO;
                     if im.is_empty() {
@@ -387,12 +472,14 @@ fn kernel_superop<const M: usize>(
 /// layer landed: column-major iteration, a heap-allocated gather per
 /// two-qubit position, and a full state clone per Kraus operator. The
 /// unitary kernels compute the exact same floating-point results as the
-/// current ones (element-wise the arithmetic is unchanged; only
-/// iteration order and allocation differ). [`baseline::apply_channel`]
-/// is the literal Kraus sum — the oracle the lowered-superoperator sweep
-/// is tested against: equal to 1e-12 (the sum is re-associated, so the
-/// states differ at the 1e-16 level), with equal sampled counts on every
-/// pinned fixture. Never use these on a hot path.
+/// current dense and sparse ones (element-wise the arithmetic is
+/// unchanged; only iteration order and allocation differ); the one-pass
+/// diagonal kernel re-associates and equals them to ~1e-16.
+/// [`baseline::apply_channel`] is the literal Kraus sum — the oracle the
+/// lowered-superoperator sweep is tested against: equal to 1e-12 (the
+/// sum is re-associated, so the states differ at the 1e-16 level), with
+/// equal sampled counts on every pinned fixture. Never use these on a
+/// hot path.
 pub mod baseline {
     use super::*;
 
@@ -603,8 +690,8 @@ impl DensityMatrix {
     }
 
     /// [`DensityMatrix::apply_unitary_1q`] under an explicit
-    /// [`ParallelCtx`]: the two kernel passes partition over disjoint
-    /// row blocks, byte-identical to serial at any worker count.
+    /// [`ParallelCtx`]: every kernel pass partitions over disjoint row
+    /// blocks, byte-identical to serial at any worker count.
     ///
     /// # Panics
     ///
@@ -678,12 +765,15 @@ impl DensityMatrix {
         }
         let dim = self.dim();
         match *qubits {
-            [q] => kernel_superop(&mut self.mat, dim, s, [0, 1 << q], &[q], ctx),
+            [q] if s.is_real() => {
+                kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<f64>(), q, ctx)
+            }
+            [q] => kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<C64>(), q, ctx),
             [q0, q1] => {
                 assert!(q0 != q1, "2q channel operands must differ");
                 let (b0, b1) = (1usize << q0, 1usize << q1);
                 let sorted = [q0.min(q1), q0.max(q1)];
-                kernel_superop(&mut self.mat, dim, s, [0, b0, b1, b0 | b1], &sorted, ctx)
+                kernel_superop(&mut self.mat, dim, s, [0, b0, b1, b0 | b1], sorted, ctx)
             }
             _ => panic!("only 1- and 2-qubit channels are supported"),
         }
@@ -949,14 +1039,19 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
 
-    /// A small noisy workload touching every kernel: sparse and dense
-    /// 1q/2q unitaries plus sparse channels (including an all-zero
-    /// Kraus row via amplitude damping) and a dense unitary channel.
+    /// A small noisy workload touching every kernel: sparse, diagonal
+    /// and dense 1q/2q unitaries plus sparse channels (including an
+    /// all-zero Kraus row via amplitude damping), a complex one-qubit
+    /// cluster and a dense unitary channel.
     fn drive(apply: &mut dyn FnMut(Step<'_>), n: usize) {
         let dense_2q = gates::h().kron(&gates::ry(0.7));
+        let (_, complex_1q, _) = one_qubit_clusters();
         for q in 0..n {
             apply(Step::U1(&gates::ry(0.3 + q as f64), q));
             apply(Step::U1(&gates::h(), q));
+            apply(Step::U1(&gates::rz(0.4 + q as f64), q));
+            apply(Step::U1(&gates::x(), q));
+            apply(Step::Ch(&complex_1q, &[q]));
         }
         for q in 0..n.saturating_sub(1) {
             apply(Step::U2(&gates::cx(), q, q + 1));
@@ -979,7 +1074,16 @@ mod tests {
 
     #[test]
     fn parallel_kernels_are_bit_identical_to_serial() {
-        let ctx = ParallelCtx::with_workers(4);
+        for ctx in [
+            ParallelCtx::with_workers(4),
+            ParallelCtx::with_workers(2).with_min_dim(2),
+            ParallelCtx::with_workers(3).with_min_dim(2),
+        ] {
+            parallel_matches_serial(&ctx);
+        }
+    }
+
+    fn parallel_matches_serial(ctx: &ParallelCtx) {
         for n in 1..=7 {
             let mut serial = DensityMatrix::new(n);
             let mut par = DensityMatrix::new(n);
@@ -987,17 +1091,17 @@ mod tests {
                 &mut |step| match step {
                     Step::U1(u, q) => {
                         serial.apply_unitary_1q(u, q);
-                        par.apply_unitary_1q_ctx(u, q, &ctx);
+                        par.apply_unitary_1q_ctx(u, q, ctx);
                     }
                     Step::U2(u, a, b) => {
                         serial.apply_unitary_2q(u, a, b);
-                        par.apply_unitary_2q_ctx(u, a, b, &ctx);
+                        par.apply_unitary_2q_ctx(u, a, b, ctx);
                     }
                     Step::Ch(ch, qs) => {
                         let mut table = SuperopTable::default();
                         let s = table.push(ch);
                         serial.apply_channel(ch, qs);
-                        par.apply_superop_ctx(table.get(s), qs, &ctx);
+                        par.apply_superop_ctx(table.get(s), qs, ctx);
                     }
                 },
                 n,
@@ -1005,7 +1109,8 @@ mod tests {
             for (a, b) in serial.mat.iter().zip(&par.mat) {
                 assert!(
                     a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "parallel diverges from serial at {n} qubits"
+                    "{} lanes diverge from serial at {n} qubits",
+                    ctx.workers()
                 );
             }
         }
@@ -1038,6 +1143,96 @@ mod tests {
                 "lowered channel sweep diverges from baseline at {n} qubits"
             );
             assert!((fast.trace() - 1.0).abs() < 1e-9);
+        }
+    }
+
+    /// The three shapes a one-qubit superoperator comes in: real
+    /// (relaxation alone), complex (`sx` + relaxation + depolarizing, a
+    /// fused gate cluster) and fully dense (damping between two generic
+    /// rotations).
+    fn one_qubit_clusters() -> (KrausChannel, KrausChannel, KrausChannel) {
+        let relax = KrausChannel::thermal_relaxation(90.0, 70.0, 12.0);
+        let gate = |u: CMatrix| KrausChannel::new(vec![u]);
+        let complex = gate(gates::sx())
+            .compose(&relax)
+            .compose(&KrausChannel::depolarizing_1q(0.03));
+        let dense = gate(gates::rz(0.3) * gates::ry(0.7))
+            .compose(&KrausChannel::amplitude_damping(0.2))
+            .compose(&gate(gates::ry(-1.1) * gates::rz(2.2)));
+        (relax, complex, dense)
+    }
+
+    /// An entangled mixed state with no zero and no symmetric entry.
+    fn mixed_state(n: usize) -> DensityMatrix {
+        let mut rho = DensityMatrix::new(n);
+        for q in 0..n {
+            rho.apply_unitary_1q(&(gates::rz(0.9 - q as f64) * gates::ry(0.5 + q as f64)), q);
+        }
+        for q in 1..n {
+            rho.apply_unitary_2q(&gates::cx(), q - 1, q);
+            rho.apply_unitary_1q(&gates::sx(), q);
+        }
+        rho.apply_channel(&KrausChannel::amplitude_damping(0.15), &[n - 1]);
+        rho.apply_channel(&KrausChannel::depolarizing_1q(0.08), &[0]);
+        rho
+    }
+
+    #[test]
+    fn one_qubit_sweep_matches_kraus_sum_at_every_position() {
+        let (real, complex, dense) = one_qubit_clusters();
+        let mut table = SuperopTable::default();
+        let lowered = [&real, &complex, &dense].map(|ch| table.push(ch));
+        let [r, c, d] = lowered.map(|s| table.get(s));
+        assert!(r.is_real() && !c.is_real() && d.nnz() == 16);
+        for n in 1..=7 {
+            let state = mixed_state(n);
+            // q = 0: column runs of length 1; q = n - 1: one run per row.
+            for q in 0..n {
+                for ch in [&real, &complex, &dense] {
+                    let (mut swept, mut summed) = (state.clone(), state.clone());
+                    swept.apply_channel(ch, &[q]);
+                    baseline::apply_channel(&mut summed, ch, &[q]);
+                    let m = swept.matrix();
+                    assert!(
+                        m.approx_eq(&summed.matrix(), 1e-12),
+                        "sweep != Kraus sum on qubit {q} of {n}"
+                    );
+                    assert!((swept.trace() - 1.0).abs() < 1e-12);
+                    assert!(m.is_hermitian(1e-13));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn diagonal_pass_matches_two_pass_oracle() {
+        let gamma: f64 = 0.3;
+        let mut damp = CMatrix::identity(2);
+        damp[(1, 1)] = C64::from_real((1.0 - gamma).sqrt());
+        for n in 1..=7 {
+            let state = mixed_state(n);
+            let dim = state.dim();
+            for q in 0..n {
+                // Phase gates (unit modulus: half the state is skipped)
+                // and a non-unit diagonal operator (no skip).
+                let theta = 0.37 + 1.9 * (n * 7 + q) as f64;
+                for u in [gates::rz(theta), gates::z(), gates::t(), damp.clone()] {
+                    let (mut fast, mut slow) = (state.clone(), state.clone());
+                    fast.apply_unitary_1q(&u, q);
+                    baseline::apply_unitary_1q(&mut slow, &u, q);
+                    assert!(
+                        fast.matrix().approx_eq(&slow.matrix(), 1e-14),
+                        "diagonal pass != two passes on qubit {q} of {n}"
+                    );
+                }
+                // A phase gate never touches a probability.
+                let mut phased = state.clone();
+                phased.apply_unitary_1q(&gates::rz(theta), q);
+                for i in 0..dim {
+                    let (a, b) = (phased.at(i, i), state.at(i, i));
+                    assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
+                }
+            }
         }
     }
 

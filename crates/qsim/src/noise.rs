@@ -394,7 +394,9 @@ impl Placement {
 
 /// The coefficient type a product is accumulated in: `f64` while every
 /// member is real, [`C64`] otherwise.
-trait Coeff: Copy + Default + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self> {
+pub(crate) trait Coeff:
+    Copy + Default + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self>
+{
     fn from_parts(re: f64, im: f64) -> Self;
     fn parts(self) -> (f64, f64);
 }
@@ -650,6 +652,19 @@ impl<'a> Superop<'a> {
         out.push(self.im.len() as u64);
         out.extend(self.row_len.iter().chain(self.cols).map(|&b| b as u64));
         out.extend(self.re.iter().chain(self.im).map(|v| v.to_bits()));
+    }
+
+    /// A one-qubit `S` expanded to a dense `4x4` (absent entries zero),
+    /// in `f64` for a real superoperator, [`C64`] otherwise.
+    pub(crate) fn dense_1q<C: Coeff>(&self) -> [[C; 4]; 4] {
+        let mut m = [[C::default(); 4]; 4];
+        for (dense, (cols, re, im)) in m.iter_mut().zip(self.rows()) {
+            for (e, &col) in cols.iter().enumerate() {
+                let im = im.get(e).copied().unwrap_or(0.0);
+                dense[col as usize & 3] = C::from_parts(re[e], im);
+            }
+        }
+        m
     }
 
     /// The sparse rows of `S` (4 or 16 of them; the rest stay empty).

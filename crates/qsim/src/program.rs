@@ -31,15 +31,20 @@
 //! The trajectory engine is **bit-for-bit equivalent** to the
 //! straightforward implementation it replaces (same floating-point
 //! operations, same RNG draw sequence). The density engine's sampling
-//! is too, and so is every unitary op left on its tape; a fused sweep
+//! is too (the guide-table lookup returns the index the binary search
+//! returns, draw for draw), and so is every non-diagonal unitary op left
+//! on its tape. A diagonal gate — every parameterized RZ — takes one
+//! phase pass that re-associates `(d_r x) conj(d_c)` into
+//! `x (d_r conj(d_c))` and skips the entries whose factor is exactly 1,
+//! so it equals the two-pass oracle to ~1e-16; a fused sweep
 //! re-associates the products and sums of its run, so the state equals
 //! op-by-op application (and the straightforward oracle) to 1e-12
 //! rather than bit for bit — sampled counts are equal on every pinned
 //! fixture, and every production path (serial, worker-team, folded,
 //! group-fork, resumed) is byte-identical to every other because they
-//! share the one tape, the one kernel and the op order. Forks, resumes
-//! and prefix boundaries always fall between tape ops: a parameterized
-//! slot ends a run and is never inside a fused entry.
+//! share the one tape, the one kernel set and the op order. Forks,
+//! resumes and prefix boundaries always fall between tape ops: a
+//! parameterized slot ends a run and is never inside a fused entry.
 //!
 //! # Examples
 //!

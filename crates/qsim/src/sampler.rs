@@ -206,13 +206,18 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 
 /// Reusable inverse-CDF shot sampler.
 ///
-/// Holds the CDF and a dense histogram as persistent buffers so the hot
-/// path ([`ShotSampler::sample_counts`]) allocates nothing after warmup:
-/// the CDF is rebuilt in place per distribution, shots increment dense
-/// histogram slots (no per-shot hash-map insert), and only the non-zero
-/// slots are folded into the returned [`Counts`]. Draws from the RNG in
-/// exactly the per-shot order of [`sample_indices`], so seeded results
-/// are byte-identical to the allocating path.
+/// Holds the CDF, its guide table and a dense histogram as persistent
+/// buffers so the hot path ([`ShotSampler::sample_counts`]) allocates
+/// nothing after warmup: the CDF is rebuilt in place per distribution,
+/// shots increment dense histogram slots (no per-shot hash-map insert),
+/// and only the non-zero slots are folded into the returned [`Counts`].
+/// Draws from the RNG in exactly the per-shot order of
+/// [`sample_indices`], so seeded results are byte-identical to the
+/// allocating path.
+///
+/// [`ShotSampler::sample_counts`] answers most shots from a guide table
+/// instead of the binary search — the same index, always; the plain
+/// search of [`ShotSampler::sample_indices_into`] is its oracle.
 ///
 /// Float comparisons use `total_cmp`, so unlike the historical
 /// `partial_cmp(..).unwrap()` the binary search can neither panic nor
@@ -223,8 +228,14 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 #[derive(Clone, Debug, Default)]
 pub struct ShotSampler {
     cdf: Vec<f64>,
+    /// `guide[b]` = first CDF index that a draw in bucket `b` of
+    /// `guide.len()` equal slices of the unit interval can answer with.
+    guide: Vec<u32>,
     hist: Vec<u64>,
 }
+
+/// CDF entries a guided lookup compares before giving up on the bucket.
+const GUIDE_WINDOW: usize = 4;
 
 impl ShotSampler {
     /// Creates a sampler; buffers are sized lazily.
@@ -250,6 +261,64 @@ impl ShotSampler {
         acc
     }
 
+    /// Index of the outcome whose CDF step holds `r`: the search every
+    /// sampling path answers with.
+    #[inline]
+    fn search(cdf: &[f64], r: f64) -> usize {
+        match cdf.binary_search_by(|x| x.total_cmp(&r)) {
+            Ok(i) => i,
+            Err(i) => i,
+        }
+    }
+
+    /// Builds the guide table over the current CDF of `n` entries (total
+    /// mass `acc`) and pads the CDF with [`GUIDE_WINDOW`] `+inf` entries
+    /// so a window read never leaves it.
+    ///
+    /// `k = guide.len()` is a power of two of at least `4 n`, and
+    /// `guide[b]` is the first index with `cdf[i] >= (b / k) * acc`, found
+    /// by one merge walk. A draw `u` in bucket `b` has `u >= b / k`
+    /// exactly, and `u -> fl(u * acc)` is monotone, so every entry
+    /// before `guide[b]` is below the needle: the search result lies at
+    /// or after it.
+    fn build_guide(&mut self, acc: f64) {
+        let n = self.cdf.len();
+        let k = (4 * n).next_power_of_two();
+        self.cdf.resize(n + GUIDE_WINDOW, f64::INFINITY);
+        self.guide.clear();
+        // Exact: `k` is a power of two.
+        let per_bucket = 1.0 / k as f64;
+        let mut i = 0;
+        self.guide.extend((0..k).map(|b| {
+            let threshold = (b as f64 * per_bucket) * acc;
+            // Stops by `n - 1` at the latest: `cdf[n - 1] == acc`, and
+            // no threshold exceeds it (NaN, from a non-finite `acc`,
+            // compares false at once).
+            while self.cdf[i] < threshold {
+                i += 1;
+            }
+            i as u32
+        }));
+    }
+
+    /// Answers the draw `x` (needle `r`) from the guide table, when the
+    /// window settles it: everything before the returned index is below
+    /// `r` and the entry there is above it, which is where the search
+    /// ends. `None` — ask the search — on an exact tie (the search may
+    /// land on any equal entry), when more than a window of entries sit
+    /// between the guide and the needle, and for a needle that is `inf`
+    /// or NaN because the total mass is not finite.
+    #[inline]
+    fn guided(cdf: &[f64], guide: &[u32], x: u64, r: f64) -> Option<usize> {
+        // The leading bits of the draw `r` was made from, so the draw
+        // is at or above its bucket's lower edge exactly.
+        let bucket = x >> (64 - guide.len().trailing_zeros());
+        let g = guide[bucket as usize] as usize;
+        let below = cdf[g..g + GUIDE_WINDOW].iter().filter(|&&c| c < r);
+        let idx = g + below.count();
+        (cdf[idx] > r).then_some(idx)
+    }
+
     /// Draws `shots` basis indices into a reusable output buffer
     /// (cleared first). Same distribution and RNG stream as
     /// [`sample_indices`].
@@ -269,11 +338,7 @@ impl ShotSampler {
         out.reserve(shots);
         for _ in 0..shots {
             let r: f64 = rng.gen::<f64>() * acc;
-            let idx = match self.cdf.binary_search_by(|x| x.total_cmp(&r)) {
-                Ok(i) => i,
-                Err(i) => i,
-            };
-            out.push(idx.min(probs.len() - 1));
+            out.push(Self::search(&self.cdf, r).min(probs.len() - 1));
         }
     }
 
@@ -297,17 +362,18 @@ impl ShotSampler {
             1usize << n_qubits,
             "distribution size mismatch"
         );
+        let n = probs.len();
         let acc = self.build_cdf(probs);
+        self.build_guide(acc);
         self.hist.clear();
-        self.hist.resize(probs.len(), 0);
-        let top = probs.len() - 1;
+        self.hist.resize(n, 0);
+        let (cdf, guide) = (self.cdf.as_slice(), self.guide.as_slice());
         for _ in 0..shots {
-            let r: f64 = rng.gen::<f64>() * acc;
-            let idx = match self.cdf.binary_search_by(|x| x.total_cmp(&r)) {
-                Ok(i) => i,
-                Err(i) => i,
-            };
-            self.hist[idx.min(top)] += 1;
+            // The bits of `rng.gen::<f64>() * acc`.
+            let x = rng.next_u64();
+            let r = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * acc;
+            let idx = Self::guided(cdf, guide, x, r).unwrap_or_else(|| Self::search(&cdf[..n], r));
+            self.hist[idx.min(n - 1)] += 1;
         }
         let distinct = self.hist.iter().filter(|&&c| c > 0).count();
         let mut counts = Counts::with_capacity(n_qubits, distinct);
@@ -510,6 +576,161 @@ mod tests {
         let a = sample_indices(&probs, 100, &mut StdRng::seed_from_u64(42));
         let b = sample_indices(&probs, 100, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
+    }
+
+    /// `sample_counts` against its oracle: the histogram of the plain
+    /// `sample_indices` loop from an equal generator, which must also be
+    /// left in an equal state.
+    fn assert_counts_match_indices<R>(probs: &[f64], shots: usize, rng: &R)
+    where
+        R: rand::RngCore + Clone + PartialEq + fmt::Debug,
+    {
+        let n_qubits = probs.len().trailing_zeros() as usize;
+        let (mut fast_rng, mut slow_rng) = (rng.clone(), rng.clone());
+        let fast = sample_counts(probs, n_qubits, shots, &mut fast_rng);
+        let mut slow = Counts::new(n_qubits);
+        for idx in sample_indices(probs, shots, &mut slow_rng) {
+            slow.record(idx as u64, 1);
+        }
+        assert_eq!(fast, slow, "counts differ on {probs:?}");
+        assert_eq!(fast.total(), shots as u64);
+        assert_eq!(fast_rng, slow_rng, "generators diverged");
+    }
+
+    /// A generator that replays a script of raw draws, cycling.
+    #[derive(Clone, Debug, PartialEq)]
+    struct Scripted {
+        draws: Vec<u64>,
+        at: usize,
+    }
+
+    impl Scripted {
+        fn new(draws: &[u64]) -> Self {
+            Scripted {
+                draws: draws.to_vec(),
+                at: 0,
+            }
+        }
+    }
+
+    impl rand::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.at += 1;
+            self.draws[(self.at - 1) % self.draws.len()]
+        }
+    }
+
+    /// The raw draw that `gen::<f64>()` turns into `u` (a multiple of
+    /// `2^-53` in `[0, 1)`).
+    fn draw_for(u: f64) -> u64 {
+        ((u * (1u64 << 53) as f64) as u64) << 11
+    }
+
+    /// Whether the guide table settles the draw for `u` on `probs`, or
+    /// hands it to the search.
+    fn guide_settles(probs: &[f64], u: f64) -> bool {
+        let mut sampler = ShotSampler::new();
+        let acc = sampler.build_cdf(probs);
+        sampler.build_guide(acc);
+        ShotSampler::guided(&sampler.cdf, &sampler.guide, draw_for(u), u * acc).is_some()
+    }
+
+    #[test]
+    fn sample_counts_equals_sample_indices_on_random_distributions() {
+        let mut rng = StdRng::seed_from_u64(11);
+        for n in [2usize, 4, 16, 128, 4096] {
+            for round in 0..6 {
+                // Flat, peaked (a few outcomes hold nearly all mass) and
+                // unnormalized distributions alike.
+                let probs: Vec<f64> = (0..n)
+                    .map(|_| match round % 3 {
+                        0 => rng.gen::<f64>(),
+                        1 => rng.gen::<f64>().powi(12),
+                        _ => 40.0 * rng.gen::<f64>(),
+                    })
+                    .collect();
+                assert_counts_match_indices(&probs, 3000, &rng);
+                rng.gen::<u64>();
+            }
+        }
+    }
+
+    #[test]
+    fn sample_counts_equals_sample_indices_on_adversarial_distributions() {
+        let tiny = 1e-18;
+        let cases: Vec<Vec<f64>> = vec![
+            // Zero-probability outcomes: duplicate CDF entries, leading,
+            // interior and trailing.
+            vec![0.0, 0.0, 0.0, 0.4, 0.0, 0.0, 0.6, 0.0],
+            vec![0.0; 15].into_iter().chain([2.5]).collect(),
+            vec![1.0, 0.0, 0.0, 0.0],
+            vec![0.0, 1.0],
+            // More than a window of near-zero outcomes inside one bucket,
+            // at the front and in the middle.
+            vec![tiny; 6].into_iter().chain([0.5; 2]).collect(),
+            [0.5].into_iter().chain([1e-15; 6]).chain([0.5]).collect(),
+            [0.5].into_iter().chain([1e-3; 6]).chain([0.494]).collect(),
+            vec![1e-15; 4096],
+            // NaN and negative entries carry no mass.
+            vec![f64::NAN, 0.3, -0.2, 0.7],
+            vec![-1.0, f64::NAN, f64::NAN, 1e-3],
+            // A non-finite total: every needle is `inf` or NaN.
+            vec![0.2, f64::INFINITY, 0.3, 0.1],
+            vec![f64::INFINITY, 0.0],
+        ];
+        for probs in &cases {
+            for (seed, shots) in [(1, 0), (2, 1), (3, 5000)] {
+                assert_counts_match_indices(probs, shots, &StdRng::seed_from_u64(seed));
+            }
+            // The ends of the unit interval, and a few points inside.
+            let edges = [
+                0,
+                u64::MAX,
+                1 << 63,
+                1 << 11,
+                u64::MAX << 11,
+                draw_for(0.52),
+            ];
+            assert_counts_match_indices(probs, 2 * edges.len(), &Scripted::new(&edges));
+        }
+    }
+
+    #[test]
+    fn sample_counts_hands_ties_and_long_windows_to_the_search() {
+        // A needle of exactly 0 against leading zero-probability
+        // outcomes, and exactly 0.5 against three equal CDF entries: the
+        // search may land on any of them, so the guide must not answer.
+        let leading = [0.0, 0.0, 0.5, 0.5];
+        assert!(!guide_settles(&leading, 0.0));
+        assert!(guide_settles(&leading, 0.25));
+        assert_counts_match_indices(&leading, 4, &Scripted::new(&[0, u64::MAX]));
+        let plateau = [0.5, 0.0, 0.0, 0.5];
+        assert!(!guide_settles(&plateau, 0.5));
+        assert_counts_match_indices(&plateau, 3, &Scripted::new(&[1 << 63, 0, u64::MAX]));
+        // Six outcomes between the guide entry and the needle: the
+        // window of four runs out.
+        let crowded: Vec<f64> = [0.5].into_iter().chain([1e-3; 6]).chain([0.494]).collect();
+        assert!(!guide_settles(&crowded, 0.52));
+        assert!(guide_settles(&crowded, 0.49));
+        assert_counts_match_indices(&crowded, 2, &Scripted::new(&[draw_for(0.52)]));
+        // A non-finite total mass: no needle is ever settled.
+        let unbounded = [0.2, f64::INFINITY, 0.3, 0.1];
+        assert!(!guide_settles(&unbounded, 0.0) && !guide_settles(&unbounded, 0.7));
+    }
+
+    #[test]
+    fn sample_indices_after_sample_counts_sees_an_unpadded_cdf() {
+        // One sampler serving both calls: the guide's `+inf` padding
+        // must not leak into the plain loop.
+        let probs = [0.1, 0.2, 0.3, 0.4];
+        let mut sampler = ShotSampler::new();
+        sampler.sample_counts(&probs, 2, 64, &mut StdRng::seed_from_u64(5));
+        let mut reused = Vec::new();
+        sampler.sample_indices_into(&probs, 500, &mut StdRng::seed_from_u64(9), &mut reused);
+        assert_eq!(
+            reused,
+            sample_indices(&probs, 500, &mut StdRng::seed_from_u64(9))
+        );
     }
 
     #[test]

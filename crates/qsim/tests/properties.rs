@@ -82,6 +82,26 @@ fn random_state(n: usize, rng: &mut StdRng) -> DensityMatrix {
     rho
 }
 
+/// The three shapes a one-qubit superoperator comes in, at random
+/// rates: real (relaxation alone), complex (a gate + relaxation +
+/// depolarizing, as a fused cluster lowers) and a random dense CPTP one.
+fn one_qubit_channels(rng: &mut StdRng) -> [KrausChannel; 3] {
+    let relax = KrausChannel::thermal_relaxation(90.0, 70.0, rng.gen_range(0.1..30.0));
+    let cluster = KrausChannel::new(vec![gates::sx()])
+        .compose(&relax)
+        .compose(&KrausChannel::depolarizing_1q(rng.gen_range(0.001..0.3)));
+    let dense = random_channel(1, rng.gen_range(1..=4usize), rng);
+    [relax, cluster, dense]
+}
+
+/// A phase gate at a random angle and a non-unit diagonal operator
+/// (`diag(1, sqrt(1 - g))`, the no-jump branch of amplitude damping).
+fn diagonal_operators(rng: &mut StdRng) -> [CMatrix; 2] {
+    let mut damp = CMatrix::identity(2);
+    damp[(1, 1)] = C64::from_real((1.0 - rng.gen_range(0.01..0.9f64)).sqrt());
+    [gates::rz(rng.gen_range(-7.0..7.0)), damp]
+}
+
 /// One random tape step: a 1q/2q unitary or a channel — this
 /// workspace's monomial ones and random dense ones — on random operands
 /// (either operand order).
@@ -240,6 +260,93 @@ proptest! {
                 swept.matrix().approx_eq(&summed.matrix(), 1e-12),
                 "sweep != Kraus sum on qubits {:?} of {}", qs, n
             );
+        }
+    }
+
+    /// The one-qubit stream sweep equals the literal Kraus sum — and
+    /// keeps unit trace and Hermiticity — for a real, a complex and a
+    /// random dense superoperator on every qubit, `q = 0` (column runs
+    /// of length 1) and `q = n - 1` (one run per row) included.
+    #[test]
+    fn one_qubit_stream_sweep_matches_kraus_sum(n in 1usize..=7, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let state = random_state(n, &mut rng);
+        let channels = one_qubit_channels(&mut rng);
+        let mut table = SuperopTable::default();
+        let (relax, cluster) = (table.push(&channels[0]), table.push(&channels[1]));
+        prop_assert!(table.get(relax).is_real() && !table.get(cluster).is_real());
+        for q in 0..n {
+            for ch in &channels {
+                let (mut swept, mut summed) = (state.clone(), state.clone());
+                swept.apply_channel(ch, &[q]);
+                baseline::apply_channel(&mut summed, ch, &[q]);
+                let m = swept.matrix();
+                prop_assert!(
+                    m.approx_eq(&summed.matrix(), 1e-12),
+                    "sweep != Kraus sum on qubit {} of {}", q, n
+                );
+                prop_assert!((swept.trace() - 1.0).abs() < 1e-12, "trace {}", swept.trace());
+                prop_assert!(m.is_hermitian(1e-13));
+            }
+        }
+    }
+
+    /// The one-pass diagonal kernel equals the two-pass oracle on every
+    /// qubit, for a phase gate (half the state skipped) and a non-unit
+    /// diagonal operator (no skip) alike; and a phase gate leaves every
+    /// diagonal entry — every probability — bit for bit alone.
+    #[test]
+    fn diagonal_pass_matches_two_pass_oracle(n in 1usize..=7, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let state = random_state(n, &mut rng);
+        let before = state.matrix();
+        for q in 0..n {
+            let [rz, damp] = diagonal_operators(&mut rng);
+            for u in [&rz, &damp] {
+                let (mut fast, mut slow) = (state.clone(), state.clone());
+                fast.apply_unitary_1q(u, q);
+                baseline::apply_unitary_1q(&mut slow, u, q);
+                prop_assert!(
+                    fast.matrix().approx_eq(&slow.matrix(), 1e-14),
+                    "diagonal pass != two passes on qubit {} of {}", q, n
+                );
+            }
+            let mut phased = state.clone();
+            phased.apply_unitary_1q(&rz, q);
+            let after = phased.matrix();
+            for i in 0..1usize << n {
+                let (a, b) = (after[(i, i)], before[(i, i)]);
+                prop_assert_eq!((a.re.to_bits(), a.im.to_bits()), (b.re.to_bits(), b.im.to_bits()));
+            }
+        }
+    }
+
+    /// The two stream kernels agree bit for bit with serial under teams
+    /// of two and three lanes (odd chunking) at every width and qubit.
+    #[test]
+    fn stream_kernels_are_bit_identical_across_teams(n in 1usize..=7, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let teams = [2, 3].map(|lanes| ParallelCtx::with_workers(lanes).with_min_dim(2));
+        let mut serial = random_state(n, &mut rng);
+        let mut lanes = [serial.clone(), serial.clone()];
+        for q in 0..n {
+            let mut table = SuperopTable::default();
+            for u in diagonal_operators(&mut rng) {
+                serial.apply_unitary_1q(&u, q);
+                for (rho, ctx) in lanes.iter_mut().zip(&teams) {
+                    rho.apply_unitary_1q_ctx(&u, q, ctx);
+                }
+            }
+            for ch in one_qubit_channels(&mut rng) {
+                let s = table.push(&ch);
+                serial.apply_superop_ctx(table.get(s), &[q], &ParallelCtx::SERIAL);
+                for (rho, ctx) in lanes.iter_mut().zip(&teams) {
+                    rho.apply_superop_ctx(table.get(s), &[q], ctx);
+                }
+            }
+        }
+        for rho in &lanes {
+            prop_assert_eq!(bits(&serial), bits(rho));
         }
     }
 
