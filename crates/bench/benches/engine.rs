@@ -9,10 +9,10 @@
 //! per-operator clones, per-shot map inserts) versus the engine path
 //! (per-cycle noise cache, compiled tape, lowered channels), versus the
 //! client-style template path (compile once, rebind per job). The
-//! engine must clear >= 2x over legacy; the template path adds more,
-//! and the folded shift-pair path (one shared-prefix evolution per
-//! forward/backward pair) adds more still. `parallel_engine_*` pins
-//! the worker-team engine's overhead at sub-threshold widths.
+//! engine must clear >= 2x over legacy; the template path (a shift
+//! pair walks its shared tape prefix once) adds more.
+//! `parallel_engine_*` pins the worker-team engine's overhead at
+//! sub-threshold widths.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcircuit::CircuitBuilder;
@@ -244,9 +244,8 @@ fn bench_job_throughput(c: &mut Criterion) {
     });
 
     // The client-style hot path: symbolic template compiled once per
-    // calibration cycle, parameter-shift pair rebound per job —
-    // unfolded (each run evolves its full tape) vs folded (the pair
-    // shares its prefix evolution).
+    // calibration cycle, one forward/backward shift pair per job (a
+    // fork group of two over one shared-prefix walk).
     let params: Vec<f64> = (0..8).map(|i| 0.25 * i as f64 - 0.9).collect();
     let runs = [
         TemplateRun {
@@ -258,20 +257,12 @@ fn bench_job_throughput(c: &mut Criterion) {
             shift: Some((0, -vqa::gradient::SHIFT)),
         },
     ];
-    let mut unfolded = backend(2).without_shift_fold();
+    let mut client = backend(2);
     let mut template = CompiledTemplate::new(vqe_circuit_symbolic(4), active.to_vec());
     group.bench_function("template_shift_pair_8192", |b| {
         b.iter(|| {
             let mut refs = [&mut template];
-            unfolded.execute_templates(&mut refs, &runs, &params, 8192, SimTime::ZERO)
-        })
-    });
-    let mut folded = backend(2);
-    let mut folded_template = CompiledTemplate::new(vqe_circuit_symbolic(4), active.to_vec());
-    group.bench_function("template_shift_pair_folded_8192", |b| {
-        b.iter(|| {
-            let mut refs = [&mut folded_template];
-            folded.execute_templates(&mut refs, &runs, &params, 8192, SimTime::ZERO)
+            client.execute_templates(&mut refs, &runs, &params, 8192, SimTime::ZERO)
         })
     });
     group.finish();

@@ -1,6 +1,5 @@
-//! Engine-path perf trajectory on the Fig. 4 workload: legacy vs
-//! compiled engine vs worker-team engine vs folded shift pairs vs the
-//! fleet-wide batched pipeline.
+//! Engine-path perf trajectory on the Fig. 4 workload: the legacy
+//! oracle vs the production engine, inline and over pipeline lanes.
 //!
 //! The Fig. 4 harness is the densest engine-bound workload in the
 //! repo: 6 catalog devices x 7 calibration ages, one 5-qubit GHZ-class
@@ -9,28 +8,18 @@
 //! per execution path:
 //!
 //! * `legacy`   — the pre-engine reference (per-run bind + noise rebuild);
-//! * `engine`   — the compiled path with shift-pair folding disabled
-//!   (the PR-2 baseline, now with the lowered channel sweep);
-//! * `parallel` — the same plus a worker team on the density kernels
-//!   (the 5-qubit probe sits below the parallel row-block threshold, so
-//!   this row doubles as the "parallelism costs nothing when it cannot
-//!   help" guard);
-//! * `folded`   — shift-pair folding on: each forward/backward pair
-//!   evolves its shared tape prefix once;
-//! * `batched`  — the fleet-wide batched pipeline: whole shift batches
-//!   group-fork over one shared-prefix walk, prefixes cached across
-//!   batches within a noise epoch, suffixes fanned over a shared
-//!   [`qsim::BatchPipeline`] worker team.
+//! * `engine`   — the production path: one group-fork walk per template,
+//!   forked suffixes resumed inline on the backend's own engine;
+//! * `pipeline` — the same walk with the suffixes fanned over a shared
+//!   [`qsim::BatchPipeline`] of `min(nproc, 4)` lanes.
 //!
-//! Every path must produce byte-identical counts (asserted). A second
-//! section times the batched pipeline against the PR-7 folded path on
-//! the workload it was built for — small circuits (4 qubits, below the
-//! row-block parallel threshold) over many clients with a deep fixed
-//! body, and the same batch at 7 qubits — and asserts that batching
-//! does not lose at 4 qubits and keeps >= 2x at 7. (Cluster fusion made
-//! the evolution both paths share ~2x cheaper, so the per-job pipeline
-//! overhead is a larger share of what is left: the margin narrowed from
-//! 2.0x / 5.5x.)
+//! All three must produce equal counts (asserted), and the engine must
+//! stay at least 2x ahead of the legacy oracle (the one tripwire; it
+//! measures ~20x). A second section compares inline against a two-lane
+//! pipeline on the workload lanes exist for — many clients, two sibling
+//! templates with a deep fixed body, at 4 and at 7 qubits: counts equal
+//! (asserted), ratio printed, no floor — what lanes buy depends on the
+//! cores the host has to spare.
 //!
 //! Emits one machine-readable JSON line (`{"bench":"fig_engine",...}`)
 //! for the perf-trajectory dashboard and refreshes the repo-root
@@ -40,7 +29,7 @@
 
 use eqc_bench::{env_param, markdown_table, shots_or, write_bench_snapshot, write_csv, BenchRow};
 use qdevice::{catalog, CompiledTemplate, QpuBackend, SimTime, TemplateRun};
-use qsim::{BatchPipeline, Counts, ParallelCtx};
+use qsim::{BatchPipeline, Counts};
 use std::time::Instant;
 
 /// The 5-qubit GHZ-backbone probe with one symbolic RY per qubit, so
@@ -63,24 +52,21 @@ const RY_GATES: [usize; 5] = [5, 6, 7, 8, 9];
 enum Mode {
     Legacy,
     Engine,
-    Parallel(usize),
-    Folded,
-    Batched(usize),
+    Pipeline(usize),
 }
 
-/// Pipeline counters drained from a backend set after a sweep:
-/// (prefix hits, batched jobs, pipeline lanes).
-type PipeStats = (u64, u64, usize);
+/// Engine counters drained from a backend set after a sweep:
+/// (batched jobs, pipeline lanes).
+type PipeStats = (u64, usize);
 
 fn drain_stats(backends: &[QpuBackend]) -> PipeStats {
     (
-        backends.iter().map(QpuBackend::prefix_hits).sum(),
         backends.iter().map(QpuBackend::batched_jobs).sum(),
         backends
             .iter()
             .map(QpuBackend::pipeline_lanes)
             .max()
-            .unwrap_or(0),
+            .unwrap_or(1),
     )
 }
 
@@ -106,10 +92,10 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
         })
         .collect();
     let circuit = probe();
-    // One pipeline for the whole fleet of backends (the tentpole
-    // wiring: many clients, one worker team).
+    // One pipeline for the whole fleet of backends (many clients, one
+    // set of lanes).
     let pipeline = match *mode {
-        Mode::Batched(lanes) => Some(BatchPipeline::new(lanes)),
+        Mode::Pipeline(lanes) => Some(BatchPipeline::new(lanes)),
         _ => None,
     };
     let mut backends: Vec<QpuBackend> = devices
@@ -118,14 +104,9 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
             let spec = catalog::by_name(name).expect("catalog device");
             let mut backend = spec.backend(0xF164 + name.len() as u64);
             match *mode {
-                Mode::Legacy => backend = backend.with_legacy_execution().without_shift_fold(),
-                Mode::Engine => backend = backend.without_shift_fold(),
-                Mode::Parallel(workers) => {
-                    backend = backend.without_shift_fold();
-                    backend.set_parallelism(ParallelCtx::with_workers(workers));
-                }
-                Mode::Folded => {}
-                Mode::Batched(_) => {
+                Mode::Legacy => backend = backend.with_legacy_execution(),
+                Mode::Engine => {}
+                Mode::Pipeline(_) => {
                     backend.set_batch_pipeline(pipeline.as_ref().expect("built above").clone());
                 }
             }
@@ -154,10 +135,9 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
 /// The pipeline-section probes: two `n`-qubit ansaetze sharing a deep
 /// fixed body (H + 6 layers of a CX chain) before their symbolic
 /// layers diverge (one trailing RY layer; the second template adds an
-/// RZ layer). The deep shared body is the point: pair folding
-/// re-walks it once per shift pair per template, the batched pipeline
-/// walks it once per noise epoch and serves the sibling template from
-/// the shared-prefix cache.
+/// RZ layer). Each template's group walks the body once and forks
+/// every shifted run after it, so a batch is two walks and `6n`
+/// independent suffixes — the jobs lanes drain.
 fn deep_probe(n: usize, with_rz: bool) -> qcircuit::Circuit {
     let mut b = qcircuit::CircuitBuilder::new(n);
     b.h(0);
@@ -179,11 +159,11 @@ fn deep_probe(n: usize, with_rz: bool) -> qcircuit::Circuit {
 
 /// Trains the pipeline workload — `clients` independent `n`-qubit
 /// clients, each submitting `batches` shift batches over both deep
-/// probes at one fixed calibration age — under the folded or batched
-/// path. Returns (counts in submission order, elapsed us, pipeline
-/// counters).
+/// probes at one fixed calibration age — inline or over a shared
+/// two-lane pipeline. Returns (counts in submission order, elapsed us,
+/// engine counters).
 fn pipeline_bench(
-    batched: bool,
+    piped: bool,
     n: usize,
     clients: usize,
     batches: usize,
@@ -215,7 +195,7 @@ fn pipeline_bench(
                 .collect::<Vec<_>>()
         })
         .collect();
-    let pipeline = batched.then(|| BatchPipeline::new(2));
+    let pipeline = piped.then(|| BatchPipeline::new(2));
     let device = if n <= 5 { "belem" } else { "casablanca" };
     let spec = catalog::by_name(device).expect("catalog device");
     let mut backends: Vec<QpuBackend> = (0..clients)
@@ -258,7 +238,7 @@ fn main() {
     let shots = shots_or(8192);
     let jobs = 6 * 7;
     let runs_per_job = RY_GATES.len() * 2;
-    let workers = std::thread::available_parallelism()
+    let lanes = std::thread::available_parallelism()
         .map(|n| n.get().min(4))
         .unwrap_or(2);
     let commit = std::env::var("GITHUB_SHA").unwrap_or_else(|_| "local".into());
@@ -269,17 +249,12 @@ fn main() {
 
     let (legacy_counts, legacy_ms, _) = sweep(&Mode::Legacy, shots);
     let (engine_counts, engine_ms, _) = sweep(&Mode::Engine, shots);
-    let (parallel_counts, parallel_ms, _) = sweep(&Mode::Parallel(workers), shots);
-    let (folded_counts, folded_ms, _) = sweep(&Mode::Folded, shots);
-    let (batched_counts, batched_ms, batched_stats) = sweep(&Mode::Batched(workers), shots);
+    let (pipeline_counts, pipeline_ms, pipeline_stats) = sweep(&Mode::Pipeline(lanes), shots);
 
-    // Every path is an oracle for every other path.
     assert_eq!(legacy_counts, engine_counts, "engine diverged from legacy");
-    assert_eq!(engine_counts, parallel_counts, "worker team changed bits");
-    assert_eq!(engine_counts, folded_counts, "folding changed bits");
     assert_eq!(
-        engine_counts, batched_counts,
-        "batched pipeline changed bits"
+        engine_counts, pipeline_counts,
+        "pipeline lanes changed bits"
     );
 
     let per_run = |ms: u128| ms as f64 * 1000.0 / (jobs * runs_per_job) as f64;
@@ -289,9 +264,7 @@ fn main() {
     for (label, ms) in [
         ("legacy", legacy_ms),
         ("engine", engine_ms),
-        ("parallel", parallel_ms),
-        ("folded", folded_ms),
-        ("batched", batched_ms),
+        ("pipeline", pipeline_ms),
     ] {
         let speedup = legacy_ms as f64 / ms.max(1) as f64;
         rows.push(vec![
@@ -311,72 +284,68 @@ fn main() {
         )
     );
     println!(
-        "sweep telemetry: pipeline_lanes={} batched_jobs={} prefix_hits={}",
-        batched_stats.2, batched_stats.1, batched_stats.0
+        "sweep telemetry: pipeline_lanes={} batched_jobs={}",
+        pipeline_stats.1, pipeline_stats.0
     );
     println!(
         "{{\"bench\":\"fig_engine\",\"jobs\":{jobs},\"runs_per_job\":{runs_per_job},\
          \"shots\":{shots},\"legacy_ms\":{legacy_ms},\"engine_ms\":{engine_ms},\
-         \"parallel_ms\":{parallel_ms},\"folded_ms\":{folded_ms},\"batched_ms\":{batched_ms},\
-         \"workers\":{workers},\"commit\":\"{commit}\"}}"
+         \"pipeline_ms\":{pipeline_ms},\"lanes\":{lanes},\"commit\":\"{commit}\"}}"
     );
     write_csv("fig_engine.csv", &csv);
+    assert!(
+        2 * engine_ms <= legacy_ms,
+        "the engine must stay >= 2x ahead of the legacy oracle; got {engine_ms} ms vs {legacy_ms} ms"
+    );
 
-    // --- Pipeline section: the batched substrate on its home turf ---
-    // Small clients (4 qubits sit below the row-block parallel floor,
-    // so PR-3 worker teams never helped them; 7 qubits show the same
-    // batch on a heavier state), deep fixed body, many clients sharing
-    // one pipeline, several batches inside one noise epoch.
+    // --- Pipeline section: what lanes are for ---
+    // Many clients sharing one pipeline, a deep fixed body, several
+    // batches of 6n forked suffixes each: 4 qubits (a suffix is tens of
+    // microseconds, near the cost of handing it to a lane) and 7 (a
+    // suffix is milliseconds).
     let clients = env_param("EQC_PIPE_CLIENTS", 8).max(8);
     let batches = env_param("EQC_PIPE_BATCHES", 6);
     let pipe_shots = env_param("EQC_PIPE_SHOTS", 512);
     for n in [4usize, 7] {
         println!(
-            "\n# Batched pipeline vs PR-7 folded path — {n} qubits x {clients} clients, \
+            "\n# Two-lane pipeline vs inline — {n} qubits x {clients} clients, \
              {batches} batches, {pipe_shots} shots\n"
         );
-        let (pf_counts, folded_us, _) = pipeline_bench(false, n, clients, batches, pipe_shots);
-        let (pb_counts, batched_us, (hits, bjobs, lanes)) =
+        let (inline_counts, inline_us, _) = pipeline_bench(false, n, clients, batches, pipe_shots);
+        let (piped_counts, pipeline_us, (bjobs, lanes)) =
             pipeline_bench(true, n, clients, batches, pipe_shots);
-        assert_eq!(pf_counts, pb_counts, "pipeline section changed bits");
-        let pipe_speedup = folded_us as f64 / batched_us.max(1) as f64;
+        assert_eq!(inline_counts, piped_counts, "pipeline section changed bits");
+        let pipe_speedup = inline_us as f64 / pipeline_us.max(1) as f64;
         println!(
             "{}",
             markdown_table(
-                &["path", "wall us", "speedup vs folded"],
+                &["path", "wall us", "speedup vs inline"],
                 &[
-                    vec!["folded".into(), folded_us.to_string(), "1.00x".into()],
+                    vec!["inline".into(), inline_us.to_string(), "1.00x".into()],
                     vec![
-                        "batched".into(),
-                        batched_us.to_string(),
+                        "pipeline".into(),
+                        pipeline_us.to_string(),
                         format!("{pipe_speedup:.2}x"),
                     ],
                 ]
             )
         );
-        println!(
-            "pipeline telemetry: pipeline_lanes={lanes} batched_jobs={bjobs} prefix_hits={hits}"
-        );
+        println!("pipeline telemetry: pipeline_lanes={lanes} batched_jobs={bjobs}");
         println!(
             "{{\"bench\":\"fig_engine_pipeline{n}\",\"qubits\":{n},\"clients\":{clients},\
-             \"batches\":{batches},\"shots\":{pipe_shots},\"folded_us\":{folded_us},\
-             \"batched_us\":{batched_us},\"speedup\":{pipe_speedup:.4},\"prefix_hits\":{hits},\
+             \"batches\":{batches},\"shots\":{pipe_shots},\"inline_us\":{inline_us},\
+             \"pipeline_us\":{pipeline_us},\"speedup\":{pipe_speedup:.4},\
              \"batched_jobs\":{bjobs},\"pipeline_lanes\":{lanes},\"commit\":\"{commit}\"}}"
         );
-        assert!(hits > 0, "batched path must hit the shared-prefix cache");
-        assert!(bjobs > 0 && lanes > 0, "pipeline counters must be live");
-        // The floor: batching never loses on the small states worker
-        // teams could never touch, and keeps a 2x win where the state
-        // is large enough for shared prefixes to dominate.
-        let floor = if n == 4 { 1.0 } else { 2.0 };
-        assert!(
-            pipe_speedup >= floor,
-            "batched pipeline must hold >= {floor}x over the folded path at {n} qubits x \
-             {clients} clients; got {pipe_speedup:.2}x ({folded_us} us vs {batched_us} us)"
-        );
+        assert!(bjobs > 0 && lanes == 2, "pipeline counters must be live");
         let series = format!("fig_engine_pipeline{n}");
-        bench_rows.push(BenchRow::new(&series, "folded", folded_us, 1.0));
-        bench_rows.push(BenchRow::new(&series, "batched", batched_us, pipe_speedup));
+        bench_rows.push(BenchRow::new(&series, "inline", inline_us, 1.0));
+        bench_rows.push(BenchRow::new(
+            &series,
+            "pipeline",
+            pipeline_us,
+            pipe_speedup,
+        ));
     }
     write_bench_snapshot("BENCH_engine.json", &bench_rows);
 }

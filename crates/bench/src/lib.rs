@@ -195,7 +195,7 @@ pub fn band(lo: f64, hi: f64) -> eqc_core::WeightBounds {
 pub struct BenchRow {
     /// Harness/series name (e.g. `fig_engine`, `fleet64`, `contention8`).
     pub bench: String,
-    /// Execution-path label within the bench (e.g. `folded`, `batched`).
+    /// Execution-path label within the bench (e.g. `engine`, `pipeline`).
     pub path: String,
     /// Measured wall clock, microseconds.
     pub wall_us: u128,

@@ -142,32 +142,20 @@ impl ClientNode {
         self.templates.iter().map(|t| t.compiled.cache_hits()).sum()
     }
 
-    /// Forward/backward shift pairs the backend evolved over a shared
-    /// tape prefix (engine telemetry; does not affect results).
-    pub fn folded_pairs(&self) -> u64 {
-        self.backend.folded_pairs()
-    }
-
     /// Lanes of engine data-parallelism the backend simulates with (1
     /// when serial; does not affect results).
     pub fn sim_workers(&self) -> usize {
         self.backend.sim_workers()
     }
 
-    /// Batch groups the backend resumed from a cached op-tape prefix
-    /// state (engine telemetry; does not affect results).
-    pub fn prefix_hits(&self) -> u64 {
-        self.backend.prefix_hits()
-    }
-
-    /// Runs the backend executed through the batched pipeline path
+    /// Density runs the backend evolved through its group-fork walk
     /// (engine telemetry; does not affect results).
     pub fn batched_jobs(&self) -> u64 {
         self.backend.batched_jobs()
     }
 
-    /// Lanes of the shared batched-job pipeline this client's backend
-    /// is attached to (0 when the batched path is off).
+    /// Lanes of the shared job pipeline this client's backend is
+    /// attached to (1 when it resumes forked suffixes inline).
     pub fn pipeline_lanes(&self) -> usize {
         self.backend.pipeline_lanes()
     }

@@ -45,16 +45,17 @@ pub enum SimParallelism {
         /// Minimum Hilbert dimension before kernel passes use the team.
         min_dim: usize,
     },
-    /// The fleet-wide batched job pipeline: one shared
-    /// [`qsim::BatchPipeline`] with this many lanes drains *whole
-    /// simulation jobs* from every client of the session (and, on the
-    /// fleet drives, every tenant), instead of each client fanning the
-    /// row blocks of one kernel pass. This is the knob that
-    /// parallelizes the paper's 4–5 qubit workloads, which sit below
-    /// the row-block threshold; it also enables the cross-template
-    /// shared-prefix cache on every backend. `Pipeline { lanes: 1 }`
-    /// spawns no threads (batched path inline). Byte-identical results
-    /// at any lane count.
+    /// The fleet-wide job pipeline: one shared [`qsim::BatchPipeline`]
+    /// with this many lanes drains *whole simulation jobs* — the forked
+    /// suffix evolutions of each gradient task — from every client of
+    /// the session (and, on the fleet drives, every tenant), instead of
+    /// each client fanning the row blocks of one kernel pass. This is
+    /// the knob that parallelizes the paper's 4–7 qubit workloads,
+    /// which sit below the row-block threshold. The execution path is
+    /// the one [`SimParallelism::Serial`] takes; the lanes only decide
+    /// where suffixes resume, so `Pipeline { lanes: 1 }` spawns no
+    /// threads and runs exactly what `Serial` runs. Byte-identical
+    /// results at any lane count.
     Pipeline {
         /// Total lanes of execution (submitting threads help drain).
         lanes: usize,

@@ -535,8 +535,8 @@ impl<'p> EnsembleSession<'p> {
     }
 
     /// Engine-side telemetry across this session's clients: lanes of
-    /// data-parallelism, shift pairs folded over a shared prefix, and
-    /// jobs executed. Lives beside the report (see
+    /// data-parallelism, pipeline lanes, runs evolved and jobs
+    /// executed. Lives beside the report (see
     /// [`EngineTelemetry`](crate::report::EngineTelemetry)) because the
     /// report itself is byte-identical at any engine setting.
     pub fn engine_telemetry(&self) -> crate::report::EngineTelemetry {
@@ -547,20 +547,20 @@ impl<'p> EnsembleSession<'p> {
                 .map(ClientNode::sim_workers)
                 .max()
                 .unwrap_or(1),
-            folded_pairs: self.clients.iter().map(ClientNode::folded_pairs).sum(),
+            folded_pairs: 0,
             jobs: self
                 .clients
                 .iter()
                 .map(|c| c.backend().jobs_executed())
                 .sum(),
-            prefix_hits: self.clients.iter().map(ClientNode::prefix_hits).sum(),
+            prefix_hits: 0,
             batched_jobs: self.clients.iter().map(ClientNode::batched_jobs).sum(),
             pipeline_lanes: self
                 .clients
                 .iter()
                 .map(ClientNode::pipeline_lanes)
                 .max()
-                .unwrap_or(0),
+                .unwrap_or(1),
         }
     }
 

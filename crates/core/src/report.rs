@@ -71,28 +71,26 @@ impl fmt::Display for PoolTelemetry {
 ///
 /// Like [`PoolTelemetry`], engine telemetry lives *beside* the
 /// [`TrainingReport`]: the report is byte-identical at any
-/// [`SimParallelism`](crate::SimParallelism) setting and with or
-/// without shift-pair folding, while these counters describe the
-/// simulation machinery. Read with
+/// [`SimParallelism`](crate::SimParallelism) setting, while these
+/// counters describe the simulation machinery. Read with
 /// [`EnsembleSession::engine_telemetry`](crate::EnsembleSession::engine_telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTelemetry {
     /// Lanes of engine data-parallelism per client (1 when serial).
     pub workers: usize,
-    /// Forward/backward parameter-shift pairs whose shared tape prefix
-    /// was evolved once instead of twice, summed over clients.
+    /// Retired with pair folding (a pair is a fork group of two):
+    /// always 0. Kept only because the frozen benchmark reads it.
     pub folded_pairs: u64,
     /// Jobs executed across all client backends.
     pub jobs: u64,
-    /// Batch groups whose shared op-tape prefix was resumed from the
-    /// noise-epoch prefix cache instead of re-evolved, summed over
-    /// clients (batched path only).
+    /// Retired with the prefix cache (it never hit on a training
+    /// run): always 0. Kept only because the frozen benchmark reads it.
     pub prefix_hits: u64,
-    /// Runs executed through the batched pipeline path, summed over
-    /// clients.
+    /// Density runs evolved through the backends' group-fork walk,
+    /// summed over clients (0 on the trajectory and legacy paths).
     pub batched_jobs: u64,
-    /// Lanes of the shared batched-job pipeline (0 when the batched
-    /// path is off, 1 when it runs inline).
+    /// Lanes of the shared job pipeline the forked suffixes fan out
+    /// over (1 when they resume inline).
     pub pipeline_lanes: usize,
 }
 
@@ -100,13 +98,8 @@ impl fmt::Display for EngineTelemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} engine lanes, {} folded pairs, {} jobs, {} pipeline lanes, {} batched jobs, {} prefix hits",
-            self.workers,
-            self.folded_pairs,
-            self.jobs,
-            self.pipeline_lanes,
-            self.batched_jobs,
-            self.prefix_hits
+            "{} engine lanes, {} jobs, {} pipeline lanes, {} batched runs",
+            self.workers, self.jobs, self.pipeline_lanes, self.batched_jobs
         )
     }
 }

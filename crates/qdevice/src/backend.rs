@@ -17,9 +17,19 @@
 //! then built exactly once per cycle), and ensemble clients additionally
 //! cache the compiled program per template per noise epoch (see
 //! [`crate::compile::CompiledTemplate`]). All caches key on values, not
-//! time, so results are byte-identical to the uncached pre-engine path —
-//! which survives behind [`QpuBackend::with_legacy_execution`] as the
-//! equivalence oracle for tests and benchmarks.
+//! time, so caching never changes a result. The uncached pre-engine path
+//! survives behind [`QpuBackend::with_legacy_execution`] as the
+//! equivalence oracle for tests and benchmarks (equal counts and timing
+//! on every pinned fixture; states agree to 1e-12, see
+//! [`qsim::program`]).
+//!
+//! Template jobs ([`QpuBackend::execute_templates`], the training hot
+//! path) have one density implementation: one walk per template from
+//! `|0..0><0..0|`, every shifted run forked off it at the op its shift
+//! rebinds, the forked suffixes resumed inline on the backend's own
+//! engine or over the lanes of an attached [`BatchPipeline`], then one
+//! sampling loop in run order. A backend holds no state besides its
+//! engines' own; forks live for one call.
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
@@ -284,34 +294,6 @@ impl SharedNoiseCache {
     }
 }
 
-/// Noise-epoch-scoped cache of evolved op-tape prefix states, shared
-/// across templates and across `execute_templates` batches.
-///
-/// Keys are the *exact bit content* of the tape prefix (op kinds, qubit
-/// indices, every unitary entry and every fused superoperator's
-/// sparsity pattern and coefficients — see
-/// [`qsim::CompiledProgram::prefix_fingerprint`]), never a lossy hash:
-/// a hit is a proof that re-evolving the prefix would reproduce the
-/// cached state bit-for-bit, so resuming from it is byte-identical.
-/// Entries are scoped to one [`NoiseToken`], so recalibration or drift
-/// invalidates the whole cache at once. Because the prefix ends at the
-/// first *parameterized* tape op, its content never depends on the
-/// bound parameter values — the same ansatz prefix hits across training
-/// epochs, across templates and across clients sharing a device clone
-/// within one noise epoch.
-#[derive(Clone, Debug, Default)]
-struct PrefixCache {
-    token: Option<NoiseToken>,
-    /// `(prefix fingerprint, prefix length in ops, evolved state)`,
-    /// oldest first.
-    entries: Vec<(Vec<u64>, usize, DensityMatrix)>,
-}
-
-/// Entry cap for [`PrefixCache`]; the oldest entry is evicted beyond
-/// it. Paper-scale sessions use a handful of distinct ansatz prefixes
-/// per device, so 32 is generous.
-const PREFIX_CACHE_CAP: usize = 32;
-
 /// Raw-pointer wrapper so pipeline jobs can write disjoint elements of
 /// buffers owned by the submitting backend (the trajectory engine's
 /// lane-pointer idiom). Safety rests on the strided job-to-index
@@ -371,28 +353,20 @@ pub struct QpuBackend {
     noise_cache: NoiseCache,
     density_engine: DensityEngine,
     trajectory_engine: TrajectoryEngine,
-    /// Fold forward/backward shift pairs over their shared tape prefix
-    /// in [`QpuBackend::execute_templates`] (density engine only).
-    shift_fold: bool,
-    /// Shift pairs folded so far (telemetry).
-    folded_pairs: u64,
-    /// Per-run distribution scratch for the two-phase batched engine
-    /// path (reused across calls).
+    /// Per-run distribution scratch of
+    /// [`QpuBackend::execute_templates`]' evolve-then-sample split
+    /// (reused across calls).
     run_probs: Vec<Vec<f64>>,
-    /// Route [`QpuBackend::execute_templates`] through the batched
-    /// N-way group-fork path (shared-prefix cache + pipeline lanes).
-    batch_exec: bool,
     /// Shared fleet-wide lane pool for suffix evolutions. `None` runs
-    /// batched suffixes inline on the submitting thread.
+    /// every suffix inline on this backend's own engine.
     batch_pipeline: Option<Arc<BatchPipeline>>,
-    /// Noise-epoch-scoped cache of evolved prefix states.
-    prefix_cache: PrefixCache,
-    /// One scratch engine per pipeline job slot, so suffix evolutions
-    /// never contend on the main engine's buffers.
+    /// Scratch engines for every pipeline job but the last (which
+    /// resumes on `density_engine`), so concurrent suffix evolutions
+    /// never share buffers. Empty until a pipeline runs more than one
+    /// job.
     lane_engines: Vec<DensityEngine>,
-    /// Batch groups resumed from a cached prefix state (telemetry).
-    prefix_hits: u64,
-    /// Runs executed through the batched pipeline path (telemetry).
+    /// Density runs executed through [`QpuBackend::execute_templates`]
+    /// (telemetry).
     batched_jobs: u64,
 }
 
@@ -444,14 +418,9 @@ impl QpuBackend {
             noise_cache: NoiseCache::default(),
             density_engine: DensityEngine::new(),
             trajectory_engine: TrajectoryEngine::new(1),
-            shift_fold: true,
-            folded_pairs: 0,
             run_probs: Vec::new(),
-            batch_exec: false,
             batch_pipeline: None,
-            prefix_cache: PrefixCache::default(),
             lane_engines: Vec::new(),
-            prefix_hits: 0,
             batched_jobs: 0,
         }
     }
@@ -472,53 +441,23 @@ impl QpuBackend {
         self
     }
 
-    /// Disables shared-prefix shift-pair folding in
-    /// [`QpuBackend::execute_templates`] (builder style). Folding is
-    /// byte-identical to the unfolded path; the toggle exists so
-    /// equivalence tests and benchmarks can compare both.
-    pub fn without_shift_fold(mut self) -> Self {
-        self.shift_fold = false;
-        self
-    }
-
-    /// Routes [`QpuBackend::execute_templates`] through the batched
-    /// group-fork path (builder style): each batch binds every
-    /// template's base once, describes shifted runs as `(slot, matrix)`
-    /// variants forked N-way off one base walk, resumes shared ansatz
-    /// prefixes from the noise-epoch-scoped [`PrefixCache`], and fans
-    /// suffix evolutions over the attached [`BatchPipeline`] (inline
-    /// when none is attached). Byte-identical to the folded and
-    /// unfolded paths; density simulator only (trajectories fall back).
-    pub fn with_batch_exec(mut self) -> Self {
-        self.batch_exec = true;
-        self
-    }
-
-    /// Attaches the shared fleet-wide lane pool and enables the batched
-    /// path. Many backends (one per client, across tenants) share one
-    /// pipeline: their suffix jobs interleave on its lanes.
+    /// Attaches the shared fleet-wide lane pool: the forked suffixes of
+    /// [`QpuBackend::execute_templates`] fan out over its lanes instead
+    /// of resuming inline. Many backends (one per client, across
+    /// tenants) share one pipeline: their suffix jobs interleave on its
+    /// lanes. Byte-identical results at any lane count.
     pub fn set_batch_pipeline(&mut self, pipeline: Arc<BatchPipeline>) {
         self.batch_pipeline = Some(pipeline);
-        self.batch_exec = true;
     }
 
-    /// Batch groups whose shared tape prefix was resumed from the
-    /// [`PrefixCache`] instead of re-evolved (telemetry).
-    pub fn prefix_hits(&self) -> u64 {
-        self.prefix_hits
-    }
-
-    /// Runs executed through the batched pipeline path (telemetry).
+    /// Density runs executed through [`QpuBackend::execute_templates`]
+    /// (telemetry).
     pub fn batched_jobs(&self) -> u64 {
         self.batched_jobs
     }
 
-    /// Lanes of the attached pipeline (1 when the batched path runs
-    /// inline, 0 when the batched path is off).
+    /// Lanes of the attached pipeline (1 when suffixes resume inline).
     pub fn pipeline_lanes(&self) -> usize {
-        if !self.batch_exec {
-            return 0;
-        }
         self.batch_pipeline.as_ref().map_or(1, |p| p.lanes())
     }
 
@@ -534,12 +473,6 @@ impl QpuBackend {
     /// Lanes of engine parallelism (1 when serial).
     pub fn sim_workers(&self) -> usize {
         self.density_engine.parallel_ctx().workers()
-    }
-
-    /// Forward/backward shift pairs evolved over a shared tape prefix
-    /// so far (telemetry for [`QpuBackend::execute_templates`]).
-    pub fn folded_pairs(&self) -> u64 {
-        self.folded_pairs
     }
 
     /// Overrides the maintenance downtime (builder style).
@@ -1002,11 +935,21 @@ impl QpuBackend {
     /// Each [`TemplateRun`] names a template (by index into `templates`)
     /// and an optional shift; the shared `params` vector binds every
     /// run. Templates compile at most once per noise epoch (in practice
-    /// once per calibration cycle — see [`CompiledTemplate`]); per run
-    /// only the parameterized rotation matrices are rebound before the
-    /// engine replays the tape. Byte-identical to binding each circuit
-    /// with [`Circuit::bind_with_shift`] and calling
-    /// [`QpuBackend::execute_batch`].
+    /// once per calibration cycle — see [`CompiledTemplate`]). On the
+    /// density simulator runs group by template: each group binds its
+    /// base once and walks the tape once, forking every shifted member
+    /// at the op its shift rebinds (a forward/backward pair is a group
+    /// of two, an unshifted run is the walk itself); the forked suffixes
+    /// resume inline, or over the lanes of an attached
+    /// [`BatchPipeline`]. Evolution is RNG-free and sampling consumes
+    /// the RNG in run order, so counts and timing are bit-identical to
+    /// evolving every run on its own, at any lane count.
+    ///
+    /// Binding each circuit with [`Circuit::bind_with_shift`] and
+    /// calling [`QpuBackend::execute_batch`] is *not* bit-identical: a
+    /// bound circuit has no parameterized slot, so its rotations fuse
+    /// into the neighbouring clusters and the evolved state agrees to
+    /// ~1e-16 — equal counts on every pinned fixture, not equal bits.
     ///
     /// # Panics
     ///
@@ -1045,322 +988,186 @@ impl QpuBackend {
                 last_duration_ns = duration;
                 all_counts.push(counts);
             }
-        } else if self.batch_exec && self.simulator == SimulatorKind::Density {
-            // The batched N-way group-fork path. Like the folded path
-            // below, the batch splits into an RNG-free evolution phase
-            // and a sampling phase that consumes the RNG in run order —
-            // but instead of greedy forward/backward pairing, runs
-            // group by template: each group binds its base once, walks
-            // the tape once, and forks *every* shifted member off that
-            // walk; shared ansatz prefixes resume from the noise-epoch
-            // [`PrefixCache`] (across templates and batches), and the
-            // forked suffixes fan out over the shared [`BatchPipeline`]
-            // lanes. Byte-identity per run is the group-fork contract
-            // of [`DensityEngine::evolve_group_forks`]; identity of the
-            // whole batch follows because sampling, `f64` accumulation
-            // and every counter sequence stay in run order.
-            let token = self.noise_token(started);
-            // Bookkeeping pass — identical per-run order to the folded
-            // path, so noise and compile counter sequences match it.
-            let mut meta = Vec::with_capacity(runs.len());
-            for run in runs {
-                let entry = self.noise_entry(started, templates[run.template].active_physical());
-                let noise = &*self.noise_cache.entries[entry].model;
-                let template = &mut *templates[run.template];
-                template.ensure_compiled(noise, token);
-                let program = template.program();
-                assert!(
-                    program.num_qubits() <= DensityMatrix::MAX_QUBITS,
-                    "{} active qubits exceed the density engine cap; use trajectories",
-                    program.num_qubits()
-                );
-                meta.push((
-                    program.duration_ns(),
-                    noise.readout_time_ns,
-                    program.num_qubits(),
-                ));
-            }
-            if self.run_probs.len() < runs.len() {
-                self.run_probs.resize_with(runs.len(), Vec::new);
-            }
-            // Group runs by template, in first-appearance order: one
-            // base walk per group serves every member.
-            let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (i, run) in runs.iter().enumerate() {
-                let g = match group_of[run.template] {
-                    Some(g) => g,
-                    None => {
-                        groups.push((run.template, Vec::new()));
-                        group_of[run.template] = Some(groups.len() - 1);
-                        groups.len() - 1
-                    }
-                };
-                groups[g].1.push(i);
-            }
-            let QpuBackend {
-                density_engine,
-                run_probs,
-                prefix_cache,
-                prefix_hits,
-                ..
-            } = self;
-            if prefix_cache.token != Some(token) {
-                prefix_cache.token = Some(token);
-                prefix_cache.entries.clear();
-            }
-            // Phase A1 — per group: bind the base binding once, fork
-            // every shifted member off one base walk, and route the
-            // shared prefix through the cache. Forked suffixes are
-            // parked for Phase A2; unshifted members share the base
-            // distribution bit-for-bit (evolution is deterministic, so
-            // a copy is byte-identical to re-evolving).
-            let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
-            let mut forks = Vec::new();
-            let mut fp = Vec::new();
-            for &(t, ref members) in &groups {
-                let template = &mut *templates[t];
-                template.bind(params, None);
-                let mut variants = Vec::new();
-                let mut variant_run = Vec::new();
-                let mut base_runs = Vec::new();
-                for &i in members {
-                    match runs[i].shift {
-                        Some((g, d)) => {
-                            variants.push(template.shift_matrix(params, g, d));
-                            variant_run.push(i);
-                        }
-                        None => base_runs.push(i),
-                    }
-                }
-                let slots = template.rebind_slots();
-                let program = template.program();
-                let k = program.first_op_using(&slots);
-                fp.clear();
-                let mut capture = None;
-                let mut resume_idx = None;
-                if k > 0 {
-                    program.prefix_fingerprint(k, &mut fp);
-                    match prefix_cache
-                        .entries
-                        .iter()
-                        .position(|e| e.1 == k && e.0 == fp)
-                    {
-                        Some(idx) => {
-                            resume_idx = Some(idx);
-                            *prefix_hits += 1;
-                        }
-                        None => capture = Some(k),
-                    }
-                }
-                let resume = resume_idx.map(|idx| (&prefix_cache.entries[idx].2, k));
-                let captured = density_engine.evolve_group_forks(
-                    program,
-                    &variants,
-                    resume,
-                    capture,
-                    &mut forks,
-                    base_runs.first().map(|&i| &mut run_probs[i]),
-                );
-                if let Some(state) = captured {
-                    if prefix_cache.entries.len() >= PREFIX_CACHE_CAP {
-                        prefix_cache.entries.remove(0);
-                    }
-                    prefix_cache.entries.push((fp.clone(), k, state));
-                }
-                if base_runs.len() > 1 {
-                    let src = run_probs[base_runs[0]].clone();
-                    for &i in &base_runs[1..] {
-                        run_probs[i].clear();
-                        run_probs[i].extend_from_slice(&src);
-                    }
-                }
-                for (v, at, state) in forks.drain(..) {
-                    suffixes.push((variant_run[v], t, at, state));
-                }
-            }
-            // Phase A2 — resume every fork's suffix, fanned across the
-            // shared pipeline lanes. Suffixes are independent, RNG-free
-            // and write disjoint run slots, so lane assignment cannot
-            // affect bits.
-            if !suffixes.is_empty() {
-                let lanes = self.batch_pipeline.as_ref().map_or(1, |p| p.lanes());
-                let jobs = lanes.min(suffixes.len()).max(1);
-                if self.lane_engines.len() < jobs {
-                    self.lane_engines.resize_with(jobs, DensityEngine::new);
-                }
-                let templates_ref: &[&mut CompiledTemplate] = &*templates;
-                let engines = BatchPtr(self.lane_engines.as_mut_ptr());
-                let probs = BatchPtr(self.run_probs.as_mut_ptr());
-                let suffixes_ref = &suffixes;
-                let f = move |j: usize| {
-                    // Capture the `Sync` wrappers whole (edition-2021
-                    // disjoint capture would otherwise grab the bare
-                    // pointers).
-                    let (engines, probs) = (&engines, &probs);
-                    // SAFETY: job j exclusively owns engine j and the
-                    // run slots of suffixes j, j + jobs, ... (strided,
-                    // disjoint by construction; run indices are unique
-                    // across suffixes).
-                    let engine = unsafe { &mut *engines.0.add(j) };
-                    for &(run_idx, t, at, ref state) in suffixes_ref.iter().skip(j).step_by(jobs) {
-                        let out = unsafe { &mut *probs.0.add(run_idx) };
-                        engine.resume_probs(templates_ref[t].program(), state, at, out);
-                    }
-                };
-                match &self.batch_pipeline {
-                    Some(p) => p.run_jobs(jobs, &f),
-                    None => f(0),
-                }
-            }
-            self.batched_jobs += runs.len() as u64;
-            // Phase B — sample every run's distribution in run order.
-            for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
-                let counts = self.density_engine.sample_probs(
-                    &self.run_probs[i],
-                    n_qubits,
-                    shots,
-                    &mut self.rng,
-                );
-                total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
-                last_duration_ns = duration_ns;
-                all_counts.push(counts);
-            }
-        } else if self.shift_fold && self.simulator == SimulatorKind::Density {
-            // The folded two-phase path. Density evolution is RNG-free,
-            // so the batch splits into an evolution phase (where a
-            // forward/backward shift pair evolves its shared tape prefix
-            // once) and a sampling phase that consumes the RNG in run
-            // order — preserving the exact draw sequence, cache-counter
-            // sequence and `f64` accumulation order of the run-at-a-time
-            // path above.
-            let token = self.noise_token(started);
-            // Greedy pair matching: a run shifted by `(g, d)` folds with
-            // the first later unpaired run of the same template shifted
-            // by `(g, -d)`.
-            let mut partner: Vec<Option<usize>> = vec![None; runs.len()];
-            let mut paired = vec![false; runs.len()];
-            for i in 0..runs.len() {
-                if paired[i] {
-                    continue;
-                }
-                if let Some((g, d)) = runs[i].shift {
-                    if let Some(j) = (i + 1..runs.len()).find(|&j| {
-                        !paired[j]
-                            && runs[j].template == runs[i].template
-                            && runs[j].shift == Some((g, -d))
-                    }) {
-                        partner[i] = Some(j);
-                        paired[i] = true;
-                        paired[j] = true;
-                    }
-                }
-            }
-            // Phase A — per run in order: noise/compile bookkeeping
-            // exactly as the unfolded path, then RNG-free evolution into
-            // the per-run distribution scratch (pair followers were
-            // already evolved by their leader).
-            let mut meta = Vec::with_capacity(runs.len());
-            let mut evolved = vec![false; runs.len()];
-            if self.run_probs.len() < runs.len() {
-                self.run_probs.resize_with(runs.len(), Vec::new);
-            }
-            for i in 0..runs.len() {
-                let entry =
-                    self.noise_entry(started, templates[runs[i].template].active_physical());
-                let QpuBackend {
-                    noise_cache,
-                    density_engine,
-                    run_probs,
-                    folded_pairs,
-                    ..
-                } = self;
-                let noise = &*noise_cache.entries[entry].model;
-                let template = &mut *templates[runs[i].template];
-                template.ensure_compiled(noise, token);
-                let program = template.program();
-                assert!(
-                    program.num_qubits() <= DensityMatrix::MAX_QUBITS,
-                    "{} active qubits exceed the density engine cap; use trajectories",
-                    program.num_qubits()
-                );
-                meta.push((
-                    program.duration_ns(),
-                    noise.readout_time_ns,
-                    program.num_qubits(),
-                ));
-                if evolved[i] {
-                    continue;
-                }
-                match (runs[i].shift, partner[i]) {
-                    (Some((g, d)), Some(j)) => {
-                        let (slot, alt) = template.bind_pair(params, g, d);
-                        let (head, tail) = run_probs.split_at_mut(j);
-                        density_engine.evolve_shift_pair_probs(
-                            template.program(),
-                            slot,
-                            &alt,
-                            &mut head[i],
-                            &mut tail[0],
-                        );
-                        evolved[j] = true;
-                        *folded_pairs += 1;
-                    }
-                    _ => {
-                        template.bind(params, runs[i].shift);
-                        density_engine.evolve_probs(template.program(), &mut run_probs[i]);
-                    }
-                }
-                evolved[i] = true;
-            }
-            // Phase B — sample every run's distribution in run order.
-            for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
-                let counts = self.density_engine.sample_probs(
-                    &self.run_probs[i],
-                    n_qubits,
-                    shots,
-                    &mut self.rng,
-                );
-                total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
-                last_duration_ns = duration_ns;
-                all_counts.push(counts);
-            }
         } else {
             let token = self.noise_token(started);
-            for run in runs {
-                let entry = self.noise_entry(started, templates[run.template].active_physical());
-                let QpuBackend {
-                    noise_cache,
-                    density_engine,
-                    trajectory_engine,
-                    rng,
-                    simulator,
-                    queue,
-                    ..
-                } = self;
-                let noise = &*noise_cache.entries[entry].model;
-                let template = &mut *templates[run.template];
-                template.ensure_lowered(noise, token, simulator.lowering());
-                template.bind(params, run.shift);
-                let program = template.program();
-                let counts = match *simulator {
-                    SimulatorKind::Density => {
+            match self.simulator {
+                SimulatorKind::Trajectories(n) => {
+                    self.trajectory_engine.set_trajectories(n);
+                    for run in runs {
+                        let entry =
+                            self.noise_entry(started, templates[run.template].active_physical());
+                        let noise = &*self.noise_cache.entries[entry].model;
+                        let template = &mut *templates[run.template];
+                        template.ensure_lowered(noise, token, Lowering::Trajectory);
+                        template.bind(params, run.shift);
+                        let program = template.program();
+                        let counts =
+                            self.trajectory_engine
+                                .run_program_par(program, shots, &mut self.rng);
+                        total_exec_s += self.queue.execution_s(
+                            program.duration_ns(),
+                            noise.readout_time_ns,
+                            shots,
+                        );
+                        last_duration_ns = program.duration_ns();
+                        all_counts.push(counts);
+                    }
+                }
+                SimulatorKind::Density => {
+                    // Density evolution is RNG-free, so the batch splits
+                    // into an evolution phase — one walk per template,
+                    // every shifted run forked off it — and a sampling
+                    // phase that consumes the RNG in run order. Each
+                    // run's distribution is bit for bit what evolving
+                    // it on its own would give (the group-fork contract
+                    // of [`DensityEngine::evolve_group_forks`]); the
+                    // whole batch follows because sampling, `f64`
+                    // accumulation and every counter sequence stay in
+                    // run order.
+                    //
+                    // Bookkeeping pass — per run, so the noise and
+                    // compile counters do not depend on the grouping.
+                    let mut meta = Vec::with_capacity(runs.len());
+                    for run in runs {
+                        let entry =
+                            self.noise_entry(started, templates[run.template].active_physical());
+                        let noise = &*self.noise_cache.entries[entry].model;
+                        let template = &mut *templates[run.template];
+                        template.ensure_compiled(noise, token);
+                        let program = template.program();
                         assert!(
                             program.num_qubits() <= DensityMatrix::MAX_QUBITS,
                             "{} active qubits exceed the density engine cap; use trajectories",
                             program.num_qubits()
                         );
-                        density_engine.run_program(program, shots, rng)
+                        meta.push((
+                            program.duration_ns(),
+                            noise.readout_time_ns,
+                            program.num_qubits(),
+                        ));
                     }
-                    SimulatorKind::Trajectories(n) => {
-                        trajectory_engine.set_trajectories(n);
-                        trajectory_engine.run_program_par(program, shots, rng)
+                    if self.run_probs.len() < runs.len() {
+                        self.run_probs.resize_with(runs.len(), Vec::new);
                     }
-                };
-                total_exec_s +=
-                    queue.execution_s(program.duration_ns(), noise.readout_time_ns, shots);
-                last_duration_ns = program.duration_ns();
-                all_counts.push(counts);
+                    // Group runs by template, in first-appearance order.
+                    let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
+                    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+                    for (i, run) in runs.iter().enumerate() {
+                        let g = *group_of[run.template].get_or_insert_with(|| {
+                            groups.push((run.template, Vec::new()));
+                            groups.len() - 1
+                        });
+                        groups[g].1.push(i);
+                    }
+                    // Phase A1 — per group: bind the base once and fork
+                    // every shifted member off one walk (which stops at
+                    // the last fork when no member is unshifted).
+                    // Unshifted members share the base distribution:
+                    // evolution is deterministic, so a copy is what
+                    // re-evolving would give.
+                    let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
+                    let mut forks = Vec::new();
+                    for &(t, ref members) in &groups {
+                        let template = &mut *templates[t];
+                        template.bind(params, None);
+                        let mut variants = Vec::new();
+                        let mut variant_run = Vec::new();
+                        let mut base_runs = Vec::new();
+                        for &i in members {
+                            match runs[i].shift {
+                                Some((g, d)) => {
+                                    variants.push(template.shift_matrix(params, g, d));
+                                    variant_run.push(i);
+                                }
+                                None => base_runs.push(i),
+                            }
+                        }
+                        self.density_engine.evolve_group_forks(
+                            template.program(),
+                            &variants,
+                            &mut forks,
+                            base_runs.first().map(|&i| &mut self.run_probs[i]),
+                        );
+                        if base_runs.len() > 1 {
+                            let src = self.run_probs[base_runs[0]].clone();
+                            for &i in &base_runs[1..] {
+                                self.run_probs[i].clone_from(&src);
+                            }
+                        }
+                        for (v, at, state) in forks.drain(..) {
+                            suffixes.push((variant_run[v], t, at, state));
+                        }
+                    }
+                    // Phase A2 — resume every fork's suffix: inline on
+                    // this backend's own engine (its walks are done),
+                    // or strided over the pipeline's lanes with the
+                    // last job on that engine and the others on scratch
+                    // engines. Suffixes are independent, RNG-free and
+                    // write disjoint run slots, so lane assignment
+                    // cannot affect bits.
+                    if !suffixes.is_empty() {
+                        let lanes = self.batch_pipeline.as_ref().map_or(1, |p| p.lanes());
+                        let jobs = lanes.min(suffixes.len());
+                        if self.lane_engines.len() < jobs - 1 {
+                            self.lane_engines.resize_with(jobs - 1, DensityEngine::new);
+                        }
+                        let templates_ref: &[&mut CompiledTemplate] = &*templates;
+                        let own = BatchPtr(&mut self.density_engine as *mut DensityEngine);
+                        let scratch = BatchPtr(self.lane_engines.as_mut_ptr());
+                        let probs = BatchPtr(self.run_probs.as_mut_ptr());
+                        let suffixes_ref = &suffixes;
+                        let f = move |j: usize| {
+                            // Capture the `Sync` wrappers whole
+                            // (edition-2021 disjoint capture would
+                            // otherwise grab the bare pointers).
+                            let (own, scratch, probs) = (&own, &scratch, &probs);
+                            // Lanes wake at the first push, so the last
+                            // job is the one the submitting thread most
+                            // often runs itself: that one gets the
+                            // engine whose state its core just walked
+                            // (job 0 there instead measured +4 % wall
+                            // on a two-lane 7-qubit session).
+                            //
+                            // SAFETY: job j exclusively owns its engine
+                            // (the submitter touches none until every
+                            // job has returned) and the run slots of
+                            // suffixes j, j + jobs, ... (strided,
+                            // disjoint by construction; run indices are
+                            // unique across suffixes).
+                            let engine = unsafe {
+                                if j + 1 == jobs {
+                                    &mut *own.0
+                                } else {
+                                    &mut *scratch.0.add(j)
+                                }
+                            };
+                            for &(run_idx, t, at, ref state) in
+                                suffixes_ref.iter().skip(j).step_by(jobs)
+                            {
+                                let out = unsafe { &mut *probs.0.add(run_idx) };
+                                engine.resume_probs(templates_ref[t].program(), state, at, out);
+                            }
+                        };
+                        match &self.batch_pipeline {
+                            Some(p) => p.run_jobs(jobs, &f),
+                            None => f(0),
+                        }
+                    }
+                    self.batched_jobs += runs.len() as u64;
+                    // Phase B — sample every run's distribution in run
+                    // order.
+                    for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
+                        let counts = self.density_engine.sample_probs(
+                            &self.run_probs[i],
+                            n_qubits,
+                            shots,
+                            &mut self.rng,
+                        );
+                        total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
+                        last_duration_ns = duration_ns;
+                        all_counts.push(counts);
+                    }
+                }
             }
         }
         let completed = self.record_job(submit, started, total_exec_s);
@@ -1636,6 +1443,43 @@ mod tests {
         // Same simulator, same token: the cached program is reused.
         switched.execute_templates(&mut [&mut template], &runs, &params, 512, submit);
         assert_eq!(template.compiles(), 3);
+    }
+
+    #[test]
+    fn a_backend_keeps_no_state_besides_its_engines() {
+        // Memory guard: forks are parked for one call only, an inline
+        // backend resumes them on its own engine, and a pipelined one
+        // adds a scratch engine per job beyond the first.
+        let mut b = CircuitBuilder::new(2);
+        b.h(0).ry_sym(0, 0).cx(0, 1).ry_sym(1, 1);
+        let circuit = b.build();
+        let shifted = |g: usize, d: f64| TemplateRun {
+            template: 0,
+            shift: Some((g, d)),
+        };
+        // Gate layout: h at 0, ry_sym at 1 and 3, cx at 2.
+        let runs = [
+            shifted(1, 0.5),
+            shifted(1, -0.5),
+            shifted(3, 0.5),
+            shifted(3, -0.5),
+        ];
+        let states = |be: &QpuBackend| format!("{be:?}").matches("DensityMatrix").count();
+        let mut inline = small_backend(41);
+        let mut piped = small_backend(41);
+        piped.set_batch_pipeline(BatchPipeline::new(3));
+        for be in [&mut inline, &mut piped] {
+            let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1]);
+            be.execute_templates(&mut [&mut template], &runs, &[0.3, 0.7], 64, SimTime::ZERO);
+        }
+        assert!(inline.lane_engines.is_empty());
+        assert_eq!(
+            states(&inline),
+            1,
+            "the engine's own state and nothing else"
+        );
+        assert_eq!(piped.lane_engines.len(), 2, "jobs 0 and 1 of 3");
+        assert_eq!(states(&piped), 3, "one state per engine that ran a job");
     }
 
     #[test]

@@ -268,40 +268,13 @@ impl CompiledTemplate {
         }
     }
 
-    /// Binds the forward leg of a parameter-shift pair — exactly
-    /// [`CompiledTemplate::bind`] with `Some((gate_idx, delta))` — and
-    /// returns the rebind slot of the shifted occurrence together with
-    /// the matrix the backward leg (`-delta`) would have placed there:
-    /// everything a folded shift-pair evolution needs without binding
-    /// the whole template twice. The returned matrix is bit-identical
-    /// to what `bind(params, Some((gate_idx, -delta)))` writes into the
-    /// slot (IEEE `a + (-d)` ≡ `a - d`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the template was never compiled, `params` does not
-    /// cover the circuit's parameters, or `gate_idx` is not a
-    /// parameterized gate occurrence.
-    pub fn bind_pair(&mut self, params: &[f64], gate_idx: usize, delta: f64) -> (usize, CMatrix) {
-        self.bind(params, Some((gate_idx, delta)));
-        let &(slot, _) = self
-            .param_slots
-            .iter()
-            .find(|&&(_, g)| g == gate_idx)
-            .expect("shift index must name a parameterized gate occurrence");
-        let g = self.circuit.gates()[gate_idx];
-        let angle = g.angle().expect("rebind slot maps to a parameterized gate");
-        let value = angle.resolve(params) - delta;
-        (slot, g.with_angle(Angle::Fixed(value)).matrix(&[]))
-    }
-
     /// The matrix [`CompiledTemplate::bind`] with `Some((gate_idx,
     /// delta))` would place in the shifted occurrence's rebind slot,
     /// together with that slot — computed without touching the bound
     /// program. Bit-identical to what `bind` writes (`value += delta`
-    /// is IEEE `value + delta`), so a batched group can bind the base
-    /// once and describe every shifted run as a `(slot, matrix)`
-    /// variant for an N-way group fork.
+    /// is IEEE `value + delta`), so the backend binds a template's
+    /// base once and describes every shifted run as a `(slot, matrix)`
+    /// variant of one group-fork walk.
     ///
     /// # Panics
     ///
@@ -316,15 +289,6 @@ impl CompiledTemplate {
         let angle = g.angle().expect("rebind slot maps to a parameterized gate");
         let value = angle.resolve(params) + delta;
         (slot, g.with_angle(Angle::Fixed(value)).matrix(&[]))
-    }
-
-    /// Rebind slots of every parameterized gate occurrence — the slots
-    /// [`CompiledTemplate::bind`] rewrites. Every tape op before the
-    /// first one using any of these slots is the template's
-    /// parameter-independent prefix, stable across bindings within a
-    /// noise epoch.
-    pub fn rebind_slots(&self) -> Vec<usize> {
-        self.param_slots.iter().map(|&(s, _)| s).collect()
     }
 
     /// The compiled program (panics if never compiled).

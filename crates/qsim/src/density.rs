@@ -819,8 +819,7 @@ impl DensityMatrix {
     }
 
     /// Overwrites this state with a copy of `other`, reusing the
-    /// allocation (the shift-pair fork path: snapshot and restore a
-    /// shared prefix without fresh matrices).
+    /// allocation (how an engine resumes a forked suffix).
     pub fn copy_from(&mut self, other: &DensityMatrix) {
         self.n = other.n;
         self.mat.clear();

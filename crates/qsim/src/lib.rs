@@ -74,8 +74,6 @@ pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, Superop, SuperopTable};
 pub use parallel::{BatchPipeline, ParallelCtx, RunQueue, WorkerTeam, DEFAULT_PAR_MIN_DIM};
-pub use program::{
-    CompiledProgram, DensityEngine, Lowering, ProgramBuilder, SimEngine, TrajectoryEngine,
-};
+pub use program::{CompiledProgram, DensityEngine, Lowering, ProgramBuilder, TrajectoryEngine};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

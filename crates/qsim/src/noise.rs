@@ -643,17 +643,6 @@ impl<'a> Superop<'a> {
         self.im.is_empty()
     }
 
-    /// Appends the full content of `S` — shape, sparsity pattern and
-    /// the bit pattern of every coefficient — to `out`. Two
-    /// superoperators with equal content sweep a state through
-    /// bit-identical floating-point work.
-    pub(crate) fn fingerprint(&self, out: &mut Vec<u64>) {
-        out.push((self.row_len.len() as u64) << 32 | self.cols.len() as u64);
-        out.push(self.im.len() as u64);
-        out.extend(self.row_len.iter().chain(self.cols).map(|&b| b as u64));
-        out.extend(self.re.iter().chain(self.im).map(|v| v.to_bits()));
-    }
-
     /// A one-qubit `S` expanded to a dense `4x4` (absent entries zero),
     /// in `f64` for a real superoperator, [`C64`] otherwise.
     pub(crate) fn dense_1q<C: Coeff>(&self) -> [[C; 4]; 4] {

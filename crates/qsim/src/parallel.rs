@@ -567,7 +567,7 @@ impl BatchPipeline {
     /// Creates a pipeline with `lanes` total lanes of execution: the
     /// submitting thread plus `lanes - 1` spawned workers. `lanes <= 1`
     /// spawns nothing and [`BatchPipeline::run_jobs`] executes inline
-    /// (still counting jobs, so telemetry sees the batched path).
+    /// (still counting jobs and batches).
     pub fn new(lanes: usize) -> Arc<Self> {
         let lanes = lanes.max(1);
         let shards = lanes.max(2); // shard count also serves submitters

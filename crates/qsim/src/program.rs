@@ -12,8 +12,6 @@
 //!   matrices and one channel table, built once (per noise epoch) by
 //!   [`ProgramBuilder`] *for the engine that will run it*
 //!   ([`Lowering`]) and replayed many times;
-//! * [`SimEngine`] — the engine abstraction: run a compiled program for
-//!   `shots` measurements;
 //! * [`DensityEngine`] — exact density-matrix evolution over a
 //!   persistent state. Its programs are *fused*: every maximal run of
 //!   adjacent fixed ops (gate unitaries and channels) nested in one
@@ -40,16 +38,16 @@
 //! re-associates the products and sums of its run, so the state equals
 //! op-by-op application (and the straightforward oracle) to 1e-12
 //! rather than bit for bit — sampled counts are equal on every pinned
-//! fixture, and every production path (serial, worker-team, folded,
-//! group-fork, resumed) is byte-identical to every other because they
-//! share the one tape, the one kernel set and the op order. Forks,
-//! resumes and prefix boundaries always fall between tape ops: a
-//! parameterized slot ends a run and is never inside a fused entry.
+//! fixture, and a full evolution, a group-fork walk with resumed
+//! suffixes and the worker-team kernels are byte-identical to each other
+//! because they share the one tape, the one kernel set and the op order.
+//! Forks and resumes always fall between tape ops: a parameterized slot
+//! ends a run and is never inside a fused entry.
 //!
 //! # Examples
 //!
 //! ```
-//! use qsim::program::{DensityEngine, ProgramBuilder, SimEngine};
+//! use qsim::program::{DensityEngine, ProgramBuilder};
 //! use qsim::sampler::ReadoutError;
 //! use qsim::{gates, KrausChannel};
 //! use rand::rngs::StdRng;
@@ -65,7 +63,7 @@
 //! // ...then replay it as often as needed without reallocating.
 //! let mut engine = DensityEngine::new();
 //! let mut rng = StdRng::seed_from_u64(7);
-//! let counts = engine.run(&program, 4096, &mut rng);
+//! let counts = engine.run_program(&program, 4096, &mut rng);
 //! assert_eq!(counts.total(), 4096);
 //! ```
 
@@ -156,8 +154,8 @@ enum ChannelTable {
 ///
 /// Build once with [`ProgramBuilder`] (typically per calibration epoch),
 /// rebind parameterized gates cheaply with
-/// [`CompiledProgram::set_unitary`], and execute with the [`SimEngine`]
-/// it was lowered for.
+/// [`CompiledProgram::set_unitary`], and execute with the engine it was
+/// lowered for.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     n_qubits: usize,
@@ -275,64 +273,6 @@ impl CompiledProgram {
                 "program was lowered for the density engine (fused superoperators); \
                  the trajectory engine needs Lowering::Trajectory"
             ),
-        }
-    }
-
-    /// Tape index of the first unitary op using any of `slots`
-    /// (`ops.len()` when none does) — the divergence point a batched
-    /// shift group forks at, and the boundary the shared-prefix cache
-    /// keys on.
-    pub fn first_op_using(&self, slots: &[usize]) -> usize {
-        self.ops
-            .iter()
-            .position(|op| op.unitary_slot().is_some_and(|s| slots.contains(&s)))
-            .unwrap_or(self.ops.len())
-    }
-
-    /// Appends a value-exact fingerprint of `ops[..k]` to `out`: op
-    /// kinds, qubit wiring, the bit patterns of every resolved matrix
-    /// entry and the full content of every channel-table entry used
-    /// (sparsity pattern and coefficient bits of a fused superoperator,
-    /// operator entries of a Kraus list), and the qubit count. Two
-    /// programs with equal fingerprints evolve `|0..0><0..0|` through
-    /// bit-identical floating-point work over that prefix — the
-    /// cross-template shared-prefix cache compares these (full content,
-    /// not a hash), so sharing is exact, never approximate.
-    pub fn prefix_fingerprint(&self, k: usize, out: &mut Vec<u64>) {
-        out.push(self.n_qubits as u64);
-        let matrix_bits = |m: &CMatrix, out: &mut Vec<u64>| {
-            out.extend(
-                m.as_slice()
-                    .iter()
-                    .flat_map(|c| [c.re.to_bits(), c.im.to_bits()]),
-            );
-        };
-        let channel_bits = |channel: usize, out: &mut Vec<u64>| match &self.channels {
-            ChannelTable::Fused(t) => t.get(channel).fingerprint(out),
-            ChannelTable::Kraus(k) => k[channel]
-                .operators()
-                .iter()
-                .for_each(|m| matrix_bits(m, out)),
-        };
-        for op in &self.ops[..k] {
-            match *op {
-                TapeOp::Unitary1q { slot, q } => {
-                    out.extend([1, q as u64]);
-                    matrix_bits(&self.unitaries[slot], out);
-                }
-                TapeOp::Unitary2q { slot, q0, q1 } => {
-                    out.extend([2, (q0 as u64) << 32 | q1 as u64]);
-                    matrix_bits(&self.unitaries[slot], out);
-                }
-                TapeOp::Channel1q { channel, q } => {
-                    out.extend([3, q as u64]);
-                    channel_bits(channel, out);
-                }
-                TapeOp::Channel2q { channel, q0, q1 } => {
-                    out.extend([4, (q0 as u64) << 32 | q1 as u64]);
-                    channel_bits(channel, out);
-                }
-            }
         }
     }
 }
@@ -461,7 +401,7 @@ enum Target {
 /// the two-qubit op that follows it on a shared qubit (either operand
 /// order), further ops on those qubits join, anything else ends the run.
 /// A parameterized slot always ends a run and stays a unitary op, so
-/// every fork, resume and prefix boundary sits between tape ops; a run
+/// every fork and resume point sits between tape ops; a run
 /// without a channel stays unitary ops, which are cheaper than a dense
 /// superoperator.
 #[derive(Clone, Debug)]
@@ -760,18 +700,6 @@ fn channel_op(channel: usize, qubits: &[usize]) -> TapeOp {
     }
 }
 
-/// A simulation engine: executes a [`CompiledProgram`] for `shots`
-/// measurements.
-///
-/// Engines own their scratch state, so a long-lived engine executes an
-/// unbounded stream of programs without per-job allocation. The RNG is
-/// taken as a trait object so engines stay object-safe (backends hold
-/// them behind one field regardless of the generator type).
-pub trait SimEngine {
-    /// Runs the program and returns the measured counts.
-    fn run(&mut self, program: &CompiledProgram, shots: usize, rng: &mut dyn RngCore) -> Counts;
-}
-
 /// Exact density-matrix engine over a persistent state.
 ///
 /// Equivalent to evolving a fresh [`DensityMatrix`] per job, but: the
@@ -782,7 +710,6 @@ pub trait SimEngine {
 #[derive(Clone, Debug, Default)]
 pub struct DensityEngine {
     rho: Option<DensityMatrix>,
-    fork: Option<DensityMatrix>,
     probs: Vec<f64>,
     sampler: ShotSampler,
     ctx: ParallelCtx,
@@ -806,6 +733,12 @@ impl DensityEngine {
     /// The engine's current parallel context.
     pub fn parallel_ctx(&self) -> &ParallelCtx {
         &self.ctx
+    }
+
+    /// The unnormalized state the last evolution left (`None` before
+    /// the first).
+    pub fn state(&self) -> Option<&DensityMatrix> {
+        self.rho.as_ref()
     }
 
     /// Resets the persistent state to `|0...0><0...0|` over `n` qubits.
@@ -887,64 +820,8 @@ impl DensityEngine {
         out.extend_from_slice(&self.probs);
     }
 
-    /// Evolves a forward/backward parameter-shift pair in one pass.
-    ///
-    /// The two programs of a shift pair are identical except for the
-    /// matrix in `slot` (parameterized slots are never shared), so the
-    /// tape prefix before the op using `slot` is evolved *once*, the
-    /// state forked, and only the remainder runs twice: `fwd` receives
-    /// the distribution of the program as currently bound, `bck` the
-    /// distribution with `alt` substituted in `slot`. Byte-identical to
-    /// two full [`DensityEngine::evolve_probs`] calls — the shared
-    /// prefix computes the identical floating-point state either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if no tape op uses `slot`.
-    pub fn evolve_shift_pair_probs(
-        &mut self,
-        program: &CompiledProgram,
-        slot: usize,
-        alt: &CMatrix,
-        fwd: &mut Vec<f64>,
-        bck: &mut Vec<f64>,
-    ) {
-        let ops = program.ops();
-        let split = ops
-            .iter()
-            .position(|op| op.unitary_slot() == Some(slot))
-            .expect("shift slot must appear on the tape");
-        self.reset(program.num_qubits());
-        self.evolve_ops(program, &ops[..split]);
-        let rho = self.rho.as_ref().expect("state initialized by reset");
-        match &mut self.fork {
-            Some(f) => f.copy_from(rho),
-            None => self.fork = Some(rho.clone()),
-        }
-        // Forward: finish the tape as bound.
-        self.evolve_ops(program, &ops[split..]);
-        self.finish_probs(program);
-        fwd.clear();
-        fwd.extend_from_slice(&self.probs);
-        // Backward: restore the prefix, swap in the alternative matrix
-        // at the split op, finish the remainder.
-        let rho = self.rho.as_mut().expect("state initialized by reset");
-        rho.copy_from(self.fork.as_ref().expect("fork snapshot taken above"));
-        match ops[split] {
-            TapeOp::Unitary1q { q, .. } => rho.apply_unitary_1q_ctx(alt, q, &self.ctx),
-            TapeOp::Unitary2q { q0, q1, .. } => rho.apply_unitary_2q_ctx(alt, q0, q1, &self.ctx),
-            _ => unreachable!("split op is a unitary by construction"),
-        }
-        self.evolve_ops(program, &ops[split + 1..]);
-        self.finish_probs(program);
-        bck.clear();
-        bck.extend_from_slice(&self.probs);
-    }
-
-    /// Walks the base-bound tape **once**, forking an N-way shift group
-    /// off it — the generalization of
-    /// [`DensityEngine::evolve_shift_pair_probs`] from one
-    /// forward/backward pair to a whole batch of variants.
+    /// Walks the base-bound tape **once** from `|0..0><0..0|`, forking
+    /// an N-way shift group off it.
     ///
     /// Each variant diverges from the base binding at exactly one tape
     /// op (the op using its `slot`); when the walk reaches that op the
@@ -953,85 +830,41 @@ impl DensityEngine {
     /// state)` for [`DensityEngine::resume_probs`] to finish — on this
     /// engine or on any pipeline lane's engine, in any order, since the
     /// suffix evolutions are independent. The walk itself continues with
-    /// the base matrix.
-    ///
-    /// `resume` starts the walk from a cached prefix state instead of
-    /// `|0..0><0..0|` (the shared-prefix cache's hit path: the state is
-    /// a bit-exact snapshot of the same walk, so resuming is
-    /// byte-identical to re-evolving). `capture_at` clones the state
-    /// reached *before* that op index and returns it (the cache's
-    /// insert path). `base` receives the base binding's own
-    /// distribution; when `None` the walk stops at the last point any
-    /// output needs.
+    /// the base matrix. `base` receives the base binding's own
+    /// distribution; when `None` the walk stops at the last fork.
     ///
     /// Byte-identity: every variant's suffix sees exactly the
     /// floating-point state a full [`DensityEngine::evolve_probs`] of
     /// its binding would have computed, because the shared prefix
-    /// performs identical operations in identical order — the same
-    /// argument (and the same oracle pinning) as the pair-folded path.
+    /// performs identical operations in identical order.
     ///
     /// # Panics
     ///
-    /// Panics if a variant's slot never appears on the tape at or after
-    /// the walk's start, or if `capture_at`/`resume` indices are out of
-    /// range.
+    /// Panics if a variant's slot never appears on the tape.
     pub fn evolve_group_forks(
         &mut self,
         program: &CompiledProgram,
         variants: &[(usize, CMatrix)],
-        resume: Option<(&DensityMatrix, usize)>,
-        capture_at: Option<usize>,
         forks: &mut Vec<(usize, usize, DensityMatrix)>,
         base: Option<&mut Vec<f64>>,
-    ) -> Option<DensityMatrix> {
+    ) {
         let ops = program.ops();
-        let start = match resume {
-            Some((state, at)) => {
-                assert!(at <= ops.len(), "resume index out of range");
-                self.reset(program.num_qubits());
-                self.rho
-                    .as_mut()
-                    .expect("state initialized by reset")
-                    .copy_from(state);
-                at
-            }
-            None => {
-                self.reset(program.num_qubits());
-                0
-            }
-        };
+        self.reset(program.num_qubits());
         let splits: Vec<usize> = variants
             .iter()
             .map(|&(slot, _)| {
-                start
-                    + ops[start..]
-                        .iter()
-                        .position(|op| op.unitary_slot() == Some(slot))
-                        .expect("variant slot must appear on the tape after the walk start")
+                ops.iter()
+                    .position(|op| op.unitary_slot() == Some(slot))
+                    .expect("variant slot must appear on the tape")
             })
             .collect();
-        // Walk no further than the outputs require: through the whole
-        // tape when the base distribution is wanted, else to the last
-        // fork/capture point.
+        // Walk no further than the outputs require.
         let end = match base {
             Some(_) => ops.len(),
-            None => splits
-                .iter()
-                .copied()
-                .chain(capture_at)
-                .max()
-                .unwrap_or(start),
+            None => splits.iter().copied().max().unwrap_or(0),
         };
-        assert!(end <= ops.len(), "capture index out of range");
         forks.clear();
-        for t in start..=end {
-            if capture_at == Some(t) {
-                let rho = self.rho.as_ref().expect("state initialized by reset");
-                match &mut self.fork {
-                    Some(f) => f.copy_from(rho),
-                    None => self.fork = Some(rho.clone()),
-                }
-            }
+        for t in 0..=end {
             for (v, (_, matrix)) in variants.iter().enumerate() {
                 if splits[v] != t {
                     continue;
@@ -1051,14 +884,11 @@ impl DensityEngine {
                 self.evolve_ops(program, &ops[t..t + 1]);
             }
         }
-        let captured = capture_at.map(|_| self.fork.take().expect("capture point on the walk"));
         if let Some(out) = base {
-            debug_assert_eq!(end, ops.len());
             self.finish_probs(program);
             out.clear();
             out.extend_from_slice(&self.probs);
         }
-        captured
     }
 
     /// Finishes one forked variant: restores `state`, replays
@@ -1073,11 +903,10 @@ impl DensityEngine {
         resume_at: usize,
         out: &mut Vec<f64>,
     ) {
-        self.reset(program.num_qubits());
-        self.rho
-            .as_mut()
-            .expect("state initialized by reset")
-            .copy_from(state);
+        match &mut self.rho {
+            Some(rho) => rho.copy_from(state),
+            None => self.rho = Some(state.clone()),
+        }
         self.evolve_ops(program, &program.ops()[resume_at..]);
         self.finish_probs(program);
         out.clear();
@@ -1086,8 +915,8 @@ impl DensityEngine {
 
     /// Samples `shots` measurements from a distribution produced by
     /// [`DensityEngine::evolve_probs`] or
-    /// [`DensityEngine::evolve_shift_pair_probs`]. Draw order is
-    /// exactly the sampling stage of [`DensityEngine::run_program`].
+    /// [`DensityEngine::resume_probs`]. Draw order is exactly the
+    /// sampling stage of [`DensityEngine::run_program`].
     pub fn sample_probs<R: RngCore + ?Sized>(
         &mut self,
         probs: &[f64],
@@ -1096,12 +925,6 @@ impl DensityEngine {
         rng: &mut R,
     ) -> Counts {
         self.sampler.sample_counts(probs, n_qubits, shots, rng)
-    }
-}
-
-impl SimEngine for DensityEngine {
-    fn run(&mut self, program: &CompiledProgram, shots: usize, rng: &mut dyn RngCore) -> Counts {
-        self.run_program(program, shots, rng)
     }
 }
 
@@ -1409,12 +1232,6 @@ impl LanePtr {
     }
 }
 
-impl SimEngine for TrajectoryEngine {
-    fn run(&mut self, program: &CompiledProgram, shots: usize, rng: &mut dyn RngCore) -> Counts {
-        self.run_program(program, shots, rng)
-    }
-}
-
 /// Stochastically applies one Kraus operator of `ch` selected with its
 /// Born probability, writing candidates into the reusable `candidate`
 /// buffer and swapping the accepted one into `state`.
@@ -1562,7 +1379,6 @@ mod tests {
         assert_eq!(prog.num_channels(), 1, "the recurring cluster is one entry");
         let s = prog.superops().get(0);
         assert_eq!((s.num_qubits(), s.nnz()), (1, 16));
-        assert_eq!(prog.first_op_using(&slots), 1);
     }
 
     #[test]
@@ -1764,12 +1580,17 @@ mod tests {
         let mut bck_ref = Vec::new();
         engine.evolve_probs(&prog, &mut bck_ref);
 
-        prog.set_unitary(slot, fwd_mat);
-        let (mut fwd, mut bck) = (Vec::new(), Vec::new());
-        engine.evolve_shift_pair_probs(&prog, slot, &bck_mat, &mut fwd, &mut bck);
+        // One walk, both legs forked at the slot, no base wanted.
+        let variants = [(slot, fwd_mat), (slot, bck_mat)];
+        let mut forks = Vec::new();
+        engine.evolve_group_forks(&prog, &variants, &mut forks, None);
+        assert_eq!(forks.len(), 2);
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&fwd), bits(&fwd_ref), "forward leg");
-        assert_eq!(bits(&bck), bits(&bck_ref), "backward leg");
+        let mut out = Vec::new();
+        for ((v, at, state), reference) in forks.iter().zip([&fwd_ref, &bck_ref]) {
+            engine.resume_probs(&prog, state, *at, &mut out);
+            assert_eq!(bits(&out), bits(reference), "leg {v}");
+        }
     }
 
     /// Two parameterized slots with fixed ops before, between and after
@@ -1817,9 +1638,7 @@ mod tests {
         // Group-forked: one base walk + resumed suffixes.
         let mut forks = Vec::new();
         let mut base = Vec::new();
-        let captured =
-            engine.evolve_group_forks(&prog, &variants, None, None, &mut forks, Some(&mut base));
-        assert!(captured.is_none(), "no capture requested");
+        engine.evolve_group_forks(&prog, &variants, &mut forks, Some(&mut base));
         assert_eq!(forks.len(), variants.len());
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&base), bits(&base_ref), "base binding");
@@ -1827,60 +1646,6 @@ mod tests {
         for (v, resume_at, state) in &forks {
             engine.resume_probs(&prog, state, *resume_at, &mut out);
             assert_eq!(bits(&out), bits(&refs[*v]), "variant {v}");
-        }
-    }
-
-    #[test]
-    fn group_forks_resume_from_captured_prefix_byte_identically() {
-        let (prog, s0, s1) = two_slot_program();
-        let d = std::f64::consts::FRAC_PI_2;
-        let variants = vec![(s0, gates::ry(0.4 + d)), (s1, gates::ry(-0.2 - d))];
-        let k = prog.first_op_using(&[s0, s1]);
-        assert!(k > 0 && k < prog.ops().len(), "prefix must be nontrivial");
-        let mut engine = DensityEngine::new();
-
-        // Cold walk: capture the prefix state and record all outputs.
-        let mut forks = Vec::new();
-        let mut base = Vec::new();
-        let captured = engine
-            .evolve_group_forks(&prog, &variants, None, Some(k), &mut forks, Some(&mut base))
-            .expect("capture requested");
-        let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
-        let cold_base = bits(&base);
-        let mut cold_forks = Vec::new();
-        let mut out = Vec::new();
-        for (_, at, state) in &forks {
-            engine.resume_probs(&prog, state, *at, &mut out);
-            cold_forks.push(bits(&out));
-        }
-
-        // Warm walk: resume from the captured state (the cache hit path).
-        let warm = engine.evolve_group_forks(
-            &prog,
-            &variants,
-            Some((&captured, k)),
-            None,
-            &mut forks,
-            Some(&mut base),
-        );
-        assert!(warm.is_none());
-        assert_eq!(bits(&base), cold_base, "base after resume");
-        for (i, (_, at, state)) in forks.iter().enumerate() {
-            engine.resume_probs(&prog, state, *at, &mut out);
-            assert_eq!(bits(&out), cold_forks[i], "fork {i} after resume");
-        }
-    }
-
-    #[test]
-    fn engines_work_behind_the_trait_object() {
-        let mut engines: Vec<(Box<dyn SimEngine>, Lowering)> = vec![
-            (Box::new(DensityEngine::new()), Lowering::Density),
-            (Box::new(TrajectoryEngine::new(64)), Lowering::Trajectory),
-        ];
-        let mut rng = StdRng::seed_from_u64(6);
-        for (e, lowering) in &mut engines {
-            let counts = e.run(&bell_program_for(0.02, *lowering), 2048, &mut rng);
-            assert_eq!(counts.total(), 2048);
         }
     }
 }

@@ -206,19 +206,10 @@ fn compile_tape(n: usize, tape: &[(Step, bool)]) -> (CompiledProgram, Vec<usize>
     (builder.finish(ReadoutError::uniform(n, 0.01), 0.0), slots)
 }
 
-/// The state a program leaves behind: a group walk with no variants
-/// that captures at the end of the tape.
+/// The (unnormalized) state a full evolution of `program` leaves.
 fn final_state(engine: &mut DensityEngine, program: &CompiledProgram) -> DensityMatrix {
-    engine
-        .evolve_group_forks(
-            program,
-            &[],
-            None,
-            Some(program.ops().len()),
-            &mut Vec::new(),
-            None,
-        )
-        .expect("capture at the end of the tape")
+    engine.evolve_probs(program, &mut Vec::new());
+    engine.state().expect("just evolved").clone()
 }
 
 fn prob_bits(p: &[f64]) -> Vec<u64> {
@@ -428,8 +419,8 @@ proptest! {
     }
 
     /// Fusion never swallows a parameterized gate: each rebind slot is
-    /// exactly one unitary op of the tape, so `first_op_using` names a
-    /// unitary op; and without a channel nothing is fused at all.
+    /// exactly one unitary op of the tape, in push order; and without a
+    /// channel nothing is fused at all.
     #[test]
     fn parameterized_slots_stay_unitary_ops(n in 3usize..=5, seed in 0u64..1 << 32) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -439,11 +430,8 @@ proptest! {
             let uses = program.ops().iter().filter(|op| op.unitary_slot() == Some(slot)).count();
             prop_assert_eq!(uses, 1, "slot {} must be one unitary op", slot);
         }
-        let k = program.first_op_using(&slots);
-        match slots.first() {
-            Some(&first) => prop_assert_eq!(program.ops()[k].unitary_slot(), Some(first)),
-            None => prop_assert_eq!(k, program.ops().len()),
-        }
+        let first = program.ops().iter().find_map(|op| op.unitary_slot().filter(|s| slots.contains(s)));
+        prop_assert_eq!(first, slots.first().copied());
         let ideal: Vec<(Step, bool)> = tape
             .into_iter()
             .filter(|(step, _)| !matches!(step, Step::Ch(..)))
@@ -454,8 +442,7 @@ proptest! {
         prop_assert_eq!(program.num_channels(), 0);
     }
 
-    /// Folded pairs, group forks with resumed suffixes, and a walk
-    /// resumed from a captured prefix all reproduce a full evolution of
+    /// Group forks with resumed suffixes reproduce a full evolution of
     /// the same fused program bit for bit.
     #[test]
     fn fork_and_resume_paths_are_byte_identical_on_fused_programs(
@@ -491,31 +478,14 @@ proptest! {
             refs.push(p);
             program.set_unitary(*slot, base);
         }
-        // Folded shift pair on the first slot.
-        let (mut fwd, mut bck) = (Vec::new(), Vec::new());
-        engine.evolve_shift_pair_probs(&program, variants[0].0, &variants[0].1, &mut fwd, &mut bck);
-        prop_assert_eq!(prob_bits(&fwd), prob_bits(&base_ref));
-        prop_assert_eq!(prob_bits(&bck), prob_bits(&refs[0]));
-        // Group forks off one base walk, capturing the shared prefix.
-        let k = program.first_op_using(&slots);
+        // Group forks off one base walk.
         let (mut forks, mut base, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        let captured = engine
-            .evolve_group_forks(&program, &variants, None, Some(k), &mut forks, Some(&mut base))
-            .expect("capture requested");
+        engine.evolve_group_forks(&program, &variants, &mut forks, Some(&mut base));
         prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref));
         prop_assert_eq!(forks.len(), variants.len());
         for (v, at, state) in &forks {
             engine.resume_probs(&program, state, *at, &mut out);
             prop_assert_eq!(prob_bits(&out), prob_bits(&refs[*v]), "variant {}", v);
-        }
-        // The same walk resumed from the captured prefix.
-        engine.evolve_group_forks(
-            &program, &variants, Some((&captured, k)), None, &mut forks, Some(&mut base),
-        );
-        prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref));
-        for (v, at, state) in &forks {
-            engine.resume_probs(&program, state, *at, &mut out);
-            prop_assert_eq!(prob_bits(&out), prob_bits(&refs[*v]), "resumed variant {}", v);
         }
     }
 

@@ -7,10 +7,9 @@
 //! over a persistent worker team. Results never depend on the lane
 //! count — the worker team partitions work deterministically, so a
 //! parallel run is a drop-in replacement wherever a report has been
-//! pinned byte-for-byte. Shift-pair folding (on by default) is
-//! orthogonal: each forward/backward gradient pair evolves its shared
-//! tape prefix once, and the session's `EngineTelemetry` counts the
-//! folds.
+//! pinned byte-for-byte. How runs evolve is orthogonal: each gradient
+//! task is one walk of its template with every shifted run forked off
+//! it, and the session's `EngineTelemetry` counts those runs.
 //!
 //! Run with: `cargo run --release --example parallel_engine`
 
@@ -50,12 +49,12 @@ fn main() -> Result<(), Box<dyn Error>> {
         "worker-team training must replay the serial report byte for byte"
     );
     assert_eq!(
-        serial_telemetry.folded_pairs,
-        parallel_telemetry.folded_pairs
+        serial_telemetry.batched_jobs,
+        parallel_telemetry.batched_jobs
     );
     assert!(
-        serial_telemetry.folded_pairs > 0,
-        "shift-rule gradients fold forward/backward pairs"
+        serial_telemetry.batched_jobs > 0,
+        "shift-rule gradients evolve through the group-fork walk"
     );
 
     println!("\nreports are byte-identical; {parallel_report}");

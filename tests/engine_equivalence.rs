@@ -273,6 +273,25 @@ fn template_recompiles_when_moved_across_backends() {
     );
 }
 
+/// One `execute_templates` job against the legacy oracle's: per-run
+/// counts and completion-time bits.
+fn assert_matches_legacy(
+    path: &str,
+    batch: usize,
+    got: &(Vec<qsim::Counts>, qdevice::JobResult),
+    legacy: &(Vec<qsim::Counts>, qdevice::JobResult),
+) {
+    assert_eq!(
+        got.0, legacy.0,
+        "{path} vs legacy counts diverge at batch {batch}"
+    );
+    assert_eq!(
+        got.1.completed.as_secs().to_bits(),
+        legacy.1.completed.as_secs().to_bits(),
+        "{path} vs legacy timing diverges at batch {batch}"
+    );
+}
+
 /// A parameterized template circuit: one `Ry(theta_q)` per qubit, a CX
 /// chain, one `Rz(theta_{n+q})` per qubit — every rotation is a
 /// shift-rule target.
@@ -292,14 +311,17 @@ fn sym_circuit(n: usize) -> qcircuit::Circuit {
 
 #[test]
 fn shift_pair_folding_is_byte_identical_across_recompile() {
-    // The folded path evolves a forward/backward shift pair's shared
-    // tape prefix once. It must stay byte-identical to the unfolded
-    // run-at-a-time path even while the drifting backend recompiles the
-    // template across noise epochs mid-walk.
+    // A forward/backward shift pair is a fork group of two: its shared
+    // tape prefix is walked once. Inline and over pipeline lanes it
+    // must reproduce the legacy run-at-a-time oracle even while the
+    // drifting backend recompiles the template across noise epochs
+    // mid-walk.
     use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
-    let mut folded = stress_backend(33);
-    let mut unfolded = stress_backend(33).without_shift_fold();
+    let mut inline = stress_backend(33);
+    let mut piped = stress_backend(33);
+    piped.set_batch_pipeline(qsim::BatchPipeline::new(2));
+    let mut legacy = stress_backend(33).with_legacy_execution();
     let circuit = sym_circuit(4);
     // Gate layout: ry_sym at 0..4, cx at 4..7, rz_sym at 7..11.
     let runs = [
@@ -325,24 +347,22 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
         },
         TemplateRun {
             template: 0,
-            shift: Some((0, FRAC_PI_2)), // unpaired: must fall back to a solo bind
+            shift: Some((0, FRAC_PI_2)), // unpaired: a lone fork
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.2 + 0.15 * i as f64).collect();
     let mut template_a = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
-    let mut template_b = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
+    let mut template_b = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
+    let mut template_c = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
-        let (ca, ra) = folded.execute_templates(&mut [&mut template_a], &runs, &params, 512, t);
-        let (cb, rb) = unfolded.execute_templates(&mut [&mut template_b], &runs, &params, 512, t);
-        assert_eq!(ca, cb, "per-run counts diverge at batch {batch}");
-        assert_eq!(
-            ra.completed.as_secs().to_bits(),
-            rb.completed.as_secs().to_bits(),
-            "timing diverges at batch {batch}"
-        );
+        let a = inline.execute_templates(&mut [&mut template_a], &runs, &params, 512, t);
+        let b = piped.execute_templates(&mut [&mut template_b], &runs, &params, 512, t);
+        let c = legacy.execute_templates(&mut [&mut template_c], &runs, &params, 512, t);
+        assert_matches_legacy("inline", batch, &a, &c);
+        assert_matches_legacy("lanes", batch, &b, &c);
         // Jump past the 3-minute recalibration period between batches.
-        t = ra.completed + 600.0;
+        t = a.1.completed + 600.0;
     }
     assert!(
         template_a.compiles() >= 2,
@@ -350,18 +370,19 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
         template_a.compiles()
     );
     assert_eq!(template_a.compiles(), template_b.compiles());
-    assert_eq!(
-        folded.folded_pairs(),
-        8,
-        "two foldable pairs per batch over four batches"
-    );
-    assert_eq!(unfolded.folded_pairs(), 0);
+    for backend in [&inline, &piped] {
+        assert_eq!(
+            backend.batched_jobs(),
+            4 * runs.len() as u64,
+            "every run of every batch goes through the one density path"
+        );
+    }
 }
 
 /// A template with a *fixed* ansatz prefix (H layer + CX chain) ahead
-/// of the first parameterized rotation — the shape the shared-prefix
-/// cache exists for. `extra_rz` appends a second symbolic layer so two
-/// such circuits share the prefix but diverge in the suffix.
+/// of the first parameterized rotation. `extra_rz` appends a second
+/// symbolic layer so two such circuits share the prefix but diverge in
+/// the suffix.
 fn prefixed_circuit(n: usize, first_param: usize, extra_rz: bool) -> qcircuit::Circuit {
     let mut b = CircuitBuilder::new(n);
     for q in 0..n {
@@ -383,21 +404,18 @@ fn prefixed_circuit(n: usize, first_param: usize, extra_rz: bool) -> qcircuit::C
 
 #[test]
 fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
-    // The batched path binds each template's base once, forks every
-    // shifted run N-way off one walk, and resumes shared prefixes from
-    // the noise-epoch cache — across templates and across batches. It
-    // must stay byte-identical to both the folded and the unfolded
-    // paths while the drifting backend recompiles mid-walk (every
-    // recompile starts a new noise epoch, which must invalidate the
-    // prefix cache rather than leak stale states).
+    // Runs group by template: each group binds its base once and forks
+    // every shifted run N-way off one walk — two templates interleaved
+    // in one batch, across batches. Inline and over pipeline lanes it
+    // must reproduce the legacy run-at-a-time oracle while the drifting
+    // backend recompiles mid-walk.
     use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
-    let mut batched = stress_backend(47).with_batch_exec();
-    let mut folded = stress_backend(47);
-    let mut unfolded = stress_backend(47).without_shift_fold();
-    // Two templates sharing an identical fixed prefix (H + CX chain):
-    // the second template's batch group must *hit* the prefix state the
-    // first one cached, within every noise epoch.
+    let mut inline = stress_backend(47);
+    let mut piped = stress_backend(47);
+    piped.set_batch_pipeline(qsim::BatchPipeline::new(2));
+    let mut legacy = stress_backend(47).with_legacy_execution();
+    // Two templates sharing an identical fixed prefix (H + CX chain).
     let circuit_a = prefixed_circuit(4, 0, false);
     let circuit_b = prefixed_circuit(4, 0, true);
     // Gate layout: h at 0..4, cx at 4..7, ry_sym at 7..11 (rz_sym at
@@ -429,7 +447,7 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
         },
         TemplateRun {
             template: 1,
-            shift: Some((9, FRAC_PI_2)), // unpaired in the folded path
+            shift: Some((9, FRAC_PI_2)), // unpaired: a lone fork
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.15 + 0.11 * i as f64).collect();
@@ -443,50 +461,30 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
         let (a0, a1) = ta.split_at_mut(1);
-        let (ca, ra) =
-            batched.execute_templates(&mut [&mut a0[0], &mut a1[0]], &runs, &params, 512, t);
+        let a = inline.execute_templates(&mut [&mut a0[0], &mut a1[0]], &runs, &params, 512, t);
         let (b0, b1) = tb.split_at_mut(1);
-        let (cb, rb) =
-            folded.execute_templates(&mut [&mut b0[0], &mut b1[0]], &runs, &params, 512, t);
+        let b = piped.execute_templates(&mut [&mut b0[0], &mut b1[0]], &runs, &params, 512, t);
         let (c0, c1) = tc.split_at_mut(1);
-        let (cc, rc) =
-            unfolded.execute_templates(&mut [&mut c0[0], &mut c1[0]], &runs, &params, 512, t);
-        assert_eq!(ca, cb, "batched vs folded counts diverge at batch {batch}");
-        assert_eq!(
-            ca, cc,
-            "batched vs unfolded counts diverge at batch {batch}"
-        );
-        assert_eq!(
-            ra.completed.as_secs().to_bits(),
-            rb.completed.as_secs().to_bits(),
-            "batched vs folded timing diverges at batch {batch}"
-        );
-        assert_eq!(
-            ra.completed.as_secs().to_bits(),
-            rc.completed.as_secs().to_bits(),
-            "batched vs unfolded timing diverges at batch {batch}"
-        );
-        t = ra.completed + 600.0;
+        let c = legacy.execute_templates(&mut [&mut c0[0], &mut c1[0]], &runs, &params, 512, t);
+        assert_matches_legacy("inline", batch, &a, &c);
+        assert_matches_legacy("lanes", batch, &b, &c);
+        t = a.1.completed + 600.0;
     }
     assert!(
         ta[0].compiles() >= 2,
         "the walk must straddle a noise-epoch recompile, saw {} compiles",
         ta[0].compiles()
     );
-    assert_eq!(ta[0].compiles(), tb[0].compiles());
-    assert_eq!(ta[0].compiles(), tc[0].compiles());
-    assert_eq!(
-        batched.batched_jobs(),
-        4 * runs.len() as u64,
-        "every run of every batch goes through the batched path"
-    );
-    assert!(
-        batched.prefix_hits() >= 4,
-        "template B must hit template A's cached prefix in every batch, saw {}",
-        batched.prefix_hits()
-    );
-    assert_eq!(folded.prefix_hits(), 0);
-    assert_eq!(batched.folded_pairs(), 0, "group forks replace pairing");
+    for i in 0..2 {
+        assert_eq!(ta[i].compiles(), tb[i].compiles());
+    }
+    for backend in [&inline, &piped] {
+        assert_eq!(
+            backend.batched_jobs(),
+            4 * runs.len() as u64,
+            "every run of every batch goes through the one density path"
+        );
+    }
 }
 
 fn parallel_fleet(par: SimParallelism, simulator: SimulatorKind) -> Ensemble {
@@ -544,17 +542,25 @@ fn engine_telemetry_reports_lanes_and_folded_pairs() {
     let telem = session.engine_telemetry();
     assert_eq!(telem.workers, 3, "lanes follow the SimParallelism knob");
     assert!(
-        telem.folded_pairs > 0,
-        "shift-rule gradient batches must fold forward/backward pairs"
+        telem.batched_jobs > 0,
+        "shift-rule gradient batches evolve through the group-fork walk"
     );
     assert!(telem.jobs > 0);
     assert_eq!(
+        telem.pipeline_lanes, 1,
+        "no pipeline: suffixes resume inline"
+    );
+    assert_eq!(
+        (telem.folded_pairs, telem.prefix_hits),
+        (0, 0),
+        "retired counters stay zero"
+    );
+    assert_eq!(
         format!("{telem}"),
         format!(
-            "{} engine lanes, {} folded pairs, {} jobs, 0 pipeline lanes, 0 batched jobs, 0 prefix hits",
-            telem.workers, telem.folded_pairs, telem.jobs
+            "3 engine lanes, {} jobs, 1 pipeline lanes, {} batched runs",
+            telem.jobs, telem.batched_jobs
         ),
-        "worker-team sessions leave the pipeline counters at zero"
     );
 }
 

@@ -275,11 +275,11 @@ proptest! {
         }
     }
 
-    /// The batched group-fork pipeline is byte-identical to the serial
-    /// folded engine path for arbitrary parameterized circuits, widths
-    /// 2–7 and any lane count: per-run counts, job timing, and the
-    /// backend RNG stream (a second batch from the same backends
-    /// surfaces any post-run divergence).
+    /// Group-fork suffixes fanned over pipeline lanes are byte-identical
+    /// to the same walk resumed inline, for arbitrary parameterized
+    /// circuits, widths 2–7 and any lane count: per-run counts, job
+    /// timing, and the backend RNG stream (a second batch from the same
+    /// backends surfaces any post-run divergence).
     #[test]
     fn batched_pipeline_is_byte_identical_to_serial(
         n in 2usize..8,
@@ -316,6 +316,64 @@ proptest! {
             t = ra.completed + 60.0;
         }
         prop_assert_eq!(batched.batched_jobs(), 2 * runs.len() as u64);
+    }
+
+    /// The group-fork walk against an oracle that needs no second path:
+    /// the same runs spread over one template object per run make every
+    /// group a singleton — nothing shared, so run-at-a-time evolution
+    /// through the same public call. Any run list (random order,
+    /// backward before forward, repeated and lone shifts, unshifted runs
+    /// anywhere) on one template must match it bit for bit, inline and
+    /// over any lane count: counts, job timing, and the RNG state a
+    /// follow-up job observes.
+    #[test]
+    fn grouped_runs_are_byte_identical_to_one_template_per_run(
+        n in 2usize..8,
+        seed in 0u64..128,
+        lanes in 1usize..5,
+        len in 1usize..=12,
+    ) {
+        use qdevice::{CompiledTemplate, SimTime, TemplateRun};
+        use rand::{Rng, SeedableRng};
+        use std::f64::consts::FRAC_PI_2;
+        let (circuit, num_params, sym_gates) = seeded_sym_circuit(n, seed, 12);
+        let active: Vec<usize> = (0..n).collect();
+        let params: Vec<f64> = (0..num_params).map(|i| 0.3 + 0.17 * i as f64).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x5eed);
+        let shifts: Vec<Option<(usize, f64)>> = (0..len)
+            .map(|_| {
+                let g = sym_gates[rng.gen_range(0..sym_gates.len())];
+                match rng.gen_range(0..5usize) {
+                    0 => None,
+                    1 | 2 => Some((g, FRAC_PI_2)),
+                    _ => Some((g, -FRAC_PI_2)),
+                }
+            })
+            .collect();
+        let followup = circuit.bind(&params).expect("params cover the circuit");
+        // `spread`: one template object per run instead of one for all.
+        let job = |lanes: Option<usize>, spread: bool| {
+            let mut backend = seven_qubit_backend(seed);
+            if let Some(lanes) = lanes {
+                backend.set_batch_pipeline(qsim::BatchPipeline::new(lanes));
+            }
+            let mut templates: Vec<CompiledTemplate> = (0..if spread { len } else { 1 })
+                .map(|_| CompiledTemplate::new(circuit.clone(), active.clone()))
+                .collect();
+            let runs: Vec<TemplateRun> = shifts
+                .iter()
+                .enumerate()
+                .map(|(i, &shift)| TemplateRun { template: if spread { i } else { 0 }, shift })
+                .collect();
+            let mut refs: Vec<&mut CompiledTemplate> = templates.iter_mut().collect();
+            let (counts, timing) =
+                backend.execute_templates(&mut refs, &runs, &params, 256, SimTime::ZERO);
+            let next = backend.execute(&followup, &active, 256, timing.completed);
+            (counts, timing.completed.as_secs().to_bits(), next.counts)
+        };
+        let grouped = job(None, false);
+        prop_assert_eq!(&grouped, &job(None, true), "one template vs one per run");
+        prop_assert_eq!(&grouped, &job(Some(lanes), false), "inline vs {} lanes", lanes);
     }
 
     /// A whole training session under the fleet-wide pipeline produces
