@@ -12,14 +12,17 @@
 //! engine must clear >= 2x over legacy; the template path (a shift
 //! pair walks its shared tape prefix once) adds more.
 //! `parallel_engine_*` pins the worker-team engine's overhead at
-//! sub-threshold widths.
+//! sub-threshold widths. `compile/*` is what a drifting device pays per
+//! job before it can bind — a fresh template (`first_*`: plan + fill)
+//! against a long-lived one meeting a new noise token (`token_miss_*`:
+//! a refresh of the plan) — on the four benchmark templates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcircuit::CircuitBuilder;
 use qdevice::noise_model::{execute_density, reference, NoiseModel};
 use qdevice::{
-    catalog, Calibration, CompiledTemplate, DriftModel, QpuBackend, QueueModel, SimTime,
-    TemplateRun,
+    catalog, Calibration, CompiledTemplate, DriftModel, NoiseToken, QpuBackend, QueueModel,
+    SimTime, TemplateRun,
 };
 use qsim::density::baseline;
 use qsim::noise::Superop;
@@ -28,6 +31,8 @@ use qsim::sampler::{ReadoutError, ShotSampler};
 use qsim::{gates, DensityMatrix, KrausChannel, ParallelCtx, SuperopTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use transpile::{transpile, TranspileOptions};
+use vqa::{QaoaProblem, VqaProblem, VqeProblem};
 
 /// The 4-qubit hardware-efficient VQE ansatz shape (RY layer, CX chain,
 /// RZ layer) the paper's Fig. 8 workload transpiles to.
@@ -268,12 +273,83 @@ fn bench_job_throughput(c: &mut Criterion) {
     group.finish();
 }
 
+/// One problem template prepared for one catalog device as a client
+/// prepares it, with the device's noise at sixteen successive drift
+/// steps.
+fn compile_fixture(problem: &dyn VqaProblem, device: &str) -> (CompiledTemplate, Vec<NoiseModel>) {
+    let backend = catalog::by_name(device).expect("catalog device").backend(2);
+    let transpiled = transpile(
+        &problem.templates()[0],
+        backend.topology(),
+        &TranspileOptions::default(),
+    )
+    .expect("template fits device");
+    let (compact, _) = transpiled.compact_for_simulation().expect("compacts");
+    let template = CompiledTemplate::new(compact, transpiled.active_qubits());
+    let noises = eqc_bench::drift_steps(&backend, template.active_physical(), 16);
+    (template, noises)
+}
+
+fn bench_compile(c: &mut Criterion) {
+    // What a drifting device pays per job before it can bind: `first_*`
+    // plans and fills a fresh template (the cold compile every
+    // (tenant, device) pair pays once), `token_miss_*` brings a
+    // long-lived template up to the next drift step (a refresh of the
+    // same plan). One call is 7-50 us: many samples.
+    let mut group = c.benchmark_group("compile");
+    group.sample_size(2000);
+    let tfim7 = VqeProblem::new(
+        "tfim7",
+        vqa::hamiltonians::transverse_field_ising(7, 1.0, 0.8),
+        vqa::ansatz::hardware_efficient_layers(7, 1),
+    );
+    let fixtures: [(&str, Box<dyn VqaProblem>, &str); 4] = [
+        ("h2", Box::new(VqeProblem::h2()), "belem"),
+        (
+            "heisenberg4",
+            Box::new(VqeProblem::heisenberg_4q()),
+            "belem",
+        ),
+        ("qaoa_ring4", Box::new(QaoaProblem::maxcut_ring4()), "belem"),
+        ("tfim7", Box::new(tfim7), "lagos"),
+    ];
+    for (name, problem, device) in &fixtures {
+        let (fresh, noises) = compile_fixture(problem.as_ref(), device);
+        let mut step = 0u64;
+        let mut next = || {
+            step += 1;
+            (
+                &noises[step as usize % noises.len()],
+                NoiseToken::new(0, step, 1.0, 1.0),
+            )
+        };
+        group.bench_function(format!("first_{name}"), |b| {
+            b.iter(|| {
+                let (noise, token) = next();
+                let mut template = fresh.clone();
+                template.ensure_compiled(noise, token);
+                template
+            })
+        });
+        let mut template = fresh.clone();
+        group.bench_function(format!("token_miss_{name}"), |b| {
+            b.iter(|| {
+                let (noise, token) = next();
+                template.ensure_compiled(noise, token);
+            })
+        });
+        assert_eq!(template.plans(), 1, "{name}: drift alone must not re-plan");
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gate_kernels,
     bench_sampler,
     bench_channel_application,
     bench_execute_density_paths,
-    bench_job_throughput
+    bench_job_throughput,
+    bench_compile
 );
 criterion_main!(benches);

@@ -21,14 +21,22 @@
 //! (asserted), ratio printed, no floor — what lanes buy depends on the
 //! cores the host has to spare.
 //!
+//! A third section times what a drifting device pays per job before it
+//! can bind: 10 000 compiles of a 4-qubit template, each on a fresh
+//! template (`first`) or all on one (`token_miss`, a refresh of the plan
+//! the first compile built) — the refreshed program must equal the cold
+//! one (asserted) and must not cost more (asserted).
+//!
 //! Emits one machine-readable JSON line (`{"bench":"fig_engine",...}`)
 //! for the perf-trajectory dashboard and refreshes the repo-root
 //! `BENCH_engine.json` snapshot.
 //!
 //! Run with: `cargo run --release -p eqc-bench --bin fig_engine`
 
-use eqc_bench::{env_param, markdown_table, shots_or, write_bench_snapshot, write_csv, BenchRow};
-use qdevice::{catalog, CompiledTemplate, QpuBackend, SimTime, TemplateRun};
+use eqc_bench::{
+    drift_steps, env_param, markdown_table, shots_or, write_bench_snapshot, write_csv, BenchRow,
+};
+use qdevice::{catalog, CompiledTemplate, NoiseToken, QpuBackend, SimTime, TemplateRun};
 use qsim::{BatchPipeline, Counts};
 use std::time::Instant;
 
@@ -234,6 +242,40 @@ fn pipeline_bench(
     (all, elapsed, drain_stats(&backends))
 }
 
+/// The compile-section probe: 10 000 compiles of one 4-qubit template
+/// (the deeper pipeline probe) on belem, stepping through sixteen
+/// drifted noise models under fresh tokens — each on a fresh template
+/// (`first`: plan + fill, what a (tenant, device) pair pays once) or all
+/// on one long-lived template (`token_miss`: a refresh of the plan, what
+/// every later job pays under drift). Returns (elapsed us, the last
+/// template compiled).
+fn compile_bench(long_lived: bool) -> (u128, CompiledTemplate) {
+    const COMPILES: u64 = 10_000;
+    let active = vec![0, 1, 2, 3];
+    let backend = catalog::by_name("belem")
+        .expect("catalog device")
+        .backend(0xC0DE);
+    let noises = drift_steps(&backend, &active, 16);
+    let fresh = CompiledTemplate::new(deep_probe(4, true), active);
+    let mut template = fresh.clone();
+    let start = Instant::now();
+    for i in 0..COMPILES {
+        if !long_lived {
+            template = fresh.clone();
+        }
+        let noise = &noises[i as usize % noises.len()];
+        template.ensure_compiled(noise, NoiseToken::new(0, i, 1.0, 1.0));
+    }
+    let elapsed = start.elapsed().as_micros();
+    let compiles = if long_lived { COMPILES } else { 1 };
+    assert_eq!(
+        (template.compiles(), template.plans()),
+        (compiles, 1),
+        "drift alone must not re-plan"
+    );
+    (elapsed, template)
+}
+
 fn main() {
     let shots = shots_or(8192);
     let jobs = 6 * 7;
@@ -347,5 +389,50 @@ fn main() {
             pipe_speedup,
         ));
     }
+
+    // --- Compile section: plan once, refresh per drift step ---
+    println!("\n# Compile under drift — 4-qubit template, 10000 noise tokens per side\n");
+    let (first_us, cold) = compile_bench(false);
+    let (miss_us, refreshed) = compile_bench(true);
+    let (a, b) = (refreshed.program(), cold.program());
+    assert!(
+        a.ops() == b.ops()
+            && a.superops() == b.superops()
+            && a.readout() == b.readout()
+            && a.duration_ns().to_bits() == b.duration_ns().to_bits(),
+        "a refreshed program diverged from a cold compile"
+    );
+    let miss_speedup = first_us as f64 / miss_us.max(1) as f64;
+    println!(
+        "{}",
+        markdown_table(
+            &["path", "wall us", "per-compile us", "speedup vs first"],
+            &[
+                vec![
+                    "first".into(),
+                    first_us.to_string(),
+                    format!("{:.2}", first_us as f64 / 1e4),
+                    "1.00x".into(),
+                ],
+                vec![
+                    "token_miss".into(),
+                    miss_us.to_string(),
+                    format!("{:.2}", miss_us as f64 / 1e4),
+                    format!("{miss_speedup:.2}x"),
+                ],
+            ]
+        )
+    );
+    assert!(
+        miss_us <= first_us,
+        "a refresh must not cost more than a cold compile; got {miss_us} us vs {first_us} us"
+    );
+    bench_rows.push(BenchRow::new("fig_engine_compile", "first", first_us, 1.0));
+    bench_rows.push(BenchRow::new(
+        "fig_engine_compile",
+        "token_miss",
+        miss_us,
+        miss_speedup,
+    ));
     write_bench_snapshot("BENCH_engine.json", &bench_rows);
 }

@@ -161,6 +161,23 @@ pub fn flaky_backend(seed: u64) -> qdevice::QpuBackend {
     .with_recal_jitter(2.0)
 }
 
+/// The noise `backend` applies to the compact register `active` at
+/// `steps` successive drift steps, one virtual minute apart: distinct
+/// models of one structure, as successive jobs on a drifting device see
+/// them — what the compile benches step a template through.
+pub fn drift_steps(
+    backend: &qdevice::QpuBackend,
+    active: &[usize],
+    steps: usize,
+) -> Vec<qdevice::NoiseModel> {
+    (0..steps)
+        .map(|step| {
+            let at = qdevice::SimTime::from_secs(60.0 * step as f64);
+            qdevice::NoiseModel::from_calibration(&backend.actual_calibration(at), active)
+        })
+        .collect()
+}
+
 /// The policy-ablation fleet: `n - 1` synthesized stable devices (the
 /// [`fleet_ensemble`] population) plus one [`flaky_backend`] member, as
 /// a builder so harnesses can attach a policy stack before `build()`.

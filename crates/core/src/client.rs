@@ -1,13 +1,13 @@
 //! The EQC client node (Algorithm 2 of the paper).
 //!
 //! One client manages one QPU: it transpiles the problem's circuit
-//! templates once for its device's topology — and compiles each into a
-//! [`CompiledTemplate`] that the backend re-lowers at most once per
-//! calibration cycle — then serves gradient tasks: the per-occurrence
-//! forward/backward shift pairs go to the device as **one** batched
-//! engine call ([`QpuBackend::execute_templates`]), the loss is read off
-//! the returned counts, and the gradient is reported together with the
-//! device's current `P_correct`.
+//! templates once for its device's topology — and wraps each in a
+//! [`CompiledTemplate`] that the backend plans once and refreshes per
+//! noise token (per job, under drift) — then serves gradient tasks: the
+//! per-occurrence forward/backward shift pairs go to the device as
+//! **one** batched engine call ([`QpuBackend::execute_templates`]), the
+//! loss is read off the returned counts, and the gradient is reported
+//! together with the device's current `P_correct`.
 
 use crate::weighting;
 use qcircuit::ParamId;
@@ -19,8 +19,9 @@ use vqa::{GradientTask, VqaProblem};
 /// A problem template prepared for one device.
 #[derive(Clone, Debug)]
 struct PreparedTemplate {
-    /// Compiled form of the compacted symbolic physical circuit: cached
-    /// op-tape + channel set per noise epoch, rebound per job.
+    /// Compiled form of the compacted symbolic physical circuit: the
+    /// op-tape planned once, its channel numbers refreshed per noise
+    /// token, its rotations rebound per job.
     compiled: CompiledTemplate,
     /// Gate indices of each parameter's occurrences in the compact
     /// circuit, indexed by [`ParamId`] (precomputed: the hot path reads
@@ -130,11 +131,20 @@ impl ClientNode {
         self.tasks_completed
     }
 
-    /// Times this client's templates were compiled into executable
-    /// programs — with a stable calibration this stays at one compile
-    /// per template per calibration cycle touched, however many jobs ran.
+    /// Times this client's templates were brought up to a new noise
+    /// token — with a stable calibration one compile per template per
+    /// calibration cycle touched, however many jobs ran; on a drifting
+    /// device one per template per job.
     pub fn programs_compiled(&self) -> u64 {
         self.templates.iter().map(|t| t.compiled.compiles()).sum()
+    }
+
+    /// How many of those compiles planned the program's structure
+    /// instead of refreshing its numbers — once per template unless the
+    /// noise changed what the schedule emits (telemetry; see
+    /// [`qdevice::CompiledTemplate::plans`]).
+    pub fn programs_planned(&self) -> u64 {
+        self.templates.iter().map(|t| t.compiled.plans()).sum()
     }
 
     /// Jobs served from cached compiled programs without recompiling.

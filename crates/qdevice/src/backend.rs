@@ -15,7 +15,8 @@
 //! per cycle and re-degraded only when the drift factors actually
 //! change (they never do under [`DriftModel::none`], so the model is
 //! then built exactly once per cycle), and ensemble clients additionally
-//! cache the compiled program per template per noise epoch (see
+//! keep one compiled program per template: planned once, its numbers
+//! refreshed per noise token — per job, on a drifting device (see
 //! [`crate::compile::CompiledTemplate`]). All caches key on values, not
 //! time, so caching never changes a result. The uncached pre-engine path
 //! survives behind [`QpuBackend::with_legacy_execution`] as the
@@ -43,7 +44,6 @@ use qsim::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use transpile::Topology;
 
@@ -102,7 +102,9 @@ pub struct TemplateRun {
 #[derive(Clone, Debug)]
 struct BaseNoise {
     qubits: Vec<QubitCalibration>,
-    cx: Vec<((usize, usize), f64)>,
+    /// Reported CX error of every compact pair `lo < hi`, row by row
+    /// (the order [`NoiseModel`] keeps them in).
+    cx: Vec<f64>,
     gate_time_1q_ns: f64,
     gate_time_2q_ns: f64,
     readout_time_ns: f64,
@@ -113,8 +115,8 @@ impl BaseNoise {
         let qubits = active.iter().map(|&p| *cal.qubit(p)).collect();
         let mut cx = Vec::new();
         for (i, &pi) in active.iter().enumerate() {
-            for (j, &pj) in active.iter().enumerate().skip(i + 1) {
-                cx.push(((i, j), cal.cx_error(pi, pj)));
+            for &pj in &active[i + 1..] {
+                cx.push(cal.cx_error(pi, pj));
             }
         }
         BaseNoise {
@@ -144,11 +146,7 @@ impl BaseNoise {
                 }
             })
             .collect();
-        let cx: HashMap<(usize, usize), f64> = self
-            .cx
-            .iter()
-            .map(|&(k, v)| (k, (v * ef).clamp(0.0, 0.75)))
-            .collect();
+        let cx = self.cx.iter().map(|&v| (v * ef).clamp(0.0, 0.75)).collect();
         NoiseModel::from_parts(
             qubits,
             cx,
@@ -934,8 +932,10 @@ impl QpuBackend {
     ///
     /// Each [`TemplateRun`] names a template (by index into `templates`)
     /// and an optional shift; the shared `params` vector binds every
-    /// run. Templates compile at most once per noise epoch (in practice
-    /// once per calibration cycle — see [`CompiledTemplate`]). On the
+    /// run. Templates compile at most once per noise token: on a
+    /// drifting device that is once per job, and what it costs is a
+    /// refresh of the numbers in a program planned by the template's
+    /// first job (see [`CompiledTemplate`]). On the
     /// density simulator runs group by template: each group binds its
     /// base once and walks the tape once, forking every shifted member
     /// at the op its shift rebinds (a forward/backward pair is a group

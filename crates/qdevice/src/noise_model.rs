@@ -20,9 +20,10 @@
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
 use qsim::sampler::ReadoutError;
-use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, Lowering, TrajectoryEngine};
+use qsim::{
+    Counts, DensityEngine, DensityMatrix, KrausChannel, Lowering, SuperopTable, TrajectoryEngine,
+};
 use rand::Rng;
-use std::collections::HashMap;
 
 /// Per-qubit noise figures of a compacted circuit register.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -43,7 +44,11 @@ pub struct QubitNoise {
 #[derive(Clone, Debug, PartialEq)]
 pub struct NoiseModel {
     qubits: Vec<QubitNoise>,
-    cx_errors: HashMap<(usize, usize), f64>,
+    /// CX error of every compact pair `lo < hi`, row by row: `(0, 1)`,
+    /// `(0, 2)`, ..., `(1, 2)`, ... — built per job under drift and read
+    /// per two-qubit gate, so a flat upper triangle and no hashing.
+    /// Empty when no pair was ever registered (the ideal model).
+    cx_errors: Vec<f64>,
     /// 1q gate duration (ns).
     pub gate_time_1q_ns: f64,
     /// CX duration (ns).
@@ -73,10 +78,10 @@ impl NoiseModel {
                 }
             })
             .collect();
-        let mut cx_errors = HashMap::new();
+        let mut cx_errors = Vec::new();
         for (i, &pi) in active_physical.iter().enumerate() {
-            for (j, &pj) in active_physical.iter().enumerate().skip(i + 1) {
-                cx_errors.insert((i, j), cal.cx_error(pi, pj));
+            for &pj in &active_physical[i + 1..] {
+                cx_errors.push(cal.cx_error(pi, pj));
             }
         }
         NoiseModel {
@@ -90,14 +95,18 @@ impl NoiseModel {
 
     /// Assembles a model from pre-projected parts — the per-cycle noise
     /// cache rebuilds drifted models through this without touching a
-    /// [`Calibration`].
+    /// [`Calibration`]. `cx_errors` is the upper triangle, row by row.
     pub(crate) fn from_parts(
         qubits: Vec<QubitNoise>,
-        cx_errors: HashMap<(usize, usize), f64>,
+        cx_errors: Vec<f64>,
         gate_time_1q_ns: f64,
         gate_time_2q_ns: f64,
         readout_time_ns: f64,
     ) -> Self {
+        debug_assert_eq!(
+            cx_errors.len(),
+            qubits.len() * qubits.len().saturating_sub(1) / 2
+        );
         NoiseModel {
             qubits,
             cx_errors,
@@ -120,7 +129,7 @@ impl NoiseModel {
                 };
                 n
             ],
-            cx_errors: HashMap::new(),
+            cx_errors: Vec::new(),
             gate_time_1q_ns: Calibration::DEFAULT_T1Q_NS,
             gate_time_2q_ns: Calibration::DEFAULT_T2Q_NS,
             readout_time_ns: Calibration::DEFAULT_READOUT_NS,
@@ -140,8 +149,13 @@ impl NoiseModel {
     /// CX error between two compact qubits (0 when never registered —
     /// e.g. the ideal model).
     pub fn cx_error(&self, a: usize, b: usize) -> f64 {
+        let (lo, hi, n) = (a.min(b), a.max(b), self.qubits.len());
+        if lo == hi || hi >= n {
+            return 0.0;
+        }
+        let row_start = lo * (2 * n - lo - 1) / 2;
         self.cx_errors
-            .get(&(a.min(b), a.max(b)))
+            .get(row_start + hi - lo - 1)
             .copied()
             .unwrap_or(0.0)
     }
@@ -157,73 +171,235 @@ impl NoiseModel {
     }
 }
 
-/// What a scheduled channel is a function of; equal keys within one
-/// model build bit-identical channels.
-#[derive(Clone, Copy, PartialEq)]
-enum ChannelKey {
-    /// Thermal relaxation of a qubit over a duration (`f64` bits).
-    Relaxation(usize, u64),
-    /// One-qubit depolarizing at a probability (`f64` bits).
-    Depolarizing1q(u64),
-    /// Two-qubit depolarizing at a probability (`f64` bits).
-    Depolarizing2q(u64),
+/// A channel of the noisy schedule, named by *where* it acts rather than
+/// by its numbers: under one [`NoiseModel`] equal keys are the identical
+/// channel, and which keys a circuit's schedule visits depends on the
+/// circuit and the three gate times only — not on a single error rate or
+/// coherence time — so a compiled template keeps its keys across drift
+/// and asks each for fresh numbers.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) enum ChannelKey {
+    /// Thermal relaxation of compact qubit `q` over `duration_ns`.
+    Relaxation { q: u8, duration_ns: f64 },
+    /// The depolarizing error of a one-qubit gate on `q`.
+    Depolarizing1q { q: u8 },
+    /// The depolarizing error of a CX on the pair `lo < hi`.
+    Depolarizing2q { lo: u8, hi: u8 },
 }
 
-/// The channels one [`schedule`] walk has built so far. A circuit sees a
-/// handful of distinct `(qubit, duration)` pairs and error rates but
-/// hundreds of gates; building each channel once keeps compilation —
-/// which runs per task under drift — flat in the gate count.
-struct ChannelMemo<'n> {
-    noise: &'n NoiseModel,
-    built: Vec<(ChannelKey, KrausChannel)>,
+/// What a program does with one [`ChannelKey`] under one noise model.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Verdict {
+    /// The model has no such channel (infinite T1, zero error rate):
+    /// the schedule does not emit it.
+    Absent,
+    /// Emitted, but within the elision threshold of the identity.
+    Elided,
+    /// Emitted and applied.
+    Kept,
 }
 
-impl ChannelMemo<'_> {
-    /// Delivers the channel for `key` on `qs`, building it on first use.
-    fn emit(&mut self, key: ChannelKey, qs: &[usize], apply: &mut impl FnMut(ScheduledOp<'_>)) {
-        let idx = match self.built.iter().position(|(k, _)| *k == key) {
-            Some(idx) => idx,
-            None => {
-                let ch = match key {
-                    ChannelKey::Relaxation(q, dur) => {
-                        let n = &self.noise.qubits[q];
-                        KrausChannel::thermal_relaxation(n.t1_ns, n.t2_ns, f64::from_bits(dur))
-                    }
-                    ChannelKey::Depolarizing1q(p) => {
-                        KrausChannel::depolarizing_1q(f64::from_bits(p))
-                    }
-                    ChannelKey::Depolarizing2q(p) => {
-                        KrausChannel::depolarizing_2q(f64::from_bits(p))
-                    }
-                };
-                self.built.push((key, ch));
-                self.built.len() - 1
+/// The numbers behind one [`ChannelKey`] under one [`NoiseModel`].
+#[derive(Clone, Copy)]
+enum ChannelNumbers {
+    Relaxation {
+        t1_ns: f64,
+        t2_ns: f64,
+        duration_ns: f64,
+    },
+    Depolarizing {
+        qubits: usize,
+        p: f64,
+    },
+}
+
+impl ChannelKey {
+    fn numbers(&self, noise: &NoiseModel) -> ChannelNumbers {
+        match *self {
+            ChannelKey::Relaxation { q, duration_ns } => {
+                let QubitNoise { t1_ns, t2_ns, .. } = noise.qubits[q as usize];
+                ChannelNumbers::Relaxation {
+                    t1_ns,
+                    t2_ns,
+                    duration_ns,
+                }
             }
-        };
-        apply(ScheduledOp::Channel(idx, &self.built[idx].1, qs));
+            ChannelKey::Depolarizing1q { q } => ChannelNumbers::Depolarizing {
+                qubits: 1,
+                p: noise.qubits[q as usize].gate_error_1q,
+            },
+            ChannelKey::Depolarizing2q { lo, hi } => ChannelNumbers::Depolarizing {
+                qubits: 2,
+                p: noise.cx_error(lo as usize, hi as usize),
+            },
+        }
     }
 
-    /// Thermal relaxation of `q` over `duration_ns`, when it decays at all.
-    fn relax(&mut self, q: usize, duration_ns: f64, apply: &mut impl FnMut(ScheduledOp<'_>)) {
-        if duration_ns > 0.0 && self.noise.qubits[q].t1_ns.is_finite() {
-            self.emit(
-                ChannelKey::Relaxation(q, duration_ns.to_bits()),
-                &[q],
+    /// What a density program with elision threshold `identity_epsilon`
+    /// (0 disables elision) does with this channel under `noise` — from
+    /// the closed-form predicates, which answer exactly what
+    /// [`KrausChannel::is_near_identity`] of the Kraus list would.
+    pub(crate) fn verdict(&self, noise: &NoiseModel, identity_epsilon: f64) -> Verdict {
+        let numbers = self.numbers(noise);
+        if !numbers.occur() {
+            Verdict::Absent
+        } else if identity_epsilon > 0.0 && numbers.near_identity(identity_epsilon) {
+            Verdict::Elided
+        } else {
+            Verdict::Kept
+        }
+    }
+
+    /// Pushes this channel's superoperator under `noise` onto `table`,
+    /// Kraus-free — bit for bit what lowering the Kraus list pushes.
+    pub(crate) fn lower(&self, noise: &NoiseModel, table: &mut SuperopTable) {
+        match self.numbers(noise) {
+            ChannelNumbers::Relaxation {
+                t1_ns,
+                t2_ns,
+                duration_ns,
+            } => table.push_thermal_relaxation(t1_ns, t2_ns, duration_ns),
+            ChannelNumbers::Depolarizing { qubits: 1, p } => table.push_depolarizing_1q(p),
+            ChannelNumbers::Depolarizing { p, .. } => table.push_depolarizing_2q(p),
+        };
+    }
+}
+
+impl ChannelNumbers {
+    /// Whether the schedule emits the channel: a qubit relaxes when its
+    /// T1 is finite, a gate depolarizes when its error rate is positive.
+    fn occur(self) -> bool {
+        match self {
+            ChannelNumbers::Relaxation { t1_ns, .. } => t1_ns.is_finite(),
+            ChannelNumbers::Depolarizing { p, .. } => p > 0.0,
+        }
+    }
+
+    fn near_identity(self, eps: f64) -> bool {
+        match self {
+            ChannelNumbers::Relaxation {
+                t1_ns,
+                t2_ns,
+                duration_ns,
+            } => KrausChannel::thermal_relaxation_is_near_identity(t1_ns, t2_ns, duration_ns, eps),
+            ChannelNumbers::Depolarizing { qubits, p } => {
+                KrausChannel::depolarizing_is_near_identity(qubits, p, eps)
+            }
+        }
+    }
+
+    /// The channel as a Kraus list, for the consumers that unravel one.
+    fn kraus(self) -> KrausChannel {
+        match self {
+            ChannelNumbers::Relaxation {
+                t1_ns,
+                t2_ns,
+                duration_ns,
+            } => KrausChannel::thermal_relaxation(t1_ns, t2_ns, duration_ns),
+            ChannelNumbers::Depolarizing { qubits: 1, p } => KrausChannel::depolarizing_1q(p),
+            ChannelNumbers::Depolarizing { p, .. } => KrausChannel::depolarizing_2q(p),
+        }
+    }
+}
+
+/// One event of the structural walk, delivered in execution order.
+pub(crate) enum SiteOp<'a> {
+    /// A gate unitary: index into the circuit's gate list, the gate,
+    /// its compact operands.
+    Unitary(usize, &'a Gate, &'a [usize]),
+    /// A place where `noise` *may* put a channel (see
+    /// [`ChannelKey::verdict`]): the key's index among the walk's
+    /// distinct keys in first-visit order, the key, its operands. A
+    /// circuit visits a handful of distinct keys over hundreds of gates,
+    /// so consumers build, judge or lower each once, by index.
+    Channel(usize, ChannelKey, &'a [usize]),
+}
+
+/// The distinct channel keys one [`walk`] has visited so far.
+#[derive(Default)]
+struct Sites(Vec<ChannelKey>);
+
+impl Sites {
+    fn visit(&mut self, key: ChannelKey, qs: &[usize], apply: &mut impl FnMut(SiteOp<'_>)) {
+        let idx = self.0.iter().position(|k| *k == key).unwrap_or_else(|| {
+            self.0.push(key);
+            self.0.len() - 1
+        });
+        apply(SiteOp::Channel(idx, key, qs));
+    }
+
+    /// Thermal relaxation of `q` over `duration_ns`, when time passes.
+    fn relax(&mut self, q: usize, duration_ns: f64, apply: &mut impl FnMut(SiteOp<'_>)) {
+        if duration_ns > 0.0 {
+            let q = compact(q);
+            self.visit(
+                ChannelKey::Relaxation { q, duration_ns },
+                &[q as usize],
                 apply,
             );
         }
     }
+}
 
-    /// Depolarizing gate error at probability `p` on a gate's operands.
-    fn depolarize(&mut self, p: f64, qs: &[usize], apply: &mut impl FnMut(ScheduledOp<'_>)) {
-        if p > 0.0 {
-            let key = match qs.len() {
-                1 => ChannelKey::Depolarizing1q(p.to_bits()),
-                _ => ChannelKey::Depolarizing2q(p.to_bits()),
-            };
-            self.emit(key, qs, apply);
+/// A compact qubit index as a [`ChannelKey`] stores it.
+fn compact(q: usize) -> u8 {
+    u8::try_from(q).expect("compact registers hold at most 256 qubits")
+}
+
+/// Walks the circuit with per-qubit timelines — the one schedule walk —
+/// invoking the callback for every gate unitary and every *site* of a
+/// noise channel in execution order: idle catch-up and gate-concurrent
+/// relaxation per operand, the gate's depolarizing error, relaxation up
+/// to the end of readout. It reads only the three gate times of `noise`;
+/// whether a site carries a channel is the consumer's question to the
+/// key. Returns the scheduled duration (ns), readout included.
+pub(crate) fn walk<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
+where
+    F: FnMut(SiteOp<'_>),
+{
+    let n = circuit.num_qubits();
+    let mut qubit_time = vec![0.0f64; n];
+    let mut sites = Sites::default();
+    for (gate_idx, g) in circuit.gates().iter().enumerate() {
+        let qs = g.qubits();
+        if g.is_virtual() {
+            // Virtual RZ: perfect, instantaneous frame change.
+            apply(SiteOp::Unitary(gate_idx, g, &qs));
+            continue;
         }
+        let start = qs.iter().map(|&q| qubit_time[q]).fold(0.0, f64::max);
+        // Idle decay catch-up for operands that were waiting.
+        for &q in &qs {
+            sites.relax(q, start - qubit_time[q], &mut apply);
+        }
+        apply(SiteOp::Unitary(gate_idx, g, &qs));
+        let dur = if g.is_two_qubit() {
+            noise.gate_time_2q_ns
+        } else {
+            noise.gate_time_1q_ns
+        };
+        // Gate-concurrent relaxation and depolarizing error.
+        for &q in &qs {
+            sites.relax(q, dur, &mut apply);
+            qubit_time[q] = start + dur;
+        }
+        let key = match qs[..] {
+            [q] => ChannelKey::Depolarizing1q { q: compact(q) },
+            [a, b] => ChannelKey::Depolarizing2q {
+                lo: compact(a.min(b)),
+                hi: compact(a.max(b)),
+            },
+            _ => unreachable!(),
+        };
+        sites.visit(key, &qs, &mut apply);
     }
+    // Measurement: align all qubits to the end, decay over the alignment
+    // gap plus the readout window.
+    let end = qubit_time.iter().copied().fold(0.0, f64::max);
+    for (q, &t) in qubit_time.iter().enumerate().take(n) {
+        sites.relax(q, end - t + noise.readout_time_ns, &mut apply);
+    }
+    end + noise.readout_time_ns
 }
 
 /// One event of the noisy schedule, delivered in execution order.
@@ -241,57 +417,29 @@ pub enum ScheduledOp<'a> {
     Channel(usize, &'a KrausChannel, &'a [usize]),
 }
 
-/// Walks the circuit with per-qubit timelines, invoking the callback for
-/// unitaries and noise channels in schedule order. Shared by program
-/// compilation and the reference executors so their physics agree.
+/// [`walk`] with every channel the model emits materialized as a Kraus
+/// list, built once per key — for the consumers that unravel one
+/// (trajectory lowering, the [`reference`] executors). Density programs
+/// never come through here: they lower each key Kraus-free.
 /// Returns the scheduled duration (ns), readout included.
 pub(crate) fn schedule<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
 where
     F: FnMut(ScheduledOp<'_>),
 {
-    let n = circuit.num_qubits();
-    let mut qubit_time = vec![0.0f64; n];
-    let mut memo = ChannelMemo {
-        noise,
-        built: Vec::new(),
-    };
-    for (gate_idx, g) in circuit.gates().iter().enumerate() {
-        let qs = g.qubits();
-        if g.is_virtual() {
-            // Virtual RZ: perfect, instantaneous frame change.
-            apply(ScheduledOp::Unitary(gate_idx, g, &qs));
-            continue;
+    let mut built: Vec<Option<KrausChannel>> = Vec::new();
+    walk(circuit, noise, |op| match op {
+        SiteOp::Unitary(gate_idx, g, qs) => apply(ScheduledOp::Unitary(gate_idx, g, qs)),
+        SiteOp::Channel(idx, key, qs) => {
+            let numbers = key.numbers(noise);
+            if numbers.occur() {
+                if built.len() <= idx {
+                    built.resize(idx + 1, None);
+                }
+                let ch = built[idx].get_or_insert_with(|| numbers.kraus());
+                apply(ScheduledOp::Channel(idx, ch, qs));
+            }
         }
-        let start = qs.iter().map(|&q| qubit_time[q]).fold(0.0, f64::max);
-        // Idle decay catch-up for operands that were waiting.
-        for &q in &qs {
-            memo.relax(q, start - qubit_time[q], &mut apply);
-        }
-        apply(ScheduledOp::Unitary(gate_idx, g, &qs));
-        let dur = if g.is_two_qubit() {
-            noise.gate_time_2q_ns
-        } else {
-            noise.gate_time_1q_ns
-        };
-        // Gate-concurrent relaxation and depolarizing error.
-        for &q in &qs {
-            memo.relax(q, dur, &mut apply);
-            qubit_time[q] = start + dur;
-        }
-        let p = match qs[..] {
-            [q] => noise.qubits[q].gate_error_1q,
-            [a, b] => noise.cx_error(a, b),
-            _ => unreachable!(),
-        };
-        memo.depolarize(p, &qs, &mut apply);
-    }
-    // Measurement: align all qubits to the end, decay over the alignment
-    // gap plus the readout window.
-    let end = qubit_time.iter().copied().fold(0.0, f64::max);
-    for (q, &t) in qubit_time.iter().enumerate().take(n) {
-        memo.relax(q, end - t + noise.readout_time_ns, &mut apply);
-    }
-    end + noise.readout_time_ns
+    })
 }
 
 /// Executes a bound, compacted physical circuit on the exact
@@ -628,6 +776,72 @@ mod tests {
         assert_eq!(noise.num_qubits(), 2);
         assert!((noise.qubit(1).t1_ns - 40_000.0).abs() < 1e-9);
         assert!((noise.cx_error(0, 1) - 0.09).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cx_errors_index_the_upper_triangle() {
+        let mut cal = Calibration::uniform(6, 100.0, 80.0, 0.001, 0.01, 0.02);
+        for a in 0..6 {
+            for b in a + 1..6 {
+                cal.set_cx_error(a, b, 0.001 * (10 * a + b) as f64);
+            }
+        }
+        let active = [4, 0, 5, 2];
+        let noise = NoiseModel::from_calibration(&cal, &active);
+        for (i, &pi) in active.iter().enumerate() {
+            for (j, &pj) in active.iter().enumerate() {
+                let expected = if i == j { 0.0 } else { cal.cx_error(pi, pj) };
+                assert_eq!(
+                    noise.cx_error(i, j).to_bits(),
+                    expected.to_bits(),
+                    "({i}, {j})"
+                );
+            }
+            assert_eq!(noise.cx_error(i, active.len()), 0.0, "out of range");
+        }
+        assert_eq!(NoiseModel::ideal(3).cx_error(0, 2), 0.0);
+    }
+
+    #[test]
+    fn every_key_of_a_walk_lowers_to_its_kraus_list() {
+        // Belem-like figures, one qubit that never decays and one gate
+        // that never errs: the walk visits their sites all the same.
+        let mut cal = Calibration::uniform(3, 80.0, 60.0, 0.002, 0.02, 0.03);
+        cal.qubit_mut(2).t1_us = f64::INFINITY;
+        cal.qubit_mut(0).gate_error_1q = 0.0;
+        let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2]);
+        let (mut visited, mut absent) = (0, 0);
+        walk(&ghz(3), &noise, |op| {
+            let SiteOp::Channel(_, key, qs) = op else {
+                return;
+            };
+            visited += 1;
+            let numbers = key.numbers(&noise);
+            if !numbers.occur() {
+                absent += 1;
+                assert_eq!(key.verdict(&noise, 1e-12), Verdict::Absent);
+                return;
+            }
+            let kraus = numbers.kraus();
+            assert_eq!(kraus.num_qubits(), qs.len());
+            let (mut closed, mut lowered) = (SuperopTable::default(), SuperopTable::default());
+            key.lower(&noise, &mut closed);
+            lowered.push(&kraus);
+            assert_eq!(closed, lowered, "{key:?}");
+            for eps in [0.0, 1e-12, 1e-3, 0.3] {
+                let elided = eps > 0.0 && kraus.is_near_identity(eps);
+                let expected = if elided {
+                    Verdict::Elided
+                } else {
+                    Verdict::Kept
+                };
+                assert_eq!(key.verdict(&noise, eps), expected, "{key:?} at {eps}");
+            }
+        });
+        assert!(
+            visited > absent && absent >= 2,
+            "{visited} sites, {absent} absent"
+        );
     }
 
     #[test]

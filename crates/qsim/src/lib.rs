@@ -30,11 +30,12 @@
 //! ## The engine layer
 //!
 //! Ensemble training executes the same circuit structure millions of
-//! times. The engine layer splits that work into a *compile* phase (per
-//! noise epoch: resolve gate matrices, intern channels, elide
-//! near-identity ones, and — for the density engine — multiply every run
-//! of adjacent fixed ops on at most two qubits into one local
-//! superoperator) and a *replay* phase (per job: walk the tape over a
+//! times. The engine layer splits that work into a *compile* phase
+//! (resolve gate matrices, intern channels, elide near-identity ones,
+//! and — for the density engine — plan every run of adjacent fixed ops
+//! on at most two qubits as one local superoperator: planned once per
+//! program, multiplied out again whenever the noise's numbers change)
+//! and a *replay* phase (per job: walk the tape over a
 //! persistent state, rebind only the parameterized rotation matrices). A
 //! whole `gate, relaxation, relaxation, depolarizing` cluster applies as
 //! one in-place block sweep instead of one or two state passes per op,

@@ -201,17 +201,62 @@ impl KrausChannel {
     /// Panics if `t1 <= 0`, `t2 <= 0`, `duration < 0`, or `t2 > 2 t1`
     /// (physically impossible).
     pub fn thermal_relaxation(t1: f64, t2: f64, duration: f64) -> Self {
-        assert!(t1 > 0.0 && t2 > 0.0, "T1/T2 must be positive");
-        assert!(duration >= 0.0, "duration must be non-negative");
-        assert!(t2 <= 2.0 * t1 + 1e-9, "T2 cannot exceed 2*T1");
-        let gamma = 1.0 - (-duration / t1).exp();
-        // Total coherence decay e^{-t/T2} = sqrt(1-gamma) * sqrt(1-lambda)
-        // where sqrt(1-gamma) = e^{-t/(2 T1)} comes from amplitude damping.
-        let target = (-duration / t2).exp();
-        let from_t1 = (-duration / (2.0 * t1)).exp();
-        let ratio = (target / from_t1).clamp(0.0, 1.0);
-        let lambda = 1.0 - ratio * ratio;
+        let (gamma, lambda) = relaxation_parameters(t1, t2, duration);
         Self::amplitude_damping(gamma).compose(&Self::phase_damping(lambda))
+    }
+
+    /// [`KrausChannel::is_near_identity`] of
+    /// [`KrausChannel::depolarizing_1q`] (`num_qubits == 1`) or
+    /// [`KrausChannel::depolarizing_2q`] (`num_qubits == 2`) at `p`,
+    /// answered from `p` alone: the same comparisons on the same
+    /// floats, without the Kraus list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]` or `num_qubits` is not 1 or 2.
+    pub fn depolarizing_is_near_identity(num_qubits: usize, p: f64, eps: f64) -> bool {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        let (dim, paulis) = match num_qubits {
+            1 => (2, 3.0),
+            2 => (4, 15.0),
+            _ => panic!("only 1- and 2-qubit channels are supported"),
+        };
+        let s = (1.0 - p).sqrt();
+        let w = (p / paulis).sqrt();
+        // Every operator is a scaled signed permutation: `dim` entries
+        // of one magnitude, summed in row order.
+        let small = |v: f64| (1..dim).fold(v * v, |acc, _| acc + v * v).sqrt() <= eps;
+        let identity = ((s - 1.0).abs() <= eps && 0.0 <= eps) || small(s);
+        // A pair with an X or Y has a zero diagonal; the diagonal pairs
+        // (Z; IZ, ZI, ZZ) carry both `w` and `-w`.
+        let flips = (1.0 <= eps && w <= eps) || small(w);
+        let phases = ((w - 1.0).abs() <= eps && (-w - 1.0).abs() <= eps && 0.0 <= eps) || small(w);
+        identity && flips && phases
+    }
+
+    /// [`KrausChannel::is_near_identity`] of
+    /// [`KrausChannel::thermal_relaxation`] answered from its three
+    /// arguments: the same comparisons on the same floats, without the
+    /// Kraus list.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`KrausChannel::thermal_relaxation`].
+    pub fn thermal_relaxation_is_near_identity(t1: f64, t2: f64, duration: f64, eps: f64) -> bool {
+        let RelaxationEntries {
+            decay,
+            keep,
+            dephase,
+        } = RelaxationEntries::new(t1, t2, duration);
+        // diag(1, keep), then — when they are not identically zero and
+        // dropped — `decay` alone at (0, 1) and `dephase` alone at (1, 1).
+        let small = |norm_sqr: f64| norm_sqr.sqrt() <= eps;
+        let kept = ((keep - 1.0).abs() <= eps && 0.0 <= eps) || small(1.0 + keep * keep);
+        let decayed = decay == 0.0 || (1.0 <= eps && decay <= eps) || small(decay * decay);
+        let dephased = dephase == 0.0
+            || (1.0 <= eps && (dephase - 1.0).abs() <= eps)
+            || small(dephase * dephase);
+        kept && decayed && dephased
     }
 
     /// Sequential composition: `other` applied **after** `self`
@@ -289,6 +334,50 @@ impl KrausChannel {
     }
 }
 
+/// The amplitude-damping `gamma` and phase-damping `lambda` that
+/// [`KrausChannel::thermal_relaxation`] composes.
+fn relaxation_parameters(t1: f64, t2: f64, duration: f64) -> (f64, f64) {
+    assert!(t1 > 0.0 && t2 > 0.0, "T1/T2 must be positive");
+    assert!(duration >= 0.0, "duration must be non-negative");
+    assert!(t2 <= 2.0 * t1 + 1e-9, "T2 cannot exceed 2*T1");
+    let gamma = 1.0 - (-duration / t1).exp();
+    // Total coherence decay e^{-t/T2} = sqrt(1-gamma) * sqrt(1-lambda)
+    // where sqrt(1-gamma) = e^{-t/(2 T1)} comes from amplitude damping.
+    let target = (-duration / t2).exp();
+    let from_t1 = (-duration / (2.0 * t1)).exp();
+    let ratio = (target / from_t1).clamp(0.0, 1.0);
+    let lambda = 1.0 - ratio * ratio;
+    (gamma, lambda)
+}
+
+/// The entries of [`KrausChannel::thermal_relaxation`]'s operators that
+/// are not 0 or 1, as composing amplitude damping `[[1, 0], [0, a]]`,
+/// `[[0, decay], [0, 0]]` with phase damping `diag(1, b)`, `diag(0, c)`
+/// computes them: the list is `diag(1, keep)`, `decay` at `(0, 1)` and
+/// `diag(0, dephase)` — the last two dropped when identically zero.
+struct RelaxationEntries {
+    /// `sqrt(gamma)`.
+    decay: f64,
+    /// `b * a`.
+    keep: f64,
+    /// `c * a`.
+    dephase: f64,
+}
+
+impl RelaxationEntries {
+    fn new(t1: f64, t2: f64, duration: f64) -> Self {
+        let (gamma, lambda) = relaxation_parameters(t1, t2, duration);
+        assert!((0.0..=1.0).contains(&gamma), "gamma out of range");
+        assert!((0.0..=1.0).contains(&lambda), "lambda out of range");
+        let a = (1.0 - gamma).sqrt();
+        RelaxationEntries {
+            decay: gamma.sqrt(),
+            keep: (1.0 - lambda).sqrt() * a,
+            dephase: lambda.sqrt() * a,
+        }
+    }
+}
+
 /// The local superoperators of one program, in sparse rows.
 ///
 /// A superoperator `S` here is the matrix that maps a vectorized `2x2`
@@ -303,6 +392,14 @@ impl KrausChannel {
 /// ([`crate::density::DensityMatrix::apply_superop_ctx`]). Only exact
 /// zeros are dropped, so `S` is the op-by-op result re-associated: equal
 /// to rounding (~1e-16), not bit for bit.
+///
+/// The three channels the device layer schedules also lower straight
+/// from their parameters — [`SuperopTable::push_depolarizing_1q`],
+/// [`SuperopTable::push_depolarizing_2q`] and
+/// [`SuperopTable::push_thermal_relaxation`] write the 6, 28 and 5
+/// nonzeros that [`SuperopTable::push`] of the Kraus list arrives at,
+/// each as the same sum in the same order, so the entry is bit for bit
+/// the same and no Kraus list is built.
 ///
 /// Rows are kept sparse in one arena per table, sized for fleets that
 /// hold thousands of programs (sealed to exact size with the program). Realness is
@@ -352,6 +449,42 @@ pub(crate) enum Placement {
     Swapped,
     OnFirst,
     OnSecond,
+}
+
+/// One member of a fused run as a program's plan keeps it: the index of
+/// its superoperator among the run's lowered members and where it sits,
+/// in two bytes — fleets hold thousands of plans.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct RunMember(u16);
+
+impl RunMember {
+    /// Distinct members one plan can index.
+    pub(crate) const MAX_MEMBERS: usize = 1 << 14;
+
+    /// # Panics
+    ///
+    /// Panics if `member` is not below [`RunMember::MAX_MEMBERS`].
+    pub(crate) fn new(member: usize, place: Placement) -> Self {
+        assert!(
+            member < Self::MAX_MEMBERS,
+            "a fused program holds at most {} distinct fixed ops",
+            Self::MAX_MEMBERS
+        );
+        RunMember((member as u16) << 2 | place as u16)
+    }
+
+    pub(crate) fn member(self) -> usize {
+        (self.0 >> 2) as usize
+    }
+
+    pub(crate) fn place(self) -> Placement {
+        match self.0 & 3 {
+            0 => Placement::Whole,
+            1 => Placement::Swapped,
+            2 => Placement::OnFirst,
+            _ => Placement::OnSecond,
+        }
+    }
 }
 
 impl Placement {
@@ -447,6 +580,82 @@ impl SuperopTable {
         }
     }
 
+    /// [`SuperopTable::push`] of [`KrausChannel::depolarizing_1q`] at
+    /// `p`, bit for bit, without the Kraus list: `sqrt(1-p) I` puts
+    /// `aa` on the diagonal, then X, Y and Z add or subtract `ww` in
+    /// that order (X and Y cancel exactly where the block's two
+    /// coherences would mix).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn push_depolarizing_1q(&mut self, p: f64) -> usize {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        let (s, w) = ((1.0 - p).sqrt(), (p / 3.0).sqrt());
+        let (aa, ww) = (s * s, w * w);
+        let mut rows = [[0.0f64; 4]; 4];
+        (rows[0][0], rows[0][3]) = (aa + ww, ww + ww);
+        (rows[1][1], rows[2][2]) = (aa - ww, aa - ww);
+        (rows[3][0], rows[3][3]) = (ww + ww, aa + ww);
+        self.push_rows(&rows, &[0b1001, 0b0010, 0b0100, 0b1001])
+    }
+
+    /// [`SuperopTable::push`] of [`KrausChannel::depolarizing_2q`] at
+    /// `p`, bit for bit, without the sixteen Kraus matrices. Entry
+    /// `(i, j) -> (i, j)` is `aa` from `sqrt(1-p) II`, then `+- ww` from
+    /// the diagonal pairs IZ, ZI, ZZ in list order (minus where the pair
+    /// gives `i` and `j` opposite signs); population `(i, i)` reaches
+    /// each other population `(i', i')` through the four pairs that map
+    /// `i` to `i'`, `ww` each; every other sum cancels exactly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `p` is outside `[0, 1]`.
+    pub fn push_depolarizing_2q(&mut self, p: f64) -> usize {
+        assert!((0.0..=1.0).contains(&p), "probability out of range");
+        let (s, w) = ((1.0 - p).sqrt(), (p / 15.0).sqrt());
+        let (aa, ww) = (s * s, w * w);
+        let add = |acc: f64, minus: bool| if minus { acc - ww } else { acc + ww };
+        let mut rows = [[0.0f64; 16]; 16];
+        let mut touched = [0u16; 16];
+        for i in 0..4 {
+            for j in 0..4 {
+                let e = i * 4 + j;
+                // Bit 0 of a basis index is the second (Z of IZ) factor.
+                let (low, high) = ((i ^ j) & 1 != 0, (i ^ j) & 2 != 0);
+                rows[e][e] = add(add(add(aa, low), high), low != high);
+                touched[e] |= 1 << e;
+                if i != j {
+                    rows[i * 5][j * 5] = ((ww + ww) + ww) + ww;
+                    touched[i * 5] |= 1 << (j * 5);
+                }
+            }
+        }
+        self.push_rows(&rows, &touched)
+    }
+
+    /// [`SuperopTable::push`] of [`KrausChannel::thermal_relaxation`],
+    /// bit for bit, without composing the two damping channels:
+    /// populations keep 1 and gain `decay^2`, coherences scale by
+    /// `keep`, the excited population by `keep^2 + dephase^2` (see
+    /// `RelaxationEntries`).
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`KrausChannel::thermal_relaxation`].
+    pub fn push_thermal_relaxation(&mut self, t1: f64, t2: f64, duration: f64) -> usize {
+        let RelaxationEntries {
+            decay,
+            keep,
+            dephase,
+        } = RelaxationEntries::new(t1, t2, duration);
+        let mut rows = [[0.0f64; 4]; 4];
+        (rows[0][0], rows[0][3]) = (1.0, decay * decay);
+        (rows[1][1], rows[2][2]) = (keep, keep);
+        rows[3][3] = keep * keep + dephase * dephase;
+        self.push_rows(&rows, &[0b1001, 0b0010, 0b0100, 0b1000])
+    }
+
     /// Appends `sum_m m (x) conj(m)` over `d x d` matrices (`D = d * d`):
     /// `S[i * d + j][i' * d + j'] = sum_m m[i, i'] * conj(m[j, j'])`.
     /// Only the nonzero entries of each `m` are paired up — a scaled
@@ -479,16 +688,17 @@ impl SuperopTable {
     /// order, each embedded at its [`Placement`] in the run's support —
     /// into one superoperator and appends it; returns its index.
     ///
-    /// Runs once per distinct run per compile, and compiles run per
-    /// task under drift: the product is accumulated on stack arrays, in
-    /// `f64` when no member has an imaginary part.
+    /// Runs once per distinct run per fill of a program's fused table,
+    /// and a program is refilled per task under drift: the product is
+    /// accumulated on stack arrays, in `f64` when no member has an
+    /// imaginary part.
     pub(crate) fn push_product(
         &mut self,
         members: &SuperopTable,
-        run: &[(usize, Placement)],
+        run: &[RunMember],
         two_qubit: bool,
     ) -> usize {
-        let real = run.iter().all(|&(m, _)| members.get(m).im.is_empty());
+        let real = run.iter().all(|m| members.get(m.member()).im.is_empty());
         match (two_qubit, real) {
             (false, true) => self.push_product_in::<f64, 4>(members, run),
             (false, false) => self.push_product_in::<C64, 4>(members, run),
@@ -500,7 +710,7 @@ impl SuperopTable {
     fn push_product_in<S: Coeff, const D: usize>(
         &mut self,
         members: &SuperopTable,
-        run: &[(usize, Placement)],
+        run: &[RunMember],
     ) -> usize {
         // Dense `D x D` accumulators and fixed-length row updates: the
         // members are sparse, the loops branch only on their shape. The
@@ -512,9 +722,9 @@ impl SuperopTable {
             acc_mask[e] = 1 << e;
         }
         let (mut next, mut next_mask) = (acc, acc_mask);
-        for &(m, place) in run {
-            let s = members.get(m);
-            let (map, offsets) = place.embedding();
+        for m in run {
+            let s = members.get(m.member());
+            let (map, offsets) = m.place().embedding();
             let mut e0 = 0;
             for (r_m, &len) in s.row_len.iter().enumerate() {
                 let e1 = e0 + len as usize;
@@ -595,6 +805,25 @@ impl SuperopTable {
     /// Whether the table holds no superoperator.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// An empty table with room for `n` superoperators of the sizes
+    /// programs are made of (a 16-row index with a Pauli mixture's 28
+    /// columns, a one-qubit unitary's 16 complex values) — a table
+    /// filled and dropped per refresh should not grow as it goes.
+    pub(crate) fn with_capacity(n: usize) -> Self {
+        SuperopTable {
+            entries: Vec::with_capacity(n),
+            index: Vec::with_capacity(n * 44),
+            vals: Vec::with_capacity(n * 32),
+        }
+    }
+
+    /// Empties the table, keeping its allocations for the next fill.
+    pub fn clear(&mut self) {
+        self.entries.clear();
+        self.index.clear();
+        self.vals.clear();
     }
 
     /// Drops growth slack: a sealed table owns exactly the bytes it
@@ -831,6 +1060,58 @@ mod tests {
         assert_eq!(table.index.capacity(), table.index.len());
     }
 
+    #[test]
+    fn closed_forms_equal_the_kraus_lowering_at_the_edges() {
+        let lowered = |ch: &KrausChannel| {
+            let mut t = SuperopTable::default();
+            t.push(ch);
+            t
+        };
+        let thresholds = [0.0, 1e-12, 1e-3, 0.3, 1.0, 2.5];
+        for p in [0.0, 1e-30, 1e-3, 0.02, 0.5, 0.75, 15.0 / 16.0, 1.0] {
+            let mut one = SuperopTable::default();
+            one.push_depolarizing_1q(p);
+            assert_eq!(one, lowered(&KrausChannel::depolarizing_1q(p)), "1q p={p}");
+            let mut two = SuperopTable::default();
+            two.push_depolarizing_2q(p);
+            assert_eq!(two, lowered(&KrausChannel::depolarizing_2q(p)), "2q p={p}");
+            for eps in thresholds {
+                for (n, ch) in [
+                    (1, KrausChannel::depolarizing_1q(p)),
+                    (2, KrausChannel::depolarizing_2q(p)),
+                ] {
+                    assert_eq!(
+                        KrausChannel::depolarizing_is_near_identity(n, p, eps),
+                        ch.is_near_identity(eps),
+                        "{n}q p={p} eps={eps}"
+                    );
+                }
+            }
+        }
+        // T2 at, below and far below 2 T1; no time, a vanishing idle
+        // window, and a wait long enough to zero the coherences.
+        for (t1, t2, dt) in [
+            (100.0, 80.0, 3.0),
+            (100.0, 200.0, 3.0),
+            (100.0, 80.0, 0.0),
+            (100.0, 80.0, 1e-9),
+            (100.0, 1e-3, 1e5),
+            (500.0, 1000.0, 1e5),
+        ] {
+            let mut t = SuperopTable::default();
+            t.push_thermal_relaxation(t1, t2, dt);
+            let ch = KrausChannel::thermal_relaxation(t1, t2, dt);
+            assert_eq!(t, lowered(&ch), "T1={t1} T2={t2} dt={dt}");
+            for eps in thresholds {
+                assert_eq!(
+                    KrausChannel::thermal_relaxation_is_near_identity(t1, t2, dt, eps),
+                    ch.is_near_identity(eps),
+                    "T1={t1} T2={t2} dt={dt} eps={eps}"
+                );
+            }
+        }
+    }
+
     /// Applies `run` member by member, then as one product, to the same
     /// random-ish state; the fused sweep must agree to rounding.
     fn assert_product_matches_members(
@@ -853,7 +1134,8 @@ mod tests {
             stepped.apply_superop_ctx(members.get(m), &qs[..n], &ParallelCtx::SERIAL);
         }
         let mut fused = SuperopTable::default();
-        let entry = fused.push_product(members, run, support.len() == 2);
+        let packed: Vec<RunMember> = run.iter().map(|&(m, p)| RunMember::new(m, p)).collect();
+        let entry = fused.push_product(members, &packed, support.len() == 2);
         rho.apply_superop_ctx(fused.get(entry), support, &ParallelCtx::SERIAL);
         assert!(
             rho.matrix().approx_eq(&stepped.matrix(), 1e-13),

@@ -9,9 +9,11 @@
 //! insert. This module is the engine room that removes all of that:
 //!
 //! * [`CompiledProgram`] — a flat op-tape over pre-resolved gate
-//!   matrices and one channel table, built once (per noise epoch) by
-//!   [`ProgramBuilder`] *for the engine that will run it*
-//!   ([`Lowering`]) and replayed many times;
+//!   matrices and one channel table, built once by [`ProgramBuilder`]
+//!   *for the engine that will run it* ([`Lowering`]) and replayed many
+//!   times; a density program also keeps the plan its fused table is a
+//!   product of, so new channel numbers — a drifting device has new
+//!   ones per job — are a [`CompiledProgram::refresh`], not a rebuild;
 //! * [`DensityEngine`] — exact density-matrix evolution over a
 //!   persistent state. Its programs are *fused*: every maximal run of
 //!   adjacent fixed ops (gate unitaries and channels) nested in one
@@ -69,7 +71,7 @@
 
 use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
-use crate::noise::{KrausChannel, Placement, SuperopTable};
+use crate::noise::{KrausChannel, Placement, RunMember, SuperopTable};
 use crate::parallel::ParallelCtx;
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use crate::statevector::StateVector;
@@ -144,17 +146,58 @@ impl TapeOp {
 /// The one channel table of a program (see [`Lowering`]).
 #[derive(Clone, Debug)]
 enum ChannelTable {
-    Fused(SuperopTable),
+    /// The fused superoperators and the plan they are products of.
+    Fused(SuperopTable, FusionPlan),
     Kraus(Vec<KrausChannel>),
+}
+
+/// Where the superoperator of one fused-run member comes from.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Member {
+    /// The fixed gate in this matrix-table slot.
+    Unitary(u16),
+    /// The channel pushed under this caller key, whose numbers the
+    /// caller lowers on request
+    /// ([`ProgramBuilder::push_deferred_channel`]).
+    Deferred(u16),
+    /// A channel pushed as a Kraus list (index into the builder's
+    /// copies): lowered when the builder finishes, never again.
+    Given(u16),
+}
+
+/// The half of a density program that no channel's *numbers* enter:
+/// which fixed ops each fused entry is the product of. Built once by
+/// [`ProgramBuilder`]; every fill of the fused table — the builder's own
+/// and each [`CompiledProgram::refresh`] — lowers the members and
+/// multiplies the runs in this order, so it is one arithmetic whoever
+/// runs it. Kept small: a fleet holds one per (template, device) pair.
+#[derive(Clone, Debug, Default)]
+struct FusionPlan {
+    /// Every distinct fixed op of a fused run, each once, in first-use
+    /// order.
+    members: Vec<Member>,
+    /// The distinct fused runs back to back, in fused-entry order.
+    runs: Vec<RunMember>,
+    /// Per fused entry: where its run ends in `runs`.
+    bounds: Vec<u32>,
+}
+
+impl FusionPlan {
+    /// Records a new member; returns its index.
+    fn add_member(&mut self, member: Member) -> usize {
+        self.members.push(member);
+        self.members.len() - 1
+    }
 }
 
 /// A circuit + noise schedule compiled to an executable form for one
 /// engine: a flat op-tape over a table of pre-resolved gate matrices and
 /// one channel table.
 ///
-/// Build once with [`ProgramBuilder`] (typically per calibration epoch),
-/// rebind parameterized gates cheaply with
-/// [`CompiledProgram::set_unitary`], and execute with the engine it was
+/// Build once with [`ProgramBuilder`], rebind parameterized gates
+/// cheaply with [`CompiledProgram::set_unitary`], bring a density
+/// program's deferred channels up to new numbers with
+/// [`CompiledProgram::refresh`], and execute with the engine it was
 /// lowered for.
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
@@ -183,7 +226,7 @@ impl CompiledProgram {
     /// The engine this program was lowered for.
     pub fn lowering(&self) -> Lowering {
         match self.channels {
-            ChannelTable::Fused(_) => Lowering::Density,
+            ChannelTable::Fused(..) => Lowering::Density,
             ChannelTable::Kraus(_) => Lowering::Trajectory,
         }
     }
@@ -193,7 +236,7 @@ impl CompiledProgram {
     #[inline]
     pub fn num_channels(&self) -> usize {
         match &self.channels {
-            ChannelTable::Fused(t) => t.len(),
+            ChannelTable::Fused(t, _) => t.len(),
             ChannelTable::Kraus(k) => k.len(),
         }
     }
@@ -253,7 +296,7 @@ impl CompiledProgram {
     /// Panics on a trajectory-lowered program.
     pub fn superops(&self) -> &SuperopTable {
         match &self.channels {
-            ChannelTable::Fused(t) => t,
+            ChannelTable::Fused(t, _) => t,
             ChannelTable::Kraus(_) => panic!(
                 "program was lowered for trajectories (Kraus tape); \
                  the density engine needs Lowering::Density"
@@ -269,17 +312,100 @@ impl CompiledProgram {
     pub fn kraus_channels(&self) -> &[KrausChannel] {
         match &self.channels {
             ChannelTable::Kraus(k) => k,
-            ChannelTable::Fused(_) => panic!(
+            ChannelTable::Fused(..) => panic!(
                 "program was lowered for the density engine (fused superoperators); \
                  the trajectory engine needs Lowering::Trajectory"
             ),
         }
     }
+
+    /// Re-derives the fused superoperators, in place, for new channel
+    /// numbers under the same plan: the tape, the matrix table and
+    /// which ops each fused entry multiplies are kept; `lower(key,
+    /// table)` pushes the superoperator of the deferred channel `key`
+    /// onto `table` (exactly one per call), and `readout` replaces the
+    /// readout model. This is the routine
+    /// [`ProgramBuilder::finish_with`] fills a new program with, so a
+    /// refreshed program equals, bit for bit, one built from scratch
+    /// with the same pushes and the same `lower`.
+    ///
+    /// The caller vouches that the plan still holds: the same pushes in
+    /// the same order with the same elision verdicts.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a trajectory-lowered program, or one holding channels
+    /// pushed as Kraus lists ([`ProgramBuilder::push_channel`]): those
+    /// were lowered when the builder finished and their numbers are
+    /// gone.
+    pub fn refresh(&mut self, readout: ReadoutError, lower: impl FnMut(usize, &mut SuperopTable)) {
+        let _ = self.superops();
+        self.readout = readout;
+        self.fill_fused(&[], lower);
+    }
+
+    /// Lowers every plan member — into a table that lives for this call
+    /// only: a fleet holds thousands of programs and each needs its
+    /// members for microseconds — and multiplies every run into the
+    /// fused table. A trajectory program has nothing to fill.
+    fn fill_fused(
+        &mut self,
+        given: &[KrausChannel],
+        mut lower: impl FnMut(usize, &mut SuperopTable),
+    ) {
+        let ChannelTable::Fused(fused, plan) = &mut self.channels else {
+            return;
+        };
+        let mut members = SuperopTable::with_capacity(plan.members.len());
+        for member in &plan.members {
+            match *member {
+                Member::Unitary(slot) => {
+                    members.push_unitary(&self.unitaries[slot as usize]);
+                }
+                Member::Deferred(key) => lower(key as usize, &mut members),
+                Member::Given(idx) => {
+                    let channel = given
+                        .get(idx as usize)
+                        .expect("channels pushed as Kraus lists are lowered once, by the builder");
+                    members.push(channel);
+                }
+            }
+        }
+        assert_eq!(
+            members.len(),
+            plan.members.len(),
+            "`lower` must push exactly one superoperator per call"
+        );
+        fused.clear();
+        let mut start = 0;
+        for &end in &plan.bounds {
+            let run = &plan.runs[start..end as usize];
+            // A one-qubit member is `Whole` only in a one-qubit run.
+            let two_qubit = run[0].place() != Placement::Whole
+                || members.get(run[0].member()).num_qubits() == 2;
+            fused.push_product(&members, run, two_qubit);
+            start = end as usize;
+        }
+        fused.seal();
+    }
+
+    /// Heap bytes the fusion plan owns (0 for a trajectory program):
+    /// what a density program carries beyond its tape and tables so
+    /// that [`CompiledProgram::refresh`] can re-derive them.
+    pub fn plan_heap_bytes(&self) -> usize {
+        match &self.channels {
+            ChannelTable::Fused(_, plan) => {
+                plan.members.capacity() * std::mem::size_of::<Member>()
+                    + plan.runs.capacity() * std::mem::size_of::<RunMember>()
+                    + plan.bounds.capacity() * std::mem::size_of::<u32>()
+            }
+            ChannelTable::Kraus(_) => 0,
+        }
+    }
 }
 
-/// A fixed op as a fused run remembers it: the matrix-table slot of a
-/// unitary, or the index of a channel among the builder's lowered
-/// members.
+/// A fixed op in the open run: the matrix-table slot of a unitary, or a
+/// channel's index among the plan's members.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Fixed {
     Unitary(usize),
@@ -292,13 +418,14 @@ enum Interned {
     /// Near-identity: elided from the tape.
     Skipped,
     /// Index into the Kraus table (trajectory lowering) or into the
-    /// lowered members (density lowering).
+    /// plan's members (density lowering).
     Kept(usize),
 }
 
 /// The density lowering's working state: the open run of adjacent fixed
-/// ops and everything already lowered or fused. Every list is reused
-/// across runs — a compile allocates per program, not per run.
+/// ops and the plan recorded so far. Nothing is multiplied here — the
+/// numbers enter when the builder finishes. Every list is reused across
+/// runs: planning allocates per program, not per run.
 #[derive(Clone, Debug, Default)]
 struct Fuser {
     /// The open run's support (operand order of the two-qubit member
@@ -307,23 +434,15 @@ struct Fuser {
     arity: usize,
     /// The open run's members in tape order.
     run: Vec<(Fixed, Placement)>,
-    /// Every distinct fixed op lowered so far, each once per program.
-    members: SuperopTable,
-    /// Member index of the unitary in each matrix-table slot, once
-    /// lowered.
+    plan: FusionPlan,
+    /// Member index of the unitary in each matrix-table slot, once a
+    /// fused run holds it.
     unitary_member: Vec<Option<usize>>,
-    /// Runs already multiplied out, back to back, and per run its
-    /// `(end in composed_runs, fused entry)`. The same `gate,
-    /// relaxation, depolarizing` cluster recurs on a qubit several
-    /// times per template and is composed once. (Members determine
-    /// the arity: a one-qubit member is `Whole` only in a one-qubit
-    /// run.)
-    composed_runs: Vec<(Fixed, Placement)>,
-    composed: Vec<(usize, usize)>,
     /// Scratch: the open run with every member resolved to its index
-    /// in `members`.
-    lowered: Vec<(usize, Placement)>,
-    fused: SuperopTable,
+    /// in `plan.members`.
+    resolved: Vec<RunMember>,
+    /// The channels pushed as Kraus lists, for the builder's own fill.
+    given: Vec<KrausChannel>,
 }
 
 impl Fuser {
@@ -354,33 +473,38 @@ impl Fuser {
         }
     }
 
-    /// The fused entry of the open run, multiplying it out unless an
-    /// identical run already was.
-    fn compose(&mut self, unitaries: &[CMatrix]) -> usize {
-        let mut start = 0;
-        for &(end, entry) in &self.composed {
-            if self.composed_runs[start..end] == self.run[..] {
-                return entry;
-            }
-            start = end;
-        }
-        self.unitary_member.resize(unitaries.len(), None);
-        self.lowered.clear();
+    /// The fused entry of the open run: the entry of an identical run
+    /// already planned — the same `gate, relaxation, depolarizing`
+    /// cluster recurs on a qubit several times per template and is
+    /// multiplied once — or a new one.
+    fn entry_of_open_run(&mut self, unitaries: usize) -> usize {
+        self.unitary_member.resize(unitaries, None);
+        self.resolved.clear();
         for &(op, place) in &self.run {
             let member = match op {
                 Fixed::Channel(member) => member,
                 Fixed::Unitary(slot) => *self.unitary_member[slot]
-                    .get_or_insert_with(|| self.members.push_unitary(&unitaries[slot])),
+                    .get_or_insert_with(|| self.plan.add_member(Member::Unitary(narrow(slot)))),
             };
-            self.lowered.push((member, place));
+            self.resolved.push(RunMember::new(member, place));
         }
-        let entry = self
-            .fused
-            .push_product(&self.members, &self.lowered, self.arity == 2);
-        self.composed_runs.extend_from_slice(&self.run);
-        self.composed.push((self.composed_runs.len(), entry));
-        entry
+        let mut start = 0;
+        for (entry, &end) in self.plan.bounds.iter().enumerate() {
+            if self.plan.runs[start..end as usize] == self.resolved[..] {
+                return entry;
+            }
+            start = end as usize;
+        }
+        self.plan.runs.extend_from_slice(&self.resolved);
+        let end = u32::try_from(self.plan.runs.len()).expect("fused runs fit u32 offsets");
+        self.plan.bounds.push(end);
+        self.plan.bounds.len() - 1
     }
+}
+
+/// A slot, key or list index as a plan member stores it.
+fn narrow(index: usize) -> u16 {
+    u16::try_from(index).expect("a fused program indexes at most 65 536 slots and channel keys")
 }
 
 /// What a builder is producing (see [`Lowering`]): the fusing state of
@@ -533,7 +657,7 @@ impl ProgramBuilder {
     ///
     /// Panics on arity mismatch or out-of-range qubits.
     pub fn push_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
-        self.check_channel(channel, qubits);
+        self.check_channel(channel.num_qubits(), qubits);
         let interned = match self.by_content.iter().find(|(c, _)| c == channel) {
             Some(&(_, interned)) => interned,
             None => {
@@ -555,11 +679,8 @@ impl ProgramBuilder {
     ///
     /// Same conditions as [`ProgramBuilder::push_channel`].
     pub fn push_keyed_channel(&mut self, key: usize, channel: &KrausChannel, qubits: &[usize]) {
-        self.check_channel(channel, qubits);
-        if self.by_key.len() <= key {
-            self.by_key.resize(key + 1, None);
-        }
-        let interned = match self.by_key[key] {
+        self.check_channel(channel.num_qubits(), qubits);
+        let interned = match self.keyed(key) {
             Some(interned) => interned,
             None => {
                 let interned = self.intern(channel);
@@ -570,23 +691,71 @@ impl ProgramBuilder {
         self.place_channel(interned, qubits);
     }
 
-    fn check_channel(&self, channel: &KrausChannel, qubits: &[usize]) {
+    /// Appends a channel the caller knows only by `key` so far: what it
+    /// acts on and whether it is `elided` (near-identity, see
+    /// [`ProgramBuilder::with_identity_epsilon`]) are fixed now, its
+    /// numbers arrive when the program is filled —
+    /// [`ProgramBuilder::finish_with`] and every later
+    /// [`CompiledProgram::refresh`] ask a `lower` callback for the
+    /// superoperator of `key`. Pushes under an equal key must name the
+    /// same channel with the same verdict; keys share the table of
+    /// [`ProgramBuilder::push_keyed_channel`], so use one or the other.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a trajectory builder (a Kraus tape has no deferred
+    /// form), on more than two or out-of-range qubits.
+    pub fn push_deferred_channel(&mut self, key: usize, qubits: &[usize], elided: bool) {
+        self.check_channel(qubits.len(), qubits);
+        let interned = match self.keyed(key) {
+            Some(interned) => interned,
+            None => {
+                let Target::Density(fuser) = &mut self.target else {
+                    panic!("only a density program defers its channels")
+                };
+                let interned = if elided {
+                    Interned::Skipped
+                } else {
+                    Interned::Kept(fuser.plan.add_member(Member::Deferred(narrow(key))))
+                };
+                self.by_key[key] = Some(interned);
+                interned
+            }
+        };
+        self.place_channel(interned, qubits);
+    }
+
+    /// What an earlier push under `key` decided, making room for `key`.
+    fn keyed(&mut self, key: usize) -> Option<Interned> {
+        if self.by_key.len() <= key {
+            self.by_key.resize(key + 1, None);
+        }
+        self.by_key[key]
+    }
+
+    fn check_channel(&self, arity: usize, qubits: &[usize]) {
         assert_eq!(
             qubits.len(),
-            channel.num_qubits(),
+            arity,
             "channel arity does not match the qubit list"
         );
         self.check_operands(qubits, "channels");
     }
 
-    /// First sight of a channel: elide it, or lower it into the one
-    /// table this program keeps.
+    /// First sight of a Kraus-list channel: elide it, or keep it — in
+    /// the Kraus table of a trajectory program, as a plan member of a
+    /// density program.
     fn intern(&mut self, channel: &KrausChannel) -> Interned {
         if self.identity_epsilon > 0.0 && channel.is_near_identity(self.identity_epsilon) {
             return Interned::Skipped;
         }
         Interned::Kept(match &mut self.target {
-            Target::Density(fuser) => fuser.members.push(channel),
+            Target::Density(fuser) => {
+                fuser.given.push(channel.clone());
+                fuser
+                    .plan
+                    .add_member(Member::Given(narrow(fuser.given.len() - 1)))
+            }
             Target::Trajectory(kraus) => {
                 kraus.push(channel.clone());
                 kraus.len() - 1
@@ -640,7 +809,7 @@ impl ProgramBuilder {
             .iter()
             .any(|(op, _)| matches!(op, Fixed::Channel(_)))
         {
-            let entry = fuser.compose(&self.unitaries);
+            let entry = fuser.entry_of_open_run(self.unitaries.len());
             self.ops
                 .push(channel_op(entry, &fuser.support[..fuser.arity]));
         } else {
@@ -658,21 +827,47 @@ impl ProgramBuilder {
 
     /// Seals the program with its readout model and scheduled duration;
     /// the tape and tables keep no growth slack.
-    pub fn finish(mut self, readout: ReadoutError, duration_ns: f64) -> CompiledProgram {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a channel was deferred
+    /// ([`ProgramBuilder::push_deferred_channel`]): use
+    /// [`ProgramBuilder::finish_with`].
+    pub fn finish(self, readout: ReadoutError, duration_ns: f64) -> CompiledProgram {
+        self.finish_with(readout, duration_ns, |key, _| {
+            panic!("deferred channel {key} needs ProgramBuilder::finish_with")
+        })
+    }
+
+    /// [`ProgramBuilder::finish`] for a program with deferred channels:
+    /// seals the plan, then fills the fused table exactly as
+    /// [`CompiledProgram::refresh`] will — `lower(key, table)` pushes
+    /// the superoperator of the deferred channel `key` onto `table`.
+    pub fn finish_with(
+        mut self,
+        readout: ReadoutError,
+        duration_ns: f64,
+        lower: impl FnMut(usize, &mut SuperopTable),
+    ) -> CompiledProgram {
         self.flush_run();
         self.ops.shrink_to_fit();
         self.unitaries.shrink_to_fit();
-        let channels = match self.target {
-            Target::Density(mut fuser) => {
-                fuser.fused.seal();
-                ChannelTable::Fused(fuser.fused)
+        let (channels, given) = match self.target {
+            Target::Density(fuser) => {
+                let Fuser {
+                    mut plan, given, ..
+                } = *fuser;
+                plan.members.shrink_to_fit();
+                plan.runs.shrink_to_fit();
+                plan.bounds.shrink_to_fit();
+                (ChannelTable::Fused(SuperopTable::default(), plan), given)
             }
             Target::Trajectory(mut kraus) => {
                 kraus.shrink_to_fit();
-                ChannelTable::Kraus(kraus)
+                (ChannelTable::Kraus(kraus), Vec::new())
             }
         };
-        CompiledProgram {
+        let mut program = CompiledProgram {
             n_qubits: self.n_qubits,
             ops: self.ops,
             unitaries: self.unitaries,
@@ -680,7 +875,9 @@ impl ProgramBuilder {
             readout,
             duration_ns,
             skipped_channels: self.skipped_channels,
-        }
+        };
+        program.fill_fused(&given, lower);
+        program
     }
 }
 
@@ -1379,6 +1576,92 @@ mod tests {
         assert_eq!(prog.num_channels(), 1, "the recurring cluster is one entry");
         let s = prog.superops().get(0);
         assert_eq!((s.num_qubits(), s.nnz()), (1, 16));
+    }
+
+    /// A noisy two-qubit program whose three channels are deferred
+    /// under keys 0 (relaxation), 1 and 2 (one- and two-qubit
+    /// depolarizing), filled with the numbers `(t2, p1, p2)`.
+    fn deferred_program(numbers: (f64, f64, f64)) -> CompiledProgram {
+        let mut b = ProgramBuilder::new(2);
+        for q in [0, 1, 0] {
+            b.push_unitary(gates::sx(), &[q]);
+            b.push_deferred_channel(0, &[q], false);
+            b.push_deferred_channel(1, &[q], false);
+            b.push_parameterized(gates::rz(0.3), &[q]);
+        }
+        b.push_unitary(gates::cx(), &[1, 0]);
+        b.push_deferred_channel(0, &[0], false);
+        b.push_deferred_channel(2, &[0, 1], false);
+        b.push_deferred_channel(3, &[1], true);
+        b.finish_with(ReadoutError::uniform(2, 0.01), 100.0, lower(numbers))
+    }
+
+    fn lower((t2, p1, p2): (f64, f64, f64)) -> impl FnMut(usize, &mut SuperopTable) {
+        move |key, table| {
+            match key {
+                0 => table.push_thermal_relaxation(100.0, t2, 3.0),
+                1 => table.push_depolarizing_1q(p1),
+                2 => table.push_depolarizing_2q(p2),
+                _ => unreachable!("key {key} was elided"),
+            };
+        }
+    }
+
+    #[test]
+    fn a_refreshed_program_equals_one_built_from_the_new_numbers() {
+        let (before, after) = ((80.0, 0.01, 0.02), (55.0, 0.013, 0.031));
+        let mut program = deferred_program(before);
+        assert_eq!(program.skipped_channels(), 1);
+        assert_eq!(
+            program.num_channels(),
+            2,
+            "the recurring cluster, the CX run"
+        );
+        let tape = program.ops().to_vec();
+        program.refresh(ReadoutError::uniform(2, 0.02), lower(after));
+        let fresh = deferred_program(after);
+        assert_eq!(program.ops(), tape, "a refresh leaves the tape alone");
+        assert_eq!(program.superops(), fresh.superops());
+        assert_ne!(program.superops(), deferred_program(before).superops());
+        assert_eq!(program.readout(), &ReadoutError::uniform(2, 0.02));
+        // The same program from Kraus lists holds the same table: one
+        // arithmetic, wherever the members' numbers come from.
+        let (t2, p1, p2) = after;
+        let relax = KrausChannel::thermal_relaxation(100.0, t2, 3.0);
+        let mut b = ProgramBuilder::new(2);
+        for q in [0, 1, 0] {
+            b.push_unitary(gates::sx(), &[q]);
+            b.push_channel(&relax, &[q]);
+            b.push_channel(&KrausChannel::depolarizing_1q(p1), &[q]);
+            b.push_parameterized(gates::rz(0.3), &[q]);
+        }
+        b.push_unitary(gates::cx(), &[1, 0]);
+        b.push_channel(&relax, &[0]);
+        b.push_channel(&KrausChannel::depolarizing_2q(p2), &[0, 1]);
+        let given = b.finish(ReadoutError::uniform(2, 0.02), 100.0);
+        assert_eq!(given.ops(), fresh.ops());
+        assert_eq!(given.superops(), fresh.superops());
+    }
+
+    #[test]
+    #[should_panic(expected = "lowered once, by the builder")]
+    fn a_program_built_from_kraus_lists_cannot_be_refreshed() {
+        bell_program(0.05).refresh(ReadoutError::uniform(2, 0.0), |_, _| {});
+    }
+
+    #[test]
+    #[should_panic(expected = "needs ProgramBuilder::finish_with")]
+    fn deferred_channels_need_their_numbers_to_finish() {
+        let mut b = ProgramBuilder::new(1);
+        b.push_deferred_channel(0, &[0], false);
+        let _ = b.finish(ReadoutError::uniform(1, 0.0), 35.0);
+    }
+
+    #[test]
+    #[should_panic(expected = "only a density program defers")]
+    fn a_trajectory_builder_rejects_deferred_channels() {
+        let mut b = ProgramBuilder::for_lowering(1, Lowering::Trajectory);
+        b.push_deferred_channel(0, &[0], false);
     }
 
     #[test]

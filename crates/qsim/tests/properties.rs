@@ -9,6 +9,45 @@ use qsim::{gates, CMatrix, DensityMatrix, ParallelCtx, Pauli, ReadoutError, C64}
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// Strategy: error probabilities over `[0, 1]` — uniform, log-uniform
+/// down to 1e-30, and the exact values with a branch of their own: the
+/// ends and the device layer's clamps (0.5 one-qubit, 0.75 CX).
+fn probability() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(0.5),
+        Just(0.75),
+        Just(1.0),
+        0.0..=1.0f64,
+        (-30.0..0.0f64).prop_map(|e| 10f64.powf(e)),
+    ]
+}
+
+/// Strategy: elision thresholds — off, the default, coarse ones, and
+/// past 1 where even a Pauli flip counts as near-identity.
+fn threshold() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        Just(1e-12),
+        Just(1e-3),
+        Just(0.3),
+        Just(1.0),
+        (-15.0..0.5f64).prop_map(|e| 10f64.powf(e)),
+    ]
+}
+
+/// `closed` holds exactly what lowering `channel`'s Kraus list gives:
+/// `==` on the tables (entry layout, column pattern, values — and with
+/// them whether imaginary parts are stored), and the printed form, which
+/// tells apart every pair of floats `==` does not.
+fn assert_same_table(closed: &SuperopTable, channel: &KrausChannel) {
+    let mut lowered = SuperopTable::default();
+    lowered.push(channel);
+    assert_eq!(closed, &lowered);
+    assert_eq!(format!("{closed:?}"), format!("{lowered:?}"));
+    assert_eq!(closed.get(0).is_real(), lowered.get(0).is_real());
+}
+
 /// Strategy: angles in a couple of periods.
 fn angle() -> impl Strategy<Value = f64> {
     -7.0..7.0f64
@@ -548,6 +587,52 @@ proptest! {
             let e = sv.expectation_pauli(&[(0, p), (1, p)]);
             prop_assert!((-1.0 - 1e-9..=1.0 + 1e-9).contains(&e), "{:?}: {}", p, e);
         }
+    }
+
+    /// The closed-form depolarizing superoperators are the Kraus
+    /// lowering bit for bit — values, sparsity pattern and realness —
+    /// and the closed-form near-identity predicate is
+    /// `KrausChannel::is_near_identity`, over all of `[0, 1]` with the
+    /// ends, the device layer's clamps and vanishing rates weighted in.
+    #[test]
+    fn closed_form_depolarizing_is_the_kraus_lowering(p in probability(), eps in threshold()) {
+        let channels = [KrausChannel::depolarizing_1q(p), KrausChannel::depolarizing_2q(p)];
+        for (ch, nnz) in channels.iter().zip([6, 28]) {
+            let mut closed = SuperopTable::default();
+            match ch.num_qubits() {
+                1 => closed.push_depolarizing_1q(p),
+                _ => closed.push_depolarizing_2q(p),
+            };
+            assert_same_table(&closed, ch);
+            prop_assert!(closed.get(0).nnz() <= nnz);
+            prop_assert_eq!(
+                KrausChannel::depolarizing_is_near_identity(ch.num_qubits(), p, eps),
+                ch.is_near_identity(eps),
+                "{} qubits, p = {}, eps = {}", ch.num_qubits(), p, eps
+            );
+        }
+    }
+
+    /// The same for thermal relaxation, over `T2` in `(0, 2 T1]` and
+    /// durations from a vanishing idle window (1e-9 ns) to 1e5 ns.
+    #[test]
+    fn closed_form_relaxation_is_the_kraus_lowering(
+        t1 in 100.0..1e6f64,
+        ratio in prop_oneof![Just(2.0), Just(1.0), 1e-6..2.0f64],
+        log_dt in -9.0..5.0f64,
+        eps in threshold(),
+    ) {
+        let (t2, dt) = (t1 * ratio, 10f64.powf(log_dt));
+        let ch = KrausChannel::thermal_relaxation(t1, t2, dt);
+        let mut closed = SuperopTable::default();
+        closed.push_thermal_relaxation(t1, t2, dt);
+        assert_same_table(&closed, &ch);
+        prop_assert!(closed.get(0).nnz() <= 5);
+        prop_assert_eq!(
+            KrausChannel::thermal_relaxation_is_near_identity(t1, t2, dt, eps),
+            ch.is_near_identity(eps),
+            "T1 = {}, T2 = {}, dt = {}, eps = {}", t1, t2, dt, eps
+        );
     }
 
     /// Depolarizing channels are CPTP for every probability.

@@ -235,6 +235,9 @@ fn client_compiles_templates_once_per_calibration_cycle() {
     // Next calibration cycle: exactly one recompile per touched template.
     client.run_task(&problem, task, &params, 128, SimTime::from_hours(30.0));
     assert!(client.programs_compiled() > compiles_cycle0);
+    // ... as a refresh: recalibration jitters the numbers, not what the
+    // schedule emits, so the plans of the first cycle are still the plans.
+    assert_eq!(client.programs_planned(), compiles_cycle0);
 }
 
 #[test]
@@ -377,6 +380,38 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
             "every run of every batch goes through the one density path"
         );
     }
+}
+
+#[test]
+fn drifting_backend_plans_once_and_refreshes_per_job() {
+    // Every catalog device drifts continuously, so every job lands on a
+    // fresh noise token. The template's structure is planned by the
+    // first job; each later job — across recalibrations too — only
+    // re-derives the numbers, and the results stay the legacy oracle's.
+    use qdevice::{CompiledTemplate, TemplateRun};
+    use std::f64::consts::FRAC_PI_2;
+    let mut engine = stress_backend(41);
+    let mut legacy = stress_backend(41).with_legacy_execution();
+    let circuit = sym_circuit(4);
+    let runs = [FRAC_PI_2, -FRAC_PI_2].map(|delta| TemplateRun {
+        template: 0,
+        shift: Some((2, delta)),
+    });
+    let params: Vec<f64> = (0..8).map(|i| 0.2 + 0.15 * i as f64).collect();
+    let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
+    let mut template_legacy = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
+    let mut t = SimTime::ZERO;
+    for job in 0..8 {
+        let got = engine.execute_templates(&mut [&mut template], &runs, &params, 512, t);
+        let oracle = legacy.execute_templates(&mut [&mut template_legacy], &runs, &params, 512, t);
+        assert_matches_legacy("engine", job, &got, &oracle);
+        // Odd jobs follow within the cycle, even ones jump a
+        // recalibration boundary (3 virtual minutes).
+        t = got.1.completed + if job % 2 == 0 { 5.0 } else { 400.0 };
+    }
+    assert_eq!(template.compiles(), 8, "one token per job under drift");
+    assert_eq!(template.plans(), 1, "the structure is planned once");
+    assert_eq!(template.cache_hits(), 8, "the pair's second run hits");
 }
 
 /// A template with a *fixed* ansatz prefix (H layer + CX chain) ahead

@@ -376,6 +376,58 @@ proptest! {
         prop_assert_eq!(&grouped, &job(Some(lanes), false), "inline vs {} lanes", lanes);
     }
 
+    /// Plan once, refresh per drift step: a long-lived template brought
+    /// up to each step of a random drift sequence holds, bit for bit,
+    /// the program a fresh template compiled at that step holds — tape,
+    /// fused superoperators, readout, duration, elision count — and the
+    /// structure was planned exactly once.
+    #[test]
+    fn refreshed_template_equals_a_cold_compile_at_every_drift_step(
+        n in 2usize..8,
+        seed in 0u64..256,
+        steps in 1usize..=8,
+    ) {
+        use qdevice::{Calibration, CompiledTemplate, NoiseModel, NoiseToken};
+        use rand::{Rng, SeedableRng};
+        let (circuit, _, _) = seeded_sym_circuit(n, seed, 14);
+        let active: Vec<usize> = (0..n).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0xd21f7);
+        let mut cal = Calibration::uniform(n, 100.0, 80.0, 1e-3, 1e-2, 0.02);
+        for q in 0..n {
+            let qubit = cal.qubit_mut(q);
+            qubit.t1_us = rng.gen_range(30.0..200.0);
+            qubit.t2_us = qubit.t1_us * rng.gen_range(0.3..2.0);
+            qubit.gate_error_1q = rng.gen_range(1e-4..5e-3);
+            qubit.readout_error = rng.gen_range(5e-3..5e-2);
+            for q2 in q + 1..n {
+                cal.set_cx_error(q, q2, rng.gen_range(4e-3..6e-2));
+            }
+        }
+        let mut lived = CompiledTemplate::new(circuit.clone(), active.clone());
+        for step in 0..steps {
+            let (ef, cf) = (rng.gen_range(1.0..4.0), rng.gen_range(1.0..2.5));
+            let mut drifted = cal.clone();
+            drifted.degrade(ef, cf);
+            let noise = NoiseModel::from_calibration(&drifted, &active);
+            let token = NoiseToken::new(0, 0, ef, cf);
+            lived.ensure_compiled(&noise, token);
+            let mut cold = CompiledTemplate::new(circuit.clone(), active.clone());
+            cold.ensure_compiled(&noise, token);
+            let (a, b) = (lived.program(), cold.program());
+            prop_assert_eq!(a.ops(), b.ops(), "step {}", step);
+            prop_assert_eq!(a.superops(), b.superops(), "step {}", step);
+            prop_assert_eq!(
+                format!("{:?}", a.superops()),
+                format!("{:?}", b.superops()),
+                "step {}", step
+            );
+            prop_assert_eq!(a.readout(), b.readout(), "step {}", step);
+            prop_assert_eq!(a.duration_ns().to_bits(), b.duration_ns().to_bits());
+            prop_assert_eq!(a.skipped_channels(), b.skipped_channels());
+        }
+        prop_assert_eq!((lived.compiles(), lived.plans()), (steps as u64, 1));
+    }
+
     /// A whole training session under the fleet-wide pipeline produces
     /// a `TrainingReport` identical to the serial session, for any
     /// client count and lane count.
