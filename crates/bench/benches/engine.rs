@@ -15,9 +15,12 @@
 //! sub-threshold widths. `compile/*` is what a drifting device pays per
 //! job before it can bind — a fresh template (`first_*`: plan + fill)
 //! against a long-lived one meeting a new noise token (`token_miss_*`:
-//! a refresh of the plan) — on the four benchmark templates.
+//! a refresh of the plan) — on the four benchmark templates;
+//! `evolve/*` is one evolution of each of the four, bound, with its
+//! tape census (how many sweeps of which kind) printed beside it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use eqc_bench::{benchmark_templates, probe_params, tape_census, template_fixture};
 use qcircuit::CircuitBuilder;
 use qdevice::noise_model::{execute_density, reference, NoiseModel};
 use qdevice::{
@@ -28,11 +31,9 @@ use qsim::density::baseline;
 use qsim::noise::Superop;
 use qsim::program::{CompiledProgram, ProgramBuilder, TapeOp};
 use qsim::sampler::{ReadoutError, ShotSampler};
-use qsim::{gates, DensityMatrix, KrausChannel, ParallelCtx, SuperopTable};
+use qsim::{gates, DensityEngine, DensityMatrix, KrausChannel, ParallelCtx, SuperopTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use transpile::{transpile, TranspileOptions};
-use vqa::{QaoaProblem, VqaProblem, VqeProblem};
 
 /// The 4-qubit hardware-efficient VQE ansatz shape (RY layer, CX chain,
 /// RZ layer) the paper's Fig. 8 workload transpiles to.
@@ -273,23 +274,6 @@ fn bench_job_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-/// One problem template prepared for one catalog device as a client
-/// prepares it, with the device's noise at sixteen successive drift
-/// steps.
-fn compile_fixture(problem: &dyn VqaProblem, device: &str) -> (CompiledTemplate, Vec<NoiseModel>) {
-    let backend = catalog::by_name(device).expect("catalog device").backend(2);
-    let transpiled = transpile(
-        &problem.templates()[0],
-        backend.topology(),
-        &TranspileOptions::default(),
-    )
-    .expect("template fits device");
-    let (compact, _) = transpiled.compact_for_simulation().expect("compacts");
-    let template = CompiledTemplate::new(compact, transpiled.active_qubits());
-    let noises = eqc_bench::drift_steps(&backend, template.active_physical(), 16);
-    (template, noises)
-}
-
 fn bench_compile(c: &mut Criterion) {
     // What a drifting device pays per job before it can bind: `first_*`
     // plans and fills a fresh template (the cold compile every
@@ -298,23 +282,8 @@ fn bench_compile(c: &mut Criterion) {
     // same plan). One call is 7-50 us: many samples.
     let mut group = c.benchmark_group("compile");
     group.sample_size(2000);
-    let tfim7 = VqeProblem::new(
-        "tfim7",
-        vqa::hamiltonians::transverse_field_ising(7, 1.0, 0.8),
-        vqa::ansatz::hardware_efficient_layers(7, 1),
-    );
-    let fixtures: [(&str, Box<dyn VqaProblem>, &str); 4] = [
-        ("h2", Box::new(VqeProblem::h2()), "belem"),
-        (
-            "heisenberg4",
-            Box::new(VqeProblem::heisenberg_4q()),
-            "belem",
-        ),
-        ("qaoa_ring4", Box::new(QaoaProblem::maxcut_ring4()), "belem"),
-        ("tfim7", Box::new(tfim7), "lagos"),
-    ];
-    for (name, problem, device) in &fixtures {
-        let (fresh, noises) = compile_fixture(problem.as_ref(), device);
+    for (name, problem, device) in &benchmark_templates() {
+        let (fresh, noises) = template_fixture(problem.as_ref(), device);
         let mut step = 0u64;
         let mut next = || {
             step += 1;
@@ -343,6 +312,28 @@ fn bench_compile(c: &mut Criterion) {
     group.finish();
 }
 
+fn bench_evolve(c: &mut Criterion) {
+    // One full evolution of each benchmark template, bound, on a warm
+    // engine — what a run pays between bind and sampling, and the sum
+    // the tape census (`eqc_bench::tape_census`, printed per row) splits
+    // by kind of sweep. 1.4 us (H2) to 1.7 ms (TFIM-7).
+    let mut group = c.benchmark_group("evolve");
+    for (name, problem, device) in &benchmark_templates() {
+        let (mut template, noises) = template_fixture(problem.as_ref(), device);
+        template.ensure_compiled(&noises[0], NoiseToken::new(0, 0, 1.0, 1.0));
+        template.bind(&probe_params(problem.num_params()), None);
+        let program = template.program();
+        println!("evolve/{name}: {:?}", tape_census(program));
+        group.sample_size(if program.num_qubits() >= 7 { 200 } else { 5000 });
+        let mut engine = DensityEngine::new();
+        let mut probs = Vec::new();
+        group.bench_function(*name, |b| {
+            b.iter(|| engine.evolve_probs(program, &mut probs))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_gate_kernels,
@@ -350,6 +341,7 @@ criterion_group!(
     bench_channel_application,
     bench_execute_density_paths,
     bench_job_throughput,
-    bench_compile
+    bench_compile,
+    bench_evolve
 );
 criterion_main!(benches);

@@ -27,6 +27,12 @@
 //! the first compile built) — the refreshed program must equal the cold
 //! one (asserted) and must not cost more (asserted).
 //!
+//! Between the two, the tape census of the 7-qubit fixtures — the deep
+//! probe on casablanca and the benchmark's TFIM-7 template as lagos
+//! compiles it — by kind of sweep (`{"bench":"fig_engine_gauge",...}`,
+//! one line each): the real gauge must leave no complex one-qubit sweep
+//! (asserted).
+//!
 //! Emits one machine-readable JSON line (`{"bench":"fig_engine",...}`)
 //! for the perf-trajectory dashboard and refreshes the repo-root
 //! `BENCH_engine.json` snapshot.
@@ -34,7 +40,8 @@
 //! Run with: `cargo run --release -p eqc-bench --bin fig_engine`
 
 use eqc_bench::{
-    drift_steps, env_param, markdown_table, shots_or, write_bench_snapshot, write_csv, BenchRow,
+    benchmark_templates, drift_steps, env_param, markdown_table, probe_params, shots_or,
+    tape_census, template_fixture, write_bench_snapshot, write_csv, BenchRow,
 };
 use qdevice::{catalog, CompiledTemplate, NoiseToken, QpuBackend, SimTime, TemplateRun};
 use qsim::{BatchPipeline, Counts};
@@ -177,7 +184,7 @@ fn pipeline_bench(
     batches: usize,
     shots: usize,
 ) -> (Vec<Counts>, u128, PipeStats) {
-    let params: Vec<f64> = (0..2 * n).map(|i| 0.3 - 0.17 * i as f64).collect();
+    let params = probe_params(2 * n);
     // Symbolic RY layer starts right after the body (H + 6 CX chains).
     let ry_gates: Vec<usize> = (0..n).map(|q| 1 + 6 * (n - 1) + q).collect();
     let runs: Vec<TemplateRun> = (0..2usize)
@@ -390,6 +397,38 @@ fn main() {
         ));
     }
 
+    // --- Gauge section: what the 7-qubit tapes are made of ---
+    println!("\n# Tape census — 7 qubits, sweeps by kind\n");
+    let casablanca = catalog::by_name("casablanca")
+        .expect("catalog device")
+        .backend(0xBA7C);
+    let active: Vec<usize> = (0..7).collect();
+    let probe_noise = drift_steps(&casablanca, &active, 1);
+    let probe = CompiledTemplate::new(deep_probe(7, true), active);
+    let (_, tfim7, lagos) = benchmark_templates()
+        .into_iter()
+        .find(|(name, ..)| *name == "tfim7")
+        .expect("the 7-qubit benchmark template");
+    let (tfim7, tfim7_noise) = template_fixture(tfim7.as_ref(), lagos);
+    for (fixture, mut template, noise) in [
+        ("deep_probe7_casablanca", probe, &probe_noise[0]),
+        ("tfim7_lagos", tfim7, &tfim7_noise[0]),
+    ] {
+        template.ensure_compiled(noise, NoiseToken::new(0, 0, 1.0, 1.0));
+        template.bind(&probe_params(template.circuit().num_params()), None);
+        let ops = template.program().ops().len();
+        let census = tape_census(template.program());
+        println!(
+            "{{\"bench\":\"fig_engine_gauge\",\"fixture\":\"{fixture}\",\"ops\":{ops},\
+             \"complex_1q\":{},\"real_1q\":{},\"two_qubit\":{},\"diag\":{},\
+             \"dense_1q\":{},\"commit\":\"{commit}\"}}",
+            census.complex_1q, census.real_1q, census.two_qubit, census.diag, census.dense_1q
+        );
+        assert_eq!(
+            census.complex_1q, 0,
+            "{fixture}: the real gauge leaves no complex one-qubit sweep"
+        );
+    }
     // --- Compile section: plan once, refresh per drift step ---
     println!("\n# Compile under drift — 4-qubit template, 10000 noise tokens per side\n");
     let (first_us, cold) = compile_bench(false);

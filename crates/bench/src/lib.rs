@@ -178,6 +178,100 @@ pub fn drift_steps(
         .collect()
 }
 
+/// The four templates the repository's benchmark workloads run, each
+/// with the catalog device the engine benches put it on: H2,
+/// Heisenberg-4 and QAOA ring-4 on belem, TFIM-7 on lagos.
+pub fn benchmark_templates() -> [(&'static str, Box<dyn VqaProblem>, &'static str); 4] {
+    let tfim7 = vqa::VqeProblem::new(
+        "tfim7",
+        vqa::hamiltonians::transverse_field_ising(7, 1.0, 0.8),
+        vqa::ansatz::hardware_efficient_layers(7, 1),
+    );
+    [
+        ("h2", Box::new(vqa::VqeProblem::h2()), "belem"),
+        (
+            "heisenberg4",
+            Box::new(vqa::VqeProblem::heisenberg_4q()),
+            "belem",
+        ),
+        (
+            "qaoa_ring4",
+            Box::new(vqa::QaoaProblem::maxcut_ring4()),
+            "belem",
+        ),
+        ("tfim7", Box::new(tfim7), "lagos"),
+    ]
+}
+
+/// One problem template prepared for one catalog device as a client
+/// prepares it (transpiled, compacted, not yet compiled), with the
+/// device's noise at sixteen successive [`drift_steps`].
+pub fn template_fixture(
+    problem: &dyn VqaProblem,
+    device: &str,
+) -> (qdevice::CompiledTemplate, Vec<qdevice::NoiseModel>) {
+    let backend = qdevice::catalog::by_name(device)
+        .expect("catalog device")
+        .backend(2);
+    let transpiled = transpile::transpile(
+        &problem.templates()[0],
+        backend.topology(),
+        &transpile::TranspileOptions::default(),
+    )
+    .expect("template fits device");
+    let (compact, _) = transpiled.compact_for_simulation().expect("compacts");
+    let template = qdevice::CompiledTemplate::new(compact, transpiled.active_qubits());
+    let noises = drift_steps(&backend, template.active_physical(), 16);
+    (template, noises)
+}
+
+/// A fixed, unremarkable parameter vector for timing and census
+/// fixtures: distinct angles, none a multiple of pi/2.
+pub fn probe_params(n: usize) -> Vec<f64> {
+    (0..n).map(|i| 0.3 - 0.17 * i as f64).collect()
+}
+
+/// How many tape ops of a density program take each kind of sweep.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct TapeCensus {
+    /// Fused one-qubit sweeps with complex coefficients.
+    pub complex_1q: usize,
+    /// Fused one-qubit sweeps with real coefficients.
+    pub real_1q: usize,
+    /// Two-qubit ops: fused sweeps and bare unitaries.
+    pub two_qubit: usize,
+    /// One-qubit diagonal unitaries (one phase pass each): rebind slots
+    /// holding an RZ and settled frames.
+    pub diag: usize,
+    /// Any other one-qubit unitary op.
+    pub dense_1q: usize,
+}
+
+/// The [`TapeCensus`] of a density-lowered program as currently bound.
+pub fn tape_census(program: &qsim::CompiledProgram) -> TapeCensus {
+    use qsim::program::TapeOp;
+    let zero = qsim::C64::ZERO;
+    let mut census = TapeCensus::default();
+    for op in program.ops() {
+        match *op {
+            TapeOp::Channel1q { channel, .. } if program.superops().get(channel).is_real() => {
+                census.real_1q += 1
+            }
+            TapeOp::Channel1q { .. } => census.complex_1q += 1,
+            TapeOp::Channel2q { .. } | TapeOp::Unitary2q { .. } => census.two_qubit += 1,
+            TapeOp::Unitary1q { slot, .. } => {
+                let u = program.unitary(slot);
+                if u[(0, 1)] == zero && u[(1, 0)] == zero {
+                    census.diag += 1
+                } else {
+                    census.dense_1q += 1
+                }
+            }
+        }
+    }
+    census
+}
+
 /// The policy-ablation fleet: `n - 1` synthesized stable devices (the
 /// [`fleet_ensemble`] population) plus one [`flaky_backend`] member, as
 /// a builder so harnesses can attach a policy stack before `build()`.

@@ -16,6 +16,47 @@
 //! bit. Trajectory programs carry Kraus lists instead and are planned
 //! whole each time.
 //!
+//! # The real gauge
+//!
+//! On IBMQ hardware RZ is virtual — a change of reference frame, free
+//! and exact — and every physical one-qubit gate is an SX or an X. A
+//! density plan lowers gates the same way. The walk carries a *frame*
+//! per qubit: the RZ angle owed on it before its next op that does not
+//! commute with RZ. A fixed `RZ(a)` adds `a` to the frame and emits
+//! nothing. A parameterized RZ takes the frame as a constant offset of
+//! its rebind slot. `SX = e^{i pi/4} RZ(-pi/2) RY(pi/2) RZ(pi/2)` adds
+//! `pi/2`, settles, pushes the real `RY(pi/2)` and leaves `-pi/2`; `X`
+//! pushes itself and negates the frame (`X RZ(a) = RZ(-a) X`); a CX
+//! settles its target only (RZ on the control commutes with it); any
+//! other gate settles its operands and is pushed as it is. Every noise
+//! channel of the schedule commutes with RZ (the contract on
+//! `noise_model::ChannelKey`), so the frame passes through all of them,
+//! and every fused cluster — `RY` or `X` or `CX` times relaxations and
+//! depolarizing — is a **real** superoperator: its sweep multiplies by
+//! `f64`s, at about a third of what the same cluster costs around the
+//! complex SX matrix.
+//!
+//! *Settling* a frame puts the RZ it stands for on the tape: folded
+//! into the offset of the qubit's last parameterized RZ when only ops
+//! that commute with RZ came since (free), otherwise as one diagonal
+//! unitary that stays its own tape op — a phase pass over half the
+//! state — and never joins a fused run, which it would turn complex. A
+//! pass within the elision threshold
+//! ([`CompileOptions::identity_epsilon`]) of a whole turn is elided like
+//! any near-identity channel. Two frames are dropped outright, which is
+//! exact for every measurement probability: one owed on a qubit still
+//! diagonal in Z (`|0>` and nothing but RZ, X, CX controls and channels
+//! since — an RZ moves only coherences, and there are none), and one
+//! still owed when the circuit ends (relaxation and the Z-basis readout
+//! read no phase). The final *state's* off-diagonals are therefore in
+//! the frame of the plan, not the lab's; nothing above `qsim` reads
+//! them.
+//!
+//! Offsets and passes are constants of the plan: they depend on the
+//! circuit alone, so a refresh leaves them alone. The trajectory
+//! lowering, which replays Kraus operators gate for gate, keeps the
+//! true matrices.
+//!
 //! Two entry points:
 //!
 //! * [`compile_bound`] — one-shot compilation of a fully bound circuit
@@ -33,13 +74,16 @@
 
 use crate::noise_model::{schedule, walk, ChannelKey, NoiseModel, ScheduledOp, SiteOp, Verdict};
 use qcircuit::{Angle, Circuit, Gate};
-use qsim::{CMatrix, CompiledProgram, Lowering, ProgramBuilder};
+use qsim::{gates, CMatrix, CompiledProgram, Lowering, ProgramBuilder, C64};
+use std::f64::consts::FRAC_PI_2;
 
 /// Options governing program compilation.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CompileOptions {
     /// Channels whose non-identity content falls below this norm are
-    /// elided from the tape (see [`qsim::KrausChannel::is_near_identity`]).
+    /// elided from the tape (see [`qsim::KrausChannel::is_near_identity`]),
+    /// and so is the diagonal pass of a settled RZ frame that moves every
+    /// coherence by less than this (a frame adding up to a whole turn).
     /// The default ([`ProgramBuilder::DEFAULT_IDENTITY_EPSILON`]) sits
     /// far below every physical error rate the device layer produces;
     /// set to `0.0` to disable elision entirely.
@@ -97,16 +141,18 @@ impl NoiseToken {
 /// which channels the schedule emits — the tape, the matrix table and
 /// rebind slots, the channel keys with a [`Verdict`] each, and (inside
 /// the density program) which fixed ops every fused sweep multiplies. It
-/// is built by one schedule walk. The *numbers* — the keys'
-/// superoperators under the noise of the moment, the run products, the
-/// readout model — are a [`Plan::refresh`] away, and that is all a new
-/// drift step costs while the plan [holds](Plan::holds).
+/// is built by one schedule walk; a density plan is in the real gauge
+/// (see the module doc): its fixed RZs are frame — rebind-slot offsets
+/// and the odd diagonal pass — and its SXs are `RY(pi/2)`. The
+/// *numbers* — the keys' superoperators under the noise of the moment,
+/// the run products, the readout model — are a [`Plan::refresh`] away,
+/// and that is all a new drift step costs while the plan
+/// [holds](Plan::holds).
 #[derive(Clone, Debug)]
 struct Plan {
     program: CompiledProgram,
-    /// One `(slot, gate_idx)` pair per parameterized gate, in schedule
-    /// order.
-    param_slots: Vec<(usize, usize)>,
+    /// One entry per parameterized gate, in schedule order.
+    param_slots: Vec<RebindSlot>,
     /// The distinct channel keys in first-visit order — the key space of
     /// the program's deferred channels — and what the plan does with
     /// each. Empty for a trajectory program, which is never refreshed.
@@ -115,6 +161,151 @@ struct Plan {
     /// The gate and readout times the walk ran on: every key's duration
     /// and the program's own derive from these three.
     gate_times_ns: [f64; 3],
+}
+
+/// Where a parameterized gate's matrix goes, and from what angle.
+#[derive(Clone, Copy, Debug)]
+struct RebindSlot {
+    /// Matrix-table slot of the program.
+    slot: usize,
+    /// The gate, as an index into the circuit's gate list.
+    gate_idx: usize,
+    /// Radians added to the gate's resolved angle: the frame a density
+    /// plan folded into this RZ (0 for any other gate, and always under
+    /// [`Lowering::Trajectory`]). A constant of the plan.
+    offset: f64,
+}
+
+impl RebindSlot {
+    /// The matrix the slot holds under `params`, with `delta` more on
+    /// the angle — the one arithmetic behind both
+    /// [`CompiledTemplate::bind`] and [`CompiledTemplate::shift_matrix`],
+    /// which the group-fork walk needs to agree bit for bit.
+    fn matrix(&self, circuit: &Circuit, params: &[f64], delta: Option<f64>) -> CMatrix {
+        let g = circuit.gates()[self.gate_idx];
+        let angle = g.angle().expect("rebind slot maps to a parameterized gate");
+        let mut value = angle.resolve(params) + self.offset;
+        if let Some(delta) = delta {
+            value += delta;
+        }
+        g.with_angle(Angle::Fixed(value)).matrix(&[])
+    }
+}
+
+/// The per-qubit RZ frame of a density plan (see the module doc).
+struct Frames {
+    /// The RZ angle owed on each qubit before its next op that does not
+    /// commute with RZ.
+    owed: Vec<f64>,
+    /// The rebind slot (index into the plan's list) of the last
+    /// parameterized RZ on each qubit, while only ops that commute with
+    /// RZ have come since: a frame settled now folds into its offset.
+    open: Vec<Option<usize>>,
+    /// Whether each qubit is still diagonal in Z — `|0>` and nothing but
+    /// RZ, X, CX controls and channels since — so that an RZ on it
+    /// changes nothing.
+    diagonal: Vec<bool>,
+    /// [`CompileOptions::identity_epsilon`].
+    identity_epsilon: f64,
+}
+
+impl Frames {
+    fn new(n_qubits: usize, identity_epsilon: f64) -> Self {
+        Frames {
+            owed: vec![0.0; n_qubits],
+            open: vec![None; n_qubits],
+            diagonal: vec![true; n_qubits],
+            identity_epsilon,
+        }
+    }
+
+    /// Discharges the frame owed on `q`, ahead of an op that does not
+    /// commute with RZ: nothing on a qubit still diagonal in Z, a larger
+    /// offset on the open rebind slot, else one diagonal pass of its own
+    /// — unless the pass is the identity to within the elision threshold
+    /// (frames add up to a multiple of 2 pi, give or take rounding, as
+    /// often as not: `H` leaves `-pi/2 + pi/2`).
+    fn settle(&mut self, q: usize, builder: &mut ProgramBuilder, slots: &mut [RebindSlot]) {
+        let owed = std::mem::take(&mut self.owed[q]);
+        let open = self.open[q].take();
+        if std::mem::take(&mut self.diagonal[q]) || owed == 0.0 {
+            return;
+        }
+        match open {
+            Some(i) => slots[i].offset += owed,
+            // What the pass multiplies a coherence by, less one.
+            None if (C64::cis(owed) - C64::ONE).abs() < self.identity_epsilon => {}
+            None => {
+                builder.push_unfused_unitary(gates::rz(owed), &[q]);
+            }
+        }
+    }
+
+    /// Pushes one gate of the walk in the real gauge.
+    fn push_gate(
+        &mut self,
+        builder: &mut ProgramBuilder,
+        slots: &mut Vec<RebindSlot>,
+        gate_idx: usize,
+        g: &Gate,
+        qs: &[usize],
+    ) {
+        match *g {
+            Gate::Rz(q, Angle::Fixed(a)) => self.owed[q] += a,
+            Gate::Rz(q, _) => {
+                push_plain(builder, slots, gate_idx, g, qs);
+                let last = slots.len() - 1;
+                slots[last].offset = std::mem::take(&mut self.owed[q]);
+                self.open[q] = Some(last);
+            }
+            // SX = e^{i pi/4} RZ(-pi/2) RY(pi/2) RZ(pi/2).
+            Gate::Sx(q) => {
+                self.owed[q] += FRAC_PI_2;
+                self.settle(q, builder, slots);
+                builder.push_unitary(gates::ry(FRAC_PI_2), qs);
+                self.owed[q] = -FRAC_PI_2;
+            }
+            // X RZ(a) = RZ(-a) X, and X keeps a diagonal qubit diagonal.
+            Gate::X(q) => {
+                push_plain(builder, slots, gate_idx, g, qs);
+                self.owed[q] = -self.owed[q];
+                self.open[q] = None;
+            }
+            // RZ on the control commutes with CX.
+            Gate::Cx(_, target) => {
+                self.settle(target, builder, slots);
+                push_plain(builder, slots, gate_idx, g, qs);
+            }
+            _ => {
+                for &q in qs {
+                    self.settle(q, builder, slots);
+                }
+                push_plain(builder, slots, gate_idx, g, qs);
+            }
+        }
+    }
+}
+
+/// Pushes a gate under its own matrix: resolved and interned at once
+/// when fixed, as a unique placeholder slot that
+/// [`CompiledTemplate::bind`] fills per job when parameterized.
+fn push_plain(
+    builder: &mut ProgramBuilder,
+    slots: &mut Vec<RebindSlot>,
+    gate_idx: usize,
+    g: &Gate,
+    qs: &[usize],
+) {
+    if g.angle().and_then(Angle::param).is_some() {
+        let slot = builder.push_parameterized(CMatrix::identity(1 << qs.len()), qs);
+        slots.push(RebindSlot {
+            slot,
+            gate_idx,
+            offset: 0.0,
+        });
+    } else {
+        builder.push_unitary(g.matrix(&[]), qs);
+    }
 }
 
 fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
@@ -137,22 +328,16 @@ impl Plan {
         let mut builder = ProgramBuilder::for_lowering(circuit.num_qubits(), lowering)
             .with_identity_epsilon(options.identity_epsilon);
         let mut param_slots = Vec::new();
-        // Fixed gates are resolved and interned immediately;
-        // parameterized gates get a unique placeholder slot that
-        // `CompiledTemplate::bind` fills per job.
-        let mut push_gate = |builder: &mut ProgramBuilder, gate_idx, g: &Gate, qs: &[usize]| {
-            if g.angle().and_then(Angle::param).is_some() {
-                let slot = builder.push_parameterized(CMatrix::identity(1 << qs.len()), qs);
-                param_slots.push((slot, gate_idx));
-            } else {
-                builder.push_unitary(g.matrix(&[]), qs);
-            }
-        };
         let (mut keys, mut verdicts) = (Vec::new(), Vec::new());
         let program = match lowering {
             Lowering::Density => {
+                // The real gauge: a frame still owed when the walk ends
+                // is dropped with `frames`.
+                let mut frames = Frames::new(circuit.num_qubits(), options.identity_epsilon);
                 let duration = walk(circuit, noise, |op| match op {
-                    SiteOp::Unitary(gate_idx, g, qs) => push_gate(&mut builder, gate_idx, g, qs),
+                    SiteOp::Unitary(gate_idx, g, qs) => {
+                        frames.push_gate(&mut builder, &mut param_slots, gate_idx, g, qs)
+                    }
                     SiteOp::Channel(idx, key, qs) => {
                         if idx == keys.len() {
                             keys.push(key);
@@ -171,9 +356,10 @@ impl Plan {
                 })
             }
             Lowering::Trajectory => {
+                // Gate for gate, every matrix as the circuit has it.
                 let duration = schedule(circuit, noise, |op| match op {
                     ScheduledOp::Unitary(gate_idx, g, qs) => {
-                        push_gate(&mut builder, gate_idx, g, qs)
+                        push_plain(&mut builder, &mut param_slots, gate_idx, g, qs)
                     }
                     ScheduledOp::Channel(key, ch, qs) => builder.push_keyed_channel(key, ch, qs),
                 });
@@ -215,33 +401,16 @@ impl Plan {
     }
 }
 
-/// Compiles a circuit (symbolic angles allowed) against a noise model,
-/// lowered for one engine.
-///
-/// Returns the program plus the rebind map: one `(slot, gate_idx)` pair
-/// per parameterized gate, in schedule order. Fixed gates are resolved
-/// and interned immediately; parameterized gates get a unique
-/// placeholder slot that [`CompiledTemplate::bind`] fills per job.
+/// Compiles a fully bound circuit into a ready-to-run program, lowered
+/// for one engine. (A symbolic circuit compiles through
+/// [`CompiledTemplate`], the one holder of the rebind slots: a density
+/// plan keeps part of a parameterized RZ's angle in its slot.)
 ///
 /// # Panics
 ///
-/// Panics if the circuit references out-of-range qubits for the noise
-/// model (mirroring the executors it feeds).
-pub fn compile(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    options: &CompileOptions,
-    lowering: Lowering,
-) -> (CompiledProgram, Vec<(usize, usize)>) {
-    let plan = Plan::new(circuit, noise, options, lowering);
-    (plan.program, plan.param_slots)
-}
-
-/// Compiles a fully bound circuit into a ready-to-run program.
-///
-/// # Panics
-///
-/// Panics if the circuit still has unbound parameters.
+/// Panics if the circuit still has unbound parameters, or references
+/// qubits out of range of the noise model (mirroring the executors it
+/// feeds).
 pub fn compile_bound(
     circuit: &Circuit,
     noise: &NoiseModel,
@@ -253,7 +422,7 @@ pub fn compile_bound(
         0,
         "compile_bound requires a fully bound circuit"
     );
-    compile(circuit, noise, options, lowering).0
+    Plan::new(circuit, noise, options, lowering).program
 }
 
 /// A symbolic circuit template planned once and refreshed per noise
@@ -384,7 +553,9 @@ impl CompiledTemplate {
     /// `delta` to the occurrence at `gate_idx` when
     /// `shift = Some((gate_idx, delta))` — the compiled twin of
     /// [`Circuit::bind_with_shift`] (and of [`Circuit::bind`] when
-    /// `shift` is `None`), bit-identical in the matrices it produces.
+    /// `shift` is `None`). A trajectory program gets bit for bit the
+    /// matrices the bound circuit has; in a density program an RZ's
+    /// angle also carries the frame the plan folded into its slot.
     ///
     /// # Panics
     ///
@@ -401,42 +572,38 @@ impl CompiledTemplate {
             .plan
             .as_mut()
             .expect("bind requires a compiled template");
-        for &(slot, gate_idx) in &plan.param_slots {
-            let g = self.circuit.gates()[gate_idx];
-            let angle = g.angle().expect("rebind slot maps to a parameterized gate");
-            let mut value = angle.resolve(params);
-            if let Some((shift_idx, delta)) = shift {
-                if shift_idx == gate_idx {
-                    value += delta;
-                }
-            }
+        for rebind in &plan.param_slots {
+            let delta = shift
+                .filter(|&(shift_idx, _)| shift_idx == rebind.gate_idx)
+                .map(|(_, delta)| delta);
             plan.program
-                .set_unitary(slot, g.with_angle(Angle::Fixed(value)).matrix(&[]));
+                .set_unitary(rebind.slot, rebind.matrix(&self.circuit, params, delta));
         }
     }
 
     /// The matrix [`CompiledTemplate::bind`] with `Some((gate_idx,
     /// delta))` would place in the shifted occurrence's rebind slot,
     /// together with that slot — computed without touching the bound
-    /// program. Bit-identical to what `bind` writes (`value += delta`
-    /// is IEEE `value + delta`), so the backend binds a template's
-    /// base once and describes every shifted run as a `(slot, matrix)`
-    /// variant of one group-fork walk.
+    /// program. Bit-identical to what `bind` writes (one routine
+    /// resolves the angle, adds the slot's offset, then `delta`, for
+    /// both), so the backend binds a template's base once and describes
+    /// every shifted run as a `(slot, matrix)` variant of one group-fork
+    /// walk.
     ///
     /// # Panics
     ///
     /// Panics if `gate_idx` is not a parameterized gate occurrence.
     pub fn shift_matrix(&self, params: &[f64], gate_idx: usize, delta: f64) -> (usize, CMatrix) {
-        let &(slot, _) = self
+        let rebind = self
             .plan
             .iter()
             .flat_map(|p| &p.param_slots)
-            .find(|&&(_, g)| g == gate_idx)
+            .find(|rebind| rebind.gate_idx == gate_idx)
             .expect("shift index must name a parameterized gate occurrence");
-        let g = self.circuit.gates()[gate_idx];
-        let angle = g.angle().expect("rebind slot maps to a parameterized gate");
-        let value = angle.resolve(params) + delta;
-        (slot, g.with_angle(Angle::Fixed(value)).matrix(&[]))
+        (
+            rebind.slot,
+            rebind.matrix(&self.circuit, params, Some(delta)),
+        )
     }
 
     /// The compiled program (panics if never compiled).
@@ -523,6 +690,240 @@ mod tests {
         let shifted = template.bind_with_shift(&params, occ[0], 0.5).unwrap();
         let (direct, _) = execute_density(&shifted, &noise, 10_000, &mut StdRng::seed_from_u64(11));
         assert_eq!(via_template, direct);
+    }
+
+    /// A circuit from a gate list.
+    fn circuit(n: usize, gates: &[Gate]) -> Circuit {
+        let mut c = Circuit::new(n);
+        c.extend(gates.iter().copied()).expect("valid gates");
+        c
+    }
+
+    /// A template compiled against the ideal model — no channels, so
+    /// every gate and every settled frame is a unitary op on the tape.
+    fn noiseless(c: Circuit) -> CompiledTemplate {
+        let n = c.num_qubits();
+        let mut template = CompiledTemplate::new(c, (0..n).collect());
+        template.ensure_compiled(&NoiseModel::ideal(n), NoiseToken::new(0, 0, 1.0, 1.0));
+        template
+    }
+
+    /// The tape as `(operands, matrix)` per op.
+    fn tape(template: &CompiledTemplate) -> Vec<(Vec<usize>, CMatrix)> {
+        let program = template.program();
+        let ops = program.ops().iter().map(|op| match *op {
+            qsim::program::TapeOp::Unitary1q { slot, q } => {
+                (vec![q], program.unitary(slot).clone())
+            }
+            qsim::program::TapeOp::Unitary2q { slot, q0, q1 } => {
+                (vec![q0, q1], program.unitary(slot).clone())
+            }
+            _ => panic!("the ideal model schedules no channel"),
+        });
+        ops.collect()
+    }
+
+    fn rz_fixed(q: usize, a: f64) -> Gate {
+        Gate::Rz(q, Angle::Fixed(a))
+    }
+
+    #[test]
+    fn a_frame_on_either_end_of_a_qubit_emits_nothing() {
+        let c = circuit(
+            2,
+            &[
+                rz_fixed(0, 0.3),
+                Gate::X(1),
+                rz_fixed(1, 1.1),
+                Gate::Sx(0),
+                rz_fixed(0, 0.9),
+            ],
+        );
+        let ry = gates::ry(FRAC_PI_2);
+        assert_eq!(tape(&noiseless(c)), [(vec![1], gates::x()), (vec![0], ry)]);
+    }
+
+    #[test]
+    fn x_negates_the_frame_and_sx_settles_it() {
+        let c = circuit(1, &[Gate::Sx(0), rz_fixed(0, 0.3), Gate::X(0), Gate::Sx(0)]);
+        let ry = gates::ry(FRAC_PI_2);
+        // -pi/2 after the SX, +0.3, negated by the X, +pi/2 into the SX.
+        let owed = -(-FRAC_PI_2 + 0.3) + FRAC_PI_2;
+        assert_eq!(
+            tape(&noiseless(c)),
+            [
+                (vec![0], ry.clone()),
+                (vec![0], gates::x()),
+                (vec![0], gates::rz(owed)),
+                (vec![0], ry)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_cx_settles_its_target_and_not_its_control() {
+        let c = circuit(
+            2,
+            &[
+                Gate::Sx(0),
+                Gate::Sx(1),
+                rz_fixed(0, 0.4),
+                rz_fixed(1, 0.7),
+                Gate::Cx(0, 1),
+                Gate::Sx(0),
+            ],
+        );
+        let ry = gates::ry(FRAC_PI_2);
+        assert_eq!(
+            tape(&noiseless(c)),
+            [
+                (vec![0], ry.clone()),
+                (vec![1], ry.clone()),
+                (vec![1], gates::rz(-FRAC_PI_2 + 0.7)),
+                (vec![0, 1], gates::cx()),
+                // The control's frame crossed the CX and meets the SX.
+                (vec![0], gates::rz(-FRAC_PI_2 + 0.4 + FRAC_PI_2)),
+                (vec![0], ry)
+            ]
+        );
+    }
+
+    #[test]
+    fn a_frame_that_adds_up_to_a_turn_emits_nothing() {
+        // -pi/2 after the SX, + pi/2 + 3 pi/2, + pi/2 into the next SX:
+        // a whole turn, which moves no coherence.
+        let c = circuit(
+            1,
+            &[
+                Gate::Sx(0),
+                rz_fixed(0, FRAC_PI_2),
+                rz_fixed(0, 3.0 * FRAC_PI_2),
+                Gate::Sx(0),
+            ],
+        );
+        let ry = gates::ry(FRAC_PI_2);
+        assert_eq!(
+            tape(&noiseless(c.clone())),
+            [(vec![0], ry.clone()), (vec![0], ry)]
+        );
+        // With elision off the pass is on the tape.
+        let mut exact = CompiledTemplate::new(c, vec![0]).with_options(CompileOptions {
+            identity_epsilon: 0.0,
+        });
+        exact.ensure_compiled(&NoiseModel::ideal(1), NoiseToken::new(0, 0, 1.0, 1.0));
+        assert_eq!(exact.program().ops().len(), 3);
+    }
+
+    #[test]
+    fn a_transpiled_ry_rz_pair_is_two_real_clusters_and_two_slots() {
+        // RY(t0) RZ(t1) in the native basis: SX RZ(t0 + pi) SX RZ(pi),
+        // then the RZ. Every fixed RZ lands in a rebind slot.
+        use std::f64::consts::PI;
+        let c = circuit(
+            1,
+            &[
+                Gate::Sx(0),
+                Gate::Rz(0, Angle::affine(0, 1.0, PI)),
+                Gate::Sx(0),
+                rz_fixed(0, PI),
+                Gate::Rz(0, Angle::sym(1)),
+            ],
+        );
+        let mut template = CompiledTemplate::new(c, vec![0]);
+        template.ensure_compiled(&noisy_model(1), NoiseToken::new(0, 0, 1.0, 1.0));
+        let plan = template.plan.as_ref().expect("compiled");
+        let offsets: Vec<f64> = plan.param_slots.iter().map(|s| s.offset).collect();
+        assert_eq!(offsets, [-FRAC_PI_2 + FRAC_PI_2, -FRAC_PI_2 + PI]);
+        let program = template.program();
+        let slots: Vec<usize> = plan.param_slots.iter().map(|s| s.slot).collect();
+        let unitaries: Vec<usize> = program
+            .ops()
+            .iter()
+            .filter_map(|op| op.unitary_slot())
+            .collect();
+        assert_eq!(unitaries, slots, "the rebind slots and no standalone pass");
+        // SX cluster, slot, SX cluster, slot, relaxation up to readout.
+        assert_eq!(program.ops().len(), 5);
+        assert_eq!(
+            program.num_channels(),
+            2,
+            "the two SX clusters are one entry"
+        );
+        assert!((0..program.num_channels()).all(|i| program.superops().get(i).is_real()));
+        // And it is RY RZ: the textbook pair's distribution, less noise.
+        let params = [0.83, -1.9];
+        template.bind(&params, None);
+        let mut probs = Vec::new();
+        qsim::DensityEngine::new().evolve_probs(template.program(), &mut probs);
+        let mut b = CircuitBuilder::new(1);
+        b.ry(0, params[0]).rz(0, params[1]);
+        let ideal = b
+            .build()
+            .run_statevector(&[])
+            .expect("bound")
+            .probabilities();
+        assert!((probs[1] - ideal[1]).abs() < 0.05, "{probs:?} vs {ideal:?}");
+    }
+
+    #[test]
+    fn bind_writes_the_matrix_shift_matrix_returns_under_an_offset() {
+        use std::f64::consts::PI;
+        let c = circuit(
+            2,
+            &[
+                Gate::Sx(0),
+                rz_fixed(0, 0.37),
+                Gate::Rz(0, Angle::affine(0, 1.0, PI)),
+                Gate::Sx(0),
+                Gate::Sx(1),
+                Gate::Rz(1, Angle::sym(1)),
+                Gate::Cx(0, 1),
+                Gate::Rz(1, Angle::sym(2)),
+                rz_fixed(1, -1.2),
+                Gate::Sx(1),
+                Gate::Ry(0, Angle::sym(3)),
+            ],
+        );
+        let mut template = CompiledTemplate::new(c.clone(), vec![0, 1]);
+        template.ensure_compiled(&noisy_model(2), NoiseToken::new(0, 0, 1.0, 1.0));
+        let rebinds = template
+            .plan
+            .as_ref()
+            .expect("compiled")
+            .param_slots
+            .clone();
+        let offsets: Vec<f64> = rebinds.iter().map(|s| s.offset).collect();
+        assert_eq!(
+            offsets,
+            [
+                -FRAC_PI_2 + 0.37 + FRAC_PI_2,
+                -FRAC_PI_2,
+                -1.2 + FRAC_PI_2,
+                0.0
+            ],
+            "the frame before each RZ plus what settled into it; none on the RY"
+        );
+        let params = [0.4, -0.2, 0.9, 0.1];
+        let bits = |m: &CMatrix| -> Vec<(u64, u64)> {
+            let entry = |z: &C64| (z.re.to_bits(), z.im.to_bits());
+            m.as_slice().iter().map(entry).collect()
+        };
+        for rebind in &rebinds {
+            for delta in [FRAC_PI_2, -FRAC_PI_2, 0.3] {
+                let (slot, matrix) = template.shift_matrix(&params, rebind.gate_idx, delta);
+                assert_eq!(slot, rebind.slot);
+                template.bind(&params, Some((rebind.gate_idx, delta)));
+                let bound = template.program().unitary(slot);
+                assert_eq!(bits(bound), bits(&matrix), "gate {}", rebind.gate_idx);
+                // And the offset is in it.
+                let g = c.gates()[rebind.gate_idx];
+                let value = g.angle().expect("parameterized").resolve(&params);
+                let expected = g
+                    .with_angle(Angle::Fixed(value + rebind.offset + delta))
+                    .matrix(&[]);
+                assert_eq!(bits(bound), bits(&expected));
+            }
+        }
     }
 
     #[test]

@@ -177,6 +177,16 @@ impl NoiseModel {
 /// circuit and the three gate times only — not on a single error rate or
 /// coherence time — so a compiled template keeps its keys across drift
 /// and asks each for fresh numbers.
+///
+/// **Phase covariance.** Every key's channel commutes with `RZ(phi)` on
+/// each of its operands, for every `phi`: relaxation damps and dephases
+/// about Z, and a uniform Pauli mixture is invariant under any local
+/// unitary. The density compiler relies on it — the RZ frame it carries
+/// per qubit ([`crate::compile`]) passes through every channel of the
+/// schedule unsettled — and `tests/properties.rs` holds each lowered
+/// superoperator to it. A future key that is not covariant (a coherent
+/// over-rotation, crosstalk) must make that walk settle the frame on its
+/// operands first.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub(crate) enum ChannelKey {
     /// Thermal relaxation of compact qubit `q` over `duration_ns`.
@@ -450,8 +460,10 @@ where
 /// [`qsim::CompiledProgram`] and runs a fresh [`DensityEngine`].
 /// Repeated executions of the same structure should compile once and
 /// hold a long-lived engine instead (see [`crate::compile`] and
-/// [`crate::QpuBackend`]). Byte-identical to
-/// [`reference::execute_density`].
+/// [`crate::QpuBackend`]). Equal to [`reference::execute_density`] up
+/// to rounding in the distribution (~1e-15: fused sweeps and the
+/// compiler's RZ frame re-associate the arithmetic), with equal counts
+/// on every pinned fixture.
 ///
 /// Returns the counts histogram and the scheduled circuit duration in
 /// nanoseconds.

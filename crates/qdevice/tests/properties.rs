@@ -187,6 +187,64 @@ proptest! {
         }
     }
 
+    /// Phase covariance, the contract the compiler's RZ frame rides on:
+    /// the superoperator each channel key lowers to — thermal
+    /// relaxation, one- and two-qubit depolarizing, straight from their
+    /// numbers as `ChannelKey::lower` pushes them — commutes with
+    /// `RZ(phi)` (on a block, `diag(1, e^{i phi}, e^{-i phi}, 1)`) on
+    /// each of its operands, in either operand order.
+    #[test]
+    fn every_lowered_channel_commutes_with_rz_on_its_operands(
+        p in 0.0..1.0f64,
+        t1 in 10.0..500.0f64,
+        t2_over_t1 in 0.05..2.0f64,
+        duration in 1.0..2000.0f64,
+        phi in -7.0..7.0f64,
+    ) {
+        use qsim::{gates, DensityMatrix, ParallelCtx, StateVector, SuperopTable};
+        let mut table = SuperopTable::default();
+        let relaxation = table.push_thermal_relaxation(t1 * 1e3, t1 * t2_over_t1 * 1e3, duration);
+        let depolarizing_1q = table.push_depolarizing_1q(p);
+        let depolarizing_2q = table.push_depolarizing_2q(p);
+        let sites: [(usize, &[usize]); 6] = [
+            (relaxation, &[0]),
+            (relaxation, &[1]),
+            (depolarizing_1q, &[0]),
+            (depolarizing_1q, &[1]),
+            (depolarizing_2q, &[0, 1]),
+            (depolarizing_2q, &[1, 0]),
+        ];
+        let rz = gates::rz(phi);
+        // |0>, |1>, |+>, |+i> on each qubit: sixteen pure states whose
+        // projectors span every 4x4 matrix, so agreeing on all of them
+        // is agreeing as linear maps.
+        let preps = [
+            vec![],
+            vec![gates::x()],
+            vec![gates::h()],
+            vec![gates::h(), gates::s()],
+        ];
+        for (prep0, prep1) in preps.iter().flat_map(|a| preps.iter().map(move |b| (a, b))) {
+            let mut sv = StateVector::new(2);
+            prep0.iter().for_each(|u| sv.apply_1q(u, 0));
+            prep1.iter().for_each(|u| sv.apply_1q(u, 1));
+            let rho = DensityMatrix::from_statevector(&sv);
+            for (channel, qubits) in sites {
+                for &q in qubits {
+                    let (mut phase_first, mut channel_first) = (rho.clone(), rho.clone());
+                    phase_first.apply_unitary_1q(&rz, q);
+                    phase_first.apply_superop_ctx(table.get(channel), qubits, &ParallelCtx::SERIAL);
+                    channel_first.apply_superop_ctx(table.get(channel), qubits, &ParallelCtx::SERIAL);
+                    channel_first.apply_unitary_1q(&rz, q);
+                    prop_assert!(
+                        phase_first.matrix().approx_eq(&channel_first.matrix(), 1e-14),
+                        "channel {} on {:?} against RZ({}) on {}", channel, qubits, phi, q
+                    );
+                }
+            }
+        }
+    }
+
     /// Batch execution returns one histogram per circuit and a single
     /// coherent time window.
     #[test]

@@ -525,7 +525,8 @@ enum Target {
 /// the two-qubit op that follows it on a shared qubit (either operand
 /// order), further ops on those qubits join, anything else ends the run.
 /// A parameterized slot always ends a run and stays a unitary op, so
-/// every fork and resume point sits between tape ops; a run
+/// every fork and resume point sits between tape ops; so does a gate
+/// pushed with [`ProgramBuilder::push_unfused_unitary`]; a run
 /// without a channel stays unitary ops, which are cheaper than a dense
 /// superoperator.
 #[derive(Clone, Debug)]
@@ -593,10 +594,33 @@ impl ProgramBuilder {
     /// Panics on an out-of-range qubit, duplicate operands, or a matrix
     /// shape that does not match the operand count.
     pub fn push_unitary(&mut self, m: CMatrix, qubits: &[usize]) -> usize {
+        let slot = self.intern_unitary(m, qubits);
+        self.push_fixed(Fixed::Unitary(slot), qubits);
+        slot
+    }
+
+    /// [`ProgramBuilder::push_unitary`] for a gate that must stay a tape
+    /// op of its own: the slot is shared like any fixed matrix, but the
+    /// op ends the open run and never joins one. For a diagonal phase
+    /// between real clusters — alone it is one pass over half the
+    /// state, inside a run it would make the whole sweep complex.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`ProgramBuilder::push_unitary`].
+    pub fn push_unfused_unitary(&mut self, m: CMatrix, qubits: &[usize]) -> usize {
+        let slot = self.intern_unitary(m, qubits);
+        self.flush_run();
+        self.ops.push(unitary_op(slot, qubits));
+        slot
+    }
+
+    /// The matrix-table slot of the fixed matrix `m`: that of an
+    /// identical shareable matrix pushed before, or a new one.
+    fn intern_unitary(&mut self, m: CMatrix, qubits: &[usize]) -> usize {
         self.check_operands(qubits, "unitaries");
         self.check_shape(&m, qubits);
-        let slot = self
-            .unitaries
+        self.unitaries
             .iter()
             .enumerate()
             .position(|(i, u)| self.shareable[i] && *u == m)
@@ -604,9 +628,7 @@ impl ProgramBuilder {
                 self.unitaries.push(m);
                 self.shareable.push(true);
                 self.unitaries.len() - 1
-            });
-        self.push_fixed(Fixed::Unitary(slot), qubits);
-        slot
+            })
     }
 
     /// Appends a *placeholder* matrix for a parameterized gate. The slot
@@ -933,7 +955,11 @@ impl DensityEngine {
     }
 
     /// The unnormalized state the last evolution left (`None` before
-    /// the first).
+    /// the first). It is the state of the tape as given: a program that
+    /// `qdevice` compiled carries its RZs as a per-qubit frame and drops
+    /// the frame still owed at the end, so its diagonal (every
+    /// probability) is the circuit's and its off-diagonals are in the
+    /// frame of the plan — see `qdevice::compile`.
     pub fn state(&self) -> Option<&DensityMatrix> {
         self.rho.as_ref()
     }
@@ -1692,6 +1718,57 @@ mod tests {
                 "idle on {idle}, reversed {reversed}"
             );
             assert!(prog.superops().get(0).is_real(), "a CX run is real");
+        }
+    }
+
+    #[test]
+    fn an_unfused_unitary_splits_the_run_and_keeps_both_halves_real() {
+        let relax = KrausChannel::thermal_relaxation(100.0, 80.0, 3.0);
+        let cluster = |b: &mut ProgramBuilder, unfused: bool| {
+            b.push_unitary(gates::ry(0.5), &[0]);
+            b.push_channel(&relax, &[0]);
+            if unfused {
+                b.push_unfused_unitary(gates::rz(0.3), &[0]);
+            } else {
+                b.push_unitary(gates::rz(0.3), &[0]);
+            }
+            b.push_unitary(gates::cx(), &[0, 1]);
+            b.push_channel(&relax, &[1]);
+        };
+        let mut b = ProgramBuilder::new(2);
+        cluster(&mut b, true);
+        // The same matrix again shares the slot.
+        let rz = b.push_unfused_unitary(gates::rz(0.3), &[1]);
+        let split = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
+        assert_eq!(
+            split.ops(),
+            [
+                TapeOp::Channel1q { channel: 0, q: 0 },
+                TapeOp::Unitary1q { slot: rz, q: 0 },
+                TapeOp::Channel2q {
+                    channel: 1,
+                    q0: 0,
+                    q1: 1
+                },
+                TapeOp::Unitary1q { slot: rz, q: 1 },
+            ]
+        );
+        assert!((0..2).all(|i| split.superops().get(i).is_real()));
+        // Pushed as an ordinary unitary it joins the run and the one
+        // sweep is complex.
+        let mut b = ProgramBuilder::new(2);
+        cluster(&mut b, false);
+        let fused = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
+        assert_eq!(fused.ops().len(), 1);
+        assert!(!fused.superops().get(0).is_real());
+        // Either way it is the same evolution (the trailing phase on
+        // qubit 1 moves no probability).
+        let mut fused_probs = Vec::new();
+        DensityEngine::new().evolve_probs(&fused, &mut fused_probs);
+        let mut split_probs = Vec::new();
+        DensityEngine::new().evolve_probs(&split, &mut split_probs);
+        for (a, b) in split_probs.iter().zip(&fused_probs) {
+            assert!((a - b).abs() < 1e-15, "{split_probs:?} vs {fused_probs:?}");
         }
     }
 

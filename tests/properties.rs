@@ -133,6 +133,86 @@ fn seeded_sym_circuit(n: usize, seed: u64, gates: usize) -> (Circuit, usize, Vec
     (c, params, sym_gates)
 }
 
+/// A pseudorandom circuit in the IBMQ native basis — SX, X, fixed and
+/// parameterized RZ in every position, CX in both directions — over
+/// `n` qubits, one of which (when there are two or more) is sometimes
+/// left idle. Returns the circuit, its parameter count and the gate
+/// indices of the parameterized RZs.
+fn seeded_native_circuit(n: usize, seed: u64, gates: usize) -> (Circuit, usize, Vec<usize>) {
+    use rand::{Rng, SeedableRng};
+    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+    let idle = (n >= 2 && rng.gen_bool(0.3)).then(|| rng.gen_range(0..n));
+    let live: Vec<usize> = (0..n).filter(|&q| Some(q) != idle).collect();
+    let mut c = Circuit::new(n);
+    let mut params = 0usize;
+    let mut sym_gates = Vec::new();
+    for _ in 0..gates {
+        let q = live[rng.gen_range(0..live.len())];
+        let g = match rng.gen_range(0..7usize) {
+            0 | 1 => Gate::Sx(q),
+            2 => Gate::X(q),
+            3 => Gate::Rz(q, Angle::Fixed(rng.gen_range(-7.0..7.0))),
+            4 => {
+                sym_gates.push(c.gates().len());
+                params += 1;
+                if rng.gen_bool(0.5) {
+                    Gate::Rz(q, Angle::sym(params - 1))
+                } else {
+                    let (scale, offset) = (rng.gen_range(-2.0..2.0), rng.gen_range(-4.0..4.0));
+                    Gate::Rz(q, Angle::affine(params - 1, scale, offset))
+                }
+            }
+            _ if live.len() >= 2 => {
+                let q2 = live[rng.gen_range(0..live.len())];
+                if q2 == q {
+                    continue;
+                }
+                Gate::Cx(q, q2)
+            }
+            _ => Gate::Sx(q),
+        };
+        c.push(g).expect("generated gates are valid");
+    }
+    (c, params, sym_gates)
+}
+
+/// The measurement distribution of a bound circuit under `noise` by the
+/// literal Kraus sum: the gate-for-gate trajectory lowering of the
+/// schedule (true matrices, Kraus lists, no frame) replayed on a density
+/// matrix with the preserved pre-engine kernels.
+fn kraus_sum_distribution(bound: &Circuit, noise: &qdevice::NoiseModel) -> Vec<f64> {
+    use qsim::density::baseline;
+    use qsim::program::TapeOp;
+    let program = qdevice::compile_bound(
+        bound,
+        noise,
+        &qdevice::CompileOptions::default(),
+        qsim::Lowering::Trajectory,
+    );
+    let kraus = program.kraus_channels();
+    let mut rho = qsim::DensityMatrix::new(bound.num_qubits());
+    for op in program.ops() {
+        match *op {
+            TapeOp::Unitary1q { slot, q } => {
+                baseline::apply_unitary_1q(&mut rho, program.unitary(slot), q)
+            }
+            TapeOp::Unitary2q { slot, q0, q1 } => {
+                baseline::apply_unitary_2q(&mut rho, program.unitary(slot), q0, q1)
+            }
+            TapeOp::Channel1q { channel, q } => {
+                baseline::apply_channel(&mut rho, &kraus[channel], &[q])
+            }
+            TapeOp::Channel2q { channel, q0, q1 } => {
+                baseline::apply_channel(&mut rho, &kraus[channel], &[q0, q1])
+            }
+        }
+    }
+    rho.normalize();
+    program
+        .readout()
+        .apply_to_distribution(&rho.probabilities())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -428,6 +508,76 @@ proptest! {
         prop_assert_eq!((lived.compiles(), lived.plans()), (steps as u64, 1));
     }
 
+    /// The real gauge against an oracle that shares none of it: over
+    /// random native-basis circuits and random calibrations, the
+    /// density-compiled program — SX as a real rotation, every fixed RZ
+    /// carried as a frame — gives the Kraus-sum distribution to 1e-12
+    /// and the pre-engine reference's seeded counts, for the base
+    /// binding and for a `shift_matrix` variant of every parameter forked
+    /// off the base walk.
+    #[test]
+    fn real_gauge_program_matches_the_kraus_sum_reference(
+        n in 1usize..=4,
+        seed in 0u64..4096,
+    ) {
+        use qdevice::noise_model::reference;
+        use qdevice::{Calibration, CompiledTemplate, NoiseModel, NoiseToken};
+        use rand::{Rng, SeedableRng};
+        let (circuit, num_params, sym_gates) = seeded_native_circuit(n, seed, 18);
+        let active: Vec<usize> = (0..n).collect();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed ^ 0x6a06e);
+        let mut cal = Calibration::uniform(n, 100.0, 80.0, 1e-3, 1e-2, 0.02);
+        for q in 0..n {
+            let qubit = cal.qubit_mut(q);
+            qubit.t1_us = rng.gen_range(30.0..200.0);
+            qubit.t2_us = qubit.t1_us * rng.gen_range(0.3..2.0);
+            qubit.gate_error_1q = rng.gen_range(1e-4..2e-2);
+            qubit.readout_error = rng.gen_range(5e-3..5e-2);
+            for q2 in q + 1..n {
+                cal.set_cx_error(q, q2, rng.gen_range(4e-3..6e-2));
+            }
+        }
+        let noise = NoiseModel::from_calibration(&cal, &active);
+        let params: Vec<f64> = (0..num_params).map(|_| rng.gen_range(-3.2..3.2)).collect();
+        let shots = 4096;
+
+        let mut template = CompiledTemplate::new(circuit.clone(), active);
+        template.ensure_compiled(&noise, NoiseToken::new(0, 0, 1.0, 1.0));
+        template.bind(&params, None);
+        let program = template.program();
+        let mut engine = qsim::DensityEngine::new();
+        let mut probs = Vec::new();
+        let check = |what: &str,
+                     engine: &mut qsim::DensityEngine,
+                     probs: &[f64],
+                     bound: &Circuit|
+         -> Result<(), TestCaseError> {
+            let oracle = kraus_sum_distribution(bound, &noise);
+            for (i, (a, b)) in probs.iter().zip(&oracle).enumerate() {
+                prop_assert!((a - b).abs() <= 1e-12, "{}: p[{}] = {} vs {}", what, i, a, b);
+            }
+            let mut draw = rand::rngs::StdRng::seed_from_u64(seed);
+            let counts = engine.sample_probs(probs, n, shots, &mut draw);
+            let mut draw = rand::rngs::StdRng::seed_from_u64(seed);
+            let (expected, _) = reference::execute_density(bound, &noise, shots, &mut draw);
+            prop_assert_eq!(counts, expected, "{}: seeded counts", what);
+            Ok(())
+        };
+        engine.evolve_probs(program, &mut probs);
+        check("base", &mut engine, &probs, &circuit.bind(&params).expect("binds"))?;
+
+        let mut forks = Vec::new();
+        for (i, &g) in sym_gates.iter().enumerate() {
+            let delta = if i % 2 == 0 { vqa::gradient::SHIFT } else { -vqa::gradient::SHIFT };
+            let variant = template.shift_matrix(&params, g, delta);
+            engine.evolve_group_forks(program, &[variant], &mut forks, None);
+            let (_, resume_at, state) = forks.pop().expect("one fork per variant");
+            engine.resume_probs(program, &state, resume_at, &mut probs);
+            let shifted = circuit.bind_with_shift(&params, g, delta).expect("binds");
+            check(&format!("gate {g} shifted"), &mut engine, &probs, &shifted)?;
+        }
+    }
+
     /// A whole training session under the fleet-wide pipeline produces
     /// a `TrainingReport` identical to the serial session, for any
     /// client count and lane count.
@@ -495,5 +645,23 @@ proptest! {
             fast.matrix().approx_eq(&dense.matrix(), 1e-12),
             "fast kernels drifted from the dense baseline"
         );
+    }
+}
+
+/// Zero complex sweeps where the gauge applies: on each of the
+/// benchmark's templates as its device compiles it, every fused sweep —
+/// one-qubit and two-qubit — has real coefficients.
+#[test]
+fn benchmark_templates_compile_to_real_sweeps_only() {
+    for (name, problem, device) in eqc_bench::benchmark_templates() {
+        let (mut template, noises) = eqc_bench::template_fixture(problem.as_ref(), device);
+        template.ensure_compiled(&noises[0], qdevice::NoiseToken::new(0, 0, 1.0, 1.0));
+        let program = template.program();
+        let census = eqc_bench::tape_census(program);
+        assert_eq!(census.complex_1q, 0, "{name} on {device}: {census:?}");
+        assert!(census.real_1q > 0 && census.two_qubit > 0 && census.diag > 0);
+        for i in 0..program.num_channels() {
+            assert!(program.superops().get(i).is_real(), "{name} entry {i}");
+        }
     }
 }
