@@ -1,9 +1,9 @@
-//! Simulation-engine microbenchmarks and the density-vs-trajectory
-//! ablation (DESIGN.md ablation #1's substrate).
+//! Simulation-engine microbenchmarks: noiseless state-vector and noisy
+//! density-matrix GHZ preparation across widths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcircuit::CircuitBuilder;
-use qdevice::noise_model::{execute_density, execute_trajectories, NoiseModel};
+use qdevice::noise_model::{execute_density, NoiseModel};
 use qdevice::Calibration;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -43,32 +43,5 @@ fn bench_density_noisy(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_density_vs_trajectories(c: &mut Criterion) {
-    // Ablation: exact density evolution vs Monte-Carlo trajectories at
-    // matched shot budget (5 qubits, the GHZ probe size).
-    let n = 5;
-    let circuit = ghz(n);
-    let cal = Calibration::uniform(n, 90.0, 70.0, 0.001, 0.01, 0.02);
-    let active: Vec<usize> = (0..n).collect();
-    let noise = NoiseModel::from_calibration(&cal, &active);
-    let mut group = c.benchmark_group("noise_engine_ablation");
-    group.sample_size(20);
-    let mut rng = StdRng::seed_from_u64(2);
-    group.bench_function("density_8192shots", |b| {
-        b.iter(|| execute_density(&circuit, &noise, 8192, &mut rng))
-    });
-    for traj in [16usize, 64] {
-        group.bench_with_input(BenchmarkId::new("trajectories", traj), &traj, |b, &t| {
-            b.iter(|| execute_trajectories(&circuit, &noise, 8192, t, &mut rng))
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_statevector,
-    bench_density_noisy,
-    bench_density_vs_trajectories
-);
+criterion_group!(benches, bench_statevector, bench_density_noisy);
 criterion_main!(benches);

@@ -5,14 +5,15 @@
 //! 2. weighting on/off at matched budgets;
 //! 3. qubit-wise-commuting measurement grouping vs per-term circuits;
 //! 4. routing strategies (SWAP counts);
-//! 5. density-matrix vs Monte-Carlo-trajectory noise engines (accuracy).
+//! 5. density-matrix engine vs the Monte-Carlo-trajectory reference
+//!    executor (accuracy).
 //!
 //! Run with: `cargo run --release -p eqc-bench --bin ablations`
 
 use eqc_bench::{band, ensemble_for, epochs_or, markdown_table, shots_or, train_eqc, write_csv};
 use eqc_core::{EqcConfig, SequentialExecutor};
 use qcircuit::measure::MeasurementPlan;
-use qdevice::noise_model::{execute_density, execute_trajectories, NoiseModel};
+use qdevice::noise_model::{execute_density, reference, NoiseModel};
 use qdevice::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -158,13 +159,13 @@ fn main() {
     let mut rows = vec![vec!["density (exact)".to_string(), format!("{err_d:.4}")]];
     csv.push_str(&format!("engine,density,ghz_error,{err_d:.6}\n"));
     for traj in [16usize, 64, 256] {
-        let (tr, _) = execute_trajectories(&ghz, &noise, 40_000, traj, &mut rng);
+        let (tr, _) = reference::execute_trajectories(&ghz, &noise, 40_000, traj, &mut rng);
         let err_t = 1.0 - tr.fraction_where(|x| x == 0 || x == 0b11111);
         rows.push(vec![format!("trajectories({traj})"), format!("{err_t:.4}")]);
         csv.push_str(&format!("engine,traj{traj},ghz_error,{err_t:.6}\n"));
     }
     println!("{}", markdown_table(&["engine", "GHZ error"], &rows));
-    println!("Trajectory estimates converge to the exact density result as the\ntrajectory count grows; the backend defaults to the exact engine.\n");
+    println!("Trajectory estimates converge to the exact density result as the\ntrajectory count grows; the backends run the exact engine.\n");
     write_csv("ablations.csv", &csv);
 
     let _ = SimTime::ZERO; // silence unused import when asserts compile out

@@ -6,13 +6,13 @@ use crate::weighting::WeightBounds;
 use qsim::ParallelCtx;
 use std::sync::Arc;
 
-/// Data-parallelism of each client's simulation engines.
+/// Data-parallelism of each client's simulation engine.
 ///
 /// Controls the [`qsim::WorkerTeam`] a session attaches to its
-/// backends: density-kernel row blocks, Kraus accumulation and
-/// independent trajectories fan out over the team. Results are
-/// **byte-identical at any setting** — the engines partition work, never
-/// reorder arithmetic or RNG draws — so this is purely a wall-clock
+/// backends: the density kernels' row blocks fan out over the team.
+/// Results are **byte-identical at any setting** — the engine
+/// partitions work, never reorders arithmetic or RNG draws — so this is
+/// purely a wall-clock
 /// knob. Below six active qubits the kernels stay serial regardless.
 /// Measured on a shared 2-vCPU sandbox (`engine` bench,
 /// `gate_kernel/*_7q` beside `*_7q_2lanes`, and a tight-loop harness
@@ -21,8 +21,9 @@ use std::sync::Arc;
 /// vs 63 us, RZ 7.5 vs 7.8 us; tight loop 1.05–1.4x slower) — a pass is
 /// now shorter than a worker wake-up — and from 8 to 11 qubits it ran
 /// anywhere between 1.0x and 2.0x serial from one process to the next.
-/// So: wide states and trajectory simulation; the paper's 4–7 qubit
-/// workloads parallelize through [`SimParallelism::Pipeline`] instead.
+/// So: 8–12-qubit density states only, which no paper device needs; the
+/// paper's 4–7 qubit workloads parallelize through
+/// [`SimParallelism::Pipeline`] instead.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimParallelism {
     /// Everything on the submitting thread (the default).

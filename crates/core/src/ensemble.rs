@@ -8,7 +8,7 @@
 //! once per calibration cycle — per job only the parameter-shift pair
 //! is rebound and submitted as one batched engine call. Any
 //! [`Executor`] drains the session into a
-//! [`TrainingReport`](crate::report::TrainingReport):
+//! [`TrainingReport`]:
 //!
 //! ```
 //! use eqc_core::{DiscreteEventExecutor, Ensemble, EqcConfig, Executor};

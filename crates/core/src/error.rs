@@ -19,7 +19,7 @@ pub enum EqcError {
     /// The problem defines no parameters or no gradient tasks, so no
     /// training schedule exists.
     EmptyProblem(String),
-    /// A device name was not found in the [`qdevice::catalog`].
+    /// A device name was not found in the [`mod@qdevice::catalog`].
     UnknownDevice(String),
     /// A problem template does not fit a device's topology.
     Transpile {

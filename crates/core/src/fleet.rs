@@ -60,7 +60,7 @@
 //!
 //! The stepper also accepts tenant **arrivals** at future virtual
 //! times. The [`service`] submodule layers the always-on
-//! [`FleetService`](service::FleetService) on that seam: admissions
+//! [`FleetService`] on that seam: admissions
 //! land mid-run, each tenant retires the moment its last gather
 //! absorbs. A batch is the special case where every tenant arrives at
 //! `t = 0`, so [`FleetRuntime`] is a front over a service it drains

@@ -69,7 +69,7 @@
 //! [`FleetRuntime`] inverts that: the fleet is the long-lived resource
 //! that owns the device pool, sessions are *tenants* that borrow
 //! capacity ([`FleetRuntime::admit`]), and a
-//! [`TenantArbiter`](policy::TenantArbiter) ([`Unshared`],
+//! [`TenantArbiter`] ([`Unshared`],
 //! [`FairShare`], [`PriorityArbiter`]) arbitrates fleet capacity
 //! between them. Single-tenant fleet runs are byte-identical to
 //! standalone sessions — the deterministic executors are in fact thin

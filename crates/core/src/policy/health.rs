@@ -22,7 +22,7 @@ use transpile::CircuitMetrics;
 /// `p_correct` and `baseline_p` are measured in the *same* units for
 /// both [`ClientHealth::on_result`] and [`ClientHealth::readmit`]: the
 /// all-template mean probe of the client's reported calibration (see
-/// [`HealthProbe`]), so relative thresholds compare like with like even
+/// `HealthProbe`), so relative thresholds compare like with like even
 /// on problems whose templates score very differently. (Only a bare
 /// master with no probes — unit tests, hand-built shims — falls back
 /// to per-result scores.)

@@ -87,7 +87,7 @@ pub struct EngineTelemetry {
     /// run): always 0. Kept only because the frozen benchmark reads it.
     pub prefix_hits: u64,
     /// Density runs evolved through the backends' group-fork walk,
-    /// summed over clients (0 on the trajectory and legacy paths).
+    /// summed over clients (0 on the legacy path).
     pub batched_jobs: u64,
     /// Lanes of the shared job pipeline the forked suffixes fan out
     /// over (1 when they resume inline).

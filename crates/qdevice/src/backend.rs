@@ -8,8 +8,10 @@
 //!
 //! ## Execution engine and noise caching
 //!
-//! Every execution path routes through the compiled-program engines of
-//! [`qsim::program`]. The backend keeps a per-calibration-cycle noise
+//! Every execution path routes through the compiled-program density
+//! engine of [`qsim::program`]; circuits wider than
+//! [`DensityMatrix::MAX_QUBITS`] active qubits are rejected (every paper
+//! device is narrower). The backend keeps a per-calibration-cycle noise
 //! cache: the *reported* calibration (clone + jitter) is rebuilt once
 //! per cycle, each active-qubit set's [`NoiseModel`] is projected once
 //! per cycle and re-degraded only when the drift factors actually
@@ -39,32 +41,20 @@ use crate::drift::DriftModel;
 use crate::noise_model::{reference, NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::Circuit;
-use qsim::{
-    BatchPipeline, Counts, DensityEngine, DensityMatrix, Lowering, ParallelCtx, TrajectoryEngine,
-};
+use qsim::{BatchPipeline, Counts, DensityEngine, DensityMatrix, ParallelCtx};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
 use transpile::Topology;
 
-/// Which simulation engine executes circuits.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SimulatorKind {
-    /// Exact density-matrix evolution (default; capped at
-    /// [`DensityMatrix::MAX_QUBITS`] active qubits).
-    Density,
-    /// Monte-Carlo quantum trajectories with the given trajectory count.
-    Trajectories(usize),
-}
-
-impl SimulatorKind {
-    /// The program lowering this simulator's engine executes.
-    fn lowering(self) -> Lowering {
-        match self {
-            SimulatorKind::Density => Lowering::Density,
-            SimulatorKind::Trajectories(_) => Lowering::Trajectory,
-        }
-    }
+/// Panics unless a circuit on `n` active qubits fits the density engine.
+fn assert_density_fits(n: usize) {
+    assert!(
+        n <= DensityMatrix::MAX_QUBITS,
+        "{n} active qubits exceed DensityMatrix::MAX_QUBITS = {}; \
+         transpile the circuit onto fewer active qubits",
+        DensityMatrix::MAX_QUBITS
+    );
 }
 
 /// The result of one executed job.
@@ -182,7 +172,7 @@ struct NoiseCache {
 /// Fleet-wide noise artifacts shared by every clone of one *physical*
 /// device (across tenants and clients). Clones of a device share its
 /// seed, base calibration and drift model, so the reported calibration
-/// of a cycle, the projected [`BaseNoise`] of a `(cycle, active)` pair
+/// of a cycle, the projected `BaseNoise` of a `(cycle, active)` pair
 /// and the drifted model of a `(cycle, factors, active)` triple are all
 /// pure functions of their keys — a shared build is bit-identical to a
 /// private one. The fleet drives attach one cache per physical device so
@@ -293,9 +283,8 @@ impl SharedNoiseCache {
 }
 
 /// Raw-pointer wrapper so pipeline jobs can write disjoint elements of
-/// buffers owned by the submitting backend (the trajectory engine's
-/// lane-pointer idiom). Safety rests on the strided job-to-index
-/// mapping: no two jobs touch the same element.
+/// buffers owned by the submitting backend. Safety rests on the strided
+/// job-to-index mapping: no two jobs touch the same element.
 struct BatchPtr<T>(*mut T);
 // SAFETY: see `BatchPtr` — disjointness is the caller's contract.
 unsafe impl<T> Sync for BatchPtr<T> {}
@@ -321,7 +310,6 @@ pub struct QpuBackend {
     downtime_hours: f64,
     /// Per-cycle jitter magnitude on error rates (lognormal sigma).
     recal_jitter: f64,
-    simulator: SimulatorKind,
     seed: u64,
     /// Unique per-construction identity (see [`NEXT_BACKEND_INSTANCE`]).
     instance_id: u64,
@@ -350,7 +338,6 @@ pub struct QpuBackend {
     legacy_execution: bool,
     noise_cache: NoiseCache,
     density_engine: DensityEngine,
-    trajectory_engine: TrajectoryEngine,
     /// Per-run distribution scratch of
     /// [`QpuBackend::execute_templates`]' evolve-then-sample split
     /// (reused across calls).
@@ -402,7 +389,6 @@ impl QpuBackend {
             cal_period_hours,
             downtime_hours: 0.25,
             recal_jitter: 0.12,
-            simulator: SimulatorKind::Density,
             seed,
             instance_id: NEXT_BACKEND_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
             rng: StdRng::seed_from_u64(seed),
@@ -415,18 +401,11 @@ impl QpuBackend {
             legacy_execution: false,
             noise_cache: NoiseCache::default(),
             density_engine: DensityEngine::new(),
-            trajectory_engine: TrajectoryEngine::new(1),
             run_probs: Vec::new(),
             batch_pipeline: None,
             lane_engines: Vec::new(),
             batched_jobs: 0,
         }
-    }
-
-    /// Selects the simulation engine (builder style).
-    pub fn with_simulator(mut self, simulator: SimulatorKind) -> Self {
-        self.simulator = simulator;
-        self
     }
 
     /// Routes execution through the preserved pre-engine path (builder
@@ -459,13 +438,11 @@ impl QpuBackend {
         self.batch_pipeline.as_ref().map_or(1, |p| p.lanes())
     }
 
-    /// Attaches a parallel context to both simulation engines: density
-    /// kernel passes and independent trajectories fan out over its
-    /// worker team. Serial by default; results are byte-identical at
-    /// any worker count.
+    /// Attaches a parallel context to the density engine: its kernel
+    /// passes fan out over the context's worker team. Serial by default;
+    /// results are byte-identical at any worker count.
     pub fn set_parallelism(&mut self, ctx: ParallelCtx) {
-        self.density_engine.set_parallel_ctx(ctx.clone());
-        self.trajectory_engine.set_parallel_ctx(ctx);
+        self.density_engine.set_parallel_ctx(ctx);
     }
 
     /// Lanes of engine parallelism (1 when serial).
@@ -759,39 +736,16 @@ impl QpuBackend {
         self.noise_cache.reported_builds
     }
 
-    /// Compiles and runs one bound circuit on the configured engine
+    /// Compiles and runs one bound circuit on the density engine
     /// against a cached noise entry — the single dispatch point for
     /// every engine-path execution.
     fn run_circuit(&mut self, circuit: &Circuit, entry: usize, shots: usize) -> (Counts, f64) {
-        let QpuBackend {
-            noise_cache,
-            density_engine,
-            trajectory_engine,
-            rng,
-            simulator,
-            ..
-        } = self;
-        let noise = &*noise_cache.entries[entry].model;
-        let program = crate::compile::compile_bound(
-            circuit,
-            noise,
-            &CompileOptions::default(),
-            simulator.lowering(),
-        );
-        let counts = match *simulator {
-            SimulatorKind::Density => {
-                assert!(
-                    circuit.num_qubits() <= DensityMatrix::MAX_QUBITS,
-                    "{} active qubits exceed the density engine cap; use trajectories",
-                    circuit.num_qubits()
-                );
-                density_engine.run_program(&program, shots, rng)
-            }
-            SimulatorKind::Trajectories(n) => {
-                trajectory_engine.set_trajectories(n);
-                trajectory_engine.run_program_par(&program, shots, rng)
-            }
-        };
+        assert_density_fits(circuit.num_qubits());
+        let noise = &*self.noise_cache.entries[entry].model;
+        let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
+        let counts = self
+            .density_engine
+            .run_program(&program, shots, &mut self.rng);
         (counts, program.duration_ns())
     }
 
@@ -803,19 +757,8 @@ impl QpuBackend {
         noise: &NoiseModel,
         shots: usize,
     ) -> (Counts, f64) {
-        match self.simulator {
-            SimulatorKind::Density => {
-                assert!(
-                    circuit.num_qubits() <= DensityMatrix::MAX_QUBITS,
-                    "{} active qubits exceed the density engine cap; use trajectories",
-                    circuit.num_qubits()
-                );
-                reference::execute_density(circuit, noise, shots, &mut self.rng)
-            }
-            SimulatorKind::Trajectories(n) => {
-                reference::execute_trajectories(circuit, noise, shots, n, &mut self.rng)
-            }
-        }
+        assert_density_fits(circuit.num_qubits());
+        reference::execute_density(circuit, noise, shots, &mut self.rng)
     }
 
     /// Executes a fully bound, compacted physical circuit.
@@ -935,8 +878,8 @@ impl QpuBackend {
     /// run. Templates compile at most once per noise token: on a
     /// drifting device that is once per job, and what it costs is a
     /// refresh of the numbers in a program planned by the template's
-    /// first job (see [`CompiledTemplate`]). On the
-    /// density simulator runs group by template: each group binds its
+    /// first job (see [`CompiledTemplate`]). Runs group by template:
+    /// each group binds its
     /// base once and walks the tape once, forking every shifted member
     /// at the op its shift rebinds (a forward/backward pair is a group
     /// of two, an unshifted run is the walk itself); the forked suffixes
@@ -990,184 +933,151 @@ impl QpuBackend {
             }
         } else {
             let token = self.noise_token(started);
-            match self.simulator {
-                SimulatorKind::Trajectories(n) => {
-                    self.trajectory_engine.set_trajectories(n);
-                    for run in runs {
-                        let entry =
-                            self.noise_entry(started, templates[run.template].active_physical());
-                        let noise = &*self.noise_cache.entries[entry].model;
-                        let template = &mut *templates[run.template];
-                        template.ensure_lowered(noise, token, Lowering::Trajectory);
-                        template.bind(params, run.shift);
-                        let program = template.program();
-                        let counts =
-                            self.trajectory_engine
-                                .run_program_par(program, shots, &mut self.rng);
-                        total_exec_s += self.queue.execution_s(
-                            program.duration_ns(),
-                            noise.readout_time_ns,
-                            shots,
-                        );
-                        last_duration_ns = program.duration_ns();
-                        all_counts.push(counts);
+            // Density evolution is RNG-free, so the batch splits
+            // into an evolution phase — one walk per template,
+            // every shifted run forked off it — and a sampling
+            // phase that consumes the RNG in run order. Each
+            // run's distribution is bit for bit what evolving
+            // it on its own would give (the group-fork contract
+            // of [`DensityEngine::evolve_group_forks`]); the
+            // whole batch follows because sampling, `f64`
+            // accumulation and every counter sequence stay in
+            // run order.
+            //
+            // Bookkeeping pass — per run, so the noise and
+            // compile counters do not depend on the grouping.
+            let mut meta = Vec::with_capacity(runs.len());
+            for run in runs {
+                let entry = self.noise_entry(started, templates[run.template].active_physical());
+                let noise = &*self.noise_cache.entries[entry].model;
+                let template = &mut *templates[run.template];
+                template.ensure_compiled(noise, token);
+                let program = template.program();
+                assert_density_fits(program.num_qubits());
+                meta.push((
+                    program.duration_ns(),
+                    noise.readout_time_ns,
+                    program.num_qubits(),
+                ));
+            }
+            if self.run_probs.len() < runs.len() {
+                self.run_probs.resize_with(runs.len(), Vec::new);
+            }
+            // Group runs by template, in first-appearance order.
+            let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
+            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+            for (i, run) in runs.iter().enumerate() {
+                let g = *group_of[run.template].get_or_insert_with(|| {
+                    groups.push((run.template, Vec::new()));
+                    groups.len() - 1
+                });
+                groups[g].1.push(i);
+            }
+            // Phase A1 — per group: bind the base once and fork
+            // every shifted member off one walk (which stops at
+            // the last fork when no member is unshifted).
+            // Unshifted members share the base distribution:
+            // evolution is deterministic, so a copy is what
+            // re-evolving would give.
+            let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
+            let mut forks = Vec::new();
+            for &(t, ref members) in &groups {
+                let template = &mut *templates[t];
+                template.bind(params, None);
+                let mut variants = Vec::new();
+                let mut variant_run = Vec::new();
+                let mut base_runs = Vec::new();
+                for &i in members {
+                    match runs[i].shift {
+                        Some((g, d)) => {
+                            variants.push(template.shift_matrix(params, g, d));
+                            variant_run.push(i);
+                        }
+                        None => base_runs.push(i),
                     }
                 }
-                SimulatorKind::Density => {
-                    // Density evolution is RNG-free, so the batch splits
-                    // into an evolution phase — one walk per template,
-                    // every shifted run forked off it — and a sampling
-                    // phase that consumes the RNG in run order. Each
-                    // run's distribution is bit for bit what evolving
-                    // it on its own would give (the group-fork contract
-                    // of [`DensityEngine::evolve_group_forks`]); the
-                    // whole batch follows because sampling, `f64`
-                    // accumulation and every counter sequence stay in
-                    // run order.
+                self.density_engine.evolve_group_forks(
+                    template.program(),
+                    &variants,
+                    &mut forks,
+                    base_runs.first().map(|&i| &mut self.run_probs[i]),
+                );
+                if base_runs.len() > 1 {
+                    let src = self.run_probs[base_runs[0]].clone();
+                    for &i in &base_runs[1..] {
+                        self.run_probs[i].clone_from(&src);
+                    }
+                }
+                for (v, at, state) in forks.drain(..) {
+                    suffixes.push((variant_run[v], t, at, state));
+                }
+            }
+            // Phase A2 — resume every fork's suffix: inline on
+            // this backend's own engine (its walks are done),
+            // or strided over the pipeline's lanes with the
+            // last job on that engine and the others on scratch
+            // engines. Suffixes are independent, RNG-free and
+            // write disjoint run slots, so lane assignment
+            // cannot affect bits.
+            if !suffixes.is_empty() {
+                let lanes = self.batch_pipeline.as_ref().map_or(1, |p| p.lanes());
+                let jobs = lanes.min(suffixes.len());
+                if self.lane_engines.len() < jobs - 1 {
+                    self.lane_engines.resize_with(jobs - 1, DensityEngine::new);
+                }
+                let templates_ref: &[&mut CompiledTemplate] = &*templates;
+                let own = BatchPtr(&mut self.density_engine as *mut DensityEngine);
+                let scratch = BatchPtr(self.lane_engines.as_mut_ptr());
+                let probs = BatchPtr(self.run_probs.as_mut_ptr());
+                let suffixes_ref = &suffixes;
+                let f = move |j: usize| {
+                    // Capture the `Sync` wrappers whole
+                    // (edition-2021 disjoint capture would
+                    // otherwise grab the bare pointers).
+                    let (own, scratch, probs) = (&own, &scratch, &probs);
+                    // Lanes wake at the first push, so the last
+                    // job is the one the submitting thread most
+                    // often runs itself: that one gets the
+                    // engine whose state its core just walked
+                    // (job 0 there instead measured +4 % wall
+                    // on a two-lane 7-qubit session).
                     //
-                    // Bookkeeping pass — per run, so the noise and
-                    // compile counters do not depend on the grouping.
-                    let mut meta = Vec::with_capacity(runs.len());
-                    for run in runs {
-                        let entry =
-                            self.noise_entry(started, templates[run.template].active_physical());
-                        let noise = &*self.noise_cache.entries[entry].model;
-                        let template = &mut *templates[run.template];
-                        template.ensure_compiled(noise, token);
-                        let program = template.program();
-                        assert!(
-                            program.num_qubits() <= DensityMatrix::MAX_QUBITS,
-                            "{} active qubits exceed the density engine cap; use trajectories",
-                            program.num_qubits()
-                        );
-                        meta.push((
-                            program.duration_ns(),
-                            noise.readout_time_ns,
-                            program.num_qubits(),
-                        ));
-                    }
-                    if self.run_probs.len() < runs.len() {
-                        self.run_probs.resize_with(runs.len(), Vec::new);
-                    }
-                    // Group runs by template, in first-appearance order.
-                    let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
-                    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-                    for (i, run) in runs.iter().enumerate() {
-                        let g = *group_of[run.template].get_or_insert_with(|| {
-                            groups.push((run.template, Vec::new()));
-                            groups.len() - 1
-                        });
-                        groups[g].1.push(i);
-                    }
-                    // Phase A1 — per group: bind the base once and fork
-                    // every shifted member off one walk (which stops at
-                    // the last fork when no member is unshifted).
-                    // Unshifted members share the base distribution:
-                    // evolution is deterministic, so a copy is what
-                    // re-evolving would give.
-                    let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
-                    let mut forks = Vec::new();
-                    for &(t, ref members) in &groups {
-                        let template = &mut *templates[t];
-                        template.bind(params, None);
-                        let mut variants = Vec::new();
-                        let mut variant_run = Vec::new();
-                        let mut base_runs = Vec::new();
-                        for &i in members {
-                            match runs[i].shift {
-                                Some((g, d)) => {
-                                    variants.push(template.shift_matrix(params, g, d));
-                                    variant_run.push(i);
-                                }
-                                None => base_runs.push(i),
-                            }
+                    // SAFETY: job j exclusively owns its engine
+                    // (the submitter touches none until every
+                    // job has returned) and the run slots of
+                    // suffixes j, j + jobs, ... (strided,
+                    // disjoint by construction; run indices are
+                    // unique across suffixes).
+                    let engine = unsafe {
+                        if j + 1 == jobs {
+                            &mut *own.0
+                        } else {
+                            &mut *scratch.0.add(j)
                         }
-                        self.density_engine.evolve_group_forks(
-                            template.program(),
-                            &variants,
-                            &mut forks,
-                            base_runs.first().map(|&i| &mut self.run_probs[i]),
-                        );
-                        if base_runs.len() > 1 {
-                            let src = self.run_probs[base_runs[0]].clone();
-                            for &i in &base_runs[1..] {
-                                self.run_probs[i].clone_from(&src);
-                            }
-                        }
-                        for (v, at, state) in forks.drain(..) {
-                            suffixes.push((variant_run[v], t, at, state));
-                        }
+                    };
+                    for &(run_idx, t, at, ref state) in suffixes_ref.iter().skip(j).step_by(jobs) {
+                        let out = unsafe { &mut *probs.0.add(run_idx) };
+                        engine.resume_probs(templates_ref[t].program(), state, at, out);
                     }
-                    // Phase A2 — resume every fork's suffix: inline on
-                    // this backend's own engine (its walks are done),
-                    // or strided over the pipeline's lanes with the
-                    // last job on that engine and the others on scratch
-                    // engines. Suffixes are independent, RNG-free and
-                    // write disjoint run slots, so lane assignment
-                    // cannot affect bits.
-                    if !suffixes.is_empty() {
-                        let lanes = self.batch_pipeline.as_ref().map_or(1, |p| p.lanes());
-                        let jobs = lanes.min(suffixes.len());
-                        if self.lane_engines.len() < jobs - 1 {
-                            self.lane_engines.resize_with(jobs - 1, DensityEngine::new);
-                        }
-                        let templates_ref: &[&mut CompiledTemplate] = &*templates;
-                        let own = BatchPtr(&mut self.density_engine as *mut DensityEngine);
-                        let scratch = BatchPtr(self.lane_engines.as_mut_ptr());
-                        let probs = BatchPtr(self.run_probs.as_mut_ptr());
-                        let suffixes_ref = &suffixes;
-                        let f = move |j: usize| {
-                            // Capture the `Sync` wrappers whole
-                            // (edition-2021 disjoint capture would
-                            // otherwise grab the bare pointers).
-                            let (own, scratch, probs) = (&own, &scratch, &probs);
-                            // Lanes wake at the first push, so the last
-                            // job is the one the submitting thread most
-                            // often runs itself: that one gets the
-                            // engine whose state its core just walked
-                            // (job 0 there instead measured +4 % wall
-                            // on a two-lane 7-qubit session).
-                            //
-                            // SAFETY: job j exclusively owns its engine
-                            // (the submitter touches none until every
-                            // job has returned) and the run slots of
-                            // suffixes j, j + jobs, ... (strided,
-                            // disjoint by construction; run indices are
-                            // unique across suffixes).
-                            let engine = unsafe {
-                                if j + 1 == jobs {
-                                    &mut *own.0
-                                } else {
-                                    &mut *scratch.0.add(j)
-                                }
-                            };
-                            for &(run_idx, t, at, ref state) in
-                                suffixes_ref.iter().skip(j).step_by(jobs)
-                            {
-                                let out = unsafe { &mut *probs.0.add(run_idx) };
-                                engine.resume_probs(templates_ref[t].program(), state, at, out);
-                            }
-                        };
-                        match &self.batch_pipeline {
-                            Some(p) => p.run_jobs(jobs, &f),
-                            None => f(0),
-                        }
-                    }
-                    self.batched_jobs += runs.len() as u64;
-                    // Phase B — sample every run's distribution in run
-                    // order.
-                    for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
-                        let counts = self.density_engine.sample_probs(
-                            &self.run_probs[i],
-                            n_qubits,
-                            shots,
-                            &mut self.rng,
-                        );
-                        total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
-                        last_duration_ns = duration_ns;
-                        all_counts.push(counts);
-                    }
+                };
+                match &self.batch_pipeline {
+                    Some(p) => p.run_jobs(jobs, &f),
+                    None => f(0),
                 }
+            }
+            self.batched_jobs += runs.len() as u64;
+            // Phase B — sample every run's distribution in run
+            // order.
+            for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
+                let counts = self.density_engine.sample_probs(
+                    &self.run_probs[i],
+                    n_qubits,
+                    shots,
+                    &mut self.rng,
+                );
+                total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
+                last_duration_ns = duration_ns;
+                all_counts.push(counts);
             }
         }
         let completed = self.record_job(submit, started, total_exec_s);
@@ -1361,91 +1271,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectories_simulator_works() {
-        let mut be = small_backend(8).with_simulator(SimulatorKind::Trajectories(64));
-        let r = be.execute(&bell_compact(), &[0, 1], 4096, SimTime::ZERO);
-        let p = r.counts.probability(0) + r.counts.probability(0b11);
-        assert!(p > 0.8, "Bell correlation lost: {p}");
-    }
-
-    #[test]
-    fn switching_simulators_recompiles_under_an_equal_noise_token() {
-        // No drift: every job of the cycle carries the same NoiseToken,
-        // so only the lowering check stands between an engine and the
-        // other engine's tape.
-        let fresh_backend = || {
-            QpuBackend::new(
-                "test_device",
-                Topology::line(3),
-                Calibration::uniform(3, 90.0, 70.0, 0.001, 0.01, 0.02),
-                DriftModel::none(),
-                QueueModel::light(5.0),
-                24.0,
-                31,
-            )
-        };
-        let fresh_template = || {
-            let mut b = CircuitBuilder::new(2);
-            b.ry_sym(0, 0).cx(0, 1).ry_sym(1, 1);
-            CompiledTemplate::new(b.build(), vec![0, 1])
-        };
-        let gate = fresh_template()
-            .circuit()
-            .occurrences_of(qcircuit::ParamId(1))[0];
-        let runs = [
-            TemplateRun {
-                template: 0,
-                shift: None,
-            },
-            TemplateRun {
-                template: 0,
-                shift: Some((gate, 0.5)),
-            },
-            TemplateRun {
-                template: 0,
-                shift: Some((gate, -0.5)),
-            },
-        ];
-        let params = [0.4, -0.3];
-        let kinds = [
-            SimulatorKind::Density,
-            SimulatorKind::Trajectories(8),
-            SimulatorKind::Density,
-        ];
-        // One backend switched back and forth over one template...
-        let mut template = fresh_template();
-        let mut switched = fresh_backend();
-        // ...against backends that never saw a cached program: a fresh
-        // one for the first job, then clones of it (same RNG and
-        // timeline) handed a fresh template per job.
-        let mut reference = fresh_backend();
-        let mut submit = SimTime::ZERO;
-        for (job, kind) in kinds.into_iter().enumerate() {
-            switched = switched.with_simulator(kind);
-            reference = reference.clone().with_simulator(kind);
-            let (counts, timing) =
-                switched.execute_templates(&mut [&mut template], &runs, &params, 512, submit);
-            let (expected, _) = reference.execute_templates(
-                &mut [&mut fresh_template()],
-                &runs,
-                &params,
-                512,
-                submit,
-            );
-            assert_eq!(counts, expected, "job {job} under {kind:?}");
-            assert_eq!(
-                template.compiles(),
-                job as u64 + 1,
-                "job {job} must recompile"
-            );
-            submit = timing.completed;
-        }
-        // Same simulator, same token: the cached program is reused.
-        switched.execute_templates(&mut [&mut template], &runs, &params, 512, submit);
-        assert_eq!(template.compiles(), 3);
-    }
-
-    #[test]
     fn a_backend_keeps_no_state_besides_its_engines() {
         // Memory guard: forks are parked for one call only, an inline
         // backend resumes them on its own engine, and a pipelined one
@@ -1550,5 +1375,42 @@ mod tests {
             0,
             "a single-clone cache has no cross-clone hits to serve"
         );
+    }
+
+    /// A GHZ chain one qubit wider than the density engine takes, laid
+    /// on the first physical qubits of a 27-qubit heavy-hex device.
+    fn over_cap_job() -> (QpuBackend, CircuitBuilder, Vec<usize>) {
+        let n = DensityMatrix::MAX_QUBITS + 1;
+        let backend = crate::catalog::by_name("toronto")
+            .expect("27-qubit heavy-hex device")
+            .backend(5);
+        let mut b = CircuitBuilder::new(n);
+        b.h(0);
+        for q in 0..n - 1 {
+            b.cx(q, q + 1);
+        }
+        (backend, b, (0..n).collect())
+    }
+
+    #[test]
+    #[should_panic(expected = "13 active qubits exceed DensityMatrix::MAX_QUBITS = 12; \
+                               transpile the circuit onto fewer active qubits")]
+    fn execute_rejects_a_circuit_wider_than_the_density_cap() {
+        let (mut be, b, active) = over_cap_job();
+        be.execute(&b.build(), &active, 64, SimTime::ZERO);
+    }
+
+    #[test]
+    #[should_panic(expected = "13 active qubits exceed DensityMatrix::MAX_QUBITS = 12; \
+                               transpile the circuit onto fewer active qubits")]
+    fn execute_templates_rejects_a_template_wider_than_the_density_cap() {
+        let (mut be, mut b, active) = over_cap_job();
+        b.ry_sym(0, 0);
+        let mut template = CompiledTemplate::new(b.build(), active);
+        let runs = [TemplateRun {
+            template: 0,
+            shift: None,
+        }];
+        be.execute_templates(&mut [&mut template], &runs, &[0.3], 64, SimTime::ZERO);
     }
 }

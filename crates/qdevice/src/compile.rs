@@ -5,22 +5,19 @@
 //! compacted physical circuit through the noisy schedule once, resolving
 //! every fixed gate matrix and handing every channel to the program
 //! builder under the index of its *key* — where it acts, not what its
-//! numbers are — producing the structure of a [`CompiledProgram`] for
-//! the one engine that will replay it ([`Lowering`]): tape, matrix
-//! table, and for the density engine which fixed ops each fused sweep
-//! multiplies. **Refresh**: lower each kept key to its superoperator
-//! under the [`NoiseModel`] of the moment (closed forms, no Kraus list),
-//! multiply the runs into the program's fused table in place, set the
-//! readout model. A cold compile is plan then refresh; there is one
-//! numeric routine, so a refreshed program equals a cold one bit for
-//! bit. Trajectory programs carry Kraus lists instead and are planned
-//! whole each time.
+//! numbers are — producing the structure of a [`CompiledProgram`]:
+//! tape, matrix table, and which fixed ops each fused sweep multiplies.
+//! **Refresh**: lower each kept key to its superoperator under the
+//! [`NoiseModel`] of the moment (closed forms, no Kraus list), multiply
+//! the runs into the program's fused table in place, set the readout
+//! model. A cold compile is plan then refresh; there is one numeric
+//! routine, so a refreshed program equals a cold one bit for bit.
 //!
 //! # The real gauge
 //!
 //! On IBMQ hardware RZ is virtual — a change of reference frame, free
 //! and exact — and every physical one-qubit gate is an SX or an X. A
-//! density plan lowers gates the same way. The walk carries a *frame*
+//! plan lowers gates the same way. The walk carries a *frame*
 //! per qubit: the RZ angle owed on it before its next op that does not
 //! commute with RZ. A fixed `RZ(a)` adds `a` to the frame and emits
 //! nothing. A parameterized RZ takes the frame as a constant offset of
@@ -53,9 +50,9 @@
 //! them.
 //!
 //! Offsets and passes are constants of the plan: they depend on the
-//! circuit alone, so a refresh leaves them alone. The trajectory
-//! lowering, which replays Kraus operators gate for gate, keeps the
-//! true matrices.
+//! circuit alone, so a refresh leaves them alone. The
+//! [`reference`](crate::noise_model::reference) executors, which apply
+//! Kraus operators gate for gate, keep the true matrices.
 //!
 //! Two entry points:
 //!
@@ -70,11 +67,11 @@
 //!   only when the new noise would schedule differently. Rebinding swaps
 //!   only the small rotation matrices of parameterized gates. Equal
 //!   tokens guarantee bit-identical noise, so skipping even the refresh
-//!   on a token (and lowering) match is exact, never approximate.
+//!   on a token match is exact, never approximate.
 
-use crate::noise_model::{schedule, walk, ChannelKey, NoiseModel, ScheduledOp, SiteOp, Verdict};
+use crate::noise_model::{walk, ChannelKey, NoiseModel, SiteOp, Verdict};
 use qcircuit::{Angle, Circuit, Gate};
-use qsim::{gates, CMatrix, CompiledProgram, Lowering, ProgramBuilder, C64};
+use qsim::{gates, CMatrix, CompiledProgram, ProgramBuilder, C64};
 use std::f64::consts::FRAC_PI_2;
 
 /// Options governing program compilation.
@@ -140,10 +137,10 @@ impl NoiseToken {
 /// The *plan* is everything that is a function of the circuit and of
 /// which channels the schedule emits — the tape, the matrix table and
 /// rebind slots, the channel keys with a [`Verdict`] each, and (inside
-/// the density program) which fixed ops every fused sweep multiplies. It
-/// is built by one schedule walk; a density plan is in the real gauge
-/// (see the module doc): its fixed RZs are frame — rebind-slot offsets
-/// and the odd diagonal pass — and its SXs are `RY(pi/2)`. The
+/// the program) which fixed ops every fused sweep multiplies. It is
+/// built by one schedule walk in the real gauge (see the module doc):
+/// its fixed RZs are frame — rebind-slot offsets and the odd diagonal
+/// pass — and its SXs are `RY(pi/2)`. The
 /// *numbers* — the keys' superoperators under the noise of the moment,
 /// the run products, the readout model — are a [`Plan::refresh`] away,
 /// and that is all a new drift step costs while the plan
@@ -155,7 +152,7 @@ struct Plan {
     param_slots: Vec<RebindSlot>,
     /// The distinct channel keys in first-visit order — the key space of
     /// the program's deferred channels — and what the plan does with
-    /// each. Empty for a trajectory program, which is never refreshed.
+    /// each.
     keys: Vec<ChannelKey>,
     verdicts: Vec<Verdict>,
     /// The gate and readout times the walk ran on: every key's duration
@@ -170,9 +167,9 @@ struct RebindSlot {
     slot: usize,
     /// The gate, as an index into the circuit's gate list.
     gate_idx: usize,
-    /// Radians added to the gate's resolved angle: the frame a density
-    /// plan folded into this RZ (0 for any other gate, and always under
-    /// [`Lowering::Trajectory`]). A constant of the plan.
+    /// Radians added to the gate's resolved angle: the frame the plan
+    /// folded into this RZ (0 for any other gate). A constant of the
+    /// plan.
     offset: f64,
 }
 
@@ -192,7 +189,7 @@ impl RebindSlot {
     }
 }
 
-/// The per-qubit RZ frame of a density plan (see the module doc).
+/// The per-qubit RZ frame of a plan (see the module doc).
 struct Frames {
     /// The RZ angle owed on each qubit before its next op that does not
     /// commute with RZ.
@@ -317,55 +314,36 @@ fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
 }
 
 impl Plan {
-    /// Walks the schedule once and builds the program for `lowering`,
-    /// filled with the numbers of `noise`.
-    fn new(
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        options: &CompileOptions,
-        lowering: Lowering,
-    ) -> Plan {
-        let mut builder = ProgramBuilder::for_lowering(circuit.num_qubits(), lowering)
+    /// Walks the schedule once and builds the program, filled with the
+    /// numbers of `noise`.
+    fn new(circuit: &Circuit, noise: &NoiseModel, options: &CompileOptions) -> Plan {
+        let mut builder = ProgramBuilder::new(circuit.num_qubits())
             .with_identity_epsilon(options.identity_epsilon);
         let mut param_slots = Vec::new();
         let (mut keys, mut verdicts) = (Vec::new(), Vec::new());
-        let program = match lowering {
-            Lowering::Density => {
-                // The real gauge: a frame still owed when the walk ends
-                // is dropped with `frames`.
-                let mut frames = Frames::new(circuit.num_qubits(), options.identity_epsilon);
-                let duration = walk(circuit, noise, |op| match op {
-                    SiteOp::Unitary(gate_idx, g, qs) => {
-                        frames.push_gate(&mut builder, &mut param_slots, gate_idx, g, qs)
-                    }
-                    SiteOp::Channel(idx, key, qs) => {
-                        if idx == keys.len() {
-                            keys.push(key);
-                            verdicts.push(key.verdict(noise, options.identity_epsilon));
-                        }
-                        if verdicts[idx] != Verdict::Absent {
-                            let elided = verdicts[idx] == Verdict::Elided;
-                            builder.push_deferred_channel(idx, qs, elided);
-                        }
-                    }
-                });
-                keys.shrink_to_fit();
-                verdicts.shrink_to_fit();
-                builder.finish_with(noise.readout(), duration, |key, table| {
-                    keys[key].lower(noise, table)
-                })
+        // The real gauge: a frame still owed when the walk ends is
+        // dropped with `frames`.
+        let mut frames = Frames::new(circuit.num_qubits(), options.identity_epsilon);
+        let duration = walk(circuit, noise, |op| match op {
+            SiteOp::Unitary(gate_idx, g, qs) => {
+                frames.push_gate(&mut builder, &mut param_slots, gate_idx, g, qs)
             }
-            Lowering::Trajectory => {
-                // Gate for gate, every matrix as the circuit has it.
-                let duration = schedule(circuit, noise, |op| match op {
-                    ScheduledOp::Unitary(gate_idx, g, qs) => {
-                        push_plain(&mut builder, &mut param_slots, gate_idx, g, qs)
-                    }
-                    ScheduledOp::Channel(key, ch, qs) => builder.push_keyed_channel(key, ch, qs),
-                });
-                builder.finish(noise.readout(), duration)
+            SiteOp::Channel(idx, key, qs) => {
+                if idx == keys.len() {
+                    keys.push(key);
+                    verdicts.push(key.verdict(noise, options.identity_epsilon));
+                }
+                if verdicts[idx] != Verdict::Absent {
+                    let elided = verdicts[idx] == Verdict::Elided;
+                    builder.push_deferred_channel(idx, qs, elided);
+                }
             }
-        };
+        });
+        keys.shrink_to_fit();
+        verdicts.shrink_to_fit();
+        let program = builder.finish_with(noise.readout(), duration, |key, table| {
+            keys[key].lower(noise, table)
+        });
         param_slots.shrink_to_fit();
         Plan {
             program,
@@ -376,16 +354,14 @@ impl Plan {
         }
     }
 
-    /// Whether this is a density program that a walk under `noise`
-    /// would plan again as it is: the same gate times (hence the same
-    /// keys in the same order, and the same duration) and the same
-    /// verdict on every key — which covers a T1 turning finite, an error
-    /// rate leaving zero and a channel crossing the elision threshold.
-    /// Costs one predicate per key. A trajectory program holds its
-    /// numbers in its Kraus tape: it never holds.
+    /// Whether a walk under `noise` would plan this program again as it
+    /// is: the same gate times (hence the same keys in the same order,
+    /// and the same duration) and the same verdict on every key — which
+    /// covers a T1 turning finite, an error rate leaving zero and a
+    /// channel crossing the elision threshold. Costs one predicate per
+    /// key.
     fn holds(&self, noise: &NoiseModel, options: &CompileOptions) -> bool {
-        self.program.lowering() == Lowering::Density
-            && self.gate_times_ns.map(f64::to_bits) == gate_times_ns(noise).map(f64::to_bits)
+        self.gate_times_ns.map(f64::to_bits) == gate_times_ns(noise).map(f64::to_bits)
             && self
                 .keys
                 .iter()
@@ -401,10 +377,10 @@ impl Plan {
     }
 }
 
-/// Compiles a fully bound circuit into a ready-to-run program, lowered
-/// for one engine. (A symbolic circuit compiles through
-/// [`CompiledTemplate`], the one holder of the rebind slots: a density
-/// plan keeps part of a parameterized RZ's angle in its slot.)
+/// Compiles a fully bound circuit into a ready-to-run program. (A
+/// symbolic circuit compiles through [`CompiledTemplate`], the one
+/// holder of the rebind slots: a plan keeps part of a parameterized
+/// RZ's angle in its slot.)
 ///
 /// # Panics
 ///
@@ -415,14 +391,13 @@ pub fn compile_bound(
     circuit: &Circuit,
     noise: &NoiseModel,
     options: &CompileOptions,
-    lowering: Lowering,
 ) -> CompiledProgram {
     assert_eq!(
         circuit.num_params(),
         0,
         "compile_bound requires a fully bound circuit"
     );
-    Plan::new(circuit, noise, options, lowering).program
+    Plan::new(circuit, noise, options).program
 }
 
 /// A symbolic circuit template planned once and refreshed per noise
@@ -438,8 +413,7 @@ pub fn compile_bound(
 /// numbers are re-derived, in place, from the new noise. The plan is
 /// rebuilt only when the new noise would schedule differently: changed
 /// gate times, a T1 turning finite or infinite, an error rate reaching
-/// or leaving zero, a channel crossing the elision threshold — or
-/// another engine asking (trajectory programs are rebuilt per token).
+/// or leaving zero, a channel crossing the elision threshold.
 /// [`CompiledTemplate::bind`] then resolves the parameterized gates for
 /// the job's parameter vector and optional parameter-shift, touching
 /// only the rebind slots.
@@ -504,8 +478,8 @@ impl CompiledTemplate {
     }
 
     /// Times the structure was planned (the schedule walked): the first
-    /// compile, and every later one whose noise no longer fit the plan
-    /// or asked for another engine. Telemetry: `compiles() - plans()`
+    /// compile, and every later one whose noise no longer fit the plan.
+    /// Telemetry: `compiles() - plans()`
     /// token misses were served by a refresh.
     pub fn plans(&self) -> u64 {
         self.plans
@@ -516,32 +490,20 @@ impl CompiledTemplate {
         self.cache_hits
     }
 
-    /// Compiles against `noise` for the density engine unless the
-    /// cached program already matches `token` (and is density-lowered).
-    pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) {
-        self.ensure_lowered(noise, token, Lowering::Density);
-    }
-
-    /// [`CompiledTemplate::ensure_compiled`] for the engine of the
-    /// caller's choosing: a cached program is a hit only when it matches
-    /// `token` *and* was lowered for `lowering` — a backend switched
-    /// between simulators re-plans instead of handing an engine the
-    /// other one's tape. On a token miss a density program whose plan
-    /// still holds under `noise` is refreshed in place; anything else is
+    /// Compiles against `noise` unless the cached program already
+    /// matches `token`. On a token miss a program whose plan still
+    /// holds under `noise` is refreshed in place; anything else is
     /// planned anew. Either way the result equals, bit for bit, a fresh
     /// template compiled against `noise`.
-    pub fn ensure_lowered(&mut self, noise: &NoiseModel, token: NoiseToken, lowering: Lowering) {
-        let cached = self.plan.as_ref().map(|p| p.program.lowering());
-        if self.token == Some(token) && cached == Some(lowering) {
+    pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) {
+        if self.token == Some(token) {
             self.cache_hits += 1;
             return;
         }
         match &mut self.plan {
-            Some(plan) if cached == Some(lowering) && plan.holds(noise, &self.options) => {
-                plan.refresh(noise)
-            }
+            Some(plan) if plan.holds(noise, &self.options) => plan.refresh(noise),
             _ => {
-                self.plan = Some(Plan::new(&self.circuit, noise, &self.options, lowering));
+                self.plan = Some(Plan::new(&self.circuit, noise, &self.options));
                 self.plans += 1;
             }
         }
@@ -553,9 +515,8 @@ impl CompiledTemplate {
     /// `delta` to the occurrence at `gate_idx` when
     /// `shift = Some((gate_idx, delta))` — the compiled twin of
     /// [`Circuit::bind_with_shift`] (and of [`Circuit::bind`] when
-    /// `shift` is `None`). A trajectory program gets bit for bit the
-    /// matrices the bound circuit has; in a density program an RZ's
-    /// angle also carries the frame the plan folded into its slot.
+    /// `shift` is `None`), except that an RZ's angle also carries the
+    /// frame the plan folded into its slot.
     ///
     /// # Panics
     ///
@@ -942,17 +903,8 @@ mod tests {
         compiled.ensure_compiled(&noise, drifted);
         assert_eq!(compiled.compiles(), 3, "changed drift must recompile");
         assert_eq!(compiled.plans(), 1, "token misses on a plan that holds");
-        compiled.ensure_lowered(&noise, drifted, Lowering::Trajectory);
-        assert_eq!(compiled.compiles(), 4, "another engine must recompile");
-        assert_eq!(compiled.plans(), 2, "another engine is another plan");
-        assert_eq!(compiled.program().lowering(), Lowering::Trajectory);
-        compiled.ensure_lowered(&noise, drifted, Lowering::Trajectory);
-        assert_eq!((compiled.compiles(), compiled.cache_hits()), (4, 2));
-        // Trajectory programs carry Kraus lists: every token re-plans.
-        compiled.ensure_lowered(&noise, t1, Lowering::Trajectory);
-        assert_eq!((compiled.compiles(), compiled.plans()), (5, 3));
-        compiled.ensure_compiled(&noise, t1);
-        assert_eq!((compiled.compiles(), compiled.plans()), (6, 4));
+        compiled.ensure_compiled(&noise, drifted);
+        assert_eq!((compiled.compiles(), compiled.cache_hits()), (3, 2));
     }
 
     /// A template compiled from scratch against `noise`.
@@ -1101,12 +1053,7 @@ mod tests {
         let noise = NoiseModel::from_calibration(&cal, &[0, 1]);
         let mut b = CircuitBuilder::new(2);
         b.h(0).cx(0, 1);
-        let program = compile_bound(
-            &b.build(),
-            &noise,
-            &CompileOptions::default(),
-            Lowering::Density,
-        );
+        let program = compile_bound(&b.build(), &noise, &CompileOptions::default());
         assert!(
             program.skipped_channels() > 0,
             "near-zero depolarizing channels should be elided"

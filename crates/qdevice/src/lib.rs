@@ -12,10 +12,10 @@
 //! * a [`queue::QueueModel`] reproducing cloud congestion (seconds on x2,
 //!   months on Manhattan) over virtual time ([`clock::SimTime`]);
 //! * a [`noise_model::NoiseModel`] that executes circuits on an exact
-//!   density-matrix engine or Monte-Carlo trajectories;
+//!   density-matrix engine;
 //! * a [`compile`] layer that lowers circuit + noise into the flat
-//!   [`qsim::CompiledProgram`] op-tape the allocation-free engines
-//!   replay, with per-calibration-cycle caching of noise models and
+//!   [`qsim::CompiledProgram`] op-tape the allocation-free density
+//!   engine replays, with per-calibration-cycle caching of noise models and
 //!   compiled templates (byte-identical to the uncached path).
 //!
 //! ```
@@ -43,7 +43,7 @@ pub mod multiprog;
 pub mod noise_model;
 pub mod queue;
 
-pub use backend::{JobResult, QpuBackend, SharedNoiseCache, SimulatorKind, TemplateRun};
+pub use backend::{JobResult, QpuBackend, SharedNoiseCache, TemplateRun};
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};
 pub use clock::SimTime;

@@ -3,26 +3,22 @@
 //! [`NoiseModel`] instantiates the paper's three error classes for one
 //! (compacted) physical circuit: depolarizing gate error, T1/T2 thermal
 //! relaxation scheduled along per-qubit timelines (including idle decay),
-//! and readout confusion at measurement. Two executors share the model:
+//! and readout confusion at measurement.
 //!
-//! * [`execute_density`] — exact density-matrix evolution (default for the
-//!   paper's 4-7 qubit workloads);
-//! * [`execute_trajectories`] — Monte-Carlo quantum-trajectory unraveling
-//!   on state vectors, usable beyond the density-matrix qubit cap and kept
-//!   as an ablation of the simulation method.
-//!
-//! Both are thin compatibility wrappers over the compiled-program engine
-//! layer ([`crate::compile`] + [`qsim::program`]): the circuit and noise
-//! schedule compile to a flat op-tape once, then an engine replays it.
-//! The pre-engine implementations survive verbatim in [`reference`] as
-//! the bit-equivalence oracle for tests and benchmarks.
+//! [`execute_density`] runs a bound circuit under the model by exact
+//! density-matrix evolution, every paper device fitting the engine's
+//! qubit cap. It is a thin compatibility wrapper over the
+//! compiled-program engine layer ([`crate::compile`] +
+//! [`qsim::program`]): the circuit and noise schedule compile to a flat
+//! op-tape once, then the engine replays it. The pre-engine executors
+//! survive verbatim in [`mod@reference`] as test ground truth: the
+//! density one as the bit-equivalence oracle, the Monte-Carlo
+//! trajectory one as an independent statistical cross-check.
 
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
 use qsim::sampler::ReadoutError;
-use qsim::{
-    Counts, DensityEngine, DensityMatrix, KrausChannel, Lowering, SuperopTable, TrajectoryEngine,
-};
+use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, SuperopTable};
 use rand::Rng;
 
 /// Per-qubit noise figures of a compacted circuit register.
@@ -298,7 +294,7 @@ impl ChannelNumbers {
         }
     }
 
-    /// The channel as a Kraus list, for the consumers that unravel one.
+    /// The channel as a Kraus list, for the [`mod@reference`] executors.
     fn kraus(self) -> KrausChannel {
         match self {
             ChannelNumbers::Relaxation {
@@ -416,21 +412,15 @@ where
 #[derive(Clone, Debug)]
 pub enum ScheduledOp<'a> {
     /// Apply a gate unitary to the listed compact qubits (operand
-    /// order); the index points into the circuit's gate list (program
-    /// compilation uses it to map parameterized gates onto rebind
-    /// slots).
-    Unitary(usize, &'a Gate, &'a [usize]),
-    /// Apply a noise channel to the listed compact qubits. The index
-    /// names the channel within this walk: equal indices carry the same
-    /// channel, so a consumer can intern on it instead of comparing
-    /// Kraus matrices.
-    Channel(usize, &'a KrausChannel, &'a [usize]),
+    /// order).
+    Unitary(&'a Gate, &'a [usize]),
+    /// Apply a noise channel to the listed compact qubits.
+    Channel(&'a KrausChannel, &'a [usize]),
 }
 
 /// [`walk`] with every channel the model emits materialized as a Kraus
-/// list, built once per key — for the consumers that unravel one
-/// (trajectory lowering, the [`reference`] executors). Density programs
-/// never come through here: they lower each key Kraus-free.
+/// list, built once per key — for the [`mod@reference`] executors. Compiled
+/// programs never come through here: they lower each key Kraus-free.
 /// Returns the scheduled duration (ns), readout included.
 pub(crate) fn schedule<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
 where
@@ -438,7 +428,7 @@ where
 {
     let mut built: Vec<Option<KrausChannel>> = Vec::new();
     walk(circuit, noise, |op| match op {
-        SiteOp::Unitary(gate_idx, g, qs) => apply(ScheduledOp::Unitary(gate_idx, g, qs)),
+        SiteOp::Unitary(_, g, qs) => apply(ScheduledOp::Unitary(g, qs)),
         SiteOp::Channel(idx, key, qs) => {
             let numbers = key.numbers(noise);
             if numbers.occur() {
@@ -446,7 +436,7 @@ where
                     built.resize(idx + 1, None);
                 }
                 let ch = built[idx].get_or_insert_with(|| numbers.kraus());
-                apply(ScheduledOp::Channel(idx, ch, qs));
+                apply(ScheduledOp::Channel(ch, qs));
             }
         }
     })
@@ -483,44 +473,8 @@ pub fn execute_density<R: Rng + ?Sized>(
         "{} qubits exceed the density engine cap",
         circuit.num_qubits()
     );
-    let program = crate::compile::compile_bound(
-        circuit,
-        noise,
-        &crate::CompileOptions::default(),
-        Lowering::Density,
-    );
+    let program = crate::compile::compile_bound(circuit, noise, &crate::CompileOptions::default());
     let counts = DensityEngine::new().run_program(&program, shots, rng);
-    (counts, program.duration_ns())
-}
-
-/// Executes via Monte-Carlo quantum trajectories: each trajectory unravels
-/// the Kraus channels stochastically on a pure state, then contributes
-/// `shots / trajectories` measurement samples (plus remainder spread over
-/// the first trajectories).
-///
-/// Compatibility wrapper over the compiled-program
-/// [`TrajectoryEngine`]; byte-identical to
-/// [`reference::execute_trajectories`]. Exact in expectation; variance
-/// shrinks with more trajectories. Usable beyond the density-matrix
-/// qubit cap.
-///
-/// # Panics
-///
-/// Panics if the circuit has unbound parameters or `trajectories == 0`.
-pub fn execute_trajectories<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: usize,
-    trajectories: usize,
-    rng: &mut R,
-) -> (Counts, f64) {
-    let program = crate::compile::compile_bound(
-        circuit,
-        noise,
-        &crate::CompileOptions::default(),
-        Lowering::Trajectory,
-    );
-    let counts = TrajectoryEngine::new(trajectories).run_program(&program, shots, rng);
     (counts, program.duration_ns())
 }
 
@@ -528,10 +482,15 @@ pub fn execute_trajectories<R: Rng + ?Sized>(
 ///
 /// These walk the schedule gate by gate, re-materialize every matrix,
 /// clone the state per Kraus operator and insert shots one by one —
-/// exactly the code the engine layer replaced. They exist as the
-/// bit-equivalence oracle: the equivalence suite and the
-/// `engine` criterion bench run them against the compiled path and
-/// demand identical counts. Do not use them on a hot path.
+/// exactly the code the engine layer replaced. They are test ground
+/// truth: [`reference::execute_density`] is the bit-equivalence oracle
+/// the equivalence suite and the `engine` criterion bench run against
+/// the compiled path, demanding identical counts;
+/// [`reference::density_distribution`] is its exact distribution, for
+/// tolerance checks; and [`reference::execute_trajectories`] unravels
+/// the same schedule by Monte-Carlo quantum trajectories, an
+/// independent statistical cross-check of the density engine. Do not
+/// use them on a hot path.
 pub mod reference {
     use super::*;
     use qsim::density::baseline;
@@ -569,15 +528,34 @@ pub mod reference {
         shots: usize,
         rng: &mut R,
     ) -> (Counts, f64) {
+        let (probs, duration) = evolve_density(circuit, noise);
+        let counts = sample_counts_legacy(&probs, circuit.num_qubits(), shots, rng);
+        (counts, duration)
+    }
+
+    /// The post-readout measurement distribution
+    /// [`execute_density`] samples from: the literal Kraus sum of the
+    /// schedule (true gate matrices, no frame, no fusion) on a density
+    /// matrix with the preserved pre-engine kernels.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`super::execute_density`].
+    pub fn density_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f64> {
+        evolve_density(circuit, noise).0
+    }
+
+    /// The evolution half of [`execute_density`]: the distribution and
+    /// the scheduled duration.
+    fn evolve_density(circuit: &Circuit, noise: &NoiseModel) -> (Vec<f64>, f64) {
         assert_eq!(
             circuit.num_params(),
             0,
             "execute_density requires a fully bound circuit"
         );
-        let n = circuit.num_qubits();
-        let mut rho = DensityMatrix::new(n);
+        let mut rho = DensityMatrix::new(circuit.num_qubits());
         let duration = schedule(circuit, noise, |op| match op {
-            ScheduledOp::Unitary(_, g, qs) => {
+            ScheduledOp::Unitary(g, qs) => {
                 let m = g.matrix(&[]);
                 match *qs {
                     [q] => baseline::apply_unitary_1q(&mut rho, &m, q),
@@ -585,20 +563,25 @@ pub mod reference {
                     _ => unreachable!(),
                 }
             }
-            ScheduledOp::Channel(_, ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
+            ScheduledOp::Channel(ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
         });
         rho.normalize();
         let probs = noise.readout().apply_to_distribution(&rho.probabilities());
-        let counts = sample_counts_legacy(&probs, n, shots, rng);
-        (counts, duration)
+        (probs, duration)
     }
 
-    /// Pre-engine [`super::execute_trajectories`]: re-walks the schedule
-    /// per trajectory with per-operator state clones.
+    /// Monte-Carlo quantum trajectories: each trajectory re-walks the
+    /// schedule on a pure state, unravelling every channel by
+    /// Born-probability selection of one Kraus operator (a state clone
+    /// per candidate), then contributes `shots / trajectories`
+    /// measurement samples (the remainder spread over the first
+    /// trajectories). Exact in expectation; variance shrinks with more
+    /// trajectories.
     ///
     /// # Panics
     ///
-    /// Same conditions as [`super::execute_trajectories`].
+    /// Panics if the circuit has unbound parameters or
+    /// `trajectories == 0`.
     pub fn execute_trajectories<R: Rng + ?Sized>(
         circuit: &Circuit,
         noise: &NoiseModel,
@@ -621,7 +604,7 @@ pub mod reference {
         for t in 0..trajectories {
             let mut sv = StateVector::new(n);
             duration = schedule(circuit, noise, |op| match op {
-                ScheduledOp::Unitary(_, g, qs) => {
+                ScheduledOp::Unitary(g, qs) => {
                     let m = g.matrix(&[]);
                     match *qs {
                         [q] => sv.apply_1q(&m, q),
@@ -629,7 +612,7 @@ pub mod reference {
                         _ => unreachable!(),
                     }
                 }
-                ScheduledOp::Channel(_, ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
+                ScheduledOp::Channel(ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
             });
             let traj_shots = base + usize::from(t < extra);
             if traj_shots == 0 {
@@ -745,7 +728,7 @@ mod tests {
         let noise = noisy_model(3);
         let mut rng = StdRng::seed_from_u64(4);
         let (dens, d_dur) = execute_density(&c, &noise, 40_000, &mut rng);
-        let (traj, t_dur) = execute_trajectories(&c, &noise, 40_000, 400, &mut rng);
+        let (traj, t_dur) = reference::execute_trajectories(&c, &noise, 40_000, 400, &mut rng);
         assert_eq!(d_dur, t_dur, "schedules must agree");
         // Compare the GHZ success probabilities within sampling noise.
         let ds = dens.probability(0) + dens.probability(0b111);

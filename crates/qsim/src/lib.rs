@@ -14,16 +14,16 @@
 //! * [`sampler`] — shot sampling and SPAM/readout corruption, producing the
 //!   `Counts` histograms a cloud backend would return;
 //! * [`program`] — the execution engine layer: circuits + noise compile
-//!   once into a [`program::CompiledProgram`] lowered for one engine (a
-//!   flat op-tape over resolved gate matrices and one channel table:
-//!   fused superoperators for [`program::DensityEngine`], interned Kraus
-//!   lists for [`program::TrajectoryEngine`]) that the allocation-free
-//!   engines replay for every job, with the naive path's counts;
+//!   once into a [`program::CompiledProgram`] (a flat op-tape over
+//!   resolved gate matrices and fused superoperators) that the
+//!   allocation-free [`program::DensityEngine`] replays for every job,
+//!   with the naive path's counts;
 //! * [`parallel`] — the shared data-parallel substrate: the work-stealing
-//!   [`parallel::RunQueue`] plus the [`parallel::WorkerTeam`] behind
-//!   [`parallel::ParallelCtx`], which the engines fan density row-blocks
-//!   and independent trajectories over (serial by default, byte-identical
-//!   at any worker count);
+//!   [`parallel::RunQueue`], the [`parallel::BatchPipeline`] that fans
+//!   whole simulation jobs over lanes, and the [`parallel::WorkerTeam`]
+//!   behind [`parallel::ParallelCtx`], which the density engine fans row
+//!   blocks over (serial by default, byte-identical at any worker
+//!   count);
 //! * [`linalg`] — exact Hermitian eigendecomposition for ground-truth
 //!   reference energies.
 //!
@@ -32,9 +32,9 @@
 //! Ensemble training executes the same circuit structure millions of
 //! times. The engine layer splits that work into a *compile* phase
 //! (resolve gate matrices, intern channels, elide near-identity ones,
-//! and — for the density engine — plan every run of adjacent fixed ops
-//! on at most two qubits as one local superoperator: planned once per
-//! program, multiplied out again whenever the noise's numbers change)
+//! and plan every run of adjacent fixed ops on at most two qubits as
+//! one local superoperator: planned once per program, multiplied out
+//! again whenever the noise's numbers change)
 //! and a *replay* phase (per job: walk the tape over a
 //! persistent state, rebind only the parameterized rotation matrices). A
 //! whole `gate, relaxation, relaxation, depolarizing` cluster applies as
@@ -75,6 +75,6 @@ pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, Superop, SuperopTable};
 pub use parallel::{BatchPipeline, ParallelCtx, RunQueue, WorkerTeam, DEFAULT_PAR_MIN_DIM};
-pub use program::{CompiledProgram, DensityEngine, Lowering, ProgramBuilder, TrajectoryEngine};
+pub use program::{CompiledProgram, DensityEngine, ProgramBuilder};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

@@ -17,8 +17,8 @@
 //! *lowers* every fixed op — channel or gate unitary — once to its local
 //! superoperator and multiplies each run of adjacent ones into a single
 //! fused entry of the program's [`SuperopTable`], applied as one
-//! in-place block sweep. The Kraus list stays what trajectories unravel;
-//! a density-lowered program does not carry it.
+//! in-place block sweep. The Kraus list stays what the reference
+//! executors apply and unravel; a compiled program does not carry it.
 
 use crate::complex::C64;
 use crate::gates::Pauli;

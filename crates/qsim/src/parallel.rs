@@ -1,20 +1,22 @@
 //! The shared data-parallel substrate: a work-stealing run-queue and a
 //! persistent worker team behind a serial-by-default [`ParallelCtx`].
 //!
-//! Two layers of parallelism ride on this module:
+//! Three layers of parallelism ride on this module:
 //!
 //! * **Task level** — [`RunQueue`] is the sharded, work-stealing queue
 //!   that the `eqc_core` pooled executor and multi-tenant fleet drives
 //!   dispatch client tasks through. It started as `eqc_core::pool`'s
 //!   private scaffolding and moved here so every crate in the workspace
 //!   can ride the same substrate.
+//! * **Job level** — [`BatchPipeline`] fans whole simulation jobs (the
+//!   forked suffix evolutions of a template batch) from every client of
+//!   a session over persistent lanes.
 //! * **Data level** — [`WorkerTeam`] is a persistent team of threads
 //!   that splits one *index-parallel* job (`for i in 0..n { f(i) }`)
-//!   across cores: density-kernel row blocks and independent
-//!   trajectories fan out over it. [`ParallelCtx`] is the handle the
-//!   engines hold: serial by default (zero threads, zero overhead, and
-//!   byte-identical behavior to the pre-parallel engines), or backed by
-//!   a shared team.
+//!   across cores: the density kernels' row blocks fan out over it.
+//!   [`ParallelCtx`] is the handle the density engine holds: serial by
+//!   default (zero threads, zero overhead, and byte-identical behavior
+//!   to the pre-parallel engine), or backed by a shared team.
 //!
 //! ## Determinism
 //!

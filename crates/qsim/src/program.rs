@@ -1,4 +1,4 @@
-//! Compiled programs and allocation-free simulation engines.
+//! Compiled programs and the allocation-free density engine.
 //!
 //! The trainers in this workspace execute the *same* circuit structure
 //! millions of times (8192-shot jobs per parameter-shift term, per epoch,
@@ -9,11 +9,11 @@
 //! insert. This module is the engine room that removes all of that:
 //!
 //! * [`CompiledProgram`] — a flat op-tape over pre-resolved gate
-//!   matrices and one channel table, built once by [`ProgramBuilder`]
-//!   *for the engine that will run it* ([`Lowering`]) and replayed many
-//!   times; a density program also keeps the plan its fused table is a
-//!   product of, so new channel numbers — a drifting device has new
-//!   ones per job — are a [`CompiledProgram::refresh`], not a rebuild;
+//!   matrices and a table of fused superoperators, built once by
+//!   [`ProgramBuilder`] and replayed many times; it also keeps the plan
+//!   its fused table is a product of, so new channel numbers — a
+//!   drifting device has new ones per job — are a
+//!   [`CompiledProgram::refresh`], not a rebuild;
 //! * [`DensityEngine`] — exact density-matrix evolution over a
 //!   persistent state. Its programs are *fused*: every maximal run of
 //!   adjacent fixed ops (gate unitaries and channels) nested in one
@@ -23,20 +23,16 @@
 //!   in-place block sweep (no Kraus sum, no state copy, one pass instead
 //!   of one or two per op); only parameterized gates stay unitary ops.
 //!   Sampling writes a dense histogram instead of one hash-map insert
-//!   per shot;
-//! * [`TrajectoryEngine`] — Monte-Carlo quantum-trajectory unraveling
-//!   that replays the unfused tape per trajectory with a reusable
-//!   candidate buffer instead of cloning the state per Kraus operator.
+//!   per shot.
 //!
-//! The trajectory engine is **bit-for-bit equivalent** to the
-//! straightforward implementation it replaces (same floating-point
-//! operations, same RNG draw sequence). The density engine's sampling
-//! is too (the guide-table lookup returns the index the binary search
-//! returns, draw for draw), and so is every non-diagonal unitary op left
-//! on its tape. A diagonal gate — every parameterized RZ — takes one
-//! phase pass that re-associates `(d_r x) conj(d_c)` into
-//! `x (d_r conj(d_c))` and skips the entries whose factor is exactly 1,
-//! so it equals the two-pass oracle to ~1e-16; a fused sweep
+//! The engine's sampling is **bit-for-bit equivalent** to the
+//! straightforward implementation it replaces (the guide-table lookup
+//! returns the index the binary search returns, draw for draw), and so
+//! is every non-diagonal unitary op left on its tape. A diagonal gate —
+//! every parameterized RZ — takes one phase pass that re-associates
+//! `(d_r x) conj(d_c)` into `x (d_r conj(d_c))` and skips the entries
+//! whose factor is exactly 1, so it equals the two-pass oracle to
+//! ~1e-16; a fused sweep
 //! re-associates the products and sums of its run, so the state equals
 //! op-by-op application (and the straightforward oracle) to 1e-12
 //! rather than bit for bit — sampled counts are equal on every pinned
@@ -74,29 +70,13 @@ use crate::matrix::CMatrix;
 use crate::noise::{KrausChannel, Placement, RunMember, SuperopTable};
 use crate::parallel::ParallelCtx;
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
-use crate::statevector::StateVector;
-use rand::rngs::StdRng;
-use rand::{Rng, RngCore};
-
-/// Which engine a program is lowered for. A program carries exactly one
-/// channel table and one tape, so it runs on one engine only.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Lowering {
-    /// For [`DensityEngine`]: every run of adjacent fixed ops is fused
-    /// into one superoperator sweep; no Kraus list is kept.
-    Density,
-    /// For [`TrajectoryEngine`]: one tape op per pushed op, channels as
-    /// interned Kraus lists; no superoperator is built.
-    Trajectory,
-}
+use rand::RngCore;
 
 /// One instruction of a compiled program's flat op-tape.
 ///
 /// Unitary ops index into [`CompiledProgram`]'s matrix table (so a
 /// rebind only swaps small matrices, never the tape); channel ops index
-/// into the program's channel table — fused superoperators in a
-/// [`Lowering::Density`] program, Kraus lists in a
-/// [`Lowering::Trajectory`] one.
+/// into its table of fused superoperators.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum TapeOp {
     /// Apply the 2x2 matrix in `slot` to qubit `q`.
@@ -115,14 +95,14 @@ pub enum TapeOp {
         /// Second operand.
         q1: usize,
     },
-    /// Apply the 1-qubit channel `channel` to qubit `q`.
+    /// Apply the 1-qubit fused superoperator `channel` to qubit `q`.
     Channel1q {
         /// Channel-table index.
         channel: usize,
         /// Target qubit.
         q: usize,
     },
-    /// Apply the 2-qubit channel `channel` to `(q0, q1)`.
+    /// Apply the 2-qubit fused superoperator `channel` to `(q0, q1)`.
     Channel2q {
         /// Channel-table index.
         channel: usize,
@@ -143,14 +123,6 @@ impl TapeOp {
     }
 }
 
-/// The one channel table of a program (see [`Lowering`]).
-#[derive(Clone, Debug)]
-enum ChannelTable {
-    /// The fused superoperators and the plan they are products of.
-    Fused(SuperopTable, FusionPlan),
-    Kraus(Vec<KrausChannel>),
-}
-
 /// Where the superoperator of one fused-run member comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Member {
@@ -165,7 +137,7 @@ enum Member {
     Given(u16),
 }
 
-/// The half of a density program that no channel's *numbers* enter:
+/// The half of a program that no channel's *numbers* enter:
 /// which fixed ops each fused entry is the product of. Built once by
 /// [`ProgramBuilder`]; every fill of the fused table — the builder's own
 /// and each [`CompiledProgram::refresh`] — lowers the members and
@@ -190,21 +162,22 @@ impl FusionPlan {
     }
 }
 
-/// A circuit + noise schedule compiled to an executable form for one
-/// engine: a flat op-tape over a table of pre-resolved gate matrices and
-/// one channel table.
+/// A circuit + noise schedule compiled to an executable form: a flat
+/// op-tape over a table of pre-resolved gate matrices and a table of
+/// fused superoperators.
 ///
 /// Build once with [`ProgramBuilder`], rebind parameterized gates
-/// cheaply with [`CompiledProgram::set_unitary`], bring a density
-/// program's deferred channels up to new numbers with
-/// [`CompiledProgram::refresh`], and execute with the engine it was
-/// lowered for.
+/// cheaply with [`CompiledProgram::set_unitary`], bring deferred
+/// channels up to new numbers with [`CompiledProgram::refresh`], and
+/// execute with a [`DensityEngine`].
 #[derive(Clone, Debug)]
 pub struct CompiledProgram {
     n_qubits: usize,
     ops: Vec<TapeOp>,
     unitaries: Vec<CMatrix>,
-    channels: ChannelTable,
+    /// The fused superoperators and the plan they are products of.
+    superops: SuperopTable,
+    plan: FusionPlan,
     readout: ReadoutError,
     duration_ns: f64,
     skipped_channels: usize,
@@ -223,22 +196,10 @@ impl CompiledProgram {
         &self.ops
     }
 
-    /// The engine this program was lowered for.
-    pub fn lowering(&self) -> Lowering {
-        match self.channels {
-            ChannelTable::Fused(..) => Lowering::Density,
-            ChannelTable::Kraus(_) => Lowering::Trajectory,
-        }
-    }
-
-    /// Entries of the channel table: distinct fused runs in a density
-    /// program, distinct (interned) Kraus channels in a trajectory one.
+    /// Entries of the channel table: the distinct fused runs.
     #[inline]
     pub fn num_channels(&self) -> usize {
-        match &self.channels {
-            ChannelTable::Fused(t, _) => t.len(),
-            ChannelTable::Kraus(k) => k.len(),
-        }
+        self.superops.len()
     }
 
     /// Number of matrix-table slots.
@@ -290,33 +251,8 @@ impl CompiledProgram {
     }
 
     /// The fused superoperators [`DensityEngine`] sweeps with.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a trajectory-lowered program.
     pub fn superops(&self) -> &SuperopTable {
-        match &self.channels {
-            ChannelTable::Fused(t, _) => t,
-            ChannelTable::Kraus(_) => panic!(
-                "program was lowered for trajectories (Kraus tape); \
-                 the density engine needs Lowering::Density"
-            ),
-        }
-    }
-
-    /// The interned Kraus channels [`TrajectoryEngine`] unravels.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a density-lowered program.
-    pub fn kraus_channels(&self) -> &[KrausChannel] {
-        match &self.channels {
-            ChannelTable::Kraus(k) => k,
-            ChannelTable::Fused(..) => panic!(
-                "program was lowered for the density engine (fused superoperators); \
-                 the trajectory engine needs Lowering::Trajectory"
-            ),
-        }
+        &self.superops
     }
 
     /// Re-derives the fused superoperators, in place, for new channel
@@ -334,12 +270,10 @@ impl CompiledProgram {
     ///
     /// # Panics
     ///
-    /// Panics on a trajectory-lowered program, or one holding channels
-    /// pushed as Kraus lists ([`ProgramBuilder::push_channel`]): those
-    /// were lowered when the builder finished and their numbers are
-    /// gone.
+    /// Panics on a program holding channels pushed as Kraus lists
+    /// ([`ProgramBuilder::push_channel`]): those were lowered when the
+    /// builder finished and their numbers are gone.
     pub fn refresh(&mut self, readout: ReadoutError, lower: impl FnMut(usize, &mut SuperopTable)) {
-        let _ = self.superops();
         self.readout = readout;
         self.fill_fused(&[], lower);
     }
@@ -347,20 +281,23 @@ impl CompiledProgram {
     /// Lowers every plan member — into a table that lives for this call
     /// only: a fleet holds thousands of programs and each needs its
     /// members for microseconds — and multiplies every run into the
-    /// fused table. A trajectory program has nothing to fill.
+    /// fused table.
     fn fill_fused(
         &mut self,
         given: &[KrausChannel],
         mut lower: impl FnMut(usize, &mut SuperopTable),
     ) {
-        let ChannelTable::Fused(fused, plan) = &mut self.channels else {
-            return;
-        };
+        let CompiledProgram {
+            unitaries,
+            superops: fused,
+            plan,
+            ..
+        } = self;
         let mut members = SuperopTable::with_capacity(plan.members.len());
         for member in &plan.members {
             match *member {
                 Member::Unitary(slot) => {
-                    members.push_unitary(&self.unitaries[slot as usize]);
+                    members.push_unitary(&unitaries[slot as usize]);
                 }
                 Member::Deferred(key) => lower(key as usize, &mut members),
                 Member::Given(idx) => {
@@ -389,18 +326,14 @@ impl CompiledProgram {
         fused.seal();
     }
 
-    /// Heap bytes the fusion plan owns (0 for a trajectory program):
-    /// what a density program carries beyond its tape and tables so
-    /// that [`CompiledProgram::refresh`] can re-derive them.
+    /// Heap bytes the fusion plan owns: what a program carries beyond
+    /// its tape and tables so that [`CompiledProgram::refresh`] can
+    /// re-derive them.
     pub fn plan_heap_bytes(&self) -> usize {
-        match &self.channels {
-            ChannelTable::Fused(_, plan) => {
-                plan.members.capacity() * std::mem::size_of::<Member>()
-                    + plan.runs.capacity() * std::mem::size_of::<RunMember>()
-                    + plan.bounds.capacity() * std::mem::size_of::<u32>()
-            }
-            ChannelTable::Kraus(_) => 0,
-        }
+        let plan = &self.plan;
+        plan.members.capacity() * std::mem::size_of::<Member>()
+            + plan.runs.capacity() * std::mem::size_of::<RunMember>()
+            + plan.bounds.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -417,12 +350,11 @@ enum Fixed {
 enum Interned {
     /// Near-identity: elided from the tape.
     Skipped,
-    /// Index into the Kraus table (trajectory lowering) or into the
-    /// plan's members (density lowering).
+    /// Index into the plan's members.
     Kept(usize),
 }
 
-/// The density lowering's working state: the open run of adjacent fixed
+/// The builder's fusing state: the open run of adjacent fixed
 /// ops and the plan recorded so far. Nothing is multiplied here — the
 /// numbers enter when the builder finishes. Every list is reused across
 /// runs: planning allocates per program, not per run.
@@ -507,28 +439,19 @@ fn narrow(index: usize) -> u16 {
     u16::try_from(index).expect("a fused program indexes at most 65 536 slots and channel keys")
 }
 
-/// What a builder is producing (see [`Lowering`]): the fusing state of
-/// a density program, or the Kraus table of a trajectory program.
-#[derive(Clone, Debug)]
-enum Target {
-    Density(Box<Fuser>),
-    Trajectory(Vec<KrausChannel>),
-}
-
-/// Builds a [`CompiledProgram`] op by op for one [`Lowering`],
-/// interning channels and eliding near-identity ones.
+/// Builds a [`CompiledProgram`] op by op, interning channels and
+/// eliding near-identity ones.
 ///
-/// Under [`Lowering::Density`] (the default) the builder fuses every
-/// maximal run of adjacent *fixed* ops — shareable unitaries and
-/// channels — whose supports nest inside one support of at most two
-/// qubits into a single channel-table entry: a one-qubit run grows into
-/// the two-qubit op that follows it on a shared qubit (either operand
-/// order), further ops on those qubits join, anything else ends the run.
-/// A parameterized slot always ends a run and stays a unitary op, so
-/// every fork and resume point sits between tape ops; so does a gate
-/// pushed with [`ProgramBuilder::push_unfused_unitary`]; a run
-/// without a channel stays unitary ops, which are cheaper than a dense
-/// superoperator.
+/// The builder fuses every maximal run of adjacent *fixed* ops —
+/// shareable unitaries and channels — whose supports nest inside one
+/// support of at most two qubits into a single channel-table entry: a
+/// one-qubit run grows into the two-qubit op that follows it on a
+/// shared qubit (either operand order), further ops on those qubits
+/// join, anything else ends the run. A parameterized slot always ends a
+/// run and stays a unitary op, so every fork and resume point sits
+/// between tape ops; so does a gate pushed with
+/// [`ProgramBuilder::push_unfused_unitary`]; a run without a channel
+/// stays unitary ops, which are cheaper than a dense superoperator.
 #[derive(Clone, Debug)]
 pub struct ProgramBuilder {
     n_qubits: usize,
@@ -538,11 +461,11 @@ pub struct ProgramBuilder {
     /// (false for parameterized placeholders, which must stay unique so
     /// a rebind cannot alias an unrelated gate).
     shareable: Vec<bool>,
-    /// Channels pushed by caller key, indexed by key.
+    /// Deferred channels, indexed by caller key.
     by_key: Vec<Option<Interned>>,
-    /// Channels pushed without a key, interned by content.
+    /// Channels pushed as Kraus lists, interned by content.
     by_content: Vec<(KrausChannel, Interned)>,
-    target: Target,
+    fuser: Fuser,
     identity_epsilon: f64,
     skipped_channels: usize,
 }
@@ -555,13 +478,8 @@ impl ProgramBuilder {
     /// cannot change sampled counts in practice.
     pub const DEFAULT_IDENTITY_EPSILON: f64 = 1e-12;
 
-    /// Starts a density-lowered program over `n_qubits`.
+    /// Starts a program over `n_qubits`.
     pub fn new(n_qubits: usize) -> Self {
-        Self::for_lowering(n_qubits, Lowering::Density)
-    }
-
-    /// Starts a program over `n_qubits` lowered for the given engine.
-    pub fn for_lowering(n_qubits: usize, lowering: Lowering) -> Self {
         ProgramBuilder {
             n_qubits,
             ops: Vec::new(),
@@ -569,10 +487,7 @@ impl ProgramBuilder {
             shareable: Vec::new(),
             by_key: Vec::new(),
             by_content: Vec::new(),
-            target: match lowering {
-                Lowering::Density => Target::Density(Box::default()),
-                Lowering::Trajectory => Target::Trajectory(Vec::new()),
-            },
+            fuser: Fuser::default(),
             identity_epsilon: Self::DEFAULT_IDENTITY_EPSILON,
             skipped_channels: 0,
         }
@@ -691,28 +606,6 @@ impl ProgramBuilder {
         self.place_channel(interned, qubits);
     }
 
-    /// [`ProgramBuilder::push_channel`] for a caller that already knows
-    /// which of its channels are the same one: pushes under an equal
-    /// `key` must carry bit-identical channels, and interning compares
-    /// the key instead of every Kraus matrix. Keys should be small and
-    /// dense (they index a table).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`ProgramBuilder::push_channel`].
-    pub fn push_keyed_channel(&mut self, key: usize, channel: &KrausChannel, qubits: &[usize]) {
-        self.check_channel(channel.num_qubits(), qubits);
-        let interned = match self.keyed(key) {
-            Some(interned) => interned,
-            None => {
-                let interned = self.intern(channel);
-                self.by_key[key] = Some(interned);
-                interned
-            }
-        };
-        self.place_channel(interned, qubits);
-    }
-
     /// Appends a channel the caller knows only by `key` so far: what it
     /// acts on and whether it is `elided` (near-identity, see
     /// [`ProgramBuilder::with_identity_epsilon`]) are fixed now, its
@@ -720,39 +613,26 @@ impl ProgramBuilder {
     /// [`ProgramBuilder::finish_with`] and every later
     /// [`CompiledProgram::refresh`] ask a `lower` callback for the
     /// superoperator of `key`. Pushes under an equal key must name the
-    /// same channel with the same verdict; keys share the table of
-    /// [`ProgramBuilder::push_keyed_channel`], so use one or the other.
+    /// same channel with the same verdict. Keys should be small and
+    /// dense (they index a table).
     ///
     /// # Panics
     ///
-    /// Panics on a trajectory builder (a Kraus tape has no deferred
-    /// form), on more than two or out-of-range qubits.
+    /// Panics on more than two or out-of-range qubits.
     pub fn push_deferred_channel(&mut self, key: usize, qubits: &[usize], elided: bool) {
         self.check_channel(qubits.len(), qubits);
-        let interned = match self.keyed(key) {
-            Some(interned) => interned,
-            None => {
-                let Target::Density(fuser) = &mut self.target else {
-                    panic!("only a density program defers its channels")
-                };
-                let interned = if elided {
-                    Interned::Skipped
-                } else {
-                    Interned::Kept(fuser.plan.add_member(Member::Deferred(narrow(key))))
-                };
-                self.by_key[key] = Some(interned);
-                interned
-            }
-        };
-        self.place_channel(interned, qubits);
-    }
-
-    /// What an earlier push under `key` decided, making room for `key`.
-    fn keyed(&mut self, key: usize) -> Option<Interned> {
         if self.by_key.len() <= key {
             self.by_key.resize(key + 1, None);
         }
-        self.by_key[key]
+        let plan = &mut self.fuser.plan;
+        let interned = *self.by_key[key].get_or_insert_with(|| {
+            if elided {
+                Interned::Skipped
+            } else {
+                Interned::Kept(plan.add_member(Member::Deferred(narrow(key))))
+            }
+        });
+        self.place_channel(interned, qubits);
     }
 
     fn check_channel(&self, arity: usize, qubits: &[usize]) {
@@ -764,25 +644,19 @@ impl ProgramBuilder {
         self.check_operands(qubits, "channels");
     }
 
-    /// First sight of a Kraus-list channel: elide it, or keep it — in
-    /// the Kraus table of a trajectory program, as a plan member of a
-    /// density program.
+    /// First sight of a Kraus-list channel: elide it, or keep it as a
+    /// plan member.
     fn intern(&mut self, channel: &KrausChannel) -> Interned {
         if self.identity_epsilon > 0.0 && channel.is_near_identity(self.identity_epsilon) {
             return Interned::Skipped;
         }
-        Interned::Kept(match &mut self.target {
-            Target::Density(fuser) => {
-                fuser.given.push(channel.clone());
-                fuser
-                    .plan
-                    .add_member(Member::Given(narrow(fuser.given.len() - 1)))
-            }
-            Target::Trajectory(kraus) => {
-                kraus.push(channel.clone());
-                kraus.len() - 1
-            }
-        })
+        let fuser = &mut self.fuser;
+        fuser.given.push(channel.clone());
+        Interned::Kept(
+            fuser
+                .plan
+                .add_member(Member::Given(narrow(fuser.given.len() - 1))),
+        )
     }
 
     fn place_channel(&mut self, interned: Interned, qubits: &[usize]) {
@@ -792,27 +666,17 @@ impl ProgramBuilder {
         }
     }
 
-    /// Appends a fixed op: straight onto the tape for trajectories,
-    /// into the open run (ending it first if the op does not fit) for
-    /// the density engine.
+    /// Appends a fixed op to the open run, ending the run first if the
+    /// op does not fit.
     fn push_fixed(&mut self, op: Fixed, qubits: &[usize]) {
-        let Target::Density(fuser) = &mut self.target else {
-            self.ops.push(match op {
-                Fixed::Unitary(slot) => unitary_op(slot, qubits),
-                Fixed::Channel(channel) => channel_op(channel, qubits),
-            });
-            return;
-        };
-        let place = match fuser.place(qubits) {
+        let place = match self.fuser.place(qubits) {
             Some(place) => place,
             None => {
                 self.flush_run();
                 Placement::Whole
             }
         };
-        let Target::Density(fuser) = &mut self.target else {
-            unreachable!("checked above")
-        };
+        let fuser = &mut self.fuser;
         if fuser.run.is_empty() {
             fuser.support = [qubits[0], qubits[qubits.len() - 1]];
             fuser.arity = qubits.len();
@@ -823,9 +687,7 @@ impl ProgramBuilder {
     /// Ends the open run, if any: one channel-table sweep when it holds
     /// a channel, its unitary ops unchanged when it does not.
     fn flush_run(&mut self) {
-        let Target::Density(fuser) = &mut self.target else {
-            return;
-        };
+        let fuser = &mut self.fuser;
         if fuser
             .run
             .iter()
@@ -874,26 +736,18 @@ impl ProgramBuilder {
         self.flush_run();
         self.ops.shrink_to_fit();
         self.unitaries.shrink_to_fit();
-        let (channels, given) = match self.target {
-            Target::Density(fuser) => {
-                let Fuser {
-                    mut plan, given, ..
-                } = *fuser;
-                plan.members.shrink_to_fit();
-                plan.runs.shrink_to_fit();
-                plan.bounds.shrink_to_fit();
-                (ChannelTable::Fused(SuperopTable::default(), plan), given)
-            }
-            Target::Trajectory(mut kraus) => {
-                kraus.shrink_to_fit();
-                (ChannelTable::Kraus(kraus), Vec::new())
-            }
-        };
+        let Fuser {
+            mut plan, given, ..
+        } = self.fuser;
+        plan.members.shrink_to_fit();
+        plan.runs.shrink_to_fit();
+        plan.bounds.shrink_to_fit();
         let mut program = CompiledProgram {
             n_qubits: self.n_qubits,
             ops: self.ops,
             unitaries: self.unitaries,
-            channels,
+            superops: SuperopTable::default(),
+            plan,
             readout,
             duration_ns,
             skipped_channels: self.skipped_channels,
@@ -1151,340 +1005,6 @@ impl DensityEngine {
     }
 }
 
-/// Monte-Carlo quantum-trajectory engine with reusable state and
-/// candidate buffers.
-///
-/// Each trajectory replays the op-tape on a pure state; channels are
-/// unraveled by Born-probability selection into a persistent candidate
-/// buffer (no per-operator state clones), and each trajectory
-/// contributes `shots / trajectories` samples (remainder spread over
-/// the first trajectories), exactly like the straightforward
-/// implementation it replaces.
-#[derive(Clone, Debug)]
-pub struct TrajectoryEngine {
-    trajectories: usize,
-    state: Option<StateVector>,
-    candidate: Option<StateVector>,
-    probs: Vec<f64>,
-    sampler: ShotSampler,
-    indices: Vec<usize>,
-    hist: Vec<u64>,
-    ctx: ParallelCtx,
-    lanes: Vec<TrajLane>,
-}
-
-/// Per-worker scratch for the parallel trajectory fan-out: each lane
-/// owns a full set of the serial engine's reusable buffers plus the
-/// prefix-advanced RNG clone its chunk of trajectories consumes.
-#[derive(Clone, Debug, Default)]
-struct TrajLane {
-    state: Option<StateVector>,
-    candidate: Option<StateVector>,
-    probs: Vec<f64>,
-    sampler: ShotSampler,
-    indices: Vec<usize>,
-    hist: Vec<u64>,
-    rng: Option<StdRng>,
-}
-
-/// Runs one trajectory — evolve the tape with stochastic channel
-/// unraveling, then sample this trajectory's share of shots into
-/// `hist`. This is the serial loop body verbatim; the parallel path
-/// calls it per lane with a prefix-advanced RNG clone, so both paths
-/// execute identical operations on identical draws.
-#[allow(clippy::too_many_arguments)]
-fn run_trajectory<R: RngCore + ?Sized>(
-    program: &CompiledProgram,
-    state_slot: &mut Option<StateVector>,
-    candidate_slot: &mut Option<StateVector>,
-    probs: &mut Vec<f64>,
-    sampler: &mut ShotSampler,
-    indices: &mut Vec<usize>,
-    hist: &mut [u64],
-    traj_shots: usize,
-    rng: &mut R,
-) {
-    let n = program.num_qubits();
-    let kraus = program.kraus_channels();
-    let state = match state_slot {
-        Some(s) => {
-            s.reset_to(n);
-            s
-        }
-        None => state_slot.insert(StateVector::new(n)),
-    };
-    let candidate = match candidate_slot {
-        Some(s) => {
-            s.reset_to(n);
-            s
-        }
-        None => candidate_slot.insert(StateVector::new(n)),
-    };
-    for op in program.ops() {
-        match *op {
-            TapeOp::Unitary1q { slot, q } => state.apply_1q(program.unitary(slot), q),
-            TapeOp::Unitary2q { slot, q0, q1 } => state.apply_2q(program.unitary(slot), q0, q1),
-            TapeOp::Channel1q { channel, q } => {
-                unravel_channel(state, candidate, &kraus[channel], &[q], rng)
-            }
-            TapeOp::Channel2q { channel, q0, q1 } => {
-                unravel_channel(state, candidate, &kraus[channel], &[q0, q1], rng)
-            }
-        }
-    }
-    if traj_shots == 0 {
-        return;
-    }
-    let readout = program.readout();
-    state.probabilities_into(probs);
-    sampler.sample_indices_into(probs, traj_shots, rng, indices);
-    for &idx in indices.iter() {
-        let corrupted = readout.corrupt(idx as u64, rng);
-        hist[corrupted as usize] += 1;
-    }
-}
-
-impl TrajectoryEngine {
-    /// Creates an engine running `trajectories` unravelings per job.
-    /// Execution is serial until [`TrajectoryEngine::set_parallel_ctx`]
-    /// attaches a worker team.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trajectories == 0`.
-    pub fn new(trajectories: usize) -> Self {
-        assert!(trajectories > 0, "need at least one trajectory");
-        TrajectoryEngine {
-            trajectories,
-            state: None,
-            candidate: None,
-            probs: Vec::new(),
-            sampler: ShotSampler::default(),
-            indices: Vec::new(),
-            hist: Vec::new(),
-            ctx: ParallelCtx::SERIAL,
-            lanes: Vec::new(),
-        }
-    }
-
-    /// Attaches (or detaches, with a serial context) the worker team
-    /// that [`TrajectoryEngine::run_program_par`] fans trajectories
-    /// over.
-    pub fn set_parallel_ctx(&mut self, ctx: ParallelCtx) {
-        self.ctx = ctx;
-    }
-
-    /// The engine's current parallel context.
-    pub fn parallel_ctx(&self) -> &ParallelCtx {
-        &self.ctx
-    }
-
-    /// Trajectories per job.
-    pub fn trajectories(&self) -> usize {
-        self.trajectories
-    }
-
-    /// Changes the trajectory count (scratch buffers are kept).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `trajectories == 0`.
-    pub fn set_trajectories(&mut self, trajectories: usize) {
-        assert!(trajectories > 0, "need at least one trajectory");
-        self.trajectories = trajectories;
-    }
-
-    /// Generic-RNG entry point.
-    pub fn run_program<R: RngCore + ?Sized>(
-        &mut self,
-        program: &CompiledProgram,
-        shots: usize,
-        rng: &mut R,
-    ) -> Counts {
-        let n = program.num_qubits();
-        let base = shots / self.trajectories;
-        let extra = shots % self.trajectories;
-        self.hist.clear();
-        self.hist.resize(1usize << n, 0);
-        for t in 0..self.trajectories {
-            let traj_shots = base + usize::from(t < extra);
-            run_trajectory(
-                program,
-                &mut self.state,
-                &mut self.candidate,
-                &mut self.probs,
-                &mut self.sampler,
-                &mut self.indices,
-                &mut self.hist,
-                traj_shots,
-                rng,
-            );
-        }
-        self.collect_counts(n)
-    }
-
-    /// Parallel entry point: fans independent trajectories over the
-    /// attached worker team in contiguous chunks.
-    ///
-    /// Trajectories consume a statically known number of RNG draws
-    /// (one per channel op, plus — when the trajectory samples — one
-    /// per shot and one per readout qubit with a nonzero flip
-    /// probability per shot), so each lane starts from a clone of the
-    /// caller's [`StdRng`] advanced past the preceding trajectories'
-    /// draws. Counts are byte-identical to
-    /// [`TrajectoryEngine::run_program`] with the same seed, and the
-    /// caller's RNG leaves having consumed the exact serial stream.
-    /// Falls back to the serial path when no team is attached.
-    pub fn run_program_par(
-        &mut self,
-        program: &CompiledProgram,
-        shots: usize,
-        rng: &mut StdRng,
-    ) -> Counts {
-        if !self.ctx.is_parallel() || self.trajectories < 2 {
-            return self.run_program(program, shots, rng);
-        }
-        // Reject a density-lowered program here, not on a worker.
-        let _ = program.kraus_channels();
-        let n = program.num_qubits();
-        let dim = 1usize << n;
-        let total_traj = self.trajectories;
-        let base = shots / total_traj;
-        let extra = shots % total_traj;
-        let readout = program.readout();
-        let channel_draws = program
-            .ops()
-            .iter()
-            .filter(|op| matches!(op, TapeOp::Channel1q { .. } | TapeOp::Channel2q { .. }))
-            .count() as u64;
-        let flip_qubits = (0..readout.num_qubits())
-            .filter(|&q| readout.flip_probability(q) > 0.0)
-            .count() as u64;
-        let n_chunks = self.ctx.workers().min(total_traj);
-        let per = total_traj.div_ceil(n_chunks);
-        let n_chunks = total_traj.div_ceil(per);
-        if self.lanes.len() < n_chunks {
-            self.lanes.resize_with(n_chunks, TrajLane::default);
-        }
-        let mut skipped: u64 = 0;
-        for c in 0..n_chunks {
-            let t0 = c * per;
-            let t1 = (t0 + per).min(total_traj);
-            let lane = &mut self.lanes[c];
-            lane.hist.clear();
-            lane.hist.resize(dim, 0);
-            let mut lane_rng = rng.clone();
-            for _ in 0..skipped {
-                let _: f64 = lane_rng.gen();
-            }
-            lane.rng = Some(lane_rng);
-            // Draws this chunk will consume, skipped by later lanes:
-            // channel unravelings for every trajectory plus sampling
-            // draws for the chunk's shot share.
-            let chunk_shots =
-                ((t1 - t0) * base + extra.min(t1).saturating_sub(extra.min(t0))) as u64;
-            skipped += (t1 - t0) as u64 * channel_draws + chunk_shots * (1 + flip_qubits);
-        }
-        let lanes_ptr = LanePtr(self.lanes.as_mut_ptr());
-        self.ctx.run(n_chunks, |c| {
-            // SAFETY: `run` hands each chunk index to exactly one
-            // worker, so each lane is mutated by a single thread.
-            let lane = unsafe { lanes_ptr.lane(c) };
-            let rng = lane.rng.as_mut().expect("lane rng seeded above");
-            let t0 = c * per;
-            let t1 = (t0 + per).min(total_traj);
-            for t in t0..t1 {
-                let traj_shots = base + usize::from(t < extra);
-                run_trajectory(
-                    program,
-                    &mut lane.state,
-                    &mut lane.candidate,
-                    &mut lane.probs,
-                    &mut lane.sampler,
-                    &mut lane.indices,
-                    &mut lane.hist,
-                    traj_shots,
-                    rng,
-                );
-            }
-        });
-        // The last lane's RNG has consumed exactly the full serial
-        // stream; hand it back so the caller observes the same draws as
-        // the serial path.
-        *rng = self.lanes[n_chunks - 1]
-            .rng
-            .take()
-            .expect("lane rng seeded above");
-        self.hist.clear();
-        self.hist.resize(dim, 0);
-        for lane in &self.lanes[..n_chunks] {
-            for (h, l) in self.hist.iter_mut().zip(&lane.hist) {
-                *h += *l;
-            }
-        }
-        self.collect_counts(n)
-    }
-
-    /// Builds the `Counts` histogram from `self.hist` in ascending
-    /// basis-state order (shared by the serial and parallel paths).
-    fn collect_counts(&self, n: usize) -> Counts {
-        let distinct = self.hist.iter().filter(|&&c| c > 0).count();
-        let mut counts = Counts::with_capacity(n, distinct);
-        for (basis, &c) in self.hist.iter().enumerate() {
-            if c > 0 {
-                counts.record(basis as u64, c);
-            }
-        }
-        counts
-    }
-}
-
-/// Shares the lane array across the team; chunk indices are claimed
-/// exactly once, so lanes are never aliased.
-struct LanePtr(*mut TrajLane);
-unsafe impl Sync for LanePtr {}
-
-impl LanePtr {
-    /// # Safety
-    ///
-    /// `c` must be in bounds and each index dereferenced by at most one
-    /// thread at a time.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn lane<'a>(&self, c: usize) -> &'a mut TrajLane {
-        &mut *self.0.add(c)
-    }
-}
-
-/// Stochastically applies one Kraus operator of `ch` selected with its
-/// Born probability, writing candidates into the reusable `candidate`
-/// buffer and swapping the accepted one into `state`.
-fn unravel_channel<R: RngCore + ?Sized>(
-    state: &mut StateVector,
-    candidate: &mut StateVector,
-    ch: &KrausChannel,
-    qs: &[usize],
-    rng: &mut R,
-) {
-    let r: f64 = rng.gen();
-    let mut acc = 0.0;
-    let ops = ch.operators();
-    for (i, k) in ops.iter().enumerate() {
-        candidate.copy_from(state);
-        match *qs {
-            [q] => candidate.apply_1q(k, q),
-            [a, b] => candidate.apply_2q(k, a, b),
-            _ => unreachable!("channels are 1- or 2-qubit"),
-        }
-        let p = candidate.norm_sqr();
-        acc += p;
-        if r < acc || i == ops.len() - 1 {
-            candidate.normalize();
-            std::mem::swap(state, candidate);
-            return;
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1493,11 +1013,7 @@ mod tests {
     use rand::SeedableRng;
 
     fn bell_program(noise_p: f64) -> CompiledProgram {
-        bell_program_for(noise_p, Lowering::Density)
-    }
-
-    fn bell_program_for(noise_p: f64, lowering: Lowering) -> CompiledProgram {
-        let mut b = ProgramBuilder::for_lowering(2, lowering);
+        let mut b = ProgramBuilder::new(2);
         b.push_unitary(gates::h(), &[0]);
         b.push_unitary(gates::cx(), &[0, 1]);
         if noise_p > 0.0 {
@@ -1544,23 +1060,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_engine_agrees_with_density_statistics() {
-        let dens = DensityEngine::new().run_program(
-            &bell_program(0.05),
-            40_000,
-            &mut StdRng::seed_from_u64(3),
-        );
-        let traj = TrajectoryEngine::new(300).run_program(
-            &bell_program_for(0.05, Lowering::Trajectory),
-            40_000,
-            &mut StdRng::seed_from_u64(4),
-        );
-        let d = dens.probability(0) + dens.probability(0b11);
-        let t = traj.probability(0) + traj.probability(0b11);
-        assert!((d - t).abs() < 0.03, "density {d} vs trajectories {t}");
-    }
-
-    #[test]
     fn interning_dedupes_channels_and_unitaries() {
         let mut b = ProgramBuilder::new(2);
         let s1 = b.push_unitary(gates::h(), &[0]);
@@ -1583,8 +1082,8 @@ mod tests {
         let mut slots = Vec::new();
         for q in [0, 0, 1] {
             b.push_unitary(gates::sx(), &[q]);
-            b.push_keyed_channel(0, &relax, &[q]);
-            b.push_keyed_channel(1, &depol, &[q]);
+            b.push_channel(&relax, &[q]);
+            b.push_channel(&depol, &[q]);
             slots.push(b.push_parameterized(gates::rz(0.3), &[q]));
         }
         let prog = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
@@ -1681,13 +1180,6 @@ mod tests {
         let mut b = ProgramBuilder::new(1);
         b.push_deferred_channel(0, &[0], false);
         let _ = b.finish(ReadoutError::uniform(1, 0.0), 35.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "only a density program defers")]
-    fn a_trajectory_builder_rejects_deferred_channels() {
-        let mut b = ProgramBuilder::for_lowering(1, Lowering::Trajectory);
-        b.push_deferred_channel(0, &[0], false);
     }
 
     #[test]
@@ -1805,34 +1297,6 @@ mod tests {
     }
 
     #[test]
-    fn trajectory_lowering_keeps_one_op_per_push_and_no_superoperator() {
-        let relax = KrausChannel::thermal_relaxation(100.0, 80.0, 3.0);
-        let mut b = ProgramBuilder::for_lowering(2, Lowering::Trajectory);
-        b.push_unitary(gates::sx(), &[0]);
-        b.push_keyed_channel(5, &relax, &[0]);
-        b.push_keyed_channel(5, &relax, &[1]);
-        b.push_channel(&KrausChannel::depolarizing_2q(0.02), &[1, 0]);
-        let prog = b.finish(ReadoutError::uniform(2, 0.0), 100.0);
-        assert_eq!(prog.lowering(), Lowering::Trajectory);
-        assert_eq!(prog.ops().len(), 4);
-        assert_eq!(prog.kraus_channels().len(), 2, "equal keys intern once");
-    }
-
-    #[test]
-    #[should_panic(expected = "lowered for trajectories")]
-    fn density_engine_rejects_a_trajectory_program() {
-        let prog = bell_program_for(0.05, Lowering::Trajectory);
-        DensityEngine::new().evolve_probs(&prog, &mut Vec::new());
-    }
-
-    #[test]
-    #[should_panic(expected = "lowered for the density engine")]
-    fn trajectory_engine_rejects_a_density_program() {
-        let prog = bell_program(0.05);
-        let _ = TrajectoryEngine::new(4).run_program(&prog, 16, &mut StdRng::seed_from_u64(1));
-    }
-
-    #[test]
     fn parameterized_slots_are_never_shared() {
         let mut b = ProgramBuilder::new(1);
         let p1 = b.push_parameterized(CMatrix::identity(2), &[0]);
@@ -1871,8 +1335,8 @@ mod tests {
         assert_eq!(zeros.get(0), 100);
     }
 
-    fn noisy_program(lowering: Lowering) -> CompiledProgram {
-        let mut b = ProgramBuilder::for_lowering(3, lowering);
+    fn noisy_program() -> CompiledProgram {
+        let mut b = ProgramBuilder::new(3);
         b.push_unitary(gates::h(), &[0]);
         b.push_unitary(gates::cx(), &[0, 1]);
         b.push_unitary(gates::ry(0.3), &[2]);
@@ -1883,35 +1347,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_trajectory_engine_is_bit_identical_to_serial() {
-        let prog = noisy_program(Lowering::Trajectory);
-        let ctx = crate::parallel::ParallelCtx::with_workers(4);
-        // (trajectories, shots): even split, remainder spread, and
-        // more trajectories than shots (zero-shot trajectories).
-        for &(traj, shots) in &[(8usize, 1024usize), (7, 1000), (16, 10)] {
-            let mut serial = TrajectoryEngine::new(traj);
-            let mut s_rng = StdRng::seed_from_u64(11);
-            let s_counts = serial.run_program(&prog, shots, &mut s_rng);
-            let s_after: f64 = s_rng.gen();
-
-            let mut par = TrajectoryEngine::new(traj);
-            par.set_parallel_ctx(ctx.clone());
-            let mut p_rng = StdRng::seed_from_u64(11);
-            let p_counts = par.run_program_par(&prog, shots, &mut p_rng);
-            let p_after: f64 = p_rng.gen();
-
-            assert_eq!(s_counts, p_counts, "traj={traj} shots={shots}");
-            assert_eq!(
-                s_after.to_bits(),
-                p_after.to_bits(),
-                "caller RNG must leave at the same stream position"
-            );
-        }
-    }
-
-    #[test]
     fn evolve_then_sample_matches_run_program() {
-        let prog = noisy_program(Lowering::Density);
+        let prog = noisy_program();
         let mut engine = DensityEngine::new();
         let direct = engine.run_program(&prog, 4096, &mut StdRng::seed_from_u64(21));
         let mut probs = Vec::new();

@@ -163,38 +163,9 @@ impl StateVector {
         }
     }
 
-    /// Re-initializes to `|0...0>` over `n_qubits`, reusing the
-    /// allocation when possible (the trajectory-engine reset path).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n_qubits` exceeds the simulator cap.
-    pub fn reset_to(&mut self, n_qubits: usize) {
-        assert!(n_qubits <= 26, "state-vector simulator capped at 26 qubits");
-        self.n = n_qubits;
-        self.amps.clear();
-        self.amps.resize(1 << n_qubits, C64::ZERO);
-        self.amps[0] = C64::ONE;
-    }
-
-    /// Copies another state into this one, reusing the allocation
-    /// (unlike `clone`, no fresh amplitude vector).
-    pub fn copy_from(&mut self, other: &StateVector) {
-        self.n = other.n;
-        self.amps.clear();
-        self.amps.extend_from_slice(&other.amps);
-    }
-
     /// Measurement probabilities over all `2^n` basis states.
     pub fn probabilities(&self) -> Vec<f64> {
         self.amps.iter().map(|a| a.norm_sqr()).collect()
-    }
-
-    /// Writes the measurement probabilities into a reusable buffer (same
-    /// values as [`StateVector::probabilities`]).
-    pub fn probabilities_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.amps.iter().map(|a| a.norm_sqr()));
     }
 
     /// Probability of observing a specific basis state.

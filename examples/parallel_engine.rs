@@ -1,10 +1,9 @@
-//! Engine parallelism: the same training run under the serial engines
-//! and under a worker team, byte-identical by construction.
+//! Engine parallelism: the same training run under the serial density
+//! engine and under a worker team, byte-identical by construction.
 //!
 //! `SimParallelism` is the one knob: `Serial` (the default) runs every
-//! density pass and trajectory on the session thread;
-//! `Workers(n)` fans density row-blocks and independent trajectories
-//! over a persistent worker team. Results never depend on the lane
+//! density pass on the session thread; `Workers(n)` fans density
+//! row-blocks over a persistent worker team. Results never depend on the lane
 //! count — the worker team partitions work deterministically, so a
 //! parallel run is a drop-in replacement wherever a report has been
 //! pinned byte-for-byte. How runs evolve is orthogonal: each gradient

@@ -4,15 +4,15 @@
 //! per-cycle noise cache) claims **byte-identical** results to the
 //! pre-engine path, which survives verbatim behind
 //! `QpuBackend::with_legacy_execution` as the oracle. This suite holds
-//! it to that claim at every level: raw counts per job (density and
-//! trajectory engines, under drift, across recalibration boundaries),
+//! it to that claim at every level: raw counts per job (under drift,
+//! across recalibration boundaries),
 //! and full `TrainingReport`s for VQE and QAOA ensembles — plus the
 //! cache-discipline guarantees (noise models built once per calibration
 //! cycle, templates compiled once per noise epoch).
 
 use eqc::prelude::*;
 use qcircuit::CircuitBuilder;
-use qdevice::{catalog, DriftModel, QpuBackend, QueueModel, SimulatorKind};
+use qdevice::{catalog, DriftModel, QpuBackend, QueueModel};
 
 fn vqe_circuit(n: usize) -> qcircuit::Circuit {
     let mut b = CircuitBuilder::new(n);
@@ -75,28 +75,11 @@ fn density_engine_is_byte_identical_to_reference_across_cycles() {
     );
 }
 
-#[test]
-fn trajectory_engine_is_byte_identical_to_reference_across_cycles() {
-    let mut engine = stress_backend(12).with_simulator(SimulatorKind::Trajectories(48));
-    let mut legacy = stress_backend(12)
-        .with_simulator(SimulatorKind::Trajectories(48))
-        .with_legacy_execution();
-    let circuit = vqe_circuit(4);
-    let active = [0, 1, 2, 3];
-    let mut t = SimTime::ZERO;
-    for job in 0..6 {
-        let a = engine.execute(&circuit, &active, 512, t);
-        let b = legacy.execute(&circuit, &active, 512, t);
-        assert_eq!(a.counts, b.counts, "counts diverge at job {job}");
-        t = a.completed + 9000.0;
-    }
-}
-
-fn fleet(legacy: bool, simulator: SimulatorKind) -> Ensemble {
+fn fleet(legacy: bool) -> Ensemble {
     let mut builder = Ensemble::builder();
     for (i, name) in ["belem", "manila", "bogota"].iter().enumerate() {
         let spec = catalog::by_name(name).expect("catalog device");
-        let mut backend = spec.backend(300 + i as u64).with_simulator(simulator);
+        let mut backend = spec.backend(300 + i as u64);
         if legacy {
             backend = backend.with_legacy_execution();
         }
@@ -111,31 +94,14 @@ fn fleet(legacy: bool, simulator: SimulatorKind) -> Ensemble {
 #[test]
 fn qaoa_training_report_identical_on_engine_and_legacy_paths() {
     let problem = QaoaProblem::maxcut_ring4();
-    let fast = fleet(false, SimulatorKind::Density)
-        .train(&problem)
-        .expect("engine path trains");
-    let slow = fleet(true, SimulatorKind::Density)
-        .train(&problem)
-        .expect("legacy path trains");
+    let fast = fleet(false).train(&problem).expect("engine path trains");
+    let slow = fleet(true).train(&problem).expect("legacy path trains");
     assert_eq!(fast, slow, "structurally identical reports");
     assert_eq!(
         format!("{fast:?}"),
         format!("{slow:?}"),
         "byte-identical debug serialization"
     );
-}
-
-#[test]
-fn trajectory_training_report_identical_on_engine_and_legacy_paths() {
-    let problem = QaoaProblem::maxcut_ring4();
-    let fast = fleet(false, SimulatorKind::Trajectories(24))
-        .train(&problem)
-        .expect("engine path trains");
-    let slow = fleet(true, SimulatorKind::Trajectories(24))
-        .train(&problem)
-        .expect("legacy path trains");
-    assert_eq!(fast, slow);
-    assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
 }
 
 #[test]
@@ -522,11 +488,11 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
     }
 }
 
-fn parallel_fleet(par: SimParallelism, simulator: SimulatorKind) -> Ensemble {
+fn parallel_fleet(par: SimParallelism) -> Ensemble {
     let mut builder = Ensemble::builder();
     for (i, name) in ["belem", "manila", "bogota"].iter().enumerate() {
         let spec = catalog::by_name(name).expect("catalog device");
-        builder = builder.backend(spec.backend(300 + i as u64).with_simulator(simulator));
+        builder = builder.backend(spec.backend(300 + i as u64));
     }
     builder
         .config(
@@ -542,10 +508,10 @@ fn parallel_fleet(par: SimParallelism, simulator: SimulatorKind) -> Ensemble {
 #[test]
 fn density_training_report_identical_under_worker_team() {
     let problem = QaoaProblem::maxcut_ring4();
-    let fast = parallel_fleet(SimParallelism::Workers(4), SimulatorKind::Density)
+    let fast = parallel_fleet(SimParallelism::Workers(4))
         .train(&problem)
         .expect("parallel path trains");
-    let slow = parallel_fleet(SimParallelism::Serial, SimulatorKind::Density)
+    let slow = parallel_fleet(SimParallelism::Serial)
         .train(&problem)
         .expect("serial path trains");
     assert_eq!(fast, slow, "structurally identical reports");
@@ -553,22 +519,9 @@ fn density_training_report_identical_under_worker_team() {
 }
 
 #[test]
-fn trajectory_training_report_identical_under_worker_team() {
-    let problem = QaoaProblem::maxcut_ring4();
-    let fast = parallel_fleet(SimParallelism::Workers(3), SimulatorKind::Trajectories(24))
-        .train(&problem)
-        .expect("parallel path trains");
-    let slow = parallel_fleet(SimParallelism::Serial, SimulatorKind::Trajectories(24))
-        .train(&problem)
-        .expect("serial path trains");
-    assert_eq!(fast, slow);
-    assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-}
-
-#[test]
 fn engine_telemetry_reports_lanes_and_folded_pairs() {
     let problem = QaoaProblem::maxcut_ring4();
-    let ensemble = parallel_fleet(SimParallelism::Workers(3), SimulatorKind::Density);
+    let ensemble = parallel_fleet(SimParallelism::Workers(3));
     let mut session = ensemble.session(&problem).expect("session binds");
     let report = DiscreteEventExecutor::new()
         .run(&mut session)
@@ -601,11 +554,10 @@ fn engine_telemetry_reports_lanes_and_folded_pairs() {
 
 #[test]
 fn wrapper_executors_match_reference_functions() {
-    // The public execute_density / execute_trajectories wrappers (used
-    // by external callers and the figure harnesses) are thin shims over
-    // the engine; they must reproduce the preserved reference
-    // implementations byte for byte.
-    use qdevice::noise_model::{execute_density, execute_trajectories, reference, NoiseModel};
+    // The public execute_density wrapper (used by external callers and
+    // the figure harnesses) is a thin shim over the engine; it must
+    // reproduce the preserved reference implementation byte for byte.
+    use qdevice::noise_model::{execute_density, reference, NoiseModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -617,11 +569,5 @@ fn wrapper_executors_match_reference_functions() {
     let (b, db) =
         reference::execute_density(&circuit, &noise, 30_000, &mut StdRng::seed_from_u64(21));
     assert_eq!(a, b, "density wrapper must be byte-identical");
-    assert_eq!(da.to_bits(), db.to_bits());
-
-    let (a, da) = execute_trajectories(&circuit, &noise, 4096, 64, &mut StdRng::seed_from_u64(22));
-    let (b, db) =
-        reference::execute_trajectories(&circuit, &noise, 4096, 64, &mut StdRng::seed_from_u64(22));
-    assert_eq!(a, b, "trajectory wrapper must be byte-identical");
     assert_eq!(da.to_bits(), db.to_bits());
 }

@@ -176,43 +176,6 @@ fn seeded_native_circuit(n: usize, seed: u64, gates: usize) -> (Circuit, usize, 
     (c, params, sym_gates)
 }
 
-/// The measurement distribution of a bound circuit under `noise` by the
-/// literal Kraus sum: the gate-for-gate trajectory lowering of the
-/// schedule (true matrices, Kraus lists, no frame) replayed on a density
-/// matrix with the preserved pre-engine kernels.
-fn kraus_sum_distribution(bound: &Circuit, noise: &qdevice::NoiseModel) -> Vec<f64> {
-    use qsim::density::baseline;
-    use qsim::program::TapeOp;
-    let program = qdevice::compile_bound(
-        bound,
-        noise,
-        &qdevice::CompileOptions::default(),
-        qsim::Lowering::Trajectory,
-    );
-    let kraus = program.kraus_channels();
-    let mut rho = qsim::DensityMatrix::new(bound.num_qubits());
-    for op in program.ops() {
-        match *op {
-            TapeOp::Unitary1q { slot, q } => {
-                baseline::apply_unitary_1q(&mut rho, program.unitary(slot), q)
-            }
-            TapeOp::Unitary2q { slot, q0, q1 } => {
-                baseline::apply_unitary_2q(&mut rho, program.unitary(slot), q0, q1)
-            }
-            TapeOp::Channel1q { channel, q } => {
-                baseline::apply_channel(&mut rho, &kraus[channel], &[q])
-            }
-            TapeOp::Channel2q { channel, q0, q1 } => {
-                baseline::apply_channel(&mut rho, &kraus[channel], &[q0, q1])
-            }
-        }
-    }
-    rho.normalize();
-    program
-        .readout()
-        .apply_to_distribution(&rho.probabilities())
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -325,34 +288,6 @@ proptest! {
             a.completed.as_secs().to_bits(),
             b.completed.as_secs().to_bits()
         );
-    }
-
-    /// Fanning independent trajectories over a worker team preserves
-    /// counts and the master RNG stream exactly.
-    #[test]
-    fn worker_team_trajectories_are_byte_identical_to_serial(
-        n in 2usize..8,
-        seed in 0u64..256,
-        workers in 2usize..6,
-        trajectories in 2usize..40,
-    ) {
-        use qdevice::SimulatorKind;
-        let circuit = seeded_circuit(n, seed, 10);
-        let active: Vec<usize> = (0..n).collect();
-        let mut serial =
-            seven_qubit_backend(seed).with_simulator(SimulatorKind::Trajectories(trajectories));
-        let mut par =
-            seven_qubit_backend(seed).with_simulator(SimulatorKind::Trajectories(trajectories));
-        par.set_parallelism(qsim::ParallelCtx::with_workers(workers));
-        let mut t = qdevice::SimTime::ZERO;
-        for _ in 0..2 {
-            let a = serial.execute(&circuit, &active, 256, t);
-            let b = par.execute(&circuit, &active, 256, t);
-            prop_assert_eq!(&a.counts, &b.counts);
-            // A second job from the same backends: diverging RNG state
-            // after the first job would surface here.
-            t = a.completed + 60.0;
-        }
     }
 
     /// Group-fork suffixes fanned over pipeline lanes are byte-identical
@@ -552,7 +487,7 @@ proptest! {
                      probs: &[f64],
                      bound: &Circuit|
          -> Result<(), TestCaseError> {
-            let oracle = kraus_sum_distribution(bound, &noise);
+            let oracle = reference::density_distribution(bound, &noise);
             for (i, (a, b)) in probs.iter().zip(&oracle).enumerate() {
                 prop_assert!((a - b).abs() <= 1e-12, "{}: p[{}] = {} vs {}", what, i, a, b);
             }
