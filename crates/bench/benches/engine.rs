@@ -11,8 +11,7 @@
 //! client-style template path (compile once, rebind per job). The
 //! engine must clear >= 2x over legacy; the template path (a shift
 //! pair walks its shared tape prefix once) adds more.
-//! `parallel_engine_*` pins the worker-team engine's overhead at
-//! sub-threshold widths. `compile/*` is what a drifting device pays per
+//! `compile/*` is what a drifting device pays per
 //! job before it can bind — a fresh template (`first_*`: plan + fill)
 //! against a long-lived one meeting a new noise token (`token_miss_*`:
 //! a refresh of the plan) — on the four benchmark templates;
@@ -31,7 +30,7 @@ use qsim::density::baseline;
 use qsim::noise::Superop;
 use qsim::program::{CompiledProgram, ProgramBuilder, TapeOp};
 use qsim::sampler::{ReadoutError, ShotSampler};
-use qsim::{gates, DensityEngine, DensityMatrix, KrausChannel, ParallelCtx, SuperopTable};
+use qsim::{gates, DensityEngine, DensityMatrix, KrausChannel, SuperopTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -80,9 +79,8 @@ fn bench_gate_kernels(c: &mut Criterion) {
     // The three sweeps a transpiled 7-qubit tape is made of: the
     // parameterized RZ, a fused one-qubit cluster (complex: sx +
     // relaxation + depolarizing; real: relaxation alone) and a fused
-    // two-qubit cluster (cx + relaxation on both + depolarizing) —
-    // serial, then the same rows under a two-lane team. One pass is
-    // 7–60 us, so take more samples than the default ten.
+    // two-qubit cluster (cx + relaxation on both + depolarizing). One
+    // pass is 7–60 us, so take more samples than the default ten.
     group.sample_size(100);
     let relax = KrausChannel::thermal_relaxation(120e3, 90e3, 300.0);
     let depol1 = KrausChannel::depolarizing_1q(0.001);
@@ -104,24 +102,17 @@ fn bench_gate_kernels(c: &mut Criterion) {
     for q in 0..7 {
         rho.apply_unitary_1q(&gates::h(), q);
     }
-    for (suffix, ctx) in [
-        ("", ParallelCtx::SERIAL),
-        ("_2lanes", ParallelCtx::with_workers(2)),
-    ] {
-        group.bench_function(format!("rz_7q{suffix}"), |b| {
-            b.iter(|| rho.apply_unitary_1q_ctx(&rz, 3, &ctx))
+    group.bench_function("rz_7q", |b| b.iter(|| rho.apply_unitary_1q(&rz, 3)));
+    let clusters = [
+        ("fused_1q_complex", &complex_1q),
+        ("fused_1q_real", &real_1q),
+        ("fused_2q", &fused_2q),
+    ];
+    for (name, program) in clusters {
+        let (s, qubits) = only_sweep(program);
+        group.bench_function(format!("{name}_7q"), |b| {
+            b.iter(|| rho.apply_superop(s, &qubits))
         });
-        let clusters = [
-            ("fused_1q_complex", &complex_1q),
-            ("fused_1q_real", &real_1q),
-            ("fused_2q", &fused_2q),
-        ];
-        for (name, program) in clusters {
-            let (s, qubits) = only_sweep(program);
-            group.bench_function(format!("{name}_7q{suffix}"), |b| {
-                b.iter(|| rho.apply_superop_ctx(s, &qubits, &ctx))
-            });
-        }
     }
     group.finish();
 }
@@ -179,13 +170,13 @@ fn bench_channel_application(c: &mut Criterion) {
         b.iter(|| baseline::apply_channel(&mut rho, &ch1, &[2]))
     });
     group.bench_function("depol_1q_lowered", |b| {
-        b.iter(|| rho.apply_superop_ctx(table.get(s1), &[2], &ParallelCtx::SERIAL))
+        b.iter(|| rho.apply_superop(table.get(s1), &[2]))
     });
     group.bench_function("depol_2q_baseline", |b| {
         b.iter(|| baseline::apply_channel(&mut rho, &ch2, &[1, 3]))
     });
     group.bench_function("depol_2q_lowered", |b| {
-        b.iter(|| rho.apply_superop_ctx(table.get(s2), &[1, 3], &ParallelCtx::SERIAL))
+        b.iter(|| rho.apply_superop(table.get(s2), &[1, 3]))
     });
     group.finish();
 }
@@ -237,16 +228,6 @@ fn bench_job_throughput(c: &mut Criterion) {
     let mut engine = backend(2);
     group.bench_function("engine_4q_vqe_8192", |b| {
         b.iter(|| engine.execute(&circuit, &active, 8192, SimTime::ZERO))
-    });
-
-    // The engine with a worker team on the density kernels. The
-    // 4-qubit job sits below the parallel row-block threshold, so this
-    // doubles as the "parallelism is free when it cannot help" guard;
-    // wider jobs fan the row blocks out.
-    let mut parallel = backend(2);
-    parallel.set_parallelism(qsim::ParallelCtx::with_workers(4));
-    group.bench_function("parallel_engine_4q_vqe_8192", |b| {
-        b.iter(|| parallel.execute(&circuit, &active, 8192, SimTime::ZERO))
     });
 
     // The client-style hot path: symbolic template compiled once per

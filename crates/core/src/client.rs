@@ -152,12 +152,6 @@ impl ClientNode {
         self.templates.iter().map(|t| t.compiled.cache_hits()).sum()
     }
 
-    /// Lanes of engine data-parallelism the backend simulates with (1
-    /// when serial; does not affect results).
-    pub fn sim_workers(&self) -> usize {
-        self.backend.sim_workers()
-    }
-
     /// Density runs the backend evolved through its group-fork walk
     /// (engine telemetry; does not affect results).
     pub fn batched_jobs(&self) -> u64 {

@@ -3,60 +3,34 @@
 use crate::error::EqcError;
 use crate::policy::{AlwaysHealthy, ClientHealth, Cyclic, FidelityWeighted, Scheduler, Weighting};
 use crate::weighting::WeightBounds;
-use qsim::ParallelCtx;
 use std::sync::Arc;
 
-/// Data-parallelism of each client's simulation engine.
+/// Parallelism of a session's simulation: whole jobs over a shared
+/// [`qsim::BatchPipeline`], or none.
 ///
-/// Controls the [`qsim::WorkerTeam`] a session attaches to its
-/// backends: the density kernels' row blocks fan out over the team.
-/// Results are **byte-identical at any setting** — the engine
-/// partitions work, never reorders arithmetic or RNG draws — so this is
-/// purely a wall-clock
-/// knob. Below six active qubits the kernels stay serial regardless.
-/// Measured on a shared 2-vCPU sandbox (`engine` bench,
-/// `gate_kernel/*_7q` beside `*_7q_2lanes`, and a tight-loop harness
-/// from 6 to 11 qubits): at 6–7 qubits a two-lane team never beat
-/// serial on any kernel pass (7 qubits, best of 100: one-qubit sweep 62
-/// vs 63 us, RZ 7.5 vs 7.8 us; tight loop 1.05–1.4x slower) — a pass is
-/// now shorter than a worker wake-up — and from 8 to 11 qubits it ran
-/// anywhere between 1.0x and 2.0x serial from one process to the next.
-/// So: 8–12-qubit density states only, which no paper device needs; the
-/// paper's 4–7 qubit workloads parallelize through
-/// [`SimParallelism::Pipeline`] instead.
+/// Results are **byte-identical at any setting** — a job writes its own
+/// output and performs the same arithmetic on any lane, and RNG draws
+/// are never reordered — so this is purely a wall-clock knob. Whole
+/// jobs are the only unit of simulator parallelism, as whole gradient
+/// tasks are the paper's unit across devices. The kernels of one job
+/// are serial: a row-block worker team that fanned one kernel pass over
+/// threads was deleted because, on a shared 2-vCPU host, two lanes
+/// never beat serial on any kernel pass at 6–7 qubits (a pass is
+/// shorter than a worker wake-up) and ran anywhere from 1.0x to 2.0x
+/// serial at 8–11 qubits from one process to the next, while every
+/// paper circuit is 4–7 qubits.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimParallelism {
     /// Everything on the submitting thread (the default).
     #[default]
     Serial,
-    /// A worker team with this many total lanes (the submitting thread
-    /// plus `n - 1` spawned workers). `Workers(1)` is equivalent to
-    /// [`SimParallelism::Serial`]. The fan-out threshold stays at the
-    /// engine default ([`qsim::DEFAULT_PAR_MIN_DIM`]).
-    Workers(usize),
-    /// A worker team with an explicit fan-out threshold: kernel passes
-    /// on states of Hilbert dimension below `min_dim` stay on the
-    /// serial fast path even under the team. `Tuned { workers, min_dim:
-    /// qsim::DEFAULT_PAR_MIN_DIM }` is equivalent to
-    /// `Workers(workers)`; a smaller `min_dim` lets small-qubit
-    /// workloads fan out too. Byte-identical results at any setting.
-    Tuned {
-        /// Total lanes of parallelism (as in [`SimParallelism::Workers`]).
-        workers: usize,
-        /// Minimum Hilbert dimension before kernel passes use the team.
-        min_dim: usize,
-    },
     /// The fleet-wide job pipeline: one shared [`qsim::BatchPipeline`]
     /// with this many lanes drains *whole simulation jobs* — the forked
     /// suffix evolutions of each gradient task — from every client of
-    /// the session (and, on the fleet drives, every tenant), instead of
-    /// each client fanning the row blocks of one kernel pass. This is
-    /// the knob that parallelizes the paper's 4–7 qubit workloads,
-    /// which sit below the row-block threshold. The execution path is
-    /// the one [`SimParallelism::Serial`] takes; the lanes only decide
-    /// where suffixes resume, so `Pipeline { lanes: 1 }` spawns no
-    /// threads and runs exactly what `Serial` runs. Byte-identical
-    /// results at any lane count.
+    /// the session (and, on the fleet drives, every tenant). The
+    /// execution path is the one [`SimParallelism::Serial`] takes; the
+    /// lanes only decide where suffixes resume, so `Pipeline { lanes: 1
+    /// }` spawns no threads and runs exactly what `Serial` runs.
     Pipeline {
         /// Total lanes of execution (submitting threads help drain).
         lanes: usize,
@@ -64,31 +38,14 @@ pub enum SimParallelism {
 }
 
 impl SimParallelism {
-    /// Builds the parallel context this setting describes. Each call
-    /// spawns a fresh team for [`SimParallelism::Workers`] and
-    /// [`SimParallelism::Tuned`]; callers build one per session and
-    /// share it across that session's backends.
-    pub fn build_ctx(&self) -> ParallelCtx {
-        match *self {
-            SimParallelism::Serial => ParallelCtx::serial(),
-            SimParallelism::Workers(n) => ParallelCtx::with_workers(n),
-            SimParallelism::Tuned { workers, min_dim } => {
-                ParallelCtx::with_workers(workers).with_min_dim(min_dim)
-            }
-            // The pipeline parallelizes across jobs, not row blocks —
-            // engines stay serial.
-            SimParallelism::Pipeline { .. } => ParallelCtx::serial(),
-        }
-    }
-
     /// Builds the shared batched-job pipeline this setting describes
-    /// (`None` for every non-pipeline setting). Callers build one per
+    /// (`None` for [`SimParallelism::Serial`]). Callers build one per
     /// session — or one per fleet, shared across tenants — and attach
     /// it to every backend.
     pub fn build_pipeline(&self) -> Option<std::sync::Arc<qsim::BatchPipeline>> {
         match *self {
+            SimParallelism::Serial => None,
             SimParallelism::Pipeline { lanes } => Some(qsim::BatchPipeline::new(lanes)),
-            _ => None,
         }
     }
 
@@ -96,8 +53,6 @@ impl SimParallelism {
     pub fn lanes(&self) -> usize {
         match *self {
             SimParallelism::Serial => 1,
-            SimParallelism::Workers(n) => n.max(1),
-            SimParallelism::Tuned { workers, .. } => workers.max(1),
             SimParallelism::Pipeline { lanes } => lanes.max(1),
         }
     }
@@ -127,7 +82,7 @@ pub struct EqcConfig {
     /// completed task crosses it (the paper terminates single-machine
     /// experiments "beyond 2-weeks of running time", Fig. 6).
     pub max_virtual_hours: Option<f64>,
-    /// Data-parallelism of each client's simulation engines (default
+    /// Job-level parallelism of the session's simulation (default
     /// serial; byte-identical results at any setting).
     pub sim_parallelism: SimParallelism,
 }
@@ -198,7 +153,7 @@ impl EqcConfig {
         self
     }
 
-    /// Builder-style engine-parallelism override (see
+    /// Builder-style simulation-parallelism override (see
     /// [`SimParallelism`]; byte-identical results at any setting).
     pub fn with_sim_parallelism(mut self, parallelism: SimParallelism) -> Self {
         self.sim_parallelism = parallelism;
@@ -239,14 +194,9 @@ impl EqcConfig {
                 )));
             }
         }
-        if matches!(
-            self.sim_parallelism,
-            SimParallelism::Workers(0)
-                | SimParallelism::Tuned { workers: 0, .. }
-                | SimParallelism::Pipeline { lanes: 0 }
-        ) {
+        if self.sim_parallelism == (SimParallelism::Pipeline { lanes: 0 }) {
             return Err(EqcError::InvalidConfig(
-                "engine worker-team lanes must be positive".into(),
+                "engine pipeline lanes must be positive".into(),
             ));
         }
         if let Some(h) = self.max_virtual_hours {
@@ -625,33 +575,26 @@ mod tests {
     }
 
     #[test]
-    fn tuned_parallelism_validates_and_resolves() {
+    fn pipeline_parallelism_validates_and_resolves() {
         use crate::error::EqcError;
-        let tuned = SimParallelism::Tuned {
-            workers: 4,
-            min_dim: 2,
-        };
-        assert_eq!(tuned.lanes(), 4);
+        let piped = SimParallelism::Pipeline { lanes: 3 };
+        assert_eq!(piped.lanes(), 3);
+        assert_eq!(SimParallelism::Serial.lanes(), 1);
         assert!(EqcConfig::paper_qaoa()
-            .with_sim_parallelism(tuned)
+            .with_sim_parallelism(piped)
             .validate()
             .is_ok());
         assert!(matches!(
             EqcConfig::paper_qaoa()
-                .with_sim_parallelism(SimParallelism::Tuned {
-                    workers: 0,
-                    min_dim: 64
-                })
+                .with_sim_parallelism(SimParallelism::Pipeline { lanes: 0 })
                 .validate(),
             Err(EqcError::InvalidConfig(_))
         ));
-        let ctx = SimParallelism::Tuned {
-            workers: 2,
-            min_dim: 8,
-        }
-        .build_ctx();
-        assert_eq!(ctx.workers(), 2);
-        assert_eq!(ctx.min_dim(), 8);
+        assert!(SimParallelism::Serial.build_pipeline().is_none());
+        let pipeline = piped
+            .build_pipeline()
+            .expect("a pipeline setting builds one");
+        assert_eq!(pipeline.lanes(), 3);
     }
 
     #[test]

@@ -39,7 +39,6 @@ use crate::policy::health::HealthProbe;
 use crate::policy::{ClientHealth, Scheduler, Weighting};
 use crate::report::TrainingReport;
 use qdevice::{Calibration, DriftModel, QpuBackend, QueueModel};
-use qsim::ParallelCtx;
 use std::sync::Arc;
 use transpile::Topology;
 use vqa::VqaProblem;
@@ -156,15 +155,12 @@ pub(crate) fn resolve_devices(
 /// Transpiles every template of `problem` for every device slot — the
 /// client-construction path shared by [`Ensemble::session`] and
 /// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit). Every
-/// backend's simulation engines attach to `par`'s worker team (one
-/// shared team per session; results are byte-identical at any worker
-/// count), and to the shared batched-job `pipeline` when one is
+/// backend attaches to the shared batched-job `pipeline` when one is
 /// configured — one pipeline per session, or per fleet across tenants,
 /// so every client's simulation jobs interleave on the same lanes.
 pub(crate) fn clients_for(
     devices: &[Device],
     problem: &dyn VqaProblem,
-    par: &ParallelCtx,
     pipeline: Option<&Arc<qsim::BatchPipeline>>,
 ) -> Result<Vec<ClientNode>, EqcError> {
     let mut clients = Vec::with_capacity(devices.len());
@@ -173,7 +169,6 @@ pub(crate) fn clients_for(
             Device::Backend(b) => (**b).clone(),
             Device::Ideal { seed } => ideal_backend(problem.num_qubits(), *seed),
         };
-        backend.set_parallelism(par.clone());
         if let Some(p) = pipeline {
             backend.set_batch_pipeline(p.clone());
         }
@@ -259,9 +254,8 @@ impl Ensemble {
         if problem.num_params() == 0 || problem.tasks().is_empty() {
             return Err(EqcError::EmptyProblem(problem.name()));
         }
-        let par = self.config.sim_parallelism.build_ctx();
         let pipeline = self.config.sim_parallelism.build_pipeline();
-        let clients = clients_for(&self.devices, problem, &par, pipeline.as_ref())?;
+        let clients = clients_for(&self.devices, problem, pipeline.as_ref())?;
         EnsembleSession::assemble(problem, self.config, self.policies.clone(), clients)
     }
 
@@ -534,19 +528,12 @@ impl<'p> EnsembleSession<'p> {
         (&mut self.clients, &mut self.master)
     }
 
-    /// Engine-side telemetry across this session's clients: lanes of
-    /// data-parallelism, pipeline lanes, runs evolved and jobs
-    /// executed. Lives beside the report (see
+    /// Engine-side telemetry across this session's clients: pipeline
+    /// lanes, runs evolved and jobs executed. Lives beside the report (see
     /// [`EngineTelemetry`](crate::report::EngineTelemetry)) because the
     /// report itself is byte-identical at any engine setting.
     pub fn engine_telemetry(&self) -> crate::report::EngineTelemetry {
         crate::report::EngineTelemetry {
-            workers: self
-                .clients
-                .iter()
-                .map(ClientNode::sim_workers)
-                .max()
-                .unwrap_or(1),
             folded_pairs: 0,
             jobs: self
                 .clients
@@ -614,45 +601,6 @@ mod tests {
         assert!(first.is_ok());
         let second = DiscreteEventExecutor::new().run(&mut session);
         assert_eq!(second.unwrap_err(), EqcError::SessionConsumed);
-    }
-
-    #[test]
-    fn tuned_parallelism_is_byte_identical_to_serial() {
-        use crate::config::SimParallelism;
-        let problem = vqa::QaoaProblem::maxcut_ring4();
-        let train = |parallelism: SimParallelism| {
-            Ensemble::builder()
-                .devices(["belem", "manila"])
-                .device_seed(7)
-                .config(
-                    EqcConfig::paper_qaoa()
-                        .with_epochs(2)
-                        .with_shots(128)
-                        .with_sim_parallelism(parallelism),
-                )
-                .build()
-                .expect("builds")
-                .train(&problem)
-                .expect("trains")
-        };
-        let serial = train(SimParallelism::Serial);
-        // min_dim 2 forces the 4-qubit (dim-16) kernels onto the team —
-        // the default threshold of 64 would leave them serial and the
-        // equivalence vacuous.
-        let tuned = train(SimParallelism::Tuned {
-            workers: 2,
-            min_dim: 2,
-        });
-        assert_eq!(
-            format!("{serial:?}"),
-            format!("{tuned:?}"),
-            "kernel fan-out must partition work, never reorder arithmetic"
-        );
-        let default_threshold = train(SimParallelism::Tuned {
-            workers: 2,
-            min_dim: qsim::DEFAULT_PAR_MIN_DIM,
-        });
-        assert_eq!(format!("{serial:?}"), format!("{default_threshold:?}"));
     }
 
     #[test]

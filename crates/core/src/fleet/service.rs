@@ -331,13 +331,12 @@ impl<'p> FleetService<'p> {
         if problem.num_params() == 0 || problem.tasks().is_empty() {
             return Err(EqcError::EmptyProblem(problem.name()));
         }
-        let par = tenant.config.sim_parallelism.build_ctx();
         let pipeline = tenant
             .config
             .sim_parallelism
             .build_pipeline()
             .map(|built| self.pipeline.get_or_insert(built).clone());
-        let clients = clients_for(&self.devices, problem, &par, pipeline.as_ref())?;
+        let clients = clients_for(&self.devices, problem, pipeline.as_ref())?;
         let probes = probes_for(&tenant.policies, &clients);
         let master = MasterLoop::new(
             problem,

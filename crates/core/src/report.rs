@@ -72,12 +72,11 @@ impl fmt::Display for PoolTelemetry {
 /// Like [`PoolTelemetry`], engine telemetry lives *beside* the
 /// [`TrainingReport`]: the report is byte-identical at any
 /// [`SimParallelism`](crate::SimParallelism) setting, while these
-/// counters describe the simulation machinery. Read with
+/// counters describe the simulation machinery — the job pipeline is
+/// the only simulator parallelism they count. Read with
 /// [`EnsembleSession::engine_telemetry`](crate::EnsembleSession::engine_telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTelemetry {
-    /// Lanes of engine data-parallelism per client (1 when serial).
-    pub workers: usize,
     /// Retired with pair folding (a pair is a fork group of two):
     /// always 0. Kept only because the frozen benchmark reads it.
     pub folded_pairs: u64,
@@ -98,8 +97,8 @@ impl fmt::Display for EngineTelemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} engine lanes, {} jobs, {} pipeline lanes, {} batched runs",
-            self.workers, self.jobs, self.pipeline_lanes, self.batched_jobs
+            "{} jobs, {} pipeline lanes, {} batched runs",
+            self.jobs, self.pipeline_lanes, self.batched_jobs
         )
     }
 }

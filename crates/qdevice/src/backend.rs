@@ -41,7 +41,7 @@ use crate::drift::DriftModel;
 use crate::noise_model::{reference, NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::Circuit;
-use qsim::{BatchPipeline, Counts, DensityEngine, DensityMatrix, ParallelCtx};
+use qsim::{BatchPipeline, Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -436,18 +436,6 @@ impl QpuBackend {
     /// Lanes of the attached pipeline (1 when suffixes resume inline).
     pub fn pipeline_lanes(&self) -> usize {
         self.batch_pipeline.as_ref().map_or(1, |p| p.lanes())
-    }
-
-    /// Attaches a parallel context to the density engine: its kernel
-    /// passes fan out over the context's worker team. Serial by default;
-    /// results are byte-identical at any worker count.
-    pub fn set_parallelism(&mut self, ctx: ParallelCtx) {
-        self.density_engine.set_parallel_ctx(ctx);
-    }
-
-    /// Lanes of engine parallelism (1 when serial).
-    pub fn sim_workers(&self) -> usize {
-        self.density_engine.parallel_ctx().workers()
     }
 
     /// Overrides the maintenance downtime (builder style).

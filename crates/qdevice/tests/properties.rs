@@ -201,7 +201,7 @@ proptest! {
         duration in 1.0..2000.0f64,
         phi in -7.0..7.0f64,
     ) {
-        use qsim::{gates, DensityMatrix, ParallelCtx, StateVector, SuperopTable};
+        use qsim::{gates, DensityMatrix, StateVector, SuperopTable};
         let mut table = SuperopTable::default();
         let relaxation = table.push_thermal_relaxation(t1 * 1e3, t1 * t2_over_t1 * 1e3, duration);
         let depolarizing_1q = table.push_depolarizing_1q(p);
@@ -233,8 +233,8 @@ proptest! {
                 for &q in qubits {
                     let (mut phase_first, mut channel_first) = (rho.clone(), rho.clone());
                     phase_first.apply_unitary_1q(&rz, q);
-                    phase_first.apply_superop_ctx(table.get(channel), qubits, &ParallelCtx::SERIAL);
-                    channel_first.apply_superop_ctx(table.get(channel), qubits, &ParallelCtx::SERIAL);
+                    phase_first.apply_superop(table.get(channel), qubits);
+                    channel_first.apply_superop(table.get(channel), qubits);
                     channel_first.apply_unitary_1q(&rz, q);
                     prop_assert!(
                         phase_first.matrix().approx_eq(&channel_first.matrix(), 1e-14),

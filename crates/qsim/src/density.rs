@@ -11,39 +11,21 @@ use crate::complex::C64;
 use crate::gates::Pauli;
 use crate::matrix::CMatrix;
 use crate::noise::{KrausChannel, Superop, SuperopTable};
-use crate::parallel::ParallelCtx;
 use crate::statevector::StateVector;
 use rand::Rng;
 
-/// The context a kernel pass actually runs under: the caller's team for
-/// states at or above its fan-out threshold
-/// ([`ParallelCtx::min_dim`], default
-/// [`crate::parallel::DEFAULT_PAR_MIN_DIM`]), inline-serial below it.
-#[inline]
-fn gate_ctx(ctx: &ParallelCtx, dim: usize) -> &ParallelCtx {
-    if dim >= ctx.min_dim() {
-        ctx
-    } else {
-        &ParallelCtx::SERIAL
-    }
-}
-
-/// Raw row-major storage shared across a worker team. Every kernel pass
-/// partitions its row set so that concurrent indices touch disjoint
-/// rows; this wrapper only erases the borrow so the partition can cross
-/// threads.
+/// Raw row-major storage for the passes the borrow checker cannot
+/// express: the pair and quad passes hold two or four disjoint rows of
+/// one matrix at once, and the block sweep reads entries at offsets it
+/// has already bounded.
 struct RowPtr(*mut C64);
-
-// SAFETY: all concurrent access goes through disjoint row partitions
-// (the caller's proof obligation on `row`/`at`).
-unsafe impl Sync for RowPtr {}
 
 impl RowPtr {
     /// Mutable view of row `r`.
     ///
     /// # Safety
     ///
-    /// Row `r` must be in bounds and not concurrently accessed.
+    /// Row `r` must be in bounds and not otherwise borrowed.
     #[inline(always)]
     unsafe fn row<'a>(&self, r: usize, dim: usize) -> &'a mut [C64] {
         std::slice::from_raw_parts_mut(self.0.add(r * dim), dim)
@@ -53,7 +35,7 @@ impl RowPtr {
     ///
     /// # Safety
     ///
-    /// `i` must be in bounds and its row not concurrently accessed.
+    /// `i` must be in bounds and its row not otherwise borrowed.
     #[inline(always)]
     unsafe fn at<'a>(&self, i: usize) -> &'a mut C64 {
         &mut *self.0.add(i)
@@ -96,55 +78,45 @@ fn insert_bit(k: usize, q: usize) -> usize {
 }
 
 /// Applies `rho -> U rho U^dag` for a 2x2 operator on qubit `q`, over
-/// raw row-major storage.
-///
-/// Both passes partition over disjoint row sets (left: base-row pairs,
-/// right: single rows) with per-element arithmetic independent of the
-/// partition, so any worker count produces byte-identical results.
-fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize, ctx: &ParallelCtx) {
+/// raw row-major storage: a left pass over base-row pairs, then a right
+/// pass over single rows.
+fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize) {
     if u[(0, 1)] == C64::ZERO && u[(1, 0)] == C64::ZERO {
-        return kernel_1q_diag(mat, dim, [u[(0, 0)], u[(1, 1)]], q, ctx);
+        return kernel_1q_diag(mat, dim, [u[(0, 0)], u[(1, 1)]], q);
     }
     if let Some(rows) = sparse_rows::<2>(u) {
-        return kernel_1q_sparse(mat, dim, &rows, q, ctx);
+        return kernel_1q_sparse(mat, dim, &rows, q);
     }
-    let ctx = gate_ctx(ctx, dim);
     let bit = 1usize << q;
     let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
     let p = RowPtr(mat.as_mut_ptr());
     // Left multiply: rows mix in pairs. Row-major storage, so walk row
     // pairs with contiguous inner slices (no per-element bounds checks).
-    ctx.run_chunks(dim / 2, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(k, q);
-            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-            let row0 = unsafe { p.row(r, dim) };
-            let row1 = unsafe { p.row(r | bit, dim) };
-            for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a0 = *x0;
-                let a1 = *x1;
-                *x0 = u00 * a0 + u01 * a1;
-                *x1 = u10 * a0 + u11 * a1;
-            }
+    for k in 0..dim / 2 {
+        let r = insert_bit(k, q);
+        // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
+        let row0 = unsafe { p.row(r, dim) };
+        let row1 = unsafe { p.row(r | bit, dim) };
+        for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
+            let a0 = *x0;
+            let a1 = *x1;
+            *x0 = u00 * a0 + u01 * a1;
+            *x1 = u10 * a0 + u11 * a1;
         }
-    });
+    }
     // Right multiply by U^dag: columns mix with conjugated coefficients.
     let (d00, d01, d10, d11) = (u00.conj(), u10.conj(), u01.conj(), u11.conj());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & bit == 0 {
-                    let c1 = c | bit;
-                    let a0 = row[c];
-                    let a1 = row[c1];
-                    row[c] = a0 * d00 + a1 * d10;
-                    row[c1] = a0 * d01 + a1 * d11;
-                }
+    for row in mat.chunks_exact_mut(dim) {
+        for c in 0..dim {
+            if c & bit == 0 {
+                let c1 = c | bit;
+                let a0 = row[c];
+                let a1 = row[c1];
+                row[c] = a0 * d00 + a1 * d10;
+                row[c1] = a0 * d01 + a1 * d11;
             }
         }
-    });
+    }
 }
 
 /// Diagonal-operator path for [`kernel_1q`] (every parameterized op left
@@ -157,86 +129,66 @@ fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize, ctx: &ParallelC
 /// When both entries have unit modulus (every phase gate) the factor on
 /// the half of the state with `r_q == c_q` is exactly 1 and that half —
 /// the whole diagonal with it — is not touched at all.
-fn kernel_1q_diag(mat: &mut [C64], dim: usize, d: [C64; 2], q: usize, ctx: &ParallelCtx) {
-    let ctx = gate_ctx(ctx, dim);
+fn kernel_1q_diag(mat: &mut [C64], dim: usize, d: [C64; 2], q: usize) {
     let bit = 1usize << q;
     let unit = d
         .iter()
         .all(|z| (z.norm_sqr() - 1.0).abs() <= 4.0 * f64::EPSILON);
-    let p = RowPtr(mat.as_mut_ptr());
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            let rq = usize::from(r & bit != 0);
-            let f = [d[rq] * d[0].conj(), d[rq] * d[1].conj()];
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for run in row.chunks_exact_mut(2 * bit) {
-                let (lo, hi) = run.split_at_mut(bit);
-                for (cq, half) in [lo, hi].into_iter().enumerate() {
-                    if !(unit && cq == rq) {
-                        half.iter_mut().for_each(|x| *x *= f[cq]);
-                    }
+    for (r, row) in mat.chunks_exact_mut(dim).enumerate() {
+        let rq = usize::from(r & bit != 0);
+        let f = [d[rq] * d[0].conj(), d[rq] * d[1].conj()];
+        for run in row.chunks_exact_mut(2 * bit) {
+            let (lo, hi) = run.split_at_mut(bit);
+            for (cq, half) in [lo, hi].into_iter().enumerate() {
+                if !(unit && cq == rq) {
+                    half.iter_mut().for_each(|x| *x *= f[cq]);
                 }
             }
         }
-    });
+    }
 }
 
 /// Sparse-operator fast path for [`kernel_1q`]: one multiply per
 /// element per pass instead of a full 2x2 product.
-fn kernel_1q_sparse(
-    mat: &mut [C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 2],
-    q: usize,
-    ctx: &ParallelCtx,
-) {
-    let ctx = gate_ctx(ctx, dim);
+fn kernel_1q_sparse(mat: &mut [C64], dim: usize, rows: &[Option<(usize, C64)>; 2], q: usize) {
     let bit = 1usize << q;
     let p = RowPtr(mat.as_mut_ptr());
     // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    ctx.run_chunks(dim / 2, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(k, q);
-            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-            let row0 = unsafe { p.row(r, dim) };
-            let row1 = unsafe { p.row(r | bit, dim) };
-            for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-                let a = [*x0, *x1];
-                *x0 = rows[0].map_or(C64::ZERO, |(c, v)| v * a[c]);
-                *x1 = rows[1].map_or(C64::ZERO, |(c, v)| v * a[c]);
-            }
+    for k in 0..dim / 2 {
+        let r = insert_bit(k, q);
+        // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
+        let row0 = unsafe { p.row(r, dim) };
+        let row1 = unsafe { p.row(r | bit, dim) };
+        for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
+            let a = [*x0, *x1];
+            *x0 = rows[0].map_or(C64::ZERO, |(c, v)| v * a[c]);
+            *x1 = rows[1].map_or(C64::ZERO, |(c, v)| v * a[c]);
         }
-    });
+    }
     // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
     let d = [
         rows[0].map(|(c, v)| (c, v.conj())),
         rows[1].map(|(c, v)| (c, v.conj())),
     ];
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & bit == 0 {
-                    let c1 = c | bit;
-                    let a = [row[c], row[c1]];
-                    row[c] = d[0].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                    row[c1] = d[1].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                }
+    for row in mat.chunks_exact_mut(dim) {
+        for c in 0..dim {
+            if c & bit == 0 {
+                let c1 = c | bit;
+                let a = [row[c], row[c1]];
+                row[c] = d[0].map_or(C64::ZERO, |(i, v)| a[i] * v);
+                row[c1] = d[1].map_or(C64::ZERO, |(i, v)| a[i] * v);
             }
         }
-    });
+    }
 }
 
 /// Applies `rho -> U rho U^dag` for a 4x4 operator on the pair
 /// `(q0, q1)` over raw storage (see [`kernel_1q`]). The 4x4 matrix is
 /// hoisted into locals once so the inner loops run on registers.
-fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize, ctx: &ParallelCtx) {
+fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize) {
     if let Some(rows) = sparse_rows::<4>(u) {
-        return kernel_2q_sparse(mat, dim, &rows, q0, q1, ctx);
+        return kernel_2q_sparse(mat, dim, &rows, q0, q1);
     }
-    let ctx = gate_ctx(ctx, dim);
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
@@ -248,31 +200,28 @@ fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize, ctx
     }
     let p = RowPtr(mat.as_mut_ptr());
     // Left multiply U.
-    ctx.run_chunks(dim / 4, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(insert_bit(k, qa), qb);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                // SAFETY: distinct base rows yield disjoint row quads.
-                let a = unsafe {
-                    [
-                        *p.at(idx[0] * dim + c),
-                        *p.at(idx[1] * dim + c),
-                        *p.at(idx[2] * dim + c),
-                        *p.at(idx[3] * dim + c),
-                    ]
-                };
-                for (row_i, &i) in idx.iter().enumerate() {
-                    let mi = &m[row_i];
-                    // SAFETY: as above.
-                    unsafe {
-                        *p.at(i * dim + c) =
-                            mi[0] * a[0] + mi[1] * a[1] + mi[2] * a[2] + mi[3] * a[3];
-                    }
+    for k in 0..dim / 4 {
+        let r = insert_bit(insert_bit(k, qa), qb);
+        let idx = [r, r | b0, r | b1, r | b0 | b1];
+        for c in 0..dim {
+            // SAFETY: distinct base rows yield disjoint row quads.
+            let a = unsafe {
+                [
+                    *p.at(idx[0] * dim + c),
+                    *p.at(idx[1] * dim + c),
+                    *p.at(idx[2] * dim + c),
+                    *p.at(idx[3] * dim + c),
+                ]
+            };
+            for (row_i, &i) in idx.iter().enumerate() {
+                let mi = &m[row_i];
+                // SAFETY: as above.
+                unsafe {
+                    *p.at(i * dim + c) = mi[0] * a[0] + mi[1] * a[1] + mi[2] * a[2] + mi[3] * a[3];
                 }
             }
         }
-    });
+    }
     // Right multiply U^dag: (rho U^dag)_{r j} = sum_i rho_{r i} conj(U_{j i}).
     let mut md = [[C64::ZERO; 4]; 4];
     for (j, row) in md.iter_mut().enumerate() {
@@ -280,22 +229,18 @@ fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize, ctx
             *entry = m[j][i].conj();
         }
     }
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & b0 == 0 && c & b1 == 0 {
-                    let idx = [c, c | b0, c | b1, c | b0 | b1];
-                    let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                    for (col_j, &j) in idx.iter().enumerate() {
-                        let dj = &md[col_j];
-                        row[j] = a[0] * dj[0] + a[1] * dj[1] + a[2] * dj[2] + a[3] * dj[3];
-                    }
+    for row in mat.chunks_exact_mut(dim) {
+        for c in 0..dim {
+            if c & b0 == 0 && c & b1 == 0 {
+                let idx = [c, c | b0, c | b1, c | b0 | b1];
+                let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
+                for (col_j, &j) in idx.iter().enumerate() {
+                    let dj = &md[col_j];
+                    row[j] = a[0] * dj[0] + a[1] * dj[1] + a[2] * dj[2] + a[3] * dj[3];
                 }
             }
         }
-    });
+    }
 }
 
 /// Sparse-operator fast path for [`kernel_2q`] (see [`sparse_rows`]).
@@ -305,37 +250,33 @@ fn kernel_2q_sparse(
     rows: &[Option<(usize, C64)>; 4],
     q0: usize,
     q1: usize,
-    ctx: &ParallelCtx,
 ) {
-    let ctx = gate_ctx(ctx, dim);
     let b0 = 1usize << q0;
     let b1 = 1usize << q1;
     let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
     let p = RowPtr(mat.as_mut_ptr());
     // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    ctx.run_chunks(dim / 4, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(insert_bit(k, qa), qb);
-            let idx = [r, r | b0, r | b1, r | b0 | b1];
-            for c in 0..dim {
-                // SAFETY: distinct base rows yield disjoint row quads.
-                let a = unsafe {
-                    [
-                        *p.at(idx[0] * dim + c),
-                        *p.at(idx[1] * dim + c),
-                        *p.at(idx[2] * dim + c),
-                        *p.at(idx[3] * dim + c),
-                    ]
-                };
-                for (row_i, &i) in idx.iter().enumerate() {
-                    // SAFETY: as above.
-                    unsafe {
-                        *p.at(i * dim + c) = rows[row_i].map_or(C64::ZERO, |(j, v)| v * a[j]);
-                    }
+    for k in 0..dim / 4 {
+        let r = insert_bit(insert_bit(k, qa), qb);
+        let idx = [r, r | b0, r | b1, r | b0 | b1];
+        for c in 0..dim {
+            // SAFETY: distinct base rows yield disjoint row quads.
+            let a = unsafe {
+                [
+                    *p.at(idx[0] * dim + c),
+                    *p.at(idx[1] * dim + c),
+                    *p.at(idx[2] * dim + c),
+                    *p.at(idx[3] * dim + c),
+                ]
+            };
+            for (row_i, &i) in idx.iter().enumerate() {
+                // SAFETY: as above.
+                unsafe {
+                    *p.at(i * dim + c) = rows[row_i].map_or(C64::ZERO, |(j, v)| v * a[j]);
                 }
             }
         }
-    });
+    }
     // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
     let d = [
         rows[0].map(|(c, v)| (c, v.conj())),
@@ -343,21 +284,17 @@ fn kernel_2q_sparse(
         rows[2].map(|(c, v)| (c, v.conj())),
         rows[3].map(|(c, v)| (c, v.conj())),
     ];
-    ctx.run_chunks(dim, |r0, r1| {
-        for r in r0..r1 {
-            // SAFETY: row chunks are disjoint.
-            let row = unsafe { p.row(r, dim) };
-            for c in 0..dim {
-                if c & b0 == 0 && c & b1 == 0 {
-                    let idx = [c, c | b0, c | b1, c | b0 | b1];
-                    let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                    for (col_j, &j) in idx.iter().enumerate() {
-                        row[j] = d[col_j].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                    }
+    for row in mat.chunks_exact_mut(dim) {
+        for c in 0..dim {
+            if c & b0 == 0 && c & b1 == 0 {
+                let idx = [c, c | b0, c | b1, c | b0 | b1];
+                let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
+                for (col_j, &j) in idx.iter().enumerate() {
+                    row[j] = d[col_j].map_or(C64::ZERO, |(i, v)| a[i] * v);
                 }
             }
         }
-    });
+    }
 }
 
 /// Applies a lowered one-qubit channel in place: one sweep over the
@@ -373,39 +310,32 @@ fn kernel_2q_sparse(
 /// terms a sparse row would skip still cost less than skipping them,
 /// and can only change the sign of exact zeros.
 ///
-/// Partitioned over base rows exactly like the left pass of
-/// [`kernel_1q`]: a pair owns its two rows outright and per-block
-/// arithmetic does not depend on the partition, so any worker count
-/// produces byte-identical results.
-fn kernel_superop_1q<C>(mat: &mut [C64], dim: usize, m: [[C; 4]; 4], q: usize, ctx: &ParallelCtx)
+/// Walks base-row pairs exactly like the left pass of [`kernel_1q`].
+fn kernel_superop_1q<C>(mat: &mut [C64], dim: usize, m: [[C; 4]; 4], q: usize)
 where
-    C: Copy + Sync + std::ops::Mul<C64, Output = C64>,
+    C: Copy + std::ops::Mul<C64, Output = C64>,
 {
-    let ctx = gate_ctx(ctx, dim);
     let bit = 1usize << q;
     let p = RowPtr(mat.as_mut_ptr());
-    ctx.run_chunks(dim / 2, |k0, k1| {
-        for k in k0..k1 {
-            let r = insert_bit(k, q);
-            // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-            let row0 = unsafe { p.row(r, dim) };
-            let row1 = unsafe { p.row(r | bit, dim) };
-            let runs = row0
-                .chunks_exact_mut(2 * bit)
-                .zip(row1.chunks_exact_mut(2 * bit));
-            for (run0, run1) in runs {
-                let (lo0, hi0) = run0.split_at_mut(bit);
-                let (lo1, hi1) = run1.split_at_mut(bit);
-                for (((x0, x1), x2), x3) in lo0.iter_mut().zip(hi0).zip(lo1).zip(hi1) {
-                    let a = [*x0, *x1, *x2, *x3];
-                    let out = |e: usize| {
-                        m[e][0] * a[0] + m[e][1] * a[1] + m[e][2] * a[2] + m[e][3] * a[3]
-                    };
-                    (*x0, *x1, *x2, *x3) = (out(0), out(1), out(2), out(3));
-                }
+    for k in 0..dim / 2 {
+        let r = insert_bit(k, q);
+        // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
+        let row0 = unsafe { p.row(r, dim) };
+        let row1 = unsafe { p.row(r | bit, dim) };
+        let runs = row0
+            .chunks_exact_mut(2 * bit)
+            .zip(row1.chunks_exact_mut(2 * bit));
+        for (run0, run1) in runs {
+            let (lo0, hi0) = run0.split_at_mut(bit);
+            let (lo1, hi1) = run1.split_at_mut(bit);
+            for (((x0, x1), x2), x3) in lo0.iter_mut().zip(hi0).zip(lo1).zip(hi1) {
+                let a = [*x0, *x1, *x2, *x3];
+                let out =
+                    |e: usize| m[e][0] * a[0] + m[e][1] * a[1] + m[e][2] * a[2] + m[e][3] * a[3];
+                (*x0, *x1, *x2, *x3) = (out(0), out(1), out(2), out(3));
             }
         }
-    });
+    }
 }
 
 /// Applies a lowered two-qubit channel in place: one sweep over the
@@ -413,57 +343,48 @@ where
 /// and overwritten with `S * block` (see
 /// [`crate::noise::SuperopTable`]). `off[i]` is the index offset of
 /// local basis state `i`; `sorted` lists the operand qubits ascending.
-///
-/// Partitioned over row groups exactly like the left pass of
-/// [`kernel_2q`]: a group owns its four rows outright and per-block
-/// arithmetic does not depend on the partition, so any worker count
-/// produces byte-identical results.
+/// Walks row groups exactly like the left pass of [`kernel_2q`].
 fn kernel_superop(
     mat: &mut [C64],
     dim: usize,
     s: Superop<'_>,
     off: [usize; 4],
     sorted: [usize; 2],
-    ctx: &ParallelCtx,
 ) {
-    let ctx = gate_ctx(ctx, dim);
     let base = |k: usize| insert_bit(insert_bit(k, sorted[0]), sorted[1]);
     // Flat offset of block entry `e = i * 4 + j` from the block origin.
     let at: [usize; 16] = std::array::from_fn(|e| off[e / 4] * dim + off[e % 4]);
     let rows = s.rows();
     let p = RowPtr(mat.as_mut_ptr());
-    ctx.run_chunks(dim / 4, |k0, k1| {
-        let mut block = [C64::ZERO; 16];
-        for r in (k0..k1).map(base) {
-            for c in (0..dim / 4).map(base) {
-                let origin = r * dim + c;
-                for e in 0..16 {
-                    // SAFETY: `r` and `c` have the operand bits clear and
-                    // `off` sets only those (all below `dim`: the caller
-                    // checked the qubits), so the index is in bounds;
-                    // distinct base rows yield disjoint row groups.
-                    block[e] = unsafe { *p.at(origin + at[e]) };
-                }
-                for e in 0..16 {
-                    // Columns are below 16 by construction; the mask
-                    // only tells the compiler so.
-                    let (cols, re, im) = rows[e];
-                    let mut acc = C64::ZERO;
-                    if im.is_empty() {
-                        for (&col, &v) in cols.iter().zip(re) {
-                            acc += block[col as usize & 15] * v;
-                        }
-                    } else {
-                        for ((&col, &vr), &vi) in cols.iter().zip(re).zip(im) {
-                            acc += C64::new(vr, vi) * block[col as usize & 15];
-                        }
+    let mut block = [C64::ZERO; 16];
+    for r in (0..dim / 4).map(base) {
+        for c in (0..dim / 4).map(base) {
+            let origin = r * dim + c;
+            for e in 0..16 {
+                // SAFETY: `r` and `c` have the operand bits clear and
+                // `off` sets only those (all below `dim`: the caller
+                // checked the qubits), so the index is in bounds.
+                block[e] = unsafe { *p.at(origin + at[e]) };
+            }
+            for e in 0..16 {
+                // Columns are below 16 by construction; the mask
+                // only tells the compiler so.
+                let (cols, re, im) = rows[e];
+                let mut acc = C64::ZERO;
+                if im.is_empty() {
+                    for (&col, &v) in cols.iter().zip(re) {
+                        acc += block[col as usize & 15] * v;
                     }
-                    // SAFETY: as above.
-                    unsafe { *p.at(origin + at[e]) = acc };
+                } else {
+                    for ((&col, &vr), &vi) in cols.iter().zip(re).zip(im) {
+                        acc += C64::new(vr, vi) * block[col as usize & 15];
+                    }
                 }
+                // SAFETY: as above.
+                unsafe { *p.at(origin + at[e]) = acc };
             }
         }
-    });
+    }
 }
 
 /// The pre-optimization density kernels, preserved verbatim.
@@ -686,21 +607,10 @@ impl DensityMatrix {
     ///
     /// Panics if `q` is out of range or `u` is not 2x2.
     pub fn apply_unitary_1q(&mut self, u: &CMatrix, q: usize) {
-        self.apply_unitary_1q_ctx(u, q, &ParallelCtx::SERIAL);
-    }
-
-    /// [`DensityMatrix::apply_unitary_1q`] under an explicit
-    /// [`ParallelCtx`]: every kernel pass partitions over disjoint row
-    /// blocks, byte-identical to serial at any worker count.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_unitary_1q`].
-    pub fn apply_unitary_1q_ctx(&mut self, u: &CMatrix, q: usize, ctx: &ParallelCtx) {
         assert!(q < self.n, "qubit {q} out of range");
         assert_eq!((u.rows(), u.cols()), (2, 2), "1q gate must be 2x2");
         let dim = self.dim();
-        kernel_1q(&mut self.mat, dim, u, q, ctx);
+        kernel_1q(&mut self.mat, dim, u, q);
     }
 
     /// Applies a 4x4 unitary to the ordered pair `(q0, q1)` in the
@@ -710,21 +620,11 @@ impl DensityMatrix {
     ///
     /// Panics if operands coincide, are out of range, or `u` is not 4x4.
     pub fn apply_unitary_2q(&mut self, u: &CMatrix, q0: usize, q1: usize) {
-        self.apply_unitary_2q_ctx(u, q0, q1, &ParallelCtx::SERIAL);
-    }
-
-    /// [`DensityMatrix::apply_unitary_2q`] under an explicit
-    /// [`ParallelCtx`] (see [`DensityMatrix::apply_unitary_1q_ctx`]).
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_unitary_2q`].
-    pub fn apply_unitary_2q_ctx(&mut self, u: &CMatrix, q0: usize, q1: usize, ctx: &ParallelCtx) {
         assert!(q0 != q1, "2q gate operands must differ");
         assert!(q0 < self.n && q1 < self.n, "qubit out of range");
         assert_eq!((u.rows(), u.cols()), (4, 4), "2q gate must be 4x4");
         let dim = self.dim();
-        kernel_2q(&mut self.mat, dim, u, q0, q1, ctx);
+        kernel_2q(&mut self.mat, dim, u, q0, q1);
     }
 
     /// Applies a Kraus channel to the listed qubits:
@@ -732,7 +632,7 @@ impl DensityMatrix {
     ///
     /// One- and two-qubit channels are supported (matching every channel in
     /// [`crate::noise`]). This convenience form lowers the channel per
-    /// call and runs the same sweep as [`DensityMatrix::apply_superop_ctx`];
+    /// call and runs the same sweep as [`DensityMatrix::apply_superop`];
     /// compiled programs lower each channel once instead.
     ///
     /// # Panics
@@ -742,19 +642,18 @@ impl DensityMatrix {
     pub fn apply_channel(&mut self, channel: &KrausChannel, qubits: &[usize]) {
         let mut table = SuperopTable::default();
         let idx = table.push(channel);
-        self.apply_superop_ctx(table.get(idx), qubits, &ParallelCtx::SERIAL);
+        self.apply_superop(table.get(idx), qubits);
     }
 
     /// Applies a lowered channel (see [`SuperopTable`]) to the listed
-    /// qubits in one in-place sweep, under an explicit [`ParallelCtx`]
-    /// (see [`DensityMatrix::apply_unitary_1q_ctx`]). Equal to the Kraus
-    /// sum of [`baseline::apply_channel`] up to rounding.
+    /// qubits in one in-place sweep. Equal to the Kraus sum of
+    /// [`baseline::apply_channel`] up to rounding.
     ///
     /// # Panics
     ///
     /// Panics if `qubits.len() != s.num_qubits()`, a qubit is out of
     /// range, or the operands of a two-qubit channel coincide.
-    pub fn apply_superop_ctx(&mut self, s: Superop<'_>, qubits: &[usize], ctx: &ParallelCtx) {
+    pub fn apply_superop(&mut self, s: Superop<'_>, qubits: &[usize]) {
         assert_eq!(
             qubits.len(),
             s.num_qubits(),
@@ -765,15 +664,13 @@ impl DensityMatrix {
         }
         let dim = self.dim();
         match *qubits {
-            [q] if s.is_real() => {
-                kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<f64>(), q, ctx)
-            }
-            [q] => kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<C64>(), q, ctx),
+            [q] if s.is_real() => kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<f64>(), q),
+            [q] => kernel_superop_1q(&mut self.mat, dim, s.dense_1q::<C64>(), q),
             [q0, q1] => {
                 assert!(q0 != q1, "2q channel operands must differ");
                 let (b0, b1) = (1usize << q0, 1usize << q1);
                 let sorted = [q0.min(q1), q0.max(q1)];
-                kernel_superop(&mut self.mat, dim, s, [0, b0, b1, b0 | b1], sorted, ctx)
+                kernel_superop(&mut self.mat, dim, s, [0, b0, b1, b0 | b1], sorted)
             }
             _ => panic!("only 1- and 2-qubit channels are supported"),
         }
@@ -1069,50 +966,6 @@ mod tests {
         U1(&'a CMatrix, usize),
         U2(&'a CMatrix, usize, usize),
         Ch(&'a KrausChannel, &'a [usize]),
-    }
-
-    #[test]
-    fn parallel_kernels_are_bit_identical_to_serial() {
-        for ctx in [
-            ParallelCtx::with_workers(4),
-            ParallelCtx::with_workers(2).with_min_dim(2),
-            ParallelCtx::with_workers(3).with_min_dim(2),
-        ] {
-            parallel_matches_serial(&ctx);
-        }
-    }
-
-    fn parallel_matches_serial(ctx: &ParallelCtx) {
-        for n in 1..=7 {
-            let mut serial = DensityMatrix::new(n);
-            let mut par = DensityMatrix::new(n);
-            drive(
-                &mut |step| match step {
-                    Step::U1(u, q) => {
-                        serial.apply_unitary_1q(u, q);
-                        par.apply_unitary_1q_ctx(u, q, ctx);
-                    }
-                    Step::U2(u, a, b) => {
-                        serial.apply_unitary_2q(u, a, b);
-                        par.apply_unitary_2q_ctx(u, a, b, ctx);
-                    }
-                    Step::Ch(ch, qs) => {
-                        let mut table = SuperopTable::default();
-                        let s = table.push(ch);
-                        serial.apply_channel(ch, qs);
-                        par.apply_superop_ctx(table.get(s), qs, ctx);
-                    }
-                },
-                n,
-            );
-            for (a, b) in serial.mat.iter().zip(&par.mat) {
-                assert!(
-                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                    "{} lanes diverge from serial at {n} qubits",
-                    ctx.workers()
-                );
-            }
-        }
     }
 
     #[test]

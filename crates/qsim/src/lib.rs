@@ -18,12 +18,11 @@
 //!   resolved gate matrices and fused superoperators) that the
 //!   allocation-free [`program::DensityEngine`] replays for every job,
 //!   with the naive path's counts;
-//! * [`parallel`] — the shared data-parallel substrate: the work-stealing
-//!   [`parallel::RunQueue`], the [`parallel::BatchPipeline`] that fans
-//!   whole simulation jobs over lanes, and the [`parallel::WorkerTeam`]
-//!   behind [`parallel::ParallelCtx`], which the density engine fans row
-//!   blocks over (serial by default, byte-identical at any worker
-//!   count);
+//! * [`parallel`] — the shared task- and job-level substrate: the
+//!   work-stealing [`parallel::RunQueue`] client tasks are dispatched
+//!   through, and the [`parallel::BatchPipeline`] that fans whole
+//!   simulation jobs over lanes (byte-identical at any lane count). The
+//!   density kernels themselves are serial;
 //! * [`linalg`] — exact Hermitian eigendecomposition for ground-truth
 //!   reference energies.
 //!
@@ -74,7 +73,7 @@ pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, Superop, SuperopTable};
-pub use parallel::{BatchPipeline, ParallelCtx, RunQueue, WorkerTeam, DEFAULT_PAR_MIN_DIM};
+pub use parallel::{BatchPipeline, RunQueue};
 pub use program::{CompiledProgram, DensityEngine, ProgramBuilder};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

@@ -389,7 +389,7 @@ impl RelaxationEntries {
 /// ([`SuperopTable::push_unitary`]), and a run of adjacent fixed ops to
 /// the product of its members' superoperators, so applying the whole run
 /// is a single pass over the state
-/// ([`crate::density::DensityMatrix::apply_superop_ctx`]). Only exact
+/// ([`crate::density::DensityMatrix::apply_superop`]). Only exact
 /// zeros are dropped, so `S` is the op-by-op result re-associated: equal
 /// to rounding (~1e-16), not bit for bit.
 ///
@@ -1119,7 +1119,6 @@ mod tests {
         run: &[(usize, Placement)],
         support: &[usize],
     ) -> SuperopTable {
-        use crate::parallel::ParallelCtx;
         let n = 3;
         let mut rho = DensityMatrix::new(n);
         for q in 0..n {
@@ -1131,12 +1130,12 @@ mod tests {
         let mut stepped = rho.clone();
         for &(m, place) in run {
             let (qs, n) = place.operands(support);
-            stepped.apply_superop_ctx(members.get(m), &qs[..n], &ParallelCtx::SERIAL);
+            stepped.apply_superop(members.get(m), &qs[..n]);
         }
         let mut fused = SuperopTable::default();
         let packed: Vec<RunMember> = run.iter().map(|&(m, p)| RunMember::new(m, p)).collect();
         let entry = fused.push_product(members, &packed, support.len() == 2);
-        rho.apply_superop_ctx(fused.get(entry), support, &ParallelCtx::SERIAL);
+        rho.apply_superop(fused.get(entry), support);
         assert!(
             rho.matrix().approx_eq(&stepped.matrix(), 1e-13),
             "fused product diverges from its members on {support:?}"

@@ -1,7 +1,8 @@
-//! The shared data-parallel substrate: a work-stealing run-queue and a
-//! persistent worker team behind a serial-by-default [`ParallelCtx`].
+//! The shared task- and job-level parallel substrate: a work-stealing
+//! run-queue and the batched simulation-job pipeline built on it.
 //!
-//! Three layers of parallelism ride on this module:
+//! Two layers of parallelism ride on this module, both over whole units
+//! of work:
 //!
 //! * **Task level** — [`RunQueue`] is the sharded, work-stealing queue
 //!   that the `eqc_core` pooled executor and multi-tenant fleet drives
@@ -11,22 +12,18 @@
 //! * **Job level** — [`BatchPipeline`] fans whole simulation jobs (the
 //!   forked suffix evolutions of a template batch) from every client of
 //!   a session over persistent lanes.
-//! * **Data level** — [`WorkerTeam`] is a persistent team of threads
-//!   that splits one *index-parallel* job (`for i in 0..n { f(i) }`)
-//!   across cores: the density kernels' row blocks fan out over it.
-//!   [`ParallelCtx`] is the handle the density engine holds: serial by
-//!   default (zero threads, zero overhead, and byte-identical behavior
-//!   to the pre-parallel engine), or backed by a shared team.
+//!
+//! The density kernels themselves are serial loops: at the paper's 4–7
+//! qubits one kernel pass is shorter than a worker wake-up, so whole
+//! jobs are the one unit of simulator parallelism.
 //!
 //! ## Determinism
 //!
-//! A [`ParallelCtx::run`] call guarantees every index in `0..n` is
-//! executed exactly once and has returned before the call returns. The
-//! kernels built on it partition work so that each index touches a
-//! disjoint slice of the output and performs *identical* floating-point
-//! operations to the serial loop — results are therefore byte-identical
-//! to serial execution regardless of worker count or interleaving,
-//! which the equivalence suites pin.
+//! A [`BatchPipeline::run_jobs`] call guarantees every job in `0..n` is
+//! executed exactly once and has returned before the call returns. Each
+//! job writes a disjoint output and performs identical floating-point
+//! work whichever lane runs it, so results are byte-identical at any
+//! lane count, which the equivalence suites pin.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -45,6 +42,31 @@ struct ShardState<T> {
     shutdown: bool,
     depth_max: usize,
     stolen: u64,
+}
+
+impl<T> ShardState<T> {
+    /// The next task for `worker`: own shard first, else steal from the
+    /// back of the deepest foreign shard. `None` when every shard is
+    /// empty.
+    fn take(&mut self, worker: usize) -> Option<T> {
+        if self.queued == 0 {
+            return None;
+        }
+        if let Some(t) = self.queues[worker].pop_front() {
+            self.queued -= 1;
+            return Some(t);
+        }
+        let victim = (0..self.queues.len())
+            .filter(|&i| i != worker)
+            .max_by_key(|&i| self.queues[i].len())
+            .expect("queued > 0 implies a non-empty shard");
+        let t = self.queues[victim]
+            .pop_back()
+            .expect("deepest shard is non-empty under the lock");
+        self.queued -= 1;
+        self.stolen += 1;
+        Some(t)
+    }
 }
 
 /// The sharded, work-stealing run-queue shared by a coordinator and its
@@ -88,20 +110,7 @@ impl<T> RunQueue<T> {
     pub fn pop(&self, worker: usize) -> Option<T> {
         let mut s = self.state.lock().expect("run-queue lock");
         loop {
-            if s.queued > 0 {
-                if let Some(t) = s.queues[worker].pop_front() {
-                    s.queued -= 1;
-                    return Some(t);
-                }
-                let victim = (0..s.queues.len())
-                    .filter(|&i| i != worker)
-                    .max_by_key(|&i| s.queues[i].len())
-                    .expect("queued > 0 implies a non-empty shard");
-                let t = s.queues[victim]
-                    .pop_back()
-                    .expect("deepest shard is non-empty under the lock");
-                s.queued -= 1;
-                s.stolen += 1;
+            if let Some(t) = s.take(worker) {
                 return Some(t);
             }
             if s.shutdown {
@@ -116,24 +125,7 @@ impl<T> RunQueue<T> {
     /// path of [`BatchPipeline`] uses this so a thread that still has a
     /// batch in flight can lend a hand without parking on the queue.
     pub fn try_pop(&self, worker: usize) -> Option<T> {
-        let mut s = self.state.lock().expect("run-queue lock");
-        if s.queued == 0 {
-            return None;
-        }
-        if let Some(t) = s.queues[worker].pop_front() {
-            s.queued -= 1;
-            return Some(t);
-        }
-        let victim = (0..s.queues.len())
-            .filter(|&i| i != worker)
-            .max_by_key(|&i| s.queues[i].len())
-            .expect("queued > 0 implies a non-empty shard");
-        let t = s.queues[victim]
-            .pop_back()
-            .expect("deepest shard is non-empty under the lock");
-        s.queued -= 1;
-        s.stolen += 1;
-        Some(t)
+        self.state.lock().expect("run-queue lock").take(worker)
     }
 
     /// Signals workers to exit once the queue drains.
@@ -168,331 +160,6 @@ pub fn drain_tasks<T, R, M>(
             Err(_) => panicked(&task),
         };
         let _ = result_tx.send(msg);
-    }
-}
-
-/// One published index-parallel job: a type-erased closure pointer plus
-/// the index count. The raw pointer's referent is only guaranteed alive
-/// while the submitting [`WorkerTeam::for_each_index`] call is blocked —
-/// workers never dereference it after their share of indices is drained,
-/// and the submitter does not return until every index has completed.
-#[derive(Clone, Copy)]
-struct Job {
-    f: *const (dyn Fn(usize) + Sync),
-    n: usize,
-}
-
-// SAFETY: the closure behind `f` is `Sync`, and the lifetime-erasure
-// contract above keeps the pointer valid for every dereference.
-unsafe impl Send for Job {}
-
-/// Team state behind the mutex: the current job (one at a time — the
-/// submit lock serializes submitters), its claim counter, and the
-/// count of indices not yet completed.
-struct TeamState {
-    epoch: u64,
-    job: Option<Job>,
-    next: Arc<AtomicUsize>,
-    pending: usize,
-    panicked: bool,
-    shutdown: bool,
-}
-
-struct TeamShared {
-    state: Mutex<TeamState>,
-    work: Condvar,
-    done: Condvar,
-}
-
-/// Claims and executes indices of `job` until the counter passes `n`.
-/// Returns how many indices this thread completed and whether any of
-/// them panicked (panicking indices still count as completed so the
-/// submitter can unblock and re-raise).
-fn run_indices(job: Job, next: &AtomicUsize) -> (usize, bool) {
-    // SAFETY: see the `Job` lifetime-erasure contract.
-    let f = unsafe { &*job.f };
-    let mut completed = 0usize;
-    let mut panicked = false;
-    loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= job.n {
-            break;
-        }
-        if catch_unwind(AssertUnwindSafe(|| f(i))).is_err() {
-            panicked = true;
-        }
-        completed += 1;
-    }
-    (completed, panicked)
-}
-
-fn worker_loop(shared: Arc<TeamShared>) {
-    let mut last_epoch = 0u64;
-    loop {
-        let (epoch, job, next) = {
-            let mut g = shared.state.lock().expect("team lock");
-            loop {
-                if g.shutdown {
-                    return;
-                }
-                if g.epoch != last_epoch {
-                    if let Some(job) = g.job {
-                        break (g.epoch, job, g.next.clone());
-                    }
-                }
-                g = shared.work.wait(g).expect("team lock");
-            }
-        };
-        last_epoch = epoch;
-        let (completed, panicked) = run_indices(job, &next);
-        if completed > 0 {
-            let mut g = shared.state.lock().expect("team lock");
-            g.pending -= completed;
-            if panicked {
-                g.panicked = true;
-            }
-            if g.pending == 0 {
-                shared.done.notify_all();
-            }
-        }
-    }
-}
-
-/// A persistent team of worker threads executing index-parallel jobs.
-///
-/// One job runs at a time (concurrent submitters serialize on an
-/// internal lock); the submitting thread participates in the job, so a
-/// team of `threads` workers yields `threads + 1` lanes of execution.
-/// Threads park on a condvar between jobs and are joined on drop.
-pub struct WorkerTeam {
-    shared: Arc<TeamShared>,
-    submit: Mutex<()>,
-    handles: Vec<JoinHandle<()>>,
-    threads: usize,
-}
-
-impl WorkerTeam {
-    /// Spawns `threads` worker threads (the submitter participates too,
-    /// so total parallelism is `threads + 1`).
-    pub fn new(threads: usize) -> Self {
-        let shared = Arc::new(TeamShared {
-            state: Mutex::new(TeamState {
-                epoch: 0,
-                job: None,
-                next: Arc::new(AtomicUsize::new(0)),
-                pending: 0,
-                panicked: false,
-                shutdown: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let handles = (0..threads)
-            .map(|_| {
-                let shared = shared.clone();
-                thread::Builder::new()
-                    .name("qsim-worker".into())
-                    .spawn(move || worker_loop(shared))
-                    .expect("spawn qsim worker")
-            })
-            .collect();
-        WorkerTeam {
-            shared,
-            submit: Mutex::new(()),
-            handles,
-            threads,
-        }
-    }
-
-    /// Worker threads in the team (excluding submitters).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Runs `f(0), f(1), ..., f(n - 1)` across the team, blocking until
-    /// every index has completed. Indices are claimed dynamically; the
-    /// submitting thread participates.
-    ///
-    /// # Panics
-    ///
-    /// Re-raises (as a single panic) if any index panicked.
-    pub fn for_each_index(&self, n: usize, f: &(dyn Fn(usize) + Sync)) {
-        if n == 0 {
-            return;
-        }
-        // Poison-tolerant: a previous job's re-raised panic unwinds
-        // through this guard, but the team itself stays consistent.
-        let _guard = self.submit.lock().unwrap_or_else(|p| p.into_inner());
-        let next = Arc::new(AtomicUsize::new(0));
-        // SAFETY: erases `f`'s lifetime; valid because this call blocks
-        // until `pending == 0`, after which no worker dereferences it.
-        let erased = unsafe {
-            std::mem::transmute::<
-                *const (dyn Fn(usize) + Sync + '_),
-                *const (dyn Fn(usize) + Sync + 'static),
-            >(f as *const (dyn Fn(usize) + Sync))
-        };
-        let job = Job { f: erased, n };
-        {
-            let mut g = self.shared.state.lock().expect("team lock");
-            g.epoch += 1;
-            g.job = Some(job);
-            g.next = next.clone();
-            g.pending = n;
-            g.panicked = false;
-            self.shared.work.notify_all();
-        }
-        let (completed, panicked) = run_indices(job, &next);
-        let mut g = self.shared.state.lock().expect("team lock");
-        g.pending -= completed;
-        if panicked {
-            g.panicked = true;
-        }
-        while g.pending > 0 {
-            g = self.shared.done.wait(g).expect("team lock");
-        }
-        g.job = None;
-        let poisoned = g.panicked;
-        drop(g);
-        assert!(!poisoned, "worker-team job panicked");
-    }
-}
-
-impl Drop for WorkerTeam {
-    fn drop(&mut self) {
-        self.shared.state.lock().expect("team lock").shutdown = true;
-        self.shared.work.notify_all();
-        for h in self.handles.drain(..) {
-            let _ = h.join();
-        }
-    }
-}
-
-impl fmt::Debug for WorkerTeam {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WorkerTeam")
-            .field("threads", &self.threads)
-            .finish()
-    }
-}
-
-/// The engines' handle onto data-level parallelism: either serial (the
-/// default — no threads, no locks, behavior byte-identical to the
-/// pre-parallel engines) or a shared [`WorkerTeam`].
-///
-/// Cloning is cheap and shares the underlying team, so one team built
-/// per session serves every backend and engine of that session.
-#[derive(Clone, Debug)]
-pub struct ParallelCtx {
-    team: Option<Arc<WorkerTeam>>,
-    min_dim: usize,
-}
-
-/// Default minimum Hilbert dimension before kernel passes fan out over
-/// an attached team: below this the per-job dispatch overhead exceeds
-/// the arithmetic. `64` means 6+ qubit states parallelize; 4-5 qubit
-/// workloads stay on the serial fast path even under a team.
-pub const DEFAULT_PAR_MIN_DIM: usize = 64;
-
-impl Default for ParallelCtx {
-    fn default() -> Self {
-        Self::SERIAL
-    }
-}
-
-impl ParallelCtx {
-    /// The serial context as a constant (no team, zero overhead).
-    pub const SERIAL: ParallelCtx = ParallelCtx {
-        team: None,
-        min_dim: DEFAULT_PAR_MIN_DIM,
-    };
-
-    /// Serial execution (the default).
-    pub fn serial() -> Self {
-        Self::SERIAL
-    }
-
-    /// A context with `total` lanes of parallelism: the submitting
-    /// thread plus `total - 1` team workers. `total <= 1` yields the
-    /// serial context.
-    pub fn with_workers(total: usize) -> Self {
-        if total <= 1 {
-            Self::serial()
-        } else {
-            ParallelCtx {
-                team: Some(Arc::new(WorkerTeam::new(total - 1))),
-                min_dim: DEFAULT_PAR_MIN_DIM,
-            }
-        }
-    }
-
-    /// Wraps an existing team.
-    pub fn from_team(team: Arc<WorkerTeam>) -> Self {
-        ParallelCtx {
-            team: Some(team),
-            min_dim: DEFAULT_PAR_MIN_DIM,
-        }
-    }
-
-    /// Overrides the fan-out threshold: kernel passes on states of
-    /// Hilbert dimension below `min_dim` stay on the serial fast path
-    /// even when a team is attached. Results are byte-identical at any
-    /// setting — this only moves the overhead/arithmetic break-even.
-    pub fn with_min_dim(mut self, min_dim: usize) -> Self {
-        self.min_dim = min_dim;
-        self
-    }
-
-    /// The fan-out threshold kernel passes compare dimensions against.
-    pub fn min_dim(&self) -> usize {
-        self.min_dim
-    }
-
-    /// Lanes of parallelism (1 when serial).
-    pub fn workers(&self) -> usize {
-        self.team.as_ref().map_or(1, |t| t.threads() + 1)
-    }
-
-    /// Whether a worker team is attached.
-    pub fn is_parallel(&self) -> bool {
-        self.team.is_some()
-    }
-
-    /// Runs `f(0..n)`, fanning indices over the team when one is
-    /// attached and `n > 1`, serially otherwise. Each index executes
-    /// exactly once and the call returns only after all have completed,
-    /// so partition-disjoint kernels are byte-identical either way.
-    pub fn run(&self, n: usize, f: impl Fn(usize) + Sync) {
-        match &self.team {
-            Some(team) if n > 1 => team.for_each_index(n, &f),
-            _ => {
-                for i in 0..n {
-                    f(i);
-                }
-            }
-        }
-    }
-
-    /// Splits `0..len` into contiguous chunks (roughly two per lane)
-    /// and runs `f(start, end)` for each — the partitioned-loop shape
-    /// the density kernels use. Serial contexts make a single
-    /// `f(0, len)` call.
-    pub fn run_chunks(&self, len: usize, f: impl Fn(usize, usize) + Sync) {
-        if len == 0 {
-            return;
-        }
-        let lanes = self.workers();
-        if lanes <= 1 || len < 2 {
-            return f(0, len);
-        }
-        let chunks = (lanes * 2).min(len);
-        let per = len.div_ceil(chunks);
-        let n = len.div_ceil(per);
-        self.run(n, |i| {
-            let start = i * per;
-            let end = (start + per).min(len);
-            f(start, end);
-        });
     }
 }
 
@@ -541,11 +208,9 @@ impl PipelineJob {
 /// The fleet-wide batched job pipeline: persistent lanes draining a
 /// cross-client [`RunQueue`] of simulation jobs.
 ///
-/// Where [`WorkerTeam`] fans the *rows of one kernel pass* across
-/// threads (inert below [`DEFAULT_PAR_MIN_DIM`], i.e. on 4–5 qubit
-/// states), a `BatchPipeline` fans whole *simulation jobs* — one
-/// independent density evolution each — so small-circuit fleets
-/// parallelize at the job level. One pipeline is shared by every client
+/// A `BatchPipeline` fans whole *simulation jobs* — one independent
+/// density evolution each — so small-circuit fleets parallelize at the
+/// job level. One pipeline is shared by every client
 /// (and, on the multi-tenant fleet drives, every tenant): concurrent
 /// [`BatchPipeline::run_jobs`] submitters enqueue their batches into
 /// the shared queue and the lanes interleave jobs from all of them; a
@@ -554,8 +219,8 @@ impl PipelineJob {
 ///
 /// Determinism: every job writes a disjoint output and performs
 /// identical floating-point work regardless of which lane runs it, so
-/// results are byte-identical at any lane count — the same contract as
-/// [`ParallelCtx::run`], pinned by the engine equivalence suites.
+/// results are byte-identical at any lane count, pinned by the engine
+/// equivalence suites.
 pub struct BatchPipeline {
     queue: Arc<RunQueue<PipelineJob>>,
     handles: Vec<JoinHandle<()>>,
@@ -728,50 +393,6 @@ mod tests {
     }
 
     #[test]
-    fn team_executes_every_index_exactly_once() {
-        let team = WorkerTeam::new(3);
-        let hits: Vec<AtomicU64> = (0..1000).map(|_| AtomicU64::new(0)).collect();
-        team.for_each_index(1000, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-        // The team is reusable for a second job.
-        team.for_each_index(1000, &|i| {
-            hits[i].fetch_add(1, Ordering::Relaxed);
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 2));
-    }
-
-    #[test]
-    fn serial_ctx_is_inline_and_ordered() {
-        let ctx = ParallelCtx::serial();
-        assert_eq!(ctx.workers(), 1);
-        assert!(!ctx.is_parallel());
-        let log = Mutex::new(Vec::new());
-        ctx.run(5, |i| log.lock().unwrap().push(i));
-        assert_eq!(*log.lock().unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn parallel_chunks_cover_the_range_disjointly() {
-        let ctx = ParallelCtx::with_workers(4);
-        assert_eq!(ctx.workers(), 4);
-        let hits: Vec<AtomicU64> = (0..257).map(|_| AtomicU64::new(0)).collect();
-        ctx.run_chunks(257, |s, e| {
-            for h in &hits[s..e] {
-                h.fetch_add(1, Ordering::Relaxed);
-            }
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn with_workers_one_is_serial() {
-        assert!(!ParallelCtx::with_workers(1).is_parallel());
-        assert!(ParallelCtx::with_workers(2).is_parallel());
-    }
-
-    #[test]
     fn try_pop_is_nonblocking_and_steals() {
         let q: RunQueue<usize> = RunQueue::new(2);
         assert_eq!(q.try_pop(0), None, "empty queue returns immediately");
@@ -799,24 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn pipeline_interleaves_concurrent_submitters() {
-        let pipeline = BatchPipeline::new(3);
-        let total = AtomicU64::new(0);
-        thread::scope(|s| {
-            for _ in 0..4 {
-                s.spawn(|| {
-                    pipeline.run_jobs(50, &|_| {
-                        total.fetch_add(1, Ordering::Relaxed);
-                    });
-                });
-            }
-        });
-        assert_eq!(total.load(Ordering::Relaxed), 200);
-        assert_eq!(pipeline.jobs_executed(), 200);
-        assert_eq!(pipeline.batches_submitted(), 4);
-    }
-
-    #[test]
     fn pipeline_panic_is_reraised_and_pipeline_survives() {
         let pipeline = BatchPipeline::new(2);
         let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
@@ -831,19 +434,49 @@ mod tests {
     }
 
     #[test]
-    fn team_panic_is_reraised_and_team_survives() {
-        let ctx = ParallelCtx::with_workers(3);
-        let caught = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            ctx.run(16, |i| {
-                assert!(i != 7, "boom");
-            });
-        }));
-        assert!(caught.is_err(), "panic must propagate to the submitter");
-        // The team remains usable after a panicked job.
+    fn pipeline_contains_a_panic_to_its_batch_under_concurrent_submitters() {
+        const JOBS: usize = 64;
+        const PANICKING: usize = 2;
+        let pipeline = BatchPipeline::new(3);
+        let hits: Vec<Vec<AtomicU64>> = (0..4)
+            .map(|_| (0..JOBS).map(|_| AtomicU64::new(0)).collect())
+            .collect();
+        let panicked: Vec<bool> = thread::scope(|s| {
+            let submitters: Vec<_> = hits
+                .iter()
+                .enumerate()
+                .map(|(b, batch)| {
+                    let pipeline = &pipeline;
+                    s.spawn(move || {
+                        catch_unwind(AssertUnwindSafe(|| {
+                            pipeline.run_jobs(JOBS, &|i| {
+                                batch[i].fetch_add(1, Ordering::Relaxed);
+                                assert!(!(b == PANICKING && i == 17), "boom");
+                            });
+                        }))
+                        .is_err()
+                    })
+                })
+                .collect();
+            submitters
+                .into_iter()
+                .map(|h| h.join().expect("submitter thread"))
+                .collect()
+        });
+        let expected: Vec<bool> = (0..4).map(|b| b == PANICKING).collect();
+        assert_eq!(panicked, expected, "only the panicking batch re-raises");
+        for (b, batch) in hits.iter().enumerate() {
+            assert!(
+                batch.iter().all(|h| h.load(Ordering::Relaxed) == 1),
+                "batch {b} ran every job exactly once"
+            );
+        }
         let count = AtomicU64::new(0);
-        ctx.run(16, |_| {
+        pipeline.run_jobs(JOBS, &|_| {
             count.fetch_add(1, Ordering::Relaxed);
         });
-        assert_eq!(count.load(Ordering::Relaxed), 16);
+        assert_eq!(count.load(Ordering::Relaxed), JOBS as u64);
+        assert_eq!(pipeline.batches_submitted(), 5);
+        assert_eq!(pipeline.jobs_executed(), 5 * JOBS as u64);
     }
 }

@@ -36,9 +36,9 @@
 //! re-associates the products and sums of its run, so the state equals
 //! op-by-op application (and the straightforward oracle) to 1e-12
 //! rather than bit for bit — sampled counts are equal on every pinned
-//! fixture, and a full evolution, a group-fork walk with resumed
-//! suffixes and the worker-team kernels are byte-identical to each other
-//! because they share the one tape, the one kernel set and the op order.
+//! fixture, and a full evolution and a group-fork walk with resumed
+//! suffixes are byte-identical to each other because they share the one
+//! tape, the one kernel set and the op order.
 //! Forks and resumes always fall between tape ops: a parameterized slot
 //! ends a run and is never inside a fused entry.
 //!
@@ -68,7 +68,6 @@
 use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
 use crate::noise::{KrausChannel, Placement, RunMember, SuperopTable};
-use crate::parallel::ParallelCtx;
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use rand::RngCore;
 
@@ -785,27 +784,12 @@ pub struct DensityEngine {
     rho: Option<DensityMatrix>,
     probs: Vec<f64>,
     sampler: ShotSampler,
-    ctx: ParallelCtx,
 }
 
 impl DensityEngine {
     /// Creates an engine; buffers are sized lazily on first use.
-    /// Execution is serial until [`DensityEngine::set_parallel_ctx`]
-    /// attaches a worker team.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Attaches (or detaches, with a serial context) the worker team
-    /// the kernel passes fan out over. Results are byte-identical at
-    /// any worker count.
-    pub fn set_parallel_ctx(&mut self, ctx: ParallelCtx) {
-        self.ctx = ctx;
-    }
-
-    /// The engine's current parallel context.
-    pub fn parallel_ctx(&self) -> &ParallelCtx {
-        &self.ctx
     }
 
     /// The unnormalized state the last evolution left (`None` before
@@ -834,17 +818,13 @@ impl DensityEngine {
         let rho = self.rho.as_mut().expect("state initialized by reset");
         for op in ops {
             match *op {
-                TapeOp::Unitary1q { slot, q } => {
-                    rho.apply_unitary_1q_ctx(program.unitary(slot), q, &self.ctx)
-                }
+                TapeOp::Unitary1q { slot, q } => rho.apply_unitary_1q(program.unitary(slot), q),
                 TapeOp::Unitary2q { slot, q0, q1 } => {
-                    rho.apply_unitary_2q_ctx(program.unitary(slot), q0, q1, &self.ctx)
+                    rho.apply_unitary_2q(program.unitary(slot), q0, q1)
                 }
-                TapeOp::Channel1q { channel, q } => {
-                    rho.apply_superop_ctx(superops.get(channel), &[q], &self.ctx)
-                }
+                TapeOp::Channel1q { channel, q } => rho.apply_superop(superops.get(channel), &[q]),
                 TapeOp::Channel2q { channel, q0, q1 } => {
-                    rho.apply_superop_ctx(superops.get(channel), &[q0, q1], &self.ctx)
+                    rho.apply_superop(superops.get(channel), &[q0, q1])
                 }
             }
         }
@@ -949,10 +929,8 @@ impl DensityEngine {
                 let rho = self.rho.as_ref().expect("state initialized by reset");
                 let mut state = rho.clone();
                 match ops[t] {
-                    TapeOp::Unitary1q { q, .. } => state.apply_unitary_1q_ctx(matrix, q, &self.ctx),
-                    TapeOp::Unitary2q { q0, q1, .. } => {
-                        state.apply_unitary_2q_ctx(matrix, q0, q1, &self.ctx)
-                    }
+                    TapeOp::Unitary1q { q, .. } => state.apply_unitary_1q(matrix, q),
+                    TapeOp::Unitary2q { q0, q1, .. } => state.apply_unitary_2q(matrix, q0, q1),
                     _ => unreachable!("split op is a unitary by construction"),
                 }
                 forks.push((v, t + 1, state));

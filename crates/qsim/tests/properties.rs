@@ -5,7 +5,7 @@ use qsim::density::baseline;
 use qsim::noise::{KrausChannel, SuperopTable};
 use qsim::program::{CompiledProgram, DensityEngine, ProgramBuilder};
 use qsim::statevector::StateVector;
-use qsim::{gates, CMatrix, DensityMatrix, ParallelCtx, Pauli, ReadoutError, C64};
+use qsim::{gates, CMatrix, DensityMatrix, Pauli, ReadoutError, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -255,14 +255,6 @@ fn prob_bits(p: &[f64]) -> Vec<u64> {
     p.iter().map(|x| x.to_bits()).collect()
 }
 
-fn bits(rho: &DensityMatrix) -> Vec<(u64, u64)> {
-    let m = rho.matrix();
-    m.as_slice()
-        .iter()
-        .map(|z| (z.re.to_bits(), z.im.to_bits()))
-        .collect()
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -351,35 +343,6 @@ proptest! {
         }
     }
 
-    /// The two stream kernels agree bit for bit with serial under teams
-    /// of two and three lanes (odd chunking) at every width and qubit.
-    #[test]
-    fn stream_kernels_are_bit_identical_across_teams(n in 1usize..=7, seed in 0u64..1 << 32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let teams = [2, 3].map(|lanes| ParallelCtx::with_workers(lanes).with_min_dim(2));
-        let mut serial = random_state(n, &mut rng);
-        let mut lanes = [serial.clone(), serial.clone()];
-        for q in 0..n {
-            let mut table = SuperopTable::default();
-            for u in diagonal_operators(&mut rng) {
-                serial.apply_unitary_1q(&u, q);
-                for (rho, ctx) in lanes.iter_mut().zip(&teams) {
-                    rho.apply_unitary_1q_ctx(&u, q, ctx);
-                }
-            }
-            for ch in one_qubit_channels(&mut rng) {
-                let s = table.push(&ch);
-                serial.apply_superop_ctx(table.get(s), &[q], &ParallelCtx::SERIAL);
-                for (rho, ctx) in lanes.iter_mut().zip(&teams) {
-                    rho.apply_superop_ctx(table.get(s), &[q], ctx);
-                }
-            }
-        }
-        for rho in &lanes {
-            prop_assert_eq!(bits(&serial), bits(rho));
-        }
-    }
-
     /// Unit trace, Hermiticity and a non-negative diagonal survive
     /// random tapes of unitaries and channels.
     #[test]
@@ -399,36 +362,6 @@ proptest! {
         let dim = 1usize << n;
         prop_assert!((0..dim).all(|i| m[(i, i)].re >= -1e-12));
         prop_assert!(rho.purity() <= 1.0 + 1e-10);
-    }
-
-    /// Serial and worker-team sweeps (and unitary passes) agree bit for
-    /// bit at every width, below and above the default fan-out
-    /// threshold.
-    #[test]
-    fn team_sweeps_are_bit_identical_to_serial(n in 1usize..=7, seed in 0u64..1 << 32) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let ctx = ParallelCtx::with_workers(4).with_min_dim(2);
-        let mut serial = DensityMatrix::new(n);
-        let mut team = DensityMatrix::new(n);
-        for step in random_tape(n, 16, &mut rng) {
-            match step {
-                Step::U1(u, q) => {
-                    serial.apply_unitary_1q(&u, q);
-                    team.apply_unitary_1q_ctx(&u, q, &ctx);
-                }
-                Step::U2(u, a, b) => {
-                    serial.apply_unitary_2q(&u, a, b);
-                    team.apply_unitary_2q_ctx(&u, a, b, &ctx);
-                }
-                Step::Ch(ch, qs) => {
-                    let mut table = SuperopTable::default();
-                    let s = table.push(&ch);
-                    serial.apply_superop_ctx(table.get(s), &qs, &ParallelCtx::SERIAL);
-                    team.apply_superop_ctx(table.get(s), &qs, &ctx);
-                }
-            }
-        }
-        prop_assert_eq!(bits(&serial), bits(&team));
     }
 
     /// A fused program leaves the state op-by-op application of the

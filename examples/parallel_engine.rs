@@ -1,14 +1,15 @@
-//! Engine parallelism: the same training run under the serial density
-//! engine and under a worker team, byte-identical by construction.
+//! Simulation parallelism: the same training run serial and over a
+//! shared job pipeline, byte-identical by construction.
 //!
-//! `SimParallelism` is the one knob: `Serial` (the default) runs every
-//! density pass on the session thread; `Workers(n)` fans density
-//! row-blocks over a persistent worker team. Results never depend on the lane
-//! count — the worker team partitions work deterministically, so a
-//! parallel run is a drop-in replacement wherever a report has been
-//! pinned byte-for-byte. How runs evolve is orthogonal: each gradient
-//! task is one walk of its template with every shifted run forked off
-//! it, and the session's `EngineTelemetry` counts those runs.
+//! `SimParallelism` is the one knob: `Serial` (the default) evolves
+//! every job on the session thread; `Pipeline { lanes }` fans whole
+//! simulation jobs — the shifted runs forked off each gradient task's
+//! template walk — from every client over one shared `BatchPipeline`.
+//! Results never depend on the lane count: a job writes its own output
+//! and does the same arithmetic on any lane, so a pipelined run is a
+//! drop-in replacement wherever a report has been pinned byte-for-byte.
+//! The session's `EngineTelemetry` counts the forked runs and the lanes
+//! they ran on.
 //!
 //! Run with: `cargo run --release --example parallel_engine`
 
@@ -35,31 +36,39 @@ fn train(par: SimParallelism) -> Result<(TrainingReport, EngineTelemetry), Box<d
 }
 
 fn main() -> Result<(), Box<dyn Error>> {
-    let lanes = std::thread::available_parallelism().map_or(2, |n| n.get().min(4));
+    let lanes = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
 
     let (serial_report, serial_telemetry) = train(SimParallelism::Serial)?;
-    println!("serial engines:   {serial_telemetry}");
+    println!("serial:          {serial_telemetry}");
 
-    let (parallel_report, parallel_telemetry) = train(SimParallelism::Workers(lanes))?;
-    println!("worker-team ({lanes}): {parallel_telemetry}");
+    let (piped_report, piped_telemetry) = train(SimParallelism::Pipeline { lanes })?;
+    println!("pipeline ({lanes} lanes): {piped_telemetry}");
 
     assert_eq!(
-        serial_report, parallel_report,
-        "worker-team training must replay the serial report byte for byte"
+        format!("{serial_report:?}"),
+        format!("{piped_report:?}"),
+        "pipelined training must replay the serial report byte for byte"
     );
-    assert_eq!(
-        serial_telemetry.batched_jobs,
-        parallel_telemetry.batched_jobs
-    );
+    assert_eq!(serial_telemetry.batched_jobs, piped_telemetry.batched_jobs);
     assert!(
         serial_telemetry.batched_jobs > 0,
         "shift-rule gradients evolve through the group-fork walk"
     );
+    assert_eq!(
+        (
+            serial_telemetry.pipeline_lanes,
+            piped_telemetry.pipeline_lanes
+        ),
+        (1, lanes)
+    );
 
-    println!("\nreports are byte-identical; {parallel_report}");
+    println!(
+        "\nreports are byte-identical over {} pipeline lanes; {piped_report}",
+        piped_telemetry.pipeline_lanes
+    );
     println!(
         "normalized MaxCut cost converged to {:.4}",
-        parallel_report.converged_loss(5)
+        piped_report.converged_loss(5)
     );
     Ok(())
 }

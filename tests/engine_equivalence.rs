@@ -506,11 +506,11 @@ fn parallel_fleet(par: SimParallelism) -> Ensemble {
 }
 
 #[test]
-fn density_training_report_identical_under_worker_team() {
+fn qaoa_training_report_identical_under_pipeline_lanes() {
     let problem = QaoaProblem::maxcut_ring4();
-    let fast = parallel_fleet(SimParallelism::Workers(4))
+    let fast = parallel_fleet(SimParallelism::Pipeline { lanes: 4 })
         .train(&problem)
-        .expect("parallel path trains");
+        .expect("pipeline path trains");
     let slow = parallel_fleet(SimParallelism::Serial)
         .train(&problem)
         .expect("serial path trains");
@@ -521,14 +521,13 @@ fn density_training_report_identical_under_worker_team() {
 #[test]
 fn engine_telemetry_reports_lanes_and_folded_pairs() {
     let problem = QaoaProblem::maxcut_ring4();
-    let ensemble = parallel_fleet(SimParallelism::Workers(3));
+    let ensemble = parallel_fleet(SimParallelism::Serial);
     let mut session = ensemble.session(&problem).expect("session binds");
     let report = DiscreteEventExecutor::new()
         .run(&mut session)
         .expect("trains");
     assert!(report.epochs > 0);
     let telem = session.engine_telemetry();
-    assert_eq!(telem.workers, 3, "lanes follow the SimParallelism knob");
     assert!(
         telem.batched_jobs > 0,
         "shift-rule gradient batches evolve through the group-fork walk"
@@ -546,7 +545,7 @@ fn engine_telemetry_reports_lanes_and_folded_pairs() {
     assert_eq!(
         format!("{telem}"),
         format!(
-            "3 engine lanes, {} jobs, 1 pipeline lanes, {} batched runs",
+            "{} jobs, 1 pipeline lanes, {} batched runs",
             telem.jobs, telem.batched_jobs
         ),
     );

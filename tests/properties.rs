@@ -266,30 +266,6 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&p), "p = {}", p);
     }
 
-    /// A worker-team density engine is byte-identical to the serial
-    /// engine for arbitrary circuits, widths and lane counts — the
-    /// partitioned kernels may not change a single bit.
-    #[test]
-    fn worker_team_density_is_byte_identical_to_serial(
-        n in 2usize..8,
-        seed in 0u64..256,
-        workers in 2usize..6,
-        shots in 64usize..1024,
-    ) {
-        let circuit = seeded_circuit(n, seed, 14);
-        let active: Vec<usize> = (0..n).collect();
-        let mut serial = seven_qubit_backend(seed);
-        let mut par = seven_qubit_backend(seed);
-        par.set_parallelism(qsim::ParallelCtx::with_workers(workers));
-        let a = serial.execute(&circuit, &active, shots, qdevice::SimTime::ZERO);
-        let b = par.execute(&circuit, &active, shots, qdevice::SimTime::ZERO);
-        prop_assert_eq!(a.counts, b.counts);
-        prop_assert_eq!(
-            a.completed.as_secs().to_bits(),
-            b.completed.as_secs().to_bits()
-        );
-    }
-
     /// Group-fork suffixes fanned over pipeline lanes are byte-identical
     /// to the same walk resumed inline, for arbitrary parameterized
     /// circuits, widths 2–7 and any lane count: per-run counts, job
