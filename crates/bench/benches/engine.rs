@@ -69,11 +69,17 @@ fn bench_gate_kernels(c: &mut Criterion) {
     let mut group = c.benchmark_group("gate_kernel");
     let mut rho = DensityMatrix::new(5);
     rho.apply_unitary_1q(&gates::h(), 0);
-    let ry = gates::ry(0.7);
-    let cx = gates::cx();
-    group.bench_function("unitary_1q_5q", |b| b.iter(|| rho.apply_unitary_1q(&ry, 2)));
+    // A non-diagonal unitary sweeps as its lowering `U (x) conj(U)`, the
+    // same half-state block sweep a channel takes; lowered once here, as
+    // a compiled program lowers its fixed gates.
+    let mut lowered = SuperopTable::default();
+    let ry = lowered.push_unitary(&gates::ry(0.7));
+    let cx = lowered.push_unitary(&gates::cx());
+    group.bench_function("unitary_1q_5q", |b| {
+        b.iter(|| rho.apply_superop(lowered.get(ry), &[2]))
+    });
     group.bench_function("unitary_2q_5q", |b| {
-        b.iter(|| rho.apply_unitary_2q(&cx, 1, 3))
+        b.iter(|| rho.apply_superop(lowered.get(cx), &[1, 3]))
     });
 
     // The three sweeps a transpiled 7-qubit tape is made of: the

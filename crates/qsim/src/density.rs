@@ -6,18 +6,33 @@
 //! workloads an exact density-matrix treatment is cheap (`4^n` entries) and
 //! — unlike per-shot Monte Carlo — deterministic given a seed only at the
 //! sampling step.
+//!
+//! # The live half
+//!
+//! `rho` is Hermitian and every operation here preserves that, and a
+//! measurement reads only the diagonal. So only the **upper triangle**
+//! of a [`DensityMatrix`] — entries `(r, c)` with `r <= c` — is live:
+//! every in-place kernel reads and writes that half alone and reads an
+//! entry below the diagonal as the conjugate of its twin above it. The
+//! strictly-lower half of the storage is unspecified (stale, or never
+//! written) and nothing outside [`baseline`] reads it; the readers
+//! ([`DensityMatrix::matrix`], [`DensityMatrix::purity`],
+//! [`DensityMatrix::fidelity_with_pure`],
+//! [`DensityMatrix::expectation_pauli`] and `==`) read through the
+//! mirror. A sweep thereby visits only the blocks whose base row is at
+//! most their base column, and a copy moves half the state.
 
 use crate::complex::C64;
 use crate::gates::Pauli;
 use crate::matrix::CMatrix;
-use crate::noise::{KrausChannel, Superop, SuperopTable};
+use crate::noise::{KrausChannel, Superop, SuperopRow, SuperopTable};
 use crate::statevector::StateVector;
 use rand::Rng;
 
 /// Raw row-major storage for the passes the borrow checker cannot
-/// express: the pair and quad passes hold two or four disjoint rows of
-/// one matrix at once, and the block sweep reads entries at offsets it
-/// has already bounded.
+/// express: the pair pass holds two disjoint rows of one matrix at once
+/// and reaches into a third for mirrored entries, and the block sweep
+/// reads entries at offsets it has already bounded.
 struct RowPtr(*mut C64);
 
 impl RowPtr {
@@ -42,33 +57,6 @@ impl RowPtr {
     }
 }
 
-/// Rows of a small operator when every row has at most one nonzero
-/// entry: `rows[r] = Some((col, value))` or `None` for an all-zero row.
-///
-/// Every noise operator this workspace produces fits this shape —
-/// scaled Paulis (depolarizing), damping products (thermal relaxation),
-/// diagonal phases, CX/CZ/SWAP — and it admits an exact fast path: the
-/// dense row product `sum_j u[r][j] * a[j]` collapses to a single
-/// multiply. The skipped terms are all exact `0 * a[j]` products, so
-/// the only representable difference versus the dense kernel is the
-/// sign of exact zeros, which can never change a measurement
-/// probability or a sampled count.
-fn sparse_rows<const N: usize>(u: &CMatrix) -> Option<[Option<(usize, C64)>; N]> {
-    let mut rows = [None; N];
-    for (r, row) in rows.iter_mut().enumerate() {
-        for c in 0..N {
-            let z = u[(r, c)];
-            if z != C64::ZERO {
-                if row.is_some() {
-                    return None;
-                }
-                *row = Some((c, z));
-            }
-        }
-    }
-    Some(rows)
-}
-
 /// Expands a base-row index `k` (enumeration of rows with bit `q`
 /// clear) back to the row number: inserts a zero bit at position `q`.
 /// Enumeration order is ascending, matching the serial `0..dim` filter.
@@ -77,54 +65,13 @@ fn insert_bit(k: usize, q: usize) -> usize {
     ((k >> q) << (q + 1)) | (k & ((1usize << q) - 1))
 }
 
-/// Applies `rho -> U rho U^dag` for a 2x2 operator on qubit `q`, over
-/// raw row-major storage: a left pass over base-row pairs, then a right
-/// pass over single rows.
-fn kernel_1q(mat: &mut [C64], dim: usize, u: &CMatrix, q: usize) {
-    if u[(0, 1)] == C64::ZERO && u[(1, 0)] == C64::ZERO {
-        return kernel_1q_diag(mat, dim, [u[(0, 0)], u[(1, 1)]], q);
-    }
-    if let Some(rows) = sparse_rows::<2>(u) {
-        return kernel_1q_sparse(mat, dim, &rows, q);
-    }
-    let bit = 1usize << q;
-    let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: rows mix in pairs. Row-major storage, so walk row
-    // pairs with contiguous inner slices (no per-element bounds checks).
-    for k in 0..dim / 2 {
-        let r = insert_bit(k, q);
-        // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-        let row0 = unsafe { p.row(r, dim) };
-        let row1 = unsafe { p.row(r | bit, dim) };
-        for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-            let a0 = *x0;
-            let a1 = *x1;
-            *x0 = u00 * a0 + u01 * a1;
-            *x1 = u10 * a0 + u11 * a1;
-        }
-    }
-    // Right multiply by U^dag: columns mix with conjugated coefficients.
-    let (d00, d01, d10, d11) = (u00.conj(), u10.conj(), u01.conj(), u11.conj());
-    for row in mat.chunks_exact_mut(dim) {
-        for c in 0..dim {
-            if c & bit == 0 {
-                let c1 = c | bit;
-                let a0 = row[c];
-                let a1 = row[c1];
-                row[c] = a0 * d00 + a1 * d10;
-                row[c1] = a0 * d01 + a1 * d11;
-            }
-        }
-    }
-}
-
-/// Diagonal-operator path for [`kernel_1q`] (every parameterized op left
-/// on a transpiled tape is an RZ): `U rho U^dag` multiplies entry
-/// `(r, c)` by `d[r_q] * conj(d[c_q])`, so one pass over the `lo`/`hi`
-/// column runs of each row replaces the left and right passes — the
-/// two-pass product `(d_r x) conj(d_c)` re-associated, equal to rounding
-/// (~1e-16).
+/// Applies a diagonal `2x2` operator `diag(d)` on qubit `q` (every
+/// parameterized op left on a transpiled tape is an RZ): `U rho U^dag`
+/// multiplies entry `(r, c)` by `d[r_q] * conj(d[c_q])`, so one pass
+/// over the live part of each row — from column `r` on, as runs of
+/// `bit` columns sharing `c_q` — is the whole product (the two-pass
+/// product `(d_r x) conj(d_c)` re-associated, equal to rounding,
+/// ~1e-16).
 ///
 /// When both entries have unit modulus (every phase gate) the factor on
 /// the half of the state with `r_q == c_q` is exactly 1 and that half —
@@ -135,169 +82,30 @@ fn kernel_1q_diag(mat: &mut [C64], dim: usize, d: [C64; 2], q: usize) {
         .iter()
         .all(|z| (z.norm_sqr() - 1.0).abs() <= 4.0 * f64::EPSILON);
     for (r, row) in mat.chunks_exact_mut(dim).enumerate() {
-        let rq = usize::from(r & bit != 0);
-        let f = [d[rq] * d[0].conj(), d[rq] * d[1].conj()];
-        for run in row.chunks_exact_mut(2 * bit) {
-            let (lo, hi) = run.split_at_mut(bit);
-            for (cq, half) in [lo, hi].into_iter().enumerate() {
-                if !(unit && cq == rq) {
-                    half.iter_mut().for_each(|x| *x *= f[cq]);
-                }
+        let rq = (r >> q) & 1;
+        let (same, flip) = (d[rq] * d[rq].conj(), d[rq] * d[rq ^ 1].conj());
+        // Columns `r..next` share `r_q`; from `next` on, runs of `bit`
+        // columns alternate, the first with the other value.
+        let next = ((r >> q) + 1) << q;
+        if !unit {
+            row[r..next].iter_mut().for_each(|x| *x *= same);
+        }
+        if unit && bit == 1 {
+            // Runs of one column: a stride, not a loop per run.
+            row[next..].iter_mut().step_by(2).for_each(|x| *x *= flip);
+            continue;
+        }
+        for run in row[next..].chunks_mut(2 * bit) {
+            let (other, rest) = run.split_at_mut(bit);
+            other.iter_mut().for_each(|x| *x *= flip);
+            if !unit {
+                rest.iter_mut().for_each(|x| *x *= same);
             }
         }
     }
 }
 
-/// Sparse-operator fast path for [`kernel_1q`]: one multiply per
-/// element per pass instead of a full 2x2 product.
-fn kernel_1q_sparse(mat: &mut [C64], dim: usize, rows: &[Option<(usize, C64)>; 2], q: usize) {
-    let bit = 1usize << q;
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    for k in 0..dim / 2 {
-        let r = insert_bit(k, q);
-        // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
-        let row0 = unsafe { p.row(r, dim) };
-        let row1 = unsafe { p.row(r | bit, dim) };
-        for (x0, x1) in row0.iter_mut().zip(row1.iter_mut()) {
-            let a = [*x0, *x1];
-            *x0 = rows[0].map_or(C64::ZERO, |(c, v)| v * a[c]);
-            *x1 = rows[1].map_or(C64::ZERO, |(c, v)| v * a[c]);
-        }
-    }
-    // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-    ];
-    for row in mat.chunks_exact_mut(dim) {
-        for c in 0..dim {
-            if c & bit == 0 {
-                let c1 = c | bit;
-                let a = [row[c], row[c1]];
-                row[c] = d[0].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                row[c1] = d[1].map_or(C64::ZERO, |(i, v)| a[i] * v);
-            }
-        }
-    }
-}
-
-/// Applies `rho -> U rho U^dag` for a 4x4 operator on the pair
-/// `(q0, q1)` over raw storage (see [`kernel_1q`]). The 4x4 matrix is
-/// hoisted into locals once so the inner loops run on registers.
-fn kernel_2q(mat: &mut [C64], dim: usize, u: &CMatrix, q0: usize, q1: usize) {
-    if let Some(rows) = sparse_rows::<4>(u) {
-        return kernel_2q_sparse(mat, dim, &rows, q0, q1);
-    }
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    let mut m = [[C64::ZERO; 4]; 4];
-    for (r, row) in m.iter_mut().enumerate() {
-        for (c, entry) in row.iter_mut().enumerate() {
-            *entry = u[(r, c)];
-        }
-    }
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply U.
-    for k in 0..dim / 4 {
-        let r = insert_bit(insert_bit(k, qa), qb);
-        let idx = [r, r | b0, r | b1, r | b0 | b1];
-        for c in 0..dim {
-            // SAFETY: distinct base rows yield disjoint row quads.
-            let a = unsafe {
-                [
-                    *p.at(idx[0] * dim + c),
-                    *p.at(idx[1] * dim + c),
-                    *p.at(idx[2] * dim + c),
-                    *p.at(idx[3] * dim + c),
-                ]
-            };
-            for (row_i, &i) in idx.iter().enumerate() {
-                let mi = &m[row_i];
-                // SAFETY: as above.
-                unsafe {
-                    *p.at(i * dim + c) = mi[0] * a[0] + mi[1] * a[1] + mi[2] * a[2] + mi[3] * a[3];
-                }
-            }
-        }
-    }
-    // Right multiply U^dag: (rho U^dag)_{r j} = sum_i rho_{r i} conj(U_{j i}).
-    let mut md = [[C64::ZERO; 4]; 4];
-    for (j, row) in md.iter_mut().enumerate() {
-        for (i, entry) in row.iter_mut().enumerate() {
-            *entry = m[j][i].conj();
-        }
-    }
-    for row in mat.chunks_exact_mut(dim) {
-        for c in 0..dim {
-            if c & b0 == 0 && c & b1 == 0 {
-                let idx = [c, c | b0, c | b1, c | b0 | b1];
-                let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                for (col_j, &j) in idx.iter().enumerate() {
-                    let dj = &md[col_j];
-                    row[j] = a[0] * dj[0] + a[1] * dj[1] + a[2] * dj[2] + a[3] * dj[3];
-                }
-            }
-        }
-    }
-}
-
-/// Sparse-operator fast path for [`kernel_2q`] (see [`sparse_rows`]).
-fn kernel_2q_sparse(
-    mat: &mut [C64],
-    dim: usize,
-    rows: &[Option<(usize, C64)>; 4],
-    q0: usize,
-    q1: usize,
-) {
-    let b0 = 1usize << q0;
-    let b1 = 1usize << q1;
-    let (qa, qb) = if q0 < q1 { (q0, q1) } else { (q1, q0) };
-    let p = RowPtr(mat.as_mut_ptr());
-    // Left multiply: new[r] = u[r][c_r] * a[c_r].
-    for k in 0..dim / 4 {
-        let r = insert_bit(insert_bit(k, qa), qb);
-        let idx = [r, r | b0, r | b1, r | b0 | b1];
-        for c in 0..dim {
-            // SAFETY: distinct base rows yield disjoint row quads.
-            let a = unsafe {
-                [
-                    *p.at(idx[0] * dim + c),
-                    *p.at(idx[1] * dim + c),
-                    *p.at(idx[2] * dim + c),
-                    *p.at(idx[3] * dim + c),
-                ]
-            };
-            for (row_i, &i) in idx.iter().enumerate() {
-                // SAFETY: as above.
-                unsafe {
-                    *p.at(i * dim + c) = rows[row_i].map_or(C64::ZERO, |(j, v)| v * a[j]);
-                }
-            }
-        }
-    }
-    // Right multiply by U^dag: new[j] = a[c_j] * conj(u[j][c_j]).
-    let d = [
-        rows[0].map(|(c, v)| (c, v.conj())),
-        rows[1].map(|(c, v)| (c, v.conj())),
-        rows[2].map(|(c, v)| (c, v.conj())),
-        rows[3].map(|(c, v)| (c, v.conj())),
-    ];
-    for row in mat.chunks_exact_mut(dim) {
-        for c in 0..dim {
-            if c & b0 == 0 && c & b1 == 0 {
-                let idx = [c, c | b0, c | b1, c | b0 | b1];
-                let a = [row[idx[0]], row[idx[1]], row[idx[2]], row[idx[3]]];
-                for (col_j, &j) in idx.iter().enumerate() {
-                    row[j] = d[col_j].map_or(C64::ZERO, |(i, v)| a[i] * v);
-                }
-            }
-        }
-    }
-}
-
-/// Applies a lowered one-qubit channel in place: one sweep over the
+/// Applies a lowered one-qubit channel in place: one sweep over the live
 /// `2x2` blocks of `rho` on qubit `q`, each overwritten with `m * block`
 /// (`m` is the superoperator expanded dense, block entry `(i, j)` at
 /// index `i * 2 + j` — see [`crate::noise::SuperopTable`]).
@@ -310,40 +118,107 @@ fn kernel_2q_sparse(
 /// terms a sparse row would skip still cost less than skipping them,
 /// and can only change the sign of exact zeros.
 ///
-/// Walks base-row pairs exactly like the left pass of [`kernel_1q`].
+/// Only blocks whose base column is at least `r` are live. In the row
+/// pair's own column run the block entry `(r | bit, c)` lies below the
+/// diagonal: it is read as `conj(rho[c][r | bit])` and written back the
+/// same way, except on the diagonal block (`c == r`), where its twin is
+/// the block's own `(r, r | bit)` entry and it is not written. Every
+/// later run is live whole and streams.
 fn kernel_superop_1q<C>(mat: &mut [C64], dim: usize, m: [[C; 4]; 4], q: usize)
 where
     C: Copy + std::ops::Mul<C64, Output = C64>,
 {
     let bit = 1usize << q;
+    let out =
+        |a: &[C64; 4], e: usize| m[e][0] * a[0] + m[e][1] * a[1] + m[e][2] * a[2] + m[e][3] * a[3];
+    let step = |x0: &mut C64, x1: &mut C64, x2: &mut C64, x3: &mut C64| {
+        let a = [*x0, *x1, *x2, *x3];
+        (*x0, *x1, *x2, *x3) = (out(&a, 0), out(&a, 1), out(&a, 2), out(&a, 3));
+    };
     let p = RowPtr(mat.as_mut_ptr());
     for k in 0..dim / 2 {
         let r = insert_bit(k, q);
+        let start = r & !(2 * bit - 1);
         // SAFETY: distinct base rows yield disjoint (r, r|bit) pairs.
         let row0 = unsafe { p.row(r, dim) };
         let row1 = unsafe { p.row(r | bit, dim) };
-        let runs = row0
+        let (own0, later0) = row0[start..].split_at_mut(2 * bit);
+        let (own1, later1) = row1[start..].split_at_mut(2 * bit);
+        let (lo0, hi0) = own0.split_at_mut(bit);
+        let hi1 = &mut own1[bit..];
+        let first = r - start;
+        let mut own_twin = hi0[first].conj();
+        step(
+            &mut lo0[first],
+            &mut hi0[first],
+            &mut own_twin,
+            &mut hi1[first],
+        );
+        // Block `(r, c)` keeps its mirrored entry in row `c`.
+        let twins = (r + 1..start + bit).map(|c| c * dim + (r | bit));
+        let blocks = lo0[first + 1..]
+            .iter_mut()
+            .zip(&mut hi0[first + 1..])
+            .zip(&mut hi1[first + 1..]);
+        for (((x0, x1), x3), t) in blocks.zip(twins) {
+            // SAFETY: row `c` has bit `q` clear and lies past `r`, so it
+            // is neither row of the pair; its entry at column `r | bit` is
+            // in bounds and belongs to this block alone.
+            let twin = unsafe { p.at(t) };
+            let mut x2 = twin.conj();
+            step(x0, x1, &mut x2, x3);
+            *twin = x2.conj();
+        }
+        if bit == 1 {
+            let pairs = later0.as_chunks_mut::<2>().0.iter_mut();
+            for ([x0, x1], [x2, x3]) in pairs.zip(later1.as_chunks_mut::<2>().0) {
+                step(x0, x1, x2, x3);
+            }
+            continue;
+        }
+        let runs = later0
             .chunks_exact_mut(2 * bit)
-            .zip(row1.chunks_exact_mut(2 * bit));
+            .zip(later1.chunks_exact_mut(2 * bit));
         for (run0, run1) in runs {
             let (lo0, hi0) = run0.split_at_mut(bit);
             let (lo1, hi1) = run1.split_at_mut(bit);
             for (((x0, x1), x2), x3) in lo0.iter_mut().zip(hi0).zip(lo1).zip(hi1) {
-                let a = [*x0, *x1, *x2, *x3];
-                let out =
-                    |e: usize| m[e][0] * a[0] + m[e][1] * a[1] + m[e][2] * a[2] + m[e][3] * a[3];
-                (*x0, *x1, *x2, *x3) = (out(0), out(1), out(2), out(3));
+                step(x0, x1, x2, x3);
             }
         }
     }
 }
 
+/// One sparse row of a two-qubit superoperator times a gathered block.
+#[inline(always)]
+fn row_dot((cols, re, im): SuperopRow<'_>, block: &[C64; 16]) -> C64 {
+    // Columns are below 16 by construction; the mask only tells the
+    // compiler so.
+    let mut acc = C64::ZERO;
+    if im.is_empty() {
+        for (&col, &v) in cols.iter().zip(re) {
+            acc += block[col as usize & 15] * v;
+        }
+    } else {
+        for ((&col, &vr), &vi) in cols.iter().zip(re).zip(im) {
+            acc += C64::new(vr, vi) * block[col as usize & 15];
+        }
+    }
+    acc
+}
+
 /// Applies a lowered two-qubit channel in place: one sweep over the
-/// `4x4` blocks of `rho` on the operand qubits, each block read whole
-/// and overwritten with `S * block` (see
+/// live `4x4` blocks of `rho` on the operand qubits, each block read
+/// whole and overwritten with `S * block` (see
 /// [`crate::noise::SuperopTable`]). `off[i]` is the index offset of
 /// local basis state `i`; `sorted` lists the operand qubits ascending.
-/// Walks row groups exactly like the left pass of [`kernel_2q`].
+///
+/// Only blocks with base row `r` at most base column `c` are visited. A
+/// block with `c >= r + off[3]` lies above the diagonal whole; any other
+/// one indexes each entry through the mirror — an entry below the
+/// diagonal is read as the conjugate of its twin and written back the
+/// same way, unless the twin is in the block itself (`c == r`), where it
+/// is written directly.
 fn kernel_superop(
     mat: &mut [C64],
     dim: usize,
@@ -352,55 +227,99 @@ fn kernel_superop(
     sorted: [usize; 2],
 ) {
     let base = |k: usize| insert_bit(insert_bit(k, sorted[0]), sorted[1]);
-    // Flat offset of block entry `e = i * 4 + j` from the block origin.
+    // Flat offset of block entry `e = i * 4 + j` from the block origin,
+    // and of its mirror twin from the transposed origin.
     let at: [usize; 16] = std::array::from_fn(|e| off[e / 4] * dim + off[e % 4]);
+    let at_t: [usize; 16] = std::array::from_fn(|e| off[e % 4] * dim + off[e / 4]);
+    // The six entries whose row offset exceeds their column offset (the
+    // four offsets are distinct): by how much, and the entry's bit.
+    let mut rises = [(0usize, 0u16); 6];
+    let higher = (0..16).filter(|&e| off[e / 4] > off[e % 4]);
+    for (rise, e) in rises.iter_mut().zip(higher) {
+        *rise = (off[e / 4] - off[e % 4], 1 << e);
+    }
     let rows = s.rows();
     let p = RowPtr(mat.as_mut_ptr());
     let mut block = [C64::ZERO; 16];
-    for r in (0..dim / 4).map(base) {
-        for c in (0..dim / 4).map(base) {
-            let origin = r * dim + c;
-            for e in 0..16 {
-                // SAFETY: `r` and `c` have the operand bits clear and
-                // `off` sets only those (all below `dim`: the caller
-                // checked the qubits), so the index is in bounds.
+    // The last partial block's mirror pattern (bit `e` set: entry `e`
+    // lives at its twin), and its entries in place first, then those
+    // at their twins from `split` on.
+    let (mut pattern, mut order, mut split) = (u16::MAX, [0usize; 16], 0);
+    for kr in 0..dim / 4 {
+        let r = base(kr);
+        for c in (kr..dim / 4).map(base) {
+            let (origin, twin) = (r * dim + c, c * dim + r);
+            // SAFETY (every access below): `r` and `c` have the operand
+            // bits clear and `off` sets only those (all below `dim`: the
+            // caller checked the qubits), so each index is in bounds.
+            if c >= r + off[3] {
+                for e in 0..16 {
+                    block[e] = unsafe { *p.at(origin + at[e]) };
+                }
+                for e in 0..16 {
+                    let acc = row_dot(rows[e], &block);
+                    unsafe { *p.at(origin + at[e]) = acc };
+                }
+                continue;
+            }
+            // Entry `e` lies below the diagonal when its row offset
+            // exceeds its column offset by more than `c - r`: it lives
+            // at its twin, conjugated.
+            let below = rises
+                .iter()
+                .filter(|&&(rise, _)| rise > c - r)
+                .fold(0u16, |mask, &(_, entry)| mask | entry);
+            if below != pattern {
+                // It changes only where `c - r` crosses a rise: order the
+                // entries once per change, not per block.
+                pattern = below;
+                split = 16 - below.count_ones() as usize;
+                let (mut direct, mut mirrored) = (0, split);
+                for e in 0..16 {
+                    let slot = if below >> e & 1 != 0 {
+                        &mut mirrored
+                    } else {
+                        &mut direct
+                    };
+                    order[*slot] = e;
+                    *slot += 1;
+                }
+            }
+            let (direct, mirrored) = order.split_at(split);
+            for &e in direct {
                 block[e] = unsafe { *p.at(origin + at[e]) };
             }
-            for e in 0..16 {
-                // Columns are below 16 by construction; the mask
-                // only tells the compiler so.
-                let (cols, re, im) = rows[e];
-                let mut acc = C64::ZERO;
-                if im.is_empty() {
-                    for (&col, &v) in cols.iter().zip(re) {
-                        acc += block[col as usize & 15] * v;
-                    }
-                } else {
-                    for ((&col, &vr), &vi) in cols.iter().zip(re).zip(im) {
-                        acc += C64::new(vr, vi) * block[col as usize & 15];
-                    }
-                }
-                // SAFETY: as above.
+            for &e in mirrored {
+                block[e] = unsafe { *p.at(twin + at_t[e]) }.conj();
+            }
+            for &e in direct {
+                let acc = row_dot(rows[e], &block);
                 unsafe { *p.at(origin + at[e]) = acc };
+            }
+            if c != r {
+                for &e in mirrored {
+                    let acc = row_dot(rows[e], &block);
+                    unsafe { *p.at(twin + at_t[e]) = acc.conj() };
+                }
             }
         }
     }
 }
 
-/// The pre-optimization density kernels, preserved verbatim.
+/// The pre-optimization density kernels: the full-matrix oracle.
 ///
 /// These are the implementations this module shipped before the engine
-/// layer landed: column-major iteration, a heap-allocated gather per
-/// two-qubit position, and a full state clone per Kraus operator. The
-/// unitary kernels compute the exact same floating-point results as the
-/// current dense and sparse ones (element-wise the arithmetic is
-/// unchanged; only iteration order and allocation differ); the one-pass
-/// diagonal kernel re-associates and equals them to ~1e-16.
-/// [`baseline::apply_channel`] is the literal Kraus sum — the oracle the
-/// lowered-superoperator sweep is tested against: equal to 1e-12 (the
-/// sum is re-associated, so the states differ at the 1e-16 level), with
-/// equal sampled counts on every pinned fixture. Never use these on a
-/// hot path.
+/// layer landed: column-major iteration over the whole matrix, a
+/// heap-allocated gather per two-qubit position, two passes per
+/// unitary, and a full state clone per Kraus operator. Each first fills
+/// in the lower half of `rho` from its live upper half, so it works on
+/// — and leaves — the full Hermitian matrix whatever the live-half
+/// kernels left below the diagonal; its upper half is then a valid live
+/// half. [`baseline::apply_channel`] is the literal Kraus sum — the
+/// oracle the lowered-superoperator sweep is tested against: equal to
+/// 1e-12 (the sum is re-associated, so the states differ at the 1e-16
+/// level), with equal sampled counts on every pinned fixture. Never use
+/// these on a hot path.
 pub mod baseline {
     use super::*;
 
@@ -412,6 +331,7 @@ pub mod baseline {
     pub fn apply_unitary_1q(rho: &mut DensityMatrix, u: &CMatrix, q: usize) {
         assert!(q < rho.n, "qubit {q} out of range");
         assert_eq!((u.rows(), u.cols()), (2, 2), "1q gate must be 2x2");
+        rho.fill_lower();
         let dim = rho.dim();
         let bit = 1usize << q;
         let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
@@ -452,6 +372,7 @@ pub mod baseline {
         assert!(q0 != q1, "2q gate operands must differ");
         assert!(q0 < rho.n && q1 < rho.n, "qubit out of range");
         assert_eq!((u.rows(), u.cols()), (4, 4), "2q gate must be 4x4");
+        rho.fill_lower();
         let dim = rho.dim();
         let b0 = 1usize << q0;
         let b1 = 1usize << q1;
@@ -503,6 +424,7 @@ pub mod baseline {
             channel.num_qubits(),
             "channel arity does not match qubit list"
         );
+        rho.fill_lower();
         let original = rho.clone();
         for z in &mut rho.mat {
             *z = C64::ZERO;
@@ -522,7 +444,10 @@ pub mod baseline {
 }
 
 /// A mixed quantum state over `n` qubits, stored as a dense `2^n x 2^n`
-/// row-major matrix.
+/// row-major matrix of which only the upper triangle (`r <= c`) is live:
+/// the strictly-lower half of the storage is unspecified, and every
+/// operation reads an entry there as the conjugate of its twin (see the
+/// [module docs](self)).
 ///
 /// # Examples
 ///
@@ -536,12 +461,32 @@ pub mod baseline {
 /// rho.apply_channel(&KrausChannel::depolarizing_1q(0.05), &[0]);
 /// assert!((rho.trace() - 1.0).abs() < 1e-12);
 /// assert!(rho.purity() < 1.0);
+/// assert!(rho.matrix().is_hermitian(0.0));
 /// ```
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone)]
 pub struct DensityMatrix {
     n: usize,
-    /// Row-major `2^n x 2^n` storage.
+    /// Row-major `2^n x 2^n` storage; live on and above the diagonal.
     mat: Vec<C64>,
+}
+
+impl PartialEq for DensityMatrix {
+    /// Equal qubit counts and equal live halves.
+    fn eq(&self, other: &Self) -> bool {
+        let dim = self.dim();
+        self.n == other.n
+            && (0..dim)
+                .all(|r| self.mat[r * dim + r..][..dim - r] == other.mat[r * dim + r..][..dim - r])
+    }
+}
+
+impl std::fmt::Debug for DensityMatrix {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DensityMatrix")
+            .field("n", &self.n)
+            .field("matrix", &self.matrix())
+            .finish()
+    }
 }
 
 impl DensityMatrix {
@@ -579,6 +524,33 @@ impl DensityMatrix {
         DensityMatrix { n, mat }
     }
 
+    /// Takes `m` as a state: its upper triangle becomes the live half.
+    /// Nothing reads `m` below the diagonal (it is stored as given and
+    /// unspecified from then on), so only the upper triangle need hold
+    /// numbers; whether they describe a physical state is the caller's.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `m` is square with a power-of-two side of at most
+    /// `2^`[`Self::MAX_QUBITS`].
+    pub fn from_matrix(m: &CMatrix) -> Self {
+        let dim = m.rows();
+        assert!(
+            m.cols() == dim && dim.is_power_of_two(),
+            "a state is a square 2^n x 2^n matrix"
+        );
+        let n = dim.trailing_zeros() as usize;
+        assert!(
+            n <= Self::MAX_QUBITS,
+            "density matrix capped at {} qubits",
+            Self::MAX_QUBITS
+        );
+        DensityMatrix {
+            n,
+            mat: m.as_slice().to_vec(),
+        }
+    }
+
     /// Number of qubits.
     #[inline]
     pub fn num_qubits(&self) -> usize {
@@ -591,17 +563,44 @@ impl DensityMatrix {
         1 << self.n
     }
 
-    /// Returns the state as a [`CMatrix`] (copies).
+    /// Returns the state as a full Hermitian [`CMatrix`] (copies; the
+    /// lower half is the mirror of the live one).
     pub fn matrix(&self) -> CMatrix {
-        CMatrix::from_slice(self.dim(), self.dim(), &self.mat)
+        let dim = self.dim();
+        let mut m = CMatrix::zeros(dim, dim);
+        for r in 0..dim {
+            for c in 0..dim {
+                m[(r, c)] = self.at(r, c);
+            }
+        }
+        m
     }
 
+    /// Entry `(r, c)`, read through the mirror below the diagonal.
     #[inline]
     fn at(&self, r: usize, c: usize) -> C64 {
-        self.mat[r * self.dim() + c]
+        let dim = self.dim();
+        if r <= c {
+            self.mat[r * dim + c]
+        } else {
+            self.mat[c * dim + r].conj()
+        }
     }
 
-    /// Applies a 2x2 unitary to qubit `q`: `rho -> U rho U^dag`.
+    /// Overwrites the strictly-lower half with the mirror of the live
+    /// one: the full Hermitian matrix the [`baseline`] oracle works on.
+    fn fill_lower(&mut self) {
+        let dim = self.dim();
+        for r in 1..dim {
+            for c in 0..r {
+                self.mat[r * dim + c] = self.mat[c * dim + r].conj();
+            }
+        }
+    }
+
+    /// Applies a 2x2 unitary to qubit `q`: `rho -> U rho U^dag`. A
+    /// diagonal `U` takes one phase pass; any other is lowered to
+    /// `U (x) conj(U)` and applied as a one-qubit superoperator sweep.
     ///
     /// # Panics
     ///
@@ -609,12 +608,17 @@ impl DensityMatrix {
     pub fn apply_unitary_1q(&mut self, u: &CMatrix, q: usize) {
         assert!(q < self.n, "qubit {q} out of range");
         assert_eq!((u.rows(), u.cols()), (2, 2), "1q gate must be 2x2");
-        let dim = self.dim();
-        kernel_1q(&mut self.mat, dim, u, q);
+        if u[(0, 1)] == C64::ZERO && u[(1, 0)] == C64::ZERO {
+            let dim = self.dim();
+            kernel_1q_diag(&mut self.mat, dim, [u[(0, 0)], u[(1, 1)]], q);
+        } else {
+            self.apply_lowered(u, &[q]);
+        }
     }
 
     /// Applies a 4x4 unitary to the ordered pair `(q0, q1)` in the
-    /// `|q1 q0>` basis convention of [`crate::gates`].
+    /// `|q1 q0>` basis convention of [`crate::gates`], lowered to
+    /// `U (x) conj(U)` and applied as a two-qubit superoperator sweep.
     ///
     /// # Panics
     ///
@@ -623,8 +627,14 @@ impl DensityMatrix {
         assert!(q0 != q1, "2q gate operands must differ");
         assert!(q0 < self.n && q1 < self.n, "qubit out of range");
         assert_eq!((u.rows(), u.cols()), (4, 4), "2q gate must be 4x4");
-        let dim = self.dim();
-        kernel_2q(&mut self.mat, dim, u, q0, q1);
+        self.apply_lowered(u, &[q0, q1]);
+    }
+
+    /// Lowers the unitary `u` and sweeps it over `qubits`.
+    fn apply_lowered(&mut self, u: &CMatrix, qubits: &[usize]) {
+        let mut table = SuperopTable::default();
+        let idx = table.push_unitary(u);
+        self.apply_superop(table.get(idx), qubits);
     }
 
     /// Applies a Kraus channel to the listed qubits:
@@ -646,8 +656,8 @@ impl DensityMatrix {
     }
 
     /// Applies a lowered channel (see [`SuperopTable`]) to the listed
-    /// qubits in one in-place sweep. Equal to the Kraus sum of
-    /// [`baseline::apply_channel`] up to rounding.
+    /// qubits in one in-place sweep over the live half. Equal to the
+    /// Kraus sum of [`baseline::apply_channel`] up to rounding.
     ///
     /// # Panics
     ///
@@ -684,20 +694,21 @@ impl DensityMatrix {
 
     /// Purity `Tr(rho^2)`; 1 for pure states, `1/2^n` for maximally mixed.
     pub fn purity(&self) -> f64 {
+        // Tr(rho^2) = sum_{r,c} |rho_rc|^2 (Hermitian): the diagonal once,
+        // every live off-diagonal entry for itself and its mirror.
         let dim = self.dim();
         let mut acc = 0.0;
         for r in 0..dim {
-            for c in 0..dim {
-                // Tr(rho^2) = sum_{r,c} rho_rc * rho_cr = sum |rho_rc|^2 (Hermitian).
-                acc += (self.at(r, c) * self.at(c, r)).re;
-            }
+            let row = &self.mat[r * dim..(r + 1) * dim];
+            acc += row[r].norm_sqr();
+            acc += 2.0 * row[r + 1..].iter().map(|z| z.norm_sqr()).sum::<f64>();
         }
         acc
     }
 
     /// Re-initializes to `|0...0><0...0|` over `n_qubits`, reusing the
-    /// allocation when the size allows. The engine reset path: no fresh
-    /// matrix per job.
+    /// allocation when the size allows and writing only the live half.
+    /// The engine reset path: no fresh matrix per job.
     ///
     /// # Panics
     ///
@@ -710,17 +721,23 @@ impl DensityMatrix {
         );
         let dim = 1usize << n_qubits;
         self.n = n_qubits;
-        self.mat.clear();
         self.mat.resize(dim * dim, C64::ZERO);
+        for r in 0..dim {
+            self.mat[r * dim + r..(r + 1) * dim].fill(C64::ZERO);
+        }
         self.mat[0] = C64::ONE;
     }
 
-    /// Overwrites this state with a copy of `other`, reusing the
-    /// allocation (how an engine resumes a forked suffix).
+    /// Overwrites this state with a copy of `other`'s live half, reusing
+    /// the allocation (how an engine resumes a forked suffix).
     pub fn copy_from(&mut self, other: &DensityMatrix) {
+        let dim = other.dim();
         self.n = other.n;
-        self.mat.clear();
-        self.mat.extend_from_slice(&other.mat);
+        self.mat.resize(dim * dim, C64::ZERO);
+        for r in 0..dim {
+            let live = r * dim + r..(r + 1) * dim;
+            self.mat[live.clone()].copy_from_slice(&other.mat[live]);
+        }
     }
 
     /// Computational-basis measurement probabilities (the diagonal).
@@ -735,7 +752,7 @@ impl DensityMatrix {
     /// state into a reusable buffer, without normalizing the state:
     /// bit-equal to [`DensityMatrix::normalize`] then
     /// [`DensityMatrix::probabilities`], dividing `2^n` diagonal entries
-    /// instead of `4^n`.
+    /// instead of the live half.
     pub fn normalized_probabilities_into(&self, out: &mut Vec<f64>) {
         let dim = self.dim();
         let t = self.trace();
@@ -750,38 +767,31 @@ impl DensityMatrix {
     ///
     /// Panics if a qubit repeats or is out of range.
     pub fn expectation_pauli(&self, ops: &[(usize, Pauli)]) -> f64 {
-        // Tr(P rho): apply P to a copy and take the trace.
+        // P is a phased permutation, P|c> = P[c ^ flip][c] |c ^ flip>,
+        // so Tr(P rho) = sum_c P[c ^ flip][c] rho[c][c ^ flip].
         let mut seen = 0usize;
-        let mut work = self.clone();
+        let mut flip = 0usize;
+        let mut factors = Vec::with_capacity(ops.len());
         for &(q, p) in ops {
             assert!(q < self.n, "qubit {q} out of range");
             assert!(seen & (1 << q) == 0, "duplicate qubit {q}");
             seen |= 1 << q;
+            if matches!(p, Pauli::X | Pauli::Y) {
+                flip |= 1 << q;
+            }
             if p != Pauli::I {
-                // Left-multiply only: Tr(P rho) via rho -> P rho.
-                work.left_multiply_1q(&p.matrix(), q);
+                factors.push((q, p.matrix()));
             }
         }
-        let dim = work.dim();
-        (0..dim).map(|i| work.mat[i * dim + i].re).sum()
-    }
-
-    /// Left multiplication `rho -> M rho` on one qubit (no right factor).
-    fn left_multiply_1q(&mut self, m: &CMatrix, q: usize) {
-        let dim = self.dim();
-        let bit = 1usize << q;
-        let (m00, m01, m10, m11) = (m[(0, 0)], m[(0, 1)], m[(1, 0)], m[(1, 1)]);
-        for c in 0..dim {
-            for r in 0..dim {
-                if r & bit == 0 {
-                    let r1 = r | bit;
-                    let a0 = self.mat[r * dim + c];
-                    let a1 = self.mat[r1 * dim + c];
-                    self.mat[r * dim + c] = m00 * a0 + m01 * a1;
-                    self.mat[r1 * dim + c] = m10 * a0 + m11 * a1;
-                }
-            }
+        let mut acc = C64::ZERO;
+        for c in 0..self.dim() {
+            let r = c ^ flip;
+            let phase = factors
+                .iter()
+                .fold(C64::ONE, |z, (q, m)| z * m[((r >> q) & 1, (c >> q) & 1)]);
+            acc += phase * self.at(c, r);
         }
+        acc.re
     }
 
     /// Renormalizes the trace to 1 (guards against numerical drift in long
@@ -789,8 +799,11 @@ impl DensityMatrix {
     pub fn normalize(&mut self) {
         let t = self.trace();
         if t > 0.0 {
-            for z in &mut self.mat {
-                *z = *z / t;
+            let dim = self.dim();
+            for r in 0..dim {
+                for z in &mut self.mat[r * dim + r..(r + 1) * dim] {
+                    *z = *z / t;
+                }
             }
         }
     }
@@ -935,8 +948,8 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
 
-    /// A small noisy workload touching every kernel: sparse, diagonal
-    /// and dense 1q/2q unitaries plus sparse channels (including an
+    /// A small noisy workload touching every kernel: permutation-like,
+    /// diagonal and dense 1q/2q unitaries plus sparse channels (including an
     /// all-zero Kraus row via amplitude damping), a complex one-qubit
     /// cluster and a dense unitary channel.
     fn drive(apply: &mut dyn FnMut(Step<'_>), n: usize) {
@@ -1100,5 +1113,100 @@ mod tests {
         let probs = dm.probabilities();
         assert!((probs[0b101] - 1.0).abs() < 1e-12);
         assert!((sv.probability_of(0b101) - 1.0).abs() < 1e-12);
+    }
+
+    /// `rho` with every entry below the diagonal NaN: a reader that
+    /// looks there returns NaN.
+    fn poisoned(rho: &DensityMatrix) -> DensityMatrix {
+        let mut dirty = rho.clone();
+        let dim = dirty.dim();
+        for r in 1..dim {
+            for c in 0..r {
+                dirty.mat[r * dim + c] = C64::new(f64::NAN, f64::NAN);
+            }
+        }
+        dirty
+    }
+
+    #[test]
+    fn matrix_reads_the_lower_half_through_the_mirror() {
+        for n in 1..=4 {
+            let rho = mixed_state(n);
+            let m = poisoned(&rho).matrix();
+            assert!(m == rho.matrix() && m.is_hermitian(0.0));
+            let dim = rho.dim();
+            for r in 0..dim {
+                for c in r..dim {
+                    assert_eq!(m[(r, c)], rho.mat[r * dim + c]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn purity_reads_only_the_live_half() {
+        for n in 1..=4 {
+            let rho = mixed_state(n);
+            let m = rho.matrix();
+            let exact = (m.clone() * m).trace().re;
+            let purity = poisoned(&rho).purity();
+            assert!((purity - exact).abs() < 1e-12, "{purity} vs {exact}");
+            assert!(purity < 1.0);
+        }
+    }
+
+    #[test]
+    fn fidelity_reads_only_the_live_half() {
+        for n in 1..=4 {
+            let rho = mixed_state(n);
+            let mut sv = StateVector::new(n);
+            for q in 0..n {
+                sv.apply_1q(&gates::ry(0.4 + q as f64), q);
+            }
+            let (m, amps) = (rho.matrix(), sv.amplitudes());
+            let mut exact = C64::ZERO;
+            for r in 0..rho.dim() {
+                for c in 0..rho.dim() {
+                    exact += amps[r].conj() * m[(r, c)] * amps[c];
+                }
+            }
+            let fidelity = poisoned(&rho).fidelity_with_pure(&sv);
+            assert!(
+                (fidelity - exact.re).abs() < 1e-12,
+                "{fidelity} vs {exact:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn pauli_expectations_read_only_the_live_half() {
+        let mut sv = StateVector::new(3);
+        sv.apply_1q(&gates::ry(0.9), 0);
+        sv.apply_1q(&(gates::rz(0.6) * gates::ry(1.3)), 2);
+        sv.apply_2q(&gates::cx(), 0, 1);
+        sv.apply_2q(&gates::cx(), 2, 1);
+        let dirty = poisoned(&DensityMatrix::from_statevector(&sv));
+        for ops in [
+            vec![(0usize, Pauli::Z)],
+            vec![(1, Pauli::X), (0, Pauli::X)],
+            vec![(0, Pauli::Y), (1, Pauli::Y)],
+            vec![(2, Pauli::Y), (0, Pauli::X), (1, Pauli::Z)],
+            vec![(0, Pauli::I), (2, Pauli::X)],
+        ] {
+            let (a, b) = (sv.expectation_pauli(&ops), dirty.expectation_pauli(&ops));
+            assert!((a - b).abs() < 1e-12, "{ops:?}: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn equality_compares_live_halves_only() {
+        let rho = mixed_state(3);
+        let dirty = poisoned(&rho);
+        assert_eq!(dirty, rho);
+        assert_eq!(dirty, poisoned(&dirty));
+        let mut moved = dirty.clone();
+        moved.mat[1] = moved.mat[1] * 0.5;
+        assert_ne!(moved, rho);
+        assert_ne!(DensityMatrix::new(2), DensityMatrix::new(3));
     }
 }

@@ -27,18 +27,19 @@
 //!
 //! The engine's sampling is **bit-for-bit equivalent** to the
 //! straightforward implementation it replaces (the guide-table lookup
-//! returns the index the binary search returns, draw for draw), and so
-//! is every non-diagonal unitary op left on its tape. A diagonal gate —
-//! every parameterized RZ — takes one phase pass that re-associates
-//! `(d_r x) conj(d_c)` into `x (d_r conj(d_c))` and skips the entries
-//! whose factor is exactly 1, so it equals the two-pass oracle to
-//! ~1e-16; a fused sweep
-//! re-associates the products and sums of its run, so the state equals
-//! op-by-op application (and the straightforward oracle) to 1e-12
-//! rather than bit for bit — sampled counts are equal on every pinned
-//! fixture, and a full evolution and a group-fork walk with resumed
-//! suffixes are byte-identical to each other because they share the one
-//! tape, the one kernel set and the op order.
+//! returns the index the binary search returns, draw for draw). A
+//! diagonal gate — every parameterized RZ — takes one phase pass that
+//! re-associates `(d_r x) conj(d_c)` into `x (d_r conj(d_c))` and skips
+//! the entries whose factor is exactly 1, so it equals the two-pass
+//! oracle to ~1e-16; any other unitary op sweeps as `U (x) conj(U)`, and
+//! a fused sweep re-associates the products and sums of its run, so the
+//! state equals op-by-op application (and the straightforward oracle)
+//! to 1e-12 rather than bit for bit — sampled counts are equal on every
+//! pinned fixture, and a full evolution and a group-fork walk with
+//! resumed suffixes are byte-identical to each other because they share
+//! the one tape, the one kernel set and the op order. Every sweep reads
+//! and writes only the upper triangle of the state (see
+//! [`crate::density`]).
 //! Forks and resumes always fall between tape ops: a parameterized slot
 //! ends a run and is never inside a fused entry.
 //!
@@ -797,7 +798,10 @@ impl DensityEngine {
     /// `qdevice` compiled carries its RZs as a per-qubit frame and drops
     /// the frame still owed at the end, so its diagonal (every
     /// probability) is the circuit's and its off-diagonals are in the
-    /// frame of the plan — see `qdevice::compile`.
+    /// frame of the plan — see `qdevice::compile`. Only its upper
+    /// triangle is live: the storage below the diagonal is unspecified
+    /// (the engine never writes it), and [`DensityMatrix`]'s readers
+    /// read that half through the mirror.
     pub fn state(&self) -> Option<&DensityMatrix> {
         self.rho.as_ref()
     }

@@ -255,6 +255,151 @@ fn prob_bits(p: &[f64]) -> Vec<u64> {
     p.iter().map(|x| x.to_bits()).collect()
 }
 
+/// A program built push by push beside a full-matrix replay of the same
+/// pushes through `baseline`.
+struct Replayed {
+    builder: ProgramBuilder,
+    oracle: DensityMatrix,
+}
+
+impl Replayed {
+    fn new(n: usize) -> Self {
+        Replayed {
+            builder: ProgramBuilder::new(n),
+            oracle: DensityMatrix::new(n),
+        }
+    }
+
+    fn replay(&mut self, u: &CMatrix, qs: &[usize]) {
+        match *qs {
+            [q] => baseline::apply_unitary_1q(&mut self.oracle, u, q),
+            [a, b] => baseline::apply_unitary_2q(&mut self.oracle, u, a, b),
+            _ => unreachable!("one or two operands"),
+        }
+    }
+
+    fn unitary(&mut self, u: CMatrix, qs: &[usize]) {
+        self.replay(&u, qs);
+        self.builder.push_unitary(u, qs);
+    }
+
+    /// A unitary that stays a tape op of its own.
+    fn unfused(&mut self, u: CMatrix, q: usize) {
+        self.replay(&u, &[q]);
+        self.builder.push_unfused_unitary(u, &[q]);
+    }
+
+    fn parameterized(&mut self, u: CMatrix, q: usize) -> usize {
+        self.replay(&u, &[q]);
+        self.builder.push_parameterized(u, &[q])
+    }
+
+    fn channel(&mut self, ch: &KrausChannel, qs: &[usize]) {
+        baseline::apply_channel(&mut self.oracle, ch, qs);
+        self.builder.push_channel(ch, qs);
+    }
+}
+
+/// A tape with every kind of tape op on every qubit, `q = 0` and
+/// `q = n - 1` (where every block sits in its own column run) included:
+/// unit and non-unit diagonal passes; real, complex and dense one-qubit
+/// sweeps; bare one- and two-qubit unitaries (lowered to sweeps); real
+/// and dense two-qubit sweeps on random pairs, on the two edge pairs and
+/// in both operand orders; and one parameterized RY. Unfused diagonal
+/// ops keep neighbouring runs apart, so each sweep is its own tape op.
+/// Returns the replay and the parameterized slot.
+fn every_sweep_tape(n: usize, rng: &mut StdRng) -> (Replayed, usize) {
+    let mut tape = Replayed::new(n);
+    let [phase, damp] = diagonal_operators(rng);
+    let separate = |tape: &mut Replayed| {
+        for q in 0..n {
+            let d = if q % 2 == 0 { &phase } else { &damp };
+            tape.unfused(d.clone(), q);
+        }
+    };
+    for q in 0..n {
+        tape.unitary(random_1q(rng), &[q]);
+    }
+    separate(&mut tape);
+    for ch in one_qubit_channels(rng) {
+        for q in 0..n {
+            tape.channel(&ch, &[q]);
+        }
+        separate(&mut tape);
+    }
+    let slot = tape.parameterized(gates::ry(rng.gen_range(-3.0..3.0)), rng.gen_range(0..n));
+    if n >= 2 {
+        let mut pairs = vec![(0, n - 1), (n - 1, n - 2)];
+        for _ in 0..3 {
+            let a = rng.gen_range(0..n);
+            pairs.push((a, (a + rng.gen_range(1..n)) % n));
+        }
+        for (a, b) in pairs {
+            tape.unitary(random_2q(rng), &[a, b]);
+            separate(&mut tape);
+            tape.unitary(gates::cx(), &[a, b]);
+            tape.channel(
+                &KrausChannel::depolarizing_2q(rng.gen_range(0.01..0.3)),
+                &[b, a],
+            );
+            separate(&mut tape);
+            tape.channel(&random_channel(2, rng.gen_range(1..=3usize), rng), &[b, a]);
+            separate(&mut tape);
+        }
+    }
+    (tape, slot)
+}
+
+/// `|0..0><0..0|` with every entry below the diagonal NaN.
+fn poisoned_ground_state(n: usize) -> DensityMatrix {
+    let dim = 1usize << n;
+    let mut m = CMatrix::zeros(dim, dim);
+    m[(0, 0)] = C64::ONE;
+    for r in 1..dim {
+        for c in 0..r {
+            m[(r, c)] = C64::new(f64::NAN, f64::NAN);
+        }
+    }
+    DensityMatrix::from_matrix(&m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// No kernel reads below the diagonal: an evolution from a state
+    /// whose lower half is NaN gives finite probabilities, bit-equal to
+    /// an unpoisoned run, and a live half equal to the full-matrix
+    /// `baseline` replay of the same pushes — for the whole tape and for
+    /// a non-diagonal fork off it. The poisoned engine keeps its NaN:
+    /// reset, resume and fork copies write the live half only.
+    #[test]
+    fn no_kernel_reads_below_the_diagonal(n in 1usize..=7, seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (tape, slot) = every_sweep_tape(n, &mut rng);
+        let program = tape.builder.finish(ReadoutError::uniform(n, 0.01), 0.0);
+        let (mut clean, mut dirty) = (DensityEngine::new(), DensityEngine::new());
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        clean.evolve_probs(&program, &mut want);
+        dirty.resume_probs(&program, &poisoned_ground_state(n), 0, &mut got);
+        prop_assert!(got.iter().all(|p| p.is_finite()), "{:?}", got);
+        prop_assert_eq!(prob_bits(&got), prob_bits(&want));
+        let live = dirty.state().expect("just evolved").matrix();
+        prop_assert!(live.approx_eq(&tape.oracle.matrix(), 1e-12), "n = {}", n);
+
+        let variant = [(slot, gates::ry(rng.gen_range(-3.0..3.0)))];
+        let (mut clean_forks, mut dirty_forks) = (Vec::new(), Vec::new());
+        clean.evolve_group_forks(&program, &variant, &mut clean_forks, Some(&mut want));
+        dirty.evolve_group_forks(&program, &variant, &mut dirty_forks, Some(&mut got));
+        prop_assert!(got.iter().all(|p| p.is_finite()));
+        prop_assert_eq!(prob_bits(&got), prob_bits(&want), "base of the fork walk");
+        let ((_, at, clean_fork), (_, _, dirty_fork)) = (&clean_forks[0], &dirty_forks[0]);
+        clean.resume_probs(&program, clean_fork, *at, &mut want);
+        dirty.resume_probs(&program, dirty_fork, *at, &mut got);
+        prop_assert!(got.iter().all(|p| p.is_finite()));
+        prop_assert_eq!(prob_bits(&got), prob_bits(&want), "forked RY variant");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 

@@ -523,8 +523,9 @@ proptest! {
         prop_assert_eq!(format!("{serial:?}"), format!("{piped:?}"));
     }
 
-    /// The sparse unitary kernels and the lowered channel sweep agree
-    /// with the dense baseline kernels on arbitrary circuits.
+    /// The half-state sweeps — permutation-like and dense unitaries
+    /// lowered to `U (x) conj(U)`, and lowered channels — agree with the
+    /// full-matrix baseline kernels on arbitrary circuits.
     #[test]
     fn sparse_kernels_match_dense_baseline(n in 2usize..8, seed in 0u64..256) {
         use qsim::density::baseline;
@@ -561,7 +562,9 @@ proptest! {
 
 /// Zero complex sweeps where the gauge applies: on each of the
 /// benchmark's templates as its device compiles it, every fused sweep —
-/// one-qubit and two-qubit — has real coefficients.
+/// one-qubit and two-qubit — has real coefficients, and every unitary op
+/// left on the tape is a one-qubit diagonal pass (nothing is lowered to
+/// a sweep per call).
 #[test]
 fn benchmark_templates_compile_to_real_sweeps_only() {
     for (name, problem, device) in eqc_bench::benchmark_templates() {
@@ -570,9 +573,94 @@ fn benchmark_templates_compile_to_real_sweeps_only() {
         let program = template.program();
         let census = eqc_bench::tape_census(program);
         assert_eq!(census.complex_1q, 0, "{name} on {device}: {census:?}");
+        assert_eq!(census.dense_1q, 0, "{name} on {device}: {census:?}");
         assert!(census.real_1q > 0 && census.two_qubit > 0 && census.diag > 0);
         for i in 0..program.num_channels() {
             assert!(program.superops().get(i).is_real(), "{name} entry {i}");
         }
+        let bare_2q = program
+            .ops()
+            .iter()
+            .filter(|op| matches!(op, qsim::program::TapeOp::Unitary2q { .. }))
+            .count();
+        assert_eq!(bare_2q, 0, "{name} on {device}");
+    }
+}
+
+/// The chi-square statistic of `counts` against `probs` over the
+/// outcomes expected at least five times (the rest pooled into one more
+/// bin when that reaches five), with its degrees of freedom.
+fn chi_square(counts: &qsim::Counts, probs: &[f64]) -> (f64, usize) {
+    let shots = counts.total() as f64;
+    let (mut stat, mut bins) = (0.0, 0);
+    let (mut rest_seen, mut rest_expected) = (0.0, 0.0);
+    for (i, &p) in probs.iter().enumerate() {
+        let (seen, expected) = (counts.get(i as u64) as f64, shots * p);
+        if expected >= 5.0 {
+            stat += (seen - expected).powi(2) / expected;
+            bins += 1;
+        } else {
+            rest_seen += seen;
+            rest_expected += expected;
+        }
+    }
+    if rest_expected >= 5.0 {
+        stat += (rest_seen - rest_expected).powi(2) / rest_expected;
+        bins += 1;
+    }
+    // Bins that sum to the shot count lose a degree of freedom; a dropped
+    // remainder breaks that constraint.
+    let dropped = rest_expected > 0.0 && rest_expected < 5.0;
+    (stat, if dropped { bins } else { bins - 1 })
+}
+
+/// The 0.999 quantile of the chi-square distribution with `df` degrees
+/// of freedom (Wilson–Hilferty).
+fn chi_square_999(df: usize) -> f64 {
+    const Z_999: f64 = 3.090_232_306;
+    let k = df as f64;
+    let h = 2.0 / (9.0 * k);
+    k * (1.0 - h + Z_999 * h.sqrt()).powi(3)
+}
+
+/// Shot histograms against exact probabilities, an oracle independent of
+/// the sampler's own search: 10^5 seeded shots on a uniform
+/// distribution, a one-hot one with a geometric tail, and the noisy
+/// distribution the density engine computes for the TFIM-7 template on
+/// lagos all stay below the chi-square 0.999 quantile.
+#[test]
+fn sampled_counts_fit_exact_probabilities_under_chi_square() {
+    use rand::SeedableRng;
+    let n = 7;
+    let dim = 1usize << n;
+    let uniform = vec![1.0 / dim as f64; dim];
+    let mut one_hot = vec![0.0; dim];
+    one_hot[0] = 0.9;
+    let tail: f64 = (1..dim).map(|k| 0.7f64.powi(k as i32)).sum();
+    for (k, p) in one_hot.iter_mut().enumerate().skip(1) {
+        *p = 0.1 * 0.7f64.powi(k as i32) / tail;
+    }
+    let (_, problem, device) = eqc_bench::benchmark_templates()
+        .into_iter()
+        .find(|(name, ..)| *name == "tfim7")
+        .expect("the TFIM-7 benchmark template");
+    let (mut template, noises) = eqc_bench::template_fixture(problem.as_ref(), device);
+    template.ensure_compiled(&noises[0], qdevice::NoiseToken::new(0, 0, 1.0, 1.0));
+    template.bind(&eqc_bench::probe_params(problem.num_params()), None);
+    let mut engine = qsim::DensityEngine::new();
+    let mut tfim7 = Vec::new();
+    engine.evolve_probs(template.program(), &mut tfim7);
+    assert_eq!(tfim7.len(), dim);
+    let mut sampler = qsim::ShotSampler::new();
+    for (name, probs) in [("uniform", uniform), ("one-hot", one_hot), ("tfim7", tfim7)] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(2111);
+        let counts = sampler.sample_counts(&probs, n, 100_000, &mut rng);
+        let (stat, df) = chi_square(&counts, &probs);
+        assert!(df >= 3, "{name}: {df} bins");
+        let bound = chi_square_999(df);
+        assert!(
+            stat < bound,
+            "{name}: chi2 = {stat} over {df} dof, 0.999 quantile {bound}"
+        );
     }
 }
