@@ -144,7 +144,7 @@ fn bench_sampler(c: &mut Criterion) {
     // `ShotSampler::sample_counts` (guide table) beside the plain
     // `sample_indices` loop it must reproduce draw for draw, at the two
     // shapes the benchmark workloads sample: 16 outcomes x 8192 shots
-    // and 128 outcomes x 1024 shots.
+    // and 128 outcomes x 1024 shots (random distributions).
     let mut group = c.benchmark_group("sampler");
     let mut sampler = ShotSampler::new();
     let mut indices = Vec::new();
@@ -158,6 +158,23 @@ fn bench_sampler(c: &mut Criterion) {
             b.iter(|| sampler.sample_counts(&probs, n_qubits, shots, &mut rng))
         });
     }
+    // `vqe4_paper`'s real input: the engine's noisy Heisenberg-4
+    // distribution on belem (bound as the `evolve` group binds it), at
+    // the paper's 8192 shots.
+    let (_, problem, device) = benchmark_templates()
+        .into_iter()
+        .find(|(name, ..)| *name == "heisenberg4")
+        .expect("benchmark template");
+    let (mut template, noises) = template_fixture(problem.as_ref(), device);
+    template.ensure_compiled(&noises[0], NoiseToken::new(0, 0, 1.0, 1.0));
+    template.bind(&probe_params(problem.num_params()), None);
+    let n_qubits = template.program().num_qubits();
+    let mut probs = Vec::new();
+    DensityEngine::new().evolve_probs(template.program(), &mut probs);
+    let mut rng = StdRng::seed_from_u64(5);
+    group.bench_function("sample_counts_heisenberg4_8192", |b| {
+        b.iter(|| sampler.sample_counts(&probs, n_qubits, 8192, &mut rng))
+    });
     group.finish();
 }
 

@@ -61,7 +61,8 @@ impl Counts {
         self.n_qubits
     }
 
-    /// Adds `count` observations of `basis`.
+    /// Adds `count` observations of `basis`. A zero count records
+    /// nothing: only observed outcomes are keys.
     ///
     /// # Panics
     ///
@@ -72,6 +73,9 @@ impl Counts {
             "basis state {basis:#b} out of range for {} qubits",
             self.n_qubits
         );
+        if count == 0 {
+            return;
+        }
         *self.map.entry(basis).or_insert(0) += count;
         self.total += count;
     }
@@ -217,7 +221,8 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 ///
 /// [`ShotSampler::sample_counts`] answers most shots from a guide table
 /// instead of the binary search — the same index, always; the plain
-/// search of [`ShotSampler::sample_indices_into`] is its oracle.
+/// search of [`ShotSampler::sample_indices_into`] is its oracle. A
+/// shot whose bucket holds no CDF step costs one table load.
 ///
 /// Float comparisons use `total_cmp`, so unlike the historical
 /// `partial_cmp(..).unwrap()` the binary search can neither panic nor
@@ -229,13 +234,22 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 pub struct ShotSampler {
     cdf: Vec<f64>,
     /// `guide[b]` = first CDF index that a draw in bucket `b` of
-    /// `guide.len()` equal slices of the unit interval can answer with.
+    /// `guide.len()` equal slices of the unit interval can answer with,
+    /// flagged [`STEP`] unless it is the answer for every such draw.
     guide: Vec<u32>,
     hist: Vec<u64>,
 }
 
 /// CDF entries a guided lookup compares before giving up on the bucket.
 const GUIDE_WINDOW: usize = 4;
+
+/// Flag on the guide entry of a bucket that holds a CDF step: its
+/// draws go to the window and, failing that, the search. A bucket
+/// without one is settled.
+const STEP: u32 = 1 << 31;
+
+/// Most guide buckets the shot count alone asks for (16 KiB of table).
+const MAX_SHOT_BUCKETS: usize = 4096;
 
 impl ShotSampler {
     /// Creates a sampler; buffers are sized lazily.
@@ -271,49 +285,70 @@ impl ShotSampler {
         }
     }
 
-    /// Builds the guide table over the current CDF of `n` entries (total
-    /// mass `acc`) and pads the CDF with [`GUIDE_WINDOW`] `+inf` entries
-    /// so a window read never leaves it.
+    /// Guide buckets for `n` outcomes and `shots` draws: at least `4 n`,
+    /// and one per eight shots up to [`MAX_SHOT_BUCKETS`], so a heavily
+    /// sampled distribution leaves few buckets holding a CDF step. A
+    /// power of two.
+    fn guide_len(n: usize, shots: usize) -> usize {
+        (4 * n)
+            .max((shots / 8).min(MAX_SHOT_BUCKETS))
+            .next_power_of_two()
+    }
+
+    /// Builds the guide table of `k` buckets (a power of two) over the
+    /// current CDF of `n` entries (total mass `acc`) and pads the CDF
+    /// with [`GUIDE_WINDOW`] `+inf` entries so a window read never
+    /// leaves it.
     ///
-    /// `k = guide.len()` is a power of two of at least `4 n`, and
-    /// `guide[b]` is the first index with `cdf[i] >= (b / k) * acc`, found
-    /// by one merge walk. A draw `u` in bucket `b` has `u >= b / k`
-    /// exactly, and `u -> fl(u * acc)` is monotone, so every entry
-    /// before `guide[b]` is below the needle: the search result lies at
-    /// or after it.
-    fn build_guide(&mut self, acc: f64) {
+    /// Bucket `b` holds the draws `b / k <= u < (b + 1) / k`, and `u ->
+    /// fl(u * acc)` is monotone, so their needles have `lo_b <= r <=
+    /// hi_b`, where `lo_b = fl((b / k) * acc)` and `hi_b = lo_{b + 1}`.
+    /// Its entry starts from the first index `g` with `cdf[g] >= lo_b`:
+    /// every entry before `g` is below every needle of the bucket, so
+    /// the search ends at or after `g`. The bucket is **settled** when
+    /// `cdf[g] > hi_b`: then `cdf[g - 1] < r < cdf[g]` for each of its
+    /// needles, the search returns `g`, and the entry is `g` itself.
+    /// Otherwise a CDF step lies in `[lo_b, hi_b]` and the entry is `g`
+    /// flagged [`STEP`] — also on a tie with `hi_b`, and in every bucket
+    /// of a non-finite total, where `hi_b` is `inf`.
+    ///
+    /// One merge walk: after a settled bucket the next starts at the
+    /// same `g` (its `lo` is this `hi`, below `cdf[g]`), for one compare;
+    /// after a step, `g` moves to the first entry at or above `hi_b`.
+    /// That is at most `n - 1`, as `cdf[n - 1] == acc >= hi_b`, so
+    /// `g < n` always. Bucket 0 starts at 0: `cdf[0] >= 0 = lo_0`.
+    fn build_guide(&mut self, acc: f64, k: usize) {
         let n = self.cdf.len();
-        let k = (4 * n).next_power_of_two();
+        assert!(n < STEP as usize, "too many outcomes for the guide table");
         self.cdf.resize(n + GUIDE_WINDOW, f64::INFINITY);
         self.guide.clear();
-        // Exact: `k` is a power of two.
+        // Exact: `k` is a power of two. Buckets count in `i64`, which
+        // converts to `f64` in one instruction.
         let per_bucket = 1.0 / k as f64;
-        let mut i = 0;
-        self.guide.extend((0..k).map(|b| {
-            let threshold = (b as f64 * per_bucket) * acc;
-            // Stops by `n - 1` at the latest: `cdf[n - 1] == acc`, and
-            // no threshold exceeds it (NaN, from a non-finite `acc`,
-            // compares false at once).
-            while self.cdf[i] < threshold {
-                i += 1;
+        let mut g = 0;
+        self.guide.extend((1..=k as i64).map(|top| {
+            let hi = (top as f64 * per_bucket) * acc;
+            if self.cdf[g] > hi {
+                return g as u32;
             }
-            i as u32
+            let entry = g as u32 | STEP;
+            while self.cdf[g] < hi {
+                g += 1;
+            }
+            entry
         }));
     }
 
-    /// Answers the draw `x` (needle `r`) from the guide table, when the
-    /// window settles it: everything before the returned index is below
-    /// `r` and the entry there is above it, which is where the search
-    /// ends. `None` — ask the search — on an exact tie (the search may
-    /// land on any equal entry), when more than a window of entries sit
-    /// between the guide and the needle, and for a needle that is `inf`
-    /// or NaN because the total mass is not finite.
+    /// Answers the needle `r` of a draw in a bucket holding a step, whose
+    /// first candidate is `g`, when the window decides it: everything
+    /// before the returned index is below `r` and the entry there is
+    /// above it, which is where the search ends. `None` — ask the
+    /// search — on an exact tie (the search may land on any equal
+    /// entry), when more than a window of entries sit between the guide
+    /// and the needle, and for a needle that is `inf` or NaN because the
+    /// total mass is not finite.
     #[inline]
-    fn guided(cdf: &[f64], guide: &[u32], x: u64, r: f64) -> Option<usize> {
-        // The leading bits of the draw `r` was made from, so the draw
-        // is at or above its bucket's lower edge exactly.
-        let bucket = x >> (64 - guide.len().trailing_zeros());
-        let g = guide[bucket as usize] as usize;
+    fn windowed(cdf: &[f64], g: usize, r: f64) -> Option<usize> {
         let below = cdf[g..g + GUIDE_WINDOW].iter().filter(|&&c| c < r);
         let idx = g + below.count();
         (cdf[idx] > r).then_some(idx)
@@ -364,23 +399,32 @@ impl ShotSampler {
         );
         let n = probs.len();
         let acc = self.build_cdf(probs);
-        self.build_guide(acc);
+        let k = Self::guide_len(n, shots);
+        self.build_guide(acc, k);
         self.hist.clear();
         self.hist.resize(n, 0);
         let (cdf, guide) = (self.cdf.as_slice(), self.guide.as_slice());
+        let hist = self.hist.as_mut_slice();
+        // The bucket of a draw is its leading bits.
+        let shift = 64 - k.trailing_zeros();
         for _ in 0..shots {
-            // The bits of `rng.gen::<f64>() * acc`.
             let x = rng.next_u64();
-            let r = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * acc;
-            let idx = Self::guided(cdf, guide, x, r).unwrap_or_else(|| Self::search(&cdf[..n], r));
-            self.hist[idx.min(n - 1)] += 1;
+            let entry = guide[(x >> shift) as usize];
+            let idx = if entry & STEP == 0 {
+                entry as usize
+            } else {
+                // The bits of `rng.gen::<f64>() * acc`.
+                let r = (x >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * acc;
+                Self::windowed(cdf, (entry ^ STEP) as usize, r)
+                    .unwrap_or_else(|| Self::search(&cdf[..n], r))
+                    .min(n - 1)
+            };
+            hist[idx] += 1;
         }
         let distinct = self.hist.iter().filter(|&&c| c > 0).count();
         let mut counts = Counts::with_capacity(n_qubits, distinct);
         for (basis, &c) in self.hist.iter().enumerate() {
-            if c > 0 {
-                counts.record(basis as u64, c);
-            }
+            counts.record(basis as u64, c);
         }
         counts
     }
@@ -626,13 +670,158 @@ mod tests {
         ((u * (1u64 << 53) as f64) as u64) << 11
     }
 
-    /// Whether the guide table settles the draw for `u` on `probs`, or
-    /// hands it to the search.
-    fn guide_settles(probs: &[f64], u: f64) -> bool {
+    /// The CDF and guide table `sample_counts` builds for `shots` draws
+    /// from `probs`, and the total mass.
+    fn guided_sampler(probs: &[f64], shots: usize) -> (ShotSampler, f64) {
         let mut sampler = ShotSampler::new();
         let acc = sampler.build_cdf(probs);
-        sampler.build_guide(acc);
-        ShotSampler::guided(&sampler.cdf, &sampler.guide, draw_for(u), u * acc).is_some()
+        sampler.build_guide(acc, ShotSampler::guide_len(probs.len(), shots));
+        (sampler, acc)
+    }
+
+    /// Whether bucket `b` of the guide table for `shots` draws from
+    /// `probs` is settled.
+    fn bucket_settles(probs: &[f64], shots: usize, b: usize) -> bool {
+        guided_sampler(probs, shots).0.guide[b] & STEP == 0
+    }
+
+    /// Whether the guide table — a settled bucket or the window —
+    /// answers the draw for `u` on `probs`, or hands it to the search.
+    fn guide_answers(probs: &[f64], u: f64) -> bool {
+        let (sampler, acc) = guided_sampler(probs, 0);
+        let x = draw_for(u);
+        let entry = sampler.guide[(x >> (64 - sampler.guide.len().trailing_zeros())) as usize];
+        let g = (entry & !STEP) as usize;
+        entry & STEP == 0 || ShotSampler::windowed(&sampler.cdf, g, u * acc).is_some()
+    }
+
+    /// A non-dyadic total, 0.7, whose first CDF step is exactly the
+    /// upper edge of bucket 11 of 16, `fl((12 / 16) * 0.7)`, held by
+    /// three equal entries.
+    fn step_on_an_edge() -> [f64; 4] {
+        let step = (12.0 / 16.0) * 0.7;
+        [step, 0.0, 0.0, 0.7 - step]
+    }
+
+    /// Both edges of every one of `k` guide buckets: bucket `b`'s lower
+    /// edge `b << shift` and its top `((b + 1) << shift) - 1`.
+    fn bucket_edge_draws(k: usize) -> Vec<u64> {
+        let shift = 64 - k.trailing_zeros();
+        let top = u64::MAX >> k.trailing_zeros();
+        (0..k as u64)
+            .flat_map(|b| [b << shift, b << shift | top])
+            .collect()
+    }
+
+    #[test]
+    fn zero_count_records_nothing() {
+        let mut c = Counts::new(2);
+        c.record(3, 0);
+        assert_eq!(c, Counts::new(2));
+        assert_eq!(c.iter().count(), 0);
+        assert!(!c.to_string().contains("11:0"), "{c}");
+        c.record(3, 2);
+        c.record(3, 0);
+        assert_eq!(c.to_sorted_vec(), [(3, 2)]);
+    }
+
+    #[test]
+    fn guide_len_follows_the_outcomes_then_the_shots() {
+        // `4 n` while shots are few, then one bucket per eight shots,
+        // then the cap; always a power of two.
+        assert_eq!(ShotSampler::guide_len(16, 0), 64);
+        assert_eq!(ShotSampler::guide_len(16, 256), 64);
+        assert_eq!(ShotSampler::guide_len(16, 8192), 1024);
+        assert_eq!(ShotSampler::guide_len(16, 40_000), 4096);
+        assert_eq!(ShotSampler::guide_len(4, 128), 16);
+        assert_eq!(ShotSampler::guide_len(128, 1024), 512);
+        assert_eq!(ShotSampler::guide_len(4096, 40_000), 16_384);
+        assert_eq!(ShotSampler::guide_len(2, 100), 16);
+    }
+
+    #[test]
+    fn guide_entries_follow_their_definition() {
+        // The merge walk against the rule written out per bucket: `g` is
+        // the first index with `cdf[g] >= lo_b`, and the bucket is
+        // settled iff `cdf[g] > hi_b`.
+        let mut rng = StdRng::seed_from_u64(29);
+        let mut cases = vec![
+            step_on_an_edge().to_vec(),
+            vec![0.0, 0.0, 0.5, 0.5],
+            vec![0.5, 0.0, 0.0, 0.5],
+            // A subnormal total: neighbouring bucket edges round together.
+            vec![1e-320, 3e-321, 0.0, 1e-322],
+        ];
+        for n in [2usize, 16, 128] {
+            cases.push((0..n).map(|_| rng.gen::<f64>()).collect());
+            cases.push((0..n).map(|_| rng.gen::<f64>().powi(12)).collect());
+            cases.push(
+                (0..n)
+                    .map(|i| if i % 3 == 0 { rng.gen() } else { 0.0 })
+                    .collect(),
+            );
+        }
+        for probs in &cases {
+            for shots in [0, 8192, 40_000] {
+                let (sampler, acc) = guided_sampler(probs, shots);
+                let (k, cdf) = (sampler.guide.len(), &sampler.cdf[..probs.len()]);
+                let edge = |b: usize| (b as f64 / k as f64) * acc;
+                for (b, &entry) in sampler.guide.iter().enumerate() {
+                    let g = cdf.iter().position(|&c| c >= edge(b)).unwrap();
+                    let flag = if cdf[g] > edge(b + 1) { 0 } else { STEP };
+                    assert_eq!(entry, g as u32 | flag, "bucket {b} of {k} on {probs:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn sample_counts_equals_sample_indices_at_every_bucket_edge() {
+        let mut rng = StdRng::seed_from_u64(23);
+        let flat: Vec<f64> = (0..16).map(|_| rng.gen::<f64>()).collect();
+        let peaked: Vec<f64> = (0..16).map(|_| rng.gen::<f64>().powi(12)).collect();
+        let zero_runs = [0.0, 0.0, 0.3, 0.0, 0.0, 0.0, 0.2, 0.5];
+        let cases: [&[f64]; 5] = [
+            &flat,
+            &peaked,
+            &zero_runs,
+            &[0.25, 0.75],
+            &step_on_an_edge(),
+        ];
+        for probs in cases {
+            // Table sizes from each branch: `4 n`, shots / 8, the cap.
+            for shots in [0, 8192, 40_000] {
+                let k = ShotSampler::guide_len(probs.len(), shots);
+                let draws = bucket_edge_draws(k);
+                let shots = shots.max(draws.len());
+                assert_eq!(ShotSampler::guide_len(probs.len(), shots), k);
+                // Only a CDF step unsettles a bucket: the one it lies
+                // in, or the two around an edge it lies on.
+                let (sampler, _) = guided_sampler(probs, shots);
+                let unsettled = sampler.guide.iter().filter(|&&e| e & STEP != 0);
+                assert!(unsettled.count() <= 2 * probs.len(), "{probs:?} at k = {k}");
+                assert_counts_match_indices(probs, shots, &Scripted::new(&draws));
+            }
+        }
+    }
+
+    #[test]
+    fn a_step_on_a_bucket_edge_leaves_its_buckets_unsettled() {
+        // The top draw of bucket 11 lands on the three equal entries,
+        // where the search may return any of them; so do draws at bucket
+        // 12's lower edge, which starts at the same threshold.
+        let probs = step_on_an_edge();
+        assert_eq!(probs.iter().sum::<f64>(), 0.7);
+        assert_eq!(ShotSampler::guide_len(probs.len(), 2), 16);
+        let top = (12u64 << 60) - 1;
+        assert_eq!(
+            (top >> 11) as f64 * (1.0 / (1u64 << 53) as f64) * 0.7,
+            probs[0],
+            "the top draw of bucket 11 is a tie"
+        );
+        assert!(bucket_settles(&probs, 2, 10) && bucket_settles(&probs, 2, 13));
+        assert!(!bucket_settles(&probs, 2, 11) && !bucket_settles(&probs, 2, 12));
+        assert_counts_match_indices(&probs, 2, &Scripted::new(&[top, 12 << 60]));
     }
 
     #[test]
@@ -701,21 +890,23 @@ mod tests {
         // outcomes, and exactly 0.5 against three equal CDF entries: the
         // search may land on any of them, so the guide must not answer.
         let leading = [0.0, 0.0, 0.5, 0.5];
-        assert!(!guide_settles(&leading, 0.0));
-        assert!(guide_settles(&leading, 0.25));
+        assert!(!guide_answers(&leading, 0.0));
+        assert!(guide_answers(&leading, 0.25));
         assert_counts_match_indices(&leading, 4, &Scripted::new(&[0, u64::MAX]));
         let plateau = [0.5, 0.0, 0.0, 0.5];
-        assert!(!guide_settles(&plateau, 0.5));
+        assert!(!guide_answers(&plateau, 0.5));
         assert_counts_match_indices(&plateau, 3, &Scripted::new(&[1 << 63, 0, u64::MAX]));
         // Six outcomes between the guide entry and the needle: the
         // window of four runs out.
         let crowded: Vec<f64> = [0.5].into_iter().chain([1e-3; 6]).chain([0.494]).collect();
-        assert!(!guide_settles(&crowded, 0.52));
-        assert!(guide_settles(&crowded, 0.49));
+        assert!(!guide_answers(&crowded, 0.52));
+        assert!(guide_answers(&crowded, 0.49));
         assert_counts_match_indices(&crowded, 2, &Scripted::new(&[draw_for(0.52)]));
-        // A non-finite total mass: no needle is ever settled.
+        // A non-finite total mass: no needle is ever answered, and no
+        // bucket is settled.
         let unbounded = [0.2, f64::INFINITY, 0.3, 0.1];
-        assert!(!guide_settles(&unbounded, 0.0) && !guide_settles(&unbounded, 0.7));
+        assert!(!guide_answers(&unbounded, 0.0) && !guide_answers(&unbounded, 0.7));
+        assert!((0..16).all(|b| !bucket_settles(&unbounded, 0, b)));
     }
 
     #[test]

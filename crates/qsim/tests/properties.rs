@@ -403,6 +403,49 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
+    /// `ShotSampler::sample_counts` — guide table, settled buckets and
+    /// all — is the histogram of its oracle, the plain `sample_indices`
+    /// search loop, from an equal generator, which it leaves in an equal
+    /// state. The shot counts put the table size on every branch of its
+    /// rule (`4 n`, one bucket per eight shots, the cap) at every width;
+    /// the distributions are flat, peaked, or runs of zero-probability
+    /// outcomes (equal CDF entries) between random ones.
+    #[test]
+    fn sample_counts_is_the_histogram_of_sample_indices(
+        n in 1usize..=7,
+        shots in prop_oneof![
+            Just(0usize), Just(1), Just(7), Just(64), Just(1024), Just(8192), Just(40_000)
+        ],
+        shape in 0usize..3,
+        seed in 0u64..1 << 32,
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let run = 1usize << rng.gen_range(0..n);
+        let probs: Vec<f64> = (0..1usize << n)
+            .map(|i| {
+                let u = rng.gen::<f64>();
+                match shape {
+                    0 => u,
+                    1 => u.powi(16),
+                    _ if (i / run).is_multiple_of(2) => 0.0,
+                    _ => u,
+                }
+            })
+            .collect();
+        let (mut fast_rng, mut slow_rng) = (rng.clone(), rng);
+        let fast = qsim::sampler::sample_counts(&probs, n, shots, &mut fast_rng);
+        let mut hist = vec![0u64; probs.len()];
+        for idx in qsim::sampler::sample_indices(&probs, shots, &mut slow_rng) {
+            hist[idx] += 1;
+        }
+        let mut slow = qsim::Counts::new(n);
+        for (basis, &count) in hist.iter().enumerate() {
+            slow.record(basis as u64, count);
+        }
+        prop_assert_eq!(fast, slow, "{:?}", probs);
+        prop_assert_eq!(fast_rng, slow_rng, "generators diverged");
+    }
+
     /// The lowered superoperator sweep equals the literal Kraus sum for
     /// random dense CPTP channels on every qubit placement, both
     /// operand orders included.
