@@ -1,5 +1,5 @@
 //! Engine-path perf trajectory on the Fig. 4 workload: the legacy
-//! oracle vs the production engine, inline and over pipeline lanes.
+//! oracle vs the production engine.
 //!
 //! The Fig. 4 harness is the densest engine-bound workload in the
 //! repo: 6 catalog devices x 7 calibration ages, one 5-qubit GHZ-class
@@ -7,31 +7,25 @@
 //! sees it — a compiled template executing parameter-shift pairs — once
 //! per execution path:
 //!
-//! * `legacy`   — the pre-engine reference (per-run bind + noise rebuild);
-//! * `engine`   — the production path: one group-fork walk per template,
-//!   forked suffixes resumed inline on the backend's own engine;
-//! * `pipeline` — the same walk with the suffixes fanned over a shared
-//!   [`qsim::BatchPipeline`] of `min(nproc, 4)` lanes.
+//! * `legacy` — the pre-engine reference (per-run bind + noise rebuild);
+//! * `engine` — the production path: one group-fork walk per template,
+//!   forked suffixes resumed on the backend's own engine.
 //!
-//! All three must produce equal counts (asserted), and the engine must
-//! stay at least 2x ahead of the legacy oracle (the one tripwire; it
-//! measures ~20x). A second section compares inline against a two-lane
-//! pipeline on the workload lanes exist for — many clients, two sibling
-//! templates with a deep fixed body, at 4 and at 7 qubits: counts equal
-//! (asserted), ratio printed, no floor — what lanes buy depends on the
-//! cores the host has to spare.
+//! Both must produce equal counts (asserted), and the engine must stay
+//! at least 2x ahead of the legacy oracle (the one tripwire; it
+//! measures ~20x).
+//!
+//! A second section prints the tape census of the 7-qubit fixtures —
+//! the deep probe on casablanca and the benchmark's TFIM-7 template as
+//! lagos compiles it — by kind of sweep
+//! (`{"bench":"fig_engine_gauge",...}`, one line each): the real gauge
+//! must leave no complex one-qubit sweep (asserted).
 //!
 //! A third section times what a drifting device pays per job before it
 //! can bind: 10 000 compiles of a 4-qubit template, each on a fresh
 //! template (`first`) or all on one (`token_miss`, a refresh of the plan
 //! the first compile built) — the refreshed program must equal the cold
 //! one (asserted) and must not cost more (asserted).
-//!
-//! Between the two, the tape census of the 7-qubit fixtures — the deep
-//! probe on casablanca and the benchmark's TFIM-7 template as lagos
-//! compiles it — by kind of sweep (`{"bench":"fig_engine_gauge",...}`,
-//! one line each): the real gauge must leave no complex one-qubit sweep
-//! (asserted).
 //!
 //! Emits one machine-readable JSON line (`{"bench":"fig_engine",...}`)
 //! for the perf-trajectory dashboard and refreshes the repo-root
@@ -40,11 +34,11 @@
 //! Run with: `cargo run --release -p eqc-bench --bin fig_engine`
 
 use eqc_bench::{
-    benchmark_templates, drift_steps, env_param, markdown_table, probe_params, shots_or,
-    tape_census, template_fixture, write_bench_snapshot, write_csv, BenchRow,
+    benchmark_templates, drift_steps, markdown_table, probe_params, shots_or, tape_census,
+    template_fixture, write_bench_snapshot, write_csv, BenchRow,
 };
 use qdevice::{catalog, CompiledTemplate, NoiseToken, QpuBackend, SimTime, TemplateRun};
-use qsim::{BatchPipeline, Counts};
+use qsim::Counts;
 use std::time::Instant;
 
 /// The 5-qubit GHZ-backbone probe with one symbolic RY per qubit, so
@@ -67,27 +61,11 @@ const RY_GATES: [usize; 5] = [5, 6, 7, 8, 9];
 enum Mode {
     Legacy,
     Engine,
-    Pipeline(usize),
-}
-
-/// Engine counters drained from a backend set after a sweep:
-/// (batched jobs, pipeline lanes).
-type PipeStats = (u64, usize);
-
-fn drain_stats(backends: &[QpuBackend]) -> PipeStats {
-    (
-        backends.iter().map(QpuBackend::batched_jobs).sum(),
-        backends
-            .iter()
-            .map(QpuBackend::pipeline_lanes)
-            .max()
-            .unwrap_or(1),
-    )
 }
 
 /// Runs the full 6-device x 7-age sweep under one execution path and
-/// returns (all counts in sweep order, elapsed ms, pipeline counters).
-fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
+/// returns (all counts in sweep order, elapsed ms).
+fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128) {
     let devices = ["lima", "x2", "belem", "quito", "manila", "bogota"];
     let ages_h = [0.02, 4.0, 8.0, 12.0, 16.0, 20.0, 23.0];
     let params = [0.3, -0.7, 1.1, 0.4, -0.2];
@@ -107,25 +85,15 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
         })
         .collect();
     let circuit = probe();
-    // One pipeline for the whole fleet of backends (many clients, one
-    // set of lanes).
-    let pipeline = match *mode {
-        Mode::Pipeline(lanes) => Some(BatchPipeline::new(lanes)),
-        _ => None,
-    };
     let mut backends: Vec<QpuBackend> = devices
         .iter()
         .map(|name| {
             let spec = catalog::by_name(name).expect("catalog device");
-            let mut backend = spec.backend(0xF164 + name.len() as u64);
-            match *mode {
-                Mode::Legacy => backend = backend.with_legacy_execution(),
-                Mode::Engine => {}
-                Mode::Pipeline(_) => {
-                    backend.set_batch_pipeline(pipeline.as_ref().expect("built above").clone());
-                }
+            let backend = spec.backend(0xF164 + name.len() as u64);
+            match mode {
+                Mode::Legacy => backend.with_legacy_execution(),
+                Mode::Engine => backend,
             }
-            backend
         })
         .collect();
     let mut all = Vec::new();
@@ -143,17 +111,12 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128, PipeStats) {
             all.extend(counts);
         }
     }
-    let elapsed = start.elapsed().as_millis();
-    (all, elapsed, drain_stats(&backends))
+    (all, start.elapsed().as_millis())
 }
 
-/// The pipeline-section probes: two `n`-qubit ansaetze sharing a deep
-/// fixed body (H + 6 layers of a CX chain) before their symbolic
-/// layers diverge (one trailing RY layer; the second template adds an
-/// RZ layer). Each template's group walks the body once and forks
-/// every shifted run after it, so a batch is two walks and `6n`
-/// independent suffixes — the jobs lanes drain.
-fn deep_probe(n: usize, with_rz: bool) -> qcircuit::Circuit {
+/// An `n`-qubit ansatz with a deep fixed body (H + 6 layers of a CX
+/// chain) ahead of a symbolic RY layer and a symbolic RZ layer.
+fn deep_probe(n: usize) -> qcircuit::Circuit {
     let mut b = qcircuit::CircuitBuilder::new(n);
     b.h(0);
     for _ in 0..6 {
@@ -164,93 +127,14 @@ fn deep_probe(n: usize, with_rz: bool) -> qcircuit::Circuit {
     for q in 0..n {
         b.ry_sym(q, q);
     }
-    if with_rz {
-        for q in 0..n {
-            b.rz_sym(q, n + q);
-        }
+    for q in 0..n {
+        b.rz_sym(q, n + q);
     }
     b.build()
 }
 
-/// Trains the pipeline workload — `clients` independent `n`-qubit
-/// clients, each submitting `batches` shift batches over both deep
-/// probes at one fixed calibration age — inline or over a shared
-/// two-lane pipeline. Returns (counts in submission order, elapsed us,
-/// engine counters).
-fn pipeline_bench(
-    piped: bool,
-    n: usize,
-    clients: usize,
-    batches: usize,
-    shots: usize,
-) -> (Vec<Counts>, u128, PipeStats) {
-    let params = probe_params(2 * n);
-    // Symbolic RY layer starts right after the body (H + 6 CX chains).
-    let ry_gates: Vec<usize> = (0..n).map(|q| 1 + 6 * (n - 1) + q).collect();
-    let runs: Vec<TemplateRun> = (0..2usize)
-        .flat_map(|t| {
-            ry_gates
-                .iter()
-                .flat_map(move |&g| {
-                    [
-                        TemplateRun {
-                            template: t,
-                            shift: Some((g, vqa::gradient::SHIFT)),
-                        },
-                        TemplateRun {
-                            template: t,
-                            shift: Some((g, -vqa::gradient::SHIFT)),
-                        },
-                    ]
-                })
-                .chain([TemplateRun {
-                    template: t,
-                    shift: None,
-                }])
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let pipeline = piped.then(|| BatchPipeline::new(2));
-    let device = if n <= 5 { "belem" } else { "casablanca" };
-    let spec = catalog::by_name(device).expect("catalog device");
-    let mut backends: Vec<QpuBackend> = (0..clients)
-        .map(|i| {
-            let mut backend = spec.backend(0xBA7C + i as u64);
-            if let Some(p) = &pipeline {
-                backend.set_batch_pipeline(p.clone());
-            }
-            backend
-        })
-        .collect();
-    let active: Vec<usize> = (0..n).collect();
-    let mut templates: Vec<(CompiledTemplate, CompiledTemplate)> = (0..clients)
-        .map(|_| {
-            (
-                CompiledTemplate::new(deep_probe(n, false), active.clone()),
-                CompiledTemplate::new(deep_probe(n, true), active.clone()),
-            )
-        })
-        .collect();
-    let mut all = Vec::new();
-    let start = Instant::now();
-    for _ in 0..batches {
-        for (backend, (ta, tb)) in backends.iter_mut().zip(&mut templates) {
-            let (counts, _) = backend.execute_templates(
-                &mut [ta, tb],
-                &runs,
-                &params,
-                shots,
-                SimTime::from_hours(0.1),
-            );
-            all.extend(counts);
-        }
-    }
-    let elapsed = start.elapsed().as_micros();
-    (all, elapsed, drain_stats(&backends))
-}
-
 /// The compile-section probe: 10 000 compiles of one 4-qubit template
-/// (the deeper pipeline probe) on belem, stepping through sixteen
+/// (the deep probe) on belem, stepping through sixteen
 /// drifted noise models under fresh tokens — each on a fresh template
 /// (`first`: plan + fill, what a (tenant, device) pair pays once) or all
 /// on one long-lived template (`token_miss`: a refresh of the plan, what
@@ -263,7 +147,7 @@ fn compile_bench(long_lived: bool) -> (u128, CompiledTemplate) {
         .expect("catalog device")
         .backend(0xC0DE);
     let noises = drift_steps(&backend, &active, 16);
-    let fresh = CompiledTemplate::new(deep_probe(4, true), active);
+    let fresh = CompiledTemplate::new(deep_probe(4), active);
     let mut template = fresh.clone();
     let start = Instant::now();
     for i in 0..COMPILES {
@@ -287,34 +171,21 @@ fn main() {
     let shots = shots_or(8192);
     let jobs = 6 * 7;
     let runs_per_job = RY_GATES.len() * 2;
-    let lanes = std::thread::available_parallelism()
-        .map(|n| n.get().min(4))
-        .unwrap_or(2);
     let commit = std::env::var("GITHUB_SHA").unwrap_or_else(|_| "local".into());
     println!(
         "# Engine perf trajectory — Fig. 4 workload as shift-pair batches \
          ({jobs} jobs x {runs_per_job} runs, {shots} shots)\n"
     );
 
-    let (legacy_counts, legacy_ms, _) = sweep(&Mode::Legacy, shots);
-    let (engine_counts, engine_ms, _) = sweep(&Mode::Engine, shots);
-    let (pipeline_counts, pipeline_ms, pipeline_stats) = sweep(&Mode::Pipeline(lanes), shots);
-
+    let (legacy_counts, legacy_ms) = sweep(&Mode::Legacy, shots);
+    let (engine_counts, engine_ms) = sweep(&Mode::Engine, shots);
     assert_eq!(legacy_counts, engine_counts, "engine diverged from legacy");
-    assert_eq!(
-        engine_counts, pipeline_counts,
-        "pipeline lanes changed bits"
-    );
 
     let per_run = |ms: u128| ms as f64 * 1000.0 / (jobs * runs_per_job) as f64;
     let mut rows = Vec::new();
     let mut bench_rows = Vec::new();
     let mut csv = String::from("path,elapsed_ms,per_run_us,speedup_vs_legacy\n");
-    for (label, ms) in [
-        ("legacy", legacy_ms),
-        ("engine", engine_ms),
-        ("pipeline", pipeline_ms),
-    ] {
+    for (label, ms) in [("legacy", legacy_ms), ("engine", engine_ms)] {
         let speedup = legacy_ms as f64 / ms.max(1) as f64;
         rows.push(vec![
             label.to_string(),
@@ -333,69 +204,15 @@ fn main() {
         )
     );
     println!(
-        "sweep telemetry: pipeline_lanes={} batched_jobs={}",
-        pipeline_stats.1, pipeline_stats.0
-    );
-    println!(
         "{{\"bench\":\"fig_engine\",\"jobs\":{jobs},\"runs_per_job\":{runs_per_job},\
          \"shots\":{shots},\"legacy_ms\":{legacy_ms},\"engine_ms\":{engine_ms},\
-         \"pipeline_ms\":{pipeline_ms},\"lanes\":{lanes},\"commit\":\"{commit}\"}}"
+         \"commit\":\"{commit}\"}}"
     );
     write_csv("fig_engine.csv", &csv);
     assert!(
         2 * engine_ms <= legacy_ms,
         "the engine must stay >= 2x ahead of the legacy oracle; got {engine_ms} ms vs {legacy_ms} ms"
     );
-
-    // --- Pipeline section: what lanes are for ---
-    // Many clients sharing one pipeline, a deep fixed body, several
-    // batches of 6n forked suffixes each: 4 qubits (a suffix is tens of
-    // microseconds, near the cost of handing it to a lane) and 7 (a
-    // suffix is milliseconds).
-    let clients = env_param("EQC_PIPE_CLIENTS", 8).max(8);
-    let batches = env_param("EQC_PIPE_BATCHES", 6);
-    let pipe_shots = env_param("EQC_PIPE_SHOTS", 512);
-    for n in [4usize, 7] {
-        println!(
-            "\n# Two-lane pipeline vs inline — {n} qubits x {clients} clients, \
-             {batches} batches, {pipe_shots} shots\n"
-        );
-        let (inline_counts, inline_us, _) = pipeline_bench(false, n, clients, batches, pipe_shots);
-        let (piped_counts, pipeline_us, (bjobs, lanes)) =
-            pipeline_bench(true, n, clients, batches, pipe_shots);
-        assert_eq!(inline_counts, piped_counts, "pipeline section changed bits");
-        let pipe_speedup = inline_us as f64 / pipeline_us.max(1) as f64;
-        println!(
-            "{}",
-            markdown_table(
-                &["path", "wall us", "speedup vs inline"],
-                &[
-                    vec!["inline".into(), inline_us.to_string(), "1.00x".into()],
-                    vec![
-                        "pipeline".into(),
-                        pipeline_us.to_string(),
-                        format!("{pipe_speedup:.2}x"),
-                    ],
-                ]
-            )
-        );
-        println!("pipeline telemetry: pipeline_lanes={lanes} batched_jobs={bjobs}");
-        println!(
-            "{{\"bench\":\"fig_engine_pipeline{n}\",\"qubits\":{n},\"clients\":{clients},\
-             \"batches\":{batches},\"shots\":{pipe_shots},\"inline_us\":{inline_us},\
-             \"pipeline_us\":{pipeline_us},\"speedup\":{pipe_speedup:.4},\
-             \"batched_jobs\":{bjobs},\"pipeline_lanes\":{lanes},\"commit\":\"{commit}\"}}"
-        );
-        assert!(bjobs > 0 && lanes == 2, "pipeline counters must be live");
-        let series = format!("fig_engine_pipeline{n}");
-        bench_rows.push(BenchRow::new(&series, "inline", inline_us, 1.0));
-        bench_rows.push(BenchRow::new(
-            &series,
-            "pipeline",
-            pipeline_us,
-            pipe_speedup,
-        ));
-    }
 
     // --- Gauge section: what the 7-qubit tapes are made of ---
     println!("\n# Tape census — 7 qubits, sweeps by kind\n");
@@ -404,7 +221,7 @@ fn main() {
         .backend(0xBA7C);
     let active: Vec<usize> = (0..7).collect();
     let probe_noise = drift_steps(&casablanca, &active, 1);
-    let probe = CompiledTemplate::new(deep_probe(7, true), active);
+    let probe = CompiledTemplate::new(deep_probe(7), active);
     let (_, tfim7, lagos) = benchmark_templates()
         .into_iter()
         .find(|(name, ..)| *name == "tfim7")

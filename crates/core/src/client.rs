@@ -158,12 +158,6 @@ impl ClientNode {
         self.backend.batched_jobs()
     }
 
-    /// Lanes of the shared job pipeline this client's backend is
-    /// attached to (1 when it resumes forked suffixes inline).
-    pub fn pipeline_lanes(&self) -> usize {
-        self.backend.pipeline_lanes()
-    }
-
     /// Borrows the backend (e.g. for calibration queries in reports).
     pub fn backend(&self) -> &QpuBackend {
         &self.backend

@@ -5,56 +5,57 @@ use crate::policy::{AlwaysHealthy, ClientHealth, Cyclic, FidelityWeighted, Sched
 use crate::weighting::WeightBounds;
 use std::sync::Arc;
 
-/// Parallelism of a session's simulation: whole jobs over a shared
-/// [`qsim::BatchPipeline`], or none.
+/// Parallelism of a discrete-event session: whole client tasks on the
+/// fleet drive's worker pool, or none.
 ///
-/// Results are **byte-identical at any setting** — a job writes its own
-/// output and performs the same arithmetic on any lane, and RNG draws
-/// are never reordered — so this is purely a wall-clock knob. Whole
-/// jobs are the only unit of simulator parallelism, as whole gradient
-/// tasks are the paper's unit across devices. The kernels of one job
-/// are serial: a row-block worker team that fanned one kernel pass over
-/// threads was deleted because, on a shared 2-vCPU host, two lanes
-/// never beat serial on any kernel pass at 6–7 qubits (a pass is
-/// shorter than a worker wake-up) and ran anywhere from 1.0x to 2.0x
-/// serial at 8–11 qubits from one process to the next, while every
-/// paper circuit is 4–7 qubits.
+/// Results are **byte-identical at any setting**: the pool absorbs
+/// results in the discrete-event total order (see [`crate::pool`]), so
+/// this is purely a wall-clock knob. Whole gradient tasks are the
+/// paper's unit of parallelism across devices and the only one the
+/// process has: the simulator below spawns no thread, because finer
+/// units (one kernel pass, one task's forked suffixes) measured no
+/// better on the paper's 4–7 qubit circuits.
+///
+/// The variant keeps the name `Pipeline { lanes }` from the lanes
+/// design because the frozen benchmark names it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum SimParallelism {
-    /// Everything on the submitting thread (the default).
+    /// Everything on the calling thread (the default).
     #[default]
     Serial,
-    /// The fleet-wide job pipeline: one shared [`qsim::BatchPipeline`]
-    /// with this many lanes drains *whole simulation jobs* — the forked
-    /// suffix evolutions of each gradient task — from every client of
-    /// the session (and, on the fleet drives, every tenant). The
-    /// execution path is the one [`SimParallelism::Serial`] takes; the
-    /// lanes only decide where suffixes resume, so `Pipeline { lanes: 1
-    /// }` spawns no threads and runs exactly what `Serial` runs.
+    /// Whole client tasks on a worker pool of `lanes` workers (never
+    /// more than one per client). The
+    /// [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) honours
+    /// it; `lanes: 1` spawns nothing and runs exactly what `Serial`
+    /// runs. The [`PooledExecutor`](crate::PooledExecutor) keeps its own
+    /// worker count, the [`SequentialExecutor`](crate::SequentialExecutor)
+    /// stays inline, and a fleet service refuses `lanes > 1`: a fleet's
+    /// parallelism is its substrate's.
     Pipeline {
-        /// Total lanes of execution (submitting threads help drain).
+        /// Pool workers to run client tasks on.
         lanes: usize,
     },
 }
 
 impl SimParallelism {
-    /// Builds the shared batched-job pipeline this setting describes
-    /// (`None` for [`SimParallelism::Serial`]). Callers build one per
-    /// session — or one per fleet, shared across tenants — and attach
-    /// it to every backend.
-    pub fn build_pipeline(&self) -> Option<std::sync::Arc<qsim::BatchPipeline>> {
-        match *self {
-            SimParallelism::Serial => None,
-            SimParallelism::Pipeline { lanes } => Some(qsim::BatchPipeline::new(lanes)),
-        }
-    }
-
     /// Lanes of parallelism this setting resolves to (1 when serial).
     pub fn lanes(&self) -> usize {
         match *self {
             SimParallelism::Serial => 1,
             SimParallelism::Pipeline { lanes } => lanes.max(1),
         }
+    }
+
+    /// The pool a discrete-event session of `n_clients` clients runs
+    /// on: `None` (inline) at one lane, else the resolved worker count.
+    pub(crate) fn pool_workers(&self, n_clients: usize) -> Option<usize> {
+        let lanes = self.lanes();
+        (lanes > 1).then(|| {
+            PoolConfig {
+                workers: Some(lanes),
+            }
+            .resolved_workers(n_clients)
+        })
     }
 }
 
@@ -82,7 +83,7 @@ pub struct EqcConfig {
     /// completed task crosses it (the paper terminates single-machine
     /// experiments "beyond 2-weeks of running time", Fig. 6).
     pub max_virtual_hours: Option<f64>,
-    /// Job-level parallelism of the session's simulation (default
+    /// Task-level parallelism of a discrete-event session (default
     /// serial; byte-identical results at any setting).
     pub sim_parallelism: SimParallelism,
 }
@@ -196,7 +197,7 @@ impl EqcConfig {
         }
         if self.sim_parallelism == (SimParallelism::Pipeline { lanes: 0 }) {
             return Err(EqcError::InvalidConfig(
-                "engine pipeline lanes must be positive".into(),
+                "pipeline lanes must be positive".into(),
             ));
         }
         if let Some(h) = self.max_virtual_hours {
@@ -590,11 +591,14 @@ mod tests {
                 .validate(),
             Err(EqcError::InvalidConfig(_))
         ));
-        assert!(SimParallelism::Serial.build_pipeline().is_none());
-        let pipeline = piped
-            .build_pipeline()
-            .expect("a pipeline setting builds one");
-        assert_eq!(pipeline.lanes(), 3);
+        assert_eq!(SimParallelism::Serial.pool_workers(8), None);
+        assert_eq!(
+            SimParallelism::Pipeline { lanes: 1 }.pool_workers(8),
+            None,
+            "one lane runs inline"
+        );
+        assert_eq!(piped.pool_workers(8), Some(3));
+        assert_eq!(piped.pool_workers(2), Some(2), "one worker per client");
     }
 
     #[test]

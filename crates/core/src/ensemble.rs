@@ -39,7 +39,6 @@ use crate::policy::health::HealthProbe;
 use crate::policy::{ClientHealth, Scheduler, Weighting};
 use crate::report::TrainingReport;
 use qdevice::{Calibration, DriftModel, QpuBackend, QueueModel};
-use std::sync::Arc;
 use transpile::Topology;
 use vqa::VqaProblem;
 
@@ -154,24 +153,17 @@ pub(crate) fn resolve_devices(
 
 /// Transpiles every template of `problem` for every device slot — the
 /// client-construction path shared by [`Ensemble::session`] and
-/// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit). Every
-/// backend attaches to the shared batched-job `pipeline` when one is
-/// configured — one pipeline per session, or per fleet across tenants,
-/// so every client's simulation jobs interleave on the same lanes.
+/// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit).
 pub(crate) fn clients_for(
     devices: &[Device],
     problem: &dyn VqaProblem,
-    pipeline: Option<&Arc<qsim::BatchPipeline>>,
 ) -> Result<Vec<ClientNode>, EqcError> {
     let mut clients = Vec::with_capacity(devices.len());
     for (i, device) in devices.iter().enumerate() {
-        let mut backend = match device {
+        let backend = match device {
             Device::Backend(b) => (**b).clone(),
             Device::Ideal { seed } => ideal_backend(problem.num_qubits(), *seed),
         };
-        if let Some(p) = pipeline {
-            backend.set_batch_pipeline(p.clone());
-        }
         let device_name = backend.name().to_string();
         let client =
             ClientNode::new(i, backend, problem).map_err(|source| EqcError::Transpile {
@@ -254,8 +246,7 @@ impl Ensemble {
         if problem.num_params() == 0 || problem.tasks().is_empty() {
             return Err(EqcError::EmptyProblem(problem.name()));
         }
-        let pipeline = self.config.sim_parallelism.build_pipeline();
-        let clients = clients_for(&self.devices, problem, pipeline.as_ref())?;
+        let clients = clients_for(&self.devices, problem)?;
         EnsembleSession::assemble(problem, self.config, self.policies.clone(), clients)
     }
 
@@ -528,10 +519,11 @@ impl<'p> EnsembleSession<'p> {
         (&mut self.clients, &mut self.master)
     }
 
-    /// Engine-side telemetry across this session's clients: pipeline
-    /// lanes, runs evolved and jobs executed. Lives beside the report (see
-    /// [`EngineTelemetry`](crate::report::EngineTelemetry)) because the
-    /// report itself is byte-identical at any engine setting.
+    /// Engine-side telemetry across this session's clients: the pool
+    /// workers its [`SimParallelism`](crate::SimParallelism) setting
+    /// resolves to, runs evolved and jobs executed. Lives beside the
+    /// report (see [`EngineTelemetry`](crate::report::EngineTelemetry))
+    /// because the report itself is byte-identical at any setting.
     pub fn engine_telemetry(&self) -> crate::report::EngineTelemetry {
         crate::report::EngineTelemetry {
             folded_pairs: 0,
@@ -543,10 +535,9 @@ impl<'p> EnsembleSession<'p> {
             prefix_hits: 0,
             batched_jobs: self.clients.iter().map(ClientNode::batched_jobs).sum(),
             pipeline_lanes: self
-                .clients
-                .iter()
-                .map(ClientNode::pipeline_lanes)
-                .max()
+                .config
+                .sim_parallelism
+                .pool_workers(self.clients.len())
                 .unwrap_or(1),
         }
     }

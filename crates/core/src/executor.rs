@@ -12,7 +12,7 @@
 //!
 //! | Executor | Deterministic | Parallel | Scale (clients) |
 //! |---|---|---|---|
-//! | [`DiscreteEventExecutor`] | yes (byte-identical per seed) | no (one thread) | any, serially |
+//! | [`DiscreteEventExecutor`] | yes (byte-identical per seed) | when the session asks for `lanes > 1` (worker pool), else one thread | any |
 //! | [`PooledExecutor`] | yes (byte-identical to DES) | yes (bounded pool) | 100–1000+ |
 //! | [`SequentialExecutor`] | yes | no (barrier per parameter) | baseline / ablation |
 //!
@@ -22,7 +22,10 @@
 //!
 //! * [`DiscreteEventExecutor`] — the default: a deterministic
 //!   discrete-event loop over virtual completion times (reproducible
-//!   per seed, used by every figure harness);
+//!   per seed, used by every figure harness). A session configured with
+//!   [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline) of
+//!   more than one lane runs its client tasks on that many pool workers,
+//!   with the same report;
 //! * [`PooledExecutor`] (see [`crate::pool`]) — any number of clients
 //!   multiplexed over a bounded worker pool with sharded run-queues and
 //!   work stealing, replaying the discrete-event total order exactly,
@@ -102,6 +105,11 @@ impl Ord for Event {
 /// result, and immediately hands that client the next task in the cyclic
 /// schedule. Same seed, same report — byte for byte.
 ///
+/// When the session's [`SimParallelism`](crate::SimParallelism) asks for
+/// more than one lane, client tasks run on a worker pool of that many
+/// workers (at most one per client) — the pooled drive, byte-identical
+/// to the inline one.
+///
 /// Since the multi-tenant fleet landed, this is a thin wrapper: the
 /// session rides the [`crate::fleet`] drive loop as a fleet of one
 /// tenant under the [`Unshared`](crate::policy::arbiter::Unshared)
@@ -120,8 +128,10 @@ impl DiscreteEventExecutor {
 impl Executor for DiscreteEventExecutor {
     fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError> {
         session.begin()?;
-        crate::fleet::drive_session(session, None).0?;
-        session.finish(format!("eqc[{}]", session.num_clients()))
+        let n = session.num_clients();
+        let workers = session.config().sim_parallelism.pool_workers(n);
+        crate::fleet::drive_session(session, workers).0?;
+        session.finish(format!("eqc[{n}]"))
     }
 }
 

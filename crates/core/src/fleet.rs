@@ -54,7 +54,14 @@
 //!   ([`crate::pool`]'s sharded work-stealing run-queue) while the
 //!   coordinator absorbs them in the exact discrete-event total order
 //!   via conservative queue-model lookahead — parallel wall-clock,
-//!   byte-identical outcome.
+//!   byte-identical outcome. That pool is the process's one thread
+//!   substrate: the [`PooledExecutor`](crate::PooledExecutor) rides it
+//!   with its own worker count, the
+//!   [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) when its
+//!   session asks for [`SimParallelism::Pipeline`] of more than one
+//!   lane, and the simulator below runs each task's jobs serially. A
+//!   fleet tenant cannot ask for lanes of its own: the fleet's
+//!   parallelism is its substrate's.
 //!
 //! ## Streaming
 //!
@@ -89,6 +96,7 @@
 //! [`VqaProblem`]: vqa::VqaProblem
 //! [`EqcConfig`]: crate::EqcConfig
 //! [`MasterLoop`]: crate::MasterLoop
+//! [`SimParallelism::Pipeline`]: crate::SimParallelism::Pipeline
 
 pub mod service;
 
@@ -2081,6 +2089,94 @@ mod tests {
             printed.contains("snapshot_rebuilds=") && printed.contains("shared_noise_hits="),
             "telemetry display must surface the hot-path counters: {printed}"
         );
+    }
+
+    #[test]
+    fn tracker_refreshes_never_tear_under_concurrent_bookings() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        // One booking thread per ledger while a reader refreshes the
+        // incremental view in a loop. Every per-device triple the view
+        // shows must be one its ledger published (recorded before
+        // publication, as in `qdevice`'s torn-read test), and no device's
+        // version may go backwards.
+        const DEVICES: usize = 4;
+        const BOOKINGS: u64 = 500;
+        let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = (0..DEVICES)
+            .map(|d| {
+                let q = DeviceQueue::new(QueueModel::light(2.0 + d as f64), LoadModel::None);
+                Arc::new(Mutex::new(q.expect("valid queue model")))
+            })
+            .collect();
+        let published: Vec<Mutex<Vec<(f64, f64, u64)>>> = ledgers
+            .iter()
+            .map(|ledger| {
+                let s = ledger.lock().expect("fresh ledger").read_handle().read();
+                Mutex::new(vec![(s.booked_until_s, s.backlog_s, s.jobs_booked)])
+            })
+            .collect();
+        let done = AtomicBool::new(false);
+        let tracker = OccupancyTracker::new(&ledgers).expect("fresh ledgers");
+        let (mut tracker, refreshes) = thread::scope(|s| {
+            let (published, done) = (&published, &done);
+            let reader = s.spawn(move || {
+                let mut tracker = tracker;
+                let mut last = [0u64; DEVICES];
+                let mut refreshes = 0u64;
+                loop {
+                    // At least one refresh after the writers finish.
+                    let finished = done.load(Ordering::Acquire);
+                    let view = tracker.refresh();
+                    for (d, history) in published.iter().enumerate() {
+                        let triple = (
+                            view.booked_until_s[d],
+                            view.backlog_s[d],
+                            view.jobs_booked[d],
+                        );
+                        assert!(
+                            history.lock().expect("history lock").contains(&triple),
+                            "device {d}: {triple:?} was never published"
+                        );
+                    }
+                    for (d, last) in last.iter_mut().enumerate() {
+                        assert!(tracker.versions[d] >= *last, "device {d} went backwards");
+                        *last = tracker.versions[d];
+                    }
+                    refreshes += 1;
+                    if finished {
+                        return (tracker, refreshes);
+                    }
+                }
+            });
+            let writers: Vec<_> = ledgers
+                .iter()
+                .zip(published)
+                .map(|(ledger, history)| {
+                    s.spawn(move || {
+                        for i in 0..BOOKINGS {
+                            let mut q = ledger.lock().expect("ledger lock");
+                            let start =
+                                q.admit(SimTime::from_secs(i as f64 * 3.0), (i % 5) as f64 / 5.0);
+                            let horizon = (start.as_secs() + 1.5).max(q.horizon_s());
+                            history.lock().expect("history lock").push((
+                                horizon,
+                                q.backlog_s(),
+                                q.jobs_booked() + 1,
+                            ));
+                            q.book(start, 1.5);
+                        }
+                    })
+                })
+                .collect();
+            for writer in writers {
+                writer.join().expect("writer thread");
+            }
+            done.store(true, Ordering::Release);
+            reader.join().expect("reader thread")
+        });
+        assert!(refreshes > 0);
+        let oracle = occupancy_snapshot(&ledgers).expect("not poisoned");
+        assert_eq!(tracker.refresh(), &oracle, "the last refresh is the oracle");
+        assert_eq!(oracle.jobs_booked, [BOOKINGS; DEVICES]);
     }
 
     proptest! {

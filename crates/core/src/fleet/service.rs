@@ -202,12 +202,6 @@ pub struct FleetService<'p> {
     ///
     /// [`FleetBuilder::without_noise_sharing`]: super::FleetBuilder::without_noise_sharing
     share_noise: bool,
-    /// The fleet-wide batched-job pipeline, built lazily by the first
-    /// admitted tenant configured with
-    /// [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline)
-    /// and shared by every later pipeline tenant — cross-tenant jobs
-    /// interleave on the same lanes.
-    pipeline: Option<Arc<qsim::BatchPipeline>>,
     /// Session generation, bumped by every [`FleetService::finish`];
     /// stamped into issued [`TenantId`]s and outcomes so a batch
     /// runtime's stale handles are detected instead of misattributed.
@@ -245,7 +239,6 @@ impl<'p> FleetService<'p> {
             substrate,
             config,
             share_noise,
-            pipeline: None,
             batch: 0,
             pending: Vec::new(),
             state: SessionState::default(),
@@ -300,8 +293,12 @@ impl<'p> FleetService<'p> {
     ///
     /// # Errors
     ///
-    /// [`EqcError::InvalidConfig`] for a bad tenant description or an
-    /// arrival before the fleet clock,
+    /// [`EqcError::InvalidConfig`] for a bad tenant description, a
+    /// tenant asking for
+    /// [`SimParallelism::Pipeline`](crate::SimParallelism::Pipeline) of
+    /// more than one lane (a fleet runs tasks in parallel through
+    /// [`FleetBuilder::pooled_workers`](super::FleetBuilder::pooled_workers)
+    /// instead) or an arrival before the fleet clock,
     /// [`EqcError::AdmissionQueueFull`] at the configured pending cap,
     /// [`EqcError::EmptyProblem`] / [`EqcError::Transpile`] as in
     /// [`FleetRuntime::admit`](super::FleetRuntime::admit).
@@ -323,6 +320,13 @@ impl<'p> FleetService<'p> {
                 self.now_h()
             )));
         }
+        let lanes = tenant.config.sim_parallelism.lanes();
+        if lanes > 1 {
+            return Err(EqcError::InvalidConfig(format!(
+                "a fleet tenant cannot ask for {lanes} pipeline lanes: a fleet's \
+                 parallelism is its substrate's, set it with FleetBuilder::pooled_workers"
+            )));
+        }
         if let Some(cap) = self.config.max_pending {
             if self.pending.len() >= cap {
                 return Err(EqcError::AdmissionQueueFull { capacity: cap });
@@ -331,12 +335,7 @@ impl<'p> FleetService<'p> {
         if problem.num_params() == 0 || problem.tasks().is_empty() {
             return Err(EqcError::EmptyProblem(problem.name()));
         }
-        let pipeline = tenant
-            .config
-            .sim_parallelism
-            .build_pipeline()
-            .map(|built| self.pipeline.get_or_insert(built).clone());
-        let clients = clients_for(&self.devices, problem, pipeline.as_ref())?;
+        let clients = clients_for(&self.devices, problem)?;
         let probes = probes_for(&tenant.policies, &clients);
         let master = MasterLoop::new(
             problem,

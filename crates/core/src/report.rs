@@ -72,8 +72,7 @@ impl fmt::Display for PoolTelemetry {
 /// Like [`PoolTelemetry`], engine telemetry lives *beside* the
 /// [`TrainingReport`]: the report is byte-identical at any
 /// [`SimParallelism`](crate::SimParallelism) setting, while these
-/// counters describe the simulation machinery — the job pipeline is
-/// the only simulator parallelism they count. Read with
+/// counters describe the simulation machinery. Read with
 /// [`EnsembleSession::engine_telemetry`](crate::EnsembleSession::engine_telemetry).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineTelemetry {
@@ -88,8 +87,11 @@ pub struct EngineTelemetry {
     /// Density runs evolved through the backends' group-fork walk,
     /// summed over clients (0 on the legacy path).
     pub batched_jobs: u64,
-    /// Lanes of the shared job pipeline the forked suffixes fan out
-    /// over (1 when they resume inline).
+    /// Pool workers the session's client tasks run on under the
+    /// discrete-event executor: the resolved worker count of its
+    /// [`SimParallelism`](crate::SimParallelism) setting (1 inline).
+    /// Named for the job pipeline it once counted; kept because the
+    /// frozen benchmark reads it.
     pub pipeline_lanes: usize,
 }
 

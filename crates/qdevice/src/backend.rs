@@ -29,10 +29,11 @@
 //! Template jobs ([`QpuBackend::execute_templates`], the training hot
 //! path) have one density implementation: one walk per template from
 //! `|0..0><0..0|`, every shifted run forked off it at the op its shift
-//! rebinds, the forked suffixes resumed inline on the backend's own
-//! engine or over the lanes of an attached [`BatchPipeline`], then one
-//! sampling loop in run order. A backend holds no state besides its
-//! engines' own; forks live for one call.
+//! rebinds, the forked suffixes resumed one after another on the
+//! backend's own engine, then one sampling loop in run order. A backend
+//! holds no state besides its engine's own; forks live for one call.
+//! Parallelism is one layer up: `eqc_core` runs whole client tasks —
+//! one backend each — on its worker pool.
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
@@ -41,7 +42,7 @@ use crate::drift::DriftModel;
 use crate::noise_model::{reference, NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::Circuit;
-use qsim::{BatchPipeline, Counts, DensityEngine, DensityMatrix};
+use qsim::{Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::{Arc, Mutex};
@@ -282,14 +283,6 @@ impl SharedNoiseCache {
     }
 }
 
-/// Raw-pointer wrapper so pipeline jobs can write disjoint elements of
-/// buffers owned by the submitting backend. Safety rests on the strided
-/// job-to-index mapping: no two jobs touch the same element.
-struct BatchPtr<T>(*mut T);
-// SAFETY: see `BatchPtr` — disjointness is the caller's contract.
-unsafe impl<T> Sync for BatchPtr<T> {}
-unsafe impl<T> Send for BatchPtr<T> {}
-
 /// Source of unique per-construction backend identities for
 /// [`NoiseToken`]s. Clones share their original's identity, which is
 /// correct: a clone has the same calibration, seed and drift, hence
@@ -342,14 +335,6 @@ pub struct QpuBackend {
     /// [`QpuBackend::execute_templates`]' evolve-then-sample split
     /// (reused across calls).
     run_probs: Vec<Vec<f64>>,
-    /// Shared fleet-wide lane pool for suffix evolutions. `None` runs
-    /// every suffix inline on this backend's own engine.
-    batch_pipeline: Option<Arc<BatchPipeline>>,
-    /// Scratch engines for every pipeline job but the last (which
-    /// resumes on `density_engine`), so concurrent suffix evolutions
-    /// never share buffers. Empty until a pipeline runs more than one
-    /// job.
-    lane_engines: Vec<DensityEngine>,
     /// Density runs executed through [`QpuBackend::execute_templates`]
     /// (telemetry).
     batched_jobs: u64,
@@ -402,8 +387,6 @@ impl QpuBackend {
             noise_cache: NoiseCache::default(),
             density_engine: DensityEngine::new(),
             run_probs: Vec::new(),
-            batch_pipeline: None,
-            lane_engines: Vec::new(),
             batched_jobs: 0,
         }
     }
@@ -418,24 +401,10 @@ impl QpuBackend {
         self
     }
 
-    /// Attaches the shared fleet-wide lane pool: the forked suffixes of
-    /// [`QpuBackend::execute_templates`] fan out over its lanes instead
-    /// of resuming inline. Many backends (one per client, across
-    /// tenants) share one pipeline: their suffix jobs interleave on its
-    /// lanes. Byte-identical results at any lane count.
-    pub fn set_batch_pipeline(&mut self, pipeline: Arc<BatchPipeline>) {
-        self.batch_pipeline = Some(pipeline);
-    }
-
     /// Density runs executed through [`QpuBackend::execute_templates`]
     /// (telemetry).
     pub fn batched_jobs(&self) -> u64 {
         self.batched_jobs
-    }
-
-    /// Lanes of the attached pipeline (1 when suffixes resume inline).
-    pub fn pipeline_lanes(&self) -> usize {
-        self.batch_pipeline.as_ref().map_or(1, |p| p.lanes())
     }
 
     /// Overrides the maintenance downtime (builder style).
@@ -871,10 +840,9 @@ impl QpuBackend {
     /// base once and walks the tape once, forking every shifted member
     /// at the op its shift rebinds (a forward/backward pair is a group
     /// of two, an unshifted run is the walk itself); the forked suffixes
-    /// resume inline, or over the lanes of an attached
-    /// [`BatchPipeline`]. Evolution is RNG-free and sampling consumes
-    /// the RNG in run order, so counts and timing are bit-identical to
-    /// evolving every run on its own, at any lane count.
+    /// then resume on the same engine. Evolution is RNG-free and
+    /// sampling consumes the RNG in run order, so counts and timing are
+    /// bit-identical to evolving every run on its own.
     ///
     /// Binding each circuit with [`Circuit::bind_with_shift`] and
     /// calling [`QpuBackend::execute_batch`] is *not* bit-identical: a
@@ -1000,58 +968,15 @@ impl QpuBackend {
                     suffixes.push((variant_run[v], t, at, state));
                 }
             }
-            // Phase A2 — resume every fork's suffix: inline on
-            // this backend's own engine (its walks are done),
-            // or strided over the pipeline's lanes with the
-            // last job on that engine and the others on scratch
-            // engines. Suffixes are independent, RNG-free and
-            // write disjoint run slots, so lane assignment
-            // cannot affect bits.
-            if !suffixes.is_empty() {
-                let lanes = self.batch_pipeline.as_ref().map_or(1, |p| p.lanes());
-                let jobs = lanes.min(suffixes.len());
-                if self.lane_engines.len() < jobs - 1 {
-                    self.lane_engines.resize_with(jobs - 1, DensityEngine::new);
-                }
-                let templates_ref: &[&mut CompiledTemplate] = &*templates;
-                let own = BatchPtr(&mut self.density_engine as *mut DensityEngine);
-                let scratch = BatchPtr(self.lane_engines.as_mut_ptr());
-                let probs = BatchPtr(self.run_probs.as_mut_ptr());
-                let suffixes_ref = &suffixes;
-                let f = move |j: usize| {
-                    // Capture the `Sync` wrappers whole
-                    // (edition-2021 disjoint capture would
-                    // otherwise grab the bare pointers).
-                    let (own, scratch, probs) = (&own, &scratch, &probs);
-                    // Lanes wake at the first push, so the last
-                    // job is the one the submitting thread most
-                    // often runs itself: that one gets the
-                    // engine whose state its core just walked
-                    // (job 0 there instead measured +4 % wall
-                    // on a two-lane 7-qubit session).
-                    //
-                    // SAFETY: job j exclusively owns its engine
-                    // (the submitter touches none until every
-                    // job has returned) and the run slots of
-                    // suffixes j, j + jobs, ... (strided,
-                    // disjoint by construction; run indices are
-                    // unique across suffixes).
-                    let engine = unsafe {
-                        if j + 1 == jobs {
-                            &mut *own.0
-                        } else {
-                            &mut *scratch.0.add(j)
-                        }
-                    };
-                    for &(run_idx, t, at, ref state) in suffixes_ref.iter().skip(j).step_by(jobs) {
-                        let out = unsafe { &mut *probs.0.add(run_idx) };
-                        engine.resume_probs(templates_ref[t].program(), state, at, out);
-                    }
-                };
-                match &self.batch_pipeline {
-                    Some(p) => p.run_jobs(jobs, &f),
-                    None => f(0),
-                }
+            // Phase A2 — resume every fork's suffix on this
+            // backend's own engine (its walks are done).
+            for &(run_idx, t, at, ref state) in &suffixes {
+                self.density_engine.resume_probs(
+                    templates[t].program(),
+                    state,
+                    at,
+                    &mut self.run_probs[run_idx],
+                );
             }
             self.batched_jobs += runs.len() as u64;
             // Phase B — sample every run's distribution in run
@@ -1260,9 +1185,8 @@ mod tests {
 
     #[test]
     fn a_backend_keeps_no_state_besides_its_engines() {
-        // Memory guard: forks are parked for one call only, an inline
-        // backend resumes them on its own engine, and a pipelined one
-        // adds a scratch engine per job beyond the first.
+        // Memory guard: forks are parked for one call only and resume
+        // on the backend's own engine.
         let mut b = CircuitBuilder::new(2);
         b.h(0).ry_sym(0, 0).cx(0, 1).ry_sym(1, 1);
         let circuit = b.build();
@@ -1277,22 +1201,14 @@ mod tests {
             shifted(3, 0.5),
             shifted(3, -0.5),
         ];
-        let states = |be: &QpuBackend| format!("{be:?}").matches("DensityMatrix").count();
-        let mut inline = small_backend(41);
-        let mut piped = small_backend(41);
-        piped.set_batch_pipeline(BatchPipeline::new(3));
-        for be in [&mut inline, &mut piped] {
-            let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1]);
-            be.execute_templates(&mut [&mut template], &runs, &[0.3, 0.7], 64, SimTime::ZERO);
-        }
-        assert!(inline.lane_engines.is_empty());
+        let mut be = small_backend(41);
+        let mut template = CompiledTemplate::new(circuit, vec![0, 1]);
+        be.execute_templates(&mut [&mut template], &runs, &[0.3, 0.7], 64, SimTime::ZERO);
         assert_eq!(
-            states(&inline),
+            format!("{be:?}").matches("DensityMatrix").count(),
             1,
             "the engine's own state and nothing else"
         );
-        assert_eq!(piped.lane_engines.len(), 2, "jobs 0 and 1 of 3");
-        assert_eq!(states(&piped), 3, "one state per engine that ran a job");
     }
 
     #[test]

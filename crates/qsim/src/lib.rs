@@ -18,11 +18,6 @@
 //!   resolved gate matrices and fused superoperators) that the
 //!   allocation-free [`program::DensityEngine`] replays for every job,
 //!   with the naive path's counts;
-//! * [`parallel`] — the shared task- and job-level substrate: the
-//!   work-stealing [`parallel::RunQueue`] client tasks are dispatched
-//!   through, and the [`parallel::BatchPipeline`] that fans whole
-//!   simulation jobs over lanes (byte-identical at any lane count). The
-//!   density kernels themselves are serial;
 //! * [`linalg`] — exact Hermitian eigendecomposition for ground-truth
 //!   reference energies.
 //!
@@ -41,6 +36,11 @@
 //! and shot sampling writes a dense histogram through a cached CDF
 //! instead of one hash-map insert per shot. See [`program`] for the
 //! guarantees and examples.
+//!
+//! The crate spawns no thread and takes no lock: every kernel is a
+//! serial loop over state the caller owns. Parallelism lives one layer
+//! up, where `eqc_core` runs whole client tasks — each on its own
+//! backend and engine — on its worker pool.
 //!
 //! ## Quickstart
 //!
@@ -63,7 +63,6 @@ pub mod gates;
 pub mod linalg;
 pub mod matrix;
 pub mod noise;
-pub mod parallel;
 pub mod program;
 pub mod sampler;
 pub mod statevector;
@@ -73,7 +72,6 @@ pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, Superop, SuperopTable};
-pub use parallel::{BatchPipeline, RunQueue};
 pub use program::{CompiledProgram, DensityEngine, ProgramBuilder};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

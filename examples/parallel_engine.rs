@@ -1,27 +1,26 @@
-//! Simulation parallelism: the same training run serial and over a
-//! shared job pipeline, byte-identical by construction.
+//! Task parallelism: the same training run inline and with its client
+//! tasks on the worker pool, byte-identical by construction.
 //!
-//! `SimParallelism` is the one knob: `Serial` (the default) evolves
-//! every job on the session thread; `Pipeline { lanes }` fans whole
-//! simulation jobs — the shifted runs forked off each gradient task's
-//! template walk — from every client over one shared `BatchPipeline`.
-//! Results never depend on the lane count: a job writes its own output
-//! and does the same arithmetic on any lane, so a pipelined run is a
-//! drop-in replacement wherever a report has been pinned byte-for-byte.
-//! The session's `EngineTelemetry` counts the forked runs and the lanes
-//! they ran on.
+//! `SimParallelism` is the one knob: `Serial` (the default) runs every
+//! gradient task on the calling thread; `Pipeline { lanes }` hands the
+//! discrete-event executor a pool of `lanes` workers (at most one per
+//! client) that run whole client tasks while the calling thread absorbs
+//! their results in the discrete-event order. Results never depend on
+//! the worker count, so a pooled run is a drop-in replacement wherever a
+//! report has been pinned byte for byte. The session's `EngineTelemetry`
+//! counts the runs evolved and the workers they ran on.
 //!
 //! Run with: `cargo run --release --example parallel_engine`
 
 use eqc::prelude::*;
 use std::error::Error;
 
+const DEVICES: [&str; 3] = ["belem", "manila", "bogota"];
+
 fn train(par: SimParallelism) -> Result<(TrainingReport, EngineTelemetry), Box<dyn Error>> {
     let problem = QaoaProblem::maxcut_ring4();
     let ensemble = Ensemble::builder()
-        .device("belem")
-        .device("manila")
-        .device("bogota")
+        .devices(DEVICES)
         .config(
             EqcConfig::paper_qaoa()
                 .with_epochs(12)
@@ -39,17 +38,17 @@ fn main() -> Result<(), Box<dyn Error>> {
     let lanes = std::thread::available_parallelism().map_or(2, |n| n.get().clamp(2, 4));
 
     let (serial_report, serial_telemetry) = train(SimParallelism::Serial)?;
-    println!("serial:          {serial_telemetry}");
+    println!("serial:        {serial_telemetry}");
 
-    let (piped_report, piped_telemetry) = train(SimParallelism::Pipeline { lanes })?;
-    println!("pipeline ({lanes} lanes): {piped_telemetry}");
+    let (pooled_report, pooled_telemetry) = train(SimParallelism::Pipeline { lanes })?;
+    println!("pool ({lanes} lanes): {pooled_telemetry}");
 
     assert_eq!(
         format!("{serial_report:?}"),
-        format!("{piped_report:?}"),
-        "pipelined training must replay the serial report byte for byte"
+        format!("{pooled_report:?}"),
+        "pooled training must replay the serial report byte for byte"
     );
-    assert_eq!(serial_telemetry.batched_jobs, piped_telemetry.batched_jobs);
+    assert_eq!(serial_telemetry.batched_jobs, pooled_telemetry.batched_jobs);
     assert!(
         serial_telemetry.batched_jobs > 0,
         "shift-rule gradients evolve through the group-fork walk"
@@ -57,18 +56,19 @@ fn main() -> Result<(), Box<dyn Error>> {
     assert_eq!(
         (
             serial_telemetry.pipeline_lanes,
-            piped_telemetry.pipeline_lanes
+            pooled_telemetry.pipeline_lanes
         ),
-        (1, lanes)
+        (1, lanes.min(DEVICES.len())),
+        "never more pool workers than clients"
     );
 
     println!(
-        "\nreports are byte-identical over {} pipeline lanes; {piped_report}",
-        piped_telemetry.pipeline_lanes
+        "\nreports are byte-identical on {} pool workers; {pooled_report}",
+        pooled_telemetry.pipeline_lanes
     );
     println!(
         "normalized MaxCut cost converged to {:.4}",
-        piped_report.converged_loss(5)
+        pooled_report.converged_loss(5)
     );
     Ok(())
 }

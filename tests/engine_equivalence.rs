@@ -281,15 +281,12 @@ fn sym_circuit(n: usize) -> qcircuit::Circuit {
 #[test]
 fn shift_pair_folding_is_byte_identical_across_recompile() {
     // A forward/backward shift pair is a fork group of two: its shared
-    // tape prefix is walked once. Inline and over pipeline lanes it
-    // must reproduce the legacy run-at-a-time oracle even while the
-    // drifting backend recompiles the template across noise epochs
-    // mid-walk.
+    // tape prefix is walked once. It must reproduce the legacy
+    // run-at-a-time oracle even while the drifting backend recompiles
+    // the template across noise epochs mid-walk.
     use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
-    let mut inline = stress_backend(33);
-    let mut piped = stress_backend(33);
-    piped.set_batch_pipeline(qsim::BatchPipeline::new(2));
+    let mut engine = stress_backend(33);
     let mut legacy = stress_backend(33).with_legacy_execution();
     let circuit = sym_circuit(4);
     // Gate layout: ry_sym at 0..4, cx at 4..7, rz_sym at 7..11.
@@ -320,32 +317,26 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.2 + 0.15 * i as f64).collect();
-    let mut template_a = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
-    let mut template_b = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
-    let mut template_c = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
+    let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
+    let mut template_legacy = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
-        let a = inline.execute_templates(&mut [&mut template_a], &runs, &params, 512, t);
-        let b = piped.execute_templates(&mut [&mut template_b], &runs, &params, 512, t);
-        let c = legacy.execute_templates(&mut [&mut template_c], &runs, &params, 512, t);
-        assert_matches_legacy("inline", batch, &a, &c);
-        assert_matches_legacy("lanes", batch, &b, &c);
+        let a = engine.execute_templates(&mut [&mut template], &runs, &params, 512, t);
+        let c = legacy.execute_templates(&mut [&mut template_legacy], &runs, &params, 512, t);
+        assert_matches_legacy("engine", batch, &a, &c);
         // Jump past the 3-minute recalibration period between batches.
         t = a.1.completed + 600.0;
     }
     assert!(
-        template_a.compiles() >= 2,
+        template.compiles() >= 2,
         "the walk must straddle a noise-epoch recompile, saw {} compiles",
-        template_a.compiles()
+        template.compiles()
     );
-    assert_eq!(template_a.compiles(), template_b.compiles());
-    for backend in [&inline, &piped] {
-        assert_eq!(
-            backend.batched_jobs(),
-            4 * runs.len() as u64,
-            "every run of every batch goes through the one density path"
-        );
-    }
+    assert_eq!(
+        engine.batched_jobs(),
+        4 * runs.len() as u64,
+        "every run of every batch goes through the one density path"
+    );
 }
 
 #[test]
@@ -407,14 +398,12 @@ fn prefixed_circuit(n: usize, first_param: usize, extra_rz: bool) -> qcircuit::C
 fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
     // Runs group by template: each group binds its base once and forks
     // every shifted run N-way off one walk — two templates interleaved
-    // in one batch, across batches. Inline and over pipeline lanes it
-    // must reproduce the legacy run-at-a-time oracle while the drifting
-    // backend recompiles mid-walk.
+    // in one batch, across batches. It must reproduce the legacy
+    // run-at-a-time oracle while the drifting backend recompiles
+    // mid-walk.
     use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
-    let mut inline = stress_backend(47);
-    let mut piped = stress_backend(47);
-    piped.set_batch_pipeline(qsim::BatchPipeline::new(2));
+    let mut engine = stress_backend(47);
     let mut legacy = stress_backend(47).with_legacy_execution();
     // Two templates sharing an identical fixed prefix (H + CX chain).
     let circuit_a = prefixed_circuit(4, 0, false);
@@ -452,23 +441,19 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.15 + 0.11 * i as f64).collect();
-    let mut templates = [0, 1, 2].map(|_| {
+    let [mut ta, mut tc] = [0, 1].map(|_| {
         [
             CompiledTemplate::new(circuit_a.clone(), vec![0, 1, 2, 3]),
             CompiledTemplate::new(circuit_b.clone(), vec![0, 1, 2, 3]),
         ]
     });
-    let [ta, tb, tc] = &mut templates;
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
-        let (a0, a1) = ta.split_at_mut(1);
-        let a = inline.execute_templates(&mut [&mut a0[0], &mut a1[0]], &runs, &params, 512, t);
-        let (b0, b1) = tb.split_at_mut(1);
-        let b = piped.execute_templates(&mut [&mut b0[0], &mut b1[0]], &runs, &params, 512, t);
-        let (c0, c1) = tc.split_at_mut(1);
-        let c = legacy.execute_templates(&mut [&mut c0[0], &mut c1[0]], &runs, &params, 512, t);
-        assert_matches_legacy("inline", batch, &a, &c);
-        assert_matches_legacy("lanes", batch, &b, &c);
+        let [a0, a1] = &mut ta;
+        let a = engine.execute_templates(&mut [a0, a1], &runs, &params, 512, t);
+        let [c0, c1] = &mut tc;
+        let c = legacy.execute_templates(&mut [c0, c1], &runs, &params, 512, t);
+        assert_matches_legacy("engine", batch, &a, &c);
         t = a.1.completed + 600.0;
     }
     assert!(
@@ -476,16 +461,11 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
         "the walk must straddle a noise-epoch recompile, saw {} compiles",
         ta[0].compiles()
     );
-    for i in 0..2 {
-        assert_eq!(ta[i].compiles(), tb[i].compiles());
-    }
-    for backend in [&inline, &piped] {
-        assert_eq!(
-            backend.batched_jobs(),
-            4 * runs.len() as u64,
-            "every run of every batch goes through the one density path"
-        );
-    }
+    assert_eq!(
+        engine.batched_jobs(),
+        4 * runs.len() as u64,
+        "every run of every batch goes through the one density path"
+    );
 }
 
 fn parallel_fleet(par: SimParallelism) -> Ensemble {
@@ -507,10 +487,12 @@ fn parallel_fleet(par: SimParallelism) -> Ensemble {
 
 #[test]
 fn qaoa_training_report_identical_under_pipeline_lanes() {
+    // Four lanes put the three clients' tasks on a three-worker pool;
+    // the report must be the inline one byte for byte.
     let problem = QaoaProblem::maxcut_ring4();
     let fast = parallel_fleet(SimParallelism::Pipeline { lanes: 4 })
         .train(&problem)
-        .expect("pipeline path trains");
+        .expect("pooled path trains");
     let slow = parallel_fleet(SimParallelism::Serial)
         .train(&problem)
         .expect("serial path trains");
@@ -548,6 +530,103 @@ fn engine_telemetry_reports_lanes_and_folded_pairs() {
             "{} jobs, 1 pipeline lanes, {} batched runs",
             telem.jobs, telem.batched_jobs
         ),
+    );
+}
+
+/// A problem that records the threads its slice losses are computed on:
+/// a client task computes them wherever it runs.
+struct ThreadTracing<P> {
+    inner: P,
+    threads: std::sync::Mutex<std::collections::HashSet<std::thread::ThreadId>>,
+}
+
+impl<P: VqaProblem> VqaProblem for ThreadTracing<P> {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+    fn num_qubits(&self) -> usize {
+        self.inner.num_qubits()
+    }
+    fn num_params(&self) -> usize {
+        self.inner.num_params()
+    }
+    fn granularity(&self) -> vqa::TaskGranularity {
+        self.inner.granularity()
+    }
+    fn initial_point(&self, seed: u64) -> Vec<f64> {
+        self.inner.initial_point(seed)
+    }
+    fn templates(&self) -> &[Circuit] {
+        self.inner.templates()
+    }
+    fn tasks(&self) -> Vec<vqa::GradientTask> {
+        self.inner.tasks()
+    }
+    fn slice_templates(&self, slice: vqa::TaskSlice) -> Vec<usize> {
+        self.inner.slice_templates(slice)
+    }
+    fn slice_loss(&self, slice: vqa::TaskSlice, counts: &[Counts]) -> f64 {
+        let me = std::thread::current().id();
+        self.threads.lock().expect("thread set").insert(me);
+        self.inner.slice_loss(slice, counts)
+    }
+    fn loss_slices(&self) -> Vec<vqa::TaskSlice> {
+        self.inner.loss_slices()
+    }
+    fn ideal_loss(&self, params: &[f64]) -> f64 {
+        self.inner.ideal_loss(params)
+    }
+    fn reference_minimum(&self) -> f64 {
+        self.inner.reference_minimum()
+    }
+}
+
+#[test]
+fn pipeline_lanes_run_whole_client_tasks_on_the_pool() {
+    // `Pipeline { lanes }` asks the discrete-event executor for whole
+    // client tasks on the worker pool: never more workers than clients,
+    // the serial report byte for byte, and one lane runs inline.
+    let run = |par: SimParallelism| {
+        let problem = ThreadTracing {
+            inner: QaoaProblem::maxcut_ring4(),
+            threads: Default::default(),
+        };
+        let ensemble = Ensemble::builder()
+            .device("belem")
+            .device("manila")
+            .config(
+                EqcConfig::paper_qaoa()
+                    .with_epochs(4)
+                    .with_shots(256)
+                    .with_sim_parallelism(par),
+            )
+            .build()
+            .expect("ensemble builds");
+        let mut session = ensemble.session(&problem).expect("session binds");
+        let report = DiscreteEventExecutor::new()
+            .run(&mut session)
+            .expect("trains");
+        let lanes = session.engine_telemetry().pipeline_lanes;
+        let threads = problem.threads.lock().expect("thread set").clone();
+        (format!("{report:?}"), lanes, threads)
+    };
+    let me = std::thread::current().id();
+    let (serial, serial_lanes, serial_threads) = run(SimParallelism::Serial);
+    let (one, one_lanes, one_threads) = run(SimParallelism::Pipeline { lanes: 1 });
+    let (pooled, pooled_lanes, pooled_threads) = run(SimParallelism::Pipeline { lanes: 8 });
+    assert_eq!(one, serial, "one lane is the serial run");
+    assert_eq!(pooled, serial, "the pool replays the serial report");
+    assert_eq!(
+        (serial_lanes, one_lanes, pooled_lanes),
+        (1, 1, 2),
+        "8 lanes resolve to one worker per client"
+    );
+    let inline = std::collections::HashSet::from([me]);
+    assert_eq!(serial_threads, inline);
+    assert_eq!(one_threads, inline, "one lane spawns nothing");
+    assert!(
+        !pooled_threads.contains(&me) && (1..=2).contains(&pooled_threads.len()),
+        "client tasks run on the two pool workers, not the caller: {pooled_threads:?}"
     );
 }
 

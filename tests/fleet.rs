@@ -473,6 +473,28 @@ fn service_idles_deterministically_between_arrivals() {
 }
 
 #[test]
+fn tenants_cannot_ask_for_pipeline_lanes() {
+    // A fleet's parallelism is its substrate's: a tenant asking for
+    // pipeline lanes is refused with a typed error naming the knob that
+    // does it, while one lane is a plain inline tenant.
+    let problem = QaoaProblem::maxcut_ring4();
+    let mut service = builder().service().expect("builds");
+    let lanes =
+        |lanes| TenantConfig::new(cfg(1).with_sim_parallelism(SimParallelism::Pipeline { lanes }));
+    match service.admit_at(&problem, lanes(2), 0.0) {
+        Err(EqcError::InvalidConfig(msg)) => {
+            assert!(msg.contains("FleetBuilder::pooled_workers"), "{msg}")
+        }
+        other => panic!("expected InvalidConfig, got {other:?}"),
+    }
+    assert_eq!(service.num_pending(), 0, "a refused tenant is not queued");
+    service
+        .admit_at(&problem, lanes(1), 0.0)
+        .expect("one lane admits");
+    assert_eq!(service.close().expect("closes").fleet.reports.len(), 1);
+}
+
+#[test]
 fn stale_tenant_ids_surface_as_typed_errors() {
     // `try_report` / `try_tenant` return the typed error the panicking
     // accessors throw, so callers holding handles across batches can

@@ -266,62 +266,17 @@ proptest! {
         prop_assert!((0.0..=1.0).contains(&p), "p = {}", p);
     }
 
-    /// Group-fork suffixes fanned over pipeline lanes are byte-identical
-    /// to the same walk resumed inline, for arbitrary parameterized
-    /// circuits, widths 2–7 and any lane count: per-run counts, job
-    /// timing, and the backend RNG stream (a second batch from the same
-    /// backends surfaces any post-run divergence).
-    #[test]
-    fn batched_pipeline_is_byte_identical_to_serial(
-        n in 2usize..8,
-        seed in 0u64..128,
-        lanes in 1usize..5,
-        shots in 64usize..512,
-    ) {
-        use qdevice::{CompiledTemplate, TemplateRun};
-        use std::f64::consts::FRAC_PI_2;
-        let (circuit, num_params, sym_gates) = seeded_sym_circuit(n, seed, 12);
-        let active: Vec<usize> = (0..n).collect();
-        let params: Vec<f64> = (0..num_params).map(|i| 0.3 + 0.17 * i as f64).collect();
-        // The fig4 shape: a forward/backward pair per symbolic gate,
-        // plus one unshifted energy run.
-        let mut runs = vec![TemplateRun { template: 0, shift: None }];
-        for &g in &sym_gates {
-            runs.push(TemplateRun { template: 0, shift: Some((g, FRAC_PI_2)) });
-            runs.push(TemplateRun { template: 0, shift: Some((g, -FRAC_PI_2)) });
-        }
-        let mut serial = seven_qubit_backend(seed);
-        let mut batched = seven_qubit_backend(seed);
-        batched.set_batch_pipeline(qsim::BatchPipeline::new(lanes));
-        let mut ta = CompiledTemplate::new(circuit.clone(), active.clone());
-        let mut tb = CompiledTemplate::new(circuit, active);
-        let mut t = qdevice::SimTime::ZERO;
-        for _ in 0..2 {
-            let (ca, ra) = serial.execute_templates(&mut [&mut ta], &runs, &params, shots, t);
-            let (cb, rb) = batched.execute_templates(&mut [&mut tb], &runs, &params, shots, t);
-            prop_assert_eq!(&ca, &cb);
-            prop_assert_eq!(
-                ra.completed.as_secs().to_bits(),
-                rb.completed.as_secs().to_bits()
-            );
-            t = ra.completed + 60.0;
-        }
-        prop_assert_eq!(batched.batched_jobs(), 2 * runs.len() as u64);
-    }
-
     /// The group-fork walk against an oracle that needs no second path:
     /// the same runs spread over one template object per run make every
     /// group a singleton — nothing shared, so run-at-a-time evolution
     /// through the same public call. Any run list (random order,
     /// backward before forward, repeated and lone shifts, unshifted runs
-    /// anywhere) on one template must match it bit for bit, inline and
-    /// over any lane count: counts, job timing, and the RNG state a
-    /// follow-up job observes.
+    /// anywhere) on one template must match it bit for bit: counts, job
+    /// timing, and the RNG state a follow-up job observes.
     #[test]
     fn grouped_runs_are_byte_identical_to_one_template_per_run(
         n in 2usize..8,
         seed in 0u64..128,
-        lanes in 1usize..5,
         len in 1usize..=12,
     ) {
         use qdevice::{CompiledTemplate, SimTime, TemplateRun};
@@ -343,11 +298,8 @@ proptest! {
             .collect();
         let followup = circuit.bind(&params).expect("params cover the circuit");
         // `spread`: one template object per run instead of one for all.
-        let job = |lanes: Option<usize>, spread: bool| {
+        let job = |spread: bool| {
             let mut backend = seven_qubit_backend(seed);
-            if let Some(lanes) = lanes {
-                backend.set_batch_pipeline(qsim::BatchPipeline::new(lanes));
-            }
             let mut templates: Vec<CompiledTemplate> = (0..if spread { len } else { 1 })
                 .map(|_| CompiledTemplate::new(circuit.clone(), active.clone()))
                 .collect();
@@ -362,9 +314,7 @@ proptest! {
             let next = backend.execute(&followup, &active, 256, timing.completed);
             (counts, timing.completed.as_secs().to_bits(), next.counts)
         };
-        let grouped = job(None, false);
-        prop_assert_eq!(&grouped, &job(None, true), "one template vs one per run");
-        prop_assert_eq!(&grouped, &job(Some(lanes), false), "inline vs {} lanes", lanes);
+        prop_assert_eq!(job(false), job(true), "one template vs one per run");
     }
 
     /// Plan once, refresh per drift step: a long-lived template brought
@@ -489,9 +439,10 @@ proptest! {
         }
     }
 
-    /// A whole training session under the fleet-wide pipeline produces
-    /// a `TrainingReport` identical to the serial session, for any
-    /// client count and lane count.
+    /// A whole training session with its client tasks on a worker pool
+    /// (`Pipeline { lanes }`, lanes > 1) produces a `TrainingReport`
+    /// identical to the inline session, for any client count and lane
+    /// count.
     #[test]
     fn pipeline_training_report_identical_to_serial(
         clients in 2usize..7,
