@@ -9,7 +9,7 @@
 //!
 //! * `legacy` — the pre-engine reference (per-run bind + noise rebuild);
 //! * `engine` — the production path: one group-fork walk per template,
-//!   forked suffixes resumed on the backend's own engine.
+//!   forked suffixes resumed on the thread's engine.
 //!
 //! Both must produce equal counts (asserted), and the engine must stay
 //! at least 2x ahead of the legacy oracle (the one tripwire; it

@@ -8,12 +8,20 @@
 //! **one** batched engine call ([`QpuBackend::execute_templates`]), the
 //! loss is read off the returned counts, and the gradient is reported
 //! together with the device's current `P_correct`.
+//!
+//! A fleet holds one client per (tenant, device) pair, so a client keeps
+//! only what its tasks read: per template the compiled template, the
+//! Eq. 2 metrics and the logical bit order of the compact register. The
+//! transpiler's full-register circuit and layouts are dropped once the
+//! template is compacted, and the simulator itself belongs to the
+//! executing thread, not to the client's backend (see
+//! [`qdevice::backend`](mod@qdevice::backend)).
 
 use crate::weighting;
 use qcircuit::ParamId;
 use qdevice::{CompiledTemplate, QpuBackend, SimTime, TemplateRun};
 use qsim::Counts;
-use transpile::{transpile, CircuitMetrics, TranspileError, TranspileOptions, Transpiled};
+use transpile::{remap_counts, transpile, CircuitMetrics, TranspileError, TranspileOptions};
 use vqa::{GradientTask, VqaProblem};
 
 /// A problem template prepared for one device.
@@ -27,10 +35,11 @@ struct PreparedTemplate {
     /// circuit, indexed by [`ParamId`] (precomputed: the hot path reads
     /// them per task).
     occurrences: Vec<Vec<usize>>,
-    /// Bit position of each logical qubit in the compact register.
+    /// Bit position of each logical qubit in the compact register (one
+    /// entry per logical qubit).
     logical_bits: Vec<usize>,
-    /// Full transpilation artifact (metrics, layouts).
-    transpiled: Transpiled,
+    /// Structural metrics of the transpiled circuit (Eq. 2 inputs).
+    metrics: CircuitMetrics,
 }
 
 /// The result of one gradient task executed on one device.
@@ -99,7 +108,7 @@ impl ClientNode {
                 compiled: CompiledTemplate::new(compact, active_physical),
                 occurrences,
                 logical_bits,
-                transpiled,
+                metrics: transpiled.metrics,
             });
         }
         Ok(ClientNode {
@@ -174,9 +183,9 @@ impl ClientNode {
         self.templates.len()
     }
 
-    /// Transpiled metrics of template `t` (inputs to Eq. 2).
+    /// Metrics of template `t` after transpilation (inputs to Eq. 2).
     pub fn template_metrics(&self, t: usize) -> &CircuitMetrics {
-        &self.templates[t].transpiled.metrics
+        &self.templates[t].metrics
     }
 
     /// The device's current Eq. 2 score for the given templates, from the
@@ -197,7 +206,7 @@ impl ClientNode {
     ) -> f64 {
         let mean: f64 = template_indices
             .iter()
-            .map(|&i| weighting::p_correct(&templates[i].transpiled.metrics, cal))
+            .map(|&i| weighting::p_correct(&templates[i].metrics, cal))
             .sum::<f64>()
             / template_indices.len().max(1) as f64;
         weighting::bound_p_correct(mean)
@@ -396,8 +405,7 @@ impl ClientNode {
     }
 
     fn remap(&self, template: usize, counts: &Counts) -> Counts {
-        let prep = &self.templates[template];
-        prep.transpiled.remap_counts(counts, &prep.logical_bits)
+        remap_counts(counts, &self.templates[template].logical_bits)
     }
 }
 
@@ -431,6 +439,25 @@ mod tests {
         let client = client.unwrap();
         assert_eq!(client.device_name(), "bogota");
         assert!(client.template_metrics(0).g2 >= 3);
+    }
+
+    #[test]
+    fn a_client_keeps_no_layout_and_no_full_register_circuit() {
+        // Memory guard: per template a client keeps the compiled
+        // template (whose circuit is the compact one), the metrics and
+        // the logical bit order — no layout, and no circuit over the
+        // 27-qubit register the transpiler routed on.
+        let problem = VqeProblem::h2();
+        let backend = catalog::by_name("toronto").unwrap().backend(1);
+        let client = ClientNode::new(0, backend, &problem).unwrap();
+        let debug = format!("{client:?}");
+        assert!(!debug.to_lowercase().contains("layout"), "{debug}");
+        assert_eq!(
+            debug.matches("Circuit {").count(),
+            client.num_templates(),
+            "one compact circuit per template: {debug}"
+        );
+        assert!(!debug.contains("n_qubits: 27"), "{debug}");
     }
 
     #[test]

@@ -99,7 +99,7 @@ impl fmt::Display for EngineTelemetry {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} jobs, {} pipeline lanes, {} batched runs",
+            "{} jobs, {} pool workers, {} batched runs",
             self.jobs, self.pipeline_lanes, self.batched_jobs
         )
     }

@@ -29,11 +29,24 @@
 //! Template jobs ([`QpuBackend::execute_templates`], the training hot
 //! path) have one density implementation: one walk per template from
 //! `|0..0><0..0|`, every shifted run forked off it at the op its shift
-//! rebinds, the forked suffixes resumed one after another on the
-//! backend's own engine, then one sampling loop in run order. A backend
-//! holds no state besides its engine's own; forks live for one call.
+//! rebinds, the forked suffixes resumed one after another, then one
+//! sampling loop in run order.
+//!
+//! ## Simulation scratch belongs to the thread
+//!
+//! A backend holds device state only: calibration, drift, RNG, queue
+//! timeline and noise cache. The simulator — one [`DensityEngine`] with
+//! its state, spare fork states and sampler tables, plus the per-run
+//! distribution buffers — is a thread-local scratch that serves every
+//! backend executing on that thread. Nothing in it carries from one
+//! call to the next as a result: each walk resets the state, evolution
+//! is RNG-free, and sampling draws from the backend's own RNG, so which
+//! thread runs a job never shows in its counts. Memory then scales with
+//! threads, not with the (tenant × device) clones of a fleet.
 //! Parallelism is one layer up: `eqc_core` runs whole client tasks —
-//! one backend each — on its worker pool.
+//! one backend each — on its scoped worker pool, so each worker has its
+//! own scratch and frees it when the drive ends; an inline drive uses
+//! the caller's.
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
@@ -45,8 +58,33 @@ use qcircuit::Circuit;
 use qsim::{Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex};
 use transpile::Topology;
+
+/// The executing thread's simulator (see the module docs).
+#[derive(Default)]
+struct Scratch {
+    engine: DensityEngine,
+    /// Per-run distributions of [`QpuBackend::execute_templates`]'
+    /// evolve-then-sample split (reused across calls).
+    run_probs: Vec<Vec<f64>>,
+}
+
+thread_local! {
+    static SCRATCH: RefCell<Scratch> = RefCell::new(Scratch::default());
+}
+
+/// Runs `f` on the executing thread's scratch.
+fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
+    SCRATCH.with(|scratch| f(&mut scratch.borrow_mut()))
+}
+
+/// Spare fork states the executing thread's engine holds.
+#[cfg(test)]
+fn thread_spare_states() -> usize {
+    with_scratch(|s| s.engine.spare_states())
+}
 
 /// Panics unless a circuit on `n` active qubits fits the density engine.
 fn assert_density_fits(n: usize) {
@@ -330,11 +368,6 @@ pub struct QpuBackend {
     /// bit-equivalence oracle; slow).
     legacy_execution: bool,
     noise_cache: NoiseCache,
-    density_engine: DensityEngine,
-    /// Per-run distribution scratch of
-    /// [`QpuBackend::execute_templates`]' evolve-then-sample split
-    /// (reused across calls).
-    run_probs: Vec<Vec<f64>>,
     /// Density runs executed through [`QpuBackend::execute_templates`]
     /// (telemetry).
     batched_jobs: u64,
@@ -385,8 +418,6 @@ impl QpuBackend {
             shared_noise: None,
             legacy_execution: false,
             noise_cache: NoiseCache::default(),
-            density_engine: DensityEngine::new(),
-            run_probs: Vec::new(),
             batched_jobs: 0,
         }
     }
@@ -693,16 +724,14 @@ impl QpuBackend {
         self.noise_cache.reported_builds
     }
 
-    /// Compiles and runs one bound circuit on the density engine
-    /// against a cached noise entry — the single dispatch point for
-    /// every engine-path execution.
+    /// Compiles and runs one bound circuit on the thread's density
+    /// engine against a cached noise entry — the single dispatch point
+    /// for every engine-path execution of a bound circuit.
     fn run_circuit(&mut self, circuit: &Circuit, entry: usize, shots: usize) -> (Counts, f64) {
         assert_density_fits(circuit.num_qubits());
         let noise = &*self.noise_cache.entries[entry].model;
         let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
-        let counts = self
-            .density_engine
-            .run_program(&program, shots, &mut self.rng);
+        let counts = with_scratch(|s| s.engine.run_program(&program, shots, &mut self.rng));
         (counts, program.duration_ns())
     }
 
@@ -840,7 +869,8 @@ impl QpuBackend {
     /// base once and walks the tape once, forking every shifted member
     /// at the op its shift rebinds (a forward/backward pair is a group
     /// of two, an unshifted run is the walk itself); the forked suffixes
-    /// then resume on the same engine. Evolution is RNG-free and
+    /// then resume on the thread's engine, each fork in a spare state the
+    /// previous resumes left. Evolution is RNG-free and
     /// sampling consumes the RNG in run order, so counts and timing are
     /// bit-identical to evolving every run on its own.
     ///
@@ -916,9 +946,6 @@ impl QpuBackend {
                     program.num_qubits(),
                 ));
             }
-            if self.run_probs.len() < runs.len() {
-                self.run_probs.resize_with(runs.len(), Vec::new);
-            }
             // Group runs by template, in first-appearance order.
             let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
             let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
@@ -929,69 +956,66 @@ impl QpuBackend {
                 });
                 groups[g].1.push(i);
             }
-            // Phase A1 — per group: bind the base once and fork
-            // every shifted member off one walk (which stops at
-            // the last fork when no member is unshifted).
-            // Unshifted members share the base distribution:
-            // evolution is deterministic, so a copy is what
-            // re-evolving would give.
-            let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
-            let mut forks = Vec::new();
-            for &(t, ref members) in &groups {
-                let template = &mut *templates[t];
-                template.bind(params, None);
-                let mut variants = Vec::new();
-                let mut variant_run = Vec::new();
-                let mut base_runs = Vec::new();
-                for &i in members {
-                    match runs[i].shift {
-                        Some((g, d)) => {
-                            variants.push(template.shift_matrix(params, g, d));
-                            variant_run.push(i);
+            let (rng, queue) = (&mut self.rng, &self.queue);
+            with_scratch(|Scratch { engine, run_probs }| {
+                if run_probs.len() < runs.len() {
+                    run_probs.resize_with(runs.len(), Vec::new);
+                }
+                // Phase A1 — per group: bind the base once and fork
+                // every shifted member off one walk (which stops at
+                // the last fork when no member is unshifted).
+                // Unshifted members share the base distribution:
+                // evolution is deterministic, so a copy is what
+                // re-evolving would give.
+                let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
+                let mut forks = Vec::new();
+                for &(t, ref members) in &groups {
+                    let template = &mut *templates[t];
+                    template.bind(params, None);
+                    let mut variants = Vec::new();
+                    let mut variant_run = Vec::new();
+                    let mut base_runs = Vec::new();
+                    for &i in members {
+                        match runs[i].shift {
+                            Some((g, d)) => {
+                                variants.push(template.shift_matrix(params, g, d));
+                                variant_run.push(i);
+                            }
+                            None => base_runs.push(i),
                         }
-                        None => base_runs.push(i),
+                    }
+                    engine.evolve_group_forks(
+                        template.program(),
+                        &variants,
+                        &mut forks,
+                        base_runs.first().map(|&i| &mut run_probs[i]),
+                    );
+                    if base_runs.len() > 1 {
+                        let src = run_probs[base_runs[0]].clone();
+                        for &i in &base_runs[1..] {
+                            run_probs[i].clone_from(&src);
+                        }
+                    }
+                    for (v, at, state) in forks.drain(..) {
+                        suffixes.push((variant_run[v], t, at, state));
                     }
                 }
-                self.density_engine.evolve_group_forks(
-                    template.program(),
-                    &variants,
-                    &mut forks,
-                    base_runs.first().map(|&i| &mut self.run_probs[i]),
-                );
-                if base_runs.len() > 1 {
-                    let src = self.run_probs[base_runs[0]].clone();
-                    for &i in &base_runs[1..] {
-                        self.run_probs[i].clone_from(&src);
-                    }
+                // Phase A2 — resume every fork's suffix; each resumed
+                // fork becomes the engine's state, and the state it
+                // replaces a spare for the next call's forks.
+                for (run_idx, t, at, state) in suffixes {
+                    engine.resume_probs(templates[t].program(), state, at, &mut run_probs[run_idx]);
                 }
-                for (v, at, state) in forks.drain(..) {
-                    suffixes.push((variant_run[v], t, at, state));
+                // Phase B — sample every run's distribution in run
+                // order.
+                for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
+                    let counts = engine.sample_probs(&run_probs[i], n_qubits, shots, rng);
+                    total_exec_s += queue.execution_s(duration_ns, readout_ns, shots);
+                    last_duration_ns = duration_ns;
+                    all_counts.push(counts);
                 }
-            }
-            // Phase A2 — resume every fork's suffix on this
-            // backend's own engine (its walks are done).
-            for &(run_idx, t, at, ref state) in &suffixes {
-                self.density_engine.resume_probs(
-                    templates[t].program(),
-                    state,
-                    at,
-                    &mut self.run_probs[run_idx],
-                );
-            }
+            });
             self.batched_jobs += runs.len() as u64;
-            // Phase B — sample every run's distribution in run
-            // order.
-            for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
-                let counts = self.density_engine.sample_probs(
-                    &self.run_probs[i],
-                    n_qubits,
-                    shots,
-                    &mut self.rng,
-                );
-                total_exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
-                last_duration_ns = duration_ns;
-                all_counts.push(counts);
-            }
         }
         let completed = self.record_job(submit, started, total_exec_s);
         let timing = JobResult {
@@ -1010,16 +1034,20 @@ mod tests {
     use super::*;
     use qcircuit::CircuitBuilder;
 
-    fn small_backend(seed: u64) -> QpuBackend {
+    fn line_backend(n: usize, seed: u64) -> QpuBackend {
         QpuBackend::new(
             "test_device",
-            Topology::line(3),
-            Calibration::uniform(3, 90.0, 70.0, 0.001, 0.01, 0.02),
+            Topology::line(n),
+            Calibration::uniform(n, 90.0, 70.0, 0.001, 0.01, 0.02),
             DriftModel::linear(0.05, 0.01),
             QueueModel::light(5.0),
             24.0,
             seed,
         )
+    }
+
+    fn small_backend(seed: u64) -> QpuBackend {
+        line_backend(3, seed)
     }
 
     fn bell_compact() -> Circuit {
@@ -1183,32 +1211,131 @@ mod tests {
         }
     }
 
+    /// Template jobs on one backend of an `n`-qubit line: an `Ry(theta_q)`
+    /// layer and a CX chain, shifted both ways on its first and last
+    /// rotation (four forks) beside one unshifted run.
+    struct WidthFixture {
+        be: QpuBackend,
+        template: CompiledTemplate,
+        followup: Circuit,
+        params: Vec<f64>,
+        runs: Vec<TemplateRun>,
+        submit: SimTime,
+    }
+
+    impl WidthFixture {
+        const FORKS: usize = 4;
+
+        fn new(n: usize, seed: u64) -> Self {
+            let mut b = CircuitBuilder::new(n);
+            for q in 0..n {
+                b.ry_sym(q, q);
+            }
+            for q in 0..n - 1 {
+                b.cx(q, q + 1);
+            }
+            let circuit = b.build();
+            let params: Vec<f64> = (0..n).map(|q| 0.3 + 0.2 * q as f64).collect();
+            let mut runs: Vec<TemplateRun> = [0, n - 1]
+                .into_iter()
+                .flat_map(|g| {
+                    [0.5, -0.5].map(|d| TemplateRun {
+                        template: 0,
+                        shift: Some((g, d)),
+                    })
+                })
+                .collect();
+            runs.push(TemplateRun {
+                template: 0,
+                shift: None,
+            });
+            WidthFixture {
+                be: line_backend(n, seed),
+                template: CompiledTemplate::new(circuit.clone(), (0..n).collect()),
+                followup: circuit.bind(&params).expect("params cover the circuit"),
+                params,
+                runs,
+                submit: SimTime::ZERO,
+            }
+        }
+
+        /// One template job, then a bound follow-up job: the per-run
+        /// counts, the job's completion-time bits, and the follow-up's
+        /// counts (which see the RNG state the job left).
+        fn call(&mut self) -> (Vec<Counts>, u64, Counts) {
+            let active: Vec<usize> = (0..self.params.len()).collect();
+            let (counts, timing) = self.be.execute_templates(
+                &mut [&mut self.template],
+                &self.runs,
+                &self.params,
+                256,
+                self.submit,
+            );
+            let next = self
+                .be
+                .execute(&self.followup, &active, 256, timing.completed);
+            self.submit = next.completed;
+            (counts, timing.completed.as_secs().to_bits(), next.counts)
+        }
+    }
+
     #[test]
-    fn a_backend_keeps_no_state_besides_its_engines() {
-        // Memory guard: forks are parked for one call only and resume
-        // on the backend's own engine.
-        let mut b = CircuitBuilder::new(2);
-        b.h(0).ry_sym(0, 0).cx(0, 1).ry_sym(1, 1);
-        let circuit = b.build();
-        let shifted = |g: usize, d: f64| TemplateRun {
-            template: 0,
-            shift: Some((g, d)),
+    fn a_backend_holds_no_simulator_state() {
+        // Memory guard: the simulator belongs to the thread, so a
+        // backend that has run template and bound jobs holds no state,
+        // engine or distribution buffer of its own.
+        let mut fixture = WidthFixture::new(2, 41);
+        fixture.call();
+        let debug = format!("{:?}", fixture.be);
+        for simulator in ["DensityMatrix", "DensityEngine", "run_probs"] {
+            assert!(!debug.contains(simulator), "{simulator} in {debug}");
+        }
+    }
+
+    #[test]
+    fn thread_scratch_never_leaks_between_backends_widths_or_threads() {
+        // One thread interleaves a 7-qubit backend, a 2-qubit one and
+        // the 7-qubit one again, so each later job forks into spares of
+        // the other width. Every job must equal the same backend's job
+        // run alone on a freshly spawned thread, whose scratch is cold:
+        // counts, timing bits, and the RNG state the follow-up sees.
+        let (mut wide, mut narrow) = (WidthFixture::new(7, 51), WidthFixture::new(2, 52));
+        let interleaved = [wide.call(), narrow.call(), wide.call()];
+        let alone = |n: usize, seed: u64, calls: usize| {
+            std::thread::spawn(move || {
+                let mut fixture = WidthFixture::new(n, seed);
+                (0..calls).map(|_| fixture.call()).collect::<Vec<_>>()
+            })
+            .join()
+            .expect("jobs run")
         };
-        // Gate layout: h at 0, ry_sym at 1 and 3, cx at 2.
-        let runs = [
-            shifted(1, 0.5),
-            shifted(1, -0.5),
-            shifted(3, 0.5),
-            shifted(3, -0.5),
-        ];
-        let mut be = small_backend(41);
-        let mut template = CompiledTemplate::new(circuit, vec![0, 1]);
-        be.execute_templates(&mut [&mut template], &runs, &[0.3, 0.7], 64, SimTime::ZERO);
-        assert_eq!(
-            format!("{be:?}").matches("DensityMatrix").count(),
-            1,
-            "the engine's own state and nothing else"
-        );
+        let (wide_alone, narrow_alone) = (alone(7, 51, 2), alone(2, 52, 1));
+        assert_eq!(interleaved[0], wide_alone[0], "first 7-qubit job");
+        assert_eq!(interleaved[1], narrow_alone[0], "2-qubit job");
+        assert_eq!(interleaved[2], wide_alone[1], "second 7-qubit job");
+    }
+
+    #[test]
+    fn a_thread_keeps_at_most_one_call_of_spare_states() {
+        // Memory guard: every call forks from the spares the last one
+        // left, so however many calls and backends a thread runs, it
+        // holds no more spares than one call has forks.
+        std::thread::spawn(|| {
+            let mut fixtures = [
+                WidthFixture::new(7, 61),
+                WidthFixture::new(2, 62),
+                WidthFixture::new(7, 63),
+            ];
+            for _ in 0..3 {
+                for fixture in &mut fixtures {
+                    fixture.call();
+                    assert!(thread_spare_states() <= WidthFixture::FORKS);
+                }
+            }
+            assert_eq!(thread_spare_states(), WidthFixture::FORKS);
+        })
+        .join()
+        .expect("the spares stay bounded");
     }
 
     #[test]

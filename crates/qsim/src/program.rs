@@ -780,9 +780,18 @@ fn channel_op(channel: usize, qubits: &[usize]) -> TapeOp {
 /// superoperators (one in-place sweep each), probabilities and the
 /// sampling CDF live in reusable buffers, and counts are assembled from
 /// a dense histogram (no per-shot hash-map insert).
+///
+/// Fork states recycle too: [`DensityEngine::resume_probs`] takes a
+/// fork as its state and keeps the state it replaces as a spare, and
+/// [`DensityEngine::evolve_group_forks`] fills its forks from the
+/// spares. Once warm, a walk of `k` forks allocates nothing, and an
+/// engine that resumes its own forks holds at most `k + 1` states for
+/// the largest such `k`.
 #[derive(Clone, Debug, Default)]
 pub struct DensityEngine {
     rho: Option<DensityMatrix>,
+    /// States a resumed fork replaced, waiting to be the next forks.
+    spares: Vec<DensityMatrix>,
     probs: Vec<f64>,
     sampler: ShotSampler,
 }
@@ -804,6 +813,12 @@ impl DensityEngine {
     /// read that half through the mirror.
     pub fn state(&self) -> Option<&DensityMatrix> {
         self.rho.as_ref()
+    }
+
+    /// Spare states held for the next forks (memory telemetry): after a
+    /// walk of `k` forks whose suffixes all resumed here, at most `k`.
+    pub fn spare_states(&self) -> usize {
+        self.spares.len()
     }
 
     /// Resets the persistent state to `|0...0><0...0|` over `n` qubits.
@@ -888,10 +903,11 @@ impl DensityEngine {
     /// op (the op using its `slot`); when the walk reaches that op the
     /// current state is forked, the variant's matrix applied, and the
     /// forked state parked in `forks` as `(variant_index, resume_op,
-    /// state)` for [`DensityEngine::resume_probs`] to finish — on this
-    /// engine or on any pipeline lane's engine, in any order, since the
-    /// suffix evolutions are independent. The walk itself continues with
-    /// the base matrix. `base` receives the base binding's own
+    /// state)` for [`DensityEngine::resume_probs`] to finish, in any
+    /// order, since the suffix evolutions are independent. A fork is a
+    /// spare state overwritten with the walk's live half (a fresh clone
+    /// only when no spare is left). The walk itself continues with the
+    /// base matrix. `base` receives the base binding's own
     /// distribution; when `None` the walk stops at the last fork.
     ///
     /// Byte-identity: every variant's suffix sees exactly the
@@ -931,7 +947,13 @@ impl DensityEngine {
                     continue;
                 }
                 let rho = self.rho.as_ref().expect("state initialized by reset");
-                let mut state = rho.clone();
+                let mut state = match self.spares.pop() {
+                    Some(mut spare) => {
+                        spare.copy_from(rho);
+                        spare
+                    }
+                    None => rho.clone(),
+                };
                 match ops[t] {
                     TapeOp::Unitary1q { q, .. } => state.apply_unitary_1q(matrix, q),
                     TapeOp::Unitary2q { q0, q1, .. } => state.apply_unitary_2q(matrix, q0, q1),
@@ -950,21 +972,20 @@ impl DensityEngine {
         }
     }
 
-    /// Finishes one forked variant: restores `state`, replays
+    /// Finishes one forked variant: takes `state` as the engine's state
+    /// (the one it replaces becomes a spare for the next fork), replays
     /// `ops[resume_at..]`, and writes the post-readout distribution into
-    /// `out` — the suffix half of [`DensityEngine::evolve_group_forks`],
-    /// safe to run on any engine (pipeline lanes keep one scratch engine
-    /// each).
+    /// `out` — the suffix half of [`DensityEngine::evolve_group_forks`].
+    /// It may run on any engine, not only the one that forked `state`.
     pub fn resume_probs(
         &mut self,
         program: &CompiledProgram,
-        state: &DensityMatrix,
+        state: DensityMatrix,
         resume_at: usize,
         out: &mut Vec<f64>,
     ) {
-        match &mut self.rho {
-            Some(rho) => rho.copy_from(state),
-            None => self.rho = Some(state.clone()),
+        if let Some(old) = self.rho.replace(state) {
+            self.spares.push(old);
         }
         self.evolve_ops(program, &program.ops()[resume_at..]);
         self.finish_probs(program);
@@ -1366,8 +1387,8 @@ mod tests {
         assert_eq!(forks.len(), 2);
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         let mut out = Vec::new();
-        for ((v, at, state), reference) in forks.iter().zip([&fwd_ref, &bck_ref]) {
-            engine.resume_probs(&prog, state, *at, &mut out);
+        for ((v, at, state), reference) in forks.into_iter().zip([&fwd_ref, &bck_ref]) {
+            engine.resume_probs(&prog, state, at, &mut out);
             assert_eq!(bits(&out), bits(reference), "leg {v}");
         }
     }
@@ -1422,9 +1443,9 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|p| p.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&base), bits(&base_ref), "base binding");
         let mut out = Vec::new();
-        for (v, resume_at, state) in &forks {
-            engine.resume_probs(&prog, state, *resume_at, &mut out);
-            assert_eq!(bits(&out), bits(&refs[*v]), "variant {v}");
+        for (v, resume_at, state) in forks {
+            engine.resume_probs(&prog, state, resume_at, &mut out);
+            assert_eq!(bits(&out), bits(&refs[v]), "variant {v}");
         }
     }
 }

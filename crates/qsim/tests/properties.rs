@@ -380,7 +380,7 @@ proptest! {
         let (mut clean, mut dirty) = (DensityEngine::new(), DensityEngine::new());
         let (mut want, mut got) = (Vec::new(), Vec::new());
         clean.evolve_probs(&program, &mut want);
-        dirty.resume_probs(&program, &poisoned_ground_state(n), 0, &mut got);
+        dirty.resume_probs(&program, poisoned_ground_state(n), 0, &mut got);
         prop_assert!(got.iter().all(|p| p.is_finite()), "{:?}", got);
         prop_assert_eq!(prob_bits(&got), prob_bits(&want));
         let live = dirty.state().expect("just evolved").matrix();
@@ -392,9 +392,9 @@ proptest! {
         dirty.evolve_group_forks(&program, &variant, &mut dirty_forks, Some(&mut got));
         prop_assert!(got.iter().all(|p| p.is_finite()));
         prop_assert_eq!(prob_bits(&got), prob_bits(&want), "base of the fork walk");
-        let ((_, at, clean_fork), (_, _, dirty_fork)) = (&clean_forks[0], &dirty_forks[0]);
-        clean.resume_probs(&program, clean_fork, *at, &mut want);
-        dirty.resume_probs(&program, dirty_fork, *at, &mut got);
+        let ((_, at, clean_fork), (_, _, dirty_fork)) = (clean_forks.remove(0), dirty_forks.remove(0));
+        clean.resume_probs(&program, clean_fork, at, &mut want);
+        dirty.resume_probs(&program, dirty_fork, at, &mut got);
         prop_assert!(got.iter().all(|p| p.is_finite()));
         prop_assert_eq!(prob_bits(&got), prob_bits(&want), "forked RY variant");
     }
@@ -638,14 +638,18 @@ proptest! {
             refs.push(p);
             program.set_unitary(*slot, base);
         }
-        // Group forks off one base walk.
-        let (mut forks, mut base, mut out) = (Vec::new(), Vec::new(), Vec::new());
-        engine.evolve_group_forks(&program, &variants, &mut forks, Some(&mut base));
-        prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref));
-        prop_assert_eq!(forks.len(), variants.len());
-        for (v, at, state) in &forks {
-            engine.resume_probs(&program, state, *at, &mut out);
-            prop_assert_eq!(prob_bits(&out), prob_bits(&refs[*v]), "variant {}", v);
+        // Group forks off one base walk: the first walk clones its
+        // forks, the second fills them from the spares the first left.
+        for walk in 0..2 {
+            let (mut forks, mut base, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            engine.evolve_group_forks(&program, &variants, &mut forks, Some(&mut base));
+            prop_assert_eq!(prob_bits(&base), prob_bits(&base_ref), "walk {}", walk);
+            prop_assert_eq!(forks.len(), variants.len());
+            for (v, at, state) in forks {
+                engine.resume_probs(&program, state, at, &mut out);
+                prop_assert_eq!(prob_bits(&out), prob_bits(&refs[v]), "walk {} variant {}", walk, v);
+            }
+            prop_assert!(engine.spare_states() <= variants.len());
         }
     }
 

@@ -30,6 +30,8 @@ pub mod router;
 pub mod topology;
 
 pub use layout::{noise_aware_layout, Layout, LayoutError, LayoutStrategy};
-pub use pass::{transpile, CircuitMetrics, TranspileError, TranspileOptions, Transpiled};
+pub use pass::{
+    remap_counts, transpile, CircuitMetrics, TranspileError, TranspileOptions, Transpiled,
+};
 pub use router::{RouteError, RoutingStrategy};
 pub use topology::Topology;

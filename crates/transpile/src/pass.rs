@@ -168,20 +168,30 @@ impl Transpiled {
 
     /// Remaps a counts histogram from *compacted physical* bit order back
     /// to logical bit order, given the `logical_bits` vector from
-    /// [`Transpiled::compact_for_simulation`].
+    /// [`Transpiled::compact_for_simulation`] (see [`remap_counts`]).
     pub fn remap_counts(&self, compact_counts: &Counts, logical_bits: &[usize]) -> Counts {
-        let mut out = Counts::new(self.logical_qubits);
-        for (basis, count) in compact_counts.iter() {
-            let mut logical = 0u64;
-            for (l, &bit) in logical_bits.iter().enumerate() {
-                if basis >> bit & 1 == 1 {
-                    logical |= 1 << l;
-                }
-            }
-            out.record(logical, count);
-        }
-        out
+        remap_counts(compact_counts, logical_bits)
     }
+}
+
+/// Remaps a counts histogram from *compacted physical* bit order back to
+/// logical bit order: bit `logical_bits[l]` of each outcome becomes bit
+/// `l`. `logical_bits` holds one entry per logical qubit, as
+/// [`Transpiled::compact_for_simulation`] returns it, so the result is
+/// `logical_bits.len()` qubits wide. Needs no transpilation artifact:
+/// a caller that keeps only `logical_bits` can remap.
+pub fn remap_counts(compact_counts: &Counts, logical_bits: &[usize]) -> Counts {
+    let mut out = Counts::new(logical_bits.len());
+    for (basis, count) in compact_counts.iter() {
+        let mut logical = 0u64;
+        for (l, &bit) in logical_bits.iter().enumerate() {
+            if basis >> bit & 1 == 1 {
+                logical |= 1 << l;
+            }
+        }
+        out.record(logical, count);
+    }
+    out
 }
 
 /// Runs the full pipeline.
@@ -359,6 +369,40 @@ mod tests {
         counts.record(all_set, 100);
         let logical = t.remap_counts(&counts, &logical_bits);
         assert_eq!(logical.get(0b11), 100);
+    }
+
+    proptest::proptest! {
+        /// The free function is the artifact's remap, on random
+        /// circuits, devices, layouts and counts: the layout the
+        /// transpiler chose, and a random injection of the logical
+        /// qubits into a wider compact register.
+        #[test]
+        fn free_remap_equals_the_artifact_remap(
+            n in 2usize..=4,
+            device in 0usize..3,
+            extra in 0usize..4,
+            keys in proptest::collection::vec(0u32..1 << 20, 8),
+            outcomes in proptest::collection::vec((0u64..1 << 8, 1u64..100), 0..40),
+        ) {
+            let topology = [Topology::line(5), Topology::t_shape(), Topology::heavy_hex_27()];
+            let t = transpile(&entangler(n), &topology[device], &TranspileOptions::default())
+                .unwrap();
+            let (compact, chosen) = t.compact_for_simulation().unwrap();
+            let width = n + extra;
+            let mut order: Vec<usize> = (0..width).collect();
+            order.sort_by_key(|&i| (keys[i], i));
+            for (bits, k) in [(chosen, compact.num_qubits()), (order[..n].to_vec(), width)] {
+                let mut counts = Counts::new(k);
+                for &(basis, count) in &outcomes {
+                    counts.record(basis & ((1 << k) - 1), count);
+                }
+                proptest::prop_assert_eq!(
+                    remap_counts(&counts, &bits),
+                    t.remap_counts(&counts, &bits),
+                    "layout {:?}", bits
+                );
+            }
+        }
     }
 
     #[test]

@@ -527,7 +527,7 @@ fn engine_telemetry_reports_lanes_and_folded_pairs() {
     assert_eq!(
         format!("{telem}"),
         format!(
-            "{} jobs, 1 pipeline lanes, {} batched runs",
+            "{} jobs, 1 pool workers, {} batched runs",
             telem.jobs, telem.batched_jobs
         ),
     );

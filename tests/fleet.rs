@@ -155,6 +155,47 @@ fn fleet_runs_replay_byte_identically_and_pooled_matches_des() {
 }
 
 #[test]
+fn pooled_tenants_of_mixed_widths_replay_des() {
+    // H2 (two qubits) and QAOA ring-4 (four) tenants share the fleet,
+    // so a pool worker's thread-local simulator runs both widths in
+    // turn and forks into spare states the other width left. The
+    // pooled run must still be the discrete-event run byte for byte.
+    let qaoa = QaoaProblem::maxcut_ring4();
+    let h2 = VqeProblem::h2();
+    let run = |fleet_builder: FleetBuilder| {
+        let mut fleet = fleet_builder.arbiter(FairShare).build().expect("builds");
+        for t in 0..2u64 {
+            fleet
+                .admit(&qaoa, TenantConfig::new(cfg(3).with_seed(5 + t)))
+                .expect("admits QAOA");
+            fleet
+                .admit(
+                    &h2,
+                    TenantConfig::new(
+                        EqcConfig::paper_vqe()
+                            .with_epochs(3)
+                            .with_shots(128)
+                            .with_seed(9 + t),
+                    ),
+                )
+                .expect("admits H2");
+        }
+        fleet.run().expect("runs")
+    };
+    let des = run(builder());
+    let pooled = run(builder().pooled_workers(2));
+    assert_eq!(
+        format!("{:?}", des.reports),
+        format!("{:?}", pooled.reports),
+        "pooled reports replay DES across widths"
+    );
+    assert_eq!(des.telemetry, pooled.telemetry);
+    assert_ne!(des.reports[0].problem, des.reports[1].problem);
+    assert!(des.reports.iter().all(|r| r.epochs == 3));
+    assert_eq!(pooled.pool.expect("pooled telemetry").workers_spawned, 2);
+}
+
+#[test]
 fn fair_share_splits_capacity_by_weight() {
     // Two identical tenants, weights 3:1, on a fleet they each could
     // saturate: the heavy tenant must hold more concurrent capacity,

@@ -433,7 +433,7 @@ proptest! {
             let variant = template.shift_matrix(&params, g, delta);
             engine.evolve_group_forks(program, &[variant], &mut forks, None);
             let (_, resume_at, state) = forks.pop().expect("one fork per variant");
-            engine.resume_probs(program, &state, resume_at, &mut probs);
+            engine.resume_probs(program, state, resume_at, &mut probs);
             let shifted = circuit.bind_with_shift(&params, g, delta).expect("binds");
             check(&format!("gate {g} shifted"), &mut engine, &probs, &shifted)?;
         }
