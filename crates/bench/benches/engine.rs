@@ -5,8 +5,8 @@
 //!
 //! The headline number is `job_throughput/*`: one 4-qubit VQE job at
 //! 8192 shots on a catalog backend, executed through
-//! `QpuBackend::with_legacy_execution` (per-job noise rebuild,
-//! per-operator clones, per-shot map inserts) versus the engine path
+//! `eqc_oracle::execute` (per-job noise rebuild, per-operator clones,
+//! per-shot map inserts) versus the engine path
 //! (per-cycle noise cache, compiled tape, lowered channels), versus the
 //! client-style template path (compile once, rebind per job). The
 //! engine must clear >= 2x over legacy; the template path (a shift
@@ -20,13 +20,13 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqc_bench::{benchmark_templates, probe_params, tape_census, template_fixture};
+use eqc_oracle::{baseline, reference};
 use qcircuit::CircuitBuilder;
-use qdevice::noise_model::{execute_density, reference, NoiseModel};
+use qdevice::noise_model::{execute_density, NoiseModel};
 use qdevice::{
     catalog, Calibration, CompiledTemplate, DriftModel, NoiseToken, QpuBackend, QueueModel,
     SimTime, TemplateRun,
 };
-use qsim::density::baseline;
 use qsim::noise::Superop;
 use qsim::program::{CompiledProgram, ProgramBuilder, TapeOp};
 use qsim::sampler::{ReadoutError, ShotSampler};
@@ -243,9 +243,9 @@ fn bench_job_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("job_throughput");
     group.sample_size(20);
 
-    let mut legacy = backend(2).with_legacy_execution();
+    let mut legacy = backend(2);
     group.bench_function("legacy_4q_vqe_8192", |b| {
-        b.iter(|| legacy.execute(&circuit, &active, 8192, SimTime::ZERO))
+        b.iter(|| eqc_oracle::execute(&mut legacy, &circuit, &active, 8192, SimTime::ZERO))
     });
 
     let mut engine = backend(2);

@@ -12,8 +12,9 @@
 
 use eqc_bench::{band, ensemble_for, epochs_or, markdown_table, shots_or, train_eqc, write_csv};
 use eqc_core::{EqcConfig, SequentialExecutor};
+use eqc_oracle::reference;
 use qcircuit::measure::MeasurementPlan;
-use qdevice::noise_model::{execute_density, reference, NoiseModel};
+use qdevice::noise_model::{execute_density, NoiseModel};
 use qdevice::SimTime;
 use rand::rngs::StdRng;
 use rand::SeedableRng;

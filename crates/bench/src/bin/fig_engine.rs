@@ -7,7 +7,8 @@
 //! sees it — a compiled template executing parameter-shift pairs — once
 //! per execution path:
 //!
-//! * `legacy` — the pre-engine reference (per-run bind + noise rebuild);
+//! * `legacy` — the pre-engine reference of the `eqc-oracle` crate
+//!   (per-run bind + noise rebuild + Kraus walk);
 //! * `engine` — the production path: one group-fork walk per template,
 //!   forked suffixes resumed on the thread's engine.
 //!
@@ -89,11 +90,7 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128) {
         .iter()
         .map(|name| {
             let spec = catalog::by_name(name).expect("catalog device");
-            let backend = spec.backend(0xF164 + name.len() as u64);
-            match mode {
-                Mode::Legacy => backend.with_legacy_execution(),
-                Mode::Engine => backend,
-            }
+            spec.backend(0xF164 + name.len() as u64)
         })
         .collect();
     let mut all = Vec::new();
@@ -101,13 +98,20 @@ fn sweep(mode: &Mode, shots: usize) -> (Vec<Counts>, u128) {
     for backend in &mut backends {
         let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3, 4]);
         for &age in &ages_h {
-            let (counts, _) = backend.execute_templates(
-                &mut [&mut template],
-                &runs,
-                &params,
-                shots,
-                SimTime::from_hours(age),
-            );
+            let submit = SimTime::from_hours(age);
+            let (counts, _) = match mode {
+                Mode::Legacy => eqc_oracle::execute_templates(
+                    backend,
+                    &[&template],
+                    &runs,
+                    &params,
+                    shots,
+                    submit,
+                ),
+                Mode::Engine => {
+                    backend.execute_templates(&mut [&mut template], &runs, &params, shots, submit)
+                }
+            };
             all.extend(counts);
         }
     }

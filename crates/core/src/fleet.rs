@@ -273,7 +273,6 @@ impl<'p> FleetRuntime<'p> {
             device_seed: 0,
             arbiter: Arc::new(FairShare),
             substrate: Substrate::DiscreteEvent,
-            share_noise: true,
         }
     }
 
@@ -335,7 +334,6 @@ pub struct FleetBuilder {
     device_seed: u64,
     arbiter: Arc<dyn TenantArbiter>,
     substrate: Substrate,
-    share_noise: bool,
 }
 
 impl FleetBuilder {
@@ -446,17 +444,6 @@ impl FleetBuilder {
         self
     }
 
-    /// Gives every tenant's clone of a physical device a *private*
-    /// noise cache instead of the fleet-wide shared one (builder
-    /// style). Outcomes are byte-identical either way — the shared
-    /// cache serves bit-identical artifacts (pinned by tests); the
-    /// toggle exists so equivalence tests and benchmarks can compare
-    /// the build counts of both granularities.
-    pub fn without_noise_sharing(mut self) -> Self {
-        self.share_noise = false;
-        self
-    }
-
     /// Validates and resolves the fleet's device pool.
     ///
     /// # Errors
@@ -496,7 +483,6 @@ impl FleetBuilder {
             self.arbiter,
             self.substrate,
             config,
-            self.share_noise,
         ))
     }
 }
@@ -2001,47 +1987,47 @@ mod tests {
 
     #[test]
     fn noise_sharing_is_byte_invisible_and_builds_less() {
-        // Two co-tenants on the shared substrate, once with the default
-        // fleet-wide per-device noise caches and once with a private
-        // cache per clone (the same code path at the other granularity).
-        // Reports, tenant telemetry and occupancy must agree byte for
-        // byte; only the build/hit accounting may differ.
+        // Two co-tenants under `Unshared` on the discrete-event
+        // substrate: every clone of a physical device resolves its noise
+        // builds through the fleet's one cache for that device. Each
+        // tenant's report must still be its standalone
+        // `Ensemble::train` byte for byte — a session that builds every
+        // artifact itself — while the second tenant's clones are served
+        // the first one's builds.
         let problem = QaoaProblem::maxcut_ring4();
-        let run = |share: bool| {
-            let mut builder = FleetRuntime::builder()
+        let configs = [fleet_cfg(3), fleet_cfg(2).with_seed(11)];
+        let mut fleet = FleetRuntime::builder()
+            .devices(["belem", "manila"])
+            .device_seed(7)
+            .arbiter(Unshared)
+            .build()
+            .expect("builds");
+        let ids: Vec<TenantId> = configs
+            .iter()
+            .map(|&cfg| {
+                fleet
+                    .admit(&problem, TenantConfig::new(cfg))
+                    .expect("admits")
+            })
+            .collect();
+        let outcome = fleet.run().expect("runs");
+        for (id, cfg) in ids.into_iter().zip(configs) {
+            let standalone = Ensemble::builder()
                 .devices(["belem", "manila"])
                 .device_seed(7)
-                .arbiter(FairShare)
-                .shared();
-            if !share {
-                builder = builder.without_noise_sharing();
-            }
-            let mut fleet = builder.build().expect("builds");
-            fleet
-                .admit(&problem, TenantConfig::new(fleet_cfg(3)))
-                .expect("admits");
-            fleet
-                .admit(&problem, TenantConfig::new(fleet_cfg(2).with_seed(11)))
-                .expect("admits");
-            fleet.run().expect("runs")
-        };
-        let shared = run(true);
-        let private = run(false);
-        assert_eq!(
-            format!("{:?}", shared.reports),
-            format!("{:?}", private.reports),
-            "noise-cache granularity must be invisible in the training results"
-        );
-        assert_eq!(shared.telemetry.tenants, private.telemetry.tenants);
-        assert_eq!(shared.telemetry.occupancy, private.telemetry.occupancy);
+                .config(cfg)
+                .build()
+                .expect("builds")
+                .train(&problem)
+                .expect("trains");
+            assert_eq!(
+                format!("{standalone:?}"),
+                format!("{:?}", outcome.report(id)),
+                "a shared noise cache must be invisible in the training results"
+            );
+        }
         assert!(
-            shared.telemetry.shared_noise_builds < private.telemetry.shared_noise_builds,
-            "fleet-wide sharing must build strictly fewer artifacts: {} vs {}",
-            shared.telemetry.shared_noise_builds,
-            private.telemetry.shared_noise_builds
-        );
-        assert!(
-            shared.telemetry.shared_noise_hits > 0,
+            outcome.telemetry.shared_noise_hits > 0,
             "co-tenant clones must hit each other's builds"
         );
     }

@@ -175,12 +175,8 @@ struct SessionState {
     shared: Option<(Vec<Arc<Mutex<DeviceQueue>>>, OccupancyTracker)>,
     /// One noise cache per device slot, attached to every tenant's
     /// clone of that slot so each (device, calibration-cycle) noise
-    /// projection is built once fleet-wide. Empty in private-noise
-    /// mode, where per-clone caches live for one drain only.
+    /// projection is built once fleet-wide.
     noise_caches: Vec<Arc<SharedNoiseCache>>,
-    /// `(builds, hits)` of the per-clone caches of private-noise
-    /// drains, folded in when the caches are dropped.
-    private_noise: (u64, u64),
     /// Per-device queue-wait seconds accumulated across retired tenants
     /// in lane order (a deterministic f64 reduction order).
     occupancy_queued_s: Vec<f64>,
@@ -197,11 +193,6 @@ pub struct FleetService<'p> {
     arbiter: Arc<dyn TenantArbiter>,
     substrate: Substrate,
     config: ServiceConfig,
-    /// Whether co-tenant clones of one physical device share a noise
-    /// cache (see [`FleetBuilder::without_noise_sharing`]).
-    ///
-    /// [`FleetBuilder::without_noise_sharing`]: super::FleetBuilder::without_noise_sharing
-    share_noise: bool,
     /// Session generation, bumped by every [`FleetService::finish`];
     /// stamped into issued [`TenantId`]s and outcomes so a batch
     /// runtime's stale handles are detected instead of misattributed.
@@ -231,14 +222,12 @@ impl<'p> FleetService<'p> {
         arbiter: Arc<dyn TenantArbiter>,
         substrate: Substrate,
         config: ServiceConfig,
-        share_noise: bool,
     ) -> Self {
         FleetService {
             devices,
             arbiter,
             substrate,
             config,
-            share_noise,
             batch: 0,
             pending: Vec::new(),
             state: SessionState::default(),
@@ -415,26 +404,18 @@ impl<'p> FleetService<'p> {
         // through ledger `d` (shared substrate) and its noise builds
         // through cache `d`. Clones share seed, base calibration and
         // drift, so the shared artifacts are bit-identical to per-clone
-        // builds; `without_noise_sharing` routes the same code path
-        // through a private cache per clone instead, making both build
-        // granularities observable through the same counters.
-        if self.share_noise && state.noise_caches.is_empty() {
+        // builds.
+        if state.noise_caches.is_empty() {
             state
                 .noise_caches
                 .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
         }
-        let mut private_caches = Vec::new();
         for p in batch.iter_mut() {
             debug_assert_eq!(p.clients.len(), slots);
             for (d, client) in p.clients.iter_mut().enumerate() {
-                let cache = if self.share_noise {
-                    Arc::clone(&state.noise_caches[d])
-                } else {
-                    let cache = Arc::new(SharedNoiseCache::default());
-                    private_caches.push(Arc::clone(&cache));
-                    cache
-                };
-                client.backend_mut().attach_shared_noise(cache);
+                client
+                    .backend_mut()
+                    .attach_shared_noise(Arc::clone(&state.noise_caches[d]));
                 if let Some((ledgers, _)) = &state.shared {
                     client
                         .backend_mut()
@@ -486,10 +467,6 @@ impl<'p> FleetService<'p> {
                 client.backend_mut().detach_shared_noise();
                 client.backend_mut().detach_shared_queue();
             }
-        }
-        for cache in private_caches {
-            state.private_noise.0 += cache.builds();
-            state.private_noise.1 += cache.hits();
         }
         if let Some(telemetry) = pool {
             state.pool = Some(match state.pool.take() {
@@ -623,7 +600,6 @@ impl<'p> FleetService<'p> {
             records.push(r.record);
         }
         let span_h = state.clock.now_s / 3600.0;
-        let (private_builds, private_hits) = state.private_noise;
         let caches = &state.noise_caches;
         Ok(ServiceOutcome {
             fleet: FleetOutcome {
@@ -636,9 +612,8 @@ impl<'p> FleetService<'p> {
                     occupancy,
                     snapshot_rebuilds,
                     snapshot_reuses,
-                    shared_noise_builds: private_builds
-                        + caches.iter().map(|c| c.builds()).sum::<u64>(),
-                    shared_noise_hits: private_hits + caches.iter().map(|c| c.hits()).sum::<u64>(),
+                    shared_noise_builds: caches.iter().map(|c| c.builds()).sum(),
+                    shared_noise_hits: caches.iter().map(|c| c.hits()).sum(),
                 },
                 pool: state.pool,
                 batch,
@@ -778,30 +753,6 @@ mod tests {
             run.telemetry.occupancy, outcome.fleet.telemetry.occupancy,
             "per-device ledgers must agree between batch run and streamed drain"
         );
-    }
-
-    #[test]
-    fn private_noise_service_folds_counters_and_holds_no_cache_between_drains() {
-        // An always-on private-noise service used to keep every
-        // per-clone cache (calibrations and noise models included) until
-        // close, just to sum two counters.
-        let problem = QaoaProblem::maxcut_ring4();
-        let mut service = builder().without_noise_sharing().service().expect("builds");
-        for _ in 0..3 {
-            for cfg in [service_cfg(2), service_cfg(1).with_seed(11)] {
-                service
-                    .admit(&problem, TenantConfig::new(cfg))
-                    .expect("admits");
-            }
-            service.drain().expect("drains");
-            assert!(
-                service.state.noise_caches.is_empty(),
-                "private caches must not outlive their drain"
-            );
-        }
-        let t = service.close().expect("closes").fleet.telemetry;
-        // Pinned from the commit that still retained the caches.
-        assert_eq!((t.shared_noise_builds, t.shared_noise_hits), (36, 0));
     }
 
     #[test]

@@ -85,7 +85,7 @@ pub struct EngineTelemetry {
     /// run): always 0. Kept only because the frozen benchmark reads it.
     pub prefix_hits: u64,
     /// Density runs evolved through the backends' group-fork walk,
-    /// summed over clients (0 on the legacy path).
+    /// summed over clients.
     pub batched_jobs: u64,
     /// Pool workers the session's client tasks run on under the
     /// discrete-event executor: the resolved worker count of its

@@ -21,10 +21,18 @@
 //! refreshed per noise token — per job, on a drifting device (see
 //! [`crate::compile::CompiledTemplate`]). All caches key on values, not
 //! time, so caching never changes a result. The uncached pre-engine path
-//! survives behind [`QpuBackend::with_legacy_execution`] as the
-//! equivalence oracle for tests and benchmarks (equal counts and timing
-//! on every pinned fixture; states agree to 1e-12, see
-//! [`qsim::program`]).
+//! is test ground truth and ships in no library: the dev-only
+//! `eqc-oracle` crate runs it through [`QpuBackend::execute_with`] and
+//! holds this one to equal counts and timing on every pinned fixture
+//! (states agree to 1e-12, see [`qsim::program`]).
+//!
+//! ## One booking entry
+//!
+//! Every job books through [`QpuBackend::execute_with`]: it draws the
+//! start time, hands the simulation to its caller's closure, then sums
+//! the circuits' execution seconds, books the occupancy and assembles
+//! the [`JobResult`]. [`QpuBackend::execute`] and
+//! [`QpuBackend::execute_templates`] are its two production callers.
 //!
 //! Template jobs ([`QpuBackend::execute_templates`], the training hot
 //! path) have one density implementation: one walk per template from
@@ -52,7 +60,7 @@ use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
 use crate::compile::{CompileOptions, CompiledTemplate, NoiseToken};
 use crate::drift::DriftModel;
-use crate::noise_model::{reference, NoiseModel, QubitNoise};
+use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::Circuit;
 use qsim::{Counts, DensityEngine, DensityMatrix};
@@ -364,9 +372,6 @@ pub struct QpuBackend {
     /// fleet-wide. Values are bit-identical either way; clones share the
     /// attachment.
     shared_noise: Option<Arc<SharedNoiseCache>>,
-    /// Route execution through the preserved pre-engine path (the
-    /// bit-equivalence oracle; slow).
-    legacy_execution: bool,
     noise_cache: NoiseCache,
     /// Density runs executed through [`QpuBackend::execute_templates`]
     /// (telemetry).
@@ -416,20 +421,9 @@ impl QpuBackend {
             queued_seconds: 0.0,
             shared_queue: None,
             shared_noise: None,
-            legacy_execution: false,
             noise_cache: NoiseCache::default(),
             batched_jobs: 0,
         }
-    }
-
-    /// Routes execution through the preserved pre-engine path (builder
-    /// style): per-job `NoiseModel` reconstruction, per-operator state
-    /// clones, per-shot histogram inserts. Orders of magnitude slower —
-    /// it exists so equivalence tests and benchmarks can demand
-    /// byte-identical results from the engine path.
-    pub fn with_legacy_execution(mut self) -> Self {
-        self.legacy_execution = true;
-        self
     }
 
     /// Density runs executed through [`QpuBackend::execute_templates`]
@@ -605,24 +599,6 @@ impl QpuBackend {
         start
     }
 
-    /// The common job epilogue: advances this clone's `busy_until`,
-    /// accumulates wait/busy telemetry and books the occupancy into the
-    /// shared ledger when one is attached. Returns the completion time.
-    fn record_job(&mut self, submit: SimTime, started: SimTime, exec_s: f64) -> SimTime {
-        let completed = started + exec_s;
-        self.busy_until = completed;
-        self.jobs_executed += 1;
-        self.busy_seconds += exec_s;
-        self.queued_seconds += started - submit;
-        if let Some(ledger) = &self.shared_queue {
-            ledger
-                .lock()
-                .expect("shared queue lock")
-                .book(started, exec_s);
-        }
-        completed
-    }
-
     /// Ensures the noise cache covers the cycle containing `t`,
     /// rebuilding the reported calibration (once per cycle) on a miss —
     /// served from the fleet-wide [`SharedNoiseCache`] when one is
@@ -724,30 +700,72 @@ impl QpuBackend {
         self.noise_cache.reported_builds
     }
 
-    /// Compiles and runs one bound circuit on the thread's density
-    /// engine against a cached noise entry — the single dispatch point
-    /// for every engine-path execution of a bound circuit.
-    fn run_circuit(&mut self, circuit: &Circuit, entry: usize, shots: usize) -> (Counts, f64) {
-        assert_density_fits(circuit.num_qubits());
-        let noise = &*self.noise_cache.entries[entry].model;
-        let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
-        let counts = with_scratch(|s| s.engine.run_program(&program, shots, &mut self.rng));
-        (counts, program.duration_ns())
+    /// The device's seeded RNG. Each job draws its start-time jitter
+    /// from it first ([`QpuBackend::execute_with`] does), then every
+    /// shot of its circuits in order; a simulation handed to
+    /// `execute_with` samples from it.
+    pub fn shot_rng(&mut self) -> &mut StdRng {
+        &mut self.rng
     }
 
-    /// [`run_circuit`](Self::run_circuit)'s pre-engine twin, used when
-    /// [`QpuBackend::with_legacy_execution`] is set.
-    fn run_circuit_reference(
+    /// Books one cloud job — the one entry every job goes through.
+    ///
+    /// Draws the start time of a job submitted at `submit` (queue wait,
+    /// device serialization, maintenance downtime), then calls
+    /// `simulate(self, started)`, which runs the job's circuits and
+    /// returns `(counts, circuit_duration_ns, readout_time_ns)` per
+    /// circuit, in order. The job occupies the device for the sum of
+    /// the circuits' [`QueueModel::execution_s`] at `shots` each, summed
+    /// in that order: one ledger booking, one [`JobResult`] whose counts
+    /// and circuit duration are the last circuit's. A single queue wait
+    /// covers the whole job, the way the paper's client submits the
+    /// forward and backward shift circuits together (Algorithm 2:
+    /// `Job <- Submit C_Transpiled(theta)_FWD,BCK`).
+    ///
+    /// Returns one histogram per circuit plus the job's timing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `simulate` returns no circuit.
+    pub fn execute_with(
         &mut self,
-        circuit: &Circuit,
-        noise: &NoiseModel,
         shots: usize,
-    ) -> (Counts, f64) {
-        assert_density_fits(circuit.num_qubits());
-        reference::execute_density(circuit, noise, shots, &mut self.rng)
+        submit: SimTime,
+        simulate: impl FnOnce(&mut Self, SimTime) -> Vec<(Counts, f64, f64)>,
+    ) -> (Vec<Counts>, JobResult) {
+        let started = self.start_time(submit);
+        let circuits = simulate(self, started);
+        let mut exec_s = 0.0;
+        let mut circuit_duration_ns = 0.0;
+        let mut all_counts = Vec::with_capacity(circuits.len());
+        for (counts, duration_ns, readout_ns) in circuits {
+            exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
+            circuit_duration_ns = duration_ns;
+            all_counts.push(counts);
+        }
+        let counts = all_counts.last().cloned().expect("a job runs a circuit");
+        let completed = started + exec_s;
+        self.busy_until = completed;
+        self.jobs_executed += 1;
+        self.busy_seconds += exec_s;
+        self.queued_seconds += started - submit;
+        if let Some(ledger) = &self.shared_queue {
+            ledger
+                .lock()
+                .expect("shared queue lock")
+                .book(started, exec_s);
+        }
+        let timing = JobResult {
+            counts,
+            submitted: submit,
+            started,
+            completed,
+            circuit_duration_ns,
+        };
+        (all_counts, timing)
     }
 
-    /// Executes a fully bound, compacted physical circuit.
+    /// Executes a fully bound, compacted physical circuit as one job.
     ///
     /// `active_physical[i]` names the physical qubit behind compact qubit
     /// `i` (from [`transpile::Transpiled::compact_for_simulation`]).
@@ -770,90 +788,15 @@ impl QpuBackend {
             active_physical.len(),
             "compact circuit width must match active qubit list"
         );
-        let started = self.start_time(submit);
-        let (counts, circuit_duration_ns, readout_time_ns) = if self.legacy_execution {
-            let cal = self.actual_calibration(started);
-            let noise = NoiseModel::from_calibration(&cal, active_physical);
-            let (counts, duration) = self.run_circuit_reference(circuit, &noise, shots);
-            (counts, duration, cal.readout_time_ns)
-        } else {
-            let entry = self.noise_entry(started, active_physical);
-            let (counts, duration) = self.run_circuit(circuit, entry, shots);
-            let readout = self.noise_cache.entries[entry].model.readout_time_ns;
-            (counts, duration, readout)
-        };
-        let exec_s = self
-            .queue
-            .execution_s(circuit_duration_ns, readout_time_ns, shots);
-        let completed = self.record_job(submit, started, exec_s);
-        JobResult {
-            counts,
-            submitted: submit,
-            started,
-            completed,
-            circuit_duration_ns,
-        }
-    }
-
-    /// Executes several circuits as **one** cloud job: a single queue wait
-    /// covers the whole batch, then the circuits run back-to-back.
-    ///
-    /// This mirrors how the paper's client submits the forward and
-    /// backward shift circuits together (Algorithm 2:
-    /// `Job <- Submit C_Transpiled(theta)_FWD,BCK`).
-    ///
-    /// Returns one counts histogram per circuit plus the batch timing.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`QpuBackend::execute`]; additionally panics on
-    /// an empty batch.
-    pub fn execute_batch(
-        &mut self,
-        batch: &[(&Circuit, &[usize])],
-        shots: usize,
-        submit: SimTime,
-    ) -> (Vec<Counts>, JobResult) {
-        assert!(!batch.is_empty(), "batch must contain at least one circuit");
-        let started = self.start_time(submit);
-        let mut all_counts = Vec::with_capacity(batch.len());
-        let mut total_exec_s = 0.0;
-        let mut last_duration_ns = 0.0;
-        let legacy_cal = self
-            .legacy_execution
-            .then(|| self.actual_calibration(started));
-        for (circuit, active_physical) in batch {
-            assert_eq!(
-                circuit.num_qubits(),
-                active_physical.len(),
-                "compact circuit width must match active qubit list"
-            );
-            let (counts, duration_ns, readout_time_ns) = match &legacy_cal {
-                Some(cal) => {
-                    let noise = NoiseModel::from_calibration(cal, active_physical);
-                    let (counts, duration) = self.run_circuit_reference(circuit, &noise, shots);
-                    (counts, duration, cal.readout_time_ns)
-                }
-                None => {
-                    let entry = self.noise_entry(started, active_physical);
-                    let (counts, duration) = self.run_circuit(circuit, entry, shots);
-                    let readout = self.noise_cache.entries[entry].model.readout_time_ns;
-                    (counts, duration, readout)
-                }
-            };
-            total_exec_s += self.queue.execution_s(duration_ns, readout_time_ns, shots);
-            last_duration_ns = duration_ns;
-            all_counts.push(counts);
-        }
-        let completed = self.record_job(submit, started, total_exec_s);
-        let timing = JobResult {
-            counts: all_counts.last().cloned().expect("non-empty batch"),
-            submitted: submit,
-            started,
-            completed,
-            circuit_duration_ns: last_duration_ns,
-        };
-        (all_counts, timing)
+        let (_, job) = self.execute_with(shots, submit, |be, started| {
+            let entry = be.noise_entry(started, active_physical);
+            assert_density_fits(circuit.num_qubits());
+            let noise = &*be.noise_cache.entries[entry].model;
+            let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
+            let counts = with_scratch(|s| s.engine.run_program(&program, shots, &mut be.rng));
+            vec![(counts, program.duration_ns(), noise.readout_time_ns)]
+        });
+        job
     }
 
     /// Executes a batch of *compiled template* runs as one cloud job —
@@ -874,11 +817,12 @@ impl QpuBackend {
     /// sampling consumes the RNG in run order, so counts and timing are
     /// bit-identical to evolving every run on its own.
     ///
-    /// Binding each circuit with [`Circuit::bind_with_shift`] and
-    /// calling [`QpuBackend::execute_batch`] is *not* bit-identical: a
-    /// bound circuit has no parameterized slot, so its rotations fuse
-    /// into the neighbouring clusters and the evolved state agrees to
-    /// ~1e-16 — equal counts on every pinned fixture, not equal bits.
+    /// Binding each run with [`Circuit::bind_with_shift`] and calling
+    /// [`QpuBackend::execute`] on the bound circuit is *not*
+    /// bit-identical: a bound circuit has no parameterized slot, so its
+    /// rotations fuse into the neighbouring clusters and the evolved
+    /// state agrees to ~1e-16 — equal counts on every pinned fixture,
+    /// not equal bits.
     ///
     /// # Panics
     ///
@@ -894,138 +838,116 @@ impl QpuBackend {
         submit: SimTime,
     ) -> (Vec<Counts>, JobResult) {
         assert!(!runs.is_empty(), "batch must contain at least one run");
-        let started = self.start_time(submit);
-        let mut all_counts = Vec::with_capacity(runs.len());
-        let mut total_exec_s = 0.0;
-        let mut last_duration_ns = 0.0;
-        if self.legacy_execution {
-            // The pre-engine client flow: bind a fresh circuit per run,
-            // rebuild the noise model per run, walk the schedule.
-            let cal = self.actual_calibration(started);
-            for run in runs {
-                let template = &*templates[run.template];
-                let bound = match run.shift {
-                    Some((gate_idx, delta)) => {
-                        template.circuit().bind_with_shift(params, gate_idx, delta)
-                    }
-                    None => template.circuit().bind(params),
-                }
-                .expect("parameter vector covers template");
-                let noise = NoiseModel::from_calibration(&cal, template.active_physical());
-                let (counts, duration) = self.run_circuit_reference(&bound, &noise, shots);
-                total_exec_s += self.queue.execution_s(duration, cal.readout_time_ns, shots);
-                last_duration_ns = duration;
-                all_counts.push(counts);
-            }
-        } else {
-            let token = self.noise_token(started);
-            // Density evolution is RNG-free, so the batch splits
-            // into an evolution phase — one walk per template,
-            // every shifted run forked off it — and a sampling
-            // phase that consumes the RNG in run order. Each
-            // run's distribution is bit for bit what evolving
-            // it on its own would give (the group-fork contract
-            // of [`DensityEngine::evolve_group_forks`]); the
-            // whole batch follows because sampling, `f64`
-            // accumulation and every counter sequence stay in
-            // run order.
-            //
-            // Bookkeeping pass — per run, so the noise and
-            // compile counters do not depend on the grouping.
-            let mut meta = Vec::with_capacity(runs.len());
-            for run in runs {
-                let entry = self.noise_entry(started, templates[run.template].active_physical());
-                let noise = &*self.noise_cache.entries[entry].model;
-                let template = &mut *templates[run.template];
-                template.ensure_compiled(noise, token);
-                let program = template.program();
-                assert_density_fits(program.num_qubits());
-                meta.push((
-                    program.duration_ns(),
-                    noise.readout_time_ns,
-                    program.num_qubits(),
-                ));
-            }
-            // Group runs by template, in first-appearance order.
-            let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
-            let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-            for (i, run) in runs.iter().enumerate() {
-                let g = *group_of[run.template].get_or_insert_with(|| {
-                    groups.push((run.template, Vec::new()));
-                    groups.len() - 1
-                });
-                groups[g].1.push(i);
-            }
-            let (rng, queue) = (&mut self.rng, &self.queue);
-            with_scratch(|Scratch { engine, run_probs }| {
-                if run_probs.len() < runs.len() {
-                    run_probs.resize_with(runs.len(), Vec::new);
-                }
-                // Phase A1 — per group: bind the base once and fork
-                // every shifted member off one walk (which stops at
-                // the last fork when no member is unshifted).
-                // Unshifted members share the base distribution:
-                // evolution is deterministic, so a copy is what
-                // re-evolving would give.
-                let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
-                let mut forks = Vec::new();
-                for &(t, ref members) in &groups {
-                    let template = &mut *templates[t];
-                    template.bind(params, None);
-                    let mut variants = Vec::new();
-                    let mut variant_run = Vec::new();
-                    let mut base_runs = Vec::new();
-                    for &i in members {
-                        match runs[i].shift {
-                            Some((g, d)) => {
-                                variants.push(template.shift_matrix(params, g, d));
-                                variant_run.push(i);
-                            }
-                            None => base_runs.push(i),
-                        }
-                    }
-                    engine.evolve_group_forks(
-                        template.program(),
-                        &variants,
-                        &mut forks,
-                        base_runs.first().map(|&i| &mut run_probs[i]),
-                    );
-                    if base_runs.len() > 1 {
-                        let src = run_probs[base_runs[0]].clone();
-                        for &i in &base_runs[1..] {
-                            run_probs[i].clone_from(&src);
-                        }
-                    }
-                    for (v, at, state) in forks.drain(..) {
-                        suffixes.push((variant_run[v], t, at, state));
-                    }
-                }
-                // Phase A2 — resume every fork's suffix; each resumed
-                // fork becomes the engine's state, and the state it
-                // replaces a spare for the next call's forks.
-                for (run_idx, t, at, state) in suffixes {
-                    engine.resume_probs(templates[t].program(), state, at, &mut run_probs[run_idx]);
-                }
-                // Phase B — sample every run's distribution in run
-                // order.
-                for (i, &(duration_ns, readout_ns, n_qubits)) in meta.iter().enumerate() {
-                    let counts = engine.sample_probs(&run_probs[i], n_qubits, shots, rng);
-                    total_exec_s += queue.execution_s(duration_ns, readout_ns, shots);
-                    last_duration_ns = duration_ns;
-                    all_counts.push(counts);
-                }
-            });
-            self.batched_jobs += runs.len() as u64;
+        let job = self.execute_with(shots, submit, |be, started| {
+            be.simulate_templates(templates, runs, params, shots, started)
+        });
+        self.batched_jobs += runs.len() as u64;
+        job
+    }
+
+    /// The simulation half of [`QpuBackend::execute_templates`].
+    ///
+    /// Density evolution is RNG-free, so the batch splits into an
+    /// evolution phase — one walk per template, every shifted run
+    /// forked off it — and a sampling phase that consumes the RNG in
+    /// run order. Each run's distribution is bit for bit what evolving
+    /// it on its own would give (the group-fork contract of
+    /// [`DensityEngine::evolve_group_forks`]); the whole batch follows
+    /// because sampling, `f64` accumulation and every counter sequence
+    /// stay in run order.
+    fn simulate_templates(
+        &mut self,
+        templates: &mut [&mut CompiledTemplate],
+        runs: &[TemplateRun],
+        params: &[f64],
+        shots: usize,
+        started: SimTime,
+    ) -> Vec<(Counts, f64, f64)> {
+        let token = self.noise_token(started);
+        // Bookkeeping pass — per run, so the noise and compile counters
+        // do not depend on the grouping.
+        let mut meta = Vec::with_capacity(runs.len());
+        for run in runs {
+            let entry = self.noise_entry(started, templates[run.template].active_physical());
+            let noise = &*self.noise_cache.entries[entry].model;
+            let template = &mut *templates[run.template];
+            template.ensure_compiled(noise, token);
+            let program = template.program();
+            assert_density_fits(program.num_qubits());
+            meta.push((
+                program.duration_ns(),
+                noise.readout_time_ns,
+                program.num_qubits(),
+            ));
         }
-        let completed = self.record_job(submit, started, total_exec_s);
-        let timing = JobResult {
-            counts: all_counts.last().cloned().expect("non-empty batch"),
-            submitted: submit,
-            started,
-            completed,
-            circuit_duration_ns: last_duration_ns,
-        };
-        (all_counts, timing)
+        // Group runs by template, in first-appearance order.
+        let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        for (i, run) in runs.iter().enumerate() {
+            let g = *group_of[run.template].get_or_insert_with(|| {
+                groups.push((run.template, Vec::new()));
+                groups.len() - 1
+            });
+            groups[g].1.push(i);
+        }
+        let rng = &mut self.rng;
+        with_scratch(|Scratch { engine, run_probs }| {
+            if run_probs.len() < runs.len() {
+                run_probs.resize_with(runs.len(), Vec::new);
+            }
+            // Phase A1 — per group: bind the base once and fork every
+            // shifted member off one walk (which stops at the last fork
+            // when no member is unshifted). Unshifted members share the
+            // base distribution: evolution is deterministic, so a copy
+            // is what re-evolving would give.
+            let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
+            let mut forks = Vec::new();
+            for &(t, ref members) in &groups {
+                let template = &mut *templates[t];
+                template.bind(params, None);
+                let mut variants = Vec::new();
+                let mut variant_run = Vec::new();
+                let mut base_runs = Vec::new();
+                for &i in members {
+                    match runs[i].shift {
+                        Some((g, d)) => {
+                            variants.push(template.shift_matrix(params, g, d));
+                            variant_run.push(i);
+                        }
+                        None => base_runs.push(i),
+                    }
+                }
+                engine.evolve_group_forks(
+                    template.program(),
+                    &variants,
+                    &mut forks,
+                    base_runs.first().map(|&i| &mut run_probs[i]),
+                );
+                if base_runs.len() > 1 {
+                    let src = run_probs[base_runs[0]].clone();
+                    for &i in &base_runs[1..] {
+                        run_probs[i].clone_from(&src);
+                    }
+                }
+                for (v, at, state) in forks.drain(..) {
+                    suffixes.push((variant_run[v], t, at, state));
+                }
+            }
+            // Phase A2 — resume every fork's suffix; each resumed fork
+            // becomes the engine's state, and the state it replaces a
+            // spare for the next call's forks.
+            for (run_idx, t, at, state) in suffixes {
+                engine.resume_probs(templates[t].program(), state, at, &mut run_probs[run_idx]);
+            }
+            // Phase B — sample every run's distribution in run order.
+            meta.iter()
+                .enumerate()
+                .map(|(i, &(duration_ns, readout_ns, n_qubits))| {
+                    let counts = engine.sample_probs(&run_probs[i], n_qubits, shots, rng);
+                    (counts, duration_ns, readout_ns)
+                })
+                .collect()
+        })
     }
 }
 

@@ -50,9 +50,10 @@
 //! them.
 //!
 //! Offsets and passes are constants of the plan: they depend on the
-//! circuit alone, so a refresh leaves them alone. The
-//! [`reference`](crate::noise_model::reference) executors, which apply
-//! Kraus operators gate for gate, keep the true matrices.
+//! circuit alone, so a refresh leaves them alone. The pre-engine
+//! reference executors (the dev-only `eqc-oracle` crate's walks of
+//! [`crate::noise_model::schedule`]), which apply Kraus operators gate
+//! for gate, keep the true matrices.
 //!
 //! Two entry points:
 //!
@@ -581,7 +582,7 @@ impl CompiledTemplate {
 mod tests {
     use super::*;
     use crate::calibration::Calibration;
-    use crate::noise_model::{execute_density, reference};
+    use crate::noise_model::execute_density;
     use qcircuit::CircuitBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -604,31 +605,6 @@ mod tests {
             b.rz_sym(q, n + q);
         }
         b.build()
-    }
-
-    #[test]
-    fn compiled_template_matches_bind_then_execute() {
-        let noise = noisy_model(3);
-        let template = ansatz(3);
-        let params: Vec<f64> = (0..6).map(|i| 0.3 * i as f64 - 0.7).collect();
-
-        let mut compiled = CompiledTemplate::new(template.clone(), vec![0, 1, 2]);
-        compiled.ensure_compiled(&noise, NoiseToken::new(0, 0, 1.0, 1.0));
-        compiled.bind(&params, None);
-        let engine_counts = qsim::DensityEngine::new().run_program(
-            compiled.program(),
-            20_000,
-            &mut StdRng::seed_from_u64(9),
-        );
-
-        let bound = template.bind(&params).unwrap();
-        let (direct, duration) =
-            reference::execute_density(&bound, &noise, 20_000, &mut StdRng::seed_from_u64(9));
-        assert_eq!(
-            engine_counts, direct,
-            "template path must be byte-identical"
-        );
-        assert_eq!(compiled.program().duration_ns(), duration);
     }
 
     #[test]

@@ -10,10 +10,12 @@
 //! qubit cap. It is a thin compatibility wrapper over the
 //! compiled-program engine layer ([`crate::compile`] +
 //! [`qsim::program`]): the circuit and noise schedule compile to a flat
-//! op-tape once, then the engine replays it. The pre-engine executors
-//! survive verbatim in [`mod@reference`] as test ground truth: the
-//! density one as the bit-equivalence oracle, the Monte-Carlo
-//! trajectory one as an independent statistical cross-check.
+//! op-tape once, then the engine replays it. [`schedule`] delivers the
+//! same noisy schedule with every channel as its Kraus list: the
+//! pre-engine executors of the dev-only `eqc-oracle` crate walk it as
+//! test ground truth (the density one as the bit-equivalence oracle,
+//! the Monte-Carlo trajectory one as an independent statistical
+//! cross-check).
 
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
@@ -294,7 +296,7 @@ impl ChannelNumbers {
         }
     }
 
-    /// The channel as a Kraus list, for the [`mod@reference`] executors.
+    /// The channel as a Kraus list, for [`schedule`].
     fn kraus(self) -> KrausChannel {
         match self {
             ChannelNumbers::Relaxation {
@@ -418,11 +420,16 @@ pub enum ScheduledOp<'a> {
     Channel(&'a KrausChannel, &'a [usize]),
 }
 
-/// [`walk`] with every channel the model emits materialized as a Kraus
-/// list, built once per key — for the [`mod@reference`] executors. Compiled
-/// programs never come through here: they lower each key Kraus-free.
+/// The noisy schedule of a bound, compacted circuit under `noise`, in
+/// execution order: every gate unitary and every channel the model
+/// emits, materialized as a Kraus list built once per distinct site
+/// (idle catch-up and gate-concurrent relaxation per operand, each
+/// gate's depolarizing error, relaxation up to the end of readout).
+/// This is the noise model in Kraus form, for reference executors that
+/// apply it operator by operator; compiled programs never come through
+/// here — they lower each channel Kraus-free from the same walk.
 /// Returns the scheduled duration (ns), readout included.
-pub(crate) fn schedule<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
+pub fn schedule<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
 where
     F: FnMut(ScheduledOp<'_>),
 {
@@ -450,8 +457,9 @@ where
 /// [`qsim::CompiledProgram`] and runs a fresh [`DensityEngine`].
 /// Repeated executions of the same structure should compile once and
 /// hold a long-lived engine instead (see [`crate::compile`] and
-/// [`crate::QpuBackend`]). Equal to [`reference::execute_density`] up
-/// to rounding in the distribution (~1e-15: fused sweeps and the
+/// [`crate::QpuBackend`]). Equal to the pre-engine executor (the
+/// `eqc-oracle` crate's `reference::execute_density`, a walk of
+/// [`schedule`]) up to rounding in the distribution (~1e-15: fused sweeps and the
 /// compiler's RZ frame re-associate the arithmetic), with equal counts
 /// on every pinned fixture.
 ///
@@ -476,184 +484,6 @@ pub fn execute_density<R: Rng + ?Sized>(
     let program = crate::compile::compile_bound(circuit, noise, &crate::CompileOptions::default());
     let counts = DensityEngine::new().run_program(&program, shots, rng);
     (counts, program.duration_ns())
-}
-
-/// The pre-engine executors, preserved verbatim.
-///
-/// These walk the schedule gate by gate, re-materialize every matrix,
-/// clone the state per Kraus operator and insert shots one by one —
-/// exactly the code the engine layer replaced. They are test ground
-/// truth: [`reference::execute_density`] is the bit-equivalence oracle
-/// the equivalence suite and the `engine` criterion bench run against
-/// the compiled path, demanding identical counts;
-/// [`reference::density_distribution`] is its exact distribution, for
-/// tolerance checks; and [`reference::execute_trajectories`] unravels
-/// the same schedule by Monte-Carlo quantum trajectories, an
-/// independent statistical cross-check of the density engine. Do not
-/// use them on a hot path.
-pub mod reference {
-    use super::*;
-    use qsim::density::baseline;
-    use qsim::sampler::sample_indices;
-    use qsim::StateVector;
-
-    /// Pre-engine shot aggregation: one histogram insert per shot.
-    fn sample_counts_legacy<R: Rng + ?Sized>(
-        probs: &[f64],
-        n_qubits: usize,
-        shots: usize,
-        rng: &mut R,
-    ) -> Counts {
-        assert_eq!(
-            probs.len(),
-            1usize << n_qubits,
-            "distribution size mismatch"
-        );
-        let mut counts = Counts::new(n_qubits);
-        for idx in sample_indices(probs, shots, rng) {
-            counts.record(idx as u64, 1);
-        }
-        counts
-    }
-
-    /// Pre-engine [`super::execute_density`]: direct schedule walk with
-    /// the preserved pre-optimization kernels and per-operator clones.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`super::execute_density`].
-    pub fn execute_density<R: Rng + ?Sized>(
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        shots: usize,
-        rng: &mut R,
-    ) -> (Counts, f64) {
-        let (probs, duration) = evolve_density(circuit, noise);
-        let counts = sample_counts_legacy(&probs, circuit.num_qubits(), shots, rng);
-        (counts, duration)
-    }
-
-    /// The post-readout measurement distribution
-    /// [`execute_density`] samples from: the literal Kraus sum of the
-    /// schedule (true gate matrices, no frame, no fusion) on a density
-    /// matrix with the preserved pre-engine kernels.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`super::execute_density`].
-    pub fn density_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f64> {
-        evolve_density(circuit, noise).0
-    }
-
-    /// The evolution half of [`execute_density`]: the distribution and
-    /// the scheduled duration.
-    fn evolve_density(circuit: &Circuit, noise: &NoiseModel) -> (Vec<f64>, f64) {
-        assert_eq!(
-            circuit.num_params(),
-            0,
-            "execute_density requires a fully bound circuit"
-        );
-        let mut rho = DensityMatrix::new(circuit.num_qubits());
-        let duration = schedule(circuit, noise, |op| match op {
-            ScheduledOp::Unitary(g, qs) => {
-                let m = g.matrix(&[]);
-                match *qs {
-                    [q] => baseline::apply_unitary_1q(&mut rho, &m, q),
-                    [a, b] => baseline::apply_unitary_2q(&mut rho, &m, a, b),
-                    _ => unreachable!(),
-                }
-            }
-            ScheduledOp::Channel(ch, qs) => baseline::apply_channel(&mut rho, ch, qs),
-        });
-        rho.normalize();
-        let probs = noise.readout().apply_to_distribution(&rho.probabilities());
-        (probs, duration)
-    }
-
-    /// Monte-Carlo quantum trajectories: each trajectory re-walks the
-    /// schedule on a pure state, unravelling every channel by
-    /// Born-probability selection of one Kraus operator (a state clone
-    /// per candidate), then contributes `shots / trajectories`
-    /// measurement samples (the remainder spread over the first
-    /// trajectories). Exact in expectation; variance shrinks with more
-    /// trajectories.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the circuit has unbound parameters or
-    /// `trajectories == 0`.
-    pub fn execute_trajectories<R: Rng + ?Sized>(
-        circuit: &Circuit,
-        noise: &NoiseModel,
-        shots: usize,
-        trajectories: usize,
-        rng: &mut R,
-    ) -> (Counts, f64) {
-        assert!(trajectories > 0, "need at least one trajectory");
-        assert_eq!(
-            circuit.num_params(),
-            0,
-            "execute_trajectories requires a fully bound circuit"
-        );
-        let n = circuit.num_qubits();
-        let readout = noise.readout();
-        let mut counts = Counts::new(n);
-        let base = shots / trajectories;
-        let extra = shots % trajectories;
-        let mut duration = 0.0;
-        for t in 0..trajectories {
-            let mut sv = StateVector::new(n);
-            duration = schedule(circuit, noise, |op| match op {
-                ScheduledOp::Unitary(g, qs) => {
-                    let m = g.matrix(&[]);
-                    match *qs {
-                        [q] => sv.apply_1q(&m, q),
-                        [a, b] => sv.apply_2q(&m, a, b),
-                        _ => unreachable!(),
-                    }
-                }
-                ScheduledOp::Channel(ch, qs) => apply_channel_trajectory(&mut sv, ch, qs, rng),
-            });
-            let traj_shots = base + usize::from(t < extra);
-            if traj_shots == 0 {
-                continue;
-            }
-            for idx in sv.sample(traj_shots, rng) {
-                let corrupted = readout.corrupt(idx as u64, rng);
-                counts.record(corrupted, 1);
-            }
-        }
-        (counts, duration)
-    }
-
-    /// Stochastically applies one Kraus operator of `ch`, selected with
-    /// its Born probability, renormalizing the state (standard
-    /// quantum-trajectory unraveling).
-    fn apply_channel_trajectory<R: Rng + ?Sized>(
-        sv: &mut StateVector,
-        ch: &KrausChannel,
-        qs: &[usize],
-        rng: &mut R,
-    ) {
-        let r: f64 = rng.gen();
-        let mut acc = 0.0;
-        let ops = ch.operators();
-        for (i, k) in ops.iter().enumerate() {
-            let mut cand = sv.clone();
-            match qs[..] {
-                [q] => cand.apply_1q(k, q),
-                [a, b] => cand.apply_2q(k, a, b),
-                _ => unreachable!(),
-            }
-            let p = cand.norm_sqr();
-            acc += p;
-            if r < acc || i == ops.len() - 1 {
-                cand.normalize();
-                *sv = cand;
-                return;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -720,20 +550,6 @@ mod tests {
             err(&bad),
             err(&good)
         );
-    }
-
-    #[test]
-    fn trajectories_agree_with_density() {
-        let c = ghz(3);
-        let noise = noisy_model(3);
-        let mut rng = StdRng::seed_from_u64(4);
-        let (dens, d_dur) = execute_density(&c, &noise, 40_000, &mut rng);
-        let (traj, t_dur) = reference::execute_trajectories(&c, &noise, 40_000, 400, &mut rng);
-        assert_eq!(d_dur, t_dur, "schedules must agree");
-        // Compare the GHZ success probabilities within sampling noise.
-        let ds = dens.probability(0) + dens.probability(0b111);
-        let ts = traj.probability(0) + traj.probability(0b111);
-        assert!((ds - ts).abs() < 0.03, "density {ds} vs trajectories {ts}");
     }
 
     #[test]

@@ -4,8 +4,10 @@
 use proptest::prelude::*;
 use qcircuit::{Circuit, Gate};
 use qdevice::{
-    Calibration, DeviceQueue, DriftModel, LoadCurve, LoadModel, QpuBackend, QueueModel, SimTime,
+    Calibration, CompiledTemplate, DeviceQueue, DriftModel, LoadCurve, LoadModel, NoiseModel,
+    QpuBackend, QueueModel, SimTime, TemplateRun,
 };
+use std::sync::{Arc, Mutex};
 use transpile::Topology;
 
 fn small_backend(cx_error: f64, readout: f64, wait: f64, seed: u64) -> QpuBackend {
@@ -245,19 +247,71 @@ proptest! {
         }
     }
 
-    /// Batch execution returns one histogram per circuit and a single
-    /// coherent time window.
+    /// A template job of `k` runs returns one histogram of `shots` per
+    /// run and one time window, whose length is the runs' execution
+    /// seconds summed in run order.
     #[test]
     fn batch_invariants(k in 1usize..6, shots in 16usize..512) {
         let mut be = small_backend(0.01, 0.02, 1.0, 9);
-        let circ = bell3();
-        let batch: Vec<(&Circuit, &[usize])> =
-            (0..k).map(|_| (&circ, [0usize, 1, 2].as_slice())).collect();
-        let (counts, timing) = be.execute_batch(&batch, shots, SimTime::ZERO);
+        let mut template = CompiledTemplate::new(bell3(), vec![0, 1, 2]);
+        let runs = vec![TemplateRun { template: 0, shift: None }; k];
+        let (counts, timing) =
+            be.execute_templates(&mut [&mut template], &runs, &[], shots, SimTime::ZERO);
         prop_assert_eq!(counts.len(), k);
         for c in &counts {
             prop_assert_eq!(c.total(), shots as u64);
         }
         prop_assert!(timing.completed > timing.started);
+        let readout_ns = be.reported_calibration(timing.started).readout_time_ns;
+        let per_run = be.queue().execution_s(timing.circuit_duration_ns, readout_ns, shots);
+        let window = (0..k).fold(0.0, |sum, _| sum + per_run);
+        prop_assert_eq!(
+            timing.completed.as_secs().to_bits(),
+            (timing.started + window).as_secs().to_bits()
+        );
+    }
+
+    /// A job whose `execute_with` simulation returns `k` circuits is one
+    /// job: one ledger booking and one start-time draw, so a follow-up
+    /// job sees the device exactly as a twin that ran the same `k` runs
+    /// through `execute_templates` left it.
+    #[test]
+    fn execute_with_books_k_circuits_as_one_job(
+        k in 1usize..6,
+        shots in 16usize..512,
+        seed in 0u64..100,
+    ) {
+        use qdevice::noise_model::execute_density;
+        let active = [0usize, 1, 2];
+        let mut be = small_backend(0.01, 0.02, 1.0, seed);
+        let ledger = Arc::new(Mutex::new(
+            DeviceQueue::new(be.queue().clone(), LoadModel::None).expect("valid ledger"),
+        ));
+        be.attach_shared_queue(Arc::clone(&ledger));
+        let (counts, job) = be.execute_with(shots, SimTime::ZERO, |be, started| {
+            let noise = NoiseModel::from_calibration(&be.actual_calibration(started), &active);
+            (0..k)
+                .map(|_| {
+                    let (c, duration) = execute_density(&bell3(), &noise, shots, be.shot_rng());
+                    (c, duration, noise.readout_time_ns)
+                })
+                .collect()
+        });
+        prop_assert_eq!(ledger.lock().expect("ledger").jobs_booked(), 1);
+        prop_assert_eq!(be.jobs_executed(), 1);
+
+        let mut twin = small_backend(0.01, 0.02, 1.0, seed);
+        let mut template = CompiledTemplate::new(bell3(), active.to_vec());
+        let runs = vec![TemplateRun { template: 0, shift: None }; k];
+        let (twin_counts, twin_job) =
+            twin.execute_templates(&mut [&mut template], &runs, &[], shots, SimTime::ZERO);
+        prop_assert_eq!(&counts, &twin_counts);
+        prop_assert_eq!(job.completed.as_secs().to_bits(), twin_job.completed.as_secs().to_bits());
+
+        let next = be.execute(&bell3(), &active, shots, job.completed);
+        let twin_next = twin.execute(&bell3(), &active, shots, twin_job.completed);
+        prop_assert_eq!(next.counts, twin_next.counts);
+        prop_assert_eq!(next.started.as_secs().to_bits(), twin_next.started.as_secs().to_bits());
+        prop_assert_eq!(ledger.lock().expect("ledger").jobs_booked(), 2);
     }
 }

@@ -15,7 +15,7 @@
 //! every in-place kernel reads and writes that half alone and reads an
 //! entry below the diagonal as the conjugate of its twin above it. The
 //! strictly-lower half of the storage is unspecified (stale, or never
-//! written) and nothing outside [`baseline`] reads it; the readers
+//! written) and nothing reads it; the readers
 //! ([`DensityMatrix::matrix`], [`DensityMatrix::purity`],
 //! [`DensityMatrix::fidelity_with_pure`],
 //! [`DensityMatrix::expectation_pauli`] and `==`) read through the
@@ -306,143 +306,6 @@ fn kernel_superop(
     }
 }
 
-/// The pre-optimization density kernels: the full-matrix oracle.
-///
-/// These are the implementations this module shipped before the engine
-/// layer landed: column-major iteration over the whole matrix, a
-/// heap-allocated gather per two-qubit position, two passes per
-/// unitary, and a full state clone per Kraus operator. Each first fills
-/// in the lower half of `rho` from its live upper half, so it works on
-/// — and leaves — the full Hermitian matrix whatever the live-half
-/// kernels left below the diagonal; its upper half is then a valid live
-/// half. [`baseline::apply_channel`] is the literal Kraus sum — the
-/// oracle the lowered-superoperator sweep is tested against: equal to
-/// 1e-12 (the sum is re-associated, so the states differ at the 1e-16
-/// level), with equal sampled counts on every pinned fixture. Never use
-/// these on a hot path.
-pub mod baseline {
-    use super::*;
-
-    /// Pre-optimization [`DensityMatrix::apply_unitary_1q`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_unitary_1q`].
-    pub fn apply_unitary_1q(rho: &mut DensityMatrix, u: &CMatrix, q: usize) {
-        assert!(q < rho.n, "qubit {q} out of range");
-        assert_eq!((u.rows(), u.cols()), (2, 2), "1q gate must be 2x2");
-        rho.fill_lower();
-        let dim = rho.dim();
-        let bit = 1usize << q;
-        let (u00, u01, u10, u11) = (u[(0, 0)], u[(0, 1)], u[(1, 0)], u[(1, 1)]);
-        // Left multiply: rows mix in pairs for every column.
-        for c in 0..dim {
-            for r in 0..dim {
-                if r & bit == 0 {
-                    let r1 = r | bit;
-                    let a0 = rho.mat[r * dim + c];
-                    let a1 = rho.mat[r1 * dim + c];
-                    rho.mat[r * dim + c] = u00 * a0 + u01 * a1;
-                    rho.mat[r1 * dim + c] = u10 * a0 + u11 * a1;
-                }
-            }
-        }
-        // Right multiply by U^dag: columns mix with conjugated coefficients.
-        let (d00, d01, d10, d11) = (u00.conj(), u10.conj(), u01.conj(), u11.conj());
-        for r in 0..dim {
-            let row = r * dim;
-            for c in 0..dim {
-                if c & bit == 0 {
-                    let c1 = c | bit;
-                    let a0 = rho.mat[row + c];
-                    let a1 = rho.mat[row + c1];
-                    rho.mat[row + c] = a0 * d00 + a1 * d10;
-                    rho.mat[row + c1] = a0 * d01 + a1 * d11;
-                }
-            }
-        }
-    }
-
-    /// Pre-optimization [`DensityMatrix::apply_unitary_2q`].
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_unitary_2q`].
-    pub fn apply_unitary_2q(rho: &mut DensityMatrix, u: &CMatrix, q0: usize, q1: usize) {
-        assert!(q0 != q1, "2q gate operands must differ");
-        assert!(q0 < rho.n && q1 < rho.n, "qubit out of range");
-        assert_eq!((u.rows(), u.cols()), (4, 4), "2q gate must be 4x4");
-        rho.fill_lower();
-        let dim = rho.dim();
-        let b0 = 1usize << q0;
-        let b1 = 1usize << q1;
-        // Left multiply U.
-        for c in 0..dim {
-            for r in 0..dim {
-                if r & b0 == 0 && r & b1 == 0 {
-                    let idx = [r, r | b0, r | b1, r | b0 | b1];
-                    let a: Vec<C64> = idx.iter().map(|&i| rho.mat[i * dim + c]).collect();
-                    for (row_i, &i) in idx.iter().enumerate() {
-                        let mut acc = C64::ZERO;
-                        for (col_j, &amp) in a.iter().enumerate() {
-                            acc += u[(row_i, col_j)] * amp;
-                        }
-                        rho.mat[i * dim + c] = acc;
-                    }
-                }
-            }
-        }
-        // Right multiply U^dag.
-        for r in 0..dim {
-            let row = r * dim;
-            for c in 0..dim {
-                if c & b0 == 0 && c & b1 == 0 {
-                    let idx = [c, c | b0, c | b1, c | b0 | b1];
-                    let a: Vec<C64> = idx.iter().map(|&j| rho.mat[row + j]).collect();
-                    for (col_j, &j) in idx.iter().enumerate() {
-                        let mut acc = C64::ZERO;
-                        for (row_i, &amp) in a.iter().enumerate() {
-                            // (rho U^dag)_{r j} = sum_i rho_{r i} conj(U_{j i})
-                            acc += amp * u[(col_j, row_i)].conj();
-                        }
-                        rho.mat[row + j] = acc;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Pre-optimization [`DensityMatrix::apply_channel`]: one full state
-    /// clone up front plus one per Kraus operator.
-    ///
-    /// # Panics
-    ///
-    /// Same conditions as [`DensityMatrix::apply_channel`].
-    pub fn apply_channel(rho: &mut DensityMatrix, channel: &KrausChannel, qubits: &[usize]) {
-        assert_eq!(
-            qubits.len(),
-            channel.num_qubits(),
-            "channel arity does not match qubit list"
-        );
-        rho.fill_lower();
-        let original = rho.clone();
-        for z in &mut rho.mat {
-            *z = C64::ZERO;
-        }
-        for k in channel.operators() {
-            let mut term = original.clone();
-            match qubits {
-                [q] => apply_unitary_1q(&mut term, k, *q),
-                [q0, q1] => apply_unitary_2q(&mut term, k, *q0, *q1),
-                _ => panic!("only 1- and 2-qubit channels are supported"),
-            }
-            for (dst, src) in rho.mat.iter_mut().zip(&term.mat) {
-                *dst += *src;
-            }
-        }
-    }
-}
-
 /// A mixed quantum state over `n` qubits, stored as a dense `2^n x 2^n`
 /// row-major matrix of which only the upper triangle (`r <= c`) is live:
 /// the strictly-lower half of the storage is unspecified, and every
@@ -587,17 +450,6 @@ impl DensityMatrix {
         }
     }
 
-    /// Overwrites the strictly-lower half with the mirror of the live
-    /// one: the full Hermitian matrix the [`baseline`] oracle works on.
-    fn fill_lower(&mut self) {
-        let dim = self.dim();
-        for r in 1..dim {
-            for c in 0..r {
-                self.mat[r * dim + c] = self.mat[c * dim + r].conj();
-            }
-        }
-    }
-
     /// Applies a 2x2 unitary to qubit `q`: `rho -> U rho U^dag`. A
     /// diagonal `U` takes one phase pass; any other is lowered to
     /// `U (x) conj(U)` and applied as a one-qubit superoperator sweep.
@@ -657,7 +509,8 @@ impl DensityMatrix {
 
     /// Applies a lowered channel (see [`SuperopTable`]) to the listed
     /// qubits in one in-place sweep over the live half. Equal to the
-    /// Kraus sum of [`baseline::apply_channel`] up to rounding.
+    /// literal Kraus sum `sum_k K_k rho K_k^dag` up to rounding (to
+    /// 1e-12 against the full-matrix kernels of the `eqc-oracle` crate).
     ///
     /// # Panics
     ///
@@ -948,85 +801,6 @@ mod tests {
         assert!((rho.trace() - 1.0).abs() < 1e-12);
     }
 
-    /// A small noisy workload touching every kernel: permutation-like,
-    /// diagonal and dense 1q/2q unitaries plus sparse channels (including an
-    /// all-zero Kraus row via amplitude damping), a complex one-qubit
-    /// cluster and a dense unitary channel.
-    fn drive(apply: &mut dyn FnMut(Step<'_>), n: usize) {
-        let dense_2q = gates::h().kron(&gates::ry(0.7));
-        let (_, complex_1q, _) = one_qubit_clusters();
-        for q in 0..n {
-            apply(Step::U1(&gates::ry(0.3 + q as f64), q));
-            apply(Step::U1(&gates::h(), q));
-            apply(Step::U1(&gates::rz(0.4 + q as f64), q));
-            apply(Step::U1(&gates::x(), q));
-            apply(Step::Ch(&complex_1q, &[q]));
-        }
-        for q in 0..n.saturating_sub(1) {
-            apply(Step::U2(&gates::cx(), q, q + 1));
-            apply(Step::U2(&dense_2q, q, q + 1));
-        }
-        apply(Step::Ch(&KrausChannel::amplitude_damping(0.2), &[0]));
-        apply(Step::Ch(&KrausChannel::depolarizing_1q(0.05), &[n / 2]));
-        if n >= 2 {
-            apply(Step::Ch(&KrausChannel::depolarizing_2q(0.1), &[0, n - 1]));
-            let dense_ch = KrausChannel::new(vec![gates::h().kron(&gates::h())]);
-            apply(Step::Ch(&dense_ch, &[n - 1, 0]));
-        }
-    }
-
-    enum Step<'a> {
-        U1(&'a CMatrix, usize),
-        U2(&'a CMatrix, usize, usize),
-        Ch(&'a KrausChannel, &'a [usize]),
-    }
-
-    #[test]
-    fn lowered_channel_sweep_matches_baseline() {
-        for n in 1..=5 {
-            let mut fast = DensityMatrix::new(n);
-            let mut slow = DensityMatrix::new(n);
-            drive(
-                &mut |step| match step {
-                    Step::U1(u, q) => {
-                        fast.apply_unitary_1q(u, q);
-                        baseline::apply_unitary_1q(&mut slow, u, q);
-                    }
-                    Step::U2(u, a, b) => {
-                        fast.apply_unitary_2q(u, a, b);
-                        baseline::apply_unitary_2q(&mut slow, u, a, b);
-                    }
-                    Step::Ch(ch, qs) => {
-                        fast.apply_channel(ch, qs);
-                        baseline::apply_channel(&mut slow, ch, qs);
-                    }
-                },
-                n,
-            );
-            assert!(
-                fast.matrix().approx_eq(&slow.matrix(), 1e-12),
-                "lowered channel sweep diverges from baseline at {n} qubits"
-            );
-            assert!((fast.trace() - 1.0).abs() < 1e-9);
-        }
-    }
-
-    /// The three shapes a one-qubit superoperator comes in: real
-    /// (relaxation alone), complex (`sx` + relaxation + depolarizing, a
-    /// fused gate cluster) and fully dense (damping between two generic
-    /// rotations).
-    fn one_qubit_clusters() -> (KrausChannel, KrausChannel, KrausChannel) {
-        let relax = KrausChannel::thermal_relaxation(90.0, 70.0, 12.0);
-        let gate = |u: CMatrix| KrausChannel::new(vec![u]);
-        let complex = gate(gates::sx())
-            .compose(&relax)
-            .compose(&KrausChannel::depolarizing_1q(0.03));
-        let dense = gate(gates::rz(0.3) * gates::ry(0.7))
-            .compose(&KrausChannel::amplitude_damping(0.2))
-            .compose(&gate(gates::ry(-1.1) * gates::rz(2.2)));
-        (relax, complex, dense)
-    }
-
     /// An entangled mixed state with no zero and no symmetric entry.
     fn mixed_state(n: usize) -> DensityMatrix {
         let mut rho = DensityMatrix::new(n);
@@ -1040,65 +814,6 @@ mod tests {
         rho.apply_channel(&KrausChannel::amplitude_damping(0.15), &[n - 1]);
         rho.apply_channel(&KrausChannel::depolarizing_1q(0.08), &[0]);
         rho
-    }
-
-    #[test]
-    fn one_qubit_sweep_matches_kraus_sum_at_every_position() {
-        let (real, complex, dense) = one_qubit_clusters();
-        let mut table = SuperopTable::default();
-        let lowered = [&real, &complex, &dense].map(|ch| table.push(ch));
-        let [r, c, d] = lowered.map(|s| table.get(s));
-        assert!(r.is_real() && !c.is_real() && d.nnz() == 16);
-        for n in 1..=7 {
-            let state = mixed_state(n);
-            // q = 0: column runs of length 1; q = n - 1: one run per row.
-            for q in 0..n {
-                for ch in [&real, &complex, &dense] {
-                    let (mut swept, mut summed) = (state.clone(), state.clone());
-                    swept.apply_channel(ch, &[q]);
-                    baseline::apply_channel(&mut summed, ch, &[q]);
-                    let m = swept.matrix();
-                    assert!(
-                        m.approx_eq(&summed.matrix(), 1e-12),
-                        "sweep != Kraus sum on qubit {q} of {n}"
-                    );
-                    assert!((swept.trace() - 1.0).abs() < 1e-12);
-                    assert!(m.is_hermitian(1e-13));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn diagonal_pass_matches_two_pass_oracle() {
-        let gamma: f64 = 0.3;
-        let mut damp = CMatrix::identity(2);
-        damp[(1, 1)] = C64::from_real((1.0 - gamma).sqrt());
-        for n in 1..=7 {
-            let state = mixed_state(n);
-            let dim = state.dim();
-            for q in 0..n {
-                // Phase gates (unit modulus: half the state is skipped)
-                // and a non-unit diagonal operator (no skip).
-                let theta = 0.37 + 1.9 * (n * 7 + q) as f64;
-                for u in [gates::rz(theta), gates::z(), gates::t(), damp.clone()] {
-                    let (mut fast, mut slow) = (state.clone(), state.clone());
-                    fast.apply_unitary_1q(&u, q);
-                    baseline::apply_unitary_1q(&mut slow, &u, q);
-                    assert!(
-                        fast.matrix().approx_eq(&slow.matrix(), 1e-14),
-                        "diagonal pass != two passes on qubit {q} of {n}"
-                    );
-                }
-                // A phase gate never touches a probability.
-                let mut phased = state.clone();
-                phased.apply_unitary_1q(&gates::rz(theta), q);
-                for i in 0..dim {
-                    let (a, b) = (phased.at(i, i), state.at(i, i));
-                    assert!(a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits());
-                }
-            }
-        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulation substrate's core invariants.
 
+use eqc_oracle::baseline;
 use proptest::prelude::*;
-use qsim::density::baseline;
 use qsim::noise::{KrausChannel, SuperopTable};
 use qsim::program::{CompiledProgram, DensityEngine, ProgramBuilder};
 use qsim::statevector::StateVector;

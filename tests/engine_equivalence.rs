@@ -2,17 +2,17 @@
 //!
 //! The engine layer (compiled programs + allocation-free engines + the
 //! per-cycle noise cache) claims **byte-identical** results to the
-//! pre-engine path, which survives verbatim behind
-//! `QpuBackend::with_legacy_execution` as the oracle. This suite holds
-//! it to that claim at every level: raw counts per job (under drift,
-//! across recalibration boundaries),
-//! and full `TrainingReport`s for VQE and QAOA ensembles — plus the
-//! cache-discipline guarantees (noise models built once per calibration
-//! cycle, templates compiled once per noise epoch).
+//! pre-engine path, which survives verbatim in the dev-only `eqc-oracle`
+//! crate as the oracle. This suite holds it to that claim at every
+//! level: raw counts per job (under drift, across recalibration
+//! boundaries), template batches, and chains of client-shaped jobs for
+//! VQE and QAOA templates — plus the cache-discipline guarantees (noise
+//! models built once per calibration cycle, templates compiled once per
+//! noise epoch).
 
 use eqc::prelude::*;
 use qcircuit::CircuitBuilder;
-use qdevice::{catalog, DriftModel, QpuBackend, QueueModel};
+use qdevice::{catalog, CompiledTemplate, DriftModel, QpuBackend, QueueModel, TemplateRun};
 
 fn vqe_circuit(n: usize) -> qcircuit::Circuit {
     let mut b = CircuitBuilder::new(n);
@@ -51,13 +51,13 @@ fn stress_backend(seed: u64) -> QpuBackend {
 #[test]
 fn density_engine_is_byte_identical_to_reference_across_cycles() {
     let mut engine = stress_backend(11);
-    let mut legacy = stress_backend(11).with_legacy_execution();
+    let mut legacy = stress_backend(11);
     let circuit = vqe_circuit(4);
     let active = [0, 1, 2, 3];
     let mut t = SimTime::ZERO;
     for job in 0..10 {
         let a = engine.execute(&circuit, &active, 2048, t);
-        let b = legacy.execute(&circuit, &active, 2048, t);
+        let b = eqc_oracle::execute(&mut legacy, &circuit, &active, 2048, t);
         assert_eq!(a.counts, b.counts, "counts diverge at job {job}");
         assert_eq!(
             a.completed.as_secs().to_bits(),
@@ -75,59 +75,84 @@ fn density_engine_is_byte_identical_to_reference_across_cycles() {
     );
 }
 
-fn fleet(legacy: bool) -> Ensemble {
-    let mut builder = Ensemble::builder();
-    for (i, name) in ["belem", "manila", "bogota"].iter().enumerate() {
-        let spec = catalog::by_name(name).expect("catalog device");
-        let mut backend = spec.backend(300 + i as u64);
-        if legacy {
-            backend = backend.with_legacy_execution();
+/// Every gradient task of `problem` as a client submits it, replayed as
+/// a chain of jobs on two equal stress backends — the production engine
+/// on one, the oracle on the other. The templates are prepared the way
+/// `ClientNode` prepares them (transpiled for the device, compacted);
+/// each job is one task's shift pairs in `ClientNode::run_task`'s run
+/// order (per occurrence: the forward run of every slice template, then
+/// the backward ones), submitted when the previous job completed, with
+/// the parameters moved after every sweep of the task list. Every job
+/// must match bit for bit in counts and completion time, and the chain
+/// must cross at least three recalibrations.
+fn replay_client_jobs_on_the_oracle(problem: &dyn VqaProblem, seed: u64) {
+    use vqa::gradient::SHIFT;
+    let mut engine = stress_backend(seed);
+    let mut oracle = stress_backend(seed);
+    let mut templates: Vec<CompiledTemplate> = problem
+        .templates()
+        .iter()
+        .map(|template| {
+            let transpiled = transpile::transpile(
+                template,
+                engine.topology(),
+                &transpile::TranspileOptions::default(),
+            )
+            .expect("template fits the device");
+            let (compact, _) = transpiled.compact_for_simulation().expect("compacts");
+            CompiledTemplate::new(compact, transpiled.active_qubits())
+        })
+        .collect();
+    let mut params = problem.initial_point(7);
+    let mut submit = SimTime::ZERO;
+    let mut jobs = 0;
+    while engine.reported_calibration_builds() < 4 {
+        for task in problem.tasks() {
+            let slice = problem.slice_templates(task.slice);
+            let occurrences: Vec<Vec<usize>> = slice
+                .iter()
+                .map(|&t| templates[t].circuit().occurrences_of(task.param))
+                .collect();
+            let mut runs = Vec::new();
+            for k in 0..occurrences[0].len() {
+                for delta in [SHIFT, -SHIFT] {
+                    for (&t, occ) in slice.iter().zip(&occurrences) {
+                        runs.push(TemplateRun {
+                            template: t,
+                            shift: Some((occ[k], delta)),
+                        });
+                    }
+                }
+            }
+            if runs.is_empty() {
+                continue;
+            }
+            let got = {
+                let mut refs: Vec<&mut CompiledTemplate> = templates.iter_mut().collect();
+                engine.execute_templates(&mut refs, &runs, &params, 1024, submit)
+            };
+            let refs: Vec<&CompiledTemplate> = templates.iter().collect();
+            let want =
+                eqc_oracle::execute_templates(&mut oracle, &refs, &runs, &params, 1024, submit);
+            assert_matches_legacy("engine", jobs, &got, &want);
+            submit = got.1.completed;
+            jobs += 1;
         }
-        builder = builder.backend(backend);
+        for (i, p) in params.iter_mut().enumerate() {
+            *p += 0.05 * (i as f64 + 1.0);
+        }
     }
-    builder
-        .config(EqcConfig::paper_qaoa().with_epochs(6).with_shots(512))
-        .build()
-        .expect("fleet builds")
+    assert!(jobs >= 10, "{jobs} jobs");
 }
 
 #[test]
-fn qaoa_training_report_identical_on_engine_and_legacy_paths() {
-    let problem = QaoaProblem::maxcut_ring4();
-    let fast = fleet(false).train(&problem).expect("engine path trains");
-    let slow = fleet(true).train(&problem).expect("legacy path trains");
-    assert_eq!(fast, slow, "structurally identical reports");
-    assert_eq!(
-        format!("{fast:?}"),
-        format!("{slow:?}"),
-        "byte-identical debug serialization"
-    );
+fn qaoa_client_jobs_replay_bit_for_bit_on_the_oracle() {
+    replay_client_jobs_on_the_oracle(&QaoaProblem::maxcut_ring4(), 300);
 }
 
 #[test]
-fn vqe_training_report_identical_across_recalibration_boundary() {
-    // Short calibration cycles + drift: the run crosses recalibrations,
-    // so the per-cycle caches invalidate mid-training. The report must
-    // still match the uncached path byte for byte.
-    let problem = VqeProblem::heisenberg_4q();
-    let mk = |legacy: bool| {
-        let mut backend = stress_backend(77);
-        if legacy {
-            backend = backend.with_legacy_execution();
-        }
-        Ensemble::builder()
-            .backend(backend)
-            .config(EqcConfig::paper_vqe().with_epochs(3).with_shots(256))
-            .build()
-            .expect("builds")
-            .train(&problem)
-            .expect("trains")
-    };
-    let fast = mk(false);
-    let slow = mk(true);
-    assert_eq!(fast, slow);
-    assert_eq!(format!("{fast:?}"), format!("{slow:?}"));
-    assert!(fast.total_hours > 0.1, "run must span multiple cycles");
+fn h2_client_jobs_replay_bit_for_bit_across_recalibrations() {
+    replay_client_jobs_on_the_oracle(&VqeProblem::h2(), 77);
 }
 
 #[test]
@@ -212,7 +237,6 @@ fn template_recompiles_when_moved_across_backends() {
     // not share a noise epoch: a template dragged from one to the other
     // has to recompile instead of replaying the first device's
     // channels (the NoiseToken backend-identity guard).
-    use qdevice::{CompiledTemplate, TemplateRun};
     let mk = |name: &str| {
         let spec = catalog::by_name(name).expect("catalog device");
         QpuBackend::new(
@@ -284,10 +308,9 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
     // tape prefix is walked once. It must reproduce the legacy
     // run-at-a-time oracle even while the drifting backend recompiles
     // the template across noise epochs mid-walk.
-    use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
     let mut engine = stress_backend(33);
-    let mut legacy = stress_backend(33).with_legacy_execution();
+    let mut legacy = stress_backend(33);
     let circuit = sym_circuit(4);
     // Gate layout: ry_sym at 0..4, cx at 4..7, rz_sym at 7..11.
     let runs = [
@@ -317,12 +340,11 @@ fn shift_pair_folding_is_byte_identical_across_recompile() {
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.2 + 0.15 * i as f64).collect();
-    let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
-    let mut template_legacy = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
+    let mut template = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
         let a = engine.execute_templates(&mut [&mut template], &runs, &params, 512, t);
-        let c = legacy.execute_templates(&mut [&mut template_legacy], &runs, &params, 512, t);
+        let c = eqc_oracle::execute_templates(&mut legacy, &[&template], &runs, &params, 512, t);
         assert_matches_legacy("engine", batch, &a, &c);
         // Jump past the 3-minute recalibration period between batches.
         t = a.1.completed + 600.0;
@@ -345,22 +367,21 @@ fn drifting_backend_plans_once_and_refreshes_per_job() {
     // fresh noise token. The template's structure is planned by the
     // first job; each later job — across recalibrations too — only
     // re-derives the numbers, and the results stay the legacy oracle's.
-    use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
     let mut engine = stress_backend(41);
-    let mut legacy = stress_backend(41).with_legacy_execution();
+    let mut legacy = stress_backend(41);
     let circuit = sym_circuit(4);
     let runs = [FRAC_PI_2, -FRAC_PI_2].map(|delta| TemplateRun {
         template: 0,
         shift: Some((2, delta)),
     });
     let params: Vec<f64> = (0..8).map(|i| 0.2 + 0.15 * i as f64).collect();
-    let mut template = CompiledTemplate::new(circuit.clone(), vec![0, 1, 2, 3]);
-    let mut template_legacy = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
+    let mut template = CompiledTemplate::new(circuit, vec![0, 1, 2, 3]);
     let mut t = SimTime::ZERO;
     for job in 0..8 {
         let got = engine.execute_templates(&mut [&mut template], &runs, &params, 512, t);
-        let oracle = legacy.execute_templates(&mut [&mut template_legacy], &runs, &params, 512, t);
+        let oracle =
+            eqc_oracle::execute_templates(&mut legacy, &[&template], &runs, &params, 512, t);
         assert_matches_legacy("engine", job, &got, &oracle);
         // Odd jobs follow within the cycle, even ones jump a
         // recalibration boundary (3 virtual minutes).
@@ -401,10 +422,9 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
     // in one batch, across batches. It must reproduce the legacy
     // run-at-a-time oracle while the drifting backend recompiles
     // mid-walk.
-    use qdevice::{CompiledTemplate, TemplateRun};
     use std::f64::consts::FRAC_PI_2;
     let mut engine = stress_backend(47);
-    let mut legacy = stress_backend(47).with_legacy_execution();
+    let mut legacy = stress_backend(47);
     // Two templates sharing an identical fixed prefix (H + CX chain).
     let circuit_a = prefixed_circuit(4, 0, false);
     let circuit_b = prefixed_circuit(4, 0, true);
@@ -441,18 +461,16 @@ fn batched_group_fork_is_byte_identical_across_templates_and_recompile() {
         },
     ];
     let params: Vec<f64> = (0..8).map(|i| 0.15 + 0.11 * i as f64).collect();
-    let [mut ta, mut tc] = [0, 1].map(|_| {
-        [
-            CompiledTemplate::new(circuit_a.clone(), vec![0, 1, 2, 3]),
-            CompiledTemplate::new(circuit_b.clone(), vec![0, 1, 2, 3]),
-        ]
-    });
+    let mut ta = [
+        CompiledTemplate::new(circuit_a, vec![0, 1, 2, 3]),
+        CompiledTemplate::new(circuit_b, vec![0, 1, 2, 3]),
+    ];
     let mut t = SimTime::ZERO;
     for batch in 0..4 {
         let [a0, a1] = &mut ta;
         let a = engine.execute_templates(&mut [a0, a1], &runs, &params, 512, t);
-        let [c0, c1] = &mut tc;
-        let c = legacy.execute_templates(&mut [c0, c1], &runs, &params, 512, t);
+        let c =
+            eqc_oracle::execute_templates(&mut legacy, &[&ta[0], &ta[1]], &runs, &params, 512, t);
         assert_matches_legacy("engine", batch, &a, &c);
         t = a.1.completed + 600.0;
     }
@@ -635,7 +653,8 @@ fn wrapper_executors_match_reference_functions() {
     // The public execute_density wrapper (used by external callers and
     // the figure harnesses) is a thin shim over the engine; it must
     // reproduce the preserved reference implementation byte for byte.
-    use qdevice::noise_model::{execute_density, reference, NoiseModel};
+    use eqc_oracle::reference;
+    use qdevice::noise_model::{execute_density, NoiseModel};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -381,7 +381,7 @@ proptest! {
         n in 1usize..=4,
         seed in 0u64..4096,
     ) {
-        use qdevice::noise_model::reference;
+        use eqc_oracle::reference;
         use qdevice::{Calibration, CompiledTemplate, NoiseModel, NoiseToken};
         use rand::{Rng, SeedableRng};
         let (circuit, num_params, sym_gates) = seeded_native_circuit(n, seed, 18);
@@ -479,7 +479,7 @@ proptest! {
     /// full-matrix baseline kernels on arbitrary circuits.
     #[test]
     fn sparse_kernels_match_dense_baseline(n in 2usize..8, seed in 0u64..256) {
-        use qsim::density::baseline;
+        use eqc_oracle::baseline;
         use qsim::{DensityMatrix, KrausChannel};
         let circuit = seeded_circuit(n, seed, 12);
         let mut fast = DensityMatrix::new(n);
