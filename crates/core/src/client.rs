@@ -173,7 +173,7 @@ impl ClientNode {
     }
 
     /// Mutably borrows the backend — the fleet's shared substrate uses
-    /// this to attach/detach the per-device occupancy ledger.
+    /// this to attach the per-device occupancy ledger at admission.
     pub(crate) fn backend_mut(&mut self) -> &mut QpuBackend {
         &mut self.backend
     }

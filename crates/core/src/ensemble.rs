@@ -96,6 +96,18 @@ impl Device {
         }
     }
 
+    /// The device's shared noise-cache `(builds, hits)` so far. An ideal
+    /// slot is a per-tenant device that shares nothing: `(0, 0)`.
+    pub(crate) fn noise_counts(&self) -> (u64, u64) {
+        match self {
+            Device::Backend(b) => {
+                let cache = b.device_noise_cache();
+                (cache.builds(), cache.hits())
+            }
+            Device::Ideal { .. } => (0, 0),
+        }
+    }
+
     /// The device's display name (occupancy telemetry rows).
     pub(crate) fn label(&self) -> String {
         match self {

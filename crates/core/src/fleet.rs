@@ -257,9 +257,9 @@ impl Substrate {
 ///
 /// A batch is a stream whose tenants all arrive at fleet time zero, so
 /// the runtime is a front over a [`FleetService`] it drains and resets
-/// once per run: ledgers, noise caches and the fleet clock start fresh
-/// each run, and identical admissions replay identically (pinned by
-/// `fleet_is_reusable_across_runs`).
+/// once per run: ledgers and the fleet clock start fresh each run,
+/// caches persist with the devices, and identical admissions replay
+/// identically (pinned by `fleet_is_reusable_across_runs`).
 #[derive(Debug)]
 pub struct FleetRuntime<'p> {
     service: FleetService<'p>,
@@ -1808,6 +1808,15 @@ mod tests {
             first.reports, second.reports,
             "persistent devices, fresh tenants: identical replay"
         );
+        // The noise caches persist with the devices, and the telemetry
+        // counts each session's own lookups: the replay builds nothing.
+        let (t1, t2) = (&first.telemetry, &second.telemetry);
+        assert!(t1.shared_noise_builds > 0);
+        assert_eq!(t2.shared_noise_builds, 0);
+        assert_eq!(
+            t2.shared_noise_hits,
+            t1.shared_noise_builds + t1.shared_noise_hits
+        );
     }
 
     #[test]
@@ -1989,11 +1998,10 @@ mod tests {
     fn noise_sharing_is_byte_invisible_and_builds_less() {
         // Two co-tenants under `Unshared` on the discrete-event
         // substrate: every clone of a physical device resolves its noise
-        // builds through the fleet's one cache for that device. Each
-        // tenant's report must still be its standalone
-        // `Ensemble::train` byte for byte — a session that builds every
-        // artifact itself — while the second tenant's clones are served
-        // the first one's builds.
+        // builds through that device's one cache. Each tenant's report
+        // must still be its standalone `Ensemble::train` byte for byte —
+        // a session on devices of its own — while the second tenant's
+        // clones are served the first one's builds.
         let problem = QaoaProblem::maxcut_ring4();
         let configs = [fleet_cfg(3), fleet_cfg(2).with_seed(11)];
         let mut fleet = FleetRuntime::builder()

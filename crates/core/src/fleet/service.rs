@@ -62,7 +62,7 @@ use crate::report::{
     FleetTelemetry, PoolTelemetry, ServiceTelemetry, ServiceTenantRecord, TenantTelemetry,
     TrainingReport,
 };
-use qdevice::{DeviceQueue, SharedNoiseCache};
+use qdevice::DeviceQueue;
 use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use vqa::VqaProblem;
@@ -158,9 +158,10 @@ impl ServiceOutcome {
 }
 
 /// What one fleet session accumulates across drains. Everything here
-/// outlives any one tenant batch — the devices' queue timelines and
-/// noise artifacts are keyed by the fleet clock — and is reset as a
-/// whole when a session ends ([`FleetService::finish`]).
+/// outlives any one tenant batch — the devices' queue timelines are
+/// keyed by the fleet clock — and is reset as a whole when a session
+/// ends ([`FleetService::finish`]). Noise caches are not session state:
+/// they persist with the devices.
 #[derive(Default)]
 struct SessionState {
     /// One slot per admission, filled at retirement.
@@ -170,13 +171,14 @@ struct SessionState {
     /// Pool telemetry merged across pooled drains.
     pool: Option<PoolTelemetry>,
     /// The shared substrate's per-device occupancy ledgers and the
-    /// incremental view over them, built at the first drain (the
-    /// tracker's reuse/rebuild counters span the session).
+    /// incremental view over them, built at the session's first
+    /// admission (the tracker's reuse/rebuild counters span the
+    /// session).
     shared: Option<(Vec<Arc<Mutex<DeviceQueue>>>, OccupancyTracker)>,
-    /// One noise cache per device slot, attached to every tenant's
-    /// clone of that slot so each (device, calibration-cycle) noise
-    /// projection is built once fleet-wide.
-    noise_caches: Vec<Arc<SharedNoiseCache>>,
+    /// Each device's shared noise-cache `(builds, hits)` when the
+    /// session admitted its first tenant; [`FleetService::finish`]
+    /// reports the session's difference.
+    noise_at_start: Vec<(u64, u64)>,
     /// Per-device queue-wait seconds accumulated across retired tenants
     /// in lane order (a deterministic f64 reduction order).
     occupancy_queued_s: Vec<f64>,
@@ -324,7 +326,7 @@ impl<'p> FleetService<'p> {
         if problem.num_params() == 0 || problem.tasks().is_empty() {
             return Err(EqcError::EmptyProblem(problem.name()));
         }
-        let clients = clients_for(&self.devices, problem)?;
+        let mut clients = clients_for(&self.devices, problem)?;
         let probes = probes_for(&tenant.policies, &clients);
         let master = MasterLoop::new(
             problem,
@@ -333,6 +335,16 @@ impl<'p> FleetService<'p> {
             clients.len(),
             probes,
         );
+        if self.state.retired.is_empty() {
+            self.start_session()?;
+        }
+        // Every clone of physical device `d` resolves its start times
+        // through ledger `d` (shared substrate).
+        if let Some((ledgers, _)) = &self.state.shared {
+            for (client, ledger) in clients.iter_mut().zip(ledgers) {
+                client.backend_mut().attach_shared_queue(Arc::clone(ledger));
+            }
+        }
         let index = self.state.retired.len();
         self.pending.push(PendingTenant {
             index,
@@ -348,6 +360,19 @@ impl<'p> FleetService<'p> {
         });
         self.state.retired.push(None);
         Ok(self.handle(index))
+    }
+
+    /// Opens a session at its first admission: snapshots the devices'
+    /// noise-cache counters and, on the shared substrate, builds the
+    /// per-device ledgers.
+    fn start_session(&mut self) -> Result<(), EqcError> {
+        self.state.noise_at_start = self.devices.iter().map(Device::noise_counts).collect();
+        if let Substrate::Shared { load } = self.substrate {
+            let ledgers = ledgers_for(&self.devices, load)?;
+            let tracker = OccupancyTracker::new(&ledgers)?;
+            self.state.shared = Some((ledgers, tracker));
+        }
+        Ok(())
     }
 
     fn handle(&self, index: usize) -> TenantHandle {
@@ -387,42 +412,12 @@ impl<'p> FleetService<'p> {
                 let total = self.pending.iter().map(|p| p.clients.len()).sum();
                 Some(PoolConfig { workers }.resolved_workers(total))
             }
-            Substrate::Shared { load } => {
-                if state.shared.is_none() {
-                    let ledgers = ledgers_for(&self.devices, load)?;
-                    let tracker = OccupancyTracker::new(&ledgers)?;
-                    state.shared = Some((ledgers, tracker));
-                }
-                None
-            }
+            Substrate::Shared { .. } => None,
         };
         let mut batch = std::mem::take(&mut self.pending);
         // Stable by arrival: simultaneous arrivals activate in
         // admission order.
         batch.sort_by(|a, b| a.arrival_h.total_cmp(&b.arrival_h));
-        // Every clone of physical device `d` resolves its start times
-        // through ledger `d` (shared substrate) and its noise builds
-        // through cache `d`. Clones share seed, base calibration and
-        // drift, so the shared artifacts are bit-identical to per-clone
-        // builds.
-        if state.noise_caches.is_empty() {
-            state
-                .noise_caches
-                .extend((0..slots).map(|_| Arc::new(SharedNoiseCache::default())));
-        }
-        for p in batch.iter_mut() {
-            debug_assert_eq!(p.clients.len(), slots);
-            for (d, client) in p.clients.iter_mut().enumerate() {
-                client
-                    .backend_mut()
-                    .attach_shared_noise(Arc::clone(&state.noise_caches[d]));
-                if let Some((ledgers, _)) = &state.shared {
-                    client
-                        .backend_mut()
-                        .attach_shared_queue(Arc::clone(&ledgers[d]));
-                }
-            }
-        }
         let mut arrivals: VecDeque<Arrival> = batch
             .iter()
             .enumerate()
@@ -462,12 +457,6 @@ impl<'p> FleetService<'p> {
             .map(|l| std::mem::take(&mut l.counters))
             .collect();
         drop(lanes);
-        for p in batch.iter_mut() {
-            for client in p.clients.iter_mut() {
-                client.backend_mut().detach_shared_noise();
-                client.backend_mut().detach_shared_queue();
-            }
-        }
         if let Some(telemetry) = pool {
             state.pool = Some(match state.pool.take() {
                 None => telemetry,
@@ -559,9 +548,10 @@ impl<'p> FleetService<'p> {
 
     /// Ends the current session: drains any remaining admissions,
     /// collects the outcome and resets the session state (ledgers,
-    /// noise caches, fleet clock), leaving the device pool ready for a
-    /// fresh session under the next generation of handles — on failure
-    /// too. [`FleetService::close`] and every
+    /// fleet clock), leaving the device pool ready for a fresh session
+    /// under the next generation of handles — on failure too. Noise
+    /// caches persist with the devices; the outcome counts this
+    /// session's builds and hits. [`FleetService::close`] and every
     /// [`FleetRuntime::run`](super::FleetRuntime::run) end here.
     pub(crate) fn finish(&mut self) -> Result<ServiceOutcome, EqcError> {
         let drained = self.drain();
@@ -600,7 +590,12 @@ impl<'p> FleetService<'p> {
             records.push(r.record);
         }
         let span_h = state.clock.now_s / 3600.0;
-        let caches = &state.noise_caches;
+        let (mut noise_builds, mut noise_hits) = (0, 0);
+        for (device, (builds, hits)) in self.devices.iter().zip(&state.noise_at_start) {
+            let (now_builds, now_hits) = device.noise_counts();
+            noise_builds += now_builds - builds;
+            noise_hits += now_hits - hits;
+        }
         Ok(ServiceOutcome {
             fleet: FleetOutcome {
                 reports,
@@ -612,8 +607,8 @@ impl<'p> FleetService<'p> {
                     occupancy,
                     snapshot_rebuilds,
                     snapshot_reuses,
-                    shared_noise_builds: caches.iter().map(|c| c.builds()).sum(),
-                    shared_noise_hits: caches.iter().map(|c| c.hits()).sum(),
+                    shared_noise_builds: noise_builds,
+                    shared_noise_hits: noise_hits,
                 },
                 pool: state.pool,
                 batch,

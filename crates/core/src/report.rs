@@ -198,10 +198,15 @@ pub struct FleetTelemetry {
     /// lock-free steady state of the snapshot path.
     pub snapshot_reuses: u64,
     /// Noise artifacts (reported calibrations, projections, models)
-    /// built once fleet-wide in the cross-tenant shared noise cache.
+    /// this session built into its devices' shared noise caches, once
+    /// per device for all the tenants' clones. The caches persist with
+    /// the devices, so a later session starts from what earlier ones
+    /// built. An ideal slot is a per-tenant device that shares nothing
+    /// and adds nothing here.
     pub shared_noise_builds: u64,
-    /// Shared-noise-cache lookups served from an artifact some clone
-    /// (usually a co-tenant's) already built for the same noise epoch.
+    /// This session's shared-noise-cache lookups served from an
+    /// artifact some clone of the same device (usually a co-tenant's)
+    /// had already built for the same noise epoch.
     pub shared_noise_hits: u64,
 }
 
@@ -510,19 +515,6 @@ impl TrainingReport {
             ));
         }
         out
-    }
-
-    /// Renders a one-line markdown summary row:
-    /// `| trainer | epochs | eph | final | err% |`.
-    pub fn summary_row(&self) -> String {
-        format!(
-            "| {} | {} | {:.3} | {:.4} | {:.3}% |",
-            self.trainer,
-            self.epochs,
-            self.epochs_per_hour(),
-            self.final_loss,
-            self.error_vs_reference_pct()
-        )
     }
 }
 

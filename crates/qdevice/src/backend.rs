@@ -26,6 +26,21 @@
 //! holds this one to equal counts and timing on every pinned fixture
 //! (states agree to 1e-12, see [`qsim::program`]).
 //!
+//! ## Noise belongs to the device
+//!
+//! A clone of a backend is the same machine: same seed, calibration,
+//! jitter and drift, hence the same noise at every instant — the
+//! paper's per-device calibration and drift. So every clone shares its
+//! device's identity: the id in its [`NoiseToken`]s and one
+//! [`SharedNoiseCache`] of the per-cycle noise artifacts. A fleet's
+//! (tenant × device) clones thus build each artifact once per device,
+//! with nothing to attach. Only two things give a backend a fresh
+//! identity: [`QpuBackend::new`] (two backends built alike share
+//! nothing) and [`QpuBackend::with_recal_jitter`], which changes the
+//! noise. Each clone keeps its own cache of the current cycle in front
+//! of the shared one, so it takes the shared lock only on its first use
+//! of a cycle or an active set.
+//!
 //! ## One booking entry
 //!
 //! Every job books through [`QpuBackend::execute_with`]: it draws the
@@ -58,7 +73,7 @@
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
-use crate::compile::{CompileOptions, CompiledTemplate, NoiseToken};
+use crate::compile::{CompiledTemplate, NoiseToken};
 use crate::drift::DriftModel;
 use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
@@ -67,6 +82,7 @@ use qsim::{Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use transpile::Topology;
 
@@ -196,8 +212,8 @@ impl BaseNoise {
 
 /// One cached noise model: the active set it covers, the projected base
 /// figures, and the model materialized for the last-seen drift factors.
-/// Base and model are `Arc`'d so co-tenant clones of the same physical
-/// device can share one build through a [`SharedNoiseCache`].
+/// Base and model are `Arc`'d so the clones of one device share one
+/// build through its [`SharedNoiseCache`].
 #[derive(Clone, Debug)]
 struct NoiseEntry {
     active: Vec<usize>,
@@ -216,21 +232,23 @@ struct NoiseCache {
     model_builds: u64,
 }
 
-/// Fleet-wide noise artifacts shared by every clone of one *physical*
-/// device (across tenants and clients). Clones of a device share its
-/// seed, base calibration and drift model, so the reported calibration
-/// of a cycle, the projected `BaseNoise` of a `(cycle, active)` pair
-/// and the drifted model of a `(cycle, factors, active)` triple are all
-/// pure functions of their keys — a shared build is bit-identical to a
-/// private one. The fleet drives attach one cache per physical device so
-/// each artifact is built once fleet-wide instead of once per clone.
+/// The noise artifacts of one device, shared by all its clones (see
+/// the module docs: a clone is the same machine). Clones share seed,
+/// base calibration, jitter and drift model, so the reported
+/// calibration of a cycle, the projected `BaseNoise` of a
+/// `(cycle, active)` pair and the drifted model of a
+/// `(cycle, factors, active)` triple are all pure functions of their
+/// keys: whichever clone builds an artifact, every clone reads the same
+/// bits. A fleet gives each tenant one clone per device, so each
+/// artifact is built once per device instead of once per clone.
 ///
 /// Builds happen *under* the cache lock: exactly one build per key even
 /// when pooled workers race, so the `builds`/`hits` totals are
 /// deterministic. Entries are value-keyed and never evicted — a clone
-/// consults the cache only on a per-clone first-use miss (never on a
-/// drift-factor refresh), so growth is bounded by cycles touched, not
-/// jobs executed.
+/// consults the cache only on its own first use of a cycle or active
+/// set (never on a drift-factor refresh), so growth is bounded by
+/// cycles touched, not jobs executed. The cache lives as long as the
+/// device's last clone.
 #[derive(Debug, Default)]
 pub struct SharedNoiseCache {
     state: Mutex<SharedNoiseState>,
@@ -329,11 +347,24 @@ impl SharedNoiseCache {
     }
 }
 
-/// Source of unique per-construction backend identities for
-/// [`NoiseToken`]s. Clones share their original's identity, which is
-/// correct: a clone has the same calibration, seed and drift, hence
-/// bit-identical noise per (cycle, factors).
-static NEXT_BACKEND_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
+/// Who a backend is: one per [`QpuBackend::new`] (and per
+/// [`QpuBackend::with_recal_jitter`]), shared by every clone.
+#[derive(Debug)]
+struct DeviceIdentity {
+    /// Unique per identity — the backend id of every [`NoiseToken`].
+    id: u64,
+    noise: SharedNoiseCache,
+}
+
+impl DeviceIdentity {
+    fn fresh() -> Arc<Self> {
+        static NEXT_ID: AtomicU64 = AtomicU64::new(0);
+        Arc::new(DeviceIdentity {
+            id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
+            noise: SharedNoiseCache::default(),
+        })
+    }
+}
 
 /// A simulated cloud QPU.
 #[derive(Clone, Debug)]
@@ -350,8 +381,8 @@ pub struct QpuBackend {
     /// Per-cycle jitter magnitude on error rates (lognormal sigma).
     recal_jitter: f64,
     seed: u64,
-    /// Unique per-construction identity (see [`NEXT_BACKEND_INSTANCE`]).
-    instance_id: u64,
+    /// The device this backend is a clone of, and its noise artifacts.
+    identity: Arc<DeviceIdentity>,
     rng: StdRng,
     busy_until: SimTime,
     jobs_executed: u64,
@@ -366,12 +397,6 @@ pub struct QpuBackend {
     /// occupancy back — the fleet's shared-queue substrate. Clones share
     /// the attachment.
     shared_queue: Option<Arc<Mutex<DeviceQueue>>>,
-    /// Fleet-wide noise-artifact cache of the *physical* device behind
-    /// this clone. When attached, per-clone cache misses resolve through
-    /// it so each (cycle, active, factors) artifact is built once
-    /// fleet-wide. Values are bit-identical either way; clones share the
-    /// attachment.
-    shared_noise: Option<Arc<SharedNoiseCache>>,
     noise_cache: NoiseCache,
     /// Density runs executed through [`QpuBackend::execute_templates`]
     /// (telemetry).
@@ -413,14 +438,13 @@ impl QpuBackend {
             downtime_hours: 0.25,
             recal_jitter: 0.12,
             seed,
-            instance_id: NEXT_BACKEND_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
+            identity: DeviceIdentity::fresh(),
             rng: StdRng::seed_from_u64(seed),
             busy_until: SimTime::ZERO,
             jobs_executed: 0,
             busy_seconds: 0.0,
             queued_seconds: 0.0,
             shared_queue: None,
-            shared_noise: None,
             noise_cache: NoiseCache::default(),
             batched_jobs: 0,
         }
@@ -444,8 +468,14 @@ impl QpuBackend {
     /// recalibration to the next — the scenario knob behind the
     /// drift-eviction policy tests and the `fig_policies` harness's
     /// flaky fleet member.
+    ///
+    /// The jitter changes the device's noise, so the result is a new
+    /// device: a fresh identity (new [`NoiseToken`] id, empty
+    /// [`SharedNoiseCache`]) that no earlier clone shares.
     pub fn with_recal_jitter(mut self, sigma: f64) -> Self {
         self.recal_jitter = sigma.max(0.0);
+        self.identity = DeviceIdentity::fresh();
+        self.noise_cache = NoiseCache::default();
         self
     }
 
@@ -488,33 +518,16 @@ impl QpuBackend {
         self.shared_queue = Some(ledger);
     }
 
-    /// Detaches the shared ledger, reverting to this clone's private
-    /// `busy_until` serialization.
-    pub fn detach_shared_queue(&mut self) {
-        self.shared_queue = None;
-    }
-
     /// The attached shared ledger, if any.
     pub fn shared_queue(&self) -> Option<&Arc<Mutex<DeviceQueue>>> {
         self.shared_queue.as_ref()
     }
 
-    /// Routes this clone's per-cycle noise-cache misses through the
-    /// physical device's fleet-wide [`SharedNoiseCache`]. Replaces any
-    /// previous attachment. Results are bit-identical with or without
-    /// the attachment (see [`SharedNoiseCache`]).
-    pub fn attach_shared_noise(&mut self, cache: Arc<SharedNoiseCache>) {
-        self.shared_noise = Some(cache);
-    }
-
-    /// Detaches the shared noise cache, reverting to per-clone builds.
-    pub fn detach_shared_noise(&mut self) {
-        self.shared_noise = None;
-    }
-
-    /// The attached shared noise cache, if any.
-    pub fn shared_noise(&self) -> Option<&Arc<SharedNoiseCache>> {
-        self.shared_noise.as_ref()
+    /// The noise artifacts this backend shares with every clone of its
+    /// device (telemetry: [`SharedNoiseCache::builds`] and
+    /// [`SharedNoiseCache::hits`]).
+    pub fn device_noise_cache(&self) -> &SharedNoiseCache {
+        &self.identity.noise
     }
 
     /// Fraction of the elapsed virtual timeline the QPU spent executing —
@@ -599,17 +612,17 @@ impl QpuBackend {
         start
     }
 
-    /// Ensures the noise cache covers the cycle containing `t`,
-    /// rebuilding the reported calibration (once per cycle) on a miss —
-    /// served from the fleet-wide [`SharedNoiseCache`] when one is
-    /// attached, so the rebuild happens once per cycle *fleet-wide*.
+    /// Ensures the noise cache covers the cycle containing `t`, reading
+    /// the reported calibration from the device's [`SharedNoiseCache`]
+    /// on a miss — so it is rebuilt once per cycle per device, not per
+    /// clone.
     fn ensure_cycle(&mut self, t: SimTime) {
         let cycle = self.cycle_of(t);
         if self.noise_cache.cycle != Some(cycle) {
-            let reported = match self.shared_noise.clone() {
-                Some(shared) => shared.reported(cycle, || self.reported_calibration(t)),
-                None => Arc::new(self.reported_calibration(t)),
-            };
+            let reported = self
+                .identity
+                .noise
+                .reported(cycle, || self.reported_calibration(t));
             self.noise_cache.cycle = Some(cycle);
             self.noise_cache.reported = Some(reported);
             self.noise_cache.entries.clear();
@@ -639,7 +652,6 @@ impl QpuBackend {
         let factors = self
             .drift
             .factors(self.hours_since_calibration(started), started.as_hours());
-        let shared = self.shared_noise.clone();
         let cache = &mut self.noise_cache;
         match cache.entries.iter().position(|e| e.active == active) {
             Some(i) => {
@@ -657,16 +669,12 @@ impl QpuBackend {
             }
             None => {
                 let reported = cache.reported.as_deref().expect("cycle cache populated");
-                let (base, model) = match &shared {
-                    Some(shared) => shared.base_and_model(cycle, active, factors, || {
-                        BaseNoise::project(reported, active)
-                    }),
-                    None => {
-                        let base = Arc::new(BaseNoise::project(reported, active));
-                        let model = Arc::new(base.drifted_model(factors.0, factors.1));
-                        (base, model)
-                    }
-                };
+                let (base, model) =
+                    self.identity
+                        .noise
+                        .base_and_model(cycle, active, factors, || {
+                            BaseNoise::project(reported, active)
+                        });
                 cache.model_builds += 1;
                 cache.entries.push(NoiseEntry {
                     active: active.to_vec(),
@@ -684,7 +692,7 @@ impl QpuBackend {
         let (ef, cf) = self
             .drift
             .factors(self.hours_since_calibration(started), started.as_hours());
-        NoiseToken::new(self.instance_id, self.cycle_of(started), ef, cf)
+        NoiseToken::new(self.identity.id, self.cycle_of(started), ef, cf)
     }
 
     /// `NoiseModel`s constructed so far (cache telemetry: at most one
@@ -792,7 +800,7 @@ impl QpuBackend {
             let entry = be.noise_entry(started, active_physical);
             assert_density_fits(circuit.num_qubits());
             let noise = &*be.noise_cache.entries[entry].model;
-            let program = crate::compile::compile_bound(circuit, noise, &CompileOptions::default());
+            let program = crate::compile::compile_bound(circuit, noise);
             let counts = with_scratch(|s| s.engine.run_program(&program, shots, &mut be.rng));
             vec![(counts, program.duration_ns(), noise.readout_time_ns)]
         });
@@ -1260,73 +1268,119 @@ mod tests {
         .expect("the spares stay bounded");
     }
 
+    /// `(counts, submitted, started, completed, duration)` bits of a job.
+    fn job_bits(r: &JobResult) -> (Counts, [u64; 4]) {
+        let secs = |t: SimTime| t.as_secs().to_bits();
+        let duration = r.circuit_duration_ns.to_bits();
+        let bits = [
+            secs(r.submitted),
+            secs(r.started),
+            secs(r.completed),
+            duration,
+        ];
+        (r.counts.clone(), bits)
+    }
+
     #[test]
-    fn shared_noise_cache_is_bit_invisible_across_recalibration() {
-        // Three identical clones of one physical device (the fleet's
-        // co-tenant view), each running jobs that straddle the hour-24
-        // recalibration boundary. Whether the per-cycle noise artifacts
-        // are built per clone or once through a fleet-wide shared cache
-        // must be invisible in the results, bit for bit.
-        let hours = [1.0, 23.0, 25.0, 30.0];
-        let run = |caches: &[Arc<SharedNoiseCache>]| -> Vec<JobResult> {
-            let mut results = Vec::new();
-            for cache in caches {
-                let mut be = small_backend(7);
-                be.attach_shared_noise(Arc::clone(cache));
-                for h in hours {
-                    results.push(be.execute(&bell_compact(), &[0, 1], 256, SimTime::from_hours(h)));
-                }
-            }
-            results
-        };
-        let detached: Vec<JobResult> = (0..3)
-            .flat_map(|_| {
-                let mut be = small_backend(7);
-                hours.map(|h| be.execute(&bell_compact(), &[0, 1], 256, SimTime::from_hours(h)))
-            })
-            .collect();
-        let private_caches: Vec<Arc<SharedNoiseCache>> =
-            (0..3).map(|_| Arc::<SharedNoiseCache>::default()).collect();
-        let private = run(&private_caches);
-        let shared_cache = Arc::<SharedNoiseCache>::default();
-        let shared = run(&[
-            Arc::clone(&shared_cache),
-            Arc::clone(&shared_cache),
-            Arc::clone(&shared_cache),
-        ]);
-        let same = |a: &[JobResult], b: &[JobResult]| {
-            a.len() == b.len()
-                && a.iter().zip(b).all(|(x, y)| {
-                    x.counts == y.counts
-                        && x.submitted == y.submitted
-                        && x.started == y.started
-                        && x.completed == y.completed
-                        && x.circuit_duration_ns.to_bits() == y.circuit_duration_ns.to_bits()
-                })
-        };
-        assert!(
-            same(&detached, &private),
-            "a private cache must replay the cache-free path byte for byte"
+    fn a_second_clones_first_job_hits_the_devices_cache() {
+        let device = small_backend(7);
+        let (mut first, mut second) = (device.clone(), device.clone());
+        let mut twin = small_backend(7);
+        let at = SimTime::from_hours(1.0);
+        first.execute(&bell_compact(), &[0, 1], 256, at);
+        let builds = device.device_noise_cache().builds();
+        assert!(builds > 0 && device.device_noise_cache().hits() == 0);
+        let shared = second.execute(&bell_compact(), &[0, 1], 256, at);
+        assert_eq!(
+            device.device_noise_cache().builds(),
+            builds,
+            "nothing rebuilt"
         );
         assert!(
-            same(&private, &shared),
-            "cross-clone sharing must replay per-clone builds byte for byte"
+            device.device_noise_cache().hits() > 0,
+            "served the first clone's builds"
         );
-        let private_builds: u64 = private_caches.iter().map(|c| c.builds()).sum();
-        assert!(
-            shared_cache.builds() < private_builds,
-            "sharing must build strictly fewer artifacts: shared {} vs per-clone {}",
-            shared_cache.builds(),
-            private_builds
-        );
-        assert!(
-            shared_cache.hits() > 0,
-            "later clones must hit the first clone's builds"
+        let alone = twin.execute(&bell_compact(), &[0, 1], 256, at);
+        assert_eq!(job_bits(&shared), job_bits(&alone));
+    }
+
+    #[test]
+    fn separately_built_backends_share_nothing() {
+        let (mut a, mut b) = (small_backend(7), small_backend(7));
+        let at = SimTime::from_hours(1.0);
+        let ra = a.execute(&bell_compact(), &[0, 1], 256, at);
+        let rb = b.execute(&bell_compact(), &[0, 1], 256, at);
+        assert_eq!(job_bits(&ra), job_bits(&rb), "built alike, run alike");
+        for be in [&a, &b] {
+            assert!(be.device_noise_cache().builds() > 0);
+            assert_eq!(be.device_noise_cache().hits(), 0, "{}", be.name());
+        }
+        assert_ne!(a.noise_token(at).backend, b.noise_token(at).backend);
+    }
+
+    #[test]
+    fn recal_jitter_on_a_clone_makes_a_new_device() {
+        let mut device = small_backend(7);
+        let at = SimTime::from_hours(1.0);
+        device.execute(&bell_compact(), &[0, 1], 256, at);
+        let clone = device.clone();
+        assert_eq!(clone.noise_token(at), device.noise_token(at));
+        let jittered = device.clone().with_recal_jitter(0.5);
+        assert_ne!(
+            jittered.noise_token(at).backend,
+            device.noise_token(at).backend
         );
         assert_eq!(
-            private_caches.iter().map(|c| c.hits()).sum::<u64>(),
-            0,
-            "a single-clone cache has no cross-clone hits to serve"
+            (
+                jittered.device_noise_cache().builds(),
+                jittered.device_noise_cache().hits()
+            ),
+            (0, 0),
+            "a new device starts with an empty cache"
+        );
+        assert_eq!(jittered.reported_calibration_builds(), 0);
+    }
+
+    #[test]
+    fn shared_noise_cache_is_bit_invisible_across_recalibration() {
+        // Three clones of one device (a fleet's co-tenant view) against
+        // three separately built twins, each running jobs that straddle
+        // the hour-24 recalibration boundary. Whether the per-cycle noise
+        // artifacts are built per backend or once for the whole clone
+        // family must be invisible in the results, bit for bit.
+        let hours = [1.0, 23.0, 25.0, 30.0];
+        let run = |backends: Vec<QpuBackend>| -> Vec<(Counts, [u64; 4])> {
+            backends
+                .into_iter()
+                .flat_map(|mut be| {
+                    hours.map(|h| {
+                        job_bits(&be.execute(&bell_compact(), &[0, 1], 256, SimTime::from_hours(h)))
+                    })
+                })
+                .collect()
+        };
+        let twins: Vec<QpuBackend> = (0..3).map(|_| small_backend(7)).collect();
+        let device = small_backend(7);
+        let clones: Vec<QpuBackend> = (0..3).map(|_| device.clone()).collect();
+        let separate = run(twins.clone());
+        assert_eq!(separate, run(clones), "clones must replay separate builds");
+        let twin_builds: u64 = twins
+            .iter()
+            .map(|be| be.device_noise_cache().builds())
+            .sum();
+        let cache = device.device_noise_cache();
+        assert!(
+            cache.builds() < twin_builds,
+            "clones must build strictly fewer artifacts: {} vs {twin_builds}",
+            cache.builds()
+        );
+        assert!(
+            cache.hits() > 0,
+            "later clones hit the first clone's builds"
+        );
+        assert!(
+            twins.iter().all(|be| be.device_noise_cache().hits() == 0),
+            "a device with one clone has nothing to share"
         );
     }
 

@@ -39,13 +39,13 @@
 //! unitary that stays its own tape op — a phase pass over half the
 //! state — and never joins a fused run, which it would turn complex. A
 //! pass within the elision threshold
-//! ([`CompileOptions::identity_epsilon`]) of a whole turn is elided like
-//! any near-identity channel. Two frames are dropped outright, which is
-//! exact for every measurement probability: one owed on a qubit still
-//! diagonal in Z (`|0>` and nothing but RZ, X, CX controls and channels
-//! since — an RZ moves only coherences, and there are none), and one
-//! still owed when the circuit ends (relaxation and the Z-basis readout
-//! read no phase). The final *state's* off-diagonals are therefore in
+//! ([`ProgramBuilder::DEFAULT_IDENTITY_EPSILON`]) of a whole turn is
+//! elided like any near-identity channel. Two frames are dropped
+//! outright, which is exact for every measurement probability: one
+//! owed on a qubit still diagonal in Z (`|0>` and nothing but RZ, X,
+//! CX controls and channels since — an RZ moves only coherences, and
+//! there are none), and one still owed when the circuit ends
+//! (relaxation and the Z-basis readout read no phase). The final *state's* off-diagonals are therefore in
 //! the frame of the plan, not the lab's; nothing above `qsim` reads
 //! them.
 //!
@@ -75,27 +75,6 @@ use qcircuit::{Angle, Circuit, Gate};
 use qsim::{gates, CMatrix, CompiledProgram, ProgramBuilder, C64};
 use std::f64::consts::FRAC_PI_2;
 
-/// Options governing program compilation.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CompileOptions {
-    /// Channels whose non-identity content falls below this norm are
-    /// elided from the tape (see [`qsim::KrausChannel::is_near_identity`]),
-    /// and so is the diagonal pass of a settled RZ frame that moves every
-    /// coherence by less than this (a frame adding up to a whole turn).
-    /// The default ([`ProgramBuilder::DEFAULT_IDENTITY_EPSILON`]) sits
-    /// far below every physical error rate the device layer produces;
-    /// set to `0.0` to disable elision entirely.
-    pub identity_epsilon: f64,
-}
-
-impl Default for CompileOptions {
-    fn default() -> Self {
-        CompileOptions {
-            identity_epsilon: ProgramBuilder::DEFAULT_IDENTITY_EPSILON,
-        }
-    }
-}
-
 /// Identifies one noise epoch of one backend: the calibration cycle plus
 /// the exact drift factors in effect. Two equal tokens from the same
 /// backend imply bit-identical noise, which is what makes token-keyed
@@ -107,8 +86,9 @@ impl Default for CompileOptions {
 /// program it planned once.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct NoiseToken {
-    /// Backend identity — a unique per-construction id (clones share
-    /// it, which is sound: a clone carries bit-identical noise).
+    /// Backend identity — unique per device, shared by its clones
+    /// (sound: a clone carries bit-identical noise); see the
+    /// `backend` module's "Noise belongs to the device".
     /// Distinguishes equal cycles of different devices, so a template
     /// accidentally run through two backends recompiles instead of
     /// replaying the wrong device's channels.
@@ -203,17 +183,14 @@ struct Frames {
     /// RZ, X, CX controls and channels since — so that an RZ on it
     /// changes nothing.
     diagonal: Vec<bool>,
-    /// [`CompileOptions::identity_epsilon`].
-    identity_epsilon: f64,
 }
 
 impl Frames {
-    fn new(n_qubits: usize, identity_epsilon: f64) -> Self {
+    fn new(n_qubits: usize) -> Self {
         Frames {
             owed: vec![0.0; n_qubits],
             open: vec![None; n_qubits],
             diagonal: vec![true; n_qubits],
-            identity_epsilon,
         }
     }
 
@@ -232,7 +209,8 @@ impl Frames {
         match open {
             Some(i) => slots[i].offset += owed,
             // What the pass multiplies a coherence by, less one.
-            None if (C64::cis(owed) - C64::ONE).abs() < self.identity_epsilon => {}
+            None if (C64::cis(owed) - C64::ONE).abs()
+                < ProgramBuilder::DEFAULT_IDENTITY_EPSILON => {}
             None => {
                 builder.push_unfused_unitary(gates::rz(owed), &[q]);
             }
@@ -317,14 +295,13 @@ fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
 impl Plan {
     /// Walks the schedule once and builds the program, filled with the
     /// numbers of `noise`.
-    fn new(circuit: &Circuit, noise: &NoiseModel, options: &CompileOptions) -> Plan {
-        let mut builder = ProgramBuilder::new(circuit.num_qubits())
-            .with_identity_epsilon(options.identity_epsilon);
+    fn new(circuit: &Circuit, noise: &NoiseModel) -> Plan {
+        let mut builder = ProgramBuilder::new(circuit.num_qubits());
         let mut param_slots = Vec::new();
         let (mut keys, mut verdicts) = (Vec::new(), Vec::new());
         // The real gauge: a frame still owed when the walk ends is
         // dropped with `frames`.
-        let mut frames = Frames::new(circuit.num_qubits(), options.identity_epsilon);
+        let mut frames = Frames::new(circuit.num_qubits());
         let duration = walk(circuit, noise, |op| match op {
             SiteOp::Unitary(gate_idx, g, qs) => {
                 frames.push_gate(&mut builder, &mut param_slots, gate_idx, g, qs)
@@ -332,7 +309,7 @@ impl Plan {
             SiteOp::Channel(idx, key, qs) => {
                 if idx == keys.len() {
                     keys.push(key);
-                    verdicts.push(key.verdict(noise, options.identity_epsilon));
+                    verdicts.push(key.verdict(noise, ProgramBuilder::DEFAULT_IDENTITY_EPSILON));
                 }
                 if verdicts[idx] != Verdict::Absent {
                     let elided = verdicts[idx] == Verdict::Elided;
@@ -361,13 +338,11 @@ impl Plan {
     /// covers a T1 turning finite, an error rate leaving zero and a
     /// channel crossing the elision threshold. Costs one predicate per
     /// key.
-    fn holds(&self, noise: &NoiseModel, options: &CompileOptions) -> bool {
+    fn holds(&self, noise: &NoiseModel) -> bool {
         self.gate_times_ns.map(f64::to_bits) == gate_times_ns(noise).map(f64::to_bits)
-            && self
-                .keys
-                .iter()
-                .zip(&self.verdicts)
-                .all(|(key, &planned)| key.verdict(noise, options.identity_epsilon) == planned)
+            && self.keys.iter().zip(&self.verdicts).all(|(key, &planned)| {
+                key.verdict(noise, ProgramBuilder::DEFAULT_IDENTITY_EPSILON) == planned
+            })
     }
 
     /// Re-derives the program's numbers from `noise`, in place.
@@ -388,17 +363,13 @@ impl Plan {
 /// Panics if the circuit still has unbound parameters, or references
 /// qubits out of range of the noise model (mirroring the executors it
 /// feeds).
-pub fn compile_bound(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    options: &CompileOptions,
-) -> CompiledProgram {
+pub fn compile_bound(circuit: &Circuit, noise: &NoiseModel) -> CompiledProgram {
     assert_eq!(
         circuit.num_params(),
         0,
         "compile_bound requires a fully bound circuit"
     );
-    Plan::new(circuit, noise, options).program
+    Plan::new(circuit, noise).program
 }
 
 /// A symbolic circuit template planned once and refreshed per noise
@@ -422,7 +393,6 @@ pub fn compile_bound(
 pub struct CompiledTemplate {
     circuit: Circuit,
     active_physical: Vec<usize>,
-    options: CompileOptions,
     plan: Option<Plan>,
     token: Option<NoiseToken>,
     compiles: u64,
@@ -444,22 +414,12 @@ impl CompiledTemplate {
         CompiledTemplate {
             circuit,
             active_physical,
-            options: CompileOptions::default(),
             plan: None,
             token: None,
             compiles: 0,
             plans: 0,
             cache_hits: 0,
         }
-    }
-
-    /// Overrides the compile options (builder style); drops any cached
-    /// program and its plan — the elision threshold is part of both.
-    pub fn with_options(mut self, options: CompileOptions) -> Self {
-        self.options = options;
-        self.plan = None;
-        self.token = None;
-        self
     }
 
     /// The symbolic compact circuit.
@@ -502,9 +462,9 @@ impl CompiledTemplate {
             return;
         }
         match &mut self.plan {
-            Some(plan) if plan.holds(noise, &self.options) => plan.refresh(noise),
+            Some(plan) if plan.holds(noise) => plan.refresh(noise),
             _ => {
-                self.plan = Some(Plan::new(&self.circuit, noise, &self.options));
+                self.plan = Some(Plan::new(&self.circuit, noise));
                 self.plans += 1;
             }
         }
@@ -739,16 +699,7 @@ mod tests {
             ],
         );
         let ry = gates::ry(FRAC_PI_2);
-        assert_eq!(
-            tape(&noiseless(c.clone())),
-            [(vec![0], ry.clone()), (vec![0], ry)]
-        );
-        // With elision off the pass is on the tape.
-        let mut exact = CompiledTemplate::new(c, vec![0]).with_options(CompileOptions {
-            identity_epsilon: 0.0,
-        });
-        exact.ensure_compiled(&NoiseModel::ideal(1), NoiseToken::new(0, 0, 1.0, 1.0));
-        assert_eq!(exact.program().ops().len(), 3);
+        assert_eq!(tape(&noiseless(c)), [(vec![0], ry.clone()), (vec![0], ry)]);
     }
 
     #[test]
@@ -886,8 +837,7 @@ mod tests {
     /// A template compiled from scratch against `noise`.
     fn cold(template: &CompiledTemplate, noise: &NoiseModel) -> CompiledTemplate {
         let mut fresh =
-            CompiledTemplate::new(template.circuit.clone(), template.active_physical.clone())
-                .with_options(template.options);
+            CompiledTemplate::new(template.circuit.clone(), template.active_physical.clone());
         fresh.ensure_compiled(noise, NoiseToken::new(0, 0, 1.0, 1.0));
         fresh
     }
@@ -952,37 +902,6 @@ mod tests {
     }
 
     #[test]
-    fn the_elision_threshold_is_part_of_the_plan() {
-        let mut cal = Calibration::uniform(3, 80.0, 60.0, 0.002, 0.02, 0.03);
-        cal.qubit_mut(0).gate_error_1q = 1e-5;
-        let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2]);
-        let token = NoiseToken::new(0, 0, 1.0, 1.0);
-        let mut template = CompiledTemplate::new(ansatz(3), vec![0, 1, 2]);
-        template.ensure_compiled(&noise, token);
-        assert_eq!(template.program().skipped_channels(), 0);
-        // New options drop the program *and* its plan: the next compile
-        // plans under the new threshold instead of refreshing verdicts
-        // reached under the old one.
-        let coarse = CompileOptions {
-            identity_epsilon: 0.05,
-        };
-        let mut template = template.with_options(coarse);
-        template.ensure_compiled(&noise, NoiseToken::new(0, 1, 1.0, 1.0));
-        assert_eq!((template.compiles(), template.plans()), (2, 2));
-        assert!(template.program().skipped_channels() > 0);
-        let fresh = cold(&template, &noise);
-        assert_same_program(template.program(), fresh.program(), "coarse threshold");
-        // And a refresh under the coarse threshold judges with it.
-        let mut louder = cal.clone();
-        louder.qubit_mut(0).gate_error_1q = 0.4;
-        let noise = NoiseModel::from_calibration(&louder, &[0, 1, 2]);
-        template.ensure_compiled(&noise, NoiseToken::new(0, 2, 1.0, 1.0));
-        assert_eq!(template.plans(), 3, "the channel crossed 0.05");
-        let fresh = cold(&template, &noise);
-        assert_same_program(template.program(), fresh.program(), "crossed");
-    }
-
-    #[test]
     fn a_plan_stays_under_a_kibibyte_and_owns_no_scratch() {
         // QAOA ring-4 (the `service_stream` template: 1 024 of them live
         // at once, each planned and never refreshed) routed onto belem.
@@ -1029,7 +948,7 @@ mod tests {
         let noise = NoiseModel::from_calibration(&cal, &[0, 1]);
         let mut b = CircuitBuilder::new(2);
         b.h(0).cx(0, 1);
-        let program = compile_bound(&b.build(), &noise, &CompileOptions::default());
+        let program = compile_bound(&b.build(), &noise);
         assert!(
             program.skipped_channels() > 0,
             "near-zero depolarizing channels should be elided"

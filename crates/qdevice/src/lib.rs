@@ -47,7 +47,7 @@ pub use backend::{JobResult, QpuBackend, SharedNoiseCache, TemplateRun};
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};
 pub use clock::SimTime;
-pub use compile::{compile_bound, CompileOptions, CompiledTemplate, NoiseToken};
+pub use compile::{compile_bound, CompiledTemplate, NoiseToken};
 pub use drift::{DriftEpisode, DriftModel};
 pub use error::DeviceError;
 pub use multiprog::{split as multiprogram_split, MultiprogramConfig, ProgramSlot};

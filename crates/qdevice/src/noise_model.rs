@@ -481,7 +481,7 @@ pub fn execute_density<R: Rng + ?Sized>(
         "{} qubits exceed the density engine cap",
         circuit.num_qubits()
     );
-    let program = crate::compile::compile_bound(circuit, noise, &crate::CompileOptions::default());
+    let program = crate::compile::compile_bound(circuit, noise);
     let counts = DensityEngine::new().run_program(&program, shots, rng);
     (counts, program.duration_ns())
 }

@@ -466,12 +466,11 @@ pub struct ProgramBuilder {
     /// Channels pushed as Kraus lists, interned by content.
     by_content: Vec<(KrausChannel, Interned)>,
     fuser: Fuser,
-    identity_epsilon: f64,
     skipped_channels: usize,
 }
 
 impl ProgramBuilder {
-    /// Default epsilon below which a channel's non-identity content is
+    /// The epsilon below which a channel's non-identity content is
     /// treated as zero and the channel is elided (see
     /// [`KrausChannel::is_near_identity`]). Far below every physical
     /// error rate the device layer produces, so eliding at this level
@@ -488,16 +487,8 @@ impl ProgramBuilder {
             by_key: Vec::new(),
             by_content: Vec::new(),
             fuser: Fuser::default(),
-            identity_epsilon: Self::DEFAULT_IDENTITY_EPSILON,
             skipped_channels: 0,
         }
-    }
-
-    /// Overrides the identity fast-path threshold (builder style). Zero
-    /// disables elision entirely.
-    pub fn with_identity_epsilon(mut self, eps: f64) -> Self {
-        self.identity_epsilon = eps;
-        self
     }
 
     /// Appends a resolved gate matrix acting on `qubits` (1 or 2
@@ -587,8 +578,8 @@ impl ProgramBuilder {
 
     /// Appends a Kraus channel acting on `qubits`, interning it by
     /// content against previously pushed channels. Channels within
-    /// `identity_epsilon` of the identity are elided entirely (the
-    /// fast-path for near-zero-rate noise).
+    /// [`ProgramBuilder::DEFAULT_IDENTITY_EPSILON`] of the identity are
+    /// elided entirely (the fast-path for near-zero-rate noise).
     ///
     /// # Panics
     ///
@@ -608,7 +599,7 @@ impl ProgramBuilder {
 
     /// Appends a channel the caller knows only by `key` so far: what it
     /// acts on and whether it is `elided` (near-identity, see
-    /// [`ProgramBuilder::with_identity_epsilon`]) are fixed now, its
+    /// [`ProgramBuilder::DEFAULT_IDENTITY_EPSILON`]) are fixed now, its
     /// numbers arrive when the program is filled —
     /// [`ProgramBuilder::finish_with`] and every later
     /// [`CompiledProgram::refresh`] ask a `lower` callback for the
@@ -647,7 +638,7 @@ impl ProgramBuilder {
     /// First sight of a Kraus-list channel: elide it, or keep it as a
     /// plan member.
     fn intern(&mut self, channel: &KrausChannel) -> Interned {
-        if self.identity_epsilon > 0.0 && channel.is_near_identity(self.identity_epsilon) {
+        if channel.is_near_identity(Self::DEFAULT_IDENTITY_EPSILON) {
             return Interned::Skipped;
         }
         let fuser = &mut self.fuser;

@@ -480,11 +480,6 @@ impl ReadoutError {
         self.flip.len()
     }
 
-    /// Flip probability for qubit `q`.
-    pub fn flip_probability(&self, q: usize) -> f64 {
-        self.flip[q]
-    }
-
     /// Average flip probability (the scalar `omega` used by Eq. 2).
     pub fn mean_flip(&self) -> f64 {
         if self.flip.is_empty() {

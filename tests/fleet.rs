@@ -196,6 +196,69 @@ fn pooled_tenants_of_mixed_widths_replay_des() {
 }
 
 #[test]
+fn ideal_slots_of_mixed_widths_are_separate_devices() {
+    // The ideal slot is sized per tenant: an H2 tenant gets a 2-qubit
+    // ideal device, a QAOA ring-4 tenant a 4-qubit one. They are two
+    // devices, not clones of one, so neither may read the other's noise
+    // artifacts. Both tenants must train to the end on every substrate.
+    // On the byte-isolated ones (`Unshared`, private ledgers) each report
+    // is its standalone `Ensemble::train` over the same devices; on the
+    // shared substrate the tenants contend for belem's ledger by design,
+    // so there the oracle is a replay.
+    let h2 = VqeProblem::h2();
+    let qaoa = QaoaProblem::maxcut_ring4();
+    let tenants: [(&dyn VqaProblem, EqcConfig); 2] = [
+        (&h2, EqcConfig::paper_vqe().with_epochs(3).with_shots(128)),
+        (&qaoa, cfg(3).with_seed(11)),
+    ];
+    let run = |fleet_builder: FleetBuilder| {
+        let mut fleet = fleet_builder
+            .ideal_device()
+            .device("belem")
+            .arbiter(Unshared)
+            .build()
+            .expect("builds");
+        for (problem, config) in tenants {
+            fleet
+                .admit(problem, TenantConfig::new(config))
+                .expect("admits");
+        }
+        fleet.run().expect("mixed-width ideal slots run")
+    };
+    let standalone: Vec<String> = tenants
+        .iter()
+        .map(|&(problem, config)| {
+            let report = Ensemble::builder()
+                .ideal_device()
+                .device("belem")
+                .config(config)
+                .build()
+                .expect("builds")
+                .train(problem)
+                .expect("trains");
+            format!("{report:?}")
+        })
+        .collect();
+    for (name, fleet_builder) in [
+        ("discrete-event", FleetRuntime::builder()),
+        ("pooled", FleetRuntime::builder().pooled_workers(2)),
+    ] {
+        let outcome = run(fleet_builder);
+        let reports: Vec<String> = outcome.reports.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(reports, standalone, "{name} fleet vs standalone sessions");
+    }
+    let shared = run(FleetRuntime::builder().shared());
+    for (report, (_, config)) in shared.reports.iter().zip(tenants) {
+        assert_eq!(report.epochs, config.epochs);
+    }
+    assert_eq!(
+        format!("{shared:?}"),
+        format!("{:?}", run(FleetRuntime::builder().shared())),
+        "the shared run replays"
+    );
+}
+
+#[test]
 fn fair_share_splits_capacity_by_weight() {
     // Two identical tenants, weights 3:1, on a fleet they each could
     // saturate: the heavy tenant must hold more concurrent capacity,
