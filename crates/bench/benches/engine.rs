@@ -281,7 +281,7 @@ fn bench_job_throughput(c: &mut Criterion) {
 fn bench_compile(c: &mut Criterion) {
     // What a drifting device pays per job before it can bind: `first_*`
     // plans and fills a fresh template (the cold compile every
-    // (tenant, device) pair pays once), `token_miss_*` brings a
+    // (device, template) pays once), `token_miss_*` brings a
     // long-lived template up to the next drift step (a refresh of the
     // same plan). One call is 7-50 us: many samples.
     let mut group = c.benchmark_group("compile");

@@ -140,7 +140,7 @@ fn deep_probe(n: usize) -> qcircuit::Circuit {
 /// The compile-section probe: 10 000 compiles of one 4-qubit template
 /// (the deep probe) on belem, stepping through sixteen
 /// drifted noise models under fresh tokens — each on a fresh template
-/// (`first`: plan + fill, what a (tenant, device) pair pays once) or all
+/// (`first`: plan + fill, what a (device, template) pays once) or all
 /// on one long-lived template (`token_miss`: a refresh of the plan, what
 /// every later job pays under drift). Returns (elapsed us, the last
 /// template compiled).

@@ -1,7 +1,7 @@
 //! The EQC client node (Algorithm 2 of the paper).
 //!
-//! One client manages one QPU: it transpiles the problem's circuit
-//! templates once for its device's topology — and wraps each in a
+//! One client manages one QPU: it takes the problem's circuit templates
+//! transpiled once for its device's topology — each wrapped in a
 //! [`CompiledTemplate`] that the backend plans once and refreshes per
 //! noise token (per job, under drift) — then serves gradient tasks: the
 //! per-occurrence forward/backward shift pairs go to the device as
@@ -9,37 +9,67 @@
 //! loss is read off the returned counts, and the gradient is reported
 //! together with the device's current `P_correct`.
 //!
-//! A fleet holds one client per (tenant, device) pair, so a client keeps
-//! only what its tasks read: per template the compiled template, the
-//! Eq. 2 metrics and the logical bit order of the compact register. The
-//! transpiler's full-register circuit and layouts are dropped once the
-//! template is compacted, and the simulator itself belongs to the
-//! executing thread, not to the client's backend (see
-//! [`qdevice::backend`](mod@qdevice::backend)).
+//! A fleet holds one client per (tenant, device) pair, but a template's
+//! transpilation and compiled program belong to the device: the client
+//! fetches each template's [`DeviceTemplate`] from its backend, which
+//! prepares it on the first request of any clone of the device and
+//! shares it with the rest (see
+//! [`qdevice::backend`](mod@qdevice::backend)). A task locks its
+//! slice's distinct entries for the one job it submits. The simulator
+//! belongs to the executing thread, not to the client's backend.
 
 use crate::weighting;
-use qcircuit::ParamId;
-use qdevice::{CompiledTemplate, QpuBackend, SimTime, TemplateRun};
+use qdevice::{
+    CompiledTemplate, DeviceTemplate, JobResult, QpuBackend, SimTime, TemplateLocks, TemplateRun,
+};
 use qsim::Counts;
-use transpile::{remap_counts, transpile, CircuitMetrics, TranspileError, TranspileOptions};
+use std::sync::Arc;
+use transpile::{remap_counts, CircuitMetrics, TranspileError};
 use vqa::{GradientTask, VqaProblem};
 
-/// A problem template prepared for one device.
-#[derive(Clone, Debug)]
-struct PreparedTemplate {
-    /// Compiled form of the compacted symbolic physical circuit: the
-    /// op-tape planned once, its channel numbers refreshed per noise
-    /// token, its rotations rebound per job.
-    compiled: CompiledTemplate,
-    /// Gate indices of each parameter's occurrences in the compact
-    /// circuit, indexed by [`ParamId`] (precomputed: the hot path reads
-    /// them per task).
-    occurrences: Vec<Vec<usize>>,
-    /// Bit position of each logical qubit in the compact register (one
-    /// entry per logical qubit).
-    logical_bits: Vec<usize>,
-    /// Structural metrics of the transpiled circuit (Eq. 2 inputs).
-    metrics: CircuitMetrics,
+/// What this client's own jobs did to the compiled templates they ran
+/// (telemetry: the templates are the device's, so their own counters
+/// sum every clone's jobs).
+#[derive(Clone, Copy, Debug, Default)]
+struct CompileTally {
+    compiled: u64,
+    planned: u64,
+    hits: u64,
+}
+
+impl CompileTally {
+    /// The counters of `templates`, summed.
+    fn of(templates: &[&mut CompiledTemplate]) -> Self {
+        templates
+            .iter()
+            .fold(Self::default(), |sum, t| CompileTally {
+                compiled: sum.compiled + t.compiles(),
+                planned: sum.planned + t.plans(),
+                hits: sum.hits + t.cache_hits(),
+            })
+    }
+
+    /// Runs one job on `backend` over the locked templates and adds
+    /// what its compiles did — exact, because no other job touches the
+    /// templates while they are locked.
+    fn execute(
+        &mut self,
+        backend: &mut QpuBackend,
+        locks: &mut TemplateLocks<'_>,
+        runs: &[TemplateRun],
+        params: &[f64],
+        shots: usize,
+        submit: SimTime,
+    ) -> (Vec<Counts>, JobResult) {
+        let mut templates = locks.templates();
+        let before = Self::of(&templates);
+        let job = backend.execute_templates(&mut templates, runs, params, shots, submit);
+        let after = Self::of(&templates);
+        self.compiled += after.compiled - before.compiled;
+        self.planned += after.planned - before.planned;
+        self.hits += after.hits - before.hits;
+        job
+    }
 }
 
 /// The result of one gradient task executed on one device.
@@ -65,14 +95,16 @@ pub struct ClientTaskResult {
 pub struct ClientNode {
     id: usize,
     backend: QpuBackend,
-    templates: Vec<PreparedTemplate>,
+    /// The device's entry for each problem template, by template index.
+    templates: Vec<Arc<DeviceTemplate>>,
     circuits_run: u64,
     tasks_completed: u64,
+    compiles: CompileTally,
 }
 
 impl ClientNode {
-    /// Creates a client by transpiling every problem template for the
-    /// backend's topology.
+    /// Creates a client over the backend's prepared entry of every
+    /// problem template (transpiled on the device's first request).
     ///
     /// # Errors
     ///
@@ -82,41 +114,18 @@ impl ClientNode {
         backend: QpuBackend,
         problem: &dyn VqaProblem,
     ) -> Result<Self, TranspileError> {
-        let options = TranspileOptions::default();
-        let mut templates = Vec::with_capacity(problem.templates().len());
-        for template in problem.templates() {
-            let transpiled = transpile(template, backend.topology(), &options)?;
-            let (compact, logical_bits) = transpiled.compact_for_simulation()?;
-            let active_physical = transpiled.active_qubits();
-            // The transpiler must preserve parameter occurrences, or the
-            // shift rule would silently drop gradient terms — and the
-            // pooled executor's deterministic lookahead classifies
-            // instant (zero-occurrence) tasks from the *un-transpiled*
-            // templates, so this invariant is load-bearing in release
-            // builds too (a hard assert, not a debug assert).
-            for p in 0..template.num_params() {
-                assert_eq!(
-                    compact.occurrences_of(ParamId(p)).len(),
-                    template.occurrences_of(ParamId(p)).len(),
-                    "transpilation changed occurrence structure"
-                );
-            }
-            let occurrences = (0..compact.num_params())
-                .map(|p| compact.occurrences_of(ParamId(p)))
-                .collect();
-            templates.push(PreparedTemplate {
-                compiled: CompiledTemplate::new(compact, active_physical),
-                occurrences,
-                logical_bits,
-                metrics: transpiled.metrics,
-            });
-        }
+        let templates = problem
+            .templates()
+            .iter()
+            .map(|template| backend.template(template))
+            .collect::<Result<_, _>>()?;
         Ok(ClientNode {
             id,
             backend,
             templates,
             circuits_run: 0,
             tasks_completed: 0,
+            compiles: CompileTally::default(),
         })
     }
 
@@ -140,25 +149,27 @@ impl ClientNode {
         self.tasks_completed
     }
 
-    /// Times this client's templates were brought up to a new noise
-    /// token — with a stable calibration one compile per template per
-    /// calibration cycle touched, however many jobs ran; on a drifting
+    /// Times this client's jobs brought a template up to a new noise
+    /// token — with a stable calibration at most one compile per
+    /// template per calibration cycle touched, however many jobs ran
+    /// (a co-tenant's job may have compiled it first); on a drifting
     /// device one per template per job.
     pub fn programs_compiled(&self) -> u64 {
-        self.templates.iter().map(|t| t.compiled.compiles()).sum()
+        self.compiles.compiled
     }
 
     /// How many of those compiles planned the program's structure
-    /// instead of refreshing its numbers — once per template unless the
-    /// noise changed what the schedule emits (telemetry; see
+    /// instead of refreshing its numbers — once per template and device
+    /// unless the noise changed what the schedule emits (telemetry; see
     /// [`qdevice::CompiledTemplate::plans`]).
     pub fn programs_planned(&self) -> u64 {
-        self.templates.iter().map(|t| t.compiled.plans()).sum()
+        self.compiles.planned
     }
 
-    /// Jobs served from cached compiled programs without recompiling.
+    /// Template runs of this client's jobs served from the compiled
+    /// program without recompiling.
     pub fn program_cache_hits(&self) -> u64 {
-        self.templates.iter().map(|t| t.compiled.cache_hits()).sum()
+        self.compiles.hits
     }
 
     /// Density runs the backend evolved through its group-fork walk
@@ -185,7 +196,7 @@ impl ClientNode {
 
     /// Metrics of template `t` after transpilation (inputs to Eq. 2).
     pub fn template_metrics(&self, t: usize) -> &CircuitMetrics {
-        &self.templates[t].metrics
+        self.templates[t].metrics()
     }
 
     /// The device's current Eq. 2 score for the given templates, from the
@@ -200,69 +211,21 @@ impl ClientNode {
     /// and the task hot path (which reads the calibration from the
     /// backend's per-cycle cache instead of rebuilding it).
     fn mean_p_correct(
-        templates: &[PreparedTemplate],
+        templates: &[Arc<DeviceTemplate>],
         cal: &qdevice::Calibration,
         template_indices: &[usize],
     ) -> f64 {
         let mean: f64 = template_indices
             .iter()
-            .map(|&i| weighting::p_correct(&templates[i].metrics, cal))
+            .map(|&i| weighting::p_correct(templates[i].metrics(), cal))
             .sum::<f64>()
             / template_indices.len().max(1) as f64;
         weighting::bound_p_correct(mean)
     }
 
-    /// Gate indices where `param` occurs in a template's compact circuit
-    /// (empty when the parameter is absent).
-    fn occurrence_list(&self, template: usize, param: ParamId) -> &[usize] {
-        self.templates[template]
-            .occurrences
-            .get(param.index())
-            .map(Vec::as_slice)
-            .unwrap_or(&[])
-    }
-
-    /// Maps slice template indices onto unique local slots for one
-    /// batched engine call; returns `(unique_originals, local_of_each)`.
-    fn local_slots(template_indices: &[usize]) -> (Vec<usize>, Vec<usize>) {
-        let mut unique: Vec<usize> = Vec::new();
-        let local = template_indices
-            .iter()
-            .map(|&ti| match unique.iter().position(|&u| u == ti) {
-                Some(l) => l,
-                None => {
-                    unique.push(ti);
-                    unique.len() - 1
-                }
-            })
-            .collect();
-        (unique, local)
-    }
-
-    /// Splits the client into its backend and the mutable compiled
-    /// templates for the given unique slice indices — the borrow
-    /// protocol behind every batched engine call.
-    fn backend_and_templates(
-        &mut self,
-        unique: &[usize],
-    ) -> (&mut QpuBackend, Vec<&mut CompiledTemplate>) {
-        let ClientNode {
-            backend, templates, ..
-        } = self;
-        let mut slots: Vec<Option<&mut CompiledTemplate>> = templates
-            .iter_mut()
-            .map(|p| Some(&mut p.compiled))
-            .collect();
-        let refs = unique
-            .iter()
-            .map(|&ti| slots[ti].take().expect("slice templates are deduplicated"))
-            .collect();
-        (backend, refs)
-    }
-
     /// Executes one gradient task: the per-occurrence forward/backward
     /// shift pairs of every template in the slice go to the backend as
-    /// **one** batched engine call over the client's compiled templates,
+    /// **one** batched engine call over the slice's locked templates,
     /// then the gradient is assembled from the returned counts.
     ///
     /// # Panics
@@ -278,17 +241,21 @@ impl ClientNode {
         submit: SimTime,
     ) -> ClientTaskResult {
         let template_indices = problem.slice_templates(task.slice);
-        let p_correct = {
-            let ClientNode {
-                backend, templates, ..
-            } = &mut *self;
-            Self::mean_p_correct(templates, backend.reported_at(submit), &template_indices)
-        };
+        let p_correct = Self::mean_p_correct(
+            &self.templates,
+            self.backend.reported_at(submit),
+            &template_indices,
+        );
 
         // Occurrence structure from the first template; all templates of a
         // slice share the ansatz so the structure must agree.
-        let n_occurrences = self.occurrence_list(template_indices[0], task.param).len();
-        let n_templates = template_indices.len();
+        let slice: Vec<&Arc<DeviceTemplate>> = template_indices
+            .iter()
+            .map(|&ti| &self.templates[ti])
+            .collect();
+        let occurrences = slice[0].occurrences(task.param);
+        let n_occurrences = occurrences.len();
+        let n_templates = slice.len();
         if n_occurrences == 0 {
             // Parameter absent from the circuit: zero gradient, no job.
             return ClientTaskResult {
@@ -303,11 +270,12 @@ impl ClientNode {
 
         // Build the batch: for each occurrence, forward then backward
         // shifts of every template in the slice.
-        let (unique, local) = Self::local_slots(&template_indices);
+        let mut locks = TemplateLocks::new(slice.iter().copied());
+        let local = locks.slots().to_vec();
         let mut runs: Vec<TemplateRun> = Vec::with_capacity(n_occurrences * 2 * n_templates);
         for k in 0..n_occurrences {
-            for (j, &ti) in template_indices.iter().enumerate() {
-                let occ = self.occurrence_list(ti, task.param);
+            for (j, entry) in slice.iter().enumerate() {
+                let occ = entry.occurrences(task.param);
                 assert_eq!(
                     occ.len(),
                     n_occurrences,
@@ -318,41 +286,44 @@ impl ClientNode {
                     shift: Some((occ[k], vqa::gradient::SHIFT)),
                 });
             }
-            for (j, &ti) in template_indices.iter().enumerate() {
-                let occ = self.occurrence_list(ti, task.param);
+            for (j, entry) in slice.iter().enumerate() {
                 runs.push(TemplateRun {
                     template: local[j],
-                    shift: Some((occ[k], -vqa::gradient::SHIFT)),
+                    shift: Some((entry.occurrences(task.param)[k], -vqa::gradient::SHIFT)),
                 });
             }
         }
-        let (raw_counts, timing) = {
-            let (backend, mut template_refs) = self.backend_and_templates(&unique);
-            backend.execute_templates(&mut template_refs, &runs, params, shots, submit)
-        };
+        let (raw_counts, timing) =
+            self.compiles
+                .execute(&mut self.backend, &mut locks, &runs, params, shots, submit);
+        let first_circuit = locks.template(local[0]).circuit();
+        let scales: Vec<f64> = occurrences
+            .iter()
+            .map(|&occ_idx| {
+                first_circuit.gates()[occ_idx]
+                    .angle()
+                    .expect("occurrence is parameterized")
+                    .gradient_scale()
+            })
+            .collect();
+        drop(locks);
         self.circuits_run += raw_counts.len() as u64;
         self.tasks_completed += 1;
 
         // Reassemble: per occurrence, the forward template counts then the
         // backward template counts.
-        let occurrences = self.occurrence_list(template_indices[0], task.param);
-        let first_circuit = self.templates[template_indices[0]].compiled.circuit();
         let mut gradient = 0.0;
         let per_occ = 2 * n_templates;
-        for (k, &occ_idx) in occurrences.iter().enumerate() {
+        for (k, scale) in scales.into_iter().enumerate() {
             let base = k * per_occ;
             let fwd_counts: Vec<Counts> = (0..n_templates)
-                .map(|j| self.remap(template_indices[j], &raw_counts[base + j]))
+                .map(|j| remap(slice[j], &raw_counts[base + j]))
                 .collect();
             let bck_counts: Vec<Counts> = (0..n_templates)
-                .map(|j| self.remap(template_indices[j], &raw_counts[base + n_templates + j]))
+                .map(|j| remap(slice[j], &raw_counts[base + n_templates + j]))
                 .collect();
             let loss_fwd = problem.slice_loss(task.slice, &fwd_counts);
             let loss_bck = problem.slice_loss(task.slice, &bck_counts);
-            let scale = first_circuit.gates()[occ_idx]
-                .angle()
-                .expect("occurrence is parameterized")
-                .gradient_scale();
             gradient += scale * (loss_fwd - loss_bck) / 2.0;
         }
 
@@ -379,34 +350,41 @@ impl ClientNode {
         let mut total = 0.0;
         let mut t = submit;
         for slice in problem.loss_slices() {
-            let template_indices = problem.slice_templates(slice);
-            let (unique, local) = Self::local_slots(&template_indices);
-            let runs: Vec<TemplateRun> = local
+            let entries: Vec<&Arc<DeviceTemplate>> = problem
+                .slice_templates(slice)
+                .into_iter()
+                .map(|ti| &self.templates[ti])
+                .collect();
+            let mut locks = TemplateLocks::new(entries.iter().copied());
+            let runs: Vec<TemplateRun> = locks
+                .slots()
                 .iter()
                 .map(|&l| TemplateRun {
                     template: l,
                     shift: None,
                 })
                 .collect();
-            let (raw, timing) = {
-                let (backend, mut template_refs) = self.backend_and_templates(&unique);
-                backend.execute_templates(&mut template_refs, &runs, params, shots, t)
-            };
+            let (raw, timing) =
+                self.compiles
+                    .execute(&mut self.backend, &mut locks, &runs, params, shots, t);
+            drop(locks);
             self.circuits_run += raw.len() as u64;
-            let logical: Vec<Counts> = template_indices
+            let logical: Vec<Counts> = entries
                 .iter()
                 .zip(&raw)
-                .map(|(&ti, c)| self.remap(ti, c))
+                .map(|(entry, c)| remap(entry, c))
                 .collect();
             total += problem.slice_loss(slice, &logical);
             t = timing.completed;
         }
         (total, t)
     }
+}
 
-    fn remap(&self, template: usize, counts: &Counts) -> Counts {
-        remap_counts(counts, &self.templates[template].logical_bits)
-    }
+/// `counts` over the compact register, remapped to the template's
+/// logical bit order.
+fn remap(entry: &DeviceTemplate, counts: &Counts) -> Counts {
+    remap_counts(counts, entry.logical_bits())
 }
 
 #[cfg(test)]
@@ -443,10 +421,11 @@ mod tests {
 
     #[test]
     fn a_client_keeps_no_layout_and_no_full_register_circuit() {
-        // Memory guard: per template a client keeps the compiled
-        // template (whose circuit is the compact one), the metrics and
-        // the logical bit order — no layout, and no circuit over the
-        // 27-qubit register the transpiler routed on.
+        // Memory guard: per template a client holds the device's entry
+        // — the compiled template (whose circuit is the compact one),
+        // the metrics and the logical bit order — and the device's
+        // cache prints counts, not entries: no layout, and no circuit
+        // over the 27-qubit register the transpiler routed on.
         let problem = VqeProblem::h2();
         let backend = catalog::by_name("toronto").unwrap().backend(1);
         let client = ClientNode::new(0, backend, &problem).unwrap();
@@ -458,6 +437,114 @@ mod tests {
             "one compact circuit per template: {debug}"
         );
         assert!(!debug.contains("n_qubits: 27"), "{debug}");
+    }
+
+    #[test]
+    fn clones_of_a_device_share_its_templates_and_count_their_own_jobs() {
+        let problem = VqeProblem::h2();
+        let device = quiet_backend("belem", 4);
+        let mut clients: Vec<ClientNode> = (0..3)
+            .map(|id| ClientNode::new(id, device.clone(), &problem).unwrap())
+            .collect();
+        let n = problem.templates().len() as u64;
+        let cache = device.device_template_cache();
+        assert_eq!((cache.builds(), cache.hits()), (n, 2 * n));
+        for (a, b) in clients[0].templates.iter().zip(&clients[2].templates) {
+            assert!(Arc::ptr_eq(a, b));
+        }
+        // A steady device in one cycle: the first client's job compiles
+        // its slice, the others' jobs hit what it compiled.
+        let task = GradientTask {
+            param: ParamId(0),
+            slice: TaskSlice::Group(0),
+        };
+        let params = problem.initial_point(3);
+        for client in &mut clients {
+            client.run_task(&problem, task, &params, 64, SimTime::ZERO);
+        }
+        let tally = |c: &ClientNode| {
+            (
+                c.programs_compiled(),
+                c.programs_planned(),
+                c.program_cache_hits(),
+            )
+        };
+        assert_eq!(tally(&clients[0]), (1, 1, 1), "plan, then the pair's hit");
+        assert_eq!(tally(&clients[1]), (0, 0, 2));
+        assert_eq!(tally(&clients[2]), (0, 0, 2));
+    }
+
+    /// A problem that lists its one circuit twice: both indices resolve
+    /// to one device entry.
+    struct Twice(QaoaProblem, Vec<qcircuit::Circuit>);
+
+    impl VqaProblem for Twice {
+        fn name(&self) -> String {
+            "twice".into()
+        }
+        fn num_qubits(&self) -> usize {
+            self.0.num_qubits()
+        }
+        fn num_params(&self) -> usize {
+            self.0.num_params()
+        }
+        fn granularity(&self) -> vqa::TaskGranularity {
+            self.0.granularity()
+        }
+        fn initial_point(&self, seed: u64) -> Vec<f64> {
+            self.0.initial_point(seed)
+        }
+        fn templates(&self) -> &[qcircuit::Circuit] {
+            &self.1
+        }
+        fn tasks(&self) -> Vec<GradientTask> {
+            self.0.tasks()
+        }
+        fn slice_templates(&self, _: TaskSlice) -> Vec<usize> {
+            vec![0, 1]
+        }
+        fn slice_loss(&self, slice: TaskSlice, counts: &[Counts]) -> f64 {
+            counts
+                .iter()
+                .map(|c| self.0.slice_loss(slice, std::slice::from_ref(c)))
+                .sum::<f64>()
+                / 2.0
+        }
+        fn loss_slices(&self) -> Vec<TaskSlice> {
+            self.0.loss_slices()
+        }
+        fn ideal_loss(&self, params: &[f64]) -> f64 {
+            self.0.ideal_loss(params)
+        }
+        fn reference_minimum(&self) -> f64 {
+            self.0.reference_minimum()
+        }
+    }
+
+    #[test]
+    fn a_problem_listing_one_circuit_twice_locks_it_once() {
+        let qaoa = QaoaProblem::maxcut_ring4();
+        let circuit = qaoa.templates()[0].clone();
+        let problem = Twice(qaoa, vec![circuit.clone(), circuit]);
+        // On its own thread, so a self-deadlock fails the test instead
+        // of hanging it.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut client = ClientNode::new(0, quiet_backend("belem", 6), &problem).unwrap();
+            assert!(Arc::ptr_eq(&client.templates[0], &client.templates[1]));
+            let task = GradientTask {
+                param: ParamId(1),
+                slice: TaskSlice::Full,
+            };
+            let r = client.run_task(&problem, task, &[0.7, 0.3], 256, SimTime::ZERO);
+            let (loss, _) = client.evaluate_loss(&problem, &[0.7, 0.3], 256, r.completed);
+            tx.send((r.circuits_run, loss.is_finite())).unwrap();
+        });
+        let (circuits, finite) = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the job must not deadlock on its own entry");
+        // 4 occurrences: 4 shift pairs of both listed copies.
+        assert_eq!((circuits, finite), (16, true));
     }
 
     #[test]

@@ -163,7 +163,8 @@ pub(crate) fn resolve_devices(
     Ok(devices)
 }
 
-/// Transpiles every template of `problem` for every device slot — the
+/// One client per device slot over the slot's prepared templates of
+/// `problem` (transpiled on the device's first request) — the
 /// client-construction path shared by [`Ensemble::session`] and
 /// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit).
 pub(crate) fn clients_for(
@@ -243,8 +244,10 @@ impl Ensemble {
         self.devices.len()
     }
 
-    /// Binds the ensemble to a problem: transpiles every template for
-    /// every device and initializes the master state.
+    /// Binds the ensemble to a problem: fetches every template's
+    /// prepared entry from every device (transpiled on the device's
+    /// first request, so a reused ensemble transpiles nothing) and
+    /// initializes the master state.
     ///
     /// # Errors
     ///

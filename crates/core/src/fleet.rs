@@ -291,8 +291,9 @@ impl<'p> FleetRuntime<'p> {
         self.service.arbiter_name()
     }
 
-    /// Admits a tenant: transpiles the problem's templates for every
-    /// fleet device (the tenant's clients are seeded exactly as a
+    /// Admits a tenant: fetches the problem's templates from every
+    /// fleet device, which transpiles each once for all its tenants
+    /// (the tenant's clients are seeded exactly as a
     /// standalone [`Ensemble`](crate::Ensemble) over the same devices
     /// would seed them) and initializes its master state. The returned
     /// id indexes the next [`FleetRuntime::run`]'s outcome.
@@ -1642,6 +1643,7 @@ mod tests {
     use crate::policy::arbiter::{FairShare, PriorityArbiter, Unshared};
     use crate::policy::ContentionAware;
     use proptest::prelude::*;
+    use qdevice::QpuBackend;
     use vqa::QaoaProblem;
 
     fn fleet_cfg(epochs: usize) -> EqcConfig {
@@ -1790,9 +1792,26 @@ mod tests {
     #[test]
     fn fleet_is_reusable_across_runs() {
         let problem = QaoaProblem::maxcut_ring4();
-        let mut fleet = FleetRuntime::builder()
-            .devices(["belem", "manila"])
-            .device_seed(7)
+        // `.devices(["belem", "manila"]).device_seed(7)`, with a handle
+        // on each device kept to read its template cache.
+        let devices: Vec<QpuBackend> = ["belem", "manila"]
+            .iter()
+            .zip(7..)
+            .map(|(name, seed)| {
+                qdevice::catalog::by_name(name)
+                    .expect("catalog")
+                    .backend(seed)
+            })
+            .collect();
+        let template_builds = || -> Vec<u64> {
+            devices
+                .iter()
+                .map(|d| d.device_template_cache().builds())
+                .collect()
+        };
+        let mut fleet = devices
+            .iter()
+            .fold(FleetRuntime::builder(), |b, d| b.backend(d.clone()))
             .build()
             .expect("builds");
         fleet
@@ -1800,6 +1819,7 @@ mod tests {
             .expect("admits");
         let first = fleet.run().expect("first run");
         assert_eq!(fleet.num_tenants(), 0, "run consumes the tenant batch");
+        let built = template_builds();
         fleet
             .admit(&problem, TenantConfig::new(fleet_cfg(2)))
             .expect("re-admits");
@@ -1817,6 +1837,14 @@ mod tests {
             t2.shared_noise_hits,
             t1.shared_noise_builds + t1.shared_noise_hits
         );
+        // So do the templates: the replay builds none, and its tenant's
+        // clients find every template prepared.
+        assert_eq!(template_builds(), built, "the replay builds 0 templates");
+        let per_device = problem.templates().len() as u64;
+        assert_eq!(built, [per_device; 2]);
+        for d in &devices {
+            assert_eq!(d.device_template_cache().hits(), per_device);
+        }
     }
 
     #[test]

@@ -276,9 +276,10 @@ impl<'p> FleetService<'p> {
     }
 
     /// Admits a tenant arriving at `arrival_h` virtual hours on the
-    /// fleet clock: transpiles the problem's templates for every fleet
-    /// device (seeded exactly as a standalone
-    /// [`Ensemble`](crate::Ensemble) over the same devices), queues
+    /// fleet clock: fetches the problem's templates from every fleet
+    /// device, which transpiles each once for all its tenants (seeded
+    /// exactly as a standalone [`Ensemble`](crate::Ensemble) over the
+    /// same devices), queues
     /// the tenant for the next [`FleetService::drain`], and returns a
     /// handle valid for the service's whole lifetime.
     ///

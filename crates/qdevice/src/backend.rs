@@ -16,8 +16,8 @@
 //! per cycle, each active-qubit set's [`NoiseModel`] is projected once
 //! per cycle and re-degraded only when the drift factors actually
 //! change (they never do under [`DriftModel::none`], so the model is
-//! then built exactly once per cycle), and ensemble clients additionally
-//! keep one compiled program per template: planned once, its numbers
+//! then built exactly once per cycle), and the device additionally keeps
+//! one compiled program per problem template: planned once, its numbers
 //! refreshed per noise token — per job, on a drifting device (see
 //! [`crate::compile::CompiledTemplate`]). All caches key on values, not
 //! time, so caching never changes a result. The uncached pre-engine path
@@ -26,20 +26,36 @@
 //! holds this one to equal counts and timing on every pinned fixture
 //! (states agree to 1e-12, see [`qsim::program`]).
 //!
-//! ## Noise belongs to the device
+//! ## Noise and templates belong to the device
 //!
 //! A clone of a backend is the same machine: same seed, calibration,
 //! jitter and drift, hence the same noise at every instant — the
 //! paper's per-device calibration and drift. So every clone shares its
-//! device's identity: the id in its [`NoiseToken`]s and one
-//! [`SharedNoiseCache`] of the per-cycle noise artifacts. A fleet's
-//! (tenant × device) clones thus build each artifact once per device,
-//! with nothing to attach. Only two things give a backend a fresh
-//! identity: [`QpuBackend::new`] (two backends built alike share
-//! nothing) and [`QpuBackend::with_recal_jitter`], which changes the
-//! noise. Each clone keeps its own cache of the current cycle in front
-//! of the shared one, so it takes the shared lock only on its first use
-//! of a cycle or an active set.
+//! device's identity: the id in its [`NoiseToken`]s, one
+//! [`SharedNoiseCache`] of the per-cycle noise artifacts and one
+//! [`SharedTemplateCache`] of prepared problem templates. A fleet's
+//! (tenant × device) clones thus build each noise artifact and
+//! transpile and plan each template once per device, with nothing to
+//! attach. Only two things give a backend a fresh identity:
+//! [`QpuBackend::new`] (two backends built alike share nothing) and
+//! [`QpuBackend::with_recal_jitter`], which changes the noise. Each
+//! clone keeps its own cache of the current cycle in front of the
+//! shared noise cache, so it takes the shared lock only on its first
+//! use of a cycle or an active set.
+//!
+//! A [`DeviceTemplate`] is what the paper's client derives from a
+//! template once per device (Algorithm 2): the transpiled compact
+//! circuit as a [`CompiledTemplate`], each parameter's occurrences, the
+//! logical bit order and the Eq. 2 metrics. Sharing it is exact: a
+//! template's plan and numbers are a pure function of (circuit, active
+//! qubits, [`NoiseToken`]), tokens are per device, and
+//! [`CompiledTemplate::bind`] rewrites every rebind slot on every job,
+//! so whichever clone refreshed or bound an entry last leaves nothing a
+//! job can see. Its compiled template sits behind its own lock, held
+//! for a whole job through [`TemplateLocks`]. Lock order: a job takes
+//! its entries' locks first — each distinct entry once, in address
+//! order — and the noise cache's and the queue ledger's locks only
+//! under them; neither of those is ever held while an entry is locked.
 //!
 //! ## One booking entry
 //!
@@ -58,7 +74,7 @@
 //! ## Simulation scratch belongs to the thread
 //!
 //! A backend holds device state only: calibration, drift, RNG, queue
-//! timeline and noise cache. The simulator — one [`DensityEngine`] with
+//! timeline and the device's caches. The simulator — one [`DensityEngine`] with
 //! its state, spare fork states and sampler tables, plus the per-run
 //! distribution buffers — is a thread-local scratch that serves every
 //! backend executing on that thread. Nothing in it carries from one
@@ -77,14 +93,15 @@ use crate::compile::{CompiledTemplate, NoiseToken};
 use crate::drift::DriftModel;
 use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
-use qcircuit::Circuit;
+use qcircuit::{Angle, Circuit, ParamId};
 use qsim::{Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
-use transpile::Topology;
+use std::sync::{Arc, Mutex, MutexGuard};
+use transpile::{transpile, CircuitMetrics, Topology, TranspileError, TranspileOptions};
 
 /// The executing thread's simulator (see the module docs).
 #[derive(Default)]
@@ -347,6 +364,254 @@ impl SharedNoiseCache {
     }
 }
 
+/// One problem template prepared for one device, shared by all its
+/// clones (see the module docs). Only the compiled template changes
+/// after preparation, so it alone sits behind a lock.
+#[derive(Debug)]
+pub struct DeviceTemplate {
+    /// Compiled form of the compacted symbolic physical circuit: the
+    /// op-tape planned once, its channel numbers refreshed per noise
+    /// token, its rotations rebound per job.
+    compiled: Mutex<CompiledTemplate>,
+    /// Gate indices of the parameters' occurrences in the compact
+    /// circuit, parameter after parameter: two allocations per entry
+    /// instead of one per parameter.
+    occurrences: Vec<usize>,
+    /// Where each parameter's occurrences end in `occurrences`, indexed
+    /// by [`ParamId`].
+    occurrence_ends: Vec<usize>,
+    /// Bit position of each logical qubit in the compact register.
+    logical_bits: Vec<usize>,
+    /// Structural metrics of the transpiled circuit (Eq. 2 inputs).
+    metrics: CircuitMetrics,
+}
+
+impl DeviceTemplate {
+    /// Transpiles `template` for `topology` and compacts it. The
+    /// transpiler's full-register circuit and layouts are dropped here.
+    fn prepare(template: &Circuit, topology: &Topology) -> Result<Self, TranspileError> {
+        let transpiled = transpile(template, topology, &TranspileOptions::default())?;
+        let (compact, logical_bits) = transpiled.compact_for_simulation()?;
+        // The transpiler must preserve parameter occurrences, or the
+        // shift rule would silently drop gradient terms — and the
+        // pooled executor's deterministic lookahead classifies instant
+        // (zero-occurrence) tasks from the *un-transpiled* templates, so
+        // this invariant is load-bearing in release builds too (a hard
+        // assert, not a debug assert).
+        for p in 0..template.num_params() {
+            assert_eq!(
+                compact.occurrences_of(ParamId(p)).len(),
+                template.occurrences_of(ParamId(p)).len(),
+                "transpilation changed occurrence structure"
+            );
+        }
+        let mut occurrences = Vec::new();
+        let mut occurrence_ends = Vec::with_capacity(compact.num_params());
+        for p in 0..compact.num_params() {
+            occurrences.extend(compact.occurrences_of(ParamId(p)));
+            occurrence_ends.push(occurrences.len());
+        }
+        Ok(DeviceTemplate {
+            compiled: Mutex::new(CompiledTemplate::new(compact, transpiled.active_qubits())),
+            occurrences,
+            occurrence_ends,
+            logical_bits,
+            metrics: transpiled.metrics,
+        })
+    }
+
+    /// Gate indices where `param` occurs in the compact circuit (empty
+    /// when the parameter is absent).
+    pub fn occurrences(&self, param: ParamId) -> &[usize] {
+        let p = param.index();
+        let Some(&end) = self.occurrence_ends.get(p) else {
+            return &[];
+        };
+        let start = p.checked_sub(1).map_or(0, |q| self.occurrence_ends[q]);
+        &self.occurrences[start..end]
+    }
+
+    /// Bit position of each logical qubit in the compact register (for
+    /// [`transpile::remap_counts`]).
+    pub fn logical_bits(&self) -> &[usize] {
+        &self.logical_bits
+    }
+
+    /// Metrics of the transpiled circuit (inputs to Eq. 2).
+    pub fn metrics(&self) -> &CircuitMetrics {
+        &self.metrics
+    }
+
+    /// Locks the compiled template. A lock poisoned by a job that
+    /// panicked mid-compile, -bind or -evolution is recovered with its
+    /// noise token forgotten, so the next job refreshes the program
+    /// instead of reusing it as the panic left it (every bind rewrites
+    /// all rebind slots anyway). Jobs lock through [`TemplateLocks`].
+    fn lock(&self) -> MutexGuard<'_, CompiledTemplate> {
+        self.compiled.lock().unwrap_or_else(|poisoned| {
+            self.compiled.clear_poison();
+            let mut compiled = poisoned.into_inner();
+            compiled.forget_token();
+            compiled
+        })
+    }
+}
+
+/// The prepared templates of one device, shared by all its clones (see
+/// the module docs). Keyed by the logical template circuit, compared
+/// bit for bit; every clone asking for a template gets the same `Arc`.
+///
+/// Like [`SharedNoiseCache`], entries are prepared *under* the cache
+/// lock — exactly one transpile per key even when clones race, so the
+/// `builds`/`hits` totals are deterministic — and never evicted. A
+/// template that does not fit the device is returned as an error and
+/// not cached.
+#[derive(Default)]
+pub struct SharedTemplateCache {
+    state: Mutex<SharedTemplateState>,
+}
+
+#[derive(Default)]
+struct SharedTemplateState {
+    /// `(logical template, prepared entry)`.
+    entries: Vec<(Circuit, Arc<DeviceTemplate>)>,
+    builds: u64,
+    hits: u64,
+}
+
+impl fmt::Debug for SharedTemplateCache {
+    /// Counts only: the entries are the device's, and every clone's
+    /// client already prints the ones it holds.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let s = self.state.lock().expect("shared template lock");
+        f.debug_struct("SharedTemplateCache")
+            .field("entries", &s.entries.len())
+            .field("builds", &s.builds)
+            .field("hits", &s.hits)
+            .finish()
+    }
+}
+
+impl SharedTemplateCache {
+    /// Templates transpiled and prepared so far (telemetry).
+    pub fn builds(&self) -> u64 {
+        self.state.lock().expect("shared template lock").builds
+    }
+
+    /// Lookups served by an existing entry so far (telemetry).
+    pub fn hits(&self) -> u64 {
+        self.state.lock().expect("shared template lock").hits
+    }
+
+    /// The entry for `template`, preparing it with `prepare` on the
+    /// first device-wide request.
+    fn get_or_prepare(
+        &self,
+        template: &Circuit,
+        prepare: impl FnOnce() -> Result<DeviceTemplate, TranspileError>,
+    ) -> Result<Arc<DeviceTemplate>, TranspileError> {
+        let mut s = self.state.lock().expect("shared template lock");
+        if let Some(i) = s
+            .entries
+            .iter()
+            .position(|(key, _)| same_bits(key, template))
+        {
+            s.hits += 1;
+            return Ok(Arc::clone(&s.entries[i].1));
+        }
+        let entry = Arc::new(prepare()?);
+        s.builds += 1;
+        s.entries.push((template.clone(), Arc::clone(&entry)));
+        Ok(entry)
+    }
+}
+
+/// Whether two circuits are the same bits: width, parameter count, and
+/// gate for gate the same kind, operands and angle bits (`0.0` and
+/// `-0.0` differ; `PartialEq` on the angles would merge them).
+fn same_bits(a: &Circuit, b: &Circuit) -> bool {
+    fn angle_bits(angle: Option<Angle>) -> Option<(u8, usize, u64, u64)> {
+        angle.map(|angle| match angle {
+            Angle::Fixed(v) => (0, 0, v.to_bits(), 0),
+            Angle::Sym(p) => (1, p.index(), 0, 0),
+            Angle::Affine { id, scale, offset } => {
+                (2, id.index(), scale.to_bits(), offset.to_bits())
+            }
+        })
+    }
+    a.num_qubits() == b.num_qubits()
+        && a.num_params() == b.num_params()
+        && a.len() == b.len()
+        && a.gates().iter().zip(b.gates()).all(|(x, y)| {
+            std::mem::discriminant(x) == std::mem::discriminant(y)
+                && x.qubits() == y.qubits()
+                && angle_bits(x.angle()) == angle_bits(y.angle())
+        })
+}
+
+/// The distinct [`DeviceTemplate`]s of one job, locked until dropped —
+/// how a client hands its entries to [`QpuBackend::execute_templates`].
+///
+/// Entries are deduplicated by identity ([`Arc::ptr_eq`]), not by the
+/// caller's template index, so a problem that lists one circuit twice
+/// locks its entry once instead of deadlocking on itself. They are
+/// locked in address order, one order for every job, so two jobs whose
+/// slices list shared entries in opposite orders cannot deadlock each
+/// other.
+pub struct TemplateLocks<'a> {
+    /// One guard per distinct entry, in first-appearance order.
+    guards: Vec<MutexGuard<'a, CompiledTemplate>>,
+    slots: Vec<usize>,
+}
+
+impl<'a> TemplateLocks<'a> {
+    /// Locks each distinct entry among `entries` once.
+    pub fn new(entries: impl IntoIterator<Item = &'a Arc<DeviceTemplate>>) -> Self {
+        let mut distinct: Vec<&'a Arc<DeviceTemplate>> = Vec::new();
+        let slots = entries
+            .into_iter()
+            .map(
+                |entry| match distinct.iter().position(|d| Arc::ptr_eq(d, entry)) {
+                    Some(slot) => slot,
+                    None => {
+                        distinct.push(entry);
+                        distinct.len() - 1
+                    }
+                },
+            )
+            .collect();
+        let mut order: Vec<usize> = (0..distinct.len()).collect();
+        order.sort_by_key(|&slot| Arc::as_ptr(distinct[slot]));
+        let mut guards: Vec<Option<MutexGuard<'a, CompiledTemplate>>> =
+            distinct.iter().map(|_| None).collect();
+        for slot in order {
+            guards[slot] = Some(distinct[slot].lock());
+        }
+        TemplateLocks {
+            guards: guards.into_iter().flatten().collect(),
+            slots,
+        }
+    }
+
+    /// Per entry passed to [`TemplateLocks::new`], in order, its slot:
+    /// the index of its distinct entry — the [`TemplateRun::template`]
+    /// of its runs.
+    pub fn slots(&self) -> &[usize] {
+        &self.slots
+    }
+
+    /// The compiled template locked in `slot`.
+    pub fn template(&self, slot: usize) -> &CompiledTemplate {
+        &self.guards[slot]
+    }
+
+    /// Every locked template by slot: the template list of
+    /// [`QpuBackend::execute_templates`].
+    pub fn templates(&mut self) -> Vec<&mut CompiledTemplate> {
+        self.guards.iter_mut().map(|guard| &mut **guard).collect()
+    }
+}
+
 /// Who a backend is: one per [`QpuBackend::new`] (and per
 /// [`QpuBackend::with_recal_jitter`]), shared by every clone.
 #[derive(Debug)]
@@ -354,6 +619,7 @@ struct DeviceIdentity {
     /// Unique per identity — the backend id of every [`NoiseToken`].
     id: u64,
     noise: SharedNoiseCache,
+    templates: SharedTemplateCache,
 }
 
 impl DeviceIdentity {
@@ -362,6 +628,7 @@ impl DeviceIdentity {
         Arc::new(DeviceIdentity {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             noise: SharedNoiseCache::default(),
+            templates: SharedTemplateCache::default(),
         })
     }
 }
@@ -471,7 +738,8 @@ impl QpuBackend {
     ///
     /// The jitter changes the device's noise, so the result is a new
     /// device: a fresh identity (new [`NoiseToken`] id, empty
-    /// [`SharedNoiseCache`]) that no earlier clone shares.
+    /// [`SharedNoiseCache`] and [`SharedTemplateCache`]) that no earlier
+    /// clone shares.
     pub fn with_recal_jitter(mut self, sigma: f64) -> Self {
         self.recal_jitter = sigma.max(0.0);
         self.identity = DeviceIdentity::fresh();
@@ -528,6 +796,28 @@ impl QpuBackend {
     /// [`SharedNoiseCache::hits`]).
     pub fn device_noise_cache(&self) -> &SharedNoiseCache {
         &self.identity.noise
+    }
+
+    /// The device's prepared `template`: transpiled for this topology,
+    /// compacted and wrapped in a [`CompiledTemplate`] on the first
+    /// request of any clone of the device; later requests share that
+    /// entry.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TranspileError`] if the template does not fit the
+    /// device; nothing is cached then.
+    pub fn template(&self, template: &Circuit) -> Result<Arc<DeviceTemplate>, TranspileError> {
+        self.identity.templates.get_or_prepare(template, || {
+            DeviceTemplate::prepare(template, &self.topology)
+        })
+    }
+
+    /// The prepared templates this backend shares with every clone of
+    /// its device (telemetry: [`SharedTemplateCache::builds`] and
+    /// [`SharedTemplateCache::hits`]).
+    pub fn device_template_cache(&self) -> &SharedTemplateCache {
+        &self.identity.templates
     }
 
     /// Fraction of the elapsed virtual timeline the QPU spent executing —
@@ -1316,6 +1606,12 @@ mod tests {
             assert_eq!(be.device_noise_cache().hits(), 0, "{}", be.name());
         }
         assert_ne!(a.noise_token(at).backend, b.noise_token(at).backend);
+        let (ea, eb) = (a.template(&ry_template()), b.template(&ry_template()));
+        assert!(!Arc::ptr_eq(&ea.unwrap(), &eb.unwrap()));
+        for be in [&a, &b] {
+            let cache = be.device_template_cache();
+            assert_eq!((cache.builds(), cache.hits()), (1, 0), "{}", be.name());
+        }
     }
 
     #[test]
@@ -1325,19 +1621,25 @@ mod tests {
         device.execute(&bell_compact(), &[0, 1], 256, at);
         let clone = device.clone();
         assert_eq!(clone.noise_token(at), device.noise_token(at));
+        device.template(&ry_template()).expect("fits");
+        assert_eq!(clone.device_template_cache().builds(), 1);
         let jittered = device.clone().with_recal_jitter(0.5);
         assert_ne!(
             jittered.noise_token(at).backend,
             device.noise_token(at).backend
         );
-        assert_eq!(
+        for (builds, hits) in [
             (
                 jittered.device_noise_cache().builds(),
-                jittered.device_noise_cache().hits()
+                jittered.device_noise_cache().hits(),
             ),
-            (0, 0),
-            "a new device starts with an empty cache"
-        );
+            (
+                jittered.device_template_cache().builds(),
+                jittered.device_template_cache().hits(),
+            ),
+        ] {
+            assert_eq!((builds, hits), (0, 0), "a new device starts empty");
+        }
         assert_eq!(jittered.reported_calibration_builds(), 0);
     }
 
@@ -1382,6 +1684,237 @@ mod tests {
             twins.iter().all(|be| be.device_noise_cache().hits() == 0),
             "a device with one clone has nothing to share"
         );
+    }
+
+    /// `Ry(theta_0)` on qubit 0, then a CX: a one-parameter template
+    /// that fits the 3-qubit line.
+    fn ry_template() -> Circuit {
+        let mut b = CircuitBuilder::new(2);
+        b.ry_sym(0, 0).cx(0, 1);
+        b.build()
+    }
+
+    /// A 3-qubit line whose noise holds still within a calibration
+    /// cycle, so a template's token does too.
+    fn steady_backend(seed: u64) -> QpuBackend {
+        QpuBackend::new(
+            "steady_device",
+            Topology::line(3),
+            Calibration::uniform(3, 90.0, 70.0, 0.001, 0.01, 0.02),
+            DriftModel::none(),
+            QueueModel::light(5.0),
+            24.0,
+            seed,
+        )
+    }
+
+    /// One shift pair and an unshifted run of `entry` as one job.
+    fn template_job(
+        be: &mut QpuBackend,
+        entry: &Arc<DeviceTemplate>,
+        at: SimTime,
+    ) -> (Vec<Counts>, u64) {
+        let occ = entry.occurrences(ParamId(0))[0];
+        let runs = [0.5, -0.5]
+            .map(|d| TemplateRun {
+                template: 0,
+                shift: Some((occ, d)),
+            })
+            .into_iter()
+            .chain([TemplateRun {
+                template: 0,
+                shift: None,
+            }])
+            .collect::<Vec<_>>();
+        let mut locks = TemplateLocks::new([entry]);
+        let (counts, job) = be.execute_templates(&mut locks.templates(), &runs, &[0.4], 256, at);
+        (counts, job.completed.as_secs().to_bits())
+    }
+
+    /// `(compiles, plans, cache_hits)` of an entry's template.
+    fn compile_counts(entry: &DeviceTemplate) -> (u64, u64, u64) {
+        let t = entry.lock();
+        (t.compiles(), t.plans(), t.cache_hits())
+    }
+
+    #[test]
+    fn clones_share_one_entry_per_template() {
+        let device = steady_backend(7);
+        let (mut a, mut b) = (device.clone(), device.clone());
+        let ea = a.template(&ry_template()).expect("fits");
+        let eb = b.template(&ry_template()).expect("fits");
+        assert!(Arc::ptr_eq(&ea, &eb), "clones share the device's entry");
+        let cache = device.device_template_cache();
+        assert_eq!((cache.builds(), cache.hits()), (1, 1));
+        // The key is the circuit's bits: an angle of -0.0 is another
+        // template, though `==` on the angles calls it equal.
+        let signed = |angle: f64| {
+            let mut b = CircuitBuilder::new(2);
+            b.rz(0, angle).ry_sym(0, 0).cx(0, 1);
+            b.build()
+        };
+        assert_eq!(signed(0.0), signed(-0.0));
+        let (plus, minus) = (a.template(&signed(0.0)), a.template(&signed(-0.0)));
+        assert!(!Arc::ptr_eq(&plus.unwrap(), &minus.unwrap()));
+        assert_eq!((cache.builds(), cache.hits()), (3, 1));
+        // Jobs of both clones on the shared entry replay two separately
+        // built twins on their own entries, bit for bit, across the
+        // hour-24 recalibration.
+        let (mut ta, mut tb) = (steady_backend(7), steady_backend(7));
+        let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
+        let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
+        for h in [1.0, 2.0, 25.0] {
+            let at = SimTime::from_hours(h);
+            assert_eq!(
+                template_job(&mut a, &ea, at),
+                template_job(&mut ta, &fa, at)
+            );
+            assert_eq!(
+                template_job(&mut b, &eb, at),
+                template_job(&mut tb, &fb, at)
+            );
+        }
+        // One plan for the device: the second clone's jobs in a cycle
+        // hit what the first clone's compiled.
+        let (compiles, plans, _) = compile_counts(&ea);
+        assert_eq!((compiles, plans), (2, 1), "one compile per cycle");
+    }
+
+    /// Runs `f` on its own thread and returns its result, failing after
+    /// a minute: a lock test that deadlocks fails instead of hanging.
+    fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{what}: {e}"))
+    }
+
+    #[test]
+    fn template_locks_take_each_distinct_entry_once() {
+        // A problem that lists one circuit twice resolves both indices
+        // to one entry; a job over it locks that entry once (a second
+        // lock on one thread would deadlock) and runs both indices from
+        // one slot.
+        let mut device = steady_backend(9);
+        let (first, again) = (
+            device.template(&ry_template()),
+            device.template(&ry_template()),
+        );
+        let (first, again) = (first.expect("fits"), again.expect("fits"));
+        let other = device.template(&bell_compact()).expect("fits");
+        let entries = [&first, &other, &again].map(Arc::clone);
+        let (slots, locked) = within_a_minute("a repeated entry must lock once", move || {
+            let mut locks = TemplateLocks::new(&entries);
+            (locks.slots().to_vec(), locks.templates().len())
+        });
+        assert_eq!((slots, locked), (vec![0, 1, 0], 2));
+        // Slices that list shared entries in opposite orders lock them
+        // in one order, so concurrent jobs cannot deadlock each other.
+        let workers = [[&first, &other], [&other, &first]].map(|order| {
+            let order = order.map(Arc::clone);
+            std::thread::spawn(move || {
+                for _ in 0..2_000 {
+                    let mut locks = TemplateLocks::new(&order);
+                    assert_eq!(locks.templates().len(), 2);
+                }
+            })
+        });
+        within_a_minute("opposite slice orders must not deadlock", move || {
+            for worker in workers {
+                worker.join().expect("no panic");
+            }
+        });
+        let (counts, _) = template_job(&mut device, &again, SimTime::from_hours(1.0));
+        assert_eq!(counts.len(), 3);
+    }
+
+    #[test]
+    fn a_job_takes_its_entries_before_the_noise_lock() {
+        let device = small_backend(13);
+        let entry = device.template(&ry_template()).expect("fits");
+        let noise = device.identity.noise.state.lock().expect("noise lock");
+        // With the noise lock held, a clone still fetches and locks the
+        // entry: taking an entry never waits on the noise cache.
+        let clone = device.clone();
+        let again = within_a_minute("an entry must not wait on noise", move || {
+            let again = clone.template(&ry_template()).expect("fits");
+            drop(TemplateLocks::new([&again]));
+            again
+        });
+        assert!(Arc::ptr_eq(&entry, &again));
+        // A job locks its entry first, then waits for the noise lock on
+        // its first use of the cycle.
+        let job = {
+            let (mut be, entry) = (device.clone(), Arc::clone(&entry));
+            std::thread::spawn(move || template_job(&mut be, &entry, SimTime::from_hours(1.0)))
+        };
+        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+        while entry.compiled.try_lock().is_ok() {
+            assert!(
+                std::time::Instant::now() < deadline,
+                "the job never took its entry"
+            );
+            std::thread::yield_now();
+        }
+        std::thread::sleep(std::time::Duration::from_millis(20));
+        assert!(
+            !job.is_finished(),
+            "the job holds its entry and waits for noise"
+        );
+        drop(noise);
+        let (counts, _) = job.join().expect("the job completes");
+        assert_eq!(counts.len(), 3);
+        assert!(!entry.compiled.is_poisoned());
+    }
+
+    #[test]
+    fn a_poisoned_entry_is_refreshed_not_reused() {
+        let (mut device, mut twin) = (steady_backend(17), steady_backend(17));
+        let entry = device.template(&ry_template()).expect("fits");
+        let fresh = twin.template(&ry_template()).expect("fits");
+        let at = SimTime::from_hours(1.0);
+        assert_eq!(
+            template_job(&mut device, &entry, at),
+            template_job(&mut twin, &fresh, at)
+        );
+        let (compiles, plans, _) = compile_counts(&entry);
+        // A job panics with the entry locked, after scribbling on it.
+        let poisoner = Arc::clone(&entry);
+        let panicked = std::panic::catch_unwind(move || {
+            let mut template = poisoner.lock();
+            template.bind(&[9.9], None);
+            panic!("a job panics mid-bind");
+        });
+        assert!(panicked.is_err() && entry.compiled.is_poisoned());
+        // Same token as the last job, so only the forgotten token makes
+        // the next job refresh: a compile, not a plan and not a hit.
+        let next = SimTime::from_hours(2.0);
+        assert_eq!(
+            template_job(&mut device, &entry, next),
+            template_job(&mut twin, &fresh, next)
+        );
+        assert!(!entry.compiled.is_poisoned(), "recovered once");
+        let (after, after_plans, _) = compile_counts(&entry);
+        assert_eq!((after, after_plans), (compiles + 1, plans));
+        assert_eq!(compile_counts(&fresh).0, compiles, "the twin hit");
+    }
+
+    #[test]
+    fn a_template_that_does_not_fit_is_an_error_and_not_cached() {
+        let device = steady_backend(19);
+        let mut b = CircuitBuilder::new(4);
+        b.ry_sym(0, 0).cx(0, 1).cx(1, 2).cx(2, 3);
+        let wide = b.build();
+        for _ in 0..2 {
+            assert!(
+                device.template(&wide).is_err(),
+                "4 qubits on a 3-qubit line"
+            );
+        }
+        let cache = device.device_template_cache();
+        assert_eq!((cache.builds(), cache.hits()), (0, 0));
+        device.template(&ry_template()).expect("fits");
+        assert_eq!((cache.builds(), cache.hits()), (1, 0));
     }
 
     /// A GHZ chain one qubit wider than the density engine takes, laid

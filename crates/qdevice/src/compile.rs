@@ -372,11 +372,26 @@ pub fn compile_bound(circuit: &Circuit, noise: &NoiseModel) -> CompiledProgram {
     Plan::new(circuit, noise).program
 }
 
+/// What one [`CompiledTemplate::ensure_compiled`] call did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Compile {
+    /// The program already matched the token: nothing rebuilt.
+    Hit,
+    /// A token miss on a plan that still holds: numbers re-derived in
+    /// place.
+    Refresh,
+    /// The structure was planned: the first compile, or noise that no
+    /// longer fits the plan.
+    Plan,
+}
+
 /// A symbolic circuit template planned once and refreshed per noise
-/// token — the unit the ensemble clients cache.
+/// token — the unit a device caches per problem template.
 ///
-/// Created once per (template, device) pair from the transpiled compact
-/// circuit and its active physical qubits. On each job the backend calls
+/// Created once per (template, device) from the transpiled compact
+/// circuit and its active physical qubits; every clone of the device
+/// shares it (see [`crate::backend::DeviceTemplate`]). On each job the
+/// backend calls
 /// [`CompiledTemplate::ensure_compiled`] with the noise of the moment. A
 /// matching [`NoiseToken`] is a cache hit (nothing rebuilt). A mismatch
 /// — on a drifting device, every job — is a *compile*: the structure
@@ -455,21 +470,34 @@ impl CompiledTemplate {
     /// matches `token`. On a token miss a program whose plan still
     /// holds under `noise` is refreshed in place; anything else is
     /// planned anew. Either way the result equals, bit for bit, a fresh
-    /// template compiled against `noise`.
-    pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) {
+    /// template compiled against `noise`. Returns which of the three it
+    /// did.
+    pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) -> Compile {
         if self.token == Some(token) {
             self.cache_hits += 1;
-            return;
+            return Compile::Hit;
         }
-        match &mut self.plan {
-            Some(plan) if plan.holds(noise) => plan.refresh(noise),
+        let outcome = match &mut self.plan {
+            Some(plan) if plan.holds(noise) => {
+                plan.refresh(noise);
+                Compile::Refresh
+            }
             _ => {
                 self.plan = Some(Plan::new(&self.circuit, noise));
                 self.plans += 1;
+                Compile::Plan
             }
-        }
+        };
         self.token = Some(token);
         self.compiles += 1;
+        outcome
+    }
+
+    /// Forgets the noise token the program was compiled for, so the
+    /// next [`CompiledTemplate::ensure_compiled`] refreshes (or plans)
+    /// instead of trusting the program as it is.
+    pub(crate) fn forget_token(&mut self) {
+        self.token = None;
     }
 
     /// Resolves every parameterized gate against `params`, adding
@@ -819,12 +847,12 @@ mod tests {
         let noise = noisy_model(2);
         let mut compiled = CompiledTemplate::new(ansatz(2), vec![0, 1]);
         let t0 = NoiseToken::new(7, 0, 1.0, 1.0);
-        compiled.ensure_compiled(&noise, t0);
-        compiled.ensure_compiled(&noise, t0);
+        assert_eq!(compiled.ensure_compiled(&noise, t0), Compile::Plan);
+        assert_eq!(compiled.ensure_compiled(&noise, t0), Compile::Hit);
         assert_eq!(compiled.compiles(), 1);
         assert_eq!(compiled.cache_hits(), 1);
         let t1 = NoiseToken::new(7, 1, 1.0, 1.0);
-        compiled.ensure_compiled(&noise, t1);
+        assert_eq!(compiled.ensure_compiled(&noise, t1), Compile::Refresh);
         assert_eq!(compiled.compiles(), 2, "new cycle must recompile");
         let drifted = NoiseToken::new(7, 1, 1.25, 1.0);
         compiled.ensure_compiled(&noise, drifted);

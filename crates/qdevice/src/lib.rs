@@ -43,11 +43,14 @@ pub mod multiprog;
 pub mod noise_model;
 pub mod queue;
 
-pub use backend::{JobResult, QpuBackend, SharedNoiseCache, TemplateRun};
+pub use backend::{
+    DeviceTemplate, JobResult, QpuBackend, SharedNoiseCache, SharedTemplateCache, TemplateLocks,
+    TemplateRun,
+};
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};
 pub use clock::SimTime;
-pub use compile::{compile_bound, CompiledTemplate, NoiseToken};
+pub use compile::{compile_bound, Compile, CompiledTemplate, NoiseToken};
 pub use drift::{DriftEpisode, DriftModel};
 pub use error::DeviceError;
 pub use multiprog::{split as multiprogram_split, MultiprogramConfig, ProgramSlot};

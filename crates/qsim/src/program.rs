@@ -142,7 +142,7 @@ enum Member {
 /// [`ProgramBuilder`]; every fill of the fused table — the builder's own
 /// and each [`CompiledProgram::refresh`] — lowers the members and
 /// multiplies the runs in this order, so it is one arithmetic whoever
-/// runs it. Kept small: a fleet holds one per (template, device) pair.
+/// runs it. Kept small: a fleet holds one per (device, template).
 #[derive(Clone, Debug, Default)]
 struct FusionPlan {
     /// Every distinct fixed op of a fused run, each once, in first-use

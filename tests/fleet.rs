@@ -259,6 +259,87 @@ fn ideal_slots_of_mixed_widths_are_separate_devices() {
 }
 
 #[test]
+fn co_tenants_share_each_devices_templates() {
+    // Three tenants on one problem: each device transpiles and plans
+    // each template once, for the first tenant's clone, and hands the
+    // same entry to the other two. Sharing must not show in any result:
+    // on the byte-isolated substrates each report is its standalone
+    // `Ensemble::train`; on the shared substrate the tenants contend
+    // for the ledgers by design, so there the oracle is a replay.
+    let problem = VqeProblem::h2();
+    let configs = [7, 8, 9].map(|seed| {
+        EqcConfig::paper_vqe()
+            .with_epochs(3)
+            .with_shots(128)
+            .with_seed(seed)
+    });
+    // `.devices(fleet_devices()).device_seed(7)`, built fresh per run so
+    // every run starts from empty caches.
+    let devices = || -> Vec<QpuBackend> {
+        fleet_devices()
+            .into_iter()
+            .zip(7..)
+            .map(|(name, seed)| catalog::by_name(name).expect("catalog").backend(seed))
+            .collect()
+    };
+    let run = |fleet_builder: FleetBuilder| {
+        let devices = devices();
+        let mut fleet = devices
+            .iter()
+            .fold(fleet_builder, |b, d| b.backend(d.clone()))
+            .arbiter(Unshared)
+            .build()
+            .expect("builds");
+        for config in configs {
+            fleet
+                .admit(&problem, TenantConfig::new(config))
+                .expect("admits");
+        }
+        let outcome = fleet.run().expect("runs");
+        let per_device = problem.templates().len() as u64;
+        for d in &devices {
+            let cache = d.device_template_cache();
+            assert_eq!(
+                (cache.builds(), cache.hits()),
+                (per_device, 2 * per_device),
+                "1 build and 2 hits per (device, template) on {}",
+                d.name()
+            );
+        }
+        outcome
+    };
+    let standalone: Vec<String> = configs
+        .iter()
+        .map(|&config| {
+            let report = devices()
+                .into_iter()
+                .fold(Ensemble::builder(), |b, d| b.backend(d))
+                .config(config)
+                .build()
+                .expect("builds")
+                .train(&problem)
+                .expect("trains");
+            format!("{report:?}")
+        })
+        .collect();
+    for (name, fleet_builder) in [
+        ("discrete-event", FleetRuntime::builder()),
+        ("pooled", FleetRuntime::builder().pooled_workers(2)),
+    ] {
+        let outcome = run(fleet_builder);
+        let reports: Vec<String> = outcome.reports.iter().map(|r| format!("{r:?}")).collect();
+        assert_eq!(reports, standalone, "{name} fleet vs standalone sessions");
+    }
+    let shared = run(FleetRuntime::builder().shared());
+    assert!(shared.reports.iter().all(|r| r.epochs == 3));
+    assert_eq!(
+        format!("{shared:?}"),
+        format!("{:?}", run(FleetRuntime::builder().shared())),
+        "the shared run replays"
+    );
+}
+
+#[test]
 fn fair_share_splits_capacity_by_weight() {
     // Two identical tenants, weights 3:1, on a fleet they each could
     // saturate: the heavy tenant must hold more concurrent capacity,
