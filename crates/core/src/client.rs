@@ -10,10 +10,11 @@
 //! together with the device's current `P_correct`.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
-//! transpilation and compiled program belong to the device: the client
-//! fetches each template's [`DeviceTemplate`] from its backend, which
-//! prepares it on the first request of any clone of the device and
-//! shares it with the rest (see
+//! compiled program belongs to the device and its transpilation to the
+//! device's architecture: the client fetches each template's
+//! [`DeviceTemplate`] from its backend, which prepares it on the first
+//! request of any clone of the device — over the transpile of the first
+//! device on its coupling map — and shares it with the rest (see
 //! [`qdevice::backend`](mod@qdevice::backend)). A task locks its
 //! slice's distinct entries for the one job it submits. The simulator
 //! belongs to the executing thread, not to the client's backend.

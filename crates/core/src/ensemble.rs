@@ -136,6 +136,12 @@ pub(crate) enum DeviceChoice {
 /// xors `0x5eed`). One resolution path for ensembles and fleets, so a
 /// single-tenant fleet sees byte-identical devices to a standalone
 /// ensemble built from the same requests.
+///
+/// The backends minted here share their architectures
+/// ([`QpuBackend::share_architectures`]): devices on one coupling map
+/// transpile each template once between them. A custom backend shares
+/// too unless it is cloned elsewhere; the scope is this call, so a
+/// later build transpiles afresh and nothing outlives its devices.
 pub(crate) fn resolve_devices(
     choices: Vec<DeviceChoice>,
     device_seed: u64,
@@ -160,12 +166,17 @@ pub(crate) fn resolve_devices(
             },
         });
     }
+    QpuBackend::share_architectures(devices.iter_mut().filter_map(|d| match d {
+        Device::Backend(b) => Some(&mut **b),
+        Device::Ideal { .. } => None,
+    }));
     Ok(devices)
 }
 
 /// One client per device slot over the slot's prepared templates of
-/// `problem` (transpiled on the device's first request) — the
-/// client-construction path shared by [`Ensemble::session`] and
+/// `problem` (prepared on the device's first request, transpiled on its
+/// architecture's first) — the client-construction path shared by
+/// [`Ensemble::session`] and
 /// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit).
 pub(crate) fn clients_for(
     devices: &[Device],

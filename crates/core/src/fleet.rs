@@ -1064,17 +1064,26 @@ impl OccupancyTracker {
     }
 }
 
-/// Refreshes the occupancy view of every lane whose scheduler actually
-/// consults queue estimates. Lanes under estimate-free schedulers (the
-/// paper's cyclic default) are never touched — their decision sequence,
-/// and hence the zero-load single-tenant oracle, stays byte-exact.
-fn refresh_occupancy(lanes: &mut [Lane<'_, '_>], tracker: &mut OccupancyTracker) {
+/// Refreshes the fleet view ahead of a step whenever a live lane's
+/// scheduler consults queue estimates, and installs it into the
+/// `acting` lanes — the ones the step activates or absorbs into, the
+/// only lanes that can consult [`MasterLoop::pick_client`] before
+/// [`grant`] re-installs the view ahead of each of its picks. Lanes
+/// under estimate-free schedulers (the paper's cyclic default) are
+/// never touched — their decision sequence, and hence the zero-load
+/// single-tenant oracle, stays byte-exact.
+fn refresh_occupancy(
+    lanes: &mut [Lane<'_, '_>],
+    tracker: &mut OccupancyTracker,
+    acting: impl IntoIterator<Item = usize>,
+) {
     if !lanes.iter().any(|l| !l.done && l.master.wants_occupancy()) {
         return;
     }
     let view = tracker.refresh();
-    for lane in lanes.iter_mut().filter(|l| !l.done) {
-        if lane.master.wants_occupancy() {
+    for t in acting {
+        let lane = &mut lanes[t];
+        if !lane.done && lane.master.wants_occupancy() {
             lane.master.install_fleet_occupancy(view, lane.offset_s);
         }
     }
@@ -1467,7 +1476,13 @@ pub(crate) fn drive(
                 continue;
             }
             if let Some(tracker) = tracker.as_deref_mut() {
-                refresh_occupancy(lanes, tracker);
+                match arrival {
+                    Some(at_s) => {
+                        let due = arrivals.iter().take_while(|a| a.at_s <= at_s);
+                        refresh_occupancy(lanes, tracker, due.map(|a| a.lane));
+                    }
+                    None => refresh_occupancy(lanes, tracker, next_event.map(|(t, _)| t)),
+                }
             }
             if arrival.is_some() {
                 activate_due(lanes, arrivals, clock, on_retire)?;

@@ -15,7 +15,9 @@
 //!    name, custom [`QpuBackend`](qdevice::QpuBackend)s, or the ideal
 //!    simulator — plus an [`EqcConfig`] and seeds;
 //! 2. [`Ensemble::session`] binds a [`VqaProblem`](vqa::VqaProblem)
-//!    (each device transpiles the problem's templates once — Algorithm 2);
+//!    (each device prepares the problem's templates once — Algorithm 2 —
+//!    and the devices built on one coupling map transpile them once
+//!    between them);
 //! 3. an [`Executor`] drains the session into a [`TrainingReport`].
 //!
 //! ```

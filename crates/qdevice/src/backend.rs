@@ -34,10 +34,10 @@
 //! device's identity: the id in its [`NoiseToken`]s, one
 //! [`SharedNoiseCache`] of the per-cycle noise artifacts and one
 //! [`SharedTemplateCache`] of prepared problem templates. A fleet's
-//! (tenant × device) clones thus build each noise artifact and
-//! transpile and plan each template once per device, with nothing to
-//! attach. Only two things give a backend a fresh identity:
-//! [`QpuBackend::new`] (two backends built alike share nothing) and
+//! (tenant × device) clones thus build each noise artifact and plan
+//! each template once per device, with nothing to attach. Only two
+//! things give a backend a fresh identity: [`QpuBackend::new`] (two
+//! backends built alike share nothing) and
 //! [`QpuBackend::with_recal_jitter`], which changes the noise. Each
 //! clone keeps its own cache of the current cycle in front of the
 //! shared noise cache, so it takes the shared lock only on its first
@@ -56,6 +56,27 @@
 //! its entries' locks first — each distinct entry once, in address
 //! order — and the noise cache's and the queue ledger's locks only
 //! under them; neither of those is ever held while an entry is locked.
+//!
+//! ## Transpile output belongs to the architecture
+//!
+//! Of what a device derives from a template, only the plan and its
+//! numbers depend on the device's noise. The compact circuit, the
+//! active physical qubits, the occurrence lists, the logical bit order
+//! and the Eq. 2 metrics are a pure function of (template,
+//! [`Topology`]) — the paper's "architecture and transpilation" input,
+//! apart from its "runtime conditions". They live in one entry of an
+//! [`ArchitectureTemplates`] cache, keyed like the device's by the
+//! template's bits, and every device of the architecture holds that
+//! entry by `Arc`; only its [`CompiledTemplate`]'s plan, numbers and
+//! token are its own. The cache is shared by the devices minted
+//! together ([`QpuBackend::share_architectures`]: one ensemble or
+//! fleet) whose topologies are equal as values — name included, since
+//! the router treats topologies named `full*` apart — so a fleet
+//! transpiles each template once per coupling map, not once per
+//! device. [`QpuBackend::with_recal_jitter`] keeps the architecture
+//! cache: jitter moves the noise, not the coupling map. Lock order: a
+//! device's template cache lock first, then the architecture cache's,
+//! never the reverse; jobs never take the architecture lock.
 //!
 //! ## One booking entry
 //!
@@ -364,15 +385,19 @@ impl SharedNoiseCache {
     }
 }
 
-/// One problem template prepared for one device, shared by all its
-/// clones (see the module docs). Only the compiled template changes
-/// after preparation, so it alone sits behind a lock.
-#[derive(Debug)]
-pub struct DeviceTemplate {
-    /// Compiled form of the compacted symbolic physical circuit: the
-    /// op-tape planned once, its channel numbers refreshed per noise
-    /// token, its rotations rebound per job.
-    compiled: Mutex<CompiledTemplate>,
+/// One problem template transpiled for one architecture: everything a
+/// device derives from the template that depends on the coupling map
+/// alone (see the module docs), shared by every device of the
+/// architecture through its [`ArchitectureTemplates`].
+struct ArchitectureTemplate {
+    /// The logical template: the key of this entry and of every
+    /// device's [`DeviceTemplate`] built from it.
+    template: Circuit,
+    /// The compacted symbolic physical circuit and the physical qubit
+    /// behind each compact qubit: what each device's
+    /// [`CompiledTemplate`] plans from, held by `Arc` there too.
+    circuit: Arc<Circuit>,
+    active_physical: Arc<[usize]>,
     /// Gate indices of the parameters' occurrences in the compact
     /// circuit, parameter after parameter: two allocations per entry
     /// instead of one per parameter.
@@ -386,10 +411,10 @@ pub struct DeviceTemplate {
     metrics: CircuitMetrics,
 }
 
-impl DeviceTemplate {
+impl ArchitectureTemplate {
     /// Transpiles `template` for `topology` and compacts it. The
     /// transpiler's full-register circuit and layouts are dropped here.
-    fn prepare(template: &Circuit, topology: &Topology) -> Result<Self, TranspileError> {
+    fn transpile(template: &Circuit, topology: &Topology) -> Result<Self, TranspileError> {
         let transpiled = transpile(template, topology, &TranspileOptions::default())?;
         let (compact, logical_bits) = transpiled.compact_for_simulation()?;
         // The transpiler must preserve parameter occurrences, or the
@@ -411,35 +436,81 @@ impl DeviceTemplate {
             occurrences.extend(compact.occurrences_of(ParamId(p)));
             occurrence_ends.push(occurrences.len());
         }
-        Ok(DeviceTemplate {
-            compiled: Mutex::new(CompiledTemplate::new(compact, transpiled.active_qubits())),
+        Ok(ArchitectureTemplate {
+            template: template.clone(),
+            circuit: Arc::new(compact),
+            active_physical: transpiled.active_qubits().into(),
             occurrences,
             occurrence_ends,
             logical_bits,
             metrics: transpiled.metrics,
         })
     }
+}
+
+/// One problem template prepared for one device, shared by all its
+/// clones (see the module docs): the architecture's transpiled entry
+/// and the device's own compiled template, which alone changes after
+/// preparation and so alone sits behind a lock.
+pub struct DeviceTemplate {
+    /// Compiled form of the compacted symbolic physical circuit: the
+    /// op-tape planned once, its channel numbers refreshed per noise
+    /// token, its rotations rebound per job.
+    compiled: Mutex<CompiledTemplate>,
+    architecture: Arc<ArchitectureTemplate>,
+}
+
+impl fmt::Debug for DeviceTemplate {
+    /// The compiled template (whose circuit is the compact one) and the
+    /// architecture's figures — the logical template and a second copy
+    /// of the compact circuit's `Arc` are left out.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let a = &*self.architecture;
+        f.debug_struct("DeviceTemplate")
+            .field("compiled", &self.compiled)
+            .field("occurrences", &a.occurrences)
+            .field("occurrence_ends", &a.occurrence_ends)
+            .field("logical_bits", &a.logical_bits)
+            .field("metrics", &a.metrics)
+            .finish()
+    }
+}
+
+impl DeviceTemplate {
+    /// A device's entry over the architecture's: a compiled template
+    /// not yet planned.
+    fn new(architecture: Arc<ArchitectureTemplate>) -> Self {
+        let compiled = CompiledTemplate::shared(
+            Arc::clone(&architecture.circuit),
+            Arc::clone(&architecture.active_physical),
+        );
+        DeviceTemplate {
+            compiled: Mutex::new(compiled),
+            architecture,
+        }
+    }
 
     /// Gate indices where `param` occurs in the compact circuit (empty
     /// when the parameter is absent).
     pub fn occurrences(&self, param: ParamId) -> &[usize] {
+        let a = &*self.architecture;
         let p = param.index();
-        let Some(&end) = self.occurrence_ends.get(p) else {
+        let Some(&end) = a.occurrence_ends.get(p) else {
             return &[];
         };
-        let start = p.checked_sub(1).map_or(0, |q| self.occurrence_ends[q]);
-        &self.occurrences[start..end]
+        let start = p.checked_sub(1).map_or(0, |q| a.occurrence_ends[q]);
+        &a.occurrences[start..end]
     }
 
     /// Bit position of each logical qubit in the compact register (for
     /// [`transpile::remap_counts`]).
     pub fn logical_bits(&self) -> &[usize] {
-        &self.logical_bits
+        &self.architecture.logical_bits
     }
 
     /// Metrics of the transpiled circuit (inputs to Eq. 2).
     pub fn metrics(&self) -> &CircuitMetrics {
-        &self.metrics
+        &self.architecture.metrics
     }
 
     /// Locks the compiled template. A lock poisoned by a job that
@@ -457,43 +528,80 @@ impl DeviceTemplate {
     }
 }
 
-/// The prepared templates of one device, shared by all its clones (see
-/// the module docs). Keyed by the logical template circuit, compared
-/// bit for bit; every clone asking for a template gets the same `Arc`.
+/// The entries of a template cache, one per logical template (compared
+/// bit for bit), and its counters.
 ///
-/// Like [`SharedNoiseCache`], entries are prepared *under* the cache
-/// lock — exactly one transpile per key even when clones race, so the
-/// `builds`/`hits` totals are deterministic — and never evicted. A
-/// template that does not fit the device is returned as an error and
-/// not cached.
-#[derive(Default)]
-pub struct SharedTemplateCache {
-    state: Mutex<SharedTemplateState>,
-}
-
-#[derive(Default)]
-struct SharedTemplateState {
-    /// `(logical template, prepared entry)`.
-    entries: Vec<(Circuit, Arc<DeviceTemplate>)>,
+/// Entries are built *under* the cache's lock — exactly one build per
+/// key even when callers race, so the `builds`/`hits` totals are
+/// deterministic — and never evicted. A build that fails is returned
+/// as its error and not cached.
+struct TemplateEntries<T> {
+    entries: Vec<Arc<T>>,
     builds: u64,
     hits: u64,
 }
 
-impl fmt::Debug for SharedTemplateCache {
-    /// Counts only: the entries are the device's, and every clone's
-    /// client already prints the ones it holds.
+impl<T> Default for TemplateEntries<T> {
+    fn default() -> Self {
+        TemplateEntries {
+            entries: Vec::new(),
+            builds: 0,
+            hits: 0,
+        }
+    }
+}
+
+impl<T> TemplateEntries<T> {
+    /// The entry whose `key` is `template`, built with `build` on the
+    /// first request.
+    fn get_or_build(
+        &mut self,
+        template: &Circuit,
+        key: impl Fn(&T) -> &Circuit,
+        build: impl FnOnce() -> Result<T, TranspileError>,
+    ) -> Result<Arc<T>, TranspileError> {
+        if let Some(entry) = self.entries.iter().find(|e| same_bits(key(e), template)) {
+            self.hits += 1;
+            return Ok(Arc::clone(entry));
+        }
+        let entry = Arc::new(build()?);
+        self.builds += 1;
+        self.entries.push(Arc::clone(&entry));
+        Ok(entry)
+    }
+}
+
+impl<T> fmt::Debug for TemplateEntries<T> {
+    /// Counts only: every device's client already prints the entries
+    /// it holds.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = self.state.lock().expect("shared template lock");
-        f.debug_struct("SharedTemplateCache")
-            .field("entries", &s.entries.len())
-            .field("builds", &s.builds)
-            .field("hits", &s.hits)
+        f.debug_struct("TemplateEntries")
+            .field("entries", &self.entries.len())
+            .field("builds", &self.builds)
+            .field("hits", &self.hits)
             .finish()
     }
 }
 
+/// The prepared templates of one device, shared by all its clones (see
+/// the module docs): one [`DeviceTemplate`] per logical template,
+/// compared bit for bit; every clone asking for a template gets the
+/// same `Arc`. Preparing an entry transpiles nothing the device's
+/// [`ArchitectureTemplates`] already holds.
+///
+/// Like [`SharedNoiseCache`], entries are prepared *under* the cache
+/// lock — exactly one per key even when clones race, so the
+/// `builds`/`hits` totals are deterministic — and never evicted. A
+/// template that does not fit the device is returned as an error and
+/// not cached.
+#[derive(Debug, Default)]
+pub struct SharedTemplateCache {
+    state: Mutex<TemplateEntries<DeviceTemplate>>,
+}
+
 impl SharedTemplateCache {
-    /// Templates transpiled and prepared so far (telemetry).
+    /// Templates prepared for the device so far — one per (device,
+    /// template) (telemetry).
     pub fn builds(&self) -> u64 {
         self.state.lock().expect("shared template lock").builds
     }
@@ -503,26 +611,66 @@ impl SharedTemplateCache {
         self.state.lock().expect("shared template lock").hits
     }
 
-    /// The entry for `template`, preparing it with `prepare` on the
-    /// first device-wide request.
+    /// The entry for `template`, preparing it over the architecture's
+    /// entry on the first device-wide request. The architecture's lock
+    /// is taken under this cache's, never the reverse.
     fn get_or_prepare(
         &self,
         template: &Circuit,
-        prepare: impl FnOnce() -> Result<DeviceTemplate, TranspileError>,
+        architecture: &ArchitectureTemplates,
+        topology: &Topology,
     ) -> Result<Arc<DeviceTemplate>, TranspileError> {
         let mut s = self.state.lock().expect("shared template lock");
-        if let Some(i) = s
-            .entries
-            .iter()
-            .position(|(key, _)| same_bits(key, template))
-        {
-            s.hits += 1;
-            return Ok(Arc::clone(&s.entries[i].1));
-        }
-        let entry = Arc::new(prepare()?);
-        s.builds += 1;
-        s.entries.push((template.clone(), Arc::clone(&entry)));
-        Ok(entry)
+        s.get_or_build(
+            template,
+            |entry| &entry.architecture.template,
+            || {
+                Ok(DeviceTemplate::new(
+                    architecture.get_or_transpile(template, topology)?,
+                ))
+            },
+        )
+    }
+}
+
+/// The transpiled templates of one architecture, shared by the devices
+/// minted together on an equal [`Topology`] (see the module docs): one
+/// transpile per (architecture, template), where a
+/// [`SharedTemplateCache`] counts one preparation per (device,
+/// template). Entries are keyed, built and kept like the device
+/// cache's; a template that does not fit is an error and not cached.
+#[derive(Debug, Default)]
+pub struct ArchitectureTemplates {
+    state: Mutex<TemplateEntries<ArchitectureTemplate>>,
+}
+
+impl ArchitectureTemplates {
+    /// Templates transpiled for the architecture so far (telemetry).
+    pub fn transpiles(&self) -> u64 {
+        self.state
+            .lock()
+            .expect("architecture template lock")
+            .builds
+    }
+
+    /// Lookups served by an existing entry so far (telemetry).
+    pub fn hits(&self) -> u64 {
+        self.state.lock().expect("architecture template lock").hits
+    }
+
+    /// The entry for `template`, transpiling it for `topology` on the
+    /// first request of any device of the architecture.
+    fn get_or_transpile(
+        &self,
+        template: &Circuit,
+        topology: &Topology,
+    ) -> Result<Arc<ArchitectureTemplate>, TranspileError> {
+        let mut s = self.state.lock().expect("architecture template lock");
+        s.get_or_build(
+            template,
+            |entry| &entry.template,
+            || ArchitectureTemplate::transpile(template, topology),
+        )
     }
 }
 
@@ -620,15 +768,19 @@ struct DeviceIdentity {
     id: u64,
     noise: SharedNoiseCache,
     templates: SharedTemplateCache,
+    /// The transpiled templates of the device's architecture, shared
+    /// with the devices it was minted with.
+    architecture: Arc<ArchitectureTemplates>,
 }
 
 impl DeviceIdentity {
-    fn fresh() -> Arc<Self> {
+    fn fresh(architecture: Arc<ArchitectureTemplates>) -> Arc<Self> {
         static NEXT_ID: AtomicU64 = AtomicU64::new(0);
         Arc::new(DeviceIdentity {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             noise: SharedNoiseCache::default(),
             templates: SharedTemplateCache::default(),
+            architecture,
         })
     }
 }
@@ -705,7 +857,7 @@ impl QpuBackend {
             downtime_hours: 0.25,
             recal_jitter: 0.12,
             seed,
-            identity: DeviceIdentity::fresh(),
+            identity: DeviceIdentity::fresh(Arc::default()),
             rng: StdRng::seed_from_u64(seed),
             busy_until: SimTime::ZERO,
             jobs_executed: 0,
@@ -739,10 +891,11 @@ impl QpuBackend {
     /// The jitter changes the device's noise, so the result is a new
     /// device: a fresh identity (new [`NoiseToken`] id, empty
     /// [`SharedNoiseCache`] and [`SharedTemplateCache`]) that no earlier
-    /// clone shares.
+    /// clone shares. The coupling map is unchanged, so it keeps its
+    /// [`ArchitectureTemplates`].
     pub fn with_recal_jitter(mut self, sigma: f64) -> Self {
         self.recal_jitter = sigma.max(0.0);
-        self.identity = DeviceIdentity::fresh();
+        self.identity = DeviceIdentity::fresh(Arc::clone(&self.identity.architecture));
         self.noise_cache = NoiseCache::default();
         self
     }
@@ -798,19 +951,21 @@ impl QpuBackend {
         &self.identity.noise
     }
 
-    /// The device's prepared `template`: transpiled for this topology,
-    /// compacted and wrapped in a [`CompiledTemplate`] on the first
-    /// request of any clone of the device; later requests share that
-    /// entry.
+    /// The device's prepared `template`: wrapped in a
+    /// [`CompiledTemplate`] on the first request of any clone of the
+    /// device, over the architecture's entry — transpiled for this
+    /// topology and compacted on the first request of any device that
+    /// shares the architecture; later requests share those entries.
     ///
     /// # Errors
     ///
     /// Returns [`TranspileError`] if the template does not fit the
-    /// device; nothing is cached then.
+    /// device; nothing is cached then, at either level.
     pub fn template(&self, template: &Circuit) -> Result<Arc<DeviceTemplate>, TranspileError> {
-        self.identity.templates.get_or_prepare(template, || {
-            DeviceTemplate::prepare(template, &self.topology)
-        })
+        let identity = &*self.identity;
+        identity
+            .templates
+            .get_or_prepare(template, &identity.architecture, &self.topology)
     }
 
     /// The prepared templates this backend shares with every clone of
@@ -818,6 +973,42 @@ impl QpuBackend {
     /// [`SharedTemplateCache::hits`]).
     pub fn device_template_cache(&self) -> &SharedTemplateCache {
         &self.identity.templates
+    }
+
+    /// The transpiled templates this backend shares with every device
+    /// of its architecture (telemetry: [`ArchitectureTemplates::transpiles`]
+    /// and [`ArchitectureTemplates::hits`]).
+    pub fn architecture_templates(&self) -> &ArchitectureTemplates {
+        &self.identity.architecture
+    }
+
+    /// Makes the devices minted together share their architectures:
+    /// each backend that no other holds a clone of takes the
+    /// [`ArchitectureTemplates`] of the first earlier such backend whose
+    /// topology equals its own, name included, so one transpile per
+    /// (coupling map, template) serves them all. A backend already
+    /// cloned elsewhere keeps its own cache — its clones were not minted
+    /// here — and no backend joins a cache that something outside the
+    /// call holds too, so nothing outlives the devices passed in.
+    /// Sharing never changes a result: an architecture entry is a pure
+    /// function of (template, topology).
+    pub fn share_architectures<'a>(backends: impl IntoIterator<Item = &'a mut QpuBackend>) {
+        let mut firsts: Vec<&'a QpuBackend> = Vec::new();
+        for backend in backends {
+            let Some(identity) = Arc::get_mut(&mut backend.identity) else {
+                continue;
+            };
+            match firsts
+                .iter()
+                .find(|first| first.topology == backend.topology)
+            {
+                Some(first) => {
+                    identity.architecture = Arc::clone(&first.identity.architecture);
+                }
+                None if Arc::strong_count(&identity.architecture) == 1 => firsts.push(backend),
+                None => {}
+            }
+        }
     }
 
     /// Fraction of the elapsed virtual timeline the QPU spent executing —
@@ -1641,6 +1832,19 @@ mod tests {
             assert_eq!((builds, hits), (0, 0), "a new device starts empty");
         }
         assert_eq!(jittered.reported_calibration_builds(), 0);
+        // The coupling map is the same: the new device prepares its own
+        // entry over the architecture's transpile.
+        let architecture = jittered.architecture_templates();
+        assert!(std::ptr::eq(architecture, device.architecture_templates()));
+        let (mine, theirs) = (
+            jittered.template(&ry_template()),
+            device.template(&ry_template()),
+        );
+        let (mine, theirs) = (mine.expect("fits"), theirs.expect("fits"));
+        assert!(!Arc::ptr_eq(&mine, &theirs));
+        assert!(Arc::ptr_eq(&mine.architecture, &theirs.architecture));
+        assert_eq!((architecture.transpiles(), architecture.hits()), (1, 1));
+        assert_eq!(jittered.device_template_cache().builds(), 1);
     }
 
     #[test]
@@ -1911,10 +2115,161 @@ mod tests {
                 "4 qubits on a 3-qubit line"
             );
         }
-        let cache = device.device_template_cache();
+        let (cache, architecture) = (
+            device.device_template_cache(),
+            device.architecture_templates(),
+        );
         assert_eq!((cache.builds(), cache.hits()), (0, 0));
+        assert_eq!((architecture.transpiles(), architecture.hits()), (0, 0));
         device.template(&ry_template()).expect("fits");
         assert_eq!((cache.builds(), cache.hits()), (1, 0));
+        assert_eq!((architecture.transpiles(), architecture.hits()), (1, 0));
+    }
+
+    /// A 3-qubit line calibrated by `scale` (T1, T2 and error rates),
+    /// drifting, so that devices built on one coupling map differ in
+    /// noise.
+    fn calibrated_line(scale: f64, seed: u64) -> QpuBackend {
+        QpuBackend::new(
+            "calibrated_line",
+            Topology::line(3),
+            Calibration::uniform(3, 90.0 * scale, 70.0 * scale, 0.001 / scale, 0.01, 0.02),
+            DriftModel::linear(0.05, 0.01),
+            QueueModel::light(5.0),
+            24.0,
+            seed,
+        )
+    }
+
+    /// Asserts two entries carry the same transpile output, bit for bit.
+    fn assert_same_transpile(a: &DeviceTemplate, b: &DeviceTemplate) {
+        let (x, y) = (&*a.architecture, &*b.architecture);
+        assert!(same_bits(&x.circuit, &y.circuit), "compact circuit");
+        assert_eq!(x.active_physical, y.active_physical, "active qubits");
+        for p in 0..x.template.num_params() {
+            assert_eq!(a.occurrences(ParamId(p)), b.occurrences(ParamId(p)));
+        }
+        assert_eq!(a.logical_bits(), b.logical_bits());
+        assert_eq!(a.metrics(), b.metrics());
+    }
+
+    #[test]
+    fn devices_minted_together_on_one_topology_transpile_once() {
+        let (mut a, mut b) = (calibrated_line(1.0, 3), calibrated_line(0.5, 4));
+        QpuBackend::share_architectures([&mut a, &mut b]);
+        let architecture = a.architecture_templates();
+        assert!(std::ptr::eq(architecture, b.architecture_templates()));
+        let (ea, eb) = (a.template(&ry_template()), b.template(&ry_template()));
+        let (ea, eb) = (ea.expect("fits"), eb.expect("fits"));
+        assert_eq!((architecture.transpiles(), architecture.hits()), (1, 1));
+        assert!(Arc::ptr_eq(&ea.architecture, &eb.architecture));
+        assert!(!Arc::ptr_eq(&ea, &eb), "each device prepares its own");
+        for be in [&a, &b] {
+            let cache = be.device_template_cache();
+            assert_eq!((cache.builds(), cache.hits()), (1, 0));
+        }
+        // The shared transpile is a lone device's, bit for bit.
+        let lone = calibrated_line(1.0, 3).template(&ry_template());
+        let lone = lone.expect("fits");
+        assert_same_transpile(&ea, &lone);
+        assert_same_transpile(&eb, &lone);
+        // Each device's jobs replay an unshared twin's across the
+        // hour-24 recalibration: counts and completion bits.
+        let (mut ta, mut tb) = (calibrated_line(1.0, 3), calibrated_line(0.5, 4));
+        let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
+        let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
+        assert!(!Arc::ptr_eq(&fa.architecture, &fb.architecture));
+        for h in [1.0, 23.0, 25.0, 30.0] {
+            let at = SimTime::from_hours(h);
+            assert_eq!(
+                template_job(&mut a, &ea, at),
+                template_job(&mut ta, &fa, at)
+            );
+            assert_eq!(
+                template_job(&mut b, &eb, at),
+                template_job(&mut tb, &fb, at)
+            );
+        }
+    }
+
+    #[test]
+    fn unequal_topologies_never_share() {
+        let on = |topology: Topology| {
+            let n = topology.num_qubits();
+            QpuBackend::new(
+                "any",
+                topology,
+                Calibration::uniform(n, 90.0, 70.0, 0.001, 0.01, 0.02),
+                DriftModel::none(),
+                QueueModel::light(5.0),
+                24.0,
+                7,
+            )
+        };
+        let mut devices = [
+            on(Topology::fully_connected(5)),
+            on(Topology::line(5)),
+            on(Topology::line(3)),
+            on(Topology::line(5)),
+        ];
+        QpuBackend::share_architectures(&mut devices);
+        for d in &devices {
+            d.template(&ry_template()).expect("fits");
+        }
+        let transpiles: Vec<u64> = devices
+            .iter()
+            .map(|d| d.architecture_templates().transpiles())
+            .collect();
+        assert_eq!(transpiles, [1, 1, 1, 1], "each distinct map transpiles");
+        let shared = |i: usize, j: usize| {
+            std::ptr::eq(
+                devices[i].architecture_templates(),
+                devices[j].architecture_templates(),
+            )
+        };
+        assert!(!shared(0, 1), "fully connected is not a line of its width");
+        assert!(!shared(1, 2), "nor is a narrower line");
+        assert!(shared(1, 3), "equal maps share");
+        assert_eq!(devices[1].architecture_templates().hits(), 1);
+    }
+
+    #[test]
+    fn a_device_cloned_elsewhere_keeps_its_own_architecture() {
+        let held = steady_backend(5);
+        let (mut clone, mut lone) = (held.clone(), steady_backend(6));
+        // A new device re-jittered from the held one is not cloned, but
+        // its architecture cache is held outside: nobody joins it.
+        let (mut jittered, mut later) = (held.clone().with_recal_jitter(0.5), steady_backend(7));
+        QpuBackend::share_architectures([&mut clone, &mut jittered, &mut lone, &mut later]);
+        let same = |a: &QpuBackend, b: &QpuBackend| {
+            std::ptr::eq(a.architecture_templates(), b.architecture_templates())
+        };
+        assert!(same(&clone, &held) && same(&jittered, &held));
+        assert!(
+            !same(&lone, &held),
+            "nothing minted here joins the held cache"
+        );
+        assert!(same(&later, &lone), "the lone devices share theirs");
+    }
+
+    #[test]
+    fn a_job_never_takes_the_architecture_lock() {
+        let device = steady_backend(23);
+        let entry = device.template(&ry_template()).expect("fits");
+        let architecture = device.identity.architecture.state.lock().expect("lock");
+        // With the architecture lock held, a clone still fetches the
+        // prepared entry from the device's cache and runs a job on it.
+        let clone = device.clone();
+        let (again, counts) =
+            within_a_minute("a job must not wait on the architecture", move || {
+                let mut be = clone;
+                let again = be.template(&ry_template()).expect("fits");
+                let (counts, _) = template_job(&mut be, &again, SimTime::from_hours(1.0));
+                (again, counts)
+            });
+        assert!(Arc::ptr_eq(&entry, &again));
+        assert_eq!(counts.len(), 3);
+        drop(architecture);
     }
 
     /// A GHZ chain one qubit wider than the density engine takes, laid

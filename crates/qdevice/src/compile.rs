@@ -70,10 +70,11 @@
 //!   tokens guarantee bit-identical noise, so skipping even the refresh
 //!   on a token match is exact, never approximate.
 
-use crate::noise_model::{walk, ChannelKey, NoiseModel, SiteOp, Verdict};
+use crate::noise_model::{walk, ChannelKey, KeyNumbers, NoiseModel, SiteOp, Verdict};
 use qcircuit::{Angle, Circuit, Gate};
 use qsim::{gates, CMatrix, CompiledProgram, ProgramBuilder, C64};
 use std::f64::consts::FRAC_PI_2;
+use std::sync::Arc;
 
 /// Identifies one noise epoch of one backend: the calibration cycle plus
 /// the exact drift factors in effect. Two equal tokens from the same
@@ -123,9 +124,9 @@ impl NoiseToken {
 /// its fixed RZs are frame — rebind-slot offsets and the odd diagonal
 /// pass — and its SXs are `RY(pi/2)`. The
 /// *numbers* — the keys' superoperators under the noise of the moment,
-/// the run products, the readout model — are a [`Plan::refresh`] away,
-/// and that is all a new drift step costs while the plan
-/// [holds](Plan::holds).
+/// the run products, the readout model — are a
+/// [`Plan::refresh_if_holds`] away, and that is all a new drift step
+/// costs while the plan holds.
 #[derive(Clone, Debug)]
 struct Plan {
     program: CompiledProgram,
@@ -294,11 +295,12 @@ fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
 
 impl Plan {
     /// Walks the schedule once and builds the program, filled with the
-    /// numbers of `noise`.
+    /// numbers of `noise` — each key evaluated once, on its first
+    /// visit, for its verdict and its lowering both.
     fn new(circuit: &Circuit, noise: &NoiseModel) -> Plan {
         let mut builder = ProgramBuilder::new(circuit.num_qubits());
         let mut param_slots = Vec::new();
-        let (mut keys, mut verdicts) = (Vec::new(), Vec::new());
+        let (mut keys, mut verdicts, mut numbers) = (Vec::new(), Vec::new(), Vec::new());
         // The real gauge: a frame still owed when the walk ends is
         // dropped with `frames`.
         let mut frames = Frames::new(circuit.num_qubits());
@@ -308,8 +310,10 @@ impl Plan {
             }
             SiteOp::Channel(idx, key, qs) => {
                 if idx == keys.len() {
+                    let evaluated = key.evaluate(noise);
                     keys.push(key);
-                    verdicts.push(key.verdict(noise, ProgramBuilder::DEFAULT_IDENTITY_EPSILON));
+                    verdicts.push(evaluated.verdict(ProgramBuilder::DEFAULT_IDENTITY_EPSILON));
+                    numbers.push(evaluated);
                 }
                 if verdicts[idx] != Verdict::Absent {
                     let elided = verdicts[idx] == Verdict::Elided;
@@ -320,7 +324,7 @@ impl Plan {
         keys.shrink_to_fit();
         verdicts.shrink_to_fit();
         let program = builder.finish_with(noise.readout(), duration, |key, table| {
-            keys[key].lower(noise, table)
+            numbers[key].lower(table)
         });
         param_slots.shrink_to_fit();
         Plan {
@@ -332,24 +336,30 @@ impl Plan {
         }
     }
 
-    /// Whether a walk under `noise` would plan this program again as it
-    /// is: the same gate times (hence the same keys in the same order,
-    /// and the same duration) and the same verdict on every key — which
-    /// covers a T1 turning finite, an error rate leaving zero and a
-    /// channel crossing the elision threshold. Costs one predicate per
-    /// key.
-    fn holds(&self, noise: &NoiseModel) -> bool {
-        self.gate_times_ns.map(f64::to_bits) == gate_times_ns(noise).map(f64::to_bits)
-            && self.keys.iter().zip(&self.verdicts).all(|(key, &planned)| {
-                key.verdict(noise, ProgramBuilder::DEFAULT_IDENTITY_EPSILON) == planned
-            })
-    }
-
-    /// Re-derives the program's numbers from `noise`, in place.
-    fn refresh(&mut self, noise: &NoiseModel) {
-        let keys = &self.keys;
-        self.program
-            .refresh(noise.readout(), |key, table| keys[key].lower(noise, table));
+    /// Re-derives the program's numbers from `noise`, in place, if a
+    /// walk under `noise` would plan this program again as it is: the
+    /// same gate times (hence the same keys in the same order, and the
+    /// same duration) and the same verdict on every key — which covers
+    /// a T1 turning finite, an error rate leaving zero and a channel
+    /// crossing the elision threshold. Each key is evaluated once, for
+    /// its verdict and its lowering both. Returns whether the plan held;
+    /// a plan that broke is left as it was, for the caller to replace.
+    fn refresh_if_holds(&mut self, noise: &NoiseModel) -> bool {
+        if self.gate_times_ns.map(f64::to_bits) != gate_times_ns(noise).map(f64::to_bits) {
+            return false;
+        }
+        let numbers: Vec<KeyNumbers> = self.keys.iter().map(|key| key.evaluate(noise)).collect();
+        let holds = numbers
+            .iter()
+            .zip(&self.verdicts)
+            .all(|(evaluated, &planned)| {
+                evaluated.verdict(ProgramBuilder::DEFAULT_IDENTITY_EPSILON) == planned
+            });
+        if holds {
+            self.program
+                .refresh(noise.readout(), |key, table| numbers[key].lower(table));
+        }
+        holds
     }
 }
 
@@ -389,9 +399,10 @@ pub enum Compile {
 /// token — the unit a device caches per problem template.
 ///
 /// Created once per (template, device) from the transpiled compact
-/// circuit and its active physical qubits; every clone of the device
-/// shares it (see [`crate::backend::DeviceTemplate`]). On each job the
-/// backend calls
+/// circuit and its active physical qubits, which it holds by `Arc`: the
+/// devices of one architecture share them; every clone of the device
+/// shares the template itself (see [`crate::backend::DeviceTemplate`]).
+/// On each job the backend calls
 /// [`CompiledTemplate::ensure_compiled`] with the noise of the moment. A
 /// matching [`NoiseToken`] is a cache hit (nothing rebuilt). A mismatch
 /// — on a drifting device, every job — is a *compile*: the structure
@@ -406,8 +417,8 @@ pub enum Compile {
 /// only the rebind slots.
 #[derive(Clone, Debug)]
 pub struct CompiledTemplate {
-    circuit: Circuit,
-    active_physical: Vec<usize>,
+    circuit: Arc<Circuit>,
+    active_physical: Arc<[usize]>,
     plan: Option<Plan>,
     token: Option<NoiseToken>,
     compiles: u64,
@@ -421,6 +432,12 @@ impl CompiledTemplate {
     /// [`transpile::Transpiled::compact_for_simulation`] /
     /// [`transpile::Transpiled::active_qubits`]).
     pub fn new(circuit: Circuit, active_physical: Vec<usize>) -> Self {
+        Self::shared(Arc::new(circuit), active_physical.into())
+    }
+
+    /// [`CompiledTemplate::new`] over a circuit and active set that the
+    /// architecture's other devices hold too.
+    pub(crate) fn shared(circuit: Arc<Circuit>, active_physical: Arc<[usize]>) -> Self {
         assert_eq!(
             circuit.num_qubits(),
             active_physical.len(),
@@ -477,16 +494,16 @@ impl CompiledTemplate {
             self.cache_hits += 1;
             return Compile::Hit;
         }
-        let outcome = match &mut self.plan {
-            Some(plan) if plan.holds(noise) => {
-                plan.refresh(noise);
-                Compile::Refresh
-            }
-            _ => {
-                self.plan = Some(Plan::new(&self.circuit, noise));
-                self.plans += 1;
-                Compile::Plan
-            }
+        let refreshed = self
+            .plan
+            .as_mut()
+            .is_some_and(|plan| plan.refresh_if_holds(noise));
+        let outcome = if refreshed {
+            Compile::Refresh
+        } else {
+            self.plan = Some(Plan::new(&self.circuit, noise));
+            self.plans += 1;
+            Compile::Plan
         };
         self.token = Some(token);
         self.compiles += 1;
@@ -865,7 +882,7 @@ mod tests {
     /// A template compiled from scratch against `noise`.
     fn cold(template: &CompiledTemplate, noise: &NoiseModel) -> CompiledTemplate {
         let mut fresh =
-            CompiledTemplate::new(template.circuit.clone(), template.active_physical.clone());
+            CompiledTemplate::shared(template.circuit.clone(), template.active_physical.clone());
         fresh.ensure_compiled(noise, NoiseToken::new(0, 0, 1.0, 1.0));
         fresh
     }
@@ -931,8 +948,8 @@ mod tests {
 
     #[test]
     fn a_plan_stays_under_a_kibibyte_and_owns_no_scratch() {
-        // QAOA ring-4 (the `service_stream` template: 1 024 of them live
-        // at once, each planned and never refreshed) routed onto belem.
+        // QAOA ring-4 (the `service_stream` template: one per device,
+        // each planned and never refreshed) routed onto belem.
         let mut b = CircuitBuilder::new(4);
         for q in 0..4 {
             b.h(q);
@@ -961,9 +978,11 @@ mod tests {
             + plan.keys.capacity() * std::mem::size_of::<ChannelKey>()
             + plan.verdicts.capacity() * std::mem::size_of::<Verdict>();
         assert!(heap <= 1024, "plan owns {heap} bytes of heap");
-        // The members a refresh lowers live for that call only.
+        // The members a refresh lowers live for that call only: the
+        // program holds its fused table and the plan's fixed gates,
+        // lowered once, and no third table.
         let debug = format!("{template:?}");
-        assert_eq!(debug.matches("SuperopTable").count(), 1, "{debug}");
+        assert_eq!(debug.matches("SuperopTable").count(), 2, "{debug}");
     }
 
     #[test]

@@ -44,8 +44,8 @@ pub mod noise_model;
 pub mod queue;
 
 pub use backend::{
-    DeviceTemplate, JobResult, QpuBackend, SharedNoiseCache, SharedTemplateCache, TemplateLocks,
-    TemplateRun,
+    ArchitectureTemplates, DeviceTemplate, JobResult, QpuBackend, SharedNoiseCache,
+    SharedTemplateCache, TemplateLocks, TemplateRun,
 };
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};

@@ -20,7 +20,7 @@
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
 use qsim::sampler::ReadoutError;
-use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, SuperopTable};
+use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, RelaxationEntries, SuperopTable};
 use rand::Rng;
 
 /// Per-qubit noise figures of a compacted circuit register.
@@ -243,32 +243,70 @@ impl ChannelKey {
         }
     }
 
+    /// This key's numbers under `noise`, worked out as far as judging
+    /// ([`KeyNumbers::verdict`]) and lowering ([`KeyNumbers::lower`])
+    /// share them — a relaxation's `exp`s and square roots once for
+    /// both.
+    pub(crate) fn evaluate(&self, noise: &NoiseModel) -> KeyNumbers {
+        match self.numbers(noise) {
+            numbers if !numbers.occur() => KeyNumbers::Absent,
+            ChannelNumbers::Relaxation {
+                t1_ns,
+                t2_ns,
+                duration_ns,
+            } => KeyNumbers::Relaxation(RelaxationEntries::new(t1_ns, t2_ns, duration_ns)),
+            ChannelNumbers::Depolarizing { qubits, p } => KeyNumbers::Depolarizing { qubits, p },
+        }
+    }
+}
+
+/// One [`ChannelKey`] evaluated under one [`NoiseModel`]
+/// ([`ChannelKey::evaluate`]).
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum KeyNumbers {
+    /// The model has no such channel (infinite T1, zero error rate).
+    Absent,
+    Relaxation(RelaxationEntries),
+    Depolarizing {
+        qubits: usize,
+        p: f64,
+    },
+}
+
+impl KeyNumbers {
     /// What a density program with elision threshold `identity_epsilon`
-    /// (0 disables elision) does with this channel under `noise` — from
-    /// the closed-form predicates, which answer exactly what
+    /// (0 disables elision) does with the channel — from the
+    /// closed-form predicates, which answer exactly what
     /// [`KrausChannel::is_near_identity`] of the Kraus list would.
-    pub(crate) fn verdict(&self, noise: &NoiseModel, identity_epsilon: f64) -> Verdict {
-        let numbers = self.numbers(noise);
-        if !numbers.occur() {
-            Verdict::Absent
-        } else if identity_epsilon > 0.0 && numbers.near_identity(identity_epsilon) {
+    pub(crate) fn verdict(&self, identity_epsilon: f64) -> Verdict {
+        let eps = identity_epsilon;
+        let near_identity = match *self {
+            KeyNumbers::Absent => return Verdict::Absent,
+            _ if eps <= 0.0 => false,
+            KeyNumbers::Relaxation(entries) => entries.is_near_identity(eps),
+            KeyNumbers::Depolarizing { qubits, p } => {
+                KrausChannel::depolarizing_is_near_identity(qubits, p, eps)
+            }
+        };
+        if near_identity {
             Verdict::Elided
         } else {
             Verdict::Kept
         }
     }
 
-    /// Pushes this channel's superoperator under `noise` onto `table`,
-    /// Kraus-free — bit for bit what lowering the Kraus list pushes.
-    pub(crate) fn lower(&self, noise: &NoiseModel, table: &mut SuperopTable) {
-        match self.numbers(noise) {
-            ChannelNumbers::Relaxation {
-                t1_ns,
-                t2_ns,
-                duration_ns,
-            } => table.push_thermal_relaxation(t1_ns, t2_ns, duration_ns),
-            ChannelNumbers::Depolarizing { qubits: 1, p } => table.push_depolarizing_1q(p),
-            ChannelNumbers::Depolarizing { p, .. } => table.push_depolarizing_2q(p),
+    /// Pushes the channel's superoperator onto `table`, Kraus-free — bit
+    /// for bit what lowering the Kraus list pushes.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an absent channel: there is nothing to lower.
+    pub(crate) fn lower(&self, table: &mut SuperopTable) {
+        match *self {
+            KeyNumbers::Absent => panic!("an absent channel is never lowered"),
+            KeyNumbers::Relaxation(entries) => table.push_relaxation(&entries),
+            KeyNumbers::Depolarizing { qubits: 1, p } => table.push_depolarizing_1q(p),
+            KeyNumbers::Depolarizing { p, .. } => table.push_depolarizing_2q(p),
         };
     }
 }
@@ -280,19 +318,6 @@ impl ChannelNumbers {
         match self {
             ChannelNumbers::Relaxation { t1_ns, .. } => t1_ns.is_finite(),
             ChannelNumbers::Depolarizing { p, .. } => p > 0.0,
-        }
-    }
-
-    fn near_identity(self, eps: f64) -> bool {
-        match self {
-            ChannelNumbers::Relaxation {
-                t1_ns,
-                t2_ns,
-                duration_ns,
-            } => KrausChannel::thermal_relaxation_is_near_identity(t1_ns, t2_ns, duration_ns, eps),
-            ChannelNumbers::Depolarizing { qubits, p } => {
-                KrausChannel::depolarizing_is_near_identity(qubits, p, eps)
-            }
         }
     }
 
@@ -627,16 +652,16 @@ mod tests {
                 return;
             };
             visited += 1;
-            let numbers = key.numbers(&noise);
+            let (numbers, evaluated) = (key.numbers(&noise), key.evaluate(&noise));
             if !numbers.occur() {
                 absent += 1;
-                assert_eq!(key.verdict(&noise, 1e-12), Verdict::Absent);
+                assert_eq!(evaluated.verdict(1e-12), Verdict::Absent);
                 return;
             }
             let kraus = numbers.kraus();
             assert_eq!(kraus.num_qubits(), qs.len());
             let (mut closed, mut lowered) = (SuperopTable::default(), SuperopTable::default());
-            key.lower(&noise, &mut closed);
+            evaluated.lower(&mut closed);
             lowered.push(&kraus);
             assert_eq!(closed, lowered, "{key:?}");
             for eps in [0.0, 1e-12, 1e-3, 0.3] {
@@ -646,7 +671,7 @@ mod tests {
                 } else {
                     Verdict::Kept
                 };
-                assert_eq!(key.verdict(&noise, eps), expected, "{key:?} at {eps}");
+                assert_eq!(evaluated.verdict(eps), expected, "{key:?} at {eps}");
             }
         });
         assert!(

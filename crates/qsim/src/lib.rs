@@ -71,7 +71,7 @@ pub use complex::C64;
 pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
-pub use noise::{KrausChannel, Superop, SuperopTable};
+pub use noise::{KrausChannel, RelaxationEntries, Superop, SuperopTable};
 pub use program::{CompiledProgram, DensityEngine, ProgramBuilder};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

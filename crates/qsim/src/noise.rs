@@ -243,20 +243,7 @@ impl KrausChannel {
     ///
     /// Same conditions as [`KrausChannel::thermal_relaxation`].
     pub fn thermal_relaxation_is_near_identity(t1: f64, t2: f64, duration: f64, eps: f64) -> bool {
-        let RelaxationEntries {
-            decay,
-            keep,
-            dephase,
-        } = RelaxationEntries::new(t1, t2, duration);
-        // diag(1, keep), then — when they are not identically zero and
-        // dropped — `decay` alone at (0, 1) and `dephase` alone at (1, 1).
-        let small = |norm_sqr: f64| norm_sqr.sqrt() <= eps;
-        let kept = ((keep - 1.0).abs() <= eps && 0.0 <= eps) || small(1.0 + keep * keep);
-        let decayed = decay == 0.0 || (1.0 <= eps && decay <= eps) || small(decay * decay);
-        let dephased = dephase == 0.0
-            || (1.0 <= eps && (dephase - 1.0).abs() <= eps)
-            || small(dephase * dephase);
-        kept && decayed && dephased
+        RelaxationEntries::new(t1, t2, duration).is_near_identity(eps)
     }
 
     /// Sequential composition: `other` applied **after** `self`
@@ -355,7 +342,13 @@ fn relaxation_parameters(t1: f64, t2: f64, duration: f64) -> (f64, f64) {
 /// `[[0, decay], [0, 0]]` with phase damping `diag(1, b)`, `diag(0, c)`
 /// computes them: the list is `diag(1, keep)`, `decay` at `(0, 1)` and
 /// `diag(0, dephase)` — the last two dropped when identically zero.
-struct RelaxationEntries {
+///
+/// Its `exp`s and square roots are what judging
+/// ([`RelaxationEntries::is_near_identity`]) and lowering
+/// ([`SuperopTable::push_relaxation`]) a relaxation both read, so a
+/// caller that does both works them out once.
+#[derive(Clone, Copy, Debug)]
+pub struct RelaxationEntries {
     /// `sqrt(gamma)`.
     decay: f64,
     /// `b * a`.
@@ -365,7 +358,13 @@ struct RelaxationEntries {
 }
 
 impl RelaxationEntries {
-    fn new(t1: f64, t2: f64, duration: f64) -> Self {
+    /// The entries of [`KrausChannel::thermal_relaxation`] at these
+    /// arguments.
+    ///
+    /// # Panics
+    ///
+    /// Same conditions as [`KrausChannel::thermal_relaxation`].
+    pub fn new(t1: f64, t2: f64, duration: f64) -> Self {
         let (gamma, lambda) = relaxation_parameters(t1, t2, duration);
         assert!((0.0..=1.0).contains(&gamma), "gamma out of range");
         assert!((0.0..=1.0).contains(&lambda), "lambda out of range");
@@ -375,6 +374,25 @@ impl RelaxationEntries {
             keep: (1.0 - lambda).sqrt() * a,
             dephase: lambda.sqrt() * a,
         }
+    }
+
+    /// [`KrausChannel::is_near_identity`] of the relaxation: the same
+    /// comparisons on the same floats, without the Kraus list.
+    pub fn is_near_identity(&self, eps: f64) -> bool {
+        let RelaxationEntries {
+            decay,
+            keep,
+            dephase,
+        } = *self;
+        // diag(1, keep), then — when they are not identically zero and
+        // dropped — `decay` alone at (0, 1) and `dephase` alone at (1, 1).
+        let small = |norm_sqr: f64| norm_sqr.sqrt() <= eps;
+        let kept = ((keep - 1.0).abs() <= eps && 0.0 <= eps) || small(1.0 + keep * keep);
+        let decayed = decay == 0.0 || (1.0 <= eps && decay <= eps) || small(decay * decay);
+        let dephased = dephase == 0.0
+            || (1.0 <= eps && (dephase - 1.0).abs() <= eps)
+            || small(dephase * dephase);
+        kept && decayed && dephased
     }
 }
 
@@ -644,11 +662,17 @@ impl SuperopTable {
     ///
     /// Same conditions as [`KrausChannel::thermal_relaxation`].
     pub fn push_thermal_relaxation(&mut self, t1: f64, t2: f64, duration: f64) -> usize {
+        self.push_relaxation(&RelaxationEntries::new(t1, t2, duration))
+    }
+
+    /// [`SuperopTable::push_thermal_relaxation`] from entries already
+    /// worked out.
+    pub fn push_relaxation(&mut self, entries: &RelaxationEntries) -> usize {
         let RelaxationEntries {
             decay,
             keep,
             dephase,
-        } = RelaxationEntries::new(t1, t2, duration);
+        } = *entries;
         let mut rows = [[0.0f64; 4]; 4];
         (rows[0][0], rows[0][3]) = (1.0, decay * decay);
         (rows[1][1], rows[2][2]) = (keep, keep);
@@ -797,6 +821,19 @@ impl SuperopTable {
         self.entries.len() - 1
     }
 
+    /// Appends a copy of every superoperator of `other`, bit for bit,
+    /// in order.
+    pub(crate) fn extend_from(&mut self, other: &SuperopTable) {
+        let (index, vals) = (self.index.len() as u32, self.vals.len() as u32);
+        self.entries.extend(other.entries.iter().map(|e| Entry {
+            index: e.index + index,
+            vals: e.vals + vals,
+            dd: e.dd,
+        }));
+        self.index.extend_from_slice(&other.index);
+        self.vals.extend_from_slice(&other.vals);
+    }
+
     /// Number of superoperators held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -824,6 +861,13 @@ impl SuperopTable {
         self.entries.clear();
         self.index.clear();
         self.vals.clear();
+    }
+
+    /// Heap bytes the table owns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.entries.capacity() * std::mem::size_of::<Entry>()
+            + self.index.capacity()
+            + self.vals.capacity() * std::mem::size_of::<f64>()
     }
 
     /// Drops growth slack: a sealed table owns exactly the bytes it

@@ -126,7 +126,8 @@ impl TapeOp {
 /// Where the superoperator of one fused-run member comes from.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Member {
-    /// The fixed gate in this matrix-table slot.
+    /// The fixed gate in this matrix-table slot: lowered when the
+    /// builder finishes, never again (its matrix never changes).
     Unitary(u16),
     /// The channel pushed under this caller key, whose numbers the
     /// caller lowers on request
@@ -146,8 +147,14 @@ enum Member {
 #[derive(Clone, Debug, Default)]
 struct FusionPlan {
     /// Every distinct fixed op of a fused run, each once, in first-use
-    /// order.
+    /// order — while the builder plans. A finished plan keeps only the
+    /// channels here, and its runs index the members of a fill: the
+    /// gates, then these.
     members: Vec<Member>,
+    /// The superoperators of a finished plan's distinct fixed gates, in
+    /// first-use order: a gate's matrix never changes after planning,
+    /// so it is lowered once, and each fill copies it.
+    gates: SuperopTable,
     /// The distinct fused runs back to back, in fused-entry order.
     runs: Vec<RunMember>,
     /// Per fused entry: where its run ends in `runs`.
@@ -159,6 +166,29 @@ impl FusionPlan {
     fn add_member(&mut self, member: Member) -> usize {
         self.members.push(member);
         self.members.len() - 1
+    }
+
+    /// Finishes the plan's members: lowers every fixed gate into
+    /// `gates`, keeps only the channels in `members`, and renumbers the
+    /// runs to index the gates first, then the channels — each run
+    /// multiplies the same superoperators in the same order as before.
+    fn lower_gates(&mut self, unitaries: &[CMatrix]) {
+        let is_gate = |m: &&Member| matches!(m, Member::Unitary(_));
+        let members = self.members.iter().enumerate();
+        let gates_first = members.clone().filter(|(_, m)| is_gate(m));
+        let channels = members.filter(|(_, m)| !is_gate(m));
+        let mut renumbered = vec![0; self.members.len()];
+        for (new, (old, member)) in gates_first.chain(channels).enumerate() {
+            renumbered[old] = new;
+            if let Member::Unitary(slot) = *member {
+                self.gates.push_unitary(&unitaries[slot as usize]);
+            }
+        }
+        self.members.retain(|m| !is_gate(&m));
+        for run in &mut self.runs {
+            *run = RunMember::new(renumbered[run.member()], run.place());
+        }
+        self.gates.seal();
     }
 }
 
@@ -280,25 +310,24 @@ impl CompiledProgram {
 
     /// Lowers every plan member — into a table that lives for this call
     /// only: a fleet holds thousands of programs and each needs its
-    /// members for microseconds — and multiplies every run into the
-    /// fused table.
+    /// members for microseconds; the fixed gates are copied from the
+    /// plan, which lowered them once — and multiplies every run into
+    /// the fused table.
     fn fill_fused(
         &mut self,
         given: &[KrausChannel],
         mut lower: impl FnMut(usize, &mut SuperopTable),
     ) {
         let CompiledProgram {
-            unitaries,
             superops: fused,
             plan,
             ..
         } = self;
-        let mut members = SuperopTable::with_capacity(plan.members.len());
+        let mut members = SuperopTable::with_capacity(plan.gates.len() + plan.members.len());
+        members.extend_from(&plan.gates);
         for member in &plan.members {
             match *member {
-                Member::Unitary(slot) => {
-                    members.push_unitary(&unitaries[slot as usize]);
-                }
+                Member::Unitary(_) => unreachable!("a finished plan's gates are lowered"),
                 Member::Deferred(key) => lower(key as usize, &mut members),
                 Member::Given(idx) => {
                     let channel = given
@@ -310,7 +339,7 @@ impl CompiledProgram {
         }
         assert_eq!(
             members.len(),
-            plan.members.len(),
+            plan.gates.len() + plan.members.len(),
             "`lower` must push exactly one superoperator per call"
         );
         fused.clear();
@@ -334,6 +363,7 @@ impl CompiledProgram {
         plan.members.capacity() * std::mem::size_of::<Member>()
             + plan.runs.capacity() * std::mem::size_of::<RunMember>()
             + plan.bounds.capacity() * std::mem::size_of::<u32>()
+            + plan.gates.heap_bytes()
     }
 }
 
@@ -730,6 +760,7 @@ impl ProgramBuilder {
         let Fuser {
             mut plan, given, ..
         } = self.fuser;
+        plan.lower_gates(&self.unitaries);
         plan.members.shrink_to_fit();
         plan.runs.shrink_to_fit();
         plan.bounds.shrink_to_fit();

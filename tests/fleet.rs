@@ -258,6 +258,84 @@ fn ideal_slots_of_mixed_widths_are_separate_devices() {
     );
 }
 
+/// The distinct architecture caches behind `clients`, each once.
+fn architectures(clients: &[ClientNode]) -> Vec<&qdevice::ArchitectureTemplates> {
+    let mut distinct: Vec<&qdevice::ArchitectureTemplates> = Vec::new();
+    for c in clients {
+        let a = c.backend().architecture_templates();
+        if !distinct.iter().any(|d| std::ptr::eq(*d, a)) {
+            distinct.push(a);
+        }
+    }
+    distinct
+}
+
+/// `(architectures, transpiles, device builds)` of a fresh session of
+/// `problem` over `ensemble`'s devices.
+fn session_transpiles(ensemble: &Ensemble, problem: &VqeProblem) -> (usize, u64, u64) {
+    let mut session = ensemble.session(problem).expect("templates fit");
+    let (clients, _) = session.split_mut();
+    let templates = problem.templates().len() as u64;
+    for c in clients.iter() {
+        let cache = c.backend().device_template_cache();
+        assert_eq!(
+            (cache.builds(), cache.hits()),
+            (templates, 0),
+            "one build per (device, template) on {}",
+            c.backend().name()
+        );
+    }
+    let architectures = architectures(clients);
+    let transpiles = architectures.iter().map(|a| a.transpiles()).sum();
+    let builds = clients
+        .iter()
+        .map(|c| c.backend().device_template_cache().builds())
+        .sum();
+    (architectures.len(), transpiles, builds)
+}
+
+#[test]
+fn devices_on_one_coupling_map_transpile_once_between_them() {
+    // T-shape (belem, quito, lima), line (manila, bogota) and H-shape
+    // (lagos, casablanca): three coupling maps over seven devices.
+    let problem = VqeProblem::heisenberg_4q();
+    let ensemble = Ensemble::builder()
+        .devices([
+            "belem",
+            "manila",
+            "lagos",
+            "quito",
+            "bogota",
+            "casablanca",
+            "lima",
+        ])
+        .device_seed(7)
+        .config(cfg(1))
+        .build()
+        .expect("builds");
+    let templates = problem.templates().len() as u64;
+    assert_eq!(
+        session_transpiles(&ensemble, &problem),
+        (3, 3 * templates, 7 * templates),
+        "(distinct maps x templates) transpiles, (devices x templates) builds"
+    );
+}
+
+#[test]
+fn a_wide_fleet_transpiles_per_coupling_map_not_per_device() {
+    // 256 perturbed belem/quito/lima (T-shape) and manila/bogota (line)
+    // devices: two coupling maps, three Heisenberg-4 templates.
+    let problem = VqeProblem::heisenberg_4q();
+    assert_eq!(problem.templates().len(), 3);
+    let ensemble = Ensemble::builder()
+        .specs(eqc_bench::fleet_specs(256))
+        .device_seed(11)
+        .config(cfg(1))
+        .build()
+        .expect("builds");
+    assert_eq!(session_transpiles(&ensemble, &problem), (2, 6, 768));
+}
+
 #[test]
 fn co_tenants_share_each_devices_templates() {
     // Three tenants on one problem: each device transpiles and plans
