@@ -1,77 +1,31 @@
 //! The EQC client node (Algorithm 2 of the paper).
 //!
 //! One client manages one QPU: it takes the problem's circuit templates
-//! transpiled once for its device's topology — each wrapped in a
-//! [`CompiledTemplate`] that the backend plans once and refreshes per
-//! noise token (per job, under drift) — then serves gradient tasks: the
-//! per-occurrence forward/backward shift pairs go to the device as
-//! **one** batched engine call ([`QpuBackend::execute_templates`]), the
-//! loss is read off the returned counts, and the gradient is reported
-//! together with the device's current `P_correct`.
+//! transpiled once for its device's topology — each planned once per
+//! device and refreshed per noise token (per job, under drift) — then
+//! serves gradient tasks: the per-occurrence forward/backward shift
+//! pairs go to the device as **one** batched engine call
+//! ([`QpuBackend::execute_device_templates`]), the loss is read off the
+//! returned counts, and the gradient is reported together with the
+//! device's current `P_correct`.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
-//! compiled program belongs to the device and its transpilation to the
-//! device's architecture: the client fetches each template's
-//! [`DeviceTemplate`] from its backend, which prepares it on the first
-//! request of any clone of the device — over the transpile of the first
-//! device on its coupling map — and shares it with the rest (see
-//! [`qdevice::backend`](mod@qdevice::backend)). A task locks its
-//! slice's distinct entries for the one job it submits. The simulator
-//! belongs to the executing thread, not to the client's backend.
+//! plan belongs to the device and its transpilation to the device's
+//! architecture: the client fetches each template's [`DeviceTemplate`]
+//! from its backend, which prepares it on the first request of any
+//! clone of the device — over the transpile of the first device on its
+//! coupling map — and shares it with the rest (see
+//! [`qdevice::backend`](mod@qdevice::backend)). The numbers a job runs
+//! on, like the simulator, belong to the executing thread, not to the
+//! client or its backend; a client only tallies what its own jobs'
+//! compiles did.
 
 use crate::weighting;
-use qdevice::{
-    CompiledTemplate, DeviceTemplate, JobResult, QpuBackend, SimTime, TemplateLocks, TemplateRun,
-};
+use qdevice::{Compile, DeviceTemplate, QpuBackend, SimTime, TemplateRun};
 use qsim::Counts;
 use std::sync::Arc;
 use transpile::{remap_counts, CircuitMetrics, TranspileError};
 use vqa::{GradientTask, VqaProblem};
-
-/// What this client's own jobs did to the compiled templates they ran
-/// (telemetry: the templates are the device's, so their own counters
-/// sum every clone's jobs).
-#[derive(Clone, Copy, Debug, Default)]
-struct CompileTally {
-    compiled: u64,
-    planned: u64,
-    hits: u64,
-}
-
-impl CompileTally {
-    /// The counters of `templates`, summed.
-    fn of(templates: &[&mut CompiledTemplate]) -> Self {
-        templates
-            .iter()
-            .fold(Self::default(), |sum, t| CompileTally {
-                compiled: sum.compiled + t.compiles(),
-                planned: sum.planned + t.plans(),
-                hits: sum.hits + t.cache_hits(),
-            })
-    }
-
-    /// Runs one job on `backend` over the locked templates and adds
-    /// what its compiles did — exact, because no other job touches the
-    /// templates while they are locked.
-    fn execute(
-        &mut self,
-        backend: &mut QpuBackend,
-        locks: &mut TemplateLocks<'_>,
-        runs: &[TemplateRun],
-        params: &[f64],
-        shots: usize,
-        submit: SimTime,
-    ) -> (Vec<Counts>, JobResult) {
-        let mut templates = locks.templates();
-        let before = Self::of(&templates);
-        let job = backend.execute_templates(&mut templates, runs, params, shots, submit);
-        let after = Self::of(&templates);
-        self.compiled += after.compiled - before.compiled;
-        self.planned += after.planned - before.planned;
-        self.hits += after.hits - before.hits;
-        job
-    }
-}
 
 /// The result of one gradient task executed on one device.
 #[derive(Clone, Debug)]
@@ -100,7 +54,8 @@ pub struct ClientNode {
     templates: Vec<Arc<DeviceTemplate>>,
     circuits_run: u64,
     tasks_completed: u64,
-    compiles: CompileTally,
+    /// This client's own jobs' compile outcomes, by [`Compile`] variant.
+    compiles: [u64; 3],
 }
 
 impl ClientNode {
@@ -126,7 +81,7 @@ impl ClientNode {
             templates,
             circuits_run: 0,
             tasks_completed: 0,
-            compiles: CompileTally::default(),
+            compiles: [0; 3],
         })
     }
 
@@ -150,13 +105,14 @@ impl ClientNode {
         self.tasks_completed
     }
 
-    /// Times this client's jobs brought a template up to a new noise
-    /// token — with a stable calibration at most one compile per
-    /// template per calibration cycle touched, however many jobs ran
-    /// (a co-tenant's job may have compiled it first); on a drifting
-    /// device one per template per job.
+    /// Times this client's own jobs brought a template's numbers up to
+    /// a new noise token, planned or refreshed: on a drifting device one
+    /// per template per job; on a steady one, once per cycle while the
+    /// executing thread's memo holds the numbers (a co-tenant's job on
+    /// that thread may have compiled them first), again once it drops
+    /// them.
     pub fn programs_compiled(&self) -> u64 {
-        self.compiles.compiled
+        self.compiles[Compile::Refresh as usize] + self.programs_planned()
     }
 
     /// How many of those compiles planned the program's structure
@@ -164,13 +120,14 @@ impl ClientNode {
     /// unless the noise changed what the schedule emits (telemetry; see
     /// [`qdevice::CompiledTemplate::plans`]).
     pub fn programs_planned(&self) -> u64 {
-        self.compiles.planned
+        self.compiles[Compile::Plan as usize]
     }
 
-    /// Template runs of this client's jobs served from the compiled
-    /// program without recompiling.
+    /// Runs of this client's own jobs served by the numbers the
+    /// executing thread's memo holds: a shift pair's second run, and on
+    /// a steady device later jobs in the cycle.
     pub fn program_cache_hits(&self) -> u64 {
-        self.compiles.hits
+        self.compiles[Compile::Hit as usize]
     }
 
     /// Density runs the backend evolved through its group-fork walk
@@ -226,8 +183,8 @@ impl ClientNode {
 
     /// Executes one gradient task: the per-occurrence forward/backward
     /// shift pairs of every template in the slice go to the backend as
-    /// **one** batched engine call over the slice's locked templates,
-    /// then the gradient is assembled from the returned counts.
+    /// **one** batched engine call over the slice's templates, then the
+    /// gradient is assembled from the returned counts.
     ///
     /// # Panics
     ///
@@ -271,61 +228,44 @@ impl ClientNode {
 
         // Build the batch: for each occurrence, forward then backward
         // shifts of every template in the slice.
-        let mut locks = TemplateLocks::new(slice.iter().copied());
-        let local = locks.slots().to_vec();
         let mut runs: Vec<TemplateRun> = Vec::with_capacity(n_occurrences * 2 * n_templates);
         for k in 0..n_occurrences {
-            for (j, entry) in slice.iter().enumerate() {
-                let occ = entry.occurrences(task.param);
-                assert_eq!(
-                    occ.len(),
-                    n_occurrences,
-                    "occurrence structure differs across slice templates"
-                );
-                runs.push(TemplateRun {
-                    template: local[j],
-                    shift: Some((occ[k], vqa::gradient::SHIFT)),
-                });
-            }
-            for (j, entry) in slice.iter().enumerate() {
-                runs.push(TemplateRun {
-                    template: local[j],
-                    shift: Some((entry.occurrences(task.param)[k], -vqa::gradient::SHIFT)),
-                });
+            for delta in [vqa::gradient::SHIFT, -vqa::gradient::SHIFT] {
+                for (j, entry) in slice.iter().enumerate() {
+                    let occ = entry.occurrences(task.param);
+                    assert_eq!(
+                        occ.len(),
+                        n_occurrences,
+                        "occurrence structure differs across slice templates"
+                    );
+                    let shift = Some((occ[k], delta));
+                    runs.push(TemplateRun { template: j, shift });
+                }
             }
         }
-        let (raw_counts, timing) =
-            self.compiles
-                .execute(&mut self.backend, &mut locks, &runs, params, shots, submit);
-        let first_circuit = locks.template(local[0]).circuit();
-        let scales: Vec<f64> = occurrences
-            .iter()
-            .map(|&occ_idx| {
-                first_circuit.gates()[occ_idx]
-                    .angle()
-                    .expect("occurrence is parameterized")
-                    .gradient_scale()
-            })
-            .collect();
-        drop(locks);
+        let (raw_counts, timing, compiles) = self
+            .backend
+            .execute_device_templates(&slice, &runs, params, shots, submit);
+        for c in compiles {
+            self.compiles[c as usize] += 1;
+        }
         self.circuits_run += raw_counts.len() as u64;
         self.tasks_completed += 1;
 
         // Reassemble: per occurrence, the forward template counts then the
         // backward template counts.
+        let loss = |first: usize| {
+            let counts: Vec<Counts> = (0..n_templates)
+                .map(|j| remap(slice[j], &raw_counts[first + j]))
+                .collect();
+            problem.slice_loss(task.slice, &counts)
+        };
         let mut gradient = 0.0;
-        let per_occ = 2 * n_templates;
-        for (k, scale) in scales.into_iter().enumerate() {
-            let base = k * per_occ;
-            let fwd_counts: Vec<Counts> = (0..n_templates)
-                .map(|j| remap(slice[j], &raw_counts[base + j]))
-                .collect();
-            let bck_counts: Vec<Counts> = (0..n_templates)
-                .map(|j| remap(slice[j], &raw_counts[base + n_templates + j]))
-                .collect();
-            let loss_fwd = problem.slice_loss(task.slice, &fwd_counts);
-            let loss_bck = problem.slice_loss(task.slice, &bck_counts);
-            gradient += scale * (loss_fwd - loss_bck) / 2.0;
+        for (k, &occ) in occurrences.iter().enumerate() {
+            let angle = slice[0].circuit().gates()[occ].angle();
+            let scale = angle.expect("occurrence is parameterized").gradient_scale();
+            let fwd = k * 2 * n_templates;
+            gradient += scale * (loss(fwd) - loss(fwd + n_templates)) / 2.0;
         }
 
         ClientTaskResult {
@@ -356,19 +296,18 @@ impl ClientNode {
                 .into_iter()
                 .map(|ti| &self.templates[ti])
                 .collect();
-            let mut locks = TemplateLocks::new(entries.iter().copied());
-            let runs: Vec<TemplateRun> = locks
-                .slots()
-                .iter()
-                .map(|&l| TemplateRun {
-                    template: l,
+            let runs: Vec<TemplateRun> = (0..entries.len())
+                .map(|template| TemplateRun {
+                    template,
                     shift: None,
                 })
                 .collect();
-            let (raw, timing) =
-                self.compiles
-                    .execute(&mut self.backend, &mut locks, &runs, params, shots, t);
-            drop(locks);
+            let (raw, timing, compiles) = self
+                .backend
+                .execute_device_templates(&entries, &runs, params, shots, t);
+            for c in compiles {
+                self.compiles[c as usize] += 1;
+            }
             self.circuits_run += raw.len() as u64;
             let logical: Vec<Counts> = entries
                 .iter()
@@ -523,29 +462,26 @@ mod tests {
     }
 
     #[test]
-    fn a_problem_listing_one_circuit_twice_locks_it_once() {
+    fn a_problem_listing_one_circuit_twice_runs_it_once_per_job() {
         let qaoa = QaoaProblem::maxcut_ring4();
         let circuit = qaoa.templates()[0].clone();
         let problem = Twice(qaoa, vec![circuit.clone(), circuit]);
-        // On its own thread, so a self-deadlock fails the test instead
-        // of hanging it.
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || {
-            let mut client = ClientNode::new(0, quiet_backend("belem", 6), &problem).unwrap();
-            assert!(Arc::ptr_eq(&client.templates[0], &client.templates[1]));
-            let task = GradientTask {
-                param: ParamId(1),
-                slice: TaskSlice::Full,
-            };
-            let r = client.run_task(&problem, task, &[0.7, 0.3], 256, SimTime::ZERO);
-            let (loss, _) = client.evaluate_loss(&problem, &[0.7, 0.3], 256, r.completed);
-            tx.send((r.circuits_run, loss.is_finite())).unwrap();
-        });
-        let (circuits, finite) = rx
-            .recv_timeout(std::time::Duration::from_secs(60))
-            .expect("the job must not deadlock on its own entry");
+        let mut client = ClientNode::new(0, quiet_backend("belem", 6), &problem).unwrap();
+        assert!(Arc::ptr_eq(&client.templates[0], &client.templates[1]));
+        let task = GradientTask {
+            param: ParamId(1),
+            slice: TaskSlice::Full,
+        };
+        let r = client.run_task(&problem, task, &[0.7, 0.3], 256, SimTime::ZERO);
+        // One program for both listed copies: one plan, every other run
+        // a hit.
+        assert_eq!(
+            (client.programs_compiled(), client.programs_planned()),
+            (1, 1)
+        );
+        let (loss, _) = client.evaluate_loss(&problem, &[0.7, 0.3], 256, r.completed);
         // 4 occurrences: 4 shift pairs of both listed copies.
-        assert_eq!((circuits, finite), (16, true));
+        assert_eq!((r.circuits_run, loss.is_finite()), (16, true));
     }
 
     #[test]

@@ -3,10 +3,10 @@
 //! An [`Ensemble`] is a reusable description of a device fleet plus a
 //! training configuration, built with [`Ensemble::builder`]. Binding it
 //! to a problem yields an [`EnsembleSession`]: each device transpiles
-//! the problem's templates once and wraps them as compiled templates
-//! ([`qdevice::CompiledTemplate`]) that its backend re-lowers at most
-//! once per calibration cycle — per job only the parameter-shift pair
-//! is rebound and submitted as one batched engine call. Any
+//! and plans the problem's templates once ([`qdevice::DeviceTemplate`])
+//! and refreshes their numbers per noise token — per job only the
+//! parameter-shift pair is rebound and submitted as one batched engine
+//! call. Any
 //! [`Executor`] drains the session into a
 //! [`TrainingReport`]:
 //!

@@ -17,8 +17,8 @@
 //! per cycle and re-degraded only when the drift factors actually
 //! change (they never do under [`DriftModel::none`], so the model is
 //! then built exactly once per cycle), and the device additionally keeps
-//! one compiled program per problem template: planned once, its numbers
-//! refreshed per noise token — per job, on a drifting device (see
+//! one plan per problem template: planned once, its numbers refreshed per
+//! noise token — per job, on a drifting device (see
 //! [`crate::compile::CompiledTemplate`]). All caches key on values, not
 //! time, so caching never changes a result. The uncached pre-engine path
 //! is test ground truth and ships in no library: the dev-only
@@ -45,17 +45,11 @@
 //!
 //! A [`DeviceTemplate`] is what the paper's client derives from a
 //! template once per device (Algorithm 2): the transpiled compact
-//! circuit as a [`CompiledTemplate`], each parameter's occurrences, the
-//! logical bit order and the Eq. 2 metrics. Sharing it is exact: a
-//! template's plan and numbers are a pure function of (circuit, active
-//! qubits, [`NoiseToken`]), tokens are per device, and
-//! [`CompiledTemplate::bind`] rewrites every rebind slot on every job,
-//! so whichever clone refreshed or bound an entry last leaves nothing a
-//! job can see. Its compiled template sits behind its own lock, held
-//! for a whole job through [`TemplateLocks`]. Lock order: a job takes
-//! its entries' locks first — each distinct entry once, in address
-//! order — and the noise cache's and the queue ledger's locks only
-//! under them; neither of those is ever held while an entry is locked.
+//! circuit, each parameter's occurrences, the logical bit order, the
+//! Eq. 2 metrics, and the device's plan — an immutable `Arc` that jobs
+//! read and a job whose noise no longer fits it replaces. A refresh
+//! under any plan that holds equals a cold compile bit for bit, so
+//! which plan a job finds never shows in its counts.
 //!
 //! ## Transpile output belongs to the architecture
 //!
@@ -67,13 +61,12 @@
 //! apart from its "runtime conditions". They live in one entry of an
 //! [`ArchitectureTemplates`] cache, keyed like the device's by the
 //! template's bits, and every device of the architecture holds that
-//! entry by `Arc`; only its [`CompiledTemplate`]'s plan, numbers and
-//! token are its own. The cache is shared by the devices minted
-//! together ([`QpuBackend::share_architectures`]: one ensemble or
-//! fleet) whose topologies are equal as values — name included, since
-//! the router treats topologies named `full*` apart — so a fleet
-//! transpiles each template once per coupling map, not once per
-//! device. [`QpuBackend::with_recal_jitter`] keeps the architecture
+//! entry by `Arc`; only its plan is its own. The cache is shared by
+//! the devices minted together ([`QpuBackend::share_architectures`]:
+//! one ensemble or fleet) whose topologies are equal as values — name
+//! included, since the router treats topologies named `full*` apart —
+//! so a fleet transpiles each template once per coupling map, not once
+//! per device. [`QpuBackend::with_recal_jitter`] keeps the architecture
 //! cache: jitter moves the noise, not the coupling map. Lock order: a
 //! device's template cache lock first, then the architecture cache's,
 //! never the reverse; jobs never take the architecture lock.
@@ -83,11 +76,12 @@
 //! Every job books through [`QpuBackend::execute_with`]: it draws the
 //! start time, hands the simulation to its caller's closure, then sums
 //! the circuits' execution seconds, books the occupancy and assembles
-//! the [`JobResult`]. [`QpuBackend::execute`] and
-//! [`QpuBackend::execute_templates`] are its two production callers.
+//! the [`JobResult`]. [`QpuBackend::execute`] and the two template
+//! entries are its production callers.
 //!
-//! Template jobs ([`QpuBackend::execute_templates`], the training hot
-//! path) have one density implementation: one walk per template from
+//! Template jobs ([`QpuBackend::execute_templates`] and
+//! [`QpuBackend::execute_device_templates`], the training hot path)
+//! have one density implementation: one walk per template from
 //! `|0..0><0..0|`, every shifted run forked off it at the op its shift
 //! rebinds, the forked suffixes resumed one after another, then one
 //! sampling loop in run order.
@@ -101,7 +95,15 @@
 //! backend executing on that thread. Nothing in it carries from one
 //! call to the next as a result: each walk resets the state, evolution
 //! is RNG-free, and sampling draws from the backend's own RNG, so which
-//! thread runs a job never shows in its counts. Memory then scales with
+//! thread runs a job never shows in its counts.
+//!
+//! So are the numbers a device template's job runs on — rebound
+//! rotations, fused superoperators, readout — in a memo of at most 8
+//! [`CompiledTemplate`]s keyed by (plan `Arc`, [`NoiseToken`]). A job
+//! takes its programs out (the one over the entry's plan, else the
+//! least recently used, whose buffers the refresh overwrites) and puts
+//! them back when done, so a job that panics leaves nothing to hit and
+//! clones on two threads share only the plan. Memory scales with
 //! threads, not with the (tenant × device) clones of a fleet.
 //! Parallelism is one layer up: `eqc_core` runs whole client tasks —
 //! one backend each — on its scoped worker pool, so each worker has its
@@ -110,7 +112,7 @@
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
-use crate::compile::{CompiledTemplate, NoiseToken};
+use crate::compile::{Compile, CompiledTemplate, NoiseToken, Plan};
 use crate::drift::DriftModel;
 use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
@@ -121,16 +123,48 @@ use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex};
 use transpile::{transpile, CircuitMetrics, Topology, TranspileError, TranspileOptions};
 
-/// The executing thread's simulator (see the module docs).
+/// Programs a thread's memo keeps between jobs, whatever the fleet.
+const MEMO_PROGRAMS: usize = 8;
+
+/// The executing thread's simulator and memo (see the module docs).
 #[derive(Default)]
 struct Scratch {
     engine: DensityEngine,
-    /// Per-run distributions of [`QpuBackend::execute_templates`]'
-    /// evolve-then-sample split (reused across calls).
+    /// Per-run distributions of the template jobs' evolve-then-sample
+    /// split (reused across calls).
     run_probs: Vec<Vec<f64>>,
+    /// The memo: device programs, least recently used first.
+    programs: Vec<CompiledTemplate>,
+}
+
+impl Scratch {
+    /// The program a job runs `entry` on, out of the memo: the one over
+    /// `plan`, else the least recently used (or a new one) reset to it.
+    fn take(&mut self, entry: &DeviceTemplate, plan: Option<Arc<Plan>>) -> CompiledTemplate {
+        let over = |p: &CompiledTemplate| {
+            let pair = p.plan().zip(plan.as_ref());
+            pair.is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+        };
+        if let Some(i) = self.programs.iter().position(over) {
+            return self.programs.remove(i);
+        }
+        let a = &entry.architecture;
+        let recycled = (self.programs.len() >= MEMO_PROGRAMS).then(|| self.programs.remove(0));
+        let fresh =
+            CompiledTemplate::shared(Arc::clone(&a.circuit), Arc::clone(&a.active_physical));
+        fresh.starting_from(plan, recycled)
+    }
+
+    /// Puts a job's programs back, most recently used last, and drops
+    /// the least recently used beyond [`MEMO_PROGRAMS`].
+    fn keep(&mut self, programs: Vec<CompiledTemplate>) {
+        self.programs.extend(programs);
+        let excess = self.programs.len().saturating_sub(MEMO_PROGRAMS);
+        self.programs.drain(..excess);
+    }
 }
 
 thread_local! {
@@ -450,24 +484,22 @@ impl ArchitectureTemplate {
 
 /// One problem template prepared for one device, shared by all its
 /// clones (see the module docs): the architecture's transpiled entry
-/// and the device's own compiled template, which alone changes after
-/// preparation and so alone sits behind a lock.
+/// and the device's plan of its compact circuit, which alone changes
+/// after preparation.
 pub struct DeviceTemplate {
-    /// Compiled form of the compacted symbolic physical circuit: the
-    /// op-tape planned once, its channel numbers refreshed per noise
-    /// token, its rotations rebound per job.
-    compiled: Mutex<CompiledTemplate>,
+    /// `None` before the first job; locked to read or swap the `Arc`.
+    plan: Mutex<Option<Arc<Plan>>>,
     architecture: Arc<ArchitectureTemplate>,
 }
 
 impl fmt::Debug for DeviceTemplate {
-    /// The compiled template (whose circuit is the compact one) and the
-    /// architecture's figures — the logical template and a second copy
-    /// of the compact circuit's `Arc` are left out.
+    /// The compact circuit, the plan and the architecture's figures —
+    /// the logical template and the active set are left out.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let a = &*self.architecture;
         f.debug_struct("DeviceTemplate")
-            .field("compiled", &self.compiled)
+            .field("circuit", &a.circuit)
+            .field("plan", &self.plan)
             .field("occurrences", &a.occurrences)
             .field("occurrence_ends", &a.occurrence_ends)
             .field("logical_bits", &a.logical_bits)
@@ -477,17 +509,17 @@ impl fmt::Debug for DeviceTemplate {
 }
 
 impl DeviceTemplate {
-    /// A device's entry over the architecture's: a compiled template
-    /// not yet planned.
+    /// A device's entry over the architecture's, not yet planned.
     fn new(architecture: Arc<ArchitectureTemplate>) -> Self {
-        let compiled = CompiledTemplate::shared(
-            Arc::clone(&architecture.circuit),
-            Arc::clone(&architecture.active_physical),
-        );
         DeviceTemplate {
-            compiled: Mutex::new(compiled),
+            plan: Mutex::new(None),
             architecture,
         }
+    }
+
+    /// The compacted symbolic physical circuit.
+    pub fn circuit(&self) -> &Circuit {
+        &self.architecture.circuit
     }
 
     /// Gate indices where `param` occurs in the compact circuit (empty
@@ -511,20 +543,6 @@ impl DeviceTemplate {
     /// Metrics of the transpiled circuit (inputs to Eq. 2).
     pub fn metrics(&self) -> &CircuitMetrics {
         &self.architecture.metrics
-    }
-
-    /// Locks the compiled template. A lock poisoned by a job that
-    /// panicked mid-compile, -bind or -evolution is recovered with its
-    /// noise token forgotten, so the next job refreshes the program
-    /// instead of reusing it as the panic left it (every bind rewrites
-    /// all rebind slots anyway). Jobs lock through [`TemplateLocks`].
-    fn lock(&self) -> MutexGuard<'_, CompiledTemplate> {
-        self.compiled.lock().unwrap_or_else(|poisoned| {
-            self.compiled.clear_poison();
-            let mut compiled = poisoned.into_inner();
-            compiled.forget_token();
-            compiled
-        })
     }
 }
 
@@ -697,69 +715,6 @@ fn same_bits(a: &Circuit, b: &Circuit) -> bool {
         })
 }
 
-/// The distinct [`DeviceTemplate`]s of one job, locked until dropped —
-/// how a client hands its entries to [`QpuBackend::execute_templates`].
-///
-/// Entries are deduplicated by identity ([`Arc::ptr_eq`]), not by the
-/// caller's template index, so a problem that lists one circuit twice
-/// locks its entry once instead of deadlocking on itself. They are
-/// locked in address order, one order for every job, so two jobs whose
-/// slices list shared entries in opposite orders cannot deadlock each
-/// other.
-pub struct TemplateLocks<'a> {
-    /// One guard per distinct entry, in first-appearance order.
-    guards: Vec<MutexGuard<'a, CompiledTemplate>>,
-    slots: Vec<usize>,
-}
-
-impl<'a> TemplateLocks<'a> {
-    /// Locks each distinct entry among `entries` once.
-    pub fn new(entries: impl IntoIterator<Item = &'a Arc<DeviceTemplate>>) -> Self {
-        let mut distinct: Vec<&'a Arc<DeviceTemplate>> = Vec::new();
-        let slots = entries
-            .into_iter()
-            .map(
-                |entry| match distinct.iter().position(|d| Arc::ptr_eq(d, entry)) {
-                    Some(slot) => slot,
-                    None => {
-                        distinct.push(entry);
-                        distinct.len() - 1
-                    }
-                },
-            )
-            .collect();
-        let mut order: Vec<usize> = (0..distinct.len()).collect();
-        order.sort_by_key(|&slot| Arc::as_ptr(distinct[slot]));
-        let mut guards: Vec<Option<MutexGuard<'a, CompiledTemplate>>> =
-            distinct.iter().map(|_| None).collect();
-        for slot in order {
-            guards[slot] = Some(distinct[slot].lock());
-        }
-        TemplateLocks {
-            guards: guards.into_iter().flatten().collect(),
-            slots,
-        }
-    }
-
-    /// Per entry passed to [`TemplateLocks::new`], in order, its slot:
-    /// the index of its distinct entry — the [`TemplateRun::template`]
-    /// of its runs.
-    pub fn slots(&self) -> &[usize] {
-        &self.slots
-    }
-
-    /// The compiled template locked in `slot`.
-    pub fn template(&self, slot: usize) -> &CompiledTemplate {
-        &self.guards[slot]
-    }
-
-    /// Every locked template by slot: the template list of
-    /// [`QpuBackend::execute_templates`].
-    pub fn templates(&mut self) -> Vec<&mut CompiledTemplate> {
-        self.guards.iter_mut().map(|guard| &mut **guard).collect()
-    }
-}
-
 /// Who a backend is: one per [`QpuBackend::new`] (and per
 /// [`QpuBackend::with_recal_jitter`]), shared by every clone.
 #[derive(Debug)]
@@ -817,8 +772,7 @@ pub struct QpuBackend {
     /// the attachment.
     shared_queue: Option<Arc<Mutex<DeviceQueue>>>,
     noise_cache: NoiseCache,
-    /// Density runs executed through [`QpuBackend::execute_templates`]
-    /// (telemetry).
+    /// Density runs executed through the template entries (telemetry).
     batched_jobs: u64,
 }
 
@@ -869,8 +823,7 @@ impl QpuBackend {
         }
     }
 
-    /// Density runs executed through [`QpuBackend::execute_templates`]
-    /// (telemetry).
+    /// Density runs executed through the template entries (telemetry).
     pub fn batched_jobs(&self) -> u64 {
         self.batched_jobs
     }
@@ -951,11 +904,11 @@ impl QpuBackend {
         &self.identity.noise
     }
 
-    /// The device's prepared `template`: wrapped in a
-    /// [`CompiledTemplate`] on the first request of any clone of the
-    /// device, over the architecture's entry — transpiled for this
-    /// topology and compacted on the first request of any device that
-    /// shares the architecture; later requests share those entries.
+    /// The device's prepared `template`: made on the first request of
+    /// any clone of the device, over the architecture's entry —
+    /// transpiled for this topology and compacted on the first request
+    /// of any device that shares the architecture; later requests share
+    /// those entries.
     ///
     /// # Errors
     ///
@@ -1293,16 +1246,11 @@ impl QpuBackend {
     ///
     /// Each [`TemplateRun`] names a template (by index into `templates`)
     /// and an optional shift; the shared `params` vector binds every
-    /// run. Templates compile at most once per noise token: on a
-    /// drifting device that is once per job, and what it costs is a
-    /// refresh of the numbers in a program planned by the template's
-    /// first job (see [`CompiledTemplate`]). Runs group by template:
-    /// each group binds its
-    /// base once and walks the tape once, forking every shifted member
-    /// at the op its shift rebinds (a forward/backward pair is a group
-    /// of two, an unshifted run is the walk itself); the forked suffixes
-    /// then resume on the thread's engine, each fork in a spare state the
-    /// previous resumes left. Evolution is RNG-free and
+    /// run. Templates compile at most once per noise token — on a
+    /// drifting device, a refresh per job (see [`CompiledTemplate`]).
+    /// Runs group by template: one walk per group, every shifted member
+    /// forked off it (a forward/backward pair is a group of two, an
+    /// unshifted run is the walk itself). Evolution is RNG-free and
     /// sampling consumes the RNG in run order, so counts and timing are
     /// bit-identical to evolving every run on its own.
     ///
@@ -1328,13 +1276,62 @@ impl QpuBackend {
     ) -> (Vec<Counts>, JobResult) {
         assert!(!runs.is_empty(), "batch must contain at least one run");
         let job = self.execute_with(shots, submit, |be, started| {
-            be.simulate_templates(templates, runs, params, shots, started)
+            be.simulate_templates(templates, runs, params, shots, started, &mut Vec::new())
         });
         self.batched_jobs += runs.len() as u64;
         job
     }
 
-    /// The simulation half of [`QpuBackend::execute_templates`].
+    /// [`QpuBackend::execute_templates`] over the device's prepared
+    /// templates — the client's path. `runs` index `entries`; an entry
+    /// listed twice runs from one program, the thread's (see the module
+    /// docs). Returns each run's compile outcome, in run order, too.
+    ///
+    /// # Panics
+    ///
+    /// As [`QpuBackend::execute_templates`].
+    pub fn execute_device_templates(
+        &mut self,
+        entries: &[&Arc<DeviceTemplate>],
+        runs: &[TemplateRun],
+        params: &[f64],
+        shots: usize,
+        submit: SimTime,
+    ) -> (Vec<Counts>, JobResult, Vec<Compile>) {
+        assert!(!runs.is_empty(), "batch must contain at least one run");
+        let mut distinct: Vec<(&DeviceTemplate, Option<Arc<Plan>>)> = Vec::new();
+        let runs: Vec<TemplateRun> = runs
+            .iter()
+            .map(|run| {
+                let entry = &**entries[run.template];
+                let found = distinct.iter().position(|(d, _)| std::ptr::eq(*d, entry));
+                let template = found.unwrap_or_else(|| {
+                    distinct.push((entry, entry.plan.lock().expect("plan lock").clone()));
+                    distinct.len() - 1
+                });
+                TemplateRun { template, ..*run }
+            })
+            .collect();
+        let mut programs: Vec<_> =
+            with_scratch(|s| distinct.iter().map(|(e, p)| s.take(e, p.clone())).collect());
+        let mut compiles = Vec::with_capacity(runs.len());
+        let (counts, job) = self.execute_with(shots, submit, |be, started| {
+            let mut refs: Vec<&mut CompiledTemplate> = programs.iter_mut().collect();
+            be.simulate_templates(&mut refs, &runs, params, shots, started, &mut compiles)
+        });
+        self.batched_jobs += runs.len() as u64;
+        // A job that planned anew hands its plan to the device.
+        for ((entry, taken), program) in distinct.iter().zip(&programs) {
+            let planned = program.plan().expect("compiled");
+            if !taken.as_ref().is_some_and(|t| Arc::ptr_eq(t, planned)) {
+                *entry.plan.lock().expect("plan lock") = Some(Arc::clone(planned));
+            }
+        }
+        with_scratch(|s| s.keep(programs));
+        (counts, job, compiles)
+    }
+
+    /// The simulation half of the template entries.
     ///
     /// Density evolution is RNG-free, so the batch splits into an
     /// evolution phase — one walk per template, every shifted run
@@ -1351,6 +1348,7 @@ impl QpuBackend {
         params: &[f64],
         shots: usize,
         started: SimTime,
+        compiles: &mut Vec<Compile>,
     ) -> Vec<(Counts, f64, f64)> {
         let token = self.noise_token(started);
         // Bookkeeping pass — per run, so the noise and compile counters
@@ -1360,7 +1358,7 @@ impl QpuBackend {
             let entry = self.noise_entry(started, templates[run.template].active_physical());
             let noise = &*self.noise_cache.entries[entry].model;
             let template = &mut *templates[run.template];
-            template.ensure_compiled(noise, token);
+            compiles.push(template.ensure_compiled(noise, token));
             let program = template.program();
             assert_density_fits(program.num_qubits());
             meta.push((
@@ -1380,7 +1378,8 @@ impl QpuBackend {
             groups[g].1.push(i);
         }
         let rng = &mut self.rng;
-        with_scratch(|Scratch { engine, run_probs }| {
+        with_scratch(|scratch| {
+            let (engine, run_probs) = (&mut scratch.engine, &mut scratch.run_probs);
             if run_probs.len() < runs.len() {
                 run_probs.resize_with(runs.len(), Vec::new);
             }
@@ -1912,11 +1911,25 @@ mod tests {
         )
     }
 
-    /// One shift pair and an unshifted run of `entry` as one job.
+    /// One shift pair and an unshifted run of `entry` as one job: its
+    /// counts and completion bits. What its compiles did goes to
+    /// `compiles`.
     fn template_job(
         be: &mut QpuBackend,
         entry: &Arc<DeviceTemplate>,
         at: SimTime,
+        compiles: &mut Vec<Compile>,
+    ) -> (Vec<Counts>, u64) {
+        template_job_with(be, entry, &[0.4], at, compiles)
+    }
+
+    /// [`template_job`] bound with `params`.
+    fn template_job_with(
+        be: &mut QpuBackend,
+        entry: &Arc<DeviceTemplate>,
+        params: &[f64],
+        at: SimTime,
+        compiles: &mut Vec<Compile>,
     ) -> (Vec<Counts>, u64) {
         let occ = entry.occurrences(ParamId(0))[0];
         let runs = [0.5, -0.5]
@@ -1930,15 +1943,19 @@ mod tests {
                 shift: None,
             }])
             .collect::<Vec<_>>();
-        let mut locks = TemplateLocks::new([entry]);
-        let (counts, job) = be.execute_templates(&mut locks.templates(), &runs, &[0.4], 256, at);
+        let (counts, job, outcomes) = be.execute_device_templates(&[entry], &runs, params, 256, at);
+        compiles.extend(outcomes);
         (counts, job.completed.as_secs().to_bits())
     }
 
-    /// `(compiles, plans, cache_hits)` of an entry's template.
-    fn compile_counts(entry: &DeviceTemplate) -> (u64, u64, u64) {
-        let t = entry.lock();
-        (t.compiles(), t.plans(), t.cache_hits())
+    /// `(compiles, plans, cache_hits)` among compile outcomes.
+    fn compile_counts(outcomes: &[Compile]) -> (u64, u64, u64) {
+        let count = |of: &[Compile]| outcomes.iter().filter(|o| of.contains(o)).count() as u64;
+        (
+            count(&[Compile::Refresh, Compile::Plan]),
+            count(&[Compile::Plan]),
+            count(&[Compile::Hit]),
+        )
     }
 
     #[test]
@@ -1967,140 +1984,77 @@ mod tests {
         let (mut ta, mut tb) = (steady_backend(7), steady_backend(7));
         let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
         let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
+        let (mut shared, mut twins) = (Vec::new(), Vec::new());
         for h in [1.0, 2.0, 25.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
-                template_job(&mut a, &ea, at),
-                template_job(&mut ta, &fa, at)
+                template_job(&mut a, &ea, at, &mut shared),
+                template_job(&mut ta, &fa, at, &mut twins)
             );
             assert_eq!(
-                template_job(&mut b, &eb, at),
-                template_job(&mut tb, &fb, at)
+                template_job(&mut b, &eb, at, &mut shared),
+                template_job(&mut tb, &fb, at, &mut twins)
             );
         }
         // One plan for the device: the second clone's jobs in a cycle
         // hit what the first clone's compiled.
-        let (compiles, plans, _) = compile_counts(&ea);
+        let (compiles, plans, _) = compile_counts(&shared);
         assert_eq!((compiles, plans), (2, 1), "one compile per cycle");
     }
 
-    /// Runs `f` on its own thread and returns its result, failing after
-    /// a minute: a lock test that deadlocks fails instead of hanging.
-    fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(f()));
-        rx.recv_timeout(std::time::Duration::from_secs(60))
-            .unwrap_or_else(|e| panic!("{what}: {e}"))
-    }
-
     #[test]
-    fn template_locks_take_each_distinct_entry_once() {
-        // A problem that lists one circuit twice resolves both indices
-        // to one entry; a job over it locks that entry once (a second
-        // lock on one thread would deadlock) and runs both indices from
-        // one slot.
-        let mut device = steady_backend(9);
-        let (first, again) = (
-            device.template(&ry_template()),
-            device.template(&ry_template()),
-        );
-        let (first, again) = (first.expect("fits"), again.expect("fits"));
-        let other = device.template(&bell_compact()).expect("fits");
-        let entries = [&first, &other, &again].map(Arc::clone);
-        let (slots, locked) = within_a_minute("a repeated entry must lock once", move || {
-            let mut locks = TemplateLocks::new(&entries);
-            (locks.slots().to_vec(), locks.templates().len())
-        });
-        assert_eq!((slots, locked), (vec![0, 1, 0], 2));
-        // Slices that list shared entries in opposite orders lock them
-        // in one order, so concurrent jobs cannot deadlock each other.
-        let workers = [[&first, &other], [&other, &first]].map(|order| {
-            let order = order.map(Arc::clone);
-            std::thread::spawn(move || {
-                for _ in 0..2_000 {
-                    let mut locks = TemplateLocks::new(&order);
-                    assert_eq!(locks.templates().len(), 2);
-                }
-            })
-        });
-        within_a_minute("opposite slice orders must not deadlock", move || {
-            for worker in workers {
-                worker.join().expect("no panic");
-            }
-        });
-        let (counts, _) = template_job(&mut device, &again, SimTime::from_hours(1.0));
-        assert_eq!(counts.len(), 3);
-    }
-
-    #[test]
-    fn a_job_takes_its_entries_before_the_noise_lock() {
-        let device = small_backend(13);
-        let entry = device.template(&ry_template()).expect("fits");
-        let noise = device.identity.noise.state.lock().expect("noise lock");
-        // With the noise lock held, a clone still fetches and locks the
-        // entry: taking an entry never waits on the noise cache.
-        let clone = device.clone();
-        let again = within_a_minute("an entry must not wait on noise", move || {
-            let again = clone.template(&ry_template()).expect("fits");
-            drop(TemplateLocks::new([&again]));
-            again
-        });
-        assert!(Arc::ptr_eq(&entry, &again));
-        // A job locks its entry first, then waits for the noise lock on
-        // its first use of the cycle.
-        let job = {
-            let (mut be, entry) = (device.clone(), Arc::clone(&entry));
-            std::thread::spawn(move || template_job(&mut be, &entry, SimTime::from_hours(1.0)))
+    fn a_job_that_panics_after_its_refresh_leaves_no_hit() {
+        // A job at hour 25 refreshes for the new cycle, then panics in
+        // bind: its parameter vector is too short. The next job in the
+        // cycle has the same token, yet must refresh again, and equal a
+        // twin that ran the same jobs on a thread of its own.
+        let jobs = || {
+            let mut be = steady_backend(17);
+            let entry = be.template(&ry_template()).expect("fits");
+            let mut compiles = Vec::new();
+            let first = template_job(&mut be, &entry, SimTime::from_hours(1.0), &mut compiles);
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let at = SimTime::from_hours(25.0);
+                template_job_with(&mut be, &entry, &[], at, &mut Vec::new())
+            }));
+            assert!(panicked.is_err(), "bind panics on a short vector");
+            let mut next = Vec::new();
+            let after = template_job(&mut be, &entry, SimTime::from_hours(26.0), &mut next);
+            (first, after, next)
         };
-        let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
-        while entry.compiled.try_lock().is_ok() {
-            assert!(
-                std::time::Instant::now() < deadline,
-                "the job never took its entry"
-            );
-            std::thread::yield_now();
-        }
-        std::thread::sleep(std::time::Duration::from_millis(20));
-        assert!(
-            !job.is_finished(),
-            "the job holds its entry and waits for noise"
-        );
-        drop(noise);
-        let (counts, _) = job.join().expect("the job completes");
-        assert_eq!(counts.len(), 3);
-        assert!(!entry.compiled.is_poisoned());
+        let (first, after, next) = jobs();
+        assert_eq!(next, [Compile::Refresh, Compile::Hit, Compile::Hit]);
+        let twin = std::thread::spawn(jobs).join().expect("the twin runs");
+        assert_eq!((first, after, next), twin);
     }
 
     #[test]
-    fn a_poisoned_entry_is_refreshed_not_reused() {
-        let (mut device, mut twin) = (steady_backend(17), steady_backend(17));
+    fn clones_on_two_threads_run_one_entry_without_locks() {
+        // Two threads, one clone each, take turns at jobs on the
+        // device's one entry across the hour-24 recalibration: both
+        // refresh under the plan one of them made. Each thread's jobs
+        // must equal a separately built twin's, run alone.
+        let hours = [1.0, 23.0, 25.0, 30.0];
+        let device = calibrated_line(1.0, 3);
         let entry = device.template(&ry_template()).expect("fits");
-        let fresh = twin.template(&ry_template()).expect("fits");
-        let at = SimTime::from_hours(1.0);
-        assert_eq!(
-            template_job(&mut device, &entry, at),
-            template_job(&mut twin, &fresh, at)
-        );
-        let (compiles, plans, _) = compile_counts(&entry);
-        // A job panics with the entry locked, after scribbling on it.
-        let poisoner = Arc::clone(&entry);
-        let panicked = std::panic::catch_unwind(move || {
-            let mut template = poisoner.lock();
-            template.bind(&[9.9], None);
-            panic!("a job panics mid-bind");
+        let turns = std::sync::Barrier::new(2);
+        let jobs = |mut be: QpuBackend, entry: &Arc<DeviceTemplate>| {
+            hours.map(|h| {
+                turns.wait();
+                template_job(&mut be, entry, SimTime::from_hours(h), &mut Vec::new())
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| jobs(device.clone(), &entry));
+            let b = s.spawn(|| jobs(device.clone(), &entry));
+            (a.join().expect("a runs"), b.join().expect("b runs"))
         });
-        assert!(panicked.is_err() && entry.compiled.is_poisoned());
-        // Same token as the last job, so only the forgotten token makes
-        // the next job refresh: a compile, not a plan and not a hit.
-        let next = SimTime::from_hours(2.0);
-        assert_eq!(
-            template_job(&mut device, &entry, next),
-            template_job(&mut twin, &fresh, next)
-        );
-        assert!(!entry.compiled.is_poisoned(), "recovered once");
-        let (after, after_plans, _) = compile_counts(&entry);
-        assert_eq!((after, after_plans), (compiles + 1, plans));
-        assert_eq!(compile_counts(&fresh).0, compiles, "the twin hit");
+        let mut twin = calibrated_line(1.0, 3);
+        let lone = twin.template(&ry_template()).expect("fits");
+        let alone =
+            hours.map(|h| template_job(&mut twin, &lone, SimTime::from_hours(h), &mut Vec::new()));
+        assert_eq!(a, alone, "first thread");
+        assert_eq!(b, alone, "second thread");
     }
 
     #[test]
@@ -2182,12 +2136,12 @@ mod tests {
         for h in [1.0, 23.0, 25.0, 30.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
-                template_job(&mut a, &ea, at),
-                template_job(&mut ta, &fa, at)
+                template_job(&mut a, &ea, at, &mut Vec::new()),
+                template_job(&mut ta, &fa, at, &mut Vec::new())
             );
             assert_eq!(
-                template_job(&mut b, &eb, at),
-                template_job(&mut tb, &fb, at)
+                template_job(&mut b, &eb, at, &mut Vec::new()),
+                template_job(&mut tb, &fb, at, &mut Vec::new())
             );
         }
     }
@@ -2252,6 +2206,15 @@ mod tests {
         assert!(same(&later, &lone), "the lone devices share theirs");
     }
 
+    /// Runs `f` on its own thread and returns its result, failing after
+    /// a minute: a lock test that deadlocks fails instead of hanging.
+    fn within_a_minute<T: Send + 'static>(what: &str, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(f()));
+        rx.recv_timeout(std::time::Duration::from_secs(60))
+            .unwrap_or_else(|e| panic!("{what}: {e}"))
+    }
+
     #[test]
     fn a_job_never_takes_the_architecture_lock() {
         let device = steady_backend(23);
@@ -2264,7 +2227,8 @@ mod tests {
             within_a_minute("a job must not wait on the architecture", move || {
                 let mut be = clone;
                 let again = be.template(&ry_template()).expect("fits");
-                let (counts, _) = template_job(&mut be, &again, SimTime::from_hours(1.0));
+                let at = SimTime::from_hours(1.0);
+                let (counts, _) = template_job(&mut be, &again, at, &mut Vec::new());
                 (again, counts)
             });
         assert!(Arc::ptr_eq(&entry, &again));

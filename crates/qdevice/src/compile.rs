@@ -55,25 +55,19 @@
 //! [`crate::noise_model::schedule`]), which apply Kraus operators gate
 //! for gate, keep the true matrices.
 //!
-//! Two entry points:
-//!
-//! * [`compile_bound`] — one-shot compilation of a fully bound circuit
-//!   (the compatibility path behind
-//!   [`crate::noise_model::execute_density`]);
-//! * [`CompiledTemplate`] — the hot path: a *symbolic* circuit template
-//!   planned once and rebound per job. Every catalog device drifts
-//!   continuously, so in practice every job arrives with a new
-//!   [`NoiseToken`] (measured: compiles = tasks on every benchmark
-//!   workload); what a job pays is the refresh — the plan is rebuilt
-//!   only when the new noise would schedule differently. Rebinding swaps
-//!   only the small rotation matrices of parameterized gates. Equal
-//!   tokens guarantee bit-identical noise, so skipping even the refresh
-//!   on a token match is exact, never approximate.
+//! Two entry points: [`compile_bound`], one-shot compilation of a fully
+//! bound circuit (behind [`crate::noise_model::execute_density`]), and
+//! [`CompiledTemplate`], the hot path — a *symbolic* circuit template
+//! planned once, refreshed per [`NoiseToken`] (every job, on a drifting
+//! device) and rebound per job. Equal tokens guarantee bit-identical
+//! noise, so skipping even the refresh on a token match is exact.
 
 use crate::noise_model::{walk, ChannelKey, KeyNumbers, NoiseModel, SiteOp, Verdict};
 use qcircuit::{Angle, Circuit, Gate};
-use qsim::{gates, CMatrix, CompiledProgram, ProgramBuilder, C64};
+use qsim::program::ProgramPlan;
+use qsim::{gates, CMatrix, CompiledProgram, ProgramBuilder, SuperopTable, C64};
 use std::f64::consts::FRAC_PI_2;
+use std::fmt;
 use std::sync::Arc;
 
 /// Identifies one noise epoch of one backend: the calibration cycle plus
@@ -114,22 +108,18 @@ impl NoiseToken {
     }
 }
 
-/// A compiled program together with what it was planned from.
-///
-/// The *plan* is everything that is a function of the circuit and of
-/// which channels the schedule emits — the tape, the matrix table and
-/// rebind slots, the channel keys with a [`Verdict`] each, and (inside
-/// the program) which fixed ops every fused sweep multiplies. It is
-/// built by one schedule walk in the real gauge (see the module doc):
-/// its fixed RZs are frame — rebind-slot offsets and the odd diagonal
-/// pass — and its SXs are `RY(pi/2)`. The
-/// *numbers* — the keys' superoperators under the noise of the moment,
-/// the run products, the readout model — are a
-/// [`Plan::refresh_if_holds`] away, and that is all a new drift step
-/// costs while the plan holds.
-#[derive(Clone, Debug)]
-struct Plan {
-    program: CompiledProgram,
+/// What a template compiles to before any noise number enters: a
+/// function of the circuit and of which channels the schedule emits —
+/// the [`ProgramPlan`] (tape, matrix table, which fixed ops every fused
+/// sweep multiplies), the rebind slots, and the channel keys with a
+/// [`Verdict`] each. It is built by one schedule walk in the real gauge
+/// (see the module doc): its fixed RZs are frame — rebind-slot offsets
+/// and the odd diagonal pass — and its SXs are `RY(pi/2)`. Never
+/// written after that walk, it is shared by `Arc`. The *numbers* live
+/// in a [`CompiledProgram`] beside it, a [`Plan::refresh_if_holds`]
+/// away, and that is all a new drift step costs while the plan holds.
+pub(crate) struct Plan {
+    program: Arc<ProgramPlan>,
     /// One entry per parameterized gate, in schedule order.
     param_slots: Vec<RebindSlot>,
     /// The distinct channel keys in first-visit order — the key space of
@@ -140,6 +130,14 @@ struct Plan {
     /// The gate and readout times the walk ran on: every key's duration
     /// and the program's own derive from these three.
     gate_times_ns: [f64; 3],
+}
+
+impl fmt::Debug for Plan {
+    /// Leaves out the program plan: a template prints it with its program.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fields = (&self.param_slots, &self.keys, &self.verdicts);
+        write!(f, "Plan {:?}", (fields, self.gate_times_ns))
+    }
 }
 
 /// Where a parameterized gate's matrix goes, and from what angle.
@@ -294,10 +292,10 @@ fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
 }
 
 impl Plan {
-    /// Walks the schedule once and builds the program, filled with the
-    /// numbers of `noise` — each key evaluated once, on its first
-    /// visit, for its verdict and its lowering both.
-    fn new(circuit: &Circuit, noise: &NoiseModel) -> Plan {
+    /// Walks the schedule once: the plan, and a program over it filled
+    /// with the numbers of `noise` — each key evaluated once, on its
+    /// first visit, for its verdict and its lowering both.
+    fn new(circuit: &Circuit, noise: &NoiseModel) -> (Plan, CompiledProgram) {
         let mut builder = ProgramBuilder::new(circuit.num_qubits());
         let mut param_slots = Vec::new();
         let (mut keys, mut verdicts, mut numbers) = (Vec::new(), Vec::new(), Vec::new());
@@ -327,24 +325,26 @@ impl Plan {
             numbers[key].lower(table)
         });
         param_slots.shrink_to_fit();
-        Plan {
-            program,
+        let plan = Plan {
+            program: Arc::clone(program.plan()),
             param_slots,
             keys,
             verdicts,
             gate_times_ns: gate_times_ns(noise),
-        }
+        };
+        (plan, program)
     }
 
-    /// Re-derives the program's numbers from `noise`, in place, if a
-    /// walk under `noise` would plan this program again as it is: the
-    /// same gate times (hence the same keys in the same order, and the
-    /// same duration) and the same verdict on every key — which covers
-    /// a T1 turning finite, an error rate leaving zero and a channel
-    /// crossing the elision threshold. Each key is evaluated once, for
-    /// its verdict and its lowering both. Returns whether the plan held;
-    /// a plan that broke is left as it was, for the caller to replace.
-    fn refresh_if_holds(&mut self, noise: &NoiseModel) -> bool {
+    /// Writes the numbers of `noise` into `program` (onto this plan, or
+    /// a new one when there is none) if a walk under `noise` would plan
+    /// this program again as it is: the same gate times (hence the same
+    /// keys in the same order, and the same duration) and the same
+    /// verdict on every key — which covers a T1 turning finite, an
+    /// error rate leaving zero and a channel crossing the elision
+    /// threshold. Each key is evaluated once, for its verdict and its
+    /// lowering both. Returns whether the plan held; a plan that broke
+    /// leaves `program` as it was, for the caller to replace.
+    fn refresh_if_holds(&self, noise: &NoiseModel, program: &mut Option<CompiledProgram>) -> bool {
         if self.gate_times_ns.map(f64::to_bits) != gate_times_ns(noise).map(f64::to_bits) {
             return false;
         }
@@ -356,8 +356,12 @@ impl Plan {
                 evaluated.verdict(ProgramBuilder::DEFAULT_IDENTITY_EPSILON) == planned
             });
         if holds {
-            self.program
-                .refresh(noise.readout(), |key, table| numbers[key].lower(table));
+            let lower = |key: usize, table: &mut SuperopTable| numbers[key].lower(table);
+            let (plan, readout) = (&self.program, noise.readout());
+            match program {
+                Some(program) => program.refill(plan, readout, lower),
+                None => *program = Some(CompiledProgram::new(Arc::clone(plan), readout, lower)),
+            }
         }
         holds
     }
@@ -379,7 +383,7 @@ pub fn compile_bound(circuit: &Circuit, noise: &NoiseModel) -> CompiledProgram {
         0,
         "compile_bound requires a fully bound circuit"
     );
-    Plan::new(circuit, noise).program
+    Plan::new(circuit, noise).1
 }
 
 /// What one [`CompiledTemplate::ensure_compiled`] call did.
@@ -396,30 +400,25 @@ pub enum Compile {
 }
 
 /// A symbolic circuit template planned once and refreshed per noise
-/// token — the unit a device caches per problem template.
+/// token: a compact circuit and its active physical qubits (by `Arc`,
+/// as the devices of one architecture share them), a shared plan, and
+/// the numbers this template owns over it.
 ///
-/// Created once per (template, device) from the transpiled compact
-/// circuit and its active physical qubits, which it holds by `Arc`: the
-/// devices of one architecture share them; every clone of the device
-/// shares the template itself (see [`crate::backend::DeviceTemplate`]).
-/// On each job the backend calls
-/// [`CompiledTemplate::ensure_compiled`] with the noise of the moment. A
-/// matching [`NoiseToken`] is a cache hit (nothing rebuilt). A mismatch
-/// — on a drifting device, every job — is a *compile*: the structure
-/// planned by the first one is kept (tape, matrix table, rebind slots,
-/// channel keys, which ops each fused sweep multiplies) and only its
-/// numbers are re-derived, in place, from the new noise. The plan is
-/// rebuilt only when the new noise would schedule differently: changed
+/// [`CompiledTemplate::ensure_compiled`] brings the numbers up to the
+/// noise of the moment: a matching [`NoiseToken`] is a hit; a mismatch
+/// — on a drifting device, every job — refreshes them in place, and
+/// replans only when the new noise would schedule differently (changed
 /// gate times, a T1 turning finite or infinite, an error rate reaching
-/// or leaving zero, a channel crossing the elision threshold.
-/// [`CompiledTemplate::bind`] then resolves the parameterized gates for
-/// the job's parameter vector and optional parameter-shift, touching
-/// only the rebind slots.
+/// or leaving zero, a channel crossing the elision threshold).
+/// [`CompiledTemplate::bind`] then rewrites the rebind slots for the
+/// job's parameters and optional shift.
 #[derive(Clone, Debug)]
 pub struct CompiledTemplate {
     circuit: Arc<Circuit>,
     active_physical: Arc<[usize]>,
-    plan: Option<Plan>,
+    plan: Option<Arc<Plan>>,
+    program: Option<CompiledProgram>,
+    /// The noise the numbers are for; `None` while they are written.
     token: Option<NoiseToken>,
     compiles: u64,
     plans: u64,
@@ -447,11 +446,24 @@ impl CompiledTemplate {
             circuit,
             active_physical,
             plan: None,
+            program: None,
             token: None,
             compiles: 0,
             plans: 0,
             cache_hits: 0,
         }
+    }
+
+    /// This template starting from `plan`, a plan of its circuit, with
+    /// the buffers of `recycled` for its numbers.
+    pub(crate) fn starting_from(mut self, plan: Option<Arc<Plan>>, recycled: Option<Self>) -> Self {
+        (self.plan, self.program) = (plan, recycled.and_then(|r| r.program));
+        self
+    }
+
+    /// The plan the numbers are over.
+    pub(crate) fn plan(&self) -> Option<&Arc<Plan>> {
+        self.plan.as_ref()
     }
 
     /// The symbolic compact circuit.
@@ -494,27 +506,24 @@ impl CompiledTemplate {
             self.cache_hits += 1;
             return Compile::Hit;
         }
+        // Numbers a panic leaves half-written are never a hit.
+        self.token = None;
         let refreshed = self
             .plan
-            .as_mut()
-            .is_some_and(|plan| plan.refresh_if_holds(noise));
+            .as_ref()
+            .is_some_and(|plan| plan.refresh_if_holds(noise, &mut self.program));
         let outcome = if refreshed {
             Compile::Refresh
         } else {
-            self.plan = Some(Plan::new(&self.circuit, noise));
+            let (plan, program) = Plan::new(&self.circuit, noise);
+            self.plan = Some(Arc::new(plan));
+            self.program = Some(program);
             self.plans += 1;
             Compile::Plan
         };
         self.token = Some(token);
         self.compiles += 1;
         outcome
-    }
-
-    /// Forgets the noise token the program was compiled for, so the
-    /// next [`CompiledTemplate::ensure_compiled`] refreshes (or plans)
-    /// instead of trusting the program as it is.
-    pub(crate) fn forget_token(&mut self) {
-        self.token = None;
     }
 
     /// Resolves every parameterized gate against `params`, adding
@@ -535,16 +544,15 @@ impl CompiledTemplate {
             self.circuit.num_params(),
             params.len()
         );
-        let plan = self
-            .plan
-            .as_mut()
-            .expect("bind requires a compiled template");
+        let (Some(plan), Some(program), Some(_)) = (&self.plan, &mut self.program, self.token)
+        else {
+            panic!("bind requires a compiled template");
+        };
         for rebind in &plan.param_slots {
             let delta = shift
                 .filter(|&(shift_idx, _)| shift_idx == rebind.gate_idx)
                 .map(|(_, delta)| delta);
-            plan.program
-                .set_unitary(rebind.slot, rebind.matrix(&self.circuit, params, delta));
+            program.set_unitary(rebind.slot, rebind.matrix(&self.circuit, params, delta));
         }
     }
 
@@ -575,11 +583,9 @@ impl CompiledTemplate {
 
     /// The compiled program (panics if never compiled).
     pub fn program(&self) -> &CompiledProgram {
-        &self
-            .plan
+        self.program
             .as_ref()
             .expect("template has not been compiled yet")
-            .program
     }
 }
 

@@ -15,8 +15,8 @@
 //!   density-matrix engine;
 //! * a [`compile`] layer that lowers circuit + noise into the flat
 //!   [`qsim::CompiledProgram`] op-tape the allocation-free density
-//!   engine replays, with per-calibration-cycle caching of noise models and
-//!   compiled templates (byte-identical to the uncached path).
+//!   engine replays, caching noise models per cycle, template plans per
+//!   device and their numbers per thread (byte-identical uncached).
 //!
 //! ```
 //! use qdevice::catalog;
@@ -45,7 +45,7 @@ pub mod queue;
 
 pub use backend::{
     ArchitectureTemplates, DeviceTemplate, JobResult, QpuBackend, SharedNoiseCache,
-    SharedTemplateCache, TemplateLocks, TemplateRun,
+    SharedTemplateCache, TemplateRun,
 };
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};

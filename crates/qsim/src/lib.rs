@@ -72,6 +72,6 @@ pub use density::DensityMatrix;
 pub use gates::Pauli;
 pub use matrix::CMatrix;
 pub use noise::{KrausChannel, RelaxationEntries, Superop, SuperopTable};
-pub use program::{CompiledProgram, DensityEngine, ProgramBuilder};
+pub use program::{CompiledProgram, DensityEngine, ProgramBuilder, ProgramPlan};
 pub use sampler::{Counts, ReadoutError, ShotSampler};
 pub use statevector::StateVector;

@@ -10,9 +10,9 @@
 //!
 //! * [`CompiledProgram`] — a flat op-tape over pre-resolved gate
 //!   matrices and a table of fused superoperators, built once by
-//!   [`ProgramBuilder`] and replayed many times; it also keeps the plan
-//!   its fused table is a product of, so new channel numbers — a
-//!   drifting device has new ones per job — are a
+//!   [`ProgramBuilder`] and replayed many times. Its structure is an
+//!   immutable [`ProgramPlan`] that programs share, so new channel
+//!   numbers — a drifting device has new ones per job — are a
 //!   [`CompiledProgram::refresh`], not a rebuild;
 //! * [`DensityEngine`] — exact density-matrix evolution over a
 //!   persistent state. Its programs are *fused*: every maximal run of
@@ -71,6 +71,7 @@ use crate::matrix::CMatrix;
 use crate::noise::{KrausChannel, Placement, RunMember, SuperopTable};
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use rand::RngCore;
+use std::sync::Arc;
 
 /// One instruction of a compiled program's flat op-tape.
 ///
@@ -140,7 +141,7 @@ enum Member {
 
 /// The half of a program that no channel's *numbers* enter:
 /// which fixed ops each fused entry is the product of. Built once by
-/// [`ProgramBuilder`]; every fill of the fused table — the builder's own
+/// [`ProgramBuilder`]; every fill of a fused table — the builder's own
 /// and each [`CompiledProgram::refresh`] — lowers the members and
 /// multiplies the runs in this order, so it is one arithmetic whoever
 /// runs it. Kept small: a fleet holds one per (device, template).
@@ -190,40 +191,133 @@ impl FusionPlan {
         }
         self.gates.seal();
     }
+
+    /// Lowers every member — into a table that lives for this call
+    /// only; the fixed gates are copied from the plan, which lowered
+    /// them once — and multiplies every run into `fused`, replacing
+    /// what it held (its allocations are kept).
+    fn fill(
+        &self,
+        fused: &mut SuperopTable,
+        given: &[KrausChannel],
+        mut lower: impl FnMut(usize, &mut SuperopTable),
+    ) {
+        let mut members = SuperopTable::with_capacity(self.gates.len() + self.members.len());
+        members.extend_from(&self.gates);
+        for member in &self.members {
+            match *member {
+                Member::Unitary(_) => unreachable!("a finished plan's gates are lowered"),
+                Member::Deferred(key) => lower(key as usize, &mut members),
+                Member::Given(idx) => {
+                    let channel = given
+                        .get(idx as usize)
+                        .expect("channels pushed as Kraus lists are lowered once, by the builder");
+                    members.push(channel);
+                }
+            }
+        }
+        assert_eq!(
+            members.len(),
+            self.gates.len() + self.members.len(),
+            "`lower` must push exactly one superoperator per call"
+        );
+        fused.clear();
+        let mut start = 0;
+        for &end in &self.bounds {
+            let run = &self.runs[start..end as usize];
+            // A one-qubit member is `Whole` only in a one-qubit run.
+            let two_qubit = run[0].place() != Placement::Whole
+                || members.get(run[0].member()).num_qubits() == 2;
+            fused.push_product(&members, run, two_qubit);
+            start = end as usize;
+        }
+    }
 }
 
-/// A circuit + noise schedule compiled to an executable form: a flat
-/// op-tape over a table of pre-resolved gate matrices and a table of
-/// fused superoperators.
-///
-/// Build once with [`ProgramBuilder`], rebind parameterized gates
-/// cheaply with [`CompiledProgram::set_unitary`], bring deferred
-/// channels up to new numbers with [`CompiledProgram::refresh`], and
-/// execute with a [`DensityEngine`].
-#[derive(Clone, Debug)]
-pub struct CompiledProgram {
+/// The structure of a compiled program: the op-tape, the matrix table
+/// as planned (placeholders in parameterized slots), which fixed ops
+/// each fused entry multiplies, the duration and the elision count.
+/// Never written once built, so [`CompiledProgram`]s share it by `Arc`.
+#[derive(Debug)]
+pub struct ProgramPlan {
     n_qubits: usize,
     ops: Vec<TapeOp>,
     unitaries: Vec<CMatrix>,
-    /// The fused superoperators and the plan they are products of.
-    superops: SuperopTable,
-    plan: FusionPlan,
-    readout: ReadoutError,
+    fusion: FusionPlan,
     duration_ns: f64,
     skipped_channels: usize,
 }
 
+impl ProgramPlan {
+    /// The op-tape in execution order.
+    pub fn ops(&self) -> &[TapeOp] {
+        &self.ops
+    }
+
+    /// Heap bytes the fusion plan owns: what a plan carries beyond its
+    /// tape and matrix table so that a fill can re-derive the fused
+    /// table.
+    pub fn plan_heap_bytes(&self) -> usize {
+        let plan = &self.fusion;
+        plan.members.capacity() * std::mem::size_of::<Member>()
+            + plan.runs.capacity() * std::mem::size_of::<RunMember>()
+            + plan.bounds.capacity() * std::mem::size_of::<u32>()
+            + plan.gates.heap_bytes()
+    }
+}
+
+/// A circuit + noise schedule compiled to an executable form: a flat
+/// op-tape over a table of pre-resolved gate matrices and a table of
+/// fused superoperators. The structure is a shared [`ProgramPlan`]; the
+/// numbers — the matrix table as last bound, the fused table, the
+/// readout model — are the program's own.
+///
+/// Build once with [`ProgramBuilder`], rebind parameterized gates
+/// cheaply with [`CompiledProgram::set_unitary`], bring deferred
+/// channels up to new numbers with [`CompiledProgram::refresh`] (onto
+/// another plan with [`CompiledProgram::refill`]), and execute with a
+/// [`DensityEngine`].
+#[derive(Clone, Debug)]
+pub struct CompiledProgram {
+    plan: Arc<ProgramPlan>,
+    unitaries: Vec<CMatrix>,
+    superops: SuperopTable,
+    readout: ReadoutError,
+}
+
 impl CompiledProgram {
+    /// A program over `plan`, filled as [`CompiledProgram::refresh`]
+    /// fills one.
+    pub fn new(
+        plan: Arc<ProgramPlan>,
+        readout: ReadoutError,
+        lower: impl FnMut(usize, &mut SuperopTable),
+    ) -> Self {
+        let mut superops = SuperopTable::default();
+        plan.fusion.fill(&mut superops, &[], lower);
+        CompiledProgram {
+            unitaries: plan.unitaries.clone(),
+            plan,
+            superops,
+            readout,
+        }
+    }
+
+    /// The shared structure this program runs.
+    pub fn plan(&self) -> &Arc<ProgramPlan> {
+        &self.plan
+    }
+
     /// Number of qubits the program acts on.
     #[inline]
     pub fn num_qubits(&self) -> usize {
-        self.n_qubits
+        self.plan.n_qubits
     }
 
     /// The op-tape in execution order.
     #[inline]
     pub fn ops(&self) -> &[TapeOp] {
-        &self.ops
+        &self.plan.ops
     }
 
     /// Entries of the channel table: the distinct fused runs.
@@ -241,7 +335,7 @@ impl CompiledProgram {
     /// Channels elided by the identity fast-path during compilation.
     #[inline]
     pub fn skipped_channels(&self) -> usize {
-        self.skipped_channels
+        self.plan.skipped_channels
     }
 
     /// The readout confusion model applied at sampling time.
@@ -254,7 +348,7 @@ impl CompiledProgram {
     /// (readout included).
     #[inline]
     pub fn duration_ns(&self) -> f64 {
-        self.duration_ns
+        self.plan.duration_ns
     }
 
     /// Replaces the matrix in `slot` — the rebind path for parameterized
@@ -305,65 +399,23 @@ impl CompiledProgram {
     /// builder finished and their numbers are gone.
     pub fn refresh(&mut self, readout: ReadoutError, lower: impl FnMut(usize, &mut SuperopTable)) {
         self.readout = readout;
-        self.fill_fused(&[], lower);
+        self.plan.fusion.fill(&mut self.superops, &[], lower);
     }
 
-    /// Lowers every plan member — into a table that lives for this call
-    /// only: a fleet holds thousands of programs and each needs its
-    /// members for microseconds; the fixed gates are copied from the
-    /// plan, which lowered them once — and multiplies every run into
-    /// the fused table.
-    fn fill_fused(
+    /// [`CompiledProgram::refresh`] onto `plan`, maybe not the program's
+    /// own, written into the buffers the program owns: equal, bit for
+    /// bit, to [`CompiledProgram::new`].
+    pub fn refill(
         &mut self,
-        given: &[KrausChannel],
-        mut lower: impl FnMut(usize, &mut SuperopTable),
+        plan: &Arc<ProgramPlan>,
+        readout: ReadoutError,
+        lower: impl FnMut(usize, &mut SuperopTable),
     ) {
-        let CompiledProgram {
-            superops: fused,
-            plan,
-            ..
-        } = self;
-        let mut members = SuperopTable::with_capacity(plan.gates.len() + plan.members.len());
-        members.extend_from(&plan.gates);
-        for member in &plan.members {
-            match *member {
-                Member::Unitary(_) => unreachable!("a finished plan's gates are lowered"),
-                Member::Deferred(key) => lower(key as usize, &mut members),
-                Member::Given(idx) => {
-                    let channel = given
-                        .get(idx as usize)
-                        .expect("channels pushed as Kraus lists are lowered once, by the builder");
-                    members.push(channel);
-                }
-            }
+        if !Arc::ptr_eq(&self.plan, plan) {
+            self.plan = Arc::clone(plan);
+            self.unitaries.clone_from(&plan.unitaries);
         }
-        assert_eq!(
-            members.len(),
-            plan.gates.len() + plan.members.len(),
-            "`lower` must push exactly one superoperator per call"
-        );
-        fused.clear();
-        let mut start = 0;
-        for &end in &plan.bounds {
-            let run = &plan.runs[start..end as usize];
-            // A one-qubit member is `Whole` only in a one-qubit run.
-            let two_qubit = run[0].place() != Placement::Whole
-                || members.get(run[0].member()).num_qubits() == 2;
-            fused.push_product(&members, run, two_qubit);
-            start = end as usize;
-        }
-        fused.seal();
-    }
-
-    /// Heap bytes the fusion plan owns: what a program carries beyond
-    /// its tape and tables so that [`CompiledProgram::refresh`] can
-    /// re-derive them.
-    pub fn plan_heap_bytes(&self) -> usize {
-        let plan = &self.plan;
-        plan.members.capacity() * std::mem::size_of::<Member>()
-            + plan.runs.capacity() * std::mem::size_of::<RunMember>()
-            + plan.bounds.capacity() * std::mem::size_of::<u32>()
-            + plan.gates.heap_bytes()
+        self.refresh(readout, lower);
     }
 }
 
@@ -764,18 +816,21 @@ impl ProgramBuilder {
         plan.members.shrink_to_fit();
         plan.runs.shrink_to_fit();
         plan.bounds.shrink_to_fit();
-        let mut program = CompiledProgram {
-            n_qubits: self.n_qubits,
-            ops: self.ops,
-            unitaries: self.unitaries,
-            superops: SuperopTable::default(),
-            plan,
+        let mut superops = SuperopTable::default();
+        plan.fill(&mut superops, &given, lower);
+        CompiledProgram {
+            unitaries: self.unitaries.clone(),
+            plan: Arc::new(ProgramPlan {
+                n_qubits: self.n_qubits,
+                ops: self.ops,
+                unitaries: self.unitaries,
+                fusion: plan,
+                duration_ns,
+                skipped_channels: self.skipped_channels,
+            }),
+            superops,
             readout,
-            duration_ns,
-            skipped_channels: self.skipped_channels,
-        };
-        program.fill_fused(&given, lower);
-        program
+        }
     }
 }
 
