@@ -17,9 +17,13 @@
 //! a refresh of the plan) — on the four benchmark templates;
 //! `evolve/*` is one evolution of each of the four, bound, with its
 //! tape census (how many sweeps of which kind) printed beside it.
+//! `job/warm_shift_pair_*` is one warm `ClientNode::run_task` (a shift
+//! pair per slice template) on a drifting device for the first three,
+//! with its heap allocations per task printed beside it.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use eqc_bench::{benchmark_templates, probe_params, tape_census, template_fixture};
+use eqc_core::ClientNode;
 use eqc_oracle::{baseline, reference};
 use qcircuit::CircuitBuilder;
 use qdevice::noise_model::{execute_density, NoiseModel};
@@ -33,6 +37,7 @@ use qsim::sampler::{ReadoutError, ShotSampler};
 use qsim::{gates, DensityEngine, DensityMatrix, KrausChannel, SuperopTable};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::alloc::{GlobalAlloc, Layout, System};
 
 /// The 4-qubit hardware-efficient VQE ansatz shape (RY layer, CX chain,
 /// RZ layer) the paper's Fig. 8 workload transpiles to.
@@ -316,6 +321,86 @@ fn bench_compile(c: &mut Criterion) {
     group.finish();
 }
 
+/// Counts the heap allocations (`alloc`, `alloc_zeroed`, `realloc`)
+/// of the calling thread, for the `job` group's allocation rows.
+struct CountingAllocator;
+
+thread_local! {
+    static ALLOCATIONS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+fn count_allocation() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+unsafe impl GlobalAlloc for CountingAllocator {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_allocation();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_allocation();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+fn bench_warm_job(c: &mut Criterion) {
+    // One warm client task on a drifting device — the fleet's unit of
+    // work: a shift pair per slice template, the noise re-degraded and
+    // the template's numbers refreshed (the noise token moves every
+    // job), bound, evolved, sampled, remapped and reduced to a
+    // gradient. Printed beside each row: the task's heap allocations
+    // once warm.
+    let mut group = c.benchmark_group("job");
+    group.sample_size(2000);
+    for (name, problem, device) in benchmark_templates().iter().take(3) {
+        let problem = problem.as_ref();
+        let spec = catalog::by_name(device).expect("catalog device");
+        let drifting = QpuBackend::new(
+            &spec.name,
+            spec.topology(),
+            spec.calibration(),
+            DriftModel::linear(0.08, 0.02),
+            QueueModel::light(3.0),
+            24.0,
+            2,
+        );
+        let mut client = ClientNode::new(0, drifting, problem).expect("template fits device");
+        let task = problem.tasks()[0];
+        let params = probe_params(problem.num_params());
+        let mut submit = SimTime::ZERO;
+        let mut job = || {
+            let result = client.run_task(problem, task, &params, 1024, submit);
+            submit = result.completed;
+            result.gradient
+        };
+        for _ in 0..8 {
+            job();
+        }
+        let before = ALLOCATIONS.with(|n| n.get());
+        for _ in 0..100 {
+            job();
+        }
+        let per_task = (ALLOCATIONS.with(|n| n.get()) - before) as f64 / 100.0;
+        println!("job/warm_shift_pair_{name}: {per_task} heap allocations per task");
+        group.bench_function(format!("warm_shift_pair_{name}"), |b| b.iter(&mut job));
+    }
+    group.finish();
+}
+
 fn bench_evolve(c: &mut Criterion) {
     // One full evolution of each benchmark template, bound, on a warm
     // engine — what a run pays between bind and sampling, and the sum
@@ -345,6 +430,7 @@ criterion_group!(
     bench_channel_application,
     bench_execute_density_paths,
     bench_job_throughput,
+    bench_warm_job,
     bench_compile,
     bench_evolve
 );

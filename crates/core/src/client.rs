@@ -6,7 +6,8 @@
 //! serves gradient tasks: the per-occurrence forward/backward shift
 //! pairs go to the device as **one** batched engine call
 //! ([`QpuBackend::execute_device_templates`]), the loss is read off the
-//! returned counts, and the gradient is reported together with the
+//! counts it hands back — the executing thread's buffers, so a client
+//! keeps none — and the gradient is reported together with the
 //! device's current `P_correct`.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
@@ -24,7 +25,7 @@ use crate::weighting;
 use qdevice::{Compile, DeviceTemplate, QpuBackend, SimTime, TemplateRun};
 use qsim::Counts;
 use std::sync::Arc;
-use transpile::{remap_counts, CircuitMetrics, TranspileError};
+use transpile::{CircuitMetrics, TranspileError};
 use vqa::{GradientTask, VqaProblem};
 
 /// The result of one gradient task executed on one device.
@@ -207,13 +208,10 @@ impl ClientNode {
 
         // Occurrence structure from the first template; all templates of a
         // slice share the ansatz so the structure must agree.
-        let slice: Vec<&Arc<DeviceTemplate>> = template_indices
-            .iter()
-            .map(|&ti| &self.templates[ti])
-            .collect();
-        let occurrences = slice[0].occurrences(task.param);
+        let first = &self.templates[template_indices[0]];
+        let occurrences = first.occurrences(task.param);
         let n_occurrences = occurrences.len();
-        let n_templates = slice.len();
+        let n_templates = template_indices.len();
         if n_occurrences == 0 {
             // Parameter absent from the circuit: zero gradient, no job.
             return ClientTaskResult {
@@ -226,47 +224,48 @@ impl ClientNode {
             };
         }
 
-        // Build the batch: for each occurrence, forward then backward
-        // shifts of every template in the slice.
-        let mut runs: Vec<TemplateRun> = Vec::with_capacity(n_occurrences * 2 * n_templates);
-        for k in 0..n_occurrences {
-            for delta in [vqa::gradient::SHIFT, -vqa::gradient::SHIFT] {
-                for (j, entry) in slice.iter().enumerate() {
-                    let occ = entry.occurrences(task.param);
-                    assert_eq!(
-                        occ.len(),
-                        n_occurrences,
-                        "occurrence structure differs across slice templates"
-                    );
-                    let shift = Some((occ[k], delta));
-                    runs.push(TemplateRun { template: j, shift });
-                }
-            }
-        }
-        let (raw_counts, timing, compiles) = self
-            .backend
-            .execute_device_templates(&slice, &runs, params, shots, submit);
-        for c in compiles {
-            self.compiles[c as usize] += 1;
-        }
-        self.circuits_run += raw_counts.len() as u64;
-        self.tasks_completed += 1;
-
+        // The batch: for each occurrence, forward then backward shifts of
+        // every template in the slice.
+        let templates = &self.templates;
+        let template_indices = &template_indices;
+        let runs = (0..n_occurrences).flat_map(|k| {
+            [vqa::gradient::SHIFT, -vqa::gradient::SHIFT]
+                .into_iter()
+                .flat_map(move |delta| {
+                    template_indices.iter().map(move |&ti| {
+                        let occ = templates[ti].occurrences(task.param);
+                        assert_eq!(
+                            occ.len(),
+                            n_occurrences,
+                            "occurrence structure differs across slice templates"
+                        );
+                        TemplateRun {
+                            template: ti,
+                            shift: Some((occ[k], delta)),
+                        }
+                    })
+                })
+        });
         // Reassemble: per occurrence, the forward template counts then the
         // backward template counts.
-        let loss = |first: usize| {
-            let counts: Vec<Counts> = (0..n_templates)
-                .map(|j| remap(slice[j], &raw_counts[first + j]))
-                .collect();
-            problem.slice_loss(task.slice, &counts)
+        let gradient = |counts: &[Counts]| {
+            let loss =
+                |first: usize| problem.slice_loss(task.slice, &counts[first..][..n_templates]);
+            let mut gradient = 0.0;
+            for (k, &occ) in occurrences.iter().enumerate() {
+                let angle = first.circuit().gates()[occ].angle();
+                let scale = angle.expect("occurrence is parameterized").gradient_scale();
+                let fwd = k * 2 * n_templates;
+                gradient += scale * (loss(fwd) - loss(fwd + n_templates)) / 2.0;
+            }
+            gradient
         };
-        let mut gradient = 0.0;
-        for (k, &occ) in occurrences.iter().enumerate() {
-            let angle = slice[0].circuit().gates()[occ].angle();
-            let scale = angle.expect("occurrence is parameterized").gradient_scale();
-            let fwd = k * 2 * n_templates;
-            gradient += scale * (loss(fwd) - loss(fwd + n_templates)) / 2.0;
-        }
+        let (timing, compiles, gradient) = self
+            .backend
+            .execute_device_templates(templates, runs, params, shots, submit, gradient);
+        let circuits_run = 2 * n_occurrences * n_templates;
+        self.tally(compiles, circuits_run);
+        self.tasks_completed += 1;
 
         ClientTaskResult {
             task,
@@ -274,7 +273,7 @@ impl ClientNode {
             p_correct,
             submitted: submit,
             completed: timing.completed,
-            circuits_run: runs.len(),
+            circuits_run,
         }
     }
 
@@ -291,40 +290,33 @@ impl ClientNode {
         let mut total = 0.0;
         let mut t = submit;
         for slice in problem.loss_slices() {
-            let entries: Vec<&Arc<DeviceTemplate>> = problem
-                .slice_templates(slice)
-                .into_iter()
-                .map(|ti| &self.templates[ti])
-                .collect();
-            let runs: Vec<TemplateRun> = (0..entries.len())
-                .map(|template| TemplateRun {
-                    template,
-                    shift: None,
-                })
-                .collect();
-            let (raw, timing, compiles) = self
-                .backend
-                .execute_device_templates(&entries, &runs, params, shots, t);
-            for c in compiles {
-                self.compiles[c as usize] += 1;
-            }
-            self.circuits_run += raw.len() as u64;
-            let logical: Vec<Counts> = entries
-                .iter()
-                .zip(&raw)
-                .map(|(entry, c)| remap(entry, c))
-                .collect();
-            total += problem.slice_loss(slice, &logical);
+            let template_indices = problem.slice_templates(slice);
+            let runs = template_indices.iter().map(|&template| TemplateRun {
+                template,
+                shift: None,
+            });
+            let (timing, compiles, loss) = self.backend.execute_device_templates(
+                &self.templates,
+                runs,
+                params,
+                shots,
+                t,
+                |counts| problem.slice_loss(slice, counts),
+            );
+            self.tally(compiles, template_indices.len());
+            total += loss;
             t = timing.completed;
         }
         (total, t)
     }
-}
 
-/// `counts` over the compact register, remapped to the template's
-/// logical bit order.
-fn remap(entry: &DeviceTemplate, counts: &Counts) -> Counts {
-    remap_counts(counts, entry.logical_bits())
+    /// Books a job's compile outcomes and circuits on this client.
+    fn tally(&mut self, compiles: [u64; 3], circuits: usize) {
+        for (tally, n) in self.compiles.iter_mut().zip(compiles) {
+            *tally += n;
+        }
+        self.circuits_run += circuits as u64;
+    }
 }
 
 #[cfg(test)]

@@ -657,9 +657,10 @@ impl<'a, 'p> Lane<'a, 'p> {
 }
 
 /// Reusable per-round grant buffers: the arbiter's load snapshot and
-/// the shared grant loop's sorted candidate list. One instance lives
-/// for a whole drive, so the steady state of every grant round is
-/// allocation-free.
+/// a lane's ready clients in id order, sorted once per grant and kept
+/// in step with its picks. One instance lives for a whole drive, so
+/// the drive's share of a grant round allocates nothing once warm
+/// (the arbiter's caps are the round's one allocation).
 #[derive(Debug, Default)]
 pub(crate) struct GrantScratch {
     loads: Vec<TenantLoad>,
@@ -1390,17 +1391,25 @@ fn grant(
             continue;
         }
         let cap = caps.get(t).copied().unwrap_or(0);
+        let picks = tracker.is_some() && lane.master.wants_occupancy();
+        // The ready set in id order, kept in step with each pick.
+        let candidates = &mut scratch.candidates;
+        candidates.clear();
+        if picks && lane.in_flight < cap {
+            candidates.extend(lane.ready.iter().map(|r| r.client));
+            candidates.sort_unstable();
+        }
         let mut granted = 0usize;
         while lane.in_flight < cap && !lane.ready.is_empty() {
             let idx = match tracker.as_deref_mut() {
-                Some(tracker) if lane.master.wants_occupancy() && lane.ready.len() > 1 => {
+                Some(tracker) if picks && lane.ready.len() > 1 => {
                     lane.master
                         .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
-                    let candidates = &mut scratch.candidates;
-                    candidates.clear();
-                    candidates.extend(lane.ready.iter().map(|r| r.client));
-                    candidates.sort_unstable();
                     let pick = lane.master.pick_client(candidates)?;
+                    let at = candidates
+                        .binary_search(&pick)
+                        .expect("picked client comes from the ready set");
+                    candidates.remove(at);
                     lane.ready
                         .iter()
                         .position(|r| r.client == pick)

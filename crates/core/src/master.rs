@@ -31,7 +31,6 @@ use crate::report::{
     WeightProvenance, WeightSample,
 };
 use qdevice::SimTime;
-use std::collections::HashMap;
 use vqa::{GradientTask, VqaProblem};
 
 /// A task handed to a client, with everything the master needs to file
@@ -64,7 +63,8 @@ pub struct MasterLoop {
     tasks: Vec<GradientTask>,
     tasks_per_cycle: usize,
     params_per_cycle: usize,
-    slices_per_param: HashMap<usize, usize>,
+    /// Slices per parameter, indexed by parameter.
+    slices_per_param: Vec<usize>,
     cursor: usize,
 
     // Optimization state.
@@ -72,7 +72,9 @@ pub struct MasterLoop {
     update_count: u64,
     epochs_recorded: usize,
     terminated: bool,
-    gathers: HashMap<(usize, usize), Gather>,
+    /// The open gathers by `(cycle, parameter)`: a handful at a time,
+    /// found by a scan.
+    gathers: Vec<((usize, usize), Gather)>,
 
     // Weighting state.
     last_p: Vec<f64>,
@@ -106,6 +108,8 @@ pub struct MasterLoop {
     // Shared-substrate occupancy view (fleet drives only; `None` for
     // standalone sessions and byte-isolated substrates).
     fleet_occupancy: Option<FleetOccupancy>,
+    /// Scratch of every scheduler consultation: the candidates' waits.
+    queue_wait_s: Vec<f64>,
 }
 
 impl MasterLoop {
@@ -130,9 +134,10 @@ impl MasterLoop {
         let tasks = problem.tasks();
         let tasks_per_cycle = tasks.len();
         let params_per_cycle = problem.num_params();
-        let mut slices_per_param: HashMap<usize, usize> = HashMap::new();
+        let params = tasks.iter().map(|t| t.param.index() + 1).max();
+        let mut slices_per_param = vec![0; params.unwrap_or(0)];
         for t in &tasks {
-            *slices_per_param.entry(t.param.index()).or_insert(0) += 1;
+            slices_per_param[t.param.index()] += 1;
         }
         MasterLoop {
             config,
@@ -147,7 +152,7 @@ impl MasterLoop {
             update_count: 0,
             epochs_recorded: 0,
             terminated: false,
-            gathers: HashMap::new(),
+            gathers: Vec::new(),
             last_p: vec![1.0; n_clients],
             p_seen: vec![false; n_clients],
             p_sums: vec![0.0; n_clients],
@@ -172,6 +177,7 @@ impl MasterLoop {
             staleness_n: 0,
             now: SimTime::ZERO,
             fleet_occupancy: None,
+            queue_wait_s: Vec::new(),
         }
     }
 
@@ -266,7 +272,7 @@ impl MasterLoop {
     /// Orders an idle set by repeated scheduler consultation (dispatch
     /// does not feed back into [`MasterLoop::pick_client`], so the
     /// order can be fixed up front).
-    fn policy_order(&self, mut idle: Vec<usize>) -> Result<Vec<usize>, EqcError> {
+    fn policy_order(&mut self, mut idle: Vec<usize>) -> Result<Vec<usize>, EqcError> {
         idle.sort_unstable();
         // A client both freed and re-admitted in one absorb (possible
         // only under a health policy that flaps within a single probe)
@@ -301,14 +307,16 @@ impl MasterLoop {
     /// # Errors
     ///
     /// [`EqcError::Internal`] when called with no candidates.
-    pub fn pick_client(&self, candidates: &[usize]) -> Result<usize, EqcError> {
+    pub fn pick_client(&mut self, candidates: &[usize]) -> Result<usize, EqcError> {
         let first = *candidates
             .first()
             .ok_or_else(|| EqcError::Internal("scheduler consulted with no idle clients".into()))?;
         if candidates.len() == 1 {
             return Ok(first);
         }
-        let queue_wait_s: Vec<f64> = if self.policies.scheduler.needs_queue_estimates() {
+        let waits = &mut self.queue_wait_s;
+        waits.clear();
+        if self.policies.scheduler.needs_queue_estimates() {
             // Predictive schedulers evaluate the queue models ahead of
             // the current virtual time (where the job would actually
             // queue); instantaneous ones read them at `now` exactly.
@@ -319,25 +327,22 @@ impl MasterLoop {
                 self.now
             };
             let at_s = at.as_secs();
-            candidates
-                .iter()
-                .map(|&c| {
-                    let base = self.probes.get(c).map_or(0.0, |p| p.queue_wait_s(at));
-                    // On the shared substrate the per-device ledger's
-                    // cross-tenant pressure stacks on top of the
-                    // client's own base-load estimate.
-                    match &self.fleet_occupancy {
-                        Some(occ) => base + occ.pressure_s(c, at_s),
-                        None => base,
-                    }
-                })
-                .collect()
+            waits.extend(candidates.iter().map(|&c| {
+                let base = self.probes.get(c).map_or(0.0, |p| p.queue_wait_s(at));
+                // On the shared substrate the per-device ledger's
+                // cross-tenant pressure stacks on top of the
+                // client's own base-load estimate.
+                match &self.fleet_occupancy {
+                    Some(occ) => base + occ.pressure_s(c, at_s),
+                    None => base,
+                }
+            }));
         } else {
-            vec![0.0; candidates.len()]
-        };
+            waits.resize(candidates.len(), 0.0);
+        }
         let pick = self.policies.scheduler.pick(&ScheduleContext {
             candidates,
-            queue_wait_s: &queue_wait_s,
+            queue_wait_s: waits,
             now_hours: self.now.as_hours(),
             occupancy: self.fleet_occupancy.as_ref(),
         });
@@ -382,19 +387,25 @@ impl MasterLoop {
         let cycle = self.cursor / self.tasks_per_cycle;
         let task = self.tasks[self.cursor % self.tasks_per_cycle];
         self.cursor += 1;
-        let slices = self.slices_per_param[&task.param.index()];
-        self.gathers
-            .entry((cycle, task.param.index()))
-            .or_insert(Gather {
-                remaining: slices,
+        let key = (cycle, task.param.index());
+        if self.gather(key).is_none() {
+            let gather = Gather {
+                remaining: self.slices_per_param[key.1],
                 weighted_sum: 0.0,
-            });
+            };
+            self.gathers.push((key, gather));
+        }
         Ok(Assignment {
             task,
             params: self.theta.clone(),
             cycle,
             dispatched_at_update: self.update_count,
         })
+    }
+
+    /// Where the open gather of `key` sits in `gathers`.
+    fn gather(&self, key: (usize, usize)) -> Option<usize> {
+        self.gathers.iter().position(|&(k, _)| k == key)
     }
 
     /// Files one completed task: updates the weighting state, folds the
@@ -426,12 +437,12 @@ impl MasterLoop {
         // the virtual clock and termination flag included — so an
         // erroring caller leaves the master exactly as it found it.
         let key = (cycle, result.task.param.index());
-        if !self.gathers.contains_key(&key) {
+        let Some(gather) = self.gather(key) else {
             return Err(EqcError::UnknownGather {
                 cycle,
                 param: key.1,
             });
-        }
+        };
 
         self.now = self.now.max(result.completed);
         if let Some(cap) = self.config.max_virtual_hours {
@@ -469,13 +480,13 @@ impl MasterLoop {
 
         // Fold the weighted slice gradient into its gather.
         let done = {
-            let g = self.gathers.get_mut(&key).expect("checked above");
+            let g = &mut self.gathers[gather].1;
             g.weighted_sum += w * result.gradient;
             g.remaining -= 1;
             g.remaining == 0
         };
         if done {
-            let g = self.gathers.remove(&key).expect("checked above");
+            let (_, g) = self.gathers.swap_remove(gather);
             let mut step = self.config.learning_rate * g.weighted_sum;
             if let Some(clip) = self.config.gradient_clip {
                 step = step.clamp(-clip, clip);
@@ -768,7 +779,7 @@ mod tests {
         let problem = QaoaProblem::maxcut_ring4();
         let cfg = EqcConfig::paper_qaoa().with_epochs(1).with_shots(64);
         let policies = PolicyConfig::default().with_scheduler(Rogue);
-        let m = MasterLoop::new(&problem, cfg, policies, 3, Vec::new());
+        let mut m = MasterLoop::new(&problem, cfg, policies, 3, Vec::new());
         assert_eq!(m.pick_client(&[1, 2]).unwrap(), 1, "fallback to first");
         assert!(m.pick_client(&[]).is_err(), "no candidates is an error");
     }

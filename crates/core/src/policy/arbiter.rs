@@ -156,24 +156,26 @@ impl TenantArbiter for FairShare {
     }
 
     fn allocate(&self, ctx: &ArbiterContext<'_>) -> Vec<usize> {
-        let mut caps = vec![0usize; ctx.loads.len()];
-        let demanding: Vec<usize> = (0..ctx.loads.len())
-            .filter(|&t| ctx.loads[t].wants_capacity())
-            .collect();
-        if demanding.is_empty() || ctx.total_slots == 0 {
+        let (loads, n) = (ctx.loads, ctx.loads.len());
+        // The caps, then room for one apportionment pass's scratch, so a
+        // round allocates only the vector it returns.
+        let mut caps = Vec::with_capacity(5 * n);
+        caps.resize(n, 0usize);
+        let demanding = || (0..n).filter(|&t| loads[t].wants_capacity());
+        let k = demanding().count();
+        if k == 0 || ctx.total_slots == 0 {
             return caps;
         }
-        let k = demanding.len();
         let start = (ctx.round % k as u64) as usize;
         let mut remaining = ctx.total_slots;
 
         // Rotating one-slot guarantee: with fewer slots than tenants the
         // rotation time-slices, so nobody starves permanently.
-        for i in 0..k {
+        for t in demanding().skip(start).chain(demanding().take(start)) {
             if remaining == 0 {
                 break;
             }
-            caps[demanding[(start + i) % k]] = 1;
+            caps[t] = 1;
             remaining -= 1;
         }
 
@@ -181,40 +183,57 @@ impl TenantArbiter for FairShare {
         // at demand. Each pass grants at least one slot while any tenant
         // has headroom, so the loop terminates.
         while remaining > 0 {
-            let open: Vec<usize> = demanding
-                .iter()
-                .copied()
-                .filter(|&t| caps[t] < ctx.loads[t].demand())
-                .collect();
-            if open.is_empty() {
+            caps.truncate(n);
+            for t in demanding() {
+                if caps[t] < loads[t].demand() {
+                    caps.push(t);
+                }
+            }
+            let open = caps.len() - n;
+            if open == 0 {
                 break;
             }
-            let rotation = (ctx.round % open.len() as u64) as usize;
-            let total_w: f64 = open.iter().map(|&t| ctx.loads[t].weight).sum();
+            // Past the caps: the open tenants (ascending), the bits of
+            // each one's remainder in two 32-bit halves (a non-negative
+            // `f64` orders as its bits), and the leftover order.
+            caps.resize(n + 4 * open, 0);
+            let (granted, scratch) = caps.split_at_mut(n);
+            let (tenants, scratch) = scratch.split_at_mut(open);
+            let (high, scratch) = scratch.split_at_mut(open);
+            let (low, order) = scratch.split_at_mut(open);
+            let total_w: f64 = tenants.iter().map(|&t| loads[t].weight).sum();
             let pool = remaining;
             // Floors first.
-            let mut fracs: Vec<(f64, usize, usize)> = Vec::with_capacity(open.len());
-            for (i, &t) in open.iter().enumerate() {
-                let ideal = pool as f64 * ctx.loads[t].weight / total_w;
-                let headroom = ctx.loads[t].demand() - caps[t];
+            for (i, &t) in tenants.iter().enumerate() {
+                let ideal = pool as f64 * loads[t].weight / total_w;
+                let headroom = loads[t].demand() - granted[t];
                 let grant = (ideal.floor() as usize).min(headroom).min(remaining);
-                caps[t] += grant;
+                granted[t] += grant;
                 remaining -= grant;
-                // Rotated rank so leftover ties cycle across rounds.
-                fracs.push((ideal.fract(), (i + open.len() - rotation) % open.len(), t));
+                let bits = ideal.fract().to_bits();
+                (high[i], low[i], order[i]) = ((bits >> 32) as usize, bits as u32 as usize, i);
             }
-            // Leftovers by descending fractional part, rotated ties.
-            fracs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
-            for &(_, _, t) in &fracs {
+            if remaining == 0 {
+                break;
+            }
+            // Leftovers by descending fractional part, ties in rank
+            // order: the open tenants rotated by round, so ties cycle. A
+            // stable sort of the rotated order keeps it among ties.
+            order.rotate_left((ctx.round % open as u64) as usize);
+            let remainder = |i: usize| (high[i], low[i]);
+            order.sort_by_key(|&i| std::cmp::Reverse(remainder(i)));
+            for &i in order.iter() {
                 if remaining == 0 {
                     break;
                 }
-                if caps[t] < ctx.loads[t].demand() {
-                    caps[t] += 1;
+                let t = tenants[i];
+                if granted[t] < loads[t].demand() {
+                    granted[t] += 1;
                     remaining -= 1;
                 }
             }
         }
+        caps.truncate(n);
         caps
     }
 }

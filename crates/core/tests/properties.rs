@@ -438,3 +438,106 @@ proptest! {
         }
     }
 }
+
+/// [`FairShare::allocate`] as it was written before its rounds stopped
+/// allocating — kept verbatim (a `demanding` list, an `open` list and a
+/// `fracs` vector per pass, sorted stably) as the reference the
+/// allocation-free rewrite must agree with decision for decision.
+fn fair_share_reference(ctx: &ArbiterContext<'_>) -> Vec<usize> {
+    let mut caps = vec![0usize; ctx.loads.len()];
+    let demanding: Vec<usize> = (0..ctx.loads.len())
+        .filter(|&t| ctx.loads[t].wants_capacity())
+        .collect();
+    if demanding.is_empty() || ctx.total_slots == 0 {
+        return caps;
+    }
+    let k = demanding.len();
+    let start = (ctx.round % k as u64) as usize;
+    let mut remaining = ctx.total_slots;
+    for i in 0..k {
+        if remaining == 0 {
+            break;
+        }
+        caps[demanding[(start + i) % k]] = 1;
+        remaining -= 1;
+    }
+    while remaining > 0 {
+        let open: Vec<usize> = demanding
+            .iter()
+            .copied()
+            .filter(|&t| caps[t] < ctx.loads[t].demand())
+            .collect();
+        if open.is_empty() {
+            break;
+        }
+        let rotation = (ctx.round % open.len() as u64) as usize;
+        let total_w: f64 = open.iter().map(|&t| ctx.loads[t].weight).sum();
+        let pool = remaining;
+        let mut fracs: Vec<(f64, usize, usize)> = Vec::with_capacity(open.len());
+        for (i, &t) in open.iter().enumerate() {
+            let ideal = pool as f64 * ctx.loads[t].weight / total_w;
+            let headroom = ctx.loads[t].demand() - caps[t];
+            let grant = (ideal.floor() as usize).min(headroom).min(remaining);
+            caps[t] += grant;
+            remaining -= grant;
+            fracs.push((ideal.fract(), (i + open.len() - rotation) % open.len(), t));
+        }
+        fracs.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        for &(_, _, t) in &fracs {
+            if remaining == 0 {
+                break;
+            }
+            if caps[t] < ctx.loads[t].demand() {
+                caps[t] += 1;
+                remaining -= 1;
+            }
+        }
+    }
+    caps
+}
+
+/// Random fleet loads for the reference comparison: 1–40 tenants,
+/// weights drawn from a few repeated values (ties in the fractional
+/// parts) or continuously, in-flight and ready counts, completed
+/// tenants.
+fn arb_wide_loads() -> impl Strategy<Value = Vec<TenantLoad>> {
+    let tenant = ((0u32..6, 0.05..6.0f64), (0usize..5, 0usize..9, 0u32..10));
+    proptest::collection::vec(tenant, 1..40).prop_map(|ts| {
+        ts.into_iter()
+            .enumerate()
+            .map(
+                |(tenant, ((tier, w), (in_flight, ready, done)))| TenantLoad {
+                    tenant,
+                    weight: match tier {
+                        0 => w,
+                        _ => [0.5, 1.0, 1.0, 2.0, 3.0][tier as usize - 1],
+                    },
+                    priority: 0,
+                    in_flight,
+                    ready,
+                    complete: done == 0,
+                    remaining_epochs: 1,
+                    elapsed_h: 0.0,
+                    deadline_h: None,
+                },
+            )
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// The allocation-free [`FairShare`] grants exactly what the
+    /// sorting reference grants, over loads, weights, demands, slot
+    /// counts and rounds well beyond the fleet fixtures.
+    #[test]
+    fn fair_share_caps_equal_the_sorting_reference(
+        loads in arb_wide_loads(),
+        slots in 0usize..96,
+        round in 0u64..10_000,
+    ) {
+        let ctx = ArbiterContext { loads: &loads, total_slots: slots, round };
+        prop_assert_eq!(FairShare.allocate(&ctx), fair_share_reference(&ctx));
+    }
+}

@@ -149,6 +149,22 @@ impl Gate {
         }
     }
 
+    /// [`Gate::matrix`] written into `out`, whose storage is reused —
+    /// without allocating for the rotations, the gates a rebind rewrites.
+    ///
+    /// # Panics
+    ///
+    /// As [`Gate::matrix`].
+    pub fn matrix_into(&self, params: &[f64], out: &mut CMatrix) {
+        match *self {
+            Gate::Rx(_, a) => gates::rx_into(a.resolve(params), out),
+            Gate::Ry(_, a) => gates::ry_into(a.resolve(params), out),
+            Gate::Rz(_, a) => gates::rz_into(a.resolve(params), out),
+            Gate::Rzz(_, _, a) => gates::rzz_into(a.resolve(params), out),
+            _ => out.clone_from(&self.matrix(params)),
+        }
+    }
+
     /// Lower-case OpenQASM-style mnemonic.
     pub fn name(&self) -> &'static str {
         match self {

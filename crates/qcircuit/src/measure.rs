@@ -203,11 +203,7 @@ impl MeasurementPlan {
                     acc += term.coefficient;
                     continue;
                 }
-                let mask: u64 = term
-                    .string
-                    .support()
-                    .iter()
-                    .fold(0u64, |m, &q| m | (1 << q));
+                let mask = term.string.support_mask();
                 acc += term.coefficient * c.expectation_z_product(mask);
             }
         }

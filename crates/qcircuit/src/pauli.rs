@@ -99,6 +99,23 @@ impl PauliString {
             .collect()
     }
 
+    /// [`PauliString::support`] as a bit mask, bit `q` for qubit `q` —
+    /// the Z-product mask a counts histogram reads the string off after
+    /// basis rotation, without building the list.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-identity factor sits on qubit 64 or above.
+    pub fn support_mask(&self) -> u64 {
+        self.paulis
+            .iter()
+            .enumerate()
+            .filter(|(_, p)| **p != Pauli::I)
+            .fold(0u64, |m, (q, _)| {
+                m | 1u64.checked_shl(q as u32).expect("qubit below 64")
+            })
+    }
+
     /// Number of non-identity factors (the string's weight).
     pub fn weight(&self) -> usize {
         self.paulis.iter().filter(|p| **p != Pauli::I).count()
@@ -344,6 +361,8 @@ mod tests {
         let p = PauliString::from_sparse(4, &[(0, Pauli::X), (3, Pauli::Z)]);
         assert_eq!(p.to_string(), "ZIIX");
         assert_eq!(p.support(), vec![0, 3]);
+        assert_eq!(p.support_mask(), 0b1001);
+        assert_eq!(PauliString::identity(3).support_mask(), 0);
         assert_eq!(p.weight(), 2);
     }
 

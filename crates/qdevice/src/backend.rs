@@ -71,13 +71,14 @@
 //! device's template cache lock first, then the architecture cache's,
 //! never the reverse; jobs never take the architecture lock.
 //!
-//! ## One booking entry
+//! ## One booking step
 //!
-//! Every job books through [`QpuBackend::execute_with`]: it draws the
-//! start time, hands the simulation to its caller's closure, then sums
-//! the circuits' execution seconds, books the occupancy and assembles
-//! the [`JobResult`]. [`QpuBackend::execute`] and the two template
-//! entries are its production callers.
+//! Every job draws its start time first and books through one step
+//! afterwards, which sums the circuits' execution seconds in run order
+//! and books the occupancy: [`QpuBackend::execute_with`] hands the
+//! simulation between the two to its caller's closure (its production
+//! caller is [`QpuBackend::execute`]); the two template entries run the
+//! one template simulation between them, into the thread's buffers.
 //!
 //! Template jobs ([`QpuBackend::execute_templates`] and
 //! [`QpuBackend::execute_device_templates`], the training hot path)
@@ -97,7 +98,10 @@
 //! is RNG-free, and sampling draws from the backend's own RNG, so which
 //! thread runs a job never shows in its counts.
 //!
-//! So are the numbers a device template's job runs on — rebound
+//! So are a template job's buffers — its runs, bookkeeping, shift
+//! variants, forks, histograms and refresh scratch — so a warm job
+//! allocates almost nothing; and so are the numbers a device
+//! template's job runs on — rebound
 //! rotations, fused superoperators, readout — in a memo of at most 8
 //! [`CompiledTemplate`]s keyed by (plan `Arc`, [`NoiseToken`]). A job
 //! takes its programs out (the one over the entry's plan, else the
@@ -112,32 +116,63 @@
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
-use crate::compile::{Compile, CompiledTemplate, NoiseToken, Plan};
+use crate::compile::{CompiledTemplate, NoiseToken, Plan, RefreshScratch};
 use crate::drift::DriftModel;
 use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::{Angle, Circuit, ParamId};
-use qsim::{Counts, DensityEngine, DensityMatrix};
+use qsim::{CMatrix, Counts, DensityEngine, DensityMatrix};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::BorrowMut;
 use std::cell::RefCell;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use transpile::{transpile, CircuitMetrics, Topology, TranspileError, TranspileOptions};
+use transpile::{
+    remap_counts_into, transpile, CircuitMetrics, Topology, TranspileError, TranspileOptions,
+};
 
 /// Programs a thread's memo keeps between jobs, whatever the fleet.
 const MEMO_PROGRAMS: usize = 8;
 
-/// The executing thread's simulator and memo (see the module docs).
+/// The executing thread's simulator, memo and job buffers (see the
+/// module docs).
 #[derive(Default)]
 struct Scratch {
-    engine: DensityEngine,
-    /// Per-run distributions of the template jobs' evolve-then-sample
-    /// split (reused across calls).
-    run_probs: Vec<Vec<f64>>,
+    sim: Simulation,
     /// The memo: device programs, least recently used first.
     programs: Vec<CompiledTemplate>,
+    /// The device job in flight: its distinct entries in first-use
+    /// order — index into the caller's list, the plan the entry held
+    /// when taken, the program out of the memo — and its runs over them.
+    entries: Vec<(usize, Option<Arc<Plan>>)>,
+    taken: Vec<CompiledTemplate>,
+    runs: Vec<TemplateRun>,
+    /// Its histograms per run: over the compact register, and remapped
+    /// to the template's logical bit order.
+    counts: Vec<Counts>,
+    logical: Vec<Counts>,
+}
+
+/// What a template job's simulation writes as it goes, kept from one
+/// job to the next so a warm job allocates nothing.
+#[derive(Default)]
+struct Simulation {
+    engine: DensityEngine,
+    /// Per-run distributions of the evolve-then-sample split.
+    run_probs: Vec<Vec<f64>>,
+    /// Per run: circuit duration, readout time (ns) and width.
+    meta: Vec<(f64, f64, usize)>,
+    /// The shifted runs of the group being walked: `(slot, matrix)`
+    /// variants (the first `n` of them live; later ones keep their
+    /// storage) and the run each one is.
+    variants: Vec<(usize, CMatrix)>,
+    variant_run: Vec<usize>,
+    forks: Vec<(usize, usize, DensityMatrix)>,
+    /// `(run, template, resume op, state)` of every fork to finish.
+    suffixes: Vec<(usize, usize, usize, DensityMatrix)>,
+    refresh: RefreshScratch,
 }
 
 impl Scratch {
@@ -158,10 +193,10 @@ impl Scratch {
         fresh.starting_from(plan, recycled)
     }
 
-    /// Puts a job's programs back, most recently used last, and drops
+    /// Puts the job's programs back, most recently used last, and drops
     /// the least recently used beyond [`MEMO_PROGRAMS`].
-    fn keep(&mut self, programs: Vec<CompiledTemplate>) {
-        self.programs.extend(programs);
+    fn keep_taken(&mut self) {
+        self.programs.append(&mut self.taken);
         let excess = self.programs.len().saturating_sub(MEMO_PROGRAMS);
         self.programs.drain(..excess);
     }
@@ -179,7 +214,7 @@ fn with_scratch<T>(f: impl FnOnce(&mut Scratch) -> T) -> T {
 /// Spare fork states the executing thread's engine holds.
 #[cfg(test)]
 fn thread_spare_states() -> usize {
-    with_scratch(|s| s.engine.spare_states())
+    with_scratch(|s| s.sim.engine.spare_states())
 }
 
 /// Panics unless a circuit on `n` active qubits fits the density engine.
@@ -257,28 +292,30 @@ impl BaseNoise {
     /// without cloning a calibration — operation for operation the same
     /// float arithmetic, so the result is bit-identical.
     fn drifted_model(&self, ef: f64, cf: f64) -> NoiseModel {
-        let qubits = self
-            .qubits
-            .iter()
-            .map(|q| {
-                let t1_us = (q.t1_us / cf).max(1.0);
-                let t2_us = (q.t2_us / cf).max(1.0).min(2.0 * t1_us);
-                QubitNoise {
-                    t1_ns: t1_us * 1e3,
-                    t2_ns: t2_us.min(2.0 * t1_us) * 1e3,
-                    gate_error_1q: (q.gate_error_1q * ef).clamp(0.0, 0.5),
-                    readout_error: (q.readout_error * ef).clamp(0.0, 0.5),
-                }
-            })
-            .collect();
-        let cx = self.cx.iter().map(|&v| (v * ef).clamp(0.0, 0.75)).collect();
-        NoiseModel::from_parts(
-            qubits,
-            cx,
+        let mut model = NoiseModel::ideal(0);
+        self.drift_into(ef, cf, &mut model);
+        model
+    }
+
+    /// [`BaseNoise::drifted_model`] written into `model`'s storage.
+    fn drift_into(&self, ef: f64, cf: f64, model: &mut NoiseModel) {
+        let qubits = self.qubits.iter().map(|q| {
+            let t1_us = (q.t1_us / cf).max(1.0);
+            let t2_us = (q.t2_us / cf).max(1.0).min(2.0 * t1_us);
+            QubitNoise {
+                t1_ns: t1_us * 1e3,
+                t2_ns: t2_us.min(2.0 * t1_us) * 1e3,
+                gate_error_1q: (q.gate_error_1q * ef).clamp(0.0, 0.5),
+                readout_error: (q.readout_error * ef).clamp(0.0, 0.5),
+            }
+        });
+        let cx = self.cx.iter().map(|&v| (v * ef).clamp(0.0, 0.75));
+        let times = [
             self.gate_time_1q_ns,
             self.gate_time_2q_ns,
             self.readout_time_ns,
-        )
+        ];
+        model.assign(qubits, cx, times);
     }
 }
 
@@ -1093,10 +1130,17 @@ impl QpuBackend {
                 // device the factors change per job, so routing them
                 // through the shared cache would serialize every job on
                 // its lock for entries no other clone can hit.
-                if cache.entries[i].factors != factors {
-                    cache.entries[i].model =
-                        Arc::new(cache.entries[i].base.drifted_model(factors.0, factors.1));
-                    cache.entries[i].factors = factors;
+                let entry = &mut cache.entries[i];
+                if entry.factors != factors {
+                    // Once this clone holds the only reference — after
+                    // its first refresh — the model is rewritten in place.
+                    match Arc::get_mut(&mut entry.model) {
+                        Some(model) => entry.base.drift_into(factors.0, factors.1, model),
+                        None => {
+                            entry.model = Arc::new(entry.base.drifted_model(factors.0, factors.1))
+                        }
+                    }
+                    entry.factors = factors;
                     cache.model_builds += 1;
                 }
                 i
@@ -1177,15 +1221,39 @@ impl QpuBackend {
     ) -> (Vec<Counts>, JobResult) {
         let started = self.start_time(submit);
         let circuits = simulate(self, started);
+        assert!(!circuits.is_empty(), "a job runs a circuit");
+        let timing = circuits
+            .iter()
+            .map(|&(_, duration_ns, readout_ns)| (duration_ns, readout_ns));
+        let (completed, circuit_duration_ns) = self.book(submit, started, shots, timing);
+        let all_counts: Vec<Counts> = circuits.into_iter().map(|(counts, ..)| counts).collect();
+        let job = JobResult {
+            counts: all_counts[all_counts.len() - 1].clone(),
+            submitted: submit,
+            started,
+            completed,
+            circuit_duration_ns,
+        };
+        (all_counts, job)
+    }
+
+    /// The booking half of [`QpuBackend::execute_with`], for a job that
+    /// started at `started` and ran circuits of the given
+    /// `(duration_ns, readout_ns)`: returns its completion and the last
+    /// circuit's duration.
+    fn book(
+        &mut self,
+        submit: SimTime,
+        started: SimTime,
+        shots: usize,
+        circuits: impl IntoIterator<Item = (f64, f64)>,
+    ) -> (SimTime, f64) {
         let mut exec_s = 0.0;
         let mut circuit_duration_ns = 0.0;
-        let mut all_counts = Vec::with_capacity(circuits.len());
-        for (counts, duration_ns, readout_ns) in circuits {
+        for (duration_ns, readout_ns) in circuits {
             exec_s += self.queue.execution_s(duration_ns, readout_ns, shots);
             circuit_duration_ns = duration_ns;
-            all_counts.push(counts);
         }
-        let counts = all_counts.last().cloned().expect("a job runs a circuit");
         let completed = started + exec_s;
         self.busy_until = completed;
         self.jobs_executed += 1;
@@ -1197,14 +1265,7 @@ impl QpuBackend {
                 .expect("shared queue lock")
                 .book(started, exec_s);
         }
-        let timing = JobResult {
-            counts,
-            submitted: submit,
-            started,
-            completed,
-            circuit_duration_ns,
-        };
-        (all_counts, timing)
+        (completed, circuit_duration_ns)
     }
 
     /// Executes a fully bound, compacted physical circuit as one job.
@@ -1235,7 +1296,7 @@ impl QpuBackend {
             assert_density_fits(circuit.num_qubits());
             let noise = &*be.noise_cache.entries[entry].model;
             let program = crate::compile::compile_bound(circuit, noise);
-            let counts = with_scratch(|s| s.engine.run_program(&program, shots, &mut be.rng));
+            let counts = with_scratch(|s| s.sim.engine.run_program(&program, shots, &mut be.rng));
             vec![(counts, program.duration_ns(), noise.readout_time_ns)]
         });
         job
@@ -1274,61 +1335,118 @@ impl QpuBackend {
         shots: usize,
         submit: SimTime,
     ) -> (Vec<Counts>, JobResult) {
-        assert!(!runs.is_empty(), "batch must contain at least one run");
-        let job = self.execute_with(shots, submit, |be, started| {
-            be.simulate_templates(templates, runs, params, shots, started, &mut Vec::new())
+        let mut counts = Vec::with_capacity(runs.len());
+        let job = with_scratch(|s| {
+            let job = TemplateJob {
+                runs,
+                params,
+                shots,
+            };
+            self.run_templates(templates, job, submit, &mut s.sim, &mut counts)
         });
-        self.batched_jobs += runs.len() as u64;
-        job
+        (counts, job.0)
     }
 
     /// [`QpuBackend::execute_templates`] over the device's prepared
     /// templates — the client's path. `runs` index `entries`; an entry
     /// listed twice runs from one program, the thread's (see the module
-    /// docs). Returns each run's compile outcome, in run order, too.
+    /// docs). `read` gets each run's histogram, in run order, remapped
+    /// to its template's logical bit order
+    /// ([`DeviceTemplate::logical_bits`]); the histograms are the
+    /// thread's scratch, so what `read` needs of them it returns, and
+    /// it must not run a job itself. Returns the job's timing, how many
+    /// runs' compiles hit, refreshed and planned (indexed by
+    /// [`Compile`](crate::Compile)), and what `read` returned.
     ///
     /// # Panics
     ///
     /// As [`QpuBackend::execute_templates`].
-    pub fn execute_device_templates(
+    pub fn execute_device_templates<T>(
         &mut self,
-        entries: &[&Arc<DeviceTemplate>],
-        runs: &[TemplateRun],
+        entries: &[Arc<DeviceTemplate>],
+        runs: impl IntoIterator<Item = TemplateRun>,
         params: &[f64],
         shots: usize,
         submit: SimTime,
-    ) -> (Vec<Counts>, JobResult, Vec<Compile>) {
-        assert!(!runs.is_empty(), "batch must contain at least one run");
-        let mut distinct: Vec<(&DeviceTemplate, Option<Arc<Plan>>)> = Vec::new();
-        let runs: Vec<TemplateRun> = runs
-            .iter()
-            .map(|run| {
-                let entry = &**entries[run.template];
-                let found = distinct.iter().position(|(d, _)| std::ptr::eq(*d, entry));
+        read: impl FnOnce(&[Counts]) -> T,
+    ) -> (JobResult, [u64; 3], T) {
+        with_scratch(|s| {
+            // Whatever a job that panicked left behind is dropped.
+            s.entries.clear();
+            s.taken.clear();
+            s.runs.clear();
+            // Each distinct entry's program, out of the memo.
+            for run in runs {
+                let entry = &entries[run.template];
+                let taken = s.entries.iter();
+                let found = taken
+                    .map(|&(e, _)| e)
+                    .position(|e| Arc::ptr_eq(&entries[e], entry));
                 let template = found.unwrap_or_else(|| {
-                    distinct.push((entry, entry.plan.lock().expect("plan lock").clone()));
-                    distinct.len() - 1
+                    let plan = entry.plan.lock().expect("plan lock").clone();
+                    let program = s.take(entry, plan.clone());
+                    s.entries.push((run.template, plan));
+                    s.taken.push(program);
+                    s.entries.len() - 1
                 });
-                TemplateRun { template, ..*run }
-            })
-            .collect();
-        let mut programs: Vec<_> =
-            with_scratch(|s| distinct.iter().map(|(e, p)| s.take(e, p.clone())).collect());
-        let mut compiles = Vec::with_capacity(runs.len());
-        let (counts, job) = self.execute_with(shots, submit, |be, started| {
-            let mut refs: Vec<&mut CompiledTemplate> = programs.iter_mut().collect();
-            be.simulate_templates(&mut refs, &runs, params, shots, started, &mut compiles)
-        });
-        self.batched_jobs += runs.len() as u64;
-        // A job that planned anew hands its plan to the device.
-        for ((entry, taken), program) in distinct.iter().zip(&programs) {
-            let planned = program.plan().expect("compiled");
-            if !taken.as_ref().is_some_and(|t| Arc::ptr_eq(t, planned)) {
-                *entry.plan.lock().expect("plan lock") = Some(Arc::clone(planned));
+                s.runs.push(TemplateRun { template, ..run });
             }
-        }
-        with_scratch(|s| s.keep(programs));
-        (counts, job, compiles)
+            let job = TemplateJob {
+                runs: &s.runs,
+                params,
+                shots,
+            };
+            let (result, compiles) =
+                self.run_templates(&mut s.taken, job, submit, &mut s.sim, &mut s.counts);
+            let n = s.runs.len();
+            if s.logical.len() < n {
+                s.logical.resize_with(n, Counts::default);
+            }
+            for (i, run) in s.runs.iter().enumerate() {
+                let bits = entries[s.entries[run.template].0].logical_bits();
+                remap_counts_into(&s.counts[i], bits, &mut s.logical[i]);
+            }
+            let read = read(&s.logical[..n]);
+            // A job that planned anew hands its plan to the device.
+            for ((e, taken), program) in s.entries.drain(..).zip(&s.taken) {
+                let planned = program.plan().expect("compiled");
+                if !taken.as_ref().is_some_and(|t| Arc::ptr_eq(t, planned)) {
+                    *entries[e].plan.lock().expect("plan lock") = Some(Arc::clone(planned));
+                }
+            }
+            s.keep_taken();
+            (result, compiles, read)
+        })
+    }
+
+    /// Runs one template job on the thread's `sim`: draws the start,
+    /// simulates (see [`QpuBackend::simulate_templates`]) and books it.
+    /// Run `i`'s histogram lands in `counts[i]`.
+    fn run_templates<T: BorrowMut<CompiledTemplate>>(
+        &mut self,
+        templates: &mut [T],
+        job: TemplateJob<'_>,
+        submit: SimTime,
+        sim: &mut Simulation,
+        counts: &mut Vec<Counts>,
+    ) -> (JobResult, [u64; 3]) {
+        assert!(!job.runs.is_empty(), "batch must contain at least one run");
+        let started = self.start_time(submit);
+        let compiles = self.simulate_templates(templates, job, started, sim, counts);
+        let timing = sim
+            .meta
+            .iter()
+            .map(|&(duration_ns, readout_ns, _)| (duration_ns, readout_ns));
+        let (completed, circuit_duration_ns) = self.book(submit, started, job.shots, timing);
+        self.batched_jobs += job.runs.len() as u64;
+        let result = JobResult {
+            counts: counts[job.runs.len() - 1].clone(),
+            submitted: submit,
+            started,
+            completed,
+            circuit_duration_ns,
+        };
+        (result, compiles)
     }
 
     /// The simulation half of the template entries.
@@ -1340,103 +1458,130 @@ impl QpuBackend {
     /// it on its own would give (the group-fork contract of
     /// [`DensityEngine::evolve_group_forks`]); the whole batch follows
     /// because sampling, `f64` accumulation and every counter sequence
-    /// stay in run order.
-    fn simulate_templates(
+    /// stay in run order. Every buffer is `sim`'s or `counts`'s, so a
+    /// warm job allocates nothing. Returns the runs' compile outcomes,
+    /// counted by [`Compile`](crate::Compile).
+    fn simulate_templates<T: BorrowMut<CompiledTemplate>>(
         &mut self,
-        templates: &mut [&mut CompiledTemplate],
-        runs: &[TemplateRun],
-        params: &[f64],
-        shots: usize,
+        templates: &mut [T],
+        job: TemplateJob<'_>,
         started: SimTime,
-        compiles: &mut Vec<Compile>,
-    ) -> Vec<(Counts, f64, f64)> {
+        sim: &mut Simulation,
+        counts: &mut Vec<Counts>,
+    ) -> [u64; 3] {
+        let TemplateJob {
+            runs,
+            params,
+            shots,
+        } = job;
         let token = self.noise_token(started);
         // Bookkeeping pass — per run, so the noise and compile counters
         // do not depend on the grouping.
-        let mut meta = Vec::with_capacity(runs.len());
+        let mut compiles = [0; 3];
+        sim.meta.clear();
         for run in runs {
-            let entry = self.noise_entry(started, templates[run.template].active_physical());
+            let template = templates[run.template].borrow_mut();
+            let entry = self.noise_entry(started, template.active_physical());
             let noise = &*self.noise_cache.entries[entry].model;
-            let template = &mut *templates[run.template];
-            compiles.push(template.ensure_compiled(noise, token));
+            compiles[template.ensure_compiled_with(noise, token, &mut sim.refresh) as usize] += 1;
             let program = template.program();
             assert_density_fits(program.num_qubits());
-            meta.push((
+            sim.meta.push((
                 program.duration_ns(),
                 noise.readout_time_ns,
                 program.num_qubits(),
             ));
         }
-        // Group runs by template, in first-appearance order.
-        let mut group_of: Vec<Option<usize>> = vec![None; templates.len()];
-        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-        for (i, run) in runs.iter().enumerate() {
-            let g = *group_of[run.template].get_or_insert_with(|| {
-                groups.push((run.template, Vec::new()));
-                groups.len() - 1
-            });
-            groups[g].1.push(i);
+        let Simulation {
+            engine,
+            run_probs,
+            meta,
+            variants,
+            variant_run,
+            forks,
+            suffixes,
+            ..
+        } = sim;
+        if run_probs.len() < runs.len() {
+            run_probs.resize_with(runs.len(), Vec::new);
         }
-        let rng = &mut self.rng;
-        with_scratch(|scratch| {
-            let (engine, run_probs) = (&mut scratch.engine, &mut scratch.run_probs);
-            if run_probs.len() < runs.len() {
-                run_probs.resize_with(runs.len(), Vec::new);
+        // Phase A1 — per template, in first-appearance order: bind the
+        // base once and fork every shifted member off one walk (which
+        // stops at the last fork when no member is unshifted).
+        // Unshifted members share the base distribution: evolution is
+        // deterministic, so a copy is what re-evolving would give.
+        for (first, run) in runs.iter().enumerate() {
+            let t = run.template;
+            if runs[..first].iter().any(|r| r.template == t) {
+                continue;
             }
-            // Phase A1 — per group: bind the base once and fork every
-            // shifted member off one walk (which stops at the last fork
-            // when no member is unshifted). Unshifted members share the
-            // base distribution: evolution is deterministic, so a copy
-            // is what re-evolving would give.
-            let mut suffixes: Vec<(usize, usize, usize, DensityMatrix)> = Vec::new();
-            let mut forks = Vec::new();
-            for &(t, ref members) in &groups {
-                let template = &mut *templates[t];
-                template.bind(params, None);
-                let mut variants = Vec::new();
-                let mut variant_run = Vec::new();
-                let mut base_runs = Vec::new();
-                for &i in members {
-                    match runs[i].shift {
-                        Some((g, d)) => {
-                            variants.push(template.shift_matrix(params, g, d));
-                            variant_run.push(i);
-                        }
-                        None => base_runs.push(i),
-                    }
+            let template = templates[t].borrow_mut();
+            template.bind(params, None);
+            let (mut live, mut base) = (0, None);
+            variant_run.clear();
+            let members = runs.iter().enumerate().skip(first);
+            for (i, member) in members.filter(|(_, r)| r.template == t) {
+                let Some((gate, delta)) = member.shift else {
+                    base.get_or_insert(i);
+                    continue;
+                };
+                if variants.len() == live {
+                    variants.push((0, CMatrix::zeros(0, 0)));
                 }
-                engine.evolve_group_forks(
-                    template.program(),
-                    &variants,
-                    &mut forks,
-                    base_runs.first().map(|&i| &mut run_probs[i]),
-                );
-                if base_runs.len() > 1 {
-                    let src = run_probs[base_runs[0]].clone();
-                    for &i in &base_runs[1..] {
-                        run_probs[i].clone_from(&src);
-                    }
-                }
-                for (v, at, state) in forks.drain(..) {
-                    suffixes.push((variant_run[v], t, at, state));
-                }
+                let (slot, matrix) = &mut variants[live];
+                *slot = template.shift_matrix(params, gate, delta, matrix);
+                variant_run.push(i);
+                live += 1;
             }
-            // Phase A2 — resume every fork's suffix; each resumed fork
-            // becomes the engine's state, and the state it replaces a
-            // spare for the next call's forks.
-            for (run_idx, t, at, state) in suffixes {
-                engine.resume_probs(templates[t].program(), state, at, &mut run_probs[run_idx]);
+            engine.evolve_group_forks(
+                template.program(),
+                &variants[..live],
+                forks,
+                base.map(|i| &mut run_probs[i]),
+            );
+            if let Some(b) = base {
+                let src = std::mem::take(&mut run_probs[b]);
+                let members = runs.iter().enumerate().skip(b + 1);
+                for (i, _) in members.filter(|(_, r)| r.template == t && r.shift.is_none()) {
+                    run_probs[i].clone_from(&src);
+                }
+                run_probs[b] = src;
             }
-            // Phase B — sample every run's distribution in run order.
-            meta.iter()
-                .enumerate()
-                .map(|(i, &(duration_ns, readout_ns, n_qubits))| {
-                    let counts = engine.sample_probs(&run_probs[i], n_qubits, shots, rng);
-                    (counts, duration_ns, readout_ns)
-                })
-                .collect()
-        })
+            for (v, at, state) in forks.drain(..) {
+                suffixes.push((variant_run[v], t, at, state));
+            }
+        }
+        // Phase A2 — resume every fork's suffix; each resumed fork
+        // becomes the engine's state, and the state it replaces a
+        // spare for the next call's forks.
+        for (run_idx, t, at, state) in suffixes.drain(..) {
+            let program = templates[t].borrow().program();
+            engine.resume_probs(program, state, at, &mut run_probs[run_idx]);
+        }
+        // Phase B — sample every run's distribution in run order.
+        if counts.len() < runs.len() {
+            counts.resize_with(runs.len(), Counts::default);
+        }
+        for (i, &(_, _, n_qubits)) in meta.iter().enumerate() {
+            engine.sample_probs_into(
+                &run_probs[i],
+                n_qubits,
+                shots,
+                &mut self.rng,
+                &mut counts[i],
+            );
+        }
+        compiles
     }
+}
+
+/// What a template job runs: runs over a template list, the shared
+/// parameter vector and the shots per run.
+#[derive(Clone, Copy)]
+struct TemplateJob<'a> {
+    runs: &'a [TemplateRun],
+    params: &'a [f64],
+    shots: usize,
 }
 
 #[cfg(test)]
@@ -1912,13 +2057,13 @@ mod tests {
     }
 
     /// One shift pair and an unshifted run of `entry` as one job: its
-    /// counts and completion bits. What its compiles did goes to
-    /// `compiles`.
+    /// counts and completion bits. What its compiles did is added to
+    /// `compiles`, indexed by [`Compile`].
     fn template_job(
         be: &mut QpuBackend,
         entry: &Arc<DeviceTemplate>,
         at: SimTime,
-        compiles: &mut Vec<Compile>,
+        compiles: &mut [u64; 3],
     ) -> (Vec<Counts>, u64) {
         template_job_with(be, entry, &[0.4], at, compiles)
     }
@@ -1929,7 +2074,7 @@ mod tests {
         entry: &Arc<DeviceTemplate>,
         params: &[f64],
         at: SimTime,
-        compiles: &mut Vec<Compile>,
+        compiles: &mut [u64; 3],
     ) -> (Vec<Counts>, u64) {
         let occ = entry.occurrences(ParamId(0))[0];
         let runs = [0.5, -0.5]
@@ -1943,19 +2088,19 @@ mod tests {
                 shift: None,
             }])
             .collect::<Vec<_>>();
-        let (counts, job, outcomes) = be.execute_device_templates(&[entry], &runs, params, 256, at);
-        compiles.extend(outcomes);
+        let entries = [Arc::clone(entry)];
+        let (job, outcomes, counts) =
+            be.execute_device_templates(&entries, runs, params, 256, at, <[Counts]>::to_vec);
+        for (tally, n) in compiles.iter_mut().zip(outcomes) {
+            *tally += n;
+        }
         (counts, job.completed.as_secs().to_bits())
     }
 
-    /// `(compiles, plans, cache_hits)` among compile outcomes.
-    fn compile_counts(outcomes: &[Compile]) -> (u64, u64, u64) {
-        let count = |of: &[Compile]| outcomes.iter().filter(|o| of.contains(o)).count() as u64;
-        (
-            count(&[Compile::Refresh, Compile::Plan]),
-            count(&[Compile::Plan]),
-            count(&[Compile::Hit]),
-        )
+    /// `(compiles, plans, cache_hits)` of a compile tally.
+    fn compile_counts(tally: &[u64; 3]) -> (u64, u64, u64) {
+        let [hits, refreshes, plans] = *tally;
+        (refreshes + plans, plans, hits)
     }
 
     #[test]
@@ -1984,7 +2129,7 @@ mod tests {
         let (mut ta, mut tb) = (steady_backend(7), steady_backend(7));
         let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
         let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
-        let (mut shared, mut twins) = (Vec::new(), Vec::new());
+        let (mut shared, mut twins) = ([0; 3], [0; 3]);
         for h in [1.0, 2.0, 25.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
@@ -2011,19 +2156,19 @@ mod tests {
         let jobs = || {
             let mut be = steady_backend(17);
             let entry = be.template(&ry_template()).expect("fits");
-            let mut compiles = Vec::new();
+            let mut compiles = [0; 3];
             let first = template_job(&mut be, &entry, SimTime::from_hours(1.0), &mut compiles);
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let at = SimTime::from_hours(25.0);
-                template_job_with(&mut be, &entry, &[], at, &mut Vec::new())
+                template_job_with(&mut be, &entry, &[], at, &mut [0; 3])
             }));
             assert!(panicked.is_err(), "bind panics on a short vector");
-            let mut next = Vec::new();
+            let mut next = [0; 3];
             let after = template_job(&mut be, &entry, SimTime::from_hours(26.0), &mut next);
             (first, after, next)
         };
         let (first, after, next) = jobs();
-        assert_eq!(next, [Compile::Refresh, Compile::Hit, Compile::Hit]);
+        assert_eq!(compile_counts(&next), (1, 0, 2), "one refresh, two hits");
         let twin = std::thread::spawn(jobs).join().expect("the twin runs");
         assert_eq!((first, after, next), twin);
     }
@@ -2041,7 +2186,7 @@ mod tests {
         let jobs = |mut be: QpuBackend, entry: &Arc<DeviceTemplate>| {
             hours.map(|h| {
                 turns.wait();
-                template_job(&mut be, entry, SimTime::from_hours(h), &mut Vec::new())
+                template_job(&mut be, entry, SimTime::from_hours(h), &mut [0; 3])
             })
         };
         let (a, b) = std::thread::scope(|s| {
@@ -2052,7 +2197,7 @@ mod tests {
         let mut twin = calibrated_line(1.0, 3);
         let lone = twin.template(&ry_template()).expect("fits");
         let alone =
-            hours.map(|h| template_job(&mut twin, &lone, SimTime::from_hours(h), &mut Vec::new()));
+            hours.map(|h| template_job(&mut twin, &lone, SimTime::from_hours(h), &mut [0; 3]));
         assert_eq!(a, alone, "first thread");
         assert_eq!(b, alone, "second thread");
     }
@@ -2136,12 +2281,12 @@ mod tests {
         for h in [1.0, 23.0, 25.0, 30.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
-                template_job(&mut a, &ea, at, &mut Vec::new()),
-                template_job(&mut ta, &fa, at, &mut Vec::new())
+                template_job(&mut a, &ea, at, &mut [0; 3]),
+                template_job(&mut ta, &fa, at, &mut [0; 3])
             );
             assert_eq!(
-                template_job(&mut b, &eb, at, &mut Vec::new()),
-                template_job(&mut tb, &fb, at, &mut Vec::new())
+                template_job(&mut b, &eb, at, &mut [0; 3]),
+                template_job(&mut tb, &fb, at, &mut [0; 3])
             );
         }
     }
@@ -2228,7 +2373,7 @@ mod tests {
                 let mut be = clone;
                 let again = be.template(&ry_template()).expect("fits");
                 let at = SimTime::from_hours(1.0);
-                let (counts, _) = template_job(&mut be, &again, at, &mut Vec::new());
+                let (counts, _) = template_job(&mut be, &again, at, &mut [0; 3]);
                 (again, counts)
             });
         assert!(Arc::ptr_eq(&entry, &again));

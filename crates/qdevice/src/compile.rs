@@ -154,18 +154,24 @@ struct RebindSlot {
 }
 
 impl RebindSlot {
-    /// The matrix the slot holds under `params`, with `delta` more on
-    /// the angle — the one arithmetic behind both
+    /// Writes the matrix the slot holds under `params`, with `delta`
+    /// more on the angle, into `out` — the one arithmetic behind both
     /// [`CompiledTemplate::bind`] and [`CompiledTemplate::shift_matrix`],
     /// which the group-fork walk needs to agree bit for bit.
-    fn matrix(&self, circuit: &Circuit, params: &[f64], delta: Option<f64>) -> CMatrix {
+    fn write_matrix(
+        &self,
+        circuit: &Circuit,
+        params: &[f64],
+        delta: Option<f64>,
+        out: &mut CMatrix,
+    ) {
         let g = circuit.gates()[self.gate_idx];
         let angle = g.angle().expect("rebind slot maps to a parameterized gate");
         let mut value = angle.resolve(params) + self.offset;
         if let Some(delta) = delta {
             value += delta;
         }
-        g.with_angle(Angle::Fixed(value)).matrix(&[])
+        g.with_angle(Angle::Fixed(value)).matrix_into(&[], out);
     }
 }
 
@@ -344,11 +350,18 @@ impl Plan {
     /// threshold. Each key is evaluated once, for its verdict and its
     /// lowering both. Returns whether the plan held; a plan that broke
     /// leaves `program` as it was, for the caller to replace.
-    fn refresh_if_holds(&self, noise: &NoiseModel, program: &mut Option<CompiledProgram>) -> bool {
+    fn refresh_if_holds(
+        &self,
+        noise: &NoiseModel,
+        program: &mut Option<CompiledProgram>,
+        scratch: &mut RefreshScratch,
+    ) -> bool {
         if self.gate_times_ns.map(f64::to_bits) != gate_times_ns(noise).map(f64::to_bits) {
             return false;
         }
-        let numbers: Vec<KeyNumbers> = self.keys.iter().map(|key| key.evaluate(noise)).collect();
+        let RefreshScratch { numbers, channels } = scratch;
+        numbers.clear();
+        numbers.extend(self.keys.iter().map(|key| key.evaluate(noise)));
         let holds = numbers
             .iter()
             .zip(&self.verdicts)
@@ -357,14 +370,24 @@ impl Plan {
             });
         if holds {
             let lower = |key: usize, table: &mut SuperopTable| numbers[key].lower(table);
-            let (plan, readout) = (&self.program, noise.readout());
+            let (plan, readout) = (&self.program, noise.readout_flips());
             match program {
-                Some(program) => program.refill(plan, readout, lower),
+                Some(program) => program.refill(plan, readout, lower, channels),
                 None => *program = Some(CompiledProgram::new(Arc::clone(plan), readout, lower)),
             }
         }
         holds
     }
+}
+
+/// What a refresh writes besides the program: the plan's keys
+/// evaluated, and the channel superoperators the fill multiplies. One
+/// per executing thread serves every template's refresh, so a warm
+/// refresh allocates nothing and no program carries it.
+#[derive(Debug, Default)]
+pub(crate) struct RefreshScratch {
+    numbers: Vec<KeyNumbers>,
+    channels: SuperopTable,
 }
 
 /// Compiles a fully bound circuit into a ready-to-run program. (A
@@ -502,6 +525,17 @@ impl CompiledTemplate {
     /// template compiled against `noise`. Returns which of the three it
     /// did.
     pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) -> Compile {
+        self.ensure_compiled_with(noise, token, &mut RefreshScratch::default())
+    }
+
+    /// [`CompiledTemplate::ensure_compiled`] with the caller's refresh
+    /// scratch.
+    pub(crate) fn ensure_compiled_with(
+        &mut self,
+        noise: &NoiseModel,
+        token: NoiseToken,
+        scratch: &mut RefreshScratch,
+    ) -> Compile {
         if self.token == Some(token) {
             self.cache_hits += 1;
             return Compile::Hit;
@@ -511,7 +545,7 @@ impl CompiledTemplate {
         let refreshed = self
             .plan
             .as_ref()
-            .is_some_and(|plan| plan.refresh_if_holds(noise, &mut self.program));
+            .is_some_and(|plan| plan.refresh_if_holds(noise, &mut self.program, scratch));
         let outcome = if refreshed {
             Compile::Refresh
         } else {
@@ -552,13 +586,15 @@ impl CompiledTemplate {
             let delta = shift
                 .filter(|&(shift_idx, _)| shift_idx == rebind.gate_idx)
                 .map(|(_, delta)| delta);
-            program.set_unitary(rebind.slot, rebind.matrix(&self.circuit, params, delta));
+            program.rebind_unitary(rebind.slot, |m| {
+                rebind.write_matrix(&self.circuit, params, delta, m)
+            });
         }
     }
 
-    /// The matrix [`CompiledTemplate::bind`] with `Some((gate_idx,
-    /// delta))` would place in the shifted occurrence's rebind slot,
-    /// together with that slot — computed without touching the bound
+    /// Writes into `out` the matrix [`CompiledTemplate::bind`] with
+    /// `Some((gate_idx, delta))` would place in the shifted occurrence's
+    /// rebind slot, and returns that slot — without touching the bound
     /// program. Bit-identical to what `bind` writes (one routine
     /// resolves the angle, adds the slot's offset, then `delta`, for
     /// both), so the backend binds a template's base once and describes
@@ -568,17 +604,21 @@ impl CompiledTemplate {
     /// # Panics
     ///
     /// Panics if `gate_idx` is not a parameterized gate occurrence.
-    pub fn shift_matrix(&self, params: &[f64], gate_idx: usize, delta: f64) -> (usize, CMatrix) {
+    pub fn shift_matrix(
+        &self,
+        params: &[f64],
+        gate_idx: usize,
+        delta: f64,
+        out: &mut CMatrix,
+    ) -> usize {
         let rebind = self
             .plan
             .iter()
             .flat_map(|p| &p.param_slots)
             .find(|rebind| rebind.gate_idx == gate_idx)
             .expect("shift index must name a parameterized gate occurrence");
-        (
-            rebind.slot,
-            rebind.matrix(&self.circuit, params, Some(delta)),
-        )
+        rebind.write_matrix(&self.circuit, params, Some(delta), out);
+        rebind.slot
     }
 
     /// The compiled program (panics if never compiled).
@@ -849,7 +889,8 @@ mod tests {
         };
         for rebind in &rebinds {
             for delta in [FRAC_PI_2, -FRAC_PI_2, 0.3] {
-                let (slot, matrix) = template.shift_matrix(&params, rebind.gate_idx, delta);
+                let mut matrix = CMatrix::identity(4);
+                let slot = template.shift_matrix(&params, rebind.gate_idx, delta, &mut matrix);
                 assert_eq!(slot, rebind.slot);
                 template.bind(&params, Some((rebind.gate_idx, delta)));
                 let bound = template.program().unitary(slot);

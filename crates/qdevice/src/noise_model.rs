@@ -91,27 +91,30 @@ impl NoiseModel {
         }
     }
 
-    /// Assembles a model from pre-projected parts — the per-cycle noise
-    /// cache rebuilds drifted models through this without touching a
-    /// [`Calibration`]. `cx_errors` is the upper triangle, row by row.
-    pub(crate) fn from_parts(
-        qubits: Vec<QubitNoise>,
-        cx_errors: Vec<f64>,
-        gate_time_1q_ns: f64,
-        gate_time_2q_ns: f64,
-        readout_time_ns: f64,
-    ) -> Self {
-        debug_assert_eq!(
-            cx_errors.len(),
-            qubits.len() * qubits.len().saturating_sub(1) / 2
-        );
-        NoiseModel {
-            qubits,
-            cx_errors,
-            gate_time_1q_ns,
-            gate_time_2q_ns,
-            readout_time_ns,
-        }
+    /// Rewrites the model from pre-projected parts, in its own storage —
+    /// the per-cycle noise cache re-degrades drifted models through this
+    /// without touching a [`Calibration`]. `cx_errors` is the upper
+    /// triangle, row by row.
+    pub(crate) fn assign(
+        &mut self,
+        qubits: impl IntoIterator<Item = QubitNoise>,
+        cx_errors: impl IntoIterator<Item = f64>,
+        [gate_time_1q_ns, gate_time_2q_ns, readout_time_ns]: [f64; 3],
+    ) {
+        // Exactly the room the parts need, as `collect` would size a
+        // fresh model: the caches hold thousands of them.
+        let (qubits, cx_errors) = (qubits.into_iter(), cx_errors.into_iter());
+        self.qubits.clear();
+        self.qubits.reserve_exact(qubits.size_hint().0);
+        self.qubits.extend(qubits);
+        self.cx_errors.clear();
+        self.cx_errors.reserve_exact(cx_errors.size_hint().0);
+        self.cx_errors.extend(cx_errors);
+        let n = self.qubits.len();
+        debug_assert_eq!(self.cx_errors.len(), n * n.saturating_sub(1) / 2);
+        self.gate_time_1q_ns = gate_time_1q_ns;
+        self.gate_time_2q_ns = gate_time_2q_ns;
+        self.readout_time_ns = readout_time_ns;
     }
 
     /// An ideal (noise-free) model over `n` compact qubits; useful for
@@ -160,12 +163,13 @@ impl NoiseModel {
 
     /// The readout confusion model across the register.
     pub fn readout(&self) -> ReadoutError {
-        ReadoutError::new(
-            self.qubits
-                .iter()
-                .map(|q| q.readout_error.min(0.5))
-                .collect(),
-        )
+        ReadoutError::new(self.readout_flips().collect())
+    }
+
+    /// The flip probabilities of [`NoiseModel::readout`], qubit by qubit,
+    /// for a program that writes them into a model it already holds.
+    pub fn readout_flips(&self) -> impl Iterator<Item = f64> + '_ {
+        self.qubits.iter().map(|q| q.readout_error.min(0.5))
     }
 }
 

@@ -145,16 +145,31 @@ pub fn sxdg() -> CMatrix {
 
 /// Rotation about the X axis: `RX(theta) = exp(-i theta X / 2)`.
 pub fn rx(theta: f64) -> CMatrix {
+    let mut m = CMatrix::zeros(0, 0);
+    rx_into(theta, &mut m);
+    m
+}
+
+/// [`rx`] written into `out`, whose storage is reused.
+pub fn rx_into(theta: f64, out: &mut CMatrix) {
     let c = C64::from_real((theta / 2.0).cos());
     let s = C64::new(0.0, -(theta / 2.0).sin());
-    CMatrix::from_slice(2, 2, &[c, s, s, c])
+    out.assign(2, 2, &[c, s, s, c]);
 }
 
 /// Rotation about the Y axis: `RY(theta) = exp(-i theta Y / 2)`.
 pub fn ry(theta: f64) -> CMatrix {
+    let mut m = CMatrix::zeros(0, 0);
+    ry_into(theta, &mut m);
+    m
+}
+
+/// [`ry`] written into `out`, whose storage is reused.
+pub fn ry_into(theta: f64, out: &mut CMatrix) {
     let c = (theta / 2.0).cos();
     let s = (theta / 2.0).sin();
-    CMatrix::from_real(2, 2, &[c, -s, s, c])
+    let re = C64::from_real;
+    out.assign(2, 2, &[re(c), re(-s), re(s), re(c)]);
 }
 
 /// Rotation about the Z axis: `RZ(theta) = exp(-i theta Z / 2)`.
@@ -162,16 +177,15 @@ pub fn ry(theta: f64) -> CMatrix {
 /// On IBMQ hardware this is a "virtual" frame change with zero duration and
 /// zero error; the device model honours that.
 pub fn rz(theta: f64) -> CMatrix {
-    CMatrix::from_slice(
-        2,
-        2,
-        &[
-            C64::cis(-theta / 2.0),
-            C64::ZERO,
-            C64::ZERO,
-            C64::cis(theta / 2.0),
-        ],
-    )
+    let mut m = CMatrix::zeros(0, 0);
+    rz_into(theta, &mut m);
+    m
+}
+
+/// [`rz`] written into `out`, whose storage is reused.
+pub fn rz_into(theta: f64, out: &mut CMatrix) {
+    let (em, ep) = (C64::cis(-theta / 2.0), C64::cis(theta / 2.0));
+    out.assign(2, 2, &[em, C64::ZERO, C64::ZERO, ep]);
 }
 
 /// Phase gate `P(lambda) = diag(1, e^{i lambda})` (equal to `RZ` up to
@@ -244,30 +258,20 @@ pub fn swap() -> CMatrix {
 /// Two-qubit ZZ interaction `RZZ(theta) = exp(-i theta Z(x)Z / 2)`,
 /// the parameterized gate of the QAOA cost layer (Fig. 10 of the paper).
 pub fn rzz(theta: f64) -> CMatrix {
+    let mut m = CMatrix::zeros(0, 0);
+    rzz_into(theta, &mut m);
+    m
+}
+
+/// [`rzz`] written into `out`, whose storage is reused.
+pub fn rzz_into(theta: f64, out: &mut CMatrix) {
     let em = C64::cis(-theta / 2.0);
     let ep = C64::cis(theta / 2.0);
-    CMatrix::from_slice(
-        4,
-        4,
-        &[
-            em,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            ep,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            ep,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            C64::ZERO,
-            em,
-        ],
-    )
+    let mut data = [C64::ZERO; 16];
+    for (i, phase) in [em, ep, ep, em].into_iter().enumerate() {
+        data[i * 5] = phase;
+    }
+    out.assign(4, 4, &data);
 }
 
 #[cfg(test)]

@@ -22,11 +22,28 @@ use std::ops::{Add, Index, IndexMut, Mul, Sub};
 /// assert!(x.is_unitary(1e-12));
 /// assert!((x.clone() * x.clone()).approx_eq(&CMatrix::identity(2), 1e-12));
 /// ```
-#[derive(Clone, PartialEq)]
+#[derive(PartialEq)]
 pub struct CMatrix {
     rows: usize,
     cols: usize,
     data: Vec<C64>,
+}
+
+impl Clone for CMatrix {
+    fn clone(&self) -> Self {
+        CMatrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: self.data.clone(),
+        }
+    }
+
+    /// Copies `source` into this matrix's storage, which is reused when
+    /// it is large enough — so a table of matrices refilled with
+    /// `Vec::clone_from` allocates nothing once warm.
+    fn clone_from(&mut self, source: &Self) {
+        self.assign(source.rows, source.cols, &source.data);
+    }
 }
 
 impl CMatrix {
@@ -84,6 +101,24 @@ impl CMatrix {
             cols,
             data: data.iter().map(|&x| C64::from_real(x)).collect(),
         }
+    }
+
+    /// Overwrites the matrix with the `rows x cols` row-major `data`,
+    /// reusing its storage when it is large enough.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `data.len() != rows * cols`.
+    pub fn assign(&mut self, rows: usize, cols: usize, data: &[C64]) {
+        assert_eq!(
+            data.len(),
+            rows * cols,
+            "matrix data length {} does not match {rows}x{cols}",
+            data.len()
+        );
+        (self.rows, self.cols) = (rows, cols);
+        self.data.clear();
+        self.data.extend_from_slice(data);
     }
 
     /// Number of rows.

@@ -469,6 +469,29 @@ pub(crate) enum Placement {
     OnSecond,
 }
 
+/// The superoperators the runs of one fill index: a plan's lowered
+/// gates, then the fill's own channels, numbered on from the gates —
+/// one index space over two tables, so a fill never copies the gates.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Members<'a> {
+    gates: &'a SuperopTable,
+    channels: &'a SuperopTable,
+}
+
+impl<'a> Members<'a> {
+    pub(crate) fn new(gates: &'a SuperopTable, channels: &'a SuperopTable) -> Self {
+        Members { gates, channels }
+    }
+
+    /// Borrows member `idx`.
+    pub(crate) fn get(self, idx: usize) -> Superop<'a> {
+        match idx.checked_sub(self.gates.len()) {
+            None => self.gates.get(idx),
+            Some(channel) => self.channels.get(channel),
+        }
+    }
+}
+
 /// One member of a fused run as a program's plan keeps it: the index of
 /// its superoperator among the run's lowered members and where it sits,
 /// in two bytes — fleets hold thousands of plans.
@@ -718,7 +741,7 @@ impl SuperopTable {
     /// imaginary part.
     pub(crate) fn push_product(
         &mut self,
-        members: &SuperopTable,
+        members: Members<'_>,
         run: &[RunMember],
         two_qubit: bool,
     ) -> usize {
@@ -733,7 +756,7 @@ impl SuperopTable {
 
     fn push_product_in<S: Coeff, const D: usize>(
         &mut self,
-        members: &SuperopTable,
+        members: Members<'_>,
         run: &[RunMember],
     ) -> usize {
         // Dense `D x D` accumulators and fixed-length row updates: the
@@ -821,19 +844,6 @@ impl SuperopTable {
         self.entries.len() - 1
     }
 
-    /// Appends a copy of every superoperator of `other`, bit for bit,
-    /// in order.
-    pub(crate) fn extend_from(&mut self, other: &SuperopTable) {
-        let (index, vals) = (self.index.len() as u32, self.vals.len() as u32);
-        self.entries.extend(other.entries.iter().map(|e| Entry {
-            index: e.index + index,
-            vals: e.vals + vals,
-            dd: e.dd,
-        }));
-        self.index.extend_from_slice(&other.index);
-        self.vals.extend_from_slice(&other.vals);
-    }
-
     /// Number of superoperators held.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -853,6 +863,23 @@ impl SuperopTable {
             entries: Vec::with_capacity(n),
             index: Vec::with_capacity(n * 44),
             vals: Vec::with_capacity(n * 32),
+        }
+    }
+
+    /// Lengths of the table's three buffers: what
+    /// [`SuperopTable::with_room`] reserves for a table filled alike.
+    pub(crate) fn room(&self) -> [usize; 3] {
+        [self.entries.len(), self.index.len(), self.vals.len()]
+    }
+
+    /// An empty table with exactly the [`SuperopTable::room`] of one
+    /// filled before — a fresh program of a known plan fills without
+    /// growing.
+    pub(crate) fn with_room([entries, index, vals]: [usize; 3]) -> Self {
+        SuperopTable {
+            entries: Vec::with_capacity(entries),
+            index: Vec::with_capacity(index),
+            vals: Vec::with_capacity(vals),
         }
     }
 
@@ -1178,6 +1205,8 @@ mod tests {
         }
         let mut fused = SuperopTable::default();
         let packed: Vec<RunMember> = run.iter().map(|&(m, p)| RunMember::new(m, p)).collect();
+        let none = SuperopTable::default();
+        let members = Members::new(members, &none);
         let entry = fused.push_product(members, &packed, support.len() == 2);
         rho.apply_superop(fused.get(entry), support);
         assert!(

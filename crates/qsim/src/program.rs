@@ -68,7 +68,7 @@
 
 use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
-use crate::noise::{KrausChannel, Placement, RunMember, SuperopTable};
+use crate::noise::{KrausChannel, Members, Placement, RunMember, SuperopTable};
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use rand::RngCore;
 use std::sync::Arc;
@@ -160,6 +160,11 @@ struct FusionPlan {
     runs: Vec<RunMember>,
     /// Per fused entry: where its run ends in `runs`.
     bounds: Vec<u32>,
+    /// [`SuperopTable::room`] of the fused table: while planning, a
+    /// bound (each run a full real superoperator); once the builder has
+    /// filled its own, the exact size, so a fresh program of the plan
+    /// fills without growing.
+    room: [usize; 3],
 }
 
 impl FusionPlan {
@@ -192,35 +197,36 @@ impl FusionPlan {
         self.gates.seal();
     }
 
-    /// Lowers every member — into a table that lives for this call
-    /// only; the fixed gates are copied from the plan, which lowered
-    /// them once — and multiplies every run into `fused`, replacing
-    /// what it held (its allocations are kept).
+    /// Lowers every channel member into `channels` and multiplies every
+    /// run into `fused` — each over the plan's lowered gates and those
+    /// channels, in one index space — replacing what both held (their
+    /// allocations are kept).
     fn fill(
         &self,
         fused: &mut SuperopTable,
+        channels: &mut SuperopTable,
         given: &[KrausChannel],
         mut lower: impl FnMut(usize, &mut SuperopTable),
     ) {
-        let mut members = SuperopTable::with_capacity(self.gates.len() + self.members.len());
-        members.extend_from(&self.gates);
+        channels.clear();
         for member in &self.members {
             match *member {
                 Member::Unitary(_) => unreachable!("a finished plan's gates are lowered"),
-                Member::Deferred(key) => lower(key as usize, &mut members),
+                Member::Deferred(key) => lower(key as usize, channels),
                 Member::Given(idx) => {
                     let channel = given
                         .get(idx as usize)
                         .expect("channels pushed as Kraus lists are lowered once, by the builder");
-                    members.push(channel);
+                    channels.push(channel);
                 }
             }
         }
         assert_eq!(
-            members.len(),
-            self.gates.len() + self.members.len(),
+            channels.len(),
+            self.members.len(),
             "`lower` must push exactly one superoperator per call"
         );
+        let members = Members::new(&self.gates, channels);
         fused.clear();
         let mut start = 0;
         for &end in &self.bounds {
@@ -228,7 +234,7 @@ impl FusionPlan {
             // A one-qubit member is `Whole` only in a one-qubit run.
             let two_qubit = run[0].place() != Placement::Whole
                 || members.get(run[0].member()).num_qubits() == 2;
-            fused.push_product(&members, run, two_qubit);
+            fused.push_product(members, run, two_qubit);
             start = end as usize;
         }
     }
@@ -287,20 +293,20 @@ pub struct CompiledProgram {
 
 impl CompiledProgram {
     /// A program over `plan`, filled as [`CompiledProgram::refresh`]
-    /// fills one.
+    /// fills one, its tables sized from the plan's first fill.
     pub fn new(
         plan: Arc<ProgramPlan>,
-        readout: ReadoutError,
+        readout: impl IntoIterator<Item = f64>,
         lower: impl FnMut(usize, &mut SuperopTable),
     ) -> Self {
-        let mut superops = SuperopTable::default();
-        plan.fusion.fill(&mut superops, &[], lower);
-        CompiledProgram {
+        let mut program = CompiledProgram {
             unitaries: plan.unitaries.clone(),
+            superops: SuperopTable::with_room(plan.fusion.room),
+            readout: ReadoutError::default(),
             plan,
-            superops,
-            readout,
-        }
+        };
+        program.refresh(readout, lower);
+        program
     }
 
     /// The shared structure this program runs.
@@ -360,13 +366,24 @@ impl CompiledProgram {
     /// Panics if the slot is out of range or the replacement has a
     /// different shape.
     pub fn set_unitary(&mut self, slot: usize, m: CMatrix) {
-        let old = &self.unitaries[slot];
+        self.rebind_unitary(slot, |old| *old = m);
+    }
+
+    /// [`CompiledProgram::set_unitary`] in place: `write` rewrites the
+    /// matrix in `slot`, storage and all.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slot is out of range or `write` changes its shape.
+    pub fn rebind_unitary(&mut self, slot: usize, write: impl FnOnce(&mut CMatrix)) {
+        let m = &mut self.unitaries[slot];
+        let shape = (m.rows(), m.cols());
+        write(m);
         assert_eq!(
-            (old.rows(), old.cols()),
+            shape,
             (m.rows(), m.cols()),
             "rebind must preserve the matrix shape of slot {slot}"
         );
-        self.unitaries[slot] = m;
     }
 
     /// Borrows the matrix in `slot`.
@@ -383,8 +400,9 @@ impl CompiledProgram {
     /// numbers under the same plan: the tape, the matrix table and
     /// which ops each fused entry multiplies are kept; `lower(key,
     /// table)` pushes the superoperator of the deferred channel `key`
-    /// onto `table` (exactly one per call), and `readout` replaces the
-    /// readout model. This is the routine
+    /// onto `table` (exactly one per call), and the flip probabilities
+    /// `readout` replace the readout model's, in its storage. This is
+    /// the routine
     /// [`ProgramBuilder::finish_with`] fills a new program with, so a
     /// refreshed program equals, bit for bit, one built from scratch
     /// with the same pushes and the same `lower`.
@@ -397,25 +415,33 @@ impl CompiledProgram {
     /// Panics on a program holding channels pushed as Kraus lists
     /// ([`ProgramBuilder::push_channel`]): those were lowered when the
     /// builder finished and their numbers are gone.
-    pub fn refresh(&mut self, readout: ReadoutError, lower: impl FnMut(usize, &mut SuperopTable)) {
-        self.readout = readout;
-        self.plan.fusion.fill(&mut self.superops, &[], lower);
+    pub fn refresh(
+        &mut self,
+        readout: impl IntoIterator<Item = f64>,
+        lower: impl FnMut(usize, &mut SuperopTable),
+    ) {
+        let plan = Arc::clone(&self.plan);
+        self.refill(&plan, readout, lower, &mut SuperopTable::default());
     }
 
     /// [`CompiledProgram::refresh`] onto `plan`, maybe not the program's
     /// own, written into the buffers the program owns: equal, bit for
-    /// bit, to [`CompiledProgram::new`].
+    /// bit, to [`CompiledProgram::new`]. `channels` is scratch the fill
+    /// lowers the deferred channels into (what it held is replaced), so
+    /// a caller that keeps one refills without allocating.
     pub fn refill(
         &mut self,
         plan: &Arc<ProgramPlan>,
-        readout: ReadoutError,
+        readout: impl IntoIterator<Item = f64>,
         lower: impl FnMut(usize, &mut SuperopTable),
+        channels: &mut SuperopTable,
     ) {
         if !Arc::ptr_eq(&self.plan, plan) {
             self.plan = Arc::clone(plan);
             self.unitaries.clone_from(&plan.unitaries);
         }
-        self.refresh(readout, lower);
+        self.readout.set_flips(readout);
+        plan.fusion.fill(&mut self.superops, channels, &[], lower);
     }
 }
 
@@ -512,6 +538,9 @@ impl Fuser {
         self.plan.runs.extend_from_slice(&self.resolved);
         let end = u32::try_from(self.plan.runs.len()).expect("fused runs fit u32 offsets");
         self.plan.bounds.push(end);
+        let d = 1 << (2 * self.arity);
+        let [entries, index, vals] = &mut self.plan.room;
+        (*entries, *index, *vals) = (*entries + 1, *index + d + d * d, *vals + d * d);
         self.plan.bounds.len() - 1
     }
 }
@@ -816,8 +845,11 @@ impl ProgramBuilder {
         plan.members.shrink_to_fit();
         plan.runs.shrink_to_fit();
         plan.bounds.shrink_to_fit();
-        let mut superops = SuperopTable::default();
-        plan.fill(&mut superops, &given, lower);
+        let mut superops = SuperopTable::with_room(plan.room);
+        let mut channels = SuperopTable::with_capacity(plan.members.len());
+        plan.fill(&mut superops, &mut channels, &given, lower);
+        superops.seal();
+        plan.room = superops.room();
         CompiledProgram {
             unitaries: self.unitaries.clone(),
             plan: Arc::new(ProgramPlan {
@@ -1083,6 +1115,20 @@ impl DensityEngine {
     ) -> Counts {
         self.sampler.sample_counts(probs, n_qubits, shots, rng)
     }
+
+    /// [`DensityEngine::sample_probs`] written into `out`, whose
+    /// storage is reused.
+    pub fn sample_probs_into<R: RngCore + ?Sized>(
+        &mut self,
+        probs: &[f64],
+        n_qubits: usize,
+        shots: usize,
+        rng: &mut R,
+        out: &mut Counts,
+    ) {
+        self.sampler
+            .sample_counts_into(probs, n_qubits, shots, rng, out);
+    }
 }
 
 #[cfg(test)]
@@ -1223,7 +1269,7 @@ mod tests {
             "the recurring cluster, the CX run"
         );
         let tape = program.ops().to_vec();
-        program.refresh(ReadoutError::uniform(2, 0.02), lower(after));
+        program.refresh([0.02; 2], lower(after));
         let fresh = deferred_program(after);
         assert_eq!(program.ops(), tape, "a refresh leaves the tape alone");
         assert_eq!(program.superops(), fresh.superops());
@@ -1251,7 +1297,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "lowered once, by the builder")]
     fn a_program_built_from_kraus_lists_cannot_be_refreshed() {
-        bell_program(0.05).refresh(ReadoutError::uniform(2, 0.0), |_, _| {});
+        bell_program(0.05).refresh([0.0; 2], |_, _| {});
     }
 
     #[test]

@@ -7,13 +7,18 @@
 //! (SPAM) error.
 
 use rand::Rng;
-use std::collections::HashMap;
 use std::fmt;
 
 /// Histogram of measured basis states.
 ///
 /// Keys are basis indices in the little-endian convention (qubit 0 = least
 /// significant bit), matching [`crate::statevector::StateVector`].
+///
+/// The outcomes live in one vector sorted by basis index, each with a
+/// nonzero count — one canonical form per histogram, so equality does
+/// not depend on the order outcomes were recorded in, and a sampler
+/// that walks its dense histogram in index order emits the vector as
+/// it goes. Lookups are binary searches.
 ///
 /// # Examples
 ///
@@ -30,7 +35,8 @@ use std::fmt;
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct Counts {
     n_qubits: usize,
-    map: HashMap<u64, u64>,
+    /// `(basis, count)` per observed outcome, ascending by basis.
+    bins: Vec<(u64, u64)>,
     total: u64,
 }
 
@@ -39,26 +45,43 @@ impl Counts {
     pub fn new(n_qubits: usize) -> Self {
         Counts {
             n_qubits,
-            map: HashMap::new(),
+            bins: Vec::new(),
             total: 0,
         }
     }
 
-    /// Creates an empty histogram pre-sized for `distinct` distinct
-    /// basis states — the hot path builds the whole histogram in one
-    /// pass and knows the bin count up front, so sizing here avoids
-    /// rehash-and-grow cycles per job. Capacity never affects equality.
+    /// Creates an empty histogram with room for `distinct` distinct
+    /// basis states. Capacity never affects equality.
     pub fn with_capacity(n_qubits: usize, distinct: usize) -> Self {
         Counts {
             n_qubits,
-            map: HashMap::with_capacity(distinct),
+            bins: Vec::with_capacity(distinct),
             total: 0,
         }
+    }
+
+    /// Empties the histogram and makes it `n_qubits` wide, keeping its
+    /// storage: a histogram refilled per job allocates only while it
+    /// grows.
+    pub fn reset(&mut self, n_qubits: usize) {
+        self.n_qubits = n_qubits;
+        self.bins.clear();
+        self.total = 0;
     }
 
     /// Number of measured qubits.
     pub fn num_qubits(&self) -> usize {
         self.n_qubits
+    }
+
+    /// Number of distinct outcomes observed.
+    pub fn len(&self) -> usize {
+        self.bins.len()
+    }
+
+    /// Whether no outcome was recorded.
+    pub fn is_empty(&self) -> bool {
+        self.bins.is_empty()
     }
 
     /// Adds `count` observations of `basis`. A zero count records
@@ -76,7 +99,15 @@ impl Counts {
         if count == 0 {
             return;
         }
-        *self.map.entry(basis).or_insert(0) += count;
+        // Outcomes recorded in ascending order append.
+        match self.bins.last() {
+            Some(&(last, _)) if last < basis => self.bins.push((basis, count)),
+            None => self.bins.push((basis, count)),
+            Some(_) => match self.bins.binary_search_by_key(&basis, |&(b, _)| b) {
+                Ok(i) => self.bins[i].1 += count,
+                Err(i) => self.bins.insert(i, (basis, count)),
+            },
+        }
         self.total += count;
     }
 
@@ -87,7 +118,9 @@ impl Counts {
 
     /// Count observed for a basis state (0 if never seen).
     pub fn get(&self, basis: u64) -> u64 {
-        self.map.get(&basis).copied().unwrap_or(0)
+        self.bins
+            .binary_search_by_key(&basis, |&(b, _)| b)
+            .map_or(0, |i| self.bins[i].1)
     }
 
     /// Empirical probability of a basis state.
@@ -101,13 +134,13 @@ impl Counts {
 
     /// Iterates over `(basis, count)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.map.iter().map(|(&k, &v)| (k, v))
+        self.bins.iter().copied()
     }
 
     /// Returns `(basis, count)` pairs sorted by descending count, ties by
     /// ascending basis. Useful for stable report output.
     pub fn to_sorted_vec(&self) -> Vec<(u64, u64)> {
-        let mut v: Vec<(u64, u64)> = self.iter().collect();
+        let mut v = self.bins.clone();
         v.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
@@ -214,7 +247,9 @@ pub fn sample_indices<R: Rng + ?Sized>(probs: &[f64], shots: usize, rng: &mut R)
 /// buffers so the hot path ([`ShotSampler::sample_counts`]) allocates
 /// nothing after warmup: the CDF is rebuilt in place per distribution,
 /// shots increment dense histogram slots (no per-shot hash-map insert),
-/// and only the non-zero slots are folded into the returned [`Counts`].
+/// and only the non-zero slots are emitted, in index order, into the
+/// [`Counts`] — a fresh one, or one the caller keeps
+/// ([`ShotSampler::sample_counts_into`]).
 /// Draws from the RNG in exactly the per-shot order of
 /// [`sample_indices`], so seeded results are byte-identical to the
 /// allocating path.
@@ -392,6 +427,26 @@ impl ShotSampler {
         shots: usize,
         rng: &mut R,
     ) -> Counts {
+        let mut counts = Counts::new(n_qubits);
+        self.sample_counts_into(probs, n_qubits, shots, rng, &mut counts);
+        counts
+    }
+
+    /// [`ShotSampler::sample_counts`] written into `out`, whose storage
+    /// is reused: the dense histogram is walked in index order, so its
+    /// nonzero slots are `out`'s sorted outcomes as they come.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShotSampler::sample_counts`].
+    pub fn sample_counts_into<R: Rng + ?Sized>(
+        &mut self,
+        probs: &[f64],
+        n_qubits: usize,
+        shots: usize,
+        rng: &mut R,
+        out: &mut Counts,
+    ) {
         assert_eq!(
             probs.len(),
             1usize << n_qubits,
@@ -421,12 +476,15 @@ impl ShotSampler {
             };
             hist[idx] += 1;
         }
-        let distinct = self.hist.iter().filter(|&&c| c > 0).count();
-        let mut counts = Counts::with_capacity(n_qubits, distinct);
+        out.reset(n_qubits);
+        out.bins
+            .reserve_exact(self.hist.iter().filter(|&&c| c > 0).count());
         for (basis, &c) in self.hist.iter().enumerate() {
-            counts.record(basis as u64, c);
+            if c > 0 {
+                out.bins.push((basis as u64, c));
+                out.total += c;
+            }
         }
-        counts
     }
 }
 
@@ -468,6 +526,22 @@ impl ReadoutError {
             "readout flip probabilities must lie in [0, 0.5]"
         );
         ReadoutError { flip }
+    }
+
+    /// Replaces the flip probabilities in place, keeping the storage.
+    ///
+    /// # Panics
+    ///
+    /// As [`ReadoutError::new`].
+    pub fn set_flips(&mut self, flip: impl IntoIterator<Item = f64>) {
+        let flip = flip.into_iter();
+        self.flip.clear();
+        self.flip.reserve_exact(flip.size_hint().0);
+        self.flip.extend(flip);
+        assert!(
+            self.flip.iter().all(|&p| (0.0..=0.5).contains(&p)),
+            "readout flip probabilities must lie in [0, 0.5]"
+        );
     }
 
     /// Uniform flip probability across `n` qubits.

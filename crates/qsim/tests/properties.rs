@@ -8,6 +8,7 @@ use qsim::statevector::StateVector;
 use qsim::{gates, CMatrix, DensityMatrix, Pauli, ReadoutError, C64};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::collections::BTreeMap;
 
 /// Strategy: error probabilities over `[0, 1]` — uniform, log-uniform
 /// down to 1e-30, and the exact values with a branch of their own: the
@@ -849,5 +850,87 @@ proptest! {
         prop_assert!(recon.approx_eq(&m, 1e-8));
         // Trace is preserved by similarity.
         prop_assert!((eig.values[0] + eig.values[1] - (d0 + d1)).abs() < 1e-8);
+    }
+}
+
+/// The `(basis, count)` pairs of a [`qsim::Counts`] model: nonzero
+/// counts by basis, and the total.
+fn counts_model(records: &[(u64, u64)]) -> (BTreeMap<u64, u64>, u64) {
+    let mut model = BTreeMap::new();
+    for &(b, c) in records.iter().filter(|r| r.1 > 0) {
+        *model.entry(b).or_insert(0) += c;
+    }
+    let total = model.values().sum();
+    (model, total)
+}
+
+/// `records` as outcomes of an `n_qubits`-wide register.
+fn masked(records: &[(u64, u64)], n_qubits: usize) -> Vec<(u64, u64)> {
+    let mask = (1u64 << n_qubits) - 1;
+    records.iter().map(|&(b, c)| (b & mask, c)).collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The sorted-vector [`qsim::Counts`] against a `BTreeMap` model over
+    /// random `record` / `merge` / `from_iter` sequences: equality does
+    /// not depend on the order outcomes were recorded in; `get`,
+    /// `total`, `to_sorted_vec` and `Display` read what the model holds;
+    /// a zero count records nothing; `from_iter` infers the width of
+    /// the largest outcome.
+    #[test]
+    fn counts_agree_with_a_btreemap_model(
+        n_qubits in 1usize..9,
+        first in proptest::collection::vec((0u64..512, 0u64..6), 0..40),
+        second in proptest::collection::vec((0u64..512, 0u64..6), 0..20),
+    ) {
+        let (first, second) = (masked(&first, n_qubits), masked(&second, n_qubits));
+        let record = |records: &mut dyn Iterator<Item = &(u64, u64)>| {
+            let mut c = qsim::Counts::new(n_qubits);
+            for &(b, n) in records {
+                c.record(b, n);
+            }
+            c
+        };
+        let forward = record(&mut first.iter());
+        let backward = record(&mut first.iter().rev());
+        prop_assert_eq!(&forward, &backward, "equality depends on record order");
+
+        let mut merged = forward.clone();
+        merged.merge(&record(&mut second.iter()));
+        let all: Vec<(u64, u64)> = first.iter().chain(&second).copied().collect();
+        prop_assert_eq!(&merged, &record(&mut all.iter()), "merge is recording the rest");
+
+        let (model, total) = counts_model(&all);
+        prop_assert_eq!(merged.total(), total);
+        prop_assert_eq!(merged.len(), model.len());
+        for b in 0..1u64 << n_qubits {
+            prop_assert_eq!(merged.get(b), model.get(&b).copied().unwrap_or(0), "basis {}", b);
+        }
+        let mut sorted: Vec<(u64, u64)> = model.iter().map(|(&b, &c)| (b, c)).collect();
+        sorted.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        prop_assert_eq!(merged.to_sorted_vec(), sorted.clone());
+        let mut shown = format!("Counts({total} shots:");
+        for (b, c) in &sorted {
+            shown += &format!(" {:0width$b}:{c}", b, width = n_qubits);
+        }
+        prop_assert_eq!(merged.to_string(), shown + ")");
+        let mut iterated: Vec<(u64, u64)> = merged.iter().collect();
+        iterated.sort_unstable();
+        prop_assert_eq!(iterated, model.iter().map(|(&b, &c)| (b, c)).collect::<Vec<_>>());
+
+        let mut zero = merged.clone();
+        for &(b, _) in &second {
+            zero.record(b, 0);
+        }
+        prop_assert_eq!(&zero, &merged, "a zero count recorded something");
+
+        let collected: qsim::Counts = all.iter().copied().collect();
+        let widest = all.iter().map(|r| r.0).max().unwrap_or(0);
+        let width = (64 - widest.leading_zeros()).max(1) as usize;
+        prop_assert_eq!(collected.num_qubits(), width);
+        prop_assert_eq!(collected.total(), total);
+        prop_assert_eq!(collected.to_sorted_vec(), sorted);
     }
 }

@@ -31,7 +31,8 @@ pub mod topology;
 
 pub use layout::{noise_aware_layout, Layout, LayoutError, LayoutStrategy};
 pub use pass::{
-    remap_counts, transpile, CircuitMetrics, TranspileError, TranspileOptions, Transpiled,
+    remap_counts, remap_counts_into, transpile, CircuitMetrics, TranspileError, TranspileOptions,
+    Transpiled,
 };
 pub use router::{RouteError, RoutingStrategy};
 pub use topology::Topology;

@@ -181,7 +181,14 @@ impl Transpiled {
 /// `logical_bits.len()` qubits wide. Needs no transpilation artifact:
 /// a caller that keeps only `logical_bits` can remap.
 pub fn remap_counts(compact_counts: &Counts, logical_bits: &[usize]) -> Counts {
-    let mut out = Counts::new(logical_bits.len());
+    let mut out = Counts::with_capacity(logical_bits.len(), compact_counts.len());
+    remap_counts_into(compact_counts, logical_bits, &mut out);
+    out
+}
+
+/// [`remap_counts`] written into `out`, whose storage is reused.
+pub fn remap_counts_into(compact_counts: &Counts, logical_bits: &[usize], out: &mut Counts) {
+    out.reset(logical_bits.len());
     for (basis, count) in compact_counts.iter() {
         let mut logical = 0u64;
         for (l, &bit) in logical_bits.iter().enumerate() {
@@ -191,7 +198,6 @@ pub fn remap_counts(compact_counts: &Counts, logical_bits: &[usize]) -> Counts {
         }
         out.record(logical, count);
     }
-    out
 }
 
 /// Runs the full pipeline.

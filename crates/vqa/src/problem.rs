@@ -206,11 +206,7 @@ impl VqeProblem {
             if term.string.is_identity() {
                 acc += term.coefficient;
             } else {
-                let mask: u64 = term
-                    .string
-                    .support()
-                    .iter()
-                    .fold(0u64, |m, &q| m | (1 << q));
+                let mask = term.string.support_mask();
                 acc += term.coefficient * counts.expectation_z_product(mask);
             }
         }
@@ -432,11 +428,7 @@ impl VqaProblem for QaoaProblem {
                     if term.string.is_identity() {
                         acc += term.coefficient;
                     } else {
-                        let mask: u64 = term
-                            .string
-                            .support()
-                            .iter()
-                            .fold(0u64, |m, &q| m | (1 << q));
+                        let mask = term.string.support_mask();
                         acc += term.coefficient * counts[0].expectation_z_product(mask);
                     }
                 }

@@ -430,8 +430,9 @@ proptest! {
         let mut forks = Vec::new();
         for (i, &g) in sym_gates.iter().enumerate() {
             let delta = if i % 2 == 0 { vqa::gradient::SHIFT } else { -vqa::gradient::SHIFT };
-            let variant = template.shift_matrix(&params, g, delta);
-            engine.evolve_group_forks(program, &[variant], &mut forks, None);
+            let mut matrix = qsim::CMatrix::zeros(0, 0);
+            let slot = template.shift_matrix(&params, g, delta, &mut matrix);
+            engine.evolve_group_forks(program, &[(slot, matrix)], &mut forks, None);
             let (_, resume_at, state) = forks.pop().expect("one fork per variant");
             engine.resume_probs(program, state, resume_at, &mut probs);
             let shifted = circuit.bind_with_shift(&params, g, delta).expect("binds");
