@@ -285,10 +285,13 @@ fn bench_job_throughput(c: &mut Criterion) {
 
 fn bench_compile(c: &mut Criterion) {
     // What a drifting device pays per job before it can bind: `first_*`
-    // plans and fills a fresh template (the cold compile every
-    // (device, template) pays once), `token_miss_*` brings a
-    // long-lived template up to the next drift step (a refresh of the
-    // same plan). One call is 7-50 us: many samples.
+    // plans and fills a fresh template (the cold compile of the first
+    // device of an architecture to run it), `adopt_*` is a template's
+    // first compile when a sibling — another device of the
+    // architecture — already made the plan (a refresh onto it, into
+    // new buffers), `token_miss_*` brings a long-lived template up to
+    // the next drift step (a refresh of the same plan). One call is
+    // 3-50 us: many samples.
     let mut group = c.benchmark_group("compile");
     group.sample_size(2000);
     for (name, problem, device) in &benchmark_templates() {
@@ -306,10 +309,22 @@ fn bench_compile(c: &mut Criterion) {
                 let (noise, token) = next();
                 let mut template = fresh.clone();
                 template.ensure_compiled(noise, token);
+                assert_eq!(template.plans(), 1, "{name}: no sibling plan is live");
                 template
             })
         });
         let mut template = fresh.clone();
+        let (noise, token) = next();
+        template.ensure_compiled(noise, token);
+        group.bench_function(format!("adopt_{name}"), |b| {
+            b.iter(|| {
+                let (noise, token) = next();
+                let mut sibling = template.sibling();
+                sibling.ensure_compiled(noise, token);
+                assert_eq!(sibling.plans(), 0, "{name}: a sibling's plan holds");
+                sibling
+            })
+        });
         group.bench_function(format!("token_miss_{name}"), |b| {
             b.iter(|| {
                 let (noise, token) = next();

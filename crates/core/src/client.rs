@@ -2,7 +2,8 @@
 //!
 //! One client manages one QPU: it takes the problem's circuit templates
 //! transpiled once for its device's topology — each planned once per
-//! device and refreshed per noise token (per job, under drift) — then
+//! architecture and schedule signature, and refreshed per noise token
+//! (per job, under drift) — then
 //! serves gradient tasks: the per-occurrence forward/backward shift
 //! pairs go to the device as **one** batched engine call
 //! ([`QpuBackend::execute_device_templates`]), the loss is read off the
@@ -11,8 +12,8 @@
 //! device's current `P_correct`.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
-//! plan belongs to the device and its transpilation to the device's
-//! architecture: the client fetches each template's [`DeviceTemplate`]
+//! transpilation and plans belong to the device's architecture: the
+//! client fetches each template's [`DeviceTemplate`]
 //! from its backend, which prepares it on the first request of any
 //! clone of the device — over the transpile of the first device on its
 //! coupling map — and shares it with the rest (see
@@ -117,9 +118,11 @@ impl ClientNode {
     }
 
     /// How many of those compiles planned the program's structure
-    /// instead of refreshing its numbers — once per template and device
-    /// unless the noise changed what the schedule emits (telemetry; see
-    /// [`qdevice::CompiledTemplate::plans`]).
+    /// instead of refreshing its numbers: a job whose noise fit none of
+    /// the plans its device's architecture holds for the template —
+    /// once per (architecture, schedule signature, template) across a
+    /// fleet, by whichever device's job gets there first (telemetry;
+    /// see [`qdevice::CompiledTemplate::plans`]).
     pub fn programs_planned(&self) -> u64 {
         self.compiles[Compile::Plan as usize]
     }

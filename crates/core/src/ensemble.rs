@@ -2,9 +2,11 @@
 //!
 //! An [`Ensemble`] is a reusable description of a device fleet plus a
 //! training configuration, built with [`Ensemble::builder`]. Binding it
-//! to a problem yields an [`EnsembleSession`]: each device transpiles
-//! and plans the problem's templates once ([`qdevice::DeviceTemplate`])
-//! and refreshes their numbers per noise token — per job only the
+//! to a problem yields an [`EnsembleSession`]: each device prepares the
+//! problem's templates once ([`qdevice::DeviceTemplate`]) — transpiled
+//! and planned once per coupling map its devices share, planned again
+//! only for a device that schedules differently — and refreshes their
+//! numbers per noise token — per job only the
 //! parameter-shift pair is rebound and submitted as one batched engine
 //! call. Any
 //! [`Executor`] drains the session into a

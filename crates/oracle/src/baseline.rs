@@ -14,7 +14,7 @@
 //! sum is re-associated, so the states differ at the 1e-16 level), with
 //! equal sampled counts on every pinned fixture.
 
-use qsim::{CMatrix, DensityMatrix, KrausChannel, C64};
+use qsim::{CMatrix, DensityMatrix, KrausChannel, Superop, C64};
 
 /// Runs `kernel` on the full Hermitian matrix of `rho` (row-major,
 /// side `dim`) and stores the result back as the state.
@@ -154,4 +154,129 @@ pub fn apply_channel(rho: &mut DensityMatrix, channel: &KrausChannel, qubits: &[
             }
         }
     });
+}
+
+/// The dense product a fused run's superoperator was computed as
+/// before plans carried a product schedule: start from the identity
+/// and, member after member, rewrite every row of the `D x D` product
+/// (`D` = 4 over one qubit, 16 over two) as the member's sparse row
+/// times the whole previous product — all `D` columns, structural zeros
+/// included — in `f64` while every member is real. `members` are the
+/// run's superoperators in application order, each with its operands
+/// inside `support` (the run's qubits in operand order). Returns the
+/// product's nonzero entries `(row, column, value)` row by row, in
+/// column order, and whether any of them has an imaginary part.
+///
+/// # Panics
+///
+/// Panics on a support of more than two qubits or a member whose
+/// operands are not in `support`.
+pub fn dense_product(
+    members: &[(Superop<'_>, &[usize])],
+    support: &[usize],
+) -> (Vec<(usize, usize, C64)>, bool) {
+    let real = members.iter().all(|(s, _)| s.is_real());
+    let dense = match (support.len(), real) {
+        (1, true) => nonzeros(&product::<f64, 4>(members, support)),
+        (1, false) => nonzeros(&product::<C64, 4>(members, support)),
+        (2, true) => nonzeros(&product::<f64, 16>(members, support)),
+        (2, false) => nonzeros(&product::<C64, 16>(members, support)),
+        _ => panic!("a fused run acts on one or two qubits"),
+    };
+    let complex = dense.iter().any(|&(.., z)| z.im != 0.0);
+    (dense, complex)
+}
+
+/// What [`dense_product`] accumulates in.
+trait Scalar: Copy + std::ops::Add<Output = Self> + std::ops::Mul<Output = Self> {
+    const ZERO: Self;
+    const ONE: Self;
+    fn of(z: C64) -> Self;
+    fn widen(self) -> C64;
+}
+
+impl Scalar for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    fn of(z: C64) -> f64 {
+        z.re
+    }
+    fn widen(self) -> C64 {
+        C64::new(self, 0.0)
+    }
+}
+
+impl Scalar for C64 {
+    const ZERO: C64 = C64::ZERO;
+    const ONE: C64 = C64::ONE;
+    fn of(z: C64) -> C64 {
+        z
+    }
+    fn widen(self) -> C64 {
+        self
+    }
+}
+
+fn product<S: Scalar, const D: usize>(
+    members: &[(Superop<'_>, &[usize])],
+    support: &[usize],
+) -> [[S; D]; D] {
+    let mut acc = [[S::ZERO; D]; D];
+    for (e, row) in acc.iter_mut().enumerate() {
+        row[e] = S::ONE;
+    }
+    for (s, operands) in members {
+        let (map, offsets) = embedding(support, operands);
+        let mut rows = vec![Vec::new(); 1 << (2 * s.num_qubits())];
+        for (r, c, z) in s.entries() {
+            rows[r].push((c, z));
+        }
+        let mut next = [[S::ZERO; D]; D];
+        for (r_m, row) in rows.iter().enumerate() {
+            for &off in offsets {
+                let r = map[r_m] + off;
+                for &(c_m, z) in row {
+                    let (v, c) = (S::of(z), map[c_m] + off);
+                    for (o, &a) in next[r].iter_mut().zip(&acc[c]) {
+                        *o = *o + v * a;
+                    }
+                }
+            }
+        }
+        acc = next;
+    }
+    acc
+}
+
+/// Where a member on `operands` embeds in a run over `support`: member
+/// index `e` lands on `map[e] + off` for every `off` (block index
+/// `i * d + j`, the first operand least significant).
+fn embedding(support: &[usize], operands: &[usize]) -> ([usize; 16], &'static [usize]) {
+    let swap = |i: usize| (i & 1) << 1 | i >> 1;
+    let same = std::array::from_fn(|e| e);
+    match (support, operands) {
+        (_, _) if support == operands => (same, &[0]),
+        (&[s0, s1], &[q0, q1]) if (q0, q1) == (s1, s0) => (
+            std::array::from_fn(|e| swap(e >> 2) * 4 + swap(e & 3)),
+            &[0],
+        ),
+        (&[s0, _], &[q]) if q == s0 => (
+            std::array::from_fn(|e| 4 * (e >> 1 & 1) + (e & 1)),
+            &[0, 2, 8, 10],
+        ),
+        (&[_, s1], &[q]) if q == s1 => (
+            std::array::from_fn(|e| 8 * (e >> 1 & 1) + 2 * (e & 1)),
+            &[0, 1, 4, 5],
+        ),
+        _ => panic!("operands {operands:?} are not in the run's support {support:?}"),
+    }
+}
+
+/// The nonzero entries of a dense product, row by row.
+fn nonzeros<S: Scalar, const D: usize>(product: &[[S; D]; D]) -> Vec<(usize, usize, C64)> {
+    let entries = product
+        .iter()
+        .enumerate()
+        .flat_map(|(r, row)| row.iter().enumerate().map(move |(c, &z)| (r, c, z.widen())));
+    entries.filter(|&(.., z)| z != C64::ZERO).collect()
 }

@@ -16,10 +16,11 @@
 //! per cycle, each active-qubit set's [`NoiseModel`] is projected once
 //! per cycle and re-degraded only when the drift factors actually
 //! change (they never do under [`DriftModel::none`], so the model is
-//! then built exactly once per cycle), and the device additionally keeps
-//! one plan per problem template: planned once, its numbers refreshed per
-//! noise token — per job, on a drifting device (see
-//! [`crate::compile::CompiledTemplate`]). All caches key on values, not
+//! then built exactly once per cycle), and each problem template runs on
+//! a plan its architecture's devices share: planned once per schedule
+//! signature, its numbers refreshed per noise token — per job, on a
+//! drifting device (see [`crate::compile::CompiledTemplate`]). All
+//! caches key on values, not
 //! time, so caching never changes a result. The uncached pre-engine path
 //! is test ground truth and ships in no library: the dev-only
 //! `eqc-oracle` crate runs it through [`QpuBackend::execute_with`] and
@@ -34,7 +35,7 @@
 //! device's identity: the id in its [`NoiseToken`]s, one
 //! [`SharedNoiseCache`] of the per-cycle noise artifacts and one
 //! [`SharedTemplateCache`] of prepared problem templates. A fleet's
-//! (tenant × device) clones thus build each noise artifact and plan
+//! (tenant × device) clones thus build each noise artifact and prepare
 //! each template once per device, with nothing to attach. Only two
 //! things give a backend a fresh identity: [`QpuBackend::new`] (two
 //! backends built alike share nothing) and
@@ -46,30 +47,44 @@
 //! A [`DeviceTemplate`] is what the paper's client derives from a
 //! template once per device (Algorithm 2): the transpiled compact
 //! circuit, each parameter's occurrences, the logical bit order, the
-//! Eq. 2 metrics, and the device's plan — an immutable `Arc` that jobs
-//! read and a job whose noise no longer fits it replaces. A refresh
-//! under any plan that holds equals a cold compile bit for bit, so
-//! which plan a job finds never shows in its counts.
+//! Eq. 2 metrics, and the plan the device's jobs run — an immutable
+//! `Arc` that jobs read and a job whose noise no longer fits it
+//! replaces. A refresh under any plan that holds equals a cold compile
+//! bit for bit, so which plan a job finds never shows in its counts.
 //!
-//! ## Transpile output belongs to the architecture
+//! ## Transpile output and plans belong to the architecture
 //!
-//! Of what a device derives from a template, only the plan and its
-//! numbers depend on the device's noise. The compact circuit, the
+//! Of what a device derives from a template, only the numbers depend
+//! on the device's noise; the plan depends only on which channels its
+//! schedule emits. The compact circuit, the
 //! active physical qubits, the occurrence lists, the logical bit order
 //! and the Eq. 2 metrics are a pure function of (template,
 //! [`Topology`]) — the paper's "architecture and transpilation" input,
 //! apart from its "runtime conditions". They live in one entry of an
 //! [`ArchitectureTemplates`] cache, keyed like the device's by the
 //! template's bits, and every device of the architecture holds that
-//! entry by `Arc`; only its plan is its own. The cache is shared by
+//! entry by `Arc`. The cache is shared by
 //! the devices minted together ([`QpuBackend::share_architectures`]:
 //! one ensemble or fleet) whose topologies are equal as values — name
 //! included, since the router treats topologies named `full*` apart —
 //! so a fleet transpiles each template once per coupling map, not once
 //! per device. [`QpuBackend::with_recal_jitter`] keeps the architecture
-//! cache: jitter moves the noise, not the coupling map. Lock order: a
-//! device's template cache lock first, then the architecture cache's,
-//! never the reverse; jobs never take the architecture lock.
+//! cache: jitter moves the noise, not the coupling map.
+//!
+//! The entry also keeps the plans its devices made, at most one per
+//! schedule signature — the gate times and every channel key's verdict,
+//! what `refresh_if_holds` checks — by `Weak`, so a plan that no device
+//! entry and no thread memo holds is freed. A device without a plan,
+//! or whose plan no longer holds under its noise, refreshes onto the
+//! first of these that holds and plans anew only when none does,
+//! publishing the new plan. Devices that jitter and drift apart but
+//! schedule alike thus share one plan per template:
+//! `fleet256_wide`'s 256 devices on two coupling maps hold 6 plans.
+//!
+//! Lock order: a device's template cache lock first, then the
+//! architecture cache's, then an entry's plan list, never the reverse.
+//! Jobs take the plan list only to adopt or make a plan, never while
+//! warm, and never the architecture cache's lock.
 //!
 //! ## One booking step
 //!
@@ -104,10 +119,11 @@
 //! template's job runs on — rebound
 //! rotations, fused superoperators, readout — in a memo of at most 8
 //! [`CompiledTemplate`]s keyed by (plan `Arc`, [`NoiseToken`]). A job
-//! takes its programs out (the one over the entry's plan, else the
-//! least recently used, whose buffers the refresh overwrites) and puts
-//! them back when done, so a job that panics leaves nothing to hit and
-//! clones on two threads share only the plan. Memory scales with
+//! takes its programs out (the one over the entry's plan holding its
+//! device's numbers, else the least recently used, whose buffers the
+//! refresh overwrites) and puts them back when done, so a job that
+//! panics leaves nothing to hit and clones on two threads share only
+//! the plan. Memory scales with
 //! threads, not with the (tenant × device) clones of a fleet.
 //! Parallelism is one layer up: `eqc_core` runs whole client tasks —
 //! one backend each — on its scoped worker pool, so each worker has its
@@ -116,7 +132,7 @@
 
 use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
-use crate::compile::{CompiledTemplate, NoiseToken, Plan, RefreshScratch};
+use crate::compile::{CompiledTemplate, NoiseToken, Plan, RefreshScratch, SharedPlans};
 use crate::drift::DriftModel;
 use crate::noise_model::{NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
@@ -176,20 +192,27 @@ struct Simulation {
 }
 
 impl Scratch {
-    /// The program a job runs `entry` on, out of the memo: the one over
-    /// `plan`, else the least recently used (or a new one) reset to it.
-    fn take(&mut self, entry: &DeviceTemplate, plan: Option<Arc<Plan>>) -> CompiledTemplate {
+    /// The program device `device` runs `entry` on, out of the memo:
+    /// the one over `plan` with the device's numbers, else the least
+    /// recently used (or a new one) reset to it.
+    fn take(
+        &mut self,
+        entry: &DeviceTemplate,
+        plan: Option<Arc<Plan>>,
+        device: u64,
+    ) -> CompiledTemplate {
         let over = |p: &CompiledTemplate| {
             let pair = p.plan().zip(plan.as_ref());
-            pair.is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+            let ours = p.token().is_some_and(|t| t.backend == device);
+            ours && pair.is_some_and(|(a, b)| Arc::ptr_eq(a, b))
         };
         if let Some(i) = self.programs.iter().position(over) {
             return self.programs.remove(i);
         }
         let a = &entry.architecture;
         let recycled = (self.programs.len() >= MEMO_PROGRAMS).then(|| self.programs.remove(0));
-        let fresh =
-            CompiledTemplate::shared(Arc::clone(&a.circuit), Arc::clone(&a.active_physical));
+        let (circuit, active) = (Arc::clone(&a.circuit), Arc::clone(&a.active_physical));
+        let fresh = CompiledTemplate::shared(circuit, active, Arc::clone(&a.plans));
         fresh.starting_from(plan, recycled)
     }
 
@@ -241,6 +264,39 @@ pub struct JobResult {
     pub completed: SimTime,
     /// Scheduled duration of one circuit repetition, nanoseconds.
     pub circuit_duration_ns: f64,
+}
+
+/// When one job ran: a [`JobResult`] without its counts.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct JobTiming {
+    /// Virtual time the job was submitted.
+    pub submitted: SimTime,
+    /// Virtual time the job started executing (after queue wait).
+    pub started: SimTime,
+    /// Virtual time results became available.
+    pub completed: SimTime,
+    /// Scheduled duration of one repetition of the job's last circuit,
+    /// nanoseconds.
+    pub circuit_duration_ns: f64,
+}
+
+impl JobTiming {
+    /// The job's result, with `counts` as its last circuit's.
+    fn with_counts(self, counts: Counts) -> JobResult {
+        let JobTiming {
+            submitted,
+            started,
+            completed,
+            circuit_duration_ns,
+        } = self;
+        JobResult {
+            counts,
+            submitted,
+            started,
+            completed,
+            circuit_duration_ns,
+        }
+    }
 }
 
 /// One run of a batched template job: which template to execute and an
@@ -480,6 +536,9 @@ struct ArchitectureTemplate {
     logical_bits: Vec<usize>,
     /// Structural metrics of the transpiled circuit (Eq. 2 inputs).
     metrics: CircuitMetrics,
+    /// The plans the architecture's devices made of `circuit`, at most
+    /// one per schedule signature.
+    plans: Arc<SharedPlans>,
 }
 
 impl ArchitectureTemplate {
@@ -515,14 +574,15 @@ impl ArchitectureTemplate {
             occurrence_ends,
             logical_bits,
             metrics: transpiled.metrics,
+            plans: Arc::default(),
         })
     }
 }
 
 /// One problem template prepared for one device, shared by all its
 /// clones (see the module docs): the architecture's transpiled entry
-/// and the device's plan of its compact circuit, which alone changes
-/// after preparation.
+/// and the plan of its compact circuit the device's jobs run — one of
+/// the architecture's — which alone changes after preparation.
 pub struct DeviceTemplate {
     /// `None` before the first job; locked to read or swap the `Arc`.
     plan: Mutex<Option<Arc<Plan>>>,
@@ -694,6 +754,8 @@ impl SharedTemplateCache {
 /// [`SharedTemplateCache`] counts one preparation per (device,
 /// template). Entries are keyed, built and kept like the device
 /// cache's; a template that does not fit is an error and not cached.
+/// Each entry also keeps the plans the devices made of it, at most one
+/// per schedule signature.
 #[derive(Debug, Default)]
 pub struct ArchitectureTemplates {
     state: Mutex<TemplateEntries<ArchitectureTemplate>>,
@@ -711,6 +773,22 @@ impl ArchitectureTemplates {
     /// Lookups served by an existing entry so far (telemetry).
     pub fn hits(&self) -> u64 {
         self.state.lock().expect("architecture template lock").hits
+    }
+
+    /// Plans of the architecture's templates that some device or
+    /// thread still holds: one per (template, schedule signature) in
+    /// use (telemetry).
+    pub fn live_plans(&self) -> usize {
+        let s = self.state.lock().expect("architecture template lock");
+        s.entries.iter().map(|e| e.plans.live()).sum()
+    }
+
+    /// Heap bytes those plans own beyond their tapes and matrix tables:
+    /// fusion plans with their product schedules, channel keys and
+    /// verdicts (telemetry).
+    pub fn plan_heap_bytes(&self) -> usize {
+        let s = self.state.lock().expect("architecture template lock");
+        s.entries.iter().map(|e| e.plans.heap_bytes()).sum()
     }
 
     /// The entry for `template`, transpiling it for `topology` on the
@@ -1227,13 +1305,13 @@ impl QpuBackend {
             .map(|&(_, duration_ns, readout_ns)| (duration_ns, readout_ns));
         let (completed, circuit_duration_ns) = self.book(submit, started, shots, timing);
         let all_counts: Vec<Counts> = circuits.into_iter().map(|(counts, ..)| counts).collect();
-        let job = JobResult {
-            counts: all_counts[all_counts.len() - 1].clone(),
+        let timing = JobTiming {
             submitted: submit,
             started,
             completed,
             circuit_duration_ns,
         };
+        let job = timing.with_counts(all_counts[all_counts.len() - 1].clone());
         (all_counts, job)
     }
 
@@ -1336,7 +1414,7 @@ impl QpuBackend {
         submit: SimTime,
     ) -> (Vec<Counts>, JobResult) {
         let mut counts = Vec::with_capacity(runs.len());
-        let job = with_scratch(|s| {
+        let (timing, _) = with_scratch(|s| {
             let job = TemplateJob {
                 runs,
                 params,
@@ -1344,7 +1422,8 @@ impl QpuBackend {
             };
             self.run_templates(templates, job, submit, &mut s.sim, &mut counts)
         });
-        (counts, job.0)
+        let last = counts[runs.len() - 1].clone();
+        (counts, timing.with_counts(last))
     }
 
     /// [`QpuBackend::execute_templates`] over the device's prepared
@@ -1354,9 +1433,10 @@ impl QpuBackend {
     /// to its template's logical bit order
     /// ([`DeviceTemplate::logical_bits`]); the histograms are the
     /// thread's scratch, so what `read` needs of them it returns, and
-    /// it must not run a job itself. Returns the job's timing, how many
-    /// runs' compiles hit, refreshed and planned (indexed by
-    /// [`Compile`](crate::Compile)), and what `read` returned.
+    /// it must not run a job itself. Returns the job's timing (no
+    /// histogram is copied out), how many runs' compiles hit, refreshed
+    /// and planned (indexed by [`Compile`](crate::Compile)), and what
+    /// `read` returned.
     ///
     /// # Panics
     ///
@@ -1369,7 +1449,7 @@ impl QpuBackend {
         shots: usize,
         submit: SimTime,
         read: impl FnOnce(&[Counts]) -> T,
-    ) -> (JobResult, [u64; 3], T) {
+    ) -> (JobTiming, [u64; 3], T) {
         with_scratch(|s| {
             // Whatever a job that panicked left behind is dropped.
             s.entries.clear();
@@ -1384,7 +1464,7 @@ impl QpuBackend {
                     .position(|e| Arc::ptr_eq(&entries[e], entry));
                 let template = found.unwrap_or_else(|| {
                     let plan = entry.plan.lock().expect("plan lock").clone();
-                    let program = s.take(entry, plan.clone());
+                    let program = s.take(entry, plan.clone(), self.identity.id);
                     s.entries.push((run.template, plan));
                     s.taken.push(program);
                     s.entries.len() - 1
@@ -1407,7 +1487,7 @@ impl QpuBackend {
                 remap_counts_into(&s.counts[i], bits, &mut s.logical[i]);
             }
             let read = read(&s.logical[..n]);
-            // A job that planned anew hands its plan to the device.
+            // A job that adopted or made a plan hands it to the device.
             for ((e, taken), program) in s.entries.drain(..).zip(&s.taken) {
                 let planned = program.plan().expect("compiled");
                 if !taken.as_ref().is_some_and(|t| Arc::ptr_eq(t, planned)) {
@@ -1429,7 +1509,7 @@ impl QpuBackend {
         submit: SimTime,
         sim: &mut Simulation,
         counts: &mut Vec<Counts>,
-    ) -> (JobResult, [u64; 3]) {
+    ) -> (JobTiming, [u64; 3]) {
         assert!(!job.runs.is_empty(), "batch must contain at least one run");
         let started = self.start_time(submit);
         let compiles = self.simulate_templates(templates, job, started, sim, counts);
@@ -1439,8 +1519,7 @@ impl QpuBackend {
             .map(|&(duration_ns, readout_ns, _)| (duration_ns, readout_ns));
         let (completed, circuit_duration_ns) = self.book(submit, started, job.shots, timing);
         self.batched_jobs += job.runs.len() as u64;
-        let result = JobResult {
-            counts: counts[job.runs.len() - 1].clone(),
+        let result = JobTiming {
             submitted: submit,
             started,
             completed,

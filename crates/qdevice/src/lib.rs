@@ -16,7 +16,8 @@
 //! * a [`compile`] layer that lowers circuit + noise into the flat
 //!   [`qsim::CompiledProgram`] op-tape the allocation-free density
 //!   engine replays, caching noise models per cycle, template plans per
-//!   device and their numbers per thread (byte-identical uncached).
+//!   (architecture, schedule signature) and their numbers per thread
+//!   (byte-identical uncached).
 //!
 //! ```
 //! use qdevice::catalog;
@@ -44,7 +45,7 @@ pub mod noise_model;
 pub mod queue;
 
 pub use backend::{
-    ArchitectureTemplates, DeviceTemplate, JobResult, QpuBackend, SharedNoiseCache,
+    ArchitectureTemplates, DeviceTemplate, JobResult, JobTiming, QpuBackend, SharedNoiseCache,
     SharedTemplateCache, TemplateRun,
 };
 pub use calibration::{Calibration, QubitCalibration};

@@ -299,8 +299,10 @@ impl KeyNumbers {
         }
     }
 
-    /// Pushes the channel's superoperator onto `table`, Kraus-free — bit
-    /// for bit what lowering the Kraus list pushes.
+    /// Pushes the channel's superoperator onto `table`, Kraus-free: bit
+    /// for bit the nonzeros lowering the Kraus list pushes, in a layout
+    /// that depends on the key alone (an entry that cancels stays as an
+    /// explicit zero), which a plan's product schedule relies on.
     ///
     /// # Panics
     ///

@@ -27,8 +27,9 @@
 //! times. The engine layer splits that work into a *compile* phase
 //! (resolve gate matrices, intern channels, elide near-identity ones,
 //! and plan every run of adjacent fixed ops on at most two qubits as
-//! one local superoperator: planned once per program, multiplied out
-//! again whenever the noise's numbers change)
+//! one local superoperator: planned once per program with the schedule
+//! of its live terms, multiplied out again by that schedule whenever
+//! the noise's numbers change)
 //! and a *replay* phase (per job: walk the tape over a
 //! persistent state, rebind only the parameterized rotation matrices). A
 //! whole `gate, relaxation, relaxation, depolarizing` cluster applies as

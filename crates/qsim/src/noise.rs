@@ -415,9 +415,15 @@ impl RelaxationEntries {
 /// from their parameters — [`SuperopTable::push_depolarizing_1q`],
 /// [`SuperopTable::push_depolarizing_2q`] and
 /// [`SuperopTable::push_thermal_relaxation`] write the 6, 28 and 5
-/// nonzeros that [`SuperopTable::push`] of the Kraus list arrives at,
-/// each as the same sum in the same order, so the entry is bit for bit
-/// the same and no Kraus list is built.
+/// entries that [`SuperopTable::push`] of the Kraus list can arrive at,
+/// each as the same sum in the same order, so every nonzero is bit for
+/// bit the same and no Kraus list is built. Their layout is the
+/// channel's, not its numbers': an entry that cancels to exactly zero
+/// (one-qubit depolarizing at `p = 3/4`, a relaxation's decay
+/// underflowing) is kept as an explicit zero, where the Kraus lowering
+/// drops it. A fused run's product schedule indexes its members'
+/// entries, so it holds for every fill only if each member's layout is
+/// fixed; products themselves drop their exact zeros.
 ///
 /// Rows are kept sparse in one arena per table, sized for fleets that
 /// hold thousands of programs (sealed to exact size with the program). Realness is
@@ -563,6 +569,177 @@ impl Placement {
                 &[0, 1, 4, 5],
             ),
         }
+    }
+}
+
+/// Whether a run multiplies two-qubit superoperators: a one-qubit
+/// member is `Whole` only in a one-qubit run.
+fn is_two_qubit(members: Members<'_>, run: &[RunMember]) -> bool {
+    run[0].place() != Placement::Whole || members.get(run[0].member()).num_qubits() == 2
+}
+
+/// How a plan's fused runs multiply, worked out once from the layouts
+/// of their members, which no fill changes: per member of a run (a
+/// *step*), the entries of the partial product that can be nonzero
+/// and, for each, its live terms in the order the dense row update
+/// adds them. An entry is live when some term reaches a live entry of
+/// the step before; the identity's diagonal starts the run.
+///
+/// A fill ([`SuperopTable::push_product`]) runs a step as one register
+/// sum per live entry, so it skips the structural zeros — most of a
+/// dense product's multiply-adds — and, adding the same terms in the
+/// same order, equals the dense product bit for bit: a left-out term is
+/// `v * 0`, and adding a signed zero to a sum that starts at `+0` and
+/// never reaches `-0` changes nothing.
+///
+/// Runs whose members have the same layouts in the same placements —
+/// the `gate, relaxation, depolarizing` cluster of another qubit —
+/// multiply alike, so they share one *shape* of the schedule.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ProductSchedule {
+    /// Per fused run, in plan order: its shape.
+    shape_of: Vec<u16>,
+    /// Per shape: where its data starts in the four lists below; it
+    /// ends where the next shape's starts.
+    shapes: Vec<[u32; 4]>,
+    /// Per step: how many live entries it writes.
+    steps: Vec<u16>,
+    /// Per live entry: its flat index `r * D + j`, and how many terms it
+    /// sums.
+    outs: Vec<[u8; 2]>,
+    /// Per term: the member entry's index among its nonzeros, and the
+    /// flat index `c * D + j` of the partial-product entry it scales.
+    terms: Vec<[u8; 2]>,
+    /// Per shape: the live columns of each of the finished product's
+    /// `D` rows.
+    masks: Vec<u16>,
+}
+
+/// One shape of a [`ProductSchedule`], the four lists cut to it.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub(crate) struct Shape<'a> {
+    steps: &'a [u16],
+    outs: &'a [[u8; 2]],
+    terms: &'a [[u8; 2]],
+    masks: &'a [u16],
+}
+
+impl ProductSchedule {
+    /// Appends the schedule of `run` over `members` — the layouts every
+    /// later fill must give them — as a new shape or an earlier one.
+    pub(crate) fn plan(&mut self, members: Members<'_>, run: &[RunMember]) {
+        let start = self.ends();
+        if is_two_qubit(members, run) {
+            self.plan_in::<16>(members, run);
+        } else {
+            self.plan_in::<4>(members, run);
+        }
+        let planned = self.cut(start, self.ends());
+        let same = (0..self.shapes.len()).find(|&k| self.shape(k, start) == planned);
+        let shape = match same {
+            Some(k) => {
+                let [steps, outs, terms, masks] = start.map(|at| at as usize);
+                self.steps.truncate(steps);
+                self.outs.truncate(outs);
+                self.terms.truncate(terms);
+                self.masks.truncate(masks);
+                k
+            }
+            None => {
+                self.shapes.push(start);
+                self.shapes.len() - 1
+            }
+        };
+        self.shape_of
+            .push(u16::try_from(shape).expect("a plan holds at most 65 536 shapes"));
+    }
+
+    fn plan_in<const D: usize>(&mut self, members: Members<'_>, run: &[RunMember]) {
+        let mut live: [u16; D] = std::array::from_fn(|e| 1 << e);
+        for m in run {
+            let s = members.get(m.member());
+            let (map, offsets) = m.place().embedding();
+            let first_out = self.outs.len();
+            let mut next = [0u16; D];
+            let mut e0 = 0;
+            for (r_m, &len) in s.row_len.iter().enumerate() {
+                let row = e0..e0 + len as usize;
+                for &off in offsets {
+                    let r = (map[r_m] + off) as usize;
+                    let col = |e: usize| (map[s.cols[e] as usize] + off) as usize;
+                    next[r] = row.clone().fold(0, |acc, e| acc | live[col(e)]);
+                    let mut bits = next[r];
+                    while bits != 0 {
+                        let j = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        let first_term = self.terms.len();
+                        for e in row.clone().filter(|&e| live[col(e)] >> j & 1 != 0) {
+                            self.terms.push([e as u8, (col(e) * D + j) as u8]);
+                        }
+                        let n = self.terms.len() - first_term;
+                        self.outs.push([(r * D + j) as u8, n as u8]);
+                    }
+                }
+                e0 = row.end;
+            }
+            self.steps.push((self.outs.len() - first_out) as u16);
+            live = next;
+        }
+        self.masks.extend_from_slice(&live);
+    }
+
+    /// Where each of the four lists ends.
+    fn ends(&self) -> [u32; 4] {
+        let lens = [
+            self.steps.len(),
+            self.outs.len(),
+            self.terms.len(),
+            self.masks.len(),
+        ];
+        lens.map(|len| u32::try_from(len).expect("a schedule fits u32 offsets"))
+    }
+
+    /// The four lists cut to `start..end`.
+    fn cut(&self, start: [u32; 4], end: [u32; 4]) -> Shape<'_> {
+        let [s, o, t, m] = start.map(|at| at as usize);
+        let [se, oe, te, me] = end.map(|at| at as usize);
+        Shape {
+            steps: &self.steps[s..se],
+            outs: &self.outs[o..oe],
+            terms: &self.terms[t..te],
+            masks: &self.masks[m..me],
+        }
+    }
+
+    /// Shape `k`, the last of which ends at `last_end`.
+    fn shape(&self, k: usize, last_end: [u32; 4]) -> Shape<'_> {
+        let end = self.shapes.get(k + 1).copied().unwrap_or(last_end);
+        self.cut(self.shapes[k], end)
+    }
+
+    /// The shape fused run `run` multiplies by.
+    pub(crate) fn of_run(&self, run: usize) -> Shape<'_> {
+        self.shape(self.shape_of[run] as usize, self.ends())
+    }
+
+    /// Drops growth slack.
+    pub(crate) fn seal(&mut self) {
+        self.shape_of.shrink_to_fit();
+        self.shapes.shrink_to_fit();
+        self.steps.shrink_to_fit();
+        self.outs.shrink_to_fit();
+        self.terms.shrink_to_fit();
+        self.masks.shrink_to_fit();
+    }
+
+    /// Heap bytes the schedule owns.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.shapes.capacity() * std::mem::size_of::<[u32; 4]>()
+            + 2 * (self.shape_of.capacity()
+                + self.steps.capacity()
+                + self.outs.capacity()
+                + self.terms.capacity()
+                + self.masks.capacity())
     }
 }
 
@@ -728,29 +905,32 @@ impl SuperopTable {
                 }
             }
         }
-        self.push_rows(&s, &touched)
+        self.push_nonzero_rows(&s, &touched)
     }
 
-    /// Multiplies a run of `members` superoperators — applied in slice
-    /// order, each embedded at its [`Placement`] in the run's support —
-    /// into one superoperator and appends it; returns its index.
+    /// Multiplies the members of `run` — applied in slice order, each
+    /// embedded at its [`Placement`] in the run's support — into one
+    /// superoperator by the run's `shape` of its plan's schedule, and
+    /// appends it; returns its index.
     ///
     /// Runs once per distinct run per fill of a program's fused table,
-    /// and a program is refilled per task under drift: the product is
-    /// accumulated on stack arrays, in `f64` when no member has an
-    /// imaginary part.
+    /// and a program is refilled per task under drift. Each live entry
+    /// of each partial product sums its live terms in a register, in
+    /// `f64` when no member has an imaginary part; an entry the
+    /// schedule leaves out is a structural zero, which the dense row
+    /// update would only have added `0 * x` terms to.
     pub(crate) fn push_product(
         &mut self,
         members: Members<'_>,
         run: &[RunMember],
-        two_qubit: bool,
+        shape: Shape<'_>,
     ) -> usize {
         let real = run.iter().all(|m| members.get(m.member()).im.is_empty());
-        match (two_qubit, real) {
-            (false, true) => self.push_product_in::<f64, 4>(members, run),
-            (false, false) => self.push_product_in::<C64, 4>(members, run),
-            (true, true) => self.push_product_in::<f64, 16>(members, run),
-            (true, false) => self.push_product_in::<C64, 16>(members, run),
+        match (is_two_qubit(members, run), real) {
+            (false, true) => self.push_product_in::<f64, 4>(members, run, shape),
+            (false, false) => self.push_product_in::<C64, 4>(members, run, shape),
+            (true, true) => self.push_product_in::<f64, 16>(members, run, shape),
+            (true, false) => self.push_product_in::<C64, 16>(members, run, shape),
         }
     }
 
@@ -758,49 +938,44 @@ impl SuperopTable {
         &mut self,
         members: Members<'_>,
         run: &[RunMember],
+        shape: Shape<'_>,
     ) -> usize {
-        // Dense `D x D` accumulators and fixed-length row updates: the
-        // members are sparse, the loops branch only on their shape. The
-        // column masks ride along so sealing the result need not scan.
-        let mut acc = [[S::default(); D]; D];
-        let mut acc_mask = [0u16; D];
-        for e in 0..D {
-            acc[e][e] = S::from_parts(1.0, 0.0);
-            acc_mask[e] = 1 << e;
+        // Two partial products, read and written by turns: a step reads
+        // only entries the one before wrote (the identity's, at first).
+        let mut products = [[[S::default(); D]; D]; 2];
+        for (e, row) in products[0].iter_mut().enumerate() {
+            row[e] = S::from_parts(1.0, 0.0);
         }
-        let (mut next, mut next_mask) = (acc, acc_mask);
-        for m in run {
+        let [mut acc, mut next] = products.each_mut();
+        let (mut outs, mut terms) = (shape.outs, shape.terms);
+        for (m, &n_outs) in run.iter().zip(shape.steps) {
             let s = members.get(m.member());
-            let (map, offsets) = m.place().embedding();
-            let mut e0 = 0;
-            for (r_m, &len) in s.row_len.iter().enumerate() {
-                let e1 = e0 + len as usize;
-                for &off in offsets {
-                    // Every row of the product is written exactly once
-                    // per member: `map + off` is a bijection onto `0..D`.
-                    let r = (map[r_m] + off) as usize;
-                    next[r] = [S::default(); D];
-                    next_mask[r] = 0;
-                    for e in e0..e1 {
-                        let v = S::from_parts(s.re[e], s.im.get(e).copied().unwrap_or(0.0));
-                        let c = (map[s.cols[e] as usize] + off) as usize;
-                        for (o, &a) in next[r].iter_mut().zip(&acc[c]) {
-                            *o = *o + v * a;
-                        }
-                        next_mask[r] |= acc_mask[c];
-                    }
+            let (src, dst) = (acc.as_flattened(), next.as_flattened_mut());
+            let (step, rest) = outs.split_at(n_outs as usize);
+            for &[out, n] in step {
+                let (sum, rest) = terms.split_at(n as usize);
+                let mut o = S::default();
+                for &[e, c] in sum {
+                    let e = e as usize;
+                    let v = S::from_parts(s.re[e], s.im.get(e).copied().unwrap_or(0.0));
+                    o = o + v * src[c as usize];
                 }
-                e0 = e1;
+                dst[out as usize] = o;
+                terms = rest;
             }
+            outs = rest;
             std::mem::swap(&mut acc, &mut next);
-            std::mem::swap(&mut acc_mask, &mut next_mask);
         }
-        self.push_rows(&acc, &acc_mask)
+        let mask = shape
+            .masks
+            .try_into()
+            .expect("a shape ends in one mask per row");
+        self.push_nonzero_rows(acc, mask)
     }
 
-    /// Appends the superoperator with the given dense rows, reading row
-    /// `r` only at the columns set in `touched[r]` (every other entry
-    /// is zero) and dropping the exact zeros among those.
+    /// Appends the superoperator with the given dense rows: entry
+    /// `(r, c)` for every `c` set in `touched[r]`, zero or not. Every
+    /// other entry is zero.
     fn push_rows<S: Coeff, const D: usize>(
         &mut self,
         rows: &[[S; D]; D],
@@ -812,36 +987,57 @@ impl SuperopTable {
             vals: self.vals.len() as u32,
             dd: D as u8,
         });
-        let at_most: usize = touched.iter().map(|m| m.count_ones() as usize).sum();
-        self.index.reserve(D + at_most);
-        self.vals.reserve(at_most);
-        self.index.resize(lens + D, 0);
+        let nnz: usize = touched.iter().map(|m| m.count_ones() as usize).sum();
+        self.index.reserve(D + nnz);
+        self.vals.reserve(nnz);
         let mut complex = false;
-        for r in 0..D {
-            let mut bits = touched[r];
+        self.index
+            .extend(touched.iter().map(|m| m.count_ones() as u8));
+        for (row, &mask) in rows.iter().zip(touched) {
+            let mut bits = mask;
             while bits != 0 {
                 let c = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let (re, im) = rows[r][c].parts();
-                if re != 0.0 || im != 0.0 {
-                    self.index[lens + r] += 1;
-                    self.index.push(c as u8);
-                    self.vals.push(re);
-                    complex |= im != 0.0;
-                }
+                let (re, im) = row[c].parts();
+                self.index.push(c as u8);
+                self.vals.push(re);
+                complex |= im != 0.0;
             }
         }
         if complex {
-            // The imaginary parts of the entries just kept, same order.
-            let mut col = lens + D;
-            for (r, row) in rows.iter().enumerate() {
-                for _ in 0..self.index[lens + r] {
-                    self.vals.push(row[self.index[col] as usize].parts().1);
-                    col += 1;
+            // The imaginary parts, same order.
+            for (row, &mask) in rows.iter().zip(touched) {
+                let mut bits = mask;
+                while bits != 0 {
+                    let c = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    self.vals.push(row[c].parts().1);
                 }
             }
         }
         self.entries.len() - 1
+    }
+
+    /// [`SuperopTable::push_rows`] of the entries set in `touched` that
+    /// are not exactly zero.
+    fn push_nonzero_rows<S: Coeff, const D: usize>(
+        &mut self,
+        rows: &[[S; D]; D],
+        touched: &[u16; D],
+    ) -> usize {
+        let nonzero = std::array::from_fn(|r| {
+            let (mut bits, mut kept) = (touched[r], 0);
+            while bits != 0 {
+                let c = bits.trailing_zeros();
+                bits &= bits - 1;
+                let (re, im) = rows[r][c as usize].parts();
+                if re != 0.0 || im != 0.0 {
+                    kept |= 1 << c;
+                }
+            }
+            kept
+        });
+        self.push_rows(rows, &nonzero)
     }
 
     /// Number of superoperators held.
@@ -941,6 +1137,18 @@ impl<'a> Superop<'a> {
     /// the sweep then multiplies by `f64` coefficients).
     pub fn is_real(&self) -> bool {
         self.im.is_empty()
+    }
+
+    /// The stored entries of `S` as `(row, column, value)`, row by row
+    /// and in column order within a row — a real superoperator's with
+    /// zero imaginary parts.
+    pub fn entries(self) -> impl Iterator<Item = (usize, usize, C64)> + 'a {
+        let rows = (self.row_len.iter().enumerate())
+            .flat_map(|(r, &len)| std::iter::repeat_n(r, len as usize));
+        rows.zip(self.cols).enumerate().map(move |(e, (r, &c))| {
+            let im = self.im.get(e).copied().unwrap_or(0.0);
+            (r, c as usize, C64::new(self.re[e], im))
+        })
     }
 
     /// A one-qubit `S` expanded to a dense `4x4` (absent entries zero),
@@ -1131,21 +1339,37 @@ mod tests {
         assert_eq!(table.index.capacity(), table.index.len());
     }
 
+    /// The nonzero entries of `table`'s first superoperator, as bits,
+    /// and whether it stores imaginary parts.
+    fn nonzeros(table: &SuperopTable) -> (Vec<(usize, usize, u64, u64)>, bool) {
+        let s = table.get(0);
+        let entries = s.entries().filter(|&(.., z)| z != C64::ZERO);
+        let bits = entries.map(|(r, c, z)| (r, c, z.re.to_bits(), z.im.to_bits()));
+        (bits.collect(), s.is_real())
+    }
+
+    /// `closed` holds every nonzero the Kraus lowering of `channel`
+    /// holds, bit for bit, with the same realness, and explicit zeros
+    /// only where its layout of `nnz` entries has more.
+    fn assert_closed_form(closed: &SuperopTable, channel: &KrausChannel, nnz: usize, what: &str) {
+        let mut lowered = SuperopTable::default();
+        lowered.push(channel);
+        assert_eq!(nonzeros(closed), nonzeros(&lowered), "{what}");
+        assert_eq!(closed.get(0).nnz(), nnz, "{what}: the layout is the key's");
+    }
+
     #[test]
     fn closed_forms_equal_the_kraus_lowering_at_the_edges() {
-        let lowered = |ch: &KrausChannel| {
-            let mut t = SuperopTable::default();
-            t.push(ch);
-            t
-        };
         let thresholds = [0.0, 1e-12, 1e-3, 0.3, 1.0, 2.5];
         for p in [0.0, 1e-30, 1e-3, 0.02, 0.5, 0.75, 15.0 / 16.0, 1.0] {
             let mut one = SuperopTable::default();
             one.push_depolarizing_1q(p);
-            assert_eq!(one, lowered(&KrausChannel::depolarizing_1q(p)), "1q p={p}");
+            let what = format!("1q p={p}");
+            assert_closed_form(&one, &KrausChannel::depolarizing_1q(p), 6, &what);
             let mut two = SuperopTable::default();
             two.push_depolarizing_2q(p);
-            assert_eq!(two, lowered(&KrausChannel::depolarizing_2q(p)), "2q p={p}");
+            let what = format!("2q p={p}");
+            assert_closed_form(&two, &KrausChannel::depolarizing_2q(p), 28, &what);
             for eps in thresholds {
                 for (n, ch) in [
                     (1, KrausChannel::depolarizing_1q(p)),
@@ -1172,7 +1396,7 @@ mod tests {
             let mut t = SuperopTable::default();
             t.push_thermal_relaxation(t1, t2, dt);
             let ch = KrausChannel::thermal_relaxation(t1, t2, dt);
-            assert_eq!(t, lowered(&ch), "T1={t1} T2={t2} dt={dt}");
+            assert_closed_form(&t, &ch, 5, &format!("T1={t1} T2={t2} dt={dt}"));
             for eps in thresholds {
                 assert_eq!(
                     KrausChannel::thermal_relaxation_is_near_identity(t1, t2, dt, eps),
@@ -1207,7 +1431,9 @@ mod tests {
         let packed: Vec<RunMember> = run.iter().map(|&(m, p)| RunMember::new(m, p)).collect();
         let none = SuperopTable::default();
         let members = Members::new(members, &none);
-        let entry = fused.push_product(members, &packed, support.len() == 2);
+        let mut schedule = ProductSchedule::default();
+        schedule.plan(members, &packed);
+        let entry = fused.push_product(members, &packed, schedule.of_run(0));
         rho.apply_superop(fused.get(entry), support);
         assert!(
             rho.matrix().approx_eq(&stepped.matrix(), 1e-13),
@@ -1256,6 +1482,44 @@ mod tests {
         ];
         for support in [[0, 1], [2, 1], [2, 0]] {
             assert_product_matches_members(&members, &mixed, &support);
+        }
+    }
+
+    #[test]
+    fn runs_of_one_shape_share_their_schedule() {
+        let mut members = SuperopTable::default();
+        let sx = members.push_unitary(&crate::gates::sx());
+        let relax = [(100.0, 80.0, 3.0), (90.0, 20.0, 7.0)]
+            .map(|(t1, t2, dt)| members.push_thermal_relaxation(t1, t2, dt));
+        let depol = [0.01, 0.75].map(|p| members.push_depolarizing_1q(p));
+        let cx = members.push_unitary(&crate::gates::cx());
+        let none = SuperopTable::default();
+        let members = Members::new(&members, &none);
+        let pack = |run: &[(usize, Placement)]| -> Vec<RunMember> {
+            run.iter().map(|&(m, p)| RunMember::new(m, p)).collect()
+        };
+        use Placement::*;
+        // The cluster of two qubits on their own channels (one of which
+        // cancels an entry to zero), then a CX run.
+        let runs = [
+            pack(&[(sx, Whole), (relax[0], Whole), (depol[0], Whole)]),
+            pack(&[(sx, Whole), (relax[1], Whole), (depol[1], Whole)]),
+            pack(&[(cx, Whole), (relax[0], OnFirst), (relax[1], OnSecond)]),
+        ];
+        let mut schedule = ProductSchedule::default();
+        for run in &runs {
+            schedule.plan(members, run);
+        }
+        assert_eq!(schedule.shape_of, [0, 0, 1]);
+        assert_eq!(schedule.shapes.len(), 2);
+        // Each run's product by the shared shape is its own product.
+        for (i, run) in runs.iter().enumerate() {
+            let mut alone = ProductSchedule::default();
+            alone.plan(members, run);
+            let (mut shared, mut own) = (SuperopTable::default(), SuperopTable::default());
+            shared.push_product(members, run, schedule.of_run(i));
+            own.push_product(members, run, alone.of_run(0));
+            assert_eq!(shared, own, "run {i}");
         }
     }
 

@@ -13,7 +13,12 @@
 //!   [`ProgramBuilder`] and replayed many times. Its structure is an
 //!   immutable [`ProgramPlan`] that programs share, so new channel
 //!   numbers — a drifting device has new ones per job — are a
-//!   [`CompiledProgram::refresh`], not a rebuild;
+//!   [`CompiledProgram::refresh`], not a rebuild. The plan carries each
+//!   fused run's *product schedule*: which entries of each partial
+//!   product can be nonzero, and the terms that reach them, worked out
+//!   once from the members' layouts; a refresh sums only those terms,
+//!   bit for bit the dense product (most of whose multiply-adds meet a
+//!   structural zero);
 //! * [`DensityEngine`] — exact density-matrix evolution over a
 //!   persistent state. Its programs are *fused*: every maximal run of
 //!   adjacent fixed ops (gate unitaries and channels) nested in one
@@ -68,7 +73,7 @@
 
 use crate::density::DensityMatrix;
 use crate::matrix::CMatrix;
-use crate::noise::{KrausChannel, Members, Placement, RunMember, SuperopTable};
+use crate::noise::{KrausChannel, Members, Placement, ProductSchedule, RunMember, SuperopTable};
 use crate::sampler::{Counts, ReadoutError, ShotSampler};
 use rand::RngCore;
 use std::sync::Arc;
@@ -140,11 +145,14 @@ enum Member {
 }
 
 /// The half of a program that no channel's *numbers* enter:
-/// which fixed ops each fused entry is the product of. Built once by
-/// [`ProgramBuilder`]; every fill of a fused table — the builder's own
-/// and each [`CompiledProgram::refresh`] — lowers the members and
-/// multiplies the runs in this order, so it is one arithmetic whoever
-/// runs it. Kept small: a fleet holds one per (device, template).
+/// which fixed ops each fused entry is the product of, and how each
+/// product multiplies. Built once by [`ProgramBuilder`]; every fill of
+/// a fused table — the builder's own and each
+/// [`CompiledProgram::refresh`] — lowers the members and multiplies the
+/// runs by this plan's schedule, so it is one arithmetic whoever runs
+/// it. A fleet holds one per (architecture, schedule signature,
+/// template), so it may spend memory on the schedule to save work per
+/// fill.
 #[derive(Clone, Debug, Default)]
 struct FusionPlan {
     /// Every distinct fixed op of a fused run, each once, in first-use
@@ -160,6 +168,12 @@ struct FusionPlan {
     runs: Vec<RunMember>,
     /// Per fused entry: where its run ends in `runs`.
     bounds: Vec<u32>,
+    /// How every run multiplies, worked out from the layouts of the
+    /// builder's fill.
+    schedule: ProductSchedule,
+    /// [`SuperopTable::room`] of the lowered channels: their layout,
+    /// which every fill must repeat for the schedule to hold.
+    channel_room: [usize; 3],
     /// [`SuperopTable::room`] of the fused table: while planning, a
     /// bound (each run a full real superoperator); once the builder has
     /// filled its own, the exact size, so a fresh program of the plan
@@ -197,13 +211,18 @@ impl FusionPlan {
         self.gates.seal();
     }
 
-    /// Lowers every channel member into `channels` and multiplies every
-    /// run into `fused` — each over the plan's lowered gates and those
-    /// channels, in one index space — replacing what both held (their
-    /// allocations are kept).
-    fn fill(
+    /// The fused runs, in fused-entry order.
+    fn runs(&self) -> impl Iterator<Item = &[RunMember]> {
+        let starts = std::iter::once(0).chain(self.bounds.iter().map(|&end| end as usize));
+        starts
+            .zip(&self.bounds)
+            .map(|(start, &end)| &self.runs[start..end as usize])
+    }
+
+    /// Lowers every channel member into `channels`, replacing what it
+    /// held (its allocation is kept).
+    fn lower_channels(
         &self,
-        fused: &mut SuperopTable,
         channels: &mut SuperopTable,
         given: &[KrausChannel],
         mut lower: impl FnMut(usize, &mut SuperopTable),
@@ -226,24 +245,60 @@ impl FusionPlan {
             self.members.len(),
             "`lower` must push exactly one superoperator per call"
         );
+    }
+
+    /// Works out the product schedule from the builder's lowered
+    /// `channels` and the plan's gates.
+    fn plan_products(&mut self, channels: &SuperopTable) {
+        self.channel_room = channels.room();
+        let members = Members::new(&self.gates, channels);
+        let mut schedule = ProductSchedule::default();
+        for run in self.runs() {
+            schedule.plan(members, run);
+        }
+        schedule.seal();
+        self.schedule = schedule;
+    }
+
+    /// Multiplies every run into `fused` by the schedule, over the
+    /// plan's lowered gates and `channels` in one index space,
+    /// replacing what `fused` held (its allocation is kept).
+    fn multiply(&self, fused: &mut SuperopTable, channels: &SuperopTable) {
         let members = Members::new(&self.gates, channels);
         fused.clear();
-        let mut start = 0;
-        for &end in &self.bounds {
-            let run = &self.runs[start..end as usize];
-            // A one-qubit member is `Whole` only in a one-qubit run.
-            let two_qubit = run[0].place() != Placement::Whole
-                || members.get(run[0].member()).num_qubits() == 2;
-            fused.push_product(members, run, two_qubit);
-            start = end as usize;
+        for (i, run) in self.runs().enumerate() {
+            fused.push_product(members, run, self.schedule.of_run(i));
         }
+    }
+
+    /// A refresh's fill: lowers the deferred channels into `channels`
+    /// and multiplies the runs into `fused`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the channels are not laid out as when the plan was
+    /// made: `lower` must give each key one layout.
+    fn fill(
+        &self,
+        fused: &mut SuperopTable,
+        channels: &mut SuperopTable,
+        lower: impl FnMut(usize, &mut SuperopTable),
+    ) {
+        self.lower_channels(channels, &[], lower);
+        assert_eq!(
+            channels.room(),
+            self.channel_room,
+            "a deferred channel's layout changed under its plan"
+        );
+        self.multiply(fused, channels);
     }
 }
 
 /// The structure of a compiled program: the op-tape, the matrix table
 /// as planned (placeholders in parameterized slots), which fixed ops
-/// each fused entry multiplies, the duration and the elision count.
-/// Never written once built, so [`CompiledProgram`]s share it by `Arc`.
+/// each fused entry multiplies and the schedule of those products, the
+/// duration and the elision count. Never written once built, so
+/// [`CompiledProgram`]s share it by `Arc`.
 #[derive(Debug)]
 pub struct ProgramPlan {
     n_qubits: usize,
@@ -262,13 +317,14 @@ impl ProgramPlan {
 
     /// Heap bytes the fusion plan owns: what a plan carries beyond its
     /// tape and matrix table so that a fill can re-derive the fused
-    /// table.
+    /// table — the lowered gates, the runs and their product schedule.
     pub fn plan_heap_bytes(&self) -> usize {
         let plan = &self.fusion;
         plan.members.capacity() * std::mem::size_of::<Member>()
             + plan.runs.capacity() * std::mem::size_of::<RunMember>()
             + plan.bounds.capacity() * std::mem::size_of::<u32>()
             + plan.gates.heap_bytes()
+            + plan.schedule.heap_bytes()
     }
 }
 
@@ -408,13 +464,16 @@ impl CompiledProgram {
     /// with the same pushes and the same `lower`.
     ///
     /// The caller vouches that the plan still holds: the same pushes in
-    /// the same order with the same elision verdicts.
+    /// the same order with the same elision verdicts, each key lowered
+    /// in the layout it had when the builder finished (the product
+    /// schedule indexes the members' entries).
     ///
     /// # Panics
     ///
     /// Panics on a program holding channels pushed as Kraus lists
     /// ([`ProgramBuilder::push_channel`]): those were lowered when the
-    /// builder finished and their numbers are gone.
+    /// builder finished and their numbers are gone. Panics if the
+    /// lowered channels' layout differs from the plan's.
     pub fn refresh(
         &mut self,
         readout: impl IntoIterator<Item = f64>,
@@ -441,7 +500,7 @@ impl CompiledProgram {
             self.unitaries.clone_from(&plan.unitaries);
         }
         self.readout.set_flips(readout);
-        plan.fusion.fill(&mut self.superops, channels, &[], lower);
+        plan.fusion.fill(&mut self.superops, channels, lower);
     }
 }
 
@@ -714,9 +773,11 @@ impl ProgramBuilder {
     /// numbers arrive when the program is filled —
     /// [`ProgramBuilder::finish_with`] and every later
     /// [`CompiledProgram::refresh`] ask a `lower` callback for the
-    /// superoperator of `key`. Pushes under an equal key must name the
-    /// same channel with the same verdict. Keys should be small and
-    /// dense (they index a table).
+    /// superoperator of `key`, which must come in the same layout every
+    /// time (entries that vanish kept as explicit zeros, as the
+    /// [`SuperopTable`] closed forms keep them). Pushes under an equal
+    /// key must name the same channel with the same verdict. Keys
+    /// should be small and dense (they index a table).
     ///
     /// # Panics
     ///
@@ -845,9 +906,11 @@ impl ProgramBuilder {
         plan.members.shrink_to_fit();
         plan.runs.shrink_to_fit();
         plan.bounds.shrink_to_fit();
-        let mut superops = SuperopTable::with_room(plan.room);
         let mut channels = SuperopTable::with_capacity(plan.members.len());
-        plan.fill(&mut superops, &mut channels, &given, lower);
+        plan.lower_channels(&mut channels, &given, lower);
+        plan.plan_products(&channels);
+        let mut superops = SuperopTable::with_room(plan.room);
+        plan.multiply(&mut superops, &channels);
         superops.seal();
         plan.room = superops.room();
         CompiledProgram {
@@ -903,6 +966,8 @@ pub struct DensityEngine {
     spares: Vec<DensityMatrix>,
     probs: Vec<f64>,
     sampler: ShotSampler,
+    /// Scratch of a group-fork walk: the tape op each variant forks at.
+    splits: Vec<usize>,
 }
 
 impl DensityEngine {
@@ -1036,14 +1101,13 @@ impl DensityEngine {
     ) {
         let ops = program.ops();
         self.reset(program.num_qubits());
-        let splits: Vec<usize> = variants
-            .iter()
-            .map(|&(slot, _)| {
-                ops.iter()
-                    .position(|op| op.unitary_slot() == Some(slot))
-                    .expect("variant slot must appear on the tape")
-            })
-            .collect();
+        let mut splits = std::mem::take(&mut self.splits);
+        splits.clear();
+        splits.extend(variants.iter().map(|&(slot, _)| {
+            ops.iter()
+                .position(|op| op.unitary_slot() == Some(slot))
+                .expect("variant slot must appear on the tape")
+        }));
         // Walk no further than the outputs require.
         let end = match base {
             Some(_) => ops.len(),
@@ -1074,6 +1138,7 @@ impl DensityEngine {
                 self.evolve_ops(program, &ops[t..t + 1]);
             }
         }
+        self.splits = splits;
         if let Some(out) = base {
             self.finish_probs(program);
             out.clear();

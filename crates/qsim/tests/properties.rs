@@ -3,7 +3,7 @@
 use eqc_oracle::baseline;
 use proptest::prelude::*;
 use qsim::noise::{KrausChannel, SuperopTable};
-use qsim::program::{CompiledProgram, DensityEngine, ProgramBuilder};
+use qsim::program::{CompiledProgram, DensityEngine, ProgramBuilder, TapeOp};
 use qsim::statevector::StateVector;
 use qsim::{gates, CMatrix, DensityMatrix, Pauli, ReadoutError, C64};
 use rand::rngs::StdRng;
@@ -37,15 +37,20 @@ fn threshold() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// `closed` holds exactly what lowering `channel`'s Kraus list gives:
-/// `==` on the tables (entry layout, column pattern, values — and with
-/// them whether imaginary parts are stored), and the printed form, which
-/// tells apart every pair of floats `==` does not.
+/// `closed` holds every nonzero that lowering `channel`'s Kraus list
+/// gives — position, value bits (which tell apart every pair of floats
+/// `==` does not) and whether imaginary parts are stored — and besides
+/// them only explicit zeros: a closed form keeps its channel's layout
+/// whatever the numbers.
 fn assert_same_table(closed: &SuperopTable, channel: &KrausChannel) {
     let mut lowered = SuperopTable::default();
     lowered.push(channel);
-    assert_eq!(closed, &lowered);
-    assert_eq!(format!("{closed:?}"), format!("{lowered:?}"));
+    let nonzeros = |t: &SuperopTable| {
+        let entries = t.get(0).entries().filter(|&(.., z)| z != C64::ZERO);
+        let bits = entries.map(|(r, c, z)| (r, c, z.re.to_bits(), z.im.to_bits()));
+        bits.collect::<Vec<_>>()
+    };
+    assert_eq!(nonzeros(closed), nonzeros(&lowered));
     assert_eq!(closed.get(0).is_real(), lowered.get(0).is_real());
 }
 
@@ -364,6 +369,173 @@ fn poisoned_ground_state(n: usize) -> DensityMatrix {
     DensityMatrix::from_matrix(&m)
 }
 
+/// The numbers of a deferred channel, lowered from its closed form:
+/// a refresh may change them, never its kind or operands.
+#[derive(Clone, Copy, Debug)]
+enum Closed {
+    Depolarizing(usize, f64),
+    Relaxation(f64, f64, f64),
+}
+
+impl Closed {
+    /// Random numbers for a channel on `qubits`: depolarizing at the
+    /// rates where an entry cancels to exactly zero (3/4 on one qubit,
+    /// 15/16 on two) as often as at a random one; relaxation over an
+    /// ordinary idle window or one so short its decay is (nearly) zero.
+    fn random(qubits: usize, depolarizing: bool, rng: &mut StdRng) -> Self {
+        if qubits == 2 || depolarizing {
+            let p = match rng.gen_range(0..3) {
+                0 => [0.75, 15.0 / 16.0][qubits - 1],
+                _ => rng.gen_range(1e-4..1.0),
+            };
+            return Closed::Depolarizing(qubits, p);
+        }
+        let t1 = rng.gen_range(50.0..200.0);
+        let t2 = t1 * rng.gen_range(0.05..2.0);
+        let dt = match rng.gen_bool(0.5) {
+            true => rng.gen_range(1.0..500.0),
+            false => t1 * 10f64.powf(rng.gen_range(-20.0..-12.0)),
+        };
+        Closed::Relaxation(t1, t2, dt)
+    }
+
+    /// The same kind of channel at new numbers.
+    fn redraw(self, rng: &mut StdRng) -> Self {
+        match self {
+            Closed::Depolarizing(qubits, _) => Closed::random(qubits, true, rng),
+            Closed::Relaxation(..) => Closed::random(1, false, rng),
+        }
+    }
+
+    fn lower(self, table: &mut SuperopTable) -> usize {
+        match self {
+            Closed::Depolarizing(1, p) => table.push_depolarizing_1q(p),
+            Closed::Depolarizing(_, p) => table.push_depolarizing_2q(p),
+            Closed::Relaxation(t1, t2, dt) => table.push_thermal_relaxation(t1, t2, dt),
+        }
+    }
+}
+
+/// One member of a random fused run.
+#[derive(Clone, Debug)]
+enum Member {
+    Gate(CMatrix),
+    Kraus(KrausChannel),
+    /// A deferred channel: its key indexes the run's numbers.
+    Deferred(usize),
+}
+
+/// A run's members in order, each with its operands.
+type Run = Vec<(Member, Vec<usize>)>;
+
+/// A random run of 1 to 16 members that the builder fuses into one
+/// entry: on one qubit (`D = 4`) or on a pair (`D = 16`), grown from an
+/// optional one-qubit prefix, with members in all four placements;
+/// fixed gates (complex ones unless `real`), Kraus lists (unless
+/// `deferred_only`) and deferred channels; at least one channel.
+/// Returns the members with their operands, the run's support and the
+/// deferred channels' numbers.
+fn random_run(
+    two_qubit: bool,
+    real: bool,
+    deferred_only: bool,
+    rng: &mut StdRng,
+) -> (Run, Vec<usize>, Vec<Closed>) {
+    let len = rng.gen_range(1..=16usize);
+    let (a, b) = (rng.gen_range(0..3usize), rng.gen_range(1..3usize));
+    let (s0, s1) = (a, (a + b) % 3);
+    let prefix = if two_qubit {
+        rng.gen_range(0..len)
+    } else {
+        len
+    };
+    let grown = match rng.gen_bool(0.5) {
+        true => vec![s0, s1],
+        false => vec![s1, s0],
+    };
+    let mut closed = Vec::new();
+    let mut member = |qs: &[usize], rng: &mut StdRng, channel: bool| {
+        let kind = if channel {
+            rng.gen_range(1..3)
+        } else {
+            rng.gen_range(0..3)
+        };
+        let kind = if kind == 1 && deferred_only { 2 } else { kind };
+        let m =
+            match (kind, qs.len()) {
+                (0, 1) if !real && rng.gen_bool(0.5) => Member::Gate(random_1q(rng)),
+                (0, 1) => Member::Gate(gates::ry(rng.gen_range(-3.0..3.0))),
+                (0, _) if !real && rng.gen_bool(0.5) => Member::Gate(random_2q(rng)),
+                (0, _) => Member::Gate(gates::cx()),
+                (1, n) => match Closed::random(n, rng.gen_bool(0.5), rng) {
+                    Closed::Depolarizing(1, p) => Member::Kraus(KrausChannel::depolarizing_1q(p)),
+                    Closed::Depolarizing(_, p) => Member::Kraus(KrausChannel::depolarizing_2q(p)),
+                    // A Kraus relaxation over an ordinary window: a vanishing
+                    // one would be elided as the identity.
+                    Closed::Relaxation(t1, t2, _) => Member::Kraus(
+                        KrausChannel::thermal_relaxation(t1, t2, rng.gen_range(1.0..500.0)),
+                    ),
+                },
+                (_, n) => {
+                    closed.push(Closed::random(n, rng.gen_bool(0.5), rng));
+                    Member::Deferred(closed.len() - 1)
+                }
+            };
+        (m, qs.to_vec())
+    };
+    let mut ops = Vec::new();
+    for i in 0..len {
+        let qs = if i < prefix {
+            vec![s0]
+        } else if i == prefix {
+            grown.clone()
+        } else {
+            let (g0, g1) = (grown[0], grown[1]);
+            [vec![g0], vec![g1], vec![g0, g1], vec![g1, g0]][rng.gen_range(0..4usize)].clone()
+        };
+        ops.push(member(&qs, rng, false));
+    }
+    if ops.iter().all(|(m, _)| matches!(m, Member::Gate(_))) {
+        let i = rng.gen_range(0..len);
+        let qs = ops[i].1.clone();
+        ops[i] = member(&qs, rng, true);
+    }
+    let support = if two_qubit { grown } else { vec![s0] };
+    (ops, support, closed)
+}
+
+/// Fused entry `entry`, compiled by the builder and multiplied by its
+/// plan's schedule, equals the dense product of its run's members,
+/// entry for entry and bit for bit, with the same realness.
+fn assert_product_is_dense(
+    program: &CompiledProgram,
+    entry: usize,
+    ops: &[(Member, Vec<usize>)],
+    support: &[usize],
+    closed: &[Closed],
+) {
+    let mut table = SuperopTable::default();
+    for (member, _) in ops {
+        match member {
+            Member::Gate(u) => table.push_unitary(u),
+            Member::Kraus(ch) => table.push(ch),
+            Member::Deferred(key) => closed[*key].lower(&mut table),
+        };
+    }
+    let members: Vec<_> = (ops.iter().enumerate())
+        .map(|(i, (_, qs))| (table.get(i), qs.as_slice()))
+        .collect();
+    let (dense, complex) = baseline::dense_product(&members, support);
+    let bits = |(r, c, z): (usize, usize, C64)| (r, c, z.re.to_bits(), z.im.to_bits());
+    let fused = program.superops().get(entry);
+    assert_eq!(
+        fused.entries().map(bits).collect::<Vec<_>>(),
+        dense.into_iter().map(bits).collect::<Vec<_>>(),
+        "run {ops:?} on {support:?}"
+    );
+    assert_eq!(fused.is_real(), !complex);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
@@ -654,6 +826,78 @@ proptest! {
         }
     }
 
+    /// A fused run's product, multiplied by its plan's schedule, is the
+    /// dense product of its members bit for bit — on one qubit and on
+    /// two, every placement, real and complex members, runs of up to
+    /// 16 — as the builder fills it and after refreshes that move the
+    /// deferred channels onto and off numbers with exact-zero entries.
+    /// A twin run on other deferred channels shares the first one's
+    /// shape of the schedule.
+    #[test]
+    fn scheduled_products_equal_the_dense_product(seed in 0u64..1 << 32) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (two_qubit, real, deferred_only) = (rng.gen_bool(0.5), rng.gen_bool(0.5), rng.gen_bool(0.5));
+        let (ops, support, mut closed) = random_run(two_qubit, real, deferred_only, &mut rng);
+        let twin: Run = ops
+            .iter()
+            .map(|(member, qs)| {
+                let member = match member {
+                    Member::Deferred(key) => {
+                        closed.push(closed[*key].redraw(&mut rng));
+                        Member::Deferred(closed.len() - 1)
+                    }
+                    other => other.clone(),
+                };
+                (member, qs.clone())
+            })
+            .collect();
+        let runs = [ops, twin];
+        let mut b = ProgramBuilder::new(3);
+        for (i, ops) in runs.iter().enumerate() {
+            if i > 0 {
+                // A parameterized gate ends the first run.
+                b.push_parameterized(CMatrix::identity(2), &[support[0]]);
+            }
+            for (member, qs) in ops {
+                match member {
+                    Member::Gate(u) => {
+                        b.push_unitary(u.clone(), qs);
+                    }
+                    Member::Kraus(ch) => b.push_channel(ch, qs),
+                    Member::Deferred(key) => b.push_deferred_channel(*key, qs, false),
+                }
+            }
+        }
+        let numbers = closed.clone();
+        let mut program = b.finish_with(ReadoutError::uniform(3, 0.0), 0.0, |key, table| {
+            numbers[key].lower(table);
+        });
+        let entries: Vec<usize> = program
+            .ops()
+            .iter()
+            .filter_map(|op| match *op {
+                TapeOp::Channel1q { channel, .. } | TapeOp::Channel2q { channel, .. } => Some(channel),
+                _ => None,
+            })
+            .collect();
+        prop_assert_eq!(entries.len(), 2, "one fused entry per run: {:?}", program.ops());
+        for (&entry, ops) in entries.iter().zip(&runs) {
+            assert_product_is_dense(&program, entry, ops, &support, &closed);
+        }
+        if !deferred_only {
+            return Ok(());
+        }
+        for _ in 0..3 {
+            closed.iter_mut().for_each(|c| *c = c.redraw(&mut rng));
+            program.refresh([0.0; 3], |key, table| {
+                closed[key].lower(table);
+            });
+            for (&entry, ops) in entries.iter().zip(&runs) {
+                assert_product_is_dense(&program, entry, ops, &support, &closed);
+            }
+        }
+    }
+
     /// A noise-free compiled program through the density engine
     /// reproduces exact state-vector probabilities.
     #[test]
@@ -716,7 +960,8 @@ proptest! {
     }
 
     /// The closed-form depolarizing superoperators are the Kraus
-    /// lowering bit for bit — values, sparsity pattern and realness —
+    /// lowering bit for bit — values and realness — in a layout of 6
+    /// and 28 entries whatever `p`,
     /// and the closed-form near-identity predicate is
     /// `KrausChannel::is_near_identity`, over all of `[0, 1]` with the
     /// ends, the device layer's clamps and vanishing rates weighted in.
@@ -730,7 +975,7 @@ proptest! {
                 _ => closed.push_depolarizing_2q(p),
             };
             assert_same_table(&closed, ch);
-            prop_assert!(closed.get(0).nnz() <= nnz);
+            prop_assert_eq!(closed.get(0).nnz(), nnz);
             prop_assert_eq!(
                 KrausChannel::depolarizing_is_near_identity(ch.num_qubits(), p, eps),
                 ch.is_near_identity(eps),
@@ -753,7 +998,7 @@ proptest! {
         let mut closed = SuperopTable::default();
         closed.push_thermal_relaxation(t1, t2, dt);
         assert_same_table(&closed, &ch);
-        prop_assert!(closed.get(0).nnz() <= 5);
+        prop_assert_eq!(closed.get(0).nnz(), 5);
         prop_assert_eq!(
             KrausChannel::thermal_relaxation_is_near_identity(t1, t2, dt, eps),
             ch.is_near_identity(eps),

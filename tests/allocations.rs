@@ -73,6 +73,11 @@ fn drifting_backend(name: &str, seed: u64) -> QpuBackend {
     )
 }
 
+/// Heap allocations a warm client task may make: the list of its
+/// slice's templates, which `VqaProblem::slice_templates` returns as a
+/// fresh `Vec`.
+const WARM_TASK_BUDGET: u64 = 1;
+
 /// Allocations of `jobs` warm shift-pair tasks of `problem` on one
 /// client, after `warmup` tasks have sized every buffer.
 fn warm_task_allocations(problem: &dyn VqaProblem, device: &str, warmup: usize) -> Vec<u64> {
@@ -103,13 +108,13 @@ fn warm_task_allocations(problem: &dyn VqaProblem, device: &str, warmup: usize) 
 }
 
 #[test]
-fn a_warm_h2_shift_pair_task_on_a_drifting_device_allocates_at_most_eight_times() {
+fn a_warm_h2_shift_pair_task_on_a_drifting_device_allocates_at_most_once() {
     let problem = VqeProblem::h2();
     let per_job = warm_task_allocations(&problem, "manila", 2 * problem.tasks().len());
     let worst = per_job.iter().copied().max().expect("jobs ran");
     println!("warm H2 task allocations: {per_job:?}");
     assert!(
-        worst <= 8,
+        worst <= WARM_TASK_BUDGET,
         "a warm H2 task allocated {worst} times (per job: {per_job:?})"
     );
 }
@@ -126,7 +131,7 @@ fn warm_tasks_of_wider_templates_stay_within_the_same_budget() {
         let worst = per_job.iter().copied().max().expect("jobs ran");
         println!("warm {} task allocations: {per_job:?}", problem.name());
         assert!(
-            worst <= 8,
+            worst <= WARM_TASK_BUDGET,
             "a warm {} task allocated {worst} times (per job: {per_job:?})",
             problem.name()
         );

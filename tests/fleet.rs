@@ -336,6 +336,104 @@ fn a_wide_fleet_transpiles_per_coupling_map_not_per_device() {
     assert_eq!(session_transpiles(&ensemble, &problem), (2, 6, 768));
 }
 
+/// Plan heap the parent design held after the 1-epoch Heisenberg-4
+/// session on `fleet_specs(256)`, one plan per (device, template) run
+/// on it — 339 plans of `ProgramPlan::plan_heap_bytes` plus channel
+/// keys and verdicts each, as `ArchitectureTemplates::plan_heap_bytes`
+/// counts them — measured before plans moved to the architecture.
+const PER_DEVICE_PLAN_HEAP_BYTES: usize = 305_460;
+
+/// `(live plans, plan heap bytes)` over the architectures behind
+/// `clients`.
+fn fleet_plans(clients: &[ClientNode]) -> (usize, usize) {
+    let architectures = architectures(clients);
+    let plans = architectures.iter().map(|a| a.live_plans()).sum();
+    (
+        plans,
+        architectures.iter().map(|a| a.plan_heap_bytes()).sum(),
+    )
+}
+
+#[test]
+fn a_wide_fleet_plans_per_architecture_not_per_device() {
+    // The 256-device Heisenberg-4 session above, trained for an epoch:
+    // its two coupling maps hold one plan per template each — every
+    // device schedules alike — and the report is the report of the
+    // same devices minted apart, each planning alone.
+    let problem = VqeProblem::heisenberg_4q();
+    let specs = eqc_bench::fleet_specs(256);
+    let train = |builder: EnsembleBuilder| {
+        let ensemble = builder.config(cfg(1)).build().expect("builds");
+        let mut session = ensemble.session(&problem).expect("templates fit");
+        let report = DiscreteEventExecutor::new()
+            .run(&mut session)
+            .expect("trains");
+        let (clients, _) = session.split_mut();
+        (format!("{report:?}"), fleet_plans(clients))
+    };
+    let (shared, (plans, heap)) = train(Ensemble::builder().specs(specs.clone()).device_seed(11));
+    assert_eq!(plans, 6, "2 coupling maps x 3 templates");
+    assert!(
+        heap < PER_DEVICE_PLAN_HEAP_BYTES,
+        "the fleet's plans own {heap} bytes"
+    );
+    // Devices minted one by one, each with a clone held outside the
+    // build, keep an architecture cache of their own.
+    let apart: Vec<QpuBackend> = (specs.iter().zip(11..))
+        .map(|(spec, seed)| spec.backend(seed))
+        .collect();
+    let builder = apart
+        .iter()
+        .fold(Ensemble::builder(), |b, d| b.backend(d.clone()));
+    let (alone, (plans, _)) = train(builder);
+    assert_eq!(plans, 339, "one plan per (device, template) run");
+    assert_eq!(shared, alone, "sharing plans shows in no result");
+}
+
+#[test]
+fn a_device_that_schedules_differently_plans_on_its_own() {
+    // Three belem-shaped devices minted together: two jitter and drift
+    // apart but schedule alike and share one plan per template; the
+    // third has no one-qubit error, so no one-qubit depolarizing
+    // channel, and plans apart on the same architecture.
+    let problem = VqeProblem::heisenberg_4q();
+    let spec = catalog::by_name("belem").expect("catalog device");
+    let exact = qdevice::DeviceSpec {
+        gate_error_1q: 0.0,
+        ..spec.clone()
+    };
+    let mut devices = [spec.backend(1), spec.backend(2), exact.backend(3)];
+    QpuBackend::share_architectures(devices.iter_mut());
+    let params = problem.initial_point(3);
+    let templates = problem.templates().len();
+    let run = |device: &mut QpuBackend| {
+        for template in problem.templates() {
+            let entry = device.template(template).expect("fits");
+            let runs = [qdevice::TemplateRun {
+                template: 0,
+                shift: None,
+            }];
+            device.execute_device_templates(&[entry], runs, &params, 64, SimTime::ZERO, |_| ());
+        }
+    };
+    let [a, b, c] = &mut devices;
+    let architecture = |d: &QpuBackend| d.architecture_templates().live_plans();
+    run(a);
+    assert_eq!(architecture(a), templates);
+    run(b);
+    assert_eq!(architecture(b), templates, "the second device adopts");
+    run(c);
+    assert_eq!(
+        architecture(c),
+        2 * templates,
+        "other verdicts, other plans"
+    );
+    assert!(std::ptr::eq(
+        a.architecture_templates(),
+        c.architecture_templates()
+    ));
+}
+
 #[test]
 fn co_tenants_share_each_devices_templates() {
     // Three tenants on one problem: each device transpiles and plans
