@@ -13,19 +13,17 @@
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
 //! transpilation and plans belong to the device's architecture: the
-//! client fetches each template's [`DeviceTemplate`]
-//! from its backend, which prepares it on the first request of any
-//! clone of the device — over the transpile of the first device on its
-//! coupling map — and shares it with the rest (see
-//! [`qdevice::backend`](mod@qdevice::backend)). The numbers a job runs
-//! on, like the simulator, belong to the executing thread, not to the
-//! client or its backend; a client only tallies what its own jobs'
+//! client fetches each template's [`DeviceTemplate`] from its backend —
+//! the transpile of the first device on its coupling map to ask for it
+//! — and owns only a [`PlanPointer`] to the plan its jobs last ran on
+//! (see [`qdevice::backend`](mod@qdevice::backend)). The numbers a job
+//! runs on, like the simulator, belong to the executing thread, not to
+//! the client or its backend; a client only tallies what its own jobs'
 //! compiles did.
 
 use crate::weighting;
-use qdevice::{Compile, DeviceTemplate, QpuBackend, SimTime, TemplateRun};
+use qdevice::{Compile, DeviceTemplate, PlanPointer, QpuBackend, SimTime, TemplateRun};
 use qsim::Counts;
-use std::sync::Arc;
 use transpile::{CircuitMetrics, TranspileError};
 use vqa::{GradientTask, VqaProblem};
 
@@ -52,8 +50,10 @@ pub struct ClientTaskResult {
 pub struct ClientNode {
     id: usize,
     backend: QpuBackend,
-    /// The device's entry for each problem template, by template index.
-    templates: Vec<Arc<DeviceTemplate>>,
+    /// The architecture's entry for each problem template, by template
+    /// index, and this client's pointer to the plan it last ran on.
+    templates: Vec<DeviceTemplate>,
+    plans: Vec<PlanPointer>,
     circuits_run: u64,
     tasks_completed: u64,
     /// This client's own jobs' compile outcomes, by [`Compile`] variant.
@@ -61,8 +61,9 @@ pub struct ClientNode {
 }
 
 impl ClientNode {
-    /// Creates a client over the backend's prepared entry of every
-    /// problem template (transpiled on the device's first request).
+    /// Creates a client over an entry of every problem template,
+    /// prepared by the backend (transpiled on the first request of any
+    /// device of its architecture).
     ///
     /// # Errors
     ///
@@ -72,7 +73,7 @@ impl ClientNode {
         backend: QpuBackend,
         problem: &dyn VqaProblem,
     ) -> Result<Self, TranspileError> {
-        let templates = problem
+        let templates: Vec<_> = problem
             .templates()
             .iter()
             .map(|template| backend.template(template))
@@ -80,6 +81,7 @@ impl ClientNode {
         Ok(ClientNode {
             id,
             backend,
+            plans: vec![PlanPointer::default(); templates.len()],
             templates,
             circuits_run: 0,
             tasks_completed: 0,
@@ -173,7 +175,7 @@ impl ClientNode {
     /// and the task hot path (which reads the calibration from the
     /// backend's per-cycle cache instead of rebuilding it).
     fn mean_p_correct(
-        templates: &[Arc<DeviceTemplate>],
+        templates: &[DeviceTemplate],
         cal: &qdevice::Calibration,
         template_indices: &[usize],
     ) -> f64 {
@@ -263,9 +265,15 @@ impl ClientNode {
             }
             gradient
         };
-        let (timing, compiles, gradient) = self
-            .backend
-            .execute_device_templates(templates, runs, params, shots, submit, gradient);
+        let (timing, compiles, gradient) = self.backend.execute_device_templates(
+            templates,
+            &mut self.plans,
+            runs,
+            params,
+            shots,
+            submit,
+            gradient,
+        );
         let circuits_run = 2 * n_occurrences * n_templates;
         self.tally(compiles, circuits_run);
         self.tasks_completed += 1;
@@ -300,6 +308,7 @@ impl ClientNode {
             });
             let (timing, compiles, loss) = self.backend.execute_device_templates(
                 &self.templates,
+                &mut self.plans,
                 runs,
                 params,
                 shots,
@@ -356,11 +365,11 @@ mod tests {
 
     #[test]
     fn a_client_keeps_no_layout_and_no_full_register_circuit() {
-        // Memory guard: per template a client holds the device's entry
-        // — the compiled template (whose circuit is the compact one),
-        // the metrics and the logical bit order — and the device's
-        // cache prints counts, not entries: no layout, and no circuit
-        // over the 27-qubit register the transpiler routed on.
+        // Memory guard: per template a client holds the architecture's
+        // entry — the compact circuit, the metrics and the logical bit
+        // order — and a plan pointer, and the architecture's cache
+        // prints counts, not entries: no layout, and no circuit over
+        // the 27-qubit register the transpiler routed on.
         let problem = VqeProblem::h2();
         let backend = catalog::by_name("toronto").unwrap().backend(1);
         let client = ClientNode::new(0, backend, &problem).unwrap();
@@ -381,11 +390,14 @@ mod tests {
         let mut clients: Vec<ClientNode> = (0..3)
             .map(|id| ClientNode::new(id, device.clone(), &problem).unwrap())
             .collect();
+        // One transpile per template, for the first client; the others
+        // hold the same architecture entries, whose compact circuit is
+        // one `Arc`.
         let n = problem.templates().len() as u64;
-        let cache = device.device_template_cache();
-        assert_eq!((cache.builds(), cache.hits()), (n, 2 * n));
+        let architecture = device.architecture_templates();
+        assert_eq!((architecture.transpiles(), architecture.hits()), (n, 2 * n));
         for (a, b) in clients[0].templates.iter().zip(&clients[2].templates) {
-            assert!(Arc::ptr_eq(a, b));
+            assert!(std::ptr::eq(a.circuit(), b.circuit()));
         }
         // A steady device in one cycle: the first client's job compiles
         // its slice, the others' jobs hit what it compiled.
@@ -410,7 +422,7 @@ mod tests {
     }
 
     /// A problem that lists its one circuit twice: both indices resolve
-    /// to one device entry.
+    /// to one architecture entry.
     struct Twice(QaoaProblem, Vec<qcircuit::Circuit>);
 
     impl VqaProblem for Twice {
@@ -462,7 +474,8 @@ mod tests {
         let circuit = qaoa.templates()[0].clone();
         let problem = Twice(qaoa, vec![circuit.clone(), circuit]);
         let mut client = ClientNode::new(0, quiet_backend("belem", 6), &problem).unwrap();
-        assert!(Arc::ptr_eq(&client.templates[0], &client.templates[1]));
+        let [a, b] = [0, 1].map(|t| client.templates[t].circuit());
+        assert!(std::ptr::eq(a, b));
         let task = GradientTask {
             param: ParamId(1),
             slice: TaskSlice::Full,

@@ -2,11 +2,11 @@
 //!
 //! An [`Ensemble`] is a reusable description of a device fleet plus a
 //! training configuration, built with [`Ensemble::builder`]. Binding it
-//! to a problem yields an [`EnsembleSession`]: each device prepares the
-//! problem's templates once ([`qdevice::DeviceTemplate`]) — transpiled
-//! and planned once per coupling map its devices share, planned again
-//! only for a device that schedules differently — and refreshes their
-//! numbers per noise token — per job only the
+//! to a problem yields an [`EnsembleSession`]: each client takes the
+//! problem's templates from its device ([`qdevice::DeviceTemplate`]) —
+//! transpiled and planned once per coupling map its devices share,
+//! planned again only for a device that schedules differently — and its
+//! jobs refresh their numbers per noise token — per job only the
 //! parameter-shift pair is rebound and submitted as one batched engine
 //! call. Any
 //! [`Executor`] drains the session into a
@@ -176,8 +176,8 @@ pub(crate) fn resolve_devices(
 }
 
 /// One client per device slot over the slot's prepared templates of
-/// `problem` (prepared on the device's first request, transpiled on its
-/// architecture's first) — the client-construction path shared by
+/// `problem` (transpiled on its architecture's first request) — the
+/// client-construction path shared by
 /// [`Ensemble::session`] and
 /// [`FleetRuntime::admit`](crate::fleet::FleetRuntime::admit).
 pub(crate) fn clients_for(

@@ -1817,7 +1817,7 @@ mod tests {
     fn fleet_is_reusable_across_runs() {
         let problem = QaoaProblem::maxcut_ring4();
         // `.devices(["belem", "manila"]).device_seed(7)`, with a handle
-        // on each device kept to read its template cache.
+        // on each device kept to read its architecture's template cache.
         let devices: Vec<QpuBackend> = ["belem", "manila"]
             .iter()
             .zip(7..)
@@ -1827,10 +1827,10 @@ mod tests {
                     .backend(seed)
             })
             .collect();
-        let template_builds = || -> Vec<u64> {
+        let transpiles = || -> Vec<u64> {
             devices
                 .iter()
-                .map(|d| d.device_template_cache().builds())
+                .map(|d| d.architecture_templates().transpiles())
                 .collect()
         };
         let mut fleet = devices
@@ -1843,7 +1843,7 @@ mod tests {
             .expect("admits");
         let first = fleet.run().expect("first run");
         assert_eq!(fleet.num_tenants(), 0, "run consumes the tenant batch");
-        let built = template_builds();
+        let built = transpiles();
         fleet
             .admit(&problem, TenantConfig::new(fleet_cfg(2)))
             .expect("re-admits");
@@ -1861,13 +1861,13 @@ mod tests {
             t2.shared_noise_hits,
             t1.shared_noise_builds + t1.shared_noise_hits
         );
-        // So do the templates: the replay builds none, and its tenant's
-        // clients find every template prepared.
-        assert_eq!(template_builds(), built, "the replay builds 0 templates");
+        // So do the transpiles: the replay makes none, and its tenant's
+        // clients find every template transpiled.
+        assert_eq!(transpiles(), built, "the replay transpiles 0 templates");
         let per_device = problem.templates().len() as u64;
         assert_eq!(built, [per_device; 2]);
         for d in &devices {
-            assert_eq!(d.device_template_cache().hits(), per_device);
+            assert_eq!(d.architecture_templates().hits(), per_device);
         }
     }
 

@@ -197,8 +197,8 @@ pub struct FleetTelemetry {
     /// because the ledger's version was unchanged — the allocation- and
     /// lock-free steady state of the snapshot path.
     pub snapshot_reuses: u64,
-    /// Noise artifacts (reported calibrations, projections, models)
-    /// this session built into its devices' shared noise caches, once
+    /// Noise artifacts (reported calibrations, projections) this
+    /// session built into its devices' shared noise caches, once
     /// per device for all the tenants' clones. The caches persist with
     /// the devices, so a later session starts from what earlier ones
     /// built. An ideal slot is a per-tenant device that shares nothing

@@ -27,64 +27,62 @@
 //! holds this one to equal counts and timing on every pinned fixture
 //! (states agree to 1e-12, see [`qsim::program`]).
 //!
-//! ## Noise and templates belong to the device
+//! ## Noise belongs to the device
 //!
 //! A clone of a backend is the same machine: same seed, calibration,
 //! jitter and drift, hence the same noise at every instant — the
 //! paper's per-device calibration and drift. So every clone shares its
-//! device's identity: the id in its [`NoiseToken`]s, one
-//! [`SharedNoiseCache`] of the per-cycle noise artifacts and one
-//! [`SharedTemplateCache`] of prepared problem templates. A fleet's
-//! (tenant × device) clones thus build each noise artifact and prepare
-//! each template once per device, with nothing to attach. Only two
-//! things give a backend a fresh identity: [`QpuBackend::new`] (two
+//! device's identity: the id in its [`NoiseToken`]s and one
+//! [`SharedNoiseCache`] of the per-cycle reported calibrations and
+//! projected base figures. A fleet's (tenant × device) clones thus
+//! build each of those once per device, with nothing to attach. Only
+//! two things give a backend a fresh identity: [`QpuBackend::new`] (two
 //! backends built alike share nothing) and
 //! [`QpuBackend::with_recal_jitter`], which changes the noise. Each
 //! clone keeps its own cache of the current cycle in front of the
 //! shared noise cache, so it takes the shared lock only on its first
-//! use of a cycle or an active set.
-//!
-//! A [`DeviceTemplate`] is what the paper's client derives from a
-//! template once per device (Algorithm 2): the transpiled compact
-//! circuit, each parameter's occurrences, the logical bit order, the
-//! Eq. 2 metrics, and the plan the device's jobs run — an immutable
-//! `Arc` that jobs read and a job whose noise no longer fits it
-//! replaces. A refresh under any plan that holds equals a cold compile
-//! bit for bit, so which plan a job finds never shows in its counts.
+//! use of a cycle or an active set; the drifted model it runs on is its
+//! own, rewritten in place when the drift factors move.
 //!
 //! ## Transpile output and plans belong to the architecture
 //!
-//! Of what a device derives from a template, only the numbers depend
-//! on the device's noise; the plan depends only on which channels its
-//! schedule emits. The compact circuit, the
-//! active physical qubits, the occurrence lists, the logical bit order
-//! and the Eq. 2 metrics are a pure function of (template,
-//! [`Topology`]) — the paper's "architecture and transpilation" input,
-//! apart from its "runtime conditions". They live in one entry of an
-//! [`ArchitectureTemplates`] cache, keyed like the device's by the
-//! template's bits, and every device of the architecture holds that
-//! entry by `Arc`. The cache is shared by
-//! the devices minted together ([`QpuBackend::share_architectures`]:
-//! one ensemble or fleet) whose topologies are equal as values — name
-//! included, since the router treats topologies named `full*` apart —
-//! so a fleet transpiles each template once per coupling map, not once
-//! per device. [`QpuBackend::with_recal_jitter`] keeps the architecture
-//! cache: jitter moves the noise, not the coupling map.
+//! Of what a device derives from a template (the paper's client,
+//! Algorithm 2), only the numbers depend on the device's noise; the
+//! plan depends only on which channels its schedule emits. The compact
+//! circuit, the active physical qubits, the occurrence lists, the
+//! logical bit order and the Eq. 2 metrics are a pure function of
+//! (template, [`Topology`]) — the paper's "architecture and
+//! transpilation" input, apart from its "runtime conditions". They live
+//! in one entry of an [`ArchitectureTemplates`] cache, keyed by the
+//! template's bits. The cache is shared by the devices minted together
+//! ([`QpuBackend::share_architectures`]: one ensemble or fleet) whose
+//! topologies are equal as values — name included, since the router
+//! treats topologies named `full*` apart — so a fleet transpiles each
+//! template once per coupling map, not once per device or per client.
+//! [`QpuBackend::with_recal_jitter`] keeps the architecture cache:
+//! jitter moves the noise, not the coupling map.
 //!
 //! The entry also keeps the plans its devices made, at most one per
 //! schedule signature — the gate times and every channel key's verdict,
-//! what `refresh_if_holds` checks — by `Weak`, so a plan that no device
-//! entry and no thread memo holds is freed. A device without a plan,
-//! or whose plan no longer holds under its noise, refreshes onto the
-//! first of these that holds and plans anew only when none does,
-//! publishing the new plan. Devices that jitter and drift apart but
-//! schedule alike thus share one plan per template:
-//! `fleet256_wide`'s 256 devices on two coupling maps hold 6 plans.
+//! what `refresh_if_holds` checks — by `Weak`, so a plan that no client
+//! and no thread memo holds is freed. A program without a plan, or
+//! whose plan no longer holds under its noise, refreshes onto the first
+//! of these that holds and plans anew only when none does, publishing
+//! the new plan. Devices that jitter and drift apart but schedule alike
+//! thus share one plan per template: `fleet256_wide`'s 256 devices on
+//! two coupling maps hold 6 plans.
 //!
-//! Lock order: a device's template cache lock first, then the
-//! architecture cache's, then an entry's plan list, never the reverse.
-//! Jobs take the plan list only to adopt or make a plan, never while
-//! warm, and never the architecture cache's lock.
+//! What a client holds per template is a [`DeviceTemplate`], the
+//! architecture's entry by `Arc`, and a [`PlanPointer`] to the plan its
+//! jobs last ran on — an immutable `Arc` the client owns, which a job
+//! reads and hands back through `&mut`, with no lock. A refresh under
+//! any plan that holds equals a cold compile bit for bit, so which plan
+//! a job starts from never shows in its counts.
+//!
+//! Lock order: the architecture cache's lock, then an entry's plan
+//! list, never the reverse. Jobs take the plan list only to adopt or
+//! make a plan, never while warm, and never the architecture cache's
+//! lock.
 //!
 //! ## One booking step
 //!
@@ -116,14 +114,15 @@
 //! So are a template job's buffers — its runs, bookkeeping, shift
 //! variants, forks, histograms and refresh scratch — so a warm job
 //! allocates almost nothing; and so are the numbers a device
-//! template's job runs on — rebound
-//! rotations, fused superoperators, readout — in a memo of at most 8
-//! [`CompiledTemplate`]s keyed by (plan `Arc`, [`NoiseToken`]). A job
-//! takes its programs out (the one over the entry's plan holding its
-//! device's numbers, else the least recently used, whose buffers the
-//! refresh overwrites) and puts them back when done, so a job that
-//! panics leaves nothing to hit and clones on two threads share only
-//! the plan. Memory scales with
+//! template's job runs on — rebound rotations, fused superoperators,
+//! readout — in a memo of at most 8 [`CompiledTemplate`]s, found by
+//! (architecture entry, [`NoiseToken::backend`]). A job takes its
+//! programs out (the most recently used one holding its device's
+//! numbers for the entry, else the least recently used, reset to the
+//! client's plan, whose buffers the refresh overwrites) and puts them
+//! back when done, so a job that panics leaves nothing to hit,
+//! co-tenant clones of a device on one thread hit each other's numbers,
+//! and clones on two threads share only the plan. Memory scales with
 //! threads, not with the (tenant × device) clones of a fleet.
 //! Parallelism is one layer up: `eqc_core` runs whole client tasks —
 //! one backend each — on its scoped worker pool, so each worker has its
@@ -160,9 +159,9 @@ struct Scratch {
     /// The memo: device programs, least recently used first.
     programs: Vec<CompiledTemplate>,
     /// The device job in flight: its distinct entries in first-use
-    /// order — index into the caller's list, the plan the entry held
-    /// when taken, the program out of the memo — and its runs over them.
-    entries: Vec<(usize, Option<Arc<Plan>>)>,
+    /// order — index into the caller's list, the program out of the
+    /// memo — and its runs over them.
+    entries: Vec<usize>,
     taken: Vec<CompiledTemplate>,
     runs: Vec<TemplateRun>,
     /// Its histograms per run: over the compact register, and remapped
@@ -193,27 +192,28 @@ struct Simulation {
 
 impl Scratch {
     /// The program device `device` runs `entry` on, out of the memo:
-    /// the one over `plan` with the device's numbers, else the least
-    /// recently used (or a new one) reset to it.
+    /// the most recently used one of the entry's architecture template
+    /// with the device's numbers, else the least recently used (or a
+    /// new one) reset to `plan`.
     fn take(
         &mut self,
         entry: &DeviceTemplate,
-        plan: Option<Arc<Plan>>,
+        plan: &PlanPointer,
         device: u64,
     ) -> CompiledTemplate {
-        let over = |p: &CompiledTemplate| {
-            let pair = p.plan().zip(plan.as_ref());
-            let ours = p.token().is_some_and(|t| t.backend == device);
-            ours && pair.is_some_and(|(a, b)| Arc::ptr_eq(a, b))
+        let a = &*entry.architecture;
+        // Every program of the architecture entry holds its one
+        // compact circuit `Arc`.
+        let ours = |p: &CompiledTemplate| {
+            std::ptr::eq(p.circuit(), &*a.circuit) && p.token().is_some_and(|t| t.backend == device)
         };
-        if let Some(i) = self.programs.iter().position(over) {
+        if let Some(i) = self.programs.iter().rposition(ours) {
             return self.programs.remove(i);
         }
-        let a = &entry.architecture;
         let recycled = (self.programs.len() >= MEMO_PROGRAMS).then(|| self.programs.remove(0));
         let (circuit, active) = (Arc::clone(&a.circuit), Arc::clone(&a.active_physical));
         let fresh = CompiledTemplate::shared(circuit, active, Arc::clone(&a.plans));
-        fresh.starting_from(plan, recycled)
+        fresh.starting_from(plan.0.clone(), recycled)
     }
 
     /// Puts the job's programs back, most recently used last, and drops
@@ -377,14 +377,14 @@ impl BaseNoise {
 
 /// One cached noise model: the active set it covers, the projected base
 /// figures, and the model materialized for the last-seen drift factors.
-/// Base and model are `Arc`'d so the clones of one device share one
-/// build through its [`SharedNoiseCache`].
+/// The base is `Arc`'d so the clones of one device share one build
+/// through its [`SharedNoiseCache`]; the model is this clone's own.
 #[derive(Clone, Debug)]
 struct NoiseEntry {
     active: Vec<usize>,
     base: Arc<BaseNoise>,
     factors: (f64, f64),
-    model: Arc<NoiseModel>,
+    model: NoiseModel,
 }
 
 /// The per-calibration-cycle noise cache (see the module docs).
@@ -400,12 +400,13 @@ struct NoiseCache {
 /// The noise artifacts of one device, shared by all its clones (see
 /// the module docs: a clone is the same machine). Clones share seed,
 /// base calibration, jitter and drift model, so the reported
-/// calibration of a cycle, the projected `BaseNoise` of a
-/// `(cycle, active)` pair and the drifted model of a
-/// `(cycle, factors, active)` triple are all pure functions of their
-/// keys: whichever clone builds an artifact, every clone reads the same
-/// bits. A fleet gives each tenant one clone per device, so each
-/// artifact is built once per device instead of once per clone.
+/// calibration of a cycle and the projected `BaseNoise` of a
+/// `(cycle, active)` pair are pure functions of their keys: whichever
+/// clone builds an artifact, every clone reads the same bits. A fleet
+/// gives each tenant one clone per device, so each artifact is built
+/// once per device instead of once per clone. Drifted models are not
+/// shared: under drift the factors move with every job, so no other
+/// clone could hit one; each clone drifts its own from the base.
 ///
 /// Builds happen *under* the cache lock: exactly one build per key even
 /// when pooled workers race, so the `builds`/`hits` totals are
@@ -419,18 +420,12 @@ pub struct SharedNoiseCache {
     state: Mutex<SharedNoiseState>,
 }
 
-/// `(cycle, ef bits, cf bits, active set)` — the key of one drifted
-/// model in a [`SharedNoiseCache`].
-type SharedModelKey = (u64, u64, u64, Vec<usize>);
-
 #[derive(Debug, Default)]
 struct SharedNoiseState {
     /// `(cycle, reported calibration)`.
     reported: Vec<(u64, Arc<Calibration>)>,
     /// `(cycle, active set, projected base figures)`.
     bases: Vec<(u64, Vec<usize>, Arc<BaseNoise>)>,
-    /// Drifted models by [`SharedModelKey`].
-    models: Vec<(SharedModelKey, Arc<NoiseModel>)>,
     builds: u64,
     hits: u64,
 }
@@ -464,17 +459,16 @@ impl SharedNoiseCache {
         }
     }
 
-    /// The projected base figures and drifted model for
-    /// `(cycle, active, factors)`, building whichever piece is missing.
-    fn base_and_model(
+    /// The projected base figures of `(cycle, active)`, building them
+    /// with `build` on the first device-wide request.
+    fn base(
         &self,
         cycle: u64,
         active: &[usize],
-        factors: (f64, f64),
-        build_base: impl FnOnce() -> BaseNoise,
-    ) -> (Arc<BaseNoise>, Arc<NoiseModel>) {
+        build: impl FnOnce() -> BaseNoise,
+    ) -> Arc<BaseNoise> {
         let mut s = self.state.lock().expect("shared noise lock");
-        let base = match s
+        match s
             .bases
             .iter()
             .position(|(c, a, _)| *c == cycle && a == active)
@@ -484,31 +478,12 @@ impl SharedNoiseCache {
                 Arc::clone(&s.bases[i].2)
             }
             None => {
-                let base = Arc::new(build_base());
+                let base = Arc::new(build());
                 s.builds += 1;
                 s.bases.push((cycle, active.to_vec(), Arc::clone(&base)));
                 base
             }
-        };
-        let (efb, cfb) = (factors.0.to_bits(), factors.1.to_bits());
-        let model = match s
-            .models
-            .iter()
-            .position(|((c, e, f, a), _)| *c == cycle && *e == efb && *f == cfb && a == active)
-        {
-            Some(i) => {
-                s.hits += 1;
-                Arc::clone(&s.models[i].1)
-            }
-            None => {
-                let model = Arc::new(base.drifted_model(factors.0, factors.1));
-                s.builds += 1;
-                s.models
-                    .push(((cycle, efb, cfb, active.to_vec()), Arc::clone(&model)));
-                model
-            }
-        };
-        (base, model)
+        }
     }
 }
 
@@ -517,12 +492,11 @@ impl SharedNoiseCache {
 /// alone (see the module docs), shared by every device of the
 /// architecture through its [`ArchitectureTemplates`].
 struct ArchitectureTemplate {
-    /// The logical template: the key of this entry and of every
-    /// device's [`DeviceTemplate`] built from it.
+    /// The logical template: the key of this entry.
     template: Circuit,
     /// The compacted symbolic physical circuit and the physical qubit
-    /// behind each compact qubit: what each device's
-    /// [`CompiledTemplate`] plans from, held by `Arc` there too.
+    /// behind each compact qubit: what every [`CompiledTemplate`] of
+    /// the entry plans from, held by `Arc` there too.
     circuit: Arc<Circuit>,
     active_physical: Arc<[usize]>,
     /// Gate indices of the parameters' occurrences in the compact
@@ -579,24 +553,28 @@ impl ArchitectureTemplate {
     }
 }
 
-/// One problem template prepared for one device, shared by all its
-/// clones (see the module docs): the architecture's transpiled entry
-/// and the plan of its compact circuit the device's jobs run — one of
-/// the architecture's — which alone changes after preparation.
+/// One problem template prepared for a device: its architecture's
+/// transpiled entry, shared by `Arc` (see the module docs).
+#[derive(Clone)]
 pub struct DeviceTemplate {
-    /// `None` before the first job; locked to read or swap the `Arc`.
-    plan: Mutex<Option<Arc<Plan>>>,
     architecture: Arc<ArchitectureTemplate>,
 }
 
+/// A client's pointer to the plan its jobs of one [`DeviceTemplate`]
+/// last ran on — one of the architecture's; empty before the first
+/// job. [`QpuBackend::execute_device_templates`] starts a program that
+/// the thread's memo lacks from it and hands back the plan the job ran
+/// on.
+#[derive(Clone, Debug, Default)]
+pub struct PlanPointer(Option<Arc<Plan>>);
+
 impl fmt::Debug for DeviceTemplate {
-    /// The compact circuit, the plan and the architecture's figures —
-    /// the logical template and the active set are left out.
+    /// The compact circuit and the architecture's figures — the logical
+    /// template and the active set are left out.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let a = &*self.architecture;
         f.debug_struct("DeviceTemplate")
             .field("circuit", &a.circuit)
-            .field("plan", &self.plan)
             .field("occurrences", &a.occurrences)
             .field("occurrence_ends", &a.occurrence_ends)
             .field("logical_bits", &a.logical_bits)
@@ -606,14 +584,6 @@ impl fmt::Debug for DeviceTemplate {
 }
 
 impl DeviceTemplate {
-    /// A device's entry over the architecture's, not yet planned.
-    fn new(architecture: Arc<ArchitectureTemplate>) -> Self {
-        DeviceTemplate {
-            plan: Mutex::new(None),
-            architecture,
-        }
-    }
-
     /// The compacted symbolic physical circuit.
     pub fn circuit(&self) -> &Circuit {
         &self.architecture.circuit
@@ -643,122 +613,37 @@ impl DeviceTemplate {
     }
 }
 
-/// The entries of a template cache, one per logical template (compared
-/// bit for bit), and its counters.
-///
-/// Entries are built *under* the cache's lock — exactly one build per
-/// key even when callers race, so the `builds`/`hits` totals are
-/// deterministic — and never evicted. A build that fails is returned
-/// as its error and not cached.
-struct TemplateEntries<T> {
-    entries: Vec<Arc<T>>,
-    builds: u64,
-    hits: u64,
-}
-
-impl<T> Default for TemplateEntries<T> {
-    fn default() -> Self {
-        TemplateEntries {
-            entries: Vec::new(),
-            builds: 0,
-            hits: 0,
-        }
-    }
-}
-
-impl<T> TemplateEntries<T> {
-    /// The entry whose `key` is `template`, built with `build` on the
-    /// first request.
-    fn get_or_build(
-        &mut self,
-        template: &Circuit,
-        key: impl Fn(&T) -> &Circuit,
-        build: impl FnOnce() -> Result<T, TranspileError>,
-    ) -> Result<Arc<T>, TranspileError> {
-        if let Some(entry) = self.entries.iter().find(|e| same_bits(key(e), template)) {
-            self.hits += 1;
-            return Ok(Arc::clone(entry));
-        }
-        let entry = Arc::new(build()?);
-        self.builds += 1;
-        self.entries.push(Arc::clone(&entry));
-        Ok(entry)
-    }
-}
-
-impl<T> fmt::Debug for TemplateEntries<T> {
-    /// Counts only: every device's client already prints the entries
-    /// it holds.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TemplateEntries")
-            .field("entries", &self.entries.len())
-            .field("builds", &self.builds)
-            .field("hits", &self.hits)
-            .finish()
-    }
-}
-
-/// The prepared templates of one device, shared by all its clones (see
-/// the module docs): one [`DeviceTemplate`] per logical template,
-/// compared bit for bit; every clone asking for a template gets the
-/// same `Arc`. Preparing an entry transpiles nothing the device's
-/// [`ArchitectureTemplates`] already holds.
-///
-/// Like [`SharedNoiseCache`], entries are prepared *under* the cache
-/// lock — exactly one per key even when clones race, so the
-/// `builds`/`hits` totals are deterministic — and never evicted. A
-/// template that does not fit the device is returned as an error and
-/// not cached.
-#[derive(Debug, Default)]
-pub struct SharedTemplateCache {
-    state: Mutex<TemplateEntries<DeviceTemplate>>,
-}
-
-impl SharedTemplateCache {
-    /// Templates prepared for the device so far — one per (device,
-    /// template) (telemetry).
-    pub fn builds(&self) -> u64 {
-        self.state.lock().expect("shared template lock").builds
-    }
-
-    /// Lookups served by an existing entry so far (telemetry).
-    pub fn hits(&self) -> u64 {
-        self.state.lock().expect("shared template lock").hits
-    }
-
-    /// The entry for `template`, preparing it over the architecture's
-    /// entry on the first device-wide request. The architecture's lock
-    /// is taken under this cache's, never the reverse.
-    fn get_or_prepare(
-        &self,
-        template: &Circuit,
-        architecture: &ArchitectureTemplates,
-        topology: &Topology,
-    ) -> Result<Arc<DeviceTemplate>, TranspileError> {
-        let mut s = self.state.lock().expect("shared template lock");
-        s.get_or_build(
-            template,
-            |entry| &entry.architecture.template,
-            || {
-                Ok(DeviceTemplate::new(
-                    architecture.get_or_transpile(template, topology)?,
-                ))
-            },
-        )
-    }
-}
-
 /// The transpiled templates of one architecture, shared by the devices
 /// minted together on an equal [`Topology`] (see the module docs): one
-/// transpile per (architecture, template), where a
-/// [`SharedTemplateCache`] counts one preparation per (device,
-/// template). Entries are keyed, built and kept like the device
-/// cache's; a template that does not fit is an error and not cached.
+/// entry per logical template, compared bit for bit, transpiled on the
+/// first request of any of the devices. Entries are built *under* the
+/// cache's lock — exactly one transpile per key even when callers race,
+/// so the `transpiles`/`hits` totals are deterministic — and never
+/// evicted; a template that does not fit is an error and not cached.
 /// Each entry also keeps the plans the devices made of it, at most one
 /// per schedule signature.
 #[derive(Debug, Default)]
 pub struct ArchitectureTemplates {
-    state: Mutex<TemplateEntries<ArchitectureTemplate>>,
+    state: Mutex<ArchitectureEntries>,
+}
+
+/// The entries of an [`ArchitectureTemplates`] and its counters.
+#[derive(Default)]
+struct ArchitectureEntries {
+    entries: Vec<Arc<ArchitectureTemplate>>,
+    transpiles: u64,
+    hits: u64,
+}
+
+impl fmt::Debug for ArchitectureEntries {
+    /// Counts only: every client already prints the entries it holds.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("ArchitectureEntries")
+            .field("entries", &self.entries.len())
+            .field("transpiles", &self.transpiles)
+            .field("hits", &self.hits)
+            .finish()
+    }
 }
 
 impl ArchitectureTemplates {
@@ -767,7 +652,7 @@ impl ArchitectureTemplates {
         self.state
             .lock()
             .expect("architecture template lock")
-            .builds
+            .transpiles
     }
 
     /// Lookups served by an existing entry so far (telemetry).
@@ -775,7 +660,7 @@ impl ArchitectureTemplates {
         self.state.lock().expect("architecture template lock").hits
     }
 
-    /// Plans of the architecture's templates that some device or
+    /// Plans of the architecture's templates that some client or
     /// thread still holds: one per (template, schedule signature) in
     /// use (telemetry).
     pub fn live_plans(&self) -> usize {
@@ -798,12 +683,16 @@ impl ArchitectureTemplates {
         template: &Circuit,
         topology: &Topology,
     ) -> Result<Arc<ArchitectureTemplate>, TranspileError> {
-        let mut s = self.state.lock().expect("architecture template lock");
-        s.get_or_build(
-            template,
-            |entry| &entry.template,
-            || ArchitectureTemplate::transpile(template, topology),
-        )
+        let mut state = self.state.lock().expect("architecture template lock");
+        let s = &mut *state;
+        if let Some(entry) = s.entries.iter().find(|e| same_bits(&e.template, template)) {
+            s.hits += 1;
+            return Ok(Arc::clone(entry));
+        }
+        let entry = Arc::new(ArchitectureTemplate::transpile(template, topology)?);
+        s.transpiles += 1;
+        s.entries.push(Arc::clone(&entry));
+        Ok(entry)
     }
 }
 
@@ -837,7 +726,6 @@ struct DeviceIdentity {
     /// Unique per identity — the backend id of every [`NoiseToken`].
     id: u64,
     noise: SharedNoiseCache,
-    templates: SharedTemplateCache,
     /// The transpiled templates of the device's architecture, shared
     /// with the devices it was minted with.
     architecture: Arc<ArchitectureTemplates>,
@@ -849,7 +737,6 @@ impl DeviceIdentity {
         Arc::new(DeviceIdentity {
             id: NEXT_ID.fetch_add(1, Ordering::Relaxed),
             noise: SharedNoiseCache::default(),
-            templates: SharedTemplateCache::default(),
             architecture,
         })
     }
@@ -958,8 +845,7 @@ impl QpuBackend {
     ///
     /// The jitter changes the device's noise, so the result is a new
     /// device: a fresh identity (new [`NoiseToken`] id, empty
-    /// [`SharedNoiseCache`] and [`SharedTemplateCache`]) that no earlier
-    /// clone shares. The coupling map is unchanged, so it keeps its
+    /// [`SharedNoiseCache`]) that no earlier clone shares. The coupling map is unchanged, so it keeps its
     /// [`ArchitectureTemplates`].
     pub fn with_recal_jitter(mut self, sigma: f64) -> Self {
         self.recal_jitter = sigma.max(0.0);
@@ -1019,28 +905,21 @@ impl QpuBackend {
         &self.identity.noise
     }
 
-    /// The device's prepared `template`: made on the first request of
-    /// any clone of the device, over the architecture's entry —
+    /// `template` prepared for this device: the architecture's entry,
     /// transpiled for this topology and compacted on the first request
     /// of any device that shares the architecture; later requests share
-    /// those entries.
+    /// it.
     ///
     /// # Errors
     ///
     /// Returns [`TranspileError`] if the template does not fit the
-    /// device; nothing is cached then, at either level.
-    pub fn template(&self, template: &Circuit) -> Result<Arc<DeviceTemplate>, TranspileError> {
-        let identity = &*self.identity;
-        identity
-            .templates
-            .get_or_prepare(template, &identity.architecture, &self.topology)
-    }
-
-    /// The prepared templates this backend shares with every clone of
-    /// its device (telemetry: [`SharedTemplateCache::builds`] and
-    /// [`SharedTemplateCache::hits`]).
-    pub fn device_template_cache(&self) -> &SharedTemplateCache {
-        &self.identity.templates
+    /// device; nothing is cached then.
+    pub fn template(&self, template: &Circuit) -> Result<DeviceTemplate, TranspileError> {
+        let architecture = self
+            .identity
+            .architecture
+            .get_or_transpile(template, &self.topology)?;
+        Ok(DeviceTemplate { architecture })
     }
 
     /// The transpiled templates this backend shares with every device
@@ -1204,20 +1083,13 @@ impl QpuBackend {
         let cache = &mut self.noise_cache;
         match cache.entries.iter().position(|e| e.active == active) {
             Some(i) => {
-                // Drift-factor refreshes stay per-clone: on a drifting
-                // device the factors change per job, so routing them
-                // through the shared cache would serialize every job on
-                // its lock for entries no other clone can hit.
+                // The model is this clone's: a drift-factor refresh
+                // rewrites it in place, taking no lock.
                 let entry = &mut cache.entries[i];
                 if entry.factors != factors {
-                    // Once this clone holds the only reference — after
-                    // its first refresh — the model is rewritten in place.
-                    match Arc::get_mut(&mut entry.model) {
-                        Some(model) => entry.base.drift_into(factors.0, factors.1, model),
-                        None => {
-                            entry.model = Arc::new(entry.base.drifted_model(factors.0, factors.1))
-                        }
-                    }
+                    entry
+                        .base
+                        .drift_into(factors.0, factors.1, &mut entry.model);
                     entry.factors = factors;
                     cache.model_builds += 1;
                 }
@@ -1225,12 +1097,11 @@ impl QpuBackend {
             }
             None => {
                 let reported = cache.reported.as_deref().expect("cycle cache populated");
-                let (base, model) =
-                    self.identity
-                        .noise
-                        .base_and_model(cycle, active, factors, || {
-                            BaseNoise::project(reported, active)
-                        });
+                let base = self
+                    .identity
+                    .noise
+                    .base(cycle, active, || BaseNoise::project(reported, active));
+                let model = base.drifted_model(factors.0, factors.1);
                 cache.model_builds += 1;
                 cache.entries.push(NoiseEntry {
                     active: active.to_vec(),
@@ -1372,7 +1243,7 @@ impl QpuBackend {
         let (_, job) = self.execute_with(shots, submit, |be, started| {
             let entry = be.noise_entry(started, active_physical);
             assert_density_fits(circuit.num_qubits());
-            let noise = &*be.noise_cache.entries[entry].model;
+            let noise = &be.noise_cache.entries[entry].model;
             let program = crate::compile::compile_bound(circuit, noise);
             let counts = with_scratch(|s| s.sim.engine.run_program(&program, shots, &mut be.rng));
             vec![(counts, program.duration_ns(), noise.readout_time_ns)]
@@ -1427,9 +1298,11 @@ impl QpuBackend {
     }
 
     /// [`QpuBackend::execute_templates`] over the device's prepared
-    /// templates — the client's path. `runs` index `entries`; an entry
-    /// listed twice runs from one program, the thread's (see the module
-    /// docs). `read` gets each run's histogram, in run order, remapped
+    /// templates — the client's path. `runs` index `entries` and the
+    /// caller's [`PlanPointer`]s beside them in `plans`; entries of one
+    /// template run from one program, the thread's (see the module
+    /// docs), and the first of them the runs name gets back the plan it
+    /// ran on. `read` gets each run's histogram, in run order, remapped
     /// to its template's logical bit order
     /// ([`DeviceTemplate::logical_bits`]); the histograms are the
     /// thread's scratch, so what `read` needs of them it returns, and
@@ -1440,10 +1313,13 @@ impl QpuBackend {
     ///
     /// # Panics
     ///
-    /// As [`QpuBackend::execute_templates`].
+    /// As [`QpuBackend::execute_templates`], and on a run that indexes
+    /// past `entries` or `plans`.
+    #[allow(clippy::too_many_arguments)]
     pub fn execute_device_templates<T>(
         &mut self,
-        entries: &[Arc<DeviceTemplate>],
+        entries: &[DeviceTemplate],
+        plans: &mut [PlanPointer],
         runs: impl IntoIterator<Item = TemplateRun>,
         params: &[f64],
         shots: usize,
@@ -1458,14 +1334,13 @@ impl QpuBackend {
             // Each distinct entry's program, out of the memo.
             for run in runs {
                 let entry = &entries[run.template];
-                let taken = s.entries.iter();
-                let found = taken
-                    .map(|&(e, _)| e)
-                    .position(|e| Arc::ptr_eq(&entries[e], entry));
+                let found = s
+                    .entries
+                    .iter()
+                    .position(|&e| Arc::ptr_eq(&entries[e].architecture, &entry.architecture));
                 let template = found.unwrap_or_else(|| {
-                    let plan = entry.plan.lock().expect("plan lock").clone();
-                    let program = s.take(entry, plan.clone(), self.identity.id);
-                    s.entries.push((run.template, plan));
+                    let program = s.take(entry, &plans[run.template], self.identity.id);
+                    s.entries.push(run.template);
                     s.taken.push(program);
                     s.entries.len() - 1
                 });
@@ -1483,15 +1358,16 @@ impl QpuBackend {
                 s.logical.resize_with(n, Counts::default);
             }
             for (i, run) in s.runs.iter().enumerate() {
-                let bits = entries[s.entries[run.template].0].logical_bits();
+                let bits = entries[s.entries[run.template]].logical_bits();
                 remap_counts_into(&s.counts[i], bits, &mut s.logical[i]);
             }
             let read = read(&s.logical[..n]);
-            // A job that adopted or made a plan hands it to the device.
-            for ((e, taken), program) in s.entries.drain(..).zip(&s.taken) {
+            // A job that adopted or made a plan hands it to the caller.
+            for (e, program) in s.entries.drain(..).zip(&s.taken) {
                 let planned = program.plan().expect("compiled");
-                if !taken.as_ref().is_some_and(|t| Arc::ptr_eq(t, planned)) {
-                    *entries[e].plan.lock().expect("plan lock") = Some(Arc::clone(planned));
+                let PlanPointer(plan) = &mut plans[e];
+                if !plan.as_ref().is_some_and(|p| Arc::ptr_eq(p, planned)) {
+                    *plan = Some(Arc::clone(planned));
                 }
             }
             s.keep_taken();
@@ -1561,7 +1437,7 @@ impl QpuBackend {
         for run in runs {
             let template = templates[run.template].borrow_mut();
             let entry = self.noise_entry(started, template.active_physical());
-            let noise = &*self.noise_cache.entries[entry].model;
+            let noise = &self.noise_cache.entries[entry].model;
             compiles[template.ensure_compiled_with(noise, token, &mut sim.refresh) as usize] += 1;
             let program = template.program();
             assert_density_fits(program.num_qubits());
@@ -2021,10 +1897,12 @@ mod tests {
         }
         assert_ne!(a.noise_token(at).backend, b.noise_token(at).backend);
         let (ea, eb) = (a.template(&ry_template()), b.template(&ry_template()));
-        assert!(!Arc::ptr_eq(&ea.unwrap(), &eb.unwrap()));
+        let (ea, eb) = (ea.expect("fits"), eb.expect("fits"));
+        assert!(!Arc::ptr_eq(&ea.architecture, &eb.architecture));
         for be in [&a, &b] {
-            let cache = be.device_template_cache();
-            assert_eq!((cache.builds(), cache.hits()), (1, 0), "{}", be.name());
+            let architecture = be.architecture_templates();
+            let counts = (architecture.transpiles(), architecture.hits());
+            assert_eq!(counts, (1, 0), "{}", be.name());
         }
     }
 
@@ -2036,27 +1914,21 @@ mod tests {
         let clone = device.clone();
         assert_eq!(clone.noise_token(at), device.noise_token(at));
         device.template(&ry_template()).expect("fits");
-        assert_eq!(clone.device_template_cache().builds(), 1);
+        assert_eq!(clone.architecture_templates().transpiles(), 1);
         let jittered = device.clone().with_recal_jitter(0.5);
         assert_ne!(
             jittered.noise_token(at).backend,
             device.noise_token(at).backend
         );
-        for (builds, hits) in [
-            (
-                jittered.device_noise_cache().builds(),
-                jittered.device_noise_cache().hits(),
-            ),
-            (
-                jittered.device_template_cache().builds(),
-                jittered.device_template_cache().hits(),
-            ),
-        ] {
-            assert_eq!((builds, hits), (0, 0), "a new device starts empty");
-        }
+        let noise = jittered.device_noise_cache();
+        assert_eq!(
+            (noise.builds(), noise.hits()),
+            (0, 0),
+            "a new device starts empty"
+        );
         assert_eq!(jittered.reported_calibration_builds(), 0);
-        // The coupling map is the same: the new device prepares its own
-        // entry over the architecture's transpile.
+        // The coupling map is the same: the new device finds the
+        // architecture's transpile.
         let architecture = jittered.architecture_templates();
         assert!(std::ptr::eq(architecture, device.architecture_templates()));
         let (mine, theirs) = (
@@ -2064,10 +1936,8 @@ mod tests {
             device.template(&ry_template()),
         );
         let (mine, theirs) = (mine.expect("fits"), theirs.expect("fits"));
-        assert!(!Arc::ptr_eq(&mine, &theirs));
         assert!(Arc::ptr_eq(&mine.architecture, &theirs.architecture));
-        assert_eq!((architecture.transpiles(), architecture.hits()), (1, 1));
-        assert_eq!(jittered.device_template_cache().builds(), 1);
+        assert_eq!((architecture.transpiles(), architecture.hits()), (1, 2));
     }
 
     #[test]
@@ -2135,12 +2005,21 @@ mod tests {
         )
     }
 
+    /// A template prepared for a device and a plan pointer, as a client
+    /// holds them.
+    type Entry = (DeviceTemplate, PlanPointer);
+
+    /// `be`'s entry for `template`, not yet run.
+    fn entry(be: &QpuBackend, template: &Circuit) -> Entry {
+        (be.template(template).expect("fits"), PlanPointer::default())
+    }
+
     /// One shift pair and an unshifted run of `entry` as one job: its
     /// counts and completion bits. What its compiles did is added to
     /// `compiles`, indexed by [`Compile`].
     fn template_job(
         be: &mut QpuBackend,
-        entry: &Arc<DeviceTemplate>,
+        entry: &mut Entry,
         at: SimTime,
         compiles: &mut [u64; 3],
     ) -> (Vec<Counts>, u64) {
@@ -2150,12 +2029,12 @@ mod tests {
     /// [`template_job`] bound with `params`.
     fn template_job_with(
         be: &mut QpuBackend,
-        entry: &Arc<DeviceTemplate>,
+        (template, plan): &mut Entry,
         params: &[f64],
         at: SimTime,
         compiles: &mut [u64; 3],
     ) -> (Vec<Counts>, u64) {
-        let occ = entry.occurrences(ParamId(0))[0];
+        let occ = template.occurrences(ParamId(0))[0];
         let runs = [0.5, -0.5]
             .map(|d| TemplateRun {
                 template: 0,
@@ -2167,9 +2046,9 @@ mod tests {
                 shift: None,
             }])
             .collect::<Vec<_>>();
-        let entries = [Arc::clone(entry)];
+        let (entries, plans) = (std::slice::from_ref(template), std::slice::from_mut(plan));
         let (job, outcomes, counts) =
-            be.execute_device_templates(&entries, runs, params, 256, at, <[Counts]>::to_vec);
+            be.execute_device_templates(entries, plans, runs, params, 256, at, <[Counts]>::to_vec);
         for (tally, n) in compiles.iter_mut().zip(outcomes) {
             *tally += n;
         }
@@ -2186,11 +2065,11 @@ mod tests {
     fn clones_share_one_entry_per_template() {
         let device = steady_backend(7);
         let (mut a, mut b) = (device.clone(), device.clone());
-        let ea = a.template(&ry_template()).expect("fits");
-        let eb = b.template(&ry_template()).expect("fits");
-        assert!(Arc::ptr_eq(&ea, &eb), "clones share the device's entry");
-        let cache = device.device_template_cache();
-        assert_eq!((cache.builds(), cache.hits()), (1, 1));
+        let (mut ea, mut eb) = (entry(&a, &ry_template()), entry(&b, &ry_template()));
+        let shared = Arc::ptr_eq(&ea.0.architecture, &eb.0.architecture);
+        assert!(shared, "clones share the architecture's entry");
+        let cache = device.architecture_templates();
+        assert_eq!((cache.transpiles(), cache.hits()), (1, 1));
         // The key is the circuit's bits: an angle of -0.0 is another
         // template, though `==` on the angles calls it equal.
         let signed = |angle: f64| {
@@ -2199,29 +2078,28 @@ mod tests {
             b.build()
         };
         assert_eq!(signed(0.0), signed(-0.0));
-        let (plus, minus) = (a.template(&signed(0.0)), a.template(&signed(-0.0)));
-        assert!(!Arc::ptr_eq(&plus.unwrap(), &minus.unwrap()));
-        assert_eq!((cache.builds(), cache.hits()), (3, 1));
+        let (plus, minus) = (entry(&a, &signed(0.0)), entry(&a, &signed(-0.0)));
+        assert!(!Arc::ptr_eq(&plus.0.architecture, &minus.0.architecture));
+        assert_eq!((cache.transpiles(), cache.hits()), (3, 1));
         // Jobs of both clones on the shared entry replay two separately
         // built twins on their own entries, bit for bit, across the
         // hour-24 recalibration.
         let (mut ta, mut tb) = (steady_backend(7), steady_backend(7));
-        let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
-        let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
+        let (mut fa, mut fb) = (entry(&ta, &ry_template()), entry(&tb, &ry_template()));
         let (mut shared, mut twins) = ([0; 3], [0; 3]);
         for h in [1.0, 2.0, 25.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
-                template_job(&mut a, &ea, at, &mut shared),
-                template_job(&mut ta, &fa, at, &mut twins)
+                template_job(&mut a, &mut ea, at, &mut shared),
+                template_job(&mut ta, &mut fa, at, &mut twins)
             );
             assert_eq!(
-                template_job(&mut b, &eb, at, &mut shared),
-                template_job(&mut tb, &fb, at, &mut twins)
+                template_job(&mut b, &mut eb, at, &mut shared),
+                template_job(&mut tb, &mut fb, at, &mut twins)
             );
         }
         // One plan for the device: the second clone's jobs in a cycle
-        // hit what the first clone's compiled.
+        // hit the numbers the first clone's compiled on this thread.
         let (compiles, plans, _) = compile_counts(&shared);
         assert_eq!((compiles, plans), (2, 1), "one compile per cycle");
     }
@@ -2234,16 +2112,16 @@ mod tests {
         // twin that ran the same jobs on a thread of its own.
         let jobs = || {
             let mut be = steady_backend(17);
-            let entry = be.template(&ry_template()).expect("fits");
+            let mut entry = entry(&be, &ry_template());
             let mut compiles = [0; 3];
-            let first = template_job(&mut be, &entry, SimTime::from_hours(1.0), &mut compiles);
+            let first = template_job(&mut be, &mut entry, SimTime::from_hours(1.0), &mut compiles);
             let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let at = SimTime::from_hours(25.0);
-                template_job_with(&mut be, &entry, &[], at, &mut [0; 3])
+                template_job_with(&mut be, &mut entry, &[], at, &mut [0; 3])
             }));
             assert!(panicked.is_err(), "bind panics on a short vector");
             let mut next = [0; 3];
-            let after = template_job(&mut be, &entry, SimTime::from_hours(26.0), &mut next);
+            let after = template_job(&mut be, &mut entry, SimTime::from_hours(26.0), &mut next);
             (first, after, next)
         };
         let (first, after, next) = jobs();
@@ -2255,28 +2133,29 @@ mod tests {
     #[test]
     fn clones_on_two_threads_run_one_entry_without_locks() {
         // Two threads, one clone each, take turns at jobs on the
-        // device's one entry across the hour-24 recalibration: both
-        // refresh under the plan one of them made. Each thread's jobs
-        // must equal a separately built twin's, run alone.
+        // architecture's one entry across the hour-24 recalibration:
+        // both refresh under the plan one of them made. Each thread's
+        // jobs must equal a separately built twin's, run alone.
         let hours = [1.0, 23.0, 25.0, 30.0];
         let device = calibrated_line(1.0, 3);
-        let entry = device.template(&ry_template()).expect("fits");
+        let template = device.template(&ry_template()).expect("fits");
         let turns = std::sync::Barrier::new(2);
-        let jobs = |mut be: QpuBackend, entry: &Arc<DeviceTemplate>| {
+        let jobs = |mut be: QpuBackend| {
+            let mut entry = (template.clone(), PlanPointer::default());
             hours.map(|h| {
                 turns.wait();
-                template_job(&mut be, entry, SimTime::from_hours(h), &mut [0; 3])
+                template_job(&mut be, &mut entry, SimTime::from_hours(h), &mut [0; 3])
             })
         };
         let (a, b) = std::thread::scope(|s| {
-            let a = s.spawn(|| jobs(device.clone(), &entry));
-            let b = s.spawn(|| jobs(device.clone(), &entry));
+            let a = s.spawn(|| jobs(device.clone()));
+            let b = s.spawn(|| jobs(device.clone()));
             (a.join().expect("a runs"), b.join().expect("b runs"))
         });
         let mut twin = calibrated_line(1.0, 3);
-        let lone = twin.template(&ry_template()).expect("fits");
+        let mut lone = entry(&twin, &ry_template());
         let alone =
-            hours.map(|h| template_job(&mut twin, &lone, SimTime::from_hours(h), &mut [0; 3]));
+            hours.map(|h| template_job(&mut twin, &mut lone, SimTime::from_hours(h), &mut [0; 3]));
         assert_eq!(a, alone, "first thread");
         assert_eq!(b, alone, "second thread");
     }
@@ -2293,14 +2172,9 @@ mod tests {
                 "4 qubits on a 3-qubit line"
             );
         }
-        let (cache, architecture) = (
-            device.device_template_cache(),
-            device.architecture_templates(),
-        );
-        assert_eq!((cache.builds(), cache.hits()), (0, 0));
+        let architecture = device.architecture_templates();
         assert_eq!((architecture.transpiles(), architecture.hits()), (0, 0));
         device.template(&ry_template()).expect("fits");
-        assert_eq!((cache.builds(), cache.hits()), (1, 0));
         assert_eq!((architecture.transpiles(), architecture.hits()), (1, 0));
     }
 
@@ -2337,35 +2211,28 @@ mod tests {
         QpuBackend::share_architectures([&mut a, &mut b]);
         let architecture = a.architecture_templates();
         assert!(std::ptr::eq(architecture, b.architecture_templates()));
-        let (ea, eb) = (a.template(&ry_template()), b.template(&ry_template()));
-        let (ea, eb) = (ea.expect("fits"), eb.expect("fits"));
+        let (mut ea, mut eb) = (entry(&a, &ry_template()), entry(&b, &ry_template()));
         assert_eq!((architecture.transpiles(), architecture.hits()), (1, 1));
-        assert!(Arc::ptr_eq(&ea.architecture, &eb.architecture));
-        assert!(!Arc::ptr_eq(&ea, &eb), "each device prepares its own");
-        for be in [&a, &b] {
-            let cache = be.device_template_cache();
-            assert_eq!((cache.builds(), cache.hits()), (1, 0));
-        }
+        assert!(Arc::ptr_eq(&ea.0.architecture, &eb.0.architecture));
         // The shared transpile is a lone device's, bit for bit.
         let lone = calibrated_line(1.0, 3).template(&ry_template());
         let lone = lone.expect("fits");
-        assert_same_transpile(&ea, &lone);
-        assert_same_transpile(&eb, &lone);
+        assert_same_transpile(&ea.0, &lone);
+        assert_same_transpile(&eb.0, &lone);
         // Each device's jobs replay an unshared twin's across the
         // hour-24 recalibration: counts and completion bits.
         let (mut ta, mut tb) = (calibrated_line(1.0, 3), calibrated_line(0.5, 4));
-        let (fa, fb) = (ta.template(&ry_template()), tb.template(&ry_template()));
-        let (fa, fb) = (fa.expect("fits"), fb.expect("fits"));
-        assert!(!Arc::ptr_eq(&fa.architecture, &fb.architecture));
+        let (mut fa, mut fb) = (entry(&ta, &ry_template()), entry(&tb, &ry_template()));
+        assert!(!Arc::ptr_eq(&fa.0.architecture, &fb.0.architecture));
         for h in [1.0, 23.0, 25.0, 30.0] {
             let at = SimTime::from_hours(h);
             assert_eq!(
-                template_job(&mut a, &ea, at, &mut [0; 3]),
-                template_job(&mut ta, &fa, at, &mut [0; 3])
+                template_job(&mut a, &mut ea, at, &mut [0; 3]),
+                template_job(&mut ta, &mut fa, at, &mut [0; 3])
             );
             assert_eq!(
-                template_job(&mut b, &eb, at, &mut [0; 3]),
-                template_job(&mut tb, &fb, at, &mut [0; 3])
+                template_job(&mut b, &mut eb, at, &mut [0; 3]),
+                template_job(&mut tb, &mut fb, at, &mut [0; 3])
             );
         }
     }
@@ -2441,21 +2308,17 @@ mod tests {
 
     #[test]
     fn a_job_never_takes_the_architecture_lock() {
+        // Fetching the entry is set-up work and takes the architecture
+        // lock; with that lock held, a clone still plans and runs a job
+        // on the entry it fetched before.
         let device = steady_backend(23);
-        let entry = device.template(&ry_template()).expect("fits");
+        let mut entry = entry(&device, &ry_template());
         let architecture = device.identity.architecture.state.lock().expect("lock");
-        // With the architecture lock held, a clone still fetches the
-        // prepared entry from the device's cache and runs a job on it.
-        let clone = device.clone();
-        let (again, counts) =
-            within_a_minute("a job must not wait on the architecture", move || {
-                let mut be = clone;
-                let again = be.template(&ry_template()).expect("fits");
-                let at = SimTime::from_hours(1.0);
-                let (counts, _) = template_job(&mut be, &again, at, &mut [0; 3]);
-                (again, counts)
-            });
-        assert!(Arc::ptr_eq(&entry, &again));
+        let mut be = device.clone();
+        let counts = within_a_minute("a job must not wait on the architecture", move || {
+            let at = SimTime::from_hours(1.0);
+            template_job(&mut be, &mut entry, at, &mut [0; 3]).0
+        });
         assert_eq!(counts.len(), 3);
         drop(architecture);
     }

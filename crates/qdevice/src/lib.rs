@@ -45,8 +45,8 @@ pub mod noise_model;
 pub mod queue;
 
 pub use backend::{
-    ArchitectureTemplates, DeviceTemplate, JobResult, JobTiming, QpuBackend, SharedNoiseCache,
-    SharedTemplateCache, TemplateRun,
+    ArchitectureTemplates, DeviceTemplate, JobResult, JobTiming, PlanPointer, QpuBackend,
+    SharedNoiseCache, TemplateRun,
 };
 pub use calibration::{Calibration, QubitCalibration};
 pub use catalog::{by_name, catalog, DeviceSpec, TopologyClass};

@@ -270,28 +270,15 @@ fn architectures(clients: &[ClientNode]) -> Vec<&qdevice::ArchitectureTemplates>
     distinct
 }
 
-/// `(architectures, transpiles, device builds)` of a fresh session of
-/// `problem` over `ensemble`'s devices.
+/// `(architectures, transpiles, hits)` of a fresh session of `problem`
+/// over `ensemble`'s devices.
 fn session_transpiles(ensemble: &Ensemble, problem: &VqeProblem) -> (usize, u64, u64) {
     let mut session = ensemble.session(problem).expect("templates fit");
     let (clients, _) = session.split_mut();
-    let templates = problem.templates().len() as u64;
-    for c in clients.iter() {
-        let cache = c.backend().device_template_cache();
-        assert_eq!(
-            (cache.builds(), cache.hits()),
-            (templates, 0),
-            "one build per (device, template) on {}",
-            c.backend().name()
-        );
-    }
     let architectures = architectures(clients);
     let transpiles = architectures.iter().map(|a| a.transpiles()).sum();
-    let builds = clients
-        .iter()
-        .map(|c| c.backend().device_template_cache().builds())
-        .sum();
-    (architectures.len(), transpiles, builds)
+    let hits = architectures.iter().map(|a| a.hits()).sum();
+    (architectures.len(), transpiles, hits)
 }
 
 #[test]
@@ -316,8 +303,8 @@ fn devices_on_one_coupling_map_transpile_once_between_them() {
     let templates = problem.templates().len() as u64;
     assert_eq!(
         session_transpiles(&ensemble, &problem),
-        (3, 3 * templates, 7 * templates),
-        "(distinct maps x templates) transpiles, (devices x templates) builds"
+        (3, 3 * templates, 4 * templates),
+        "(distinct maps x templates) transpiles; the other devices' requests hit"
     );
 }
 
@@ -333,7 +320,7 @@ fn a_wide_fleet_transpiles_per_coupling_map_not_per_device() {
         .config(cfg(1))
         .build()
         .expect("builds");
-    assert_eq!(session_transpiles(&ensemble, &problem), (2, 6, 768));
+    assert_eq!(session_transpiles(&ensemble, &problem), (2, 6, 768 - 6));
 }
 
 /// Plan heap the parent design held after the 1-epoch Heisenberg-4
@@ -406,23 +393,38 @@ fn a_device_that_schedules_differently_plans_on_its_own() {
     QpuBackend::share_architectures(devices.iter_mut());
     let params = problem.initial_point(3);
     let templates = problem.templates().len();
+    // Each device's entries and plan pointers stay alive, as a client
+    // keeps them, so the plans do not rest on the thread's memo.
     let run = |device: &mut QpuBackend| {
-        for template in problem.templates() {
-            let entry = device.template(template).expect("fits");
+        let mut plans = vec![qdevice::PlanPointer::default(); templates];
+        let entries: Vec<_> = (problem.templates().iter())
+            .map(|template| device.template(template).expect("fits"))
+            .collect();
+        for t in 0..templates {
             let runs = [qdevice::TemplateRun {
-                template: 0,
+                template: t,
                 shift: None,
             }];
-            device.execute_device_templates(&[entry], runs, &params, 64, SimTime::ZERO, |_| ());
+            let submit = SimTime::ZERO;
+            device.execute_device_templates(
+                &entries,
+                &mut plans,
+                runs,
+                &params,
+                64,
+                submit,
+                |_| (),
+            );
         }
+        plans
     };
     let [a, b, c] = &mut devices;
     let architecture = |d: &QpuBackend| d.architecture_templates().live_plans();
-    run(a);
+    let _a = run(a);
     assert_eq!(architecture(a), templates);
-    run(b);
+    let _b = run(b);
     assert_eq!(architecture(b), templates, "the second device adopts");
-    run(c);
+    let _c = run(c);
     assert_eq!(
         architecture(c),
         2 * templates,
@@ -436,12 +438,13 @@ fn a_device_that_schedules_differently_plans_on_its_own() {
 
 #[test]
 fn co_tenants_share_each_devices_templates() {
-    // Three tenants on one problem: each device transpiles and plans
-    // each template once, for the first tenant's clone, and hands the
-    // same entry to the other two. Sharing must not show in any result:
-    // on the byte-isolated substrates each report is its standalone
-    // `Ensemble::train`; on the shared substrate the tenants contend
-    // for the ledgers by design, so there the oracle is a replay.
+    // Three tenants on one problem: each device transpiles each
+    // template once, for the first tenant's clone, and hands the same
+    // architecture entry to the other two. Sharing must not show in
+    // any result: on the byte-isolated substrates each report is its
+    // standalone `Ensemble::train`; on the shared substrate the tenants
+    // contend for the ledgers by design, so there the oracle is a
+    // replay.
     let problem = VqeProblem::h2();
     let configs = [7, 8, 9].map(|seed| {
         EqcConfig::paper_vqe()
@@ -474,11 +477,11 @@ fn co_tenants_share_each_devices_templates() {
         let outcome = fleet.run().expect("runs");
         let per_device = problem.templates().len() as u64;
         for d in &devices {
-            let cache = d.device_template_cache();
+            let cache = d.architecture_templates();
             assert_eq!(
-                (cache.builds(), cache.hits()),
+                (cache.transpiles(), cache.hits()),
                 (per_device, 2 * per_device),
-                "1 build and 2 hits per (device, template) on {}",
+                "1 transpile and 2 hits per (device, template) on {}",
                 d.name()
             );
         }
@@ -513,6 +516,48 @@ fn co_tenants_share_each_devices_templates() {
         format!("{:?}", run(FleetRuntime::builder().shared())),
         "the shared run replays"
     );
+}
+
+#[test]
+fn plans_live_as_long_as_the_clients_and_threads_that_ran_them() {
+    // Two tenants on a fleet that runs on a thread of its own, so the
+    // numbers that thread's memo kept die with it, and the fleet with
+    // its clients goes too. The one clone of each device kept here
+    // still holds the architecture's transpiles, but no plan.
+    let problem = VqeProblem::h2();
+    let devices: Vec<QpuBackend> = fleet_devices()
+        .into_iter()
+        .zip(7..)
+        .map(|(name, seed)| catalog::by_name(name).expect("catalog").backend(seed))
+        .collect();
+    let clones = devices.clone();
+    let outcome = std::thread::spawn(move || {
+        let problem = VqeProblem::h2();
+        let mut fleet = clones
+            .into_iter()
+            .fold(FleetRuntime::builder(), |b, d| b.backend(d))
+            .build()
+            .expect("builds");
+        for seed in [7, 8] {
+            let config = EqcConfig::paper_vqe().with_epochs(2).with_shots(64);
+            fleet
+                .admit(&problem, TenantConfig::new(config.with_seed(seed)))
+                .expect("admits");
+        }
+        fleet.run().expect("runs")
+    })
+    .join()
+    .expect("the fleet's thread");
+    assert!(outcome.reports.iter().all(|r| r.epochs == 2));
+    let per_device = problem.templates().len() as u64;
+    for d in &devices {
+        let architecture = d.architecture_templates();
+        let transpiles = architecture.transpiles();
+        assert_eq!(transpiles, per_device, "{}", d.name());
+        assert_eq!(architecture.live_plans(), 0, "{}", d.name());
+        d.template(&problem.templates()[0]).expect("fits");
+        assert_eq!(architecture.transpiles(), transpiles, "kept, not redone");
+    }
 }
 
 #[test]
