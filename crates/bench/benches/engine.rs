@@ -26,10 +26,10 @@ use eqc_bench::{benchmark_templates, probe_params, tape_census, template_fixture
 use eqc_core::ClientNode;
 use eqc_oracle::{baseline, reference};
 use qcircuit::CircuitBuilder;
-use qdevice::noise_model::{execute_density, NoiseModel};
+use qdevice::noise_model::NoiseModel;
 use qdevice::{
-    catalog, Calibration, CompiledTemplate, DriftModel, NoiseToken, QpuBackend, QueueModel,
-    SimTime, TemplateRun,
+    catalog, compile_bound, Calibration, CompiledTemplate, DriftModel, NoiseToken, QpuBackend,
+    QueueModel, SimTime, TemplateRun,
 };
 use qsim::noise::Superop;
 use qsim::program::{CompiledProgram, ProgramBuilder, TapeOp};
@@ -211,7 +211,7 @@ fn bench_channel_application(c: &mut Criterion) {
 
 fn bench_execute_density_paths(c: &mut Criterion) {
     // Single-function view of the same gap: reference executor vs the
-    // compile+engine wrapper at a fixed noise model.
+    // one-shot compile plus a fresh engine, at a fixed noise model.
     let circuit = vqe_circuit_bound(4);
     let cal = Calibration::uniform(4, 85.0, 65.0, 0.002, 0.015, 0.025);
     let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2, 3]);
@@ -222,7 +222,10 @@ fn bench_execute_density_paths(c: &mut Criterion) {
         b.iter(|| reference::execute_density(&circuit, &noise, 8192, &mut rng))
     });
     group.bench_function("engine_8192", |b| {
-        b.iter(|| execute_density(&circuit, &noise, 8192, &mut rng))
+        b.iter(|| {
+            let program = compile_bound(&circuit, &noise);
+            DensityEngine::new().run_program(&program, 8192, &mut rng)
+        })
     });
     group.finish();
 }

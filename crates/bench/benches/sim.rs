@@ -3,8 +3,8 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qcircuit::CircuitBuilder;
-use qdevice::noise_model::{execute_density, NoiseModel};
-use qdevice::Calibration;
+use qdevice::noise_model::NoiseModel;
+use qdevice::{compile_bound, Calibration};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,7 +37,10 @@ fn bench_density_noisy(c: &mut Criterion) {
         let active: Vec<usize> = (0..n).collect();
         let noise = NoiseModel::from_calibration(&cal, &active);
         group.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, _| {
-            b.iter(|| execute_density(&circuit, &noise, 1024, &mut rng))
+            b.iter(|| {
+                let program = compile_bound(&circuit, &noise);
+                qsim::DensityEngine::new().run_program(&program, 1024, &mut rng)
+            })
         });
     }
     group.finish();

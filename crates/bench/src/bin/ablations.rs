@@ -14,8 +14,8 @@ use eqc_bench::{band, ensemble_for, epochs_or, markdown_table, shots_or, train_e
 use eqc_core::{EqcConfig, SequentialExecutor};
 use eqc_oracle::reference;
 use qcircuit::measure::MeasurementPlan;
-use qdevice::noise_model::{execute_density, NoiseModel};
-use qdevice::SimTime;
+use qdevice::noise_model::NoiseModel;
+use qdevice::{compile_bound, SimTime};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use transpile::{transpile, RoutingStrategy, Topology, TranspileOptions};
@@ -155,7 +155,8 @@ fn main() {
     let cal = qdevice::Calibration::uniform(5, 80.0, 60.0, 0.001, 0.015, 0.025);
     let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2, 3, 4]);
     let mut rng = StdRng::seed_from_u64(5);
-    let (dens, _) = execute_density(&ghz, &noise, 40_000, &mut rng);
+    let dens =
+        qsim::DensityEngine::new().run_program(&compile_bound(&ghz, &noise), 40_000, &mut rng);
     let err_d = 1.0 - dens.fraction_where(|x| x == 0 || x == 0b11111);
     let mut rows = vec![vec!["density (exact)".to_string(), format!("{err_d:.4}")]];
     csv.push_str(&format!("engine,density,ghz_error,{err_d:.6}\n"));

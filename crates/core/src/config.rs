@@ -2,6 +2,7 @@
 
 use crate::error::EqcError;
 use crate::policy::{AlwaysHealthy, ClientHealth, Cyclic, FidelityWeighted, Scheduler, Weighting};
+use crate::pool::resolve_workers;
 use crate::weighting::WeightBounds;
 use std::sync::Arc;
 
@@ -49,13 +50,11 @@ impl SimParallelism {
     /// The pool a discrete-event session of `n_clients` clients runs
     /// on: `None` (inline) at one lane, else the resolved worker count.
     pub(crate) fn pool_workers(&self, n_clients: usize) -> Option<usize> {
-        let lanes = self.lanes();
-        (lanes > 1).then(|| {
-            PoolConfig {
-                workers: Some(lanes),
-            }
-            .resolved_workers(n_clients)
-        })
+        match self.lanes() {
+            1 => None,
+            // More than one lane is a positive count: the resolver accepts it.
+            lanes => resolve_workers(Some(lanes), n_clients).ok(),
+        }
     }
 }
 
@@ -396,49 +395,6 @@ impl Default for TenantConfig {
     }
 }
 
-/// Configuration of the bounded worker pool behind
-/// [`PooledExecutor`](crate::PooledExecutor).
-///
-/// Defaults to one worker per hardware thread
-/// ([`std::thread::available_parallelism`]); absorption always follows
-/// the discrete-event total order, so the pool is a drop-in for the
-/// discrete-event executor on fleets of any width.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PoolConfig {
-    /// Worker threads to spawn; `None` resolves to the machine's
-    /// available parallelism. Never more than one worker per client.
-    pub workers: Option<usize>,
-}
-
-impl PoolConfig {
-    /// Validates the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`EqcError::InvalidConfig`] when an explicit worker count is
-    /// zero.
-    pub fn validate(&self) -> Result<(), EqcError> {
-        if self.workers == Some(0) {
-            return Err(EqcError::InvalidConfig(
-                "pool worker count must be positive".into(),
-            ));
-        }
-        Ok(())
-    }
-
-    /// The worker count the pool actually spawns for `n_clients`
-    /// clients: the configured (or detected) parallelism, capped at one
-    /// worker per client.
-    pub fn resolved_workers(&self, n_clients: usize) -> usize {
-        let hw = || {
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(4)
-        };
-        self.workers.unwrap_or_else(hw).min(n_clients).max(1)
-    }
-}
-
 /// Configuration of the always-on
 /// [`FleetService`](crate::fleet::service::FleetService).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -501,24 +457,6 @@ mod tests {
         assert_eq!(c.learning_rate, 0.2);
         assert!(c.weight_bounds.is_some());
         assert!(c.validate().is_ok());
-    }
-
-    #[test]
-    fn pool_config_resolves_and_validates() {
-        let d = PoolConfig::default();
-        assert!(d.validate().is_ok());
-        assert!(d.resolved_workers(1000) >= 1);
-        assert!(
-            d.resolved_workers(2) <= 2,
-            "never more workers than clients"
-        );
-        let explicit = PoolConfig { workers: Some(8) };
-        assert_eq!(explicit.resolved_workers(256), 8);
-        assert_eq!(explicit.resolved_workers(3), 3);
-        assert!(matches!(
-            PoolConfig { workers: Some(0) }.validate(),
-            Err(EqcError::InvalidConfig(_))
-        ));
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //!
 //! The first two are one loop: both hand the session to the
 //! [`crate::fleet`] drive as a fleet of one tenant and differ only in
-//! its execution axis (inline vs worker pool).
+//! its execution choice (inline vs worker pool).
 //!
 //! * [`DiscreteEventExecutor`] — the default: a deterministic
 //!   discrete-event loop over virtual completion times (reproducible

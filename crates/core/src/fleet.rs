@@ -37,20 +37,23 @@
 //!   because no tenant ever constrains another's dispatches and every
 //!   tenant owns independent client state.
 //!
-//! ## One drive, two axes
+//! ## One drive, one execution choice
 //!
 //! Every fleet mode — batch or streaming, any substrate — and both
 //! single-session executors run the same resumable stepper, `drive`:
-//! `next event → arrival-or-absorb → grant → round += 1`. Only two
-//! things vary, and they are orthogonal:
+//! `next event → arrival-or-absorb → grant → round += 1`. What varies
+//! is one choice, how dispatches execute:
 //!
-//! * **Ledger ownership.** Private per-clone queues (the default), or
-//!   [`FleetBuilder::shared`]: one [`DeviceQueue`] timeline per
-//!   physical device, with an incremental occupancy view feeding
-//!   occupancy-aware schedulers. With zero load and one tenant the
-//!   shared ledgers replay the private ones byte for byte.
-//! * **Execution.** Inline at dispatch (the reference), or
-//!   [`FleetBuilder::pooled`]: tasks run on the bounded worker pool
+//! * **Inline** at dispatch (the reference), over private per-clone
+//!   queues (the default) or [`FleetBuilder::shared`]: one
+//!   [`DeviceQueue`] timeline per physical device, with an occupancy
+//!   view feeding occupancy-aware schedulers. The view rides only the
+//!   inline drive, where a task runs at its dispatch: a task that ran
+//!   circuits booked its client's device, so the dispatch marks that
+//!   device and the next refresh copies only the marked ones. With
+//!   zero load and one tenant the shared ledgers replay the private
+//!   ones byte for byte.
+//! * **Pooled**, [`FleetBuilder::pooled`]: tasks run on the bounded worker pool
 //!   ([`crate::pool`]'s sharded work-stealing run-queue) while the
 //!   coordinator absorbs them in the exact discrete-event total order
 //!   via conservative queue-model lookahead — parallel wall-clock,
@@ -239,9 +242,7 @@ impl Substrate {
     /// counts must be positive, exogenous load generators well-formed.
     pub(crate) fn validate(&self) -> Result<(), EqcError> {
         match self {
-            Substrate::Pooled { workers: Some(0) } => Err(EqcError::InvalidConfig(
-                "pool worker count must be positive".into(),
-            )),
+            Substrate::Pooled { workers } => crate::pool::resolve_workers(*workers, 1).map(drop),
             Substrate::Shared { load } => load
                 .validate()
                 .map_err(|e| EqcError::InvalidConfig(e.to_string())),
@@ -976,7 +977,7 @@ pub(crate) fn occupancy_rows(
 /// poisoned ledger surfaces as [`EqcError::LedgerPoisoned`], not a
 /// panic.
 ///
-/// Kept as the lock-and-allocate oracle the incremental
+/// Kept as the lock-and-allocate oracle the
 /// [`OccupancyTracker`] (the drives' hot path) is pinned against.
 #[cfg(test)]
 fn occupancy_snapshot(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<FleetOccupancy, EqcError> {
@@ -999,18 +1000,20 @@ fn occupancy_snapshot(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<FleetOccupa
     Ok(occ)
 }
 
-/// Incremental [`FleetOccupancy`] maintenance over the ledgers'
-/// lock-free read handles: one long-lived fleet view per drive,
-/// refreshed per decision point by copying only the devices whose
-/// published version changed since the last refresh. The steady state
-/// (no co-tenant booked since the last look) is allocation-free and
-/// lock-free — the old path locked all N ledgers and allocated a fresh
-/// [`FleetOccupancy`] per scheduler pick.
+/// [`FleetOccupancy`] maintenance over the ledgers' read handles: one
+/// long-lived fleet view per drive, refreshed per decision point by
+/// copying only the devices booked since the last refresh. The drive
+/// knows what it booked — an inline task that ran circuits booked its
+/// client's device, and client `i` is device `i` — so each dispatch
+/// marks that device and nothing else is ever read. The steady state
+/// (nothing booked since the last look) touches no ledger, and no
+/// refresh allocates.
 pub(crate) struct OccupancyTracker {
     handles: Vec<QueueReadHandle>,
-    /// Last version folded into `view` per device (`u64::MAX` forces
-    /// the first refresh to copy everything).
-    versions: Vec<u64>,
+    /// Devices booked since the last refresh, each listed once;
+    /// `stale[d]` says whether `d` is listed.
+    marked: Vec<usize>,
+    stale: Vec<bool>,
     view: FleetOccupancy,
     rebuilds: u64,
     reuses: u64,
@@ -1018,7 +1021,8 @@ pub(crate) struct OccupancyTracker {
 
 impl OccupancyTracker {
     /// Takes one read handle per ledger (each lock is held once, here,
-    /// never again). A poisoned ledger surfaces as
+    /// never again), with every device stale so the first refresh
+    /// copies them all. A poisoned ledger surfaces as
     /// [`EqcError::LedgerPoisoned`].
     pub(crate) fn new(ledgers: &[Arc<Mutex<DeviceQueue>>]) -> Result<Self, EqcError> {
         let handles = ledgers
@@ -1034,28 +1038,34 @@ impl OccupancyTracker {
         let n = handles.len();
         Ok(OccupancyTracker {
             handles,
-            versions: vec![u64::MAX; n],
+            marked: (0..n).collect(),
+            stale: vec![true; n],
             view: FleetOccupancy::with_devices(n),
             rebuilds: 0,
             reuses: 0,
         })
     }
 
-    /// Brings the fleet view up to date and returns it. Devices whose
-    /// published version is unchanged are skipped entirely.
+    /// Notes that a dispatch booked device `d`.
+    fn mark(&mut self, d: usize) {
+        if !std::mem::replace(&mut self.stale[d], true) {
+            self.marked.push(d);
+        }
+    }
+
+    /// Brings the fleet view up to date and returns it, copying only
+    /// the marked devices.
     fn refresh(&mut self) -> &FleetOccupancy {
-        for (d, handle) in self.handles.iter().enumerate() {
-            if handle.version() == self.versions[d] {
-                self.reuses += 1;
-                continue;
-            }
-            let s = handle.read();
+        let copied = self.marked.len();
+        for d in self.marked.drain(..) {
+            let s = self.handles[d].read();
             self.view.booked_until_s[d] = s.booked_until_s;
             self.view.backlog_s[d] = s.backlog_s;
             self.view.jobs_booked[d] = s.jobs_booked;
-            self.versions[d] = s.version;
-            self.rebuilds += 1;
+            self.stale[d] = false;
         }
+        self.rebuilds += copied as u64;
+        self.reuses += (self.handles.len() - copied) as u64;
         &self.view
     }
 
@@ -1196,14 +1206,26 @@ fn locate(offsets: &[usize], flat: usize) -> (usize, usize) {
     (lane, flat - offsets[lane])
 }
 
-/// Where dispatched tasks execute — the drive's second axis (the first
-/// being whether an [`OccupancyTracker`] over shared ledgers rides
-/// along).
+/// How a drive executes its dispatches — the one choice its callers
+/// make. The occupancy view rides only the inline drive: only there
+/// does the coordinator know, at dispatch, which device a task booked.
+pub(crate) enum Execution<'t> {
+    /// Tasks run inline at dispatch, refreshing the tracker over shared
+    /// ledgers, when there is one, ahead of each scheduling decision.
+    Inline(Option<&'t mut OccupancyTracker>),
+    /// Tasks run on a pool of this many workers.
+    Pool(usize),
+}
+
+/// The execution back end a drive runs against, built from its
+/// [`Execution`] by [`with_exec`].
 enum Exec<'w> {
     /// Tasks run inline at dispatch, so every completion is queued
     /// before the next step is chosen: the earliest known step is
     /// always provably next and there is never anything to wait for.
-    Inline,
+    Inline {
+        tracker: Option<&'w mut OccupancyTracker>,
+    },
     /// Tasks run on the worker pool. The coordinator takes a step only
     /// once the conservative queue-model lookahead proves no in-flight
     /// task can precede it, and otherwise blocks on the next worker
@@ -1223,7 +1245,17 @@ enum Exec<'w> {
 }
 
 impl Exec<'_> {
-    /// Dispatches lane `t`'s ready client `r`: inline the task runs now
+    /// The occupancy tracker, on an inline drive over shared ledgers.
+    fn tracker(&mut self) -> Option<&mut OccupancyTracker> {
+        match self {
+            Exec::Inline { tracker } => tracker.as_deref_mut(),
+            Exec::Pool { .. } => None,
+        }
+    }
+
+    /// Dispatches lane `t`'s ready client `r`: inline the task runs now,
+    /// marks the device it booked stale (a task that ran circuits
+    /// booked its client's device; one that ran none booked nothing),
     /// and its completion is queued and indexed; on the pool it is
     /// queued for the workers with its completion bound registered for
     /// the lookahead (its event enters the head index on receive — a
@@ -1239,7 +1271,7 @@ impl Exec<'_> {
         let client = r.client;
         let (assignment, submit) = lane.take_assignment(&r, round)?;
         match self {
-            Exec::Inline => {
+            Exec::Inline { tracker } => {
                 let result = lane.clients[client].run_task(
                     lane.problem,
                     assignment.task,
@@ -1247,6 +1279,11 @@ impl Exec<'_> {
                     lane.shots,
                     submit,
                 );
+                if let Some(tracker) = tracker.as_deref_mut() {
+                    if result.circuits_run > 0 {
+                        tracker.mark(client);
+                    }
+                }
                 let global_s = lane.push_event(
                     client,
                     result,
@@ -1360,7 +1397,7 @@ impl Exec<'_> {
     }
 }
 
-/// One arbiter grant round — a single implementation on every axis
+/// One arbiter grant round — a single implementation for every execution
 /// (the pooled drive's byte-for-byte replay of the inline one depends
 /// on it): allocate capacity, dispatch ready clients up to each lane's
 /// cap through `exec`, and account starvation (pending work, nothing
@@ -1375,7 +1412,6 @@ fn grant(
     arbiter: &dyn TenantArbiter,
     slots: usize,
     round: u64,
-    mut tracker: Option<&mut OccupancyTracker>,
     scratch: &mut GrantScratch,
     head: &mut HeadIndex,
     exec: &mut Exec<'_>,
@@ -1391,7 +1427,7 @@ fn grant(
             continue;
         }
         let cap = caps.get(t).copied().unwrap_or(0);
-        let picks = tracker.is_some() && lane.master.wants_occupancy();
+        let picks = exec.tracker().is_some() && lane.master.wants_occupancy();
         // The ready set in id order, kept in step with each pick.
         let candidates = &mut scratch.candidates;
         candidates.clear();
@@ -1401,7 +1437,7 @@ fn grant(
         }
         let mut granted = 0usize;
         while lane.in_flight < cap && !lane.ready.is_empty() {
-            let idx = match tracker.as_deref_mut() {
+            let idx = match exec.tracker() {
                 Some(tracker) if picks && lane.ready.len() > 1 => {
                     lane.master
                         .install_fleet_occupancy(tracker.refresh(), lane.offset_s);
@@ -1429,11 +1465,11 @@ fn grant(
 }
 
 /// The one resumable fleet stepper, behind every substrate, both fleet
-/// modes and both single-session executors. Its two axes are the
-/// arguments the callers already hold: `tracker` (`Some` over shared
-/// ledgers, refreshed ahead of each scheduling decision point) and
-/// `workers` (`None` executes inline, `Some(n)` on an `n`-worker pool,
-/// whose telemetry is returned on every path). Batch callers feed
+/// modes and both single-session executors. Its one choice is
+/// `execution`: inline, with the occupancy tracker over shared ledgers
+/// refreshed ahead of each scheduling decision point when there is
+/// one, or on an `n`-worker pool, whose telemetry is returned on every
+/// path. Batch callers feed
 /// [`arrivals_at_zero`] and a fresh clock; the streaming [`service`]
 /// keeps the clock across calls and feeds admissions as future
 /// arrivals.
@@ -1451,13 +1487,12 @@ pub(crate) fn drive(
     lanes: &mut [Lane<'_, '_>],
     arbiter: &dyn TenantArbiter,
     slots: usize,
-    mut tracker: Option<&mut OccupancyTracker>,
-    workers: Option<usize>,
+    execution: Execution<'_>,
     clock: &mut DriveClock,
     arrivals: &mut VecDeque<Arrival>,
     on_retire: &mut dyn FnMut(usize, f64),
 ) -> (Result<(), EqcError>, Option<PoolTelemetry>) {
-    with_exec(lanes, workers, |lanes, exec| {
+    with_exec(lanes, execution, |lanes, exec| {
         let mut head = HeadIndex::new(lanes);
         let mut scratch = GrantScratch::default();
         while !quiescent(lanes, arrivals) {
@@ -1484,7 +1519,7 @@ pub(crate) fn drive(
                 exec.wait(lanes, &mut head)?;
                 continue;
             }
-            if let Some(tracker) = tracker.as_deref_mut() {
+            if let Some(tracker) = exec.tracker() {
                 match arrival {
                     Some(at_s) => {
                         let due = arrivals.iter().take_while(|a| a.at_s <= at_s);
@@ -1512,7 +1547,6 @@ pub(crate) fn drive(
                 arbiter,
                 slots,
                 clock.round,
-                tracker.as_deref_mut(),
                 &mut scratch,
                 &mut head,
                 exec,
@@ -1523,18 +1557,20 @@ pub(crate) fn drive(
     })
 }
 
-/// Runs `body` against the execution back end `workers` selects:
-/// [`Exec::Inline`] for `None`; for `Some(n)`, the lanes' clients are
-/// flattened into one mutex-guarded pool any of `n` scoped worker
-/// threads can execute against, and handed back to their lanes on every
-/// path — poisoned mutexes still surrender their client.
+/// Runs `body` against the execution back end `execution` selects:
+/// [`Exec::Inline`] with its tracker; for [`Execution::Pool`] of `n`,
+/// the lanes' clients are flattened into one mutex-guarded pool any of
+/// `n` scoped worker threads can execute against, and handed back to
+/// their lanes on every path — poisoned mutexes still surrender their
+/// client.
 fn with_exec(
     lanes: &mut [Lane<'_, '_>],
-    workers: Option<usize>,
+    execution: Execution<'_>,
     body: impl FnOnce(&mut [Lane<'_, '_>], &mut Exec<'_>) -> Result<(), EqcError>,
 ) -> (Result<(), EqcError>, Option<PoolTelemetry>) {
-    let Some(workers) = workers else {
-        return (body(lanes, &mut Exec::Inline), None);
+    let workers = match execution {
+        Execution::Inline(tracker) => return (body(lanes, &mut Exec::Inline { tracker }), None),
+        Execution::Pool(workers) => workers,
     };
     // Remember each lane's offset and queue models (the lookahead
     // inputs) while flattening.
@@ -1636,8 +1672,9 @@ fn with_exec(
 
 /// Drains a standalone session as a fleet of one tenant: a single lane
 /// arriving at fleet time zero under the [`Unshared`] arbiter (weight
-/// and priority are irrelevant there), on the execution axis `workers`
-/// selects. The one entry point of the single-session executors.
+/// and priority are irrelevant there), inline without an occupancy
+/// view or on a pool of `workers`. The one entry point of the
+/// single-session executors.
 pub(crate) fn drive_session(
     session: &mut crate::ensemble::EnsembleSession<'_>,
     workers: Option<usize>,
@@ -1651,8 +1688,7 @@ pub(crate) fn drive_session(
         &mut lanes,
         &Unshared,
         slots,
-        None,
-        workers,
+        workers.map_or(Execution::Inline(None), Execution::Pool),
         &mut DriveClock::default(),
         &mut arrivals_at_zero(1),
         &mut |_, _| {},
@@ -2138,101 +2174,85 @@ mod tests {
     }
 
     #[test]
-    fn tracker_refreshes_never_tear_under_concurrent_bookings() {
-        use std::sync::atomic::{AtomicBool, Ordering};
-        // One booking thread per ledger while a reader refreshes the
-        // incremental view in a loop. Every per-device triple the view
-        // shows must be one its ledger published (recorded before
-        // publication, as in `qdevice`'s torn-read test), and no device's
-        // version may go backwards.
-        const DEVICES: usize = 4;
-        const BOOKINGS: u64 = 500;
-        let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = (0..DEVICES)
-            .map(|d| {
-                let q = DeviceQueue::new(QueueModel::light(2.0 + d as f64), LoadModel::None);
-                Arc::new(Mutex::new(q.expect("valid queue model")))
+    fn a_dispatch_that_runs_no_circuit_leaves_every_device_clean() {
+        // Parameter 0 is absent from this ansatz and its Hamiltonian
+        // measures in one group, so the cyclic schedule's first task
+        // returns at its submit time without a job, and its second
+        // (parameter 1) books its client's device.
+        let mut ansatz = qcircuit::CircuitBuilder::new(2);
+        ansatz.ry_sym(0, 1).ry_sym(1, 1).cx(0, 1);
+        let graph = vqa::Graph::from_edges(2, &[(0, 1)]);
+        let problem = vqa::VqeProblem::new(
+            "param-0-absent",
+            vqa::hamiltonians::maxcut(&graph),
+            ansatz.build(),
+        );
+        let ensemble = Ensemble::builder()
+            .devices(["belem", "manila"])
+            .device_seed(7)
+            .config(fleet_cfg(1))
+            .build()
+            .expect("builds");
+        let mut session = ensemble.session(&problem).expect("a fresh session");
+        let (clients, master) = session.split_mut();
+        let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = clients
+            .iter_mut()
+            .map(|client| {
+                let queue = DeviceQueue::new(QueueModel::light(5.0), LoadModel::None)
+                    .expect("valid queue model");
+                let ledger = Arc::new(Mutex::new(queue));
+                client
+                    .backend_mut()
+                    .attach_shared_queue(Arc::clone(&ledger));
+                ledger
             })
             .collect();
-        let published: Vec<Mutex<Vec<(f64, f64, u64)>>> = ledgers
-            .iter()
-            .map(|ledger| {
-                let s = ledger.lock().expect("fresh ledger").read_handle().read();
-                Mutex::new(vec![(s.booked_until_s, s.backlog_s, s.jobs_booked)])
-            })
-            .collect();
-        let done = AtomicBool::new(false);
-        let tracker = OccupancyTracker::new(&ledgers).expect("fresh ledgers");
-        let (mut tracker, refreshes) = thread::scope(|s| {
-            let (published, done) = (&published, &done);
-            let reader = s.spawn(move || {
-                let mut tracker = tracker;
-                let mut last = [0u64; DEVICES];
-                let mut refreshes = 0u64;
-                loop {
-                    // At least one refresh after the writers finish.
-                    let finished = done.load(Ordering::Acquire);
-                    let view = tracker.refresh();
-                    for (d, history) in published.iter().enumerate() {
-                        let triple = (
-                            view.booked_until_s[d],
-                            view.backlog_s[d],
-                            view.jobs_booked[d],
-                        );
-                        assert!(
-                            history.lock().expect("history lock").contains(&triple),
-                            "device {d}: {triple:?} was never published"
-                        );
-                    }
-                    for (d, last) in last.iter_mut().enumerate() {
-                        assert!(tracker.versions[d] >= *last, "device {d} went backwards");
-                        *last = tracker.versions[d];
-                    }
-                    refreshes += 1;
-                    if finished {
-                        return (tracker, refreshes);
-                    }
-                }
-            });
-            let writers: Vec<_> = ledgers
+        let mut tracker = OccupancyTracker::new(&ledgers).expect("fresh ledgers");
+        tracker.refresh();
+        let mut lanes = [Lane::new(&problem, 128, clients, master, 1.0, 0)];
+        lanes[0].activate(0).expect("activates");
+        let mut head = HeadIndex::new(&lanes);
+        let mut exec = Exec::Inline {
+            tracker: Some(&mut tracker),
+        };
+        let mut dispatch = |lane: &mut Lane<'_, '_>, exec: &mut Exec<'_>| {
+            let r = lane.ready.pop_front().expect("a ready client");
+            let client = r.client;
+            exec.dispatch(lane, 0, r, 0, &mut head).expect("dispatches");
+            let event = lane
+                .heap
                 .iter()
-                .zip(published)
-                .map(|(ledger, history)| {
-                    s.spawn(move || {
-                        for i in 0..BOOKINGS {
-                            let mut q = ledger.lock().expect("ledger lock");
-                            let start =
-                                q.admit(SimTime::from_secs(i as f64 * 3.0), (i % 5) as f64 / 5.0);
-                            let horizon = (start.as_secs() + 1.5).max(q.horizon_s());
-                            history.lock().expect("history lock").push((
-                                horizon,
-                                q.backlog_s(),
-                                q.jobs_booked() + 1,
-                            ));
-                            q.book(start, 1.5);
-                        }
-                    })
-                })
-                .collect();
-            for writer in writers {
-                writer.join().expect("writer thread");
-            }
-            done.store(true, Ordering::Release);
-            reader.join().expect("reader thread")
-        });
-        assert!(refreshes > 0);
-        let oracle = occupancy_snapshot(&ledgers).expect("not poisoned");
-        assert_eq!(tracker.refresh(), &oracle, "the last refresh is the oracle");
-        assert_eq!(oracle.jobs_booked, [BOOKINGS; DEVICES]);
+                .find(|e| e.client == client)
+                .expect("queued");
+            (client, event.result.circuits_run)
+        };
+
+        let (_, circuits) = dispatch(&mut lanes[0], &mut exec);
+        assert_eq!(circuits, 0, "parameter 0 runs no circuit");
+        assert_eq!(tracker_marks(&mut exec), (vec![], vec![false; 2]));
+
+        let (client, circuits) = dispatch(&mut lanes[0], &mut exec);
+        assert!(circuits > 0, "parameter 1 runs its shift pair");
+        let mut stale = vec![false; 2];
+        stale[client] = true;
+        assert_eq!(tracker_marks(&mut exec), (vec![client], stale));
+    }
+
+    /// The tracker's marked devices and stale flags.
+    fn tracker_marks(exec: &mut Exec<'_>) -> (Vec<usize>, Vec<bool>) {
+        let tracker = exec.tracker().expect("inline over shared ledgers");
+        (tracker.marked.clone(), tracker.stale.clone())
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// Random `admit`/`book`/`enqueue`/`decay_to` interleavings over
-        /// ledgers with three different load models: after every
-        /// mutation, the incremental tracker's refreshed view must equal
-        /// the from-scratch lock-and-allocate oracle field for field
-        /// (`decay_to` publishing only on backlog change included).
+        /// ledgers with three different load models, each op marking
+        /// the ledger it touched as a dispatch marks the device it
+        /// booked: after every mutation, the tracker's refreshed view
+        /// must equal the from-scratch lock-and-allocate oracle field
+        /// for field.
         #[test]
         fn incremental_occupancy_refresh_matches_the_snapshot_oracle(
             ops in proptest::collection::vec(
@@ -2279,17 +2299,18 @@ mod tests {
                         _ => q.decay_to(t),
                     }
                 }
+                tracker.mark(d);
                 let oracle = occupancy_snapshot(&ledgers).expect("not poisoned");
                 let view = tracker.refresh();
                 prop_assert_eq!(&view.booked_until_s, &oracle.booked_until_s);
                 prop_assert_eq!(&view.backlog_s, &oracle.backlog_s);
                 prop_assert_eq!(&view.jobs_booked, &oracle.jobs_booked);
             }
-            let (rebuilds, reuses) = tracker.counters();
-            prop_assert!(rebuilds >= ledgers.len() as u64, "first refresh copies every device");
-            // Each op touches one ledger, so every later refresh reuses
-            // at least the other two devices' copies.
-            prop_assert!(reuses >= 2 * (n_ops as u64 - 1));
+            // The first refresh copies every device; each later one
+            // copies the one ledger its op touched and reuses the
+            // other two.
+            let later = n_ops as u64 - 1;
+            prop_assert_eq!(tracker.counters(), (3 + later, 2 * later));
         }
     }
 }

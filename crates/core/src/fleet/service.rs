@@ -49,15 +49,16 @@
 //! ```
 
 use super::{
-    drive, ledgers_for, occupancy_rows, queue_wait_hours, Arrival, DriveClock, FleetOutcome, Lane,
-    LaneCounters, OccupancyTracker, Substrate, TenantId,
+    drive, ledgers_for, occupancy_rows, queue_wait_hours, Arrival, DriveClock, Execution,
+    FleetOutcome, Lane, LaneCounters, OccupancyTracker, Substrate, TenantId,
 };
 use crate::client::ClientNode;
-use crate::config::{PoolConfig, ServiceConfig, TenantConfig};
+use crate::config::{ServiceConfig, TenantConfig};
 use crate::ensemble::{clients_for, probes_for, Device};
 use crate::error::EqcError;
 use crate::master::MasterLoop;
 use crate::policy::arbiter::TenantArbiter;
+use crate::pool::resolve_workers;
 use crate::report::{
     FleetTelemetry, PoolTelemetry, ServiceTelemetry, ServiceTenantRecord, TenantTelemetry,
     TrainingReport,
@@ -171,7 +172,7 @@ struct SessionState {
     /// Pool telemetry merged across pooled drains.
     pool: Option<PoolTelemetry>,
     /// The shared substrate's per-device occupancy ledgers and the
-    /// incremental view over them, built at the session's first
+    /// occupancy view over them, built at the session's first
     /// admission (the tracker's reuse/rebuild counters span the
     /// session).
     shared: Option<(Vec<Arc<Mutex<DeviceQueue>>>, OccupancyTracker)>,
@@ -406,14 +407,14 @@ impl<'p> FleetService<'p> {
         }
         let slots = self.devices.len();
         let state = &mut self.state;
-        // The drive's two axes, read off the substrate.
-        let workers = match self.substrate {
-            Substrate::DiscreteEvent => None,
+        let execution = match self.substrate {
             Substrate::Pooled { workers } => {
                 let total = self.pending.iter().map(|p| p.clients.len()).sum();
-                Some(PoolConfig { workers }.resolved_workers(total))
+                Execution::Pool(resolve_workers(workers, total)?)
             }
-            Substrate::Shared { .. } => None,
+            Substrate::DiscreteEvent | Substrate::Shared { .. } => {
+                Execution::Inline(state.shared.as_mut().map(|(_, tracker)| tracker))
+            }
         };
         let mut batch = std::mem::take(&mut self.pending);
         // Stable by arrival: simultaneous arrivals activate in
@@ -447,8 +448,7 @@ impl<'p> FleetService<'p> {
             &mut lanes,
             self.arbiter.as_ref(),
             slots,
-            state.shared.as_mut().map(|(_, tracker)| tracker),
-            workers,
+            execution,
             &mut state.clock,
             &mut arrivals,
             &mut |lane, at_s| retired_at.push((lane, at_s)),

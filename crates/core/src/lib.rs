@@ -113,9 +113,7 @@ pub mod stats;
 pub mod weighting;
 
 pub use client::{ClientNode, ClientTaskResult};
-pub use config::{
-    EqcConfig, PolicyConfig, PoolConfig, ServiceConfig, SimParallelism, TenantConfig,
-};
+pub use config::{EqcConfig, PolicyConfig, ServiceConfig, SimParallelism, TenantConfig};
 pub use convergence::ConvergenceParams;
 pub use ensemble::{ideal_backend, Ensemble, EnsembleBuilder, EnsembleSession};
 pub use error::EqcError;

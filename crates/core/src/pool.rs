@@ -12,8 +12,8 @@
 //! | Piece | Lives in | Role |
 //! |---|---|---|
 //! | `RunQueue` + `drain_tasks` | here | sharded work-stealing run-queue and the worker protocol over it |
-//! | worker pool + lookahead coordinator | [`crate::fleet`] | the fleet drive's *worker pool* execution axis |
-//! | [`PooledExecutor`] | here | the single-session front: a fleet of one tenant on that axis |
+//! | worker pool + lookahead coordinator | [`crate::fleet`] | the fleet drive's *pooled* execution choice |
+//! | [`PooledExecutor`] | here | the single-session front: a fleet of one tenant on that choice |
 //!
 //! This pool is the process's one thread substrate. The
 //! [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) rides it too
@@ -52,7 +52,6 @@
 //! bounds, workers stay saturated, and the coordinator never blocks
 //! except at the tail.
 
-use crate::config::PoolConfig;
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;
 use crate::executor::Executor;
@@ -205,29 +204,46 @@ pub(crate) fn drain_tasks<T, R, M>(
 /// ```
 #[derive(Debug, Default)]
 pub struct PooledExecutor {
-    config: PoolConfig,
+    /// Worker threads to spawn; `None` resolves to the machine's
+    /// available parallelism (see [`resolve_workers`]).
+    workers: Option<usize>,
     telemetry: Mutex<Option<PoolTelemetry>>,
 }
 
+/// The worker count a pool spawns for `n_clients` clients: `requested`,
+/// or the machine's available parallelism when `None`, capped at one
+/// worker per client and at least 1.
+///
+/// # Errors
+///
+/// [`EqcError::InvalidConfig`] when `requested` is zero.
+pub(crate) fn resolve_workers(
+    requested: Option<usize>,
+    n_clients: usize,
+) -> Result<usize, EqcError> {
+    if requested == Some(0) {
+        return Err(EqcError::InvalidConfig(
+            "pool worker count must be positive".into(),
+        ));
+    }
+    let detected = || {
+        std::thread::available_parallelism()
+            .map(std::num::NonZeroUsize::get)
+            .unwrap_or(4)
+    };
+    Ok(requested.unwrap_or_else(detected).min(n_clients).max(1))
+}
+
 impl PooledExecutor {
-    /// Creates the executor with [`PoolConfig::default`] (one worker
-    /// per hardware thread).
+    /// Creates the executor with one worker per hardware thread.
     pub fn new() -> Self {
-        Self::with_config(PoolConfig::default())
+        Self::default()
     }
 
-    /// Creates the executor with an explicit configuration (validated
-    /// when [`Executor::run`] is called).
-    pub fn with_config(config: PoolConfig) -> Self {
-        PooledExecutor {
-            config,
-            telemetry: Mutex::new(None),
-        }
-    }
-
-    /// Overrides the worker count (builder style).
+    /// Overrides the worker count (builder style; a zero count is
+    /// rejected when [`Executor::run`] is called).
     pub fn workers(mut self, workers: usize) -> Self {
-        self.config.workers = Some(workers);
+        self.workers = Some(workers);
         self
     }
 
@@ -240,10 +256,9 @@ impl PooledExecutor {
 
 impl Executor for PooledExecutor {
     fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError> {
-        self.config.validate()?;
-        session.begin()?;
         let n = session.num_clients();
-        let workers = self.config.resolved_workers(n);
+        let workers = resolve_workers(self.workers, n)?;
+        session.begin()?;
         let (driven, telemetry) = crate::fleet::drive_session(session, Some(workers));
         *self.telemetry.lock().expect("telemetry lock") = telemetry;
         driven?;
@@ -388,6 +403,22 @@ mod tests {
             .train_with(&PooledExecutor::new().workers(1), &problem)
             .expect("trains");
         assert_eq!(des, pooled);
+    }
+
+    #[test]
+    fn the_worker_count_resolves_in_one_place() {
+        let detected = resolve_workers(None, 1000).expect("detects");
+        assert!(detected >= 1);
+        assert!(
+            resolve_workers(None, 2).expect("detects") <= 2,
+            "never more workers than clients"
+        );
+        assert_eq!(resolve_workers(Some(8), 256).ok(), Some(8));
+        assert_eq!(resolve_workers(Some(8), 3).ok(), Some(3));
+        assert!(matches!(
+            resolve_workers(Some(0), 4),
+            Err(EqcError::InvalidConfig(_))
+        ));
     }
 
     #[test]

@@ -189,13 +189,14 @@ pub struct FleetTelemetry {
     /// empty on byte-isolated substrates, where no cross-tenant queue
     /// timeline exists).
     pub occupancy: Vec<DeviceOccupancy>,
-    /// Per-device copies the incremental occupancy view performed
-    /// because a ledger's published version moved (shared substrate
-    /// with queue-estimate schedulers only; 0 otherwise).
+    /// Per-device copies the occupancy view made because a dispatch
+    /// booked the device since the previous refresh (shared substrate
+    /// with queue-estimate schedulers only; 0 otherwise). The first
+    /// refresh copies every device.
     pub snapshot_rebuilds: u64,
-    /// Per-device copies the incremental occupancy view *skipped*
-    /// because the ledger's version was unchanged — the allocation- and
-    /// lock-free steady state of the snapshot path.
+    /// Per-device copies the occupancy view *skipped* because nothing
+    /// booked the device since the previous refresh: the devices a
+    /// refresh leaves alone, touching no ledger.
     pub snapshot_reuses: u64,
     /// Noise artifacts (reported calibrations, projections) this
     /// session built into its devices' shared noise caches, once

@@ -37,13 +37,16 @@ fn sample_counts_legacy<R: Rng + ?Sized>(
     counts
 }
 
-/// Pre-engine [`qdevice::noise_model::execute_density`]: direct schedule
-/// walk with the preserved pre-optimization kernels and per-operator
-/// clones. Returns the counts and the scheduled duration (ns).
+/// The pre-engine density executor of a bound circuit — what
+/// [`qdevice::compile_bound`] plus a [`qsim::DensityEngine`] replaced:
+/// direct schedule walk with the preserved pre-optimization kernels and
+/// per-operator clones. Returns the counts and the scheduled duration
+/// (ns).
 ///
 /// # Panics
 ///
-/// Same conditions as [`qdevice::noise_model::execute_density`].
+/// Panics if the circuit still has unbound parameters, or exceeds
+/// [`DensityMatrix::MAX_QUBITS`].
 pub fn execute_density<R: Rng + ?Sized>(
     circuit: &Circuit,
     noise: &NoiseModel,
@@ -62,7 +65,7 @@ pub fn execute_density<R: Rng + ?Sized>(
 ///
 /// # Panics
 ///
-/// Same conditions as [`qdevice::noise_model::execute_density`].
+/// Same conditions as [`execute_density`].
 pub fn density_distribution(circuit: &Circuit, noise: &NoiseModel) -> Vec<f64> {
     evolve_density(circuit, noise).0
 }

@@ -13,10 +13,11 @@
 //! [`DensityMatrix::MAX_QUBITS`] active qubits are rejected (every paper
 //! device is narrower). The backend keeps a per-calibration-cycle noise
 //! cache: the *reported* calibration (clone + jitter) is rebuilt once
-//! per cycle, each active-qubit set's [`NoiseModel`] is projected once
-//! per cycle and re-degraded only when the drift factors actually
-//! change (they never do under [`DriftModel::none`], so the model is
-//! then built exactly once per cycle), and each problem template runs on
+//! per cycle, each active-qubit set's base figures are projected once
+//! per cycle, the [`NoiseModel`] a compile reads is drifted from them
+//! only when the (base, drift factors) it needs changes (the factors
+//! never move under [`DriftModel::none`], so the model is then drifted
+//! once per cycle), and each problem template runs on
 //! a plan its architecture's devices share: planned once per schedule
 //! signature, its numbers refreshed per noise token — per job, on a
 //! drifting device (see [`crate::compile::CompiledTemplate`]). All
@@ -41,8 +42,8 @@
 //! [`QpuBackend::with_recal_jitter`], which changes the noise. Each
 //! clone keeps its own cache of the current cycle in front of the
 //! shared noise cache, so it takes the shared lock only on its first
-//! use of a cycle or an active set; the drifted model it runs on is its
-//! own, rewritten in place when the drift factors move.
+//! use of a cycle or an active set. The drifted model a compile reads
+//! belongs to the executing thread, like the simulator (below).
 //!
 //! ## Transpile output and plans belong to the architecture
 //!
@@ -112,7 +113,8 @@
 //! thread runs a job never shows in its counts.
 //!
 //! So are a template job's buffers — its runs, bookkeeping, shift
-//! variants, forks, histograms and refresh scratch — so a warm job
+//! variants, forks, histograms, refresh scratch and the drifted noise
+//! model a token miss reads — so a warm job
 //! allocates almost nothing; and so are the numbers a device
 //! template's job runs on — rebound rotations, fused superoperators,
 //! readout — in a memo of at most 8 [`CompiledTemplate`]s, found by
@@ -188,6 +190,49 @@ struct Simulation {
     /// `(run, template, resume op, state)` of every fork to finish.
     suffixes: Vec<(usize, usize, usize, DensityMatrix)>,
     refresh: RefreshScratch,
+    noise: DriftedNoise,
+}
+
+/// The drifted [`NoiseModel`] a token-miss refresh or a bound job last
+/// read, and the key it was drifted for: the base (held, so its address
+/// names it) and the drift factors' bits. Every clone of every device
+/// on the thread shares it, so clones of one device at one instant
+/// drift once between them, and memory does not grow with clones.
+struct DriftedNoise {
+    key: Option<(Arc<BaseNoise>, u64, u64)>,
+    model: NoiseModel,
+}
+
+impl Default for DriftedNoise {
+    fn default() -> Self {
+        DriftedNoise {
+            key: None,
+            model: NoiseModel::ideal(0),
+        }
+    }
+}
+
+impl DriftedNoise {
+    /// `base` drifted by `(ef, cf)`, redrifting (and counting it in
+    /// `drifts`) only when that key differs from the last one.
+    /// [`NoiseModel::assign`] overwrites every field, so the model is
+    /// the same bits whatever it held before.
+    fn model(
+        &mut self,
+        base: &Arc<BaseNoise>,
+        (ef, cf): (f64, f64),
+        drifts: &mut u64,
+    ) -> &NoiseModel {
+        let key = (ef.to_bits(), cf.to_bits());
+        let current =
+            matches!(&self.key, Some((b, e, c)) if Arc::ptr_eq(b, base) && (*e, *c) == key);
+        if !current {
+            base.drift_into(ef, cf, &mut self.model);
+            self.key = Some((Arc::clone(base), key.0, key.1));
+            *drifts += 1;
+        }
+        &self.model
+    }
 }
 
 impl Scratch {
@@ -345,15 +390,9 @@ impl BaseNoise {
     }
 
     /// `NoiseModel::from_calibration(degrade(reported, ef, cf), active)`
-    /// without cloning a calibration — operation for operation the same
-    /// float arithmetic, so the result is bit-identical.
-    fn drifted_model(&self, ef: f64, cf: f64) -> NoiseModel {
-        let mut model = NoiseModel::ideal(0);
-        self.drift_into(ef, cf, &mut model);
-        model
-    }
-
-    /// [`BaseNoise::drifted_model`] written into `model`'s storage.
+    /// written into `model`'s storage, without cloning a calibration —
+    /// operation for operation the same float arithmetic, so the result
+    /// is bit-identical.
     fn drift_into(&self, ef: f64, cf: f64, model: &mut NoiseModel) {
         let qubits = self.qubits.iter().map(|q| {
             let t1_us = (q.t1_us / cf).max(1.0);
@@ -375,16 +414,14 @@ impl BaseNoise {
     }
 }
 
-/// One cached noise model: the active set it covers, the projected base
-/// figures, and the model materialized for the last-seen drift factors.
-/// The base is `Arc`'d so the clones of one device share one build
-/// through its [`SharedNoiseCache`]; the model is this clone's own.
+/// One active set of the current cycle and its projected base figures,
+/// `Arc`'d so the clones of one device share one build through its
+/// [`SharedNoiseCache`]. The drifted model is the thread's (see
+/// [`DriftedNoise`]).
 #[derive(Clone, Debug)]
 struct NoiseEntry {
     active: Vec<usize>,
     base: Arc<BaseNoise>,
-    factors: (f64, f64),
-    model: NoiseModel,
 }
 
 /// The per-calibration-cycle noise cache (see the module docs).
@@ -405,8 +442,8 @@ struct NoiseCache {
 /// clone builds an artifact, every clone reads the same bits. A fleet
 /// gives each tenant one clone per device, so each artifact is built
 /// once per device instead of once per clone. Drifted models are not
-/// shared: under drift the factors move with every job, so no other
-/// clone could hit one; each clone drifts its own from the base.
+/// kept here: under drift the factors move with every job, so the
+/// executing thread drifts the one it reads from the base.
 ///
 /// Builds happen *under* the cache lock: exactly one build per key even
 /// when pooled workers race, so the `builds`/`hits` totals are
@@ -1072,57 +1109,41 @@ impl QpuBackend {
     }
 
     /// Index of the cached noise entry for `active` at `started`,
-    /// projecting the model on first use in the cycle and re-degrading
-    /// it only when the drift factors changed.
+    /// taking its base figures from the device's shared cache on first
+    /// use in the cycle.
     fn noise_entry(&mut self, started: SimTime, active: &[usize]) -> usize {
         self.ensure_cycle(started);
         let cycle = self.cycle_of(started);
-        let factors = self
-            .drift
-            .factors(self.hours_since_calibration(started), started.as_hours());
         let cache = &mut self.noise_cache;
-        match cache.entries.iter().position(|e| e.active == active) {
-            Some(i) => {
-                // The model is this clone's: a drift-factor refresh
-                // rewrites it in place, taking no lock.
-                let entry = &mut cache.entries[i];
-                if entry.factors != factors {
-                    entry
-                        .base
-                        .drift_into(factors.0, factors.1, &mut entry.model);
-                    entry.factors = factors;
-                    cache.model_builds += 1;
-                }
-                i
-            }
-            None => {
-                let reported = cache.reported.as_deref().expect("cycle cache populated");
-                let base = self
-                    .identity
-                    .noise
-                    .base(cycle, active, || BaseNoise::project(reported, active));
-                let model = base.drifted_model(factors.0, factors.1);
-                cache.model_builds += 1;
-                cache.entries.push(NoiseEntry {
-                    active: active.to_vec(),
-                    base,
-                    factors,
-                    model,
-                });
-                cache.entries.len() - 1
-            }
+        if let Some(i) = cache.entries.iter().position(|e| e.active == active) {
+            return i;
         }
+        let reported = cache.reported.as_deref().expect("cycle cache populated");
+        let base = self
+            .identity
+            .noise
+            .base(cycle, active, || BaseNoise::project(reported, active));
+        cache.entries.push(NoiseEntry {
+            active: active.to_vec(),
+            base,
+        });
+        cache.entries.len() - 1
+    }
+
+    /// The drift factors `(ef, cf)` at `started`.
+    fn drift_factors(&self, started: SimTime) -> (f64, f64) {
+        self.drift
+            .factors(self.hours_since_calibration(started), started.as_hours())
     }
 
     /// The noise epoch token at `started` (see [`NoiseToken`]).
     fn noise_token(&self, started: SimTime) -> NoiseToken {
-        let (ef, cf) = self
-            .drift
-            .factors(self.hours_since_calibration(started), started.as_hours());
+        let (ef, cf) = self.drift_factors(started);
         NoiseToken::new(self.identity.id, self.cycle_of(started), ef, cf)
     }
 
-    /// `NoiseModel`s constructed so far (cache telemetry: at most one
+    /// Drifted `NoiseModel`s this backend's jobs wrote into their
+    /// thread's scratch (cache telemetry: on one thread, at most one
     /// per calibration cycle per active set while drift factors are
     /// stable, e.g. under [`DriftModel::none`]).
     pub fn noise_model_builds(&self) -> u64 {
@@ -1243,10 +1264,17 @@ impl QpuBackend {
         let (_, job) = self.execute_with(shots, submit, |be, started| {
             let entry = be.noise_entry(started, active_physical);
             assert_density_fits(circuit.num_qubits());
-            let noise = &be.noise_cache.entries[entry].model;
-            let program = crate::compile::compile_bound(circuit, noise);
-            let counts = with_scratch(|s| s.sim.engine.run_program(&program, shots, &mut be.rng));
-            vec![(counts, program.duration_ns(), noise.readout_time_ns)]
+            let factors = be.drift_factors(started);
+            with_scratch(|s| {
+                let cache = &mut be.noise_cache;
+                let noise =
+                    s.sim
+                        .noise
+                        .model(&cache.entries[entry].base, factors, &mut cache.model_builds);
+                let program = crate::compile::compile_bound(circuit, noise);
+                let counts = s.sim.engine.run_program(&program, shots, &mut be.rng);
+                vec![(counts, program.duration_ns(), noise.readout_time_ns)]
+            })
         });
         job
     }
@@ -1430,20 +1458,29 @@ impl QpuBackend {
             shots,
         } = job;
         let token = self.noise_token(started);
+        let factors = self.drift_factors(started);
         // Bookkeeping pass — per run, so the noise and compile counters
-        // do not depend on the grouping.
+        // do not depend on the grouping. Only a token miss reads a
+        // drifted model.
         let mut compiles = [0; 3];
         sim.meta.clear();
         for run in runs {
             let template = templates[run.template].borrow_mut();
             let entry = self.noise_entry(started, template.active_physical());
-            let noise = &self.noise_cache.entries[entry].model;
-            compiles[template.ensure_compiled_with(noise, token, &mut sim.refresh) as usize] += 1;
+            let cache = &mut self.noise_cache;
+            let base = &cache.entries[entry].base;
+            let (noise, drifts) = (&mut sim.noise, &mut cache.model_builds);
+            let compile = template.ensure_compiled_with(
+                token,
+                || noise.model(base, factors, drifts),
+                &mut sim.refresh,
+            );
+            compiles[compile as usize] += 1;
             let program = template.program();
             assert_density_fits(program.num_qubits());
             sim.meta.push((
                 program.duration_ns(),
-                noise.readout_time_ns,
+                base.readout_time_ns,
                 program.num_qubits(),
             ));
         }

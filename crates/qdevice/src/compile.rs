@@ -65,7 +65,7 @@
 //! for gate, keep the true matrices.
 //!
 //! Two entry points: [`compile_bound`], one-shot compilation of a fully
-//! bound circuit (behind [`crate::noise_model::execute_density`]), and
+//! bound circuit (what [`crate::QpuBackend::execute`] runs), and
 //! [`CompiledTemplate`], the hot path — a *symbolic* circuit template
 //! planned once, refreshed per [`NoiseToken`] (every job, on a drifting
 //! device) and rebound per job. Equal tokens guarantee bit-identical
@@ -632,15 +632,15 @@ impl CompiledTemplate {
     /// equals, bit for bit, a fresh template compiled against `noise`.
     /// Returns which of the three it did.
     pub fn ensure_compiled(&mut self, noise: &NoiseModel, token: NoiseToken) -> Compile {
-        self.ensure_compiled_with(noise, token, &mut RefreshScratch::default())
+        self.ensure_compiled_with(token, || noise, &mut RefreshScratch::default())
     }
 
     /// [`CompiledTemplate::ensure_compiled`] with the caller's refresh
-    /// scratch.
-    pub(crate) fn ensure_compiled_with(
+    /// scratch, asking for the noise model only on a token miss.
+    pub(crate) fn ensure_compiled_with<'n>(
         &mut self,
-        noise: &NoiseModel,
         token: NoiseToken,
+        noise: impl FnOnce() -> &'n NoiseModel,
         scratch: &mut RefreshScratch,
     ) -> Compile {
         if self.token == Some(token) {
@@ -649,6 +649,7 @@ impl CompiledTemplate {
         }
         // Numbers a panic leaves half-written are never a hit.
         self.token = None;
+        let noise = noise();
         let refreshed = self
             .plan
             .as_ref()
@@ -749,7 +750,6 @@ impl CompiledTemplate {
 mod tests {
     use super::*;
     use crate::calibration::Calibration;
-    use crate::noise_model::execute_density;
     use qcircuit::CircuitBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
@@ -792,7 +792,11 @@ mod tests {
         );
 
         let shifted = template.bind_with_shift(&params, occ[0], 0.5).unwrap();
-        let (direct, _) = execute_density(&shifted, &noise, 10_000, &mut StdRng::seed_from_u64(11));
+        let direct = qsim::DensityEngine::new().run_program(
+            &compile_bound(&shifted, &noise),
+            10_000,
+            &mut StdRng::seed_from_u64(11),
+        );
         assert_eq!(via_template, direct);
     }
 

@@ -5,12 +5,11 @@
 //! relaxation scheduled along per-qubit timelines (including idle decay),
 //! and readout confusion at measurement.
 //!
-//! [`execute_density`] runs a bound circuit under the model by exact
-//! density-matrix evolution, every paper device fitting the engine's
-//! qubit cap. It is a thin compatibility wrapper over the
-//! compiled-program engine layer ([`crate::compile`] +
-//! [`qsim::program`]): the circuit and noise schedule compile to a flat
-//! op-tape once, then the engine replays it. [`schedule`] delivers the
+//! A bound circuit runs under the model by exact density-matrix
+//! evolution, every paper device fitting the engine's qubit cap:
+//! [`crate::compile::compile_bound`] lowers the circuit and noise
+//! schedule to a flat op-tape, and a [`qsim::DensityEngine`] replays it.
+//! [`schedule`] delivers the
 //! same noisy schedule with every channel as its Kraus list: the
 //! pre-engine executors of the dev-only `eqc-oracle` crate walk it as
 //! test ground truth (the density one as the bit-equivalence oracle,
@@ -20,8 +19,7 @@
 use crate::calibration::Calibration;
 use qcircuit::{Circuit, Gate};
 use qsim::sampler::ReadoutError;
-use qsim::{Counts, DensityEngine, DensityMatrix, KrausChannel, RelaxationEntries, SuperopTable};
-use rand::Rng;
+use qsim::{KrausChannel, RelaxationEntries, SuperopTable};
 
 /// Per-qubit noise figures of a compacted circuit register.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -480,47 +478,11 @@ where
     })
 }
 
-/// Executes a bound, compacted physical circuit on the exact
-/// density-matrix simulator under `noise`, sampling `shots` measurements
-/// through the readout confusion model.
-///
-/// Compatibility wrapper: compiles the circuit into a
-/// [`qsim::CompiledProgram`] and runs a fresh [`DensityEngine`].
-/// Repeated executions of the same structure should compile once and
-/// hold a long-lived engine instead (see [`crate::compile`] and
-/// [`crate::QpuBackend`]). Equal to the pre-engine executor (the
-/// `eqc-oracle` crate's `reference::execute_density`, a walk of
-/// [`schedule`]) up to rounding in the distribution (~1e-15: fused sweeps and the
-/// compiler's RZ frame re-associate the arithmetic), with equal counts
-/// on every pinned fixture.
-///
-/// Returns the counts histogram and the scheduled circuit duration in
-/// nanoseconds.
-///
-/// # Panics
-///
-/// Panics if the circuit still has unbound parameters, or exceeds
-/// [`DensityMatrix::MAX_QUBITS`].
-pub fn execute_density<R: Rng + ?Sized>(
-    circuit: &Circuit,
-    noise: &NoiseModel,
-    shots: usize,
-    rng: &mut R,
-) -> (Counts, f64) {
-    assert!(
-        circuit.num_qubits() <= DensityMatrix::MAX_QUBITS,
-        "{} qubits exceed the density engine cap",
-        circuit.num_qubits()
-    );
-    let program = crate::compile::compile_bound(circuit, noise);
-    let counts = DensityEngine::new().run_program(&program, shots, rng);
-    (counts, program.duration_ns())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use qcircuit::CircuitBuilder;
+    use qsim::{Counts, DensityEngine};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -533,6 +495,19 @@ mod tests {
         b.build()
     }
 
+    /// `circuit` compiled under `noise` and run on a fresh engine: its
+    /// counts and scheduled duration.
+    fn run_bound(
+        circuit: &Circuit,
+        noise: &NoiseModel,
+        shots: usize,
+        rng: &mut StdRng,
+    ) -> (Counts, f64) {
+        let program = crate::compile::compile_bound(circuit, noise);
+        let counts = DensityEngine::new().run_program(&program, shots, rng);
+        (counts, program.duration_ns())
+    }
+
     fn noisy_model(n: usize) -> NoiseModel {
         let cal = Calibration::uniform(n, 80.0, 60.0, 0.002, 0.02, 0.03);
         let active: Vec<usize> = (0..n).collect();
@@ -543,7 +518,7 @@ mod tests {
     fn ideal_model_reproduces_statevector() {
         let c = ghz(3);
         let mut rng = StdRng::seed_from_u64(1);
-        let (counts, duration) = execute_density(&c, &NoiseModel::ideal(3), 20_000, &mut rng);
+        let (counts, duration) = run_bound(&c, &NoiseModel::ideal(3), 20_000, &mut rng);
         let p0 = counts.probability(0);
         let p7 = counts.probability(0b111);
         assert!((p0 - 0.5).abs() < 0.02);
@@ -556,7 +531,7 @@ mod tests {
     fn noise_leaks_into_forbidden_states() {
         let c = ghz(3);
         let mut rng = StdRng::seed_from_u64(2);
-        let (counts, _) = execute_density(&c, &noisy_model(3), 50_000, &mut rng);
+        let (counts, _) = run_bound(&c, &noisy_model(3), 50_000, &mut rng);
         let bad = counts.fraction_where(|b| b != 0 && b != 0b111);
         assert!(bad > 0.02, "expected visible GHZ error, got {bad}");
         assert!(bad < 0.5, "noise unreasonably high: {bad}");
@@ -570,8 +545,8 @@ mod tests {
             NoiseModel::from_calibration(&cal, &[0, 1, 2, 3])
         };
         let mut rng = StdRng::seed_from_u64(3);
-        let (good, _) = execute_density(&c, &mk(0.005), 40_000, &mut rng);
-        let (bad, _) = execute_density(&c, &mk(0.05), 40_000, &mut rng);
+        let (good, _) = run_bound(&c, &mk(0.005), 40_000, &mut rng);
+        let (bad, _) = run_bound(&c, &mk(0.05), 40_000, &mut rng);
         let err = |c: &Counts| c.fraction_where(|b| b != 0 && b != 0b1111);
         // Roughly 3 extra CX errors of 4.5% each separate the two models;
         // the readout/decoherence floor is shared.
@@ -588,7 +563,7 @@ mod tests {
         let c = ghz(3); // depth: H + 2 CX sequential on the chain
         let noise = NoiseModel::ideal(3);
         let mut rng = StdRng::seed_from_u64(5);
-        let (_, dur) = execute_density(&c, &noise, 1, &mut rng);
+        let (_, dur) = run_bound(&c, &noise, 1, &mut rng);
         let expected = noise.gate_time_1q_ns + 2.0 * noise.gate_time_2q_ns + noise.readout_time_ns;
         assert!(
             (dur - expected).abs() < 1e-9,
@@ -604,7 +579,7 @@ mod tests {
         let cal = Calibration::uniform(2, 1e6, 1e6, 0.0, 0.0, 0.1);
         let noise = NoiseModel::from_calibration(&cal, &[0, 1]);
         let mut rng = StdRng::seed_from_u64(6);
-        let (counts, _) = execute_density(&c, &noise, 50_000, &mut rng);
+        let (counts, _) = run_bound(&c, &noise, 50_000, &mut rng);
         // P(correct |01>) = 0.9 * 0.9.
         assert!((counts.probability(0b01) - 0.81).abs() < 0.01);
     }
@@ -693,7 +668,7 @@ mod tests {
         let c = b.build();
         let result = std::panic::catch_unwind(move || {
             let mut rng = StdRng::seed_from_u64(0);
-            execute_density(&c, &NoiseModel::ideal(1), 10, &mut rng)
+            run_bound(&c, &NoiseModel::ideal(1), 10, &mut rng)
         });
         assert!(result.is_err());
     }

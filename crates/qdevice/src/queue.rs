@@ -404,19 +404,15 @@ impl PoissonArrivals {
 
 /// The atomically published read side of a [`DeviceQueue`]: a
 /// seqlock-guarded scalar triple (booked-until horizon, exogenous
-/// backlog, booked-job depth) plus a monotone version counter.
+/// backlog, booked-job depth).
 ///
-/// The booking side of a shared ledger lives behind a `Mutex`; fleet
-/// drives that only need occupancy *estimates* (scheduler snapshots,
-/// telemetry refreshes) read this side instead, so estimate reads never
-/// contend with co-tenant `admit`/`book` critical sections. Writers are
-/// always exclusive (`&mut DeviceQueue`, i.e. under the booking mutex),
-/// so the odd/even sequence protocol below has a single writer by
-/// construction.
+/// Writers are always exclusive (`&mut DeviceQueue`, i.e. under the
+/// booking mutex), so the odd/even sequence protocol below has a single
+/// writer by construction, and a read never takes the booking mutex.
 #[derive(Debug, Default)]
 struct ReadSide {
     /// Sequence counter: odd while a publish is in flight, even once the
-    /// scalars are consistent. `seq >> 1` is the monotone version.
+    /// scalars are consistent.
     seq: AtomicU64,
     horizon_bits: AtomicU64,
     backlog_bits: AtomicU64,
@@ -440,15 +436,8 @@ impl ReadSide {
 }
 
 /// One consistent read of a ledger's published scalars.
-///
-/// `version` is monotone per ledger and bumps exactly once per
-/// state-changing mutation, so incremental consumers (the fleet's
-/// reusable occupancy snapshot) can skip devices whose version has not
-/// moved since their last refresh.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct LedgerSnapshot {
-    /// Monotone mutation counter as of this read.
-    pub version: u64,
     /// Earliest instant the device frees up, seconds.
     pub booked_until_s: f64,
     /// Exogenous backlog pending service, busy-seconds.
@@ -459,20 +448,16 @@ pub struct LedgerSnapshot {
 
 /// A clonable handle onto a ledger's lock-free read side.
 ///
-/// Obtained once per drive via [`DeviceQueue::read_handle`]; reads never
-/// take the booking mutex and never allocate.
+/// Obtained via [`DeviceQueue::read_handle`]; reads never take the
+/// booking mutex and never allocate. Which ledgers changed is the
+/// reader's to know: the fleet drive marks the device each dispatch
+/// booked and reads only those.
 #[derive(Clone, Debug)]
 pub struct QueueReadHandle {
     side: Arc<ReadSide>,
 }
 
 impl QueueReadHandle {
-    /// Returns the current published version without reading the
-    /// scalars (cheapest possible staleness probe).
-    pub fn version(&self) -> u64 {
-        self.side.seq.load(Ordering::Acquire) >> 1
-    }
-
     /// One consistent read of the published scalars (seqlock retry loop;
     /// retries only while a booking is mid-publish).
     pub fn read(&self) -> LedgerSnapshot {
@@ -488,7 +473,6 @@ impl QueueReadHandle {
             fence(Ordering::Acquire);
             if self.side.seq.load(Ordering::Relaxed) == s1 {
                 return LedgerSnapshot {
-                    version: s1 >> 1,
                     booked_until_s: f64::from_bits(horizon),
                     backlog_s: f64::from_bits(backlog),
                     jobs_booked: jobs,
@@ -634,17 +618,10 @@ impl DeviceQueue {
             .load
             .arrivals_between(self.cursor_s, t_s, &mut self.poisson);
         let served = t_s - self.cursor_s;
-        let backlog = (self.backlog_s + arrived - served).max(0.0);
+        self.backlog_s = (self.backlog_s + arrived - served).max(0.0);
         self.cursor_s = t_s;
-        // Publish (and bump the version) only when a *published* scalar
-        // actually changed: a zero-load cursor advance leaves the read
-        // side untouched, so incremental snapshot consumers keep
-        // reusing their copy.
-        if backlog.to_bits() != self.backlog_s.to_bits() {
-            self.backlog_s = backlog;
-            self.read_side
-                .publish(self.horizon_s, self.backlog_s, self.booked.len() as u64);
-        }
+        self.read_side
+            .publish(self.horizon_s, self.backlog_s, self.booked.len() as u64);
     }
 
     /// Phase one of a booking: resolves the start time of a job
@@ -912,7 +889,7 @@ mod tests {
     }
 
     #[test]
-    fn read_handle_tracks_every_mutation_and_versions_monotonically() {
+    fn read_handle_tracks_every_mutation() {
         let load = LoadModel::Bursty {
             burst_busy_s: 300.0,
             interval_s: 600.0,
@@ -929,7 +906,6 @@ mod tests {
             ),
             (0.0, 0.0, 0)
         );
-        let mut last_version = initial.version;
         for i in 0..20 {
             let t = SimTime::from_secs(i as f64 * 120.0);
             let start = q.admit(t, 0.5);
@@ -938,28 +914,7 @@ mod tests {
             assert_eq!(snap.booked_until_s, q.horizon_s(), "job {i}");
             assert_eq!(snap.backlog_s, q.backlog_s(), "job {i}");
             assert_eq!(snap.jobs_booked, q.jobs_booked(), "job {i}");
-            assert!(snap.version > last_version, "version must move on booking");
-            last_version = snap.version;
         }
-    }
-
-    #[test]
-    fn zero_load_idle_advances_leave_the_version_alone() {
-        // With no exogenous load a decay_to is a pure cursor advance:
-        // nothing the read side publishes changes, so the version must
-        // not move — that is what makes occupancy refreshes
-        // allocation-free (and copy-free) at steady state.
-        let mut q = DeviceQueue::new(QueueModel::light(5.0), LoadModel::None).unwrap();
-        let handle = q.read_handle();
-        let start = q.enqueue(SimTime::from_secs(1.0), 10.0);
-        assert!(start.as_secs() > 0.0);
-        let v = handle.version();
-        for i in 2..100 {
-            q.decay_to(SimTime::from_secs(i as f64 * 50.0));
-        }
-        assert_eq!(handle.version(), v, "idle advances must not bump versions");
-        q.book(SimTime::from_secs(5000.0), 1.0);
-        assert!(handle.version() > v);
     }
 
     #[test]
@@ -986,7 +941,7 @@ mod tests {
         // some prefix of the booking history — never a mix of two states.
         let q = DeviceQueue::new(QueueModel::light(2.0), LoadModel::None).unwrap();
         let handle = q.read_handle();
-        let history = Arc::new(Mutex::new(vec![(0u64, 0.0f64, 0.0f64, 0u64)]));
+        let history = Arc::new(Mutex::new(vec![(0.0f64, 0.0f64, 0u64)]));
         let ledger = Arc::new(Mutex::new(q));
         let done = Arc::new(AtomicBool::new(false));
 
@@ -1001,10 +956,10 @@ mod tests {
                     let mut seen = 0u64;
                     loop {
                         let s = handle.read();
-                        let quad = (s.version, s.booked_until_s, s.backlog_s, s.jobs_booked);
+                        let triple = (s.booked_until_s, s.backlog_s, s.jobs_booked);
                         assert!(
-                            history.lock().unwrap().contains(&quad),
-                            "torn read: {quad:?} was never published"
+                            history.lock().unwrap().contains(&triple),
+                            "torn read: {triple:?} was never published"
                         );
                         seen += 1;
                         if done.load(Ordering::Acquire) {
@@ -1022,10 +977,8 @@ mod tests {
             let start = q.admit(t, (i % 7) as f64 / 7.0);
             // Record the post-book state before it becomes visible, so a
             // reader can never observe a state missing from the history.
-            let next_version = q.read_handle().version() + 1;
             let horizon = start.as_secs() + 1.5;
             history.lock().unwrap().push((
-                next_version,
                 horizon.max(q.horizon_s()),
                 q.backlog_s(),
                 q.jobs_booked() + 1,

@@ -4,8 +4,7 @@
 
 use eqc_oracle::reference;
 use qcircuit::{Circuit, CircuitBuilder};
-use qdevice::noise_model::execute_density;
-use qdevice::{Calibration, CompiledTemplate, NoiseModel, NoiseToken};
+use qdevice::{compile_bound, Calibration, CompiledTemplate, NoiseModel, NoiseToken};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -68,7 +67,9 @@ fn trajectories_agree_with_density() {
     let c = ghz(3);
     let noise = noisy_model(3);
     let mut rng = StdRng::seed_from_u64(4);
-    let (dens, d_dur) = execute_density(&c, &noise, 40_000, &mut rng);
+    let program = compile_bound(&c, &noise);
+    let dens = qsim::DensityEngine::new().run_program(&program, 40_000, &mut rng);
+    let d_dur = program.duration_ns();
     let (traj, t_dur) = reference::execute_trajectories(&c, &noise, 40_000, 400, &mut rng);
     assert_eq!(d_dur, t_dur, "schedules must agree");
     // Compare the GHZ success probabilities within sampling noise.

@@ -281,7 +281,6 @@ proptest! {
         shots in 16usize..512,
         seed in 0u64..100,
     ) {
-        use qdevice::noise_model::execute_density;
         let active = [0usize, 1, 2];
         let mut be = small_backend(0.01, 0.02, 1.0, seed);
         let ledger = Arc::new(Mutex::new(
@@ -292,8 +291,9 @@ proptest! {
             let noise = NoiseModel::from_calibration(&be.actual_calibration(started), &active);
             (0..k)
                 .map(|_| {
-                    let (c, duration) = execute_density(&bell3(), &noise, shots, be.shot_rng());
-                    (c, duration, noise.readout_time_ns)
+                    let program = qdevice::compile_bound(&bell3(), &noise);
+                    let c = qsim::DensityEngine::new().run_program(&program, shots, be.shot_rng());
+                    (c, program.duration_ns(), noise.readout_time_ns)
                 })
                 .collect()
         });

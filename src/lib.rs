@@ -85,10 +85,10 @@ pub mod prelude {
         ideal_backend, ClientNode, DeviceOccupancy, DiscreteEventExecutor, EngineTelemetry,
         Ensemble, EnsembleBuilder, EnsembleSession, EqcConfig, EqcError, EvictionEvent, Executor,
         FleetBuilder, FleetOutcome, FleetRuntime, FleetService, FleetTelemetry, MembershipChange,
-        PolicyConfig, PolicyTelemetry, PoolConfig, PoolTelemetry, PooledExecutor,
-        SequentialExecutor, ServiceConfig, ServiceOutcome, ServiceTelemetry, ServiceTenantRecord,
-        SimParallelism, TenantConfig, TenantHandle, TenantId, TenantTelemetry, TrainingReport,
-        WeightBounds, WeightProvenance,
+        PolicyConfig, PolicyTelemetry, PoolTelemetry, PooledExecutor, SequentialExecutor,
+        ServiceConfig, ServiceOutcome, ServiceTelemetry, ServiceTenantRecord, SimParallelism,
+        TenantConfig, TenantHandle, TenantId, TenantTelemetry, TrainingReport, WeightBounds,
+        WeightProvenance,
     };
     pub use qcircuit::{Circuit, CircuitBuilder, Gate, Hamiltonian, PauliString};
     pub use qdevice::{catalog, DeviceSpec, LoadCurve, LoadModel, QpuBackend, SimTime};

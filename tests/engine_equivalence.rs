@@ -650,11 +650,11 @@ fn pipeline_lanes_run_whole_client_tasks_on_the_pool() {
 
 #[test]
 fn wrapper_executors_match_reference_functions() {
-    // The public execute_density wrapper (used by external callers and
-    // the figure harnesses) is a thin shim over the engine; it must
-    // reproduce the preserved reference implementation byte for byte.
+    // A bound circuit compiled once and run on a fresh engine (what
+    // `QpuBackend::execute` does) must reproduce the preserved
+    // reference implementation byte for byte.
     use eqc_oracle::reference;
-    use qdevice::noise_model::{execute_density, NoiseModel};
+    use qdevice::noise_model::NoiseModel;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -662,9 +662,12 @@ fn wrapper_executors_match_reference_functions() {
     let cal = qdevice::Calibration::uniform(4, 85.0, 65.0, 0.002, 0.015, 0.025);
     let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2, 3]);
 
-    let (a, da) = execute_density(&circuit, &noise, 30_000, &mut StdRng::seed_from_u64(21));
+    let program = qdevice::compile_bound(&circuit, &noise);
+    let a =
+        qsim::DensityEngine::new().run_program(&program, 30_000, &mut StdRng::seed_from_u64(21));
+    let da = program.duration_ns();
     let (b, db) =
         reference::execute_density(&circuit, &noise, 30_000, &mut StdRng::seed_from_u64(21));
-    assert_eq!(a, b, "density wrapper must be byte-identical");
+    assert_eq!(a, b, "the engine path must be byte-identical");
     assert_eq!(da.to_bits(), db.to_bits());
 }

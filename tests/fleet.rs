@@ -1060,3 +1060,33 @@ proptest! {
         }
     }
 }
+
+#[test]
+fn contention_aware_tenants_refresh_exactly_the_devices_they_booked() {
+    // Two contention-aware tenants and a cyclic one share four ledgers
+    // under Poisson load: every pick refreshes the occupancy view, and a
+    // refresh copies exactly the devices booked since the last one. The
+    // counters are pinned: they move only if what a refresh copies does.
+    let problem = QaoaProblem::maxcut_ring4();
+    let load = LoadModel::Poisson {
+        jobs_per_hour: 40.0,
+        mean_job_s: 30.0,
+        seed: 5,
+    };
+    let mut fleet = builder()
+        .arbiter(FairShare)
+        .shared_with_load(load)
+        .build()
+        .expect("builds");
+    let aware = || PolicyConfig::default().with_scheduler(ContentionAware::default());
+    for (seed, policies) in [(1, aware()), (2, PolicyConfig::default()), (3, aware())] {
+        fleet
+            .admit(
+                &problem,
+                TenantConfig::new(cfg(4).with_seed(seed)).policies(policies),
+            )
+            .expect("admits");
+    }
+    let t = fleet.run().expect("runs").telemetry;
+    assert_eq!((t.snapshot_rebuilds, t.snapshot_reuses), (32, 140), "{t}");
+}
