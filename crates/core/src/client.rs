@@ -5,11 +5,22 @@
 //! architecture and schedule signature, and refreshed per noise token
 //! (per job, under drift) — then
 //! serves gradient tasks: the per-occurrence forward/backward shift
-//! pairs go to the device as **one** batched engine call
-//! ([`QpuBackend::execute_device_templates`]), the loss is read off the
+//! pairs go to the device as **one** job, the loss is read off the
 //! counts it hands back — the executing thread's buffers, so a client
 //! keeps none — and the gradient is reported together with the
 //! device's current `P_correct`.
+//!
+//! A task runs in two halves, the way Algorithm 2 submits a job and
+//! waits for its counts. [`ClientNode::book_task`] scores the device
+//! (Eq. 2), draws the job's start and books it, settling its completion
+//! at submission: a run's duration is a constant the client computes
+//! per template when it prepares it ([`QpuBackend::run_times`]).
+//! [`ClientNode::simulate_task`] runs the booked job's circuits
+//! ([`QpuBackend::simulate_device_templates`]) and returns the
+//! gradient; a fleet's pooled drive books on its own thread and
+//! simulates on a worker. [`ClientNode::run_task`] is both, back to
+//! back. The clone's RNG serves the jitter draw, then the shots, in
+//! either case.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
 //! transpilation and plans belong to the device's architecture: the
@@ -45,6 +56,40 @@ pub struct ClientTaskResult {
     pub circuits_run: usize,
 }
 
+/// A gradient task booked on its device: a [`ClientTaskResult`] but for
+/// the gradient, which [`ClientNode::simulate_task`] computes, and with
+/// the instant the job starts.
+#[derive(Clone, Copy, Debug)]
+pub struct TaskBooking {
+    /// The task that was booked.
+    pub task: GradientTask,
+    /// The device's Eq. 2 score at submission, from *reported*
+    /// calibration.
+    pub p_correct: f64,
+    /// Virtual submission time.
+    pub submitted: SimTime,
+    /// Virtual time the job starts executing (after its queue wait).
+    pub started: SimTime,
+    /// Virtual completion time.
+    pub completed: SimTime,
+    /// Circuits the job executes.
+    pub circuits_run: usize,
+}
+
+impl TaskBooking {
+    /// The task's result, once its gradient is known.
+    pub fn with_gradient(self, gradient: f64) -> ClientTaskResult {
+        ClientTaskResult {
+            task: self.task,
+            gradient,
+            p_correct: self.p_correct,
+            submitted: self.submitted,
+            completed: self.completed,
+            circuits_run: self.circuits_run,
+        }
+    }
+}
+
 /// A client node paired with one backend.
 #[derive(Clone, Debug)]
 pub struct ClientNode {
@@ -54,6 +99,9 @@ pub struct ClientNode {
     /// index, and this client's pointer to the plan it last ran on.
     templates: Vec<DeviceTemplate>,
     plans: Vec<PlanPointer>,
+    /// Each template's `(duration_ns, readout_ns)` per run on the
+    /// device, what its jobs book.
+    run_times: Vec<(f64, f64)>,
     circuits_run: u64,
     tasks_completed: u64,
     /// This client's own jobs' compile outcomes, by [`Compile`] variant.
@@ -80,8 +128,9 @@ impl ClientNode {
             .collect::<Result<_, _>>()?;
         Ok(ClientNode {
             id,
-            backend,
             plans: vec![PlanPointer::default(); templates.len()],
+            run_times: templates.iter().map(|t| backend.run_times(t)).collect(),
+            backend,
             templates,
             circuits_run: 0,
             tasks_completed: 0,
@@ -158,6 +207,13 @@ impl ClientNode {
         self.templates.len()
     }
 
+    /// The `(duration_ns, readout_ns)` of one run of template `t` on the
+    /// device, what this client's jobs book
+    /// ([`QpuBackend::run_times`]).
+    pub fn run_times(&self, t: usize) -> (f64, f64) {
+        self.run_times[t]
+    }
+
     /// Metrics of template `t` after transpilation (inputs to Eq. 2).
     pub fn template_metrics(&self, t: usize) -> &CircuitMetrics {
         self.templates[t].metrics()
@@ -187,10 +243,8 @@ impl ClientNode {
         weighting::bound_p_correct(mean)
     }
 
-    /// Executes one gradient task: the per-occurrence forward/backward
-    /// shift pairs of every template in the slice go to the backend as
-    /// **one** batched engine call over the slice's templates, then the
-    /// gradient is assembled from the returned counts.
+    /// Executes one gradient task: books it ([`ClientNode::book_task`])
+    /// and simulates it at once ([`ClientNode::simulate_task`]).
     ///
     /// # Panics
     ///
@@ -204,58 +258,105 @@ impl ClientNode {
         shots: usize,
         submit: SimTime,
     ) -> ClientTaskResult {
-        let template_indices = problem.slice_templates(task.slice);
-        let p_correct = Self::mean_p_correct(
-            &self.templates,
-            self.backend.reported_at(submit),
-            &template_indices,
-        );
+        let slice = problem.slice_templates(task.slice);
+        let booking = self.book(&slice, task, shots, submit);
+        let gradient = self.simulate(problem, &slice, &booking, params, shots);
+        booking.with_gradient(gradient)
+    }
 
+    /// The booking half of a gradient task submitted at `submit`: the
+    /// device's Eq. 2 score from its reported calibration, then the job
+    /// of the per-occurrence forward/backward shift pairs of every
+    /// template in the task's slice, drawn a start and booked on the
+    /// device. A task whose parameter does not occur in the circuits
+    /// runs no job: it completes at `submit`, drawing nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if occurrence structures disagree across the slice's
+    /// templates.
+    pub fn book_task(
+        &mut self,
+        problem: &dyn VqaProblem,
+        task: GradientTask,
+        shots: usize,
+        submit: SimTime,
+    ) -> TaskBooking {
+        self.book(&problem.slice_templates(task.slice), task, shots, submit)
+    }
+
+    /// The simulation half of a task [`ClientNode::book_task`] booked:
+    /// runs its job's circuits at the booked start, as **one** batched
+    /// engine call over the slice's templates, and assembles the
+    /// gradient from the counts. A task that runs no job has gradient
+    /// zero.
+    ///
+    /// # Panics
+    ///
+    /// As [`ClientNode::run_task`].
+    pub fn simulate_task(
+        &mut self,
+        problem: &dyn VqaProblem,
+        booking: &TaskBooking,
+        params: &[f64],
+        shots: usize,
+    ) -> f64 {
+        let slice = problem.slice_templates(booking.task.slice);
+        self.simulate(problem, &slice, booking, params, shots)
+    }
+
+    /// [`ClientNode::book_task`] over the slice's template indices.
+    fn book(
+        &mut self,
+        slice: &[usize],
+        task: GradientTask,
+        shots: usize,
+        submit: SimTime,
+    ) -> TaskBooking {
+        let p_correct =
+            Self::mean_p_correct(&self.templates, self.backend.reported_at(submit), slice);
+        let runs = shift_runs(&self.templates, slice, task);
+        let circuits_run = runs.clone().count();
+        let (started, completed) = if circuits_run == 0 {
+            (submit, submit)
+        } else {
+            let run_times = &self.run_times;
+            let times = runs.map(|run| run_times[run.template]);
+            let timing = self.backend.book_job(submit, shots, times);
+            (timing.started, timing.completed)
+        };
+        TaskBooking {
+            task,
+            p_correct,
+            submitted: submit,
+            started,
+            completed,
+            circuits_run,
+        }
+    }
+
+    /// [`ClientNode::simulate_task`] over the slice's template indices.
+    fn simulate(
+        &mut self,
+        problem: &dyn VqaProblem,
+        slice: &[usize],
+        booking: &TaskBooking,
+        params: &[f64],
+        shots: usize,
+    ) -> f64 {
+        if booking.circuits_run == 0 {
+            return 0.0;
+        }
+        let task = booking.task;
         // Occurrence structure from the first template; all templates of a
         // slice share the ansatz so the structure must agree.
-        let first = &self.templates[template_indices[0]];
+        let first = &self.templates[slice[0]];
         let occurrences = first.occurrences(task.param);
-        let n_occurrences = occurrences.len();
-        let n_templates = template_indices.len();
-        if n_occurrences == 0 {
-            // Parameter absent from the circuit: zero gradient, no job.
-            return ClientTaskResult {
-                task,
-                gradient: 0.0,
-                p_correct,
-                submitted: submit,
-                completed: submit,
-                circuits_run: 0,
-            };
-        }
-
-        // The batch: for each occurrence, forward then backward shifts of
-        // every template in the slice.
-        let templates = &self.templates;
-        let template_indices = &template_indices;
-        let runs = (0..n_occurrences).flat_map(|k| {
-            [vqa::gradient::SHIFT, -vqa::gradient::SHIFT]
-                .into_iter()
-                .flat_map(move |delta| {
-                    template_indices.iter().map(move |&ti| {
-                        let occ = templates[ti].occurrences(task.param);
-                        assert_eq!(
-                            occ.len(),
-                            n_occurrences,
-                            "occurrence structure differs across slice templates"
-                        );
-                        TemplateRun {
-                            template: ti,
-                            shift: Some((occ[k], delta)),
-                        }
-                    })
-                })
-        });
+        let n_templates = slice.len();
         // Reassemble: per occurrence, the forward template counts then the
         // backward template counts.
         let gradient = |counts: &[Counts]| {
-            let loss =
-                |first: usize| problem.slice_loss(task.slice, &counts[first..][..n_templates]);
+            let loss = |first: usize| problem.slice_loss(task.slice, &counts[first..][..n_templates]);
             let mut gradient = 0.0;
             for (k, &occ) in occurrences.iter().enumerate() {
                 let angle = first.circuit().gates()[occ].angle();
@@ -265,27 +366,18 @@ impl ClientNode {
             }
             gradient
         };
-        let (timing, compiles, gradient) = self.backend.execute_device_templates(
-            templates,
+        let (compiles, gradient) = self.backend.simulate_device_templates(
+            &self.templates,
             &mut self.plans,
-            runs,
+            shift_runs(&self.templates, slice, task),
             params,
             shots,
-            submit,
+            booking.started,
             gradient,
         );
-        let circuits_run = 2 * n_occurrences * n_templates;
-        self.tally(compiles, circuits_run);
+        self.tally(compiles, booking.circuits_run);
         self.tasks_completed += 1;
-
-        ClientTaskResult {
-            task,
-            gradient,
-            p_correct,
-            submitted: submit,
-            completed: timing.completed,
-            circuits_run,
-        }
+        gradient
     }
 
     /// Evaluates the full noisy loss at `params` by running every loss
@@ -306,13 +398,15 @@ impl ClientNode {
                 template,
                 shift: None,
             });
-            let (timing, compiles, loss) = self.backend.execute_device_templates(
+            let times = runs.clone().map(|run| self.run_times[run.template]);
+            let timing = self.backend.book_job(t, shots, times);
+            let (compiles, loss) = self.backend.simulate_device_templates(
                 &self.templates,
                 &mut self.plans,
                 runs,
                 params,
                 shots,
-                t,
+                timing.started,
                 |counts| problem.slice_loss(slice, counts),
             );
             self.tally(compiles, template_indices.len());
@@ -329,6 +423,40 @@ impl ClientNode {
         }
         self.circuits_run += circuits as u64;
     }
+}
+
+/// A gradient task's runs, in job order: per occurrence of the task's
+/// parameter, the forward then the backward shift of every template in
+/// `slice`. Empty when the parameter does not occur.
+///
+/// # Panics
+///
+/// Panics (as the runs are drawn) if occurrence structures disagree
+/// across the slice's templates.
+fn shift_runs<'a>(
+    templates: &'a [DeviceTemplate],
+    slice: &'a [usize],
+    task: GradientTask,
+) -> impl Iterator<Item = TemplateRun> + Clone + 'a {
+    let n_occurrences = templates[slice[0]].occurrences(task.param).len();
+    (0..n_occurrences).flat_map(move |k| {
+        [vqa::gradient::SHIFT, -vqa::gradient::SHIFT]
+            .into_iter()
+            .flat_map(move |delta| {
+                slice.iter().map(move |&ti| {
+                    let occ = templates[ti].occurrences(task.param);
+                    assert_eq!(
+                        occ.len(),
+                        n_occurrences,
+                        "occurrence structure differs across slice templates"
+                    );
+                    TemplateRun {
+                        template: ti,
+                        shift: Some((occ[k], delta)),
+                    }
+                })
+            })
+    })
 }
 
 #[cfg(test)]

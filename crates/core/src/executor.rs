@@ -43,7 +43,7 @@ use crate::report::TrainingReport;
 use qdevice::SimTime;
 use std::cmp::Ordering;
 
-use crate::client::ClientTaskResult;
+use crate::client::TaskBooking;
 
 /// An execution substrate for an [`EnsembleSession`].
 ///
@@ -62,16 +62,23 @@ pub trait Executor {
     fn run(&self, session: &mut EnsembleSession<'_>) -> Result<TrainingReport, EqcError>;
 }
 
-/// A completed task waiting in the event queue, ordered by completion
-/// time (earliest first). The same total order drives the
-/// [`DiscreteEventExecutor`] heap and the [`PooledExecutor`]'s
-/// deterministic absorption queue.
+/// A booked task waiting in the event queue, ordered by completion
+/// time (earliest first). Every task is queued at dispatch, when its
+/// completion is booked, so the same total order drives the
+/// [`DiscreteEventExecutor`] and the [`PooledExecutor`]; its gradient
+/// joins it when its simulation is done.
 pub(crate) struct Event {
-    pub(crate) completed: SimTime,
     pub(crate) client: usize,
-    pub(crate) result: ClientTaskResult,
+    pub(crate) booking: TaskBooking,
     pub(crate) cycle: usize,
     pub(crate) dispatched_at_update: u64,
+}
+
+impl Event {
+    /// Virtual completion time.
+    pub(crate) fn completed(&self) -> SimTime {
+        self.booking.completed
+    }
 }
 
 impl PartialEq for Event {
@@ -92,9 +99,9 @@ impl Ord for Event {
         // completion time cannot silently scramble the queue, and ties
         // break on client id for determinism.
         other
-            .completed
+            .completed()
             .as_secs()
-            .total_cmp(&self.completed.as_secs())
+            .total_cmp(&self.completed().as_secs())
             .then_with(|| other.client.cmp(&self.client))
     }
 }
@@ -243,16 +250,15 @@ mod tests {
     fn event_ordering_is_total_and_earliest_first() {
         fn ev(completed: f64, client: usize) -> Event {
             Event {
-                completed: SimTime::from_secs(completed),
                 client,
-                result: ClientTaskResult {
+                booking: TaskBooking {
                     task: vqa::GradientTask {
                         param: qcircuit::ParamId(0),
                         slice: vqa::TaskSlice::Full,
                     },
-                    gradient: 0.0,
                     p_correct: 1.0,
                     submitted: SimTime::ZERO,
+                    started: SimTime::ZERO,
                     completed: SimTime::from_secs(completed),
                     circuits_run: 0,
                 },
@@ -266,7 +272,7 @@ mod tests {
         heap.push(ev(10.0, 1));
         heap.push(ev(20.0, 0));
         let order: Vec<(f64, usize)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.completed.as_secs(), e.client))
+            .map(|e| (e.completed().as_secs(), e.client))
             .collect();
         // Earliest first; equal times break toward the lower client id.
         assert_eq!(order, vec![(10.0, 1), (10.0, 2), (20.0, 0), (30.0, 0)]);

@@ -41,25 +41,33 @@
 //!
 //! Every fleet mode — batch or streaming, any substrate — and both
 //! single-session executors run the same resumable stepper, `drive`:
-//! `next event → arrival-or-absorb → grant → round += 1`. What varies
-//! is one choice, how dispatches execute:
+//! `next event → arrival-or-absorb → grant → round += 1`. A dispatch
+//! always books its task on the drive thread — the client's Eq. 2
+//! score, jitter draw and queue booking
+//! ([`ClientNode::book_task`]) — and queues its event at the exact
+//! virtual completion that booking settles, the way the paper's client
+//! learns its job's place in the device queue at submission. What
+//! varies is one choice, where the simulation that computes the
+//! gradient runs:
 //!
 //! * **Inline** at dispatch (the reference), over private per-clone
 //!   queues (the default) or [`FleetBuilder::shared`]: one
 //!   [`DeviceQueue`] timeline per physical device, with an occupancy
 //!   view feeding occupancy-aware schedulers. The view rides only the
-//!   inline drive, where a task runs at its dispatch: a task that ran
-//!   circuits booked its client's device, so the dispatch marks that
-//!   device and the next refresh copies only the marked ones. With
-//!   zero load and one tenant the shared ledgers replay the private
-//!   ones byte for byte.
-//! * **Pooled**, [`FleetBuilder::pooled`]: tasks run on the bounded worker pool
-//!   ([`crate::pool`]'s sharded work-stealing run-queue) while the
-//!   coordinator absorbs them in the exact discrete-event total order
-//!   via conservative queue-model lookahead — parallel wall-clock,
-//!   byte-identical outcome. That pool is the process's one thread
-//!   substrate: the [`PooledExecutor`](crate::PooledExecutor) rides it
-//!   with its own worker count, the
+//!   inline drive: a task that runs circuits booked its client's
+//!   device, so the dispatch marks that device and the next refresh
+//!   copies only the marked ones. With zero load and one tenant the
+//!   shared ledgers replay the private ones byte for byte.
+//! * **Pooled**, [`FleetBuilder::pooled`]: simulations run on the
+//!   bounded worker pool ([`crate::pool`]'s sharded work-stealing
+//!   run-queue), and each gradient comes back into its client's slot.
+//!   Both drives hold the same events at the same times, so they take
+//!   the same steps in the same order by construction; the pooled one
+//!   waits only when the event it absorbs next still has its gradient
+//!   out — parallel wall-clock, byte-identical outcome. That pool is
+//!   the process's one thread substrate: the
+//!   [`PooledExecutor`](crate::PooledExecutor) rides it with its own
+//!   worker count, the
 //!   [`DiscreteEventExecutor`](crate::DiscreteEventExecutor) when its
 //!   session asks for [`SimParallelism::Pipeline`] of more than one
 //!   lane, and the simulator below runs each task's jobs serially. A
@@ -103,7 +111,7 @@
 
 pub mod service;
 
-use crate::client::{ClientNode, ClientTaskResult};
+use crate::client::{ClientNode, TaskBooking};
 use crate::config::{ServiceConfig, TenantConfig};
 use crate::ensemble::{resolve_devices, Device, DeviceChoice};
 use crate::error::EqcError;
@@ -115,7 +123,7 @@ use crate::pool::RunQueue;
 use crate::report::{
     DeviceOccupancy, FleetTelemetry, PoolTelemetry, TenantTelemetry, TrainingReport,
 };
-use qdevice::{DeviceQueue, LoadModel, QueueModel, QueueReadHandle, SimTime};
+use qdevice::{DeviceQueue, LoadModel, QueueReadHandle, SimTime};
 use std::collections::{BinaryHeap, VecDeque};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread;
@@ -510,8 +518,8 @@ pub(crate) struct LaneCounters {
 }
 
 /// One tenant's lane through a fleet drive: the session halves
-/// (clients + master) plus the drive-local event heap, ready queue and
-/// in-flight accounting. The single-session executors build a lane
+/// (clients + master) plus the drive-local event heap, gradient slots,
+/// ready queue and in-flight accounting. The single-session executors build a lane
 /// directly from an [`EnsembleSession`](crate::EnsembleSession) — they
 /// are fleets of one tenant.
 pub(crate) struct Lane<'a, 'p> {
@@ -534,6 +542,9 @@ pub(crate) struct Lane<'a, 'p> {
     clients: &'a mut Vec<ClientNode>,
     master: &'a mut MasterLoop,
     heap: BinaryHeap<Event>,
+    /// Per client, the gradient of its task in flight once the task's
+    /// simulation has returned it.
+    gradients: Vec<Option<f64>>,
     ready: VecDeque<ReadyClient>,
     in_flight: usize,
     done: bool,
@@ -562,6 +573,7 @@ impl<'a, 'p> Lane<'a, 'p> {
             clients,
             master,
             heap: BinaryHeap::new(),
+            gradients: vec![None; n],
             ready: VecDeque::new(),
             in_flight: 0,
             done: false,
@@ -622,20 +634,19 @@ impl<'a, 'p> Lane<'a, 'p> {
         Ok((a, submit))
     }
 
-    /// Queues a completed task's event and returns its completion time
-    /// on the fleet clock, for the caller to index.
+    /// Queues a booked task's event and returns its completion time on
+    /// the fleet clock, for the caller to index.
     fn push_event(
         &mut self,
         client: usize,
-        result: ClientTaskResult,
+        booking: TaskBooking,
         cycle: usize,
         dispatched_at_update: u64,
     ) -> f64 {
-        let global_s = self.offset_s + result.completed.as_secs();
+        let global_s = self.offset_s + booking.completed.as_secs();
         self.heap.push(Event {
-            completed: result.completed,
             client,
-            result,
+            booking,
             cycle,
             dispatched_at_update,
         });
@@ -709,7 +720,7 @@ fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
         .filter_map(|(t, lane)| {
             lane.heap
                 .peek()
-                .map(|e| (t, lane.offset_s + e.completed.as_secs()))
+                .map(|e| (t, lane.offset_s + e.completed().as_secs()))
         })
         .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .map(|(t, _)| t)
@@ -736,7 +747,7 @@ fn order_key(global_s: f64) -> u64 {
 /// The index is *lazy*: mutations push fresh entries and never remove
 /// old ones; [`HeadIndex::next`] validates the top against the live
 /// lane head and discards entries that no longer describe it. Every
-/// head mutation (dispatch push, absorb pop, pooled receive) must be
+/// head mutation (dispatch push, absorb pop) must be
 /// [`note`](HeadIndex::note)d — the current head of a non-done lane
 /// then always has a live entry, so the pick equals [`next_lane`]'s
 /// (pinned by a test). A drained index rebuilds from the lanes as a
@@ -767,7 +778,7 @@ impl HeadIndex {
             return;
         }
         if let Some(e) = lanes[t].heap.peek() {
-            self.note_at(t, lanes[t].offset_s + e.completed.as_secs());
+            self.note_at(t, lanes[t].offset_s + e.completed().as_secs());
         }
     }
 
@@ -802,7 +813,7 @@ impl HeadIndex {
                 self.heap.pop();
                 continue;
             };
-            let global_s = lanes[t].offset_s + e.completed.as_secs();
+            let global_s = lanes[t].offset_s + e.completed().as_secs();
             if order_key(global_s) != key {
                 self.heap.pop();
                 continue;
@@ -812,19 +823,31 @@ impl HeadIndex {
     }
 }
 
-/// Absorbs lane `t`'s earliest event and queues the follow-up
-/// dispatches (the freed client plus any re-admissions) for grant round
-/// `round`. Returns the absorbed event's local completion time.
-fn absorb_next(lanes: &mut [Lane<'_, '_>], t: usize, round: u64) -> Result<SimTime, EqcError> {
+/// Absorbs lane `t`'s earliest event — waiting on `exec` while that
+/// event's own gradient is still being simulated — and queues the
+/// follow-up dispatches (the freed client plus any re-admissions) for
+/// grant round `round`. Returns the absorbed event's local completion
+/// time.
+fn absorb_next(
+    lanes: &mut [Lane<'_, '_>],
+    t: usize,
+    round: u64,
+    exec: &mut Exec<'_>,
+) -> Result<SimTime, EqcError> {
+    let client = lanes[t].heap.peek().expect("next_lane implies a head").client;
+    while lanes[t].gradients[client].is_none() {
+        exec.receive(lanes)?;
+    }
     let lane = &mut lanes[t];
-    let ev = lane.heap.pop().expect("next_lane implies a head");
-    let completed = ev.completed;
+    let ev = lane.heap.pop().expect("peeked");
+    let gradient = lane.gradients[client].take().expect("received");
+    let completed = ev.completed();
     lane.in_flight -= 1;
     lane.master.absorb(
         ev.client,
         ev.cycle,
         ev.dispatched_at_update,
-        &ev.result,
+        &ev.booking.with_gradient(gradient),
         lane.problem,
     )?;
     lane.counters.results_absorbed += 1;
@@ -1100,99 +1123,22 @@ fn refresh_occupancy(
     }
 }
 
-/// What the coordinator knows about one in-flight task's eventual
-/// virtual completion time.
-#[derive(Clone, Copy, Debug)]
-pub(crate) enum InflightBound {
-    /// Completion is strictly later than this many virtual seconds
-    /// (normal tasks: queue-wait floor plus overhead, execution still to
-    /// come).
-    Above(f64),
-    /// Completion is exactly this many virtual seconds (a task whose
-    /// parameter is absent from the circuit returns at its submit time
-    /// without touching the device).
-    Exactly(f64),
-}
-
-impl InflightBound {
-    /// The bound shifted onto the fleet clock by a lane's arrival
-    /// offset (a zero offset is exact float identity, preserving the
-    /// batch replay).
-    fn offset_by(self, offset_s: f64) -> InflightBound {
-        match self {
-            InflightBound::Above(lb) => InflightBound::Above(lb + offset_s),
-            InflightBound::Exactly(t) => InflightBound::Exactly(t + offset_s),
-        }
-    }
-
-    /// The earliest completion the bound still allows, in the bound's
-    /// own clock.
-    fn floor_s(self) -> f64 {
-        match self {
-            InflightBound::Above(lb) => lb,
-            InflightBound::Exactly(t) => t,
-        }
-    }
-}
-
-/// Completion bound for a task dispatched at `submit` on a device with
-/// queue model `queue`. `QpuBackend::start_time` waits at least
-/// `0.8 * wait_s(submit) + overhead_s` after submission, and execution
-/// only adds to that.
-pub(crate) fn bound_for(queue: &QueueModel, submit: SimTime, instant: bool) -> InflightBound {
-    if instant {
-        InflightBound::Exactly(submit.as_secs())
-    } else {
-        InflightBound::Above(submit.as_secs() + 0.8 * queue.wait_s(submit) + queue.overhead_s)
-    }
-}
-
-/// Whether `assignment` will return instantly (its parameter does not
-/// occur in the slice's circuits, so clients skip the device — see
-/// [`ClientNode::run_task`]). Transpilation preserves occurrence
-/// structure, so this is client-independent.
-pub(crate) fn is_instant(problem: &dyn VqaProblem, assignment: &Assignment) -> bool {
-    let templates = problem.slice_templates(assignment.task.slice);
-    templates.first().is_none_or(|&t| {
-        problem.templates()[t]
-            .occurrences_of(assignment.task.param)
-            .is_empty()
-    })
-}
-
-/// Whether event `(completed, at)` precedes every completion the bound
-/// at `bound_at` still allows, under the fleet's `(completed, tenant,
-/// client)` total order.
-pub(crate) fn precedes(
-    completed: f64,
-    at: (usize, usize),
-    bound: InflightBound,
-    bound_at: (usize, usize),
-) -> bool {
-    match bound {
-        // Strict `<`: do not lean on execution time being non-zero.
-        InflightBound::Above(lb) => completed < lb,
-        InflightBound::Exactly(t) => completed < t || (completed == t && at < bound_at),
-    }
-}
-
-/// One dispatched task travelling through the fleet's run-queue.
+/// One booked task's simulation travelling through the fleet's
+/// run-queue.
 struct FleetTask {
     lane: usize,
     client: usize,
     flat: usize,
-    assignment: Assignment,
-    submit: SimTime,
+    booking: TaskBooking,
+    params: Vec<f64>,
 }
 
-/// Worker-to-coordinator protocol.
+/// Worker-to-coordinator protocol: what a worker computed.
 enum FleetMsg {
     Done {
         lane: usize,
         client: usize,
-        result: ClientTaskResult,
-        cycle: usize,
-        dispatched_at_update: u64,
+        gradient: f64,
     },
     Panicked {
         lane: usize,
@@ -1200,46 +1146,37 @@ enum FleetMsg {
     },
 }
 
-/// Maps a flat client index back to `(lane, client)`.
-fn locate(offsets: &[usize], flat: usize) -> (usize, usize) {
-    let lane = offsets.partition_point(|&o| o <= flat) - 1;
-    (lane, flat - offsets[lane])
-}
-
 /// How a drive executes its dispatches — the one choice its callers
-/// make. The occupancy view rides only the inline drive: only there
-/// does the coordinator know, at dispatch, which device a task booked.
+/// make. The occupancy view rides only the inline drive, the one that
+/// runs over shared ledgers.
 pub(crate) enum Execution<'t> {
     /// Tasks run inline at dispatch, refreshing the tracker over shared
     /// ledgers, when there is one, ahead of each scheduling decision.
     Inline(Option<&'t mut OccupancyTracker>),
-    /// Tasks run on a pool of this many workers.
+    /// Tasks are booked at dispatch and simulated on a pool of this
+    /// many workers.
     Pool(usize),
 }
 
 /// The execution back end a drive runs against, built from its
-/// [`Execution`] by [`with_exec`].
+/// [`Execution`] by [`with_exec`]. Either way a dispatch books its task
+/// on the drive thread and queues its event at the booked completion,
+/// so both drives take the same steps in the same order; they differ
+/// only in when a task's gradient arrives.
 enum Exec<'w> {
-    /// Tasks run inline at dispatch, so every completion is queued
-    /// before the next step is chosen: the earliest known step is
-    /// always provably next and there is never anything to wait for.
+    /// Tasks are simulated at dispatch: every gradient is in its slot
+    /// before the next step is chosen.
     Inline {
         tracker: Option<&'w mut OccupancyTracker>,
     },
-    /// Tasks run on the worker pool. The coordinator takes a step only
-    /// once the conservative queue-model lookahead proves no in-flight
-    /// task can precede it, and otherwise blocks on the next worker
-    /// result — the drive therefore replays [`Exec::Inline`]'s
-    /// activate/grant/absorb sequence exactly.
+    /// Tasks are simulated on the worker pool. The drive waits for a
+    /// result only when the event it absorbs next is still out.
     Pool {
         /// Each lane's first index in the flat client layout.
         offsets: &'w [usize],
-        queue_models: &'w [Vec<QueueModel>],
+        clients: &'w [Mutex<ClientNode>],
         runq: &'w RunQueue<FleetTask>,
         result_rx: &'w mpsc::Receiver<FleetMsg>,
-        /// Completion bound of each client's in-flight task, by flat
-        /// index.
-        bounds: Vec<Option<InflightBound>>,
         in_system: usize,
     },
 }
@@ -1253,13 +1190,11 @@ impl Exec<'_> {
         }
     }
 
-    /// Dispatches lane `t`'s ready client `r`: inline the task runs now,
-    /// marks the device it booked stale (a task that ran circuits
-    /// booked its client's device; one that ran none booked nothing),
-    /// and its completion is queued and indexed; on the pool it is
-    /// queued for the workers with its completion bound registered for
-    /// the lookahead (its event enters the head index on receive — a
-    /// pooled dispatch does not yet know its event time).
+    /// Dispatches lane `t`'s ready client `r`: books its task on this
+    /// thread and queues and indexes its event at the booked
+    /// completion. Inline the task is simulated now, and a task that
+    /// runs circuits marks the device it booked stale for the tracker;
+    /// on the pool its simulation is queued for the workers.
     fn dispatch(
         &mut self,
         lane: &mut Lane<'_, '_>,
@@ -1270,39 +1205,33 @@ impl Exec<'_> {
     ) -> Result<(), EqcError> {
         let client = r.client;
         let (assignment, submit) = lane.take_assignment(&r, round)?;
-        match self {
+        let (problem, shots) = (lane.problem, lane.shots);
+        let booking = match self {
             Exec::Inline { tracker } => {
-                let result = lane.clients[client].run_task(
-                    lane.problem,
-                    assignment.task,
-                    &assignment.params,
-                    lane.shots,
-                    submit,
-                );
+                let node = &mut lane.clients[client];
+                let booking = node.book_task(problem, assignment.task, shots, submit);
+                let gradient = node.simulate_task(problem, &booking, &assignment.params, shots);
+                lane.gradients[client] = Some(gradient);
                 if let Some(tracker) = tracker.as_deref_mut() {
-                    if result.circuits_run > 0 {
+                    if booking.circuits_run > 0 {
                         tracker.mark(client);
                     }
                 }
-                let global_s = lane.push_event(
-                    client,
-                    result,
-                    assignment.cycle,
-                    assignment.dispatched_at_update,
-                );
-                head.note_at(t, global_s);
+                booking
             }
             Exec::Pool {
                 offsets,
-                queue_models,
+                clients,
                 runq,
-                bounds,
                 in_system,
                 ..
             } => {
-                let instant = is_instant(lane.problem, &assignment);
                 let flat = offsets[t] + client;
-                bounds[flat] = Some(bound_for(&queue_models[t][client], submit, instant));
+                // The client is idle: no worker holds its lock.
+                let booking = clients[flat]
+                    .lock()
+                    .map_err(|_| EqcError::Internal(format!("client {flat} poisoned")))?
+                    .book_task(problem, assignment.task, shots, submit);
                 *in_system += 1;
                 runq.push(
                     flat,
@@ -1310,82 +1239,47 @@ impl Exec<'_> {
                         lane: t,
                         client,
                         flat,
-                        assignment,
-                        submit,
+                        booking,
+                        params: assignment.params,
                     },
                 );
+                booking
             }
-        }
+        };
+        let global_s = lane.push_event(
+            client,
+            booking,
+            assignment.cycle,
+            assignment.dispatched_at_update,
+        );
+        head.note_at(t, global_s);
         Ok(())
     }
 
-    /// Whether the step at fleet time `global_s` — lane event
-    /// `Some((tenant, client))`, or an arrival (`None`), which wins
-    /// ties with events — provably precedes every completion a live
-    /// in-flight task still allows. (Bounds of retired lanes are
-    /// ignored: their remaining events are discarded on receive,
-    /// exactly as the inline drive never pops a done lane's heap.)
-    fn provably_next(
-        &self,
-        lanes: &[Lane<'_, '_>],
-        global_s: f64,
-        at: Option<(usize, usize)>,
-    ) -> bool {
+    /// Blocks until one more pooled simulation returns and files its
+    /// gradient in its client's slot (a retired lane's is dropped).
+    /// Inline every gradient is filed at dispatch, so being asked to
+    /// wait means an event's result never came.
+    fn receive(&mut self, lanes: &mut [Lane<'_, '_>]) -> Result<(), EqcError> {
         let Exec::Pool {
-            offsets, bounds, ..
-        } = self
-        else {
-            return true;
-        };
-        bounds.iter().enumerate().all(|(flat, b)| {
-            let Some(bound) = b else {
-                return true;
-            };
-            let bound_at = locate(offsets, flat);
-            let lane = &lanes[bound_at.0];
-            if lane.done {
-                return true;
-            }
-            let bound = bound.offset_by(lane.offset_s);
-            match at {
-                Some(at) => precedes(global_s, at, bound, bound_at),
-                None => bound.floor_s() >= global_s,
-            }
-        })
-    }
-
-    /// Called when no step is provably next: blocks until one more
-    /// in-flight task's completion is known. With nothing in flight
-    /// (always, inline) every bound is clear and any known step is
-    /// provable, so being asked to wait means the fleet ran out of
-    /// events before its tenants completed.
-    fn wait(&mut self, lanes: &mut [Lane<'_, '_>], head: &mut HeadIndex) -> Result<(), EqcError> {
-        let Exec::Pool {
-            offsets,
             result_rx,
-            bounds,
             in_system: in_system @ 1..,
             ..
         } = self
         else {
             return Err(EqcError::Internal(
-                "event queue drained before the epoch budget".into(),
+                "an event's result was never computed".into(),
             ));
         };
         match result_rx.recv() {
             Ok(FleetMsg::Done {
                 lane,
                 client,
-                result,
-                cycle,
-                dispatched_at_update,
+                gradient,
             }) => {
-                bounds[offsets[lane] + client] = None;
                 *in_system -= 1;
                 if !lanes[lane].done {
-                    let global_s =
-                        lanes[lane].push_event(client, result, cycle, dispatched_at_update);
-                    head.note_at(lane, global_s);
+                    lanes[lane].gradients[client] = Some(gradient);
                 }
                 Ok(())
             }
@@ -1507,17 +1401,10 @@ pub(crate) fn drive(
                 .front()
                 .map(|a| a.at_s)
                 .filter(|&at_s| next_event.is_none_or(|(_, e)| at_s <= e));
-            let proven = match (arrival, next_event) {
-                (Some(at_s), _) => exec.provably_next(lanes, at_s, None),
-                (None, Some((t, e))) => {
-                    let client = lanes[t].heap.peek().expect("indexed head").client;
-                    exec.provably_next(lanes, e, Some((t, client)))
-                }
-                (None, None) => false,
-            };
-            if !proven {
-                exec.wait(lanes, &mut head)?;
-                continue;
+            if arrival.is_none() && next_event.is_none() {
+                return Err(EqcError::Internal(
+                    "event queue drained before the epoch budget".into(),
+                ));
             }
             if let Some(tracker) = exec.tracker() {
                 match arrival {
@@ -1531,8 +1418,8 @@ pub(crate) fn drive(
             if arrival.is_some() {
                 activate_due(lanes, arrivals, clock, on_retire)?;
             } else {
-                let (t, _) = next_event.expect("an event was proven next");
-                let completed = absorb_next(lanes, t, clock.round)?;
+                let (t, _) = next_event.expect("an event is next");
+                let completed = absorb_next(lanes, t, clock.round, exec)?;
                 head.note(lanes, t);
                 clock.now_s = clock.now_s.max(lanes[t].offset_s + completed.as_secs());
                 if lanes[t].done {
@@ -1559,10 +1446,10 @@ pub(crate) fn drive(
 
 /// Runs `body` against the execution back end `execution` selects:
 /// [`Exec::Inline`] with its tracker; for [`Execution::Pool`] of `n`,
-/// the lanes' clients are flattened into one mutex-guarded pool any of
-/// `n` scoped worker threads can execute against, and handed back to
-/// their lanes on every path — poisoned mutexes still surrender their
-/// client.
+/// the lanes' clients are flattened into one mutex-guarded pool that
+/// the drive books on and any of `n` scoped worker threads simulates
+/// on, and handed back to their lanes on every path — poisoned mutexes
+/// still surrender their client.
 fn with_exec(
     lanes: &mut [Lane<'_, '_>],
     execution: Execution<'_>,
@@ -1572,20 +1459,12 @@ fn with_exec(
         Execution::Inline(tracker) => return (body(lanes, &mut Exec::Inline { tracker }), None),
         Execution::Pool(workers) => workers,
     };
-    // Remember each lane's offset and queue models (the lookahead
-    // inputs) while flattening.
+    // Remember each lane's offset while flattening.
     let mut offsets = Vec::with_capacity(lanes.len());
-    let mut queue_models: Vec<Vec<QueueModel>> = Vec::with_capacity(lanes.len());
     let mut meta: Vec<(&dyn VqaProblem, usize)> = Vec::with_capacity(lanes.len());
     let mut flat: Vec<ClientNode> = Vec::new();
     for lane in lanes.iter_mut() {
         offsets.push(flat.len());
-        queue_models.push(
-            lane.clients
-                .iter()
-                .map(|c| c.backend().queue().clone())
-                .collect(),
-        );
         meta.push((lane.problem, lane.shots));
         flat.append(lane.clients);
     }
@@ -1608,20 +1487,12 @@ fn with_exec(
                         let mut node = clients[task.flat]
                             .lock()
                             .unwrap_or_else(|_| panic!("client {} poisoned", task.flat));
-                        node.run_task(
-                            problem,
-                            task.assignment.task,
-                            &task.assignment.params,
-                            shots,
-                            task.submit,
-                        )
+                        node.simulate_task(problem, &task.booking, &task.params, shots)
                     },
-                    |task, result| FleetMsg::Done {
+                    |task, gradient| FleetMsg::Done {
                         lane: task.lane,
                         client: task.client,
-                        result,
-                        cycle: task.assignment.cycle,
-                        dispatched_at_update: task.assignment.dispatched_at_update,
+                        gradient,
                     },
                     |task| FleetMsg::Panicked {
                         lane: task.lane,
@@ -1636,10 +1507,9 @@ fn with_exec(
             lanes,
             &mut Exec::Pool {
                 offsets: &offsets,
-                queue_models: &queue_models,
+                clients: &clients,
                 runq: &runq,
                 result_rx: &result_rx,
-                bounds: vec![None; clients.len()],
                 in_system: 0,
             },
         );
@@ -1710,12 +1580,19 @@ mod tests {
         EqcConfig::paper_qaoa().with_epochs(epochs).with_shots(128)
     }
 
+    /// A fresh ledger over catalog device `name`'s queue model.
+    fn ledger(name: &str, load: LoadModel) -> DeviceQueue {
+        let queue = qdevice::catalog::by_name(name)
+            .expect("catalog device")
+            .queue();
+        DeviceQueue::new(queue, load).expect("valid queue model")
+    }
+
     #[test]
     fn poisoned_ledger_surfaces_as_typed_error_not_panic() {
         let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = (0..3)
             .map(|_| {
-                let queue = DeviceQueue::new(QueueModel::light(5.0), LoadModel::None)
-                    .expect("valid queue model");
+                let queue = ledger("belem", LoadModel::None);
                 Arc::new(Mutex::new(queue))
             })
             .collect();
@@ -1733,33 +1610,6 @@ mod tests {
             Ok(rows) => assert!(rows.is_empty(), "no devices zipped, no rows"),
             Err(e) => panic!("zip with no devices must not lock: {e}"),
         }
-    }
-
-    #[test]
-    fn precedes_respects_the_fleet_total_order() {
-        // Strictly-later bounds admit strictly-earlier events only.
-        assert!(precedes(5.0, (1, 9), InflightBound::Above(10.0), (0, 0)));
-        assert!(!precedes(10.0, (0, 0), InflightBound::Above(10.0), (1, 9)));
-        // Exact bounds tie-break on (tenant, client) like the merge does.
-        assert!(precedes(10.0, (0, 5), InflightBound::Exactly(10.0), (1, 2)));
-        assert!(precedes(10.0, (1, 1), InflightBound::Exactly(10.0), (1, 2)));
-        assert!(!precedes(
-            10.0,
-            (1, 3),
-            InflightBound::Exactly(10.0),
-            (1, 2)
-        ));
-        assert!(precedes(9.0, (7, 7), InflightBound::Exactly(10.0), (0, 0)));
-    }
-
-    #[test]
-    fn locate_inverts_the_flat_layout() {
-        let offsets = [0usize, 3, 5];
-        assert_eq!(locate(&offsets, 0), (0, 0));
-        assert_eq!(locate(&offsets, 2), (0, 2));
-        assert_eq!(locate(&offsets, 3), (1, 0));
-        assert_eq!(locate(&offsets, 4), (1, 1));
-        assert_eq!(locate(&offsets, 5), (2, 0));
     }
 
     #[test]
@@ -2198,8 +2048,7 @@ mod tests {
         let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = clients
             .iter_mut()
             .map(|client| {
-                let queue = DeviceQueue::new(QueueModel::light(5.0), LoadModel::None)
-                    .expect("valid queue model");
+                let queue = ledger("belem", LoadModel::None);
                 let ledger = Arc::new(Mutex::new(queue));
                 client
                     .backend_mut()
@@ -2224,15 +2073,21 @@ mod tests {
                 .iter()
                 .find(|e| e.client == client)
                 .expect("queued");
-            (client, event.result.circuits_run)
+            (client, event.booking, lane.gradients[client])
         };
 
-        let (_, circuits) = dispatch(&mut lanes[0], &mut exec);
-        assert_eq!(circuits, 0, "parameter 0 runs no circuit");
+        let (_, booking, gradient) = dispatch(&mut lanes[0], &mut exec);
+        assert_eq!(booking.circuits_run, 0, "parameter 0 runs no circuit");
+        assert_eq!(
+            (booking.started, booking.completed, gradient),
+            (booking.submitted, booking.submitted, Some(0.0)),
+            "it completes at its submit time with a zero gradient"
+        );
         assert_eq!(tracker_marks(&mut exec), (vec![], vec![false; 2]));
 
-        let (client, circuits) = dispatch(&mut lanes[0], &mut exec);
-        assert!(circuits > 0, "parameter 1 runs its shift pair");
+        let (client, booking, gradient) = dispatch(&mut lanes[0], &mut exec);
+        assert!(booking.circuits_run > 0, "parameter 1 runs its shift pair");
+        assert!(booking.completed > booking.started && gradient.is_some());
         let mut stale = vec![false; 2];
         stale[client] = true;
         assert_eq!(tracker_marks(&mut exec), (vec![client], stale));
@@ -2262,17 +2117,17 @@ mod tests {
         ) {
             use qdevice::LoadCurve;
             let ledgers: Vec<Arc<Mutex<DeviceQueue>>> = [
-                DeviceQueue::new(QueueModel::light(5.0), LoadModel::None),
-                DeviceQueue::new(
-                    QueueModel::light(30.0),
+                ledger("belem", LoadModel::None),
+                ledger(
+                    "manila",
                     LoadModel::Bursty {
                         burst_busy_s: 40.0,
                         interval_s: 90.0,
                         phase_s: 10.0,
                     },
                 ),
-                DeviceQueue::new(
-                    QueueModel::congested(20.0, 0.5, 3.0),
+                ledger(
+                    "lima",
                     LoadModel::Diurnal {
                         busy_per_hour: 120.0,
                         curve: LoadCurve::daily(0.5, 0.0),
@@ -2280,7 +2135,7 @@ mod tests {
                 ),
             ]
             .into_iter()
-            .map(|q| Arc::new(Mutex::new(q.expect("valid queue model"))))
+            .map(|q| Arc::new(Mutex::new(q)))
             .collect();
             let n_ops = ops.len();
             let mut tracker = OccupancyTracker::new(&ledgers).expect("fresh ledgers");

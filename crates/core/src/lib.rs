@@ -112,7 +112,7 @@ pub mod report;
 pub mod stats;
 pub mod weighting;
 
-pub use client::{ClientNode, ClientTaskResult};
+pub use client::{ClientNode, ClientTaskResult, TaskBooking};
 pub use config::{EqcConfig, PolicyConfig, ServiceConfig, SimParallelism, TenantConfig};
 pub use convergence::ConvergenceParams;
 pub use ensemble::{ideal_backend, Ensemble, EnsembleBuilder, EnsembleSession};

@@ -12,7 +12,7 @@
 //! | Piece | Lives in | Role |
 //! |---|---|---|
 //! | `RunQueue` + `drain_tasks` | here | sharded work-stealing run-queue and the worker protocol over it |
-//! | worker pool + lookahead coordinator | [`crate::fleet`] | the fleet drive's *pooled* execution choice |
+//! | worker pool + booking coordinator | [`crate::fleet`] | the fleet drive's *pooled* execution choice |
 //! | [`PooledExecutor`] | here | the single-session front: a fleet of one tenant on that choice |
 //!
 //! This pool is the process's one thread substrate. The
@@ -28,8 +28,9 @@
 //!   [`PoolTelemetry`] counters (`workers_spawned`, `queue_depth_max`,
 //!   `tasks_stolen`) expose the pool's behaviour after a run.
 //! * **Clients behind mutexes** — the coordinator keeps at most one
-//!   task per client in flight, so the per-client locks are never
-//!   contended; they exist to let any worker execute any client's task.
+//!   task per client in flight and books it before a worker sees it, so
+//!   the per-client locks are never contended; they exist to let the
+//!   coordinator book and any worker simulate any client's task.
 //!
 //! ## Determinism
 //!
@@ -41,16 +42,17 @@
 //! discrete-event executor's (including the `eqc[n]` trainer label);
 //! only wall-clock and the pool telemetry differ.
 //!
-//! Parallelism and exact ordering coexist through conservative
-//! lookahead, the classic discrete-event trick: a task dispatched at
-//! virtual time `t` on a device with queue model `q` cannot complete
-//! before `t + 0.8·q.wait(t) + q.overhead` (0.8 is the jitter floor,
-//! and execution time is strictly positive), so any event already in
-//! the heap that precedes every in-flight task's bound is safe to
-//! absorb without waiting. In the common regime — many devices with
-//! comparable latencies — the heap always holds events below the
-//! bounds, workers stay saturated, and the coordinator never blocks
-//! except at the tail.
+//! Parallelism and exact ordering coexist because a task's completion
+//! is known when it is dispatched. The coordinator books every task on
+//! its own thread — the device's jitter draw and queue admission, and
+//! the job's execution time from durations fixed per (device,
+//! template) — and queues its event at that completion; only the
+//! simulation, which computes the gradient, goes to a worker. The
+//! event queue therefore holds exactly the discrete-event executor's
+//! events, and the coordinator waits for a worker only when the event
+//! it absorbs next still has its gradient out. With many devices of
+//! comparable latencies that event was dispatched well before it is
+//! due, so its gradient is usually back and workers stay busy.
 
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;

@@ -85,17 +85,27 @@
 //! make a plan, never while warm, and never the architecture cache's
 //! lock.
 //!
-//! ## One booking step
+//! ## Booking and simulation
 //!
-//! Every job draws its start time first and books through one step
-//! afterwards, which sums the circuits' execution seconds in run order
-//! and books the occupancy: [`QpuBackend::execute_with`] hands the
-//! simulation between the two to its caller's closure (its production
-//! caller is [`QpuBackend::execute`]); the two template entries run the
-//! one template simulation between them, into the thread's buffers.
+//! Every job draws its start time first, from the clone's RNG, and
+//! books the device through one step, which sums the circuits'
+//! execution seconds in run order and books the occupancy. A client job
+//! books before it runs: a run's `(duration_ns, readout_ns)` is a
+//! constant of (device, template) ([`QpuBackend::run_times`]), so
+//! [`QpuBackend::book_job`] settles the job's place in the queue at
+//! submission — the paper's Algorithm 2 submits the shift pair and
+//! waits only for the counts — and
+//! [`QpuBackend::simulate_device_templates`] runs it later at the start
+//! it was handed, on whichever thread. The stream of a clone's RNG is
+//! the same either way: the jitter draw, then every shot. The other
+//! entries book after simulating, from what the simulation scheduled:
+//! [`QpuBackend::execute_with`] hands the simulation between the two to
+//! its caller's closure (its production caller is
+//! [`QpuBackend::execute`]), and [`QpuBackend::execute_templates`] runs
+//! caller-owned templates between them.
 //!
 //! Template jobs ([`QpuBackend::execute_templates`] and
-//! [`QpuBackend::execute_device_templates`], the training hot path)
+//! [`QpuBackend::simulate_device_templates`], the training hot path)
 //! have one density implementation: one walk per template from
 //! `|0..0><0..0|`, every shifted run forked off it at the op its shift
 //! rebinds, the forked suffixes resumed one after another, then one
@@ -135,7 +145,7 @@ use crate::calibration::{Calibration, QubitCalibration};
 use crate::clock::SimTime;
 use crate::compile::{CompiledTemplate, NoiseToken, Plan, RefreshScratch, SharedPlans};
 use crate::drift::DriftModel;
-use crate::noise_model::{NoiseModel, QubitNoise};
+use crate::noise_model::{walk, NoiseModel, QubitNoise};
 use crate::queue::{DeviceQueue, QueueModel};
 use qcircuit::{Angle, Circuit, ParamId};
 use qsim::{CMatrix, Counts, DensityEngine, DensityMatrix};
@@ -559,11 +569,8 @@ impl ArchitectureTemplate {
         let transpiled = transpile(template, topology, &TranspileOptions::default())?;
         let (compact, logical_bits) = transpiled.compact_for_simulation()?;
         // The transpiler must preserve parameter occurrences, or the
-        // shift rule would silently drop gradient terms — and the
-        // pooled executor's deterministic lookahead classifies instant
-        // (zero-occurrence) tasks from the *un-transpiled* templates, so
-        // this invariant is load-bearing in release builds too (a hard
-        // assert, not a debug assert).
+        // shift rule would silently drop gradient terms: a hard assert,
+        // not a debug assert.
         for p in 0..template.num_params() {
             assert_eq!(
                 compact.occurrences_of(ParamId(p)).len(),
@@ -599,7 +606,7 @@ pub struct DeviceTemplate {
 
 /// A client's pointer to the plan its jobs of one [`DeviceTemplate`]
 /// last ran on — one of the architecture's; empty before the first
-/// job. [`QpuBackend::execute_device_templates`] starts a program that
+/// job. [`QpuBackend::simulate_device_templates`] starts a program that
 /// the thread's memo lacks from it and hands back the plan the job ran
 /// on.
 #[derive(Clone, Debug, Default)]
@@ -1325,35 +1332,77 @@ impl QpuBackend {
         (counts, timing.with_counts(last))
     }
 
-    /// [`QpuBackend::execute_templates`] over the device's prepared
-    /// templates — the client's path. `runs` index `entries` and the
-    /// caller's [`PlanPointer`]s beside them in `plans`; entries of one
-    /// template run from one program, the thread's (see the module
-    /// docs), and the first of them the runs name gets back the plan it
-    /// ran on. `read` gets each run's histogram, in run order, remapped
-    /// to its template's logical bit order
-    /// ([`DeviceTemplate::logical_bits`]); the histograms are the
-    /// thread's scratch, so what `read` needs of them it returns, and
-    /// it must not run a job itself. Returns the job's timing (no
-    /// histogram is copied out), how many runs' compiles hit, refreshed
-    /// and planned (indexed by [`Compile`](crate::Compile)), and what
-    /// `read` returned.
+    /// The `(duration_ns, readout_ns)` of one run of `template` on this
+    /// device, whatever its shift or the instant it runs: the scheduled
+    /// duration a plan of the template has (readout included) and the
+    /// readout time. Both are the schedule walk's arithmetic over the
+    /// device's gate and readout times, which recalibration jitter and
+    /// drift never move ([`Calibration::degrade`] scales error rates and
+    /// coherence times only), so a client computes them once per
+    /// template, before anything compiles, and books its jobs from them
+    /// ([`QpuBackend::book_job`]).
+    pub fn run_times(&self, template: &DeviceTemplate) -> (f64, f64) {
+        let cal = &self.base_calibration;
+        let times = [
+            cal.gate_time_1q_ns,
+            cal.gate_time_2q_ns,
+            cal.readout_time_ns,
+        ];
+        (walk(template.circuit(), times, |_| {}), cal.readout_time_ns)
+    }
+
+    /// The booking half of a device template job, the client's path:
+    /// draws the start of a job submitted at `submit` (the jitter
+    /// uniform from this clone's RNG, then the queue's admission) and
+    /// books the runs it will execute, one `(duration_ns, readout_ns)`
+    /// per run in run order ([`QpuBackend::run_times`]), at `shots`
+    /// each. The job's place on the device's timeline is settled here;
+    /// [`QpuBackend::simulate_device_templates`] runs it at the returned
+    /// `started`, then or later, on any thread.
+    pub fn book_job(
+        &mut self,
+        submit: SimTime,
+        shots: usize,
+        runs: impl IntoIterator<Item = (f64, f64)>,
+    ) -> JobTiming {
+        let started = self.start_time(submit);
+        let (completed, circuit_duration_ns) = self.book(submit, started, shots, runs);
+        JobTiming {
+            submitted: submit,
+            started,
+            completed,
+            circuit_duration_ns,
+        }
+    }
+
+    /// The simulation half of a device template job booked by
+    /// [`QpuBackend::book_job`]: runs it at `started` over the device's
+    /// prepared templates. `runs` index `entries` and the caller's
+    /// [`PlanPointer`]s beside them in `plans`; entries of one template
+    /// run from one program, the thread's (see the module docs), and the
+    /// first of them the runs name gets back the plan it ran on. `read`
+    /// gets each run's histogram, in run order, remapped to its
+    /// template's logical bit order ([`DeviceTemplate::logical_bits`]);
+    /// the histograms are the thread's scratch, so what `read` needs of
+    /// them it returns, and it must not run a job itself. Returns how
+    /// many runs' compiles hit, refreshed and planned (indexed by
+    /// [`Compile`](crate::Compile)) and what `read` returned.
     ///
     /// # Panics
     ///
     /// As [`QpuBackend::execute_templates`], and on a run that indexes
     /// past `entries` or `plans`.
     #[allow(clippy::too_many_arguments)]
-    pub fn execute_device_templates<T>(
+    pub fn simulate_device_templates<T>(
         &mut self,
         entries: &[DeviceTemplate],
         plans: &mut [PlanPointer],
         runs: impl IntoIterator<Item = TemplateRun>,
         params: &[f64],
         shots: usize,
-        submit: SimTime,
+        started: SimTime,
         read: impl FnOnce(&[Counts]) -> T,
-    ) -> (JobTiming, [u64; 3], T) {
+    ) -> ([u64; 3], T) {
         with_scratch(|s| {
             // Whatever a job that panicked left behind is dropped.
             s.entries.clear();
@@ -1374,14 +1423,15 @@ impl QpuBackend {
                 });
                 s.runs.push(TemplateRun { template, ..run });
             }
+            assert!(!s.runs.is_empty(), "batch must contain at least one run");
             let job = TemplateJob {
                 runs: &s.runs,
                 params,
                 shots,
             };
-            let (result, compiles) =
-                self.run_templates(&mut s.taken, job, submit, &mut s.sim, &mut s.counts);
+            let compiles = self.simulate_templates(&mut s.taken, job, started, &mut s.sim, &mut s.counts);
             let n = s.runs.len();
+            self.batched_jobs += n as u64;
             if s.logical.len() < n {
                 s.logical.resize_with(n, Counts::default);
             }
@@ -1399,7 +1449,7 @@ impl QpuBackend {
                 }
             }
             s.keep_taken();
-            (result, compiles, read)
+            (compiles, read)
         })
     }
 
@@ -2083,9 +2133,18 @@ mod tests {
                 shift: None,
             }])
             .collect::<Vec<_>>();
+        let times = be.run_times(template);
+        let job = be.book_job(at, 256, runs.iter().map(|_| times));
         let (entries, plans) = (std::slice::from_ref(template), std::slice::from_mut(plan));
-        let (job, outcomes, counts) =
-            be.execute_device_templates(entries, plans, runs, params, 256, at, <[Counts]>::to_vec);
+        let (outcomes, counts) = be.simulate_device_templates(
+            entries,
+            plans,
+            runs,
+            params,
+            256,
+            job.started,
+            <[Counts]>::to_vec,
+        );
         for (tally, n) in compiles.iter_mut().zip(outcomes) {
             *tally += n;
         }

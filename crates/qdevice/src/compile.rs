@@ -298,14 +298,6 @@ fn push_plain(
     }
 }
 
-fn gate_times_ns(noise: &NoiseModel) -> [f64; 3] {
-    [
-        noise.gate_time_1q_ns,
-        noise.gate_time_2q_ns,
-        noise.readout_time_ns,
-    ]
-}
-
 impl Plan {
     /// Walks the schedule once: the plan, and a program over it filled
     /// with the numbers of `noise` — each key evaluated once, on its
@@ -317,7 +309,7 @@ impl Plan {
         // The real gauge: a frame still owed when the walk ends is
         // dropped with `frames`.
         let mut frames = Frames::new(circuit.num_qubits());
-        let duration = walk(circuit, noise, |op| match op {
+        let duration = walk(circuit, noise.times_ns(), |op| match op {
             SiteOp::Unitary(gate_idx, g, qs) => {
                 frames.push_gate(&mut builder, &mut param_slots, gate_idx, g, qs)
             }
@@ -345,7 +337,7 @@ impl Plan {
             param_slots,
             keys,
             verdicts,
-            gate_times_ns: gate_times_ns(noise),
+            gate_times_ns: noise.times_ns(),
         };
         (plan, program)
     }
@@ -365,7 +357,7 @@ impl Plan {
         program: &mut Option<CompiledProgram>,
         scratch: &mut RefreshScratch,
     ) -> bool {
-        if self.gate_times_ns.map(f64::to_bits) != gate_times_ns(noise).map(f64::to_bits) {
+        if self.gate_times_ns.map(f64::to_bits) != noise.times_ns().map(f64::to_bits) {
             return false;
         }
         let RefreshScratch { numbers, channels } = scratch;

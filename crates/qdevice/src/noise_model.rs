@@ -135,6 +135,16 @@ impl NoiseModel {
         }
     }
 
+    /// The one-qubit gate, two-qubit gate and readout times (ns): all a
+    /// schedule's timing reads.
+    pub(crate) fn times_ns(&self) -> [f64; 3] {
+        [
+            self.gate_time_1q_ns,
+            self.gate_time_2q_ns,
+            self.readout_time_ns,
+        ]
+    }
+
     /// Number of compact qubits covered.
     pub fn num_qubits(&self) -> usize {
         self.qubits.len()
@@ -387,10 +397,15 @@ fn compact(q: usize) -> u8 {
 /// invoking the callback for every gate unitary and every *site* of a
 /// noise channel in execution order: idle catch-up and gate-concurrent
 /// relaxation per operand, the gate's depolarizing error, relaxation up
-/// to the end of readout. It reads only the three gate times of `noise`;
-/// whether a site carries a channel is the consumer's question to the
-/// key. Returns the scheduled duration (ns), readout included.
-pub(crate) fn walk<F>(circuit: &Circuit, noise: &NoiseModel, mut apply: F) -> f64
+/// to the end of readout. It reads only the one-qubit gate, two-qubit
+/// gate and readout times ([`NoiseModel::times_ns`]); whether a site
+/// carries a channel is the consumer's question to the key. Returns the
+/// scheduled duration (ns), readout included.
+pub(crate) fn walk<F>(
+    circuit: &Circuit,
+    [gate_time_1q_ns, gate_time_2q_ns, readout_time_ns]: [f64; 3],
+    mut apply: F,
+) -> f64
 where
     F: FnMut(SiteOp<'_>),
 {
@@ -411,9 +426,9 @@ where
         }
         apply(SiteOp::Unitary(gate_idx, g, &qs));
         let dur = if g.is_two_qubit() {
-            noise.gate_time_2q_ns
+            gate_time_2q_ns
         } else {
-            noise.gate_time_1q_ns
+            gate_time_1q_ns
         };
         // Gate-concurrent relaxation and depolarizing error.
         for &q in &qs {
@@ -434,9 +449,9 @@ where
     // gap plus the readout window.
     let end = qubit_time.iter().copied().fold(0.0, f64::max);
     for (q, &t) in qubit_time.iter().enumerate().take(n) {
-        sites.relax(q, end - t + noise.readout_time_ns, &mut apply);
+        sites.relax(q, end - t + readout_time_ns, &mut apply);
     }
-    end + noise.readout_time_ns
+    end + readout_time_ns
 }
 
 /// One event of the noisy schedule, delivered in execution order.
@@ -463,7 +478,7 @@ where
     F: FnMut(ScheduledOp<'_>),
 {
     let mut built: Vec<Option<KrausChannel>> = Vec::new();
-    walk(circuit, noise, |op| match op {
+    walk(circuit, noise.times_ns(), |op| match op {
         SiteOp::Unitary(_, g, qs) => apply(ScheduledOp::Unitary(g, qs)),
         SiteOp::Channel(idx, key, qs) => {
             let numbers = key.numbers(noise);
@@ -628,7 +643,7 @@ mod tests {
         cal.qubit_mut(0).gate_error_1q = 0.0;
         let noise = NoiseModel::from_calibration(&cal, &[0, 1, 2]);
         let (mut visited, mut absent) = (0, 0);
-        walk(&ghz(3), &noise, |op| {
+        walk(&ghz(3), noise.times_ns(), |op| {
             let SiteOp::Channel(_, key, qs) = op else {
                 return;
             };

@@ -405,14 +405,14 @@ fn a_device_that_schedules_differently_plans_on_its_own() {
                 template: t,
                 shift: None,
             }];
-            let submit = SimTime::ZERO;
-            device.execute_device_templates(
+            let job = device.book_job(SimTime::ZERO, 64, [device.run_times(&entries[t])]);
+            device.simulate_device_templates(
                 &entries,
                 &mut plans,
                 runs,
                 &params,
                 64,
-                submit,
+                job.started,
                 |_| (),
             );
         }
