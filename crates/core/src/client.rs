@@ -10,17 +10,13 @@
 //! keeps none — and the gradient is reported together with the
 //! device's current `P_correct`.
 //!
-//! A task runs in two halves, the way Algorithm 2 submits a job and
-//! waits for its counts. [`ClientNode::book_task`] scores the device
-//! (Eq. 2), draws the job's start and books it, settling its completion
-//! at submission: a run's duration is a constant the client computes
-//! per template when it prepares it ([`QpuBackend::run_times`]).
-//! [`ClientNode::simulate_task`] runs the booked job's circuits
-//! ([`QpuBackend::simulate_device_templates`]) and returns the
-//! gradient; a fleet's pooled drive books on its own thread and
-//! simulates on a worker. [`ClientNode::run_task`] is both, back to
-//! back. The clone's RNG serves the jitter draw, then the shots, in
-//! either case.
+//! A task runs in halves, the way Algorithm 2 submits a job and waits
+//! for its counts: [`ClientNode::book_task`] scores the device (Eq. 2)
+//! and books the job, settling its completion from run times the
+//! client fixes per template ([`QpuBackend::run_times`]);
+//! [`ClientNode::simulate_task`] runs the circuits and returns the
+//! gradient. [`ClientNode::run_task`] is both; the pooled fleet drive
+//! books on its own thread and simulates on a worker.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
 //! transpilation and plans belong to the device's architecture: the
@@ -56,9 +52,8 @@ pub struct ClientTaskResult {
     pub circuits_run: usize,
 }
 
-/// A gradient task booked on its device: a [`ClientTaskResult`] but for
-/// the gradient, which [`ClientNode::simulate_task`] computes, and with
-/// the instant the job starts.
+/// A gradient task booked on its device: its [`ClientTaskResult`] but
+/// for the gradient, plus the job's start.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskBooking {
     /// The task that was booked.
@@ -99,8 +94,7 @@ pub struct ClientNode {
     /// index, and this client's pointer to the plan it last ran on.
     templates: Vec<DeviceTemplate>,
     plans: Vec<PlanPointer>,
-    /// Each template's `(duration_ns, readout_ns)` per run on the
-    /// device, what its jobs book.
+    /// Each template's [`QpuBackend::run_times`], what its jobs book.
     run_times: Vec<(f64, f64)>,
     circuits_run: u64,
     tasks_completed: u64,
@@ -207,9 +201,7 @@ impl ClientNode {
         self.templates.len()
     }
 
-    /// The `(duration_ns, readout_ns)` of one run of template `t` on the
-    /// device, what this client's jobs book
-    /// ([`QpuBackend::run_times`]).
+    /// What one run of template `t` books: [`QpuBackend::run_times`].
     pub fn run_times(&self, t: usize) -> (f64, f64) {
         self.run_times[t]
     }
@@ -264,17 +256,11 @@ impl ClientNode {
         booking.with_gradient(gradient)
     }
 
-    /// The booking half of a gradient task submitted at `submit`: the
-    /// device's Eq. 2 score from its reported calibration, then the job
-    /// of the per-occurrence forward/backward shift pairs of every
-    /// template in the task's slice, drawn a start and booked on the
-    /// device. A task whose parameter does not occur in the circuits
-    /// runs no job: it completes at `submit`, drawing nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if occurrence structures disagree across the slice's
-    /// templates.
+    /// The booking half of a task submitted at `submit`: the device's
+    /// Eq. 2 score, then the job of the per-occurrence shift pairs of the
+    /// slice's templates, drawn a start and booked. A task whose
+    /// parameter does not occur runs no job: it completes at `submit`,
+    /// drawing nothing.
     pub fn book_task(
         &mut self,
         problem: &dyn VqaProblem,
@@ -286,14 +272,8 @@ impl ClientNode {
     }
 
     /// The simulation half of a task [`ClientNode::book_task`] booked:
-    /// runs its job's circuits at the booked start, as **one** batched
-    /// engine call over the slice's templates, and assembles the
-    /// gradient from the counts. A task that runs no job has gradient
-    /// zero.
-    ///
-    /// # Panics
-    ///
-    /// As [`ClientNode::run_task`].
+    /// runs its job at the booked start, as **one** batched engine call,
+    /// and assembles the gradient from the counts (zero for no job).
     pub fn simulate_task(
         &mut self,
         problem: &dyn VqaProblem,
@@ -356,7 +336,8 @@ impl ClientNode {
         // Reassemble: per occurrence, the forward template counts then the
         // backward template counts.
         let gradient = |counts: &[Counts]| {
-            let loss = |first: usize| problem.slice_loss(task.slice, &counts[first..][..n_templates]);
+            let loss =
+                |first: usize| problem.slice_loss(task.slice, &counts[first..][..n_templates]);
             let mut gradient = 0.0;
             for (k, &occ) in occurrences.iter().enumerate() {
                 let angle = first.circuit().gates()[occ].angle();

@@ -74,13 +74,6 @@ pub(crate) struct Event {
     pub(crate) dispatched_at_update: u64,
 }
 
-impl Event {
-    /// Virtual completion time.
-    pub(crate) fn completed(&self) -> SimTime {
-        self.booking.completed
-    }
-}
-
 impl PartialEq for Event {
     fn eq(&self, other: &Self) -> bool {
         self.cmp(other) == Ordering::Equal
@@ -99,9 +92,10 @@ impl Ord for Event {
         // completion time cannot silently scramble the queue, and ties
         // break on client id for determinism.
         other
-            .completed()
+            .booking
+            .completed
             .as_secs()
-            .total_cmp(&self.completed().as_secs())
+            .total_cmp(&self.booking.completed.as_secs())
             .then_with(|| other.client.cmp(&self.client))
     }
 }
@@ -272,7 +266,7 @@ mod tests {
         heap.push(ev(10.0, 1));
         heap.push(ev(20.0, 0));
         let order: Vec<(f64, usize)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.completed().as_secs(), e.client))
+            .map(|e| (e.booking.completed.as_secs(), e.client))
             .collect();
         // Earliest first; equal times break toward the lower client id.
         assert_eq!(order, vec![(10.0, 1), (10.0, 2), (20.0, 0), (30.0, 0)]);

@@ -720,7 +720,7 @@ fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
         .filter_map(|(t, lane)| {
             lane.heap
                 .peek()
-                .map(|e| (t, lane.offset_s + e.completed().as_secs()))
+                .map(|e| (t, lane.offset_s + e.booking.completed.as_secs()))
         })
         .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .map(|(t, _)| t)
@@ -747,28 +747,24 @@ fn order_key(global_s: f64) -> u64 {
 /// The index is *lazy*: mutations push fresh entries and never remove
 /// old ones; [`HeadIndex::next`] validates the top against the live
 /// lane head and discards entries that no longer describe it. Every
-/// head mutation (dispatch push, absorb pop) must be
+/// head mutation (dispatch push, absorb pop) is
 /// [`note`](HeadIndex::note)d — the current head of a non-done lane
 /// then always has a live entry, so the pick equals [`next_lane`]'s
-/// (pinned by a test). A drained index rebuilds from the lanes as a
-/// safety net.
+/// (pinned by a test).
 struct HeadIndex {
     heap: BinaryHeap<std::cmp::Reverse<(u64, usize)>>,
 }
 
 impl HeadIndex {
+    /// Indexes the heads the lanes hold already (a resumed stream's).
     fn new(lanes: &[Lane<'_, '_>]) -> Self {
         let mut index = HeadIndex {
             heap: BinaryHeap::with_capacity(lanes.len().saturating_mul(2)),
         };
-        index.rebuild(lanes);
-        index
-    }
-
-    fn rebuild(&mut self, lanes: &[Lane<'_, '_>]) {
         for t in 0..lanes.len() {
-            self.note(lanes, t);
+            index.note(lanes, t);
         }
+        index
     }
 
     /// Re-indexes lane `t`'s current head (after an absorb pop or a
@@ -778,7 +774,7 @@ impl HeadIndex {
             return;
         }
         if let Some(e) = lanes[t].heap.peek() {
-            self.note_at(t, lanes[t].offset_s + e.completed().as_secs());
+            self.note_at(t, lanes[t].offset_s + e.booking.completed.as_secs());
         }
     }
 
@@ -793,18 +789,8 @@ impl HeadIndex {
     /// when no non-done lane holds an event. Peeks only — the winning
     /// entry stays indexed until a mutation invalidates it.
     fn next(&mut self, lanes: &[Lane<'_, '_>]) -> Option<(usize, f64)> {
-        let mut rebuilt = false;
         loop {
-            let Some(&std::cmp::Reverse((key, t))) = self.heap.peek() else {
-                // A missed note would strand a head; rebuilding from
-                // the lanes (once) restores the invariant.
-                if rebuilt || !lanes.iter().any(|l| !l.done && !l.heap.is_empty()) {
-                    return None;
-                }
-                self.rebuild(lanes);
-                rebuilt = true;
-                continue;
-            };
+            let &std::cmp::Reverse((key, t)) = self.heap.peek()?;
             if lanes[t].done {
                 self.heap.pop();
                 continue;
@@ -813,7 +799,7 @@ impl HeadIndex {
                 self.heap.pop();
                 continue;
             };
-            let global_s = lanes[t].offset_s + e.completed().as_secs();
+            let global_s = lanes[t].offset_s + e.booking.completed.as_secs();
             if order_key(global_s) != key {
                 self.heap.pop();
                 continue;
@@ -834,14 +820,18 @@ fn absorb_next(
     round: u64,
     exec: &mut Exec<'_>,
 ) -> Result<SimTime, EqcError> {
-    let client = lanes[t].heap.peek().expect("next_lane implies a head").client;
+    let client = lanes[t]
+        .heap
+        .peek()
+        .expect("next_lane implies a head")
+        .client;
     while lanes[t].gradients[client].is_none() {
         exec.receive(lanes)?;
     }
     let lane = &mut lanes[t];
     let ev = lane.heap.pop().expect("peeked");
     let gradient = lane.gradients[client].take().expect("received");
-    let completed = ev.completed();
+    let completed = ev.booking.completed;
     lane.in_flight -= 1;
     lane.master.absorb(
         ev.client,
@@ -1177,7 +1167,6 @@ enum Exec<'w> {
         clients: &'w [Mutex<ClientNode>],
         runq: &'w RunQueue<FleetTask>,
         result_rx: &'w mpsc::Receiver<FleetMsg>,
-        in_system: usize,
     },
 }
 
@@ -1223,7 +1212,6 @@ impl Exec<'_> {
                 offsets,
                 clients,
                 runq,
-                in_system,
                 ..
             } => {
                 let flat = offsets[t] + client;
@@ -1232,7 +1220,6 @@ impl Exec<'_> {
                     .lock()
                     .map_err(|_| EqcError::Internal(format!("client {flat} poisoned")))?
                     .book_task(problem, assignment.task, shots, submit);
-                *in_system += 1;
                 runq.push(
                     flat,
                     FleetTask {
@@ -1261,12 +1248,7 @@ impl Exec<'_> {
     /// Inline every gradient is filed at dispatch, so being asked to
     /// wait means an event's result never came.
     fn receive(&mut self, lanes: &mut [Lane<'_, '_>]) -> Result<(), EqcError> {
-        let Exec::Pool {
-            result_rx,
-            in_system: in_system @ 1..,
-            ..
-        } = self
-        else {
+        let Exec::Pool { result_rx, .. } = self else {
             return Err(EqcError::Internal(
                 "an event's result was never computed".into(),
             ));
@@ -1277,7 +1259,6 @@ impl Exec<'_> {
                 client,
                 gradient,
             }) => {
-                *in_system -= 1;
                 if !lanes[lane].done {
                     lanes[lane].gradients[client] = Some(gradient);
                 }
@@ -1510,7 +1491,6 @@ fn with_exec(
                 clients: &clients,
                 runq: &runq,
                 result_rx: &result_rx,
-                in_system: 0,
             },
         );
 

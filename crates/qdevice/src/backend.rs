@@ -88,20 +88,16 @@
 //! ## Booking and simulation
 //!
 //! Every job draws its start time first, from the clone's RNG, and
-//! books the device through one step, which sums the circuits'
-//! execution seconds in run order and books the occupancy. A client job
-//! books before it runs: a run's `(duration_ns, readout_ns)` is a
-//! constant of (device, template) ([`QpuBackend::run_times`]), so
-//! [`QpuBackend::book_job`] settles the job's place in the queue at
-//! submission — the paper's Algorithm 2 submits the shift pair and
-//! waits only for the counts — and
-//! [`QpuBackend::simulate_device_templates`] runs it later at the start
-//! it was handed, on whichever thread. The stream of a clone's RNG is
-//! the same either way: the jitter draw, then every shot. The other
-//! entries book after simulating, from what the simulation scheduled:
-//! [`QpuBackend::execute_with`] hands the simulation between the two to
-//! its caller's closure (its production caller is
-//! [`QpuBackend::execute`]), and [`QpuBackend::execute_templates`] runs
+//! books through one step, which sums the circuits' execution seconds
+//! in run order and books the occupancy. A client job books before it
+//! runs, the way the paper's client submits a job and waits for its
+//! counts: a run's timing is a constant of (device, template)
+//! ([`QpuBackend::run_times`]), so [`QpuBackend::book_job`] settles the
+//! job's completion and [`QpuBackend::simulate_device_templates`] runs
+//! it later, at the start it was handed. The other entries book after
+//! simulating: [`QpuBackend::execute_with`] hands the simulation
+//! between the two to its caller's closure (its production caller is
+//! [`QpuBackend::execute`]); [`QpuBackend::execute_templates`] runs
 //! caller-owned templates between them.
 //!
 //! Template jobs ([`QpuBackend::execute_templates`] and
@@ -1319,28 +1315,40 @@ impl QpuBackend {
         shots: usize,
         submit: SimTime,
     ) -> (Vec<Counts>, JobResult) {
+        assert!(!runs.is_empty(), "batch must contain at least one run");
+        let started = self.start_time(submit);
         let mut counts = Vec::with_capacity(runs.len());
-        let (timing, _) = with_scratch(|s| {
+        let (completed, circuit_duration_ns) = with_scratch(|s| {
             let job = TemplateJob {
                 runs,
                 params,
                 shots,
             };
-            self.run_templates(templates, job, submit, &mut s.sim, &mut counts)
+            self.simulate_templates(templates, job, started, &mut s.sim, &mut counts);
+            let times = s
+                .sim
+                .meta
+                .iter()
+                .map(|&(duration_ns, readout_ns, _)| (duration_ns, readout_ns));
+            self.book(submit, started, shots, times)
         });
+        self.batched_jobs += runs.len() as u64;
+        let timing = JobTiming {
+            submitted: submit,
+            started,
+            completed,
+            circuit_duration_ns,
+        };
         let last = counts[runs.len() - 1].clone();
         (counts, timing.with_counts(last))
     }
 
-    /// The `(duration_ns, readout_ns)` of one run of `template` on this
-    /// device, whatever its shift or the instant it runs: the scheduled
-    /// duration a plan of the template has (readout included) and the
-    /// readout time. Both are the schedule walk's arithmetic over the
-    /// device's gate and readout times, which recalibration jitter and
-    /// drift never move ([`Calibration::degrade`] scales error rates and
-    /// coherence times only), so a client computes them once per
-    /// template, before anything compiles, and books its jobs from them
-    /// ([`QpuBackend::book_job`]).
+    /// The `(duration_ns, readout_ns)` of every run of `template` on
+    /// this device: a plan's scheduled duration, readout included, and
+    /// the readout time. The schedule walk reads only the gate and
+    /// readout times, which jitter and drift never move
+    /// ([`Calibration::degrade`]), so they hold at every instant and
+    /// shift, before anything compiles.
     pub fn run_times(&self, template: &DeviceTemplate) -> (f64, f64) {
         let cal = &self.base_calibration;
         let times = [
@@ -1351,14 +1359,11 @@ impl QpuBackend {
         (walk(template.circuit(), times, |_| {}), cal.readout_time_ns)
     }
 
-    /// The booking half of a device template job, the client's path:
-    /// draws the start of a job submitted at `submit` (the jitter
-    /// uniform from this clone's RNG, then the queue's admission) and
-    /// books the runs it will execute, one `(duration_ns, readout_ns)`
-    /// per run in run order ([`QpuBackend::run_times`]), at `shots`
-    /// each. The job's place on the device's timeline is settled here;
-    /// [`QpuBackend::simulate_device_templates`] runs it at the returned
-    /// `started`, then or later, on any thread.
+    /// The booking half of a client job: draws the start of a job
+    /// submitted at `submit` and books its runs, one `(duration_ns,
+    /// readout_ns)` each in run order ([`QpuBackend::run_times`]), at
+    /// `shots` each. [`QpuBackend::simulate_device_templates`] runs the
+    /// job at the returned `started`, then or later, on any thread.
     pub fn book_job(
         &mut self,
         submit: SimTime,
@@ -1375,8 +1380,8 @@ impl QpuBackend {
         }
     }
 
-    /// The simulation half of a device template job booked by
-    /// [`QpuBackend::book_job`]: runs it at `started` over the device's
+    /// The simulation half of a client job booked by
+    /// [`QpuBackend::book_job`], at its `started`, over the device's
     /// prepared templates. `runs` index `entries` and the caller's
     /// [`PlanPointer`]s beside them in `plans`; entries of one template
     /// run from one program, the thread's (see the module docs), and the
@@ -1429,7 +1434,8 @@ impl QpuBackend {
                 params,
                 shots,
             };
-            let compiles = self.simulate_templates(&mut s.taken, job, started, &mut s.sim, &mut s.counts);
+            let compiles =
+                self.simulate_templates(&mut s.taken, job, started, &mut s.sim, &mut s.counts);
             let n = s.runs.len();
             self.batched_jobs += n as u64;
             if s.logical.len() < n {
@@ -1451,35 +1457,6 @@ impl QpuBackend {
             s.keep_taken();
             (compiles, read)
         })
-    }
-
-    /// Runs one template job on the thread's `sim`: draws the start,
-    /// simulates (see [`QpuBackend::simulate_templates`]) and books it.
-    /// Run `i`'s histogram lands in `counts[i]`.
-    fn run_templates<T: BorrowMut<CompiledTemplate>>(
-        &mut self,
-        templates: &mut [T],
-        job: TemplateJob<'_>,
-        submit: SimTime,
-        sim: &mut Simulation,
-        counts: &mut Vec<Counts>,
-    ) -> (JobTiming, [u64; 3]) {
-        assert!(!job.runs.is_empty(), "batch must contain at least one run");
-        let started = self.start_time(submit);
-        let compiles = self.simulate_templates(templates, job, started, sim, counts);
-        let timing = sim
-            .meta
-            .iter()
-            .map(|&(duration_ns, readout_ns, _)| (duration_ns, readout_ns));
-        let (completed, circuit_duration_ns) = self.book(submit, started, job.shots, timing);
-        self.batched_jobs += job.runs.len() as u64;
-        let result = JobTiming {
-            submitted: submit,
-            started,
-            completed,
-            circuit_duration_ns,
-        };
-        (result, compiles)
     }
 
     /// The simulation half of the template entries.

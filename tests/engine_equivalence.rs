@@ -671,3 +671,59 @@ fn wrapper_executors_match_reference_functions() {
     assert_eq!(a, b, "the engine path must be byte-identical");
     assert_eq!(da.to_bits(), db.to_bits());
 }
+
+#[test]
+fn a_clients_run_times_are_its_plans_duration_and_readout() {
+    // The booking half's one assumption: the `(duration_ns, readout_ns)`
+    // a client computes once per template, before anything compiles, is
+    // what a plan of the template schedules and what the device reads
+    // out, bit for bit, whenever the job runs — recalibration jitter
+    // and drift move no gate or readout time.
+    let devices: Vec<QpuBackend> = catalog::catalog()
+        .iter()
+        .chain(&eqc_bench::fleet_specs(24))
+        .zip(1..)
+        .map(|(spec, seed)| spec.backend(seed))
+        .collect();
+    let mut checked = 0;
+    for (_, problem, _) in eqc_bench::benchmark_templates() {
+        let problem = &*problem;
+        for device in &devices {
+            let Ok(client) = ClientNode::new(0, device.clone(), problem) else {
+                continue; // the template does not fit the device
+            };
+            for (t, template) in problem.templates().iter().enumerate() {
+                let transpiled =
+                    transpile(template, device.topology(), &TranspileOptions::default())
+                        .expect("fits");
+                let (compact, _) = transpiled.compact_for_simulation().expect("compacts");
+                let active = transpiled.active_qubits();
+                for hours in [0.0, 30.0] {
+                    let at = SimTime::from_hours(hours);
+                    let noise = qdevice::NoiseModel::from_calibration(
+                        &device.actual_calibration(at),
+                        &active,
+                    );
+                    let mut compiled = CompiledTemplate::new(compact.clone(), active.clone());
+                    compiled.ensure_compiled(&noise, qdevice::NoiseToken::new(0, 0, 1.0, 1.0));
+                    let (duration_ns, readout_ns) = client.run_times(t);
+                    assert_eq!(
+                        (duration_ns.to_bits(), readout_ns.to_bits()),
+                        (
+                            compiled.program().duration_ns().to_bits(),
+                            noise.readout_time_ns.to_bits()
+                        ),
+                        "{} template {t} on {} at {hours} h",
+                        problem.name(),
+                        device.name()
+                    );
+                    checked += 1;
+                }
+            }
+        }
+    }
+    assert!(
+        checked > 300,
+        "{checked} (device, template, instant) triples"
+    );
+}

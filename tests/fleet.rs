@@ -972,27 +972,50 @@ fn fleet_outlives_its_tenant_batches() {
     );
 }
 
+/// A two-qubit VQE whose parameter 0 is absent from its ansatz: every
+/// task of parameter 0 runs no job and completes at its submit time,
+/// tying with whatever else completes then.
+fn param_0_absent() -> VqeProblem {
+    let mut ansatz = CircuitBuilder::new(2);
+    ansatz.ry_sym(0, 1).ry_sym(1, 1).cx(0, 1);
+    let graph = Graph::from_edges(2, &[(0, 1)]);
+    VqeProblem::new(
+        "param-0-absent",
+        eqc::vqa::hamiltonians::maxcut(&graph),
+        ansatz.build(),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// The one fleet stepper, driven over random fleet shapes on every
-    /// axis: whatever the tenant count, pool width, arbiter and arrival
-    /// pattern, the pooled execution axis must replay the inline one,
-    /// an all-zero-arrival service must replay `FleetRuntime::run`, and
-    /// a lone tenant on zero-load shared ledgers must replay private
-    /// ones — compared on the whole outcome, telemetry included.
+    /// axis: whatever the tenant count, pool width, arbiter, arrival
+    /// pattern, problem and devices — the ideal device among them
+    /// completes jobs with no queue wait, and the `param-0-absent`
+    /// problem's instant tasks tie with other events — the pooled
+    /// execution axis must replay the inline one, an all-zero-arrival
+    /// service must replay `FleetRuntime::run`, and a lone tenant on
+    /// zero-load shared ledgers must replay private ones — compared on
+    /// the whole outcome, telemetry included.
     #[test]
     fn one_stepper_replays_itself_on_every_axis(
         tenants in 1..=4usize,
         clients in 2..=4usize,
         arbiter in 0..4usize,
         pattern in 0..3usize,
+        workers in 1..=4usize,
+        absent in 0..2usize,
+        ideal in 0..2usize,
     ) {
-        let problem = QaoaProblem::maxcut_ring4();
+        let (absent, ideal) = (absent == 1, ideal == 1);
+        let (qaoa, vqe) = (QaoaProblem::maxcut_ring4(), param_0_absent());
+        let problem: &dyn VqaProblem = if absent { &vqe } else { &qaoa };
         let fleet = || {
             let b = FleetRuntime::builder()
                 .devices(fleet_devices().into_iter().take(clients))
                 .device_seed(7);
+            let b = if ideal { b.ideal_device() } else { b };
             match arbiter {
                 0 => b.arbiter(Unshared),
                 1 => b.arbiter(FairShare),
@@ -1017,7 +1040,7 @@ proptest! {
             let mut service = b.service().expect("builds");
             for t in 0..tenants {
                 service
-                    .admit_at(&problem, tenant(t), arrival_h(t))
+                    .admit_at(problem, tenant(t), arrival_h(t))
                     .expect("admits");
             }
             service.close().expect("closes")
@@ -1028,19 +1051,25 @@ proptest! {
 
         let inline = serve(fleet());
         prop_assert_eq!(inline.service.retirements, tenants);
-        prop_assert_eq!(
-            inline.service.idle_virtual_hours > 0.0,
-            pattern == 2 && tenants > 1,
-            "only the gapped pattern may idle the fleet: {}", inline.service
-        );
-        let pooled = serve(fleet().pooled_workers(2));
+        // Only the gapped pattern idles the fleet — and the staggered
+        // one when a tenant's tasks outrun its 0.36 s stagger, which
+        // instant tasks and the ideal device's zero-latency jobs can.
+        let idles = inline.service.idle_virtual_hours > 0.0;
+        if pattern != 1 || !(absent || ideal) {
+            prop_assert_eq!(
+                idles,
+                pattern == 2 && tenants > 1,
+                "only the gapped pattern may idle the fleet: {}", inline.service
+            );
+        }
+        let pooled = serve(fleet().pooled_workers(workers));
         prop_assert_eq!(whole(&inline), whole(&pooled), "pooled must replay inline");
         prop_assert!(pooled.fleet.pool.is_some() && inline.fleet.pool.is_none());
 
         if pattern == 0 {
             let mut batch = fleet().build().expect("builds");
             for t in 0..tenants {
-                batch.admit(&problem, tenant(t)).expect("admits");
+                batch.admit(problem, tenant(t)).expect("admits");
             }
             let batch = batch.run().expect("runs");
             prop_assert_eq!(
@@ -1054,7 +1083,10 @@ proptest! {
             // Occupancy rows are the one deliberate divergence: private
             // ledgers have no per-device timeline to report.
             let mut shared = serve(fleet().shared());
-            prop_assert_eq!(shared.fleet.telemetry.occupancy.len(), clients);
+            prop_assert_eq!(
+                shared.fleet.telemetry.occupancy.len(),
+                clients + usize::from(ideal)
+            );
             shared.fleet.telemetry.occupancy.clear();
             prop_assert_eq!(whole(&inline), whole(&shared), "zero-load shared must replay DES");
         }
