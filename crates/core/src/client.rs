@@ -11,12 +11,12 @@
 //! device's current `P_correct`.
 //!
 //! A task runs in halves, the way Algorithm 2 submits a job and waits
-//! for its counts: [`ClientNode::book_task`] scores the device (Eq. 2)
-//! and books the job, settling its completion from run times the
-//! client fixes per template ([`QpuBackend::run_times`]);
-//! [`ClientNode::simulate_task`] runs the circuits and returns the
-//! gradient. [`ClientNode::run_task`] is both; the pooled fleet drive
-//! books on its own thread and simulates on a worker.
+//! for its counts: [`ClientNode::book_task`] books the job, settling its
+//! completion from run times the client fixes per template
+//! ([`QpuBackend::run_times`]); [`ClientNode::simulate_task`] scores the
+//! device (Eq. 2), runs the circuits and returns the result.
+//! [`ClientNode::run_task`] is both; the pooled fleet drive books on its
+//! own thread and simulates on a worker.
 //!
 //! A fleet holds one client per (tenant, device) pair, but a template's
 //! transpilation and plans belong to the device's architecture: the
@@ -52,37 +52,19 @@ pub struct ClientTaskResult {
     pub circuits_run: usize,
 }
 
-/// A gradient task booked on its device: its [`ClientTaskResult`] but
-/// for the gradient, plus the job's start.
+/// A gradient task booked on its device: when its job runs.
 #[derive(Clone, Copy, Debug)]
 pub struct TaskBooking {
     /// The task that was booked.
     pub task: GradientTask,
-    /// The device's Eq. 2 score at submission, from *reported*
-    /// calibration.
-    pub p_correct: f64,
     /// Virtual submission time.
     pub submitted: SimTime,
-    /// Virtual time the job starts executing (after its queue wait).
+    /// Virtual time the job starts, after its queue wait.
     pub started: SimTime,
     /// Virtual completion time.
     pub completed: SimTime,
     /// Circuits the job executes.
     pub circuits_run: usize,
-}
-
-impl TaskBooking {
-    /// The task's result, once its gradient is known.
-    pub fn with_gradient(self, gradient: f64) -> ClientTaskResult {
-        ClientTaskResult {
-            task: self.task,
-            gradient,
-            p_correct: self.p_correct,
-            submitted: self.submitted,
-            completed: self.completed,
-            circuits_run: self.circuits_run,
-        }
-    }
 }
 
 /// A client node paired with one backend.
@@ -201,11 +183,6 @@ impl ClientNode {
         self.templates.len()
     }
 
-    /// What one run of template `t` books: [`QpuBackend::run_times`].
-    pub fn run_times(&self, t: usize) -> (f64, f64) {
-        self.run_times[t]
-    }
-
     /// Metrics of template `t` after transpilation (inputs to Eq. 2).
     pub fn template_metrics(&self, t: usize) -> &CircuitMetrics {
         self.templates[t].metrics()
@@ -252,15 +229,13 @@ impl ClientNode {
     ) -> ClientTaskResult {
         let slice = problem.slice_templates(task.slice);
         let booking = self.book(&slice, task, shots, submit);
-        let gradient = self.simulate(problem, &slice, &booking, params, shots);
-        booking.with_gradient(gradient)
+        self.simulate(problem, &slice, &booking, params, shots)
     }
 
-    /// The booking half of a task submitted at `submit`: the device's
-    /// Eq. 2 score, then the job of the per-occurrence shift pairs of the
-    /// slice's templates, drawn a start and booked. A task whose
-    /// parameter does not occur runs no job: it completes at `submit`,
-    /// drawing nothing.
+    /// The booking half of a task submitted at `submit`: the job of the
+    /// per-occurrence shift pairs of the slice's templates, drawn a start
+    /// and booked. A task whose parameter does not occur runs no job: it
+    /// completes at `submit`, drawing nothing.
     pub fn book_task(
         &mut self,
         problem: &dyn VqaProblem,
@@ -272,15 +247,16 @@ impl ClientNode {
     }
 
     /// The simulation half of a task [`ClientNode::book_task`] booked:
-    /// runs its job at the booked start, as **one** batched engine call,
-    /// and assembles the gradient from the counts (zero for no job).
+    /// the device's Eq. 2 score at submission, then its job at the
+    /// booked start, as **one** batched engine call, and the gradient
+    /// assembled from the counts (zero for no job).
     pub fn simulate_task(
         &mut self,
         problem: &dyn VqaProblem,
         booking: &TaskBooking,
         params: &[f64],
         shots: usize,
-    ) -> f64 {
+    ) -> ClientTaskResult {
         let slice = problem.slice_templates(booking.task.slice);
         self.simulate(problem, &slice, booking, params, shots)
     }
@@ -293,8 +269,6 @@ impl ClientNode {
         shots: usize,
         submit: SimTime,
     ) -> TaskBooking {
-        let p_correct =
-            Self::mean_p_correct(&self.templates, self.backend.reported_at(submit), slice);
         let runs = shift_runs(&self.templates, slice, task);
         let circuits_run = runs.clone().count();
         let (started, completed) = if circuits_run == 0 {
@@ -307,7 +281,6 @@ impl ClientNode {
         };
         TaskBooking {
             task,
-            p_correct,
             submitted: submit,
             started,
             completed,
@@ -323,9 +296,19 @@ impl ClientNode {
         booking: &TaskBooking,
         params: &[f64],
         shots: usize,
-    ) -> f64 {
+    ) -> ClientTaskResult {
+        let reported = self.backend.reported_at(booking.submitted);
+        let p_correct = Self::mean_p_correct(&self.templates, reported, slice);
+        let result = |gradient| ClientTaskResult {
+            task: booking.task,
+            gradient,
+            p_correct,
+            submitted: booking.submitted,
+            completed: booking.completed,
+            circuits_run: booking.circuits_run,
+        };
         if booking.circuits_run == 0 {
-            return 0.0;
+            return result(0.0);
         }
         let task = booking.task;
         // Occurrence structure from the first template; all templates of a
@@ -358,7 +341,7 @@ impl ClientNode {
         );
         self.tally(compiles, booking.circuits_run);
         self.tasks_completed += 1;
-        gradient
+        result(gradient)
     }
 
     /// Evaluates the full noisy loss at `params` by running every loss
@@ -408,12 +391,7 @@ impl ClientNode {
 
 /// A gradient task's runs, in job order: per occurrence of the task's
 /// parameter, the forward then the backward shift of every template in
-/// `slice`. Empty when the parameter does not occur.
-///
-/// # Panics
-///
-/// Panics (as the runs are drawn) if occurrence structures disagree
-/// across the slice's templates.
+/// `slice` (none when the parameter does not occur).
 fn shift_runs<'a>(
     templates: &'a [DeviceTemplate],
     slice: &'a [usize],

@@ -65,7 +65,7 @@ pub trait Executor {
 /// A booked task waiting in the event queue, ordered by completion
 /// time (earliest first). Every task is queued at dispatch, when its
 /// completion is booked, so the same total order drives the
-/// [`DiscreteEventExecutor`] and the [`PooledExecutor`]; its gradient
+/// [`DiscreteEventExecutor`] and the [`PooledExecutor`]; its result
 /// joins it when its simulation is done.
 pub(crate) struct Event {
     pub(crate) client: usize,
@@ -250,7 +250,6 @@ mod tests {
                         param: qcircuit::ParamId(0),
                         slice: vqa::TaskSlice::Full,
                     },
-                    p_correct: 1.0,
                     submitted: SimTime::ZERO,
                     started: SimTime::ZERO,
                     completed: SimTime::from_secs(completed),

@@ -42,13 +42,11 @@
 //! Every fleet mode — batch or streaming, any substrate — and both
 //! single-session executors run the same resumable stepper, `drive`:
 //! `next event → arrival-or-absorb → grant → round += 1`. A dispatch
-//! always books its task on the drive thread — the client's Eq. 2
-//! score, jitter draw and queue booking
-//! ([`ClientNode::book_task`]) — and queues its event at the exact
-//! virtual completion that booking settles, the way the paper's client
-//! learns its job's place in the device queue at submission. What
-//! varies is one choice, where the simulation that computes the
-//! gradient runs:
+//! always books its task on the drive thread
+//! ([`ClientNode::book_task`]) and queues its event at the exact
+//! completion the booking settles, the way the paper's client learns
+//! its job's place in the device queue at submission. What varies is
+//! where the simulation that computes the result runs:
 //!
 //! * **Inline** at dispatch (the reference), over private per-clone
 //!   queues (the default) or [`FleetBuilder::shared`]: one
@@ -60,10 +58,10 @@
 //!   shared ledgers replay the private ones byte for byte.
 //! * **Pooled**, [`FleetBuilder::pooled`]: simulations run on the
 //!   bounded worker pool ([`crate::pool`]'s sharded work-stealing
-//!   run-queue), and each gradient comes back into its client's slot.
+//!   run-queue), and each result comes back into its client's slot.
 //!   Both drives hold the same events at the same times, so they take
 //!   the same steps in the same order by construction; the pooled one
-//!   waits only when the event it absorbs next still has its gradient
+//!   waits only when the event it absorbs next still has its result
 //!   out — parallel wall-clock, byte-identical outcome. That pool is
 //!   the process's one thread substrate: the
 //!   [`PooledExecutor`](crate::PooledExecutor) rides it with its own
@@ -111,7 +109,7 @@
 
 pub mod service;
 
-use crate::client::{ClientNode, TaskBooking};
+use crate::client::{ClientNode, ClientTaskResult, TaskBooking};
 use crate::config::{ServiceConfig, TenantConfig};
 use crate::ensemble::{resolve_devices, Device, DeviceChoice};
 use crate::error::EqcError;
@@ -518,7 +516,7 @@ pub(crate) struct LaneCounters {
 }
 
 /// One tenant's lane through a fleet drive: the session halves
-/// (clients + master) plus the drive-local event heap, gradient slots,
+/// (clients + master) plus the drive-local event heap, result slots,
 /// ready queue and in-flight accounting. The single-session executors build a lane
 /// directly from an [`EnsembleSession`](crate::EnsembleSession) — they
 /// are fleets of one tenant.
@@ -542,9 +540,9 @@ pub(crate) struct Lane<'a, 'p> {
     clients: &'a mut Vec<ClientNode>,
     master: &'a mut MasterLoop,
     heap: BinaryHeap<Event>,
-    /// Per client, the gradient of its task in flight once the task's
+    /// Per client, the result of its task in flight once the task's
     /// simulation has returned it.
-    gradients: Vec<Option<f64>>,
+    results: Vec<Option<ClientTaskResult>>,
     ready: VecDeque<ReadyClient>,
     in_flight: usize,
     done: bool,
@@ -573,7 +571,7 @@ impl<'a, 'p> Lane<'a, 'p> {
             clients,
             master,
             heap: BinaryHeap::new(),
-            gradients: vec![None; n],
+            results: vec![None; n],
             ready: VecDeque::new(),
             in_flight: 0,
             done: false,
@@ -810,7 +808,7 @@ impl HeadIndex {
 }
 
 /// Absorbs lane `t`'s earliest event — waiting on `exec` while that
-/// event's own gradient is still being simulated — and queues the
+/// event's own result is still being simulated — and queues the
 /// follow-up dispatches (the freed client plus any re-admissions) for
 /// grant round `round`. Returns the absorbed event's local completion
 /// time.
@@ -825,19 +823,19 @@ fn absorb_next(
         .peek()
         .expect("next_lane implies a head")
         .client;
-    while lanes[t].gradients[client].is_none() {
+    while lanes[t].results[client].is_none() {
         exec.receive(lanes)?;
     }
     let lane = &mut lanes[t];
     let ev = lane.heap.pop().expect("peeked");
-    let gradient = lane.gradients[client].take().expect("received");
+    let result = lane.results[client].take().expect("received");
     let completed = ev.booking.completed;
     lane.in_flight -= 1;
     lane.master.absorb(
         ev.client,
         ev.cycle,
         ev.dispatched_at_update,
-        &ev.booking.with_gradient(gradient),
+        &result,
         lane.problem,
     )?;
     lane.counters.results_absorbed += 1;
@@ -1128,7 +1126,7 @@ enum FleetMsg {
     Done {
         lane: usize,
         client: usize,
-        gradient: f64,
+        result: ClientTaskResult,
     },
     Panicked {
         lane: usize,
@@ -1149,12 +1147,11 @@ pub(crate) enum Execution<'t> {
 }
 
 /// The execution back end a drive runs against, built from its
-/// [`Execution`] by [`with_exec`]. Either way a dispatch books its task
-/// on the drive thread and queues its event at the booked completion,
-/// so both drives take the same steps in the same order; they differ
-/// only in when a task's gradient arrives.
+/// [`Execution`] by [`with_exec`]. Both book every dispatch on the drive
+/// thread, so they take the same steps; only when a result arrives
+/// differs.
 enum Exec<'w> {
-    /// Tasks are simulated at dispatch: every gradient is in its slot
+    /// Tasks are simulated at dispatch: every result is in its slot
     /// before the next step is chosen.
     Inline {
         tracker: Option<&'w mut OccupancyTracker>,
@@ -1194,13 +1191,13 @@ impl Exec<'_> {
     ) -> Result<(), EqcError> {
         let client = r.client;
         let (assignment, submit) = lane.take_assignment(&r, round)?;
-        let (problem, shots) = (lane.problem, lane.shots);
+        let (problem, shots, task) = (lane.problem, lane.shots, assignment.task);
         let booking = match self {
             Exec::Inline { tracker } => {
                 let node = &mut lane.clients[client];
-                let booking = node.book_task(problem, assignment.task, shots, submit);
-                let gradient = node.simulate_task(problem, &booking, &assignment.params, shots);
-                lane.gradients[client] = Some(gradient);
+                let booking = node.book_task(problem, task, shots, submit);
+                let result = node.simulate_task(problem, &booking, &assignment.params, shots);
+                lane.results[client] = Some(result);
                 if let Some(tracker) = tracker.as_deref_mut() {
                     if booking.circuits_run > 0 {
                         tracker.mark(client);
@@ -1219,7 +1216,7 @@ impl Exec<'_> {
                 let booking = clients[flat]
                     .lock()
                     .map_err(|_| EqcError::Internal(format!("client {flat} poisoned")))?
-                    .book_task(problem, assignment.task, shots, submit);
+                    .book_task(problem, task, shots, submit);
                 runq.push(
                     flat,
                     FleetTask {
@@ -1244,8 +1241,8 @@ impl Exec<'_> {
     }
 
     /// Blocks until one more pooled simulation returns and files its
-    /// gradient in its client's slot (a retired lane's is dropped).
-    /// Inline every gradient is filed at dispatch, so being asked to
+    /// result in its client's slot (a retired lane's is dropped).
+    /// Inline every result is filed at dispatch, so being asked to
     /// wait means an event's result never came.
     fn receive(&mut self, lanes: &mut [Lane<'_, '_>]) -> Result<(), EqcError> {
         let Exec::Pool { result_rx, .. } = self else {
@@ -1257,10 +1254,10 @@ impl Exec<'_> {
             Ok(FleetMsg::Done {
                 lane,
                 client,
-                gradient,
+                result,
             }) => {
                 if !lanes[lane].done {
-                    lanes[lane].gradients[client] = Some(gradient);
+                    lanes[lane].results[client] = Some(result);
                 }
                 Ok(())
             }
@@ -1470,10 +1467,10 @@ fn with_exec(
                             .unwrap_or_else(|_| panic!("client {} poisoned", task.flat));
                         node.simulate_task(problem, &task.booking, &task.params, shots)
                     },
-                    |task, gradient| FleetMsg::Done {
+                    |task, result| FleetMsg::Done {
                         lane: task.lane,
                         client: task.client,
-                        gradient,
+                        result,
                     },
                     |task| FleetMsg::Panicked {
                         lane: task.lane,
@@ -2053,7 +2050,8 @@ mod tests {
                 .iter()
                 .find(|e| e.client == client)
                 .expect("queued");
-            (client, event.booking, lane.gradients[client])
+            let gradient = lane.results[client].as_ref().map(|r| r.gradient);
+            (client, event.booking, gradient)
         };
 
         let (_, booking, gradient) = dispatch(&mut lanes[0], &mut exec);

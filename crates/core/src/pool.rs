@@ -43,16 +43,13 @@
 //! only wall-clock and the pool telemetry differ.
 //!
 //! Parallelism and exact ordering coexist because a task's completion
-//! is known when it is dispatched. The coordinator books every task on
-//! its own thread — the device's jitter draw and queue admission, and
-//! the job's execution time from durations fixed per (device,
-//! template) — and queues its event at that completion; only the
-//! simulation, which computes the gradient, goes to a worker. The
-//! event queue therefore holds exactly the discrete-event executor's
-//! events, and the coordinator waits for a worker only when the event
-//! it absorbs next still has its gradient out. With many devices of
-//! comparable latencies that event was dispatched well before it is
-//! due, so its gradient is usually back and workers stay busy.
+//! is known when it is dispatched: the coordinator books every task on
+//! its own thread (jitter draw, queue admission, execution time from
+//! durations fixed per device and template) and queues its event at
+//! that completion; only the simulation, which computes the result,
+//! goes to a worker. The event queue holds exactly the discrete-event
+//! executor's events, and the coordinator waits only when the event it
+//! absorbs next still has its result out.
 
 use crate::ensemble::EnsembleSession;
 use crate::error::EqcError;

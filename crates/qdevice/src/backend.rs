@@ -372,9 +372,8 @@ struct BaseNoise {
     /// Reported CX error of every compact pair `lo < hi`, row by row
     /// (the order [`NoiseModel`] keeps them in).
     cx: Vec<f64>,
-    gate_time_1q_ns: f64,
-    gate_time_2q_ns: f64,
-    readout_time_ns: f64,
+    /// [`Calibration::times_ns`].
+    times_ns: [f64; 3],
 }
 
 impl BaseNoise {
@@ -389,9 +388,7 @@ impl BaseNoise {
         BaseNoise {
             qubits,
             cx,
-            gate_time_1q_ns: cal.gate_time_1q_ns,
-            gate_time_2q_ns: cal.gate_time_2q_ns,
-            readout_time_ns: cal.readout_time_ns,
+            times_ns: cal.times_ns(),
         }
     }
 
@@ -411,12 +408,7 @@ impl BaseNoise {
             }
         });
         let cx = self.cx.iter().map(|&v| (v * ef).clamp(0.0, 0.75));
-        let times = [
-            self.gate_time_1q_ns,
-            self.gate_time_2q_ns,
-            self.readout_time_ns,
-        ];
-        model.assign(qubits, cx, times);
+        model.assign(qubits, cx, self.times_ns);
     }
 }
 
@@ -556,6 +548,9 @@ struct ArchitectureTemplate {
     /// The plans the architecture's devices made of `circuit`, at most
     /// one per schedule signature.
     plans: Arc<SharedPlans>,
+    /// The scheduled duration of `circuit` under each set of gate and
+    /// readout times (by bits) a device of the architecture asked for.
+    durations: Mutex<Vec<([u64; 3], f64)>>,
 }
 
 impl ArchitectureTemplate {
@@ -589,7 +584,21 @@ impl ArchitectureTemplate {
             logical_bits,
             metrics: transpiled.metrics,
             plans: Arc::default(),
+            durations: Mutex::default(),
         })
+    }
+
+    /// The scheduled duration (ns, readout included) of the circuit
+    /// under `times`: the schedule walk's, once per distinct `times`.
+    fn duration_ns(&self, times: [f64; 3]) -> f64 {
+        let key = times.map(f64::to_bits);
+        let mut durations = self.durations.lock().expect("duration lock");
+        if let Some(&(_, duration)) = durations.iter().find(|(k, _)| *k == key) {
+            return duration;
+        }
+        let duration = walk(&self.circuit, times, |_| {});
+        durations.push((key, duration));
+        duration
     }
 }
 
@@ -1350,13 +1359,8 @@ impl QpuBackend {
     /// ([`Calibration::degrade`]), so they hold at every instant and
     /// shift, before anything compiles.
     pub fn run_times(&self, template: &DeviceTemplate) -> (f64, f64) {
-        let cal = &self.base_calibration;
-        let times = [
-            cal.gate_time_1q_ns,
-            cal.gate_time_2q_ns,
-            cal.readout_time_ns,
-        ];
-        (walk(template.circuit(), times, |_| {}), cal.readout_time_ns)
+        let times = self.base_calibration.times_ns();
+        (template.architecture.duration_ns(times), times[2])
     }
 
     /// The booking half of a client job: draws the start of a job
@@ -1507,7 +1511,7 @@ impl QpuBackend {
             assert_density_fits(program.num_qubits());
             sim.meta.push((
                 program.duration_ns(),
-                base.readout_time_ns,
+                base.times_ns[2],
                 program.num_qubits(),
             ));
         }

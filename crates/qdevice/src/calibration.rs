@@ -100,6 +100,16 @@ impl Calibration {
         self.qubits.len()
     }
 
+    /// The one-qubit gate, two-qubit gate and readout times (ns), which
+    /// [`Calibration::degrade`] never moves.
+    pub fn times_ns(&self) -> [f64; 3] {
+        [
+            self.gate_time_1q_ns,
+            self.gate_time_2q_ns,
+            self.readout_time_ns,
+        ]
+    }
+
     /// Per-qubit figures.
     ///
     /// # Panics

@@ -673,12 +673,12 @@ fn wrapper_executors_match_reference_functions() {
 }
 
 #[test]
-fn a_clients_run_times_are_its_plans_duration_and_readout() {
+fn run_times_are_the_plans_duration_and_the_readout_at_every_instant() {
     // The booking half's one assumption: the `(duration_ns, readout_ns)`
-    // a client computes once per template, before anything compiles, is
-    // what a plan of the template schedules and what the device reads
-    // out, bit for bit, whenever the job runs — recalibration jitter
-    // and drift move no gate or readout time.
+    // a client fixes per template when it prepares it, before anything
+    // compiles, is what a plan of the template schedules and what the
+    // device reads out, bit for bit, whenever the job runs —
+    // recalibration jitter and drift move no gate or readout time.
     let devices: Vec<QpuBackend> = catalog::catalog()
         .iter()
         .chain(&eqc_bench::fleet_specs(24))
@@ -687,12 +687,12 @@ fn a_clients_run_times_are_its_plans_duration_and_readout() {
         .collect();
     let mut checked = 0;
     for (_, problem, _) in eqc_bench::benchmark_templates() {
-        let problem = &*problem;
-        for device in &devices {
-            let Ok(client) = ClientNode::new(0, device.clone(), problem) else {
-                continue; // the template does not fit the device
-            };
-            for (t, template) in problem.templates().iter().enumerate() {
+        for template in problem.templates() {
+            for device in &devices {
+                let Ok(entry) = device.template(template) else {
+                    continue; // the template does not fit the device
+                };
+                let (duration_ns, readout_ns) = device.run_times(&entry);
                 let transpiled =
                     transpile(template, device.topology(), &TranspileOptions::default())
                         .expect("fits");
@@ -706,14 +706,13 @@ fn a_clients_run_times_are_its_plans_duration_and_readout() {
                     );
                     let mut compiled = CompiledTemplate::new(compact.clone(), active.clone());
                     compiled.ensure_compiled(&noise, qdevice::NoiseToken::new(0, 0, 1.0, 1.0));
-                    let (duration_ns, readout_ns) = client.run_times(t);
                     assert_eq!(
                         (duration_ns.to_bits(), readout_ns.to_bits()),
                         (
                             compiled.program().duration_ns().to_bits(),
                             noise.readout_time_ns.to_bits()
                         ),
-                        "{} template {t} on {} at {hours} h",
+                        "{} on {} at {hours} h",
                         problem.name(),
                         device.name()
                     );
@@ -724,6 +723,6 @@ fn a_clients_run_times_are_its_plans_duration_and_readout() {
     }
     assert!(
         checked > 300,
-        "{checked} (device, template, instant) triples"
+        "{checked} (template, device, instant) triples"
     );
 }
