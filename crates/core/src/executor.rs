@@ -43,8 +43,6 @@ use crate::report::TrainingReport;
 use qdevice::SimTime;
 use std::cmp::Ordering;
 
-use crate::client::TaskBooking;
-
 /// An execution substrate for an [`EnsembleSession`].
 ///
 /// Implementors drive the session's [`MasterLoop`](crate::MasterLoop):
@@ -68,8 +66,8 @@ pub trait Executor {
 /// [`DiscreteEventExecutor`] and the [`PooledExecutor`]; its result
 /// joins it when its simulation is done.
 pub(crate) struct Event {
+    pub(crate) completed: SimTime,
     pub(crate) client: usize,
-    pub(crate) booking: TaskBooking,
     pub(crate) cycle: usize,
     pub(crate) dispatched_at_update: u64,
 }
@@ -92,10 +90,9 @@ impl Ord for Event {
         // completion time cannot silently scramble the queue, and ties
         // break on client id for determinism.
         other
-            .booking
             .completed
             .as_secs()
-            .total_cmp(&self.booking.completed.as_secs())
+            .total_cmp(&self.completed.as_secs())
             .then_with(|| other.client.cmp(&self.client))
     }
 }
@@ -244,17 +241,8 @@ mod tests {
     fn event_ordering_is_total_and_earliest_first() {
         fn ev(completed: f64, client: usize) -> Event {
             Event {
+                completed: SimTime::from_secs(completed),
                 client,
-                booking: TaskBooking {
-                    task: vqa::GradientTask {
-                        param: qcircuit::ParamId(0),
-                        slice: vqa::TaskSlice::Full,
-                    },
-                    submitted: SimTime::ZERO,
-                    started: SimTime::ZERO,
-                    completed: SimTime::from_secs(completed),
-                    circuits_run: 0,
-                },
                 cycle: 0,
                 dispatched_at_update: 0,
             }
@@ -265,7 +253,7 @@ mod tests {
         heap.push(ev(10.0, 1));
         heap.push(ev(20.0, 0));
         let order: Vec<(f64, usize)> = std::iter::from_fn(|| heap.pop())
-            .map(|e| (e.booking.completed.as_secs(), e.client))
+            .map(|e| (e.completed.as_secs(), e.client))
             .collect();
         // Earliest first; equal times break toward the lower client id.
         assert_eq!(order, vec![(10.0, 1), (10.0, 2), (20.0, 0), (30.0, 0)]);

@@ -637,18 +637,17 @@ impl<'a, 'p> Lane<'a, 'p> {
     fn push_event(
         &mut self,
         client: usize,
-        booking: TaskBooking,
+        completed: SimTime,
         cycle: usize,
         dispatched_at_update: u64,
     ) -> f64 {
-        let global_s = self.offset_s + booking.completed.as_secs();
         self.heap.push(Event {
+            completed,
             client,
-            booking,
             cycle,
             dispatched_at_update,
         });
-        global_s
+        self.offset_s + completed.as_secs()
     }
 
     /// Marks every client the master wants dispatched after absorbing
@@ -718,7 +717,7 @@ fn next_lane(lanes: &[Lane<'_, '_>]) -> Option<usize> {
         .filter_map(|(t, lane)| {
             lane.heap
                 .peek()
-                .map(|e| (t, lane.offset_s + e.booking.completed.as_secs()))
+                .map(|e| (t, lane.offset_s + e.completed.as_secs()))
         })
         .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
         .map(|(t, _)| t)
@@ -772,7 +771,7 @@ impl HeadIndex {
             return;
         }
         if let Some(e) = lanes[t].heap.peek() {
-            self.note_at(t, lanes[t].offset_s + e.booking.completed.as_secs());
+            self.note_at(t, lanes[t].offset_s + e.completed.as_secs());
         }
     }
 
@@ -797,7 +796,7 @@ impl HeadIndex {
                 self.heap.pop();
                 continue;
             };
-            let global_s = lanes[t].offset_s + e.booking.completed.as_secs();
+            let global_s = lanes[t].offset_s + e.completed.as_secs();
             if order_key(global_s) != key {
                 self.heap.pop();
                 continue;
@@ -829,7 +828,7 @@ fn absorb_next(
     let lane = &mut lanes[t];
     let ev = lane.heap.pop().expect("peeked");
     let result = lane.results[client].take().expect("received");
-    let completed = ev.booking.completed;
+    let completed = ev.completed;
     lane.in_flight -= 1;
     lane.master.absorb(
         ev.client,
@@ -1192,18 +1191,18 @@ impl Exec<'_> {
         let client = r.client;
         let (assignment, submit) = lane.take_assignment(&r, round)?;
         let (problem, shots, task) = (lane.problem, lane.shots, assignment.task);
-        let booking = match self {
+        let completed = match self {
             Exec::Inline { tracker } => {
                 let node = &mut lane.clients[client];
-                let booking = node.book_task(problem, task, shots, submit);
-                let result = node.simulate_task(problem, &booking, &assignment.params, shots);
-                lane.results[client] = Some(result);
+                let result = node.run_task(problem, task, &assignment.params, shots, submit);
                 if let Some(tracker) = tracker.as_deref_mut() {
-                    if booking.circuits_run > 0 {
+                    if result.circuits_run > 0 {
                         tracker.mark(client);
                     }
                 }
-                booking
+                let completed = result.completed;
+                lane.results[client] = Some(result);
+                completed
             }
             Exec::Pool {
                 offsets,
@@ -1227,12 +1226,12 @@ impl Exec<'_> {
                         params: assignment.params,
                     },
                 );
-                booking
+                booking.completed
             }
         };
         let global_s = lane.push_event(
             client,
-            booking,
+            completed,
             assignment.cycle,
             assignment.dispatched_at_update,
         );
@@ -2050,22 +2049,22 @@ mod tests {
                 .iter()
                 .find(|e| e.client == client)
                 .expect("queued");
-            let gradient = lane.results[client].as_ref().map(|r| r.gradient);
-            (client, event.booking, gradient)
+            let result = lane.results[client].clone().expect("simulated at dispatch");
+            (client, event.completed, result)
         };
 
-        let (_, booking, gradient) = dispatch(&mut lanes[0], &mut exec);
-        assert_eq!(booking.circuits_run, 0, "parameter 0 runs no circuit");
+        let (_, completed, result) = dispatch(&mut lanes[0], &mut exec);
+        assert_eq!(result.circuits_run, 0, "parameter 0 runs no circuit");
         assert_eq!(
-            (booking.started, booking.completed, gradient),
-            (booking.submitted, booking.submitted, Some(0.0)),
+            (completed, result.completed, result.gradient),
+            (result.submitted, result.submitted, 0.0),
             "it completes at its submit time with a zero gradient"
         );
         assert_eq!(tracker_marks(&mut exec), (vec![], vec![false; 2]));
 
-        let (client, booking, gradient) = dispatch(&mut lanes[0], &mut exec);
-        assert!(booking.circuits_run > 0, "parameter 1 runs its shift pair");
-        assert!(booking.completed > booking.started && gradient.is_some());
+        let (client, completed, result) = dispatch(&mut lanes[0], &mut exec);
+        assert!(result.circuits_run > 0, "parameter 1 runs its shift pair");
+        assert!(completed == result.completed && completed > result.submitted);
         let mut stale = vec![false; 2];
         stale[client] = true;
         assert_eq!(tracker_marks(&mut exec), (vec![client], stale));
