@@ -1437,15 +1437,17 @@ fn with_exec(
         Execution::Pool(workers) => workers,
     };
     // Remember each lane's offset while flattening.
+    // Moved straight into one flat pool (no intermediate copy); each
+    // lane keeps its vector's capacity to take its clients back.
     let mut offsets = Vec::with_capacity(lanes.len());
     let mut meta: Vec<(&dyn VqaProblem, usize)> = Vec::with_capacity(lanes.len());
-    let mut flat: Vec<ClientNode> = Vec::new();
+    let total = lanes.iter().map(|lane| lane.clients.len()).sum();
+    let mut clients: Vec<Mutex<ClientNode>> = Vec::with_capacity(total);
     for lane in lanes.iter_mut() {
-        offsets.push(flat.len());
+        offsets.push(clients.len());
         meta.push((lane.problem, lane.shots));
-        flat.append(lane.clients);
+        clients.extend(lane.clients.drain(..).map(Mutex::new));
     }
-    let clients: Vec<Mutex<ClientNode>> = flat.into_iter().map(Mutex::new).collect();
     let runq: RunQueue<FleetTask> = RunQueue::new(workers);
     let (result_tx, result_rx) = mpsc::channel::<FleetMsg>();
 
@@ -1500,12 +1502,10 @@ fn with_exec(
         outcome.and_then(|()| join_failure.map_or(Ok(()), Err))
     });
 
-    let mut recovered: Vec<ClientNode> = clients
-        .into_iter()
-        .map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner()))
-        .collect();
     for (i, lane) in lanes.iter_mut().enumerate().rev() {
-        *lane.clients = recovered.split_off(offsets[i]);
+        let mine = clients.drain(offsets[i]..);
+        lane.clients
+            .extend(mine.map(|m| m.into_inner().unwrap_or_else(|p| p.into_inner())));
     }
     let (queue_depth_max, tasks_stolen) = runq.counters();
     let telemetry = PoolTelemetry {
