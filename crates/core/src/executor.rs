@@ -64,7 +64,7 @@ pub trait Executor {
 /// time (earliest first). Every task is queued at dispatch, when its
 /// completion is booked, so the same total order drives the
 /// [`DiscreteEventExecutor`] and the [`PooledExecutor`]; its result
-/// joins it when its simulation is done.
+/// waits in its client's slot of the drive until the event is absorbed.
 pub(crate) struct Event {
     pub(crate) completed: SimTime,
     pub(crate) client: usize,
