@@ -517,9 +517,10 @@ pub(crate) struct LaneCounters {
 
 /// One tenant's lane through a fleet drive: the session halves
 /// (clients + master) plus the drive-local event heap, result slots,
-/// ready queue and in-flight accounting. The single-session executors build a lane
-/// directly from an [`EnsembleSession`](crate::EnsembleSession) — they
-/// are fleets of one tenant.
+/// ready queue and in-flight accounting. The single-session executors
+/// build a lane directly from an
+/// [`EnsembleSession`](crate::EnsembleSession) — they are fleets of one
+/// tenant.
 pub(crate) struct Lane<'a, 'p> {
     problem: &'p dyn VqaProblem,
     shots: usize,
@@ -1436,9 +1437,9 @@ fn with_exec(
         Execution::Inline(tracker) => return (body(lanes, &mut Exec::Inline { tracker }), None),
         Execution::Pool(workers) => workers,
     };
-    // Remember each lane's offset while flattening.
-    // Moved straight into one flat pool (no intermediate copy); each
-    // lane keeps its vector's capacity to take its clients back.
+    // The clients move straight into one flat pool, remembering each
+    // lane's offset; each lane keeps its vector's capacity to take its
+    // clients back, so no intermediate copy is held.
     let mut offsets = Vec::with_capacity(lanes.len());
     let mut meta: Vec<(&dyn VqaProblem, usize)> = Vec::with_capacity(lanes.len());
     let total = lanes.iter().map(|lane| lane.clients.len()).sum();
